@@ -40,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -1339,7 +1338,6 @@ class SweepReport:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "generated_unix": time.time(),
             "feature_dim": self.feature_dim,
             "cache": {
                 "hits": self.cache_hits,
