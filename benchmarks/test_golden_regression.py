@@ -1,10 +1,11 @@
 """Golden regression: the committed figure tables must be reproducible.
 
 Pins every ``benchmarks/results/fig*.txt`` (plus the inline-stat and
-multi-GPU scaling tables) against freshly generated output, so a
-pass-pipeline or counter change that silently drifts the published
-numbers fails loudly instead of being papered over by the
-re-persisting figure tests.
+multi-GPU scaling tables) and every ``sweep_*.json`` written through
+``SweepReport.save_json`` against freshly generated output, so a
+pass-pipeline, counter or ``SweepRow`` schema change that silently
+drifts the published numbers fails loudly instead of being papered
+over by the re-persisting figure tests and smoke commands.
 
 The committed file contents are snapshotted at *collection* time —
 before any figure test in this run rewrites them — so the comparison is
@@ -14,13 +15,25 @@ genuinely against what the repository ships.
 from __future__ import annotations
 
 import os
+import tempfile
 
 import pytest
 
 from repro.bench import figures
+from repro.bench.__main__ import SWEEPS
 from repro.bench.report import RESULTS_DIR
+from repro.session import run_sweep
 
-# name -> zero-arg callable producing the table text.
+
+def _sweep_json(name: str) -> str:
+    """The JSON ``python -m repro.bench`` would persist for one sweep."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_sweep(**SWEEPS[name], save_as=name, results_dir=tmp)
+        with open(os.path.join(tmp, f"{name}.json")) as fh:
+            return fh.read()
+
+
+# name -> zero-arg callable producing the table (or sweep JSON) text.
 GOLDEN_TABLES = {
     "fig7_gat": lambda: figures.fig7_gat().table,
     "fig7_edgeconv": lambda: figures.fig7_edgeconv().table,
@@ -40,11 +53,16 @@ GOLDEN_TABLES = {
     "inline_redundancy": lambda: figures.inline_redundant_computation()[1],
     "inline_memory_share": lambda: figures.inline_intermediate_memory_share()[1],
 }
+GOLDEN_TABLES.update(
+    (name, lambda name=name: _sweep_json(name)) for name in SWEEPS
+)
 
 # Snapshot at import (collection) time, before figure tests overwrite.
 _COMMITTED = {}
 for _name in GOLDEN_TABLES:
-    _path = os.path.join(RESULTS_DIR, f"{_name}.txt")
+    _path = os.path.join(
+        RESULTS_DIR, _name + (".json" if _name in SWEEPS else ".txt")
+    )
     if os.path.exists(_path):
         with open(_path) as _fh:
             _COMMITTED[_name] = _fh.read()
@@ -91,13 +109,13 @@ def test_backend_calibration_structure():
 @pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
 def test_committed_table_is_reproducible(name):
     assert name in _COMMITTED, (
-        f"benchmarks/results/{name}.txt is missing — run the benchmark "
+        f"benchmarks/results/{name}.* is missing — run the benchmark "
         "suite once and commit the generated table"
     )
     fresh = GOLDEN_TABLES[name]().rstrip() + "\n"
     assert fresh == _COMMITTED[name], (
         f"{name}: freshly generated table differs from the committed "
-        f"benchmarks/results/{name}.txt.  If the change is intentional, "
+        f"benchmarks/results/{name}.*.  If the change is intentional, "
         "regenerate and commit the new table; otherwise a pass/counter "
         "change drifted published numbers."
     )

@@ -12,7 +12,7 @@ recovering vertex-balanced performance on skewed graphs.
 
 import pytest
 
-from repro.bench.harness import measure_forward
+from repro.bench.harness import measure
 from repro.bench.report import format_table, save_table
 from repro.frameworks import compile_forward, get_strategy
 from repro.gpu import RTX3090, CostModel
@@ -29,8 +29,8 @@ def results():
     model = GCN(64, (64,))
     rows = {}
     for wname, stats in (("skewed", skew), ("regular", regular)):
-        vertex = measure_forward(model, wname, stats, "ours", RTX3090)
-        edge = measure_forward(model, wname, stats, "ours-edgemap", RTX3090)
+        vertex = measure(model, wname, stats, "ours", RTX3090, training=False)
+        edge = measure(model, wname, stats, "ours-edgemap", RTX3090, training=False)
         compiled = compile_forward(model, get_strategy("ours"))
         grouped_cm = CostModel(RTX3090, neighbor_group_size=128)
         grouped = grouped_cm.latency_seconds(compiled.counters(stats), stats)

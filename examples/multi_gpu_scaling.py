@@ -28,9 +28,9 @@ from repro.registry import MODELS
 report = (
     repro.session()
     .model("gat").dataset("cora")
-    .strategy("fuse_all")
+    .strategy("ours")
     .cluster("V100", 4)
-    .run()
+    .report()
 )
 print(report.summary())
 print()
@@ -41,7 +41,7 @@ print()
 sweep = repro.run_sweep(
     models=["gat", "gcn"],
     datasets=["cora"],
-    strategies=["fuse_all"],
+    strategies=["ours"],
     gpus=["V100"],
     num_gpus=(1, 2, 4, 8),
     feature_dim=64,
@@ -65,7 +65,7 @@ print()
 dataset = get_dataset("cora")
 graph = dataset.graph()
 model = MODELS.get("gat")(dataset.feature_dim, dataset.num_classes)
-compiled = compile_training(model, get_strategy("fuse_all"))
+compiled = compile_training(model, get_strategy("ours"))
 
 rng = np.random.default_rng(0)
 features = dataset.features()

@@ -37,9 +37,9 @@ halo-exchange traffic, and the comm/compute split::
 
     report = (
         repro.session()
-        .model("gat").dataset("cora").strategy("fuse_all")
+        .model("gat").dataset("cora").strategy("ours")
         .cluster("V100", 4)
-        .run()
+        .report()
     )
     print(report.summary())
 
@@ -87,8 +87,8 @@ Extend without touching library source::
     ))
     repro.session().model("gat").dataset("cora").strategy("mine").counters()
 
-The lower-level entry points (``compile_training``, ``get_strategy``,
-``run_experiment``) remain available.  See ``examples/`` for runnable
+The lower-level entry points (``compile_training``, ``get_strategy``)
+remain available.  See ``examples/`` for runnable
 end-to-end scripts and ``benchmarks/`` for the per-figure reproduction
 harness.
 """
@@ -145,7 +145,6 @@ from repro.session import (
     run_sweep,
     session,
 )
-from repro.experiment import run_experiment
 from repro.registry import (
     register_dataset,
     register_gpu,
@@ -196,7 +195,6 @@ __all__ = [
     "SGD",
     "Trainer",
     "MiniBatchTrainer",
-    "run_experiment",
     "Session",
     "session",
     "PlanCache",

@@ -8,16 +8,14 @@ The per-figure experiment definitions live in
 
 from repro.bench.harness import (
     RunResult,
-    measure_forward,
-    measure_training,
+    measure,
     normalized_rows,
 )
 from repro.bench.report import format_table, geomean, save_table
 
 __all__ = [
     "RunResult",
-    "measure_forward",
-    "measure_training",
+    "measure",
     "normalized_rows",
     "format_table",
     "geomean",

@@ -7,7 +7,9 @@ registry-driven :func:`repro.run_sweep` over the model zoo is saved as
 JSON alongside the tables so successive PRs can track the performance
 trajectory.
 
-``python -m repro.bench --smoke`` runs a CI-sized subset instead: one
+Case flags (:data:`CASES`) select CI-sized subsets instead and combine:
+every selected case runs, in the order listed here.
+``python -m repro.bench --smoke`` runs one
 small sweep, persisted to ``benchmarks/results/sweep_smoke.json``.
 ``--minibatch`` runs the sampled-training smoke case: a citation-scale
 batch-size sweep (full-graph vs sampled epochs) persisted to
@@ -84,18 +86,91 @@ FIGURES = (
     ("fig_overlap_efficiency", fig_overlap_efficiency),
 )
 
-
-def run_smoke() -> int:
-    """CI-sized sanity sweep: small dims, citation-scale workloads."""
-    t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
+#: ``run_sweep`` keyword sets of the golden sweep JSONs, keyed by the
+#: ``benchmarks/results/<name>.json`` each is saved as.  The commands
+#: below and ``benchmarks/test_golden_regression.py`` both read this.
+SWEEPS = {
+    # CI-sized sanity sweep: small dims, citation-scale workloads.
+    "sweep_smoke": dict(
         models=["gat", "gcn"],
         datasets=["cora", "pubmed"],
         strategies=["dgl-like", "ours"],
         feature_dim=32,
-        save_as="sweep_smoke",
-    )
+    ),
+    "sweep_minibatch_smoke": dict(
+        models=["sage"],
+        datasets=["pubmed"],
+        strategies=["ours"],
+        batch_size=[None, 1024, 256],
+        feature_dim=32,
+    ),
+    "sweep_memory_smoke": dict(
+        models=["gat", "sage"],
+        datasets=["cora"],
+        strategies=["ours"],
+        schedule=[None, "memory"],
+        feature_dim=32,
+    ),
+    "sweep_serve_smoke": dict(
+        models=["gat"],
+        datasets=["pubmed"],
+        strategies=["ours"],
+        serve_qps=[500.0, 8000.0],
+        serve_requests=96,
+        serve_seeds=4,
+        serve_cache_rows=4096,
+        serve_zipf_alpha=0.9,
+        feature_dim=32,
+        training=False,
+    ),
+    "sweep_dynamic_smoke": dict(
+        models=["gat"],
+        datasets=["pubmed"],
+        strategies=["ours"],
+        serve_qps=[4000.0],
+        update_frac=[0.0, 0.3],
+        serve_requests=96,
+        serve_seeds=4,
+        serve_cache_rows=4096,
+        serve_zipf_alpha=0.9,
+        feature_dim=32,
+        training=False,
+    ),
+    "sweep_backend_smoke": dict(
+        models=["gat"],
+        datasets=["cora"],
+        strategies=["ours"],
+        backend=[None, "blocked"],
+        feature_dim=32,
+    ),
+    "sweep_precision_smoke": dict(
+        models=["gat"],
+        datasets=["cora"],
+        strategies=["ours"],
+        precision=[None, "fp16", "int8"],
+        feature_dim=32,
+    ),
+    "sweep_main": dict(
+        models=["gat", "gcn", "sage", "gin"],
+        datasets=["cora", "pubmed", "reddit-full"],
+        strategies=["dgl-like", "ours"],
+        feature_dim=64,
+    ),
+}
+
+
+def _golden_sweep(name: str):
+    """Run one :data:`SWEEPS` entry, persist it, and print its table."""
+    sweep = run_sweep(**SWEEPS[name], save_as=name)
     print(sweep.table())
+    return sweep
+
+
+
+def run_smoke() -> int:
+    """CI-sized sanity sweep: small dims, citation-scale workloads."""
+    t0 = time.time()  # repro: allow-wallclock
+    sweep = _golden_sweep("sweep_smoke")
     print(f"smoke sweep done in {time.time() - t0:.1f}s "  # repro: allow-wallclock
           f"({sweep.cache_misses} compiles, {sweep.cache_hits} cache hits)")
     return 0
@@ -110,15 +185,7 @@ def run_minibatch_smoke() -> int:
     peak and must pay a positive feature-gather bill.
     """
     t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
-        models=["sage"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        batch_size=[None, 1024, 256],
-        feature_dim=32,
-        save_as="sweep_minibatch_smoke",
-    )
-    print(sweep.table())
+    sweep = _golden_sweep("sweep_minibatch_smoke")
     full = sweep.by(batch_size=None)[0]
     sampled = [r for r in sweep.rows if r.batch_size is not None]
     assert sampled, "mini-batch sweep produced no sampled rows"
@@ -156,15 +223,7 @@ def run_memory_smoke() -> int:
         assert row["reuse_factor"] >= 1.0
         strict += row["arena_bytes"] < row["ledger_peak_bytes"]
     assert strict >= 6, f"arena beat the ledger on only {strict} models"
-    sweep = run_sweep(
-        models=["gat", "sage"],
-        datasets=["cora"],
-        strategies=["ours"],
-        schedule=[None, "memory"],
-        feature_dim=32,
-        save_as="sweep_memory_smoke",
-    )
-    print(sweep.table())
+    _golden_sweep("sweep_memory_smoke")
     print(
         f"memory smoke done in {time.time() - t0:.1f}s "  # repro: allow-wallclock
         f"(arena strictly below the ledger peak on "
@@ -183,20 +242,7 @@ def run_serve_smoke() -> int:
     accounting that reconciles exactly against the uncached bill.
     """
     t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        serve_qps=[500.0, 8000.0],
-        serve_requests=96,
-        serve_seeds=4,
-        serve_cache_rows=4096,
-        serve_zipf_alpha=0.9,
-        feature_dim=32,
-        training=False,
-        save_as="sweep_serve_smoke",
-    )
-    print(sweep.table())
+    sweep = _golden_sweep("sweep_serve_smoke")
     rows = sweep.rows
     assert rows and all(r.serve_qps is not None for r in rows)
     assert all(
@@ -237,21 +283,7 @@ def run_dynamic_smoke() -> int:
     actually observed updates (positive staleness).
     """
     t0 = time.time()  # repro: allow-wallclock
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        serve_qps=[4000.0],
-        update_frac=[0.0, 0.3],
-        serve_requests=96,
-        serve_seeds=4,
-        serve_cache_rows=4096,
-        serve_zipf_alpha=0.9,
-        feature_dim=32,
-        training=False,
-        save_as="sweep_dynamic_smoke",
-    )
-    print(sweep.table())
+    sweep = _golden_sweep("sweep_dynamic_smoke")
     static = sweep.by(update_frac=0.0)
     dynamic = sweep.by(update_frac=0.3)
     assert static and dynamic, "sweep must emit both static and dynamic rows"
@@ -335,15 +367,7 @@ def run_measured_smoke() -> int:
         f"blocked gather ({blk_gather:.4f}s) must beat reference "
         f"({ref_gather:.4f}s)"
     )
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["cora"],
-        strategies=["ours"],
-        backend=[None, "blocked"],
-        feature_dim=32,
-        save_as="sweep_backend_smoke",
-    )
-    print(sweep.table())
+    sweep = _golden_sweep("sweep_backend_smoke")
     assert {r.backend for r in sweep.rows} == {None, "blocked"}
     print(
         f"measured smoke done in {time.time() - t0:.1f}s "  # repro: allow-wallclock
@@ -420,15 +444,7 @@ def run_precision_smoke() -> int:
             f"fp16 output {k} drifted {rel:.2e} > bound {bound:g}"
         )
 
-    sweep = run_sweep(
-        models=["gat"],
-        datasets=["cora"],
-        strategies=["ours"],
-        precision=[None, "fp16", "int8"],
-        feature_dim=32,
-        save_as="sweep_precision_smoke",
-    )
-    print(sweep.table())
+    sweep = _golden_sweep("sweep_precision_smoke")
     assert {r.precision for r in sweep.rows} == {None, "fp16", "int8"}
     fp32_row = sweep.by(precision=None)[0]
     fp16_row = sweep.by(precision="fp16")[0]
@@ -568,85 +584,68 @@ def run_full() -> int:
     print(table)
     print(f"  -> {save_table('inline_memory_share', table)}\n")
 
-    sweep = run_sweep(
-        models=["gat", "gcn", "sage", "gin"],
-        datasets=["cora", "pubmed", "reddit-full"],
-        strategies=["dgl-like", "ours"],
-        feature_dim=64,
-        save_as="sweep_main",
-    )
-    print(sweep.table())
+    _golden_sweep("sweep_main")
     print("  -> sweep_main.json\n")
 
     print(f"all figures regenerated in {time.time() - start:.1f}s")  # repro: allow-wallclock
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m repro.bench")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run a quick CI-sized sweep instead of all paper figures",
-    )
-    parser.add_argument(
-        "--minibatch",
-        action="store_true",
-        help="run the CI-sized sampled mini-batch training smoke case",
-    )
-    parser.add_argument(
-        "--memory",
-        action="store_true",
-        help="run the CI-sized arena memory-planning smoke case",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="run the CI-sized online inference-serving smoke case",
-    )
-    parser.add_argument(
-        "--dynamic",
-        action="store_true",
-        help="run the CI-sized dynamic-serving (graph/feature update) "
+#: Command-line cases in run order: flag -> (runner, help text).  With no
+#: flag the full figure regeneration runs.
+CASES = {
+    "smoke": (
+        run_smoke,
+        "run a quick CI-sized sweep instead of all paper figures",
+    ),
+    "minibatch": (
+        run_minibatch_smoke,
+        "run the CI-sized sampled mini-batch training smoke case",
+    ),
+    "memory": (
+        run_memory_smoke,
+        "run the CI-sized arena memory-planning smoke case",
+    ),
+    "serve": (
+        run_serve_smoke,
+        "run the CI-sized online inference-serving smoke case",
+    ),
+    "dynamic": (
+        run_dynamic_smoke,
+        "run the CI-sized dynamic-serving (graph/feature update) "
         "smoke case",
-    )
-    parser.add_argument(
-        "--measured",
-        action="store_true",
-        help="run the measured-execution smoke case: per-backend "
+    ),
+    "measured": (
+        run_measured_smoke,
+        "run the measured-execution smoke case: per-backend "
         "kernel-class calibration vs the analytic roofline",
-    )
-    parser.add_argument(
-        "--precision",
-        action="store_true",
-        help="run the mixed-precision smoke case: precision-io table, "
+    ),
+    "precision": (
+        run_precision_smoke,
+        "run the mixed-precision smoke case: precision-io table, "
         "exact fp16 halving invariants, and a differential execution",
-    )
-    parser.add_argument(
-        "--overlap",
-        action="store_true",
-        help="run the async-runtime smoke case: overlap-efficiency "
+    ),
+    "overlap": (
+        run_overlap_smoke,
+        "run the async-runtime smoke case: overlap-efficiency "
         "table, pipelining-win invariants, and a bit-identity "
         "differential execution",
-    )
+    ),
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run every selected case in :data:`CASES` order (all figures when
+    none is selected); the exit status is the first non-zero one."""
+    parser = argparse.ArgumentParser(prog="python -m repro.bench")
+    for flag, (_, help_text) in CASES.items():
+        parser.add_argument(f"--{flag}", action="store_true", help=help_text)
     args = parser.parse_args(argv)
-    if args.smoke:
-        return run_smoke()
-    if args.minibatch:
-        return run_minibatch_smoke()
-    if args.memory:
-        return run_memory_smoke()
-    if args.serve:
-        return run_serve_smoke()
-    if args.dynamic:
-        return run_dynamic_smoke()
-    if args.measured:
-        return run_measured_smoke()
-    if args.precision:
-        return run_precision_smoke()
-    if args.overlap:
-        return run_overlap_smoke()
-    return run_full()
+    selected = [
+        runner for flag, (runner, _) in CASES.items() if getattr(args, flag)
+    ]
+    statuses = [runner() for runner in selected or [run_full]]
+    return next((status for status in statuses if status), 0)
 
 
 if __name__ == "__main__":

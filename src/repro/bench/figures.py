@@ -33,15 +33,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.harness import (
-    RunResult,
-    measure_forward,
-    measure_training,
-    normalized_rows,
-)
+from repro.bench.harness import RunResult, measure, normalized_rows
 from repro.bench.report import format_table
-from repro.session import PlanCache, Session
-from repro.gpu.cost_model import CostModel
+from repro.session import PlanCache, Session, SweepRow
 from repro.gpu.spec import GPUSpec, RTX2080, RTX3090
 from repro.graph.datasets import get_dataset
 from repro.graph.stats import GraphStats
@@ -148,7 +142,6 @@ def _run_grid(
     training: bool = True,
     baseline: str = "dgl-like",
 ) -> FigureResult:
-    measure = measure_training if training else measure_forward
     # One plan cache per grid: workloads sharing a model instance (and
     # every repeated strategy) reuse one compilation.
     cache = PlanCache()
@@ -156,7 +149,10 @@ def _run_grid(
     for model, workload, stats in runs:
         for strategy in strategies:
             results.append(
-                measure(model, workload, stats, strategy, gpu, cache=cache)
+                measure(
+                    model, workload, stats, strategy, gpu,
+                    training=training, cache=cache,
+                )
             )
     normalized = normalized_rows(results, baseline=baseline)
     rows = [
@@ -262,9 +258,7 @@ def fig10_recomputation() -> FigureResult:
     for model, workload, stats in runs:
         for strategy in variants:
             results.append(
-                measure_training(
-                    model, workload, stats, strategy, RTX3090, cache=cache
-                )
+                measure(model, workload, stats, strategy, RTX3090, cache=cache)
             )
     rows = [
         [
@@ -312,7 +306,7 @@ def fig11_small_gpu() -> FigureResult:
             ("ours", RTX2080),
         ):
             results.append(
-                measure_training(model, workload, stats, strategy, gpu, cache=cache)
+                measure(model, workload, stats, strategy, gpu, cache=cache)
             )
     rows = [
         [
@@ -373,41 +367,30 @@ def fig_multi_gpu_scaling(
             )
             if n <= 1:
                 sess.gpu(gpu_name)
-                latency = sess.latency_seconds()
-                compute_s, comm_s = latency, 0.0
-                comm_bytes, comm_fraction = 0, 0.0
-                peak = sess.counters().peak_memory_bytes
                 overlap_efficiency = 1.0
             else:
                 sess.cluster(gpu_name, n)
-                breakdown = sess.comm_breakdown()
-                multi = sess.multi_counters()
-                latency = breakdown.total_seconds
-                compute_s, comm_s = (
-                    breakdown.compute_seconds, breakdown.comm_seconds,
-                )
-                comm_bytes = multi.comm_bytes
-                comm_fraction = multi.comm_fraction
-                peak = multi.peak_memory_bytes
                 schedules = sess.overlap_schedules()
                 overlap_efficiency = sum(
                     s.serialized_makespan_s for s in schedules
                 ) / sum(s.overlapped_makespan_s for s in schedules)
+            report = sess.report()
+            row = SweepRow.from_report(report)
             if base_latency is None:
-                base_latency = latency
+                base_latency = report.latency_s
             normalized.append(
                 {
                     "workload": workload,
                     "strategy": "ours",
                     "gpus": n,
-                    "latency_s": latency,
-                    "speedup": base_latency / latency,
-                    "comm_bytes": comm_bytes,
-                    "comm_fraction": comm_fraction,
-                    "compute_s": compute_s,
-                    "comm_s": comm_s,
-                    "peak_memory_bytes": peak,
-                    "comm_bound": comm_s > compute_s,
+                    "latency_s": report.latency_s,
+                    "speedup": base_latency / report.latency_s,
+                    "comm_bytes": row.comm_bytes,
+                    "comm_fraction": row.comm_fraction,
+                    "compute_s": report.compute_seconds,
+                    "comm_s": report.comm_seconds,
+                    "peak_memory_bytes": row.peak_memory_bytes,
+                    "comm_bound": report.comm_seconds > report.compute_seconds,
                     "overlap_efficiency": overlap_efficiency,
                 }
             )
@@ -539,9 +522,9 @@ def fig_minibatch_io(
     """Feature-gather IO vs per-batch memory of sampled training.
 
     GraphSAGE, full-graph versus sampled mini-batch epochs, under both
-    §6 recomputation policies.  Batches are drawn once per batch size
-    (seeded) and the *same exact schedule* prices every strategy, so
-    rows differ only in the compiled plans.  Qualitative shape:
+    §6 recomputation policies.  The sampler is seeded, so the *same
+    exact schedule* of batches prices every strategy and rows differ
+    only in the compiled plans.  Qualitative shape:
     shrinking the batch shrinks the per-batch receptive field and with
     it the peak footprint (the device-fit quantity) but inflates epoch
     IO — overlapping fields re-gather shared feature rows — the
@@ -553,65 +536,31 @@ def fig_minibatch_io(
     the IO tax without any memory win.  Rows land in ``normalized`` as
     dicts keyed by (strategy, batch).
     """
-    from repro.graph.sampling import plan_minibatches
-
     ds = get_dataset(dataset)
-    graph = ds.graph()
-    stats = ds.stats
     model = GraphSAGE(ds.feature_dim, (128, ds.num_classes))
     gpu = RTX3090
     cache = PlanCache()
-    # One exact sampled schedule per batch size, shared across strategies.
-    schedules: Dict[int, List] = {}
-    for bs in batch_sizes:
-        if bs is None:
-            continue
-        schedules[bs] = [
-            (mb.num_seeds, mb.subgraph.stats())
-            for mb in plan_minibatches(
-                graph, bs, hops, rng=np.random.default_rng(seed)
-            )
-        ]
     normalized: List[Dict[str, object]] = []
     for strategy in ("ours-stash", "ours"):
         sess = (
             Session(cache=cache)
             .model(model).dataset(dataset).strategy(strategy).gpu(gpu)
         )
-        compiled = sess.compile(training=True)
-        full = compiled.counters(stats)
-        cost = CostModel(gpu)
         for bs in batch_sizes:
-            if bs is None:
-                normalized.append(
-                    {
-                        "strategy": strategy,
-                        "batch": None,
-                        "num_batches": 1,
-                        "expansion": 1.0,
-                        "gather_bytes": 0,
-                        "io_bytes": full.io_bytes,
-                        "peak_memory_bytes": full.peak_memory_bytes,
-                        "stash_bytes": full.stash_bytes,
-                        "latency_s": cost.latency_seconds(full, stats),
-                    }
-                )
-                continue
-            mc = compiled.minibatch_counters(
-                schedules[bs], num_vertices=stats.num_vertices
-            )
-            latency = cost.minibatch_latency_seconds(mc)
+            report = sess.minibatch(bs, hops, seed=seed).report()
+            row = SweepRow.from_report(report)
+            epoch = report.minibatch  # None on the full-graph row
             normalized.append(
                 {
                     "strategy": strategy,
                     "batch": bs,
-                    "num_batches": mc.num_batches,
-                    "expansion": mc.expansion,
-                    "gather_bytes": mc.gather_bytes,
-                    "io_bytes": mc.io_bytes,
-                    "peak_memory_bytes": mc.peak_memory_bytes,
-                    "stash_bytes": mc.stash_bytes,
-                    "latency_s": latency,
+                    "num_batches": epoch.num_batches if epoch else 1,
+                    "expansion": epoch.expansion if epoch else 1.0,
+                    "gather_bytes": row.gather_bytes,
+                    "io_bytes": row.io_bytes,
+                    "peak_memory_bytes": row.peak_memory_bytes,
+                    "stash_bytes": row.stash_bytes,
+                    "latency_s": row.latency_s,
                 }
             )
     table_rows = [
@@ -924,10 +873,10 @@ def fig_memory_plan(dataset: str = "pubmed") -> FigureResult:
 # Static plan analysis (checker inventory extension)
 # ======================================================================
 
-#: Strategies swept per model in the static-analysis inventory: the two
-#: baseline families, the inference-only configuration, and ``ours``
-#: (whose int8 precision variant rides along as a fifth target).
-ANALYSIS_STRATEGIES = ("dgl-like", "fuse_all", "huang-like", "ours")
+#: Strategies swept per model in the static-analysis inventory: the
+#: per-op baseline, the inference-only configuration, and ``ours``
+#: (whose int8 precision variant rides along as a fourth target).
+ANALYSIS_STRATEGIES = ("dgl-like", "huang-like", "ours")
 
 
 def fig_static_analysis(dataset: str = "cora") -> FigureResult:
@@ -1056,7 +1005,7 @@ def fig_precision_io(dataset: str = "pubmed") -> FigureResult:
             )
             stats = s.resolve_stats()
             gather = (
-                feature_gather_row_bytes(s.compile_forward().plan)
+                feature_gather_row_bytes(s.compile(training=False).plan)
                 * stats.num_vertices
             )
             peak = s.counters(training=False).peak_memory_bytes
@@ -1240,8 +1189,10 @@ def inline_redundant_computation() -> Tuple[float, str]:
     """
     stats = _modelnet_stats(64, 40)
     model = EdgeConv(3, (64, 64, 128, 256))
-    naive = measure_forward(model, "modelnet", stats, "ours-noreorg", RTX3090)
-    opt = measure_forward(model, "modelnet", stats, "ours", RTX3090)
+    naive = measure(
+        model, "modelnet", stats, "ours-noreorg", RTX3090, training=False
+    )
+    opt = measure(model, "modelnet", stats, "ours", RTX3090, training=False)
     share = (naive.flops - opt.flops) / naive.flops
     table = format_table(
         ["quantity", "paper", "measured"],

@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.gpu.cost_model import CostModel, SimulatedOOM
 from repro.gpu.spec import GPUSpec
 from repro.graph.stats import GraphStats
 from repro.models.base import GNNModel
 from repro.session import PlanCache, Session
 
-__all__ = ["RunResult", "measure_training", "measure_forward", "normalized_rows"]
+__all__ = ["RunResult", "measure", "normalized_rows"]
 
 
 @dataclass
@@ -46,70 +45,40 @@ class RunResult:
         return self.io_bytes / 2 ** 30
 
 
-def measure_training(
+def measure(
     model: GNNModel,
     workload: str,
     stats: GraphStats,
     strategy_name: str,
     gpu: GPUSpec,
     *,
+    training: bool = True,
     cache: Optional[PlanCache] = None,
 ) -> RunResult:
-    """Analytic counters + modelled latency for one training step.
+    """Analytic counters + modelled latency for one training step, or
+    one inference pass with ``training=False``.
 
     Pass a shared ``cache`` to reuse compiled plans across workloads
     and devices (the per-figure grids do).
     """
-    sess = (
+    report = (
         Session(cache=cache)
         .model(model).stats(stats, workload).strategy(strategy_name).gpu(gpu)
+        .report(training=training)
     )
-    counters = sess.compile(training=True).counters(stats)
-    cm = CostModel(gpu)
-    oom = not cm.fits(counters)
+    counters = report.counters
     return RunResult(
-        model=model.name,
-        workload=workload,
-        strategy=strategy_name,
-        gpu=gpu.name,
-        latency_s=cm.latency_seconds(counters, stats),
+        model=report.model,
+        workload=report.dataset,
+        strategy=report.strategy,
+        gpu=report.gpu,
+        latency_s=report.latency_s,
         io_bytes=counters.io_bytes,
         peak_memory_bytes=counters.peak_memory_bytes,
         flops=counters.flops,
         stash_bytes=counters.stash_bytes,
         launches=counters.launches,
-        oom=oom,
-    )
-
-
-def measure_forward(
-    model: GNNModel,
-    workload: str,
-    stats: GraphStats,
-    strategy_name: str,
-    gpu: GPUSpec,
-    *,
-    cache: Optional[PlanCache] = None,
-) -> RunResult:
-    """Analytic counters + modelled latency for one inference pass."""
-    sess = (
-        Session(cache=cache)
-        .model(model).stats(stats, workload).strategy(strategy_name).gpu(gpu)
-    )
-    counters = sess.compile(training=False).counters(stats)
-    cm = CostModel(gpu)
-    return RunResult(
-        model=model.name,
-        workload=workload,
-        strategy=strategy_name,
-        gpu=gpu.name,
-        latency_s=cm.latency_seconds(counters, stats),
-        io_bytes=counters.io_bytes,
-        peak_memory_bytes=counters.peak_memory_bytes,
-        flops=counters.flops,
-        stash_bytes=0,
-        launches=counters.launches,
-        oom=not cm.fits(counters),
+        oom=not report.fits_device,
     )
 
 

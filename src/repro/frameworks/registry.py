@@ -4,8 +4,7 @@ Built-ins are registered on the unified :data:`repro.registry.STRATEGIES`
 registry; user code adds its own with
 :func:`repro.registry.register_strategy` — see
 ``examples/custom_strategy.py``.  ``get_strategy`` / ``list_strategies``
-and the module-level ``STRATEGIES`` name are kept as thin shims over
-the registry.
+read that registry by name.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import List
 from repro.frameworks.strategy import ExecutionStrategy
 from repro.registry import STRATEGIES, register_strategy
 
-__all__ = ["get_strategy", "list_strategies", "STRATEGIES"]
+__all__ = ["get_strategy", "list_strategies"]
 
 # Deep Graph Library: per-operator kernels plus hand-fused builtins
 # (edge-softmax, gSpMM aggregate).  Saves every kernel output for
@@ -50,16 +49,6 @@ register_strategy(ExecutionStrategy(
 # This paper: all three techniques.
 register_strategy(ExecutionStrategy(
     name="ours",
-    reorg_scope="full",
-    fusion_mode="unified",
-    recompute_policy="recompute",
-    stash_scope="needed",
-))
-
-# Descriptive alias of the full unified-fusion stack, used by the
-# multi-GPU examples/docs ("fuse everything, recompute the rest").
-register_strategy(ExecutionStrategy(
-    name="fuse_all",
     reorg_scope="full",
     fusion_mode="unified",
     recompute_policy="recompute",

@@ -38,11 +38,13 @@ the counters are later evaluated on.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import os
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,11 +52,7 @@ import numpy as np
 from repro.exec.memory import StepMemoryPlan, plan_memory
 from repro.exec.profiler import Counters, MiniBatchCounters, MultiGPUCounters
 from repro.frameworks import compile_forward, compile_training, get_strategy
-from repro.frameworks.strategy import (
-    CompiledForward,
-    CompiledTraining,
-    ExecutionStrategy,
-)
+from repro.frameworks.strategy import ExecutionStrategy
 from repro.gpu.cluster import Cluster, ClusterCostModel, CommBreakdown, make_cluster
 from repro.gpu.cost_model import CostModel, SimulatedOOM
 from repro.gpu.spec import GPUSpec, get_gpu
@@ -177,9 +175,10 @@ class PlanCache:
 class ExperimentReport:
     """Everything one configuration produced.
 
-    Single-GPU runs leave ``multi`` as ``None``; cluster runs attach the
-    per-GPU shards (compute counters + halo traffic per device) and the
-    modelled communication/computation time split.
+    Single-GPU runs leave ``multi`` as ``None`` (all of ``latency_s``
+    is compute); cluster runs attach the per-GPU shards (compute
+    counters + halo traffic per device) and the modelled
+    communication/computation time split.
     """
 
     model: str
@@ -202,6 +201,14 @@ class ExperimentReport:
     minibatch: Optional[MiniBatchCounters] = None
     #: Arena memory plan (set when the session scheduled for memory).
     memory: Optional[StepMemoryPlan] = None
+
+    @property
+    def priced(self):
+        """The counters ``latency_s``/``fits_device`` were priced on: the
+        sampled epoch, the cluster's shards, or the full-graph step."""
+        if self.minibatch is not None:
+            return self.minibatch
+        return self.multi if self.multi is not None else self.counters
 
     @property
     def comm_fraction_time(self) -> float:
@@ -298,19 +305,13 @@ class Session:
         self._gpu: Union[str, GPUSpec] = "RTX3090"
         self._cluster: Optional[Cluster] = None
         self._partitioner: Optional[str] = None
-        # (workload id, num_parts, method, seed) -> (workload, stats).
-        self._pstats_memo: Dict[tuple, tuple] = {}
         self._feature_dim: Optional[int] = None
-        # Last (compiled, stats) -> counters, so counters() followed by
-        # latency_seconds()/fits() analyses once, not three times.
-        self._counters_memo: Optional[tuple] = None
-        # Multi-GPU twin: (compiled, partition stats) -> MultiGPUCounters.
-        self._multi_memo: Optional[tuple] = None
+        # Derived artifacts (partition stats, counters of every kind,
+        # memory plans), so counters() followed by latency_seconds()/
+        # fits() analyses once, not three times; see _memoised.
+        self._memo: Dict[tuple, tuple] = {}
         # Sampled mini-batch configuration: (batch_size, hops, seed).
         self._minibatch: Optional[Tuple[int, Optional[int], int]] = None
-        # (compiled id, batch/hops/seed, workload anchor) -> counters;
-        # anchors keep id()s alive exactly like the partition memo.
-        self._minibatch_memo: Dict[tuple, tuple] = {}
         # Memory planning: None = ledger accounting only, "memory" =
         # append the schedule_memory pass and price the arena plan.
         self._schedule: Optional[str] = None
@@ -323,10 +324,8 @@ class Session:
         # Async-runtime override: None keeps the strategy's own mode
         # (normally serial).
         self._overlap: Optional[str] = None
-        # (compiled id, stats id) -> (compiled, stats, StepMemoryPlan).
-        self._memory_memo: Dict[tuple, tuple] = {}
         # Registry-name models resolve once per configuration; the
-        # model/dataset/feature_dim setters invalidate this.
+        # model/dataset/stats/feature_dim setters invalidate this.
         self._resolved_model: Optional[GNNModel] = None
 
     # -- fluent setters ------------------------------------------------
@@ -347,6 +346,7 @@ class Session:
         self._stats = stats
         self._workload = workload
         self._dataset = None
+        self._resolved_model = None
         return self
 
     def strategy(self, strategy: Union[str, ExecutionStrategy]) -> "Session":
@@ -517,11 +517,6 @@ class Session:
         self._resolved_model = None
         return self
 
-    def cache(self, cache: PlanCache) -> "Session":
-        """Share a plan cache with other sessions (sweeps do this)."""
-        self._cache = cache
-        return self
-
     @property
     def plan_cache(self) -> PlanCache:
         return self._cache
@@ -569,23 +564,43 @@ class Session:
         spec = strategy.partition if strategy.partition is not None else PartitionSpec()
         method = self._partitioner or spec.method
         ds = self.resolve_dataset()
-        # Key on workload object identity (the anchor is stored in the
-        # value to keep its id() from being recycled): two datasets
-        # sharing a name must never alias each other's partitions.
-        anchor = ds if ds is not None else self._stats
-        key = (id(anchor), num_parts, method, spec.seed)
-        memo = self._pstats_memo.get(key)
-        if memo is not None and memo[0] is anchor:
-            return memo[1]
-        if ds is not None and ds.has_concrete_graph:
-            gp = partition_graph(
-                ds.graph(), num_parts, method=method, seed=spec.seed
-            )
-            pstats = PartitionStats.from_partition(gp)
-        else:
-            pstats = PartitionStats.from_stats(self.resolve_stats(), num_parts)
-        self._pstats_memo[key] = (anchor, pstats)
-        return pstats
+
+        def partition() -> PartitionStats:
+            if ds is not None and ds.has_concrete_graph:
+                return PartitionStats.from_partition(
+                    partition_graph(
+                        ds.graph(), num_parts, method=method, seed=spec.seed
+                    )
+                )
+            return PartitionStats.from_stats(self.resolve_stats(), num_parts)
+
+        return self._memoised(
+            "pstats", (self._workload_anchor(),), partition,
+            num_parts, method, spec.seed,
+        )
+
+    def _workload_anchor(self):
+        """The object that identifies the workload: dataset, else stats."""
+        ds = self.resolve_dataset()
+        return ds if ds is not None else self.resolve_stats()
+
+    def _memoised(self, kind: str, anchors: tuple, compute, *params):
+        """Identity-keyed memo of one derived artifact.
+
+        ``anchors`` are the objects the value is derived from (a
+        compiled pair, a dataset, stats, partition stats) and
+        ``params`` the hashable knobs.  Keys use object identity — two
+        datasets sharing a name must never alias each other's results —
+        and each entry stores its anchors, which keeps their ``id()``
+        from being recycled while the entry lives.
+        """
+        key = (kind, *map(id, anchors), *params)
+        hit = self._memo.get(key)
+        if hit is not None and all(a is b for a, b in zip(hit[0], anchors)):
+            return hit[1]
+        value = compute()
+        self._memo[key] = (anchors, value)
+        return value
 
     def resolve_dataset(self) -> Optional[Dataset]:
         d = self._dataset
@@ -619,9 +634,12 @@ class Session:
                 "its feature/class dimensions; call .dataset(...) first "
                 "or pass a constructed model instance"
             )
-        in_dim = self._feature_dim if self._feature_dim is not None else ds.feature_dim
-        self._resolved_model = MODELS.get(m)(in_dim, ds.num_classes)
+        self._resolved_model = MODELS.get(m)(self._in_dim(ds), ds.num_classes)
         return self._resolved_model
+
+    def _in_dim(self, ds: Dataset) -> int:
+        """Input width: the override, else the dataset's published one."""
+        return self._feature_dim if self._feature_dim is not None else ds.feature_dim
 
     # -- terminal operations -------------------------------------------
     def compile(self, *, training: bool = True):
@@ -629,9 +647,6 @@ class Session:
         return self._cache.get_or_compile(
             self.resolve_model(), self.resolve_strategy(), training=training
         )
-
-    def compile_forward(self) -> CompiledForward:
-        return self.compile(training=False)
 
     def analyze(
         self,
@@ -669,52 +684,48 @@ class Session:
         plans are the memory-scheduled ones; without it the fusion
         order is planned as-is.  Memoised per (compiled, stats).
         """
-        return self._memory_plan_compiled(
+        return self._memory_plan(
             self.compile(training=training), self.resolve_stats(), training
         )
 
-    def _memory_plan_compiled(
+    def _memory_plan(
         self, compiled, stats: GraphStats, training: bool
     ) -> StepMemoryPlan:
-        """Memoised planning for an already-compiled pair (no extra
-        plan-cache traffic — sweeps pin one compile call per combo)."""
-        key = (id(compiled), id(stats), training)
-        memo = self._memory_memo.get(key)
-        if memo is not None and memo[0] is compiled and memo[1] is stats:
-            return memo[2]
-        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
-        if training:
-            smp = StepMemoryPlan(
+        def plan() -> StepMemoryPlan:
+            pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
+            if not training:
+                return StepMemoryPlan(
+                    forward=plan_memory(compiled.plan, stats, pinned=pinned)
+                )
+            return StepMemoryPlan(
                 forward=plan_memory(compiled.fwd_plan, stats, pinned=pinned),
                 backward=plan_memory(compiled.bwd_plan, stats, pinned=pinned),
             )
-        else:
-            smp = StepMemoryPlan(
-                forward=plan_memory(compiled.plan, stats, pinned=pinned)
-            )
-        self._memory_memo[key] = (compiled, stats, smp)
-        return smp
+
+        return self._memoised("memory", (compiled, stats), plan, training)
 
     def counters(self, *, training: bool = True) -> Counters:
-        compiled = self.compile(training=training)
-        stats = self.resolve_stats()
-        memo = self._counters_memo
-        if memo is not None and memo[0] is compiled and memo[1] is stats:
-            return memo[2]
-        counters = compiled.counters(stats)
-        if self._schedule == "memory":
-            # Price the arena plan: the cost model's DRAM check then
-            # uses the deliverable (pinned + packed arena) footprint.
-            smp = self._memory_plan_compiled(compiled, stats, training)
-            counters.forward.planned_peak_bytes = (
-                smp.forward.planned_peak_bytes
-            )
-            if counters.backward is not None and smp.backward is not None:
-                counters.backward.planned_peak_bytes = (
-                    smp.backward.planned_peak_bytes
+        return self._counters(
+            self.compile(training=training), self.resolve_stats(), training
+        )
+
+    def _counters(self, compiled, stats: GraphStats, training: bool) -> Counters:
+        def analyse() -> Counters:
+            counters = compiled.counters(stats)
+            if self._schedule == "memory":
+                # Price the arena plan: the cost model's DRAM check then
+                # uses the deliverable (pinned + packed arena) footprint.
+                smp = self._memory_plan(compiled, stats, training)
+                counters.forward.planned_peak_bytes = (
+                    smp.forward.planned_peak_bytes
                 )
-        self._counters_memo = (compiled, stats, counters)
-        return counters
+                if counters.backward is not None and smp.backward is not None:
+                    counters.backward.planned_peak_bytes = (
+                        smp.backward.planned_peak_bytes
+                    )
+            return counters
+
+        return self._memoised("counters", (compiled, stats), analyse)
 
     def multi_counters(self, *, training: bool = True) -> MultiGPUCounters:
         """Per-GPU counters + halo traffic (requires a cluster)."""
@@ -723,14 +734,7 @@ class Session:
                 "session targets a single GPU: call .cluster(name, n) "
                 "before asking for multi-GPU counters"
             )
-        compiled = self.compile(training=training)
-        pstats = self.resolve_partition_stats()
-        memo = self._multi_memo
-        if memo is not None and memo[0] is compiled and memo[1] is pstats:
-            return memo[2]
-        multi = compiled.multi_counters(pstats)
-        self._multi_memo = (compiled, pstats, multi)
-        return multi
+        return self.report(training=training).multi
 
     def _minibatch_schedule(self, compiled) -> List[Tuple[int, GraphStats]]:
         """One epoch's (num_seeds, field_stats) pairs for the workload."""
@@ -767,25 +771,7 @@ class Session:
                 "session evaluates full-graph: call .minibatch(batch_size) "
                 "before asking for mini-batch counters"
             )
-        if self.resolve_cluster() is not None:
-            raise ValueError(
-                "mini-batch accounting is single-GPU: configure .gpu(...) "
-                "instead of .cluster(...)"
-            )
-        compiled = self.compile(training=training)
-        ds = self.resolve_dataset()
-        anchor = ds if ds is not None else self.resolve_stats()
-        key = (id(compiled), self._minibatch, id(anchor))
-        memo = self._minibatch_memo.get(key)
-        if memo is not None and memo[0] is compiled and memo[1] is anchor:
-            return memo[2]
-        stats = self.resolve_stats()
-        counters = compiled.minibatch_counters(
-            self._minibatch_schedule(compiled),
-            num_vertices=stats.num_vertices,
-        )
-        self._minibatch_memo[key] = (compiled, anchor, counters)
-        return counters
+        return self.report(training=training).minibatch
 
     def minibatch_latency_seconds(self, *, training: bool = True) -> float:
         """Modelled epoch time: per-batch kernels + feature gathers."""
@@ -824,9 +810,7 @@ class Session:
         compiled = self.compile(training=training)
         pstats = self.resolve_partition_stats()
         smp = (
-            self._memory_plan_compiled(
-                compiled, self.resolve_stats(), training
-            )
+            self._memory_plan(compiled, self.resolve_stats(), training)
             if self._schedule == "memory"
             else None
         )
@@ -835,40 +819,92 @@ class Session:
             if training
             else [("forward", compiled.plan)]
         )
-        schedules = []
-        for phase, plan in phases:
-            mp = None
-            if smp is not None:
-                mp = smp.forward if phase == "forward" else smp.backward
-            schedules.append(
-                build_overlap_schedule(
-                    plan, pstats, cluster, memory_plan=mp, phase=phase
-                )
+        return [
+            build_overlap_schedule(
+                plan, pstats, cluster,
+                memory_plan=getattr(smp, phase, None), phase=phase,
             )
-        return schedules
+            for phase, plan in phases
+        ]
 
-    def latency_seconds(self, *, training: bool = True) -> float:
-        if self._minibatch is not None:
-            return self.minibatch_latency_seconds(training=training)
+    def _price(self, compiled, training: bool) -> ExperimentReport:
+        """Price this configuration on its already-compiled pair.
+
+        The one place that decides *how* a configuration is priced:
+        a sampled mini-batch epoch, a partitioned cluster step, or a
+        full-graph step each pick their counters and the matching cost
+        model here, and :meth:`report`, :meth:`latency_seconds`,
+        :meth:`fits`, :func:`run_sweep`, the bench harness and the
+        figures all read the record this fills.  ``compiled`` is passed
+        in so a caller pays one plan-cache lookup however many devices
+        or batchings it prices the pair on; ``counters`` always holds
+        the full-graph reference.
+        """
+        stats = self.resolve_stats()
+        counters = self._counters(compiled, stats, training)
         cluster = self.resolve_cluster()
-        if cluster is not None:
-            return self.comm_breakdown(training=training).total_seconds
-        return CostModel(self.resolve_gpu()).latency_seconds(
-            self.counters(training=training), self.resolve_stats()
+        priced: Dict[str, object] = {}
+        if self._minibatch is not None:
+            if cluster is not None:
+                raise ValueError(
+                    "mini-batch accounting is single-GPU: configure "
+                    ".gpu(...) instead of .cluster(...)"
+                )
+            # Epoch totals; the per-batch maximum is what must fit.
+            cost = CostModel(self.resolve_gpu())
+            mc = self._memoised(
+                "minibatch",
+                (compiled, self._workload_anchor()),
+                lambda: compiled.minibatch_counters(
+                    self._minibatch_schedule(compiled),
+                    num_vertices=stats.num_vertices,
+                ),
+                self._minibatch,
+            )
+            latency = compute = cost.minibatch_latency_seconds(mc)
+            fits = cost.fits(mc)
+            priced.update(batch_size=self._minibatch[0], minibatch=mc)
+        elif cluster is not None:
+            cost = ClusterCostModel(cluster)
+            pstats = self.resolve_partition_stats()
+            multi = self._memoised(
+                "multi", (compiled, pstats),
+                lambda: compiled.multi_counters(pstats),
+            )
+            breakdown = cost.breakdown(multi, pstats)
+            latency, compute = breakdown.total_seconds, breakdown.compute_seconds
+            fits = cost.fits(multi)
+            priced.update(
+                num_gpus=cluster.num_gpus,
+                multi=multi,
+                comm_seconds=breakdown.comm_seconds,
+            )
+        else:
+            cost = CostModel(self.resolve_gpu())
+            latency = compute = cost.latency_seconds(counters, stats)
+            fits = cost.fits(counters)
+        return ExperimentReport(
+            model=self._model_label(),
+            dataset=self._dataset_label(),
+            strategy=self._strategy_label(),
+            gpu=self._gpu_label(),
+            counters=counters,
+            latency_s=latency,
+            fits_device=fits,
+            compute_seconds=compute,
+            memory=(
+                self._memory_plan(compiled, stats, training)
+                if self._schedule == "memory"
+                else None
+            ),
+            **priced,
         )
 
+    def latency_seconds(self, *, training: bool = True) -> float:
+        return self.report(training=training).latency_s
+
     def fits(self, *, training: bool = True) -> bool:
-        if self._minibatch is not None:
-            # The per-batch maximum is the footprint that must fit.
-            return CostModel(self.resolve_gpu()).fits(
-                self.minibatch_counters(training=training)
-            )
-        cluster = self.resolve_cluster()
-        if cluster is not None:
-            return ClusterCostModel(cluster).fits(
-                self.multi_counters(training=training)
-            )
-        return CostModel(self.resolve_gpu()).fits(self.counters(training=training))
+        return self.report(training=training).fits_device
 
     # -- naming (for reports) ------------------------------------------
     def _model_label(self) -> str:
@@ -892,117 +928,65 @@ class Session:
         g = self._gpu
         return g if isinstance(g, str) else g.name
 
-    def report(self, *, train_steps: int = 0, seed: int = 0) -> ExperimentReport:
+    def report(
+        self, *, train_steps: int = 0, seed: int = 0, training: bool = True
+    ) -> ExperimentReport:
         """Counters + modelled latency, optionally with concrete training.
 
-        Training uses the dataset's ground-truth labels when it provides
-        them; stats-only or label-less datasets fall back to synthetic
-        labels planted from a hidden projection of the features.
+        ``training=False`` prices the forward (inference) plan instead
+        of a training step.  On a cluster configuration the report
+        carries per-GPU counters, halo-exchange bytes, and the
+        comm/compute time split; under :meth:`minibatch` the sampled
+        epoch.  Concrete training uses the dataset's ground-truth
+        labels when it provides them; stats-only or label-less datasets
+        fall back to synthetic labels planted from a hidden projection
+        of the features.
         """
+        if train_steps > 0 and not training:
+            raise ValueError("train_steps needs training=True")
+        compiled = self.compile(training=training)
+        report = self._price(compiled, training)
+        if train_steps <= 0:
+            return report
+
         from repro.train import Adam, MiniBatchTrainer, Trainer  # local: keeps import cheap
 
-        compiled = self.compile(training=True)
-        stats = self.resolve_stats()
-        counters = self.counters(training=True)
-        cluster = self.resolve_cluster()
-        if self._minibatch is not None:
-            mc = self.minibatch_counters()
-            report = ExperimentReport(
-                model=self._model_label(),
-                dataset=self._dataset_label(),
-                strategy=self._strategy_label(),
-                gpu=self._gpu_label(),
-                counters=counters,
-                latency_s=self.minibatch_latency_seconds(),
-                fits_device=CostModel(self.resolve_gpu()).fits(mc),
-                batch_size=self._minibatch[0],
-                minibatch=mc,
+        ds = self.resolve_dataset()
+        if ds is None:
+            raise ValueError(
+                "concrete training needs a dataset with a graph; "
+                "this session was configured with raw stats only"
             )
-        elif cluster is not None:
-            multi = self.multi_counters()
-            breakdown = ClusterCostModel(cluster).breakdown(
-                multi, self.resolve_partition_stats()
-            )
-            report = ExperimentReport(
-                model=self._model_label(),
-                dataset=self._dataset_label(),
-                strategy=self._strategy_label(),
-                gpu=self._gpu_label(),
-                counters=counters,
-                latency_s=breakdown.total_seconds,
-                fits_device=ClusterCostModel(cluster).fits(multi),
-                num_gpus=cluster.num_gpus,
-                multi=multi,
-                compute_seconds=breakdown.compute_seconds,
-                comm_seconds=breakdown.comm_seconds,
-            )
+        graph = ds.graph()
+        in_dim = self._in_dim(ds)
+        feats = ds.features(dim=in_dim, seed=seed)
+        if ds.has_labels:
+            labels = ds.labels()
         else:
-            cost = CostModel(self.resolve_gpu())
-            report = ExperimentReport(
-                model=self._model_label(),
-                dataset=self._dataset_label(),
-                strategy=self._strategy_label(),
-                gpu=self._gpu_label(),
-                counters=counters,
-                latency_s=cost.latency_seconds(counters, stats),
-                fits_device=cost.fits(counters),
+            rng = np.random.default_rng(seed)
+            labels = (
+                feats @ rng.normal(size=(in_dim, ds.num_classes))
+            ).argmax(axis=1)
+        opt = Adam(lr=0.01)
+        if self._minibatch is not None:
+            # One "step" = one sampled epoch (a full vertex pass,
+            # the unit comparable to a full-graph step).
+            batch_size, hops, mb_seed = self._minibatch
+            mb_trainer = MiniBatchTrainer(
+                compiled, graph,
+                batch_size=batch_size, hops=hops,
+                precision="float32", seed=seed, sampler_seed=mb_seed,
             )
-        if self._schedule == "memory":
-            report.memory = self.memory_plan(training=True)
-
-        if train_steps > 0:
-            ds = self.resolve_dataset()
-            if ds is None:
-                raise ValueError(
-                    "concrete training needs a dataset with a graph; "
-                    "this session was configured with raw stats only"
-                )
-            graph = ds.graph()
-            in_dim = (
-                self._feature_dim
-                if self._feature_dim is not None
-                else ds.feature_dim
-            )
-            feats = ds.features(dim=in_dim, seed=seed)
-            if ds.has_labels:
-                labels = ds.labels()
-            else:
-                rng = np.random.default_rng(seed)
-                labels = (
-                    feats @ rng.normal(size=(in_dim, ds.num_classes))
-                ).argmax(axis=1)
-            opt = Adam(lr=0.01)
-            if self._minibatch is not None:
-                # One "step" = one sampled epoch (a full vertex pass,
-                # the unit comparable to a full-graph step).
-                batch_size, hops, mb_seed = self._minibatch
-                mb_trainer = MiniBatchTrainer(
-                    compiled, graph,
-                    batch_size=batch_size, hops=hops,
-                    precision="float32", seed=seed, sampler_seed=mb_seed,
-                )
-                acc = None
-                for _ in range(train_steps):
-                    epoch = mb_trainer.train_epoch(feats, labels, opt)
-                    report.losses.append(epoch.loss)
-                    acc = epoch.accuracy
-                report.final_accuracy = acc
-                return report
-            trainer = Trainer(compiled, graph, precision="float32", seed=seed)
-            acc = None
             for _ in range(train_steps):
-                loss, acc = trainer.train_step(feats, labels, opt)
-                report.losses.append(loss)
-            report.final_accuracy = acc
+                epoch = mb_trainer.train_epoch(feats, labels, opt)
+                report.losses.append(epoch.loss)
+                report.final_accuracy = epoch.accuracy
+            return report
+        trainer = Trainer(compiled, graph, precision="float32", seed=seed)
+        for _ in range(train_steps):
+            loss, report.final_accuracy = trainer.train_step(feats, labels, opt)
+            report.losses.append(loss)
         return report
-
-    def run(self, *, train_steps: int = 0, seed: int = 0) -> ExperimentReport:
-        """Evaluate the configuration (alias of :meth:`report`).
-
-        On a cluster configuration the report carries per-GPU counters,
-        halo-exchange bytes, and the comm/compute time split.
-        """
-        return self.report(train_steps=train_steps, seed=seed)
 
     # -- online serving ------------------------------------------------
     def serve(
@@ -1075,13 +1059,19 @@ class Session:
                 "stats-only workloads cannot answer seed requests"
             )
         graph = ds.graph()
-        in_dim = (
-            self._feature_dim if self._feature_dim is not None else ds.feature_dim
-        )
+        in_dim = self._in_dim(ds)
         features = ds.features(dim=in_dim, seed=seed)
         compiled = self.compile(training=False)
         tenant = self._model_label()
-        rng = np.random.default_rng(seed)
+        stream = dict(
+            qps=qps,
+            num_vertices=graph.num_vertices,
+            seeds_per_request=seeds_per_request,
+            slo_s=slo_s,
+            tenant=tenant,
+            zipf_alpha=zipf_alpha,
+            rng=np.random.default_rng(seed),
+        )
         updates = None
         if update_frac > 0.0:
             from repro.dyn import mixed_workload  # local: keeps import cheap
@@ -1093,41 +1083,16 @@ class Session:
                 )
             workload, updates = mixed_workload(
                 num_requests,
-                qps=qps,
-                num_vertices=graph.num_vertices,
                 feature_dim=in_dim,
                 update_frac=update_frac,
-                seeds_per_request=seeds_per_request,
-                slo_s=slo_s,
-                tenant=tenant,
-                zipf_alpha=zipf_alpha,
                 edge_frac=update_edge_frac,
                 new_vertex_prob=new_vertex_prob,
-                rng=rng,
+                **stream,
             )
         elif arrival == "poisson":
-            workload = poisson_workload(
-                num_requests,
-                qps=qps,
-                num_vertices=graph.num_vertices,
-                seeds_per_request=seeds_per_request,
-                slo_s=slo_s,
-                tenant=tenant,
-                zipf_alpha=zipf_alpha,
-                rng=rng,
-            )
+            workload = poisson_workload(num_requests, **stream)
         elif arrival == "bursty":
-            workload = bursty_workload(
-                num_requests,
-                qps=qps,
-                num_vertices=graph.num_vertices,
-                burst=burst,
-                seeds_per_request=seeds_per_request,
-                slo_s=slo_s,
-                tenant=tenant,
-                zipf_alpha=zipf_alpha,
-                rng=rng,
-            )
+            workload = bursty_workload(num_requests, burst=burst, **stream)
         else:
             raise ValueError(
                 f"unknown arrival process {arrival!r}; use 'poisson' or 'bursty'"
@@ -1219,37 +1184,118 @@ class SweepRow:
     invalidated_bytes: int = 0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "strategy": self.strategy,
-            "gpu": self.gpu,
-            "flops": self.flops,
-            "io_bytes": self.io_bytes,
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "stash_bytes": self.stash_bytes,
-            "launches": self.launches,
-            "latency_s": self.latency_s,
-            "fits_device": self.fits_device,
-            "num_gpus": self.num_gpus,
-            "comm_bytes": self.comm_bytes,
-            "comm_fraction": self.comm_fraction,
-            "batch_size": self.batch_size,
-            "gather_bytes": self.gather_bytes,
-            "schedule": self.schedule,
-            "arena_bytes": self.arena_bytes,
-            "backend": self.backend,
-            "precision": self.precision,
-            "serve_qps": self.serve_qps,
-            "p50_latency_s": self.p50_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "cache_hit_rate": self.cache_hit_rate,
-            "slo_violation_rate": self.slo_violation_rate,
-            "update_frac": self.update_frac,
-            "staleness_s": self.staleness_s,
-            "invalidated_bytes": self.invalidated_bytes,
-        }
+        return asdict(self)
+
+    @classmethod
+    def from_report(cls, report: ExperimentReport, **labels) -> "SweepRow":
+        """An offline row: whatever ``report`` was priced on.
+
+        Full-graph rows show the deliverable (arena-aware) peak and the
+        planned ``arena_bytes``; mini-batch rows epoch totals with the
+        per-batch peak; cluster rows cluster totals with the per-GPU
+        peak and the byte-based traffic share (monotone in the GPU
+        count; the time split depends on imbalance floors too).
+        """
+        priced, multi, mc = report.priced, report.multi, report.minibatch
+        return cls(
+            model=report.model,
+            dataset=report.dataset,
+            strategy=report.strategy,
+            gpu=report.gpu,
+            flops=priced.flops,
+            io_bytes=priced.io_bytes,
+            peak_memory_bytes=priced.device_peak_bytes,
+            stash_bytes=priced.stash_bytes,
+            launches=priced.launches,
+            latency_s=report.latency_s,
+            fits_device=report.fits_device,
+            num_gpus=report.num_gpus,
+            comm_bytes=multi.comm_bytes if multi is not None else 0,
+            comm_fraction=multi.comm_fraction if multi is not None else 0.0,
+            batch_size=report.batch_size,
+            gather_bytes=mc.gather_bytes if mc is not None else 0,
+            arena_bytes=(
+                report.memory.arena_bytes
+                if report.memory is not None and priced is report.counters
+                else 0
+            ),
+            **labels,
+        )
+
+    @classmethod
+    def from_serve(
+        cls, sess: Session, rep, *, serve_qps: float, **labels
+    ) -> "SweepRow":
+        """A serving row from ``sess.serve``'s report; ``rep=None`` is a
+        configuration no receptive-field batch fits — an OOM row, like
+        every other sweep path, rather than an aborted sweep."""
+        cluster = sess.resolve_cluster()
+        labels.update(
+            model=sess._model_label(),
+            dataset=sess._dataset_label(),
+            strategy=sess._strategy_label(),
+            gpu=sess._gpu_label(),
+            num_gpus=cluster.num_gpus if cluster is not None else 1,
+            stash_bytes=0,
+            serve_qps=float(serve_qps),
+        )
+        if rep is None:
+            return cls(
+                flops=0.0, io_bytes=0, peak_memory_bytes=0, launches=0,
+                latency_s=0.0, fits_device=False, **labels,
+            )
+        # Counters are the served totals: paid gathers + kernel
+        # traffic, per-batch peak.
+        served = rep.counters
+        return cls(
+            flops=served.flops,
+            io_bytes=served.io_bytes,
+            peak_memory_bytes=served.device_peak_bytes,
+            launches=served.launches,
+            latency_s=rep.mean_latency_s,
+            fits_device=True,
+            gather_bytes=served.gather_bytes,
+            p50_latency_s=rep.p50_latency_s,
+            p95_latency_s=rep.p95_latency_s,
+            p99_latency_s=rep.p99_latency_s,
+            cache_hit_rate=rep.cache_hit_rate,
+            slo_violation_rate=rep.slo_violation_rate,
+            staleness_s=rep.mean_staleness_s,
+            invalidated_bytes=rep.gather_invalidated_bytes,
+            **labels,
+        )
+
+
+#: :meth:`SweepReport.table` columns: (header, the row attribute whose
+#: axis must be swept for the column to show — ``None`` = always —
+#: and the cell formatter).
+_TABLE_COLUMNS = (
+    ("model", None, lambda r: r.model),
+    ("dataset", None, lambda r: r.dataset),
+    ("strategy", None, lambda r: r.strategy),
+    ("gpu", None, lambda r: r.gpu),
+    ("batch", "batch_size",
+     lambda r: "full" if r.batch_size is None else str(r.batch_size)),
+    ("sched", "schedule", lambda r: r.schedule or "-"),
+    ("backend", "backend", lambda r: r.backend or "-"),
+    ("prec", "precision", lambda r: r.precision or "-"),
+    ("GFLOPs", None, lambda r: f"{r.flops / 1e9:.2f}"),
+    ("IO MiB", None, lambda r: f"{r.io_bytes / 2**20:.1f}"),
+    ("mem MiB", None, lambda r: f"{r.peak_memory_bytes / 2**20:.1f}"),
+    ("fits", None, lambda r: "yes" if r.fits_device else "OOM"),
+    ("ms/step", None, lambda r: f"{r.latency_s * 1e3:.2f}"),
+    ("qps", "serve_qps",
+     lambda r: "-" if r.serve_qps is None else f"{r.serve_qps:.0f}"),
+    ("p50 ms", "serve_qps", lambda r: f"{r.p50_latency_s * 1e3:.2f}"),
+    ("p99 ms", "serve_qps", lambda r: f"{r.p99_latency_s * 1e3:.2f}"),
+    ("hit", "serve_qps", lambda r: f"{r.cache_hit_rate * 100:.0f}%"),
+    ("viol", "serve_qps", lambda r: f"{r.slo_violation_rate * 100:.0f}%"),
+    ("upd", "update_frac",
+     lambda r: "-" if r.update_frac is None else f"{r.update_frac:.2f}"),
+    ("stale ms", "update_frac", lambda r: f"{r.staleness_s * 1e3:.2f}"),
+    ("inval MiB", "update_frac",
+     lambda r: f"{r.invalidated_bytes / 2**20:.3f}"),
+)
 
 
 @dataclass
@@ -1271,65 +1317,15 @@ class SweepReport:
     def table(self) -> str:
         from repro.bench.report import format_table  # lazy: avoids cycle
 
-        with_batches = any(r.batch_size is not None for r in self.rows)
-        with_schedules = any(r.schedule is not None for r in self.rows)
-        with_backends = any(r.backend is not None for r in self.rows)
-        with_precisions = any(r.precision is not None for r in self.rows)
-        with_serving = any(r.serve_qps is not None for r in self.rows)
-        with_updates = any(r.update_frac is not None for r in self.rows)
-        body = [
-            [
-                r.model, r.dataset, r.strategy, r.gpu,
-            ]
-            + ([str(r.batch_size) if r.batch_size is not None else "full"]
-               if with_batches else [])
-            + ([r.schedule or "-"] if with_schedules else [])
-            + ([r.backend or "-"] if with_backends else [])
-            + ([r.precision or "-"] if with_precisions else [])
-            + [
-                f"{r.flops / 1e9:.2f}",
-                f"{r.io_bytes / 2**20:.1f}",
-                f"{r.peak_memory_bytes / 2**20:.1f}",
-                "yes" if r.fits_device else "OOM",
-                f"{r.latency_s * 1e3:.2f}",
-            ]
-            + (
-                [
-                    f"{r.serve_qps:.0f}" if r.serve_qps is not None else "-",
-                    f"{r.p50_latency_s * 1e3:.2f}",
-                    f"{r.p99_latency_s * 1e3:.2f}",
-                    f"{r.cache_hit_rate * 100:.0f}%",
-                    f"{r.slo_violation_rate * 100:.0f}%",
-                ]
-                if with_serving
-                else []
-            )
-            + (
-                [
-                    (
-                        f"{r.update_frac:.2f}"
-                        if r.update_frac is not None
-                        else "-"
-                    ),
-                    f"{r.staleness_s * 1e3:.2f}",
-                    f"{r.invalidated_bytes / 2**20:.3f}",
-                ]
-                if with_updates
-                else []
-            )
-            for r in self.rows
+        shown = [
+            (header, cell)
+            for header, axis, cell in _TABLE_COLUMNS
+            if axis is None
+            or any(getattr(r, axis) is not None for r in self.rows)
         ]
         return format_table(
-            ["model", "dataset", "strategy", "gpu"]
-            + (["batch"] if with_batches else [])
-            + (["sched"] if with_schedules else [])
-            + (["backend"] if with_backends else [])
-            + (["prec"] if with_precisions else [])
-            + ["GFLOPs", "IO MiB", "mem MiB", "fits", "ms/step"]
-            + (["qps", "p50 ms", "p99 ms", "hit", "viol"]
-               if with_serving else [])
-            + (["upd", "stale ms", "inval MiB"] if with_updates else []),
-            body,
+            [header for header, _ in shown],
+            [[cell(r) for _, cell in shown] for r in self.rows],
             title=(
                 f"sweep ({len(self.rows)} rows; plan cache "
                 f"{self.cache_misses} compiles, {self.cache_hits} hits)"
@@ -1389,7 +1385,7 @@ def run_sweep(
     save_as: Optional[str] = None,
     results_dir: Optional[str] = None,
 ) -> SweepReport:
-    """Analytic sweep over the cross product of the six axes.
+    """Analytic sweep over the cross product of the axes.
 
     Plans are cached by (model signature, strategy): datasets sharing
     feature/class widths reuse one compilation, and GPUs always do (the
@@ -1456,30 +1452,16 @@ def run_sweep(
     """
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
-    if batch_size is None or isinstance(batch_size, int):
-        batch_options: Tuple[Optional[int], ...] = (batch_size,)
-    else:
-        batch_options = tuple(batch_size)
-    if schedule is None or isinstance(schedule, str):
-        schedule_options: Tuple[Optional[str], ...] = (schedule,)
-    else:
-        schedule_options = tuple(schedule)
-    if backend is None or isinstance(backend, str):
-        backend_options: Tuple[Optional[str], ...] = (backend,)
-    else:
-        backend_options = tuple(backend)
-    if precision is None or isinstance(precision, str):
-        precision_options: Tuple[Optional[str], ...] = (precision,)
-    else:
-        precision_options = tuple(precision)
-    if any(b is not None for b in batch_options) and any(
-        n > 1 for n in num_gpus
-    ):
+    batches, schedules, backends, precisions, loads, updates = map(
+        _axis, (batch_size, schedule, backend, precision, serve_qps, update_frac)
+    )
+    sampled = any(b is not None for b in batches)
+    if sampled and any(n > 1 for n in num_gpus):
         raise ValueError(
             "mini-batch sweeps are single-GPU: batch_size cannot be "
             "combined with num_gpus > 1"
         )
-    if serve_qps is not None and any(b is not None for b in batch_options):
+    if serve_qps is not None and sampled:
         raise ValueError(
             "serving sweeps are request-driven: serve_qps cannot be "
             "combined with batch_size"
@@ -1488,258 +1470,82 @@ def run_sweep(
         raise ValueError(
             "update_frac sweeps dynamic serving: it requires serve_qps"
         )
-    update_options: Tuple[Optional[float], ...] = (
-        (None,) if update_frac is None else tuple(update_frac)
+    axes = (
+        models, datasets, strategies, schedules, backends, precisions,
+        gpus, num_gpus, loads, updates, batches,
     )
+    # Nested loops would hoist the per-workload session (model resolved
+    # and hashed once, partitions memoised) and the per-plan compile
+    # (one plan-cache lookup however many devices price it) for free;
+    # the flat product recovers both by position.
+    per_plan = math.prod(len(axis) for axis in axes[6:])
+    per_workload = per_plan * math.prod(len(axis) for axis in axes[2:6])
     rows: List[SweepRow] = []
-    for m in models:
-        for d in datasets:
-            s = Session(cache=cache).model(m).dataset(d)
-            s.feature_dim(feature_dim)
-            stats = s.resolve_stats()
-            for strat in strategies:
-                s.strategy(strat)
-                for sched, bk, prec in (
-                    (sc, b, pr)
-                    for sc in schedule_options
-                    for b in backend_options
-                    for pr in precision_options
-                ):
-                    s.schedule(sched)
-                    s.backend(bk)
-                    s.precision(prec)
-                    resolved = s.resolve_strategy()
-                    row_backend = resolved.backend if bk is not None else None
-                    row_precision = (
-                        resolved.precision if prec is not None else None
-                    )
-                    if training and not resolved.supports_training:
-                        continue
-                    counters = s.counters(training=training)
-                    # Reuse the compiled pair the counters memo just
-                    # resolved rather than calling s.compile() again:
-                    # the plan cache counts every get_or_compile call,
-                    # and sweep hit/miss accounting is pinned to one
-                    # call per combination (same-module private access;
-                    # counters() guarantees the memo matches).
-                    compiled = s._counters_memo[0]
-                    arena = (
-                        s._memory_plan_compiled(
-                            compiled, stats, training
-                        ).arena_bytes
-                        if sched == "memory"
-                        else 0
-                    )
-                    # Partitioned counters are GPU-independent: one walk
-                    # per partition serves every device in `gpus`.
-                    multi_memo: Dict[int, MultiGPUCounters] = {}
-                    for g in gpus:
-                        for n in num_gpus:
-                            if n <= 1:
-                                # A registered cluster name in `gpus`
-                                # still resolves to the cluster path
-                                # below.
-                                s.gpu(g)
-                            else:
-                                s.cluster(g, n, interconnect_gbps=interconnect_gbps)
-                            cluster = s.resolve_cluster()
-                            if serve_qps is not None:
-                                # Serving rows: a fixed-seed request
-                                # stream per offered load; counters are
-                                # the served totals (paid gathers +
-                                # kernel traffic, per-batch peak).
-                                for q, uf in (
-                                    (q, uf)
-                                    for q in serve_qps
-                                    for uf in update_options
-                                ):
-                                    try:
-                                        rep = s.serve(
-                                            num_requests=serve_requests,
-                                            qps=q,
-                                            seeds_per_request=serve_seeds,
-                                            slo_s=serve_slo_s,
-                                            zipf_alpha=serve_zipf_alpha,
-                                            cache_rows=serve_cache_rows,
-                                            scheduler=serve_scheduler,
-                                            seed=serve_seed,
-                                            execute=False,
-                                            update_frac=uf or 0.0,
-                                            compact_every=(
-                                                serve_compact_every
-                                                if uf
-                                                else None
-                                            ),
-                                        )
-                                    except SimulatedOOM:
-                                        # Keep sweeping: an unservable
-                                        # configuration is an OOM row,
-                                        # like every other sweep path.
-                                        rows.append(
-                                            SweepRow(
-                                                model=s._model_label(),
-                                                dataset=s._dataset_label(),
-                                                strategy=s._strategy_label(),
-                                                gpu=s._gpu_label(),
-                                                flops=0.0,
-                                                io_bytes=0,
-                                                peak_memory_bytes=0,
-                                                stash_bytes=0,
-                                                launches=0,
-                                                latency_s=0.0,
-                                                fits_device=False,
-                                                num_gpus=(
-                                                    cluster.num_gpus
-                                                    if cluster is not None
-                                                    else 1
-                                                ),
-                                                schedule=sched,
-                                                backend=row_backend,
-                                                precision=row_precision,
-                                                serve_qps=float(q),
-                                                update_frac=uf,
-                                            )
-                                        )
-                                        continue
-                                    sc = rep.counters
-                                    rows.append(
-                                        SweepRow(
-                                            model=s._model_label(),
-                                            dataset=s._dataset_label(),
-                                            strategy=s._strategy_label(),
-                                            gpu=s._gpu_label(),
-                                            flops=sc.flops,
-                                            io_bytes=sc.io_bytes,
-                                            peak_memory_bytes=sc.device_peak_bytes,
-                                            stash_bytes=0,
-                                            launches=sc.launches,
-                                            latency_s=rep.mean_latency_s,
-                                            fits_device=True,
-                                            num_gpus=rep.num_gpus,
-                                            gather_bytes=sc.gather_bytes,
-                                            schedule=sched,
-                                            backend=row_backend,
-                                            precision=row_precision,
-                                            serve_qps=float(q),
-                                            p50_latency_s=rep.p50_latency_s,
-                                            p95_latency_s=rep.p95_latency_s,
-                                            p99_latency_s=rep.p99_latency_s,
-                                            cache_hit_rate=rep.cache_hit_rate,
-                                            slo_violation_rate=rep.slo_violation_rate,
-                                            update_frac=uf,
-                                            staleness_s=rep.mean_staleness_s,
-                                            invalidated_bytes=rep.gather_invalidated_bytes,
-                                        )
-                                    )
-                                continue
-                            if cluster is not None and any(
-                                b is not None for b in batch_options
-                            ):
-                                # A registered cluster name in `gpus`
-                                # reaches here with num_gpus == 1;
-                                # refuse rather than silently dropping
-                                # the batch axis.
-                                raise ValueError(
-                                    "mini-batch sweeps are single-GPU: "
-                                    f"gpu {s._gpu_label()!r} resolves to a "
-                                    "cluster, which cannot be combined with "
-                                    "batch_size"
-                                )
-                            if cluster is None:
-                                cost = CostModel(s.resolve_gpu())
-                                for bs in batch_options:
-                                    s.minibatch(bs, minibatch_hops, seed=minibatch_seed)
-                                    if bs is None:
-                                        rows.append(
-                                            SweepRow(
-                                                model=s._model_label(),
-                                                dataset=s._dataset_label(),
-                                                strategy=s._strategy_label(),
-                                                gpu=s._gpu_label(),
-                                                flops=counters.flops,
-                                                io_bytes=counters.io_bytes,
-                                                peak_memory_bytes=counters.device_peak_bytes,
-                                                stash_bytes=counters.stash_bytes,
-                                                launches=counters.launches,
-                                                latency_s=cost.latency_seconds(counters, stats),
-                                                fits_device=cost.fits(counters),
-                                                schedule=sched,
-                                                backend=row_backend,
-                                                precision=row_precision,
-                                                arena_bytes=arena,
-                                            )
-                                        )
-                                        continue
-                                    # Mini-batch rows are epoch totals
-                                    # (the unit comparable to a
-                                    # full-graph step) with per-batch
-                                    # peak memory.
-                                    mc = s.minibatch_counters(training=training)
-                                    rows.append(
-                                        SweepRow(
-                                            model=s._model_label(),
-                                            dataset=s._dataset_label(),
-                                            strategy=s._strategy_label(),
-                                            gpu=s._gpu_label(),
-                                            flops=mc.flops,
-                                            io_bytes=mc.io_bytes,
-                                            peak_memory_bytes=mc.peak_memory_bytes,
-                                            stash_bytes=mc.stash_bytes,
-                                            launches=mc.launches,
-                                            latency_s=s.minibatch_latency_seconds(
-                                                training=training
-                                            ),
-                                            fits_device=cost.fits(mc),
-                                            batch_size=bs,
-                                            gather_bytes=mc.gather_bytes,
-                                            schedule=sched,
-                                            backend=row_backend,
-                                            precision=row_precision,
-                                        )
-                                    )
-                                s.minibatch(None)
-                                continue
-                            pstats = s.resolve_partition_stats()
-                            multi = multi_memo.get(id(pstats))
-                            if multi is None:
-                                multi = compiled.multi_counters(pstats)
-                                multi_memo[id(pstats)] = multi
-                            breakdown = ClusterCostModel(cluster).breakdown(
-                                multi, pstats
-                            )
-                            rows.append(
-                                SweepRow(
-                                    model=s._model_label(),
-                                    dataset=s._dataset_label(),
-                                    strategy=s._strategy_label(),
-                                    gpu=s._gpu_label(),
-                                    flops=multi.flops,
-                                    io_bytes=multi.io_bytes,
-                                    peak_memory_bytes=multi.peak_memory_bytes,
-                                    stash_bytes=multi.stash_bytes,
-                                    launches=multi.launches,
-                                    latency_s=breakdown.total_seconds,
-                                    fits_device=ClusterCostModel(cluster).fits(multi),
-                                    num_gpus=cluster.num_gpus,
-                                    comm_bytes=multi.comm_bytes,
-                                    # Byte-based traffic share (monotone
-                                    # in the GPU count; the time split
-                                    # depends on imbalance floors too).
-                                    comm_fraction=multi.comm_fraction,
-                                    schedule=sched,
-                                    backend=row_backend,
-                                    precision=row_precision,
-                                )
-                            )
-                s.schedule(None)
-                s.backend(None)
-                s.precision(None)
-    report = SweepReport(
+    for i, (m, d, strat, sched, bk, prec, g, n, qps, uf, bs) in enumerate(
+        itertools.product(*axes)
+    ):
+        if i % per_workload == 0:
+            s = Session(cache=cache).model(m).dataset(d).feature_dim(feature_dim)
+        if i % per_plan == 0:
+            s.strategy(strat).schedule(sched).backend(bk).precision(prec)
+            resolved = s.resolve_strategy()
+            labels = dict(
+                schedule=sched,
+                backend=resolved.backend if bk is not None else None,
+                precision=resolved.precision if prec is not None else None,
+            )
+            # Training sweeps skip inference-only strategies.
+            compiled = (
+                s.compile(training=training)
+                if resolved.supports_training or not training
+                else None
+            )
+        if compiled is None:
+            continue
+        # A registered cluster name in `gpus` resolves to the cluster
+        # path even at n == 1.
+        if n <= 1:
+            s.gpu(g)
+        else:
+            s.cluster(g, n, interconnect_gbps=interconnect_gbps)
+        if qps is None:
+            s.minibatch(bs, minibatch_hops, seed=minibatch_seed)
+            report = s._price(compiled, training)
+            rows.append(SweepRow.from_report(report, **labels))
+            continue
+        try:
+            # A fixed-seed request stream per offered load.
+            rep = s.serve(
+                num_requests=serve_requests,
+                qps=qps,
+                seeds_per_request=serve_seeds,
+                slo_s=serve_slo_s,
+                zipf_alpha=serve_zipf_alpha,
+                cache_rows=serve_cache_rows,
+                scheduler=serve_scheduler,
+                seed=serve_seed,
+                execute=False,
+                update_frac=uf or 0.0,
+                compact_every=serve_compact_every if uf else None,
+            )
+        except SimulatedOOM:
+            rep = None
+        rows.append(
+            SweepRow.from_serve(s, rep, serve_qps=qps, update_frac=uf, **labels)
+        )
+    sweep = SweepReport(
         rows=rows,
         cache_hits=cache.hits - hits0,
         cache_misses=cache.misses - misses0,
         feature_dim=feature_dim,
     )
     if save_as:
-        report.save_json(save_as, results_dir)
-    return report
+        sweep.save_json(save_as, results_dir)
+    return sweep
+
+
+def _axis(value) -> tuple:
+    """``None | scalar | sequence`` → the options one sweep axis takes."""
+    if value is None or isinstance(value, (str, int, float)):
+        return (value,)
+    return tuple(value)

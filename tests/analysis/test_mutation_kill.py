@@ -23,7 +23,7 @@ from repro.analysis import (
 from repro.registry import MODELS
 from repro.session import PlanCache, Session
 
-CORE_STRATEGIES = ("dgl-like", "fuse_all", "huang-like", "ours")
+CORE_STRATEGIES = ("dgl-like", "huang-like", "ours")
 
 
 @pytest.fixture(scope="module")

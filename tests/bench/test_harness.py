@@ -5,8 +5,7 @@ import pytest
 
 from repro.bench.harness import (
     RunResult,
-    measure_forward,
-    measure_training,
+    measure,
     normalized_rows,
 )
 from repro.gpu import RTX2080, RTX3090
@@ -21,7 +20,7 @@ def stats():
 
 class TestMeasure:
     def test_training_fields(self, stats):
-        r = measure_training(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
+        r = measure(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
         assert r.latency_s > 0
         assert r.io_bytes > 0
         assert r.peak_memory_bytes > 0
@@ -31,18 +30,18 @@ class TestMeasure:
         assert r.memory_gb == pytest.approx(r.peak_memory_bytes / 2 ** 30)
 
     def test_forward_has_no_stash(self, stats):
-        r = measure_forward(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
+        r = measure(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090, training=False)
         assert r.stash_bytes == 0
 
     def test_forward_cheaper_than_training(self, stats):
-        fwd = measure_forward(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
-        train = measure_training(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
+        fwd = measure(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090, training=False)
+        train = measure(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
         assert fwd.flops < train.flops
         assert fwd.latency_s < train.latency_s
 
     def test_slower_gpu_slower(self, stats):
-        fast = measure_training(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
-        slow = measure_training(GCN(8, (8, 4)), "wl", stats, "ours", RTX2080)
+        fast = measure(GCN(8, (8, 4)), "wl", stats, "ours", RTX3090)
+        slow = measure(GCN(8, (8, 4)), "wl", stats, "ours", RTX2080)
         assert slow.latency_s > fast.latency_s
         assert slow.peak_memory_bytes == fast.peak_memory_bytes
 

@@ -1,19 +1,32 @@
-"""Tests for the one-call experiment API."""
+"""Tests for one configuration through ``repro.session()`` and the model registry."""
 
-import numpy as np
 import pytest
 
-from repro.experiment import MODEL_REGISTRY, ExperimentReport, make_model, run_experiment
+import repro
+from repro.registry import MODELS
+from repro.session import ExperimentReport
+
+
+def run_experiment(
+    model, dataset, *, strategy="ours", gpu="RTX3090", feature_dim=None,
+    train_steps=0, seed=0,
+) -> ExperimentReport:
+    return (
+        repro.session()
+        .model(model).dataset(dataset).strategy(strategy).gpu(gpu)
+        .feature_dim(feature_dim)
+        .report(train_steps=train_steps, seed=seed)
+    )
 
 
 class TestMakeModel:
     def test_unknown_model(self):
         with pytest.raises(KeyError, match="unknown model"):
-            make_model("transformer", 8, 4)
+            MODELS.get("transformer")
 
-    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_all_registry_models_buildable(self, name):
-        model = make_model(name, 8, 4)
+        model = MODELS.get(name)(8, 4)
         module = model.build_module()
         assert module.outputs
         assert model.hidden_dims[-1] == 4

@@ -7,7 +7,7 @@ import pytest
 
 from repro.frameworks import compile_training, get_strategy
 from repro.frameworks.strategy import ExecutionStrategy
-from repro.graph.datasets import Dataset
+from repro.graph.datasets import Dataset, get_dataset
 from repro.graph.generators import chung_lu
 from repro.models import GAT, GCN
 from repro.registry import DATASETS, STRATEGIES, register_dataset, register_strategy
@@ -111,6 +111,16 @@ class TestSessionFluent:
         with pytest.raises(ValueError, match="needs a dataset"):
             session().model("gat").compile()
 
+    def test_stats_drops_the_model_resolved_for_a_dataset(self):
+        # Regression: a reused session kept the cora-sized registry
+        # model (7 classes) after .stats() replaced the dataset, where a
+        # fresh session raises — resolution depended on call order.
+        sess = session().model("gcn").dataset("cora").feature_dim(16)
+        sess.counters()
+        sess.stats(get_dataset("pubmed").stats)
+        with pytest.raises(ValueError, match="needs a dataset"):
+            sess.counters()
+
     def test_missing_model_errors(self):
         with pytest.raises(ValueError, match="no model"):
             session().dataset("cora").compile()
@@ -120,16 +130,13 @@ class TestSessionFluent:
         with pytest.raises(ValueError, match="no workload"):
             sess.counters()
 
-    def test_report_matches_run_experiment(self):
-        from repro.experiment import run_experiment
-
-        via_session = (
-            session().model("gcn").dataset("cora").feature_dim(16).report()
-        )
-        via_shim = run_experiment("gcn", "cora", feature_dim=16)
-        assert via_session.counters.flops == via_shim.counters.flops
-        assert via_session.latency_s == via_shim.latency_s
-        assert "gcn on cora" in via_session.summary()
+    def test_report_matches_the_other_terminals(self):
+        sess = session().model("gcn").dataset("cora").feature_dim(16)
+        report = sess.report()
+        assert report.counters.flops == sess.counters().flops
+        assert report.latency_s == sess.latency_seconds()
+        assert report.fits_device == sess.fits()
+        assert "gcn on cora" in report.summary()
 
     def test_report_training_uses_dataset_labels(self, toy_datasets):
         report = (
@@ -262,8 +269,8 @@ class TestClusterSessions:
         report = (
             session()
             .model("gat").dataset(toy_datasets[0])
-            .strategy("fuse_all").cluster("V100", 4)
-            .run()
+            .strategy("ours").cluster("V100", 4)
+            .report()
         )
         assert report.num_gpus == 4
         assert report.gpu == "V100x4"
