@@ -306,9 +306,10 @@ class Session:
         self._cluster: Optional[Cluster] = None
         self._partitioner: Optional[str] = None
         self._feature_dim: Optional[int] = None
-        # Derived artifacts (partition stats, counters of every kind,
-        # memory plans), so counters() followed by latency_seconds()/
-        # fits() analyses once, not three times; see _memoised.
+        # Derived artifacts (the resolved registry model, partition
+        # stats, counters of every kind, memory plans), so counters()
+        # followed by latency_seconds()/fits() analyses once, not three
+        # times; see _memoised.
         self._memo: Dict[tuple, tuple] = {}
         # Sampled mini-batch configuration: (batch_size, hops, seed).
         self._minibatch: Optional[Tuple[int, Optional[int], int]] = None
@@ -324,21 +325,16 @@ class Session:
         # Async-runtime override: None keeps the strategy's own mode
         # (normally serial).
         self._overlap: Optional[str] = None
-        # Registry-name models resolve once per configuration; the
-        # model/dataset/stats/feature_dim setters invalidate this.
-        self._resolved_model: Optional[GNNModel] = None
 
     # -- fluent setters ------------------------------------------------
     def model(self, model: Union[str, GNNModel]) -> "Session":
         """Registry name (needs a dataset for dims) or model instance."""
         self._model = model
-        self._resolved_model = None
         return self
 
     def dataset(self, dataset: Union[str, Dataset]) -> "Session":
         self._dataset = dataset
         self._stats = None
-        self._resolved_model = None
         return self
 
     def stats(self, stats: GraphStats, workload: str = "custom") -> "Session":
@@ -346,7 +342,6 @@ class Session:
         self._stats = stats
         self._workload = workload
         self._dataset = None
-        self._resolved_model = None
         return self
 
     def strategy(self, strategy: Union[str, ExecutionStrategy]) -> "Session":
@@ -514,7 +509,6 @@ class Session:
     def feature_dim(self, dim: Optional[int]) -> "Session":
         """Input-width override for registry models (default: published)."""
         self._feature_dim = dim
-        self._resolved_model = None
         return self
 
     @property
@@ -625,8 +619,6 @@ class Session:
             raise ValueError("session has no model: call .model(name_or_instance)")
         if not isinstance(m, str):
             return m
-        if self._resolved_model is not None:
-            return self._resolved_model
         ds = self.resolve_dataset()
         if ds is None:
             raise ValueError(
@@ -634,8 +626,13 @@ class Session:
                 "its feature/class dimensions; call .dataset(...) first "
                 "or pass a constructed model instance"
             )
-        self._resolved_model = MODELS.get(m)(self._in_dim(ds), ds.num_classes)
-        return self._resolved_model
+        # One instance per (name, dataset, width): its IR is hashed once,
+        # and no setter order can leave a model sized for another dataset.
+        in_dim = self._in_dim(ds)
+        return self._memoised(
+            "model", (ds,), lambda: MODELS.get(m)(in_dim, ds.num_classes),
+            m, in_dim,
+        )
 
     def _in_dim(self, ds: Dataset) -> int:
         """Input width: the override, else the dataset's published one."""
@@ -1224,13 +1221,13 @@ class SweepRow:
 
     @classmethod
     def from_serve(
-        cls, sess: Session, rep, *, serve_qps: float, **labels
+        cls, sess: Session, rep, *, serve_qps: float, **fields
     ) -> "SweepRow":
         """A serving row from ``sess.serve``'s report; ``rep=None`` is a
         configuration no receptive-field batch fits — an OOM row, like
         every other sweep path, rather than an aborted sweep."""
         cluster = sess.resolve_cluster()
-        labels.update(
+        fields.update(
             model=sess._model_label(),
             dataset=sess._dataset_label(),
             strategy=sess._strategy_label(),
@@ -1240,30 +1237,31 @@ class SweepRow:
             serve_qps=float(serve_qps),
         )
         if rep is None:
-            return cls(
+            fields.update(
                 flops=0.0, io_bytes=0, peak_memory_bytes=0, launches=0,
-                latency_s=0.0, fits_device=False, **labels,
+                latency_s=0.0, fits_device=False,
             )
-        # Counters are the served totals: paid gathers + kernel
-        # traffic, per-batch peak.
-        served = rep.counters
-        return cls(
-            flops=served.flops,
-            io_bytes=served.io_bytes,
-            peak_memory_bytes=served.device_peak_bytes,
-            launches=served.launches,
-            latency_s=rep.mean_latency_s,
-            fits_device=True,
-            gather_bytes=served.gather_bytes,
-            p50_latency_s=rep.p50_latency_s,
-            p95_latency_s=rep.p95_latency_s,
-            p99_latency_s=rep.p99_latency_s,
-            cache_hit_rate=rep.cache_hit_rate,
-            slo_violation_rate=rep.slo_violation_rate,
-            staleness_s=rep.mean_staleness_s,
-            invalidated_bytes=rep.gather_invalidated_bytes,
-            **labels,
-        )
+        else:
+            # Counters are the served totals: paid gathers + kernel
+            # traffic, per-batch peak.
+            served = rep.counters
+            fields.update(
+                flops=served.flops,
+                io_bytes=served.io_bytes,
+                peak_memory_bytes=served.device_peak_bytes,
+                launches=served.launches,
+                latency_s=rep.mean_latency_s,
+                fits_device=True,
+                gather_bytes=served.gather_bytes,
+                p50_latency_s=rep.p50_latency_s,
+                p95_latency_s=rep.p95_latency_s,
+                p99_latency_s=rep.p99_latency_s,
+                cache_hit_rate=rep.cache_hit_rate,
+                slo_violation_rate=rep.slo_violation_rate,
+                staleness_s=rep.mean_staleness_s,
+                invalidated_bytes=rep.gather_invalidated_bytes,
+            )
+        return cls(**fields)
 
 
 #: :meth:`SweepReport.table` columns: (header, the row attribute whose
