@@ -22,7 +22,7 @@ from repro.graph import Graph, chung_lu
 from repro.graph.partition import PartitionStats, partition_graph
 from repro.registry import MODELS
 
-from tests.helpers import assert_values_close, training_values
+from tests.helpers import assert_values_close, training_phases, training_values
 
 IN_DIM, NUM_CLASSES = 6, 4
 
@@ -89,6 +89,35 @@ class TestMultiEngineDifferential:
         """GraphSAGE's max aggregator: argmax ids survive the global ↔
         local translation and route gradients to the same edges."""
         _compare("sage", "ours", graph, 4, "hash")
+
+
+class TestSinglePartIdentity:
+    """P=1 has no halo, no cross-part sum and one shard the size of the
+    graph: everything ``MultiEngine`` returns and measures must equal
+    ``Engine``'s exactly — the identity that pins the shared step."""
+
+    @pytest.mark.parametrize("strategy_name", ["dgl-like", "ours"])
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_bit_identical_to_engine(self, graph, model_name, strategy_name):
+        model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
+        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+        params = model.init_params(0)
+        compiled = compile_training(model, get_strategy(strategy_name))
+        single = Engine(graph, precision="float32")
+        multi = MultiEngine(graph, 1, precision="float32")
+        phases = zip(
+            training_phases(single, compiled, feats, params),
+            training_phases(multi, compiled, feats, params),
+        )
+        for phase, (want, got) in zip(("forward", "backward"), phases):
+            ctx = f"{model_name}/{strategy_name}/{phase}"
+            assert set(got) == set(want), ctx
+            for name in want:
+                assert np.array_equal(got[name], want[name]), f"{ctx}:{name}"
+            assert multi.measured_peak_bytes_per_gpu == [
+                single.measured_peak_bytes
+            ], ctx
+            assert multi.exchanges == [], ctx
 
 
 class TestCommReconciliation:

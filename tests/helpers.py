@@ -116,26 +116,22 @@ def numeric_grads(
     return grad
 
 
-def training_values(
-    engine,
-    compiled,
-    features: np.ndarray,
-    params: Dict[str, np.ndarray],
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """Run one compiled training configuration end to end.
+def training_phases(engine, compiled, features: np.ndarray, params):
+    """Yield the forward, then the backward ``run_plan`` result dict.
 
     ``engine`` is an :class:`~repro.exec.engine.Engine` or
     :class:`~repro.exec.multi.MultiEngine` (they share the
-    ``bind``/``run_plan``/``graph_constant`` interface).  The backward
-    pass is seeded with all-ones output gradients so results are
-    deterministic and loss-free.  Returns ``(outputs, param_grads)``
-    with globally-assembled arrays.
+    ``bind``/``run_plan`` interface).  The backward pass is seeded with
+    all-ones output gradients so results are deterministic and
+    loss-free.  A generator, so callers can read the engine's per-run
+    attributes (measured peaks, exchanges) between the two phases.
     """
     module = compiled.forward
     arrays = compiled.model.make_inputs(engine.graph, features)
     arrays.update(params)
     env = engine.bind(module, arrays)
     fwd = engine.run_plan(compiled.fwd_plan, env, unwrap=False)
+    yield fwd
 
     bwd_module = compiled.bwd_plan.module
     bwd_arrays: Dict[str, np.ndarray] = {}
@@ -151,9 +147,23 @@ def training_values(
         else:
             raise KeyError(f"backward input {name!r} unavailable")
     benv = engine.bind(bwd_module, bwd_arrays)
-    res = engine.run_plan(compiled.bwd_plan, benv)
+    yield engine.run_plan(compiled.bwd_plan, benv)
+
+
+def training_values(
+    engine,
+    compiled,
+    features: np.ndarray,
+    params: Dict[str, np.ndarray],
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """Run one compiled training configuration end to end.
+
+    Returns ``(outputs, param_grads)`` of :func:`training_phases` with
+    globally-assembled arrays.
+    """
+    fwd, res = training_phases(engine, compiled, features, params)
     grads = {p: res[g] for p, g in compiled.param_grads.items()}
-    outputs = {o: np.asarray(fwd[o]) for o in module.outputs}
+    outputs = {o: np.asarray(fwd[o]) for o in compiled.forward.outputs}
     return outputs, grads
 
 
