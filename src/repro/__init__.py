@@ -44,9 +44,10 @@ halo-exchange traffic, and the comm/compute split::
     print(report.summary())
 
 The concrete twin, :class:`repro.exec.MultiEngine`, executes the same
-plans per-partition with explicit NumPy halo exchange and reproduces
-single-GPU results exactly (see README, "differential-testing
-contract").
+plans per-partition with explicit NumPy halo exchange — a driver over
+one ``Engine`` per part — and reproduces single-GPU results (graph
+operators bit for bit, row-sharded dense ops to float tolerance; see
+README, "differential-testing contract").
 
 Sampled mini-batch training (GraphSAGE / Cluster-GCN style) — per-batch
 receptive-field accounting where feature gathers dominate the IO term::

@@ -16,7 +16,8 @@ in natural shape; the engine wraps PARAM/DENSE values with a leading
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, MutableMapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from repro.ir.ops import OpKind, OpNode
 from repro.ir.precision import bf16_round, simulate_storage
 from repro.ir.tensorspec import LOGICAL_DTYPES, Domain, TensorSpec
 
-__all__ = ["Engine", "argmax_demand"]
+__all__ = ["Engine", "PlanRun", "argmax_demand", "result_names"]
 
 
 def argmax_demand(module: Module, wanted: Set[str]) -> Set[str]:
@@ -42,6 +43,35 @@ def argmax_demand(module: Module, wanted: Set[str]) -> Set[str]:
             if consumers.get(aux) or aux in wanted:
                 demand.add(node.name)
     return demand
+
+
+def result_names(plan: ExecPlan) -> List[str]:
+    """What a run returns, in order: module outputs, then the keep set
+    in module definition order (never in set order, which follows
+    ``PYTHONHASHSEED``)."""
+    module = plan.module
+    defined = list(module.inputs) + list(module.params)
+    defined += [o for node in module.nodes for o in node.outputs]
+    position = {name: i for i, name in enumerate(defined)}
+    names = list(dict.fromkeys(module.outputs))
+    return names + sorted(set(plan.keep) - set(names), key=position.__getitem__)
+
+
+@dataclass
+class PlanRun:
+    """State of one plan execution: :meth:`Engine._begin` decides it,
+    the per-node step and the per-kernel epilogue read it.  A
+    partitioned run (:class:`~repro.exec.multi.MultiEngine`) holds one
+    per shard."""
+
+    plan: ExecPlan
+    values: MutableMapping[str, np.ndarray]
+    wanted: Dict[str, None]     # result_names(plan), as an ordered set
+    argmax_needed: Set[str]
+    ledger: MemoryLedger
+    bf16_outputs: Set[str]      # empty unless the engine is spec-driven
+    pool: Optional[ArenaPool]
+    finishes: bool              # any node-boundary work to do at all?
 
 
 class Engine:
@@ -156,7 +186,7 @@ class Engine:
                 const = self.graph_constant(name)
                 spec = module.specs.get(name)
                 if self._spec_driven and spec is not None:
-                    const = self._storage_sim(spec, const)
+                    const = simulate_storage(spec, const)
                 env[name] = const
                 continue
             if name not in arrays:
@@ -172,14 +202,11 @@ class Engine:
             return self.graph.out_degrees.astype(self.precision)
         raise KeyError(name)  # pragma: no cover - registry guards this
 
-    def _storage_sim(self, spec: TensorSpec, arr: np.ndarray) -> np.ndarray:
-        return simulate_storage(spec, arr)
-
     def _wrap(self, name: str, spec: TensorSpec, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
         if np.issubdtype(arr.dtype, np.floating):
             if self._spec_driven:
-                arr = self._storage_sim(spec, arr)
+                arr = simulate_storage(spec, arr)
             else:
                 arr = arr.astype(self.precision, copy=False)
         expected_rows = spec.rows(self.graph.num_vertices, self.graph.num_edges)
@@ -220,11 +247,43 @@ class Engine:
         the plan's keep set (the training stash), unwrapped to natural
         shapes when ``unwrap``.
         """
+        run = self._begin(plan, env)
+        timings = self.kernel_timings
+        for i, kernel in enumerate(plan.kernels):
+            if timings is not None:
+                t0 = time.perf_counter()
+            for node in kernel.nodes:
+                self._step(run, node)
+            if timings is not None:
+                timings.append((i, time.perf_counter() - t0))
+            self._end_kernel(run, i)
+        self.measured_peak_bytes = run.ledger.peak_bytes
+        self.measured_end_bytes = run.ledger.current_bytes
+
+        specs = plan.module.specs
+        result: Dict[str, np.ndarray] = {}
+        for name in run.wanted:
+            arr = run.values[name]
+            if run.pool is not None and run.pool.slab_for(plan.root_of(name)):
+                # Returned values leave the arena: a later run reuses
+                # the slabs, which must never mutate results a caller
+                # still holds.
+                arr = np.array(arr)
+            result[name] = self.unwrap(specs[name], arr) if unwrap else arr
+        return result
+
+    # ------------------------------------------------------------------
+    # The three pieces of a run: set-up, per-node step, per-kernel
+    # epilogue.  ``run_plan`` strings them together for one graph;
+    # ``MultiEngine`` drives the same pieces on one Engine per shard.
+    # ------------------------------------------------------------------
+    def _begin(
+        self, plan: ExecPlan, env: Mapping[str, np.ndarray]
+    ) -> PlanRun:
+        """Set-up: result order, argmax demand, ledger, arena, bf16 set."""
         module = plan.module
         values: Dict[str, np.ndarray] = dict(env)
-        lives = plan.liveness()
-        wanted = set(module.outputs) | set(plan.keep)
-        argmax_needed = self._argmax_demand(module, wanted)
+        wanted = dict.fromkeys(result_names(plan))
 
         memory_plan = self._memory_plan_for(plan)
         if memory_plan is not None and self._spec_driven:
@@ -244,7 +303,6 @@ class Engine:
         ledger = MemoryLedger(
             plan,
             pinned=memory_plan.pinned if memory_plan is not None else (),
-            lives=lives,
         )
         ledger.bind(values)
         if pool is not None:
@@ -260,48 +318,65 @@ class Engine:
             if self._spec_driven
             else set()
         )
+        return PlanRun(
+            plan=plan,
+            values=values,
+            wanted=wanted,
+            argmax_needed=argmax_demand(module, wanted),
+            ledger=ledger,
+            bf16_outputs=bf16_outputs,
+            pool=pool,
+            finishes=bool(bf16_outputs) or pool is not None or self.check_finite,
+        )
 
-        timings = self.kernel_timings
-        for i, kernel in enumerate(plan.kernels):
-            if timings is not None:
-                t0 = time.perf_counter()
-            for node in kernel.nodes:
-                self._execute(node, values, argmax_needed)
-                if bf16_outputs and node.kind is not OpKind.VIEW:
-                    # Simulate bf16 storage: every produced value is
-                    # rounded to the bf16 grid at the node boundary
-                    # (views alias already-rounded storage).
-                    for o in node.outputs:
-                        if o in bf16_outputs and o in values:
-                            values[o] = bf16_round(values[o])
-                if pool is not None and node.kind is not OpKind.VIEW:
-                    # Escaping writes are adopted before any view of
-                    # them is minted, so aliases are arena-backed too.
-                    for o in node.outputs:
-                        if o in values and pool.slab_for(o):
-                            values[o] = pool.adopt(o, values[o])
-                if self.check_finite:
-                    self._assert_finite(node, values)
-            if timings is not None:
-                timings.append((i, time.perf_counter() - t0))
-            ledger.after_kernel(i, values)
-            if self.free_dead_values:
-                self._sweep(plan, values, lives, i, wanted)
-        self.measured_peak_bytes = ledger.peak_bytes
-        self.measured_end_bytes = ledger.current_bytes
+    def _step(
+        self,
+        run: PlanRun,
+        node: OpNode,
+        *,
+        operand: Optional[np.ndarray] = None,
+        graph: Optional[Graph] = None,
+    ) -> None:
+        """Run one node into ``run.values`` and close its boundary.
 
-        result: Dict[str, np.ndarray] = {}
-        for name in wanted:
-            arr = values[name]
-            if pool is not None and plan.root_of(name) in memory_plan.slabs:
-                # Returned values leave the arena: a later run reuses
-                # the slabs, which must never mutate results a caller
-                # still holds.
-                arr = np.array(arr)
-            result[name] = (
-                self.unwrap(module.specs[name], arr) if unwrap else arr
+        ``operand``/``graph`` override the node's first input and the
+        topology it indexes — what a partitioned run hands a SCATTER
+        (owned rows ++ fetched ghost rows) or an out-orientation GATHER
+        (fetched edge rows over the shard's out-graph).
+        """
+        self._execute(
+            node, run.values, run.argmax_needed, operand=operand, graph=graph
+        )
+        if run.finishes:
+            self._finish(run, node)
+
+    def _finish(self, run: PlanRun, node: OpNode) -> None:
+        """Node-boundary work: bf16 rounding, arena adoption, finite check."""
+        values = run.values
+        if node.kind is not OpKind.VIEW:
+            if run.bf16_outputs:
+                # Simulate bf16 storage: every produced value is
+                # rounded to the bf16 grid at the node boundary
+                # (views alias already-rounded storage).
+                for o in node.outputs:
+                    if o in run.bf16_outputs and o in values:
+                        values[o] = bf16_round(values[o])
+            if run.pool is not None:
+                # Escaping writes are adopted before any view of
+                # them is minted, so aliases are arena-backed too.
+                for o in node.outputs:
+                    if o in values and run.pool.slab_for(o):
+                        values[o] = run.pool.adopt(o, values[o])
+        if self.check_finite:
+            self._assert_finite(node, values)
+
+    def _end_kernel(self, run: PlanRun, index: int) -> None:
+        """Per-kernel epilogue: ledger upkeep, then the dead-value sweep."""
+        run.ledger.after_kernel(index, run.values)
+        if self.free_dead_values:
+            self._sweep(
+                run.plan, run.values, run.plan.liveness(), index, run.wanted
             )
-        return result
 
     def verify_plan(
         self,
@@ -333,25 +408,30 @@ class Engine:
         if diags:
             raise AssertionError(diags[0].message)
 
-    def _argmax_demand(self, module: Module, wanted: Set[str]) -> Set[str]:
-        return argmax_demand(module, wanted)
-
     # ------------------------------------------------------------------
     def _execute(
         self,
         node: OpNode,
-        values: Dict[str, np.ndarray],
+        values: MutableMapping[str, np.ndarray],
         argmax_needed: Set[str],
+        *,
+        operand: Optional[np.ndarray] = None,
+        graph: Optional[Graph] = None,
     ) -> None:
+        """The one node dispatch: run ``node`` on ``values`` in place."""
         ins = [values[n] for n in node.inputs]
+        if operand is not None:
+            ins[0] = operand
+        if graph is None:
+            graph = self.graph
         params = [values[p][0] for p in node.params]
         kernels = self._kernels
         if node.kind is OpKind.SCATTER:
-            values[node.outputs[0]] = kernels.scatter(node.fn, self.graph, ins)
+            values[node.outputs[0]] = kernels.scatter(node.fn, graph, ins)
         elif node.kind is OpKind.GATHER:
             out, argmax = kernels.gather(
                 node.fn,
-                self.graph,
+                graph,
                 ins[0],
                 orientation=node.orientation,
                 want_argmax=node.name in argmax_needed,
@@ -372,7 +452,9 @@ class Engine:
         else:  # pragma: no cover - kinds are closed
             raise AssertionError(f"unhandled kind {node.kind}")
 
-    def _assert_finite(self, node: OpNode, values: Dict[str, np.ndarray]) -> None:
+    def _assert_finite(
+        self, node: OpNode, values: Mapping[str, np.ndarray]
+    ) -> None:
         for out in node.outputs:
             arr = values.get(out)
             if (

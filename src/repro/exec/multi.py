@@ -1,32 +1,53 @@
-"""Partitioned plan interpreter with explicit NumPy halo exchange.
+"""Partitioned plan execution: a halo-exchanging driver over per-part
+:class:`~repro.exec.engine.Engine` steps.
 
 :class:`MultiEngine` executes the *same* :class:`~repro.exec.plan.ExecPlan`
-as :class:`~repro.exec.engine.Engine`, but with every vertex/edge tensor
-sharded across the parts of a :class:`~repro.graph.partition.GraphPartition`
-— one array shard per simulated GPU — and explicit halo-exchange steps
-whenever a kernel needs data another part owns:
+as ``Engine``, with every vertex/edge tensor sharded across the parts of
+a :class:`~repro.graph.partition.GraphPartition` — one array shard per
+simulated GPU.  It holds one ``Engine`` per part (over the part's
+in-graph) and walks the plan node by node with all shards in lockstep.
 
-- **Scatter** reading a vertex tensor through the edge source fetches
-  the part's ghost rows first (``halo_in``),
+**Shared with ``Engine``** — there is no second interpreter here: node
+dispatch onto the kernel backend, binding (casts, storage simulation,
+graph constants), bf16 boundary rounding, argmax demand and the
+measured memory ledger are the shard engines' own set-up / step /
+per-kernel epilogue.
+
+**Partition-specific** — all this module does:
+
+- **Scatter** reading a vertex tensor through the edge source first
+  fetches the part's ghost rows (``halo_in``) and hands the step the
+  extended operand,
 - **Gather over out-edges** fetches the remotely-owned edge rows of its
-  operand (``halo_out``),
-- **parameter gradients** are all-reduced across parts.
+  operand (``halo_out``) and hands the step those rows with the part's
+  out-graph; every gather output is trimmed to the owned rows,
+- nodes producing **PARAM/DENSE** values run once and are aliased into
+  every shard; **parameter gradients** over sharded rows are
+  all-reduced across parts, in part order,
+- gather-max **argmax** ids are translated between global and
+  part-local edge ids on the way in and out, and results are assembled
+  into global arrays.
 
-Because edges are owned by their destination and each local graph keeps
-edges in ascending global edge-id order, every segmented reduction
-accumulates in exactly the same order as the single-graph kernel —
-vertex/edge values are **bit-identical** to ``Engine`` output, and
-parameter gradients match up to the float associativity of the
-cross-part sum.  The differential test suite enforces this contract;
-:attr:`MultiEngine.exchanges` records every transfer so tests (and
-reports) can reconcile concrete halo bytes against the analytic
-:func:`~repro.exec.analytic.plan_comm_records` schedule.
+**Contract.**  Edges are owned by their destination and each local
+graph keeps edges in ascending global edge-id order, so every segmented
+reduction accumulates in exactly the same order as the single-graph
+kernel: graph operators (scatter/gather) and elementwise applies are
+**bit-identical** to ``Engine`` given bit-identical operands.
+Row-sharded *dense* ops (``linear`` and friends) are not — BLAS does
+not produce row-independent bits when the row count changes — so
+downstream values agree with ``Engine`` to float tolerance (1e-9
+relative at float64; 1e-6 outputs / 1e-4 gradients at float32), as do
+parameter gradients, which also carry the associativity of the
+cross-part sum.  With a single part nothing is sharded and everything —
+values, gradients, measured peak — is bit-identical.  The differential
+test suite enforces this; :attr:`MultiEngine.exchanges` records every
+transfer so tests (and reports) can reconcile concrete halo bytes
+against the analytic :func:`~repro.exec.analytic.plan_comm_records`
+schedule.
 
 The engine mirrors the single-GPU API (``bind`` → ``run_plan``) and
 returns globally-assembled arrays, so it drops into any place an
-``Engine`` runs — including backward plans, where gather-max argmax
-indices are translated between global and part-local edge ids on the
-way in and out.
+``Engine`` runs, backward plans included.
 
 **Overlap modes.**  ``overlap="events"`` executes kernels in the
 hazard-wave order of :func:`repro.runtime.overlap.hazard_waves` (each
@@ -43,13 +64,15 @@ runtime tests pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from collections import ChainMap
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.exec.engine import argmax_demand
-from repro.exec.kernel_registry import get_backend
+from repro.exec.engine import Engine, PlanRun
 from repro.exec.plan import ExecPlan
 from repro.graph.csr import Graph
 from repro.graph.partition import (
@@ -58,12 +81,14 @@ from repro.graph.partition import (
     partition_graph,
 )
 from repro.ir.functions import get_scatter_fn
-from repro.ir.module import GRAPH_CONSTANTS, Module
+from repro.ir.module import Module
 from repro.ir.ops import OpKind, OpNode
-from repro.ir.precision import bf16_round, simulate_storage
-from repro.ir.tensorspec import Domain, TensorSpec
+from repro.ir.tensorspec import Domain
 
 __all__ = ["MultiEngine", "ExchangeRecord", "MultiEnv"]
+
+#: Domains whose values every simulated GPU holds in full.
+_REPLICATED = (Domain.PARAM, Domain.DENSE)
 
 
 @dataclass(frozen=True)
@@ -81,13 +106,36 @@ class ExchangeRecord:
 
 @dataclass
 class MultiEnv:
-    """Sharded execution environment: one dict per part + replicated."""
+    """Sharded execution environment: one value dict per part.
+
+    Vertex/edge values hold the part's owned rows; PARAM/DENSE values
+    are replicated — the same array (leading 1-axis) in every dict.
+    """
 
     module: Module
-    #: Per-part shards of vertex/edge values (owned rows only).
     parts: List[Dict[str, np.ndarray]]
-    #: PARAM/DENSE values, replicated (stored once, leading 1-axis).
-    shared: Dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class _FetchPlan:
+    """Where one part's halo rows live: per owner part, the local row
+    slots to fill and the owner's rows to fill them from."""
+
+    rows: int
+    remote_rows: int
+    sources: Tuple[Tuple[int, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def build(cls, part_id, owner_part, owner_row) -> "_FetchPlan":
+        sources = []
+        for q in np.unique(owner_part):
+            slots = np.nonzero(owner_part == q)[0]
+            sources.append((int(q), slots, owner_row[slots]))
+        return cls(
+            rows=int(owner_part.size),
+            remote_rows=int((owner_part != part_id).sum()),
+            sources=tuple(sources),
+        )
 
 
 class MultiEngine:
@@ -100,8 +148,9 @@ class MultiEngine:
     partition:
         A prebuilt :class:`GraphPartition`, or an integer GPU count (a
         hash partition is built with ``partitioner``/``seed``).
-    precision:
-        Floating dtype, as in :class:`~repro.exec.engine.Engine`.
+    precision, backend:
+        As in :class:`~repro.exec.engine.Engine`; every shard engine
+        shares them.
     overlap:
         ``None`` (serial oracle, kernels in plan order), ``"events"``
         (hazard-wave order on the virtual timeline), or ``"threads"``
@@ -138,14 +187,21 @@ class MultiEngine:
             raise ValueError("partition was built for a different graph")
         self.graph = graph
         self.partition = partition
-        self.precision = np.dtype(precision)
-        # Mirrors Engine: the default-precision engine executes each
-        # value in its spec dtype (fp16/bf16/int8 storage simulation).
-        self._spec_driven = self.precision == np.dtype("float32")
-        #: Kernel backend bundle shared by every simulated GPU (see
-        #: :mod:`repro.exec.kernel_registry`).
-        self._kernels = get_backend(backend)
-        self.backend = self._kernels.name
+        # Binding (casts, storage simulation, shape checks, graph
+        # constants) happens once on global arrays, by a global Engine.
+        self._binder = Engine(graph, precision=precision, backend=backend)
+        self.precision = self._binder.precision
+        self.backend = self._binder.backend
+        #: One interpreter per simulated GPU, over the part's in-graph.
+        #: Nothing is freed mid-run: overlap modes execute out of plan
+        #: order and replay the per-kernel epilogues afterwards.
+        self._shards = [
+            Engine(
+                part.in_graph, precision=precision, backend=backend,
+                free_dead_values=False,
+            )
+            for part in partition.parts
+        ]
         #: Transfers performed by the most recent :meth:`run_plan`.
         self.exchanges: List[ExchangeRecord] = []
         #: Per-part live-byte high-watermarks of the most recent run,
@@ -154,23 +210,26 @@ class MultiEngine:
         #: entry is bounded by the per-partition analytic walk, whose
         #: vertex extents additionally cover the ghost rows.
         self.measured_peak_bytes_per_gpu: List[int] = []
-        # Out-gather fetch plan per part: owner part / owner row of each
-        # out-edge (owner = the part holding the edge's destination).
-        self._out_owner = [
-            (
-                partition.assignment[graph.dst[p.out_edge_ids]],
-                partition.edge_owner_row[p.out_edge_ids],
-            )
-            for p in partition.parts
-        ]
-        # Ghost fetch plan per part: owner part / owner row per ghost.
-        self._ghost_owner = [
-            (
-                partition.assignment[p.ghost_src],
-                partition.vertex_owner_row[p.ghost_src],
-            )
-            for p in partition.parts
-        ]
+        # Fetch plans per exchange kind and part.  halo_in: the owner
+        # of each ghost source vertex; halo_out: the owner (= the part
+        # holding the destination) of each out-edge.
+        assignment = partition.assignment
+        self._fetch_plans = {
+            "halo_in": [
+                _FetchPlan.build(
+                    p.part_id, assignment[p.ghost_src],
+                    partition.vertex_owner_row[p.ghost_src],
+                )
+                for p in partition.parts
+            ],
+            "halo_out": [
+                _FetchPlan.build(
+                    p.part_id, assignment[graph.dst[p.out_edge_ids]],
+                    partition.edge_owner_row[p.out_edge_ids],
+                )
+                for p in partition.parts
+            ],
+        }
 
     @property
     def num_parts(self) -> int:
@@ -191,14 +250,6 @@ class MultiEngine:
     # ------------------------------------------------------------------
     # Binding: global arrays -> shards
     # ------------------------------------------------------------------
-    def graph_constant(self, name: str) -> np.ndarray:
-        """Global degree arrays (sharded by :meth:`bind`)."""
-        if name == "g_in_degrees":
-            return self.graph.in_degrees.astype(self.precision)
-        if name == "g_out_degrees":
-            return self.graph.out_degrees.astype(self.precision)
-        raise KeyError(name)
-
     def bind(self, module: Module, arrays: Mapping[str, np.ndarray]) -> MultiEnv:
         """Shard global input/param arrays across the parts.
 
@@ -208,52 +259,21 @@ class MultiEngine:
         translated from global COO edge ids to part-local ids.
         """
         argmax_inputs = self._argmax_input_names(module)
-        env = MultiEnv(module=module, parts=[{} for _ in range(self.num_parts)], shared={})
-        for name in list(module.inputs) + list(module.params):
-            if name in GRAPH_CONSTANTS:
-                full = self.graph_constant(name)
-                if self._spec_driven and name in module.specs:
-                    full = simulate_storage(module.specs[name], full)
-            elif name not in arrays:
-                raise KeyError(f"missing array for module value {name!r}")
-            else:
-                full = self._wrap(name, module.specs[name], arrays[name])
-            spec = module.specs[name]
-            if spec.domain in (Domain.PARAM, Domain.DENSE):
-                env.shared[name] = full
-                continue
-            for p, part in enumerate(self.partition.parts):
-                if spec.domain is Domain.VERTEX:
-                    shard = full[part.owned]
-                    if name in argmax_inputs:
-                        shard = self._argmax_to_local(shard)
+        env = MultiEnv(module=module, parts=[{} for _ in range(self.num_parts)])
+        for name, full in self._binder.bind(module, arrays).items():
+            domain = module.specs[name].domain
+            for part, values in zip(self.partition.parts, env.parts):
+                if domain in _REPLICATED:
+                    values[name] = full
+                elif domain is Domain.EDGE:
+                    values[name] = full[part.in_edge_ids]
+                elif name in argmax_inputs:
+                    values[name] = self._translate_argmax(
+                        full[part.owned], self.partition.edge_owner_row
+                    )
                 else:
-                    shard = full[part.in_edge_ids]
-                env.parts[p][name] = shard
+                    values[name] = full[part.owned]
         return env
-
-    def _wrap(self, name: str, spec: TensorSpec, arr: np.ndarray) -> np.ndarray:
-        arr = np.asarray(arr)
-        if np.issubdtype(arr.dtype, np.floating):
-            if self._spec_driven:
-                arr = simulate_storage(spec, arr)
-            else:
-                arr = arr.astype(self.precision, copy=False)
-        rows = spec.rows(self.graph.num_vertices, self.graph.num_edges)
-        if spec.domain in (Domain.PARAM, Domain.DENSE):
-            if arr.shape == spec.feat_shape:
-                return arr[None]
-            if arr.shape != (1,) + spec.feat_shape:
-                raise ValueError(
-                    f"{name!r}: expected shape {spec.feat_shape}, got {arr.shape}"
-                )
-            return arr
-        if arr.shape != (rows,) + spec.feat_shape:
-            raise ValueError(
-                f"{name!r}: expected shape {(rows,) + spec.feat_shape}, "
-                f"got {arr.shape}"
-            )
-        return arr
 
     def _argmax_input_names(self, module: Module) -> Set[str]:
         """Module inputs that carry gather-max argmax edge ids."""
@@ -265,18 +285,15 @@ class MultiEngine:
             and node.inputs[1] in names
         }
 
-    def _argmax_to_local(self, shard: np.ndarray) -> np.ndarray:
-        """Global COO edge ids -> owner-local ids (``-1`` preserved)."""
-        out = shard.astype(np.int64, copy=True)
+    @staticmethod
+    def _translate_argmax(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Map edge ids through ``table`` (``-1`` = no edge, preserved):
+        global COO ids -> owner-local rows on the way in
+        (``edge_owner_row``), local -> global on the way out (the part's
+        ``in_edge_ids``)."""
+        out = ids.astype(np.int64, copy=True)
         mask = out >= 0
-        out[mask] = self.partition.edge_owner_row[out[mask]]
-        return out
-
-    def _argmax_to_global(self, part_index: int, shard: np.ndarray) -> np.ndarray:
-        part = self.partition.parts[part_index]
-        out = shard.astype(np.int64, copy=True)
-        mask = out >= 0
-        out[mask] = part.in_edge_ids[out[mask]]
+        out[mask] = table[out[mask]]
         return out
 
     # ------------------------------------------------------------------
@@ -292,171 +309,86 @@ class MultiEngine:
         """Execute ``plan`` on every part; return global arrays.
 
         Matches :meth:`Engine.run_plan`: the result holds module
-        outputs plus the plan's keep set, assembled from the shards
-        (argmax values are translated back to global edge ids).
+        outputs plus the plan's keep set in the same order, assembled
+        from the shards (argmax values are translated back to global
+        edge ids).
         """
         module = plan.module
-        self.exchanges = []
-        wanted = set(module.outputs) | set(plan.keep)
-        argmax_needed = argmax_demand(module, wanted)
+        runs = [
+            shard._begin(plan, values)
+            for shard, values in zip(self._shards, env.parts)
+        ]
+        # Exchange records collected per kernel and flattened in plan
+        # order, so the schedule reconciles against plan_comm_records
+        # regardless of the execution order an overlap mode picks.
+        sinks: List[List[ExchangeRecord]] = [[] for _ in plan.kernels]
+        if self.overlap is None:
+            self.overlap_waves = None
+            waves = [[ki] for ki in range(len(plan.kernels))]
+        else:
+            # Local import: the runtime package depends on the analysis
+            # layer, which this low-level module must not import eagerly.
+            from repro.runtime.overlap import hazard_waves
+
+            waves = self.overlap_waves = hazard_waves(plan)
+        if self.overlap == "threads":
+            self._run_threaded(plan, waves, runs, sinks)
+        else:
+            for wave in waves:
+                for ki in wave:
+                    self._run_kernel(plan, ki, runs, sinks[ki])
+        # Per-kernel epilogues replayed in plan order: the ledger reads
+        # only its own kernel's writes and frees by liveness index, and
+        # no value was dropped, so the replay reproduces the serial
+        # peaks exactly whatever order the kernels ran in.
+        for ki in range(len(plan.kernels)):
+            for shard, run in zip(self._shards, runs):
+                shard._end_kernel(run, ki)
+        self.exchanges = [record for records in sinks for record in records]
+        self.measured_peak_bytes_per_gpu = [run.ledger.peak_bytes for run in runs]
+
         argmax_values = {
             node.outputs[1]
             for node in module.nodes
             if node.kind is OpKind.GATHER and node.fn == "max"
             and len(node.outputs) > 1
         }
-
-        parts_values = [dict(d) for d in env.parts]
-        shared = dict(env.shared)
-        bf16_outputs: Set[str] = (
-            {n for n, s in module.specs.items() if s.dtype == "bfloat16"}
-            if self._spec_driven
-            else set()
-        )
-        ledgers = self._make_ledgers(plan, parts_values, shared)
-        # Exchange records collected per kernel and flattened in plan
-        # order, so the schedule reconciles against plan_comm_records
-        # regardless of the execution order an overlap mode picks.
-        sinks: List[List[ExchangeRecord]] = [[] for _ in plan.kernels]
-        self.overlap_waves = None
-        if self.overlap is None:
-            for ki in range(len(plan.kernels)):
-                self._run_kernel(
-                    plan, ki, parts_values, shared,
-                    argmax_needed, bf16_outputs, sinks[ki],
-                )
-                self._ledgers_after_kernel(
-                    ledgers, plan, ki, parts_values, shared
-                )
-        else:
-            self._run_overlapped(
-                plan, parts_values, shared,
-                argmax_needed, bf16_outputs, sinks,
+        return {
+            name: self._assemble(
+                name, module, runs,
+                to_global_argmax=name in argmax_values, unwrap=unwrap,
             )
-            # Ledger replay in plan order: after_kernel reads only its
-            # own kernel's writes and frees by liveness index, so the
-            # serial replay reproduces the serial peaks exactly.
-            for ki in range(len(plan.kernels)):
-                self._ledgers_after_kernel(
-                    ledgers, plan, ki, parts_values, shared
-                )
-        for records in sinks:
-            self.exchanges.extend(records)
-        self.measured_peak_bytes_per_gpu = [lg.peak_bytes for lg in ledgers]
+            for name in runs[0].wanted
+        }
 
-        result: Dict[str, np.ndarray] = {}
-        for name in wanted:
-            result[name] = self._assemble(
-                name, module, parts_values, shared,
-                to_global_argmax=name in argmax_values,
-                unwrap=unwrap,
-            )
-        return result
-
-    # -- kernel-granular execution -------------------------------------
-    def _run_kernel(
+    def _run_threaded(
         self,
         plan: ExecPlan,
-        kernel_index: int,
-        parts_values,
-        shared,
-        argmax_needed: Set[str],
-        bf16_outputs: Set[str],
-        exchanges: "List[ExchangeRecord]",
+        waves: List[List[int]],
+        runs: List[PlanRun],
+        sinks: List[List[ExchangeRecord]],
     ) -> None:
-        """Execute one kernel against the given value mappings.
+        """Run each multi-kernel wave on a thread pool.
 
-        ``parts_values``/``shared`` may be plain dicts (serial modes)
-        or ChainMap overlays (thread mode); writes land in the first
-        map either way.  Exchange records go to ``exchanges``.
+        A wave is an antichain of the hazard DAG, so its kernels
+        neither read nor write each other's roots — they commute, and
+        can run concurrently against the shared base state, each
+        writing a private overlay that is merged afterwards.
         """
-        module = plan.module
-        kernel = plan.kernels[kernel_index]
-        # Per-kernel exchange cache: kernels sharing an operand share
-        # one halo transfer, mirroring plan_comm_records.
-        halo_cache: Dict[Tuple[str, str], List[np.ndarray]] = {}
-        for node in kernel.nodes:
-            self._execute(
-                node, module, plan, kernel_index, parts_values, shared,
-                argmax_needed, halo_cache, exchanges,
-            )
-            if bf16_outputs and node.kind is not OpKind.VIEW:
-                # bf16 storage simulation at node boundaries —
-                # elementwise, so shards stay bit-identical to the
-                # single-engine path (views alias rounded storage).
-                for o in node.outputs:
-                    if o not in bf16_outputs:
-                        continue
-                    if o in shared:
-                        shared[o] = bf16_round(shared[o])
-                    else:
-                        for p in range(self.num_parts):
-                            if o in parts_values[p]:
-                                parts_values[p][o] = bf16_round(
-                                    parts_values[p][o]
-                                )
-
-    def _run_overlapped(
-        self,
-        plan: ExecPlan,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
-        argmax_needed: Set[str],
-        bf16_outputs: Set[str],
-        sinks: "List[List[ExchangeRecord]]",
-    ) -> None:
-        """Execute the plan wave by wave (see ``overlap`` modes).
-
-        Each wave is an antichain of the hazard DAG, so kernels within
-        it neither read nor write each other's roots — they commute,
-        and in thread mode can run concurrently against the shared base
-        state with private write overlays.
-        """
-        from collections import ChainMap
-
-        # Local import: the runtime package depends on the analysis
-        # layer, which this low-level module must not import eagerly.
-        from repro.runtime.overlap import hazard_waves
-
-        waves = hazard_waves(plan)
-        self.overlap_waves = waves
-        if self.overlap == "events":
-            for wave in waves:
-                for ki in wave:
-                    self._run_kernel(
-                        plan, ki, parts_values, shared,
-                        argmax_needed, bf16_outputs, sinks[ki],
-                    )
-            return
-
-        import os
-        from concurrent.futures import ThreadPoolExecutor
-
         workers = max(1, min(16, os.cpu_count() or 1))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for wave in waves:
                 if len(wave) == 1:
-                    self._run_kernel(
-                        plan, wave[0], parts_values, shared,
-                        argmax_needed, bf16_outputs, sinks[wave[0]],
-                    )
+                    self._run_kernel(plan, wave[0], runs, sinks[wave[0]])
                     continue
-                overlays = {}
-                futures = []
-                for ki in wave:
-                    pv = [
-                        ChainMap({}, parts_values[p])
-                        for p in range(self.num_parts)
-                    ]
-                    sh = ChainMap({}, shared)
-                    overlays[ki] = (pv, sh)
-                    futures.append(
-                        pool.submit(
-                            self._run_kernel,
-                            plan, ki, pv, sh,
-                            argmax_needed, bf16_outputs, sinks[ki],
-                        )
-                    )
+                overlays = {
+                    ki: [replace(run, values=ChainMap({}, run.values)) for run in runs]
+                    for ki in wave
+                }
+                futures = [
+                    pool.submit(self._run_kernel, plan, ki, overlays[ki], sinks[ki])
+                    for ki in wave
+                ]
                 for fut in futures:
                     fut.result()
                 # Merge overlays in kernel order.  Same-wave kernels
@@ -464,342 +396,176 @@ class MultiEngine:
                 # the merge order is cosmetic; kernel order keeps it
                 # deterministic anyway.
                 for ki in wave:
-                    pv, sh = overlays[ki]
-                    for p in range(self.num_parts):
-                        parts_values[p].update(pv[p].maps[0])
-                    shared.update(sh.maps[0])
+                    for run, overlay in zip(runs, overlays[ki]):
+                        run.values.update(overlay.values.maps[0])
 
-    # -- measured memory ledgers ---------------------------------------
-    def _make_ledgers(
+    # -- the lockstep driver -------------------------------------------
+    def _run_kernel(
         self,
-        plan: ExecPlan,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
-    ) -> "List[MemoryLedger]":
-        """One measured ledger per part, charged with its bound inputs.
-
-        Replicated PARAM/DENSE values live in ``shared`` but occupy
-        every simulated GPU, so each part's ledger reads through a
-        ChainMap view (no per-kernel dict rebuilding).
-        """
-        from collections import ChainMap
-
-        from repro.exec.memory import MemoryLedger
-
-        lives = plan.liveness()
-        ledgers = [MemoryLedger(plan, lives=lives) for _ in range(self.num_parts)]
-        for p, ledger in enumerate(ledgers):
-            ledger.bind(ChainMap(parts_values[p], shared))
-        return ledgers
-
-    def _ledgers_after_kernel(
-        self,
-        ledgers: "List[MemoryLedger]",
         plan: ExecPlan,
         kernel_index: int,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
+        runs: List[PlanRun],
+        exchanges: List[ExchangeRecord],
     ) -> None:
-        from collections import ChainMap
+        """Step every shard through one kernel, node by node.
 
-        for p, ledger in enumerate(ledgers):
-            ledger.after_kernel(
-                kernel_index, ChainMap(parts_values[p], shared)
-            )
+        Each node runs through the shard engines' own step; this driver
+        only adds what a partition needs around it: halo rows for the
+        operands another part owns, trimming gather outputs to owned
+        rows, and running replicated (PARAM/DENSE) nodes once.
+        ``runs`` may wrap plain dicts or ChainMap overlays (thread
+        mode); writes land in the first map either way.
+        """
+        specs = plan.module.specs
+        parts = self.partition.parts
+        # Per-kernel exchange cache: nodes sharing an operand share one
+        # halo transfer, mirroring plan_comm_records.
+        halo = (plan, runs, {}, exchanges)
+        unchanged = [None] * self.num_parts
+        for node in plan.kernels[kernel_index].nodes:
+            if specs[node.outputs[0]].domain in _REPLICATED:
+                self._run_replicated(node, specs, runs, exchanges)
+                continue
+            operands = graphs = unchanged
+            if node.kind is OpKind.SCATTER:
+                fn = get_scatter_fn(node.fn)
+                if fn.reads_u and not fn.vertex_direct_read:
+                    # The source-side operand needs its halo refreshed:
+                    # owned rows ++ ghost rows, the in-graph's local ids.
+                    u_name = node.inputs[0]
+                    operands = (
+                        np.concatenate([run.values[u_name], ghost], axis=0)
+                        for run, ghost in zip(
+                            runs, self._fetch("halo_in", u_name, *halo)
+                        )
+                    )
+            elif node.kind is OpKind.GATHER and node.orientation == "out":
+                operands = self._fetch("halo_out", node.inputs[0], *halo)
+                graphs = [part.out_graph for part in parts]
+            for part, shard, run, operand, graph in zip(
+                parts, self._shards, runs, operands, graphs
+            ):
+                shard._step(run, node, operand=operand, graph=graph)
+                if node.kind is OpKind.GATHER:
+                    # Local graphs carry ghost vertices after the owned
+                    # ones; only the owned rows are this part's output.
+                    for o in node.outputs:
+                        if o in run.values:
+                            run.values[o] = run.values[o][:part.num_owned]
+
+    def _run_replicated(
+        self,
+        node: OpNode,
+        specs,
+        runs: List[PlanRun],
+        exchanges: List[ExchangeRecord],
+    ) -> None:
+        """A node whose output every GPU holds in full: run it once on
+        shard 0 and alias the result into every shard.
+
+        With replicated operands every GPU would compute the same
+        value.  A PARAM_GRAD over sharded rows instead computes one
+        partial per part, all-reduced here in part order; the node
+        boundary (bf16 rounding) closes on the sum, not the partials.
+        """
+        first, shard = runs[0], self._shards[0]
+        out = node.outputs[0]
+        if node.kind is not OpKind.PARAM_GRAD or all(
+            specs[n].domain in _REPLICATED for n in node.inputs
+        ):
+            shard._step(first, node)
+        else:
+            for engine, run in zip(self._shards, runs):
+                engine._execute(node, run.values, run.argmax_needed)
+            total = first.values[out]
+            for run in runs[1:]:
+                total = total + run.values[out]
+            first.values[out] = total
+            shard._finish(first, node)
+            if self.num_parts > 1:
+                # Storage-width bytes (spec row_bytes), matching the
+                # analytic allreduce schedule under any precision.
+                share = allreduce_bytes_per_gpu(
+                    specs[out].row_bytes, self.num_parts
+                )
+                exchanges.append(
+                    ExchangeRecord(
+                        label=node.name, kind="allreduce",
+                        bytes_per_gpu=tuple([share] * self.num_parts),
+                    )
+                )
+        for run in runs[1:]:
+            run.values[out] = first.values[out]
 
     # -- halo exchanges -------------------------------------------------
-    def _fetch_ghost_rows(
+    def _fetch(
         self,
+        kind: str,
         name: str,
-        root_label: str,
-        row_bytes: int,
-        parts_values: List[Dict[str, np.ndarray]],
+        plan: ExecPlan,
+        runs: List[PlanRun],
         halo_cache: Dict[Tuple[str, str], List[np.ndarray]],
-        exchanges: "List[ExchangeRecord]",
+        exchanges: List[ExchangeRecord],
     ) -> List[np.ndarray]:
-        """Ghost-source rows of vertex tensor ``name``, per part.
+        """Rows of ``name`` each part needs from the parts owning them.
 
-        Transfer accounting charges ``row_bytes`` per fetched row — the
-        value's *storage* width (``TensorSpec.row_bytes``), so fp16
-        halos cost half of fp32 and qint8 halos ship int8 rows plus
-        their scales, matching ``plan_comm_records`` exactly even when
-        the simulation materialises wider concrete arrays.
+        ``halo_in`` fetches a vertex tensor's ghost-source rows (all
+        remote); ``halo_out`` lays an edge tensor out in each part's
+        out-edge order, where rows owned locally are copied for free
+        and only remotely-owned rows count as interconnect traffic.
+
+        Transfer accounting charges the value's *storage* width per
+        remote row (``TensorSpec.row_bytes``), so fp16 halos cost half
+        of fp32 and qint8 halos ship int8 rows plus their scales,
+        matching ``plan_comm_records`` exactly even when the simulation
+        materialises wider concrete arrays.
         """
-        key = ("halo_in", root_label)
+        root_label = plan.root_of(name)
+        key = (kind, root_label)
         if key in halo_cache:
             return halo_cache[key]
+        row_bytes = plan.module.specs[name].row_bytes
         fetched: List[np.ndarray] = []
-        bytes_per_gpu: List[int] = []
-        for p, part in enumerate(self.partition.parts):
-            owner_part, owner_row = self._ghost_owner[p]
-            local = parts_values[p][name]
-            ghost = np.empty(
-                (part.ghost_src.size,) + local.shape[1:], dtype=local.dtype
-            )
-            for q in range(self.num_parts):
-                sel = owner_part == q
-                if sel.any():
-                    ghost[sel] = parts_values[q][name][owner_row[sel]]
-            fetched.append(ghost)
-            bytes_per_gpu.append(int(part.ghost_src.size) * row_bytes)
-        if self.num_parts > 1:
-            exchanges.append(
-                ExchangeRecord(
-                    label=root_label, kind="halo_in",
-                    bytes_per_gpu=tuple(bytes_per_gpu),
-                )
-            )
-        halo_cache[key] = fetched
-        return fetched
-
-    def _fetch_out_edge_rows(
-        self,
-        name: str,
-        root_label: str,
-        row_bytes: int,
-        parts_values: List[Dict[str, np.ndarray]],
-        halo_cache: Dict[Tuple[str, str], List[np.ndarray]],
-        exchanges: "List[ExchangeRecord]",
-    ) -> List[np.ndarray]:
-        """Edge tensor ``name`` in each part's out-edge order.
-
-        Rows owned locally are copied for free; remotely-owned rows
-        count as interconnect traffic, at the value's storage width
-        (``row_bytes`` per row, as in :meth:`_fetch_ghost_rows`).
-        """
-        key = ("halo_out", root_label)
-        if key in halo_cache:
-            return halo_cache[key]
-        fetched: List[np.ndarray] = []
-        bytes_per_gpu: List[int] = []
-        for p, part in enumerate(self.partition.parts):
-            owner_part, owner_row = self._out_owner[p]
-            local = parts_values[p][name]
-            rows = np.empty(
-                (part.out_edge_ids.size,) + local.shape[1:], dtype=local.dtype
-            )
-            remote = 0
-            for q in range(self.num_parts):
-                sel = owner_part == q
-                if sel.any():
-                    rows[sel] = parts_values[q][name][owner_row[sel]]
-                    if q != p:
-                        remote += int(sel.sum()) * row_bytes
+        for run, fetch_plan in zip(runs, self._fetch_plans[kind]):
+            local = run.values[name]
+            rows = np.empty((fetch_plan.rows,) + local.shape[1:], dtype=local.dtype)
+            for q, slots, owner_rows in fetch_plan.sources:
+                rows[slots] = runs[q].values[name][owner_rows]
             fetched.append(rows)
-            bytes_per_gpu.append(remote)
         if self.num_parts > 1:
             exchanges.append(
                 ExchangeRecord(
-                    label=root_label, kind="halo_out",
-                    bytes_per_gpu=tuple(bytes_per_gpu),
+                    label=root_label, kind=kind,
+                    bytes_per_gpu=tuple(
+                        fp.remote_rows * row_bytes
+                        for fp in self._fetch_plans[kind]
+                    ),
                 )
             )
         halo_cache[key] = fetched
         return fetched
-
-    # -- node dispatch --------------------------------------------------
-    def _execute(
-        self,
-        node: OpNode,
-        module: Module,
-        plan: ExecPlan,
-        kernel_index: int,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
-        argmax_needed: Set[str],
-        halo_cache: Dict[Tuple[str, str], List[np.ndarray]],
-        exchanges: "List[ExchangeRecord]",
-    ) -> None:
-        specs = module.specs
-
-        def value(p: int, name: str) -> np.ndarray:
-            return shared[name] if name in shared else parts_values[p][name]
-
-        if node.kind is OpKind.VIEW:
-            out_shape = tuple(node.attrs["out_shape"])
-            src = node.inputs[0]
-            if src in shared:
-                x = shared[src]
-                shared[node.outputs[0]] = x.reshape((x.shape[0],) + out_shape)
-            else:
-                for p in range(self.num_parts):
-                    x = parts_values[p][src]
-                    parts_values[p][node.outputs[0]] = x.reshape(
-                        (x.shape[0],) + out_shape
-                    )
-            return
-
-        if node.kind is OpKind.APPLY:
-            out_domain = specs[node.outputs[0]].domain
-            if out_domain in (Domain.PARAM, Domain.DENSE):
-                ins = [shared[n] for n in node.inputs]
-                params = [shared[pn][0] for pn in node.params]
-                shared[node.outputs[0]] = self._kernels.apply(
-                    node.fn, ins, params, node.attrs
-                )
-                return
-            for p in range(self.num_parts):
-                ins = [value(p, n) for n in node.inputs]
-                params = [shared[pn][0] for pn in node.params]
-                parts_values[p][node.outputs[0]] = self._kernels.apply(
-                    node.fn, ins, params, node.attrs
-                )
-            return
-
-        if node.kind is OpKind.SCATTER:
-            self._execute_scatter(
-                node, plan, parts_values, halo_cache, exchanges
-            )
-            return
-
-        if node.kind is OpKind.GATHER:
-            self._execute_gather(
-                node, plan, parts_values, argmax_needed, halo_cache,
-                exchanges,
-            )
-            return
-
-        if node.kind is OpKind.PARAM_GRAD:
-            self._execute_param_grad(
-                node, module, parts_values, shared, exchanges
-            )
-            return
-
-        raise AssertionError(f"unhandled kind {node.kind}")  # pragma: no cover
-
-    def _execute_scatter(
-        self,
-        node: OpNode,
-        plan: ExecPlan,
-        parts_values: List[Dict[str, np.ndarray]],
-        halo_cache: Dict[Tuple[str, str], List[np.ndarray]],
-        exchanges: "List[ExchangeRecord]",
-    ) -> None:
-        fn = get_scatter_fn(node.fn)
-        ghost_rows: Optional[List[np.ndarray]] = None
-        if fn.reads_u and not fn.vertex_direct_read:
-            # The source-side operand needs its halo refreshed.
-            u_name = node.inputs[0]
-            ghost_rows = self._fetch_ghost_rows(
-                u_name,
-                plan.root_of(u_name),
-                plan.module.specs[u_name].row_bytes,
-                parts_values,
-                halo_cache,
-                exchanges,
-            )
-        for p, part in enumerate(self.partition.parts):
-            ins = [parts_values[p][n] for n in node.inputs]
-            if ghost_rows is not None:
-                ins[0] = np.concatenate([ins[0], ghost_rows[p]], axis=0)
-            parts_values[p][node.outputs[0]] = self._kernels.scatter(
-                node.fn, part.in_graph, ins
-            )
-
-    def _execute_gather(
-        self,
-        node: OpNode,
-        plan: ExecPlan,
-        parts_values: List[Dict[str, np.ndarray]],
-        argmax_needed: Set[str],
-        halo_cache: Dict[Tuple[str, str], List[np.ndarray]],
-        exchanges: "List[ExchangeRecord]",
-    ) -> None:
-        name = node.inputs[0]
-        orientation = node.orientation
-        edge_rows: Optional[List[np.ndarray]] = None
-        if orientation == "out":
-            edge_rows = self._fetch_out_edge_rows(
-                name,
-                plan.root_of(name),
-                plan.module.specs[name].row_bytes,
-                parts_values,
-                halo_cache,
-                exchanges,
-            )
-        for p, part in enumerate(self.partition.parts):
-            local_graph = part.in_graph if orientation == "in" else part.out_graph
-            values = (
-                parts_values[p][name] if edge_rows is None else edge_rows[p]
-            )
-            out, argmax = self._kernels.gather(
-                node.fn,
-                local_graph,
-                values,
-                orientation=orientation,
-                want_argmax=node.name in argmax_needed,
-            )
-            parts_values[p][node.outputs[0]] = out[:part.num_owned]
-            if len(node.outputs) > 1 and argmax is not None:
-                parts_values[p][node.outputs[1]] = argmax[:part.num_owned]
-
-    def _execute_param_grad(
-        self,
-        node: OpNode,
-        module: Module,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
-        exchanges: "List[ExchangeRecord]",
-    ) -> None:
-        specs = module.specs
-        row_domains = {specs[n].domain for n in node.inputs}
-        if row_domains <= {Domain.PARAM, Domain.DENSE}:
-            # Replicated operands: every GPU computes the same gradient
-            # locally; no reduction needed.
-            ins = [shared[n] for n in node.inputs]
-            params = [shared[pn][0] for pn in node.params]
-            shared[node.outputs[0]] = self._kernels.param_grad(
-                node.fn, ins, params, node.attrs
-            )[None]
-            return
-        partials = []
-        for p in range(self.num_parts):
-            ins = [
-                shared[n] if n in shared else parts_values[p][n]
-                for n in node.inputs
-            ]
-            params = [shared[pn][0] for pn in node.params]
-            partials.append(self._kernels.param_grad(node.fn, ins, params, node.attrs))
-        total = partials[0]
-        for partial in partials[1:]:
-            total = total + partial
-        shared[node.outputs[0]] = np.asarray(total)[None]
-        if self.num_parts > 1:
-            # Storage-width bytes (spec row_bytes), matching the
-            # analytic allreduce schedule under any precision.
-            share = allreduce_bytes_per_gpu(
-                specs[node.outputs[0]].row_bytes, self.num_parts
-            )
-            exchanges.append(
-                ExchangeRecord(
-                    label=node.name, kind="allreduce",
-                    bytes_per_gpu=tuple([share] * self.num_parts),
-                )
-            )
 
     # -- assembly -------------------------------------------------------
     def _assemble(
         self,
         name: str,
         module: Module,
-        parts_values: List[Dict[str, np.ndarray]],
-        shared: Dict[str, np.ndarray],
+        runs: List[PlanRun],
         *,
         to_global_argmax: bool,
         unwrap: bool,
     ) -> np.ndarray:
         spec = module.specs[name]
-        if name in shared:
-            arr = shared[name]
+        if spec.domain in _REPLICATED:
+            arr = runs[0].values[name]
             return arr[0] if unwrap else arr
         V, E = self.graph.num_vertices, self.graph.num_edges
-        rows = spec.rows(V, E)
-        sample = parts_values[0][name]
-        out = np.empty((rows,) + sample.shape[1:], dtype=sample.dtype)
-        for p, part in enumerate(self.partition.parts):
-            shard = parts_values[p][name]
+        sample = runs[0].values[name]
+        out = np.empty((spec.rows(V, E),) + sample.shape[1:], dtype=sample.dtype)
+        for part, run in zip(self.partition.parts, runs):
+            shard = run.values[name]
             if to_global_argmax:
-                shard = self._argmax_to_global(p, shard)
+                shard = self._translate_argmax(shard, part.in_edge_ids)
             if spec.domain is Domain.VERTEX:
                 out[part.owned] = shard
             else:

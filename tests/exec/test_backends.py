@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec import Engine
+from repro.exec import Engine, MultiEngine
 from repro.exec.backend_blocked import BLOCK_BYTES, blocked_segment_reduce
 from repro.exec.kernel_registry import (
     BackendUnavailableError,
@@ -195,13 +195,22 @@ def _assert_backend_matches(got, want, *, bit_identical, context):
             )
 
 
-def _training_run(model_name, graph, backend, strategy_name="dgl-like"):
+def _training_run(
+    model_name, graph, backend, strategy_name="dgl-like", num_parts=None
+):
+    """One training step on ``backend``; partitioned when ``num_parts``."""
     model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(graph.num_vertices, IN_DIM))
     params = model.init_params(0)
     compiled = compile_training(model, get_strategy(strategy_name))
-    engine = Engine(graph, precision="float64", backend=backend)
+    if num_parts is None:
+        engine = Engine(graph, precision="float64", backend=backend)
+    else:
+        engine = MultiEngine(
+            graph, num_parts, precision="float64", backend=backend
+        )
+    assert engine.backend == backend
     outs, grads = training_values(engine, compiled, feats, params)
     return {**outs, **{f"grad:{k}": v for k, v in grads.items()}}
 
@@ -214,35 +223,44 @@ def diff_graph() -> Graph:
 class TestBackendDifferential:
     """Every backend reproduces the reference oracle on training steps."""
 
+    @pytest.mark.parametrize("num_parts", [None, 3])
     @pytest.mark.parametrize("model_name", ["gat", "gcn", "sage", "gin"])
-    def test_core_models(self, diff_graph, model_name):
-        reference = _training_run(model_name, diff_graph, "reference")
+    def test_core_models(self, diff_graph, model_name, num_parts):
+        # num_parts=3: the same hash partition on both sides, so the
+        # backend axis crosses the partitioned path (halo operands,
+        # out-graphs, trimmed gathers) and not just the single graph.
+        reference = _training_run(
+            model_name, diff_graph, "reference", num_parts=num_parts
+        )
         for backend in _ALT_BACKENDS:
-            got = _training_run(model_name, diff_graph, backend)
+            got = _training_run(
+                model_name, diff_graph, backend, num_parts=num_parts
+            )
             _assert_backend_matches(
                 got, reference,
                 bit_identical=backend_info(backend).bit_identical,
-                context=f"{model_name}/{backend}",
+                context=f"{model_name}/{backend}/P={num_parts}",
             )
 
     @pytest.mark.slow
+    @pytest.mark.parametrize("num_parts", [None, 3])
     @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
-    def test_full_zoo(self, diff_graph, model_name):
+    def test_full_zoo(self, diff_graph, model_name, num_parts):
         # Same strategy on both sides: the backend axis must be
         # value-preserving per *plan* (strategies themselves reassociate
         # legitimately and are covered by test_differential.py).
         for strategy in ("dgl-like", "ours"):
             reference = _training_run(
-                model_name, diff_graph, "reference", strategy
+                model_name, diff_graph, "reference", strategy, num_parts
             )
             for backend in _ALT_BACKENDS:
                 got = _training_run(
-                    model_name, diff_graph, backend, strategy
+                    model_name, diff_graph, backend, strategy, num_parts
                 )
                 _assert_backend_matches(
                     got, reference,
                     bit_identical=backend_info(backend).bit_identical,
-                    context=f"{model_name}/{backend}/{strategy}",
+                    context=f"{model_name}/{backend}/{strategy}/P={num_parts}",
                 )
 
     @pytest.mark.parametrize("graph", [EMPTY, SINGLE, LOOPS])
@@ -345,10 +363,3 @@ class TestBackendThreading:
             blocked, reference, bit_identical=True, context="gat/blocked"
         )
 
-    def test_multi_engine_accepts_backend(self, small_graph):
-        from repro.exec.multi import MultiEngine
-        from repro.graph.partition import partition_graph
-
-        parts = partition_graph(small_graph, 2, method="hash")
-        engine = MultiEngine(small_graph, parts, backend="blocked")
-        assert engine.backend == "blocked"

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.exec import Engine
+from repro.exec.engine import argmax_demand
 from repro.exec.kernels import (
     apply_kernel,
     gather_kernel,
@@ -139,7 +140,7 @@ class TestDtypeStability:
         for kernel in compiled.fwd_plan.kernels:
             for node in kernel.nodes:
                 engine._execute(
-                    node, values, engine._argmax_demand(compiled.forward, wanted)
+                    node, values, argmax_demand(compiled.forward, wanted)
                 )
         for name, arr in values.items():
             spec = compiled.forward.specs.get(name)

@@ -89,6 +89,16 @@ class TestRun:
         assert "y" in res
         assert np.allclose(res["y"], arrays["h"] @ arrays["w"])
 
+    def test_result_order_outputs_then_definition_order(self, tiny_graph, rng):
+        """Regression: results were assembled by iterating a ``set``, so
+        ``list(result)`` changed with ``PYTHONHASHSEED``."""
+        m = chain_module()
+        eng = Engine(tiny_graph, precision="float64")
+        arrays = {"h": rng.normal(size=(4, 4)), "w": rng.normal(size=(4, 3))}
+        plan = plan_module(m, mode="per_op", keep=["e", "out", "w", "y", "h"])
+        res = eng.run_plan(plan, eng.bind(m, arrays))
+        assert list(res) == ["out", "h", "w", "y", "e"]
+
     def test_sweep_does_not_break_results(self, small_graph, rng):
         m = chain_module()
         arrays = {"h": rng.normal(size=(60, 4)), "w": rng.normal(size=(4, 3))}

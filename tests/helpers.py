@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exec import Engine, plan_module
+from repro.exec.engine import argmax_demand
 from repro.exec.analytic import kernel_record
 from repro.graph import Graph
 from repro.ir import Module, differentiate
@@ -201,7 +202,7 @@ def record_value_shapes(
     values = dict(env)
     for kernel in plan.kernels:
         for node in kernel.nodes:
-            keeper._execute(node, values, keeper._argmax_demand(
+            keeper._execute(node, values, argmax_demand(
                 plan.module, set(plan.module.outputs) | set(plan.keep)
             ))
     return values
