@@ -201,13 +201,13 @@ class TestMultiEngineAPI:
             training_phases(MultiEngine(graph, 3), compiled, feats, model.init_params(0)),
             (compiled.fwd_plan, compiled.bwd_plan),
         )
+        assert len(compiled.fwd_plan.keep) > 2  # an order worth pinning
         for want, got, plan in phases:
             module = plan.module
             defined = list(module.inputs) + list(module.params)
             defined += [o for node in module.nodes for o in node.outputs]
             outputs = list(module.outputs)
             stash = [n for n in defined if n in plan.keep and n not in outputs]
-            assert len(stash) > 1 or plan is compiled.bwd_plan
             assert list(want) == outputs + stash
             assert list(got) == list(want)
 

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exec import Engine, plan_module
-from repro.exec.engine import argmax_demand
 from repro.exec.analytic import kernel_record
+from repro.exec.engine import argmax_demand
 from repro.graph import Graph
 from repro.ir import Module, differentiate
 from repro.ir.autodiff import grad_seed_name
