@@ -6,8 +6,9 @@ This subpackage turns IR modules into numbers, two ways:
   execution plan with vectorised NumPy kernels
   (:mod:`~repro.exec.kernels`), producing bit-for-bit identical results
   regardless of which optimizations were applied (fusion and
-  recomputation change *accounting*, never values).  This is the
-  correctness oracle and the wall-clock benchmark target.
+  recomputation never change values; a fused kernel runs as one
+  cache-blocked walk, so it changes wall-clock and resident bytes).
+  This is the correctness oracle and the wall-clock benchmark target.
 - **Analytic** — :mod:`~repro.exec.analytic` walks the same plan without
   touching arrays, evaluating the exact FLOP / DRAM-byte / peak-memory
   formulas on a :class:`~repro.graph.stats.GraphStats`.  This is how

@@ -21,7 +21,7 @@ to the reference implementation through the registry.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.exec.kernels import (
     segment_reduce,
 )
 
-__all__ = ["BLOCK_BYTES", "blocked_segment_reduce"]
+__all__ = ["BLOCK_BYTES", "blocked_segment_reduce", "segment_blocks"]
 
 #: Target bytes of permuted edge rows held live per chunk.  Sized to sit
 #: comfortably inside a desktop L2 slice (2 MiB here) with headroom for
@@ -47,6 +47,31 @@ declare_backend(
 )
 
 
+def segment_blocks(
+    indptr: np.ndarray, rows_per_block: int
+) -> Iterator[Tuple[int, int, int, int]]:
+    """The one definition of a block: ``(lo, hi, p0, p1)`` per block.
+
+    Consecutive blocks partition the segments of ``indptr`` — block
+    ``[lo, hi)`` owns rows ``[p0, p1)`` of the segment-ordered edge
+    tensor.  Blocks end on segment boundaries and hold at most
+    ``rows_per_block`` rows, except that every block advances at least
+    one segment, so a segment larger than the budget is its own block.
+    Empty segments ride with their neighbours (trailing ones with the
+    last block), so every segment is visited exactly once.
+    """
+    num_segments = indptr.shape[0] - 1
+    rows_per_block = max(1, int(rows_per_block))
+    lo = 0
+    while lo < num_segments:
+        p0 = int(indptr[lo])
+        # Last segment whose final row still fits the budget.
+        hi = int(np.searchsorted(indptr, p0 + rows_per_block, side="right")) - 1
+        hi = min(max(hi, lo + 1), num_segments)
+        yield lo, hi, p0, int(indptr[hi])
+        lo = hi
+
+
 def blocked_segment_reduce(
     edge_values: np.ndarray,
     indptr: np.ndarray,
@@ -54,14 +79,14 @@ def blocked_segment_reduce(
     *,
     reduce: str,
     fill: float = 0.0,
-    block_bytes: int = BLOCK_BYTES,
+    block_bytes: Optional[int] = None,
     acc: Optional[np.dtype] = None,
 ) -> np.ndarray:
     """Chunked equivalent of ``segment_reduce(edge_values[eids], indptr)``.
 
-    Never materialises more than ~``block_bytes`` of the permuted edge
-    tensor at once.  Chunks always end on segment boundaries (a single
-    over-large segment becomes its own chunk), so each ``reduceat``
+    Never materialises more than ~``block_bytes`` (default
+    :data:`BLOCK_BYTES`, read at call time) of the permuted edge tensor
+    at once.  Chunks are :func:`segment_blocks`, so each ``reduceat``
     covers whole segments and the per-segment reduction order — hence
     the floating-point result — matches the reference exactly.
 
@@ -79,28 +104,23 @@ def blocked_segment_reduce(
     row_bytes = int(
         np.prod(edge_values.shape[1:], dtype=np.int64)
     ) * edge_values.dtype.itemsize
-    rows_per_block = max(1, int(block_bytes) // max(row_bytes, 1))
-    v = 0
-    while v < num_segments:
-        p0 = int(indptr[v])
-        # Last vertex whose final edge still fits the block budget —
-        # but always advance at least one segment.
-        w = int(np.searchsorted(indptr, p0 + rows_per_block, side="right")) - 1
-        w = min(max(w, v + 1), num_segments)
-        p1 = int(indptr[w])
-        if p1 > p0:
-            chunk = edge_values[eids[p0:p1]].astype(out_dtype, copy=False)
-            starts = indptr[v:w] - p0
-            non_empty = indptr[v + 1 : w + 1] > indptr[v:w]
-            if non_empty.any():
-                # Trailing empty segments in the chunk share offset p1,
-                # so the final reduceat slice (last non-empty start to
-                # end of chunk) is exactly that segment — the same
-                # empty-segment guarantee segment_reduce documents.
-                out[v:w][non_empty] = ufunc.reduceat(
-                    chunk, starts[non_empty], axis=0
-                )
-        v = w
+    if block_bytes is None:
+        block_bytes = BLOCK_BYTES
+    for lo, hi, p0, p1 in segment_blocks(
+        indptr, int(block_bytes) // max(row_bytes, 1)
+    ):
+        if p1 == p0:
+            continue
+        chunk = edge_values[eids[p0:p1]].astype(out_dtype, copy=False)
+        starts = indptr[lo:hi] - p0
+        non_empty = indptr[lo + 1 : hi + 1] > indptr[lo:hi]
+        # Trailing empty segments in the chunk share offset p1, so the
+        # final reduceat slice (last non-empty start to end of chunk)
+        # is exactly that segment — the same empty-segment guarantee
+        # segment_reduce documents.
+        out[lo:hi][non_empty] = ufunc.reduceat(
+            chunk, starts[non_empty], axis=0
+        )
     return out
 
 

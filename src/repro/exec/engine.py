@@ -2,10 +2,22 @@
 
 The engine executes an :class:`~repro.exec.plan.ExecPlan` on a real
 :class:`~repro.graph.csr.Graph`.  Results are independent of the plan's
-kernel partitioning and stash policy — fusion and recomputation are
-*accounting* transformations — which the test suite exploits: every
+kernel partitioning and stash policy — fusion and recomputation never
+change a computed value — which the test suite exploits: every
 optimized configuration must reproduce the per-op baseline bit for bit
 (up to float associativity).
+
+Fusion is not only accounting, though.  A fused kernel that owns
+kernel-internal edge tensors executes *fused*: one walk over blocks of
+destination rows (source rows when its widest gather reduces over
+out-edges), each block building only a ``BLOCK_BYTES``-sized slice of
+every internal edge tensor, reducing it and dropping it
+(:meth:`Engine._run_kernel`, :meth:`ExecPlan.blocked`).  Internal values
+never enter the run's value table — the host-side meaning of "internal
+values live on chip" — and because blocks hold whole segments in
+CSC/CSR order, per-segment reduction order is preserved and the walk is
+bit-identical to running the same kernel node by node, which is what
+per-op kernels, single-block graphs and ``MultiEngine`` shards still do.
 
 Array conventions (see :mod:`repro.exec.kernels`): callers provide
 vertex/edge tensors with their natural leading row axis and parameters
@@ -16,45 +28,34 @@ in natural shape; the engine wraps PARAM/DENSE values with a leading
 from __future__ import annotations
 
 import time
+from collections import ChainMap
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, MutableMapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.exec import backend_blocked
 from repro.exec.kernel_registry import get_backend
+from repro.exec.kernels import _gather_layout
 from repro.exec.memory import ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan
-from repro.exec.plan import ExecPlan
+from repro.exec.plan import BlockedKernel, ExecPlan, Kernel
 from repro.graph.csr import Graph
 from repro.ir.module import GRAPH_CONSTANTS, Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.precision import bf16_round, simulate_storage
 from repro.ir.tensorspec import LOGICAL_DTYPES, Domain, TensorSpec
 
-__all__ = ["Engine", "PlanRun", "argmax_demand", "result_names"]
+__all__ = ["Engine", "PlanRun", "translate_argmax"]
 
 
-def argmax_demand(module: Module, wanted: Set[str]) -> Set[str]:
-    """Gather(max) nodes whose argmax output is actually consumed."""
-    consumers = module.consumer_map()
-    demand = set()
-    for node in module.nodes:
-        if node.kind is OpKind.GATHER and node.fn == "max":
-            aux = node.outputs[1]
-            if consumers.get(aux) or aux in wanted:
-                demand.add(node.name)
-    return demand
-
-
-def result_names(plan: ExecPlan) -> List[str]:
-    """What a run returns, in order: module outputs, then the keep set
-    in module definition order (never in set order, which follows
-    ``PYTHONHASHSEED``)."""
-    module = plan.module
-    defined = list(module.inputs) + list(module.params)
-    defined += [o for node in module.nodes for o in node.outputs]
-    position = {name: i for i, name in enumerate(defined)}
-    names = list(dict.fromkeys(module.outputs))
-    return names + sorted(set(plan.keep) - set(names), key=position.__getitem__)
+def translate_argmax(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Map gather-max argmax edge ids through ``table`` (``-1`` = no
+    edge, preserved): block- or part-local ids to global COO ids on the
+    way out, global ids to owner-local rows on the way in."""
+    out = ids.astype(np.int64, copy=True)
+    mask = out >= 0
+    out[mask] = table[out[mask]]
+    return out
 
 
 @dataclass
@@ -66,8 +67,8 @@ class PlanRun:
 
     plan: ExecPlan
     values: MutableMapping[str, np.ndarray]
-    wanted: Dict[str, None]     # result_names(plan), as an ordered set
-    argmax_needed: Set[str]
+    wanted: Dict[str, None]     # plan.result_names(), as an ordered set
+    argmax_needed: Set[str]     # plan.argmax_demand()
     ledger: MemoryLedger
     bf16_outputs: Set[str]      # empty unless the engine is spec-driven
     pool: Optional[ArenaPool]
@@ -252,8 +253,7 @@ class Engine:
         for i, kernel in enumerate(plan.kernels):
             if timings is not None:
                 t0 = time.perf_counter()
-            for node in kernel.nodes:
-                self._step(run, node)
+            self._run_kernel(run, kernel, i)
             if timings is not None:
                 timings.append((i, time.perf_counter() - t0))
             self._end_kernel(run, i)
@@ -273,9 +273,10 @@ class Engine:
         return result
 
     # ------------------------------------------------------------------
-    # The three pieces of a run: set-up, per-node step, per-kernel
-    # epilogue.  ``run_plan`` strings them together for one graph;
-    # ``MultiEngine`` drives the same pieces on one Engine per shard.
+    # The pieces of a run: set-up, per-kernel entry (node by node, or
+    # one blocked walk), per-node step, per-kernel epilogue.
+    # ``run_plan`` strings them together for one graph; ``MultiEngine``
+    # drives set-up, step and epilogue on one Engine per shard.
     # ------------------------------------------------------------------
     def _begin(
         self, plan: ExecPlan, env: Mapping[str, np.ndarray]
@@ -283,7 +284,7 @@ class Engine:
         """Set-up: result order, argmax demand, ledger, arena, bf16 set."""
         module = plan.module
         values: Dict[str, np.ndarray] = dict(env)
-        wanted = dict.fromkeys(result_names(plan))
+        wanted = dict.fromkeys(plan.result_names())
 
         memory_plan = self._memory_plan_for(plan)
         if memory_plan is not None and self._spec_driven:
@@ -322,12 +323,95 @@ class Engine:
             plan=plan,
             values=values,
             wanted=wanted,
-            argmax_needed=argmax_demand(module, wanted),
+            argmax_needed=plan.argmax_demand(),
             ledger=ledger,
             bf16_outputs=bf16_outputs,
             pool=pool,
             finishes=bool(bf16_outputs) or pool is not None or self.check_finite,
         )
+
+    def _run_kernel(self, run: PlanRun, kernel: Kernel, index: int) -> None:
+        """Execute one kernel of ``run.plan`` into ``run.values``.
+
+        A fused kernel the plan classifies as blocked
+        (:meth:`ExecPlan.blocked`) executes as one walk over blocks of
+        home rows, unless the graph's edges fit a single block anyway —
+        then, as for every other kernel, the nodes run one by one.
+        """
+        blocked = run.plan.blocked(index)
+        if blocked is not None:
+            rows_per_block = backend_blocked.BLOCK_BYTES // (
+                blocked.row_elements * self.precision.itemsize
+            )
+            if self.graph.num_edges > rows_per_block:
+                for node in blocked.pre:
+                    self._step(run, node)
+                self._walk(run, blocked, rows_per_block)
+                for node in blocked.post:
+                    self._step(run, node)
+                return
+        for node in kernel.nodes:
+            self._step(run, node)
+
+    def _walk(
+        self, run: PlanRun, blocked: BlockedKernel, rows_per_block: int
+    ) -> None:
+        """Run ``blocked.steps`` once per block of home rows.
+
+        Each block sees the graph as :meth:`Graph.row_block` cuts it —
+        the way a partitioned run sees a shard — so every step is the
+        ordinary node dispatch on block-sized operands: block-local
+        values shadow the whole arrays in ``run.values``.  Blocks hold
+        whole segments in CSC/CSR order, so every gather reduces each
+        segment in the per-node walk's order and the results are
+        bit-identical.  Only what leaves the walk (``step.spill``) is
+        assembled into whole arrays; the rest never exists beyond one
+        block.  Node boundaries close per block (bf16 rounding and the
+        finite check are elementwise); arena adoption waits for the
+        assembled arrays.
+        """
+        graph, whole = self.graph, run.values
+        orientation = blocked.orientation
+        indptr, _ = _gather_layout(graph, orientation)
+        spilled: Dict[str, np.ndarray] = {}
+        for lo, hi, _, _ in backend_blocked.segment_blocks(indptr, rows_per_block):
+            block = graph.row_block(orientation, lo, hi)
+            local = {name: whole[name][lo:hi] for name in blocked.home_rows}
+            for name in blocked.edge_rows:
+                local[name] = whole[name][block.eids]
+            scope = ChainMap(local, whole)
+            for step in blocked.steps:
+                node = step.node
+                self._execute(
+                    node, scope, run.argmax_needed, graph=block,
+                    operands=[
+                        whole[name] if far else None
+                        for name, far in zip(node.inputs, step.whole)
+                    ],
+                )
+                if step.argmax:
+                    local[step.argmax] = translate_argmax(
+                        local[step.argmax], block.eids
+                    )
+                if run.finishes:
+                    self._close(run, node, local)
+                for name, by_edge in step.spill:
+                    chunk = local[name]
+                    out = spilled.get(name)
+                    if out is None:
+                        rows = graph.num_edges if by_edge else graph.num_vertices
+                        out = spilled[name] = np.empty(
+                            (rows,) + chunk.shape[1:], dtype=chunk.dtype
+                        )
+                    if by_edge:
+                        out[block.eids] = chunk
+                    else:
+                        out[lo:hi] = chunk
+                for name in step.dead:
+                    del local[name]
+        whole.update(spilled)
+        if run.pool is not None:
+            self._adopt(run, spilled)
 
     def _step(
         self,
@@ -345,30 +429,41 @@ class Engine:
         (fetched edge rows over the shard's out-graph).
         """
         self._execute(
-            node, run.values, run.argmax_needed, operand=operand, graph=graph
+            node, run.values, run.argmax_needed, operands=(operand,), graph=graph
         )
         if run.finishes:
             self._finish(run, node)
 
     def _finish(self, run: PlanRun, node: OpNode) -> None:
-        """Node-boundary work: bf16 rounding, arena adoption, finite check."""
-        values = run.values
-        if node.kind is not OpKind.VIEW:
-            if run.bf16_outputs:
-                # Simulate bf16 storage: every produced value is
-                # rounded to the bf16 grid at the node boundary
-                # (views alias already-rounded storage).
-                for o in node.outputs:
-                    if o in run.bf16_outputs and o in values:
-                        values[o] = bf16_round(values[o])
-            if run.pool is not None:
-                # Escaping writes are adopted before any view of
-                # them is minted, so aliases are arena-backed too.
-                for o in node.outputs:
-                    if o in values and run.pool.slab_for(o):
-                        values[o] = run.pool.adopt(o, values[o])
+        """Node-boundary work: bf16 rounding, finite check, arena adoption."""
+        self._close(run, node, run.values)
+        if run.pool is not None and node.kind is not OpKind.VIEW:
+            # Escaping writes are adopted before any view of them is
+            # minted, so aliases are arena-backed too.
+            self._adopt(run, node.outputs)
+
+    def _close(
+        self, run: PlanRun, node: OpNode, values: MutableMapping[str, np.ndarray]
+    ) -> None:
+        """The elementwise half of a node boundary, on whole arrays or
+        on one block's rows alike."""
+        if run.bf16_outputs and node.kind is not OpKind.VIEW:
+            # Simulate bf16 storage: every produced value is rounded to
+            # the bf16 grid at the node boundary (views alias
+            # already-rounded storage).
+            for o in node.outputs:
+                if o in run.bf16_outputs and o in values:
+                    values[o] = bf16_round(values[o])
         if self.check_finite:
             self._assert_finite(node, values)
+
+    @staticmethod
+    def _adopt(run: PlanRun, names: Sequence[str]) -> None:
+        """Move the named values that own an arena slab into it."""
+        values = run.values
+        for o in names:
+            if o in values and run.pool.slab_for(o):
+                values[o] = run.pool.adopt(o, values[o])
 
     def _end_kernel(self, run: PlanRun, index: int) -> None:
         """Per-kernel epilogue: ledger upkeep, then the dead-value sweep."""
@@ -415,13 +510,18 @@ class Engine:
         values: MutableMapping[str, np.ndarray],
         argmax_needed: Set[str],
         *,
-        operand: Optional[np.ndarray] = None,
+        operands: Sequence[Optional[np.ndarray]] = (),
         graph: Optional[Graph] = None,
     ) -> None:
-        """The one node dispatch: run ``node`` on ``values`` in place."""
+        """The one node dispatch: run ``node`` on ``values`` in place.
+
+        ``operands`` overrides data inputs by position (``None`` keeps
+        ``values[name]``); ``graph`` overrides the topology indexed.
+        """
         ins = [values[n] for n in node.inputs]
-        if operand is not None:
-            ins[0] = operand
+        for i, operand in enumerate(operands):
+            if operand is not None:
+                ins[i] = operand
         if graph is None:
             graph = self.graph
         params = [values[p][0] for p in node.params]

@@ -72,7 +72,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.exec.engine import Engine, PlanRun
+from repro.exec.engine import Engine, PlanRun, translate_argmax
 from repro.exec.plan import ExecPlan
 from repro.graph.csr import Graph
 from repro.graph.partition import (
@@ -268,7 +268,7 @@ class MultiEngine:
                 elif domain is Domain.EDGE:
                     values[name] = full[part.in_edge_ids]
                 elif name in argmax_inputs:
-                    values[name] = self._translate_argmax(
+                    values[name] = translate_argmax(
                         full[part.owned], self.partition.edge_owner_row
                     )
                 else:
@@ -284,17 +284,6 @@ class MultiEngine:
             if node.kind is OpKind.SCATTER and node.fn == "max_grad"
             and node.inputs[1] in names
         }
-
-    @staticmethod
-    def _translate_argmax(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Map edge ids through ``table`` (``-1`` = no edge, preserved):
-        global COO ids -> owner-local rows on the way in
-        (``edge_owner_row``), local -> global on the way out (the part's
-        ``in_edge_ids``)."""
-        out = ids.astype(np.int64, copy=True)
-        mask = out >= 0
-        out[mask] = table[out[mask]]
-        return out
 
     # ------------------------------------------------------------------
     # Execution
@@ -565,7 +554,7 @@ class MultiEngine:
         for part, run in zip(self.partition.parts, runs):
             shard = run.values[name]
             if to_global_argmax:
-                shard = self._translate_argmax(shard, part.in_edge_ids)
+                shard = translate_argmax(shard, part.in_edge_ids)
             if spec.domain is Domain.VERTEX:
                 out[part.owned] = shard
             else:

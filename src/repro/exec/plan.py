@@ -7,7 +7,10 @@ engine and the analytic counters share one structure:
 - values crossing kernel boundaries are DRAM traffic and owe memory
   while live,
 - values internal to a kernel live in on-chip storage: zero DRAM IO,
-  zero DRAM memory (the fusion saving of §5),
+  zero DRAM memory (the fusion saving of §5).  The concrete engine
+  honours this on the host too: a fused kernel with internal edge
+  tensors runs as one walk over cache-sized blocks of home rows
+  (:class:`BlockedKernel`), so those tensors are never materialised,
 - values in the plan's ``keep`` set (module outputs + the training
   stash) survive to the end of the plan even when internal — a kernel
   producing a kept internal value writes it out (that is FuseGNN's
@@ -23,11 +26,14 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.stats import GraphStats
+from repro.ir.functions import get_scatter_fn
 from repro.ir.module import Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.tensorspec import Domain
 
-__all__ = ["Kernel", "ExecPlan", "plan_module", "KernelIO"]
+__all__ = [
+    "Kernel", "ExecPlan", "plan_module", "KernelIO", "BlockStep", "BlockedKernel",
+]
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,48 @@ class KernelIO:
     internal: Tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class BlockStep:
+    """One node of a blocked kernel's walk (see :class:`BlockedKernel`)."""
+
+    node: OpNode
+    #: Per data input: read the *whole* array through the block's
+    #: absolute far-endpoint ids instead of the block's own rows.
+    whole: Tuple[bool, ...]
+    #: Outputs that leave the walk — the kernel's escaping writes and
+    #: what its ``post`` nodes read — as ``(name, is_edge_domain)``.
+    spill: Tuple[Tuple[str, bool], ...]
+    #: Block-local values nothing later in the walk reads.
+    dead: Tuple[str, ...]
+    #: ``gather(max)`` argmax output, minted in block-local edge ids.
+    argmax: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class BlockedKernel:
+    """How a fused kernel executes as one walk over home-row blocks.
+
+    ``pre`` nodes read only kernel inputs and run whole, once; ``steps``
+    run once per block of ``orientation``-side rows on block-sized
+    operands; ``post`` nodes cannot run per block (an opposite-
+    orientation gather, a row-reducing PARAM_GRAD, anything downstream
+    of one) and run whole on what the walk spilled.  Relative order
+    within each phase is the kernel's own.
+    """
+
+    orientation: str
+    pre: Tuple[OpNode, ...]
+    steps: Tuple[BlockStep, ...]
+    post: Tuple[OpNode, ...]
+    #: Kernel inputs (or ``pre`` results) the steps read by home rows …
+    home_rows: Tuple[str, ...]
+    #: … and edge-domain ones they read in the block's edge order.
+    edge_rows: Tuple[str, ...]
+    #: Elements per edge row of the widest set of block-local edge
+    #: tensors live at once: what one edge of block costs in cache.
+    row_elements: int
+
+
 @dataclass
 class ExecPlan:
     """A module partitioned into kernels, with keep-set semantics."""
@@ -83,7 +131,12 @@ class ExecPlan:
         self._alias = self._build_alias()
         self._producer_kernel = self._build_producer_index()
         self._io = [self._kernel_io(i) for i in range(len(self.kernels))]
+        # Derived facts, computed on first use and shared by every run:
+        # the plan is immutable, and a cache that lives here dies with it.
         self._lives: Optional[Dict[str, Tuple[int, int]]] = None
+        self._result_names: Optional[Tuple[str, ...]] = None
+        self._argmax_demand: Optional[FrozenSet[str]] = None
+        self._blocked: Dict[int, Optional[BlockedKernel]] = {}
 
     def _validate_schedule(self) -> None:
         """Every value must be defined before any kernel consumes it."""
@@ -234,6 +287,178 @@ class ExecPlan:
                     lives[root] = (d, 0)
         self._lives = lives
         return lives
+
+
+    # ------------------------------------------------------------------
+    # What a run returns, and how its fused kernels execute
+    # ------------------------------------------------------------------
+    def result_names(self) -> Tuple[str, ...]:
+        """What a run returns, in order: module outputs, then the keep
+        set in module definition order (never in set order, which
+        follows ``PYTHONHASHSEED``)."""
+        if self._result_names is None:
+            module = self.module
+            defined = list(module.inputs) + list(module.params)
+            defined += [o for node in module.nodes for o in node.outputs]
+            position = {name: i for i, name in enumerate(defined)}
+            names = list(dict.fromkeys(module.outputs))
+            names += sorted(set(self.keep) - set(names), key=position.__getitem__)
+            self._result_names = tuple(names)
+        return self._result_names
+
+    def argmax_demand(self) -> FrozenSet[str]:
+        """Gather(max) nodes whose argmax output is actually consumed
+        (by a node of the module, or by the caller as a result)."""
+        if self._argmax_demand is None:
+            consumers = self.module.consumer_map()
+            wanted = set(self.result_names())
+            self._argmax_demand = frozenset(
+                node.name
+                for node in self.module.nodes
+                if node.kind is OpKind.GATHER and node.fn == "max"
+                and (consumers.get(node.outputs[1]) or node.outputs[1] in wanted)
+            )
+        return self._argmax_demand
+
+    def blocked(self, index: int) -> Optional[BlockedKernel]:
+        """Walk classification of kernel ``index``; ``None`` when it
+        runs node by node (see :func:`_classify_blocked`)."""
+        if index not in self._blocked:
+            self._blocked[index] = _classify_blocked(self, index)
+        return self._blocked[index]
+
+
+# ----------------------------------------------------------------------
+def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
+    """Split a fused kernel into the phases of an endpoint-blocked walk.
+
+    Eligible: a fused kernel that owns at least one kernel-internal
+    EDGE-domain value the walk can keep block-sized.  Per-op kernels,
+    kernels with nothing edge-sized to save, and kernels bearing a
+    ``VIEW`` (aliases whole arrays) or ``max_grad`` (indexes by global
+    edge id) keep the per-node path.
+
+    The home side is the widest gather's orientation.  In kernel order,
+    each node lands in the first phase that can run it:
+
+    - *block* needs row-local arithmetic (a scatter, a lightweight
+      vertex/edge apply, a home-orientation gather) on operands that
+      exist per block.  A scatter's far-endpoint operand must be a
+      whole array, so one computed inside the walk disqualifies it.
+    - anything else — PARAM_GRADs and expensive applies, whose
+      ``sum(axis=0)``/BLAS bits depend on the row count (contract
+      item 2), PARAM/DENSE results, opposite-orientation gathers —
+      runs whole: *pre* when it reads no walk result, else *post*,
+      as does everything downstream of a post node.  Vertex applies
+      fed only by kernel inputs are hoisted to *pre* as well: nothing
+      edge-sized is saved by slicing them.
+    """
+    nodes = plan.kernels[index].nodes
+    specs = plan.module.specs
+    if len(nodes) < 2 or any(
+        n.kind is OpKind.VIEW
+        or (n.kind is OpKind.SCATTER and get_scatter_fn(n.fn).vertex_direct_read)
+        for n in nodes
+    ):
+        return None
+    gathers = [n for n in nodes if n.kind is OpKind.GATHER]
+    orientation = max(
+        gathers, key=lambda n: specs[n.outputs[0]].feat_elements
+    ).orientation if gathers else "in"
+
+    def far_input(node: OpNode) -> Optional[int]:
+        """Position of a scatter's far-endpoint operand, if it reads one."""
+        fn = get_scatter_fn(node.fn)
+        if orientation == "in":
+            return 0 if fn.reads_u else None
+        return (1 if fn.reads_u else 0) if fn.reads_v else None
+
+    phase: Dict[str, str] = {}  # value produced in this kernel -> its phase
+    by_phase: Dict[str, List[OpNode]] = {"pre": [], "block": [], "post": []}
+    far_of: Dict[str, Optional[int]] = {}
+    for node in nodes:
+        sources = {phase.get(name) for name in node.all_inputs()}
+        domain = specs[node.outputs[0]].domain
+        row_local = (
+            node.kind is not OpKind.PARAM_GRAD
+            and not node.is_expensive()
+            and domain in (Domain.VERTEX, Domain.EDGE)
+        )
+        if node.kind is OpKind.GATHER:
+            row_local = node.orientation == orientation
+        elif node.kind is OpKind.SCATTER:
+            far_of[node.name] = far = far_input(node)
+            if far is not None and phase.get(node.inputs[far]) == "block":
+                row_local = False
+        elif domain is Domain.VERTEX and "block" not in sources:
+            row_local = False
+        if "post" in sources or ("block" in sources and not row_local):
+            where = "post"
+        else:
+            where = "block" if row_local else "pre"
+        by_phase[where].append(node)
+        phase.update(dict.fromkeys(node.outputs, where))
+
+    # What leaves the walk as whole arrays; if that is every edge
+    # tensor it computes, there is nothing to keep block-sized.
+    walk = by_phase["block"]
+    leaves = set(plan.kernel_io(index).writes)
+    leaves.update(name for node in by_phase["post"] for name in node.all_inputs())
+    if not any(
+        specs[o].domain is Domain.EDGE and o not in leaves
+        for node in walk for o in node.outputs
+    ):
+        return None
+
+    # What the steps read per block, and where each block-local value
+    # is read last (an argmax nobody consumes is never minted).
+    demand = plan.argmax_demand()
+    home_rows: List[str] = []
+    edge_rows: List[str] = []
+    last_read: Dict[str, int] = {}
+    for i, node in enumerate(walk):
+        for pos, name in enumerate(node.inputs):
+            domain = specs[name].domain
+            if pos == far_of.get(node.name) or domain not in (Domain.VERTEX, Domain.EDGE):
+                continue
+            last_read[name] = i
+            if phase.get(name) != "block":
+                rows = edge_rows if domain is Domain.EDGE else home_rows
+                if name not in rows:
+                    rows.append(name)
+    steps: List[BlockStep] = []
+    live = {name: specs[name].feat_elements for name in edge_rows}
+    row_elements = sum(live.values())
+    for i, node in enumerate(walk):
+        outputs = node.outputs if node.name in demand else node.outputs[:1]
+        for o in outputs:
+            last_read.setdefault(o, i)
+            if specs[o].domain is Domain.EDGE:
+                live[o] = specs[o].feat_elements
+        row_elements = max(row_elements, sum(live.values()))
+        dead = tuple(name for name, last in last_read.items() if last == i)
+        for name in dead:
+            live.pop(name, None)
+        far = far_of.get(node.name)
+        steps.append(BlockStep(
+            node=node,
+            whole=tuple(pos == far for pos in range(len(node.inputs))),
+            spill=tuple(
+                (o, specs[o].domain is Domain.EDGE)
+                for o in outputs if o in leaves
+            ),
+            dead=dead,
+            argmax=outputs[1] if len(outputs) > 1 else None,
+        ))
+    return BlockedKernel(
+        orientation=orientation,
+        pre=tuple(by_phase["pre"]),
+        steps=tuple(steps),
+        post=tuple(by_phase["post"]),
+        home_rows=tuple(home_rows),
+        edge_rows=tuple(edge_rows),
+        row_elements=max(row_elements, 1),
+    )
 
 
 # ----------------------------------------------------------------------

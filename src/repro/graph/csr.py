@@ -21,6 +21,7 @@ live in the execution engine; analytic passes only ever need
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -178,6 +179,43 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
+    def row_block(self, orientation: str, lo: int, hi: int) -> SimpleNamespace:
+        """Sub-graph of the edges incident to *home* vertices ``[lo, hi)``.
+
+        The home endpoint is the destination for ``orientation="in"``
+        and the source for ``"out"``.  The block's edges are numbered in
+        CSC (CSR) order — ``csc_eids`` is the identity, ``csc_indptr``
+        is rebased to the block — with home-endpoint ids relative to
+        ``lo`` and far-endpoint ids absolute, so a kernel indexing it
+        reads far operands from full vertex arrays and home operands
+        from the block's own rows.  It carries what the registered
+        kernels read off a graph, for the requested orientation only,
+        plus ``eids``: the block's COO edge ids.
+        """
+        if orientation == "in":
+            indptr, eids, far = self.csc_indptr, self.csc_eids, self.csc_src
+        elif orientation == "out":
+            indptr, eids, far = self.csr_indptr, self.csr_eids, self.csr_dst
+        else:
+            raise ValueError(
+                f"orientation must be 'in' or 'out', got {orientation!r}"
+            )
+        p0, p1 = int(indptr[lo]), int(indptr[hi])
+        seg = indptr[lo : hi + 1] - p0
+        degrees = np.diff(seg)
+        home = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
+        order = np.arange(p1 - p0, dtype=np.int64)
+        block = SimpleNamespace(
+            num_vertices=hi - lo, num_edges=p1 - p0, eids=eids[p0:p1]
+        )
+        if orientation == "in":
+            block.src, block.dst = far[p0:p1], home
+            block.csc_indptr, block.csc_eids, block.in_degrees = seg, order, degrees
+        else:
+            block.src, block.dst = home, far[p0:p1]
+            block.csr_indptr, block.csr_eids, block.out_degrees = seg, order, degrees
+        return block
+
     def reverse(self) -> "Graph":
         """Graph with every edge direction flipped (edge ids preserved)."""
         return Graph(self.dst.copy(), self.src.copy(), self.num_vertices)

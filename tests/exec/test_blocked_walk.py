@@ -1,0 +1,415 @@
+"""The endpoint-blocked walk vs the per-node walk (contract clause 1c).
+
+A fused kernel that owns kernel-internal edge tensors executes as one
+walk over blocks of home rows; the per-node path still exists (it is
+what every other kernel runs, and what ``MultiEngine`` drives), so it is
+the oracle.  With ``BLOCK_BYTES`` shrunk until the test graphs split
+into many blocks, everything a run returns and measures must equal the
+node-by-node loop in :func:`tests.helpers.run_plan_per_node` — by
+``tobytes()``, dtype and shape.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.exec import Engine, plan_memory, plan_module
+from repro.exec import backend_blocked
+from repro.exec.backend_blocked import segment_blocks
+from repro.frameworks import compile_training, get_strategy
+from repro.graph import Graph, chung_lu
+from repro.ir import Builder, Domain
+from repro.ir.precision import PRECISIONS
+from repro.registry import MODELS
+
+from tests.helpers import backward_arrays, run_plan_per_node
+
+IN_DIM, NUM_CLASSES = 6, 4
+STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
+#: Small enough that chung_lu(50, 250) splits into >= 4 blocks even for
+#: a kernel whose widest live set is a single float32 scalar per edge.
+SMALL_BLOCK = 128
+
+
+@pytest.fixture(scope="module")
+def graph() -> Graph:
+    return chung_lu(50, 250, seed=3)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", SMALL_BLOCK)
+
+
+def _blocks(indptr, rows_per_block):
+    return list(segment_blocks(np.asarray(indptr, dtype=np.int64), rows_per_block))
+
+
+class TestSegmentBlocks:
+    """The one definition of a block, shared by the ``blocked`` gather
+    and the walk."""
+
+    def test_partitions_segments_and_rows(self, graph):
+        indptr = graph.csc_indptr
+        for rows in (1, 7, 40, 10_000):
+            blocks = _blocks(indptr, rows)
+            assert blocks[0][0] == 0 and blocks[-1][1] == graph.num_vertices
+            for (_, hi, _, p1), (lo, _, p0, _) in zip(blocks, blocks[1:]):
+                assert hi == lo and p1 == p0
+            for lo, hi, p0, p1 in blocks:
+                assert hi > lo
+                assert (p0, p1) == (indptr[lo], indptr[hi])
+                # Over budget only when one segment alone is.
+                assert p1 - p0 <= rows or hi == lo + 1
+
+    def test_zero_edges_is_one_block(self):
+        assert _blocks([0, 0, 0, 0], 4) == [(0, 3, 0, 0)]
+
+    def test_trailing_empty_vertices_join_the_last_block(self):
+        # 2 + 2 edges, then three vertices without any.
+        assert _blocks([0, 2, 4, 4, 4, 4], 2) == [(0, 1, 0, 2), (1, 5, 2, 4)]
+
+    def test_oversized_segment_is_its_own_block(self):
+        assert _blocks([0, 1, 9, 10], 3) == [(0, 1, 0, 1), (1, 2, 1, 9), (2, 3, 9, 10)]
+
+    def test_budget_below_one_row_advances_a_segment_at_a_time(self):
+        # A 1-byte budget divides to zero rows per block.
+        assert _blocks([0, 2, 2, 5], 0) == [(0, 1, 0, 2), (1, 2, 2, 2), (2, 3, 2, 5)]
+
+
+class TestRowBlock:
+    @pytest.mark.parametrize("orientation", ["in", "out"])
+    def test_block_is_the_graph_restricted_to_home_rows(self, graph, orientation):
+        home, far = (
+            (graph.dst, graph.src) if orientation == "in" else (graph.src, graph.dst)
+        )
+        prefix, home_ids, far_ids = (
+            ("csc", "dst", "src") if orientation == "in" else ("csr", "src", "dst")
+        )
+        for lo, hi in ((0, 1), (3, 17), (17, 50), (0, 50)):
+            block = graph.row_block(orientation, lo, hi)
+            want = np.nonzero((home >= lo) & (home < hi))[0]
+            # Same edges, grouped by home vertex, ascending edge id within.
+            want = want[np.argsort(home[want], kind="stable")]
+            assert np.array_equal(block.eids, want)
+            assert np.array_equal(getattr(block, far_ids), far[want])
+            assert np.array_equal(getattr(block, home_ids), home[want] - lo)
+            indptr = getattr(block, f"{prefix}_indptr")
+            assert indptr[0] == 0 and indptr[-1] == block.num_edges == want.size
+            assert np.array_equal(np.diff(indptr), np.bincount(home[want] - lo, minlength=hi - lo))
+            assert np.array_equal(getattr(block, f"{prefix}_eids"), np.arange(want.size))
+            assert block.num_vertices == hi - lo
+
+
+def _training_arrays(compiled, graph, dtype=np.float32):
+    feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+    arrays = compiled.model.make_inputs(graph, feats.astype(dtype))
+    arrays.update(compiled.model.init_params(0))
+    return arrays
+
+
+def _assert_identical(got, want, ctx):
+    assert list(got) == list(want), ctx
+    for name in want:
+        a, b = np.asarray(got[name]), np.asarray(want[name])
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f"{ctx}:{name}"
+        assert a.tobytes() == b.tobytes(), f"{ctx}:{name}"
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every ``Engine._walk`` call of the test, as ``(blocked, rows_per_block)``."""
+    calls = []
+    walk = Engine._walk
+
+    def spy(self, run, blocked, rows_per_block):
+        calls.append((blocked, rows_per_block))
+        return walk(self, run, blocked, rows_per_block)
+
+    monkeypatch.setattr(Engine, "_walk", spy)
+    return calls
+
+
+def _differential(graph, model_name, strategy, engine_precision, backend):
+    model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
+    compiled = compile_training(model, strategy)
+    engine = Engine(graph, precision=engine_precision, backend=backend)
+    oracle = Engine(graph, precision=engine_precision, backend=backend)
+    arrays = _training_arrays(compiled, graph)
+    ctx = f"{model_name}/{strategy.name}/{strategy.precision}/{engine_precision}/{backend}"
+    for phase, plan in (("forward", compiled.fwd_plan), ("backward", compiled.bwd_plan)):
+        got = engine.run_plan(plan, engine.bind(plan.module, arrays), unwrap=False)
+        want, want_peak = run_plan_per_node(oracle, plan, oracle.bind(plan.module, arrays))
+        _assert_identical(got, want, f"{ctx}/{phase}")
+        assert engine.measured_peak_bytes == want_peak, f"{ctx}/{phase}"
+        if phase == "forward":
+            arrays = backward_arrays(compiled, arrays, got)
+
+
+class TestBlockVsNode:
+    """Every zoo model × strategy × precision × backend, forward and
+    backward, with the graph split into many blocks."""
+
+    @pytest.mark.parametrize("backend", ["reference", "blocked"])
+    @pytest.mark.parametrize("engine_precision", ["float32", "float64"])
+    @pytest.mark.parametrize("strategy_name", STRATEGIES)
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_bit_identical(
+        self, small_blocks, walks, graph, model_name, strategy_name,
+        engine_precision, backend,
+    ):
+        for precision in PRECISIONS:
+            strategy = replace(get_strategy(strategy_name), precision=precision)
+            _differential(graph, model_name, strategy, engine_precision, backend)
+        if strategy_name != "dgl-like" or model_name != "edgeconv":
+            # (dgl-like edgeconv has no fused kernel at all.)
+            assert walks, "no kernel took the blocked walk: the test is vacuous"
+        for blocked, rows_per_block in walks:
+            indptr = (
+                graph.csc_indptr if blocked.orientation == "in" else graph.csr_indptr
+            )
+            assert len(_blocks(indptr, rows_per_block)) >= 4
+
+    def test_single_block_graphs_keep_the_node_path(self, walks, graph):
+        # At the real BLOCK_BYTES a 250-edge graph is one block: the
+        # walk would only add copies, so the kernel runs node by node.
+        _differential(graph, "gcn", get_strategy("ours"), "float32", "reference")
+        assert walks == []
+
+    @pytest.mark.parametrize("model_name", ["gat", "gcn", "sage"])
+    def test_arena_backed_run_matches_fresh_storage(
+        self, small_blocks, graph, model_name
+    ):
+        compiled = compile_training(
+            MODELS.get(model_name)(IN_DIM, NUM_CLASSES), get_strategy("ours")
+        )
+        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
+        stats = graph.stats()
+        plans = [
+            plan_memory(plan, stats, pinned=pinned)
+            for plan in (compiled.fwd_plan, compiled.bwd_plan)
+        ]
+        fresh = Engine(graph)
+        arena = Engine(graph, memory_plan=plans)
+        arrays = _training_arrays(compiled, graph)
+        forward = None
+        for plan in (compiled.fwd_plan, compiled.bwd_plan):
+            if forward is not None:
+                arrays = backward_arrays(compiled, arrays, forward)
+            want = fresh.run_plan(plan, fresh.bind(plan.module, arrays))
+            got = arena.run_plan(plan, arena.bind(plan.module, arrays))
+            _assert_identical(got, want, f"{model_name}/arena")
+            forward = forward or want
+
+
+class TestClassification:
+    def test_cached_on_the_plan_and_dies_with_it(self):
+        import gc
+        import weakref
+
+        compiled = compile_training(
+            MODELS.get("gcn")(IN_DIM, NUM_CLASSES), get_strategy("ours")
+        )
+        plan = compiled.fwd_plan
+        fused = [i for i, k in enumerate(plan.kernels) if len(k.nodes) > 1]
+        assert plan.blocked(fused[0]) is plan.blocked(fused[0])
+        assert plan.result_names() is plan.result_names()
+        assert plan.argmax_demand() is plan.argmax_demand()
+        ref = weakref.ref(plan.blocked(fused[0]))
+        del compiled, plan
+        gc.collect()
+        assert ref() is None, "block classification outlived its plan"
+
+    def test_gcn_backward_prefix_runs_whole_once(self):
+        """The recomputed bias_add→relu→relu_grad→bias_grad prefix reads
+        only kernel inputs: it is *pre*, not re-run per block."""
+        compiled = compile_training(
+            MODELS.get("gcn")(IN_DIM, NUM_CLASSES), get_strategy("ours")
+        )
+        plan = compiled.bwd_plan
+        blocked = max(
+            filter(None, (plan.blocked(i) for i in range(len(plan.kernels)))),
+            key=lambda b: len(b.pre),
+        )
+        assert [n.fn for n in blocked.pre] == [
+            "bias_add", "relu", "relu_grad", "bias_grad"
+        ]
+        assert blocked.orientation == "out"
+        assert [s.node.fn for s in blocked.steps] == ["copy_v", "mul", "sum"]
+        assert blocked.post == ()
+
+    def test_edge_softmax_is_block_local(self):
+        """max→copy_v→sub→exp→sum→copy_v→div under the vertex mapping:
+        the paper's ReduceScatter case needs nothing outside the block."""
+        compiled = compile_training(
+            MODELS.get("gat")(IN_DIM, NUM_CLASSES), get_strategy("ours")
+        )
+        plan = compiled.fwd_plan
+        for i, kernel in enumerate(plan.kernels):
+            if kernel.reduce_scatter:
+                blocked = plan.blocked(i)
+                assert blocked.pre == () and blocked.post == ()
+                assert len(blocked.steps) == len(kernel.nodes)
+
+    def test_opposite_orientation_gather_runs_after_the_walk(self):
+        compiled = compile_training(
+            MODELS.get("gat")(IN_DIM, NUM_CLASSES), get_strategy("ours")
+        )
+        plan = compiled.bwd_plan
+        for i, kernel in enumerate(plan.kernels):
+            blocked = plan.blocked(i)
+            if blocked is None:
+                continue
+            for node in kernel.nodes:
+                if node.kind.value == "gather" and node.orientation != blocked.orientation:
+                    assert node in blocked.post
+            for node in blocked.pre + blocked.post:
+                assert node not in [s.node for s in blocked.steps]
+
+    def test_per_op_and_max_grad_kernels_keep_the_node_path(self):
+        module = MODELS.get("sage")(IN_DIM, NUM_CLASSES).build_module()
+        per_op = plan_module(module, mode="per_op")
+        assert all(per_op.blocked(i) is None for i in range(len(per_op.kernels)))
+        compiled = compile_training(
+            MODELS.get("edgeconv")(IN_DIM, NUM_CLASSES), get_strategy("ours")
+        )
+        plan = compiled.bwd_plan
+        for i, kernel in enumerate(plan.kernels):
+            if any(n.fn == "max_grad" for n in kernel.nodes):
+                assert plan.blocked(i) is None
+
+
+def _walk_module(reduce: str, orientation: str, feat: int):
+    """(x[src] + x[dst]) * w, reduced per home vertex — one fused
+    kernel whose scatter reads the same name at both endpoints."""
+    b = Builder("walk")
+    x = b.input("x", Domain.VERTEX, (feat,))
+    w = b.input("w", Domain.EDGE, (feat,))
+    e = b.scatter("u_add_v", u=x, v=x)
+    m = b.apply("mul", e, w)
+    out = b.gather(reduce, m, orientation=orientation, name="out")
+    if reduce == "max":
+        out, idx = out
+    b.output(b.apply("neg", out, name="y"))
+    module = b.build()
+    keep = [idx.name] if reduce == "max" else []
+    return module, plan_module(module, mode="unified", keep=keep)
+
+
+def _naive(graph, x, w, reduce, orientation):
+    """Per-home-vertex Python loop over the COO edge list."""
+    home = graph.dst if orientation == "in" else graph.src
+    y = np.zeros_like(x)
+    arg = np.full(x.shape, -1, dtype=np.int64)
+    for v in range(graph.num_vertices):
+        acc = None
+        for e in range(graph.num_edges):
+            if home[e] != v:
+                continue
+            row = (x[graph.src[e]] + x[graph.dst[e]]) * w[e]
+            if acc is None:
+                acc = row.copy()
+                arg[v] = e
+            elif reduce == "sum":
+                acc = acc + row
+            else:
+                better = row > acc
+                acc = np.where(better, row, acc)
+                arg[v] = np.where(better, e, arg[v])
+        if acc is not None:
+            y[v] = acc
+    return -y, arg
+
+
+class TestWalkAgainstNaiveLoop:
+    """Hypothesis: the walk on random multigraphs (self-loops, parallel
+    edges, isolated vertices), random block budgets, both orientations.
+    Data is integer-valued so every sum is exact and the naive loop is
+    an exact oracle whatever the association."""
+
+    def test_random_multigraphs(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 9))
+            m = draw(st.integers(0, 40))
+            ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+            graph = Graph(
+                np.array(draw(ends), dtype=np.int64),
+                np.array(draw(ends), dtype=np.int64), n,
+            )
+            feat = draw(st.integers(1, 3))
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+            x = rng.integers(-8, 9, size=(n, feat)).astype(np.float64)
+            w = rng.integers(-4, 5, size=(m, feat)).astype(np.float64)
+            return (
+                graph, x, w,
+                draw(st.sampled_from(["sum", "max"])),
+                draw(st.sampled_from(["in", "out"])),
+                draw(st.integers(1, 600)),
+            )
+
+        @hypothesis.settings(max_examples=120, deadline=None)
+        @hypothesis.given(case=cases())
+        def check(case):
+            graph, x, w, reduce, orientation, budget = case
+            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", budget)
+            module, plan = _walk_module(reduce, orientation, x.shape[1])
+            engine = Engine(graph, precision="float64")
+            got = engine.run_plan(plan, engine.bind(module, {"x": x, "w": w}))
+            want_y, want_arg = _naive(graph, x, w, reduce, orientation)
+            # (array_equal, not tobytes: integer data mints signed zeros
+            # whose sign a max may legitimately pick either way.)
+            assert np.array_equal(got["y"], want_y)
+            if reduce == "max":
+                assert np.array_equal(got["out.aux1"], want_arg)
+
+        check()
+
+
+class TestBytesAreReal:
+    def test_internal_edge_tensors_are_never_materialised(self):
+        """Host-side meaning of "internal values live on chip": one
+        ``run_plan`` of gcn's fused forward allocates its boundary
+        values plus a few blocks — not three full E×f temporaries."""
+        graph = chung_lu(20_000, 200_000, seed=1)
+        feat = 32
+        model = MODELS.get("gcn")(feat, feat)
+        compiled = compile_training(model, get_strategy("ours"))
+        plan = compiled.fwd_plan
+        edge_bytes = graph.num_edges * feat * 4
+        assert edge_bytes >= 16 * backend_blocked.BLOCK_BYTES
+        engine = Engine(graph)
+        rng = np.random.default_rng(0)
+        arrays = model.make_inputs(
+            graph, rng.normal(size=(graph.num_vertices, feat)).astype(np.float32)
+        )
+        arrays.update(model.init_params(0))
+        env = engine.bind(compiled.forward, arrays)
+        graph.csc_src  # topology caches are the graph's, not the run's
+        engine.run_plan(plan, env)
+
+        stats = graph.stats()
+        specs = plan.module.specs
+        boundary = sum(
+            specs[w].nbytes(stats.num_vertices, stats.num_edges)
+            for i in range(len(plan.kernels))
+            for w in plan.kernel_io(i).writes
+        )
+        tracemalloc.start()
+        try:
+            engine.run_plan(plan, env)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= boundary + 8 * backend_blocked.BLOCK_BYTES, (
+            f"peak {peak / 2**20:.1f} MiB vs boundary {boundary / 2**20:.1f} MiB"
+        )
+        # The parent's three E×f temporaries alone would not fit.
+        assert 3 * edge_bytes > boundary + 8 * backend_blocked.BLOCK_BYTES

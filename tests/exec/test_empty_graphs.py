@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.exec import Engine
-from repro.exec.engine import argmax_demand
 from repro.exec.kernels import (
     apply_kernel,
     gather_kernel,
@@ -136,11 +135,10 @@ class TestDtypeStability:
         arrays.update(model.init_params(0))
         env = engine.bind(compiled.forward, arrays)
         values = dict(env)
-        wanted = set(compiled.forward.outputs) | set(compiled.fwd_plan.keep)
         for kernel in compiled.fwd_plan.kernels:
             for node in kernel.nodes:
                 engine._execute(
-                    node, values, argmax_demand(compiled.forward, wanted)
+                    node, values, compiled.fwd_plan.argmax_demand()
                 )
         for name, arr in values.items():
             spec = compiled.forward.specs.get(name)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import Engine, plan_module
+from repro.exec import Engine, backend_blocked, plan_module
 from repro.ir import Builder, Domain
 
 
@@ -26,6 +26,36 @@ class TestCheckFinite:
         }
         with pytest.raises(FloatingPointError, match="'ratio'"):
             eng.run_plan(plan_module(m, mode="per_op"), eng.bind(m, arrays))
+
+    def test_localises_a_node_inside_a_blocked_kernel(
+        self, tiny_graph, rng, monkeypatch
+    ):
+        """The offending value is kernel-internal — the blocked walk
+        never materialises it — yet the error still names its node."""
+        b = Builder("m")
+        x = b.input("x", Domain.VERTEX, (3,))
+        w = b.input("w", Domain.EDGE, (3,))
+        ratio = b.apply("div", b.scatter("copy_u", u=x), w, name="ratio")
+        b.output(b.gather("sum", ratio))
+        m = b.build()
+        plan = plan_module(m, mode="unified")
+        # One edge row per block: the 6-edge graph becomes a real walk.
+        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 100)
+        assert plan.blocked(0) is not None
+        assert "ratio" in plan.kernel_io(0).internal
+        w_arr = np.ones((6, 3))
+        w_arr[4] = 0.0  # division by zero in one block only
+        arrays = {"x": rng.normal(size=(4, 3)), "w": w_arr}
+        eng = Engine(tiny_graph, precision="float64", check_finite=True)
+        with pytest.raises(
+            FloatingPointError, match=r"\([1-9]\d* entries\) produced by node 'ratio'"
+        ):
+            eng.run_plan(plan, eng.bind(m, arrays))
+        # The same plan without the check runs through, NaN and all.
+        res = Engine(tiny_graph, precision="float64").run_plan(
+            plan, eng.bind(m, arrays)
+        )
+        assert not np.isfinite(res[m.outputs[0]]).all()
 
     def test_disabled_by_default(self, tiny_graph, rng):
         m = div_module()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec import Engine, MultiEngine
+from repro.exec import Engine, MultiEngine, backend_blocked
 from repro.exec.analytic import plan_comm_records
 from repro.exec.multi import ExchangeRecord
 from repro.frameworks import compile_training, get_strategy, list_strategies
@@ -114,11 +114,25 @@ class TestMultiEngineDifferential:
 class TestSinglePartIdentity:
     """P=1 has no halo, no cross-part sum and one shard the size of the
     graph: everything ``MultiEngine`` returns and measures must equal
-    ``Engine``'s exactly — the identity that pins the shared step."""
+    ``Engine``'s exactly — the identity that pins the shared step.
 
-    @pytest.mark.parametrize("strategy_name", ["dgl-like", "ours"])
+    ``MultiEngine`` drives the per-node step while ``Engine.run_plan``
+    walks fused kernels block by block, so with ``BLOCK_BYTES`` shrunk
+    until this graph splits into many blocks the same identity is a
+    block-vs-node differential."""
+
+    @pytest.fixture(params=[None, 128], ids=["one-block", "many-blocks"])
+    def block_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", request.param)
+
+    @pytest.mark.parametrize(
+        "strategy_name", ["dgl-like", "fusegnn-like", "ours", "ours-stash"]
+    )
     @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
-    def test_bit_identical_to_engine(self, graph, model_name, strategy_name):
+    def test_bit_identical_to_engine(
+        self, graph, block_bytes, model_name, strategy_name
+    ):
         model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
         feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
         params = model.init_params(0)

@@ -1,10 +1,11 @@
 """Shared test utilities: gradient checking, module runners, and the
 differential-testing harness.
 
-The differential contract the suite enforces: **optimizations are
-accounting transforms — values never change**.  Any two execution
-configurations of the same model (different strategies, different
-kernel partitionings, single- vs multi-GPU) must produce equal outputs
+The differential contract the suite enforces: **optimizations never
+change values**.  Any two execution configurations of the same model
+(different strategies, different kernel partitionings, a fused kernel
+walked block by block or node by node, single- vs multi-GPU) must
+produce equal outputs
 and parameter gradients, up to float associativity; and the analytic
 byte counters must agree with byte counts re-derived from the actual
 array shapes an Engine run touches.
@@ -18,7 +19,6 @@ import numpy as np
 
 from repro.exec import Engine, plan_module
 from repro.exec.analytic import kernel_record
-from repro.exec.engine import argmax_demand
 from repro.graph import Graph
 from repro.ir import Module, differentiate
 from repro.ir.autodiff import grad_seed_name
@@ -117,6 +117,42 @@ def numeric_grads(
     return grad
 
 
+def backward_arrays(compiled, arrays, fwd) -> Dict[str, np.ndarray]:
+    """Inputs of the backward plan: all-ones output gradients, the
+    stash the forward run returned, and the forward plan's own inputs
+    (graph constants are left to ``bind``)."""
+    bwd_module = compiled.bwd_plan.module
+    bwd_arrays: Dict[str, np.ndarray] = {}
+    for name in list(bwd_module.inputs) + list(bwd_module.params):
+        if name.startswith("grad__"):
+            bwd_arrays[name] = np.ones_like(fwd[name[len("grad__"):]])
+        elif name in GRAPH_CONSTANTS:
+            continue  # bind() synthesises these from the topology
+        elif name in fwd:
+            bwd_arrays[name] = fwd[name]
+        elif name in arrays:
+            bwd_arrays[name] = arrays[name]
+        else:
+            raise KeyError(f"backward input {name!r} unavailable")
+    return bwd_arrays
+
+
+def run_plan_per_node(engine: Engine, plan, env):
+    """``Engine.run_plan`` spelled out node by node.
+
+    The oracle for the blocked walk: every kernel, fused or not, runs
+    one node at a time on whole arrays through the engine's own set-up,
+    step and per-kernel epilogue.  Returns ``(results, measured peak)``
+    with results in ``run_plan(..., unwrap=False)`` form.
+    """
+    run = engine._begin(plan, env)
+    for index, kernel in enumerate(plan.kernels):
+        for node in kernel.nodes:
+            engine._step(run, node)
+        engine._end_kernel(run, index)
+    return {name: run.values[name] for name in run.wanted}, run.ledger.peak_bytes
+
+
 def training_phases(engine, compiled, features: np.ndarray, params):
     """Yield the forward, then the backward ``run_plan`` result dict.
 
@@ -134,19 +170,8 @@ def training_phases(engine, compiled, features: np.ndarray, params):
     fwd = engine.run_plan(compiled.fwd_plan, env, unwrap=False)
     yield fwd
 
+    bwd_arrays = backward_arrays(compiled, arrays, fwd)
     bwd_module = compiled.bwd_plan.module
-    bwd_arrays: Dict[str, np.ndarray] = {}
-    for name in list(bwd_module.inputs) + list(bwd_module.params):
-        if name.startswith("grad__"):
-            bwd_arrays[name] = np.ones_like(fwd[name[len("grad__"):]])
-        elif name in GRAPH_CONSTANTS:
-            continue  # bind() synthesises these from the topology
-        elif name in fwd:
-            bwd_arrays[name] = fwd[name]
-        elif name in arrays:
-            bwd_arrays[name] = arrays[name]
-        else:
-            raise KeyError(f"backward input {name!r} unavailable")
     benv = engine.bind(bwd_module, bwd_arrays)
     yield engine.run_plan(compiled.bwd_plan, benv)
 
@@ -202,9 +227,7 @@ def record_value_shapes(
     values = dict(env)
     for kernel in plan.kernels:
         for node in kernel.nodes:
-            keeper._execute(node, values, argmax_demand(
-                plan.module, set(plan.module.outputs) | set(plan.keep)
-            ))
+            keeper._execute(node, values, plan.argmax_demand())
     return values
 
 
