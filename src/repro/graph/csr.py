@@ -193,9 +193,9 @@ class Graph:
         plus ``eids``: the block's COO edge ids.
         """
         if orientation == "in":
-            indptr, eids, far = self.csc_indptr, self.csc_eids, self.csc_src
+            indptr, eids, far = self.csc_indptr, self.csc_eids, self.src
         elif orientation == "out":
-            indptr, eids, far = self.csr_indptr, self.csr_eids, self.csr_dst
+            indptr, eids, far = self.csr_indptr, self.csr_eids, self.dst
         else:
             raise ValueError(
                 f"orientation must be 'in' or 'out', got {orientation!r}"
@@ -209,10 +209,10 @@ class Graph:
             num_vertices=hi - lo, num_edges=p1 - p0, eids=eids[p0:p1]
         )
         if orientation == "in":
-            block.src, block.dst = far[p0:p1], home
+            block.src, block.dst = far[block.eids], home
             block.csc_indptr, block.csc_eids, block.in_degrees = seg, order, degrees
         else:
-            block.src, block.dst = home, far[p0:p1]
+            block.src, block.dst = home, far[block.eids]
             block.csr_indptr, block.csr_eids, block.out_degrees = seg, order, degrees
         return block
 

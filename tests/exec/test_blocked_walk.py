@@ -392,7 +392,6 @@ class TestBytesAreReal:
         )
         arrays.update(model.init_params(0))
         env = engine.bind(compiled.forward, arrays)
-        graph.csc_src  # topology caches are the graph's, not the run's
         engine.run_plan(plan, env)
 
         stats = graph.stats()
