@@ -31,6 +31,7 @@ import numpy as np
 from repro.dyn.delta import GraphDelta
 from repro.serve.request import (
     InferenceRequest,
+    SeedCDF,
     _resolve_rng,
     draw_seeds,
     zipf_seed_probabilities,
@@ -112,16 +113,18 @@ class UpdateEvent:
 
 
 def _zipf_cache(
-    cache: Dict[int, Optional[np.ndarray]],
+    cache: Dict[int, SeedCDF],
     num_vertices: int,
     alpha: float,
-) -> Optional[np.ndarray]:
-    """Popularity vector for the current vertex count, cached per count
+) -> Optional[SeedCDF]:
+    """Popularity CDF for the current vertex count, cached per count
     (vertex insertions re-derive it lazily)."""
     if alpha == 0.0:
         return None
     if num_vertices not in cache:
-        cache[num_vertices] = zipf_seed_probabilities(num_vertices, alpha)
+        cache[num_vertices] = SeedCDF(
+            zipf_seed_probabilities(num_vertices, alpha)
+        )
     return cache[num_vertices]
 
 
@@ -132,7 +135,7 @@ def _draw_update(
     num_vertices: int,
     feature_dim: int,
     rng: np.random.Generator,
-    zipf_p: Optional[np.ndarray],
+    zipf_p: Optional[SeedCDF],
     zipf_alpha: float,
     edge_frac: float,
     feature_vertices_per_update: int,
@@ -229,7 +232,7 @@ def mixed_workload(
         raise ValueError("new_vertex_prob must lie in [0, 1]")
     rng = _resolve_rng(rng, seed)
     event_rate = qps / (1.0 - update_frac)
-    p_cache: Dict[int, Optional[np.ndarray]] = {}
+    p_cache: Dict[int, SeedCDF] = {}
     requests: List[InferenceRequest] = []
     updates: List[UpdateEvent] = []
     live_vertices = num_vertices
@@ -301,7 +304,7 @@ def update_workload(
     if not 0.0 <= edge_frac <= 1.0:
         raise ValueError("edge_frac must lie in [0, 1]")
     rng = _resolve_rng(rng, seed)
-    p_cache: Dict[int, Optional[np.ndarray]] = {}
+    p_cache: Dict[int, SeedCDF] = {}
     arrivals = np.cumsum(rng.exponential(1.0 / qps, size=num_updates))
     updates: List[UpdateEvent] = []
     live_vertices = num_vertices

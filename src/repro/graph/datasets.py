@@ -57,9 +57,13 @@ class Dataset:
     #: workloads; :meth:`labels` then falls back to random draws).
     _labels: Optional[np.ndarray] = field(default=None, repr=False)
     #: The hidden linear map the labels were planted from (published
-    #: width × num_classes); reduced-width features keep these
-    #: directions so the labels stay learnable at any width.
+    #: width × num_classes).
     _label_basis: Optional[np.ndarray] = field(default=None, repr=False)
+    #: The planted class scores, canonical features @ ``_label_basis``
+    #: (|V| × num_classes), kept from label planting: reduced-width
+    #: features embed these directions so the labels stay learnable at
+    #: any width.
+    _label_scores: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def has_concrete_graph(self) -> bool:
@@ -86,30 +90,27 @@ class Dataset:
         leading columns, so the labels stay learnable at any training
         width.  Label-less (stats-only) datasets draw fully independent
         features per (dim, seed).
+
+        Every call draws a fresh float64 array the caller owns and may
+        write into; the only state shared between calls is the cached
+        |V| × num_classes planted score matrix, which is read, never
+        handed out.
         """
         dim = self.feature_dim if dim is None else dim
         rng = np.random.default_rng(seed)
         out = rng.normal(
             scale=1.0 / np.sqrt(dim), size=(self.stats.num_vertices, dim)
-        ).astype(np.float64)
-        if self._label_basis is None or (dim == self.feature_dim and seed == 0):
+        )
+        scores = self._label_scores
+        if scores is None or (dim == self.feature_dim and seed == 0):
             return out
         # Overwrite up to half the iid columns with the planted
         # class-score directions (scaled to the iid column statistics):
         # the features stay full-rank and seed-dependent, yet carry the
         # label signal at any width.
-        scores = self._canonical_features() @ self._label_basis
         keep = min(scores.shape[1], max(1, dim // 2))
         out[:, :keep] = scores[:, :keep] / np.sqrt(dim)
         return out
-
-    def _canonical_features(self) -> np.ndarray:
-        """The dataset's fixed feature matrix (published width, seed 0)."""
-        rng = np.random.default_rng(0)
-        return rng.normal(
-            scale=1.0 / np.sqrt(self.feature_dim),
-            size=(self.stats.num_vertices, self.feature_dim),
-        ).astype(np.float64)
 
     @property
     def has_labels(self) -> bool:
@@ -151,10 +152,11 @@ def _plant_labels(ds: Dataset, *, seed: int) -> Dataset:
     """Attach ground-truth labels: a hidden linear map of the canonical
     (published-width, seed-0) features.  Deterministic per dataset, so
     repeated builds agree; every class remains reachable."""
-    feats = ds.features(seed=0)
     w = np.random.default_rng(seed).normal(size=(ds.feature_dim, ds.num_classes))
-    ds._labels = np.asarray((feats @ w).argmax(axis=1), dtype=np.int64)
+    scores = ds.features(seed=0) @ w
+    ds._labels = np.asarray(scores.argmax(axis=1), dtype=np.int64)
     ds._label_basis = w
+    ds._label_scores = scores
     return ds
 
 

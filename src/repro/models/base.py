@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +55,11 @@ class GNNModel(abc.ABC):
     def init_params(self, seed: int = 0) -> Dict[str, np.ndarray]:
         """Fresh parameter arrays, keyed by the module's param names."""
 
+    @cached_property
+    def _input_names(self) -> Tuple[str, ...]:
+        """The module's data-input names, resolved once per instance."""
+        return tuple(self.build_module().inputs)
+
     # ------------------------------------------------------------------
     def edge_inputs(self, graph: Graph) -> Dict[str, np.ndarray]:
         """Graph-derived edge-domain inputs (empty for most models)."""
@@ -64,12 +70,16 @@ class GNNModel(abc.ABC):
         graph: Graph,
         features: np.ndarray,
     ) -> Dict[str, np.ndarray]:
-        """Assemble the data-input dict for a concrete run."""
-        module = self.build_module()
+        """Assemble the data-input dict for a concrete run.
+
+        Binds by the model's input names, resolved from one
+        :meth:`build_module` per instance (a model's architecture is
+        fixed at construction), so per-batch callers build and validate
+        no module.
+        """
         arrays: Dict[str, np.ndarray] = {}
         edge = self.edge_inputs(graph)
-        for name in module.inputs:
-            spec = module.specs[name]
+        for name in self._input_names:
             if name == "h":
                 arrays[name] = features
             elif name in edge:

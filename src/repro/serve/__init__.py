@@ -26,6 +26,7 @@ from repro.serve.cache import FeatureCache, GatherSplit
 from repro.serve.metrics import BatchTrace, RequestOutcome, ServeReport
 from repro.serve.request import (
     InferenceRequest,
+    SeedCDF,
     bursty_workload,
     draw_seeds,
     poisson_workload,
@@ -54,6 +55,7 @@ __all__ = [
     "bursty_workload",
     "draw_seeds",
     "zipf_seed_probabilities",
+    "SeedCDF",
     "SCHEDULER_POLICIES",
     "PendingBatch",
     "Placement",

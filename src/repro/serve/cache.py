@@ -170,8 +170,9 @@ class FeatureCache:
         invalidation would double-count drift against cold traffic.
         """
         dropped = 0
-        for v in np.asarray(vertices, dtype=np.int64):
-            key = (int(layer), int(v))
+        layer = int(layer)
+        for v in np.asarray(vertices, dtype=np.int64).tolist():
+            key = (layer, v)
             if key in self._rows:
                 del self._rows[key]
                 self._stale.add(key)
@@ -202,8 +203,9 @@ class FeatureCache:
             miss_rows = int(np.asarray(vertices).size)
         else:
             batch_keys: Set[Tuple[int, int]] = set()
-            for v in np.asarray(vertices, dtype=np.int64):
-                key = (int(layer), int(v))
+            layer = int(layer)
+            for v in np.asarray(vertices, dtype=np.int64).tolist():
+                key = (layer, v)
                 if key in self._rows:
                     self._rows.move_to_end(key)
                     hit_rows += 1

@@ -10,8 +10,10 @@ serving experiments run on:
 - :func:`bursty_workload` — the same mean rate delivered in bursts
   (requests arrive in groups, the worst case for a micro-batcher's
   queueing delay),
-- :func:`zipf_seed_probabilities` / seed drawing — Zipf-skewed seed
-  popularity, the access pattern that makes feature caching pay off.
+- :func:`zipf_seed_probabilities` / :func:`draw_seeds` — Zipf-skewed
+  seed popularity, the access pattern that makes feature caching pay
+  off; a stream builds its :class:`SeedCDF` once and every draw bisects
+  into it.
 
 Every generator takes an explicit ``rng``/``seed`` (no module-global
 ``np.random``): the same seed reproduces the identical workload, which
@@ -22,13 +24,14 @@ end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "InferenceRequest",
     "zipf_seed_probabilities",
+    "SeedCDF",
     "draw_seeds",
     "poisson_workload",
     "bursty_workload",
@@ -105,26 +108,65 @@ def zipf_seed_probabilities(num_vertices: int, alpha: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+class SeedCDF:
+    """A seed-popularity vector as its normalised CDF, built once per
+    stream so each draw is a bisection instead of an O(|V|) cumsum.
+
+    Validates ``p`` the way ``Generator.choice(p=p)`` does and raises
+    the same ``ValueError`` for the same inputs: ``p`` must be 1-D,
+    NaN-free, non-negative and sum to 1 within ``sqrt(eps)``.
+    """
+
+    __slots__ = ("cdf",)
+
+    def __init__(self, p: np.ndarray):
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 1:
+            raise ValueError("p must be 1-dimensional")
+        p_sum = p.sum()
+        if np.isnan(p_sum):
+            raise ValueError("probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        if abs(p_sum - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+            raise ValueError("probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+
+
 def draw_seeds(
     num_vertices: int,
     size: int,
     *,
     rng: np.random.Generator,
     zipf_alpha: float = 0.0,
-    p: Optional[np.ndarray] = None,
+    p: Union[SeedCDF, np.ndarray, None] = None,
 ) -> np.ndarray:
     """Draw ``size`` seed vertices (with replacement) from the popularity
     model.  Uniform when ``zipf_alpha == 0``; otherwise Zipf-skewed —
-    the hot-vertex pattern real request streams show.  ``p`` supplies a
-    precomputed :func:`zipf_seed_probabilities` vector so per-request
-    callers don't rebuild the O(|V|) distribution every draw."""
+    the hot-vertex pattern real request streams show.
+
+    Pass a :class:`SeedCDF` as ``p`` (built once per stream from
+    :func:`zipf_seed_probabilities`) and a draw costs ``size`` uniforms
+    and a bisection.  A probability vector, or ``None``, is still
+    accepted but is validated and accumulated into a fresh CDF on every
+    call — O(|V|).  Either way the draw is ``Generator.choice(
+    num_vertices, size, replace=True, p=p)`` value for value, generator
+    state included; the returned array is the caller's.
+    """
     if size <= 0:
         raise ValueError("size must be positive")
     if zipf_alpha == 0.0:
         return rng.integers(0, num_vertices, size=size, dtype=np.int64)
-    if p is None:
-        p = zipf_seed_probabilities(num_vertices, zipf_alpha)
-    return rng.choice(num_vertices, size=size, replace=True, p=p).astype(np.int64)
+    if not isinstance(p, SeedCDF):
+        if p is None:
+            p = zipf_seed_probabilities(num_vertices, zipf_alpha)
+        p = SeedCDF(p)
+    if p.cdf.size != num_vertices:
+        raise ValueError("num_vertices and p must have same size")
+    draws = p.cdf.searchsorted(rng.random(size), side="right")
+    return draws.astype(np.int64, copy=False)
 
 
 def _make_requests(
@@ -138,9 +180,9 @@ def _make_requests(
     rng: np.random.Generator,
     start_id: int,
 ) -> List[InferenceRequest]:
-    # One distribution for the whole stream; per-request draws reuse it.
+    # One CDF for the whole stream; per-request draws reuse it.
     p = (
-        zipf_seed_probabilities(num_vertices, zipf_alpha)
+        SeedCDF(zipf_seed_probabilities(num_vertices, zipf_alpha))
         if zipf_alpha != 0.0
         else None
     )

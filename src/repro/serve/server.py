@@ -72,7 +72,13 @@ __all__ = ["InferenceServer"]
 
 
 class _TenantRuntime:
-    """Per-tenant compiled state: plan, params, gather-row pricing."""
+    """Per-tenant compiled state: plan, params, gather-row pricing.
+
+    What a batch needs that is constant for the plan — output name,
+    pinned names, kernel backend — is resolved here once; input names
+    are resolved once per model (:meth:`GNNModel.make_inputs`), so no
+    batch builds or validates a module.
+    """
 
     def __init__(
         self,
@@ -106,6 +112,7 @@ class _TenantRuntime:
             else compiled.model.init_params(param_seed)
         )
         self.output_name = compiled.forward.outputs[0]
+        self.backend = compiled.strategy.backend
         self.row_bytes = feature_gather_row_bytes(compiled.plan)
         self.pinned = list(compiled.forward.inputs) + list(
             compiled.forward.params
@@ -298,7 +305,7 @@ class InferenceServer:
             mb.subgraph,
             precision=self.precision,
             memory_plan=None if mplan is None else [mplan],
-            backend=compiled.strategy.backend,
+            backend=runtime.backend,
         )
         if feature_rows is None:
             feature_rows = self.features[mb.vertices]

@@ -146,3 +146,72 @@ class TestUpdateWorkload:
     def test_validation(self):
         with pytest.raises(ValueError, match="num_updates"):
             update_workload(0, qps=1.0, num_vertices=5, feature_dim=2)
+
+
+def _naive_mixed(
+    num_requests, *, qps, num_vertices, feature_dim, update_frac,
+    seeds_per_request, zipf_alpha, new_vertex_prob, seed,
+    edge_frac=0.5, feature_vertices=8, edges=16, new_vertices=2,
+):
+    """`mixed_workload` as a plain loop whose every draw is the
+    per-call `Generator.choice` the shared CDF replaced."""
+    from repro.serve.request import zipf_seed_probabilities
+
+    rng = np.random.default_rng(seed)
+
+    def draw(n, size):
+        if zipf_alpha == 0.0:
+            return rng.integers(0, n, size=size, dtype=np.int64)
+        p = zipf_seed_probabilities(n, zipf_alpha)
+        return rng.choice(n, size=size, replace=True, p=p)
+
+    rate = qps / (1.0 - update_frac)
+    reads, writes = [], []
+    live, clock = num_vertices, 0.0
+    while len(reads) < num_requests:
+        clock += float(rng.exponential(1.0 / rate))
+        if not (update_frac and rng.random() < update_frac):
+            reads.append((clock, draw(num_vertices, seeds_per_request)))
+        elif rng.random() >= edge_frac:
+            vertices = np.unique(draw(live, min(feature_vertices, live)))
+            rows = rng.normal(size=(vertices.size, feature_dim))
+            writes.append((clock, vertices, rows, None, None, 0))
+        else:
+            grow = (
+                new_vertices
+                if new_vertex_prob and rng.random() < new_vertex_prob
+                else 0
+            )
+            src = draw(live, edges)
+            dst = rng.integers(0, live + grow, size=edges, dtype=np.int64)
+            if grow:
+                rng.normal(size=(grow, feature_dim))
+            writes.append((clock, None, None, src, dst, grow))
+            live += grow
+    return reads, writes
+
+
+@pytest.mark.parametrize("zipf_alpha", [0.0, 1.1])
+@pytest.mark.parametrize("new_vertex_prob", [0.0, 0.6])
+def test_mixed_workload_equals_naive_per_draw_choice(zipf_alpha, new_vertex_prob):
+    kw = dict(
+        qps=1000.0, num_vertices=120, feature_dim=4, update_frac=0.4,
+        seeds_per_request=3, zipf_alpha=zipf_alpha,
+        new_vertex_prob=new_vertex_prob, seed=9,
+    )
+    requests, updates = mixed_workload(80, **kw)
+    reads, writes = _naive_mixed(80, **kw)
+    assert len(requests) == len(reads) and len(updates) == len(writes)
+    assert any(u.num_new_vertices for u in updates) == bool(new_vertex_prob)
+    for r, (clock, seeds) in zip(requests, reads):
+        assert r.arrival_s == clock
+        np.testing.assert_array_equal(r.seeds, seeds)
+    for u, (clock, vertices, rows, src, dst, grow) in zip(updates, writes):
+        assert u.arrival_s == clock
+        if vertices is not None:
+            np.testing.assert_array_equal(u.feature_vertices, vertices)
+            np.testing.assert_array_equal(u.feature_rows, rows)
+        else:
+            np.testing.assert_array_equal(u.delta.src, src)
+            np.testing.assert_array_equal(u.delta.dst, dst)
+            assert u.num_new_vertices == grow

@@ -145,3 +145,37 @@ class TestDataGeneration:
         assert (ds.stats.in_degrees == 20).all()
         assert ds.points is not None
         assert ds.points.shape == (32 * 1024, 3)
+
+
+class TestFeaturesReadCachedScores:
+    """`features()` reads the |V| × classes score matrix kept from label
+    planting; the oracle is the regenerating formula it replaced."""
+
+    @pytest.mark.parametrize("name", ["cora", "citeseer", "pubmed"])
+    def test_bit_identical_to_regenerating_the_canonical_matrix(self, name):
+        ds = get_dataset(name)
+        n = ds.stats.num_vertices
+        scores = ds.features() @ ds._label_basis
+        for dim, seed in ((ds.feature_dim, 0), (32, 5), (5, 2)):
+            want = np.random.default_rng(seed).normal(
+                scale=1.0 / np.sqrt(dim), size=(n, dim)
+            )
+            if (dim, seed) != (ds.feature_dim, 0):
+                keep = min(scores.shape[1], max(1, dim // 2))
+                want[:, :keep] = scores[:, :keep] / np.sqrt(dim)
+            got = ds.features(dim, seed=seed)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_returned_array_is_fresh_writable_and_caller_owned(self):
+        ds = get_dataset("cora")
+        reduced = ds.features(16, seed=3)
+        canonical = ds.features()
+        labels = ds.labels()
+        for dim, seed in ((16, 3), (ds.feature_dim, 0)):
+            scratch = ds.features(dim, seed=seed)
+            assert scratch.flags.writeable and scratch.base is None
+            scratch[:] = 7.0  # what the perf serve oracle does with puts
+        assert np.array_equal(ds.features(16, seed=3), reduced)
+        assert np.array_equal(ds.features(), canonical)
+        assert np.array_equal(ds.labels(), labels)

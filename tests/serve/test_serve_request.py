@@ -5,6 +5,7 @@ import pytest
 
 from repro.serve.request import (
     InferenceRequest,
+    SeedCDF,
     bursty_workload,
     draw_seeds,
     poisson_workload,
@@ -145,3 +146,82 @@ class TestBurstyWorkload:
     def test_validation(self):
         with pytest.raises(ValueError):
             bursty_workload(5, qps=10.0, num_vertices=10, burst=0)
+
+
+class TestSeedCDF:
+    """Validation moved from every `Generator.choice` call to the one
+    place a stream builds its CDF; the messages are `choice`'s."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.full(10, 0.2),  # sums to 2
+            np.array([0.5, 0.5, np.nan]),
+            np.array([1.5, -0.5]),
+            np.full((2, 2), 0.25),
+        ],
+    )
+    def test_rejects_what_generator_choice_rejects(self, p):
+        with pytest.raises(ValueError) as ours:
+            SeedCDF(p)
+        with pytest.raises(ValueError) as numpys:
+            np.random.default_rng(0).choice(p.shape[0], size=2, p=p)
+        assert str(numpys.value).lower().startswith(str(ours.value).lower())
+
+    def test_draw_seeds_validates_a_raw_probability_vector(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            draw_seeds(10, 3, rng=rng, zipf_alpha=1.0, p=np.full(10, 0.2))
+
+    def test_draw_seeds_rejects_a_cdf_for_another_vertex_count(self):
+        cdf = SeedCDF(zipf_seed_probabilities(10, 1.0))
+        with pytest.raises(ValueError, match="same size"):
+            draw_seeds(11, 3, rng=np.random.default_rng(0), zipf_alpha=1.0, p=cdf)
+
+    def test_rebuilding_per_call_draws_the_same_seeds(self):
+        p = zipf_seed_probabilities(300, 1.1)
+        draws = [
+            draw_seeds(300, 9, rng=np.random.default_rng(4), zipf_alpha=1.1, p=q)
+            for q in (None, p, SeedCDF(p))
+        ]
+        assert np.array_equal(draws[0], draws[1])
+        assert np.array_equal(draws[0], draws[2])
+
+
+def _naive_seeds(rng, num_vertices, size, alpha):
+    """The per-request sampler the streams used before the shared CDF."""
+    if alpha == 0.0:
+        return rng.integers(0, num_vertices, size=size, dtype=np.int64)
+    p = zipf_seed_probabilities(num_vertices, alpha)
+    return rng.choice(num_vertices, size=size, replace=True, p=p)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.9, 1.6])
+@pytest.mark.parametrize("seeds_per_request", [1, 4])
+class TestStreamsEqualNaivePerRequestChoice:
+    def test_poisson(self, alpha, seeds_per_request):
+        reqs = poisson_workload(
+            60, qps=500.0, num_vertices=700,
+            seeds_per_request=seeds_per_request, zipf_alpha=alpha, seed=11,
+        )
+        rng = np.random.default_rng(11)
+        arrivals = np.cumsum(rng.exponential(1.0 / 500.0, size=60))
+        for r, t in zip(reqs, arrivals):
+            assert r.arrival_s == float(t)
+            assert np.array_equal(
+                r.seeds, _naive_seeds(rng, 700, seeds_per_request, alpha)
+            )
+
+    def test_bursty(self, alpha, seeds_per_request):
+        reqs = bursty_workload(
+            60, qps=500.0, num_vertices=700, burst=8,
+            seeds_per_request=seeds_per_request, zipf_alpha=alpha, seed=12,
+        )
+        rng = np.random.default_rng(12)
+        bursts = np.cumsum(rng.exponential(8 / 500.0, size=8))
+        arrivals = np.repeat(bursts, 8)[:60]
+        for r, t in zip(reqs, arrivals):
+            assert r.arrival_s == float(t)
+            assert np.array_equal(
+                r.seeds, _naive_seeds(rng, 700, seeds_per_request, alpha)
+            )

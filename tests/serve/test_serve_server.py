@@ -266,6 +266,47 @@ class TestSLOAndScheduling:
         assert len(util) == 1 and 0 < util[0] <= 1.0
 
 
+class TestConstantsResolvedOncePerPlan:
+    def test_serve_builds_at_most_one_module_per_tenant(self, cora, monkeypatch):
+        """Input names come from one `build_module` per model instance,
+        not one per micro-batch; a second serve builds none."""
+        ds, graph, features = cora
+        plans = {
+            name: compile_forward(
+                MODELS.get(name)(IN_DIM, ds.num_classes), get_strategy("ours")
+            )
+            for name in ("gat", "gcn")
+        }
+        server = InferenceServer(
+            graph, features, plans, gpu="RTX3090",
+            batch_policy=BatchPolicy(max_batch=4),
+        )
+        reqs = workload_for(graph, "gat", 40) + [
+            InferenceRequest(100 + r.request_id, "gcn", r.seeds, r.arrival_s, r.slo_s)
+            for r in workload_for(graph, "gcn", 40, seed=1)
+        ]
+        builds = []
+        for name, plan in plans.items():
+            cls = type(plan.model)
+            original = cls.build_module
+
+            def counting(self, _original=original, _name=name):
+                builds.append(_name)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "build_module", counting)
+        report = server.serve(reqs)
+        per_tenant = {
+            name: sum(t.tenant == name for t in report.batches) for name in plans
+        }
+        assert min(per_tenant.values()) >= 8
+        assert len(report.outputs) == len(reqs)
+        assert all(builds.count(name) <= 1 for name in plans)
+        warm = len(builds)
+        server.serve(reqs)
+        assert len(builds) == warm
+
+
 class TestValidation:
     def test_unknown_tenant(self, cora):
         ds, graph, features = cora
