@@ -3,10 +3,11 @@
 
 The execution substrate dispatches every kernel through a per-op
 backend registry (`repro.exec.kernel_registry`).  `reference` is the
-always-available NumPy oracle; `blocked` re-runs segment-reduction
-gathers in cache-sized edge chunks (bit-identical, usually faster on
-large graphs); `numba`/`torch` register themselves only when their
-package is installed.  This script drives the whole surface:
+always-available NumPy oracle (segment sums are one CSR product);
+`blocked` re-runs `max` gathers in cache-sized edge chunks
+(bit-identical, usually faster on large graphs); `numba`/`torch`
+register themselves only when their package is installed.  This script
+drives the whole surface:
 
 1. the registry — what is available here, aliases, fallback,
 2. a differential check — `blocked` is bit-identical to `reference`
@@ -51,10 +52,10 @@ def main() -> None:
     print(f'  ("numpy" is an alias: {get_backend("numpy").name})')
     blocked = get_backend("blocked")
     print(
-        "  blocked overrides gather:sum "
-        f"({blocked.overrides('gather', 'sum')}) and falls back to "
-        f"reference for apply:relu "
-        f"({not blocked.overrides('apply', 'relu')})"
+        "  blocked overrides gather:max "
+        f"({blocked.overrides('gather', 'max')}) and falls back to "
+        f"reference for gather:sum "
+        f"({not blocked.overrides('gather', 'sum')})"
     )
 
     # ------------------------------------------------------------------

@@ -25,8 +25,9 @@ hit + miss + invalidated reconciliation and the exact delta-apply
 ledger recomputed from a same-seed regenerated update stream.
 ``--measured`` runs the measured-execution smoke case: the per-backend
 kernel-class calibration table (measured wall-clock vs the analytic
-roofline) plus its invariant — the ``blocked`` backend beats
-``reference`` on the segment-reduction (gather) class — and a small
+roofline) plus its invariant — the ``blocked`` backend, which shares
+the reference segment sum and chunks only ``max``, is no slower than
+``reference`` on the gather class — and a small
 ``run_sweep(backend=...)`` exercising the backend axis end to end.
 ``--precision`` runs the mixed-precision smoke case: the model-zoo
 precision-io table plus its exactness invariants (fp16/bf16 gather
@@ -339,13 +340,15 @@ def run_measured_smoke() -> int:
     """Measured-execution case: backend calibration + its invariant.
 
     Regenerates the backend-calibration figure at the segment-reduction
-    scale (V=20k, E=400k, f=64 — edge data far beyond L2, where
-    cache-sized chunking pays) and asserts the structural contract the
-    golden test pins: every backend reports all five kernel classes
-    with finite positive measured/analytic ratios, and ``blocked``
-    strictly beats ``reference`` wall-clock on the gather class.  A
-    small ``run_sweep(backend=...)`` then exercises the backend axis
-    through the session layer.
+    scale (V=20k, E=400k, f=64 — edge data far beyond L2) and asserts
+    the structural contract the golden test pins: every backend reports
+    all five kernel classes with finite positive measured/analytic
+    ratios.  ``blocked`` runs the reference segment sum (one CSR
+    product) and chunks only ``max``, so on this GAT step — six sums,
+    one E×1 max — it must land within noise (25%) of ``reference`` on
+    the gather class, not ahead of it.  A small
+    ``run_sweep(backend=...)`` then exercises the backend axis through
+    the session layer.
     """
     t0 = time.time()  # repro: allow-wallclock
     figure = fig_backend_calibration()
@@ -363,15 +366,15 @@ def run_measured_smoke() -> int:
     )
     ref_gather = by_backend["reference"]["gather"]["measured_s"]
     blk_gather = by_backend["blocked"]["gather"]["measured_s"]
-    assert blk_gather < ref_gather, (
-        f"blocked gather ({blk_gather:.4f}s) must beat reference "
-        f"({ref_gather:.4f}s)"
+    assert blk_gather <= 1.25 * ref_gather, (
+        f"blocked gather ({blk_gather:.4f}s) must not trail reference "
+        f"({ref_gather:.4f}s): they share every sum"
     )
     sweep = _golden_sweep("sweep_backend_smoke")
     assert {r.backend for r in sweep.rows} == {None, "blocked"}
     print(
         f"measured smoke done in {time.time() - t0:.1f}s "  # repro: allow-wallclock
-        f"(blocked gather {ref_gather / blk_gather:.1f}x faster than "
+        f"(blocked gather at {blk_gather / ref_gather:.2f}x of "
         f"reference; table -> {path})"
     )
     return 0

@@ -1,22 +1,25 @@
-"""``blocked`` backend: cache-sized edge-chunking for segment reductions.
+"""``blocked`` backend: cache-sized edge-chunking for ``max`` reductions.
 
-The reference gather materialises the *entire* permuted edge tensor
-``edge_values[eids]`` — ``|E| × feat`` rows — before reducing it, so on
-large graphs every gathered byte makes a full round trip through DRAM
-(write the temporary, read it back for ``reduceat``).  This backend
+The reference ``max`` gather materialises the *entire* permuted edge
+tensor ``edge_values[eids]`` — ``|E| × feat`` rows — before reducing it,
+so on large graphs every gathered byte makes a full round trip through
+DRAM (write the temporary, read it back for ``reduceat``).  This backend
 streams the same computation through a cache-sized window instead: it
 walks vertices in chunks whose incident edge rows fit in roughly
 ``BLOCK_BYTES`` of L2, gathers just that slice, and reduces it while it
-is still cache-resident.
+is still cache-resident.  ``max`` is order-insensitive, so the results
+are **bit-identical** to the reference backend.
 
-Because each segment is still reduced left-to-right in the same edge
-order by the same ufunc, the results are **bit-identical** to the
-reference backend — this is an IO optimisation, not a reassociation —
-which is exactly the coordinated computation/IO tradeoff the source
-paper's roofline analysis prescribes for gather-heavy GNN kernels.
+Segment *sums* need no chunking: the reference sum is one CSR × dense
+product whose column indices are the permutation
+(:func:`repro.exec.kernels.segment_sum`), so it never had the permuted
+temporary the chunks avoided.  ``gather sum`` / ``mean`` therefore fall
+back to the reference implementation through the registry — like apply,
+scatter and param_grad — and :func:`blocked_segment_reduce` reduces a
+``sum`` through that same function.
 
-Everything else (apply, scatter, param_grad, argmax gathers) falls back
-to the reference implementation through the registry.
+:func:`segment_blocks` and :data:`BLOCK_BYTES` are also how
+``Engine._walk`` cuts a fused kernel into blocks of home rows.
 """
 
 from __future__ import annotations
@@ -26,12 +29,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.exec.kernel_registry import declare_backend, register_backend
-from repro.exec.kernels import (
-    _gather_layout,
-    _segment_argmax,
-    acc_dtype,
-    segment_reduce,
-)
+from repro.exec.kernels import _gather_layout, _segment_argmax, segment_sum
+from repro.graph.csr import incidence_operator
 
 __all__ = ["BLOCK_BYTES", "blocked_segment_reduce", "segment_blocks"]
 
@@ -82,25 +81,33 @@ def blocked_segment_reduce(
     block_bytes: Optional[int] = None,
     acc: Optional[np.dtype] = None,
 ) -> np.ndarray:
-    """Chunked equivalent of ``segment_reduce(edge_values[eids], indptr)``.
+    """Equivalent of ``segment_reduce(edge_values[eids], indptr)`` that
+    never materialises the permuted edge tensor.
 
-    Never materialises more than ~``block_bytes`` (default
-    :data:`BLOCK_BYTES`, read at call time) of the permuted edge tensor
-    at once.  Chunks are :func:`segment_blocks`, so each ``reduceat``
-    covers whole segments and the per-segment reduction order — hence
-    the floating-point result — matches the reference exactly.
+    ``sum`` is one :func:`~repro.exec.kernels.segment_sum` with ``eids``
+    as the operator's column indices (``block_bytes`` does not apply).
+    ``max`` holds at most ~``block_bytes`` (default :data:`BLOCK_BYTES`,
+    read at call time) of permuted rows at once: chunks are
+    :func:`segment_blocks`, so each ``reduceat`` covers whole segments.
+    Either way the result matches the reference exactly.
 
-    ``acc`` accumulates each chunk (and the output) in a wider dtype —
-    the fp32-accumulation path for float16 storage; the caller rounds
-    the result back.  Chunk sizing still follows the *storage* bytes.
+    ``acc`` accumulates (and returns) in a wider dtype — the
+    fp32-accumulation path for float16 storage; the caller rounds the
+    result back.  Chunk sizing still follows the *storage* bytes.
     """
     num_segments = indptr.shape[0] - 1
-    out_shape = (num_segments,) + edge_values.shape[1:]
     out_dtype = np.dtype(acc) if acc is not None else edge_values.dtype
+    if reduce == "sum":
+        operator = incidence_operator(
+            indptr, eids, edge_values.shape[0], out_dtype
+        )
+        return segment_sum(operator, edge_values, fill)
+    if reduce != "max":
+        raise KeyError(reduce)
+    out_shape = (num_segments,) + edge_values.shape[1:]
     out = np.full(out_shape, fill, dtype=out_dtype)
     if num_segments == 0 or eids.shape[0] == 0:
         return out
-    ufunc = {"sum": np.add, "max": np.maximum}[reduce]
     row_bytes = int(
         np.prod(edge_values.shape[1:], dtype=np.int64)
     ) * edge_values.dtype.itemsize
@@ -118,28 +125,10 @@ def blocked_segment_reduce(
         # final reduceat slice (last non-empty start to end of chunk)
         # is exactly that segment — the same empty-segment guarantee
         # segment_reduce documents.
-        out[lo:hi][non_empty] = ufunc.reduceat(
+        out[lo:hi][non_empty] = np.maximum.reduceat(
             chunk, starts[non_empty], axis=0
         )
     return out
-
-
-@register_backend("gather", "sum", backend="blocked")
-def _g_sum_blocked(graph, edge_values, orientation, want_argmax):
-    indptr, eids = _gather_layout(graph, orientation)
-    acc = acc_dtype(edge_values.dtype)
-    total = blocked_segment_reduce(edge_values, indptr, eids, reduce="sum", acc=acc)
-    return total.astype(edge_values.dtype, copy=False), None
-
-
-@register_backend("gather", "mean", backend="blocked")
-def _g_mean_blocked(graph, edge_values, orientation, want_argmax):
-    indptr, eids = _gather_layout(graph, orientation)
-    acc = acc_dtype(edge_values.dtype)
-    total = blocked_segment_reduce(edge_values, indptr, eids, reduce="sum", acc=acc)
-    counts = np.maximum(np.diff(indptr), 1).astype(total.dtype)
-    counts = counts.reshape((-1,) + (1,) * (total.ndim - 1))
-    return (total / counts).astype(edge_values.dtype, copy=False), None
 
 
 @register_backend("gather", "max", backend="blocked")

@@ -12,12 +12,12 @@ still executes the full model zoo.
 Shipped backends
 ----------------
 ``reference`` (alias ``numpy``)
-    The NumPy oracle.  Always available, bit-exact by definition.
+    The NumPy oracle (segment sums are one CSR × dense product through
+    scipy).  Always available, bit-exact by definition.
 ``blocked``
-    Pure NumPy with cache-sized edge-chunking for segment reductions
-    (:mod:`repro.exec.backend_blocked`).  Always available;
-    bit-identical to reference because per-segment reduction order is
-    preserved.
+    Pure NumPy with cache-sized edge-chunking for ``max`` reductions
+    (:mod:`repro.exec.backend_blocked`); sums are the reference's.
+    Always available; bit-identical to reference.
 ``numba`` / ``torch``
     Auto-registered only when the corresponding package is importable
     (:mod:`repro.exec.backend_numba`, :mod:`repro.exec.backend_torch`).

@@ -13,10 +13,15 @@ Broadcasting follows the library's right-pad rule (see
 feature rank gain singleton axes on the right, which lets per-row
 scalars (attention logits) scale per-row vectors (messages).
 
-Edge-feature tensors are stored in COO edge-id order.  Segment
-reductions permute through the graph's CSC (in-edges) or CSR
-(out-edges) views and use ``ufunc.reduceat`` — the vectorised segmented
-reduction — with explicit handling of empty segments.
+Edge-feature tensors are stored in COO edge-id order.  A segment *sum*
+(``gather sum`` / ``mean``) is one CSR × dense product of the graph's
+unit incidence operator (:meth:`repro.graph.csr.Graph.incidence`, CSC
+for in-edges, CSR for out-edges) with the edge tensor
+(:func:`segment_sum`): the permutation is the operator's column
+indices, and each segment is ``+0.0`` then its rows added left to right
+in CSC/CSR edge order — what a per-segment loop computes, bit for bit.
+``max`` (order-insensitive) permutes the rows and uses
+``np.maximum.reduceat`` with explicit handling of empty segments.
 
 Backends
 --------
@@ -45,7 +50,7 @@ from repro.exec.kernel_registry import (
     declare_backend,
     register_backend,
 )
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, incidence_operator
 
 __all__ = [
     "apply_kernel",
@@ -56,6 +61,7 @@ __all__ = [
     "align_trailing",
     "reduce_to_shape_array",
     "segment_reduce",
+    "segment_sum",
 ]
 
 declare_backend(
@@ -467,6 +473,31 @@ def _max_grad(graph: Graph, grad: np.ndarray, argmax: np.ndarray) -> np.ndarray:
 # ======================================================================
 # Gather kernels (segment reductions)
 # ======================================================================
+def segment_sum(operator, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """The one segment-sum kernel: ``operator @ values``.
+
+    ``operator`` is a unit incidence operator (segments × rows of
+    ``values``, see :func:`repro.graph.csr.incidence_operator`); feature
+    axes are flattened for the product and restored.  Every segment is
+    ``+0.0`` then its rows added left to right in the operator's column
+    order, accumulated in the operator's dtype — so whole graphs, blocks
+    of one and partition shards agree bit for bit on the segments they
+    share.  Empty segments produce ``fill``.  Returns a fresh array of
+    the operator's dtype.
+    """
+    rows = values.shape[0]
+    out_shape = (operator.shape[0],) + values.shape[1:]
+    width = int(np.prod(values.shape[1:], dtype=np.int64))
+    if rows == 0 or width == 0:
+        out = np.zeros(out_shape, dtype=operator.dtype)
+    else:
+        flat = values.reshape(rows, width).astype(operator.dtype, copy=False)
+        out = (operator @ flat).reshape(out_shape)
+    if fill != 0.0:
+        out[np.diff(operator.indptr) == 0] = fill
+    return out
+
+
 def segment_reduce(
     values: np.ndarray,
     indptr: np.ndarray,
@@ -478,25 +509,30 @@ def segment_reduce(
 
     ``values`` must already be ordered by segment;
     ``indptr[i]:indptr[i+1]`` delimits segment ``i``.  Empty segments
-    produce ``fill``.
+    produce ``fill``.  ``sum`` is :func:`segment_sum` (left to right
+    from ``+0.0``, accumulated in :func:`acc_dtype`); ``max`` is
+    ``np.maximum.reduceat``.
     """
-    num_segments = indptr.shape[0] - 1
     n = values.shape[0]
-    out_shape = (num_segments,) + values.shape[1:]
+    if reduce == "sum":
+        operator = incidence_operator(
+            indptr, np.arange(n, dtype=np.int64), n, acc_dtype(values.dtype)
+        )
+        return segment_sum(operator, values, fill).astype(values.dtype, copy=False)
+    if reduce != "max":
+        raise KeyError(reduce)
+    num_segments = indptr.shape[0] - 1
     starts = indptr[:-1]
     non_empty = indptr[1:] > starts
-    out = np.full(out_shape, fill, dtype=values.dtype)
+    out = np.full((num_segments,) + values.shape[1:], fill, dtype=values.dtype)
     if n == 0 or not non_empty.any():
         return out
-    ufunc = {"sum": np.add, "max": np.maximum}[reduce]
     # Reduce over non-empty segment starts only: consecutive non-empty
     # starts delimit exactly the right slices (empty segments in between
     # share the same offset), and no start can reach n — avoiding the
     # classic reduceat pitfall where clipping a trailing empty segment's
     # offset corrupts the previous segment.
-    live_starts = starts[non_empty]
-    reduced = ufunc.reduceat(values, live_starts, axis=0)
-    out[non_empty] = reduced
+    out[non_empty] = np.maximum.reduceat(values, starts[non_empty], axis=0)
     return out
 
 
@@ -515,11 +551,7 @@ def acc_dtype(dtype: np.dtype) -> np.dtype:
 
 def _gather_layout(graph: Graph, orientation: str):
     """(indptr, edge-permutation) for the requested incidence."""
-    if orientation == "in":
-        return graph.csc_indptr, graph.csc_eids
-    if orientation == "out":
-        return graph.csr_indptr, graph.csr_eids
-    raise ValueError(f"orientation must be 'in' or 'out', got {orientation!r}")
+    return graph.segments(orientation)
 
 
 def gather_kernel(
@@ -547,20 +579,16 @@ def gather_kernel(
 
 @register_backend("gather", "sum")
 def _g_sum(graph, edge_values, orientation, want_argmax):
-    indptr, eids = _gather_layout(graph, orientation)
-    acc = acc_dtype(edge_values.dtype)
-    ordered = edge_values[eids].astype(acc, copy=False)
-    total = segment_reduce(ordered, indptr, reduce="sum")
+    operator = graph.incidence(orientation, acc_dtype(edge_values.dtype))
+    total = segment_sum(operator, edge_values)
     return total.astype(edge_values.dtype, copy=False), None
 
 
 @register_backend("gather", "mean")
 def _g_mean(graph, edge_values, orientation, want_argmax):
-    indptr, eids = _gather_layout(graph, orientation)
-    acc = acc_dtype(edge_values.dtype)
-    ordered = edge_values[eids].astype(acc, copy=False)
-    total = segment_reduce(ordered, indptr, reduce="sum")
-    counts = np.maximum(np.diff(indptr), 1).astype(total.dtype)
+    operator = graph.incidence(orientation, acc_dtype(edge_values.dtype))
+    total = segment_sum(operator, edge_values)
+    counts = np.maximum(np.diff(operator.indptr), 1).astype(total.dtype)
     counts = counts.reshape((-1,) + (1,) * (total.ndim - 1))
     return (total / counts).astype(edge_values.dtype, copy=False), None
 

@@ -112,7 +112,6 @@ class MultiEnv:
     are replicated — the same array (leading 1-axis) in every dict.
     """
 
-    module: Module
     parts: List[Dict[str, np.ndarray]]
 
 
@@ -259,7 +258,7 @@ class MultiEngine:
         translated from global COO edge ids to part-local ids.
         """
         argmax_inputs = self._argmax_input_names(module)
-        env = MultiEnv(module=module, parts=[{} for _ in range(self.num_parts)])
+        env = MultiEnv(parts=[{} for _ in range(self.num_parts)])
         for name, full in self._binder.bind(module, arrays).items():
             domain = module.specs[name].domain
             for part, values in zip(self.partition.parts, env.parts):

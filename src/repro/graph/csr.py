@@ -12,6 +12,10 @@ Conventions used throughout the library
 * ``Gather`` in the paper reduces over in-edges (messages arriving at a
   vertex).  The backward pass of ``Scatter`` additionally needs the
   out-edge reduction, which is why both views exist.
+* A segment *sum* over either view is one CSR × dense product with the
+  view's unit incidence operator (:func:`incidence_operator`,
+  :meth:`Graph.incidence`): the permutation is the operator's column
+  indices, so no permuted copy of the edge tensor is ever made.
 
 The class is deliberately plain: topology only, no features.  Features
 live in the execution engine; analytic passes only ever need
@@ -25,8 +29,25 @@ from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "incidence_operator"]
+
+
+def incidence_operator(
+    indptr: np.ndarray, eids: np.ndarray, num_edges: int, dtype
+) -> csr_array:
+    """Unit incidence operator, segments × edge rows.
+
+    Row ``i`` holds a one in columns ``eids[indptr[i]:indptr[i+1]]``, so
+    ``operator @ x`` is the segment sum of ``x`` — per segment ``+0.0``,
+    then each row added left to right in ``eids`` order.  The index
+    arrays are referenced, not copied.
+    """
+    return csr_array(
+        (np.ones(eids.shape[0], dtype=dtype), eids, indptr),
+        shape=(indptr.shape[0] - 1, num_edges),
+    )
 
 
 def _group_edges(
@@ -45,8 +66,37 @@ def _group_edges(
     return indptr, order
 
 
+class _SegmentLayout:
+    """What a :class:`Graph` and the blocks it cuts share: CSC/CSR views
+    and a ``_cache`` to keep their incidence operators in."""
+
+    def segments(self, orientation: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, eids)`` of the in- (CSC) or out- (CSR) edge grouping."""
+        if orientation == "in":
+            return self.csc_indptr, self.csc_eids
+        if orientation == "out":
+            return self.csr_indptr, self.csr_eids
+        raise ValueError(f"orientation must be 'in' or 'out', got {orientation!r}")
+
+    def incidence(self, orientation: str, dtype) -> csr_array:
+        """Cached :func:`incidence_operator` of :meth:`segments`, with
+        unit entries of ``dtype``.  Built on first use; threads racing
+        to it build equal operators."""
+        key = ("incidence", orientation, np.dtype(dtype).char)
+        operator = self._cache.get(key)
+        if operator is None:
+            operator = self._cache[key] = incidence_operator(
+                *self.segments(orientation), self.num_edges, dtype
+            )
+        return operator
+
+
+class _RowBlock(_SegmentLayout, SimpleNamespace):
+    """One block of :meth:`Graph.row_block`."""
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(_SegmentLayout):
     """A directed graph in COO form with lazily cached CSR/CSC views.
 
     Parameters
@@ -191,7 +241,18 @@ class Graph:
         from the block's own rows.  It carries what the registered
         kernels read off a graph, for the requested orientation only,
         plus ``eids``: the block's COO edge ids.
+
+        Blocks are kept with the graph (which is immutable, so they
+        cannot go stale): a training step that walks the same plan again
+        gets the same blocks, incidence operators included.
         """
+        key = ("row_block", orientation, lo, hi)
+        block = self._cache.get(key)
+        if block is None:
+            block = self._cache[key] = self._cut_block(orientation, lo, hi)
+        return block
+
+    def _cut_block(self, orientation: str, lo: int, hi: int) -> _RowBlock:
         if orientation == "in":
             indptr, eids, far = self.csc_indptr, self.csc_eids, self.src
         elif orientation == "out":
@@ -205,8 +266,8 @@ class Graph:
         degrees = np.diff(seg)
         home = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
         order = np.arange(p1 - p0, dtype=np.int64)
-        block = SimpleNamespace(
-            num_vertices=hi - lo, num_edges=p1 - p0, eids=eids[p0:p1]
+        block = _RowBlock(
+            num_vertices=hi - lo, num_edges=p1 - p0, eids=eids[p0:p1], _cache={}
         )
         if orientation == "in":
             block.src, block.dst = far[block.eids], home

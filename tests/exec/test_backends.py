@@ -81,11 +81,17 @@ class TestRegistry:
         assert backend_info("blocked").bit_identical
 
     def test_fallback_to_reference(self):
-        # blocked ships only gather overrides; every other op must
-        # resolve to the reference implementation.
+        # blocked ships only the max gather (sums are one CSR product
+        # in the reference already); every other op must resolve to the
+        # reference implementation.
         blocked = get_backend("blocked")
-        assert blocked.overrides("gather", "sum")
+        assert blocked.overrides("gather", "max")
         assert not blocked.overrides("apply", "relu")
+        for reduce in ("sum", "mean"):
+            assert not blocked.overrides("gather", reduce)
+            assert resolve_kernel("gather", reduce, "blocked") is resolve_kernel(
+                "gather", reduce
+            )
         assert resolve_kernel("apply", "relu", "blocked") is resolve_kernel(
             "apply", "relu"
         )

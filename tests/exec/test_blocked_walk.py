@@ -180,6 +180,30 @@ class TestBlockVsNode:
         _differential(graph, "gcn", get_strategy("ours"), "float32", "reference")
         assert walks == []
 
+    def test_cached_blocks_follow_the_block_budget(self, monkeypatch):
+        """Blocks are cached on the graph by (orientation, lo, hi): a
+        re-run re-uses them, a changed ``BLOCK_BYTES`` cuts fresh ones,
+        and both runs equal the per-node path."""
+        graph = chung_lu(50, 250, seed=3)  # own graph: own, empty cache
+        compiled = compile_training(
+            MODELS.get("gcn")(IN_DIM, NUM_CLASSES), get_strategy("ours")
+        )
+        plan = compiled.fwd_plan
+        engine, oracle = Engine(graph), Engine(graph)
+        arrays = _training_arrays(compiled, graph)
+        want, _ = run_plan_per_node(oracle, plan, oracle.bind(plan.module, arrays))
+        cached = []
+        for budget in (SMALL_BLOCK, 4 * SMALL_BLOCK, SMALL_BLOCK):
+            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", budget)
+            got = engine.run_plan(plan, engine.bind(plan.module, arrays), unwrap=False)
+            _assert_identical(got, want, f"gcn/budget={budget}")
+            cached.append({k: v for k, v in graph._cache.items() if k[0] == "row_block"})
+        small, both, again = cached
+        assert small and set(small) < set(both)
+        assert all(both[k] is small[k] for k in small)
+        assert again.keys() == both.keys()
+        assert all(again[k] is both[k] for k in both)
+
     @pytest.mark.parametrize("model_name", ["gat", "gcn", "sage"])
     def test_arena_backed_run_matches_fresh_storage(
         self, small_blocks, graph, model_name
@@ -328,8 +352,10 @@ def _naive(graph, x, w, reduce, orientation):
 class TestWalkAgainstNaiveLoop:
     """Hypothesis: the walk on random multigraphs (self-loops, parallel
     edges, isolated vertices), random block budgets, both orientations.
-    Data is integer-valued so every sum is exact and the naive loop is
-    an exact oracle whatever the association."""
+    A segment sum is ``+0.0`` then its rows left to right in edge-id
+    order — the loop below — so real-valued sums must match it exactly
+    too; ``max`` data stays integer-valued (ties are then common, which
+    is what exercises the first-argmax rule)."""
 
     def test_random_multigraphs(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
@@ -346,11 +372,14 @@ class TestWalkAgainstNaiveLoop:
             )
             feat = draw(st.integers(1, 3))
             rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
-            x = rng.integers(-8, 9, size=(n, feat)).astype(np.float64)
-            w = rng.integers(-4, 5, size=(m, feat)).astype(np.float64)
+            reduce = draw(st.sampled_from(["sum", "max"]))
+            if reduce == "sum" and draw(st.booleans()):
+                x, w = rng.normal(size=(n, feat)), rng.normal(size=(m, feat))
+            else:
+                x = rng.integers(-8, 9, size=(n, feat)).astype(np.float64)
+                w = rng.integers(-4, 5, size=(m, feat)).astype(np.float64)
             return (
-                graph, x, w,
-                draw(st.sampled_from(["sum", "max"])),
+                graph, x, w, reduce,
                 draw(st.sampled_from(["in", "out"])),
                 draw(st.integers(1, 600)),
             )

@@ -190,3 +190,53 @@ class TestWithEdges:
         assert int(g.csc_eids[lo:hi].max()) == g.num_edges - 1
         lo, hi = g.csr_indptr[3], g.csr_indptr[4]
         assert g.csr_dst[lo:hi].tolist() == [1]
+
+
+class TestCachedSegmentOperators:
+    """Incidence operators and row blocks live in the graph's cache:
+    built once, never shared with a derived graph."""
+
+    def test_incidence_is_cached_per_orientation_and_dtype(self, small_graph):
+        op = small_graph.incidence("in", np.float32)
+        assert small_graph.incidence("in", "float32") is op
+        assert small_graph.incidence("out", np.float32) is not op
+        wide = small_graph.incidence("in", np.float64)
+        assert wide is not op and wide.dtype == np.float64
+        assert op.shape == (small_graph.num_vertices, small_graph.num_edges)
+        # Row v holds ones at the ids of v's in-edges, in CSC order.
+        assert np.array_equal(op.indptr, small_graph.csc_indptr)
+        assert np.array_equal(op.indices, small_graph.csc_eids)
+        assert op.dtype == np.float32 and (op.data == 1).all()
+        with pytest.raises(ValueError, match="orientation"):
+            small_graph.incidence("sideways", np.float32)
+
+    def test_row_block_is_cached_per_orientation_and_range(self, small_graph):
+        block = small_graph.row_block("in", 2, 9)
+        assert small_graph.row_block("in", 2, 9) is block
+        assert small_graph.row_block("out", 2, 9) is not block
+        assert small_graph.row_block("in", 2, 10) is not block
+        # The block's operator is its own: identity permutation, rebased.
+        op = block.incidence("in", np.float64)
+        assert block.incidence("in", np.float64) is op
+        assert op.shape == (7, block.num_edges)
+        assert np.array_equal(op.indices, np.arange(block.num_edges))
+
+    def test_derived_graphs_start_with_empty_caches(self, small_graph):
+        from repro.dyn import DynamicGraph, GraphDelta
+
+        small_graph.incidence("in", np.float32)
+        small_graph.row_block("out", 0, 3)
+        dyn = DynamicGraph(small_graph)
+        dyn.apply(GraphDelta(np.array([0]), np.array([1])))
+        derived = {
+            "with_edges": small_graph.with_edges(np.array([0]), np.array([1])),
+            "reverse": small_graph.reverse(),
+            "compact": dyn.compact(),
+        }
+        for name, graph in derived.items():
+            assert graph is not small_graph and graph._cache == {}, name
+        # ...and build their own: the appended edge is in the operator.
+        grown = derived["compact"]
+        assert grown.incidence("in", np.float32).shape == (
+            grown.num_vertices, small_graph.num_edges + 1
+        )

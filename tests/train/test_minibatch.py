@@ -371,3 +371,51 @@ class TestSessionMinibatch:
                 models=["sage"], datasets=["cora"], strategies=["ours"],
                 gpus=[cluster], batch_size=256, feature_dim=8,
             )
+
+
+@pytest.mark.slow
+class TestSeed10LossDriftIsRounding:
+    """Verdict on the ``minibatch-sage-cora`` seed-10 oracle failure
+    (ROADMAP flake item): ``perf`` compares ``ours``/float32 with
+    ``dgl-like``/float64 at rtol 1e-4 and the third epoch reads 2.1e-4
+    apart.  The two *strategies* agree exactly at either precision; the
+    whole gap is float32 rounding accumulated over 3 × 43 Adam steps —
+    a tolerance to set, not a divergence to fix."""
+
+    SEED = 10
+
+    def _epoch_losses(self, strategy, precision):
+        ds = get_dataset("cora")
+        session = (
+            Session().model("sage").dataset("cora").strategy(strategy)
+            .feature_dim(32).gpu("V100")
+        )
+        trainer = MiniBatchTrainer(
+            session.compile(), ds.graph(), batch_size=64, precision=precision,
+            seed=self.SEED, sampler_seed=self.SEED,
+        )
+        features, labels = ds.features(dim=32, seed=self.SEED), ds.labels()
+        optimizer = Adam(lr=0.01)
+        return [
+            trainer.train_epoch(features, labels, optimizer).loss for _ in range(3)
+        ]
+
+    def test_strategies_agree_exactly_precisions_to_5e_4(self):
+        losses = {
+            (strategy, precision): self._epoch_losses(strategy, precision)
+            for strategy in ("ours", "dgl-like")
+            for precision in ("float32", "float64")
+        }
+        for precision in ("float32", "float64"):
+            assert losses["ours", precision] == losses["dgl-like", precision]
+        np.testing.assert_allclose(
+            losses["ours", "float64"],
+            [1.6246090680547083, 0.7432392569969127, 0.4074837931339529],
+            rtol=1e-12,
+        )
+        gap = [
+            abs(a - b) / b
+            for a, b in zip(losses["ours", "float32"], losses["ours", "float64"])
+        ]
+        # perf's oracle allows 1e-4; the third epoch reads 2.1e-4.
+        assert max(gap) <= 5e-4, gap
