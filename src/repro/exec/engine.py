@@ -7,17 +7,27 @@ change a computed value — which the test suite exploits: every
 optimized configuration must reproduce the per-op baseline bit for bit
 (up to float associativity).
 
-Fusion is not only accounting, though.  A fused kernel that owns
-kernel-internal edge tensors executes *fused*: one walk over blocks of
-destination rows (source rows when its widest gather reduces over
+Fusion is not only accounting, though.  Inside a fused kernel an
+*aggregation chain* — ``copy_u`` → (× one weight per edge) → ``sum`` /
+``mean``, :meth:`ExecPlan.chains` — is one step: the product of the
+graph's adjacency operator with the vertex rows
+(:func:`repro.exec.kernels.aggregate`), so GCN / SAGE / GIN / RGCN
+aggregate without ever holding a message tensor.  A fused kernel that
+owns other kernel-internal edge tensors executes as one walk over blocks
+of destination rows (source rows when its widest gather reduces over
 out-edges), each block building only a ``BLOCK_BYTES``-sized slice of
 every internal edge tensor, reducing it and dropping it
-(:meth:`Engine._run_kernel`, :meth:`ExecPlan.blocked`).  Internal values
-never enter the run's value table — the host-side meaning of "internal
-values live on chip" — and because blocks hold whole segments in
-CSC/CSR order, per-segment reduction order is preserved and the walk is
-bit-identical to running the same kernel node by node, which is what
-per-op kernels, single-block graphs and ``MultiEngine`` shards still do.
+(:meth:`Engine._run_kernel`, :meth:`ExecPlan.blocked`); a chain inside
+such a kernel is one of the walk's steps.  Internal values never enter
+the run's value table — the host-side meaning of "internal values live
+on chip".  Both keep each segment's ``+0.0``-then-left-to-right order in
+CSC/CSR edge order, so they are bit-identical to running the same kernel
+node by node (a weighted chain: wherever scipy's product rounds
+``w * x`` before adding it — README clause 1d), which is what per-op
+kernels and ``MultiEngine`` shards still do.  Runs that round or inspect
+at the node boundaries a chain removes — float16 / bfloat16 / int8
+storage, ``check_finite`` — and backends with their own copy, multiply
+or sum keep every node.
 
 Array conventions (see :mod:`repro.exec.kernels`): callers provide
 vertex/edge tensors with their natural leading row axis and parameters
@@ -35,10 +45,10 @@ from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Set,
 import numpy as np
 
 from repro.exec import backend_blocked
-from repro.exec.kernel_registry import get_backend
-from repro.exec.kernels import _gather_layout
+from repro.exec.kernel_registry import get_backend, resolve_kernel
+from repro.exec.kernels import _gather_layout, aggregate
 from repro.exec.memory import ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan
-from repro.exec.plan import BlockedKernel, ExecPlan, Kernel
+from repro.exec.plan import AggregationChain, BlockedKernel, ExecPlan, Kernel
 from repro.graph.csr import Graph
 from repro.ir.module import GRAPH_CONSTANTS, Module
 from repro.ir.ops import OpKind, OpNode
@@ -73,6 +83,7 @@ class PlanRun:
     bf16_outputs: Set[str]      # empty unless the engine is spec-driven
     pool: Optional[ArenaPool]
     finishes: bool              # any node-boundary work to do at all?
+    chains: bool                # may aggregation chains run as one step?
 
 
 class Engine:
@@ -134,6 +145,15 @@ class Engine:
         #: aliases like ``"numpy"`` resolve to their canonical name.
         self._kernels = get_backend(backend)
         self.backend = self._kernels.name
+        #: An aggregation chain stands in for these reference kernels,
+        #: so it runs only when they are what the backend would call.
+        self._chains = all(
+            resolve_kernel(kind, fn, self.backend) is resolve_kernel(kind, fn)
+            for kind, fn in (
+                ("scatter", "copy_u"), ("scatter", "copy_v"), ("apply", "mul"),
+                ("gather", "sum"), ("gather", "mean"),
+            )
+        )
         self._pools: Dict[int, ArenaPool] = {}
         #: Live-byte high-watermark of the most recent :meth:`run_plan`.
         self.measured_peak_bytes: int = 0
@@ -286,11 +306,14 @@ class Engine:
         values: Dict[str, np.ndarray] = dict(env)
         wanted = dict.fromkeys(plan.result_names())
 
+        #: Storage dtypes this run simulates (a float64 engine casts
+        #: every float and simulates none).
+        storage = (
+            {s.dtype for s in module.specs.values()} if self._spec_driven else set()
+        )
         memory_plan = self._memory_plan_for(plan)
-        if memory_plan is not None and self._spec_driven:
-            logical = sorted(
-                {s.dtype for s in module.specs.values() if s.dtype in LOGICAL_DTYPES}
-            )
+        if memory_plan is not None:
+            logical = sorted(storage.intersection(LOGICAL_DTYPES))
             if logical:
                 # Logical dtypes are *simulated* in float32 arrays, which
                 # do not fit the (honestly sized) logical-byte slabs.
@@ -316,7 +339,7 @@ class Engine:
 
         bf16_outputs: Set[str] = (
             {n for n, s in module.specs.items() if s.dtype == "bfloat16"}
-            if self._spec_driven
+            if "bfloat16" in storage
             else set()
         )
         return PlanRun(
@@ -328,6 +351,11 @@ class Engine:
             bf16_outputs=bf16_outputs,
             pool=pool,
             finishes=bool(bf16_outputs) or pool is not None or self.check_finite,
+            # A chain removes node boundaries: nothing may round there
+            # (narrow storage) or look there (the finite check, whose
+            # diagnostic names the first offending node).
+            chains=self._chains and not self.check_finite
+            and storage.isdisjoint(("float16", *LOGICAL_DTYPES)),
         )
 
     def _run_kernel(self, run: PlanRun, kernel: Kernel, index: int) -> None:
@@ -337,21 +365,26 @@ class Engine:
         (:meth:`ExecPlan.blocked`) executes as one walk over blocks of
         home rows, unless the graph's edges fit a single block anyway —
         then, as for every other kernel, the nodes run one by one.
+        Either way an aggregation chain (:meth:`ExecPlan.chains`) is one
+        step at its gather, and its interior nodes never run.
         """
-        blocked = run.plan.blocked(index)
+        chains = run.plan.chains(index) if run.chains else {}
+        blocked = run.plan.blocked(index, run.chains)
         if blocked is not None:
             rows_per_block = backend_blocked.BLOCK_BYTES // (
                 blocked.row_elements * self.precision.itemsize
             )
             if self.graph.num_edges > rows_per_block:
                 for node in blocked.pre:
-                    self._step(run, node)
+                    self._step(run, node, chain=chains.get(node.name))
                 self._walk(run, blocked, rows_per_block)
                 for node in blocked.post:
-                    self._step(run, node)
+                    self._step(run, node, chain=chains.get(node.name))
                 return
         for node in kernel.nodes:
-            self._step(run, node)
+            chain = chains.get(node.name)
+            if chain is None or chain.gather is node:
+                self._step(run, node, chain=chain)
 
     def _walk(
         self, run: PlanRun, blocked: BlockedKernel, rows_per_block: int
@@ -381,12 +414,15 @@ class Engine:
                 local[name] = whole[name][block.eids]
             scope = ChainMap(local, whole)
             for step in blocked.steps:
-                node = step.node
+                node, chain = step.node, step.chain
                 self._execute(
-                    node, scope, run.argmax_needed, graph=block,
+                    node, scope, run.argmax_needed, graph=block, chain=chain,
                     operands=[
                         whole[name] if far else None
-                        for name, far in zip(node.inputs, step.whole)
+                        for name, far in zip(
+                            node.inputs if chain is None else chain.operands,
+                            step.whole,
+                        )
                     ],
                 )
                 if step.argmax:
@@ -420,16 +456,19 @@ class Engine:
         *,
         operand: Optional[np.ndarray] = None,
         graph: Optional[Graph] = None,
+        chain: Optional[AggregationChain] = None,
     ) -> None:
         """Run one node into ``run.values`` and close its boundary.
 
         ``operand``/``graph`` override the node's first input and the
         topology it indexes — what a partitioned run hands a SCATTER
         (owned rows ++ fetched ghost rows) or an out-orientation GATHER
-        (fetched edge rows over the shard's out-graph).
+        (fetched edge rows over the shard's out-graph).  ``chain`` runs
+        the aggregation chain ``node`` heads in its place.
         """
         self._execute(
-            node, run.values, run.argmax_needed, operands=(operand,), graph=graph
+            node, run.values, run.argmax_needed,
+            operands=(operand,), graph=graph, chain=chain,
         )
         if run.finishes:
             self._finish(run, node)
@@ -512,13 +551,16 @@ class Engine:
         *,
         operands: Sequence[Optional[np.ndarray]] = (),
         graph: Optional[Graph] = None,
+        chain: Optional[AggregationChain] = None,
     ) -> None:
         """The one node dispatch: run ``node`` on ``values`` in place.
 
         ``operands`` overrides data inputs by position (``None`` keeps
         ``values[name]``); ``graph`` overrides the topology indexed.
+        With ``chain``, ``node`` is its gather and the inputs are the
+        chain's operands: the whole chain is one product.
         """
-        ins = [values[n] for n in node.inputs]
+        ins = [values[n] for n in (chain.operands if chain else node.inputs)]
         for i, operand in enumerate(operands):
             if operand is not None:
                 ins[i] = operand
@@ -526,7 +568,11 @@ class Engine:
             graph = self.graph
         params = [values[p][0] for p in node.params]
         kernels = self._kernels
-        if node.kind is OpKind.SCATTER:
+        if chain is not None:
+            values[node.outputs[0]] = aggregate(
+                graph, *ins, orientation=node.orientation, mean=node.fn == "mean"
+            )
+        elif node.kind is OpKind.SCATTER:
             values[node.outputs[0]] = kernels.scatter(node.fn, graph, ins)
         elif node.kind is OpKind.GATHER:
             out, argmax = kernels.gather(

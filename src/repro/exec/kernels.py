@@ -22,6 +22,9 @@ indices, and each segment is ``+0.0`` then its rows added left to right
 in CSC/CSR edge order — what a per-segment loop computes, bit for bit.
 ``max`` (order-insensitive) permutes the rows and uses
 ``np.maximum.reduceat`` with explicit handling of empty segments.
+:func:`aggregate` is the same product one step earlier: a ``copy_u`` →
+(× one weight per edge) → ``sum`` / ``mean`` chain reads the vertex rows
+through the graph's adjacency operator and never builds the edge tensor.
 
 Backends
 --------
@@ -50,9 +53,10 @@ from repro.exec.kernel_registry import (
     declare_backend,
     register_backend,
 )
-from repro.graph.csr import Graph, incidence_operator
+from repro.graph.csr import Graph, adjacency_operator, incidence_operator
 
 __all__ = [
+    "aggregate",
     "apply_kernel",
     "scatter_kernel",
     "gather_kernel",
@@ -476,14 +480,15 @@ def _max_grad(graph: Graph, grad: np.ndarray, argmax: np.ndarray) -> np.ndarray:
 def segment_sum(operator, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
     """The one segment-sum kernel: ``operator @ values``.
 
-    ``operator`` is a unit incidence operator (segments × rows of
-    ``values``, see :func:`repro.graph.csr.incidence_operator`); feature
-    axes are flattened for the product and restored.  Every segment is
-    ``+0.0`` then its rows added left to right in the operator's column
-    order, accumulated in the operator's dtype — so whole graphs, blocks
-    of one and partition shards agree bit for bit on the segments they
-    share.  Empty segments produce ``fill``.  Returns a fresh array of
-    the operator's dtype.
+    ``operator`` is segments × rows of ``values`` — a unit incidence
+    operator over edge rows, or an adjacency operator over vertex rows
+    (:func:`repro.graph.csr.adjacency_operator`); feature axes are
+    flattened for the product and restored.  Every segment is ``+0.0``
+    then its entries' rows (× the entry) added left to right in the
+    operator's column order, accumulated in the operator's dtype — so
+    whole graphs, blocks of one and partition shards agree bit for bit
+    on the segments they share.  Empty segments produce ``fill``.
+    Returns a fresh array of the operator's dtype.
     """
     rows = values.shape[0]
     out_shape = (operator.shape[0],) + values.shape[1:]
@@ -577,6 +582,13 @@ def gather_kernel(
     return kernel(graph, edge_values, orientation, want_argmax)
 
 
+def _segment_mean(operator, values: np.ndarray) -> np.ndarray:
+    """:func:`segment_sum` over each segment's length (empty ones: 1)."""
+    total = segment_sum(operator, values)
+    counts = np.maximum(np.diff(operator.indptr), 1).astype(total.dtype)
+    return total / counts.reshape((-1,) + (1,) * (total.ndim - 1))
+
+
 @register_backend("gather", "sum")
 def _g_sum(graph, edge_values, orientation, want_argmax):
     operator = graph.incidence(orientation, acc_dtype(edge_values.dtype))
@@ -587,10 +599,39 @@ def _g_sum(graph, edge_values, orientation, want_argmax):
 @register_backend("gather", "mean")
 def _g_mean(graph, edge_values, orientation, want_argmax):
     operator = graph.incidence(orientation, acc_dtype(edge_values.dtype))
-    total = segment_sum(operator, edge_values)
-    counts = np.maximum(np.diff(operator.indptr), 1).astype(total.dtype)
-    counts = counts.reshape((-1,) + (1,) * (total.ndim - 1))
-    return (total / counts).astype(edge_values.dtype, copy=False), None
+    mean = _segment_mean(operator, edge_values)
+    return mean.astype(edge_values.dtype, copy=False), None
+
+
+def aggregate(
+    layout,
+    x: np.ndarray,
+    weight: Optional[np.ndarray] = None,
+    *,
+    orientation: str = "in",
+    mean: bool = False,
+) -> np.ndarray:
+    """``gather(copy_u(x) * weight)`` as one product, no edge tensor.
+
+    ``layout`` is a :class:`~repro.graph.csr.Graph` or one of its row
+    blocks; ``x`` holds the far-endpoint rows (sources for ``"in"``,
+    destinations for ``"out"`` — ``copy_v``), float32 or float64;
+    ``weight``, when given, has one element per edge in the layout's
+    edge-id order and ``x``'s dtype.  Each home row is ``+0.0`` then
+    ``weight[e] * x[far(e)]`` added left to right in CSC/CSR edge order
+    — the sum :func:`gather_kernel` takes of the edge tensor, bit for
+    bit when unweighted (``1 * x`` is exact), and when weighted unless
+    scipy's build fuses ``y += w * x`` into one rounding (README
+    clause 1d).
+    """
+    operator = layout.adjacency(orientation, x.dtype)
+    if weight is not None:
+        _, eids = layout.segments(orientation)
+        operator = adjacency_operator(
+            operator.indptr, operator.indices, operator.shape[1],
+            weight.reshape(-1)[eids],
+        )
+    return (_segment_mean if mean else segment_sum)(operator, x)
 
 
 @register_backend("gather", "max")

@@ -8,9 +8,12 @@ engine and the analytic counters share one structure:
   while live,
 - values internal to a kernel live in on-chip storage: zero DRAM IO,
   zero DRAM memory (the fusion saving of §5).  The concrete engine
-  honours this on the host too: a fused kernel with internal edge
-  tensors runs as one walk over cache-sized blocks of home rows
-  (:class:`BlockedKernel`), so those tensors are never materialised,
+  honours this on the host too: an *aggregation chain*
+  (:class:`AggregationChain`: ``copy_u`` → optional × one weight per
+  edge → ``sum`` / ``mean``) runs as one product that never builds its
+  edge tensors, and a fused kernel with other internal edge tensors
+  runs as one walk over cache-sized blocks of home rows
+  (:class:`BlockedKernel`), so those are never materialised whole,
 - values in the plan's ``keep`` set (module outputs + the training
   stash) survive to the end of the plan even when internal — a kernel
   producing a kept internal value writes it out (that is FuseGNN's
@@ -23,7 +26,9 @@ input's root value and never count as traffic or allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.graph.stats import GraphStats
 from repro.ir.functions import get_scatter_fn
@@ -32,7 +37,8 @@ from repro.ir.ops import OpKind, OpNode
 from repro.ir.tensorspec import Domain
 
 __all__ = [
-    "Kernel", "ExecPlan", "plan_module", "KernelIO", "BlockStep", "BlockedKernel",
+    "Kernel", "ExecPlan", "plan_module", "KernelIO", "AggregationChain",
+    "BlockStep", "BlockedKernel",
 ]
 
 
@@ -70,6 +76,33 @@ class KernelIO:
 
 
 @dataclass(frozen=True)
+class AggregationChain:
+    """``SCATTER copy_u`` → (``APPLY mul`` by one weight per edge) →
+    ``GATHER sum|mean`` inside one kernel, run as a single step.
+
+    ``gather.orientation`` names the home side; the scatter reads the
+    *far* one (``copy_u`` for ``"in"``, ``copy_v`` for ``"out"``).  The
+    ``interior`` nodes' outputs are kernel-internal and read by the next
+    link only, so executing ``gather`` as
+    :func:`repro.exec.kernels.aggregate` of ``source`` and ``weight``
+    leaves nothing undefined that anything reads.
+    """
+
+    gather: OpNode
+    #: Scatter, then the ``mul`` if weighted: nodes that never run.
+    interior: Tuple[OpNode, ...]
+    #: The far-endpoint vertex operand (the scatter's input) …
+    source: str
+    #: … and the EDGE-domain factor, one element per edge, if any.
+    weight: Optional[str] = None
+
+    @property
+    def operands(self) -> Tuple[str, ...]:
+        """What the step reads, far operand first."""
+        return (self.source,) if self.weight is None else (self.source, self.weight)
+
+
+@dataclass(frozen=True)
 class BlockStep:
     """One node of a blocked kernel's walk (see :class:`BlockedKernel`)."""
 
@@ -84,6 +117,9 @@ class BlockStep:
     dead: Tuple[str, ...]
     #: ``gather(max)`` argmax output, minted in block-local edge ids.
     argmax: Optional[str] = None
+    #: Set when ``node`` heads an aggregation chain: the step is the
+    #: chain's product on the block, its far operand read whole.
+    chain: Optional[AggregationChain] = None
 
 
 @dataclass(frozen=True)
@@ -95,7 +131,9 @@ class BlockedKernel:
     operands; ``post`` nodes cannot run per block (an opposite-
     orientation gather, a row-reducing PARAM_GRAD, anything downstream
     of one) and run whole on what the walk spilled.  Relative order
-    within each phase is the kernel's own.
+    within each phase is the kernel's own.  When classified with
+    aggregation chains, a chain appears in its phase as its gather node
+    alone.
     """
 
     orientation: str
@@ -136,7 +174,9 @@ class ExecPlan:
         self._lives: Optional[Dict[str, Tuple[int, int]]] = None
         self._result_names: Optional[Tuple[str, ...]] = None
         self._argmax_demand: Optional[FrozenSet[str]] = None
-        self._blocked: Dict[int, Optional[BlockedKernel]] = {}
+        self._consumers: Optional[Dict[str, List[OpNode]]] = None
+        self._chains: Dict[int, Dict[str, AggregationChain]] = {}
+        self._blocked: Dict[Tuple[int, bool], Optional[BlockedKernel]] = {}
 
     def _validate_schedule(self) -> None:
         """Every value must be defined before any kernel consumes it."""
@@ -310,7 +350,7 @@ class ExecPlan:
         """Gather(max) nodes whose argmax output is actually consumed
         (by a node of the module, or by the caller as a result)."""
         if self._argmax_demand is None:
-            consumers = self.module.consumer_map()
+            consumers = self._consumer_map()
             wanted = set(self.result_names())
             self._argmax_demand = frozenset(
                 node.name
@@ -320,16 +360,109 @@ class ExecPlan:
             )
         return self._argmax_demand
 
-    def blocked(self, index: int) -> Optional[BlockedKernel]:
+    def _consumer_map(self) -> Dict[str, List[OpNode]]:
+        if self._consumers is None:
+            self._consumers = self.module.consumer_map()
+        return self._consumers
+
+    def chains(self, index: int) -> Dict[str, AggregationChain]:
+        """Aggregation chains of kernel ``index``, keyed by the name of
+        every member node — interior and gather alike (see
+        :func:`_classify_chains`)."""
+        if index not in self._chains:
+            self._chains[index] = _classify_chains(self, index)
+        return self._chains[index]
+
+    def blocked(self, index: int, chains: bool = False) -> Optional[BlockedKernel]:
         """Walk classification of kernel ``index``; ``None`` when it
-        runs node by node (see :func:`_classify_blocked`)."""
-        if index not in self._blocked:
-            self._blocked[index] = _classify_blocked(self, index)
-        return self._blocked[index]
+        runs node by node (see :func:`_classify_blocked`).  With
+        ``chains`` the kernel's aggregation chains are single steps
+        whose interiors do not exist; without, every node is its own —
+        what a run that cannot take chains (reduced precision,
+        ``check_finite``) executes."""
+        key = (index, chains and bool(self.chains(index)))
+        if key not in self._blocked:
+            self._blocked[key] = _classify_blocked(
+                self, index, self.chains(index) if key[1] else {}
+            )
+        return self._blocked[key]
 
 
 # ----------------------------------------------------------------------
-def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
+def _classify_chains(plan: ExecPlan, index: int) -> Dict[str, AggregationChain]:
+    """Find the aggregation chains of one kernel.
+
+    A chain ends in a ``GATHER sum|mean`` whose input is made in this
+    kernel by the far-endpoint copy (``copy_u`` under ``"in"``,
+    ``copy_v`` under ``"out"``; the home-endpoint copy sums to
+    ``degree · x``, not an aggregation), optionally through one
+    ``APPLY mul`` whose other operand is EDGE-domain with a single
+    element per edge and leaves the message's feature shape alone.
+    Every intermediate must be kernel-internal — not kept, not an
+    output, unread by other kernels — and read by its next link only.
+    Operand, weight and result share one spec dtype, so the product
+    accumulates in the dtype the edge-tensor path would.
+    """
+    kernel = plan.kernels[index]
+    specs = plan.module.specs
+    internal = set(plan.kernel_io(index).internal)
+    consumers = plan._consumer_map()
+    produced = {o: node for node in kernel.nodes for o in node.outputs}
+
+    def link(name: str, reader: OpNode) -> Optional[OpNode]:
+        """Producer of ``name`` when only ``reader`` ever sees it."""
+        if name in internal and consumers.get(name) == [reader]:
+            return produced.get(name)
+        return None
+
+    found: Dict[str, AggregationChain] = {}
+    for gather in kernel.nodes:
+        if gather.kind is not OpKind.GATHER or gather.fn not in ("sum", "mean"):
+            continue
+        copy = "copy_u" if gather.orientation == "in" else "copy_v"
+
+        def far_copy(name: str, reader: OpNode) -> Optional[OpNode]:
+            node = link(name, reader)
+            if node is not None and node.kind is OpKind.SCATTER and node.fn == copy:
+                return node
+            return None
+
+        message, weight = gather.inputs[0], None
+        mul = link(message, gather)
+        if (
+            mul is not None and mul.kind is OpKind.APPLY
+            and mul.fn == "mul" and not mul.params
+        ):
+            a, b = mul.inputs
+            message, weight = (a, b) if far_copy(a, mul) is not None else (b, a)
+            if (
+                weight == message
+                or specs[weight].domain is not Domain.EDGE
+                or specs[weight].feat_elements != 1
+                or specs[mul.outputs[0]].feat_shape != specs[message].feat_shape
+            ):
+                continue
+        else:
+            mul = None
+        scatter = far_copy(message, mul or gather)
+        if scatter is None:
+            continue
+        chain = AggregationChain(
+            gather=gather,
+            interior=(scatter,) if mul is None else (scatter, mul),
+            source=scatter.inputs[0],
+            weight=weight,
+        )
+        dtypes = {specs[name].dtype for name in chain.operands + gather.outputs}
+        if len(dtypes) == 1:
+            for node in chain.interior + (gather,):
+                found[node.name] = chain
+    return found
+
+
+def _classify_blocked(
+    plan: ExecPlan, index: int, chains: Mapping[str, AggregationChain]
+) -> Optional[BlockedKernel]:
     """Split a fused kernel into the phases of an endpoint-blocked walk.
 
     Eligible: a fused kernel that owns at least one kernel-internal
@@ -337,6 +470,12 @@ def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
     kernels with nothing edge-sized to save, and kernels bearing a
     ``VIEW`` (aliases whole arrays) or ``max_grad`` (indexes by global
     edge id) keep the per-node path.
+
+    An aggregation chain in ``chains`` is one node — its gather, reading
+    the chain's operands: a home-row step whose far operand is whole.
+    Its interior is not built, so it is not an edge tensor to keep
+    block-sized, and a kernel whose only internal edge tensors belong to
+    chains has nothing to walk for.
 
     The home side is the widest gather's orientation.  In kernel order,
     each node lands in the first phase that can run it:
@@ -353,7 +492,10 @@ def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
       fed only by kernel inputs are hoisted to *pre* as well: nothing
       edge-sized is saved by slicing them.
     """
-    nodes = plan.kernels[index].nodes
+    nodes = tuple(
+        node for node in plan.kernels[index].nodes
+        if node.name not in chains or chains[node.name].gather is node
+    )
     specs = plan.module.specs
     if len(nodes) < 2 or any(
         n.kind is OpKind.VIEW
@@ -373,11 +515,15 @@ def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
             return 0 if fn.reads_u else None
         return (1 if fn.reads_u else 0) if fn.reads_v else None
 
+    def reads(node: OpNode) -> Tuple[str, ...]:
+        """Data operands the node's step reads (a chain head: the chain's)."""
+        return chains[node.name].operands if node.name in chains else node.inputs
+
     phase: Dict[str, str] = {}  # value produced in this kernel -> its phase
     by_phase: Dict[str, List[OpNode]] = {"pre": [], "block": [], "post": []}
     far_of: Dict[str, Optional[int]] = {}
     for node in nodes:
-        sources = {phase.get(name) for name in node.all_inputs()}
+        sources = {phase.get(name) for name in reads(node) + node.params}
         domain = specs[node.outputs[0]].domain
         row_local = (
             node.kind is not OpKind.PARAM_GRAD
@@ -386,11 +532,13 @@ def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
         )
         if node.kind is OpKind.GATHER:
             row_local = node.orientation == orientation
+            far_of[node.name] = 0 if node.name in chains else None
         elif node.kind is OpKind.SCATTER:
-            far_of[node.name] = far = far_input(node)
-            if far is not None and phase.get(node.inputs[far]) == "block":
-                row_local = False
+            far_of[node.name] = far_input(node)
         elif domain is Domain.VERTEX and "block" not in sources:
+            row_local = False
+        far = far_of.get(node.name)
+        if far is not None and phase.get(reads(node)[far]) == "block":
             row_local = False
         if "post" in sources or ("block" in sources and not row_local):
             where = "post"
@@ -403,7 +551,9 @@ def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
     # tensor it computes, there is nothing to keep block-sized.
     walk = by_phase["block"]
     leaves = set(plan.kernel_io(index).writes)
-    leaves.update(name for node in by_phase["post"] for name in node.all_inputs())
+    leaves.update(
+        name for node in by_phase["post"] for name in reads(node) + node.params
+    )
     if not any(
         specs[o].domain is Domain.EDGE and o not in leaves
         for node in walk for o in node.outputs
@@ -417,7 +567,7 @@ def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
     edge_rows: List[str] = []
     last_read: Dict[str, int] = {}
     for i, node in enumerate(walk):
-        for pos, name in enumerate(node.inputs):
+        for pos, name in enumerate(reads(node)):
             domain = specs[name].domain
             if pos == far_of.get(node.name) or domain not in (Domain.VERTEX, Domain.EDGE):
                 continue
@@ -442,13 +592,14 @@ def _classify_blocked(plan: ExecPlan, index: int) -> Optional[BlockedKernel]:
         far = far_of.get(node.name)
         steps.append(BlockStep(
             node=node,
-            whole=tuple(pos == far for pos in range(len(node.inputs))),
+            whole=tuple(pos == far for pos in range(len(reads(node)))),
             spill=tuple(
                 (o, specs[o].domain is Domain.EDGE)
                 for o in outputs if o in leaves
             ),
             dead=dead,
             argmax=outputs[1] if len(outputs) > 1 else None,
+            chain=chains.get(node.name),
         ))
     return BlockedKernel(
         orientation=orientation,

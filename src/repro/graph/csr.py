@@ -16,6 +16,12 @@ Conventions used throughout the library
   view's unit incidence operator (:func:`incidence_operator`,
   :meth:`Graph.incidence`): the permutation is the operator's column
   indices, so no permuted copy of the edge tensor is ever made.
+* An *aggregation* — the segment sum of far-endpoint vertex rows,
+  optionally scaled by one weight per edge — is the same product with
+  the view's adjacency operator (:func:`adjacency_operator`,
+  :meth:`Graph.adjacency`), whose columns are far-endpoint vertex ids:
+  no edge tensor exists at all.  Both operators are built here and
+  nowhere else.
 
 The class is deliberately plain: topology only, no features.  Features
 live in the execution engine; analytic passes only ever need
@@ -31,7 +37,25 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.sparse import csr_array
 
-__all__ = ["Graph", "incidence_operator"]
+__all__ = ["Graph", "adjacency_operator", "incidence_operator"]
+
+
+def adjacency_operator(
+    indptr: np.ndarray, columns: np.ndarray, num_columns: int, data: np.ndarray
+) -> csr_array:
+    """Segments × rows operator with one stored entry per edge.
+
+    Row ``i`` holds ``data[k]`` in column ``columns[k]`` for ``k`` in
+    ``indptr[i]:indptr[i+1]``, so ``operator @ x`` is, per segment,
+    ``+0.0`` then ``data[k] * x[columns[k]]`` added left to right.
+    Entries are kept as given — parallel edges stay separate terms, in
+    order.  With far-endpoint vertex ids as columns this is a weighted
+    adjacency; index arrays already in scipy's index dtype (another
+    operator's ``indices`` / ``indptr``) are referenced, not copied.
+    """
+    return csr_array(
+        (data, columns, indptr), shape=(indptr.shape[0] - 1, num_columns)
+    )
 
 
 def incidence_operator(
@@ -41,12 +65,10 @@ def incidence_operator(
 
     Row ``i`` holds a one in columns ``eids[indptr[i]:indptr[i+1]]``, so
     ``operator @ x`` is the segment sum of ``x`` — per segment ``+0.0``,
-    then each row added left to right in ``eids`` order.  The index
-    arrays are referenced, not copied.
+    then each row added left to right in ``eids`` order.
     """
-    return csr_array(
-        (np.ones(eids.shape[0], dtype=dtype), eids, indptr),
-        shape=(indptr.shape[0] - 1, num_edges),
+    return adjacency_operator(
+        indptr, eids, num_edges, np.ones(eids.shape[0], dtype=dtype)
     )
 
 
@@ -68,7 +90,7 @@ def _group_edges(
 
 class _SegmentLayout:
     """What a :class:`Graph` and the blocks it cuts share: CSC/CSR views
-    and a ``_cache`` to keep their incidence operators in."""
+    and a ``_cache`` to keep their incidence and adjacency operators in."""
 
     def segments(self, orientation: str) -> Tuple[np.ndarray, np.ndarray]:
         """``(indptr, eids)`` of the in- (CSC) or out- (CSR) edge grouping."""
@@ -87,6 +109,22 @@ class _SegmentLayout:
         if operator is None:
             operator = self._cache[key] = incidence_operator(
                 *self.segments(orientation), self.num_edges, dtype
+            )
+        return operator
+
+    def adjacency(self, orientation: str, dtype) -> csr_array:
+        """Cached unit :func:`adjacency_operator` of :meth:`segments`:
+        home vertices × far-endpoint vertices (sources for ``"in"``,
+        destinations for ``"out"``), one entry of ``dtype`` per edge in
+        CSC/CSR edge order.  A weighted operator shares its index
+        arrays."""
+        key = ("adjacency", orientation, np.dtype(dtype).char)
+        operator = self._cache.get(key)
+        if operator is None:
+            indptr, eids = self.segments(orientation)
+            far = (self.src if orientation == "in" else self.dst)[eids]
+            operator = self._cache[key] = adjacency_operator(
+                indptr, far, self.far_vertices, np.ones(far.shape[0], dtype=dtype)
             )
         return operator
 
@@ -149,6 +187,11 @@ class Graph(_SegmentLayout):
     def num_edges(self) -> int:
         """Number of directed edges."""
         return int(self.src.shape[0])
+
+    @property
+    def far_vertices(self) -> int:
+        """Rows of a far-endpoint operand (a block's is its graph's)."""
+        return self.num_vertices
 
     @property
     def in_degrees(self) -> np.ndarray:
@@ -244,7 +287,7 @@ class Graph(_SegmentLayout):
 
         Blocks are kept with the graph (which is immutable, so they
         cannot go stale): a training step that walks the same plan again
-        gets the same blocks, incidence operators included.
+        gets the same blocks, incidence and adjacency operators included.
         """
         key = ("row_block", orientation, lo, hi)
         block = self._cache.get(key)
@@ -267,7 +310,8 @@ class Graph(_SegmentLayout):
         home = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
         order = np.arange(p1 - p0, dtype=np.int64)
         block = _RowBlock(
-            num_vertices=hi - lo, num_edges=p1 - p0, eids=eids[p0:p1], _cache={}
+            num_vertices=hi - lo, far_vertices=self.num_vertices,
+            num_edges=p1 - p0, eids=eids[p0:p1], _cache={},
         )
         if orientation == "in":
             block.src, block.dst = far[block.eids], home

@@ -1,0 +1,372 @@
+"""Aggregation chains: recognition in the plan, execution in the engine
+(contract clause 1d).
+
+``copy_u → (× one weight per edge) → sum | mean`` inside one kernel runs
+as one adjacency × dense product.  The per-node path still exists — it
+is what ``MultiEngine``, reduced-precision and ``check_finite`` runs
+execute — so :func:`tests.helpers.run_plan_per_node` is the oracle:
+every value a run returns must equal it by ``tobytes()``, dtype and
+shape (a plan with a *weighted* chain: wherever scipy does not fuse
+``y += w * x``; within the stated tolerance otherwise).
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.exec import Engine, MultiEngine, backend_blocked, plan_memory, plan_module
+from repro.exec import engine as engine_module
+from repro.exec import kernel_registry
+from repro.frameworks import compile_training, get_strategy
+from repro.graph import Graph, chung_lu
+from repro.ir import Builder, Domain
+from repro.registry import MODELS
+
+from tests.helpers import assert_same_values, backward_arrays, run_plan_per_node
+
+IN_DIM, NUM_CLASSES = 6, 4
+STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
+
+
+@pytest.fixture(scope="module")
+def graph() -> Graph:
+    return chung_lu(50, 250, seed=3)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Every chain the engine ran as one product, as its ``weight``."""
+    calls = []
+    aggregate = engine_module.aggregate
+
+    def spy(layout, x, weight=None, **kwargs):
+        calls.append(weight)
+        return aggregate(layout, x, weight, **kwargs)
+
+    monkeypatch.setattr(engine_module, "aggregate", spy)
+    return calls
+
+
+def _chains(plan):
+    """The plan's distinct chains, in kernel order."""
+    found = {}
+    for i in range(len(plan.kernels)):
+        found.update((id(c), c) for c in plan.chains(i).values())
+    return list(found.values())
+
+
+def _compiled(model_name, strategy="ours"):
+    if isinstance(strategy, str):
+        strategy = get_strategy(strategy)
+    return compile_training(MODELS.get(model_name)(IN_DIM, NUM_CLASSES), strategy)
+
+
+def _arrays(compiled, graph):
+    feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+    arrays = compiled.model.make_inputs(graph, feats.astype(np.float32))
+    arrays.update(compiled.model.init_params(0))
+    return arrays
+
+
+def _training_differential(graph, compiled, engine, oracle, ctx, *, peaks=True):
+    """Forward then backward: ``engine.run_plan`` vs the per-node loop."""
+    arrays = _arrays(compiled, graph)
+    for phase, plan in (("forward", compiled.fwd_plan), ("backward", compiled.bwd_plan)):
+        got = engine.run_plan(plan, engine.bind(plan.module, arrays), unwrap=False)
+        want, want_peak = run_plan_per_node(oracle, plan, oracle.bind(plan.module, arrays))
+        assert_same_values(got, want, plan, f"{ctx}/{phase}")
+        assert not peaks or engine.measured_peak_bytes == want_peak, f"{ctx}/{phase}"
+        if phase == "forward":
+            arrays = backward_arrays(compiled, arrays, got)
+
+
+# ----------------------------------------------------------------------
+# Recognition
+# ----------------------------------------------------------------------
+def _module(
+    *, copy="copy_u", orientation="in", reduce="sum", weight_feat=(),
+    weight_first=False, second_reader=False, feat=(3,),
+):
+    b = Builder("chain")
+    x = b.input("x", Domain.VERTEX, feat)
+    w = None if weight_feat is None else b.input("w", Domain.EDGE, weight_feat)
+    msg = b.scatter(copy, **{copy[-1]: x}, name="msg")
+    out = msg
+    if w is not None:
+        out = b.apply("mul", *((w, msg) if weight_first else (msg, w)), name="wmsg")
+    agg = b.gather(reduce, out, orientation=orientation, name="agg")
+    b.output(b.apply("neg", agg[0] if reduce == "max" else agg, name="y"))
+    if second_reader:
+        b.output(b.apply("exp", msg, name="also"))
+    return b.build()
+
+
+class TestRecognition:
+    #: Sum/mean gathers in the training plans, all of them chains.
+    ZOO = {"gcn": 4, "sage": 3, "gin": 3, "rgcn": 12}
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("model_name", sorted(ZOO))
+    def test_every_sum_and_mean_gather_of_the_vertex_centric_models(
+        self, model_name, strategy
+    ):
+        compiled = _compiled(model_name, strategy)
+        plans = (compiled.fwd_plan, compiled.bwd_plan)
+        chains = [c for plan in plans for c in _chains(plan)]
+        gathers = [
+            n for plan in plans for n in plan.module.nodes
+            if n.kind.value == "gather" and n.fn in ("sum", "mean")
+        ]
+        assert len(chains) == len(gathers) == self.ZOO[model_name]
+        assert {c.gather.name for c in chains} == {n.name for n in gathers}
+        weighted = model_name in ("gcn", "rgcn")
+        assert all((c.weight is not None) == weighted for c in chains)
+        # Chain-only kernels have nothing left to walk for.
+        for plan in plans:
+            for i in range(len(plan.kernels)):
+                assert plan.blocked(i, True) is None
+
+    @pytest.mark.parametrize("model_name", ["gat", "monet", "edgeconv"])
+    def test_per_head_weights_and_edge_functions_are_not_chains(self, model_name):
+        for strategy in STRATEGIES:
+            compiled = _compiled(model_name, strategy)
+            for plan in (compiled.fwd_plan, compiled.bwd_plan):
+                assert _chains(plan) == []
+                for i in range(len(plan.kernels)):
+                    assert plan.blocked(i, True) is plan.blocked(i)
+
+    def test_single_head_attention_is_a_chain_inside_a_walk(self):
+        """dotgat scales messages by one softmax weight per edge: the
+        chain's weight is made in the walk, block by block."""
+        plan = _compiled("dotgat").fwd_plan
+        chains = _chains(plan)
+        assert [c.gather.name for c in chains] == ["l0_agg.0", "l1_agg.0"]
+        for i in range(len(plan.kernels)):
+            for name, chain in plan.chains(i).items():
+                blocked = plan.blocked(i, True)
+                steps = {s.node.name: s for s in blocked.steps}
+                if name == chain.gather.name:
+                    assert steps[name].chain is chain
+                    assert steps[name].whole == (True, False)
+                    assert chain.weight not in blocked.edge_rows
+                else:
+                    assert name not in steps
+
+    @pytest.mark.parametrize("reduce", ["sum", "mean"])
+    @pytest.mark.parametrize("weight_first", [False, True])
+    @pytest.mark.parametrize("weight_feat", [None, (), (1,)])
+    @pytest.mark.parametrize(
+        "copy, orientation", [("copy_u", "in"), ("copy_v", "out")]
+    )
+    def test_shapes_that_match(self, copy, orientation, weight_feat, weight_first, reduce):
+        module = _module(
+            copy=copy, orientation=orientation, reduce=reduce,
+            weight_feat=weight_feat, weight_first=weight_first,
+        )
+        plan = plan_module(module, mode="unified")
+        (chain,) = _chains(plan)
+        assert chain.gather.name == "agg" and chain.source == "x"
+        assert chain.weight == (None if weight_feat is None else "w")
+        assert [n.name for n in chain.interior] == (
+            ["msg"] if weight_feat is None else ["msg", "wmsg"]
+        )
+        members = {n.name for n in chain.interior} | {"agg"}
+        assert set(plan.chains(0)) == members
+        assert plan.chains(0) is plan.chains(0)
+
+    @pytest.mark.parametrize("refusal", [
+        "stashed", "second_reader", "wide_weight", "home_endpoint",
+        "weight_reshapes_message", "max", "per_op",
+    ])
+    def test_refusals(self, refusal):
+        keep, mode, kwargs = (), "unified", {}
+        if refusal == "stashed":
+            keep = ("wmsg",)
+        elif refusal == "second_reader":
+            kwargs = {"second_reader": True}
+        elif refusal == "wide_weight":
+            kwargs = {"weight_feat": (3,)}
+        elif refusal == "home_endpoint":
+            kwargs = {"copy": "copy_v"}  # summed over in-edges: degree · x
+        elif refusal == "weight_reshapes_message":
+            # (E, 1, 1) against (E, 3) right-pads the message to (E, 3, 1).
+            kwargs = {"weight_feat": (1, 1)}
+        elif refusal == "max":
+            kwargs = {"reduce": "max", "weight_feat": None}
+        elif refusal == "per_op":
+            mode = "per_op"  # the intermediates cross kernel boundaries
+        module = _module(**kwargs)
+        plan = plan_module(module, mode=mode, keep=keep)
+        assert all(plan.chains(i) == {} for i in range(len(plan.kernels)))
+
+    def test_mixed_storage_dtypes_are_refused(self):
+        b = Builder("mixed")
+        x = b.input("x", Domain.VERTEX, (3,))
+        w = b.input("w", Domain.EDGE, (), dtype="float64")
+        b.output(b.gather("sum", b.apply("mul", b.scatter("copy_u", u=x), w)))
+        plan = plan_module(b.build(), mode="unified")
+        assert plan.chains(0) == {}
+
+
+# ----------------------------------------------------------------------
+# Execution
+# ----------------------------------------------------------------------
+class TestChainVsNode:
+    """Whole training plans, chains taken, against the per-node loop."""
+
+    @pytest.mark.parametrize("backend", ["reference", "blocked"])
+    @pytest.mark.parametrize("engine_precision", ["float32", "float64"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_bit_identical(
+        self, products, graph, model_name, strategy, engine_precision, backend
+    ):
+        compiled = _compiled(model_name, strategy)
+        engine = Engine(graph, precision=engine_precision, backend=backend)
+        oracle = Engine(graph, precision=engine_precision, backend=backend)
+        _training_differential(
+            graph, compiled, engine, oracle,
+            f"{model_name}/{strategy}/{engine_precision}/{backend}",
+        )
+        chains = _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
+        assert [w is not None for w in products] == [
+            c.weight is not None for c in chains
+        ]
+
+    @pytest.mark.parametrize("weight_in_walk", [False, True])
+    @pytest.mark.parametrize("orientation", ["in", "out"])
+    def test_a_chain_is_one_step_of_a_walk(
+        self, monkeypatch, products, graph, orientation, weight_in_walk
+    ):
+        """A kernel that walks for another edge tensor runs its chain
+        per block: far operand whole, weight a kernel input (sliced per
+        block) or made inside the walk (already block-local)."""
+        copy = "copy_u" if orientation == "in" else "copy_v"
+        b = Builder("walked")
+        x = b.input("x", Domain.VERTEX, (3,))
+        w = b.input("w", Domain.EDGE, ())
+        e = b.scatter("u_dot_v", u=x, v=x)
+        other = b.gather("sum", b.apply("exp", e), orientation=orientation)
+        weight = b.apply("tanh", e) if weight_in_walk else w
+        msg = b.apply("mul", b.scatter(copy, **{copy[-1]: x}), weight)
+        agg = b.gather("mean", msg, orientation=orientation, name="agg")
+        b.output(b.apply("add", agg, other, name="y"))
+        module = b.build()
+        plan = plan_module(module, mode="unified")
+        assert len(plan.kernels) == 1 and len(_chains(plan)) == 1
+        blocked = plan.blocked(0, True)
+        assert blocked is not None and blocked.orientation == orientation
+        assert ("w" in blocked.edge_rows) == (not weight_in_walk)
+        rng = np.random.default_rng(1)
+        arrays = {
+            "x": rng.normal(size=(graph.num_vertices, 3)),
+            "w": rng.normal(size=graph.num_edges),
+        }
+        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 128)
+        for precision in ("float32", "float64"):
+            del products[:]
+            engine, oracle = Engine(graph, precision=precision), Engine(graph, precision=precision)
+            got = engine.run_plan(plan, engine.bind(module, arrays), unwrap=False)
+            want, _ = run_plan_per_node(oracle, plan, oracle.bind(module, arrays))
+            assert_same_values(got, want, plan, f"walked/{precision}")
+            assert len(products) >= 4  # one product per block
+
+    def test_multi_engine_keeps_the_per_node_path(self, products, graph):
+        from tests.helpers import training_values
+
+        compiled = _compiled("gcn")
+        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+        training_values(
+            MultiEngine(graph, 3), compiled, feats, compiled.model.init_params(0)
+        )
+        assert products == []
+
+
+class TestFallbacks:
+    """Runs that round or look at the node boundaries a chain removes,
+    and backends with their own kernels, execute every node — exactly
+    what they executed before chains existed."""
+
+    @pytest.mark.parametrize("precision", ["fp16", "bf16", "int8"])
+    @pytest.mark.parametrize("model_name", ["gcn", "sage"])
+    def test_narrow_storage_runs_every_node(
+        self, monkeypatch, products, graph, model_name, precision
+    ):
+        # Small blocks: the fallback is the *walked* per-node path.
+        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 128)
+        compiled = _compiled(
+            model_name, replace(get_strategy("ours"), precision=precision)
+        )
+        _training_differential(
+            graph, compiled, Engine(graph), Engine(graph), f"{model_name}/{precision}"
+        )
+        assert products == []
+        # A float64 engine casts every float and simulates no storage:
+        # nothing is rounded at a node boundary, so chains run.
+        _training_differential(
+            graph, compiled, Engine(graph, precision="float64"),
+            Engine(graph, precision="float64"), f"{model_name}/{precision}/float64",
+        )
+        assert products != []
+
+    def test_check_finite_names_the_interior_node(self, products, graph):
+        compiled = _compiled("gcn")
+        plan = compiled.fwd_plan
+        arrays = _arrays(compiled, graph)
+        arrays["gcn_norm"] = arrays["gcn_norm"].copy()
+        arrays["gcn_norm"][7] = np.inf
+        (first, *_) = _chains(plan)
+        engine = Engine(graph, check_finite=True)
+        with pytest.raises(FloatingPointError) as failure:
+            engine.run_plan(plan, engine.bind(plan.module, arrays))
+        # The multiply made the first non-finite value; with the chain
+        # taken it would never have run.
+        assert f"node {first.interior[-1].name!r} (apply:mul)" in str(failure.value)
+        assert products == []
+        # Without the check the same engine takes the chain.
+        engine.check_finite = False
+        engine.run_plan(plan, engine.bind(plan.module, arrays))
+        assert len(products) == len(_chains(plan))
+
+    def test_a_backend_with_its_own_sum_runs_every_node(self, products, graph):
+        compiled = _compiled("sage")
+        plan = compiled.fwd_plan
+        arrays = _arrays(compiled, graph)
+        reference = kernel_registry.resolve_kernel("gather", "mean")
+        kernel_registry.declare_backend(
+            "own-mean", bit_identical=True, description="test double"
+        )
+        kernel_registry.register_backend("gather", "mean", backend="own-mean")(
+            lambda *args: reference(*args)
+        )
+        try:
+            engine = Engine(graph, backend="own-mean")
+            got = engine.run_plan(plan, engine.bind(plan.module, arrays))
+            assert products == []
+        finally:
+            del kernel_registry._BACKENDS["own-mean"]
+            del kernel_registry._KERNELS[("gather", "mean")]["own-mean"]
+            kernel_registry._BUNDLES.pop("own-mean", None)
+        want = Engine(graph).run_plan(plan, Engine(graph).bind(plan.module, arrays))
+        assert len(products) == len(_chains(plan)) > 0
+        assert_same_values(got, want, plan, "own-mean")
+
+    @pytest.mark.parametrize("model_name", ["gcn", "sage", "dotgat"])
+    def test_arena_backed_runs_take_the_chain(self, products, graph, model_name):
+        compiled = _compiled(model_name)
+        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
+        stats = graph.stats()
+        plans = [
+            plan_memory(plan, stats, pinned=pinned)
+            for plan in (compiled.fwd_plan, compiled.bwd_plan)
+        ]
+        _training_differential(
+            graph, compiled, Engine(graph, memory_plan=plans), Engine(graph),
+            f"{model_name}/arena", peaks=False,  # the arena pins its inputs
+        )
+        assert len(products) == len(
+            _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
+        )

@@ -6,7 +6,10 @@ what every other kernel runs, and what ``MultiEngine`` drives), so it is
 the oracle.  With ``BLOCK_BYTES`` shrunk until the test graphs split
 into many blocks, everything a run returns and measures must equal the
 node-by-node loop in :func:`tests.helpers.run_plan_per_node` — by
-``tobytes()``, dtype and shape.
+``tobytes()``, dtype and shape.  Edge tensors that belong to an
+aggregation chain (clause 1d, ``tests/exec/test_aggregation_chains.py``)
+are never built, so a kernel owning no others has nothing to walk for:
+a fused model must walk or run chains, never neither.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from repro.exec import Engine, plan_memory, plan_module
 from repro.exec import backend_blocked
+from repro.exec import engine as engine_module
 from repro.exec.backend_blocked import segment_blocks
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph, chung_lu
@@ -26,7 +30,7 @@ from repro.ir import Builder, Domain
 from repro.ir.precision import PRECISIONS
 from repro.registry import MODELS
 
-from tests.helpers import backward_arrays, run_plan_per_node
+from tests.helpers import assert_same_values, backward_arrays, run_plan_per_node
 
 IN_DIM, NUM_CLASSES = 6, 4
 STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
@@ -112,14 +116,6 @@ def _training_arrays(compiled, graph, dtype=np.float32):
     return arrays
 
 
-def _assert_identical(got, want, ctx):
-    assert list(got) == list(want), ctx
-    for name in want:
-        a, b = np.asarray(got[name]), np.asarray(want[name])
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), f"{ctx}:{name}"
-        assert a.tobytes() == b.tobytes(), f"{ctx}:{name}"
-
-
 @pytest.fixture
 def walks(monkeypatch):
     """Every ``Engine._walk`` call of the test, as ``(blocked, rows_per_block)``."""
@@ -134,6 +130,21 @@ def walks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Every aggregation chain the test ran as one product, as the
+    layout (whole graph, or one block of a walk) it ran on."""
+    calls = []
+    aggregate = engine_module.aggregate
+
+    def spy(layout, *args, **kwargs):
+        calls.append(layout)
+        return aggregate(layout, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "aggregate", spy)
+    return calls
+
+
 def _differential(graph, model_name, strategy, engine_precision, backend):
     model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
     compiled = compile_training(model, strategy)
@@ -144,7 +155,7 @@ def _differential(graph, model_name, strategy, engine_precision, backend):
     for phase, plan in (("forward", compiled.fwd_plan), ("backward", compiled.bwd_plan)):
         got = engine.run_plan(plan, engine.bind(plan.module, arrays), unwrap=False)
         want, want_peak = run_plan_per_node(oracle, plan, oracle.bind(plan.module, arrays))
-        _assert_identical(got, want, f"{ctx}/{phase}")
+        assert_same_values(got, want, plan, f"{ctx}/{phase}")
         assert engine.measured_peak_bytes == want_peak, f"{ctx}/{phase}"
         if phase == "forward":
             arrays = backward_arrays(compiled, arrays, got)
@@ -159,25 +170,37 @@ class TestBlockVsNode:
     @pytest.mark.parametrize("strategy_name", STRATEGIES)
     @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
     def test_bit_identical(
-        self, small_blocks, walks, graph, model_name, strategy_name,
+        self, small_blocks, walks, products, graph, model_name, strategy_name,
         engine_precision, backend,
     ):
         for precision in PRECISIONS:
             strategy = replace(get_strategy(strategy_name), precision=precision)
+            del walks[:], products[:]
             _differential(graph, model_name, strategy, engine_precision, backend)
-        if strategy_name != "dgl-like" or model_name != "edgeconv":
-            # (dgl-like edgeconv has no fused kernel at all.)
-            assert walks, "no kernel took the blocked walk: the test is vacuous"
-        for blocked, rows_per_block in walks:
-            indptr = (
-                graph.csc_indptr if blocked.orientation == "in" else graph.csr_indptr
+            if strategy_name == "dgl-like" and model_name == "edgeconv":
+                continue  # no fused kernel at all
+            # Fused edge tensors are walked or, inside a chain, never
+            # built; a run doing neither materialised them whole.
+            assert walks or products, (
+                f"{precision}: no kernel walked and no chain ran: the test is vacuous"
             )
-            assert len(_blocks(indptr, rows_per_block)) >= 4
+            if model_name in ("gat", "monet", "edgeconv") or (
+                # Narrow storage rounds at node boundaries: every node
+                # runs, so chain-only kernels walk as they always did.
+                engine_precision == "float32" and precision != "fp32"
+            ):
+                assert walks and not products
+            for blocked, rows_per_block in walks:
+                indptr = (
+                    graph.csc_indptr if blocked.orientation == "in"
+                    else graph.csr_indptr
+                )
+                assert len(_blocks(indptr, rows_per_block)) >= 4
 
     def test_single_block_graphs_keep_the_node_path(self, walks, graph):
         # At the real BLOCK_BYTES a 250-edge graph is one block: the
         # walk would only add copies, so the kernel runs node by node.
-        _differential(graph, "gcn", get_strategy("ours"), "float32", "reference")
+        _differential(graph, "gat", get_strategy("ours"), "float32", "reference")
         assert walks == []
 
     def test_cached_blocks_follow_the_block_budget(self, monkeypatch):
@@ -186,7 +209,7 @@ class TestBlockVsNode:
         and both runs equal the per-node path."""
         graph = chung_lu(50, 250, seed=3)  # own graph: own, empty cache
         compiled = compile_training(
-            MODELS.get("gcn")(IN_DIM, NUM_CLASSES), get_strategy("ours")
+            MODELS.get("gat")(IN_DIM, NUM_CLASSES), get_strategy("ours")
         )
         plan = compiled.fwd_plan
         engine, oracle = Engine(graph), Engine(graph)
@@ -196,7 +219,7 @@ class TestBlockVsNode:
         for budget in (SMALL_BLOCK, 4 * SMALL_BLOCK, SMALL_BLOCK):
             monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", budget)
             got = engine.run_plan(plan, engine.bind(plan.module, arrays), unwrap=False)
-            _assert_identical(got, want, f"gcn/budget={budget}")
+            assert_same_values(got, want, plan, f"gat/budget={budget}")
             cached.append({k: v for k, v in graph._cache.items() if k[0] == "row_block"})
         small, both, again = cached
         assert small and set(small) < set(both)
@@ -226,7 +249,7 @@ class TestBlockVsNode:
                 arrays = backward_arrays(compiled, arrays, forward)
             want = fresh.run_plan(plan, fresh.bind(plan.module, arrays))
             got = arena.run_plan(plan, arena.bind(plan.module, arrays))
-            _assert_identical(got, want, f"{model_name}/arena")
+            assert_same_values(got, want, plan, f"{model_name}/arena")
             forward = forward or want
 
 
@@ -241,6 +264,10 @@ class TestClassification:
         plan = compiled.fwd_plan
         fused = [i for i, k in enumerate(plan.kernels) if len(k.nodes) > 1]
         assert plan.blocked(fused[0]) is plan.blocked(fused[0])
+        assert plan.chains(fused[0]) is plan.chains(fused[0])
+        # gcn's only internal edge tensors belong to its chains: a run
+        # that takes them has nothing to walk, one that cannot walks.
+        assert plan.blocked(fused[0], True) is None
         assert plan.result_names() is plan.result_names()
         assert plan.argmax_demand() is plan.argmax_demand()
         ref = weakref.ref(plan.blocked(fused[0]))
@@ -250,7 +277,9 @@ class TestClassification:
 
     def test_gcn_backward_prefix_runs_whole_once(self):
         """The recomputed bias_add→relu→relu_grad→bias_grad prefix reads
-        only kernel inputs: it is *pre*, not re-run per block."""
+        only kernel inputs: it is *pre*, not re-run per block (the walk
+        of a run that cannot take gcn's chains: narrow storage,
+        ``check_finite``)."""
         compiled = compile_training(
             MODELS.get("gcn")(IN_DIM, NUM_CLASSES), get_strategy("ours")
         )
@@ -403,41 +432,68 @@ class TestWalkAgainstNaiveLoop:
 
 
 class TestBytesAreReal:
-    def test_internal_edge_tensors_are_never_materialised(self):
-        """Host-side meaning of "internal values live on chip": one
-        ``run_plan`` of gcn's fused forward allocates its boundary
-        values plus a few blocks — not three full E×f temporaries."""
-        graph = chung_lu(20_000, 200_000, seed=1)
-        feat = 32
-        model = MODELS.get("gcn")(feat, feat)
-        compiled = compile_training(model, get_strategy("ours"))
-        plan = compiled.fwd_plan
-        edge_bytes = graph.num_edges * feat * 4
-        assert edge_bytes >= 16 * backend_blocked.BLOCK_BYTES
-        engine = Engine(graph)
-        rng = np.random.default_rng(0)
-        arrays = model.make_inputs(
-            graph, rng.normal(size=(graph.num_vertices, feat)).astype(np.float32)
-        )
-        arrays.update(model.init_params(0))
-        env = engine.bind(compiled.forward, arrays)
-        engine.run_plan(plan, env)
+    """Host-side meaning of "internal values live on chip": a fused
+    kernel's internal edge tensors are never materialised whole."""
 
-        stats = graph.stats()
-        specs = plan.module.specs
-        boundary = sum(
-            specs[w].nbytes(stats.num_vertices, stats.num_edges)
-            for i in range(len(plan.kernels))
-            for w in plan.kernel_io(i).writes
-        )
+    @staticmethod
+    def _traced_peak(engine, plan, env):
+        engine.run_plan(plan, env)  # blocks and operators are cached now
         tracemalloc.start()
         try:
             engine.run_plan(plan, env)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        stats = engine.graph.stats()
+        specs = plan.module.specs
+        boundary = sum(
+            specs[w].nbytes(stats.num_vertices, stats.num_edges)
+            for i in range(len(plan.kernels))
+            for w in plan.kernel_io(i).writes
+        )
+        return peak, boundary
+
+    def test_a_chain_allocates_no_edge_tensor_at_all(self):
+        """One ``run_plan`` of gcn's fused forward allocates its
+        boundary values plus one weight permutation (E scalars) — not
+        two E×f messages, and no blocks of them either."""
+        graph = chung_lu(20_000, 200_000, seed=1)
+        feat = 32
+        model = MODELS.get("gcn")(feat, feat)
+        compiled = compile_training(model, get_strategy("ours"))
+        engine = Engine(graph)
+        rng = np.random.default_rng(0)
+        arrays = model.make_inputs(
+            graph, rng.normal(size=(graph.num_vertices, feat)).astype(np.float32)
+        )
+        arrays.update(model.init_params(0))
+        peak, boundary = self._traced_peak(
+            engine, compiled.fwd_plan, engine.bind(compiled.forward, arrays)
+        )
+        scalars = graph.num_edges * 4
+        assert peak <= boundary + 2 * scalars, (
+            f"peak {peak / 2**20:.1f} MiB vs boundary {boundary / 2**20:.1f} MiB"
+        )
+        # A single E×f message would not fit.
+        assert feat * scalars > 2 * scalars + boundary
+
+    def test_a_walk_holds_blocks_not_edge_tensors(self):
+        """(x[src] + x[dst]) * w summed per destination: two internal
+        E×f tensors, of which one run holds a few blocks."""
+        graph = chung_lu(20_000, 200_000, seed=1)
+        feat = 32
+        module, plan = _walk_module("sum", "in", feat)
+        edge_bytes = graph.num_edges * feat * 4
+        assert edge_bytes >= 4 * backend_blocked.BLOCK_BYTES
+        engine = Engine(graph)
+        rng = np.random.default_rng(0)
+        env = engine.bind(module, {
+            "x": rng.normal(size=(graph.num_vertices, feat)).astype(np.float32),
+            "w": rng.normal(size=(graph.num_edges, feat)).astype(np.float32),
+        })
+        peak, boundary = self._traced_peak(engine, plan, env)
         assert peak <= boundary + 8 * backend_blocked.BLOCK_BYTES, (
             f"peak {peak / 2**20:.1f} MiB vs boundary {boundary / 2**20:.1f} MiB"
         )
-        # The parent's three E×f temporaries alone would not fit.
-        assert 3 * edge_bytes > boundary + 8 * backend_blocked.BLOCK_BYTES
+        # The two E×f temporaries alone would not fit.
+        assert 2 * edge_bytes > boundary + 8 * backend_blocked.BLOCK_BYTES

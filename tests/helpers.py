@@ -137,6 +137,55 @@ def backward_arrays(compiled, arrays, fwd) -> Dict[str, np.ndarray]:
     return bwd_arrays
 
 
+def csr_product_fuses() -> bool:
+    """Does this scipy build contract ``y += w * x`` into one rounding?
+
+    README clause 1d: a weighted aggregation chain is bit-identical to
+    the edge-tensor path exactly when it does not.  Three float32 terms
+    per column, ``-1 - 2**-11 + t*t`` with ``t = 1 + 2**-12``: ``t*t``
+    is ``1 + 2**-11 + 2**-24``, a tie that rounds to ``1 + 2**-11``, so
+    the unfused sum is ``0`` and the fused one ``2**-24``.  Nine columns
+    cover a vectorised body and its remainder.
+    """
+    from repro.graph.csr import adjacency_operator
+
+    t = np.float32(1 + 2.0 ** -12)
+    operator = adjacency_operator(
+        np.array([0, 3]), np.arange(3), 3, np.array([1, 1, t], dtype=np.float32)
+    )
+    x = np.repeat(np.array([[-1], [-(2.0 ** -11)], [t]], dtype=np.float32), 9, axis=1)
+    y = operator @ x
+    fused = y == np.float32(2.0 ** -24)
+    assert (fused | (y == 0)).all() and fused.all() == fused.any(), y
+    return bool(fused.any())
+
+
+def assert_same_values(got, want, plan, ctx: str) -> None:
+    """Two runs of ``plan`` returned the same values, in the same order,
+    by dtype, shape and ``tobytes()``.
+
+    The one stated exception is README clause 1d: where scipy fuses
+    ``y += w * x`` (:func:`csr_product_fuses`), a plan holding a
+    *weighted* aggregation chain agrees with its per-node execution to
+    one rounding per term, checked as ``allclose`` at the dtype's scale.
+    """
+    exact = not csr_product_fuses() or not any(
+        chain.weight is not None
+        for index in range(len(plan.kernels))
+        for chain in plan.chains(index).values()
+    )
+    assert list(got) == list(want), ctx
+    for name in want:
+        a, b = np.asarray(got[name]), np.asarray(want[name])
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f"{ctx}:{name}"
+        if exact or a.dtype.kind != "f":
+            assert a.tobytes() == b.tobytes(), f"{ctx}:{name}"
+        else:
+            rtol = 64 * np.finfo(a.dtype).eps
+            scale = float(np.abs(b).max(initial=0.0))
+            assert np.allclose(a, b, rtol=rtol, atol=rtol * scale), f"{ctx}:{name}"
+
+
 def run_plan_per_node(engine: Engine, plan, env):
     """``Engine.run_plan`` spelled out node by node.
 
