@@ -77,8 +77,16 @@ class GNNModel(abc.ABC):
         fixed at construction), so per-batch callers build and validate
         no module.
         """
+        return self.bind_inputs(features, self.edge_inputs(graph))
+
+    def bind_inputs(
+        self,
+        features: np.ndarray,
+        edge: Dict[str, np.ndarray],
+    ) -> Dict[str, np.ndarray]:
+        """:meth:`make_inputs` from :meth:`edge_inputs` already in hand —
+        a caller whose graph is fixed computes them once."""
         arrays: Dict[str, np.ndarray] = {}
-        edge = self.edge_inputs(graph)
         for name in self._input_names:
             if name == "h":
                 arrays[name] = features

@@ -117,11 +117,21 @@ class Trainer:
         if len(compiled.forward.outputs) != 1:
             raise ValueError("Trainer expects a single-output model")
         self.output_name = compiled.forward.outputs[0]
+        #: Graph-derived inputs (GCN's normalisation, RGCN's relation
+        #: masks, MoNet's pseudo-coordinates) in engine storage: the
+        #: graph is fixed, so they are computed and cast here, not on
+        #: every step.
+        specs = compiled.forward.specs
+        self._edge_inputs = {
+            name: self.engine._wrap(name, specs[name], arr)
+            for name, arr in compiled.model.edge_inputs(graph).items()
+            if name in specs
+        }
 
     # ------------------------------------------------------------------
     def forward(self, features: np.ndarray) -> Dict[str, np.ndarray]:
         """Run the forward plan; returns outputs plus stash (wrapped)."""
-        arrays = self.compiled.model.make_inputs(self.graph, features)
+        arrays = self.compiled.model.bind_inputs(features, self._edge_inputs)
         arrays.update(self.params)
         env = self.engine.bind(self.compiled.forward, arrays)
         self._fwd_env = env

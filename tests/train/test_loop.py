@@ -117,6 +117,39 @@ class TestTrainer:
             trajs[sname] = losses
         assert np.allclose(trajs["dgl-like"], trajs["ours"], rtol=1e-9)
 
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_graph_derived_inputs_are_computed_once(
+        self, setting, monkeypatch, precision
+    ):
+        """A Trainer's graph is fixed: ``edge_inputs`` (two degree
+        gathers, a sqrt and a divide over all edges for GCN) runs at
+        construction, not per step, and the losses are bit-equal to
+        rebuilding and re-casting the inputs on every step."""
+        graph, model, feats, labels = setting
+        calls = []
+        edge_inputs = GCN.edge_inputs
+        monkeypatch.setattr(
+            GCN, "edge_inputs",
+            lambda self, graph: calls.append(graph) or edge_inputs(self, graph),
+        )
+
+        class PerStep(Trainer):
+            def forward(self, features):
+                arrays = self.compiled.model.make_inputs(self.graph, features)
+                arrays.update(self.params)
+                env = self._fwd_env = self.engine.bind(self.compiled.forward, arrays)
+                return self.engine.run_plan(self.compiled.fwd_plan, env, unwrap=False)
+
+        c = compile_training(model, get_strategy("ours"))
+        losses = {}
+        for cls in (Trainer, PerStep):
+            del calls[:]
+            tr = cls(c, graph, precision=precision, seed=0)
+            opt = SGD(lr=0.1)
+            losses[cls] = [tr.train_step(feats, labels, opt)[0] for _ in range(3)]
+            assert len(calls) == (1 if cls is Trainer else 4)
+        assert losses[Trainer] == losses[PerStep]
+
     def test_evaluate_does_not_update(self, setting):
         graph, model, feats, labels = setting
         c = compile_training(model, get_strategy("ours"))
