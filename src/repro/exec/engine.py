@@ -375,13 +375,20 @@ class Engine:
                 blocked.row_elements * self.precision.itemsize
             )
             if self.graph.num_edges > rows_per_block:
-                for node in blocked.pre:
-                    self._step(run, node, chain=chains.get(node.name))
+                self._run_nodes(run, blocked.pre, chains)
                 self._walk(run, blocked, rows_per_block)
-                for node in blocked.post:
-                    self._step(run, node, chain=chains.get(node.name))
+                self._run_nodes(run, blocked.post, chains)
                 return
-        for node in kernel.nodes:
+        self._run_nodes(run, kernel.nodes, chains)
+
+    def _run_nodes(
+        self,
+        run: PlanRun,
+        nodes: Sequence[OpNode],
+        chains: Mapping[str, AggregationChain],
+    ) -> None:
+        """Step through ``nodes`` whole; a chain runs at its gather."""
+        for node in nodes:
             chain = chains.get(node.name)
             if chain is None or chain.gather is node:
                 self._step(run, node, chain=chain)

@@ -409,10 +409,14 @@ def _classify_chains(plan: ExecPlan, index: int) -> Dict[str, AggregationChain]:
     consumers = plan._consumer_map()
     produced = {o: node for node in kernel.nodes for o in node.outputs}
 
-    def link(name: str, reader: OpNode) -> Optional[OpNode]:
-        """Producer of ``name`` when only ``reader`` ever sees it."""
-        if name in internal and consumers.get(name) == [reader]:
-            return produced.get(name)
+    def link(name: str, reader: OpNode, kind: OpKind, fn: str) -> Optional[OpNode]:
+        """The ``kind:fn`` node making ``name``, if only ``reader`` sees it."""
+        node = produced.get(name)
+        if (
+            node is not None and node.kind is kind and node.fn == fn
+            and name in internal and consumers.get(name) == [reader]
+        ):
+            return node
         return None
 
     found: Dict[str, AggregationChain] = {}
@@ -420,21 +424,13 @@ def _classify_chains(plan: ExecPlan, index: int) -> Dict[str, AggregationChain]:
         if gather.kind is not OpKind.GATHER or gather.fn not in ("sum", "mean"):
             continue
         copy = "copy_u" if gather.orientation == "in" else "copy_v"
-
-        def far_copy(name: str, reader: OpNode) -> Optional[OpNode]:
-            node = link(name, reader)
-            if node is not None and node.kind is OpKind.SCATTER and node.fn == copy:
-                return node
-            return None
-
         message, weight = gather.inputs[0], None
-        mul = link(message, gather)
-        if (
-            mul is not None and mul.kind is OpKind.APPLY
-            and mul.fn == "mul" and not mul.params
-        ):
+        mul = link(message, gather, OpKind.APPLY, "mul")
+        if mul is not None:
             a, b = mul.inputs
-            message, weight = (a, b) if far_copy(a, mul) is not None else (b, a)
+            message, weight = (
+                (a, b) if link(a, mul, OpKind.SCATTER, copy) is not None else (b, a)
+            )
             if (
                 weight == message
                 or specs[weight].domain is not Domain.EDGE
@@ -442,9 +438,7 @@ def _classify_chains(plan: ExecPlan, index: int) -> Dict[str, AggregationChain]:
                 or specs[mul.outputs[0]].feat_shape != specs[message].feat_shape
             ):
                 continue
-        else:
-            mul = None
-        scatter = far_copy(message, mul or gather)
+        scatter = link(message, mul or gather, OpKind.SCATTER, copy)
         if scatter is None:
             continue
         chain = AggregationChain(

@@ -37,6 +37,24 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Every aggregation chain an ``Engine`` ran as one product during
+    the test, as ``(layout, weight)``: the whole graph or one block of
+    a walk, and the per-edge weight (``None`` when unweighted)."""
+    from repro.exec import engine
+
+    calls = []
+    aggregate = engine.aggregate
+
+    def spy(layout, x, weight=None, **kwargs):
+        calls.append((layout, weight))
+        return aggregate(layout, x, weight, **kwargs)
+
+    monkeypatch.setattr(engine, "aggregate", spy)
+    return calls
+
+
 def segment_reduce_reference(values, keys, num_segments, reduce):
     """O(n·segments) reference implementation of segmented reduction."""
     out_shape = (num_segments,) + values.shape[1:]

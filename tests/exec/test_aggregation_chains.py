@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from repro.exec import Engine, MultiEngine, backend_blocked, plan_memory, plan_module
-from repro.exec import engine as engine_module
 from repro.exec import kernel_registry
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph, chung_lu
 from repro.ir import Builder, Domain
 from repro.registry import MODELS
 
-from tests.helpers import assert_same_values, backward_arrays, run_plan_per_node
+from tests.helpers import (
+    assert_same_values, backward_arrays, run_plan_per_node, training_values,
+)
 
 IN_DIM, NUM_CLASSES = 6, 4
 STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
@@ -34,20 +35,6 @@ STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
 @pytest.fixture(scope="module")
 def graph() -> Graph:
     return chung_lu(50, 250, seed=3)
-
-
-@pytest.fixture
-def products(monkeypatch):
-    """Every chain the engine ran as one product, as its ``weight``."""
-    calls = []
-    aggregate = engine_module.aggregate
-
-    def spy(layout, x, weight=None, **kwargs):
-        calls.append(weight)
-        return aggregate(layout, x, weight, **kwargs)
-
-    monkeypatch.setattr(engine_module, "aggregate", spy)
-    return calls
 
 
 def _chains(plan):
@@ -232,7 +219,7 @@ class TestChainVsNode:
             f"{model_name}/{strategy}/{engine_precision}/{backend}",
         )
         chains = _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
-        assert [w is not None for w in products] == [
+        assert [weight is not None for _, weight in products] == [
             c.weight is not None for c in chains
         ]
 
@@ -275,8 +262,6 @@ class TestChainVsNode:
             assert len(products) >= 4  # one product per block
 
     def test_multi_engine_keeps_the_per_node_path(self, products, graph):
-        from tests.helpers import training_values
-
         compiled = _compiled("gcn")
         feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
         training_values(

@@ -22,7 +22,6 @@ import pytest
 
 from repro.exec import Engine, plan_memory, plan_module
 from repro.exec import backend_blocked
-from repro.exec import engine as engine_module
 from repro.exec.backend_blocked import segment_blocks
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph, chung_lu
@@ -127,21 +126,6 @@ def walks(monkeypatch):
         return walk(self, run, blocked, rows_per_block)
 
     monkeypatch.setattr(Engine, "_walk", spy)
-    return calls
-
-
-@pytest.fixture
-def products(monkeypatch):
-    """Every aggregation chain the test ran as one product, as the
-    layout (whole graph, or one block of a walk) it ran on."""
-    calls = []
-    aggregate = engine_module.aggregate
-
-    def spy(layout, *args, **kwargs):
-        calls.append(layout)
-        return aggregate(layout, *args, **kwargs)
-
-    monkeypatch.setattr(engine_module, "aggregate", spy)
     return calls
 
 

@@ -13,6 +13,7 @@ array shapes an Engine run touches.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -137,6 +138,7 @@ def backward_arrays(compiled, arrays, fwd) -> Dict[str, np.ndarray]:
     return bwd_arrays
 
 
+@functools.lru_cache(maxsize=None)
 def csr_product_fuses() -> bool:
     """Does this scipy build contract ``y += w * x`` into one rounding?
 
