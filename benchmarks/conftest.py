@@ -2,11 +2,13 @@
 
 Every test here does two things:
 
-1. **Analytic reproduction** — runs the figure's experiment at the
-   paper's published scale through the counter/cost-model pipeline,
+1. **Analytic reproduction** — builds the figure's entry of
+   :data:`repro.bench.figures.FIGURES` (the experiment at the paper's
+   published scale, through the counter/cost-model pipeline) and
    asserts the paper's qualitative shape (who wins, roughly by what
-   factor), and persists the rendered table under
-   ``benchmarks/results/`` (EXPERIMENTS.md references these files).
+   factor).  The suite only reads ``benchmarks/results/``:
+   ``python -m repro.bench`` writes it and
+   ``test_golden_regression.py`` compares.
 2. **Wall-clock signal** — times one concrete NumPy-engine step of a
    scaled-down version of the same workload via pytest-benchmark.  The
    NumPy engine executes identical kernels regardless of strategy (its
@@ -17,11 +19,10 @@ Every test here does two things:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 import numpy as np
 import pytest
 
+from repro.bench.figures import FIGURES
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph, chung_lu, get_dataset
 from repro.graph.generators import batch_point_clouds
@@ -50,6 +51,19 @@ def make_step_fn(
         return trainer.train_step(feats, labels, opt)
 
     return step
+
+
+@pytest.fixture(scope="session")
+def figures():
+    """:data:`FIGURES` built on first use, once per session: the
+    per-figure shape tests and the golden comparison share one build."""
+
+    class Built(dict):
+        def __missing__(self, name):
+            self[name] = FIGURES[name]()
+            return self[name]
+
+    return Built()
 
 
 @pytest.fixture(scope="session")

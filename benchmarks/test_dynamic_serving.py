@@ -24,15 +24,11 @@ Qualitative shape asserted here (the PR's acceptance contract):
 
 import pytest
 
-from repro.bench.figures import fig_dynamic_serving
-from repro.bench.report import save_table
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig_dynamic_serving()
-    save_table("fig_dynamic_serving", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig_dynamic_serving"]
 
 
 def _by_frac(figure):

@@ -10,18 +10,14 @@ latency and 1.55× on MoNet at −5.9 % (it *accelerates*).
 
 import pytest
 
-from repro.bench.figures import fig10_recomputation
-from repro.bench.report import save_table
 from repro.models import GAT, MoNet
 
 from benchmarks.conftest import make_step_fn
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig10_recomputation()
-    save_table("fig10_recomputation", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig10_recomputation"]
 
 
 def _by_variant(figure, workload):

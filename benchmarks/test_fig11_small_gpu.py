@@ -7,8 +7,6 @@ to (for EdgeConv, 1.17× better than) DGL on the 3090.
 
 import pytest
 
-from repro.bench.figures import fig11_small_gpu
-from repro.bench.report import save_table
 from repro.gpu import RTX2080
 from repro.models import GAT, EdgeConv
 
@@ -16,10 +14,8 @@ from benchmarks.conftest import make_step_fn
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig11_small_gpu()
-    save_table("fig11_small_gpu", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig11_small_gpu"]
 
 
 def _run(figure, workload, strategy, gpu):

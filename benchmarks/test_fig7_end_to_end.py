@@ -16,8 +16,7 @@ absolute numbers (DESIGN.md §2).
 
 import pytest
 
-from repro.bench.figures import fig7_edgeconv, fig7_gat, fig7_monet
-from repro.bench.report import geomean, save_table
+from repro.bench.report import geomean
 from repro.models import GAT, EdgeConv, MoNet
 
 from benchmarks.conftest import make_step_fn
@@ -25,10 +24,8 @@ from benchmarks.conftest import make_step_fn
 
 class TestFig7GAT:
     @pytest.fixture(scope="class")
-    def figure(self):
-        fr = fig7_gat()
-        save_table("fig7_gat", fr.table)
-        return fr
+    def figure(self, figures):
+        return figures["fig7_gat"]
 
     def test_ours_beats_dgl_everywhere(self, figure, benchmark, cora_graph):
         for row in figure.normalized:
@@ -68,10 +65,8 @@ class TestFig7GAT:
 
 class TestFig7EdgeConv:
     @pytest.fixture(scope="class")
-    def figure(self):
-        fr = fig7_edgeconv()
-        save_table("fig7_edgeconv", fr.table)
-        return fr
+    def figure(self, figures):
+        return figures["fig7_edgeconv"]
 
     def test_io_saving_in_paper_band(self, figure, benchmark, modelnet_small):
         # Paper: avg 5.32×, up to 6.89× IO saving.
@@ -106,10 +101,8 @@ class TestFig7EdgeConv:
 
 class TestFig7MoNet:
     @pytest.fixture(scope="class")
-    def figure(self):
-        fr = fig7_monet()
-        save_table("fig7_monet", fr.table)
-        return fr
+    def figure(self, figures):
+        return figures["fig7_monet"]
 
     def test_speedup_band(self, figure, benchmark, cora_graph):
         # Paper: avg 1.69×, up to 2.00×.

@@ -8,8 +8,7 @@ MoNet has no leading Scatter, so the pass does not apply (asserted).
 
 import pytest
 
-from repro.bench.figures import fig8_reorganization
-from repro.bench.report import geomean, save_table
+from repro.bench.report import geomean
 from repro.models import GAT, EdgeConv, MoNet
 from repro.opt.reorganize import reorganizable_pairs
 
@@ -17,10 +16,8 @@ from benchmarks.conftest import make_step_fn
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig8_reorganization()
-    save_table("fig8_reorganization", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig8_reorganization"]
 
 
 class TestFig8:

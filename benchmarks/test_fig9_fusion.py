@@ -10,18 +10,15 @@ kernel buffers vertex features in shared memory.
 
 import pytest
 
-from repro.bench.figures import fig9_fusion
-from repro.bench.report import geomean, save_table
+from repro.bench.report import geomean
 from repro.models import GAT, EdgeConv, MoNet
 
 from benchmarks.conftest import make_step_fn
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig9_fusion()
-    save_table("fig9_fusion", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig9_fusion"]
 
 
 class TestFig9:

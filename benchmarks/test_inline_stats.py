@@ -8,20 +8,15 @@
 
 import pytest
 
-from repro.bench.figures import (
-    inline_intermediate_memory_share,
-    inline_redundant_computation,
-)
-from repro.bench.report import save_table
 from repro.models import GAT, EdgeConv
 
 from benchmarks.conftest import make_step_fn
 
 
 class TestInlineStats:
-    def test_redundant_computation_share(self, benchmark, modelnet_small):
-        share, table = inline_redundant_computation()
-        save_table("inline_redundancy", table)
+    def test_redundant_computation_share(self, figures, benchmark,
+                                         modelnet_small):
+        share = figures["inline_redundancy"].normalized[0]["share"]
         # Paper: 92.4 %.  Same k=40 regime: |E| = 40|V| projections
         # collapse to |V|.
         assert 0.85 < share < 0.97
@@ -30,9 +25,9 @@ class TestInlineStats:
             rounds=3, iterations=1, warmup_rounds=1,
         )
 
-    def test_intermediate_memory_share(self, benchmark, reddit_small_graph):
-        share, table = inline_intermediate_memory_share()
-        save_table("inline_memory_share", table)
+    def test_intermediate_memory_share(self, figures, benchmark,
+                                       reddit_small_graph):
+        share = figures["inline_memory_share"].normalized[0]["share"]
         # Paper: 91.9 %.
         assert 0.85 < share < 0.99
         benchmark.pedantic(

@@ -12,45 +12,14 @@ recovering vertex-balanced performance on skewed graphs.
 
 import pytest
 
-from repro.bench.harness import measure
-from repro.bench.report import format_table, save_table
-from repro.frameworks import compile_forward, get_strategy
-from repro.gpu import RTX3090, CostModel
-from repro.graph import GraphStats, get_dataset
 from repro.models import GCN
 
 from benchmarks.conftest import make_step_fn
 
 
 @pytest.fixture(scope="module")
-def results():
-    skew = get_dataset("reddit-lite").stats
-    regular = GraphStats.regular(skew.num_vertices, round(skew.mean_in_degree))
-    model = GCN(64, (64,))
-    rows = {}
-    for wname, stats in (("skewed", skew), ("regular", regular)):
-        vertex = measure(model, wname, stats, "ours", RTX3090, training=False)
-        edge = measure(model, wname, stats, "ours-edgemap", RTX3090, training=False)
-        compiled = compile_forward(model, get_strategy("ours"))
-        grouped_cm = CostModel(RTX3090, neighbor_group_size=128)
-        grouped = grouped_cm.latency_seconds(compiled.counters(stats), stats)
-        rows[wname] = {
-            "vertex": vertex.latency_s,
-            "edge+atomics": edge.latency_s,
-            "vertex+grouping": grouped,
-        }
-    table = format_table(
-        ["workload", "vertex-balanced (ms)", "edge-balanced (ms)",
-         "vertex+grouping (ms)"],
-        [
-            [w, f"{r['vertex']*1e3:.3f}", f"{r['edge+atomics']*1e3:.3f}",
-             f"{r['vertex+grouping']*1e3:.3f}"]
-            for w, r in rows.items()
-        ],
-        title="mapping-ablation (GCN forward, RTX3090)",
-    )
-    save_table("mapping_ablation", table)
-    return rows
+def results(figures):
+    return {r["workload"]: r for r in figures["mapping_ablation"].normalized}
 
 
 class TestMappingAblation:

@@ -22,16 +22,12 @@ Qualitative shape asserted here (the PR's acceptance contract):
 import numpy as np
 import pytest
 
-from repro.bench.figures import fig_memory_plan
-from repro.bench.report import save_table
 from repro.registry import MODELS
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig_memory_plan()
-    save_table("fig_memory_plan", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig_memory_plan"]
 
 
 class TestMemoryPlanFigure:

@@ -21,15 +21,11 @@ Qualitative shape asserted here, per §6 strategy:
 
 import pytest
 
-from repro.bench.figures import fig_minibatch_io
-from repro.bench.report import save_table
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig_minibatch_io()
-    save_table("minibatch_io", fr.table)
-    return fr
+def figure(figures):
+    return figures["minibatch_io"]
 
 
 def _series(figure, strategy):

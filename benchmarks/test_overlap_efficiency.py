@@ -23,15 +23,11 @@ Qualitative shape asserted here:
 
 import pytest
 
-from repro.bench.figures import fig_overlap_efficiency
-from repro.bench.report import save_table
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig_overlap_efficiency()
-    save_table("fig_overlap_efficiency", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig_overlap_efficiency"]
 
 
 class TestOverlapEfficiency:

@@ -24,8 +24,6 @@ explicit halo exchange.
 import numpy as np
 import pytest
 
-from repro.bench.figures import fig_multi_gpu_scaling
-from repro.bench.report import save_table
 from repro.exec.engine import Engine
 from repro.exec.multi import MultiEngine
 from repro.frameworks import compile_training, get_strategy
@@ -33,10 +31,8 @@ from repro.models import GAT
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig_multi_gpu_scaling()
-    save_table("scaling_multi_gpu", fr.table)
-    return fr
+def figure(figures):
+    return figures["scaling_multi_gpu"]
 
 
 def _series(figure, workload):

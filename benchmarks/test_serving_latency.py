@@ -21,15 +21,11 @@ Qualitative shape asserted here (the PR's acceptance contract):
 
 import pytest
 
-from repro.bench.figures import fig_serving_latency
-from repro.bench.report import save_table
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig_serving_latency()
-    save_table("fig_serving_latency", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig_serving_latency"]
 
 
 def _by_cache(figure):

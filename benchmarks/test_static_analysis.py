@@ -18,8 +18,7 @@ Qualitative shape asserted here (the PR's acceptance contract):
   class counted here.
 """
 
-from repro.bench.figures import ANALYSIS_STRATEGIES, fig_static_analysis
-from repro.bench.report import save_table
+from repro.bench.figures import ANALYSIS_STRATEGIES
 from repro.registry import MODELS
 
 import pytest
@@ -31,10 +30,8 @@ CHECKER_COLS = (
 
 
 @pytest.fixture(scope="module")
-def figure():
-    fr = fig_static_analysis()
-    save_table("fig_static_analysis", fr.table)
-    return fr
+def figure(figures):
+    return figures["fig_static_analysis"]
 
 
 class TestStaticAnalysisFigure:

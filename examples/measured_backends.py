@@ -5,8 +5,8 @@ The execution substrate dispatches every kernel through a per-op
 backend registry (`repro.exec.kernel_registry`).  `reference` is the
 always-available NumPy oracle (segment sums are one CSR product);
 `blocked` re-runs `max` gathers in cache-sized edge chunks
-(bit-identical, usually faster on large graphs); `numba`/`torch`
-register themselves only when their package is installed.  This script
+(bit-identical, usually faster on large graphs); a further backend
+registers through `declare_backend` / `register_backend`.  This script
 drives the whole surface:
 
 1. the registry — what is available here, aliases, fallback,

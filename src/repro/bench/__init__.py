@@ -1,9 +1,10 @@
 """Benchmark harness: experiment runners and paper-style reporting.
 
-The per-figure experiment definitions live in
-:mod:`repro.bench.figures`; the pytest-benchmark entry points under
-``benchmarks/`` call into them and persist the generated tables under
-``benchmarks/results/`` (which EXPERIMENTS.md references).
+The per-figure experiment definitions and their catalogue
+(:data:`~repro.bench.figures.FIGURES`) live in
+:mod:`repro.bench.figures`; ``python -m repro.bench`` persists the
+generated tables under ``benchmarks/results/`` and the pytest-benchmark
+entry points under ``benchmarks/`` assert their shapes.
 """
 
 from repro.bench.harness import (

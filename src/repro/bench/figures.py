@@ -1,12 +1,14 @@
 """Per-figure experiment definitions (paper §7 settings).
 
-Each ``figN_*`` function runs the corresponding experiment at the
-paper's published scale (via :class:`~repro.graph.stats.GraphStats` —
-including the full 115M-edge Reddit degree model), returns the raw
-:class:`~repro.bench.harness.RunResult` rows plus a rendered table, and
-is invoked both by the ``benchmarks/`` suite (which asserts the paper's
-qualitative shapes and persists the tables) and by EXPERIMENTS.md
-regeneration.
+Each builder runs one experiment at the paper's published scale (via
+:class:`~repro.graph.stats.GraphStats` — including the full 115M-edge
+Reddit degree model) and returns a :class:`FigureResult`: the raw
+:class:`~repro.bench.harness.RunResult` rows, the normalised rows and
+the rendered table.  :data:`FIGURES`, at the bottom of this module, is
+the one catalogue of them: ``python -m repro.bench`` writes each entry
+to ``benchmarks/results/<name>.txt``, ``benchmarks/`` asserts the
+paper's qualitative shapes on the same builders, and the golden test
+compares their output with the committed files.
 
 Paper settings reproduced here:
 
@@ -35,32 +37,15 @@ import numpy as np
 
 from repro.bench.harness import RunResult, measure, normalized_rows
 from repro.bench.report import format_table
+from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.session import PlanCache, Session, SweepRow
+from repro.gpu.cost_model import CostModel
 from repro.gpu.spec import GPUSpec, RTX2080, RTX3090
 from repro.graph.datasets import get_dataset
 from repro.graph.stats import GraphStats
-from repro.models import GAT, EdgeConv, GraphSAGE, MoNet
+from repro.models import GAT, GCN, EdgeConv, GraphSAGE, MoNet
 
-__all__ = [
-    "fig7_gat",
-    "fig7_edgeconv",
-    "fig7_monet",
-    "fig8_reorganization",
-    "fig9_fusion",
-    "fig10_recomputation",
-    "fig11_small_gpu",
-    "fig_multi_gpu_scaling",
-    "fig_overlap_efficiency",
-    "fig_minibatch_io",
-    "fig_memory_plan",
-    "fig_static_analysis",
-    "fig_precision_io",
-    "fig_backend_calibration",
-    "fig_serving_latency",
-    "fig_dynamic_serving",
-    "inline_redundant_computation",
-    "inline_intermediate_memory_share",
-]
+__all__ = ["FIGURES", "WALL_CLOCK", "FigureResult", "ANALYSIS_STRATEGIES"]
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +99,6 @@ def _edgeconv_ablation(training: bool) -> EdgeConv:
 class FigureResult:
     """Raw rows plus the rendered table for one figure."""
 
-    name: str
     results: List[RunResult]
     table: str
     normalized: List[Dict[str, object]]
@@ -133,6 +117,29 @@ class FigureResult:
         raise KeyError((workload, strategy))
 
 
+def _measure_grid(
+    runs: Sequence[Tuple[object, str, GraphStats]],
+    variants: Sequence[Tuple[str, GPUSpec]],
+    *,
+    training: bool = True,
+) -> List[RunResult]:
+    """Every run under every ``(strategy, gpu)`` variant, run-major.
+
+    One plan cache per grid: the device only enters at latency-model
+    time, so workloads sharing a model instance, every repeated strategy
+    and both GPUs of a pair reuse one compilation.
+    """
+    cache = PlanCache()
+    return [
+        measure(
+            model, workload, stats, strategy, gpu,
+            training=training, cache=cache,
+        )
+        for model, workload, stats in runs
+        for strategy, gpu in variants
+    ]
+
+
 def _run_grid(
     name: str,
     runs: Sequence[Tuple[object, str, GraphStats]],
@@ -142,18 +149,9 @@ def _run_grid(
     training: bool = True,
     baseline: str = "dgl-like",
 ) -> FigureResult:
-    # One plan cache per grid: workloads sharing a model instance (and
-    # every repeated strategy) reuse one compilation.
-    cache = PlanCache()
-    results: List[RunResult] = []
-    for model, workload, stats in runs:
-        for strategy in strategies:
-            results.append(
-                measure(
-                    model, workload, stats, strategy, gpu,
-                    training=training, cache=cache,
-                )
-            )
+    results = _measure_grid(
+        runs, [(strategy, gpu) for strategy in strategies], training=training
+    )
     normalized = normalized_rows(results, baseline=baseline)
     rows = [
         [
@@ -168,7 +166,7 @@ def _run_grid(
         rows,
         title=f"{name} (normalised to {baseline}, {gpu.name})",
     )
-    return FigureResult(name=name, results=results, table=table, normalized=normalized)
+    return FigureResult(results, table, normalized)
 
 
 # ======================================================================
@@ -252,14 +250,10 @@ def fig10_recomputation() -> FigureResult:
         (_monet_ablation(training=True), "monet-reddit",
          _dataset_stats("reddit-full")),
     ]
-    variants = ("ours-nofusion", "ours-stash", "ours")
-    cache = PlanCache()
-    results: List[RunResult] = []
-    for model, workload, stats in runs:
-        for strategy in variants:
-            results.append(
-                measure(model, workload, stats, strategy, RTX3090, cache=cache)
-            )
+    results = _measure_grid(
+        runs,
+        [(s, RTX3090) for s in ("ours-nofusion", "ours-stash", "ours")],
+    )
     rows = [
         [
             r.workload,
@@ -278,7 +272,7 @@ def fig10_recomputation() -> FigureResult:
         title="fig10-recomputation (RTX3090, one training step)",
     )
     normalized = normalized_rows(results, baseline="ours-stash")
-    return FigureResult("fig10-recomputation", results, table, normalized)
+    return FigureResult(results, table, normalized)
 
 
 # ======================================================================
@@ -294,20 +288,14 @@ def fig11_small_gpu() -> FigureResult:
         (_monet_ablation(training=True), "monet-reddit",
          _dataset_stats("reddit-full")),
     ]
-    # The device only enters at latency-model time, so each (model,
-    # strategy) pair compiles once and serves both GPUs via the cache.
-    cache = PlanCache()
-    results: List[RunResult] = []
-    for model, workload, stats in runs:
-        for strategy, gpu in (
-            ("dgl-like", RTX3090),
-            ("ours", RTX3090),
-            ("dgl-like", RTX2080),
-            ("ours", RTX2080),
-        ):
-            results.append(
-                measure(model, workload, stats, strategy, gpu, cache=cache)
-            )
+    results = _measure_grid(
+        runs,
+        [
+            (strategy, gpu)
+            for gpu in (RTX3090, RTX2080)
+            for strategy in ("dgl-like", "ours")
+        ],
+    )
     rows = [
         [
             r.workload, r.strategy, r.gpu,
@@ -321,7 +309,7 @@ def fig11_small_gpu() -> FigureResult:
         rows,
         title="fig11-small-gpu (one training step; OOM = exceeds DRAM)",
     )
-    return FigureResult("fig11-small-gpu", results, table, [])
+    return FigureResult(results, table, [])
 
 
 # ======================================================================
@@ -417,7 +405,7 @@ def fig_multi_gpu_scaling(
             "hash partition)"
         ),
     )
-    return FigureResult("multi-gpu-scaling", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
@@ -506,7 +494,7 @@ def fig_overlap_efficiency(
             "makespans, hash partition)"
         ),
     )
-    return FigureResult("overlap-efficiency", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
@@ -586,7 +574,7 @@ def fig_minibatch_io(
             f"{gpu.name}; epoch totals, per-batch peak)"
         ),
     )
-    return FigureResult("minibatch-io", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
@@ -677,7 +665,7 @@ def fig_serving_latency(
             f"slo {slo_s * 1e3:.0f} ms, edf)"
         ),
     )
-    return FigureResult("serving-latency", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 def fig_dynamic_serving(
@@ -783,7 +771,7 @@ def fig_dynamic_serving(
             f"{cache_rows} cache rows, edf)"
         ),
     )
-    return FigureResult("dynamic-serving", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
@@ -866,7 +854,7 @@ def fig_memory_plan(dataset: str = "pubmed") -> FigureResult:
             "step; planned = pinned + arena)"
         ),
     )
-    return FigureResult("memory-plan", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
@@ -964,7 +952,7 @@ def fig_static_analysis(dataset: str = "cora") -> FigureResult:
             f"lint: {lint_errors} error(s))"
         ),
     )
-    return FigureResult("static-analysis", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
@@ -1040,7 +1028,7 @@ def fig_precision_io(dataset: str = "pubmed") -> FigureResult:
             "feature gather at storage width, analytic peak)"
         ),
     )
-    return FigureResult("precision-io", [], table, normalized)
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
@@ -1082,7 +1070,6 @@ def fig_backend_calibration(
     from repro.exec.engine import Engine
     from repro.exec.kernel_registry import available_backends
     from repro.exec.measure import MeasuredRun, calibration_rows, measure_plan
-    from repro.frameworks import compile_training, get_strategy
     from repro.graph.generators import chung_lu
     from repro.ir.module import GRAPH_CONSTANTS
 
@@ -1176,17 +1163,80 @@ def fig_backend_calibration(
             f"median of {repeats}; analytic on {runs[0].gpu})"
         ),
     )
-    return FigureResult("backend-calibration", [], table, normalized)
+    return FigureResult([], table, normalized)
+
+
+# ======================================================================
+# Thread-mapping ablation (§5, Figure 5)
+# ======================================================================
+def fig_mapping_ablation() -> FigureResult:
+    """Vertex- vs edge-balanced mapping of a GCN aggregate kernel.
+
+    §5 lets a fused kernel "select between vertex-balanced or
+    edge-balanced mapping based on performance profiling": edge-balanced
+    mapping balances perfectly but pays atomics for reductions
+    (Fig. 5(d)); vertex-balanced mapping is atomic-free but serialises
+    on hub vertices (Fig. 5(c)).  GCN's aggregate has no ReduceScatter,
+    so the mapping is free to choose; the table prices both on a skewed
+    (``reddit-lite``) and a degree-matched regular graph, next to
+    GNNAdvisor-style neighbor grouping (§8.1) on the vertex mapping.
+    Rows land in ``normalized`` keyed by workload, latencies in seconds.
+    """
+    skew = get_dataset("reddit-lite").stats
+    regular = GraphStats.regular(skew.num_vertices, round(skew.mean_in_degree))
+    model = GCN(64, (64,))
+    compiled = compile_forward(model, get_strategy("ours"))
+    normalized: List[Dict[str, object]] = []
+    for workload, stats in (("skewed", skew), ("regular", regular)):
+        vertex = measure(model, workload, stats, "ours", RTX3090, training=False)
+        edge = measure(
+            model, workload, stats, "ours-edgemap", RTX3090, training=False
+        )
+        grouped = CostModel(RTX3090, neighbor_group_size=128).latency_seconds(
+            compiled.counters(stats), stats
+        )
+        normalized.append(
+            {
+                "workload": workload,
+                "vertex": vertex.latency_s,
+                "edge+atomics": edge.latency_s,
+                "vertex+grouping": grouped,
+            }
+        )
+    table = format_table(
+        ["workload", "vertex-balanced (ms)", "edge-balanced (ms)",
+         "vertex+grouping (ms)"],
+        [
+            [r["workload"], f"{r['vertex']*1e3:.3f}",
+             f"{r['edge+atomics']*1e3:.3f}",
+             f"{r['vertex+grouping']*1e3:.3f}"]
+            for r in normalized
+        ],
+        title="mapping-ablation (GCN forward, RTX3090)",
+    )
+    return FigureResult([], table, normalized)
 
 
 # ======================================================================
 # Inline §1 statistics
 # ======================================================================
-def inline_redundant_computation() -> Tuple[float, str]:
+def _inline_share(
+    title: str, quantity: str, paper: str, share: float
+) -> FigureResult:
+    table = format_table(
+        ["quantity", "paper", "measured"],
+        [[quantity, paper, f"{share * 100:.1f}%"]],
+        title=title,
+    )
+    return FigureResult([], table, [{"quantity": quantity, "share": share}])
+
+
+def inline_redundant_computation() -> FigureResult:
     """Share of EdgeConv operator FLOPs that §4 identifies as redundant.
 
     Paper: 92.4 % of total operators in the EdgeConv (k=40) setting.
-    Measured as (naive − reorganized) / naive forward FLOPs.
+    Measured as (naive − reorganized) / naive forward FLOPs; the share
+    is ``normalized[0]["share"]``.
     """
     stats = _modelnet_stats(64, 40)
     model = EdgeConv(3, (64, 64, 128, 256))
@@ -1194,23 +1244,21 @@ def inline_redundant_computation() -> Tuple[float, str]:
         model, "modelnet", stats, "ours-noreorg", RTX3090, training=False
     )
     opt = measure(model, "modelnet", stats, "ours", RTX3090, training=False)
-    share = (naive.flops - opt.flops) / naive.flops
-    table = format_table(
-        ["quantity", "paper", "measured"],
-        [["redundant FLOP share (EdgeConv k=40)", "92.4%", f"{share * 100:.1f}%"]],
-        title="inline-redundancy",
+    return _inline_share(
+        "inline-redundancy", "redundant FLOP share (EdgeConv k=40)", "92.4%",
+        (naive.flops - opt.flops) / naive.flops,
     )
-    return share, table
 
 
-def inline_intermediate_memory_share() -> Tuple[float, str]:
+def inline_intermediate_memory_share() -> FigureResult:
     """Share of GAT training memory spent on stashed intermediates.
 
     Paper: 91.9 % of total memory in a GAT model.  Measured on the
     save-everything (DGL-like) configuration at the §7.3 GAT setting, as
     stashed bytes over everything resident when the forward pass hands
     over to backward (inputs + parameters + stash) — the residency that
-    training memory is provisioned for.
+    training memory is provisioned for; the share is
+    ``normalized[0]["share"]``.
     """
     stats = _dataset_stats("reddit-full")
     model = _gat_ablation(training=True)
@@ -1218,11 +1266,40 @@ def inline_intermediate_memory_share() -> Tuple[float, str]:
         Session().model(model).stats(stats, "gat-reddit")
         .strategy("dgl-like").counters()
     )
-    share = counters.stash_bytes / counters.forward.end_resident_bytes
-    table = format_table(
-        ["quantity", "paper", "measured"],
-        [["intermediate-data memory share (GAT)", "91.9%",
-          f"{share * 100:.1f}%"]],
-        title="inline-memory-share",
+    return _inline_share(
+        "inline-memory-share", "intermediate-data memory share (GAT)", "91.9%",
+        counters.stash_bytes / counters.forward.end_resident_bytes,
     )
-    return share, table
+
+
+# ======================================================================
+# The catalogue
+# ======================================================================
+#: Every table under ``benchmarks/results/``: file stem -> zero-argument
+#: builder.  The CLI (the only writer of that directory), the per-figure
+#: fixtures under ``benchmarks/`` and the golden test all read this.
+FIGURES: Dict[str, Callable[[], FigureResult]] = {
+    "fig7_gat": fig7_gat,
+    "fig7_edgeconv": fig7_edgeconv,
+    "fig7_monet": fig7_monet,
+    "fig8_reorganization": fig8_reorganization,
+    "fig9_fusion": fig9_fusion,
+    "fig10_recomputation": fig10_recomputation,
+    "fig11_small_gpu": fig11_small_gpu,
+    "scaling_multi_gpu": fig_multi_gpu_scaling,
+    "mapping_ablation": fig_mapping_ablation,
+    "minibatch_io": fig_minibatch_io,
+    "fig_memory_plan": fig_memory_plan,
+    "fig_static_analysis": fig_static_analysis,
+    "fig_precision_io": fig_precision_io,
+    "fig_serving_latency": fig_serving_latency,
+    "fig_dynamic_serving": fig_dynamic_serving,
+    "fig_overlap_efficiency": fig_overlap_efficiency,
+    "backend_calibration_smoke": fig_backend_calibration,
+    "inline_redundancy": inline_redundant_computation,
+    "inline_memory_share": inline_intermediate_memory_share,
+}
+
+#: Entries whose cells are host wall-clock: regenerating them changes the
+#: file, so the golden test pins their structure, never their bytes.
+WALL_CLOCK = frozenset({"backend_calibration_smoke"})

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for bench output and EXPERIMENTS.md."""
+"""Plain-text table rendering and persistence for bench output."""
 
 from __future__ import annotations
 

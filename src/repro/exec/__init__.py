@@ -22,7 +22,6 @@ and recompute programs, as produced by :mod:`repro.opt`.
 from repro.exec.plan import ExecPlan, Kernel, plan_module
 from repro.exec.engine import Engine
 from repro.exec.kernel_registry import (
-    BackendUnavailableError,
     available_backends,
     canonical_backend,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "plan_module",
     "Engine",
     "MultiEngine",
-    "BackendUnavailableError",
     "available_backends",
     "canonical_backend",
     "MeasuredRun",

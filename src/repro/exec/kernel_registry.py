@@ -18,11 +18,9 @@ Shipped backends
     Pure NumPy with cache-sized edge-chunking for ``max`` reductions
     (:mod:`repro.exec.backend_blocked`); sums are the reference's.
     Always available; bit-identical to reference.
-``numba`` / ``torch``
-    Auto-registered only when the corresponding package is importable
-    (:mod:`repro.exec.backend_numba`, :mod:`repro.exec.backend_torch`).
-    Absence is not an error — the backend simply does not appear in
-    :func:`available_backends`.
+A further backend is a module that calls :func:`declare_backend` once
+and decorates its overrides with :func:`register_backend`; importing it
+makes the name usable everywhere a backend name is accepted.
 
 Kernel signatures (what :func:`register_backend` expects):
 
@@ -46,10 +44,8 @@ __all__ = [
     "KINDS",
     "REFERENCE_BACKEND",
     "BACKEND_ALIASES",
-    "OPTIONAL_BACKENDS",
     "BackendInfo",
     "BackendKernels",
-    "BackendUnavailableError",
     "available_backends",
     "backend_info",
     "canonical_backend",
@@ -66,17 +62,6 @@ REFERENCE_BACKEND = "reference"
 
 #: User-facing spellings accepted anywhere a backend name is.
 BACKEND_ALIASES = {"numpy": REFERENCE_BACKEND}
-
-#: Backends that exist in the codebase but require an optional package.
-OPTIONAL_BACKENDS = {
-    "numba": "numba",
-    "torch": "torch",
-}
-
-
-class BackendUnavailableError(RuntimeError):
-    """A known backend cannot run because its dependency is missing."""
-
 
 @dataclass(frozen=True)
 class BackendInfo:
@@ -127,34 +112,24 @@ def _ensure_loaded() -> None:
     if not _LOADED:
         _LOADED = True
         # kernels.py registers the reference backend and pulls in the
-        # blocked/numba/torch modules at the bottom of the file.
+        # blocked module at the bottom of the file.
         importlib.import_module("repro.exec.kernels")
 
 
 def canonical_backend(name: str) -> str:
-    """Resolve aliases and validate that ``name`` is usable here.
-
-    Raises :class:`BackendUnavailableError` for a backend this codebase
-    knows about whose optional dependency is missing, and ``ValueError``
-    for a name it has never heard of.
-    """
+    """Resolve aliases and validate that ``name`` is a declared backend
+    (``ValueError`` otherwise, listing the ones that are)."""
     _ensure_loaded()
     resolved = BACKEND_ALIASES.get(name, name)
     if resolved in _BACKENDS:
         return resolved
-    if resolved in OPTIONAL_BACKENDS:
-        raise BackendUnavailableError(
-            f"backend {resolved!r} requires the optional "
-            f"{OPTIONAL_BACKENDS[resolved]!r} package, which is not "
-            f"installed; available backends: {available_backends()}"
-        )
     raise ValueError(
         f"unknown backend {name!r}; available backends: {available_backends()}"
     )
 
 
 def available_backends() -> List[str]:
-    """Backends usable in this environment, reference first."""
+    """Every declared backend, reference first."""
     _ensure_loaded()
     rest = sorted(n for n in _BACKENDS if n != REFERENCE_BACKEND)
     return [REFERENCE_BACKEND] + rest

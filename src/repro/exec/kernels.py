@@ -771,10 +771,6 @@ def _p_gaussian_sigma_grad(inputs, params, attrs):
 # ======================================================================
 # Alternative backends
 # ======================================================================
-# Importing these modules registers their kernels.  ``blocked`` is pure
-# NumPy and always available; the numba/torch modules register nothing
-# when their optional dependency is missing.  These imports sit at the
-# bottom because the backend modules reuse helpers defined above.
+# Importing the module registers its kernels.  The import sits at the
+# bottom because ``blocked`` reuses helpers defined above.
 from repro.exec import backend_blocked as _backend_blocked  # noqa: E402,F401
-from repro.exec import backend_numba as _backend_numba  # noqa: E402,F401
-from repro.exec import backend_torch as _backend_torch  # noqa: E402,F401

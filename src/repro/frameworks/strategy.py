@@ -92,8 +92,7 @@ class ExecutionStrategy:
     backend:
         Kernel backend executing the compiled plans (see
         :mod:`repro.exec.kernel_registry`): ``"reference"`` (alias
-        ``"numpy"``), ``"blocked"``, or an optional backend like
-        ``"numba"``/``"torch"`` when its package is installed.  Purely
+        ``"numpy"``), ``"blocked"``, or one a caller registered.  Purely
         an execution choice — plans, counters, and the analytic model
         are backend-independent.
     precision:

@@ -372,9 +372,8 @@ class Session:
 
         ``backend`` is a name from
         :func:`repro.exec.kernel_registry.available_backends` —
-        ``"reference"`` (alias ``"numpy"``), ``"blocked"``, or an
-        optional backend such as ``"numba"``/``"torch"`` when its
-        package is installed.  The resolved strategy carries the choice
+        ``"reference"`` (alias ``"numpy"``), ``"blocked"``, or one a
+        caller registered.  The resolved strategy carries the choice
         (``ExecutionStrategy.backend``), so concrete execution paths —
         :meth:`report` training, :meth:`serve`, direct ``Engine`` runs
         on the compiled plans — all use it.  Analytic counters and

@@ -101,7 +101,10 @@ class TestFigureSmoke:
             inline_redundant_computation,
         )
 
-        share, table = inline_redundant_computation()
-        assert 0 < share < 1 and "92.4%" in table
-        share, table = inline_intermediate_memory_share()
-        assert 0 < share < 1 and "91.9%" in table
+        for build, paper in (
+            (inline_redundant_computation, "92.4%"),
+            (inline_intermediate_memory_share, "91.9%"),
+        ):
+            fr = build()
+            (row,) = fr.normalized
+            assert 0 < row["share"] < 1 and paper in fr.table

@@ -1,10 +1,12 @@
-"""``python -m repro.bench`` command line: flag dispatch and reproducibility."""
+"""``python -m repro.bench`` command line: the case table and reproducibility."""
 
 import os
 import subprocess
 import sys
 
 from repro.bench import __main__ as bench_main
+from repro.bench.figures import FIGURES, WALL_CLOCK
+from repro.bench.report import RESULTS_DIR
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -14,22 +16,47 @@ class TestCaseDispatch:
         # Regression: `--smoke --serve` used to run only `--smoke` (the
         # first match of an if-chain) and silently drop the rest.
         ran = []
-
-        def stub(name, status):
-            return (lambda: ran.append(name) or status), f"stub {name}"
-
-        monkeypatch.setitem(bench_main.CASES, "smoke", stub("smoke", 0))
-        monkeypatch.setitem(bench_main.CASES, "serve", stub("serve", 3))
-        monkeypatch.setitem(bench_main.CASES, "overlap", stub("overlap", 5))
+        monkeypatch.setattr(bench_main, "run_case", ran.append)
         # Given out of order on purpose: cases run in CASES order.
-        assert bench_main.main(["--overlap", "--serve", "--smoke"]) == 3
-        assert ran == ["smoke", "serve", "overlap"]
+        assert bench_main.main(["--overlap", "--serve", "--smoke"]) == 0
+        assert ran == [bench_main.CASES[f] for f in ("smoke", "serve", "overlap")]
 
     def test_no_flag_regenerates_everything(self, monkeypatch):
         ran = []
-        monkeypatch.setattr(bench_main, "run_full", lambda: ran.append("full") or 0)
+        monkeypatch.setattr(bench_main, "run_case", ran.append)
         assert bench_main.main([]) == 0
-        assert ran == ["full"]
+        assert ran == [bench_main.FULL]
+        assert set(bench_main.FULL.figures) == set(FIGURES)
+        assert set(bench_main.FULL.sweeps) == set(bench_main.SWEEPS)
+
+    def test_run_case_saves_what_it_builds(self, monkeypatch, tmp_path, capsys):
+        import repro.bench.report as report
+
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+        bench_main.run_case(bench_main.Case("t", figures=("inline_redundancy",)))
+        table = FIGURES["inline_redundancy"]().table
+        with open(tmp_path / "inline_redundancy.txt") as fh:
+            assert fh.read() == table.rstrip() + "\n"
+        assert table in capsys.readouterr().out
+
+
+class TestOneCatalogue:
+    def test_cases_name_only_registered_entries(self):
+        for flag, case in bench_main.CASES.items():
+            assert case.figures or case.sweeps, flag
+            assert set(case.figures) <= set(FIGURES), flag
+            assert set(case.sweeps) <= set(bench_main.SWEEPS), flag
+
+    def test_results_dir_is_exactly_the_registries(self):
+        # No orphan (a file nothing regenerates) and no duplicate (two
+        # entries behind one file): the suite never writes this
+        # directory, so its listing is the committed set.
+        assert not set(FIGURES) & set(bench_main.SWEEPS)
+        assert WALL_CLOCK <= set(FIGURES)
+        assert sorted(os.listdir(RESULTS_DIR)) == sorted(
+            [f"{name}.txt" for name in FIGURES]
+            + [f"{name}.json" for name in bench_main.SWEEPS]
+        )
 
 
 def _git_status():
@@ -41,16 +68,16 @@ def _git_status():
 
 
 def test_smoke_twice_leaves_the_checkout_unchanged():
-    """The smoke sweep rewrites a committed golden JSON; it embeds no
-    timestamp, so running it — and running it again — must not dirty
-    the tree."""
+    """The cases rewrite committed goldens — a sweep JSON and a figure
+    table here; neither embeds a timestamp, so running them — and
+    running them again — must not dirty the tree."""
     path = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
     )
     before = _git_status()
     for _ in range(2):
         subprocess.run(
-            [sys.executable, "-m", "repro.bench", "--smoke"],
+            [sys.executable, "-m", "repro.bench", "--smoke", "--memory"],
             cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
             check=True, stdout=subprocess.DEVNULL,
         )
