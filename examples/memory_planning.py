@@ -22,7 +22,7 @@ import argparse
 import numpy as np
 
 import repro
-from repro.exec import Engine, plan_memory
+from repro.exec import Engine
 from repro.exec.analytic import analyze_plan
 from repro.graph import get_dataset
 
@@ -70,8 +70,7 @@ def main() -> None:
     graph = ds.graph()
     stats = ds.stats
     compiled = session.compile()
-    pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
-    mp_f = plan_memory(compiled.fwd_plan, stats, pinned=pinned)
+    mp_f = compiled.memory_plan(stats).forward
     rng = np.random.default_rng(0)
     feats = rng.normal(
         size=(graph.num_vertices, args.feature_dim)
@@ -89,7 +88,7 @@ def main() -> None:
     )
     for name in fresh:
         assert np.array_equal(np.asarray(fresh[name]), np.asarray(pooled[name]))
-    want = analyze_plan(compiled.fwd_plan, stats, pinned=pinned)
+    want = analyze_plan(compiled.fwd_plan, stats, pinned=compiled.pinned)
     print("=== measured vs analytic forward ledger ===")
     print(f"measured high-watermark  {arena.measured_peak_bytes:>12d} B")
     print(f"analytic ledger peak     {want.peak_memory_bytes:>12d} B")

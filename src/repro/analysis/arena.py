@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.diagnostics import Diagnostic, Severity, SourceLocation
-from repro.exec.memory import MemoryPlan, _align, ledger_walk
-from repro.ir.module import GRAPH_CONSTANTS
+from repro.exec.memory import MemoryPlan, _align, ledger_walk, root_sizes
 
 __all__ = ["check_memory_plan", "ArenaChecker"]
 
@@ -57,10 +56,9 @@ def check_memory_plan(
                     )
                 )
 
-    specs = plan.module.specs
-    V, E = stats.num_vertices, stats.num_edges
+    sizes = root_sizes(plan, stats)
     for slab in slabs:
-        need = specs[slab.name].nbytes(V, E)
+        need = sizes[slab.name]
         if slab.size < _align(need) or slab.nbytes < need:
             diags.append(
                 Diagnostic(
@@ -88,10 +86,9 @@ def check_memory_plan(
                 )
             )
 
-    # Coverage: every liveness root must be slabbed, pinned, or free.
-    free_names = {plan.root_of(n) for n in GRAPH_CONSTANTS if n in specs}
-    for root in sorted(plan.liveness()):
-        if root in mp.slabs or root in mp.pinned or root in free_names:
+    # Coverage: every root the ledger charges must be slabbed or pinned.
+    for root in sorted(sizes):
+        if root in mp.slabs or root in mp.pinned:
             continue
         diags.append(
             Diagnostic(
@@ -106,9 +103,9 @@ def check_memory_plan(
             )
         )
 
-    # Watermarks: recompute the ledger and reconcile the recorded peaks.
-    sizes = {root: specs[root].nbytes(V, E) for root in plan.liveness()}
-    peak, live_peak = ledger_walk(plan, sizes, pinned_roots=mp.pinned)
+    # Watermarks: re-walk the ledger and reconcile the recorded peaks.
+    walk = ledger_walk(plan, sizes, pinned=mp.pinned)
+    peak, live_peak = walk.peak_bytes, walk.live_peak_bytes
     if peak != mp.ledger_peak_bytes or live_peak != mp.live_peak_bytes:
         diags.append(
             Diagnostic(

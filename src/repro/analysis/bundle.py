@@ -58,11 +58,7 @@ def build_bundle(
     compiled = session.compile(training=training)
     stats = session.resolve_stats()
 
-    if training:
-        phases = [("forward", compiled.fwd_plan), ("backward", compiled.bwd_plan)]
-    else:
-        phases = [("forward", compiled.plan)]
-
+    phases = compiled.phases()
     logical = any(
         spec.dtype in LOGICAL_DTYPES
         for _, plan in phases
@@ -70,10 +66,8 @@ def build_bundle(
     )
     memory_plans = {}
     if not logical:
-        smp = session.memory_plan(training=training)
-        memory_plans["forward"] = smp.forward
-        if smp.backward is not None:
-            memory_plans["backward"] = smp.backward
+        planned = session.memory_plan(training=training).phases()
+        memory_plans = {phase: mp for (phase, _), mp in zip(phases, planned)}
 
     cluster = session.resolve_cluster()
     if cluster is not None:

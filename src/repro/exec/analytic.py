@@ -10,8 +10,9 @@ degree distribution).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
+from repro.exec.memory import ledger_walk, root_sizes
 from repro.exec.plan import ExecPlan, Kernel
 from repro.exec.profiler import (
     BatchCost,
@@ -113,61 +114,20 @@ def analyze_plan(
     stats: GraphStats,
     *,
     pinned: Iterable[str] = (),
-    extra_resident_bytes: int = 0,
 ) -> PhaseCounters:
-    """Walk a plan, producing kernel records and the memory ledger.
+    """Kernel records of a plan plus what the §6 ledger saw.
 
-    Parameters
-    ----------
-    pinned:
-        Value names never freed during the walk (model features, labels,
-        parameters — memory the user owns regardless of scheduling).
-    extra_resident_bytes:
-        Constant footprint carried through the phase (e.g. the stash
-        while walking a backward plan also accounts the seeds /
-        parameters via the module interface, so this is rarely needed).
+    ``pinned`` value names are never freed (model features, labels,
+    parameters — memory the user owns regardless of scheduling); the
+    memory figures are read off :func:`repro.exec.memory.ledger_walk`.
     """
-    specs = plan.module.specs
-    V, E = stats.num_vertices, stats.num_edges
-    lives = plan.liveness()
-    pinned_roots = {plan.root_of(p) for p in pinned}
-    # Graph constants are manufactured from topology on demand.
-    free_names = {plan.root_of(n) for n in GRAPH_CONSTANTS if n in specs}
-
-    def nbytes(root: str) -> int:
-        return specs[root].nbytes(V, E)
-
-    resident: Dict[str, int] = {}
-    for name in list(plan.module.inputs) + list(plan.module.params):
-        root = plan.root_of(name)
-        if root not in resident and root not in free_names:
-            resident[root] = nbytes(root)
-
-    current = sum(resident.values()) + extra_resident_bytes
-    peak = current
-    records = []
-    n_kernels = len(plan.kernels)
-    for i in range(n_kernels):
-        record = kernel_record(plan, i, stats)
-        records.append(record)
-        io = plan.kernel_io(i)
-        for w in io.writes:
-            root = plan.root_of(w)
-            if root not in resident and root not in free_names:
-                size = nbytes(root)
-                resident[root] = size
-                current += size
-        peak = max(peak, current)
-        # Free boundary values whose last consumer has now run.  Module
-        # inputs are freed too (a consumed stash entry releases its
-        # memory) unless pinned.
-        for root, (defk, last) in lives.items():
-            if last == i and root in resident and root not in pinned_roots:
-                current -= resident.pop(root)
+    walk = ledger_walk(plan, root_sizes(plan, stats), pinned=pinned)
     return PhaseCounters(
-        records=records,
-        peak_memory_bytes=peak,
-        end_resident_bytes=current,
+        records=[
+            kernel_record(plan, i, stats) for i in range(len(plan.kernels))
+        ],
+        peak_memory_bytes=walk.peak_bytes,
+        end_resident_bytes=walk.end_resident_bytes,
     )
 
 

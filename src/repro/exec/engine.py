@@ -40,7 +40,9 @@ from __future__ import annotations
 import time
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, List, Mapping, MutableMapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -48,14 +50,33 @@ from repro.exec import backend_blocked
 from repro.exec.kernel_registry import get_backend, resolve_kernel
 from repro.exec.kernels import _gather_layout, aggregate
 from repro.exec.memory import ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan
-from repro.exec.plan import AggregationChain, BlockedKernel, ExecPlan, Kernel
+from repro.exec.plan import (
+    AggregationChain, BlockedKernel, ExecPlan, Kernel, Liveness,
+)
 from repro.graph.csr import Graph
 from repro.ir.module import GRAPH_CONSTANTS, Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.precision import bf16_round, simulate_storage
 from repro.ir.tensorspec import LOGICAL_DTYPES, Domain, TensorSpec
 
-__all__ = ["Engine", "PlanRun", "translate_argmax"]
+__all__ = [
+    "Engine", "PlanRun", "translate_argmax", "require_accounting_precision",
+]
+
+
+def require_accounting_precision(precision) -> None:
+    """Arena-backed execution needs the accounting precision (float32).
+
+    Slabs are sized from ``TensorSpec.nbytes``; arrays of any other
+    engine precision would not fit them.  Raised where an arena plan is
+    first asked for, not at the first slab that overflows.
+    """
+    if np.dtype(precision) != np.dtype("float32"):
+        raise ValueError(
+            "executing through a memory plan puts values in spec-sized "
+            "arena slabs and needs the accounting precision: pass "
+            'precision="float32"'
+        )
 
 
 def translate_argmax(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -102,13 +123,15 @@ class Engine:
         (mirrors the analytic memory ledger and keeps host RAM bounded
         on the million-edge workloads).
     memory_plan:
-        Optional arena plan(s) from :func:`repro.exec.memory.plan_memory`
-        — a single :class:`~repro.exec.memory.MemoryPlan`, a
-        :class:`~repro.exec.memory.StepMemoryPlan`, a mapping, or a
-        sequence.  When :meth:`run_plan` executes a plan one of them was
-        built for, every boundary value lives inside that plan's arena
-        (slab reuse included), which requires the engine precision to
-        match the accounting dtype (float32).  Returned results are
+        Optional arena plan(s): one phase's
+        :class:`~repro.exec.memory.MemoryPlan`
+        (:func:`repro.exec.memory.plan_memory`) or a step's
+        :class:`~repro.exec.memory.StepMemoryPlan`
+        (``compiled.memory_plan(stats)``).  When :meth:`run_plan`
+        executes a plan one of them was built for, every boundary value
+        lives inside that plan's arena (slab reuse included), which
+        requires the engine precision to match the accounting dtype
+        (:func:`require_accounting_precision`).  Returned results are
         copied out of the arena, so they stay valid across later runs
         that reuse the slabs.
 
@@ -126,9 +149,11 @@ class Engine:
         precision: str = "float32",
         free_dead_values: bool = True,
         check_finite: bool = False,
-        memory_plan: Optional[object] = None,
+        memory_plan: Union[MemoryPlan, StepMemoryPlan, None] = None,
         backend: str = "reference",
     ):
+        if memory_plan is not None:
+            require_accounting_precision(precision)
         self.graph = graph
         self.precision = np.dtype(precision)
         #: Default-precision engines execute each value in its *spec*
@@ -167,24 +192,15 @@ class Engine:
     # ------------------------------------------------------------------
     def _memory_plan_for(self, plan: ExecPlan) -> Optional[MemoryPlan]:
         """Resolve the configured memory plan matching ``plan``, if any."""
-        def candidates(obj):
-            if obj is None:
-                return
-            if isinstance(obj, MemoryPlan):
-                yield obj
-            elif isinstance(obj, StepMemoryPlan):
-                yield from obj.phases()
-            elif isinstance(obj, Mapping):
-                for v in obj.values():
-                    yield from candidates(v)
-            else:  # sequence of plans
-                for v in obj:
-                    yield from candidates(v)
-
-        for mp in candidates(self.memory_plan):
-            if mp.plan is plan:
-                return mp
-        return None
+        configured = self.memory_plan
+        if configured is None:
+            return None
+        phases = (
+            configured.phases()
+            if isinstance(configured, StepMemoryPlan)
+            else [configured]
+        )
+        return next((mp for mp in phases if mp.plan is plan), None)
 
     def _pool_for(self, memory_plan: MemoryPlan) -> ArenaPool:
         pool = self._pools.get(id(memory_plan))
@@ -625,33 +641,24 @@ class Engine:
         self,
         plan: ExecPlan,
         values: Dict[str, np.ndarray],
-        lives: Dict[str, tuple],
+        lives: Liveness,
         kernel_index: int,
         wanted: Set[str],
     ) -> None:
         """Free arrays whose last consuming kernel has completed.
 
-        Mirrors the analytic ledger: boundary values die after their
-        last consumer, kernel-internal values die with their kernel
-        (on a GPU they never left on-chip storage at all).  Freeing is
-        root-wise: popping a root while a view alias of it stays in
-        ``values`` would keep the storage alive (NumPy views hold a
-        base reference), so every alias of a dead root is swept with
-        it.
+        Mirrors the ledger: boundary values die after their last
+        consumer — ``lives.deaths``, the index the run's
+        :class:`~repro.exec.memory.MemoryLedger` frees by — and
+        kernel-internal values die with their kernel (on a GPU they
+        never left on-chip storage at all).  Freeing is root-wise:
+        popping a root while a view alias of it stays in ``values``
+        would keep the storage alive (NumPy views hold a base
+        reference), so every alias of a dead root is swept with it.
         """
-        internal = set(plan.kernel_io(kernel_index).internal)
-        dead: Set[str] = set()
-        for name in list(values):
-            root = plan.root_of(name)
-            if name in wanted or root in wanted:
-                continue
-            if root in internal:
-                dead.add(root)
-                continue
-            life = lives.get(root)
-            if life is not None and life[1] == kernel_index:
-                dead.add(root)
+        dead = set(plan.kernel_io(kernel_index).internal)
+        dead.update(lives.deaths.get(kernel_index, ()))
         if dead:
             for name in list(values):
                 if name not in wanted and plan.root_of(name) in dead:
-                    values.pop(name, None)
+                    del values[name]

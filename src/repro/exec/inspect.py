@@ -5,7 +5,7 @@ examples, debugging sessions, and EXPERIMENTS analysis:
 
 - :func:`format_plan` — the kernel schedule with per-kernel mapping,
   fused-op count, and boundary traffic,
-- :func:`memory_timeline` — resident DRAM bytes after each kernel (the
+- :func:`memory_timeline` — resident DRAM bytes at each kernel (the
   trace behind the peak-memory figures),
 - :func:`format_memory_timeline` — the same as an ASCII bar chart.
 """
@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.exec.analytic import kernel_record
+from repro.exec.memory import ledger_walk, root_sizes
 from repro.exec.plan import ExecPlan
 from repro.graph.stats import GraphStats
-from repro.ir.module import GRAPH_CONSTANTS
 
 __all__ = ["format_plan", "memory_timeline", "format_memory_timeline"]
 
@@ -51,42 +51,21 @@ def format_plan(plan: ExecPlan, stats: GraphStats) -> str:
 def memory_timeline(
     plan: ExecPlan, stats: GraphStats
 ) -> List[Tuple[str, int]]:
-    """Resident DRAM bytes after each kernel step.
+    """Resident DRAM bytes at each kernel step.
 
-    The first entry is the pre-execution residency (inputs + params).
-    Mirrors the :func:`repro.exec.analytic.analyze_plan` ledger with
+    The first entry is the pre-execution residency (inputs + params);
+    each kernel's entry is taken once its writes have landed and before
+    its frees.  The trace of :func:`repro.exec.memory.ledger_walk` with
     every input pinned.
     """
-    specs = plan.module.specs
-    V, E = stats.num_vertices, stats.num_edges
-    lives = plan.liveness()
-    free_names = {n for n in GRAPH_CONSTANTS if n in specs}
-
-    resident = {}
-    for name in list(plan.module.inputs) + list(plan.module.params):
-        root = plan.root_of(name)
-        if root not in resident and root not in free_names:
-            resident[root] = specs[root].nbytes(V, E)
-    current = sum(resident.values())
-    timeline = [("<inputs>", current)]
-    pinned = {
-        plan.root_of(n)
-        for n in list(plan.module.inputs) + list(plan.module.params)
-    }
-    for i, kernel in enumerate(plan.kernels):
-        io = plan.kernel_io(i)
-        for w in io.writes:
-            root = plan.root_of(w)
-            if root not in resident and root not in free_names:
-                size = specs[root].nbytes(V, E)
-                resident[root] = size
-                current += size
-        peak_here = current
-        for root, (defk, last) in lives.items():
-            if last == i and root in resident and root not in pinned:
-                current -= resident.pop(root)
-        timeline.append((kernel.label, peak_here))
-    return timeline
+    module = plan.module
+    walk = ledger_walk(
+        plan,
+        root_sizes(plan, stats),
+        pinned=list(module.inputs) + list(module.params),
+    )
+    labels = ["<inputs>"] + [kernel.label for kernel in plan.kernels]
+    return list(zip(labels, walk.timeline))
 
 
 def format_memory_timeline(

@@ -1,15 +1,37 @@
-"""Arena memory planning: slab assignment over liveness intervals.
+"""The §6 liveness ledger, and arena planning over its intervals.
 
-The §6 ledger (:func:`repro.exec.analytic.analyze_plan`) prices a plan's
-peak footprint analytically, but says nothing about how a runtime would
-*deliver* that peak: a naive allocator gives every boundary value fresh
-storage and pays the sum of all sizes, not the max of concurrent ones.
-This module closes that gap with an offset-based arena plan:
+**The ledger.**  One discipline prices a plan's memory everywhere in
+this repository: module inputs and parameters are resident up front,
+every escaping write is resident from its producing kernel to its last
+consumer, pinned roots (features, labels, parameters: memory the caller
+owns regardless of scheduling) and keep-set / output roots are never
+freed, and graph constants — synthesised from topology on demand — are
+free.  :func:`ledger_walk` is the one analytic statement of it, fed by
+the one size table :func:`root_sizes`; everything else *reads* a walk:
 
-- every boundary root in the plan's liveness ledger — except
-  caller-pinned values (features, labels, parameters: memory the user
-  owns regardless of scheduling) and topology-synthesised graph
-  constants — is assigned an ``(offset, size)`` slab inside one arena,
+- :func:`repro.exec.analytic.analyze_plan` — a phase's peak and
+  end-of-phase residency,
+- :func:`repro.exec.inspect.memory_timeline` — the per-kernel trace,
+- :func:`plan_memory` — the ledger and live peaks an arena is held to,
+- :func:`repro.opt.schedule.schedule_kernels` — the peak of each
+  candidate kernel order,
+- :func:`repro.analysis.arena.check_memory_plan` — the RP204 / RP206
+  re-walk.
+
+:class:`MemoryLedger` is deliberately *not* a reader: it is the
+measured twin, driven by the engine with the arrays it actually
+produced, and its high-watermark must reconcile byte for byte with the
+walk at the accounting precision (float32) — the differential contract
+(README clause 3a) needs two independent statements to compare.
+
+**The arena.**  The ledger prices a peak but says nothing about how a
+runtime would *deliver* it: a naive allocator gives every boundary
+value fresh storage and pays the sum of all sizes, not the max of
+concurrent ones.  :func:`plan_memory` closes that gap:
+
+- every boundary root in the plan's liveness ledger — except pinned
+  values and graph constants — is assigned an ``(offset, size)`` slab
+  inside one arena,
 - two values may share arena bytes exactly when their lifetime
   intervals ``[def kernel, last consumer]`` are disjoint — the same
   discipline the ledger frees by, so reuse can never corrupt a value a
@@ -27,19 +49,14 @@ Invariants (enforced by the test suite):
   (fragmentation below the pinned share),
 - executing through the arena (:class:`repro.exec.engine.Engine` with
   ``memory_plan=``) is bit-identical to fresh storage.
-
-:class:`MemoryLedger` is the measured twin of the analytic walk: the
-engine drives it with the *actual* arrays it produced, so its
-high-watermark must reconcile byte-for-byte with
-``analyze_plan(...).peak_memory_bytes`` at the accounting precision
-(float32) — the same differential contract the mini-batch feature
-gathers established.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -55,7 +72,9 @@ __all__ = [
     "ArenaPool",
     "plan_memory",
     "plan_memory_multi",
+    "LedgerWalk",
     "ledger_walk",
+    "root_sizes",
     "ARENA_ALIGN",
 ]
 
@@ -171,28 +190,114 @@ class StepMemoryPlan:
 
 
 # ======================================================================
-# Planning
+# The analytic ledger
 # ======================================================================
-def _plan_values(
-    plan: ExecPlan, stats: GraphStats, pinned_roots: FrozenSet[str]
-) -> Tuple[List[Tuple[str, int, int, int]], int]:
-    """Unpinned ``(root, nbytes, birth, death)`` records + pinned bytes."""
+def root_sizes(plan: ExecPlan, stats: GraphStats) -> Dict[str, int]:
+    """Bytes of every boundary root the ledger charges on ``stats``.
+
+    Graph constants are absent: they are manufactured from topology on
+    demand, so no walk, slab or schedule ever pays for them.
+    """
     specs = plan.module.specs
     V, E = stats.num_vertices, stats.num_edges
-    free_names = {plan.root_of(n) for n in GRAPH_CONSTANTS if n in specs}
-    values: List[Tuple[str, int, int, int]] = []
-    pinned_bytes = 0
-    for root, (birth, death) in sorted(plan.liveness().items()):
-        if root in free_names:
-            continue
-        nbytes = specs[root].nbytes(V, E)
-        if root in pinned_roots:
-            pinned_bytes += nbytes
-            continue
-        values.append((root, nbytes, birth, death))
-    return values, pinned_bytes
+    free = {plan.root_of(n) for n in GRAPH_CONSTANTS if n in specs}
+    return {
+        root: specs[root].nbytes(V, E)
+        for root in plan.liveness()
+        if root not in free
+    }
 
 
+class LedgerWalk(NamedTuple):
+    """What one simulated run of the ledger saw."""
+
+    #: Resident bytes before the first kernel, then at each step's
+    #: high-water point: its writes have landed, its frees are pending.
+    timeline: Tuple[int, ...]
+    #: Peak of the unpinned share — the floor of any arena.
+    live_peak_bytes: int
+    end_resident_bytes: int
+
+    @property
+    def peak_bytes(self) -> int:
+        return max(self.timeline)
+
+
+def _deaths_under(
+    plan: ExecPlan, order: Sequence[int]
+) -> Dict[int, List[str]]:
+    """Step of ``order`` → roots whose last consumer runs at that step.
+
+    :attr:`Liveness.deaths <repro.exec.plan.Liveness>` re-timed: a root
+    dies with its last reader (an input nothing reads, at step 0 — an
+    escaping write always has one); keep-set and output roots never do.
+    """
+    n = len(plan.kernels)
+    last = {
+        root: 0 for root, (_, died) in plan.liveness().items() if died < n
+    }
+    for step, kernel in enumerate(order):
+        for name in plan.kernel_io(kernel).reads:
+            root = plan.root_of(name)
+            if root in last:
+                last[root] = step
+    deaths: Dict[int, List[str]] = {}
+    for root, step in last.items():
+        deaths.setdefault(step, []).append(root)
+    return deaths
+
+
+def ledger_walk(
+    plan: ExecPlan,
+    sizes: Mapping[str, int],
+    *,
+    order: Optional[Iterable[int]] = None,
+    pinned: Iterable[str] = (),
+) -> LedgerWalk:
+    """Simulate the liveness ledger over one kernel ``order``.
+
+    The one analytic statement of the discipline in the module
+    docstring.  ``sizes`` is :func:`root_sizes` (a root it does not
+    name costs nothing); ``pinned`` names are never freed; ``order``
+    defaults to the plan's own, whose deaths the plan caches
+    (:meth:`ExecPlan.liveness`) — any other order is re-timed per call.
+    """
+    pinned_roots = {plan.root_of(p) for p in pinned}
+    if order is None:
+        order = range(len(plan.kernels))
+        deaths = plan.liveness().deaths
+    else:
+        order = list(order)
+        deaths = _deaths_under(plan, order)
+    resident: Dict[str, int] = {}
+    current = pinned_now = 0
+
+    def charge(names: Iterable[str]) -> None:
+        nonlocal current, pinned_now
+        for name in names:
+            root = plan.root_of(name)
+            if root in sizes and root not in resident:
+                resident[root] = size = sizes[root]
+                current += size
+                if root in pinned_roots:
+                    pinned_now += size
+
+    charge(list(plan.module.inputs) + list(plan.module.params))
+    timeline = [current]
+    live_peak = current - pinned_now
+    for step, kernel in enumerate(order):
+        charge(plan.kernel_io(kernel).writes)
+        timeline.append(current)
+        live_peak = max(live_peak, current - pinned_now)
+        for root in deaths.get(step, ()):
+            if root not in pinned_roots:
+                current -= resident.pop(root, 0)
+    return LedgerWalk(tuple(timeline), live_peak, current)
+
+
+# ======================================================================
+# Planning
+# ======================================================================
 def _place(
     values: List[Tuple[str, int, int, int]],
     order_key,
@@ -238,67 +343,6 @@ _HEURISTICS = (
 )
 
 
-def ledger_walk(
-    plan: ExecPlan,
-    sizes: Mapping[str, int],
-    *,
-    order: Optional[Iterable[int]] = None,
-    pinned_roots: Iterable[str] = frozenset(),
-) -> Tuple[int, int]:
-    """(full ledger peak, unpinned live peak) of one kernel ``order``.
-
-    The canonical liveness-ledger simulation shared by the planner and
-    the scheduler: inputs/params resident up front, each escaping write
-    resident from its (scheduled) producing step to its last consumer,
-    keep-set/output and pinned roots never freed, graph constants free.
-    ``order`` defaults to the plan's emitted order, where the full peak
-    equals ``analyze_plan(...).peak_memory_bytes`` on the same pinned
-    set.  ``sizes`` maps every liveness root to its bytes.
-    """
-    specs = plan.module.specs
-    free_names = {plan.root_of(n) for n in GRAPH_CONSTANTS if n in specs}
-    pinned = set(pinned_roots)
-    order = (
-        list(order) if order is not None else list(range(len(plan.kernels)))
-    )
-    protected = {
-        plan.root_of(x) for x in set(plan.keep) | set(plan.module.outputs)
-    } | pinned
-    position = {k: t for t, k in enumerate(order)}
-    last_use: Dict[str, int] = {}
-    for i in range(len(plan.kernels)):
-        for r in plan.kernel_io(i).reads:
-            root = plan.root_of(r)
-            last_use[root] = max(last_use.get(root, -1), position[i])
-    resident: Dict[str, int] = {}
-    for name in list(plan.module.inputs) + list(plan.module.params):
-        root = plan.root_of(name)
-        if root not in resident and root not in free_names:
-            resident[root] = sizes[root]
-    pinned_resident = sum(
-        size for root, size in resident.items() if root in pinned
-    )
-    current = sum(resident.values())
-    peak = current
-    live_peak = current - pinned_resident
-    for t, i in enumerate(order):
-        for w in plan.kernel_io(i).writes:
-            root = plan.root_of(w)
-            if root not in resident and root not in free_names:
-                resident[root] = sizes[root]
-                current += sizes[root]
-                if root in pinned:
-                    pinned_resident += sizes[root]
-        peak = max(peak, current)
-        live_peak = max(live_peak, current - pinned_resident)
-        for root in list(resident):
-            if root in protected:
-                continue
-            if last_use.get(root, -1) <= t:
-                current -= resident.pop(root)
-    return peak, live_peak
-
-
 def plan_memory(
     plan: ExecPlan,
     stats: GraphStats,
@@ -312,7 +356,12 @@ def plan_memory(
     carries them for the whole phase regardless of scheduling.
     """
     pinned_roots = frozenset(plan.root_of(p) for p in pinned)
-    values, pinned_bytes = _plan_values(plan, stats, pinned_roots)
+    sizes = root_sizes(plan, stats)
+    values = [
+        (root, sizes[root], birth, death)
+        for root, (birth, death) in sorted(plan.liveness().items())
+        if root in sizes and root not in pinned_roots
+    ]
     best: Optional[Tuple[int, str, Dict[str, int]]] = None
     for label, key, fit in _HEURISTICS:
         offsets, arena = _place(values, key, fit)
@@ -330,20 +379,15 @@ def plan_memory(
         )
         for name, nbytes, birth, death in values
     }
-    specs = plan.module.specs
-    sizes = {
-        root: specs[root].nbytes(stats.num_vertices, stats.num_edges)
-        for root in plan.liveness()
-    }
-    ledger_peak, live_peak = ledger_walk(plan, sizes, pinned_roots=pinned_roots)
+    walk = ledger_walk(plan, sizes, pinned=pinned_roots)
     return MemoryPlan(
         plan=plan,
         slabs=slabs,
         arena_bytes=arena_bytes,
         naive_bytes=sum(s.size for s in slabs.values()),
-        ledger_peak_bytes=ledger_peak,
-        live_peak_bytes=live_peak,
-        pinned_bytes=pinned_bytes,
+        ledger_peak_bytes=walk.peak_bytes,
+        live_peak_bytes=walk.live_peak_bytes,
+        pinned_bytes=sum(sizes.get(root, 0) for root in pinned_roots),
         pinned=pinned_roots,
         heuristic=heuristic,
     )
@@ -374,21 +418,16 @@ def plan_memory_multi(
 class MemoryLedger:
     """Live-byte bookkeeping over the arrays an engine actually holds.
 
-    Applies the exact discipline of the analytic walk — inputs resident
-    from the start, each escaping write resident from its producing
-    kernel to its last consumer, pinned roots never freed, graph
-    constants free — but sizes come from real ``ndarray.nbytes``.  At
-    the accounting precision (float32) the resulting high-watermark
-    equals ``analyze_plan(...).peak_memory_bytes`` byte for byte.
+    The measured twin of :func:`ledger_walk`, kept apart from it on
+    purpose: the same discipline — inputs resident from the start, each
+    escaping write resident from its producing kernel to its last
+    consumer, pinned roots never freed, graph constants free — but
+    sizes come from real ``ndarray.nbytes``.  At the accounting
+    precision (float32) the resulting high-watermark equals the walk's
+    (``analyze_plan(...).peak_memory_bytes``) byte for byte.
     """
 
-    def __init__(
-        self,
-        plan: ExecPlan,
-        *,
-        pinned: Iterable[str] = (),
-        lives: Optional[Dict[str, Tuple[int, int]]] = None,
-    ):
+    def __init__(self, plan: ExecPlan, *, pinned: Iterable[str] = ()):
         self._plan = plan
         self._pinned = {plan.root_of(p) for p in pinned}
         specs = plan.module.specs
@@ -396,14 +435,10 @@ class MemoryLedger:
         self._resident: Dict[str, int] = {}
         self.current_bytes = 0
         self.peak_bytes = 0
-        # Index deaths by kernel so after_kernel frees O(dying) roots
-        # instead of scanning the whole ledger every step.
-        self._deaths: Dict[int, List[str]] = {}
-        for root, (_, last) in (
-            lives if lives is not None else plan.liveness()
-        ).items():
-            if root not in self._pinned:
-                self._deaths.setdefault(last, []).append(root)
+        #: The plan's own per-kernel death index (shared, read-only):
+        #: ``after_kernel`` frees O(dying) roots, and the engine's
+        #: dead-value sweep reads the same lists.
+        self._deaths = plan.liveness().deaths
 
     def _add(self, root: str, nbytes: int) -> None:
         if root in self._resident or root in self._free:
@@ -426,9 +461,8 @@ class MemoryLedger:
             if w in values:
                 self._add(self._plan.root_of(w), int(values[w].nbytes))
         for root in self._deaths.get(index, ()):
-            size = self._resident.pop(root, None)
-            if size is not None:
-                self.current_bytes -= size
+            if root not in self._pinned:
+                self.current_bytes -= self._resident.pop(root, 0)
 
 
 class ArenaPool:

@@ -38,7 +38,7 @@ from repro.ir.tensorspec import Domain
 
 __all__ = [
     "Kernel", "ExecPlan", "plan_module", "KernelIO", "AggregationChain",
-    "BlockStep", "BlockedKernel",
+    "BlockStep", "BlockedKernel", "Liveness",
 ]
 
 
@@ -149,6 +149,23 @@ class BlockedKernel:
     row_elements: int
 
 
+class Liveness(Dict[str, Tuple[int, int]]):
+    """:meth:`ExecPlan.liveness`: root → ``(def kernel, last-use
+    kernel)``, plus the same intervals indexed by their end.
+
+    ``deaths[i]`` names the roots whose last consumer is kernel ``i`` —
+    what a ledger frees, and an engine sweeps, after kernel ``i`` —
+    so neither scans every interval after every kernel.  Built once per
+    plan and shared by every walk and run: read-only.
+    """
+
+    def __init__(self, lives: Mapping[str, Tuple[int, int]]) -> None:
+        super().__init__(lives)
+        self.deaths: Dict[int, List[str]] = {}
+        for root, (_, last) in lives.items():
+            self.deaths.setdefault(last, []).append(root)
+
+
 @dataclass
 class ExecPlan:
     """A module partitioned into kernels, with keep-set semantics."""
@@ -171,7 +188,7 @@ class ExecPlan:
         self._io = [self._kernel_io(i) for i in range(len(self.kernels))]
         # Derived facts, computed on first use and shared by every run:
         # the plan is immutable, and a cache that lives here dies with it.
-        self._lives: Optional[Dict[str, Tuple[int, int]]] = None
+        self._lives: Optional[Liveness] = None
         self._result_names: Optional[Tuple[str, ...]] = None
         self._argmax_demand: Optional[FrozenSet[str]] = None
         self._consumers: Optional[Dict[str, List[OpNode]]] = None
@@ -285,7 +302,7 @@ class ExecPlan:
     # ------------------------------------------------------------------
     # Liveness: value -> (def kernel, last-use kernel)
     # ------------------------------------------------------------------
-    def liveness(self) -> Dict[str, Tuple[int, int]]:
+    def liveness(self) -> Liveness:
         """Lifetime of every boundary-crossing root value.
 
         Returns root value name → ``(first kernel after which it exists,
@@ -325,9 +342,8 @@ class ExecPlan:
             for root, (d, last) in lives.items():
                 if last < 0:
                     lives[root] = (d, 0)
-        self._lives = lives
-        return lives
-
+        self._lives = Liveness(lives)
+        return self._lives
 
     # ------------------------------------------------------------------
     # What a run returns, and how its fused kernels execute

@@ -28,7 +28,8 @@ from repro.exec.analytic import (
     analyze_training,
     analyze_training_multi,
 )
-from repro.exec.plan import ExecPlan, plan_module
+from repro.exec.memory import StepMemoryPlan, plan_memory
+from repro.exec.plan import ExecPlan
 from repro.exec.profiler import (
     Counters,
     MiniBatchCounters,
@@ -188,50 +189,96 @@ class ExecutionStrategy:
 
 # ======================================================================
 @dataclass
-class CompiledForward:
-    """An inference-ready plan with counter/latency evaluation."""
+class _Compiled:
+    """What a compiled pair knows whichever phases it has.
+
+    The pinned set, the phase list, the per-phase arena recipe and the
+    step counters are stated here once; :class:`CompiledForward` and
+    :class:`CompiledTraining` only say which plans they hold and which
+    analytic walker prices them.
+    """
 
     model: GNNModel
     strategy: ExecutionStrategy
     forward: Module
-    plan: ExecPlan
-    pass_records: List[PassRecord] = field(default_factory=list)
 
-    def counters(self, stats: GraphStats) -> Counters:
-        phase = analyze_plan(
-            self.plan, stats,
-            pinned=list(self.forward.inputs) + list(self.forward.params),
-        )
-        return Counters(forward=phase, backward=None, stash_bytes=0)
+    @property
+    def pinned(self) -> List[str]:
+        """Values the caller owns — model inputs and parameters: never
+        freed by the ledger, never given an arena slab."""
+        return list(self.forward.inputs) + list(self.forward.params)
 
-    def multi_counters(self, pstats) -> MultiGPUCounters:
-        """Per-GPU counters + halo traffic on a partitioned workload."""
-        return analyze_plan_multi(
-            self.plan, pstats,
-            pinned=list(self.forward.inputs) + list(self.forward.params),
+    def phases(self) -> List[Tuple[str, ExecPlan]]:
+        """``(phase name, plan)`` in execution order."""
+        raise NotImplementedError
+
+    def _step_counters(self, stats: GraphStats) -> Counters:
+        raise NotImplementedError
+
+    def memory_plan(self, stats: GraphStats) -> StepMemoryPlan:
+        """Arena plans of every phase on ``stats``, inputs and
+        parameters pinned (:func:`repro.exec.memory.plan_memory`)."""
+        return StepMemoryPlan(
+            *(
+                plan_memory(plan, stats, pinned=self.pinned)
+                for _, plan in self.phases()
+            )
         )
 
-    def minibatch_counters(
-        self, batches, *, num_vertices: int
-    ) -> MiniBatchCounters:
-        """Per-batch inference counters on sampled receptive fields."""
-        pinned = list(self.forward.inputs) + list(self.forward.params)
-        return analyze_minibatch(
-            self.plan, None, batches,
-            num_vertices=num_vertices, pinned=pinned,
-        )
+    def counters(
+        self, stats: GraphStats, memory: Optional[StepMemoryPlan] = None
+    ) -> Counters:
+        """Step counters on ``stats``.
+
+        ``memory`` — this pair's :meth:`memory_plan` on the same stats —
+        prices the arena: each phase then carries its deliverable
+        footprint (pinned + packed arena) as ``planned_peak_bytes``,
+        which is what the cost model's DRAM check reads.
+        """
+        counters = self._step_counters(stats)
+        if memory is not None:
+            for phase, planned in zip(
+                (counters.forward, counters.backward), memory.phases()
+            ):
+                phase.planned_peak_bytes = planned.planned_peak_bytes
+        return counters
 
     def latency_seconds(self, stats: GraphStats, gpu: GPUSpec) -> float:
         return CostModel(gpu).latency_seconds(self.counters(stats), stats)
 
 
 @dataclass
-class CompiledTraining:
+class CompiledForward(_Compiled):
+    """An inference-ready plan with counter/latency evaluation."""
+
+    plan: ExecPlan
+    pass_records: List[PassRecord] = field(default_factory=list)
+
+    def phases(self) -> List[Tuple[str, ExecPlan]]:
+        return [("forward", self.plan)]
+
+    def _step_counters(self, stats: GraphStats) -> Counters:
+        phase = analyze_plan(self.plan, stats, pinned=self.pinned)
+        return Counters(forward=phase, backward=None, stash_bytes=0)
+
+    def multi_counters(self, pstats) -> MultiGPUCounters:
+        """Per-GPU counters + halo traffic on a partitioned workload."""
+        return analyze_plan_multi(self.plan, pstats, pinned=self.pinned)
+
+    def minibatch_counters(
+        self, batches, *, num_vertices: int
+    ) -> MiniBatchCounters:
+        """Per-batch inference counters on sampled receptive fields."""
+        return analyze_minibatch(
+            self.plan, None, batches,
+            num_vertices=num_vertices, pinned=self.pinned,
+        )
+
+
+@dataclass
+class CompiledTraining(_Compiled):
     """A training-step plan pair with counter/latency evaluation."""
 
-    model: GNNModel
-    strategy: ExecutionStrategy
-    forward: Module
     training_graph: TrainingGraph
     decision: RecomputeDecision
     stash: List[str]
@@ -239,19 +286,20 @@ class CompiledTraining:
     bwd_plan: ExecPlan
     pass_records: List[PassRecord] = field(default_factory=list)
 
-    def counters(self, stats: GraphStats) -> Counters:
-        pinned = list(self.forward.inputs) + list(self.forward.params)
+    def phases(self) -> List[Tuple[str, ExecPlan]]:
+        return [("forward", self.fwd_plan), ("backward", self.bwd_plan)]
+
+    def _step_counters(self, stats: GraphStats) -> Counters:
         return analyze_training(
             self.fwd_plan, self.bwd_plan, stats,
-            stash=self.stash, pinned=pinned,
+            stash=self.stash, pinned=self.pinned,
         )
 
     def multi_counters(self, pstats) -> MultiGPUCounters:
         """Per-GPU training-step counters + halo/all-reduce traffic."""
-        pinned = list(self.forward.inputs) + list(self.forward.params)
         return analyze_training_multi(
             self.fwd_plan, self.bwd_plan, pstats,
-            stash=self.stash, pinned=pinned,
+            stash=self.stash, pinned=self.pinned,
         )
 
     def minibatch_counters(
@@ -264,14 +312,10 @@ class CompiledTraining:
         charged its kernel counters plus the feature-gather IO of its
         field.
         """
-        pinned = list(self.forward.inputs) + list(self.forward.params)
         return analyze_minibatch(
             self.fwd_plan, self.bwd_plan, batches,
-            num_vertices=num_vertices, stash=self.stash, pinned=pinned,
+            num_vertices=num_vertices, stash=self.stash, pinned=self.pinned,
         )
-
-    def latency_seconds(self, stats: GraphStats, gpu: GPUSpec) -> float:
-        return CostModel(gpu).latency_seconds(self.counters(stats), stats)
 
     @property
     def param_grads(self) -> Dict[str, str]:
@@ -324,19 +368,4 @@ def compile_training(model: GNNModel, strategy: ExecutionStrategy) -> CompiledTr
         fwd_plan=ctx.require("fwd_plan"),
         bwd_plan=ctx.require("bwd_plan"),
         pass_records=ctx.records,
-    )
-
-
-def _boundary_values(forward: Module, strategy: ExecutionStrategy) -> List[str]:
-    """Forward values written to DRAM under the strategy's own fusion.
-
-    Back-compat wrapper over the pipeline's probe (the §6 pass uses it
-    to know what backward can read for free).
-    """
-    from repro.opt.pipeline import _boundary_values as _probe
-
-    return _probe(
-        forward,
-        strategy,
-        mode=strategy.recompute_boundary_mode or strategy.fusion_mode,
     )

@@ -33,15 +33,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.exec.memory import ledger_walk, root_sizes
 from repro.exec.plan import ExecPlan
 from repro.graph.stats import GraphStats
-from repro.ir.module import GRAPH_CONSTANTS
 from repro.opt.pipeline import Pass, PassContext
 from repro.registry import register_pass
 
 __all__ = [
     "schedule_kernels",
-    "simulate_peak_bytes",
     "SchedulingRaceError",
     "ScheduleMemoryPass",
     "with_memory_schedule",
@@ -73,12 +72,6 @@ REFERENCE_STATS = GraphStats.regular(4096, 8)
 
 
 # ----------------------------------------------------------------------
-def _root_sizes(plan: ExecPlan, stats: GraphStats) -> Dict[str, int]:
-    specs = plan.module.specs
-    V, E = stats.num_vertices, stats.num_edges
-    return {root: specs[root].nbytes(V, E) for root in plan.liveness()}
-
-
 def _kernel_deps(plan: ExecPlan) -> List[Set[int]]:
     """Kernel-level dependency sets (producer kernels of each input)."""
     producer: Dict[str, int] = {}
@@ -98,32 +91,10 @@ def _kernel_deps(plan: ExecPlan) -> List[Set[int]]:
     return deps
 
 
-def simulate_peak_bytes(
-    plan: ExecPlan,
-    order: Sequence[int],
-    sizes: Dict[str, int],
-    *,
-    pinned_roots: Set[str] = frozenset(),
-) -> int:
-    """Ledger peak of executing ``plan``'s kernels in ``order``.
-
-    Thin wrapper over the canonical
-    :func:`repro.exec.memory.ledger_walk` simulation (inputs resident
-    up front, writes alive until their last consumer under *this*
-    order, keep-set/output roots protected) — no
-    :class:`~repro.exec.plan.ExecPlan` rebuild per candidate.
-    """
-    from repro.exec.memory import ledger_walk
-
-    peak, _ = ledger_walk(plan, sizes, order=order, pinned_roots=pinned_roots)
-    return peak
-
-
 def _greedy_order(
     plan: ExecPlan,
     sizes: Dict[str, int],
     protected: Set[str],
-    free_names: Set[str],
     priority: str,
 ) -> List[int]:
     """One greedy list schedule under a ready-kernel priority rule.
@@ -132,7 +103,9 @@ def _greedy_order(
     bytes: ``"net"`` minimises the footprint delta, ``"alloc"``
     minimises the transient allocation, ``"free"`` maximises the bytes
     released.  Ties break on the incoming kernel index, so the result
-    is deterministic.
+    is deterministic.  This is a heuristic's own estimate, not the
+    ledger: every order it proposes is scored by
+    :func:`repro.exec.memory.ledger_walk`.
     """
     n = len(plan.kernels)
     deps = _kernel_deps(plan)
@@ -141,11 +114,10 @@ def _greedy_order(
         for r in plan.kernel_io(i).reads:
             consumers.setdefault(plan.root_of(r), set()).add(i)
 
-    resident: Set[str] = set()
-    for name in list(plan.module.inputs) + list(plan.module.params):
-        root = plan.root_of(name)
-        if root not in free_names:
-            resident.add(root)
+    resident: Set[str] = {
+        plan.root_of(name)
+        for name in list(plan.module.inputs) + list(plan.module.params)
+    } & sizes.keys()
     pending = [set(d) for d in deps]
     ready = sorted(i for i in range(n) if not pending[i])
     done: Set[int] = set()
@@ -154,7 +126,7 @@ def _greedy_order(
         best: Optional[Tuple[Tuple[int, int, int], int]] = None
         for i in ready:
             io = plan.kernel_io(i)
-            write_roots = {plan.root_of(w) for w in io.writes} - free_names
+            write_roots = {plan.root_of(w) for w in io.writes} & sizes.keys()
             alloc = sum(
                 sizes[r] for r in write_roots if r not in resident
             )
@@ -178,10 +150,7 @@ def _greedy_order(
         done.add(i)
         order.append(i)
         io = plan.kernel_io(i)
-        for w in io.writes:
-            root = plan.root_of(w)
-            if root not in free_names:
-                resident.add(root)
+        resident |= {plan.root_of(w) for w in io.writes} & sizes.keys()
         for r in {plan.root_of(x) for x in io.reads} | {
             plan.root_of(w) for w in io.writes
         }:
@@ -223,10 +192,7 @@ def schedule_kernels(
 
     if len(plan.kernels) <= 2 and not candidates:
         return plan
-    stats = stats if stats is not None else REFERENCE_STATS
-    sizes = _root_sizes(plan, stats)
-    specs = plan.module.specs
-    free_names = {plan.root_of(n) for n in GRAPH_CONSTANTS if n in specs}
+    sizes = root_sizes(plan, stats if stats is not None else REFERENCE_STATS)
     pinned_roots = {plan.root_of(p) for p in pinned}
     protected = {
         plan.root_of(x) for x in set(plan.keep) | set(plan.module.outputs)
@@ -241,11 +207,11 @@ def schedule_kernels(
             raise SchedulingRaceError(diags)
         pool.append(supplied)
     for priority in ("net", "alloc", "free"):
-        order = _greedy_order(plan, sizes, protected, free_names, priority)
+        order = _greedy_order(plan, sizes, protected, priority)
         if not check_order(plan, order):
             pool.append(order)
     scored = [
-        (simulate_peak_bytes(plan, order, sizes, pinned_roots=pinned_roots), k)
+        (ledger_walk(plan, sizes, order=order, pinned=pinned_roots).peak_bytes, k)
         for k, order in enumerate(pool)
     ]
     best_peak, best_k = min(scored)

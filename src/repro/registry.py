@@ -131,10 +131,6 @@ class Registry:
     def __getitem__(self, name: str) -> Any:
         return self.get(name)
 
-    def __setitem__(self, name: str, obj: Any) -> None:
-        """Dict-style assignment (back-compat): overwrites like a dict."""
-        self.add(name, obj, replace=True)
-
     def __contains__(self, name: object) -> bool:
         return name in self._entries
 

@@ -49,8 +49,8 @@ from repro.dyn.featurestore import FeatureStore
 if TYPE_CHECKING:  # runtime import would cycle: dyn.workload uses serve.request
     from repro.dyn.workload import UpdateEvent
 from repro.exec.analytic import feature_gather_row_bytes
-from repro.exec.engine import Engine
-from repro.exec.memory import plan_memory
+from repro.exec.engine import Engine, require_accounting_precision
+from repro.exec.memory import StepMemoryPlan
 from repro.frameworks.strategy import CompiledForward
 from repro.gpu.cluster import Cluster
 from repro.gpu.cost_model import CostModel
@@ -75,7 +75,7 @@ class _TenantRuntime:
     """Per-tenant compiled state: plan, params, gather-row pricing.
 
     What a batch needs that is constant for the plan — output name,
-    pinned names, kernel backend — is resolved here once; input names
+    kernel backend — is resolved here once; input names
     are resolved once per model (:meth:`GNNModel.make_inputs`), so no
     batch builds or validates a module.
     """
@@ -114,9 +114,6 @@ class _TenantRuntime:
         self.output_name = compiled.forward.outputs[0]
         self.backend = compiled.strategy.backend
         self.row_bytes = feature_gather_row_bytes(compiled.plan)
-        self.pinned = list(compiled.forward.inputs) + list(
-            compiled.forward.params
-        )
 
 
 class InferenceServer:
@@ -192,12 +189,9 @@ class InferenceServer:
                 f"features have {features.shape[0]} rows, graph has "
                 f"{graph.num_vertices} vertices"
             )
-        if memory_plan and np.dtype(precision) != np.dtype("float32"):
-            raise ValueError(
-                "memory_plan=True executes through spec-sized arena "
-                'slabs and needs the accounting precision: pass '
-                'precision="float32"'
-            )
+        if memory_plan:
+            # Engines are built per batch; refuse here, not mid-stream.
+            require_accounting_precision(precision)
         self.graph = graph
         self.features = features
         if isinstance(compiled, Mapping):
@@ -304,7 +298,7 @@ class InferenceServer:
         engine = Engine(
             mb.subgraph,
             precision=self.precision,
-            memory_plan=None if mplan is None else [mplan],
+            memory_plan=mplan,
             backend=runtime.backend,
         )
         if feature_rows is None:
@@ -404,7 +398,7 @@ class InferenceServer:
         fields: List[MiniBatch] = []
         costs: List[BatchCost] = []
         splits = []
-        mplans: List[Optional[object]] = []
+        mplans: List[Optional[StepMemoryPlan]] = []
         pending: List[PendingBatch] = []
         versions: List[Tuple[int, int]] = []
         batch_feats: List[Optional[np.ndarray]] = []
@@ -426,13 +420,12 @@ class InferenceServer:
                 versions.append((0, 0))
                 batch_feats.append(None)
             field_stats = mb.subgraph.stats()
-            compute = runtime.compiled.counters(field_stats)
-            smp = None
-            if self.memory_plan:
-                smp = plan_memory(
-                    runtime.compiled.plan, field_stats, pinned=runtime.pinned
-                )
-                compute.forward.planned_peak_bytes = smp.planned_peak_bytes
+            smp = (
+                runtime.compiled.memory_plan(field_stats)
+                if self.memory_plan
+                else None
+            )
+            compute = runtime.compiled.counters(field_stats, smp)
             mplans.append(smp)
             # The batch must fit one pool device (arena-aware when a
             # memory plan backs the run).

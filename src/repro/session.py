@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exec.memory import StepMemoryPlan, plan_memory
+from repro.exec.memory import StepMemoryPlan
 from repro.exec.profiler import Counters, MiniBatchCounters, MultiGPUCounters
 from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.frameworks.strategy import ExecutionStrategy
@@ -681,47 +681,36 @@ class Session:
         order is planned as-is.  Memoised per (compiled, stats).
         """
         return self._memory_plan(
-            self.compile(training=training), self.resolve_stats(), training
+            self.compile(training=training), self.resolve_stats()
         )
 
-    def _memory_plan(
-        self, compiled, stats: GraphStats, training: bool
-    ) -> StepMemoryPlan:
-        def plan() -> StepMemoryPlan:
-            pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
-            if not training:
-                return StepMemoryPlan(
-                    forward=plan_memory(compiled.plan, stats, pinned=pinned)
-                )
-            return StepMemoryPlan(
-                forward=plan_memory(compiled.fwd_plan, stats, pinned=pinned),
-                backward=plan_memory(compiled.bwd_plan, stats, pinned=pinned),
-            )
+    def _memory_plan(self, compiled, stats: GraphStats) -> StepMemoryPlan:
+        return self._memoised(
+            "memory", (compiled, stats), lambda: compiled.memory_plan(stats)
+        )
 
-        return self._memoised("memory", (compiled, stats), plan, training)
+    def _scheduled_memory(
+        self, compiled, stats: GraphStats
+    ) -> Optional[StepMemoryPlan]:
+        """The arena plan a ``schedule("memory")`` session prices and
+        executes through; ``None`` otherwise."""
+        if self._schedule != "memory":
+            return None
+        return self._memory_plan(compiled, stats)
 
     def counters(self, *, training: bool = True) -> Counters:
         return self._counters(
-            self.compile(training=training), self.resolve_stats(), training
+            self.compile(training=training), self.resolve_stats()
         )
 
-    def _counters(self, compiled, stats: GraphStats, training: bool) -> Counters:
-        def analyse() -> Counters:
-            counters = compiled.counters(stats)
-            if self._schedule == "memory":
-                # Price the arena plan: the cost model's DRAM check then
-                # uses the deliverable (pinned + packed arena) footprint.
-                smp = self._memory_plan(compiled, stats, training)
-                counters.forward.planned_peak_bytes = (
-                    smp.forward.planned_peak_bytes
-                )
-                if counters.backward is not None and smp.backward is not None:
-                    counters.backward.planned_peak_bytes = (
-                        smp.backward.planned_peak_bytes
-                    )
-            return counters
-
-        return self._memoised("counters", (compiled, stats), analyse)
+    def _counters(self, compiled, stats: GraphStats) -> Counters:
+        return self._memoised(
+            "counters",
+            (compiled, stats),
+            lambda: compiled.counters(
+                stats, self._scheduled_memory(compiled, stats)
+            ),
+        )
 
     def multi_counters(self, *, training: bool = True) -> MultiGPUCounters:
         """Per-GPU counters + halo traffic (requires a cluster)."""
@@ -805,25 +794,16 @@ class Session:
             )
         compiled = self.compile(training=training)
         pstats = self.resolve_partition_stats()
-        smp = (
-            self._memory_plan(compiled, self.resolve_stats(), training)
-            if self._schedule == "memory"
-            else None
-        )
-        phases = (
-            [("forward", compiled.fwd_plan), ("backward", compiled.bwd_plan)]
-            if training
-            else [("forward", compiled.plan)]
-        )
+        smp = self._scheduled_memory(compiled, self.resolve_stats())
         return [
             build_overlap_schedule(
                 plan, pstats, cluster,
                 memory_plan=getattr(smp, phase, None), phase=phase,
             )
-            for phase, plan in phases
+            for phase, plan in compiled.phases()
         ]
 
-    def _price(self, compiled, training: bool) -> ExperimentReport:
+    def _price(self, compiled) -> ExperimentReport:
         """Price this configuration on its already-compiled pair.
 
         The one place that decides *how* a configuration is priced:
@@ -837,7 +817,7 @@ class Session:
         the full-graph reference.
         """
         stats = self.resolve_stats()
-        counters = self._counters(compiled, stats, training)
+        counters = self._counters(compiled, stats)
         cluster = self.resolve_cluster()
         priced: Dict[str, object] = {}
         if self._minibatch is not None:
@@ -888,11 +868,7 @@ class Session:
             latency_s=latency,
             fits_device=fits,
             compute_seconds=compute,
-            memory=(
-                self._memory_plan(compiled, stats, training)
-                if self._schedule == "memory"
-                else None
-            ),
+            memory=self._scheduled_memory(compiled, stats),
             **priced,
         )
 
@@ -941,7 +917,7 @@ class Session:
         if train_steps > 0 and not training:
             raise ValueError("train_steps needs training=True")
         compiled = self.compile(training=training)
-        report = self._price(compiled, training)
+        report = self._price(compiled)
         if train_steps <= 0:
             return report
 
@@ -1507,7 +1483,7 @@ def run_sweep(
             s.cluster(g, n, interconnect_gbps=interconnect_gbps)
         if qps is None:
             s.minibatch(bs, minibatch_hops, seed=minibatch_seed)
-            report = s._price(compiled, training)
+            report = s._price(compiled)
             rows.append(SweepRow.from_report(report, **labels))
             continue
         try:

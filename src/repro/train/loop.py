@@ -93,13 +93,6 @@ class Trainer:
         seed: int = 0,
         memory_plans: Optional[object] = None,
     ):
-        if memory_plans is not None and np.dtype(precision) != np.dtype(
-            "float32"
-        ):
-            raise ValueError(
-                "memory_plans executes through spec-sized arena slabs "
-                'and needs the accounting precision: pass precision="float32"'
-            )
         self.compiled = compiled
         self.graph = graph
         self.engine = Engine(

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exec.analytic import vertex_data_inputs
+from repro.exec.engine import require_accounting_precision
 from repro.frameworks.strategy import CompiledTraining
 from repro.graph.csr import Graph
 from repro.graph.sampling import plan_minibatches
@@ -239,12 +240,9 @@ class MiniBatchTrainer:
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if memory_plan and np.dtype(precision) != np.dtype("float32"):
-            raise ValueError(
-                "memory_plan=True executes through spec-sized arena "
-                "slabs and needs the accounting precision: pass "
-                'precision="float32"'
-            )
+        if memory_plan:
+            # Engines are built per batch; refuse here, not mid-epoch.
+            require_accounting_precision(precision)
         self.compiled = compiled
         self.graph = graph
         self.batch_size = int(batch_size)
@@ -261,19 +259,6 @@ class MiniBatchTrainer:
         )
         self._rng = np.random.default_rng(sampler_seed)
         self.epochs_trained = 0
-
-    def _field_memory_plans(self, subgraph: Graph):
-        """Per-field arena plans (forward + backward) for one batch."""
-        from repro.exec.memory import plan_memory
-
-        pinned = list(self.compiled.forward.inputs) + list(
-            self.compiled.forward.params
-        )
-        field_stats = subgraph.stats()
-        return [
-            plan_memory(self.compiled.fwd_plan, field_stats, pinned=pinned),
-            plan_memory(self.compiled.bwd_plan, field_stats, pinned=pinned),
-        ]
 
     # ------------------------------------------------------------------
     def _measured_gather_bytes(self, trainer: Trainer) -> int:
@@ -306,7 +291,7 @@ class MiniBatchTrainer:
                 params=self.params,
                 precision=self.precision,
                 memory_plans=(
-                    self._field_memory_plans(mb.subgraph)
+                    self.compiled.memory_plan(mb.subgraph.stats())
                     if self.memory_plan
                     else None
                 ),

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.exec import Engine, MultiEngine, backend_blocked, plan_memory, plan_module
+from repro.exec import Engine, MultiEngine, backend_blocked, plan_module
 from repro.exec import kernel_registry
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph, chung_lu
@@ -342,12 +342,7 @@ class TestFallbacks:
     @pytest.mark.parametrize("model_name", ["gcn", "sage", "dotgat"])
     def test_arena_backed_runs_take_the_chain(self, products, graph, model_name):
         compiled = _compiled(model_name)
-        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
-        stats = graph.stats()
-        plans = [
-            plan_memory(plan, stats, pinned=pinned)
-            for plan in (compiled.fwd_plan, compiled.bwd_plan)
-        ]
+        plans = compiled.memory_plan(graph.stats())
         _training_differential(
             graph, compiled, Engine(graph, memory_plan=plans), Engine(graph),
             f"{model_name}/arena", peaks=False,  # the arena pins its inputs

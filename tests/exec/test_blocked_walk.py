@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.exec import Engine, plan_memory, plan_module
+from repro.exec import Engine, plan_module
 from repro.exec import backend_blocked
 from repro.exec.backend_blocked import segment_blocks
 from repro.frameworks import compile_training, get_strategy
@@ -218,12 +218,7 @@ class TestBlockVsNode:
         compiled = compile_training(
             MODELS.get(model_name)(IN_DIM, NUM_CLASSES), get_strategy("ours")
         )
-        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
-        stats = graph.stats()
-        plans = [
-            plan_memory(plan, stats, pinned=pinned)
-            for plan in (compiled.fwd_plan, compiled.bwd_plan)
-        ]
+        plans = compiled.memory_plan(graph.stats())
         fresh = Engine(graph)
         arena = Engine(graph, memory_plan=plans)
         arrays = _training_arrays(compiled, graph)

@@ -8,6 +8,8 @@ from repro.exec.inspect import format_memory_timeline, format_plan, memory_timel
 from repro.graph import GraphStats
 from repro.ir import Builder, Domain
 
+from tests.helpers import naive_ledger
+
 
 def sample_plan(mode="per_op", keep=()):
     b = Builder("m")
@@ -51,11 +53,15 @@ class TestMemoryTimeline:
         assert nbytes == 50 * 8 * 4
 
     def test_peak_matches_analytic_walker(self):
+        # Against the from-scratch oracle, step by step, and through
+        # it against the phase counters read off the same walk.
         plan = sample_plan()
         s = stats()
         timeline = memory_timeline(plan, s)
+        steps, _, _ = naive_ledger(plan, s, pinned=["h"])
+        assert tuple(b for _, b in timeline) == steps
         phase = analyze_plan(plan, s, pinned=["h"])
-        assert max(b for _, b in timeline) == phase.peak_memory_bytes
+        assert max(steps) == phase.peak_memory_bytes
 
     def test_keep_raises_tail(self):
         s = stats()

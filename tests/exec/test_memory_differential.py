@@ -14,6 +14,7 @@ import pytest
 import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec import Engine, MultiEngine, plan_memory
 from repro.exec.analytic import analyze_plan
+from repro.exec.memory import StepMemoryPlan
 from repro.graph.generators import erdos_renyi
 from repro.frameworks import compile_training, get_strategy
 from repro.ir.module import GRAPH_CONSTANTS
@@ -56,7 +57,10 @@ def _reconcile(name, strategy):
     mp_b = plan_memory(compiled.bwd_plan, STATS, pinned=pinned)
 
     plain = Engine(GRAPH, precision="float32")
-    arena = Engine(GRAPH, precision="float32", memory_plan=[mp_f, mp_b])
+    arena = Engine(
+        GRAPH, precision="float32",
+        memory_plan=StepMemoryPlan(forward=mp_f, backward=mp_b),
+    )
 
     env_p = plain.bind(compiled.forward, arrays)
     fwd_p = plain.run_plan(compiled.fwd_plan, env_p, unwrap=False)
@@ -218,6 +222,10 @@ class TestMiniBatchTrainerMemoryPlans:
         mp = plan_memory(compiled.fwd_plan, STATS)
         with pytest.raises(ValueError, match="float32"):
             Trainer(compiled, GRAPH, memory_plans=mp)
+        # And so does a bare Engine: one guard, applied where the arena
+        # plan is handed over, not at the first slab that overflows.
+        with pytest.raises(ValueError, match="float32"):
+            Engine(GRAPH, precision="float64", memory_plan=mp)
 
     def test_arena_epoch_matches_plain_epoch_bit_for_bit(self):
         from repro.train import Adam, MiniBatchTrainer

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.frameworks import compile_training, get_strategy
-from repro.frameworks.strategy import _boundary_values
 from repro.graph import GraphStats
 from repro.ir.tensorspec import Domain
 from repro.models import GAT, MoNet
+from repro.opt.pipeline import _boundary_values
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ class TestBoundaryProbe:
         model = GAT(16, (16,), heads=2)
         ours = get_strategy("ours")
         forward = ours.prepare_forward(model)
-        boundary = _boundary_values(forward, ours)
+        boundary = _boundary_values(forward, ours, mode=ours.fusion_mode)
         # Under unified fusion, graph-op chains collapse: only values
         # feeding/leaving dense kernels (projections) and outputs cross.
         edge_boundary = [
@@ -42,7 +42,7 @@ class TestBoundaryProbe:
         model = GAT(16, (16,), heads=2)
         dgl = get_strategy("dgl-like")
         forward = dgl.prepare_forward(model)
-        boundary = _boundary_values(forward, dgl)
+        boundary = _boundary_values(forward, dgl, mode=dgl.fusion_mode)
         edge_boundary = [
             b for b in boundary
             if forward.specs[b].domain is Domain.EDGE

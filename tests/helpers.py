@@ -204,6 +204,70 @@ def run_plan_per_node(engine: Engine, plan, env):
     return {name: run.values[name] for name in run.wanted}, run.ledger.peak_bytes
 
 
+def naive_ledger(plan, stats, *, order=None, pinned=()):
+    """The §6 ledger recomputed from scratch at every step.
+
+    The oracle for :func:`repro.exec.memory.ledger_walk`, returned in
+    its ``(timeline, live peak, end-resident)`` shape.  It keeps no
+    running state and reads no liveness cache: for every step of
+    ``order`` it asks again, from ``kernel_io`` alone, which roots have
+    been made and which are still owed — pinned, kept, an output, read
+    by this or a later step, or written this very step (an input
+    nothing reads is held through the first kernel).  Graph constants
+    cost nothing.  Quadratic in the kernel count, on purpose.
+    """
+    module, root = plan.module, plan.root_of
+    V, E = stats.num_vertices, stats.num_edges
+    order = list(range(len(plan.kernels)) if order is None else order)
+    constants = {root(n) for n in GRAPH_CONSTANTS}
+    pinned = {root(n) for n in pinned}
+    held = pinned | {root(n) for n in [*plan.keep, *module.outputs]}
+    given = {root(n) for n in [*module.inputs, *module.params]} - constants
+
+    def nbytes(roots) -> int:
+        return sum(module.specs[r].nbytes(V, E) for r in roots)
+
+    timeline, live = [nbytes(given)], [nbytes(given - pinned)]
+    made = set(given)
+    for t, kernel in enumerate(order):
+        fresh = {root(w) for w in plan.kernel_io(kernel).writes}
+        made = given | {
+            root(w) for k in order[: t + 1] for w in plan.kernel_io(k).writes
+        }
+        made -= constants
+        owed = held | fresh | {
+            root(r) for k in order[t:] for r in plan.kernel_io(k).reads
+        }
+        if t == 0:
+            owed |= given
+        timeline.append(nbytes(made & owed))
+        live.append(nbytes((made & owed) - pinned))
+    end = nbytes(made & held) if order else timeline[0]
+    return tuple(timeline), max(live), end
+
+
+def random_topological_order(plan, rng) -> List[int]:
+    """One dependency-respecting kernel order, drawn uniformly at each
+    step among the ready kernels (a kernel waits for the producer of
+    every value its nodes name, views included)."""
+    waiting = []
+    for index, kernel in enumerate(plan.kernels):
+        producers = {
+            plan.producer_kernel(name)
+            for node in kernel.nodes
+            for name in node.all_inputs()
+        }
+        waiting.append(producers - {None, index})
+    order: List[int] = []
+    while len(order) < len(waiting):
+        ready = [
+            i for i, deps in enumerate(waiting)
+            if i not in order and deps <= set(order)
+        ]
+        order.append(ready[int(rng.integers(len(ready)))])
+    return order
+
+
 def training_phases(engine, compiled, features: np.ndarray, params):
     """Yield the forward, then the backward ``run_plan`` result dict.
 

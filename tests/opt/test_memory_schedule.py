@@ -5,6 +5,7 @@ import pytest
 
 import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec.analytic import analyze_plan
+from repro.exec.memory import ledger_walk, root_sizes
 from repro.exec.plan import ExecPlan
 from repro.frameworks import compile_training, get_strategy
 from repro.graph.datasets import get_dataset
@@ -12,10 +13,11 @@ from repro.opt.schedule import (
     REFERENCE_STATS,
     ScheduleMemoryPass,
     schedule_kernels,
-    simulate_peak_bytes,
     with_memory_schedule,
 )
 from repro.registry import MODELS, PASSES
+
+from tests.helpers import naive_ledger
 
 STATS = get_dataset("pubmed").stats
 
@@ -64,14 +66,22 @@ class TestScheduleKernels:
             assert small is two
 
     def test_simulation_matches_the_analytic_ledger(self):
-        compiled = compiled_for("gat")
-        plan = compiled.bwd_plan
-        specs = plan.module.specs
-        V, E = STATS.num_vertices, STATS.num_edges
-        sizes = {r: specs[r].nbytes(V, E) for r in plan.liveness()}
-        got = simulate_peak_bytes(plan, range(len(plan.kernels)), sizes)
-        want = analyze_plan(plan, STATS).peak_memory_bytes
-        assert got == want
+        # The walk candidates are scored by, against the from-scratch
+        # oracle: on the emitted order, and on the order the scheduler
+        # chose — where it must also be what walking the rebuilt plan
+        # reports, or "never worse" would compare unlike things.
+        plan = compiled_for("gat").bwd_plan
+        scheduled = schedule_kernels(plan)
+        assert scheduled is not plan
+        chosen = [plan.kernels.index(k) for k in scheduled.kernels]
+        sizes = root_sizes(plan, STATS)
+        for order in (None, chosen):
+            assert ledger_walk(plan, sizes, order=order) == naive_ledger(
+                plan, STATS, order=order
+            )
+        assert analyze_plan(scheduled, STATS).peak_memory_bytes == max(
+            naive_ledger(plan, STATS, order=chosen)[0]
+        )
 
 
 class TestSchedulePass:

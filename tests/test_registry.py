@@ -70,12 +70,6 @@ class TestGenericRegistry:
         with pytest.raises(TypeError):
             r.add(None, 1)
 
-    def test_setitem_overwrites_like_a_dict(self):
-        r = Registry("thing")
-        r["a"] = 1
-        r["a"] = 2
-        assert r["a"] == 2
-
     def test_get_with_default(self):
         r = Registry("thing")
         r.add("a", 1)
