@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.sampling import MiniBatch, in_neighbours
+from repro.graph.sampling import MiniBatch, _induce, _khop, _sample
 
 __all__ = [
     "GraphDelta",
@@ -350,92 +350,40 @@ class DynamicGraph:
             deg += overlay.out_degrees
         return deg
 
+    def _layouts(self):
+        """The edge layouts delta-aware queries walk: the compacted CSR,
+        then the pending edges, whose global ids follow the CSR's.  Both
+        are immutable snapshots, so nothing built from them can see a
+        later :meth:`apply` or :meth:`compact`."""
+        overlay = self._pending_graph()
+        if overlay is None:
+            return ((self._csr, 0),)
+        return ((self._csr, 0), (overlay, self._csr.num_edges))
+
     def neighborhood(self, seeds: np.ndarray, hops: int) -> np.ndarray:
         """Delta-aware receptive field (sorted vertex ids).
 
-        Each expansion hop unions the base-CSR in-neighbour gather
-        (over frontier vertices the CSR knows) with the same gather
-        over the pending-edge view — exactly the in-neighbours of the
-        merged graph, without materialising it.
+        :func:`~repro.graph.sampling.khop_neighborhood`'s expansion over
+        two layouts: each hop marks the in-neighbours the compacted CSR
+        knows and those the pending edges add — exactly the
+        in-neighbours of the merged graph, without materialising it.
         """
-        if hops < 0:
-            raise ValueError("hops must be non-negative")
-        frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-        if frontier.size and (
-            frontier.min() < 0 or frontier.max() >= self._num_vertices
-        ):
-            raise ValueError("seed ids out of range")
-        visited = np.zeros(self._num_vertices, dtype=bool)
-        visited[frontier] = True
-        overlay = self._pending_graph()
-        csr = self._csr
-        for _ in range(hops):
-            if frontier.size == 0:
-                break
-            parts = []
-            known = frontier[frontier < csr.num_vertices]
-            if known.size:
-                parts.append(in_neighbours(csr, known))
-            if overlay is not None:
-                parts.append(in_neighbours(overlay, frontier))
-            if not parts:
-                break
-            neighbours = (
-                np.unique(np.concatenate(parts))
-                if len(parts) > 1
-                else parts[0]
-            )
-            if neighbours.size == 0:
-                break
-            fresh = neighbours[~visited[neighbours]]
-            visited[fresh] = True
-            frontier = fresh
-        return np.nonzero(visited)[0].astype(np.int64)
+        return _khop(self._layouts(), self._num_vertices, seeds, hops)
 
     def induce(
         self, vertices: np.ndarray
     ) -> Tuple[Graph, np.ndarray, np.ndarray]:
         """Overlay induced subgraph: ``(subgraph, kept, global eids)``.
 
-        Same contract as :func:`~repro.graph.sampling.induced_subgraph`
-        on the rebuilt graph: kept edges appear in ascending *global*
-        edge-id order (compacted CSR edges first, then pending edges in
-        apply order), so per-destination reduction order — and thus
-        every engine output — matches the from-scratch rebuild bit for
-        bit.
+        Same contract, and same walk, as
+        :func:`~repro.graph.sampling.induced_subgraph` on the rebuilt
+        graph: kept edges appear in ascending *global* edge-id order
+        (compacted CSR edges first, then pending edges in apply order)
+        and the subgraph's groupings are read off the two layouts', so
+        per-destination reduction order — and thus every engine output —
+        matches the from-scratch rebuild bit for bit.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.ndim != 1:
-            raise ValueError("vertices must be a 1-D id array")
-        if vertices.size == 0:
-            raise ValueError(
-                "induce: empty vertex set — a Graph must have "
-                "num_vertices > 0"
-            )
-        if vertices.min() < 0 or vertices.max() >= self._num_vertices:
-            raise ValueError("vertex ids out of range")
-        kept = np.asarray(
-            list(dict.fromkeys(vertices.tolist())), dtype=np.int64
-        )
-        new_id = np.full(self._num_vertices, -1, dtype=np.int64)
-        new_id[kept] = np.arange(kept.size)
-        csr = self._csr
-        mask = (new_id[csr.src] >= 0) & (new_id[csr.dst] >= 0)
-        base_eids = np.nonzero(mask)[0].astype(np.int64)
-        sub_src = [new_id[csr.src[base_eids]]]
-        sub_dst = [new_id[csr.dst[base_eids]]]
-        eids = [base_eids]
-        overlay = self._pending_graph()
-        if overlay is not None:
-            pmask = (new_id[overlay.src] >= 0) & (new_id[overlay.dst] >= 0)
-            pend_eids = np.nonzero(pmask)[0].astype(np.int64)
-            sub_src.append(new_id[overlay.src[pend_eids]])
-            sub_dst.append(new_id[overlay.dst[pend_eids]])
-            eids.append(pend_eids + csr.num_edges)
-        sub = Graph(
-            np.concatenate(sub_src), np.concatenate(sub_dst), int(kept.size)
-        )
-        return sub, kept, np.concatenate(eids)
+        return _induce(self._layouts(), self._num_vertices, vertices)
 
     def receptive_field(self, seeds: np.ndarray, hops: int) -> MiniBatch:
         """Delta-aware twin of :func:`repro.serve.batcher.receptive_field`.
@@ -444,17 +392,10 @@ class DynamicGraph:
         subgraph; the returned :class:`MiniBatch` is interchangeable
         with one built on the rebuilt graph.
         """
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        field = self.neighborhood(seeds, hops)
-        sub, kept, eids = self.induce(field)
-        # kept is sorted (neighborhood output), so bisect for positions.
-        seed_index = np.searchsorted(kept, seeds)
-        return MiniBatch(
-            seeds=seeds,
-            vertices=kept,
-            subgraph=sub,
-            edge_ids=eids,
-            seed_index=seed_index,
+        return _sample(
+            np.unique(np.asarray(seeds, dtype=np.int64)),
+            lambda seeds: self.neighborhood(seeds, hops),
+            self.induce,
         )
 
     # ------------------------------------------------------------------

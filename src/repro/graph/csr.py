@@ -22,6 +22,16 @@ Conventions used throughout the library
   :meth:`Graph.adjacency`), whose columns are far-endpoint vertex ids:
   no edge tensor exists at all.  Both operators are built here and
   nowhere else.
+* A grouping is computed from the edge list once (:func:`_group_edges`,
+  a stable sort) or **inherited**: the subgraph induced by an ascending
+  vertex list keeps its parent's home-vertex order and the ascending
+  edge ids inside every segment, so the kept edges in the parent's
+  ``csc_eids`` / ``csr_eids`` order *are* its grouping.  The sampling
+  layer (:mod:`repro.graph.sampling`) hands such groupings over through
+  :meth:`Graph.grouped` — the one way in from outside; nobody writes
+  ``_cache`` — and they must equal, array for array, what
+  :func:`_group_edges` would return, so no value downstream can tell.
+  Each orientation is materialised on first use either way.
 
 The class is deliberately plain: topology only, no features.  Features
 live in the execution engine; analytic passes only ever need
@@ -86,6 +96,15 @@ def _group_edges(
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, order
+
+
+def _endpoints(orientation: str) -> Tuple[str, str]:
+    """``(home, far)`` endpoint fields: ``"in"`` groups edges by destination."""
+    if orientation == "in":
+        return "dst", "src"
+    if orientation == "out":
+        return "src", "dst"
+    raise ValueError(f"orientation must be 'in' or 'out', got {orientation!r}")
 
 
 class _SegmentLayout:
@@ -212,62 +231,82 @@ class Graph(_SegmentLayout):
         return self._cache["out_deg"]
 
     # ------------------------------------------------------------------
-    # CSC: edges grouped by destination (drives Gather)
+    # Groupings: CSC by destination (drives Gather), CSR by source
+    # (drives the backward of Scatter on hu)
     # ------------------------------------------------------------------
+    @classmethod
+    def grouped(cls, src, dst, num_vertices: int, segments) -> "Graph":
+        """A graph built together with groupings its maker already knows.
+
+        ``segments`` maps an orientation to the ``(indptr, eids)``
+        :func:`_group_edges` would compute for it, or to a function of
+        no arguments that returns it — called once, on first use, and
+        free to answer ``None`` ("cannot tell any more").  An
+        orientation left out, or answered ``None``, is grouped from the
+        edge list as usual.  The maker answers for the equality (the
+        sampling layer reads its groupings off the parent's own, see
+        the module docstring); this is the only way a grouping gets
+        into a graph from outside.
+        """
+        graph = cls(src, dst, num_vertices)
+        for orientation, grouping in segments.items():
+            _endpoints(orientation)  # "in" / "out" or ValueError
+            graph._cache["segments", orientation] = grouping
+        return graph
+
+    def segments(self, orientation: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, eids)`` of the in- (CSC) or out- (CSR) edge grouping,
+        each built (or taken from :meth:`grouped`'s maker) on first use."""
+        key = ("segments", orientation)
+        grouping = self._cache.get(key)
+        if isinstance(grouping, tuple):
+            return grouping
+        if grouping is not None:  # grouped()'s maker, asked once
+            grouping = grouping()
+        if grouping is None:
+            home, _ = _endpoints(orientation)
+            grouping = _group_edges(getattr(self, home), self.num_vertices)
+        self._cache[key] = grouping
+        return grouping
+
+    def _far(self, orientation: str) -> np.ndarray:
+        far = self._cache.get(("far", orientation))
+        if far is None:
+            _, eids = self.segments(orientation)
+            far = self._cache["far", orientation] = getattr(
+                self, _endpoints(orientation)[1]
+            )[eids]
+        return far
+
     @property
     def csc_indptr(self) -> np.ndarray:
         """Segment offsets of the by-destination grouping."""
-        self._build_csc()
-        return self._cache["csc_indptr"]
+        return self.segments("in")[0]
 
     @property
     def csc_eids(self) -> np.ndarray:
         """Edge-id permutation so edge rows are grouped by destination."""
-        self._build_csc()
-        return self._cache["csc_eids"]
+        return self.segments("in")[1]
 
     @property
     def csc_src(self) -> np.ndarray:
         """Source vertex of each edge, in CSC (by-destination) order."""
-        self._build_csc()
-        if "csc_src" not in self._cache:
-            self._cache["csc_src"] = self.src[self._cache["csc_eids"]]
-        return self._cache["csc_src"]
+        return self._far("in")
 
-    def _build_csc(self) -> None:
-        if "csc_indptr" not in self._cache:
-            indptr, eids = _group_edges(self.dst, self.num_vertices)
-            self._cache["csc_indptr"] = indptr
-            self._cache["csc_eids"] = eids
-
-    # ------------------------------------------------------------------
-    # CSR: edges grouped by source (drives backward of Scatter on hu)
-    # ------------------------------------------------------------------
     @property
     def csr_indptr(self) -> np.ndarray:
         """Segment offsets of the by-source grouping."""
-        self._build_csr()
-        return self._cache["csr_indptr"]
+        return self.segments("out")[0]
 
     @property
     def csr_eids(self) -> np.ndarray:
         """Edge-id permutation so edge rows are grouped by source."""
-        self._build_csr()
-        return self._cache["csr_eids"]
+        return self.segments("out")[1]
 
     @property
     def csr_dst(self) -> np.ndarray:
         """Destination vertex of each edge, in CSR (by-source) order."""
-        self._build_csr()
-        if "csr_dst" not in self._cache:
-            self._cache["csr_dst"] = self.dst[self._cache["csr_eids"]]
-        return self._cache["csr_dst"]
-
-    def _build_csr(self) -> None:
-        if "csr_indptr" not in self._cache:
-            indptr, eids = _group_edges(self.src, self.num_vertices)
-            self._cache["csr_indptr"] = indptr
-            self._cache["csr_eids"] = eids
+        return self._far("out")
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -296,14 +335,8 @@ class Graph(_SegmentLayout):
         return block
 
     def _cut_block(self, orientation: str, lo: int, hi: int) -> _RowBlock:
-        if orientation == "in":
-            indptr, eids, far = self.csc_indptr, self.csc_eids, self.src
-        elif orientation == "out":
-            indptr, eids, far = self.csr_indptr, self.csr_eids, self.dst
-        else:
-            raise ValueError(
-                f"orientation must be 'in' or 'out', got {orientation!r}"
-            )
+        indptr, eids = self.segments(orientation)
+        far = getattr(self, _endpoints(orientation)[1])
         p0, p1 = int(indptr[lo]), int(indptr[hi])
         seg = indptr[lo : hi + 1] - p0
         degrees = np.diff(seg)

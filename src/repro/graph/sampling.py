@@ -16,13 +16,20 @@ single-graph training loop usable in mini-batch form:
   (:func:`repro.exec.analytic.analyze_minibatch`).
 
 Everything composes with the existing engine: a sampled subgraph is
-just another :class:`~repro.graph.csr.Graph`.
+just another :class:`~repro.graph.csr.Graph` — one that inherits its
+CSC/CSR groupings from its parent's instead of sorting its own edge
+list (:func:`_inherit`; equal arrays, so no value moves).  The
+expansion, the induction and the schedule are written once, over *edge
+layouts*, and serve three callers: :func:`plan_minibatches`,
+:func:`repro.serve.batcher.receptive_field` and the two-layout overlay
+:class:`repro.dyn.delta.DynamicGraph`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -38,6 +45,168 @@ __all__ = [
 ]
 
 
+def _segment_positions(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Positions of the segments of ``vertices``, concatenated in the
+    order given.
+
+    One ``np.repeat`` over ``indptr`` diffs instead of a slice per
+    vertex — on heavy-tailed graphs the difference between
+    O(|vertices|) Python-level loop steps and a handful of NumPy calls.
+    A vertex past the layout's last (an overlay's compacted CSR can be
+    behind the vertex space) has an empty segment.
+    """
+    last = indptr.shape[0] - 1
+    starts = indptr[np.minimum(vertices, last)]
+    counts = indptr[np.minimum(vertices + 1, last)] - starts
+    # Position p of segment j reads starts[j] + (p - offsets[j]).
+    offsets = np.cumsum(counts) - counts
+    index = np.repeat(starts - offsets, counts)
+    index += np.arange(index.shape[0])
+    return index
+
+
+def _distinct(ids: np.ndarray, num_vertices: int, what: str) -> np.ndarray:
+    """``ids`` checked and without repeats, in first-seen order.
+
+    Strictly increasing input — every receptive field, every sorted
+    seed set — is already that and comes back as is (the same array).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D id array")
+    if ids.size and (ids.min() < 0 or ids.max() >= num_vertices):
+        raise ValueError(f"{what} ids out of range")
+    if (ids[1:] > ids[:-1]).all():
+        return ids
+    return np.asarray(list(dict.fromkeys(ids.tolist())), dtype=np.int64)
+
+
+def _mark_in_neighbours(
+    layouts, frontier: np.ndarray, reached: np.ndarray
+) -> None:
+    """Set ``reached[u]`` for every edge ``u → v``, ``v`` in ``frontier``."""
+    for graph, _ in layouts:
+        index = _segment_positions(graph.csc_indptr, frontier)
+        reached[graph.csc_src[index]] = True
+
+
+def _khop(
+    layouts, num_vertices: int, seeds: np.ndarray, hops: int
+) -> np.ndarray:
+    """:func:`khop_neighborhood` over edge layouts sharing one vertex space.
+
+    A layout is ``(graph, global id of its first edge)``; a plain graph
+    is one, a :class:`~repro.dyn.delta.DynamicGraph` two (compacted CSR,
+    pending edges).  A hop marks the frontier's in-neighbours in a
+    boolean over the vertex space and reads the unvisited ones back in
+    ascending order: no sort, no ``np.unique``.
+    """
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
+    frontier = _distinct(seeds, num_vertices, "seed")
+    visited = np.zeros(num_vertices, dtype=bool)
+    visited[frontier] = True
+    reached = np.zeros(num_vertices, dtype=bool)
+    for _ in range(hops):
+        if frontier.size == 0:
+            break
+        _mark_in_neighbours(layouts, frontier, reached)
+        reached[visited] = False
+        frontier = np.flatnonzero(reached)
+        visited[frontier] = True
+        reached[frontier] = False
+    return np.flatnonzero(visited)
+
+
+def _inherit(
+    parents, eids: np.ndarray, orientation: str, home: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, eids)`` of an induced subgraph, read off its parents'.
+
+    ``parents`` lists ``(graph, first edge id, edges kept)`` per layout,
+    ``eids`` the kept global edge ids (the subgraph's edges, in order),
+    ``home`` each one's home endpoint among the ``n`` local vertices.
+    With the kept vertices ascending, relabelling keeps the parent's
+    home-vertex order and its ascending edge ids inside each segment, so
+    the kept edges *in the parent's grouped order* are the subgraph's
+    grouping — what :func:`~repro.graph.csr._group_edges` would compute,
+    with no sort; a later layout's edges follow an earlier one's at each
+    vertex.  The parent-length scratch dies with the call.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(home, minlength=n), out=indptr[1:])
+    grouped, first = [], 0
+    for graph, first_eid, count in parents:
+        kept = eids[first:first + count] - first_eid
+        _, order = graph.segments(orientation)
+        mask = np.zeros(graph.num_edges, dtype=bool)
+        mask[kept] = True
+        # Parent edge id → local edge id; read where kept only.
+        local = np.empty(graph.num_edges, dtype=np.int64)
+        local[kept] = np.arange(first, first + count)
+        grouped.append(local[order[mask[order]]])
+        first += count
+    if len(grouped) == 1:
+        return indptr, grouped[0]
+    merged = np.empty(first, dtype=np.int64)
+    before = indptr[:-1].copy()
+    for part in grouped:
+        degree = np.bincount(home[part], minlength=n)
+        own = np.cumsum(degree) - degree
+        slots = np.repeat(before - own, degree) + np.arange(part.shape[0])
+        merged[slots] = part
+        before += degree
+    return indptr, merged
+
+
+def _induce(
+    layouts, num_vertices: int, vertices: np.ndarray
+) -> Tuple[Graph, np.ndarray, np.ndarray]:
+    """:func:`induced_subgraph` over edge layouts (see :func:`_khop`).
+
+    An ascending vertex list — every receptive field — makes a subgraph
+    that inherits its groupings (:func:`_inherit`): ``"in"`` now,
+    ``"out"`` on first use (forward-only serving never asks) and only
+    while the parents are still around — they are referenced weakly, so
+    a batch keeps nothing of its parent alive — else from the edge list
+    as for any graph.  Every array equals what ``Graph(src, dst, n)``
+    would build either way.
+    """
+    kept = _distinct(vertices, num_vertices, "vertex")
+    if kept.size == 0:
+        raise ValueError(
+            "induced_subgraph: empty vertex set — a Graph must have "
+            "num_vertices > 0; filter out empty batches before inducing"
+        )
+    n = int(kept.size)
+    new_id = np.full(num_vertices, -1, dtype=np.int64)
+    new_id[kept] = np.arange(n)
+    member = new_id >= 0
+    parents, src, dst, eids = [], [], [], []
+    for graph, first_eid in layouts:
+        found = np.flatnonzero(member[graph.src] & member[graph.dst])
+        parents.append((graph, first_eid, found.shape[0]))
+        src.append(new_id[graph.src[found]])
+        dst.append(new_id[graph.dst[found]])
+        eids.append(found + first_eid)
+    src, dst, eids = map(np.concatenate, (src, dst, eids))
+    if not (kept[1:] > kept[:-1]).all():
+        return Graph(src, dst, n), kept, eids
+    parents_out = [(weakref.ref(graph), *rest) for graph, *rest in parents]
+
+    def out_segments():
+        alive = [(graph(), *rest) for graph, *rest in parents_out]
+        if any(graph is None for graph, *_ in alive):
+            return None
+        return _inherit(alive, eids, "out", src, n)
+
+    sub = Graph.grouped(
+        src, dst, n,
+        {"in": _inherit(parents, eids, "in", dst, n), "out": out_segments},
+    )
+    return sub, kept, eids
+
+
 def induced_subgraph(
     graph: Graph, vertices: np.ndarray
 ) -> Tuple[Graph, np.ndarray, np.ndarray]:
@@ -46,7 +215,8 @@ def induced_subgraph(
     Returns ``(subgraph, kept_vertices, kept_edge_ids)``:
 
     - ``subgraph`` has ``len(kept_vertices)`` vertices, relabeled
-      ``0..len-1`` in the order given,
+      ``0..len-1`` in the order given, and inherits both groupings from
+      ``graph``'s (:func:`_induce`),
     - ``kept_vertices`` is the (deduplicated, order-preserving) vertex
       list — index new id → old id; slice vertex features with it,
     - ``kept_edge_ids`` are the original COO edge ids retained (in
@@ -60,65 +230,20 @@ def induced_subgraph(
     ``ValueError``; callers sampling batches should skip them upstream
     (``random_vertex_batches`` never yields one).
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.ndim != 1:
-        raise ValueError("vertices must be a 1-D id array")
-    if vertices.size == 0:
-        raise ValueError(
-            "induced_subgraph: empty vertex set — a Graph must have "
-            "num_vertices > 0; filter out empty batches before inducing"
-        )
-    if vertices.min() < 0 or vertices.max() >= graph.num_vertices:
-        raise ValueError("vertex ids out of range")
-    kept = np.asarray(
-        list(dict.fromkeys(vertices.tolist())), dtype=np.int64
-    )
-    new_id = np.full(graph.num_vertices, -1, dtype=np.int64)
-    new_id[kept] = np.arange(kept.size)
-    mask = (new_id[graph.src] >= 0) & (new_id[graph.dst] >= 0)
-    eids = np.nonzero(mask)[0].astype(np.int64)
-    sub = Graph(
-        new_id[graph.src[eids]],
-        new_id[graph.dst[eids]],
-        int(kept.size),
-    )
-    return sub, kept, eids
-
-
-def _check_seeds(graph: Graph, seeds: np.ndarray, hops: int) -> np.ndarray:
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    if frontier.size and (
-        frontier.min() < 0 or frontier.max() >= graph.num_vertices
-    ):
-        raise ValueError("seed ids out of range")
-    return frontier
+    return _induce(((graph, 0),), graph.num_vertices, vertices)
 
 
 def in_neighbours(graph: Graph, frontier: np.ndarray) -> np.ndarray:
     """Sorted unique in-neighbours of a frontier (one expansion hop).
 
-    Gathers every CSC segment of the frontier at once (``np.repeat``
-    over ``indptr`` diffs) instead of slicing per vertex — on
-    heavy-tailed graphs this is the difference between O(|frontier|)
-    Python-level loop steps and a handful of NumPy calls.  Frontier
-    ids must lie inside the graph; overlay callers
-    (:class:`repro.dyn.delta.DynamicGraph`) filter first.
+    Gathers every CSC segment of the frontier at once
+    (:func:`_segment_positions`) and marks the sources in a boolean over
+    the vertex space.  Frontier ids must lie inside the graph.
     """
+    reached = np.zeros(graph.num_vertices, dtype=bool)
     frontier = np.asarray(frontier, dtype=np.int64)
-    if frontier.size == 0:
-        return frontier
-    indptr = graph.csc_indptr
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.array([], dtype=np.int64)
-    # Position p of segment j reads src_by_dst[starts[j] + (p - offsets[j])].
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    index = np.repeat(starts - offsets, counts) + np.arange(total)
-    return np.unique(graph.csc_src[index])
+    _mark_in_neighbours(((graph, 0),), frontier, reached)
+    return np.flatnonzero(reached)
 
 
 def khop_neighborhood(
@@ -129,51 +254,9 @@ def khop_neighborhood(
     The receptive field of ``seeds`` under ``hops`` rounds of message
     passing: seeds plus every vertex with a directed path of length
     ≤ hops *into* a seed.  Returned sorted.  Each round is one
-    vectorised :func:`in_neighbours` expansion.
+    vectorised expansion (:func:`_khop`).
     """
-    frontier = _check_seeds(graph, seeds, hops)
-    visited = np.zeros(graph.num_vertices, dtype=bool)
-    visited[frontier] = True
-    for _ in range(hops):
-        if frontier.size == 0:
-            break
-        neighbours = in_neighbours(graph, frontier)
-        if neighbours.size == 0:
-            break
-        fresh = neighbours[~visited[neighbours]]
-        visited[fresh] = True
-        frontier = fresh
-    return np.nonzero(visited)[0].astype(np.int64)
-
-
-def _khop_neighborhood_reference(
-    graph: Graph, seeds: np.ndarray, hops: int
-) -> np.ndarray:
-    """Pre-vectorisation implementation (per-vertex segment slicing).
-
-    Kept as the oracle for the fuzzed equivalence tests in
-    ``tests/graph/test_sampling.py``; not part of the public API.
-    """
-    frontier = _check_seeds(graph, seeds, hops)
-    visited = np.zeros(graph.num_vertices, dtype=bool)
-    visited[frontier] = True
-    indptr = graph.csc_indptr
-    src_by_dst = graph.csc_src
-    for _ in range(hops):
-        if frontier.size == 0:
-            break
-        segments = [
-            src_by_dst[indptr[v]:indptr[v + 1]] for v in frontier
-        ]
-        neighbours = (
-            np.unique(np.concatenate(segments))
-            if segments
-            else np.array([], dtype=np.int64)
-        )
-        fresh = neighbours[~visited[neighbours]]
-        visited[fresh] = True
-        frontier = fresh
-    return np.nonzero(visited)[0].astype(np.int64)
+    return _khop(((graph, 0),), graph.num_vertices, seeds, hops)
 
 
 def random_vertex_batches(
@@ -257,6 +340,22 @@ class MiniBatch:
         return mask
 
 
+def _sample(seeds: np.ndarray, khop, induce) -> MiniBatch:
+    """Sorted unique seeds → k-hop field → induced subgraph → positions:
+    the one construction behind :func:`plan_minibatches`,
+    :func:`repro.serve.batcher.receptive_field` and
+    :meth:`repro.dyn.delta.DynamicGraph.receptive_field`."""
+    sub, kept, eids = induce(khop(seeds))
+    # kept is sorted (k-hop output), so positions come from bisect.
+    return MiniBatch(
+        seeds=seeds,
+        vertices=kept,
+        subgraph=sub,
+        edge_ids=eids,
+        seed_index=np.searchsorted(kept, seeds),
+    )
+
+
 def plan_minibatches(
     graph: Graph,
     batch_size: int,
@@ -276,14 +375,8 @@ def plan_minibatches(
     for seeds in random_vertex_batches(
         graph.num_vertices, batch_size, rng=rng
     ):
-        field = khop_neighborhood(graph, seeds, hops)
-        sub, kept, eids = induced_subgraph(graph, field)
-        # kept is sorted (khop output), so positions come from bisect.
-        seed_index = np.searchsorted(kept, np.sort(seeds))
-        yield MiniBatch(
-            seeds=np.sort(seeds),
-            vertices=kept,
-            subgraph=sub,
-            edge_ids=eids,
-            seed_index=seed_index,
+        yield _sample(
+            np.sort(seeds),
+            lambda seeds: khop_neighborhood(graph, seeds, hops),
+            lambda field: induced_subgraph(graph, field),
         )

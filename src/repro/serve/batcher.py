@@ -29,6 +29,7 @@ import numpy as np
 from repro.graph.csr import Graph
 from repro.graph.sampling import (
     MiniBatch,
+    _sample,
     induced_subgraph,
     khop_neighborhood,
 )
@@ -143,15 +144,8 @@ def receptive_field(graph: Graph, seeds: np.ndarray, hops: int) -> MiniBatch:
     subgraph), so a server batch is bit-compatible with a direct
     engine run on the same induced subgraph.
     """
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    field = khop_neighborhood(graph, seeds, hops)
-    sub, kept, eids = induced_subgraph(graph, field)
-    # kept is sorted (khop output), so positions come from bisect.
-    seed_index = np.searchsorted(kept, seeds)
-    return MiniBatch(
-        seeds=seeds,
-        vertices=kept,
-        subgraph=sub,
-        edge_ids=eids,
-        seed_index=seed_index,
+    return _sample(
+        np.unique(np.asarray(seeds, dtype=np.int64)),
+        lambda seeds: khop_neighborhood(graph, seeds, hops),
+        lambda field: induced_subgraph(graph, field),
     )

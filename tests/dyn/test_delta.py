@@ -258,3 +258,46 @@ class TestRebuildAndMaterialise:
         d = GraphDelta(src=[3], dst=[0])
         dyn.apply(d)
         assert dyn.history == (d,)
+
+
+class TestBatchIsASnapshot:
+    """A batch taken at version v keeps version v's structure whatever
+    lands afterwards — its groupings are read off immutable snapshots
+    (``"out"`` lazily, so possibly *after* the later deltas), never off
+    the live overlay."""
+
+    VIEWS = ("csc_indptr", "csc_eids", "csc_src", "csr_indptr", "csr_eids", "csr_dst")
+
+    @pytest.mark.parametrize("then", ["apply", "compact", "apply+compact"])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_structure_equals_rebuild_of_its_version(self, small_graph, then, pending):
+        rng = np.random.default_rng(5)
+        dyn = DynamicGraph(small_graph)
+        dyn.apply(_random_delta(rng, dyn.num_vertices, grow=2, edges=20))
+        if not pending:
+            dyn.compact()
+        version = dyn.version
+        seeds = np.array([3, 17, dyn.num_vertices - 1])
+        mb = dyn.receptive_field(seeds, 2)
+        read_early = mb.subgraph.csc_eids.copy()
+
+        if "apply" in then:
+            # Edges into the field's own vertices: a stale read would see them.
+            dyn.apply(GraphDelta(src=mb.vertices[::-1].copy(), dst=mb.vertices.copy()))
+            dyn.apply(_random_delta(rng, dyn.num_vertices, grow=1, edges=30))
+        if "compact" in then:
+            dyn.compact()
+
+        want, kept, eids = induced_subgraph(dyn.rebuild(version), mb.vertices)
+        cold = Graph(want.src, want.dst, want.num_vertices)
+        assert np.array_equal(kept, mb.vertices) and np.array_equal(eids, mb.edge_ids)
+        assert np.array_equal(mb.subgraph.src, cold.src)
+        assert np.array_equal(mb.subgraph.dst, cold.dst)
+        assert np.array_equal(read_early, cold.csc_eids)
+        for view in self.VIEWS:
+            assert np.array_equal(getattr(mb.subgraph, view), getattr(cold, view)), view
+        for orientation in ("in", "out"):
+            got = mb.subgraph.adjacency(orientation, np.float32)
+            ref = cold.adjacency(orientation, np.float32)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)

@@ -1,12 +1,14 @@
 """Tests for subgraph sampling (vs. networkx references where useful)."""
 
+import gc
+import weakref
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.graph import Graph, chung_lu
 from repro.graph.sampling import (
-    _khop_neighborhood_reference,
     induced_subgraph,
     khop_neighborhood,
     plan_minibatches,
@@ -133,6 +135,31 @@ class TestKhopNeighborhood:
         pos = {int(v): i for i, v in enumerate(kept)}
         for s in seeds:
             assert np.allclose(sub_out[pos[int(s)]], full[s], rtol=1e-9), s
+
+
+def _khop_neighborhood_reference(graph, seeds, hops):
+    """Pre-vectorisation implementation (per-vertex segment slicing):
+    the oracle of the fuzzed equivalence tests below."""
+    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    visited = np.zeros(graph.num_vertices, dtype=bool)
+    visited[frontier] = True
+    indptr = graph.csc_indptr
+    src_by_dst = graph.csc_src
+    for _ in range(hops):
+        if frontier.size == 0:
+            break
+        segments = [
+            src_by_dst[indptr[v]:indptr[v + 1]] for v in frontier
+        ]
+        neighbours = (
+            np.unique(np.concatenate(segments))
+            if segments
+            else np.array([], dtype=np.int64)
+        )
+        fresh = neighbours[~visited[neighbours]]
+        visited[fresh] = True
+        frontier = fresh
+    return np.nonzero(visited)[0].astype(np.int64)
 
 
 class TestKhopVectorizedEquivalence:
@@ -267,3 +294,83 @@ class TestPlanMinibatches:
         # Mini-batch noise is high on 40-vertex subgraphs: compare the
         # tail average against the start.
         assert np.mean(losses[-3:]) < 0.85 * losses[0]
+
+
+def _strongly_reachable_arrays(root):
+    """Every ndarray strongly reachable from ``root``: through
+    containers, instance attributes, closures and array bases — not
+    through weak references, module globals or types."""
+    import types
+
+    seen, arrays, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, weakref.ref)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        elif isinstance(obj, types.MethodType):
+            stack.extend([obj.__self__, obj.__func__])
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return arrays
+
+
+class TestBatchKeepsNothingOfItsParent:
+    """The retained-bytes bound: a batch holds arrays of its own size
+    only.  Inheriting groupings must not pin the parent (it is held
+    weakly) nor any parent-edge-length scratch — 33 fields live through
+    one ``serve()`` call, and a compacted CSR must be free to go."""
+
+    def _batches(self):
+        from repro.dyn import DynamicGraph, GraphDelta
+        from repro.serve.batcher import receptive_field
+
+        parent = chung_lu(97, 1201, seed=4)
+        seeds = np.array([5, 40, 41])
+        lengths = [parent.num_edges]
+        rng = np.random.default_rng(0)
+        yield lengths, next(plan_minibatches(parent, 6, 1, rng=rng))
+        yield lengths, receptive_field(parent, seeds, 1)
+        dyn = DynamicGraph(parent)
+        rng = np.random.default_rng(1)
+        dyn.apply(GraphDelta(rng.integers(0, 97, 53), rng.integers(0, 97, 53)))
+        # Two layouts: neither's edge count, nor their sum, may show.
+        yield lengths + [53, dyn.num_edges], dyn.receptive_field(seeds, 1)
+
+    @pytest.mark.parametrize("touch", ["nothing", "in", "both"])
+    def test_no_reachable_array_has_the_parents_edge_count(self, touch):
+        for parent_lengths, mb in self._batches():
+            sub = mb.subgraph
+            assert 53 < sub.num_edges < min(set(parent_lengths) - {53})
+            if touch != "nothing":
+                sub.adjacency("in", np.float32), sub.incidence("in", np.float32)
+                sub.csc_src, sub.in_degrees
+            if touch == "both":
+                sub.adjacency("out", np.float32), sub.incidence("out", np.float32)
+                sub.csr_dst, sub.out_degrees
+            arrays = _strongly_reachable_arrays(mb)
+            assert any(a is sub.src for a in arrays)
+            for array in arrays:
+                assert not set(parent_lengths) & set(array.shape), (touch, array.shape)
+                assert array.nbytes <= 8 * (sub.num_edges + sub.num_vertices + 1)
+
+    def test_parent_is_free_to_go(self):
+        parent = chung_lu(97, 1201, seed=4)
+        gone = weakref.ref(parent)
+        sub, _, _ = induced_subgraph(parent, np.arange(0, 97, 2))
+        del parent
+        gc.collect()
+        assert gone() is None
+        cold = Graph(sub.src, sub.dst, sub.num_vertices)
+        assert np.array_equal(sub.csr_eids, cold.csr_eids)
