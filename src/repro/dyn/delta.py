@@ -15,7 +15,11 @@ giving up a single exactness contract:
   rebuilt from scratch at the same version,
 - :meth:`DynamicGraph.compact` — folds the pending log into a fresh
   CSR via :meth:`~repro.graph.csr.Graph.with_edges` (the shared,
-  validated append path).
+  validated append path).  An append keeps its receiver's grouping
+  (merge, no sort): the fresh CSR's CSC/CSR are the old segments with
+  the pending edges inserted after them, for each orientation the old
+  one had materialised, and nothing else of the old CSR — no operator,
+  no reference — survives the fold.
 
 Every mutation is charged to an exact analytic IO ledger:
 
@@ -274,10 +278,13 @@ class DynamicGraph:
 
         The merge goes through :meth:`Graph.with_edges` (the shared
         append path), so pending edges keep their global edge ids —
-        queries before and after a compaction are indistinguishable.
-        Charges the exact read-old + read-log + write-new bill
-        (:func:`compact_io_bytes`).  A compaction with nothing pending
-        is a free no-op.
+        queries before and after a compaction are indistinguishable —
+        and the fresh CSR keeps the old one's groupings (merge, no
+        sort: only the pending keys are grouped), so the next k-hop
+        does not re-sort the whole graph.  Charges the exact read-old +
+        read-log + write-new bill (:func:`compact_io_bytes`, a model
+        that the merge does not move).  A compaction with nothing
+        pending is a free no-op.
         """
         grown = self._num_vertices - self._csr.num_vertices
         if self._pending_edges == 0 and grown == 0:
@@ -430,6 +437,8 @@ class DynamicGraph:
         Replays the delta history onto the version-0 base in one
         :meth:`Graph.with_edges` append — the reference construction
         the differential contract compares overlay serving against.
+        Like any append it inherits the base's materialised groupings,
+        so tests hold it to a cold ``Graph(src, dst, n)`` of its edges.
         """
         version = self.version if version is None else version
         if not 0 <= version <= self.version:

@@ -31,7 +31,10 @@ Conventions used throughout the library
   :meth:`Graph.grouped` — the one way in from outside; nobody writes
   ``_cache`` — and they must equal, array for array, what
   :func:`_group_edges` would return, so no value downstream can tell.
-  Each orientation is materialised on first use either way.
+  An append keeps its receiver's grouping (merge, no sort): appended
+  edges take the highest ids, so they follow each vertex's segment
+  (:func:`_append_grouping`, also what merges a sampled graph's later
+  layouts).  Each orientation is materialised on first use either way.
 
 The class is deliberately plain: topology only, no features.  Features
 live in the execution engine; analytic passes only ever need
@@ -96,6 +99,28 @@ def _group_edges(
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, order
+
+
+def _append_grouping(
+    indptr: np.ndarray, eids: np.ndarray, keys: np.ndarray, num_vertices: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A grouping followed, at each vertex, by the edges that come after it.
+
+    ``(indptr, eids)`` groups edges ``0 .. len(eids)`` over the first
+    ``len(indptr) - 1`` of ``num_vertices`` home vertices; edge
+    ``len(eids) + i`` follows, with home endpoint ``keys[i]``.  Each
+    later id is above every earlier one, so the stable sort of all the
+    keys puts a vertex's later edges after its segment, ascending: only
+    ``keys`` is grouped, the rest is one ``np.insert``, and the result
+    equals :func:`_group_edges` of the whole key array, array for array.
+    """
+    tail_indptr, order = _group_edges(keys, num_vertices)
+    last = indptr.shape[0] - 1
+    at = indptr[np.minimum(keys[order] + 1, last)]
+    merged = np.insert(eids, at, order + eids.shape[0])
+    head_indptr = np.full(num_vertices + 1, indptr[-1], dtype=np.int64)
+    head_indptr[: last + 1] = indptr
+    return head_indptr + tail_indptr, merged
 
 
 def _endpoints(orientation: str) -> Tuple[str, str]:
@@ -244,9 +269,10 @@ class Graph(_SegmentLayout):
         free to answer ``None`` ("cannot tell any more").  An
         orientation left out, or answered ``None``, is grouped from the
         edge list as usual.  The maker answers for the equality (the
-        sampling layer reads its groupings off the parent's own, see
-        the module docstring); this is the only way a grouping gets
-        into a graph from outside.
+        sampling layer reads its groupings off the parent's own,
+        :meth:`with_edges` merges into its receiver's; see the module
+        docstring); this is the only way a grouping gets into a graph
+        from outside.
         """
         graph = cls(src, dst, num_vertices)
         for orientation, grouping in segments.items():
@@ -376,6 +402,14 @@ class Graph(_SegmentLayout):
         ``num_new_vertices`` grows the vertex set first; appended
         endpoints may reference the new ids.
 
+        An append keeps its receiver's grouping (merge, no sort): for
+        each orientation this graph has materialised, the result's is
+        the old segments with each vertex's appended edges inserted
+        after them (:func:`_append_grouping`, handed over through
+        :meth:`grouped`); an orientation never materialised stays lazy.
+        Only groupings cross — no operator, block, degree vector or
+        reference to this graph.
+
         Validation knobs (both permissive by default, matching the
         class convention that self-loops and parallel edges are legal):
 
@@ -428,10 +462,17 @@ class Graph(_SegmentLayout):
                             f"appended edges duplicate {int(dup.sum())} "
                             "existing edge(s) but allow_duplicates=False"
                         )
-        return Graph(
+        keys = {"in": dst, "out": src}
+        segments = {
+            o: _append_grouping(*self._cache["segments", o], keys[o], num_vertices)
+            for o in keys
+            if isinstance(self._cache.get(("segments", o)), tuple)
+        }
+        return Graph.grouped(
             np.concatenate([self.src, src]),
             np.concatenate([self.dst, dst]),
             num_vertices,
+            segments,
         )
 
     def add_self_loops(self) -> "Graph":

@@ -33,7 +33,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.graph.csr import Graph
+from repro.graph.csr import Graph, _append_grouping
 
 __all__ = [
     "induced_subgraph",
@@ -95,9 +95,10 @@ def _khop(
 ) -> np.ndarray:
     """:func:`khop_neighborhood` over edge layouts sharing one vertex space.
 
-    A layout is ``(graph, global id of its first edge)``; a plain graph
-    is one, a :class:`~repro.dyn.delta.DynamicGraph` two (compacted CSR,
-    pending edges).  A hop marks the frontier's in-neighbours in a
+    A layout is ``(graph, global id of its first edge)``, the first at
+    edge 0; a plain graph is one, a
+    :class:`~repro.dyn.delta.DynamicGraph` two (compacted CSR, pending
+    edges).  A hop marks the frontier's in-neighbours in a
     boolean over the vertex space and reads the unvisited ones back in
     ascending order: no sort, no ``np.unique``.
     """
@@ -119,44 +120,35 @@ def _khop(
 
 
 def _inherit(
-    parents, eids: np.ndarray, orientation: str, home: np.ndarray, n: int
+    parent: Graph, kept: np.ndarray, orientation: str, home: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indptr, eids)`` of an induced subgraph, read off its parents'.
+    """``(indptr, eids)`` of an induced subgraph, read off its parent's.
 
-    ``parents`` lists ``(graph, first edge id, edges kept)`` per layout,
-    ``eids`` the kept global edge ids (the subgraph's edges, in order),
-    ``home`` each one's home endpoint among the ``n`` local vertices.
-    With the kept vertices ascending, relabelling keeps the parent's
-    home-vertex order and its ascending edge ids inside each segment, so
-    the kept edges *in the parent's grouped order* are the subgraph's
-    grouping — what :func:`~repro.graph.csr._group_edges` would compute,
-    with no sort; a later layout's edges follow an earlier one's at each
-    vertex.  The parent-length scratch dies with the call.
+    The subgraph's first ``len(kept)`` edges are ``parent``'s edges
+    ``kept`` (ascending); any later ones come from later layouts, whose
+    ids follow.  ``home`` is each edge's home endpoint among the ``n``
+    local vertices.  With the kept vertices ascending, relabelling keeps
+    the parent's home-vertex order and its ascending edge ids inside
+    each segment, so the kept edges *in the parent's grouped order* are
+    the subgraph's grouping — what
+    :func:`~repro.graph.csr._group_edges` would compute, with no sort;
+    the later layouts' edges follow at each vertex
+    (:func:`~repro.graph.csr._append_grouping`).  The parent-length
+    scratch dies with the call.
     """
+    count = kept.shape[0]
+    _, order = parent.segments(orientation)
+    mask = np.zeros(parent.num_edges, dtype=bool)
+    mask[kept] = True
+    # Parent edge id → local edge id; read where kept only.
+    local = np.empty(parent.num_edges, dtype=np.int64)
+    local[kept] = np.arange(count)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(home, minlength=n), out=indptr[1:])
-    grouped, first = [], 0
-    for graph, first_eid, count in parents:
-        kept = eids[first:first + count] - first_eid
-        _, order = graph.segments(orientation)
-        mask = np.zeros(graph.num_edges, dtype=bool)
-        mask[kept] = True
-        # Parent edge id → local edge id; read where kept only.
-        local = np.empty(graph.num_edges, dtype=np.int64)
-        local[kept] = np.arange(first, first + count)
-        grouped.append(local[order[mask[order]]])
-        first += count
-    if len(grouped) == 1:
-        return indptr, grouped[0]
-    merged = np.empty(first, dtype=np.int64)
-    before = indptr[:-1].copy()
-    for part in grouped:
-        degree = np.bincount(home[part], minlength=n)
-        own = np.cumsum(degree) - degree
-        slots = np.repeat(before - own, degree) + np.arange(part.shape[0])
-        merged[slots] = part
-        before += degree
-    return indptr, merged
+    np.cumsum(np.bincount(home[:count], minlength=n), out=indptr[1:])
+    grouped = local[order[mask[order]]]
+    if count == home.shape[0]:
+        return indptr, grouped
+    return _append_grouping(indptr, grouped, home[count:], n)
 
 
 def _induce(
@@ -167,10 +159,10 @@ def _induce(
     An ascending vertex list — every receptive field — makes a subgraph
     that inherits its groupings (:func:`_inherit`): ``"in"`` now,
     ``"out"`` on first use (forward-only serving never asks) and only
-    while the parents are still around — they are referenced weakly, so
-    a batch keeps nothing of its parent alive — else from the edge list
-    as for any graph.  Every array equals what ``Graph(src, dst, n)``
-    would build either way.
+    while the first layout's graph is still around — it is referenced
+    weakly, so a batch keeps nothing of its parent alive — else from the
+    edge list as for any graph.  Every array equals what
+    ``Graph(src, dst, n)`` would build either way.
     """
     kept = _distinct(vertices, num_vertices, "vertex")
     if kept.size == 0:
@@ -182,27 +174,27 @@ def _induce(
     new_id = np.full(num_vertices, -1, dtype=np.int64)
     new_id[kept] = np.arange(n)
     member = new_id >= 0
-    parents, src, dst, eids = [], [], [], []
+    src, dst, eids = [], [], []
     for graph, first_eid in layouts:
         found = np.flatnonzero(member[graph.src] & member[graph.dst])
-        parents.append((graph, first_eid, found.shape[0]))
         src.append(new_id[graph.src[found]])
         dst.append(new_id[graph.dst[found]])
         eids.append(found + first_eid)
+    count = eids[0].shape[0]
     src, dst, eids = map(np.concatenate, (src, dst, eids))
     if not (kept[1:] > kept[:-1]).all():
         return Graph(src, dst, n), kept, eids
-    parents_out = [(weakref.ref(graph), *rest) for graph, *rest in parents]
+    # The first layout starts at edge 0: its kept ids are its own.
+    parent, own = layouts[0][0], eids[:count]
+    parent_ref = weakref.ref(parent)
 
     def out_segments():
-        alive = [(graph(), *rest) for graph, *rest in parents_out]
-        if any(graph is None for graph, *_ in alive):
-            return None
-        return _inherit(alive, eids, "out", src, n)
+        graph = parent_ref()
+        return None if graph is None else _inherit(graph, own, "out", src, n)
 
     sub = Graph.grouped(
         src, dst, n,
-        {"in": _inherit(parents, eids, "in", dst, n), "out": out_segments},
+        {"in": _inherit(parent, own, "in", dst, n), "out": out_segments},
     )
     return sub, kept, eids
 

@@ -301,3 +301,79 @@ class TestBatchIsASnapshot:
             ref = cold.adjacency(orientation, np.float32)
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
+
+
+class TestCompactionKeepsTheGrouping:
+    """A compaction merges the pending edges into the old CSR's
+    groupings instead of re-sorting the whole graph, and carries nothing
+    else of the old CSR across."""
+
+    def test_serving_never_groups_a_compacted_sized_key_array(self, monkeypatch):
+        import repro.graph.csr as csr
+        from repro.dyn import mixed_workload
+        from repro.frameworks import compile_forward, get_strategy
+        from repro.graph import get_dataset
+        from repro.registry import MODELS
+        from repro.serve import InferenceServer
+
+        ds = get_dataset("pubmed")
+        shared = ds.graph()
+        graph = Graph(shared.src, shared.dst, shared.num_vertices)
+        features = ds.features(dim=8, seed=0)
+        compiled = compile_forward(MODELS.get("gcn")(8, ds.num_classes), get_strategy("ours"))
+        server = InferenceServer(graph, features, {"gcn": compiled}, execute=False)
+        requests, updates = mixed_workload(
+            64, qps=4000.0, num_vertices=graph.num_vertices, feature_dim=8,
+            update_frac=0.3, seeds_per_request=4, tenant="gcn", zipf_alpha=0.9,
+            new_vertex_prob=0.25, seed=1,
+        )
+        grouped = []
+        group_edges = csr._group_edges
+
+        def spy(keys, num_vertices):
+            grouped.append(keys.shape[0])
+            return group_edges(keys, num_vertices)
+
+        monkeypatch.setattr(csr, "_group_edges", spy)
+        report = server.serve(requests, updates=updates, compact_every=2)
+        assert report.compactions >= 4
+        assert graph.num_edges in grouped  # the base, grouped once, cold
+        assert max(grouped) == graph.num_edges
+
+    @pytest.mark.parametrize("had", [(), ("in",), ("out",), ("in", "out")])
+    def test_only_the_groupings_it_had_cross(self, small_graph, had):
+        for orientation in had:
+            small_graph.incidence(orientation, np.float32)
+            small_graph.adjacency(orientation, np.float64)
+            small_graph.row_block(orientation, 0, 7)
+        small_graph.in_degrees, small_graph.out_degrees
+        dyn = DynamicGraph(small_graph)
+        dyn.apply(_random_delta(np.random.default_rng(2), dyn.num_vertices, grow=2))
+        csr = dyn.compact()
+        assert set(csr._cache) == {("segments", o) for o in had}
+        cold = Graph(csr.src, csr.dst, csr.num_vertices)
+        for orientation in had:
+            for got, want in zip(csr._cache["segments", orientation], cold.segments(orientation)):
+                assert np.array_equal(got, want)
+
+    def test_a_compacted_away_csr_is_free_to_go(self):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(6)
+        dyn = DynamicGraph(chung_lu(40, 200, seed=6))
+        dyn.apply(_random_delta(rng, dyn.num_vertices, grow=1))
+        old = dyn.compact()
+        old.incidence("in", np.float32), old.adjacency("out", np.float32)
+        old.row_block("in", 0, 5)
+        batch = dyn.receptive_field(np.array([1, 7, 30]), 2)
+        dyn.apply(_random_delta(rng, dyn.num_vertices, grow=1))
+        new = dyn.compact()
+        gone = weakref.ref(old)
+        del old
+        gc.collect()
+        assert gone() is None
+        assert set(new._cache) == {("segments", "in"), ("segments", "out")}
+        # The batch's lazy "out" grouping falls back to its own edge list.
+        cold = Graph(batch.subgraph.src, batch.subgraph.dst, batch.subgraph.num_vertices)
+        assert np.array_equal(batch.subgraph.csr_eids, cold.csr_eids)

@@ -194,7 +194,8 @@ class TestWithEdges:
 
 class TestCachedSegmentOperators:
     """Incidence operators and row blocks live in the graph's cache:
-    built once, never shared with a derived graph."""
+    built once, never shared with a derived graph (an append inherits
+    groupings only)."""
 
     def test_incidence_is_cached_per_orientation_and_dtype(self, small_graph):
         op = small_graph.incidence("in", np.float32)
@@ -233,8 +234,11 @@ class TestCachedSegmentOperators:
             "reverse": small_graph.reverse(),
             "compact": dyn.compact(),
         }
+        # An append keeps its receiver's groupings and nothing else.
+        groupings = {("segments", "in"), ("segments", "out")}
         for name, graph in derived.items():
-            assert graph is not small_graph and graph._cache == {}, name
+            assert graph is not small_graph, name
+            assert set(graph._cache) == (set() if name == "reverse" else groupings), name
         # ...and build their own: the appended edge is in the operator.
         grown = derived["compact"]
         assert grown.incidence("in", np.float32).shape == (

@@ -10,6 +10,13 @@ the frontier expansion to a set, on multigraphs with parallel edges,
 self-loops, isolated vertices and one-vertex fields, for sorted,
 unsorted and duplicated vertex lists, on a plain graph and on a
 :class:`~repro.dyn.DynamicGraph` with pending edges and new vertices.
+
+An append (``Graph.with_edges``, so every compaction) keeps its
+receiver's groupings by merging the appended edges in; the result is
+held to the same cold graph, for every subset of groupings the receiver
+had materialised, and a stateful sequence of applies, compactions and
+receptive fields is held to cold graphs of the rebuilt edge lists at
+every version.
 """
 
 import gc
@@ -17,6 +24,7 @@ import gc
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.dyn import DynamicGraph, GraphDelta
 from repro.graph import Graph
@@ -68,6 +76,21 @@ def _loop_induce(src, dst, vertices):
     return sub_src, sub_dst, kept, eids
 
 
+def _assert_cold(graph):
+    """Every view of ``graph`` equals the cold ``Graph`` of its edge
+    list's, dtype included."""
+    cold = Graph(graph.src, graph.dst, graph.num_vertices)
+    for view in VIEWS:
+        got_view, want_view = getattr(graph, view), getattr(cold, view)
+        assert got_view.dtype == want_view.dtype, view
+        assert np.array_equal(got_view, want_view), view
+    for orientation in ("in", "out"):
+        pairs = zip(graph.segments(orientation), cold.segments(orientation))
+        for got_part, want_part in pairs:
+            assert got_part.dtype == want_part.dtype, orientation
+            assert np.array_equal(got_part, want_part), orientation
+
+
 def _assert_induced(got, parent, vertices):
     sub, kept, eids = got
     want_src, want_dst, want_kept, want_eids = _loop_induce(
@@ -76,15 +99,7 @@ def _assert_induced(got, parent, vertices):
     assert sub.src.tolist() == want_src and sub.dst.tolist() == want_dst
     assert kept.tolist() == want_kept and eids.tolist() == want_eids
     assert sub.num_vertices == len(want_kept)
-    cold = Graph(sub.src, sub.dst, sub.num_vertices)
-    for view in VIEWS:
-        got_view, want_view = getattr(sub, view), getattr(cold, view)
-        assert got_view.dtype == want_view.dtype, view
-        assert np.array_equal(got_view, want_view), view
-    for orientation in ("in", "out"):
-        pairs = zip(sub.segments(orientation), cold.segments(orientation))
-        for got_part, want_part in pairs:
-            assert np.array_equal(got_part, want_part), orientation
+    _assert_cold(sub)
 
 
 class TestInducedSubgraphLoop:
@@ -163,3 +178,114 @@ class TestInNeighboursSet:
             visited = visited | frontier
         got = khop_neighborhood(graph, seeds, hops)
         assert got.dtype == np.int64 and got.tolist() == sorted(visited)
+
+
+GROUPED = st.sampled_from([(), ("in",), ("out",), ("in", "out")])
+
+
+@st.composite
+def receivers(draw):
+    """A multigraph, or now and then a graph with no edges at all."""
+    if draw(st.integers(0, 4)) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return Graph(empty, empty, draw(st.integers(1, 6)))
+    return draw(multigraphs())
+
+
+@st.composite
+def appends(draw, graph):
+    """``(src, dst, num_new_vertices)``: random edges (possibly none,
+    possibly growth only), edges among new vertices only, or parallel
+    copies of existing edges plus self-loops across the boundary."""
+    n = graph.num_vertices
+    shape = draw(st.sampled_from(["random", "new vertices only", "boundary"]))
+    grown = draw(st.integers(1 if shape == "new vertices only" else 0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    m = draw(st.integers(0, 8))
+    if shape == "random":
+        src, dst = rng.integers(0, n + grown, size=(2, m))
+    elif shape == "new vertices only":
+        src, dst = rng.integers(n, n + grown, size=(2, m))
+    else:
+        again = rng.integers(0, graph.num_edges, size=m) if graph.num_edges else []
+        loops = rng.integers(0, n + grown, size=draw(st.integers(0, 3)))
+        src = np.concatenate([graph.src[again], loops])
+        dst = np.concatenate([graph.dst[again], loops])
+    return src, dst, grown
+
+
+class TestAppendKeepsTheGrouping:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_cold_graph(self, data):
+        """Whatever the receiver had grouped, the append's views are the
+        cold graph's; the groupings it had, and only those, cross."""
+        graph = data.draw(receivers())
+        had = data.draw(GROUPED)
+        for orientation in had:
+            graph.segments(orientation)
+        src, dst, grown = data.draw(appends(graph))
+        appended = graph.with_edges(src, dst, num_new_vertices=grown)
+        assert set(appended._cache) == {("segments", o) for o in had}
+        _assert_cold(appended)
+
+
+class CompactionSequence(RuleBasedStateMachine):
+    """Applies, compactions, materialised groupings and receptive fields
+    in any order: at every version the compacted CSR, the rebuilt graph
+    and every field taken so far (at its own version) serve the views of
+    cold graphs.  ``rebuild`` appends to the base, so it inherits too:
+    the oracle is the cold construction, not ``rebuild``."""
+
+    def __init__(self):
+        super().__init__()
+        self.fields = []
+
+    @initialize(base=multigraphs(), had=GROUPED)
+    def start(self, base, had):
+        for orientation in had:
+            base.segments(orientation)
+        self.dyn = DynamicGraph(base)
+
+    @rule(grown=st.integers(0, 2), m=st.integers(0, 8), seed=st.integers(0, 2 ** 31))
+    def apply(self, grown, m, seed):
+        grown = grown or int(m == 0)  # an empty delta mutates nothing
+        space = self.dyn.num_vertices + grown
+        src, dst = np.random.default_rng(seed).integers(0, space, size=(2, m))
+        self.dyn.apply(GraphDelta(src, dst, num_new_vertices=grown))
+
+    @rule()
+    def compact(self):
+        self.dyn.compact()
+
+    @rule(orientation=st.sampled_from(["in", "out"]))
+    def group(self, orientation):
+        self.dyn.csr.segments(orientation)
+
+    @rule(data=st.data(), hops=st.integers(0, 2))
+    def receptive_field(self, data, hops):
+        seeds = data.draw(vertex_lists(self.dyn.num_vertices))
+        self.fields.append((self.dyn.version, self.dyn.receptive_field(seeds, hops)))
+
+    @invariant()
+    def views_are_the_cold_graphs(self):
+        csr, rebuilt = self.dyn.csr, self.dyn.rebuild()
+        assert np.array_equal(csr.src, rebuilt.src[: csr.num_edges])
+        assert np.array_equal(csr.dst, rebuilt.dst[: csr.num_edges])
+        _assert_cold(csr)
+        _assert_cold(rebuilt)
+        for version, mb in self.fields:
+            edges = self.dyn.rebuild(version)
+            cold = Graph(edges.src, edges.dst, edges.num_vertices)
+            want, kept, eids = induced_subgraph(cold, mb.vertices)
+            assert np.array_equal(kept, mb.vertices)
+            assert np.array_equal(eids, mb.edge_ids)
+            assert np.array_equal(want.src, mb.subgraph.src)
+            assert np.array_equal(want.dst, mb.subgraph.dst)
+            _assert_cold(mb.subgraph)
+
+
+CompactionSequence.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=15, deadline=None
+)
+TestCompactionSequence = CompactionSequence.TestCase
