@@ -19,7 +19,8 @@ scatter and param_grad — and :func:`blocked_segment_reduce` reduces a
 ``sum`` through that same function.
 
 :func:`segment_blocks` and :data:`BLOCK_BYTES` are also how
-``Engine._walk`` cuts a fused kernel into blocks of home rows.
+``Engine._walk`` cuts a fused kernel into blocks of home rows, and
+:data:`BLOCK_BYTES` how the reference ``u_dot_v`` chunks its edges.
 """
 
 from __future__ import annotations

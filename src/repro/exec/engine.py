@@ -8,11 +8,14 @@ optimized configuration must reproduce the per-op baseline bit for bit
 (up to float associativity).
 
 Fusion is not only accounting, though.  Inside a fused kernel an
-*aggregation chain* — ``copy_u`` → (× one weight per edge) → ``sum`` /
-``mean``, :meth:`ExecPlan.chains` — is one step: the product of the
-graph's adjacency operator with the vertex rows
-(:func:`repro.exec.kernels.aggregate`), so GCN / SAGE / GIN / RGCN
-aggregate without ever holding a message tensor.  A fused kernel that
+*aggregation chain* — ``copy_u`` → (× one weight per edge, or per edge
+and head) → ``sum`` / ``mean``, :meth:`ExecPlan.chains` — is one step:
+the product of the graph's adjacency operator with the vertex rows
+(:func:`repro.exec.kernels.aggregate`), so GCN / SAGE / GIN / RGCN and
+GAT / MoNet's attention-weighted sums aggregate without ever holding a
+message tensor; the backward's per-edge dot product
+``reduce_to_shape(copy_v(a) · copy_u(b))`` is one ``u_dot_v`` scatter,
+chunked over edges.  A fused kernel that
 owns other kernel-internal edge tensors executes as one walk over blocks
 of destination rows (source rows when its widest gather reduces over
 out-edges), each block building only a ``BLOCK_BYTES``-sized slice of
@@ -170,13 +173,15 @@ class Engine:
         #: aliases like ``"numpy"`` resolve to their canonical name.
         self._kernels = get_backend(backend)
         self.backend = self._kernels.name
-        #: An aggregation chain stands in for these reference kernels,
-        #: so it runs only when they are what the backend would call.
+        #: A chain stands in for these reference kernels (and a dot step
+        #: runs as ``u_dot_v``), so chains run only when they are what
+        #: the backend would call.
         self._chains = all(
             resolve_kernel(kind, fn, self.backend) is resolve_kernel(kind, fn)
             for kind, fn in (
                 ("scatter", "copy_u"), ("scatter", "copy_v"), ("apply", "mul"),
                 ("gather", "sum"), ("gather", "mean"),
+                ("apply", "reduce_to_shape"), ("scatter", "u_dot_v"),
             )
         )
         self._pools: Dict[int, ArenaPool] = {}
@@ -406,7 +411,7 @@ class Engine:
         """Step through ``nodes`` whole; a chain runs at its gather."""
         for node in nodes:
             chain = chains.get(node.name)
-            if chain is None or chain.gather is node:
+            if chain is None or chain.head is node:
                 self._step(run, node, chain=chain)
 
     def _walk(
@@ -580,8 +585,9 @@ class Engine:
 
         ``operands`` overrides data inputs by position (``None`` keeps
         ``values[name]``); ``graph`` overrides the topology indexed.
-        With ``chain``, ``node`` is its gather and the inputs are the
-        chain's operands: the whole chain is one product.
+        With ``chain``, ``node`` is its head and the inputs are the
+        chain's operands: the whole chain is one product, or one
+        scatter (a dot step).
         """
         ins = [values[n] for n in (chain.operands if chain else node.inputs)]
         for i, operand in enumerate(operands):
@@ -591,12 +597,14 @@ class Engine:
             graph = self.graph
         params = [values[p][0] for p in node.params]
         kernels = self._kernels
-        if chain is not None:
+        if chain is not None and chain.scatter is None:
             values[node.outputs[0]] = aggregate(
                 graph, *ins, orientation=node.orientation, mean=node.fn == "mean"
             )
-        elif node.kind is OpKind.SCATTER:
-            values[node.outputs[0]] = kernels.scatter(node.fn, graph, ins)
+        elif chain is not None or node.kind is OpKind.SCATTER:
+            values[node.outputs[0]] = kernels.scatter(
+                node.fn if chain is None else chain.scatter, graph, ins
+            )
         elif node.kind is OpKind.GATHER:
             out, argmax = kernels.gather(
                 node.fn,

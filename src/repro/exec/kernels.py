@@ -23,8 +23,11 @@ in CSC/CSR edge order — what a per-segment loop computes, bit for bit.
 ``max`` (order-insensitive) permutes the rows and uses
 ``np.maximum.reduceat`` with explicit handling of empty segments.
 :func:`aggregate` is the same product one step earlier: a ``copy_u`` →
-(× one weight per edge) → ``sum`` / ``mean`` chain reads the vertex rows
-through the graph's adjacency operator and never builds the edge tensor.
+(× one weight per edge, or per edge and head) → ``sum`` / ``mean`` chain
+reads the vertex rows through the graph's adjacency operator and never
+builds the edge tensor.  ``u_dot_v`` — also what a chain's per-edge dot
+product ``reduce_to_shape(copy_v(a) * copy_u(b))`` runs as — builds its
+per-edge products a ``BLOCK_BYTES`` chunk of edges at a time.
 
 Backends
 --------
@@ -445,8 +448,18 @@ def _s_u_mul_v(graph, inputs):
 
 @register_backend("scatter", "u_dot_v")
 def _s_u_dot_v(graph, inputs):
+    # Chunks of edges whose gathered rows and products (three edge rows
+    # each) hold ~BLOCK_BYTES at once; each edge's sum is its own, so
+    # chunking moves no bit.
     u, v = inputs
-    return (u[graph.src] * v[graph.dst]).sum(axis=-1)
+    src, dst = graph.src, graph.dst
+    row_bytes = u[:1].nbytes + v[:1].nbytes + max(u[:1].nbytes, v[:1].nbytes)
+    step = max(1, _backend_blocked.BLOCK_BYTES // max(row_bytes, 1))
+    parts = [
+        (u[src[lo:lo + step]] * v[dst[lo:lo + step]]).sum(axis=-1)
+        for lo in range(0, max(src.shape[0], 1), step)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @register_backend("scatter", "u_concat_v")
@@ -616,22 +629,30 @@ def aggregate(
     ``layout`` is a :class:`~repro.graph.csr.Graph` or one of its row
     blocks; ``x`` holds the far-endpoint rows (sources for ``"in"``,
     destinations for ``"out"`` — ``copy_v``), float32 or float64;
-    ``weight``, when given, has one element per edge in the layout's
-    edge-id order and ``x``'s dtype.  Each home row is ``+0.0`` then
-    ``weight[e] * x[far(e)]`` added left to right in CSC/CSR edge order
-    — the sum :func:`gather_kernel` takes of the edge tensor, bit for
-    bit when unweighted (``1 * x`` is exact), and when weighted unless
-    scipy's build fuses ``y += w * x`` into one rounding (README
+    ``weight``, when given, is in the layout's edge-id order with
+    ``x``'s dtype, and its feature shape is a leading prefix of ``x``'s
+    (after dropping trailing ones): one element per edge, or one per
+    edge and *head* — GAT's ``(E, H)`` attention against ``(V, H, F)``
+    rows.  ``H`` heads are one product over the head-interleaved
+    operator (:meth:`~repro.graph.csr.Graph.adjacency`) times ``x``
+    viewed as ``(V·H, F)``.  Each home row and head is ``+0.0`` then
+    ``weight[e, h] * x[far(e), h]`` added left to right in CSC/CSR edge
+    order — the sum :func:`gather_kernel` takes of the edge tensor, bit
+    for bit when unweighted (``1 * x`` is exact), and when weighted
+    unless scipy's build fuses ``y += w * x`` into one rounding (README
     clause 1d).
     """
-    operator = layout.adjacency(orientation, x.dtype)
+    heads = 1 if weight is None else int(np.prod(weight.shape[1:], dtype=np.int64))
+    operator, order = layout.adjacency(orientation, x.dtype, heads)
     if weight is not None:
-        _, eids = layout.segments(orientation)
         operator = adjacency_operator(
             operator.indptr, operator.indices, operator.shape[1],
-            weight.reshape(-1)[eids],
+            weight.reshape(-1)[order],
         )
-    return (_segment_mean if mean else segment_sum)(operator, x)
+    out = (_segment_mean if mean else segment_sum)(
+        operator, x.reshape(x.shape[0] * heads, -1)
+    )
+    return out.reshape((operator.shape[0] // heads,) + x.shape[1:])
 
 
 @register_backend("gather", "max")

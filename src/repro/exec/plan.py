@@ -10,8 +10,10 @@ engine and the analytic counters share one structure:
   zero DRAM memory (the fusion saving of §5).  The concrete engine
   honours this on the host too: an *aggregation chain*
   (:class:`AggregationChain`: ``copy_u`` → optional × one weight per
-  edge → ``sum`` / ``mean``) runs as one product that never builds its
-  edge tensors, and a fused kernel with other internal edge tensors
+  edge or per edge and head → ``sum`` / ``mean``) runs as one product
+  that never builds its edge tensors, the backward's per-edge dot
+  product ``reduce_to_shape(copy_v(a) · copy_u(b))`` as one
+  ``u_dot_v`` step, and a fused kernel with other internal edge tensors
   runs as one walk over cache-sized blocks of home rows
   (:class:`BlockedKernel`), so those are never materialised whole,
 - values in the plan's ``keep`` set (module outputs + the training
@@ -77,29 +79,39 @@ class KernelIO:
 
 @dataclass(frozen=True)
 class AggregationChain:
-    """``SCATTER copy_u`` → (``APPLY mul`` by one weight per edge) →
-    ``GATHER sum|mean`` inside one kernel, run as a single step.
+    """Nodes of one kernel that run as a single step at ``head``, never
+    building the edge tensors between them.  Two shapes:
 
-    ``gather.orientation`` names the home side; the scatter reads the
-    *far* one (``copy_u`` for ``"in"``, ``copy_v`` for ``"out"``).  The
-    ``interior`` nodes' outputs are kernel-internal and read by the next
-    link only, so executing ``gather`` as
-    :func:`repro.exec.kernels.aggregate` of ``source`` and ``weight``
-    leaves nothing undefined that anything reads.
+    - an *aggregation*: ``SCATTER copy_u`` → (``APPLY mul`` by a weight)
+      → ``GATHER sum|mean``, run as :func:`repro.exec.kernels.aggregate`
+      of the far-endpoint rows and the weight.  ``head.orientation``
+      names the home side; the scatter copies the *far* one (``copy_u``
+      for ``"in"``, ``copy_v`` for ``"out"``).  The weight is
+      EDGE-domain, one element per edge or one per edge and head: its
+      feature shape is a leading prefix of the message's (GAT's
+      ``(H,)`` attention against ``(H, F)`` messages);
+    - a *dot step*: ``APPLY reduce_to_shape`` summing away the trailing
+      axis of ``APPLY mul(copy_v(a), copy_u(b))`` — the backward's
+      per-edge dot product, the gSDDMM partner of the aggregation — run
+      as the registered ``scatter`` kernel ``u_dot_v(u=b, v=a)``.
+
+    The ``interior`` nodes' outputs are kernel-internal and read by
+    chain members only, so executing ``head`` in their place leaves
+    nothing undefined that anything reads.  A far copy may be interior
+    to several chains of its kernel (GAT's backward ``copy_v`` of the
+    output gradient feeds an aggregation and a dot step).
     """
 
-    gather: OpNode
-    #: Scatter, then the ``mul`` if weighted: nodes that never run.
+    head: OpNode
+    #: Copies, then the ``mul`` if any: nodes that never run.
     interior: Tuple[OpNode, ...]
-    #: The far-endpoint vertex operand (the scatter's input) …
-    source: str
-    #: … and the EDGE-domain factor, one element per edge, if any.
+    #: What the step reads: the far-endpoint rows, then the weight, if
+    #: any (an aggregation); ``(b, a)`` (a dot step).
+    operands: Tuple[str, ...]
+    #: An aggregation's EDGE-domain factor (its last operand), if any.
     weight: Optional[str] = None
-
-    @property
-    def operands(self) -> Tuple[str, ...]:
-        """What the step reads, far operand first."""
-        return (self.source,) if self.weight is None else (self.source, self.weight)
+    #: A dot step's registered scatter; ``None`` for an aggregation.
+    scatter: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -117,8 +129,8 @@ class BlockStep:
     dead: Tuple[str, ...]
     #: ``gather(max)`` argmax output, minted in block-local edge ids.
     argmax: Optional[str] = None
-    #: Set when ``node`` heads an aggregation chain: the step is the
-    #: chain's product on the block, its far operand read whole.
+    #: Set when ``node`` heads a chain: the step is the chain's product
+    #: (or dot step) on the block, its far operand read whole.
     chain: Optional[AggregationChain] = None
 
 
@@ -406,18 +418,28 @@ class ExecPlan:
 
 # ----------------------------------------------------------------------
 def _classify_chains(plan: ExecPlan, index: int) -> Dict[str, AggregationChain]:
-    """Find the aggregation chains of one kernel.
+    """Find the chains of one kernel (see :class:`AggregationChain`).
 
-    A chain ends in a ``GATHER sum|mean`` whose input is made in this
-    kernel by the far-endpoint copy (``copy_u`` under ``"in"``,
+    An aggregation ends in a ``GATHER sum|mean`` whose input is made in
+    this kernel by the far-endpoint copy (``copy_u`` under ``"in"``,
     ``copy_v`` under ``"out"``; the home-endpoint copy sums to
     ``degree · x``, not an aggregation), optionally through one
-    ``APPLY mul`` whose other operand is EDGE-domain with a single
-    element per edge and leaves the message's feature shape alone.
+    ``APPLY mul`` that leaves the message's feature shape alone and
+    whose other operand is EDGE-domain with a feature shape that,
+    trailing ones dropped, leads the message's: one weight per edge,
+    per edge and head, or per element.  A dot step is an ``APPLY
+    reduce_to_shape`` whose target is exactly its input's feature shape
+    minus the trailing axis, over an ``APPLY mul`` of a ``copy_v`` and
+    a ``copy_u`` of that same shape.
+
     Every intermediate must be kernel-internal — not kept, not an
-    output, unread by other kernels — and read by its next link only.
-    Operand, weight and result share one spec dtype, so the product
-    accumulates in the dtype the edge-tensor path would.
+    output, unread by other kernels.  A ``mul`` is read by its chain's
+    head only.  A copy may have several readers provided each is a
+    member of a chain the copy is interior to (never one reading it as
+    a weight); a chain whose copy is read otherwise is dropped, and with
+    it every chain that shared the copy.  Operands and result share one
+    spec dtype, so the step accumulates in the dtype the edge-tensor
+    path would.
     """
     kernel = plan.kernels[index]
     specs = plan.module.specs
@@ -425,48 +447,101 @@ def _classify_chains(plan: ExecPlan, index: int) -> Dict[str, AggregationChain]:
     consumers = plan._consumer_map()
     produced = {o: node for node in kernel.nodes for o in node.outputs}
 
-    def link(name: str, reader: OpNode, kind: OpKind, fn: str) -> Optional[OpNode]:
-        """The ``kind:fn`` node making ``name``, if only ``reader`` sees it."""
+    def made(name: str, kind: OpKind, fn: str) -> Optional[OpNode]:
+        """The kernel-internal ``kind:fn`` node making ``name``, if any."""
         node = produced.get(name)
         if (
             node is not None and node.kind is kind and node.fn == fn
-            and name in internal and consumers.get(name) == [reader]
+            and name in internal
         ):
             return node
         return None
 
-    found: Dict[str, AggregationChain] = {}
-    for gather in kernel.nodes:
-        if gather.kind is not OpKind.GATHER or gather.fn not in ("sum", "mean"):
-            continue
+    def mul_under(head: OpNode) -> Optional[OpNode]:
+        """The ``mul`` making ``head``'s input, if ``head`` alone reads it."""
+        mul = made(head.inputs[0], OpKind.APPLY, "mul")
+        if mul is not None and consumers.get(mul.outputs[0]) == [head]:
+            return mul
+        return None
+
+    def aggregation(gather: OpNode) -> Optional[AggregationChain]:
         copy = "copy_u" if gather.orientation == "in" else "copy_v"
-        message, weight = gather.inputs[0], None
-        mul = link(message, gather, OpKind.APPLY, "mul")
-        if mul is not None:
-            a, b = mul.inputs
-            message, weight = (
-                (a, b) if link(a, mul, OpKind.SCATTER, copy) is not None else (b, a)
-            )
-            if (
-                weight == message
-                or specs[weight].domain is not Domain.EDGE
-                or specs[weight].feat_elements != 1
-                or specs[mul.outputs[0]].feat_shape != specs[message].feat_shape
-            ):
-                continue
-        scatter = link(message, mul or gather, OpKind.SCATTER, copy)
-        if scatter is None:
-            continue
-        chain = AggregationChain(
-            gather=gather,
-            interior=(scatter,) if mul is None else (scatter, mul),
-            source=scatter.inputs[0],
-            weight=weight,
+        mul = mul_under(gather)
+        if mul is None:
+            scatter = made(gather.inputs[0], OpKind.SCATTER, copy)
+            return scatter and AggregationChain(gather, (scatter,), scatter.inputs)
+        message, weight = mul.inputs
+        if made(message, OpKind.SCATTER, copy) is None:
+            message, weight = weight, message
+        scatter = made(message, OpKind.SCATTER, copy)
+        shape = specs[message].feat_shape
+        prefix = specs[weight].feat_shape
+        while prefix[-1:] == (1,):
+            prefix = prefix[:-1]
+        if (
+            scatter is None or weight == message
+            or specs[weight].domain is not Domain.EDGE
+            or shape[:len(prefix)] != prefix
+            or specs[mul.outputs[0]].feat_shape != shape
+        ):
+            return None
+        return AggregationChain(
+            gather, (scatter, mul), (scatter.inputs[0], weight), weight=weight
         )
-        dtypes = {specs[name].dtype for name in chain.operands + gather.outputs}
-        if len(dtypes) == 1:
-            for node in chain.interior + (gather,):
-                found[node.name] = chain
+
+    def dot(reduce: OpNode) -> Optional[AggregationChain]:
+        mul = mul_under(reduce)
+        if mul is None:
+            return None
+        u = v = None
+        for name in mul.inputs:
+            u = u or made(name, OpKind.SCATTER, "copy_u")
+            v = v or made(name, OpKind.SCATTER, "copy_v")
+        shape = specs[mul.outputs[0]].feat_shape
+        if (
+            u is None or v is None
+            or tuple(reduce.attrs["target_shape"]) != shape[:-1]
+            or any(specs[name].feat_shape != shape for name in mul.inputs)
+        ):
+            return None
+        return AggregationChain(
+            reduce, (u, v, mul), (u.inputs[0], v.inputs[0]), scatter="u_dot_v"
+        )
+
+    chains: List[AggregationChain] = []
+    for node in kernel.nodes:
+        if node.kind is OpKind.GATHER and node.fn in ("sum", "mean"):
+            chain = aggregation(node)
+        elif node.kind is OpKind.APPLY and node.fn == "reduce_to_shape":
+            chain = dot(node)
+        else:
+            continue
+        if chain is None:
+            continue
+        if len({specs[n].dtype for n in chain.operands + node.outputs}) == 1:
+            chains.append(chain)
+    # An interior value may be read only by members of the chains it is
+    # interior to: a shared copy stands or falls with all its readers.
+    while True:
+        holders: Dict[str, Set[str]] = {}
+        for c in chains:
+            members = {n.name for n in (c.head,) + c.interior}
+            for node in c.interior:
+                holders.setdefault(node.name, set()).update(members)
+        kept = [
+            c for c in chains
+            if all(
+                {r.name for r in consumers[n.outputs[0]]} <= holders[n.name]
+                for n in c.interior
+            )
+        ]
+        if len(kept) == len(chains):
+            break
+        chains = kept
+    found: Dict[str, AggregationChain] = {}
+    for chain in chains:
+        for node in chain.interior + (chain.head,):
+            found.setdefault(node.name, chain)
     return found
 
 
@@ -481,9 +556,10 @@ def _classify_blocked(
     ``VIEW`` (aliases whole arrays) or ``max_grad`` (indexes by global
     edge id) keep the per-node path.
 
-    An aggregation chain in ``chains`` is one node — its gather, reading
-    the chain's operands: a home-row step whose far operand is whole.
-    Its interior is not built, so it is not an edge tensor to keep
+    A chain in ``chains`` is one node — its head, reading the chain's
+    operands: an aggregation is a home-row step whose far operand is
+    whole, a dot step is the ``u_dot_v`` scatter it runs as.  Its
+    interior is not built, so it is not an edge tensor to keep
     block-sized, and a kernel whose only internal edge tensors belong to
     chains has nothing to walk for.
 
@@ -504,7 +580,7 @@ def _classify_blocked(
     """
     nodes = tuple(
         node for node in plan.kernels[index].nodes
-        if node.name not in chains or chains[node.name].gather is node
+        if node.name not in chains or chains[node.name].head is node
     )
     specs = plan.module.specs
     if len(nodes) < 2 or any(
@@ -518,9 +594,9 @@ def _classify_blocked(
         gathers, key=lambda n: specs[n.outputs[0]].feat_elements
     ).orientation if gathers else "in"
 
-    def far_input(node: OpNode) -> Optional[int]:
+    def far_input(name: str) -> Optional[int]:
         """Position of a scatter's far-endpoint operand, if it reads one."""
-        fn = get_scatter_fn(node.fn)
+        fn = get_scatter_fn(name)
         if orientation == "in":
             return 0 if fn.reads_u else None
         return (1 if fn.reads_u else 0) if fn.reads_v else None
@@ -540,11 +616,13 @@ def _classify_blocked(
             and not node.is_expensive()
             and domain in (Domain.VERTEX, Domain.EDGE)
         )
+        chain = chains.get(node.name)
         if node.kind is OpKind.GATHER:
             row_local = node.orientation == orientation
-            far_of[node.name] = 0 if node.name in chains else None
-        elif node.kind is OpKind.SCATTER:
-            far_of[node.name] = far_input(node)
+            far_of[node.name] = None if chain is None else 0
+        elif node.kind is OpKind.SCATTER or chain is not None:
+            # A dot step is the scatter it runs as.
+            far_of[node.name] = far_input(node.fn if chain is None else chain.scatter)
         elif domain is Domain.VERTEX and "block" not in sources:
             row_local = False
         far = far_of.get(node.name)

@@ -17,9 +17,10 @@ Conventions used throughout the library
   :meth:`Graph.incidence`): the permutation is the operator's column
   indices, so no permuted copy of the edge tensor is ever made.
 * An *aggregation* — the segment sum of far-endpoint vertex rows,
-  optionally scaled by one weight per edge — is the same product with
-  the view's adjacency operator (:func:`adjacency_operator`,
-  :meth:`Graph.adjacency`), whose columns are far-endpoint vertex ids:
+  optionally scaled by one weight per edge (or per edge and head) — is
+  the same product with the view's adjacency operator
+  (:func:`adjacency_operator`, :meth:`Graph.adjacency`), whose columns
+  are far-endpoint vertex ids (head-interleaved for per-head weights):
   no edge tensor exists at all.  Both operators are built here and
   nowhere else.
 * A grouping is computed from the edge list once (:func:`_group_edges`,
@@ -123,6 +124,28 @@ def _append_grouping(
     return head_indptr + tail_indptr, merged
 
 
+def _interleave(
+    indptr: np.ndarray, far: np.ndarray, eids: np.ndarray, heads: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A grouping's operator arrays, each segment repeated once per head.
+
+    Segment ``v`` becomes rows ``v·heads + h``, each holding the
+    segment's edges in their order; an edge's far column becomes
+    ``far·heads + h`` and its edge-tensor position ``eid·heads + h``.
+    """
+    degree = np.diff(indptr)
+    row_degree = np.repeat(degree, heads)
+    rows = np.zeros(row_degree.shape[0] + 1, dtype=np.int64)
+    np.cumsum(row_degree, out=rows[1:])
+    position = np.arange(rows[-1], dtype=np.int64) + np.repeat(
+        np.repeat(indptr[:-1], heads) - rows[:-1], row_degree
+    )
+    head = np.repeat(
+        np.tile(np.arange(heads, dtype=np.int64), degree.shape[0]), row_degree
+    )
+    return rows, far[position] * heads + head, eids[position] * heads + head
+
+
 def _endpoints(orientation: str) -> Tuple[str, str]:
     """``(home, far)`` endpoint fields: ``"in"`` groups edges by destination."""
     if orientation == "in":
@@ -156,21 +179,35 @@ class _SegmentLayout:
             )
         return operator
 
-    def adjacency(self, orientation: str, dtype) -> csr_array:
-        """Cached unit :func:`adjacency_operator` of :meth:`segments`:
-        home vertices × far-endpoint vertices (sources for ``"in"``,
+    def adjacency(
+        self, orientation: str, dtype, heads: int = 1
+    ) -> Tuple[csr_array, np.ndarray]:
+        """Cached unit :func:`adjacency_operator` of :meth:`segments`,
+        with the order its entries take an edge tensor in.
+
+        Home vertices × far-endpoint vertices (sources for ``"in"``,
         destinations for ``"out"``), one entry of ``dtype`` per edge in
-        CSC/CSR edge order.  A weighted operator shares its index
-        arrays."""
-        key = ("adjacency", orientation, np.dtype(dtype).char)
-        operator = self._cache.get(key)
-        if operator is None:
+        CSC/CSR edge order; the order is the grouping's ``eids``.  With
+        ``heads`` the operator is head-interleaved: row ``v·heads + h``
+        holds column ``far·heads + h`` for each edge of segment ``v``,
+        in the same order, so it multiplies vertex rows viewed as
+        ``(vertices·heads, f)``; the order then reads ``w[e, h]`` off an
+        ``(edges, heads)`` tensor flattened.  A weighted operator shares
+        the index arrays, its entries ``w.reshape(-1)[order]``.
+        """
+        key = ("adjacency", orientation, np.dtype(dtype).char, heads)
+        entry = self._cache.get(key)
+        if entry is None:
             indptr, eids = self.segments(orientation)
             far = (self.src if orientation == "in" else self.dst)[eids]
-            operator = self._cache[key] = adjacency_operator(
-                indptr, far, self.far_vertices, np.ones(far.shape[0], dtype=dtype)
+            if heads != 1:
+                indptr, far, eids = _interleave(indptr, far, eids, heads)
+            operator = adjacency_operator(
+                indptr, far, self.far_vertices * heads,
+                np.ones(far.shape[0], dtype=dtype),
             )
-        return operator
+            entry = self._cache[key] = (operator, eids)
+        return entry
 
 
 class _RowBlock(_SegmentLayout, SimpleNamespace):

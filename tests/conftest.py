@@ -39,19 +39,22 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def products(monkeypatch):
-    """Every aggregation chain an ``Engine`` ran as one product during
-    the test, as ``(layout, weight)``: the whole graph or one block of
-    a walk, and the per-edge weight (``None`` when unweighted)."""
-    from repro.exec import engine
+    """Every chain an ``Engine`` ran as one step during the test — one
+    product, or one dot step — as ``(layout, chain)``: the whole graph
+    or one block of a walk, and the :class:`AggregationChain`."""
+    from repro.exec import Engine
 
     calls = []
-    aggregate = engine.aggregate
+    execute = Engine._execute
 
-    def spy(layout, x, weight=None, **kwargs):
-        calls.append((layout, weight))
-        return aggregate(layout, x, weight, **kwargs)
+    def spy(self, node, values, argmax_needed, *, graph=None, chain=None, **kwargs):
+        if chain is not None:
+            calls.append((self.graph if graph is None else graph, chain))
+        return execute(
+            self, node, values, argmax_needed, graph=graph, chain=chain, **kwargs
+        )
 
-    monkeypatch.setattr(engine, "aggregate", spy)
+    monkeypatch.setattr(Engine, "_execute", spy)
     return calls
 
 

@@ -297,8 +297,8 @@ class TestBatchIsASnapshot:
         for view in self.VIEWS:
             assert np.array_equal(getattr(mb.subgraph, view), getattr(cold, view)), view
         for orientation in ("in", "out"):
-            got = mb.subgraph.adjacency(orientation, np.float32)
-            ref = cold.adjacency(orientation, np.float32)
+            got, _ = mb.subgraph.adjacency(orientation, np.float32)
+            ref, _ = cold.adjacency(orientation, np.float32)
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
 

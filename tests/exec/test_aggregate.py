@@ -1,5 +1,5 @@
 """The aggregation kernel, one parametrised body × reduce × weight shape
-× dtype × size × layout.
+(per edge, per edge and head, per element) × dtype × size × layout.
 
 :func:`repro.exec.kernels.aggregate` must equal the edge-tensor path it
 replaces — ``gather(scatter(x) * w)`` through the registered kernels —
@@ -53,7 +53,8 @@ def _assert_matches(got, want, x, weight, graph, orientation):
 @pytest.mark.parametrize("layout", ["graph", "blocks"])
 @pytest.mark.parametrize("num_edges", [0, 1, 37, 3000])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("weight_shape", [None, (), (1,)])
+# One weight per edge, per edge and head (FEAT's leading axis), per element.
+@pytest.mark.parametrize("weight_shape", [None, (), (1,), (2,), (2, 1), FEAT])
 @pytest.mark.parametrize("orientation", ["in", "out"])
 @pytest.mark.parametrize("reduce", ["sum", "mean"])
 def test_aggregate_matches_the_edge_tensor_path(
@@ -98,18 +99,44 @@ class TestMean:
 
 
 class TestOperators:
-    def test_unit_operator_is_cached_per_orientation_and_dtype(self):
+    def test_unit_operator_is_cached_per_orientation_dtype_and_heads(self):
         graph = chung_lu(30, 120, seed=2)  # own graph: own, empty cache
-        a = graph.adjacency("in", np.float32)
-        assert graph.adjacency("in", np.float32) is a
-        assert graph.adjacency("in", np.float64) is not a
-        assert graph.adjacency("out", np.float32) is not a
+        entry = graph.adjacency("in", np.float32)
+        a, order = entry
+        assert graph.adjacency("in", np.float32) is entry
+        assert graph.adjacency("in", np.float32, 1) is entry
+        assert graph.adjacency("in", np.float64)[0] is not a
+        assert graph.adjacency("out", np.float32)[0] is not a
+        assert graph.adjacency("in", np.float32, 3)[0] is not a
         assert a.shape == (30, 30) and a.dtype == np.float32
+        # One head: the grouping's own edge order, not a copy of it.
+        assert order is graph.csc_eids
         block = graph.row_block("out", 4, 9)
-        b = block.adjacency("out", np.float64)
-        assert block.adjacency("out", np.float64) is b
+        b, _ = block.adjacency("out", np.float64, 2)
+        assert block.adjacency("out", np.float64, 2)[0] is b
         # Home rows are the block's, far columns the whole graph's.
-        assert b.shape == (5, 30)
+        assert b.shape == (5 * 2, 30 * 2)
+
+    @pytest.mark.parametrize("orientation", ["in", "out"])
+    def test_heads_interleave_each_segment_in_edge_order(self, orientation):
+        """Row ``v·H + h`` is segment ``v``'s edges in order, column
+        ``far·H + h``; the order reads ``w[e, h]`` off ``w.reshape(-1)``."""
+        graph = chung_lu(30, 120, seed=2)
+        heads = 3
+        operator, order = graph.adjacency(orientation, np.float64, heads)
+        indptr, eids = graph.segments(orientation)
+        far = graph.src if orientation == "in" else graph.dst
+        rows, columns, positions = [0], [], []
+        for v in range(graph.num_vertices):
+            segment = eids[indptr[v]:indptr[v + 1]]
+            for h in range(heads):
+                columns += [far[e] * heads + h for e in segment]
+                positions += [e * heads + h for e in segment]
+                rows.append(len(columns))
+        assert operator.indptr.tolist() == rows
+        assert operator.indices.tolist() == columns
+        assert order.tolist() == positions
+        assert (operator.data == 1).all()
 
     def test_parallel_edges_stay_separate_terms_in_order(self):
         # 1e16 + 1 - 1e16 is 0 left to right and 1 if the two parallel
@@ -121,7 +148,7 @@ class TestOperators:
 
     def test_weighted_operator_shares_the_unit_operators_indices(self):
         graph = chung_lu(30, 120, seed=2)
-        unit = graph.adjacency("in", np.float64)
+        unit, _ = graph.adjacency("in", np.float64)
         weighted = adjacency_operator(
             unit.indptr, unit.indices, unit.shape[1], np.ones(120)
         )

@@ -1,13 +1,16 @@
 """Aggregation chains: recognition in the plan, execution in the engine
 (contract clause 1d).
 
-``copy_u → (× one weight per edge) → sum | mean`` inside one kernel runs
-as one adjacency × dense product.  The per-node path still exists — it
-is what ``MultiEngine``, reduced-precision and ``check_finite`` runs
-execute — so :func:`tests.helpers.run_plan_per_node` is the oracle:
-every value a run returns must equal it by ``tobytes()``, dtype and
-shape (a plan with a *weighted* chain: wherever scipy does not fuse
-``y += w * x``; within the stated tolerance otherwise).
+``copy_u → (× one weight per edge, or per edge and head) → sum | mean``
+inside one kernel runs as one adjacency × dense product, and the
+backward's ``reduce_to_shape(copy_v(a) * copy_u(b))`` as one
+``u_dot_v`` step.  The per-node path still exists — it is what
+``MultiEngine``, reduced-precision and ``check_finite`` runs execute —
+so :func:`tests.helpers.run_plan_per_node` is the oracle: every value a
+run returns must equal it by ``tobytes()``, dtype and shape (a plan with
+a *weighted* chain: wherever scipy does not fuse ``y += w * x``; within
+the stated tolerance otherwise — a dot step is not weighted and is
+exact everywhere).
 """
 
 from __future__ import annotations
@@ -91,6 +94,29 @@ def _module(
     return b.build()
 
 
+def _dot_module(*, target=None, b_dtype="float32", shared=True, v_first=True):
+    """GAT's backward in miniature: ``dot = reduce_to_shape(copy_v(a) *
+    copy_u(b))`` per edge and head and, when ``shared``, the out-edge
+    aggregation ``sum(copy_v(a) * w)`` reading the same copy."""
+    feat = (2, 3)
+    b = Builder("dot")
+    a = b.input("a", Domain.VERTEX, feat)
+    u = b.input("b", Domain.VERTEX, feat, dtype=b_dtype)
+    va = b.scatter("copy_v", v=a, name="va")
+    ub = b.scatter("copy_u", u=u, name="ub")
+    prod = b.apply("mul", *((va, ub) if v_first else (ub, va)), name="prod")
+    dot = b.apply(
+        "reduce_to_shape", prod, name="dot",
+        attrs={"target_shape": feat[:-1] if target is None else target},
+    )
+    b.output(b.apply("neg", dot, name="y"))
+    if shared:
+        w = b.input("w", Domain.EDGE, feat[:1])
+        agg = b.gather("sum", b.apply("mul", va, w, name="wva"), orientation="out", name="agg")
+        b.output(b.apply("neg", agg, name="z"))
+    return b.build()
+
+
 class TestRecognition:
     #: Sum/mean gathers in the training plans, all of them chains.
     ZOO = {"gcn": 4, "sage": 3, "gin": 3, "rgcn": 12}
@@ -108,7 +134,7 @@ class TestRecognition:
             if n.kind.value == "gather" and n.fn in ("sum", "mean")
         ]
         assert len(chains) == len(gathers) == self.ZOO[model_name]
-        assert {c.gather.name for c in chains} == {n.name for n in gathers}
+        assert {c.head.name for c in chains} == {n.name for n in gathers}
         weighted = model_name in ("gcn", "rgcn")
         assert all((c.weight is not None) == weighted for c in chains)
         # Chain-only kernels have nothing left to walk for.
@@ -116,10 +142,37 @@ class TestRecognition:
             for i in range(len(plan.kernels)):
                 assert plan.blocked(i, True) is None
 
-    @pytest.mark.parametrize("model_name", ["gat", "monet", "edgeconv"])
-    def test_per_head_weights_and_edge_functions_are_not_chains(self, model_name):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("model_name, heads", [("gat", 4), ("monet", 2)])
+    def test_per_head_weights_are_chains(self, model_name, heads, strategy):
+        """Attention (gat) and gaussian (monet) weights hold one element
+        per edge and head against ``(heads, f)`` messages.  Per layer the
+        forward aggregates once; the backward aggregates the output
+        gradient over out-edges and takes the attention gradient as a
+        dot step, both reading one shared ``copy_v``."""
+        compiled = _compiled(model_name, strategy)
+        forward, backward = (_chains(p) for p in (compiled.fwd_plan, compiled.bwd_plan))
+        assert [c.scatter for c in forward] == [None, None]
+        assert sorted(str(c.scatter) for c in backward) == ["None"] * 2 + ["u_dot_v"] * 2
+        for plan in (compiled.fwd_plan, compiled.bwd_plan):
+            specs = plan.module.specs
+            for i in range(len(plan.kernels)):
+                chains = list({id(c): c for c in plan.chains(i).values()}.values())
+                for chain in chains:
+                    message = specs[chain.interior[0].outputs[0]].feat_shape
+                    if chain.scatter is None:
+                        assert specs[chain.weight].feat_shape == (heads,) == message[:1]
+                        continue
+                    copy_v = chain.interior[1]
+                    assert copy_v.fn == "copy_v"
+                    (sharer,) = [c for c in chains if copy_v in c.interior and c is not chain]
+                    assert sharer.head.orientation == "out"
+
+    def test_edge_functions_are_not_chains(self):
+        """EdgeConv's messages are functions of both endpoints: nothing
+        to take, so classification is what it was without chains."""
         for strategy in STRATEGIES:
-            compiled = _compiled(model_name, strategy)
+            compiled = _compiled("edgeconv", strategy)
             for plan in (compiled.fwd_plan, compiled.bwd_plan):
                 assert _chains(plan) == []
                 for i in range(len(plan.kernels)):
@@ -130,33 +183,57 @@ class TestRecognition:
         chain's weight is made in the walk, block by block."""
         plan = _compiled("dotgat").fwd_plan
         chains = _chains(plan)
-        assert [c.gather.name for c in chains] == ["l0_agg.0", "l1_agg.0"]
+        assert [c.head.name for c in chains] == ["l0_agg.0", "l1_agg.0"]
         for i in range(len(plan.kernels)):
             for name, chain in plan.chains(i).items():
                 blocked = plan.blocked(i, True)
                 steps = {s.node.name: s for s in blocked.steps}
-                if name == chain.gather.name:
+                if name == chain.head.name:
                     assert steps[name].chain is chain
                     assert steps[name].whole == (True, False)
                     assert chain.weight not in blocked.edge_rows
                 else:
                     assert name not in steps
 
+    def test_a_dot_step_inside_a_walk_is_a_scatter_step(self):
+        """dotgat's backward walks out-edge blocks for its softmax: the
+        dot step reads its far operand (``copy_v``'s, the destinations)
+        whole and its home operand per block, like ``u_dot_v``."""
+        plan = _compiled("dotgat").bwd_plan
+        for i in range(len(plan.kernels)):
+            dots = {id(c): c for c in plan.chains(i).values() if c.scatter}.values()
+            if not dots:
+                continue
+            blocked = plan.blocked(i, True)
+            assert blocked.orientation == "out"
+            steps = {s.node.name: s for s in blocked.steps}
+            for dot in dots:
+                assert steps[dot.head.name].whole == (False, True)
+                assert all(n.name not in steps for n in dot.interior)
+                home = dot.operands[0]
+                assert home in blocked.home_rows or home in steps
+
     @pytest.mark.parametrize("reduce", ["sum", "mean"])
     @pytest.mark.parametrize("weight_first", [False, True])
-    @pytest.mark.parametrize("weight_feat", [None, (), (1,)])
+    @pytest.mark.parametrize("feat, weight_feat", [
+        ((3,), None), ((3,), ()), ((3,), (1,)), ((3,), (3,)),
+        ((2, 3), (2,)), ((2, 3), (2, 1)), ((2, 3), (2, 3)),
+    ])
     @pytest.mark.parametrize(
         "copy, orientation", [("copy_u", "in"), ("copy_v", "out")]
     )
-    def test_shapes_that_match(self, copy, orientation, weight_feat, weight_first, reduce):
+    def test_shapes_that_match(
+        self, copy, orientation, feat, weight_feat, weight_first, reduce
+    ):
         module = _module(
-            copy=copy, orientation=orientation, reduce=reduce,
+            copy=copy, orientation=orientation, reduce=reduce, feat=feat,
             weight_feat=weight_feat, weight_first=weight_first,
         )
         plan = plan_module(module, mode="unified")
         (chain,) = _chains(plan)
-        assert chain.gather.name == "agg" and chain.source == "x"
+        assert chain.head.name == "agg" and chain.operands[0] == "x"
         assert chain.weight == (None if weight_feat is None else "w")
+        assert chain.scatter is None
         assert [n.name for n in chain.interior] == (
             ["msg"] if weight_feat is None else ["msg", "wmsg"]
         )
@@ -164,23 +241,42 @@ class TestRecognition:
         assert set(plan.chains(0)) == members
         assert plan.chains(0) is plan.chains(0)
 
+    @pytest.mark.parametrize("v_first", [True, False])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_dot_steps_that_match(self, shared, v_first):
+        plan = plan_module(_dot_module(shared=shared, v_first=v_first), mode="unified")
+        assert len(plan.kernels) == 1
+        chains = plan.chains(0)
+        dot = chains["dot"]
+        assert dot.head.name == "dot" and dot.scatter == "u_dot_v"
+        assert dot.operands == ("b", "a") and dot.weight is None  # u=b, v=a
+        assert [n.name for n in dot.interior] == ["ub", "va", "prod"]
+        if shared:
+            agg = chains["agg"]
+            assert agg.weight == "w" and [n.name for n in agg.interior] == ["va", "wva"]
+            assert set(chains) == {"dot", "ub", "va", "prod", "agg", "wva"}
+        else:
+            assert set(chains) == {"dot", "ub", "va", "prod"}
+
     @pytest.mark.parametrize("refusal", [
-        "stashed", "second_reader", "wide_weight", "home_endpoint",
-        "weight_reshapes_message", "max", "per_op",
+        "stashed", "second_reader", "home_endpoint", "weight_reshapes_message",
+        "weight_not_a_prefix", "max", "per_op",
     ])
     def test_refusals(self, refusal):
         keep, mode, kwargs = (), "unified", {}
         if refusal == "stashed":
             keep = ("wmsg",)
         elif refusal == "second_reader":
+            # The far copy is also read by an ``exp`` no chain holds.
             kwargs = {"second_reader": True}
-        elif refusal == "wide_weight":
-            kwargs = {"weight_feat": (3,)}
         elif refusal == "home_endpoint":
             kwargs = {"copy": "copy_v"}  # summed over in-edges: degree · x
         elif refusal == "weight_reshapes_message":
             # (E, 1, 1) against (E, 3) right-pads the message to (E, 3, 1).
             kwargs = {"weight_feat": (1, 1)}
+        elif refusal == "weight_not_a_prefix":
+            # (E, 1, 3) against (E, 3, 3) is per feature, not per head.
+            kwargs = {"feat": (3, 3), "weight_feat": (1, 3)}
         elif refusal == "max":
             kwargs = {"reduce": "max", "weight_feat": None}
         elif refusal == "per_op":
@@ -189,12 +285,45 @@ class TestRecognition:
         plan = plan_module(module, mode=mode, keep=keep)
         assert all(plan.chains(i) == {} for i in range(len(plan.kernels)))
 
+    def test_a_copy_read_as_a_weight_is_no_chains_interior(self, graph):
+        """``sum(copy_u(x) * copy_u(y))`` takes ``copy_u(y)`` as its
+        full-shape weight, so ``sum(copy_u(y))`` may not skip building
+        it: that chain is refused, the weighted one stands."""
+        b = Builder("weight-copy")
+        x = b.input("x", Domain.VERTEX, (3,))
+        y = b.input("y", Domain.VERTEX, (3,))
+        cy = b.scatter("copy_u", u=y, name="cy")
+        weighted = b.gather("sum", b.apply("mul", b.scatter("copy_u", u=x), cy), name="a")
+        plain = b.gather("sum", cy, name="p")
+        b.output(b.apply("add", weighted, plain, name="out"))
+        module = b.build()
+        plan = plan_module(module, mode="unified")
+        (chain,) = _chains(plan)
+        assert chain.head.name == "a" and chain.weight == "cy"
+        rng = np.random.default_rng(3)
+        arrays = {n: rng.normal(size=(graph.num_vertices, 3)) for n in ("x", "y")}
+        engine, oracle = Engine(graph), Engine(graph)
+        got = engine.run_plan(plan, engine.bind(module, arrays), unwrap=False)
+        want, _ = run_plan_per_node(oracle, plan, oracle.bind(module, arrays))
+        assert_same_values(got, want, plan, "weight-copy")
+
+    @pytest.mark.parametrize("target", [(), (2, 1)])
+    def test_a_dot_summing_more_than_the_trailing_axis_is_refused(self, target):
+        """And the aggregation sharing its copy goes with it: the copy
+        now has a reader outside every chain."""
+        plan = plan_module(_dot_module(target=target), mode="unified")
+        assert plan.chains(0) == {}
+        alone = plan_module(_dot_module(target=target, shared=False), mode="unified")
+        assert alone.chains(0) == {}
+
     def test_mixed_storage_dtypes_are_refused(self):
         b = Builder("mixed")
         x = b.input("x", Domain.VERTEX, (3,))
         w = b.input("w", Domain.EDGE, (), dtype="float64")
         b.output(b.gather("sum", b.apply("mul", b.scatter("copy_u", u=x), w)))
         plan = plan_module(b.build(), mode="unified")
+        assert plan.chains(0) == {}
+        plan = plan_module(_dot_module(b_dtype="float64", shared=False), mode="unified")
         assert plan.chains(0) == {}
 
 
@@ -218,10 +347,10 @@ class TestChainVsNode:
             graph, compiled, engine, oracle,
             f"{model_name}/{strategy}/{engine_precision}/{backend}",
         )
+        # Every chain ran, once, as one step on the whole graph.
         chains = _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
-        assert [weight is not None for _, weight in products] == [
-            c.weight is not None for c in chains
-        ]
+        assert [chain for _, chain in products] == chains
+        assert all(layout is graph for layout, _ in products)
 
     @pytest.mark.parametrize("weight_in_walk", [False, True])
     @pytest.mark.parametrize("orientation", ["in", "out"])
@@ -260,6 +389,39 @@ class TestChainVsNode:
             want, _ = run_plan_per_node(oracle, plan, oracle.bind(module, arrays))
             assert_same_values(got, want, plan, f"walked/{precision}")
             assert len(products) >= 4  # one product per block
+
+    @pytest.mark.parametrize("orientation", ["in", "out"])
+    def test_a_dot_step_is_one_step_of_a_walk(
+        self, monkeypatch, products, graph, orientation
+    ):
+        """A kernel that walks for its softmax-like tail runs the dot
+        step per block: the far operand whole, the home one sliced."""
+        b = Builder("walked-dot")
+        a = b.input("a", Domain.VERTEX, (2, 3))
+        u = b.input("b", Domain.VERTEX, (2, 3))
+        prod = b.apply("mul", b.scatter("copy_v", v=a), b.scatter("copy_u", u=u))
+        dot = b.apply("reduce_to_shape", prod, attrs={"target_shape": (2,)}, name="dot")
+        tail = b.gather("sum", b.apply("exp", dot), orientation=orientation)
+        b.output(b.apply("neg", tail, name="y"))
+        module = b.build()
+        plan = plan_module(module, mode="unified")
+        (chain,) = _chains(plan)
+        assert chain.scatter == "u_dot_v"
+        blocked = plan.blocked(0, True)
+        assert blocked is not None and blocked.orientation == orientation
+        rng = np.random.default_rng(2)
+        arrays = {
+            "a": rng.normal(size=(graph.num_vertices, 2, 3)),
+            "b": rng.normal(size=(graph.num_vertices, 2, 3)),
+        }
+        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 128)
+        for precision in ("float32", "float64"):
+            del products[:]
+            engine, oracle = Engine(graph, precision=precision), Engine(graph, precision=precision)
+            got = engine.run_plan(plan, engine.bind(module, arrays), unwrap=False)
+            want, _ = run_plan_per_node(oracle, plan, oracle.bind(module, arrays))
+            assert_same_values(got, want, plan, f"walked-dot/{precision}")
+            assert len(products) >= 4 and all(c is chain for _, c in products)
 
     def test_multi_engine_keeps_the_per_node_path(self, products, graph):
         compiled = _compiled("gcn")
@@ -339,7 +501,7 @@ class TestFallbacks:
         assert len(products) == len(_chains(plan)) > 0
         assert_same_values(got, want, plan, "own-mean")
 
-    @pytest.mark.parametrize("model_name", ["gcn", "sage", "dotgat"])
+    @pytest.mark.parametrize("model_name", ["gcn", "sage", "dotgat", "gat", "monet"])
     def test_arena_backed_runs_take_the_chain(self, products, graph, model_name):
         compiled = _compiled(model_name)
         plans = compiled.memory_plan(graph.stats())

@@ -143,6 +143,7 @@ def _differential(graph, model_name, strategy, engine_precision, backend):
         assert engine.measured_peak_bytes == want_peak, f"{ctx}/{phase}"
         if phase == "forward":
             arrays = backward_arrays(compiled, arrays, got)
+    return compiled
 
 
 class TestBlockVsNode:
@@ -160,7 +161,7 @@ class TestBlockVsNode:
         for precision in PRECISIONS:
             strategy = replace(get_strategy(strategy_name), precision=precision)
             del walks[:], products[:]
-            _differential(graph, model_name, strategy, engine_precision, backend)
+            compiled = _differential(graph, model_name, strategy, engine_precision, backend)
             if strategy_name == "dgl-like" and model_name == "edgeconv":
                 continue  # no fused kernel at all
             # Fused edge tensors are walked or, inside a chain, never
@@ -168,12 +169,19 @@ class TestBlockVsNode:
             assert walks or products, (
                 f"{precision}: no kernel walked and no chain ran: the test is vacuous"
             )
-            if model_name in ("gat", "monet", "edgeconv") or (
-                # Narrow storage rounds at node boundaries: every node
-                # runs, so chain-only kernels walk as they always did.
-                engine_precision == "float32" and precision != "fp32"
-            ):
-                assert walks and not products
+            # Narrow storage rounds at node boundaries, so a float32
+            # engine runs every node there and walks as it did before
+            # chains; otherwise exactly the kernels classification
+            # leaves something to walk for are walked.
+            taken = engine_precision == "float64" or precision == "fp32"
+            plans = (compiled.fwd_plan, compiled.bwd_plan)
+            assert [blocked for blocked, _ in walks] == [
+                p.blocked(i, taken) for p in plans for i in range(len(p.kernels))
+                if p.blocked(i, taken) is not None
+            ]
+            assert bool(products) == (
+                taken and any(p.chains(i) for p in plans for i in range(len(p.kernels)))
+            )
             for blocked, rows_per_block in walks:
                 indptr = (
                     graph.csc_indptr if blocked.orientation == "in"
@@ -455,6 +463,69 @@ class TestBytesAreReal:
         )
         # A single E×f message would not fit.
         assert feat * scalars > 2 * scalars + boundary
+
+    @pytest.mark.parametrize("size, walked", [
+        ((20_000, 200_000), True),
+        # Fits one block: the node path, where only the dot step's edge
+        # chunks keep its products small.
+        ((3_000, 60_000), False),
+    ])
+    def test_gat_builds_no_per_head_message(self, walks, size, walked):
+        """gat (4 heads × 64) forward and backward: each kernel holding
+        per-head chains allocates at most its writes, its internal
+        values outside chains — E×H attention tensors and vertex rows,
+        whole or per block — and a few ``BLOCK_BYTES``.  One E×H×F
+        message, which the per-head aggregations and the dot step stand
+        in for, would not fit."""
+        graph = chung_lu(*size, seed=1)
+        V, E = graph.num_vertices, graph.num_edges
+        model = MODELS.get("gat")(8, 4)
+        compiled = compile_training(model, get_strategy("ours"))
+        engine = Engine(graph)
+        rng = np.random.default_rng(0)
+        arrays = model.make_inputs(
+            graph, rng.normal(size=(V, 8)).astype(np.float32)
+        )
+        arrays.update(model.init_params(0))
+        message = E * 4 * 64 * 4
+        slack = 4 * backend_blocked.BLOCK_BYTES
+        forward = None
+        for plan in (compiled.fwd_plan, compiled.bwd_plan):
+            if forward is not None:
+                arrays = backward_arrays(compiled, arrays, forward)
+            env = engine.bind(plan.module, arrays)
+            # Blocks and operators are cached after one run.
+            result = engine.run_plan(plan, env, unwrap=False)
+            forward = forward or result
+            specs = plan.module.specs
+            run = engine._begin(plan, env)
+            checked = []
+            tracemalloc.start()
+            try:
+                for i, kernel in enumerate(plan.kernels):
+                    io, chains = plan.kernel_io(i), plan.chains(i)
+                    interiors = {
+                        o for c in chains.values() for n in c.interior for o in n.outputs
+                    }
+                    allowed = slack + sum(
+                        specs[name].nbytes(V, E) for name in io.writes + io.internal
+                        if name not in interiors
+                    )
+                    tracemalloc.reset_peak()
+                    start, _ = tracemalloc.get_traced_memory()
+                    engine._run_kernel(run, kernel, i)
+                    _, peak = tracemalloc.get_traced_memory()
+                    engine._end_kernel(run, i)
+                    if any(specs[o].feat_elements == 4 * 64 for o in interiors):
+                        checked.append(i)
+                        assert peak - start <= allowed < message, (
+                            f"kernel {i}: {(peak - start) / 2**20:.1f} MiB "
+                            f"vs {allowed / 2**20:.1f} MiB"
+                        )
+            finally:
+                tracemalloc.stop()
+            assert len(checked) == 1  # layer 0's; layer 1 has 4 classes
+        assert bool(walks) == walked
 
     def test_a_walk_holds_blocks_not_edge_tensors(self):
         """(x[src] + x[dst]) * w summed per destination: two internal
