@@ -9,10 +9,12 @@ This subpackage turns IR modules into numbers, two ways:
   recomputation never change values; a fused kernel runs as one
   cache-blocked walk, so it changes wall-clock and resident bytes).
   This is the correctness oracle and the wall-clock benchmark target.
-- **Analytic** — :mod:`~repro.exec.analytic` walks the same plan without
-  touching arrays, evaluating the exact FLOP / DRAM-byte / peak-memory
-  formulas on a :class:`~repro.graph.stats.GraphStats`.  This is how
-  experiments run at full published scale (115M-edge Reddit).
+- **Analytic** — :mod:`~repro.exec.analytic` prices the same plan without
+  touching arrays: its exact FLOP / DRAM-byte / peak-memory formulas,
+  lowered once into integer affine forms in (V, E)
+  (:mod:`~repro.exec.cost_form`), are evaluated on a
+  :class:`~repro.graph.stats.GraphStats`.  This is how experiments run
+  at full published scale (115M-edge Reddit).
 
 Shared between the two is the plan structure
 (:mod:`~repro.exec.plan`): kernels (fused node groups), stash policy,

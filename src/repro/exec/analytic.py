@@ -1,25 +1,26 @@
-"""Analytic plan walker: exact counters without touching arrays.
+"""Analytic pricing: exact counters without touching arrays.
 
-This is the no-execution twin of :class:`repro.exec.engine.Engine`.  It
-walks an :class:`~repro.exec.plan.ExecPlan` kernel by kernel on a
-:class:`~repro.graph.stats.GraphStats`, evaluating the FLOP/IO/memory
-formulas — which is how every experiment runs at the paper's full
-published scale (the 115M-edge Reddit graph exists here only as a
-degree distribution).
+This is the no-execution twin of :class:`repro.exec.engine.Engine`.  A
+plan's FLOP/IO/memory formulas are lowered once into integer affine
+forms in (V, E) (:meth:`ExecPlan.cost_forms
+<repro.exec.plan.ExecPlan.cost_forms>`, :mod:`repro.exec.cost_form`)
+and evaluated on any :class:`~repro.graph.stats.GraphStats` — which is
+how every experiment runs at the paper's full published scale (the
+115M-edge Reddit graph exists here only as a degree distribution).
+Several stats price in one evaluation: a partition's parts, an epoch's
+batches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exec.memory import ledger_walk, root_sizes
-from repro.exec.plan import ExecPlan, Kernel
+from repro.exec.plan import ExecPlan
 from repro.exec.profiler import (
     BatchCost,
     CommRecord,
     Counters,
     GPUShard,
-    KernelRecord,
     MiniBatchCounters,
     MultiGPUCounters,
     PhaseCounters,
@@ -41,72 +42,7 @@ __all__ = [
     "vertex_data_inputs",
     "plan_comm_records",
     "kernel_comm_records",
-    "kernel_record",
 ]
-
-
-def kernel_record(plan: ExecPlan, index: int, stats: GraphStats) -> KernelRecord:
-    """Build the cost-model record for kernel ``index`` of ``plan``."""
-    kernel = plan.kernels[index]
-    io = plan.kernel_io(index)
-    specs = plan.module.specs
-    V, E = stats.num_vertices, stats.num_edges
-
-    flops = sum(node.flops(specs, stats) for node in kernel.nodes)
-
-    read_bytes = 0
-    for name in io.reads:
-        per_node = [
-            node.read_bytes(name, specs, stats)
-            for node in kernel.nodes
-            if name in node.all_inputs()
-        ]
-        # One staging of the tensor per kernel; the dominant access
-        # pattern (max multiplier) wins when several nodes share it.
-        read_bytes += max(per_node) if per_node else 0
-    write_bytes = sum(
-        node.write_bytes(o, specs, stats)
-        for node in kernel.nodes
-        for o in node.outputs
-        if o in io.writes
-    )
-
-    work, rows = _work_shape(kernel, specs, V, E)
-    return KernelRecord(
-        label=kernel.label,
-        mapping=kernel.mapping,
-        work=work,
-        rows=rows,
-        flops=flops,
-        read_bytes=read_bytes,
-        write_bytes=write_bytes,
-        atomic=kernel.atomic,
-        fused_ops=sum(1 for n in kernel.nodes if n.kind is not OpKind.VIEW),
-        reduce_scatter=kernel.reduce_scatter,
-    )
-
-
-def _work_shape(kernel: Kernel, specs, V: int, E: int) -> Tuple[str, int]:
-    """Work distribution + parallel row count for the cost model."""
-    if kernel.mapping == "none":
-        return "uniform", 0
-    if kernel.mapping == "dense":
-        rows = max(
-            specs[node.outputs[0]].rows(V, E) for node in kernel.nodes
-        )
-        return "uniform", rows
-    if kernel.mapping == "edge":
-        return "uniform", E
-    # Vertex-balanced kernel: work per vertex follows the incident-edge
-    # count whenever graph-related operators are present.
-    has_graph = any(n.is_graph_related() for n in kernel.nodes)
-    if not has_graph:
-        return "uniform", V
-    orientations = {
-        n.orientation for n in kernel.nodes if n.kind is OpKind.GATHER
-    }
-    work = "degree_out" if orientations == {"out"} else "degree_in"
-    return work, V
 
 
 def analyze_plan(
@@ -119,16 +55,37 @@ def analyze_plan(
 
     ``pinned`` value names are never freed (model features, labels,
     parameters — memory the user owns regardless of scheduling); the
-    memory figures are read off :func:`repro.exec.memory.ledger_walk`.
+    memory figures are those of :func:`repro.exec.memory.ledger_walk`.
     """
-    walk = ledger_walk(plan, root_sizes(plan, stats), pinned=pinned)
-    return PhaseCounters(
-        records=[
-            kernel_record(plan, i, stats) for i in range(len(plan.kernels))
-        ],
-        peak_memory_bytes=walk.peak_bytes,
-        end_resident_bytes=walk.end_resident_bytes,
-    )
+    return plan.cost_forms(pinned).evaluate([stats])[0]
+
+
+def _step_counters(
+    fwd_plan: ExecPlan,
+    bwd_plan: Optional[ExecPlan],
+    stats: Sequence[GraphStats],
+    stash: Iterable[str],
+    pinned: Iterable[str],
+) -> List[Counters]:
+    """One step's :class:`Counters` on each of ``stats`` (forward only
+    when ``bwd_plan`` is ``None``), both phases in one evaluation each."""
+    pinned = list(pinned)
+    forward = fwd_plan.cost_forms(pinned).evaluate(stats)
+    if bwd_plan is None:
+        return [Counters(forward=phase) for phase in forward]
+    backward = bwd_plan.cost_forms(pinned).evaluate(stats)
+    specs = fwd_plan.module.specs
+    stashed = [specs[fwd_plan.root_of(s)] for s in set(stash)]
+    return [
+        Counters(
+            forward=fwd,
+            backward=bwd,
+            stash_bytes=sum(
+                spec.nbytes(s.num_vertices, s.num_edges) for spec in stashed
+            ),
+        )
+        for fwd, bwd, s in zip(forward, backward, stats)
+    ]
 
 
 def analyze_training(
@@ -141,25 +98,15 @@ def analyze_training(
 ) -> Counters:
     """Counters for one training step (forward + backward).
 
-    The backward walk carries the stash (declared among the backward
+    The backward ledger carries the stash (declared among the backward
     module's inputs) plus gradient seeds; peak memory is the max over
     both phases.  ``stash_bytes`` reports the §6 quantity directly.
     """
-    specs = fwd_plan.module.specs
-    V, E = stats.num_vertices, stats.num_edges
-    pinned = list(pinned)
-
-    fwd = analyze_plan(fwd_plan, stats, pinned=pinned)
-    bwd = analyze_plan(bwd_plan, stats, pinned=pinned)
-
-    stash_bytes = sum(
-        specs[fwd_plan.root_of(s)].nbytes(V, E) for s in set(stash)
-    )
-    return Counters(forward=fwd, backward=bwd, stash_bytes=stash_bytes)
+    return _step_counters(fwd_plan, bwd_plan, [stats], stash, pinned)[0]
 
 
 # ======================================================================
-# Mini-batch (sampled subgraph) walks
+# Mini-batch (sampled subgraph) pricing
 # ======================================================================
 def vertex_data_inputs(module) -> "list[str]":
     """Module inputs gathered per receptive-field vertex.
@@ -203,7 +150,7 @@ def analyze_minibatch(
     stash: Iterable[str] = (),
     pinned: Iterable[str] = (),
 ) -> MiniBatchCounters:
-    """Per-batch cost walk of one sampled training epoch.
+    """Per-batch costs of one sampled training epoch.
 
     ``batches`` yields ``(num_seeds, field_stats)`` pairs — exact
     receptive-field stats when sampled from a concrete graph
@@ -212,7 +159,8 @@ def analyze_minibatch(
     stats-only workloads.  Each batch is charged
 
     - the ordinary kernel counters of both plans on its field's stats
-      (:func:`analyze_training`, so peak memory feeds the existing
+      (as :func:`analyze_training`, every batch in one evaluation; peak
+      memory feeds the existing
       :class:`~repro.gpu.cost_model.SimulatedOOM` machinery unchanged),
     - plus the feature-gather IO of fetching its field's vertex rows
       (:func:`feature_gather_row_bytes` × field size) — the term the
@@ -221,36 +169,27 @@ def analyze_minibatch(
     ``num_vertices`` is the *full* graph's vertex count, used for the
     epoch expansion factor.
     """
-    stash = list(stash)
-    pinned = list(pinned)
+    batches = list(batches)
+    fields = [field_stats for _, field_stats in batches]
     row_bytes = feature_gather_row_bytes(fwd_plan)
-    costs = []
-    for num_seeds, field_stats in batches:
-        if bwd_plan is not None:
-            compute = analyze_training(
-                fwd_plan, bwd_plan, field_stats, stash=stash, pinned=pinned
-            )
-        else:
-            compute = Counters(
-                forward=analyze_plan(fwd_plan, field_stats, pinned=pinned),
-                backward=None,
-                stash_bytes=0,
-            )
-        costs.append(
-            BatchCost(
-                seeds=int(num_seeds),
-                field=field_stats.num_vertices,
-                edges=field_stats.num_edges,
-                gather_bytes=field_stats.num_vertices * row_bytes,
-                compute=compute,
-                stats=field_stats,
-            )
+    costs = [
+        BatchCost(
+            seeds=int(num_seeds),
+            field=field_stats.num_vertices,
+            edges=field_stats.num_edges,
+            gather_bytes=field_stats.num_vertices * row_bytes,
+            compute=compute,
+            stats=field_stats,
         )
+        for (num_seeds, field_stats), compute in zip(
+            batches, _step_counters(fwd_plan, bwd_plan, fields, stash, pinned)
+        )
+    ]
     return MiniBatchCounters(batches=costs, num_vertices=num_vertices)
 
 
 # ======================================================================
-# Partitioned (multi-GPU) walks
+# Partitioned (multi-GPU) pricing
 # ======================================================================
 def plan_comm_records(
     plan: ExecPlan, pstats: PartitionStats
@@ -362,23 +301,17 @@ def analyze_plan_multi(
 ) -> MultiGPUCounters:
     """Partitioned twin of :func:`analyze_plan` (inference).
 
-    Each GPU walks the *same* plan on its own partition's stats —
+    Each GPU prices the *same* plan on its own partition's stats —
     vertex extents cover owned + ghost rows, edge extents the owned
     edges — and additionally receives the halo traffic scheduled by
     :func:`plan_comm_records`.
     """
-    pinned = list(pinned)
     comm = plan_comm_records(plan, pstats)
     shards = [
-        GPUShard(
-            compute=Counters(
-                forward=analyze_plan(plan, pstats.parts[p], pinned=pinned),
-                backward=None,
-                stash_bytes=0,
-            ),
-            comm=comm[p],
+        GPUShard(compute=compute, comm=comm[p])
+        for p, compute in enumerate(
+            _step_counters(plan, None, pstats.parts, (), pinned)
         )
-        for p in range(pstats.num_parts)
     ]
     return MultiGPUCounters(per_gpu=shards, cut_edges=pstats.cut_edges)
 
@@ -393,22 +326,17 @@ def analyze_training_multi(
 ) -> MultiGPUCounters:
     """Partitioned twin of :func:`analyze_training` (one step).
 
-    Per-GPU compute counters come from walking both plans on the
-    partition's stats; comm records concatenate the forward and
-    backward exchange schedules (gradient all-reduces naturally appear
-    in the backward plan's ``PARAM_GRAD`` nodes).
+    Per-GPU compute counters price both plans on the partition's
+    stats; comm records concatenate the forward and backward exchange
+    schedules (gradient all-reduces naturally appear in the backward
+    plan's ``PARAM_GRAD`` nodes).
     """
-    stash = list(stash)
-    pinned = list(pinned)
     fwd_comm = plan_comm_records(fwd_plan, pstats)
     bwd_comm = plan_comm_records(bwd_plan, pstats)
     shards = [
-        GPUShard(
-            compute=analyze_training(
-                fwd_plan, bwd_plan, pstats.parts[p], stash=stash, pinned=pinned
-            ),
-            comm=fwd_comm[p] + bwd_comm[p],
+        GPUShard(compute=compute, comm=fwd_comm[p] + bwd_comm[p])
+        for p, compute in enumerate(
+            _step_counters(fwd_plan, bwd_plan, pstats.parts, stash, pinned)
         )
-        for p in range(pstats.num_parts)
     ]
     return MultiGPUCounters(per_gpu=shards, cut_edges=pstats.cut_edges)

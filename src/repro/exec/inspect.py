@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.exec.analytic import kernel_record
-from repro.exec.memory import ledger_walk, root_sizes
 from repro.exec.plan import ExecPlan
 from repro.graph.stats import GraphStats
 
@@ -33,8 +31,8 @@ def format_plan(plan: ExecPlan, stats: GraphStats) -> str:
         f"{'reads':>12s} {'writes':>12s}  label"
     )
     lines.append(header)
-    for i, kernel in enumerate(plan.kernels):
-        rec = kernel_record(plan, i, stats)
+    records = plan.cost_forms().evaluate([stats])[0].records
+    for i, (kernel, rec) in enumerate(zip(plan.kernels, records)):
         flags = ""
         if rec.atomic:
             flags += " [atomic]"
@@ -59,11 +57,8 @@ def memory_timeline(
     every input pinned.
     """
     module = plan.module
-    walk = ledger_walk(
-        plan,
-        root_sizes(plan, stats),
-        pinned=list(module.inputs) + list(module.params),
-    )
+    pinned = list(module.inputs) + list(module.params)
+    walk = plan.cost_forms(pinned).walk(stats)
     labels = ["<inputs>"] + [kernel.label for kernel in plan.kernels]
     return list(zip(labels, walk.timeline))
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.exec.analytic import kernel_record, vertex_data_inputs
+from repro.exec.analytic import vertex_data_inputs
 from repro.exec.engine import Engine
 from repro.exec.plan import ExecPlan, Kernel
 from repro.gpu.cost_model import CostModel
@@ -144,8 +144,9 @@ def measure_plan(
     first; each timed repeat then records every kernel's node-loop
     wall-clock through :attr:`Engine.kernel_timings`, and the per-kernel
     median across repeats is paired with the analytic prediction from
-    :func:`repro.exec.analytic.kernel_record` priced on ``gpu``
-    (default V100).
+    the kernel's record (:meth:`ExecPlan.cost_forms
+    <repro.exec.plan.ExecPlan.cost_forms>`) priced on ``gpu`` (default
+    V100).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -175,11 +176,11 @@ def measure_plan(
         repeats=repeats,
         dtype="/".join(feat_dtypes) if feat_dtypes else "float32",
     )
-    for index, kernel in enumerate(plan.kernels):
+    records = plan.cost_forms().evaluate([stats])[0].records
+    for index, (kernel, record) in enumerate(zip(plan.kernels, records)):
         samples = per_kernel.get(index)
         if not samples:  # pragma: no cover - every kernel index is timed
             continue
-        record = kernel_record(plan, index, stats)
         run.timings.append(
             KernelTiming(
                 index=index,

@@ -9,10 +9,12 @@ freed, and graph constants — synthesised from topology on demand — are
 free.  :func:`ledger_walk` is the one analytic statement of it, fed by
 the one size table :func:`root_sizes`; everything else *reads* a walk:
 
-- :func:`repro.exec.analytic.analyze_plan` — a phase's peak and
-  end-of-phase residency,
-- :func:`repro.exec.inspect.memory_timeline` — the per-kernel trace,
-- :func:`plan_memory` — the ledger and live peaks an arena is held to,
+- :meth:`ExecPlan.cost_forms <repro.exec.plan.ExecPlan.cost_forms>` —
+  one walk per plan and pinned set, on symbolic sizes, whose timeline
+  :func:`repro.exec.analytic.analyze_plan` (a phase's peak and
+  end-of-phase residency), :func:`repro.exec.inspect.memory_timeline`
+  (the per-kernel trace) and :func:`plan_memory` (the ledger and live
+  peaks an arena is held to) evaluate on their stats,
 - :func:`repro.opt.schedule.schedule_kernels` — the peak of each
   candidate kernel order,
 - :func:`repro.analysis.arena.check_memory_plan` — the RP204 / RP206
@@ -214,13 +216,18 @@ class LedgerWalk(NamedTuple):
     #: Resident bytes before the first kernel, then at each step's
     #: high-water point: its writes have landed, its frees are pending.
     timeline: Tuple[int, ...]
-    #: Peak of the unpinned share — the floor of any arena.
-    live_peak_bytes: int
+    #: The pinned share of each ``timeline`` entry.
+    pinned: Tuple[int, ...]
     end_resident_bytes: int
 
     @property
     def peak_bytes(self) -> int:
         return max(self.timeline)
+
+    @property
+    def live_peak_bytes(self) -> int:
+        """Peak of the unpinned share — the floor of any arena."""
+        return max(t - p for t, p in zip(self.timeline, self.pinned))
 
 
 def _deaths_under(
@@ -261,6 +268,9 @@ def ledger_walk(
     name costs nothing); ``pinned`` names are never freed; ``order``
     defaults to the plan's own, whose deaths the plan caches
     (:meth:`ExecPlan.liveness`) — any other order is re-timed per call.
+    The walk only adds and subtracts sizes, so on symbolic sizes
+    (:class:`~repro.exec.cost_form.Affine`) it returns the timeline as
+    forms in (V, E): how :meth:`ExecPlan.cost_forms` lowers it once.
     """
     pinned_roots = {plan.root_of(p) for p in pinned}
     if order is None:
@@ -283,16 +293,15 @@ def ledger_walk(
                     pinned_now += size
 
     charge(list(plan.module.inputs) + list(plan.module.params))
-    timeline = [current]
-    live_peak = current - pinned_now
+    timeline, pinned_share = [current], [pinned_now]
     for step, kernel in enumerate(order):
         charge(plan.kernel_io(kernel).writes)
         timeline.append(current)
-        live_peak = max(live_peak, current - pinned_now)
+        pinned_share.append(pinned_now)
         for root in deaths.get(step, ()):
             if root not in pinned_roots:
                 current -= resident.pop(root, 0)
-    return LedgerWalk(tuple(timeline), live_peak, current)
+    return LedgerWalk(tuple(timeline), tuple(pinned_share), current)
 
 
 # ======================================================================
@@ -379,7 +388,7 @@ def plan_memory(
         )
         for name, nbytes, birth, death in values
     }
-    walk = ledger_walk(plan, sizes, pinned=pinned_roots)
+    walk = plan.cost_forms(pinned_roots).walk(stats)
     return MemoryPlan(
         plan=plan,
         slabs=slabs,

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.graph.stats import GraphStats
@@ -37,6 +38,9 @@ from repro.ir.functions import get_scatter_fn
 from repro.ir.module import Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.tensorspec import Domain
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.exec.cost_form import CostForms
 
 __all__ = [
     "Kernel", "ExecPlan", "plan_module", "KernelIO", "AggregationChain",
@@ -197,10 +201,11 @@ class ExecPlan:
         self._validate_schedule()
         self._alias = self._build_alias()
         self._producer_kernel = self._build_producer_index()
-        self._io = [self._kernel_io(i) for i in range(len(self.kernels))]
+        self._io = self._build_kernel_io()
         # Derived facts, computed on first use and shared by every run:
         # the plan is immutable, and a cache that lives here dies with it.
         self._lives: Optional[Liveness] = None
+        self._forms: Dict[FrozenSet[str], "CostForms"] = {}
         self._result_names: Optional[Tuple[str, ...]] = None
         self._argmax_demand: Optional[FrozenSet[str]] = None
         self._consumers: Optional[Dict[str, List[OpNode]]] = None
@@ -254,25 +259,30 @@ class ExecPlan:
     def kernel_io(self, index: int) -> KernelIO:
         return self._io[index]
 
-    def _kernel_io(self, index: int) -> KernelIO:
+    def _build_kernel_io(self) -> List[KernelIO]:
+        # The kernels whose *computing* nodes read each storage root.
+        # VIEW nodes are excluded: creating an alias moves no data, so a
+        # value whose only cross-kernel "consumers" are views does not
+        # escape — only a non-view reader (directly or through an alias,
+        # which root resolution folds in) forces a DRAM write.
+        readers: Dict[str, Set[int]] = {}
+        for i, kernel in enumerate(self.kernels):
+            for node in kernel.nodes:
+                if node.kind is not OpKind.VIEW:
+                    for name in node.all_inputs():
+                        readers.setdefault(self.root_of(name), set()).add(i)
+        # Kept and output values, and the roots their aliases resolve to.
+        held = set(self.keep) | set(self.module.outputs)
+        held |= {self.root_of(v) for v in self._alias if v in held}
+        return [
+            self._kernel_io(i, readers, held) for i in range(len(self.kernels))
+        ]
+
+    def _kernel_io(
+        self, index: int, readers: Mapping[str, Set[int]], held: Set[str]
+    ) -> KernelIO:
         kernel = self.kernels[index]
         inside = {o for node in kernel.nodes for o in node.outputs}
-        # Storage consumed by other kernels' *computing* nodes, resolved
-        # to roots.  VIEW nodes are excluded: creating an alias moves no
-        # data, so a value whose only cross-kernel "consumers" are views
-        # does not escape — only a non-view reader (directly or through
-        # an alias, which root resolution folds in) forces a DRAM write.
-        consumed_outside: Set[str] = set()
-        for j, other in enumerate(self.kernels):
-            if j == index:
-                continue
-            for node in other.nodes:
-                if node.kind is OpKind.VIEW:
-                    continue
-                consumed_outside.update(
-                    self.root_of(n) for n in node.all_inputs()
-                )
-
         reads: List[str] = []
         seen: Set[str] = set()
         for node in kernel.nodes:
@@ -295,17 +305,7 @@ class ExecPlan:
             if node.kind is OpKind.VIEW:
                 continue
             for o in node.outputs:
-                escapes = (
-                    o in consumed_outside
-                    or o in self.keep
-                    or o in self.module.outputs
-                    or any(
-                        self.root_of(v) == o and
-                        (v in self.keep or v in self.module.outputs)
-                        for v in self._alias
-                    )
-                )
-                if escapes:
+                if o in held or any(j != index for j in readers.get(o, ())):
                     writes.append(o)
                 else:
                     internal.append(o)
@@ -356,6 +356,20 @@ class ExecPlan:
                     lives[root] = (d, 0)
         self._lives = Liveness(lives)
         return self._lives
+
+    def cost_forms(self, pinned: Iterable[str] = ()) -> "CostForms":
+        """Every analytic counter of this plan as integer affine forms
+        in (V, E), with ``pinned`` values never freed by the ledger:
+        :meth:`CostForms.evaluate <repro.exec.cost_form.CostForms>`
+        prices them on any stats.  Lowered on first use per pinned root
+        set and shared, like :meth:`liveness`."""
+        key = frozenset(self.root_of(p) for p in pinned)
+        if key not in self._forms:
+            from repro.exec.cost_form import lower  # it walks the ledger
+
+            known = next(iter(self._forms.values()), None)
+            self._forms[key] = lower(self, key, known and known.kernels)
+        return self._forms[key]
 
     # ------------------------------------------------------------------
     # What a run returns, and how its fused kernels execute

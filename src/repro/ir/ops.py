@@ -21,6 +21,10 @@ DRAM IO (per *kernel boundary*; summed by the plan walker)
 Memory
     A node's output occupies ``out_spec.nbytes`` while live; the stash
     decision (training) is made by the recomputation pass, not here.
+
+The formulas only add ``|V|`` and ``|E|`` and scale them by numbers —
+never ``float()``, ``int()``, ``max`` or a product of the two — so
+:mod:`repro.exec.cost_form` can run them once on symbolic sizes.
 """
 
 from __future__ import annotations
@@ -150,14 +154,14 @@ class OpNode:
             if fn.name == "max_grad":
                 # Zero-fill |E| rows then route |V| gradient rows.
                 out = specs[self.outputs[0]]
-                return float(out.elements(V, E))
+                return 1.0 * out.elements(V, E)
             u_shape = specs[self.inputs[0]].feat_shape if fn.reads_u else None
             v_idx = 1 if fn.reads_u and fn.reads_v else 0
             v_shape = specs[self.inputs[v_idx]].feat_shape if fn.reads_v else None
             return fn.flops_per_row(u_shape, v_shape) * E
         if self.kind is OpKind.GATHER:
             edge_spec = specs[self.inputs[0]]
-            return float(E * edge_spec.feat_elements)
+            return 1.0 * E * edge_spec.feat_elements
         if self.kind is OpKind.APPLY:
             fn = get_apply_fn(self.fn)
             in_shapes = [specs[n].feat_shape for n in self.inputs]
@@ -177,7 +181,7 @@ class OpNode:
         if self.fn in ("linear_wgrad", "head_dot_wgrad"):
             return 2.0 * rows * out_elements
         if self.fn == "bias_grad":
-            return float(rows * out_elements)
+            return 1.0 * rows * out_elements
         if self.fn == "param_scale_wgrad":
             in_elements = specs[self.inputs[0]].elements(V, E)
             return 2.0 * in_elements

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Tuple
 
-from repro.exec.analytic import kernel_record
+from repro.exec.cost_form import kernel_shape
 from repro.exec.plan import ExecPlan, Kernel
 from repro.gpu.cost_model import CostModel
 from repro.graph.stats import GraphStats
@@ -60,10 +60,15 @@ def autotune_plan(
     """Pick the cheaper legal mapping for every kernel of ``plan``.
 
     Kernels are independent in the latency model, so per-kernel argmin
-    is globally optimal.  Returns a new plan (the input is unchanged).
+    is globally optimal.  A mapping moves no byte or FLOP, only the
+    record's ``work`` / ``rows`` / ``atomic``, so every candidate is the
+    plan's own record with those three replaced.  Returns a new plan
+    (the input is unchanged).
     """
+    records = plan.cost_forms().evaluate([stats])[0].records
+    V, E = stats.num_vertices, stats.num_edges
     tuned: List[Kernel] = []
-    for i, kernel in enumerate(plan.kernels):
+    for kernel, record in zip(plan.kernels, records):
         choices = mapping_choices(kernel)
         if len(choices) == 1:
             tuned.append(_with_mapping(kernel, choices[0])
@@ -71,16 +76,15 @@ def autotune_plan(
             continue
         best, best_time = None, None
         for mapping in choices:
-            candidate_plan = ExecPlan(
-                module=plan.module,
-                kernels=[
-                    _with_mapping(kernel, mapping) if j == i else k
-                    for j, k in enumerate(plan.kernels)
-                ],
-                keep=plan.keep,
+            candidate = _with_mapping(kernel, mapping)
+            work, rows = kernel_shape(candidate, plan.module.specs, V, E)
+            t = cost_model.kernel_seconds(
+                replace(
+                    record, mapping=mapping, work=work, rows=max(rows),
+                    atomic=candidate.atomic,
+                ),
+                stats,
             )
-            record = kernel_record(candidate_plan, i, stats)
-            t = cost_model.kernel_seconds(record, stats)
             if best_time is None or t < best_time:
                 best, best_time = mapping, t
         tuned.append(_with_mapping(kernel, best))

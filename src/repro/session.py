@@ -1447,10 +1447,15 @@ def run_sweep(
         models, datasets, strategies, schedules, backends, precisions,
         gpus, num_gpus, loads, updates, batches,
     )
-    # Nested loops would hoist the per-workload session (model resolved
-    # and hashed once, partitions memoised) and the per-plan compile
-    # (one plan-cache lookup however many devices price it) for free;
-    # the flat product recovers both by position.
+    # One session per dataset, switched between models: its memo keeps
+    # the dataset's partition per part count, so each is made once per
+    # sweep, not once per model.  The per-plan compile (one plan-cache
+    # lookup however many devices price it) is hoisted by position in
+    # the flat product.
+    sessions = [
+        Session(cache=cache).dataset(d).feature_dim(feature_dim)
+        for d in datasets
+    ]
     per_plan = math.prod(len(axis) for axis in axes[6:])
     per_workload = per_plan * math.prod(len(axis) for axis in axes[2:6])
     rows: List[SweepRow] = []
@@ -1458,7 +1463,7 @@ def run_sweep(
         itertools.product(*axes)
     ):
         if i % per_workload == 0:
-            s = Session(cache=cache).model(m).dataset(d).feature_dim(feature_dim)
+            s = sessions[i // per_workload % len(datasets)].model(m)
         if i % per_plan == 0:
             s.strategy(strat).schedule(sched).backend(bk).precision(prec)
             resolved = s.resolve_strategy()

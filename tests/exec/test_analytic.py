@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exec import analyze_plan, plan_module
-from repro.exec.analytic import analyze_training, kernel_record
+from repro.exec.analytic import analyze_training
 from repro.graph import GraphStats
 from repro.ir import Builder, Domain
 
@@ -34,7 +34,7 @@ class TestKernelRecords:
         m = chain_module(4)
         plan = plan_module(m, mode="per_op")
         s = stats()
-        rec = kernel_record(plan, 0, s)
+        rec = analyze_plan(plan, s).records[0]
         # Vertex operand fetched once per edge: |E|·f·4 bytes.
         assert rec.read_bytes == 600 * 4 * 4
         assert rec.write_bytes == 600 * 4 * 4
@@ -46,7 +46,7 @@ class TestKernelRecords:
         m = chain_module(4)
         plan = plan_module(m, mode="per_op")
         s = stats()
-        rec = kernel_record(plan, 2, s)
+        rec = analyze_plan(plan, s).records[2]
         assert rec.mapping == "vertex"
         assert rec.work == "degree_in"
         assert rec.rows == 100
@@ -57,7 +57,7 @@ class TestKernelRecords:
         m = chain_module(4)
         plan = plan_module(m, mode="unified")
         s = stats()
-        rec = kernel_record(plan, 0, s)
+        rec = analyze_plan(plan, s).records[0]
         assert rec.fused_ops == 3
         assert rec.read_bytes == 600 * 4 * 4   # h per edge
         assert rec.write_bytes == 100 * 4 * 4  # v only
@@ -68,7 +68,7 @@ class TestKernelRecords:
         e = b.scatter("copy_u", u=h)
         b.output(b.gather("sum", e, orientation="out"))
         plan = plan_module(b.build(), mode="per_op")
-        rec = kernel_record(plan, 1, stats())
+        rec = analyze_plan(plan, stats()).records[1]
         assert rec.work == "degree_out"
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.exec import Engine, plan_module
-from repro.exec.analytic import analyze_plan, kernel_record
+from repro.exec.analytic import analyze_plan
 from repro.exec.plan import ExecPlan, Kernel
 from repro.graph.generators import erdos_renyi
 from repro.graph.stats import GraphStats
@@ -149,7 +149,7 @@ class TestViewConsumersDoNotEscape:
             i for i, k in enumerate(plan.kernels)
             if "y" in k.nodes[0].outputs
         )
-        record = kernel_record(plan, y_kernel, STATS)
+        record = analyze_plan(plan, STATS).records[y_kernel]
         row_bytes = 4 * 4  # (4,) float32 per vertex
         assert record.read_bytes == STATS.num_vertices * row_bytes
         assert record.write_bytes == 0

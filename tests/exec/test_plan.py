@@ -4,9 +4,14 @@ aliasing, and liveness."""
 import numpy as np
 import pytest
 
+import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec.plan import ExecPlan, Kernel, plan_module
+from repro.frameworks import list_strategies
 from repro.ir import Builder, Domain
 from repro.ir.ops import OpKind
+from repro.registry import MODELS
+
+from tests.helpers import naive_kernel_io, zoo_plans
 
 
 def chain_module():
@@ -80,6 +85,33 @@ class TestBoundaryIO:
         reads = plan.kernel_io(scatter_idx).reads
         assert len(reads) == 1
         assert plan.root_of(reads[0]) == "y"
+
+    @pytest.mark.parametrize("precision", ("fp32", "bf16", "int8"))
+    @pytest.mark.parametrize("strategy", list_strategies())
+    @pytest.mark.parametrize("model", sorted(MODELS.names()))
+    def test_indexed_io_equals_the_rescan(self, model, strategy, precision):
+        # kernel_io reads one root -> reading-kernels index per plan;
+        # the oracle rescans every other kernel for every kernel.
+        _, plans = zoo_plans(model, strategy, precision)
+        for plan in plans:
+            for i in range(len(plan.kernels)):
+                assert plan.kernel_io(i) == naive_kernel_io(plan, i), (
+                    f"{plan.module.name} kernel {i} ({plan.kernels[i].label})"
+                )
+
+    def test_a_value_kept_through_an_alias_escapes(self):
+        b = Builder("m")
+        h = b.input("h", Domain.VERTEX, (4,))
+        x = b.apply("relu", h, name="x")
+        y = b.apply("exp", x, name="y")
+        b.output(b.view(x, (2, 2), name="xv"))
+        b.output(y)
+        plan = plan_module(b.build(), mode="unified")
+        # Only a view reads x outside its kernel, and views move no
+        # data: x escapes because its alias is a module output.
+        assert [k.label for k in plan.kernels][1:] == ["view:view"]
+        assert plan.kernel_io(0).writes == ("x", "y")
+        assert plan.kernel_io(0) == naive_kernel_io(plan, 0)
 
 
 class TestLiveness:

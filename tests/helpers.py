@@ -14,12 +14,17 @@ array shapes an Engine run touches.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec import Engine, plan_module
-from repro.exec.analytic import kernel_record
+from repro.exec.memory import ledger_walk, root_sizes
+from repro.exec.plan import KernelIO
+from repro.exec.profiler import KernelRecord, PhaseCounters
+from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.graph import Graph
 from repro.ir import Module, differentiate
 from repro.ir.autodiff import grad_seed_name
@@ -27,6 +32,7 @@ from repro.ir.functions import get_scatter_fn
 from repro.ir.module import GRAPH_CONSTANTS
 from repro.ir.ops import OpKind
 from repro.ir.tensorspec import Domain
+from repro.registry import MODELS
 
 
 def run_forward(
@@ -208,7 +214,7 @@ def naive_ledger(plan, stats, *, order=None, pinned=()):
     """The §6 ledger recomputed from scratch at every step.
 
     The oracle for :func:`repro.exec.memory.ledger_walk`, returned in
-    its ``(timeline, live peak, end-resident)`` shape.  It keeps no
+    its ``(timeline, pinned share, end-resident)`` shape.  It keeps no
     running state and reads no liveness cache: for every step of
     ``order`` it asks again, from ``kernel_io`` alone, which roots have
     been made and which are still owed — pinned, kept, an output, read
@@ -227,7 +233,7 @@ def naive_ledger(plan, stats, *, order=None, pinned=()):
     def nbytes(roots) -> int:
         return sum(module.specs[r].nbytes(V, E) for r in roots)
 
-    timeline, live = [nbytes(given)], [nbytes(given - pinned)]
+    timeline, share = [nbytes(given)], [nbytes(given & pinned)]
     made = set(given)
     for t, kernel in enumerate(order):
         fresh = {root(w) for w in plan.kernel_io(kernel).writes}
@@ -241,9 +247,115 @@ def naive_ledger(plan, stats, *, order=None, pinned=()):
         if t == 0:
             owed |= given
         timeline.append(nbytes(made & owed))
-        live.append(nbytes((made & owed) - pinned))
+        share.append(nbytes(made & owed & pinned))
     end = nbytes(made & held) if order else timeline[0]
-    return tuple(timeline), max(live), end
+    return tuple(timeline), tuple(share), end
+
+
+@functools.lru_cache(maxsize=None)
+def zoo_plans(model: str, strategy: str, precision: str) -> Tuple:
+    """``(pinned, plans)`` of one zoo model compiled under a strategy at
+    a storage precision: the training pair's forward and backward plans,
+    or the forward plan alone for an inference-only strategy."""
+    resolved = replace(get_strategy(strategy), precision=precision)
+    compile_ = compile_training if resolved.supports_training else compile_forward
+    compiled = compile_(MODELS.get(model)(8, 3), resolved)
+    return tuple(compiled.pinned), tuple(plan for _, plan in compiled.phases())
+
+
+def naive_kernel_io(plan, index: int) -> KernelIO:
+    """One kernel's boundary traffic, rescanning the whole plan.
+
+    The oracle for :meth:`ExecPlan.kernel_io
+    <repro.exec.plan.ExecPlan.kernel_io>`, which reads one
+    root → reading-kernels index per plan: here every call gathers what
+    the *other* kernels' computing (non-VIEW) nodes read, and asks of
+    every output whether any kept or output alias resolves to it.
+    Quadratic in the kernel count, on purpose.
+    """
+    kernel, root = plan.kernels[index], plan.root_of
+    inside = {o for node in kernel.nodes for o in node.outputs}
+    outside = {
+        root(name)
+        for j, other in enumerate(plan.kernels) if j != index
+        for node in other.nodes if node.kind is not OpKind.VIEW
+        for name in node.all_inputs()
+    }
+    aliases = [n.outputs[0] for n in plan.module.nodes if n.kind is OpKind.VIEW]
+    protected = set(plan.keep) | set(plan.module.outputs)
+    reads: List[str] = []
+    writes: List[str] = []
+    internal: List[str] = []
+    for node in kernel.nodes:
+        if node.kind is OpKind.VIEW:
+            continue
+        for name in node.all_inputs():
+            if root(name) not in inside and root(name) not in map(root, reads):
+                reads.append(name)
+        for o in node.outputs:
+            escapes = o in outside or o in protected or any(
+                root(v) == o and v in protected for v in aliases
+            )
+            (writes if escapes else internal).append(o)
+    return KernelIO(tuple(reads), tuple(writes), tuple(internal))
+
+
+def kernel_record(plan, index: int, stats) -> KernelRecord:
+    """One kernel's cost-model record, walked node by node on ``stats``.
+
+    The oracle for :meth:`CostForms.evaluate
+    <repro.exec.cost_form.CostForms.evaluate>`: the per-node formulas
+    of :mod:`repro.ir.ops` evaluated on integer extents, every read
+    staged once per kernel at its dominant access pattern.
+    """
+    kernel = plan.kernels[index]
+    io = plan.kernel_io(index)
+    specs = plan.module.specs
+    V, E = stats.num_vertices, stats.num_edges
+    read_bytes = 0
+    for name in io.reads:
+        read_bytes += max(
+            node.read_bytes(name, specs, stats)
+            for node in kernel.nodes if name in node.all_inputs()
+        )
+    if kernel.mapping == "none":
+        work, rows = "uniform", 0
+    elif kernel.mapping == "dense":
+        work = "uniform"
+        rows = max(specs[node.outputs[0]].rows(V, E) for node in kernel.nodes)
+    elif kernel.mapping == "edge":
+        work, rows = "uniform", E
+    elif not any(n.is_graph_related() for n in kernel.nodes):
+        work, rows = "uniform", V
+    else:
+        gathers = {n.orientation for n in kernel.nodes if n.kind is OpKind.GATHER}
+        work, rows = ("degree_out" if gathers == {"out"} else "degree_in"), V
+    return KernelRecord(
+        label=kernel.label,
+        mapping=kernel.mapping,
+        work=work,
+        rows=rows,
+        flops=sum(node.flops(specs, stats) for node in kernel.nodes),
+        read_bytes=read_bytes,
+        write_bytes=sum(
+            node.write_bytes(o, specs, stats)
+            for node in kernel.nodes for o in node.outputs if o in io.writes
+        ),
+        atomic=kernel.atomic,
+        fused_ops=sum(1 for n in kernel.nodes if n.kind is not OpKind.VIEW),
+        reduce_scatter=kernel.reduce_scatter,
+    )
+
+
+def phase_counters(plan, stats, *, pinned=()) -> PhaseCounters:
+    """``analyze_plan`` the slow way: :func:`kernel_record` per kernel,
+    memory from :func:`repro.exec.memory.ledger_walk` on integer sizes."""
+    walk = ledger_walk(plan, root_sizes(plan, stats), pinned=pinned)
+    return PhaseCounters(
+        records=[kernel_record(plan, i, stats) for i in range(len(plan.kernels))],
+        peak_memory_bytes=walk.peak_bytes,
+        end_resident_bytes=walk.end_resident_bytes,
+    )
 
 
 def random_topological_order(plan, rng) -> List[int]:

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec import Engine, analyze_plan, plan_module
-from repro.exec.analytic import kernel_record
+from repro.exec.plan import ExecPlan
+from repro.frameworks import compile_training, get_strategy
 from repro.gpu import RTX3090, CostModel
 from repro.graph import GraphStats, chung_lu
 from repro.ir import Builder, Domain
-from repro.opt.autotune import autotune_plan, mapping_choices
+from repro.opt.autotune import _with_mapping, autotune_plan, mapping_choices
+from repro.registry import MODELS
+
+from tests.helpers import kernel_record
 
 
 def aggregate_module(f=16):
@@ -107,6 +112,28 @@ class TestAutotune:
         b = engine.run_plan(tuned, engine.bind(module, arrays))
         out = module.outputs[0]
         assert np.allclose(a[out], b[out])
+
+    @pytest.mark.parametrize("model", ["gat", "gcn", "monet"])
+    def test_candidates_priced_as_whole_plans(self, model):
+        # Each candidate record is the plan's own with work / rows /
+        # atomic replaced; the oracle rebuilds the plan with the kernel
+        # remapped and walks that kernel's record from scratch.
+        compiled = compile_training(MODELS.get(model)(8, 3), get_strategy("ours"))
+        cm = CostModel(RTX3090)
+        for stats in (skewed_stats(), GraphStats.regular(2_000, 5)):
+            for plan in (compiled.fwd_plan, compiled.bwd_plan):
+                tuned = autotune_plan(plan, stats, cm)
+                for i, kernel in enumerate(plan.kernels):
+                    seconds = {
+                        m: cm.kernel_seconds(kernel_record(ExecPlan(
+                            plan.module,
+                            [_with_mapping(k, m) if j == i else k
+                             for j, k in enumerate(plan.kernels)],
+                            plan.keep,
+                        ), i, stats), stats)
+                        for m in mapping_choices(kernel)
+                    }
+                    assert seconds[tuned.kernels[i].mapping] == min(seconds.values())
 
     def test_original_plan_untouched(self):
         plan = plan_module(aggregate_module(), mode="unified")

@@ -366,6 +366,39 @@ class TestClusterSessions:
         row = sweep.rows[2].to_dict()
         assert row["num_gpus"] == 4 and row["comm_bytes"] > 0
 
+    def test_sweep_partitions_each_dataset_once(self, toy_datasets, monkeypatch):
+        import importlib
+
+        from repro.graph.partition import PartitionStats
+
+        module = importlib.import_module("repro.session")  # not repro.session()
+        calls = []
+        partition_graph = module.partition_graph
+        from_stats = PartitionStats.from_stats
+
+        def counted_partition(graph, *args, **kwargs):
+            calls.append(("graph", graph.num_vertices))
+            return partition_graph(graph, *args, **kwargs)
+
+        def counted_from_stats(cls, stats, num_parts):
+            calls.append(("stats", stats.num_vertices))
+            return from_stats(stats, num_parts)
+
+        monkeypatch.setattr(module, "partition_graph", counted_partition)
+        monkeypatch.setattr(PartitionStats, "from_stats", classmethod(counted_from_stats))
+        # A concrete graph and a stats-only workload: both partitioners.
+        datasets = [toy_datasets[0], "reddit-full"]
+        axes = dict(strategies=["ours", "dgl-like"], gpus=["V100"], num_gpus=(1, 4))
+        sweep = run_sweep(models=["gat", "gcn"], datasets=datasets, **axes)
+        assert sorted(calls) == [("graph", 50), ("stats", 232965)]
+        # The reference: one session per (model, dataset), in row order.
+        want = [
+            row.to_dict()
+            for m in ("gat", "gcn") for d in datasets
+            for row in run_sweep(models=[m], datasets=[d], **axes).rows
+        ]
+        assert [row.to_dict() for row in sweep.rows] == want
+
     def test_registered_cluster_name_in_sweep_gpus(self, toy_datasets):
         """A registered cluster name in `gpus` takes the cluster path
         even at the default num_gpus=(1,) — never single-GPU numbers
