@@ -52,7 +52,9 @@ import numpy as np
 from repro.exec import backend_blocked
 from repro.exec.kernel_registry import get_backend, resolve_kernel
 from repro.exec.kernels import _gather_layout, aggregate
-from repro.exec.memory import ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan
+from repro.exec.memory import (
+    ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan, pack,
+)
 from repro.exec.plan import (
     AggregationChain, BlockedKernel, ExecPlan, Kernel, Liveness,
 )
@@ -105,7 +107,10 @@ class PlanRun:
     argmax_needed: Set[str]     # plan.argmax_demand()
     ledger: MemoryLedger
     bf16_outputs: Set[str]      # empty unless the engine is spec-driven
-    pool: Optional[ArenaPool]
+    #: Output name → the array its kernel writes into (arena runs).
+    storage: Mapping[str, np.ndarray]
+    #: Result name → storage the caller holds it in (``run_plan``'s ``out``).
+    held: Mapping[str, np.ndarray]
     finishes: bool              # any node-boundary work to do at all?
     chains: bool                # may aggregation chains run as one step?
 
@@ -131,12 +136,21 @@ class Engine:
         (:func:`repro.exec.memory.plan_memory`) or a step's
         :class:`~repro.exec.memory.StepMemoryPlan`
         (``compiled.memory_plan(stats)``).  When :meth:`run_plan`
-        executes a plan one of them was built for, every boundary value
-        lives inside that plan's arena (slab reuse included), which
-        requires the engine precision to match the accounting dtype
-        (:func:`require_accounting_precision`).  Returned results are
-        copied out of the arena, so they stay valid across later runs
-        that reuse the slabs.
+        executes a plan one of them was built for, each value is
+        written into the arena by its kernel: a boundary value into its
+        root's slab, a value that dies inside a fused kernel into
+        storage laid out by the same rule at node granularity (the
+        slabs are laid out again among the values really written, so
+        no byte is reserved for one that is not).  A kernel with no
+        in-place path (the scipy product behind every segment sum)
+        keeps the fresh storage it allocates, and nothing is copied in.
+        Every phase of a step runs in one buffer, sized to the largest
+        phase.  This requires the engine precision to
+        match the accounting dtype
+        (:func:`require_accounting_precision`).  Results never enter
+        the buffer, so they stay valid across later runs: they come
+        back in fresh storage, or in the caller's own
+        (:meth:`run_plan`'s ``out``).
 
     After every :meth:`run_plan` the engine exposes the measured
     live-byte ledger of the run — ``measured_peak_bytes`` /
@@ -184,7 +198,14 @@ class Engine:
                 ("apply", "reduce_to_shape"), ("scatter", "u_dot_v"),
             )
         )
-        self._pools: Dict[int, ArenaPool] = {}
+        #: Arena plans that back storage only: unlike ``memory_plan``
+        #: they leave the ledger's pinned set empty, so the measured
+        #: watermark stays the unpinned walk's.  What a
+        #: :class:`~repro.train.loop.Trainer` runs its later steps in.
+        self._arena_plan: Union[StepMemoryPlan, MemoryPlan, None] = None
+        #: (configuration, pool, per-phase storage, phases) of the arena
+        #: last run in (:meth:`_arena_storage`).
+        self._arena: Optional[tuple] = None
         #: Live-byte high-watermark of the most recent :meth:`run_plan`.
         self.measured_peak_bytes: int = 0
         #: Live bytes still resident when that run finished.
@@ -195,24 +216,171 @@ class Engine:
         self.kernel_timings: Optional[List[Tuple[int, float]]] = None
 
     # ------------------------------------------------------------------
+    def _phases(self) -> List[MemoryPlan]:
+        """The configured arena plans, one per phase (none: no arena)."""
+        configured = (
+            self.memory_plan if self.memory_plan is not None else self._arena_plan
+        )
+        if isinstance(configured, StepMemoryPlan):
+            return configured.phases()
+        return [] if configured is None else [configured]
+
     def _memory_plan_for(self, plan: ExecPlan) -> Optional[MemoryPlan]:
         """Resolve the configured memory plan matching ``plan``, if any."""
-        configured = self.memory_plan
-        if configured is None:
-            return None
-        phases = (
-            configured.phases()
-            if isinstance(configured, StepMemoryPlan)
-            else [configured]
-        )
-        return next((mp for mp in phases if mp.plan is plan), None)
+        return next((mp for mp in self._phases() if mp.plan is plan), None)
 
-    def _pool_for(self, memory_plan: MemoryPlan) -> ArenaPool:
-        pool = self._pools.get(id(memory_plan))
-        if pool is None or pool.memory_plan is not memory_plan:
-            pool = ArenaPool(memory_plan)
-            self._pools[id(memory_plan)] = pool
-        return pool
+    def _arena_storage(
+        self,
+    ) -> Tuple[ArenaPool, Dict[int, Tuple[Dict[str, np.ndarray], Set[str]]]]:
+        """The pool every phase runs in and, per phase (by ``id`` of its
+        memory plan), the arrays its kernels write into and the names
+        of every value a step writes into given storage — built once per
+        configuration, the first time any phase runs."""
+        phases = self._phases()
+        key = (tuple(map(id, phases)), self.check_finite, backend_blocked.BLOCK_BYTES)
+        if self._arena is None or self._arena[0] != key:
+            layouts = [self._lay_out(mp) for mp in phases]
+            pool = ArenaPool(max(extent for _, _, extent in layouts))
+            storage = {}
+            for mp, (places, writers, _) in zip(phases, layouts):
+                specs = mp.plan.module.specs
+                views = {
+                    name: pool.view(offset, self._shape(specs[name]), specs[name].dtype)
+                    for name, offset in places.items()
+                }
+                storage[id(mp)] = (views, writers)
+            # The phases ride along so their ids stay theirs.
+            self._arena = (key, pool, storage, phases)
+        return self._arena[1], self._arena[2]
+
+    def _shape(self, spec: TensorSpec) -> Tuple[int, ...]:
+        """The engine-side shape of a ``spec`` value on this graph."""
+        if spec.domain in (Domain.PARAM, Domain.DENSE):
+            return (1,) + spec.feat_shape
+        rows = spec.rows(self.graph.num_vertices, self.graph.num_edges)
+        return (rows,) + spec.feat_shape
+
+    def _lay_out(
+        self, memory_plan: MemoryPlan
+    ) -> Tuple[Dict[str, int], Set[str], int]:
+        """Where the values one phase's kernels write live in the arena.
+
+        Returns ``(places, writers, extent)``.  ``writers`` names every
+        value a step writes into storage it is handed: the output of a
+        step whose kernel has an ``out`` path and whose operands all
+        have the output's storage dtype, and the whole arrays a walk
+        assembles.  Every other value keeps the fresh storage its
+        kernel allocates.  ``places`` gives the writers a byte offset
+        each, by the slab rule (:func:`~repro.exec.memory.pack`) on one
+        time axis: a boundary value lives over its slab's kernels, a
+        value that dies inside its kernel over its steps.  So the slabs
+        are laid out again among the values that are really written
+        there, and internals share their bytes.  Results get no place:
+        they are handed to the caller, who may give storage of its own
+        (:meth:`run_plan`'s ``out``).  Nor do a walk's block-local
+        values, which are block-sized.
+        """
+        plan = memory_plan.plan
+        specs = plan.module.specs
+        V, E = self.graph.num_vertices, self.graph.num_edges
+        chains = self._takes_chains(self._storage_dtypes(plan.module))
+        results = {plan.root_of(n) for n in plan.result_names()}
+        # One time axis for slabs and steps: kernel k's steps are
+        # k * S + (0 .. S - 1).
+        S = 1 + max((len(kernel.nodes) for kernel in plan.kernels), default=0)
+        writers: Set[str] = set()
+        values: List[Tuple[str, int, int, int]] = []
+        for index, kernel in enumerate(plan.kernels):
+            chain_of = plan.chains(index) if chains else {}
+            internal = set(plan.kernel_io(index).internal)
+            walk = self._walk_of(plan, index, chains)
+            if walk is None:
+                # A chain runs at its head; its interior never runs.
+                nodes = [
+                    node for node in kernel.nodes
+                    if node.name not in chain_of or chain_of[node.name].head is node
+                ]
+            else:
+                nodes = walk[0].pre + walk[0].post
+                writers.update(n for step in walk[0].steps for n, _ in step.spill)
+            lives: Dict[str, List[int]] = {}
+            for pos, node in enumerate(nodes):
+                chain = chain_of.get(node.name)
+                for name in (chain.operands if chain else node.inputs) + node.params:
+                    if plan.root_of(name) in lives:
+                        lives[plan.root_of(name)][1] = index * S + pos
+                if self._writes_in_place(node, chain, specs):
+                    name = node.outputs[0]
+                    writers.add(name)
+                    if name in internal and walk is None:
+                        lives[name] = [index * S + pos] * 2
+            values.extend(
+                (name, specs[name].nbytes(V, E), birth, death)
+                for name, (birth, death) in lives.items()
+            )
+        values.extend(
+            (name, slab.nbytes, slab.birth * S, slab.death * S + S - 1)
+            for name, slab in memory_plan.slabs.items()
+            if name in writers and name not in results
+        )
+        places, extent, _ = pack(values)
+        return places, writers, extent
+
+    def _writes_in_place(
+        self, node: OpNode, chain: Optional[AggregationChain], specs
+    ) -> bool:
+        """Will the step running ``node`` write its output into an array
+        it is handed?  Its kernel takes ``out``, and every operand has
+        the output's dtype (so the result's is that dtype too)."""
+        if chain is not None:
+            kind, fn = "scatter", chain.scatter   # None: the scipy product
+        elif node.kind in (OpKind.APPLY, OpKind.SCATTER):
+            kind, fn = node.kind.value, node.fn
+        else:
+            return False
+        if fn is None or not self._kernels.writes_out(kind, fn):
+            return False
+        dtype = specs[node.outputs[0]].dtype
+        return all(
+            specs[name].dtype == dtype
+            for name in (chain.operands if chain else node.inputs) + node.params
+        )
+
+    def _takes_chains(self, dtypes: Set[str]) -> bool:
+        """May aggregation chains run as one step in a run simulating
+        storage ``dtypes``?
+
+        A chain removes node boundaries: nothing may round there
+        (narrow storage) or look there (the finite check, whose
+        diagnostic names the first offending node).
+        """
+        return (
+            self._chains and not self.check_finite
+            and dtypes.isdisjoint(("float16", *LOGICAL_DTYPES))
+        )
+
+    def _storage_dtypes(self, module: Module) -> Set[str]:
+        """Storage dtypes a run of ``module`` simulates (a float64 engine
+        casts every float and simulates none)."""
+        if not self._spec_driven:
+            return set()
+        return {s.dtype for s in module.specs.values()}
+
+    def _walk_of(
+        self, plan: ExecPlan, index: int, chains: bool
+    ) -> Optional[Tuple[BlockedKernel, int]]:
+        """``(blocked, rows_per_block)`` when kernel ``index`` runs as a
+        walk on this graph: the plan classifies it as blocked
+        (:meth:`ExecPlan.blocked`) and its edges exceed one block."""
+        blocked = plan.blocked(index, chains)
+        if blocked is None:
+            return None
+        rows_per_block = backend_blocked.BLOCK_BYTES // (
+            blocked.row_elements * self.precision.itemsize
+        )
+        if self.graph.num_edges <= rows_per_block:
+            return None
+        return blocked, rows_per_block
 
     # ------------------------------------------------------------------
     def bind(self, module: Module, arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -281,6 +449,7 @@ class Engine:
         env: Mapping[str, np.ndarray],
         *,
         unwrap: bool = True,
+        out: Optional[Mapping[str, np.ndarray]] = None,
     ) -> Dict[str, np.ndarray]:
         """Execute ``plan``; return outputs plus keep-set values.
 
@@ -288,8 +457,17 @@ class Engine:
         The returned dict contains the module outputs and every value in
         the plan's keep set (the training stash), unwrapped to natural
         shapes when ``unwrap``.
+
+        ``out`` is storage the caller holds across runs, by result name
+        (typically what the previous run of ``plan`` returned, which it
+        is done with).  An arena-backed run leaves those results there
+        and returns the same arrays: a kernel with an in-place path
+        writes into them directly, any other result is copied in when
+        the run ends.  So a result crosses to the next phase with no
+        per-run allocation.  Results that are module inputs are never
+        written, and without an arena ``out`` is not read.
         """
-        run = self._begin(plan, env)
+        run = self._begin(plan, env, out)
         timings = self.kernel_timings
         for i, kernel in enumerate(plan.kernels):
             if timings is not None:
@@ -305,11 +483,10 @@ class Engine:
         result: Dict[str, np.ndarray] = {}
         for name in run.wanted:
             arr = run.values[name]
-            if run.pool is not None and run.pool.slab_for(plan.root_of(name)):
-                # Returned values leave the arena: a later run reuses
-                # the slabs, which must never mutate results a caller
-                # still holds.
-                arr = np.array(arr)
+            held = run.held.get(name)
+            if held is not None and arr is not held:
+                np.copyto(held, arr)
+                arr = held
             result[name] = self.unwrap(specs[name], arr) if unwrap else arr
         return result
 
@@ -320,21 +497,20 @@ class Engine:
     # drives set-up, step and epilogue on one Engine per shard.
     # ------------------------------------------------------------------
     def _begin(
-        self, plan: ExecPlan, env: Mapping[str, np.ndarray]
+        self,
+        plan: ExecPlan,
+        env: Mapping[str, np.ndarray],
+        out: Optional[Mapping[str, np.ndarray]] = None,
     ) -> PlanRun:
         """Set-up: result order, argmax demand, ledger, arena, bf16 set."""
         module = plan.module
         values: Dict[str, np.ndarray] = dict(env)
         wanted = dict.fromkeys(plan.result_names())
-
-        #: Storage dtypes this run simulates (a float64 engine casts
-        #: every float and simulates none).
-        storage = (
-            {s.dtype for s in module.specs.values()} if self._spec_driven else set()
-        )
+        dtypes = self._storage_dtypes(module)
         memory_plan = self._memory_plan_for(plan)
+        placed, held = {}, {}
         if memory_plan is not None:
-            logical = sorted(storage.intersection(LOGICAL_DTYPES))
+            logical = sorted(dtypes.intersection(LOGICAL_DTYPES))
             if logical:
                 # Logical dtypes are *simulated* in float32 arrays, which
                 # do not fit the (honestly sized) logical-byte slabs.
@@ -344,23 +520,26 @@ class Engine:
                     "but the simulation materialises float32; run without "
                     "a memory plan (fp32/fp16 plans remain arena-backed)"
                 )
-        pool = self._pool_for(memory_plan) if memory_plan is not None else None
+            placed, writers = self._arena_storage()[1][id(memory_plan)]
+            if out:
+                held = {
+                    n: a for n, a in out.items()
+                    if n in wanted and plan.producer_kernel(plan.root_of(n)) is not None
+                }
+                placed = {**placed, **{n: a for n, a in held.items() if n in writers}}
         ledger = MemoryLedger(
             plan,
-            pinned=memory_plan.pinned if memory_plan is not None else (),
+            pinned=(
+                memory_plan.pinned
+                if memory_plan is not None and self.memory_plan is not None
+                else ()
+            ),
         )
         ledger.bind(values)
-        if pool is not None:
-            # Unpinned module inputs (e.g. the stash a backward plan
-            # consumes) live in the arena too: copy them into slabs so
-            # their storage is released by reuse, not by the GC.
-            for name in list(module.inputs) + list(module.params):
-                if name in values and pool.slab_for(plan.root_of(name)):
-                    values[name] = pool.adopt(plan.root_of(name), values[name])
 
         bf16_outputs: Set[str] = (
             {n for n, s in module.specs.items() if s.dtype == "bfloat16"}
-            if "bfloat16" in storage
+            if "bfloat16" in dtypes
             else set()
         )
         return PlanRun(
@@ -370,13 +549,10 @@ class Engine:
             argmax_needed=plan.argmax_demand(),
             ledger=ledger,
             bf16_outputs=bf16_outputs,
-            pool=pool,
-            finishes=bool(bf16_outputs) or pool is not None or self.check_finite,
-            # A chain removes node boundaries: nothing may round there
-            # (narrow storage) or look there (the finite check, whose
-            # diagnostic names the first offending node).
-            chains=self._chains and not self.check_finite
-            and storage.isdisjoint(("float16", *LOGICAL_DTYPES)),
+            storage=placed,
+            held=held,
+            finishes=bool(bf16_outputs) or self.check_finite,
+            chains=self._takes_chains(dtypes),
         )
 
     def _run_kernel(self, run: PlanRun, kernel: Kernel, index: int) -> None:
@@ -390,17 +566,14 @@ class Engine:
         step at its gather, and its interior nodes never run.
         """
         chains = run.plan.chains(index) if run.chains else {}
-        blocked = run.plan.blocked(index, run.chains)
-        if blocked is not None:
-            rows_per_block = backend_blocked.BLOCK_BYTES // (
-                blocked.row_elements * self.precision.itemsize
-            )
-            if self.graph.num_edges > rows_per_block:
-                self._run_nodes(run, blocked.pre, chains)
-                self._walk(run, blocked, rows_per_block)
-                self._run_nodes(run, blocked.post, chains)
-                return
-        self._run_nodes(run, kernel.nodes, chains)
+        walk = self._walk_of(run.plan, index, run.chains)
+        if walk is None:
+            self._run_nodes(run, kernel.nodes, chains)
+            return
+        blocked, rows_per_block = walk
+        self._run_nodes(run, blocked.pre, chains)
+        self._walk(run, blocked, rows_per_block)
+        self._run_nodes(run, blocked.post, chains)
 
     def _run_nodes(
         self,
@@ -428,8 +601,8 @@ class Engine:
         bit-identical.  Only what leaves the walk (``step.spill``) is
         assembled into whole arrays; the rest never exists beyond one
         block.  Node boundaries close per block (bf16 rounding and the
-        finite check are elementwise); arena adoption waits for the
-        assembled arrays.
+        finite check are elementwise).  In an arena run a spilled
+        boundary write is assembled in its slab.
         """
         graph, whole = self.graph, run.values
         orientation = blocked.orientation
@@ -463,10 +636,11 @@ class Engine:
                     chunk = local[name]
                     out = spilled.get(name)
                     if out is None:
-                        rows = graph.num_edges if by_edge else graph.num_vertices
-                        out = spilled[name] = np.empty(
-                            (rows,) + chunk.shape[1:], dtype=chunk.dtype
-                        )
+                        out = run.storage.get(name)
+                        if out is None:
+                            rows = graph.num_edges if by_edge else graph.num_vertices
+                            out = np.empty((rows,) + chunk.shape[1:], dtype=chunk.dtype)
+                        spilled[name] = out
                     if by_edge:
                         out[block.eids] = chunk
                     else:
@@ -474,8 +648,6 @@ class Engine:
                 for name in step.dead:
                     del local[name]
         whole.update(spilled)
-        if run.pool is not None:
-            self._adopt(run, spilled)
 
     def _step(
         self,
@@ -492,28 +664,22 @@ class Engine:
         topology it indexes — what a partitioned run hands a SCATTER
         (owned rows ++ fetched ghost rows) or an out-orientation GATHER
         (fetched edge rows over the shard's out-graph).  ``chain`` runs
-        the aggregation chain ``node`` heads in its place.
+        the aggregation chain ``node`` heads in its place.  In an arena
+        run the step writes into the output's storage, if it has any.
         """
         self._execute(
             node, run.values, run.argmax_needed,
             operands=(operand,), graph=graph, chain=chain,
+            out=run.storage.get(node.outputs[0]),
         )
         if run.finishes:
-            self._finish(run, node)
-
-    def _finish(self, run: PlanRun, node: OpNode) -> None:
-        """Node-boundary work: bf16 rounding, finite check, arena adoption."""
-        self._close(run, node, run.values)
-        if run.pool is not None and node.kind is not OpKind.VIEW:
-            # Escaping writes are adopted before any view of them is
-            # minted, so aliases are arena-backed too.
-            self._adopt(run, node.outputs)
+            self._close(run, node, run.values)
 
     def _close(
         self, run: PlanRun, node: OpNode, values: MutableMapping[str, np.ndarray]
     ) -> None:
-        """The elementwise half of a node boundary, on whole arrays or
-        on one block's rows alike."""
+        """Node-boundary work — bf16 rounding, the finite check — on
+        whole arrays or on one block's rows alike (both elementwise)."""
         if run.bf16_outputs and node.kind is not OpKind.VIEW:
             # Simulate bf16 storage: every produced value is rounded to
             # the bf16 grid at the node boundary (views alias
@@ -523,14 +689,6 @@ class Engine:
                     values[o] = bf16_round(values[o])
         if self.check_finite:
             self._assert_finite(node, values)
-
-    @staticmethod
-    def _adopt(run: PlanRun, names: Sequence[str]) -> None:
-        """Move the named values that own an arena slab into it."""
-        values = run.values
-        for o in names:
-            if o in values and run.pool.slab_for(o):
-                values[o] = run.pool.adopt(o, values[o])
 
     def _end_kernel(self, run: PlanRun, index: int) -> None:
         """Per-kernel epilogue: ledger upkeep, then the dead-value sweep."""
@@ -580,6 +738,7 @@ class Engine:
         operands: Sequence[Optional[np.ndarray]] = (),
         graph: Optional[Graph] = None,
         chain: Optional[AggregationChain] = None,
+        out: Optional[np.ndarray] = None,
     ) -> None:
         """The one node dispatch: run ``node`` on ``values`` in place.
 
@@ -587,7 +746,8 @@ class Engine:
         ``values[name]``); ``graph`` overrides the topology indexed.
         With ``chain``, ``node`` is its head and the inputs are the
         chain's operands: the whole chain is one product, or one
-        scatter (a dot step).
+        scatter (a dot step).  ``out`` is the array an apply or scatter
+        step writes its output into (see :meth:`_writes_in_place`).
         """
         ins = [values[n] for n in (chain.operands if chain else node.inputs)]
         for i, operand in enumerate(operands):
@@ -603,7 +763,7 @@ class Engine:
             )
         elif chain is not None or node.kind is OpKind.SCATTER:
             values[node.outputs[0]] = kernels.scatter(
-                node.fn if chain is None else chain.scatter, graph, ins
+                node.fn if chain is None else chain.scatter, graph, ins, out
             )
         elif node.kind is OpKind.GATHER:
             out, argmax = kernels.gather(
@@ -617,7 +777,9 @@ class Engine:
             if len(node.outputs) > 1 and argmax is not None:
                 values[node.outputs[1]] = argmax
         elif node.kind is OpKind.APPLY:
-            values[node.outputs[0]] = kernels.apply(node.fn, ins, params, node.attrs)
+            values[node.outputs[0]] = kernels.apply(
+                node.fn, ins, params, node.attrs, out
+            )
         elif node.kind is OpKind.VIEW:
             x = ins[0]
             values[node.outputs[0]] = x.reshape(

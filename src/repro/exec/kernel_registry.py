@@ -24,17 +24,24 @@ makes the name usable everywhere a backend name is accepted.
 
 Kernel signatures (what :func:`register_backend` expects):
 
-- ``apply``:      ``fn(inputs, params, attrs) -> array``
-- ``scatter``:    ``fn(graph, inputs) -> array``
+- ``apply``:      ``fn(inputs, params, attrs[, out]) -> array``
+- ``scatter``:    ``fn(graph, inputs[, out]) -> array``
 - ``gather``:     ``fn(graph, edge_values, orientation, want_argmax)
   -> (array, argmax_or_None)``
 - ``param_grad``: ``fn(inputs, params, attrs) -> array`` (natural
   parameter shape, no leading row axis)
+
+An apply or scatter kernel that declares the keyword ``out`` has an
+in-place path: handed an array of its result's shape and dtype, it
+writes the result there and returns that array, bit-identical to the
+fresh call (:meth:`BackendKernels.writes_out`).  That is how an
+arena-backed engine puts a value into its slab.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -199,18 +206,37 @@ class BackendKernels:
         _ensure_loaded()
         return self.name in _KERNELS.get((kind, fn), {})
 
+    def writes_out(self, kind: str, fn: str) -> bool:
+        """Does this backend's ``(kind, fn)`` take an ``out`` to write into?"""
+        return "out" in inspect.signature(self._resolve(kind, fn)).parameters
+
     # -- dispatch entry points (signatures mirror repro.exec.kernels) --
+    # ``out`` is passed on only when given: callers hand it to kernels
+    # that :meth:`writes_out`.
     def apply(
         self,
         fn: str,
         inputs: Sequence[np.ndarray],
         params: Sequence[np.ndarray] = (),
         attrs: Optional[dict] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        return self._resolve("apply", fn)(list(inputs), list(params), attrs or {})
+        impl = self._resolve("apply", fn)
+        if out is None:
+            return impl(list(inputs), list(params), attrs or {})
+        return impl(list(inputs), list(params), attrs or {}, out=out)
 
-    def scatter(self, fn: str, graph, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        return self._resolve("scatter", fn)(graph, list(inputs))
+    def scatter(
+        self,
+        fn: str,
+        graph,
+        inputs: Sequence[np.ndarray],
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        impl = self._resolve("scatter", fn)
+        if out is None:
+            return impl(graph, list(inputs))
+        return impl(graph, list(inputs), out=out)
 
     def gather(
         self,

@@ -39,10 +39,17 @@ always execute the reference implementation; backend-aware dispatch
 goes through :func:`repro.exec.kernel_registry.get_backend`.
 
 Aliasing contract: kernels NEVER return an array sharing memory with
-an input.  The engine's arena planner (PR 4) reuses dead buffers, so
-an aliased output would be silently corrupted once its input's slab is
+an input.  The engine's arena planner reuses dead buffers, so an
+aliased output would be silently corrupted once its input's slab is
 recycled.  ``OpKind.VIEW`` nodes are the one sanctioned alias and are
 handled by the engine itself, never through these kernels.
+
+In-place contract: the kernels that are one ufunc, one matmul or one
+row take (``np.take``) declare ``out``; given it, they write their
+result there — bit for bit the fresh call's — and return it.  That is
+how an arena-backed engine puts a value into its slab.  The rest (the
+scipy product behind every segment sum, ``where``/``reduceat``/
+composite kernels) return fresh storage, and the engine keeps it.
 """
 
 from __future__ import annotations
@@ -166,23 +173,23 @@ def _k_identity(inputs, params, attrs):
 
 
 @_register_apply("neg")
-def _k_neg(inputs, params, attrs):
-    return -inputs[0]
+def _k_neg(inputs, params, attrs, out=None):
+    return np.negative(inputs[0], out=out)
 
 
 @_register_apply("scale")
-def _k_scale(inputs, params, attrs):
+def _k_scale(inputs, params, attrs, out=None):
     x = inputs[0]
     # Coerce the scalar attr to the array dtype: a stray np.float64
     # factor would otherwise upcast the whole tensor under NumPy 2's
     # promotion rules, silently breaking the declared-precision
     # accounting (caught by the differential counter tests).
-    return x * x.dtype.type(attrs["factor"])
+    return np.multiply(x, x.dtype.type(attrs["factor"]), out=out)
 
 
 @_register_apply("relu")
-def _k_relu(inputs, params, attrs):
-    return np.maximum(inputs[0], 0)
+def _k_relu(inputs, params, attrs, out=None):
+    return np.maximum(inputs[0], 0, out=out)
 
 
 @_register_apply("leaky_relu")
@@ -195,8 +202,8 @@ def _k_leaky_relu(inputs, params, attrs):
 
 
 @_register_apply("exp")
-def _k_exp(inputs, params, attrs):
-    return np.exp(inputs[0])
+def _k_exp(inputs, params, attrs, out=None):
+    return np.exp(inputs[0], out=out)
 
 
 @_register_apply("sigmoid")
@@ -211,48 +218,44 @@ def _k_sigmoid(inputs, params, attrs):
 
 
 @_register_apply("tanh")
-def _k_tanh(inputs, params, attrs):
-    return np.tanh(inputs[0])
+def _k_tanh(inputs, params, attrs, out=None):
+    return np.tanh(inputs[0], out=out)
 
 
 @_register_apply("add")
-def _k_add(inputs, params, attrs):
-    a, b = align_trailing(inputs)
-    return a + b
+def _k_add(inputs, params, attrs, out=None):
+    return np.add(*align_trailing(inputs), out=out)
 
 
 @_register_apply("sub")
-def _k_sub(inputs, params, attrs):
-    a, b = align_trailing(inputs)
-    return a - b
+def _k_sub(inputs, params, attrs, out=None):
+    return np.subtract(*align_trailing(inputs), out=out)
 
 
 @_register_apply("mul")
-def _k_mul(inputs, params, attrs):
-    a, b = align_trailing(inputs)
-    return a * b
+def _k_mul(inputs, params, attrs, out=None):
+    return np.multiply(*align_trailing(inputs), out=out)
 
 
 @_register_apply("div")
-def _k_div(inputs, params, attrs):
-    a, b = align_trailing(inputs)
-    return a / b
+def _k_div(inputs, params, attrs, out=None):
+    return np.divide(*align_trailing(inputs), out=out)
 
 
 @_register_apply("relu_grad")
-def _k_relu_grad(inputs, params, attrs):
+def _k_relu_grad(inputs, params, attrs, out=None):
     g, x = align_trailing(inputs)
-    return g * (x > 0)
+    return np.multiply(g, x > 0, out=out)
 
 
 @_register_apply("leaky_relu_grad")
-def _k_leaky_relu_grad(inputs, params, attrs):
+def _k_leaky_relu_grad(inputs, params, attrs, out=None):
     g, x = align_trailing(inputs)
     # Scalar where-branches must carry the array dtype: float64
     # literals would upcast the gradient under NumPy 2 promotion.
     one = x.dtype.type(1.0)
     slope = x.dtype.type(attrs.get("slope", 0.01))
-    return g * np.where(x > 0, one, slope)
+    return np.multiply(g, np.where(x > 0, one, slope), out=out)
 
 
 @_register_apply("sigmoid_grad")
@@ -268,9 +271,9 @@ def _k_tanh_grad(inputs, params, attrs):
 
 
 @_register_apply("clamp_min")
-def _k_clamp_min(inputs, params, attrs):
+def _k_clamp_min(inputs, params, attrs, out=None):
     x = inputs[0]
-    return np.maximum(x, x.dtype.type(attrs["min"]))
+    return np.maximum(x, x.dtype.type(attrs["min"]), out=out)
 
 
 @_register_apply("view")
@@ -321,32 +324,31 @@ def _k_reduce_to_shape(inputs, params, attrs):
 
 
 @_register_apply("linear")
-def _k_linear(inputs, params, attrs):
+def _k_linear(inputs, params, attrs, out=None):
     (x,) = inputs
     (w,) = params
-    return x @ w
+    return np.matmul(x, w, out=out)
 
 
 @_register_apply("linear_grad_input")
-def _k_linear_grad_input(inputs, params, attrs):
+def _k_linear_grad_input(inputs, params, attrs, out=None):
     (g,) = inputs
     (w,) = params
-    return g @ w.T
+    return np.matmul(g, w.T, out=out)
 
 
 @_register_apply("bias_add")
-def _k_bias_add(inputs, params, attrs):
+def _k_bias_add(inputs, params, attrs, out=None):
     (x,) = inputs
     (b,) = params
-    xb, bb = align_trailing([x, b[None]])
-    return xb + bb
+    return np.add(*align_trailing([x, b[None]]), out=out)
 
 
 @_register_apply("param_scale")
-def _k_param_scale(inputs, params, attrs):
+def _k_param_scale(inputs, params, attrs, out=None):
     (x,) = inputs
     (p,) = params
-    return x * p
+    return np.multiply(x, p, out=out)
 
 
 @_register_apply("head_dot")
@@ -410,14 +412,20 @@ def scatter_kernel(
     return kernel(graph, list(inputs))
 
 
+def _rows(x: np.ndarray, ids: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``x[ids]``, written into ``out`` when given (``mode="clip"``: the
+    default mode buffers ``out``, which allocates once more)."""
+    return x[ids] if out is None else np.take(x, ids, axis=0, out=out, mode="clip")
+
+
 @register_backend("scatter", "copy_u")
-def _s_copy_u(graph, inputs):
-    return inputs[0][graph.src]
+def _s_copy_u(graph, inputs, out=None):
+    return _rows(inputs[0], graph.src, out)
 
 
 @register_backend("scatter", "copy_v")
-def _s_copy_v(graph, inputs):
-    return inputs[0][graph.dst]
+def _s_copy_v(graph, inputs, out=None):
+    return _rows(inputs[0], graph.dst, out)
 
 
 @register_backend("scatter", "max_grad")
@@ -426,28 +434,25 @@ def _s_max_grad(graph, inputs):
 
 
 @register_backend("scatter", "u_add_v")
-def _s_u_add_v(graph, inputs):
+def _s_u_add_v(graph, inputs, out=None):
     u, v = inputs
-    a, b = align_trailing([u[graph.src], v[graph.dst]])
-    return a + b
+    return np.add(*align_trailing([u[graph.src], v[graph.dst]]), out=out)
 
 
 @register_backend("scatter", "u_sub_v")
-def _s_u_sub_v(graph, inputs):
+def _s_u_sub_v(graph, inputs, out=None):
     u, v = inputs
-    a, b = align_trailing([u[graph.src], v[graph.dst]])
-    return a - b
+    return np.subtract(*align_trailing([u[graph.src], v[graph.dst]]), out=out)
 
 
 @register_backend("scatter", "u_mul_v")
-def _s_u_mul_v(graph, inputs):
+def _s_u_mul_v(graph, inputs, out=None):
     u, v = inputs
-    a, b = align_trailing([u[graph.src], v[graph.dst]])
-    return a * b
+    return np.multiply(*align_trailing([u[graph.src], v[graph.dst]]), out=out)
 
 
 @register_backend("scatter", "u_dot_v")
-def _s_u_dot_v(graph, inputs):
+def _s_u_dot_v(graph, inputs, out=None):
     # Chunks of edges whose gathered rows and products (three edge rows
     # each) hold ~BLOCK_BYTES at once; each edge's sum is its own, so
     # chunking moves no bit.
@@ -456,9 +461,13 @@ def _s_u_dot_v(graph, inputs):
     row_bytes = u[:1].nbytes + v[:1].nbytes + max(u[:1].nbytes, v[:1].nbytes)
     step = max(1, _backend_blocked.BLOCK_BYTES // max(row_bytes, 1))
     parts = [
-        (u[src[lo:lo + step]] * v[dst[lo:lo + step]]).sum(axis=-1)
+        (u[src[lo:lo + step]] * v[dst[lo:lo + step]]).sum(
+            axis=-1, out=None if out is None else out[lo:lo + step]
+        )
         for lo in range(0, max(src.shape[0], 1), step)
     ]
+    if out is not None:
+        return out
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

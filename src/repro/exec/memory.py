@@ -51,6 +51,12 @@ Invariants (enforced by the test suite):
   (fragmentation below the pinned share),
 - executing through the arena (:class:`repro.exec.engine.Engine` with
   ``memory_plan=``) is bit-identical to fresh storage.
+
+:func:`pack` is the slab rule on its own.  An arena-backed engine runs
+it again on what it really writes: the slabs of the values whose kernels
+write in place, and — at node granularity, where no plan describes them,
+so no plan, golden or price moves — the values that die inside a fused
+kernel.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ __all__ = [
     "StepMemoryPlan",
     "MemoryLedger",
     "ArenaPool",
+    "pack",
     "plan_memory",
     "plan_memory_multi",
     "LedgerWalk",
@@ -352,6 +359,22 @@ _HEURISTICS = (
 )
 
 
+def pack(
+    values: Sequence[Tuple[str, int, int, int]]
+) -> Tuple[Dict[str, int], int, str]:
+    """The slab rule: offsets for ``(name, nbytes, birth, death)``
+    intervals such that two values share bytes exactly when their
+    lifetimes are disjoint.  Returns ``(offsets, extent, heuristic)``
+    for the smallest extent any of the heuristics reaches."""
+    best: Optional[Tuple[int, str, Dict[str, int]]] = None
+    for label, key, fit in _HEURISTICS:
+        offsets, extent = _place(values, key, fit)
+        if best is None or extent < best[0]:
+            best = (extent, label, offsets)
+    extent, heuristic, offsets = best
+    return offsets, extent, heuristic
+
+
 def plan_memory(
     plan: ExecPlan,
     stats: GraphStats,
@@ -371,12 +394,7 @@ def plan_memory(
         for root, (birth, death) in sorted(plan.liveness().items())
         if root in sizes and root not in pinned_roots
     ]
-    best: Optional[Tuple[int, str, Dict[str, int]]] = None
-    for label, key, fit in _HEURISTICS:
-        offsets, arena = _place(values, key, fit)
-        if best is None or arena < best[0]:
-            best = (arena, label, offsets)
-    arena_bytes, heuristic, offsets = best
+    offsets, arena_bytes, heuristic = pack(values)
     slabs = {
         name: Slab(
             name=name,
@@ -475,29 +493,19 @@ class MemoryLedger:
 
 
 class ArenaPool:
-    """One reusable byte arena backing a :class:`MemoryPlan`'s slabs."""
+    """The reusable bytes an arena-backed engine runs in, allocated once.
 
-    def __init__(self, memory_plan: MemoryPlan):
-        self.memory_plan = memory_plan
-        self.buffer = np.zeros(memory_plan.arena_bytes, dtype=np.uint8)
+    One buffer, sized to the largest phase, serves every phase of a
+    step: phases run one after another.  A value gets here only by
+    being written: :meth:`view` is the array its kernel is handed as
+    ``out``.
+    """
 
-    def slab_for(self, root: str) -> Optional[Slab]:
-        return self.memory_plan.slabs.get(root)
+    def __init__(self, nbytes: int):
+        self.buffer = np.zeros(nbytes, dtype=np.uint8)
 
-    def adopt(self, root: str, arr: np.ndarray) -> np.ndarray:
-        """Copy ``arr`` into the root's slab; return the arena view."""
-        slab = self.memory_plan.slabs[root]
-        arr = np.ascontiguousarray(arr)
-        if arr.nbytes > slab.size:
-            raise ValueError(
-                f"array for {root!r} needs {arr.nbytes} bytes but its "
-                f"slab holds {slab.size}; the engine precision must "
-                "match the plan's accounting dtype (float32)"
-            )
-        view = (
-            self.buffer[slab.offset : slab.offset + arr.nbytes]
-            .view(arr.dtype)
-            .reshape(arr.shape)
-        )
-        view[...] = arr
-        return view
+    def view(self, offset: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """The ``shape``/``dtype`` array at byte ``offset``."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        return self.buffer[offset : offset + nbytes].view(dtype).reshape(shape)

@@ -469,7 +469,7 @@ class MultiEngine:
             for run in runs[1:]:
                 total = total + run.values[out]
             first.values[out] = total
-            shard._finish(first, node)
+            shard._close(first, node, first.values)
             if self.num_parts > 1:
                 # Storage-width bytes (spec row_bytes), matching the
                 # analytic allreduce schedule under any precision.

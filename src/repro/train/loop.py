@@ -11,6 +11,7 @@ from repro.frameworks.strategy import CompiledTraining
 from repro.graph.csr import Graph
 from repro.ir.autodiff import grad_seed_name
 from repro.ir.module import GRAPH_CONSTANTS
+from repro.ir.tensorspec import LOGICAL_DTYPES
 from repro.train.optim import Optimizer
 
 __all__ = ["softmax_cross_entropy", "accuracy", "Trainer"]
@@ -66,6 +67,19 @@ def accuracy(
 class Trainer:
     """Drives one compiled training configuration on one graph.
 
+    A float32 trainer runs every step from its second on in one reused
+    arena: at step two it plans ``compiled.memory_plan(graph.stats())``
+    once (step one ran on fresh storage; a one-step trainer never pays
+    for planning), and from then on each value is written into its
+    storage by its kernel — one buffer per step, kernels with no
+    in-place path keeping fresh storage (see
+    :class:`~repro.exec.engine.Engine`).  The stash crosses from forward
+    to backward in the arrays the previous step's forward returned, so
+    it is not allocated per step.  Losses and parameters are
+    bit-identical to fresh storage, and the measured ledger is the
+    unpinned one it was.  Trainers whose plans an arena refuses —
+    float64 engines, bf16/int8 storage — never plan.
+
     Parameters
     ----------
     compiled:
@@ -78,9 +92,9 @@ class Trainer:
         Engine float dtype.
     memory_plans:
         Optional arena plan(s) (see :class:`~repro.exec.engine.Engine`'s
-        ``memory_plan``): boundary values of the matching plans execute
-        through arena-backed slabs, and :attr:`last_peak_bytes` records
-        the step's measured live-byte high-watermark.
+        ``memory_plan``): the matching plans execute in their arena from
+        the first step, and :attr:`last_peak_bytes` records the step's
+        measured live-byte high-watermark with the plan's pinned set.
     """
 
     def __init__(
@@ -120,15 +134,31 @@ class Trainer:
             for name, arr in compiled.model.edge_inputs(graph).items()
             if name in specs
         }
+        self._steps = 0
+        self._plans_arena = (
+            memory_plans is None
+            and self.engine.precision == np.dtype("float32")
+            and {s.dtype for s in specs.values()}.isdisjoint(LOGICAL_DTYPES)
+        )
+        #: The last step's forward results: the storage the next step's
+        #: forward leaves its results in (arena steps only).
+        self._stash: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def forward(self, features: np.ndarray) -> Dict[str, np.ndarray]:
         """Run the forward plan; returns outputs plus stash (wrapped)."""
+        return self._forward(features)
+
+    def _forward(
+        self, features: np.ndarray, out: Optional[Dict[str, np.ndarray]] = None
+    ) -> Dict[str, np.ndarray]:
         arrays = self.compiled.model.bind_inputs(features, self._edge_inputs)
         arrays.update(self.params)
         env = self.engine.bind(self.compiled.forward, arrays)
         self._fwd_env = env
-        return self.engine.run_plan(self.compiled.fwd_plan, env, unwrap=False)
+        return self.engine.run_plan(
+            self.compiled.fwd_plan, env, unwrap=False, out=out
+        )
 
     def backward(
         self,
@@ -165,7 +195,12 @@ class Trainer:
         mask: Optional[np.ndarray] = None,
     ) -> Tuple[float, float]:
         """One full step; returns ``(loss, accuracy)``."""
-        fwd = self.forward(features)
+        self._steps += 1
+        if self._steps == 2 and self._plans_arena:
+            self.engine._arena_plan = self.compiled.memory_plan(self.graph.stats())
+        fwd = self._forward(features, self._stash)
+        if self.engine._arena_plan is not None:
+            self._stash = fwd
         peak = self.engine.measured_peak_bytes
         logits = fwd[self.output_name]
         loss, grad = softmax_cross_entropy(logits, labels, mask)

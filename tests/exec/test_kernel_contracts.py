@@ -53,21 +53,22 @@ def _f64(value: float):
     return np.float64(value)
 
 
-def _apply_cases(rng: np.random.Generator, dtype):
-    """(inputs, params, attrs) per registered apply fn."""
-    x = rng.normal(size=(N, F)).astype(dtype)
-    y = rng.normal(size=(N, F)).astype(dtype) + dtype(2.0)
-    g = rng.normal(size=(N, F)).astype(dtype)
-    x3 = rng.normal(size=(N, H, F)).astype(dtype)
-    gh = rng.normal(size=(N, H)).astype(dtype)
-    m = rng.normal(size=(N, D)).astype(dtype)
-    w = rng.normal(size=(N, K)).astype(dtype)
+def _apply_cases(rng: np.random.Generator, dtype, n: int = N, f: int = F):
+    """(inputs, params, attrs) per registered apply fn, on ``n`` rows of
+    width ``f``."""
+    x = rng.normal(size=(n, f)).astype(dtype)
+    y = rng.normal(size=(n, f)).astype(dtype) + dtype(2.0)
+    g = rng.normal(size=(n, f)).astype(dtype)
+    x3 = rng.normal(size=(n, H, f)).astype(dtype)
+    gh = rng.normal(size=(n, H)).astype(dtype)
+    m = rng.normal(size=(n, D)).astype(dtype)
+    w = rng.normal(size=(n, K)).astype(dtype)
     mu = rng.normal(size=(K, D)).astype(dtype)
     inv_sigma = (rng.uniform(0.5, 2.0, size=(K, D))).astype(dtype)
-    lin_w = rng.normal(size=(F, 3)).astype(dtype)
-    bias = rng.normal(size=(F,)).astype(dtype)
-    att = rng.normal(size=(H, F)).astype(dtype)
-    g3 = rng.normal(size=(N, 3)).astype(dtype)
+    lin_w = rng.normal(size=(f, 3)).astype(dtype)
+    bias = rng.normal(size=(f,)).astype(dtype)
+    att = rng.normal(size=(H, f)).astype(dtype)
+    g3 = rng.normal(size=(n, 3)).astype(dtype)
     return {
         "identity": ([x], [], {}),
         "neg": ([x], [], {}),
@@ -89,12 +90,12 @@ def _apply_cases(rng: np.random.Generator, dtype):
         # Degenerate shapes on purpose: same-shape view, full-span
         # slice, and identity reduce are exactly the cases where NumPy
         # hands back the input array (the aliasing regression).
-        "view": ([x], [], {"out_shape": (F,)}),
-        "slice_axis": ([x], [], {"axis": -1, "start": 0, "stop": F}),
+        "view": ([x], [], {"out_shape": (f,)}),
+        "slice_axis": ([x], [], {"axis": -1, "start": 0, "stop": f}),
         "pad_axis": (
-            [x], [], {"axis": -1, "width": F, "start": 0, "stop": F}
+            [x], [], {"axis": -1, "width": f, "start": 0, "stop": f}
         ),
-        "reduce_to_shape": ([x], [], {"target_shape": (F,)}),
+        "reduce_to_shape": ([x], [], {"target_shape": (f,)}),
         "linear": ([x], [lin_w], {}),
         "linear_grad_input": ([g3], [lin_w], {}),
         "bias_add": ([x], [bias], {}),
@@ -108,12 +109,13 @@ def _apply_cases(rng: np.random.Generator, dtype):
     }
 
 
-def _scatter_cases(graph: Graph, rng: np.random.Generator, dtype):
-    """(inputs,) per registered scatter fn."""
-    u = rng.normal(size=(N, F)).astype(dtype)
-    v = rng.normal(size=(N, F)).astype(dtype)
-    grad = rng.normal(size=(N, F)).astype(dtype)
-    edge = rng.normal(size=(graph.num_edges, F)).astype(dtype)
+def _scatter_cases(graph: Graph, rng: np.random.Generator, dtype, f: int = F):
+    """(inputs,) per registered scatter fn, on rows of width ``f``."""
+    n = graph.num_vertices
+    u = rng.normal(size=(n, f)).astype(dtype)
+    v = rng.normal(size=(n, f)).astype(dtype)
+    grad = rng.normal(size=(n, f)).astype(dtype)
+    edge = rng.normal(size=(graph.num_edges, f)).astype(dtype)
     _, argmax = gather_kernel("max", graph, edge, want_argmax=True)
     return {
         "copy_u": [u],
@@ -312,3 +314,109 @@ class TestDtypePreservation:
             rng, np.float64
         ).items():
             assert kernels.apply(fn, inputs, params, attrs).dtype == np.float64
+
+
+# ----------------------------------------------------------------------
+# The in-place path
+# ----------------------------------------------------------------------
+#: Every registered (kind, fn) whose reference kernel declares ``out``.
+OUT_KERNELS = [
+    (kind, fn)
+    for kind in ("apply", "scatter")
+    for fn in registered_functions(kind)
+    if get_backend().writes_out(kind, fn)
+]
+
+
+def _size_graph(size: str, monkeypatch) -> Graph:
+    """``tiny``: the hand-made multigraph; ``chunked``: a random graph
+    with a block budget small enough that ``u_dot_v`` takes many
+    chunks."""
+    if size == "tiny":
+        return Graph(np.array([0, 0, 1, 2, 2, 0]), np.array([1, 2, 2, 0, 2, 1]), N)
+    from repro.exec import backend_blocked
+
+    monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 256)
+    rng = np.random.default_rng(5)
+    return Graph(rng.integers(0, 40, 300), rng.integers(0, 40, 300), 40)
+
+
+def _out_call(kernels, kind: str, fn: str, graph: Graph, rng, dtype, f: int = F):
+    """``(call, arguments)``: ``call(out)`` runs the kernel (``None``:
+    the fresh call) on one fixed draw of its case."""
+    if kind == "apply":
+        inputs, params, attrs = _apply_cases(
+            rng, dtype, graph.num_vertices, f
+        )[fn]
+        return (
+            lambda out: kernels.apply(fn, inputs, params, attrs, out=out),
+            inputs + params,
+        )
+    inputs = _scatter_cases(graph, rng, dtype, f)[fn]
+    return lambda out: kernels.scatter(fn, graph, inputs, out=out), inputs
+
+
+def _assert_writes_in_place(label: str, call, arguments) -> None:
+    fresh = call(None)
+    # A fill no kernel produces, so an element left unwritten shows.
+    out = np.full_like(fresh, 7)
+    got = call(out)
+    assert got is out, f"{label}: returned a new array, not out"
+    assert np.array_equal(got.view(np.uint8), fresh.view(np.uint8)), (
+        f"{label}: out differs from the fresh call"
+    )
+    for i, arr in enumerate(arguments):
+        assert not np.shares_memory(out, arr), f"{label}: out aliases argument {i}"
+
+
+class TestOutPath:
+    """A kernel with an ``out`` writes its result there, bit for bit
+    the fresh call's, and returns it (the arena-backed engine's way of
+    putting a value into its slab)."""
+
+    def test_the_ufunc_matmul_and_take_kernels_have_one(self):
+        assert {
+            "relu", "bias_add", "relu_grad", "linear", "linear_grad_input",
+        } <= {fn for kind, fn in OUT_KERNELS if kind == "apply"}
+        assert {"copy_u", "copy_v", "u_dot_v"} <= {
+            fn for kind, fn in OUT_KERNELS if kind == "scatter"
+        }
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("size", ("tiny", "chunked"))
+    @pytest.mark.parametrize("dtype", TestDtypePreservation.DTYPES)
+    @pytest.mark.parametrize("kind, fn", OUT_KERNELS)
+    def test_out_is_the_fresh_result(
+        self, monkeypatch, rng, backend, size, dtype, kind, fn
+    ):
+        kernels = get_backend(backend)
+        if not kernels.writes_out(kind, fn):
+            pytest.skip(f"{backend} overrides {kind}:{fn} without an out path")
+        graph = _size_graph(size, monkeypatch)
+        call, arguments = _out_call(kernels, kind, fn, graph, rng, dtype)
+        _assert_writes_in_place(f"{backend}:{kind}:{fn}", call, arguments)
+
+    def test_random_shapes(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from repro.exec import backend_blocked
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            kernel=st.sampled_from(OUT_KERNELS),
+            n=st.integers(1, 12),
+            m=st.integers(0, 40),
+            f=st.integers(1, 6),
+            dtype=st.sampled_from(TestDtypePreservation.DTYPES),
+            budget=st.integers(1, 2048),
+            seed=st.integers(0, 2 ** 31),
+        )
+        def check(kernel, n, m, f, dtype, budget, seed):
+            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", budget)
+            rng = np.random.default_rng(seed)
+            graph = Graph(rng.integers(0, n, m), rng.integers(0, n, m), n)
+            kind, fn = kernel
+            call, arguments = _out_call(get_backend(), kind, fn, graph, rng, dtype, f)
+            _assert_writes_in_place(f"{kind}:{fn}", call, arguments)
+
+        check()

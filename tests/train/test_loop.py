@@ -6,6 +6,7 @@ import pytest
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import chung_lu
 from repro.models import GCN, GAT
+from repro.registry import MODELS
 from repro.train import SGD, Adam, Trainer, accuracy, softmax_cross_entropy
 
 
@@ -134,11 +135,13 @@ class TestTrainer:
         )
 
         class PerStep(Trainer):
-            def forward(self, features):
+            def _forward(self, features, out=None):
                 arrays = self.compiled.model.make_inputs(self.graph, features)
                 arrays.update(self.params)
                 env = self._fwd_env = self.engine.bind(self.compiled.forward, arrays)
-                return self.engine.run_plan(self.compiled.fwd_plan, env, unwrap=False)
+                return self.engine.run_plan(
+                    self.compiled.fwd_plan, env, unwrap=False, out=out
+                )
 
         c = compile_training(model, get_strategy("ours"))
         losses = {}
@@ -184,3 +187,151 @@ class TestTrainer:
         for _ in range(40):
             last, _ = tr.train_step(feats, labels, opt)
         assert last < first
+
+
+# ----------------------------------------------------------------------
+# The arena a float32 Trainer runs its later steps in
+# ----------------------------------------------------------------------
+def _arena_setting(name="gcn", strategy="ours", precision="fp32"):
+    from dataclasses import replace
+
+    from repro.graph import erdos_renyi
+
+    graph = erdos_renyi(120, 900, seed=3)
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(graph.num_vertices, 8)).astype(np.float32)
+    labels = rng.integers(0, 3, size=graph.num_vertices)
+    compiled = compile_training(
+        MODELS.get(name)(8, 3), replace(get_strategy(strategy), precision=precision)
+    )
+    return graph, compiled, feats, labels
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Every ``compiled.memory_plan`` call made during the test."""
+    from repro.frameworks.strategy import CompiledTraining
+
+    calls = []
+    memory_plan = CompiledTraining.memory_plan
+
+    def spy(self, stats):
+        calls.append(stats)
+        return memory_plan(self, stats)
+
+    monkeypatch.setattr(CompiledTraining, "memory_plan", spy)
+    return calls
+
+
+def _bare_engine_steps(compiled, graph, feats, labels, steps):
+    """The same steps on a bare ``Engine`` with no memory plan: losses
+    and the final parameters."""
+    from repro.exec import Engine
+    from repro.ir.autodiff import grad_seed_name
+    from repro.ir.module import GRAPH_CONSTANTS
+
+    engine = Engine(graph, precision="float32", backend=compiled.strategy.backend)
+    params = dict(compiled.model.init_params(0))
+    output = compiled.forward.outputs[0]
+    optimizer, losses = Adam(lr=0.01), []
+    for _ in range(steps):
+        arrays = compiled.model.make_inputs(graph, feats)
+        arrays.update(params)
+        env = engine.bind(compiled.forward, arrays)
+        fwd = engine.run_plan(compiled.fwd_plan, env, unwrap=False)
+        loss, grad = softmax_cross_entropy(fwd[output], labels)
+        module = compiled.bwd_plan.module
+        bwd_env = {}
+        for name in list(module.inputs) + list(module.params):
+            if name == grad_seed_name(output):
+                bwd_env[name] = grad.astype(np.float32)
+            elif name in GRAPH_CONSTANTS:
+                bwd_env[name] = engine.graph_constant(name)
+            else:
+                bwd_env[name] = fwd[name] if name in fwd else env[name]
+        grads = engine.run_plan(compiled.bwd_plan, bwd_env)
+        optimizer.step(
+            params, {p: grads[g] for p, g in compiled.param_grads.items()}
+        )
+        losses.append(loss)
+    return losses, params
+
+
+def _assert_arena_steps_match_bare_engine(name, strategy):
+    graph, compiled, feats, labels = _arena_setting(name, strategy)
+    trainer = Trainer(compiled, graph, precision="float32", seed=0)
+    optimizer = Adam(lr=0.01)
+    losses = [trainer.train_step(feats, labels, optimizer)[0] for _ in range(5)]
+    assert trainer.engine._arena is not None
+    want_losses, want_params = _bare_engine_steps(compiled, graph, feats, labels, 5)
+    assert losses == want_losses, f"{name}/{strategy}"
+    for p, value in want_params.items():
+        got = trainer.params[p]
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), (
+            f"{name}/{strategy}: {p}"
+        )
+
+
+class TestTrainerArena:
+    def test_plans_once_at_the_second_step(self, plans):
+        graph, compiled, feats, labels = _arena_setting()
+        trainer = Trainer(compiled, graph, precision="float32", seed=0)
+        optimizer = Adam(lr=0.01)
+        trainer.train_step(feats, labels, optimizer)
+        assert plans == [] and trainer.engine._arena is None
+        trainer.train_step(feats, labels, optimizer)
+        pool = trainer.engine._arena[1]
+        for _ in range(3):
+            trainer.train_step(feats, labels, optimizer)
+        assert len(plans) == 1 and trainer.engine._arena[1] is pool
+        # The stash lives in the trainer's own storage, not the arena,
+        # and the next step's forward leaves its results in it again.
+        stash = dict(trainer._stash)
+        assert stash and not any(
+            np.shares_memory(arr, pool.buffer) for arr in stash.values()
+        )
+        trainer.train_step(feats, labels, optimizer)
+        assert all(trainer._stash[n] is arr for n, arr in stash.items())
+
+    @pytest.mark.parametrize(
+        "engine_precision, precision",
+        [("float64", "fp32"), ("float32", "bf16"), ("float32", "int8")],
+    )
+    def test_refused_plans_are_never_made(self, plans, engine_precision, precision):
+        graph, compiled, feats, labels = _arena_setting(precision=precision)
+        trainer = Trainer(compiled, graph, precision=engine_precision, seed=0)
+        optimizer = Adam(lr=0.01)
+        for _ in range(3):
+            trainer.train_step(feats, labels, optimizer)
+        assert plans == [] and trainer.engine._arena is None
+
+    @pytest.mark.parametrize("memory_plan", [False, True])
+    def test_minibatch_epochs_plan_only_when_asked(self, plans, memory_plan):
+        from repro.train import MiniBatchTrainer
+
+        graph, compiled, feats, labels = _arena_setting("sage")
+        trainer = MiniBatchTrainer(
+            compiled, graph, batch_size=40, precision="float32",
+            memory_plan=memory_plan,
+        )
+        epoch = trainer.train_epoch(feats, labels, Adam(lr=0.01))
+        assert len(plans) == (epoch.num_batches if memory_plan else 0)
+
+    def test_evaluate_never_plans(self, plans):
+        graph, compiled, feats, labels = _arena_setting()
+        trainer = Trainer(compiled, graph, precision="float32", seed=0)
+        for _ in range(3):
+            trainer.evaluate(feats, labels)
+        assert plans == []
+
+    @pytest.mark.parametrize("name", ["gcn", "gat", "sage"])
+    def test_arena_steps_equal_a_bare_engine(self, name):
+        _assert_arena_steps_match_bare_engine(name, "ours")
+
+
+@pytest.mark.slow
+class TestTrainerArenaExhaustive:
+    @pytest.mark.parametrize("strategy", ["ours", "ours-stash", "dgl-like"])
+    @pytest.mark.parametrize("name", sorted(MODELS.names()))
+    def test_arena_steps_equal_a_bare_engine(self, name, strategy):
+        _assert_arena_steps_match_bare_engine(name, strategy)
