@@ -27,7 +27,9 @@ on chip".  Both keep each segment's ``+0.0``-then-left-to-right order in
 CSC/CSR edge order, so they are bit-identical to running the same kernel
 node by node (a weighted chain: wherever scipy's product rounds
 ``w * x`` before adding it — README clause 1d), which is what per-op
-kernels and ``MultiEngine`` shards still do.  Runs that round or inspect
+kernels still do.  ``MultiEngine`` shards never walk; they take every
+chain but an out-edge aggregation, whose exchange is billed on its edge
+operand.  Runs that round or inspect
 at the node boundaries a chain removes — float16 / bfloat16 / int8
 storage, ``check_finite`` — and backends with their own copy, multiply
 or sum keep every node.

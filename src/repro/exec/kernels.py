@@ -658,8 +658,11 @@ def aggregate(
             operator.indptr, operator.indices, operator.shape[1],
             weight.reshape(-1)[order],
         )
+    # The width is spelled out: ``x`` may hold no rows at all (an empty
+    # partition's shard, over its one-vertex placeholder graph).
+    width = int(np.prod(x.shape[1:], dtype=np.int64)) // heads
     out = (_segment_mean if mean else segment_sum)(
-        operator, x.reshape(x.shape[0] * heads, -1)
+        operator, x.reshape(x.shape[0] * heads, width)
     )
     return out.reshape((operator.shape[0] // heads,) + x.shape[1:])
 

@@ -21,6 +21,12 @@ per-kernel epilogue.
 - **Gather over out-edges** fetches the remotely-owned edge rows of its
   operand (``halo_out``) and hands the step those rows with the part's
   out-graph; every gather output is trimmed to the owned rows,
+- **aggregation chains** (:meth:`ExecPlan.chains`): an in-edge
+  aggregation or a dot step is one shard step at its head, handed the
+  same owned ++ ghost source rows its ``copy_u`` would read, with that
+  fetch made where the copy stood.  An out-edge aggregation keeps its
+  nodes: as one step it would exchange vertex rows where
+  ``plan_comm_records`` bills its edge operand,
 - nodes producing **PARAM/DENSE** values run once and are aliased into
   every shard; **parameter gradients** over sharded rows are
   all-reduced across parts, in part order,
@@ -73,7 +79,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 import numpy as np
 
 from repro.exec.engine import Engine, PlanRun, translate_argmax
-from repro.exec.plan import ExecPlan
+from repro.exec.plan import AggregationChain, ExecPlan
 from repro.graph.csr import Graph
 from repro.graph.partition import (
     GraphPartition,
@@ -400,7 +406,9 @@ class MultiEngine:
         Each node runs through the shard engines' own step; this driver
         only adds what a partition needs around it: halo rows for the
         operands another part owns, trimming gather outputs to owned
-        rows, and running replicated (PARAM/DENSE) nodes once.
+        rows, and running replicated (PARAM/DENSE) nodes once.  A taken
+        chain (:meth:`_taken_chains`) is one step at its head, on the
+        halo-extended source rows its ``copy_u`` would have read.
         ``runs`` may wrap plain dicts or ChainMap overlays (thread
         mode); writes land in the first map either way.
         """
@@ -409,37 +417,81 @@ class MultiEngine:
         # Per-kernel exchange cache: nodes sharing an operand share one
         # halo transfer, mirroring plan_comm_records.
         halo = (plan, runs, {}, exchanges)
+        chains, skipped = self._taken_chains(plan, kernel_index, runs[0].chains)
         unchanged = [None] * self.num_parts
         for node in plan.kernels[kernel_index].nodes:
             if specs[node.outputs[0]].domain in _REPLICATED:
                 self._run_replicated(node, specs, runs, exchanges)
                 continue
+            chain = chains.get(node.name)
+            u_name = self._source_read(node, chain)
+            if u_name is not None:
+                # The source-side operand needs its halo refreshed.  A
+                # copy a chain stands in for still fetches here, so the
+                # exchange log keeps the per-node order.
+                ghosts = self._fetch("halo_in", u_name, *halo)
+            if node.name in skipped:
+                continue
             operands = graphs = unchanged
-            if node.kind is OpKind.SCATTER:
-                fn = get_scatter_fn(node.fn)
-                if fn.reads_u and not fn.vertex_direct_read:
-                    # The source-side operand needs its halo refreshed:
-                    # owned rows ++ ghost rows, the in-graph's local ids.
-                    u_name = node.inputs[0]
-                    operands = (
-                        np.concatenate([run.values[u_name], ghost], axis=0)
-                        for run, ghost in zip(
-                            runs, self._fetch("halo_in", u_name, *halo)
-                        )
-                    )
+            if u_name is not None:
+                # Owned rows ++ ghost rows, the in-graph's local ids.
+                operands = (
+                    np.concatenate([run.values[u_name], ghost], axis=0)
+                    for run, ghost in zip(runs, ghosts)
+                )
             elif node.kind is OpKind.GATHER and node.orientation == "out":
                 operands = self._fetch("halo_out", node.inputs[0], *halo)
                 graphs = [part.out_graph for part in parts]
             for part, shard, run, operand, graph in zip(
                 parts, self._shards, runs, operands, graphs
             ):
-                shard._step(run, node, operand=operand, graph=graph)
+                shard._step(run, node, operand=operand, graph=graph, chain=chain)
                 if node.kind is OpKind.GATHER:
                     # Local graphs carry ghost vertices after the owned
                     # ones; only the owned rows are this part's output.
                     for o in node.outputs:
                         if o in run.values:
                             run.values[o] = run.values[o][:part.num_owned]
+
+    @staticmethod
+    def _taken_chains(
+        plan: ExecPlan, index: int, allowed: bool
+    ) -> Tuple[Dict[str, AggregationChain], Set[str]]:
+        """The chains of kernel ``index`` shards take, by head name, and
+        the nodes that therefore never run.
+
+        Every chain but an out-edge aggregation is taken: as one step
+        it would exchange vertex rows where ``plan_comm_records`` bills
+        its edge operand.  A node is skipped only when each chain it is
+        interior to is taken: gat's backward ``copy_v`` feeds a dot step
+        and an out-edge aggregation, and still runs for the latter.
+        """
+        if not allowed:
+            return {}, set()
+        found = {c.head.name: c for c in plan.chains(index).values()}
+        taken, kept = {}, set()
+        for head, chain in found.items():
+            if chain.scatter is None and chain.head.orientation == "out":
+                kept.update(n.name for n in chain.interior)
+            else:
+                taken[head] = chain
+        skipped = {n.name for c in taken.values() for n in c.interior}
+        return taken, skipped - kept
+
+    @staticmethod
+    def _source_read(
+        node: OpNode, chain: Optional[AggregationChain]
+    ) -> Optional[str]:
+        """The vertex operand ``node``'s step reads through the edge
+        source, if any: a taken chain's first operand (its ``copy_u``'s
+        rows), or a scatter's ``u``."""
+        if chain is not None:
+            return chain.operands[0]
+        if node.kind is OpKind.SCATTER:
+            fn = get_scatter_fn(node.fn)
+            if fn.reads_u and not fn.vertex_direct_read:
+                return node.inputs[0]
+        return None
 
     def _run_replicated(
         self,

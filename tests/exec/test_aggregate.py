@@ -98,6 +98,20 @@ class TestMean:
         assert got[2].tolist() == ((x[0] + x[1] + x[2]) / 3).tolist()
 
 
+@pytest.mark.parametrize("reduce", ["sum", "mean"])
+@pytest.mark.parametrize("weight_feat", [None, (), (2,)])
+def test_no_rows_over_an_edgeless_layout(weight_feat, reduce):
+    """An empty partition's shard: no owned or ghost rows, over the
+    one-vertex placeholder graph.  Its one home row is zeros, as the
+    edge-tensor path has it."""
+    graph = Graph(np.zeros(0, np.int64), np.zeros(0, np.int64), 1)
+    x = np.zeros((0,) + FEAT, dtype=np.float32)
+    weight = None if weight_feat is None else np.zeros((0,) + weight_feat, np.float32)
+    got = aggregate(graph, x, weight, mean=reduce == "mean")
+    want = _edge_path(graph, x, weight, "in", reduce)
+    assert got.shape == want.shape == (1,) + FEAT and not got.any()
+
+
 class TestOperators:
     def test_unit_operator_is_cached_per_orientation_dtype_and_heads(self):
         graph = chung_lu(30, 120, seed=2)  # own graph: own, empty cache

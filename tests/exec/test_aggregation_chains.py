@@ -5,7 +5,8 @@
 inside one kernel runs as one adjacency × dense product, and the
 backward's ``reduce_to_shape(copy_v(a) * copy_u(b))`` as one
 ``u_dot_v`` step.  The per-node path still exists — it is what
-``MultiEngine``, reduced-precision and ``check_finite`` runs execute —
+reduced-precision and ``check_finite`` runs execute, and what
+``MultiEngine`` shards run for an out-edge aggregation —
 so :func:`tests.helpers.run_plan_per_node` is the oracle: every value a
 run returns must equal it by ``tobytes()``, dtype and shape (a plan with
 a *weighted* chain: wherever scipy does not fuse ``y += w * x``; within
@@ -15,6 +16,7 @@ exact everywhere).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -423,13 +425,22 @@ class TestChainVsNode:
             assert_same_values(got, want, plan, f"walked-dot/{precision}")
             assert len(products) >= 4 and all(c is chain for _, c in products)
 
-    def test_multi_engine_keeps_the_per_node_path(self, products, graph):
-        compiled = _compiled("gcn")
+    @pytest.mark.parametrize("model_name", ["gcn", "gat"])
+    def test_multi_engine_shards_take_the_chains(self, products, graph, model_name):
+        """Each shard runs every in-edge aggregation and dot step as one
+        step on its in-graph; out-edge aggregations (the backward's
+        ``copy_v · w → sum``) keep their nodes, and their halo."""
+        compiled = _compiled(model_name)
         feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
-        training_values(
-            MultiEngine(graph, 3), compiled, feats, compiled.model.init_params(0)
-        )
-        assert products == []
+        multi = MultiEngine(graph, 3)
+        training_values(multi, compiled, feats, compiled.model.init_params(0))
+        chains = _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
+        out = [c for c in chains if c.scatter is None and c.head.orientation == "out"]
+        taken = [c for c in chains if c not in out]
+        assert out and taken
+        shards = [part.in_graph for part in multi.partition.parts]
+        assert [id(c) for _, c in products] == [id(c) for c in taken for _ in shards]
+        assert [id(g) for g, _ in products] == [id(g) for g in shards] * len(taken)
 
 
 class TestFallbacks:
@@ -482,21 +493,10 @@ class TestFallbacks:
         compiled = _compiled("sage")
         plan = compiled.fwd_plan
         arrays = _arrays(compiled, graph)
-        reference = kernel_registry.resolve_kernel("gather", "mean")
-        kernel_registry.declare_backend(
-            "own-mean", bit_identical=True, description="test double"
-        )
-        kernel_registry.register_backend("gather", "mean", backend="own-mean")(
-            lambda *args: reference(*args)
-        )
-        try:
-            engine = Engine(graph, backend="own-mean")
+        with _own_kernel("gather", "mean") as backend:
+            engine = Engine(graph, backend=backend)
             got = engine.run_plan(plan, engine.bind(plan.module, arrays))
             assert products == []
-        finally:
-            del kernel_registry._BACKENDS["own-mean"]
-            del kernel_registry._KERNELS[("gather", "mean")]["own-mean"]
-            kernel_registry._BUNDLES.pop("own-mean", None)
         want = Engine(graph).run_plan(plan, Engine(graph).bind(plan.module, arrays))
         assert len(products) == len(_chains(plan)) > 0
         assert_same_values(got, want, plan, "own-mean")
@@ -512,3 +512,43 @@ class TestFallbacks:
         assert len(products) == len(
             _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
         )
+
+    @pytest.mark.parametrize("precision", ["fp16", "bf16", "int8"])
+    def test_narrow_storage_shards_run_every_node(self, products, graph, precision):
+        compiled = _compiled("gat", replace(get_strategy("ours"), precision=precision))
+        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+        training_values(
+            MultiEngine(graph, 3), compiled, feats, compiled.model.init_params(0)
+        )
+        assert products == []
+
+    def test_shards_of_a_backend_with_its_own_copy_run_every_node(self, products, graph):
+        compiled = _compiled("gat")
+        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+        params = compiled.model.init_params(0)
+        with _own_kernel("scatter", "copy_u") as backend:
+            got = training_values(MultiEngine(graph, 3, backend=backend), compiled, feats, params)
+            assert products == []
+        want = training_values(MultiEngine(graph, 3), compiled, feats, params)
+        assert products != []
+        for got_values, want_values in zip(got, want):
+            for name in want_values:
+                assert np.array_equal(got_values[name], want_values[name]), name
+
+
+@contextmanager
+def _own_kernel(kind, fn):
+    """A backend whose one ``kind:fn`` kernel is its own (a test double
+    delegating to the reference), registered for the ``with`` body."""
+    name = f"own-{fn}"
+    reference = kernel_registry.resolve_kernel(kind, fn)
+    kernel_registry.declare_backend(name, bit_identical=True, description="test double")
+    kernel_registry.register_backend(kind, fn, backend=name)(
+        lambda *args: reference(*args)
+    )
+    try:
+        yield name
+    finally:
+        del kernel_registry._BACKENDS[name]
+        del kernel_registry._KERNELS[(kind, fn)][name]
+        kernel_registry._BUNDLES.pop(name, None)

@@ -23,7 +23,10 @@ from repro.graph import Graph, chung_lu
 from repro.graph.partition import PartitionStats, partition_graph
 from repro.registry import MODELS
 
-from tests.helpers import assert_values_close, training_phases, training_values
+from tests.helpers import (
+    assert_same_values, assert_values_close, per_node_multi_engine, training_phases,
+    training_values,
+)
 
 IN_DIM, NUM_CLASSES = 6, 4
 
@@ -105,6 +108,14 @@ class TestMultiEngineDifferential:
             # More parts than vertices exercises empty partitions.
             _compare(model_name, "ours", g, 7, "range")
 
+    @pytest.mark.parametrize("model_name", ["gcn", "gat"])
+    def test_empty_parts(self, model_name):
+        """More parts than vertices: an empty part's shard steps its
+        chains on zero rows over the one-vertex placeholder graph."""
+        edgeless = Graph(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 5)
+        multi = _compare(model_name, "ours", edgeless, 7, "range")
+        assert 0 in [part.num_owned for part in multi.partition.parts]
+
     def test_max_gather_argmax_roundtrip(self, graph):
         """GraphSAGE's max aggregator: argmax ids survive the global ↔
         local translation and route gradients to the same edges."""
@@ -154,28 +165,83 @@ class TestSinglePartIdentity:
             assert multi.exchanges == [], ctx
 
 
+class TestChainsVsPerNode:
+    """Shards take in-edge aggregation chains and dot steps over their
+    halo.  A ``MultiEngine`` whose shards run every node is the oracle:
+    values, the ordered exchange log and the measured per-part peaks are
+    all equal — a chain changes neither what is computed nor what
+    crosses the interconnect, nor when."""
+
+    @staticmethod
+    def _check(graph, model_name, strategy, num_parts, overlap, precision="float32"):
+        model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
+        compiled = compile_training(model, get_strategy(strategy))
+        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+        kwargs = dict(overlap=overlap, precision=precision)
+        engine = MultiEngine(graph, num_parts, **kwargs)
+        oracle = per_node_multi_engine(graph, engine.partition, **kwargs)
+        phases = zip(
+            ("forward", "backward"),
+            (compiled.fwd_plan, compiled.bwd_plan),
+            training_phases(engine, compiled, feats, model.init_params(0)),
+            training_phases(oracle, compiled, feats, model.init_params(0)),
+        )
+        for phase, plan, got, want in phases:
+            ctx = f"{model_name}/{strategy}/P{num_parts}/{overlap}/{precision}/{phase}"
+            assert_same_values(got, want, plan, ctx)
+            assert engine.exchanges == oracle.exchanges, ctx
+            assert (
+                engine.measured_peak_bytes_per_gpu == oracle.measured_peak_bytes_per_gpu
+            ), ctx
+
+    @pytest.mark.parametrize("overlap", [None, "threads"])
+    @pytest.mark.parametrize("num_parts", [1, 3, 4])
+    @pytest.mark.parametrize("model_name", ["gat", "monet", "dotgat", "gcn"])
+    def test_ours(self, products, graph, model_name, num_parts, overlap):
+        self._check(graph, model_name, "ours", num_parts, overlap)
+        assert products  # the shards took chains; the oracle's took none
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_every_model_every_strategy(self, graph, model_name, precision):
+        for strategy in list_strategies():
+            if not get_strategy(strategy).supports_training:
+                continue
+            for num_parts in (1, 3, 4):
+                for overlap in (None, "threads"):
+                    self._check(graph, model_name, strategy, num_parts, overlap, precision)
+
+
 class TestCommReconciliation:
-    @pytest.mark.parametrize("model_name", ["gat", "gcn", "monet"])
+    @pytest.mark.parametrize("model_name", ["gat", "gcn", "monet", "dotgat"])
     def test_engine_bytes_match_analytic_schedule(self, graph, model_name):
+        """Both phases: per-GPU totals and each exchange's kind and
+        per-GPU bytes match ``plan_comm_records``, and the log is the
+        per-node oracle's, record for record and in order."""
         model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
         compiled = compile_training(model, get_strategy("ours"))
         gp = partition_graph(graph, 3, method="hash")
         pstats = PartitionStats.from_partition(gp)
         engine = MultiEngine(graph, gp, precision="float32")
-        rng = np.random.default_rng(0)
-        feats = rng.normal(size=(graph.num_vertices, IN_DIM))
-        arrays = model.make_inputs(graph, feats)
-        arrays.update(model.init_params(0))
-        env = engine.bind(compiled.forward, arrays)
-        engine.run_plan(compiled.fwd_plan, env, unwrap=False)
-
-        want = plan_comm_records(compiled.fwd_plan, pstats)
-        got = engine.comm_bytes_per_gpu()
-        assert got == [sum(r.bytes for r in recs) for recs in want]
-        # Exchange kinds agree event by event.
-        want_kinds = sorted(r.kind for r in want[0])
-        got_kinds = sorted(r.kind for r in engine.exchanges)
-        assert got_kinds == want_kinds
+        oracle = per_node_multi_engine(graph, gp, precision="float32")
+        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+        phases = zip(
+            (compiled.fwd_plan, compiled.bwd_plan),
+            training_phases(engine, compiled, feats, model.init_params(0)),
+            training_phases(oracle, compiled, feats, model.init_params(0)),
+        )
+        for plan, _, _ in phases:
+            want = plan_comm_records(plan, pstats)
+            assert engine.comm_bytes_per_gpu() == [sum(r.bytes for r in recs) for recs in want]
+            # Event by event: kind and bytes on every GPU.
+            events = sorted(
+                (records[0].kind, tuple(r.bytes for r in records)) for records in zip(*want)
+            )
+            assert sorted((r.kind, r.bytes_per_gpu) for r in engine.exchanges) == events
+            assert [(r.label, r.kind, r.bytes_per_gpu) for r in engine.exchanges] == [
+                (r.label, r.kind, r.bytes_per_gpu) for r in oracle.exchanges
+            ]
 
     def test_no_exchanges_recorded_single_part(self, graph):
         model = MODELS.get("gat")(IN_DIM, NUM_CLASSES)

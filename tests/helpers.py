@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.models  # noqa: F401  (populates the model registry)
-from repro.exec import Engine, plan_module
+from repro.exec import Engine, MultiEngine, plan_module
 from repro.exec.memory import ledger_walk, root_sizes
 from repro.exec.plan import KernelIO
 from repro.exec.profiler import KernelRecord, PhaseCounters
@@ -208,6 +208,20 @@ def run_plan_per_node(engine: Engine, plan, env):
             engine._step(run, node)
         engine._end_kernel(run, index)
     return {name: run.values[name] for name in run.wanted}, run.ledger.peak_bytes
+
+
+def per_node_multi_engine(graph: Graph, partition, **kwargs) -> MultiEngine:
+    """A :class:`MultiEngine` whose shards run every node.
+
+    The oracle for the chains partitioned runs take: each shard is told
+    its backend has no chain (as one overriding ``copy_u`` would), so
+    every aggregation builds its messages and every halo is fetched by
+    the node that reads it.
+    """
+    multi = MultiEngine(graph, partition, **kwargs)
+    for shard in multi._shards:
+        shard._chains = False
+    return multi
 
 
 def naive_ledger(plan, stats, *, order=None, pinned=()):
