@@ -18,26 +18,53 @@ tests pin::
 so analytic IO counters with caching enabled remain byte-exact against
 the uncached :func:`~repro.exec.analytic.analyze_minibatch` convention.
 
-Two behaviours exist for the dynamic-serving path:
+Semantics
+---------
+One LRU order spans every layer, bounded by ``capacity_rows``.  A
+gather resolves its rows *sequentially, in input order*:
 
-- **Invalidation** (:meth:`FeatureCache.invalidate`): a versioned
+- a resident row is a **hit** and becomes the most recently used;
+- any other row is a **miss**, fetched through: it is inserted as the
+  most recently used, and beyond capacity the least recently used row
+  that this gather has not yet touched is evicted.  A row evicted
+  before the gather reaches it is a miss at its own position;
+- **pin-during-batch**: rows this gather already touched (hits and
+  inserted misses) are never evicted by it — a miss burst larger than
+  the remaining capacity evicts other batches' rows, never rows the
+  in-flight batch is about to bind.  When every resident row is pinned
+  the insert is **bypassed** (``pinned_bypasses``); the row still pays
+  its miss bytes.  A repeated vertex is a hit iff its earlier
+  occurrence was inserted;
+- **invalidation** (:meth:`FeatureCache.invalidate`): a versioned
   feature write evicts the touched resident rows; the *next* gather of
   such a row is attributed to the ``invalidated`` column instead of a
   cold miss, so the staleness-induced re-gather bill is separable.
-- **Pin-during-batch** (:meth:`FeatureCache.gather`): rows already
-  gathered for the current batch (hits and fetched-through misses) are
-  pinned for the remainder of that gather — a miss burst larger than
-  the remaining capacity evicts other batches' rows, never rows the
-  in-flight batch is about to bind.  When every resident row belongs to
-  the current batch, the insert is bypassed instead
-  (``pinned_bypasses``); the row still pays its miss bytes.
+
+Mechanism
+---------
+Each layer has two dense tables indexed by vertex id, grown
+geometrically when an id passes their end (dynamic runs add vertices):
+``stamp`` (int64; −1 when the row is not resident) and ``stale``
+(bool).  One touch log of ``(layer, vertex)`` entries is shared by all
+layers; an entry's position is the clock, and it is live iff its row's
+stamp still points at it.  The LRU order is the live entries read from
+a head pointer; the log is compacted when it runs out of room and is
+mostly dead.
+
+A gather splits hits, cold misses and invalidated misses with array
+operations on the stamps, and loops in Python only over evictions:
+each miss beyond the free slots walks the log from the head, skipping
+dead entries and rows an earlier touch of this gather has pinned.  A
+walked-over row the gather touches later turns that touch into a miss
+that joins the walk.  The gather's touches are stamped once at its
+end, ordered by each row's last touch.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import heapq
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,10 +113,9 @@ class FeatureCache:
     (``row_bytes``) and the row budget is derived as
     ``capacity_bytes // row_bytes`` — the device-memory framing, under
     which a fixed byte budget holds twice as many fp16 rows as fp32
-    ones.  Lookups are resolved row by row in vertex order, so a
-    batch's split is deterministic; missed rows are inserted (and the
-    least recently used *unpinned* row evicted) immediately, modelling
-    a fetch-through cache.
+    ones.  A gather's rows are resolved in input order (see the module
+    docstring), so its split is deterministic; misses are fetched
+    through, modelling a fetch-through cache.
     """
 
     def __init__(
@@ -117,25 +143,27 @@ class FeatureCache:
         if capacity_rows < 0:
             raise ValueError("capacity_rows must be non-negative")
         self.capacity_rows = int(capacity_rows)
-        self._rows: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        # Keys a versioned write removed while resident; the next miss
-        # on one is an invalidation re-gather, not a cold miss.
-        self._stale: Set[Tuple[int, int]] = set()
-        self.hits = 0
-        self.misses = 0
-        self.hit_bytes = 0
-        self.miss_bytes = 0
-        self.invalidated = 0
-        self.invalidated_bytes = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.pinned_bypasses = 0
+        self.clear()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._resident
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
-        return key in self._rows
+        layer, vertex = key
+        stamp = self._stamp.get(int(layer))
+        return (
+            stamp is not None
+            and 0 <= vertex < stamp.size
+            and bool(stamp[vertex] >= 0)
+        )
+
+    def keys(self) -> List[Tuple[int, int]]:
+        """The resident ``(layer, vertex)`` rows, least recently used
+        first (a read-only snapshot)."""
+        live = self._live(self._head, self._tail)
+        return list(
+            zip(self._log_layer[live].tolist(), self._log_vertex[live].tolist())
+        )
 
     @property
     def lookups(self) -> int:
@@ -148,8 +176,16 @@ class FeatureCache:
         return self.hits / total if total > 0 else 0.0
 
     def clear(self) -> None:
-        self._rows.clear()
-        self._stale.clear()
+        # Per layer: vertex -> log position of its latest touch (-1 when
+        # not resident), and vertex -> "a versioned write removed it
+        # while resident" (its next miss is a re-gather, not cold).
+        self._stamp: Dict[int, np.ndarray] = {}
+        self._stale: Dict[int, np.ndarray] = {}
+        self._log_layer = np.empty(0, dtype=np.int64)
+        self._log_vertex = np.empty(0, dtype=np.int64)
+        self._head = 0
+        self._tail = 0
+        self._resident = 0
         self.hits = 0
         self.misses = 0
         self.hit_bytes = 0
@@ -169,16 +205,17 @@ class FeatureCache:
         gather was going to miss anyway, so attributing it to
         invalidation would double-count drift against cold traffic.
         """
-        dropped = 0
-        layer = int(layer)
-        for v in np.asarray(vertices, dtype=np.int64).tolist():
-            key = (layer, v)
-            if key in self._rows:
-                del self._rows[key]
-                self._stale.add(key)
-                dropped += 1
-        self.invalidations += dropped
-        return dropped
+        stamp = self._stamp.get(int(layer))
+        if stamp is None:
+            return 0
+        ids = np.asarray(vertices, dtype=np.int64).ravel()
+        ids = ids[(ids >= 0) & (ids < stamp.size)]
+        ids = np.unique(ids[stamp[ids] >= 0])
+        stamp[ids] = -1
+        self._stale[int(layer)][ids] = True
+        self._resident -= ids.size
+        self.invalidations += ids.size
+        return int(ids.size)
 
     # ------------------------------------------------------------------
     def gather(
@@ -186,8 +223,9 @@ class FeatureCache:
     ) -> GatherSplit:
         """Resolve one receptive-field gather against the cache.
 
-        ``vertices`` are the (deduplicated) field rows the batch needs;
-        ``row_bytes`` is the per-row gather bill
+        ``vertices`` are the field rows the batch needs (non-negative
+        ids; serving sends them sorted and unique, but repeats are
+        resolved too); ``row_bytes`` is the per-row gather bill
         (:func:`~repro.exec.analytic.feature_gather_row_bytes`).
         Returns the hit/miss/invalidated split; misses are fetched
         through (inserted as most-recently-used, evicting LRU rows
@@ -196,41 +234,74 @@ class FeatureCache:
         """
         if row_bytes < 0:
             raise ValueError("row_bytes must be non-negative")
-        hit_rows = miss_rows = invalidated_rows = 0
-        if self.capacity_rows == 0:
+        ids = np.asarray(vertices, dtype=np.int64).ravel()
+        n = ids.size
+        if self.capacity_rows == 0 or n == 0:
             # Nothing is ever resident, so writes can never invalidate:
             # every lookup is a plain cold miss.
-            miss_rows = int(np.asarray(vertices).size)
+            return self._account(0, n, 0, row_bytes)
+        if ids.min() < 0:
+            raise ValueError("vertex ids must be non-negative")
+        layer = int(layer)
+        stamp, stale = self._tables(layer, int(ids.max()) + 1)
+        # Per distinct row: its first and last position in the call and
+        # its number of occurrences (None: every row occurs once).
+        if n == 1 or bool((ids[1:] > ids[:-1]).all()):
+            rows, first, last, counts = ids, np.arange(n), None, None
         else:
-            batch_keys: Set[Tuple[int, int]] = set()
-            layer = int(layer)
-            for v in np.asarray(vertices, dtype=np.int64).tolist():
-                key = (layer, v)
-                if key in self._rows:
-                    self._rows.move_to_end(key)
-                    hit_rows += 1
-                else:
-                    if key in self._stale:
-                        self._stale.discard(key)
-                        invalidated_rows += 1
-                    else:
-                        miss_rows += 1
-                    self._rows[key] = None
-                    if len(self._rows) > self.capacity_rows:
-                        evicted = False
-                        for candidate in self._rows:
-                            if candidate not in batch_keys and candidate != key:
-                                del self._rows[candidate]
-                                self.evictions += 1
-                                evicted = True
-                                break
-                        if not evicted:
-                            # Every resident row is pinned to this
-                            # batch: don't cache the newcomer at all.
-                            del self._rows[key]
-                            self.pinned_bypasses += 1
-                            continue
-                batch_keys.add(key)
+            rows, first, inverse, counts = np.unique(
+                ids, return_index=True, return_inverse=True,
+                return_counts=True,
+            )
+            last = np.zeros(rows.size, dtype=np.int64)
+            np.maximum.at(last, inverse, np.arange(n))
+        cold = stamp[rows] < 0
+        # Rows that take a slot: the cold ones, plus resident ones the
+        # eviction walk reaches before the call does.
+        need = cold.copy()
+        misses = (
+            np.flatnonzero(cold) if counts is None else np.sort(first[cold])
+        )
+        free = self.capacity_rows - self._resident
+        victims: List[int] = []
+        bypassed = np.zeros(rows.size, dtype=bool)
+        if misses.size > free:
+            victims, evicted_rows, bypass_from = self._evict(
+                layer, rows, first, misses[free:].tolist()
+            )
+            need[evicted_rows] = True
+            if bypass_from is not None:
+                bypassed = need & (first >= bypass_from)
+
+        if victims:
+            self._drop(np.array(victims, dtype=np.int64))
+        invalidated_rows = int(np.count_nonzero(stale[rows[cold]]))
+        stale[rows[cold]] = False
+        num_need = int(np.count_nonzero(need))
+        num_bypassed = int(np.count_nonzero(bypassed))
+        # A repeat of a bypassed row misses (and bypasses) again.
+        bypass_rows = (
+            num_bypassed if counts is None else int(counts[bypassed].sum())
+        )
+        miss_rows = num_need - invalidated_rows + bypass_rows - num_bypassed
+        self.evictions += len(victims)
+        self.pinned_bypasses += bypass_rows
+        self._resident += num_need - num_bypassed - len(victims)
+
+        touched = rows if num_bypassed == 0 else rows[~bypassed]
+        if last is not None:
+            touched = touched[np.argsort(last[~bypassed], kind="stable")]
+        self._append(layer, touched)
+        return self._account(
+            n - miss_rows - invalidated_rows, miss_rows, invalidated_rows,
+            row_bytes,
+        )
+
+    # ------------------------------------------------------------------
+    def _account(
+        self, hit_rows: int, miss_rows: int, invalidated_rows: int,
+        row_bytes: int,
+    ) -> GatherSplit:
         split = GatherSplit(
             hit_rows=hit_rows,
             miss_rows=miss_rows,
@@ -246,3 +317,149 @@ class FeatureCache:
         self.invalidated += split.invalidated_rows
         self.invalidated_bytes += split.invalidated_bytes
         return split
+
+    def _evict(
+        self, layer: int, rows: np.ndarray, first: np.ndarray,
+        misses: List[int],
+    ) -> Tuple[List[int], List[int], Optional[int]]:
+        """Take one victim per miss beyond the free slots, in input order.
+
+        ``misses`` are the positions of the cold rows that find no free
+        slot.  Returns the victims' log positions, the indices (into
+        ``rows``) of resident rows evicted before the call reached them
+        — each a miss at its own position — and the position of the
+        first miss that found every resident row pinned (None if none
+        did): it and every later miss bypass.  The head moves past the
+        walked entries, each dead once the call's touches are stamped:
+        a victim, or a row this call touched.
+        """
+        victims: List[int] = []
+        evicted_rows: List[int] = []
+        late: List[int] = []        # heap of those rows' positions
+        pos: List[int] = []         # the walked chunk of live entries:
+        touch: List[int] = []       # first touch in this call, or -1
+        index: List[int] = []       # index into ``rows``, or -1
+        at = 0
+        lo = self._head
+        chunk = max(64, 2 * len(misses))
+        next_miss, num_misses = 0, len(misses)
+        while True:
+            if late and (next_miss == num_misses or late[0] < misses[next_miss]):
+                p = heapq.heappop(late)
+            elif next_miss < num_misses:
+                p = misses[next_miss]
+                next_miss += 1
+            else:
+                break
+            # The oldest live row not touched by this call before p.
+            victim = -1
+            while victim < 0:
+                if at == len(pos):
+                    if lo >= self._tail:
+                        break
+                    hi = min(self._tail, lo + chunk)
+                    pos, touch, index = self._candidates(
+                        lo, hi, layer, rows, first
+                    )
+                    lo, at, chunk = hi, 0, 2 * chunk
+                    continue
+                if touch[at] < 0 or touch[at] > p:
+                    victim = at
+                at += 1
+            if victim < 0:
+                self._head = self._tail
+                return victims, evicted_rows, p
+            victims.append(pos[victim])
+            if touch[victim] >= 0:
+                heapq.heappush(late, touch[victim])
+                evicted_rows.append(index[victim])
+        self._head = pos[at] if at < len(pos) else lo
+        return victims, evicted_rows, None
+
+    def _candidates(
+        self, lo: int, hi: int, layer: int, rows: np.ndarray,
+        first: np.ndarray,
+    ) -> Tuple[List[int], List[int], List[int]]:
+        """The live entries of log ``[lo, hi)``, oldest first: their
+        positions, the position of their row's first touch in the call
+        (-1 when the call does not touch it) and the row's index."""
+        live = self._live(lo, hi)
+        vertex = self._log_vertex[live]
+        k = np.minimum(np.searchsorted(rows, vertex), rows.size - 1)
+        mine = rows[k] == vertex
+        if len(self._stamp) > 1:
+            mine &= self._log_layer[live] == layer
+        return (
+            live.tolist(),
+            np.where(mine, first[k], -1).tolist(),
+            np.where(mine, k, -1).tolist(),
+        )
+
+    def _tables(self, layer: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The layer's (stamp, stale) tables, grown to hold ``size`` ids."""
+        stamp = self._stamp.get(layer)
+        if stamp is None or stamp.size < size:
+            old = 0 if stamp is None else stamp.size
+            grown = np.full(max(size, 2 * old, 64), -1, dtype=np.int64)
+            stale = np.zeros(grown.size, dtype=bool)
+            if old:
+                grown[:old] = stamp
+                stale[:old] = self._stale[layer]
+            self._stamp[layer] = grown
+            self._stale[layer] = stale
+        return self._stamp[layer], self._stale[layer]
+
+    def _live(self, lo: int, hi: int) -> np.ndarray:
+        """Positions of the live log entries in ``[lo, hi)``, in order."""
+        pos = np.arange(lo, hi)
+        if not self._stamp or hi <= lo:
+            return pos[:0]
+        vertex = self._log_vertex[lo:hi]
+        if len(self._stamp) == 1:
+            (stamp,) = self._stamp.values()
+            return pos[stamp[vertex] == pos]
+        layer = self._log_layer[lo:hi]
+        live = np.zeros(hi - lo, dtype=bool)
+        for key, stamp in self._stamp.items():
+            mine = layer == key
+            live[mine] = stamp[vertex[mine]] == pos[mine]
+        return pos[live]
+
+    def _drop(self, entries: np.ndarray) -> None:
+        """Mark the rows behind log ``entries`` not resident."""
+        layer = self._log_layer[entries]
+        vertex = self._log_vertex[entries]
+        for key, stamp in self._stamp.items():
+            stamp[vertex[layer == key]] = -1
+
+    def _append(self, layer: int, vertices: np.ndarray) -> None:
+        """Stamp ``vertices`` (unique) as touched, in order."""
+        k = vertices.size
+        if self._tail + k > self._log_vertex.size:
+            self._compact(k)
+        lo, hi = self._tail, self._tail + k
+        self._log_layer[lo:hi] = layer
+        self._log_vertex[lo:hi] = vertices
+        self._stamp[layer][vertices] = np.arange(lo, hi)
+        self._tail = hi
+
+    def _compact(self, room: int) -> None:
+        """Rewrite the log as its live entries from position 0, with
+        ``room`` free entries after them (growing it when more than
+        half of it would be live)."""
+        live = self._live(self._head, self._tail)
+        layer = self._log_layer[live]
+        vertex = self._log_vertex[live]
+        size = self._log_vertex.size
+        if 2 * (live.size + room) > size:
+            size = max(2 * size, 2 * (live.size + room), 1024)
+            self._log_layer = np.empty(size, dtype=np.int64)
+            self._log_vertex = np.empty(size, dtype=np.int64)
+        self._log_layer[: live.size] = layer
+        self._log_vertex[: live.size] = vertex
+        moved = np.arange(live.size)
+        for key, stamp in self._stamp.items():
+            mine = layer == key
+            stamp[vertex[mine]] = moved[mine]
+        self._head = 0
+        self._tail = live.size

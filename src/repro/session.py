@@ -637,6 +637,19 @@ class Session:
         """Input width: the override, else the dataset's published one."""
         return self._feature_dim if self._feature_dim is not None else ds.feature_dim
 
+    def _features(self, ds: Dataset, seed: int) -> np.ndarray:
+        """``ds.features(in_dim, seed)``, drawn once per session and
+        shared read-only: a consumer that writes to it fails instead of
+        corrupting later calls."""
+        in_dim = self._in_dim(ds)
+
+        def draw() -> np.ndarray:
+            features = ds.features(dim=in_dim, seed=seed)
+            features.flags.writeable = False
+            return features
+
+        return self._memoised("features", (ds,), draw, in_dim, seed)
+
     # -- terminal operations -------------------------------------------
     def compile(self, *, training: bool = True):
         """Compile (or fetch from the plan cache) the configured pair."""
@@ -931,7 +944,7 @@ class Session:
             )
         graph = ds.graph()
         in_dim = self._in_dim(ds)
-        feats = ds.features(dim=in_dim, seed=seed)
+        feats = self._features(ds, seed)
         if ds.has_labels:
             labels = ds.labels()
         else:
@@ -1032,7 +1045,7 @@ class Session:
             )
         graph = ds.graph()
         in_dim = self._in_dim(ds)
-        features = ds.features(dim=in_dim, seed=seed)
+        features = self._features(ds, seed)
         compiled = self.compile(training=False)
         tenant = self._model_label()
         stream = dict(

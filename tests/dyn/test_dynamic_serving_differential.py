@@ -18,6 +18,12 @@ from repro.graph import get_dataset
 from repro.dyn import mixed_workload
 from repro.registry import MODELS
 from repro.serve import InferenceServer, receptive_field
+from tests.helpers import (
+    ReferenceFeatureCache,
+    cache_state,
+    recording_cache,
+    replay_cache_calls,
+)
 
 CORE_MODELS = ("gat", "gcn", "sage", "gin")
 EXTRA_MODELS = tuple(sorted(set(MODELS.names()) - set(CORE_MODELS)))
@@ -250,6 +256,38 @@ class TestDynamicAccounting:
         assert report.num_updates == 0 and report.mutation_io_bytes == 0
         assert report.mean_staleness_s == 0.0
         assert all(o.snapshot_s is None for o in report.outcomes)
+
+    def test_cache_counters_equal_reference_replay(self, cora, monkeypatch):
+        # At 64 rows evictions, bypasses and invalidations interleave;
+        # the server's cache must count exactly what the row-by-row
+        # oracle counts on the same stream, batch by batch.
+        calls = []
+        monkeypatch.setattr(
+            "repro.serve.server.FeatureCache", recording_cache(calls)
+        )
+        ds, graph, features = cora
+        server = make_server(graph, features, "gat", ds.num_classes, cache_rows=64)
+        reqs, updates = dynamic_workload(graph, "gat", 48, update_frac=0.3)
+        report = server.serve(reqs, updates=updates, compact_every=2)
+        assert_bit_identical_to_rebuild(
+            server, report, graph, features, updates, "gat",
+            {r.request_id: r.seeds for r in reqs},
+        )
+        ref = ReferenceFeatureCache(64)
+        splits = [
+            result
+            for call, result in zip(calls, replay_cache_calls(calls, ref))
+            if call[0] == "gather"
+        ]
+        assert [
+            (s.hit_bytes, s.miss_bytes, s.invalidated_bytes) for s in splits
+        ] == [
+            (t.hit_bytes, t.miss_bytes, t.invalidated_bytes)
+            for t in report.batches
+        ]
+        assert cache_state(server.cache) == cache_state(ref)
+        assert ref.evictions and ref.invalidations and ref.invalidated
+        assert ref.pinned_bypasses
 
     def test_update_validation(self, cora):
         ds, graph, features = cora

@@ -14,8 +14,10 @@ array shapes an Engine run touches.
 from __future__ import annotations
 
 import functools
+import hashlib
+from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from repro.ir.module import GRAPH_CONSTANTS
 from repro.ir.ops import OpKind
 from repro.ir.tensorspec import Domain
 from repro.registry import MODELS
+from repro.serve.cache import FeatureCache, GatherSplit
 
 
 def run_forward(
@@ -581,3 +584,239 @@ def gradcheck(
         assert np.allclose(got[p], num, rtol=rtol, atol=atol), (
             f"gradcheck failed for {p!r}:\nanalytic=\n{got[p]}\nnumeric=\n{num}"
         )
+
+
+#: Every counter a feature cache keeps.
+CACHE_COUNTERS = (
+    "hits", "misses", "hit_bytes", "miss_bytes", "invalidated",
+    "invalidated_bytes", "evictions", "invalidations", "pinned_bypasses",
+)
+
+
+def cache_state(cache) -> tuple:
+    """Every counter, the size and the LRU order of a feature cache."""
+    return (
+        tuple(getattr(cache, name) for name in CACHE_COUNTERS)
+        + (len(cache), cache.keys())
+    )
+
+
+def recording_cache(calls: list) -> type:
+    """A :class:`FeatureCache` subclass that appends each of its
+    ``gather`` / ``invalidate`` calls to ``calls``, as the argument
+    tuple :func:`replay_cache_calls` takes; patch it over
+    ``repro.serve.server.FeatureCache`` to record a server's stream."""
+
+    class RecordingFeatureCache(FeatureCache):
+        def gather(self, layer, vertices, row_bytes):
+            ids = np.array(vertices, dtype=np.int64)
+            calls.append(("gather", layer, ids, row_bytes))
+            return super().gather(layer, vertices, row_bytes)
+
+        def invalidate(self, layer, vertices):
+            calls.append(("invalidate", layer, np.array(vertices, dtype=np.int64)))
+            return super().invalidate(layer, vertices)
+
+    return RecordingFeatureCache
+
+
+def replay_cache_calls(calls, cache):
+    """Run recorded calls on ``cache``, yielding each call's result."""
+    for op, *args in calls:
+        yield getattr(cache, op)(*args)
+
+
+def serve_report_digest(report) -> str:
+    """SHA-256 over a ServeReport's outcomes, batch traces (timings,
+    cache split, versions, field cost) and delivered outputs."""
+    h = hashlib.sha256()
+    for o in report.outcomes:
+        h.update(repr((o.request_id, o.arrival_s, o.start_s, o.finish_s,
+                       o.deadline_s, o.gpu, o.snapshot_s)).encode())
+    for b in report.batches:
+        h.update(repr((b.request_ids, b.dispatch_s, b.start_s, b.finish_s,
+                       b.gpu, b.hit_bytes, b.miss_bytes, b.invalidated_bytes,
+                       b.graph_version, b.feature_version, b.cost.seeds,
+                       b.cost.field, b.cost.edges,
+                       b.cost.gather_bytes)).encode())
+    for rid in sorted(report.outputs):
+        h.update(np.ascontiguousarray(report.outputs[rid]).tobytes())
+    return h.hexdigest()
+
+
+class ReferenceFeatureCache:
+    """Bounded LRU over ``(layer, vertex)`` rows.
+
+    The row-by-row oracle :class:`repro.serve.cache.FeatureCache` is
+    held to: one ordered dict, one operation per looked-up row.
+
+    ``capacity_rows`` bounds the number of cached rows; 0 disables
+    caching (every lookup misses, the uncached-accounting limit).
+    Alternatively pass ``capacity_bytes`` with the per-row storage cost
+    (``row_bytes``) and the row budget is derived as
+    ``capacity_bytes // row_bytes`` — the device-memory framing, under
+    which a fixed byte budget holds twice as many fp16 rows as fp32
+    ones.  Lookups are resolved row by row in vertex order, so a
+    batch's split is deterministic; missed rows are inserted (and the
+    least recently used *unpinned* row evicted) immediately, modelling
+    a fetch-through cache.
+    """
+
+    def __init__(
+        self,
+        capacity_rows: int = 0,
+        *,
+        capacity_bytes: Optional[int] = None,
+        row_bytes: Optional[int] = None,
+    ):
+        if capacity_bytes is not None:
+            if capacity_rows:
+                raise ValueError(
+                    "pass capacity_rows or capacity_bytes, not both"
+                )
+            if capacity_bytes < 0:
+                raise ValueError("capacity_bytes must be non-negative")
+            if row_bytes is None or row_bytes <= 0:
+                raise ValueError(
+                    "capacity_bytes requires a positive row_bytes "
+                    "(the per-row storage cost to divide the budget by)"
+                )
+            capacity_rows = int(capacity_bytes) // int(row_bytes)
+        elif row_bytes is not None:
+            raise ValueError("row_bytes is only meaningful with capacity_bytes")
+        if capacity_rows < 0:
+            raise ValueError("capacity_rows must be non-negative")
+        self.capacity_rows = int(capacity_rows)
+        self._rows: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        # Keys a versioned write removed while resident; the next miss
+        # on one is an invalidation re-gather, not a cold miss.
+        self._stale: Set[Tuple[int, int]] = set()
+        self.hits = 0
+        self.misses = 0
+        self.hit_bytes = 0
+        self.miss_bytes = 0
+        self.invalidated = 0
+        self.invalidated_bytes = 0
+        self.evictions = 0
+        self.invalidations = 0
+        self.pinned_bypasses = 0
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        return key in self._rows
+
+    def keys(self) -> List[Tuple[int, int]]:
+        """The resident rows, least recently used first."""
+        return list(self._rows)
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses + self.invalidated
+
+    @property
+    def hit_rate(self) -> float:
+        """Row-level hit share over every lookup so far."""
+        total = self.lookups
+        return self.hits / total if total > 0 else 0.0
+
+    def clear(self) -> None:
+        self._rows.clear()
+        self._stale.clear()
+        self.hits = 0
+        self.misses = 0
+        self.hit_bytes = 0
+        self.miss_bytes = 0
+        self.invalidated = 0
+        self.invalidated_bytes = 0
+        self.evictions = 0
+        self.invalidations = 0
+        self.pinned_bypasses = 0
+
+    # ------------------------------------------------------------------
+    def invalidate(self, layer: int, vertices: np.ndarray) -> int:
+        """Drop the resident rows a versioned write touched.
+
+        Returns how many rows were actually resident (and are now
+        marked stale).  Rows not in the cache need nothing: their next
+        gather was going to miss anyway, so attributing it to
+        invalidation would double-count drift against cold traffic.
+        """
+        dropped = 0
+        layer = int(layer)
+        for v in np.asarray(vertices, dtype=np.int64).tolist():
+            key = (layer, v)
+            if key in self._rows:
+                del self._rows[key]
+                self._stale.add(key)
+                dropped += 1
+        self.invalidations += dropped
+        return dropped
+
+    # ------------------------------------------------------------------
+    def gather(
+        self, layer: int, vertices: np.ndarray, row_bytes: int
+    ) -> GatherSplit:
+        """Resolve one receptive-field gather against the cache.
+
+        ``vertices`` are the (deduplicated) field rows the batch needs;
+        ``row_bytes`` is the per-row gather bill
+        (:func:`~repro.exec.analytic.feature_gather_row_bytes`).
+        Returns the hit/miss/invalidated split; misses are fetched
+        through (inserted as most-recently-used, evicting LRU rows
+        beyond capacity — skipping rows this same call already
+        gathered, which the in-flight batch is about to bind).
+        """
+        if row_bytes < 0:
+            raise ValueError("row_bytes must be non-negative")
+        hit_rows = miss_rows = invalidated_rows = 0
+        if self.capacity_rows == 0:
+            # Nothing is ever resident, so writes can never invalidate:
+            # every lookup is a plain cold miss.
+            miss_rows = int(np.asarray(vertices).size)
+        else:
+            batch_keys: Set[Tuple[int, int]] = set()
+            layer = int(layer)
+            for v in np.asarray(vertices, dtype=np.int64).tolist():
+                key = (layer, v)
+                if key in self._rows:
+                    self._rows.move_to_end(key)
+                    hit_rows += 1
+                else:
+                    if key in self._stale:
+                        self._stale.discard(key)
+                        invalidated_rows += 1
+                    else:
+                        miss_rows += 1
+                    self._rows[key] = None
+                    if len(self._rows) > self.capacity_rows:
+                        evicted = False
+                        for candidate in self._rows:
+                            if candidate not in batch_keys and candidate != key:
+                                del self._rows[candidate]
+                                self.evictions += 1
+                                evicted = True
+                                break
+                        if not evicted:
+                            # Every resident row is pinned to this
+                            # batch: don't cache the newcomer at all.
+                            del self._rows[key]
+                            self.pinned_bypasses += 1
+                            continue
+                batch_keys.add(key)
+        split = GatherSplit(
+            hit_rows=hit_rows,
+            miss_rows=miss_rows,
+            hit_bytes=hit_rows * row_bytes,
+            miss_bytes=miss_rows * row_bytes,
+            invalidated_rows=invalidated_rows,
+            invalidated_bytes=invalidated_rows * row_bytes,
+        )
+        self.hits += split.hit_rows
+        self.misses += split.miss_rows
+        self.hit_bytes += split.hit_bytes
+        self.miss_bytes += split.miss_bytes
+        self.invalidated += split.invalidated_rows
+        self.invalidated_bytes += split.invalidated_bytes
+        return split

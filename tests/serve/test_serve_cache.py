@@ -3,7 +3,63 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.serve.cache import FeatureCache
+from tests.helpers import (
+    ReferenceFeatureCache,
+    cache_state,
+    recording_cache,
+    replay_cache_calls,
+)
+
+#: The serve-read / serve-mixed benchmark streams (gat on pubmed, seed 5).
+SERVE_STREAMS = {
+    "serve-read": {},
+    "serve-mixed": {"update_frac": 0.3, "compact_every": 4},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SERVE_STREAMS))
+def serve_stream(request):
+    """Every gather / invalidate call one ``serve()`` makes on its cache."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.serve.server.FeatureCache", recording_cache(calls))
+        (
+            repro.session().model("gat").dataset("pubmed").strategy("ours")
+            .feature_dim(32).gpu("V100")
+            .serve(num_requests=256, qps=8000.0, seeds_per_request=4,
+                   zipf_alpha=0.9, cache_rows=8192, seed=5, execute=False,
+                   **SERVE_STREAMS[request.param])
+        )
+    return calls
+
+
+class TestRecordedServeStreams:
+    """The recorded streams replayed into the cache and the row-by-row
+    oracle, compared after every call.  8192 rows is what the benchmark
+    serves with (the cache fills, then evicts); 700 evicts every call
+    and bypasses once a field outgrows it; 64 bypasses most rows; 0
+    disables caching."""
+
+    @pytest.mark.parametrize("capacity", [8192, 700, 64, 0])
+    def test_replay_matches_reference(self, serve_stream, capacity):
+        got = FeatureCache(capacity)
+        want = ReferenceFeatureCache(capacity)
+        pairs = zip(
+            replay_cache_calls(serve_stream, got),
+            replay_cache_calls(serve_stream, want),
+        )
+        for step, (a, b) in enumerate(pairs):
+            assert a == b, step
+            assert cache_state(got) == cache_state(want), step
+        assert got.lookups == sum(
+            call[2].size for call in serve_stream if call[0] == "gather"
+        )
+        if capacity:
+            assert got.evictions > 0
+        if capacity in (700, 64):
+            assert got.pinned_bypasses > 0
 
 
 class TestFeatureCache:

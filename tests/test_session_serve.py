@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.graph.datasets import Dataset
 from repro.registry import MODELS
 from repro.session import PlanCache, Session, run_sweep
+from tests.helpers import serve_report_digest
 
 
 def serve_session(**kwargs):
@@ -117,6 +119,62 @@ class TestSessionDynamicServe:
         assert rep.num_updates == 0
         assert rep.mean_staleness_s == 0.0
         assert "updates" not in rep.summary()
+
+
+class TestFeaturesOncePerSession:
+    """``serve()`` and ``report(train_steps=)`` draw the workload's
+    feature matrix once per session and share it read-only.  The values
+    are pinned from before the draw was memoised: only where it happens
+    moved."""
+
+    DIGESTS = (
+        "ebdfa222ac29958962829b590e57b75c3565bf16f2d3c4bef641be95f868d3d8",
+        "13d963ddce00ad1a497e61cba62e7bfcdc4f76fa6d02963dcc423d7586c91857",
+    )
+    LOSSES = ["0x1.f2602a0000000p+0", "0x1.f1d4d00000000p+0"]
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        drawn = []
+        original = Dataset.features
+
+        def spy(ds, *args, **kwargs):
+            drawn.append(original(ds, *args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(Dataset, "features", spy)
+        return drawn
+
+    def test_two_serves_draw_once(self, draws):
+        s = (
+            repro.session().model("gat").dataset("cora").strategy("ours")
+            .gpu("RTX3090").feature_dim(16)
+        )
+        kwargs = dict(num_requests=32, qps=4000.0, seeds_per_request=2,
+                      zipf_alpha=0.8, seed=0, cache_rows=64)
+        a = s.serve(**kwargs)
+        b = s.serve(update_frac=0.3, compact_every=2, **kwargs)
+        assert len(draws) == 1
+        assert (serve_report_digest(a), serve_report_digest(b)) == self.DIGESTS
+
+    def test_memoised_features_are_read_only(self, draws):
+        repro.session().model("gat").dataset("cora").feature_dim(16).serve(
+            num_requests=4, execute=False
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0][0, 0] = 1.0
+        # Dataset.features itself still hands out a fresh, writable array.
+        fresh = repro.get_dataset("cora").features(dim=16)
+        fresh[0, 0] = 1.0
+        assert fresh is not draws[0]
+
+    def test_training_losses_unchanged(self, draws):
+        s = repro.session().model("gcn").dataset("cora").strategy("ours")
+        s = s.feature_dim(16)
+        losses = s.report(train_steps=2).losses
+        assert s.report(train_steps=2).losses == losses
+        assert len(draws) == 1
+        assert [float.hex(x) for x in losses] == self.LOSSES
 
 
 class TestServeSweep:
