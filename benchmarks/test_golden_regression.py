@@ -37,33 +37,24 @@ def test_backend_calibration_structure():
 
     Measured wall-clock is host-dependent, so this figure cannot be
     compared byte for byte.  What is stable — and pinned here — is its
-    shape: one row per (registered backend, kernel class) with every
-    class present for every backend, positive measured and analytic
-    seconds, finite ratios, and the table header/title format the
-    README documents.
+    shape: one row per kernel class with every class present, positive
+    measured and analytic seconds, finite ratios, and the table
+    header/title format the README documents.
     """
-    from repro.exec.kernel_registry import available_backends
     from repro.exec.measure import KERNEL_CLASSES
 
     (name,) = WALL_CLOCK  # a second one needs its own structural pin
     fig = FIGURES[name](num_vertices=600, num_edges=4000, feat=8, repeats=1)
-    backends = available_backends()
-    assert [r["backend"] for r in fig.normalized] == [
-        b for b in backends for _ in KERNEL_CLASSES
-    ]
-    assert [r["kernel_class"] for r in fig.normalized] == list(
-        KERNEL_CLASSES
-    ) * len(backends)
+    assert [r["kernel_class"] for r in fig.normalized] == list(KERNEL_CLASSES)
     for row in fig.normalized:
         assert row["kernels"] > 0
         assert row["measured_s"] > 0.0
         assert row["analytic_s"] > 0.0
         assert 0.0 < row["ratio"] < float("inf")
     lines = fig.table.splitlines()
-    assert lines[0].startswith("backend-calibration (gat training step")
+    assert lines[0].startswith("kernel-calibration (gat training step")
     assert lines[1].split() == [
-        "backend", "dtype", "class", "kernels", "measured", "s",
-        "analytic", "s", "ratio",
+        "dtype", "class", "kernels", "measured", "s", "analytic", "s", "ratio",
     ]
     assert all(r["dtype"] == "float32" for r in fig.normalized)
     assert len(lines) == 3 + len(fig.normalized)

@@ -77,13 +77,6 @@ SWEEPS = {
         feature_dim=32,
         training=False,
     ),
-    "sweep_backend_smoke": dict(
-        models=["gat"],
-        datasets=["cora"],
-        strategies=["ours"],
-        backend=[None, "blocked"],
-        feature_dim=32,
-    ),
     "sweep_precision_smoke": dict(
         models=["gat"],
         datasets=["cora"],
@@ -136,11 +129,9 @@ CASES = {
         sweeps=("sweep_dynamic_smoke",),
     ),
     "measured": Case(
-        "run the measured-execution case: per-backend kernel-class "
-        "calibration vs the analytic roofline (wall-clock) and a backend "
-        "sweep",
+        "run the measured-execution case: kernel-class calibration vs "
+        "the analytic roofline (wall-clock)",
         figures=("backend_calibration_smoke",),
-        sweeps=("sweep_backend_smoke",),
     ),
     "precision": Case(
         "run the mixed-precision case: the model-zoo precision-io table "

@@ -1032,7 +1032,7 @@ def fig_precision_io(dataset: str = "pubmed") -> FigureResult:
 
 
 # ======================================================================
-# Backend calibration (measured execution extension)
+# Kernel calibration (measured execution extension)
 # ======================================================================
 def fig_backend_calibration(
     *,
@@ -1040,36 +1040,29 @@ def fig_backend_calibration(
     num_edges: int = 400000,
     feat: int = 64,
     repeats: int = 3,
-    backends: Optional[Sequence[str]] = None,
     seed: int = 0,
     gpu: Optional[GPUSpec] = None,
 ) -> FigureResult:
-    """Measured vs analytic seconds per kernel class, per backend.
+    """Measured vs analytic seconds per kernel class.
 
     One GAT training step (forward + backward plans) on a heavy-tailed
     Chung–Lu graph, compiled under ``dgl-like`` — the per-op macro
     strategy, so every gather is a pure segment reduction and all five
-    kernel classes appear as separate launches.  Each registered
-    backend executes the identical plans through
-    :func:`repro.exec.measure.measure_plan` (warmup + median of
+    kernel classes appear as separate launches.  Both plans execute
+    through :func:`repro.exec.measure.measure_plan` (warmup + median of
     ``repeats``), and rows report per-class measured wall-clock next to
     the analytic roofline prediction and their ratio.
 
     The ratio column is a *calibration*, not a benchmark: the analytic
     model prices a GPU and the measurement prices this host's NumPy
-    substrate, so ratios are large — but they are stable per class, and
-    backend-to-backend deltas within a class are pure execution wins
-    (the counters are backend-independent by construction).  The
-    golden test pins the table's structure only; ``blocked`` shares the
-    reference segment sum and differs on this step by one chunked
-    ``max``, so the two gather rows read alike.
+    substrate, so ratios are large — but they are stable per class.
+    The golden test pins the table's structure only.
     """
     from dataclasses import replace as _dc_replace
 
     from repro.exec.analytic import vertex_data_inputs
     from repro.exec.engine import Engine
-    from repro.exec.kernel_registry import available_backends
-    from repro.exec.measure import MeasuredRun, calibration_rows, measure_plan
+    from repro.exec.measure import calibration_rows, measure_plan
     from repro.graph.generators import chung_lu
     from repro.ir.module import GRAPH_CONSTANTS
 
@@ -1087,9 +1080,8 @@ def fig_backend_calibration(
     arrays = dict(model.make_inputs(graph, features))
     arrays.update(model.init_params(seed))
 
-    # One reference forward supplies the backward plan's stash and the
-    # all-ones gradient seeds; every backend then replays both plans on
-    # the identical arrays.
+    # One forward supplies the backward plan's stash and the all-ones
+    # gradient seeds; both plans are then measured on those arrays.
     ref = Engine(graph, precision="float32")
     fwd = ref.run_plan(
         compiled.fwd_plan, ref.bind(compiled.forward, arrays), unwrap=False
@@ -1106,61 +1098,29 @@ def fig_backend_calibration(
         else:
             bwd_arrays[name] = arrays[name]
 
-    names = list(backends) if backends is not None else available_backends()
+    # The step is one run: backward kernels index after the forward's.
+    run = measure_plan(graph, compiled.fwd_plan, arrays, repeats=repeats, gpu=gpu)
+    bwd_run = measure_plan(
+        graph, compiled.bwd_plan, bwd_arrays, repeats=repeats, gpu=gpu
+    )
     offset = len(compiled.fwd_plan.kernels)
-    runs: List[MeasuredRun] = []
-    for backend in names:
-        fwd_run = measure_plan(
-            graph, compiled.fwd_plan, arrays,
-            backend=backend, repeats=repeats, gpu=gpu,
-        )
-        bwd_run = measure_plan(
-            graph, compiled.bwd_plan, bwd_arrays,
-            backend=backend, repeats=repeats, gpu=gpu,
-        )
-        runs.append(
-            MeasuredRun(
-                backend=fwd_run.backend,
-                gpu=fwd_run.gpu,
-                repeats=repeats,
-                dtype=fwd_run.dtype,
-                timings=fwd_run.timings + [
-                    _dc_replace(t, index=t.index + offset)
-                    for t in bwd_run.timings
-                ],
-            )
-        )
+    run.timings += [_dc_replace(t, index=t.index + offset) for t in bwd_run.timings]
 
-    normalized: List[Dict[str, object]] = []
-    for run in runs:
-        measured = run.class_seconds()
-        analytic = run.class_analytic_seconds()
-        for cls, secs in measured.items():
-            normalized.append(
-                {
-                    "backend": run.backend,
-                    "dtype": run.dtype,
-                    "kernel_class": cls,
-                    "kernels": sum(
-                        1 for t in run.timings if t.kernel_class == cls
-                    ),
-                    "measured_s": secs,
-                    "analytic_s": analytic[cls],
-                    "ratio": (
-                        secs / analytic[cls]
-                        if analytic[cls] > 0
-                        else float("inf")
-                    ),
-                }
-            )
+    normalized = calibration_rows(run)
     table = format_table(
-        ["backend", "dtype", "class", "kernels", "measured s",
-         "analytic s", "ratio"],
-        calibration_rows(runs),
+        ["dtype", "class", "kernels", "measured s", "analytic s", "ratio"],
+        [
+            [
+                row["dtype"], row["kernel_class"], str(row["kernels"]),
+                f"{row['measured_s']:.6f}", f"{row['analytic_s']:.6f}",
+                f"{row['ratio']:.2f}",
+            ]
+            for row in normalized
+        ],
         title=(
-            "backend-calibration (gat training step, dgl-like plans, "
+            "kernel-calibration (gat training step, dgl-like plans, "
             f"V={num_vertices} E={num_edges} f={feat}, "
-            f"median of {repeats}; analytic on {runs[0].gpu})"
+            f"median of {repeats}; analytic on {run.gpu})"
         ),
     )
     return FigureResult([], table, normalized)

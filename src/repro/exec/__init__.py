@@ -23,10 +23,6 @@ and recompute programs, as produced by :mod:`repro.opt`.
 
 from repro.exec.plan import ExecPlan, Kernel, plan_module
 from repro.exec.engine import Engine
-from repro.exec.kernel_registry import (
-    available_backends,
-    canonical_backend,
-)
 from repro.exec.measure import MeasuredRun, kernel_class, measure_plan
 from repro.exec.memory import (
     MemoryLedger,
@@ -50,8 +46,6 @@ __all__ = [
     "plan_module",
     "Engine",
     "MultiEngine",
-    "available_backends",
-    "canonical_backend",
     "MeasuredRun",
     "kernel_class",
     "measure_plan",

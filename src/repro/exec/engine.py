@@ -31,8 +31,7 @@ kernels still do.  ``MultiEngine`` shards never walk; they take every
 chain but an out-edge aggregation, whose exchange is billed on its edge
 operand.  Runs that round or inspect
 at the node boundaries a chain removes — float16 / bfloat16 / int8
-storage, ``check_finite`` — and backends with their own copy, multiply
-or sum keep every node.
+storage, ``check_finite`` — keep every node.
 
 Array conventions (see :mod:`repro.exec.kernels`): callers provide
 vertex/edge tensors with their natural leading row axis and parameters
@@ -51,9 +50,11 @@ from typing import (
 
 import numpy as np
 
-from repro.exec import backend_blocked
-from repro.exec.kernel_registry import get_backend, resolve_kernel
-from repro.exec.kernels import _gather_layout, aggregate
+from repro.exec import blocks
+from repro.exec.kernels import (
+    aggregate, apply_kernel, gather_kernel, param_grad_kernel, scatter_kernel,
+    writes_out,
+)
 from repro.exec.memory import (
     ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan, pack,
 )
@@ -169,7 +170,6 @@ class Engine:
         free_dead_values: bool = True,
         check_finite: bool = False,
         memory_plan: Union[MemoryPlan, StepMemoryPlan, None] = None,
-        backend: str = "reference",
     ):
         if memory_plan is not None:
             require_accounting_precision(precision)
@@ -185,21 +185,6 @@ class Engine:
         #: naming the producing node (NaN/Inf failure localisation).
         self.check_finite = check_finite
         self.memory_plan = memory_plan
-        #: Kernel backend bundle (see :mod:`repro.exec.kernel_registry`);
-        #: aliases like ``"numpy"`` resolve to their canonical name.
-        self._kernels = get_backend(backend)
-        self.backend = self._kernels.name
-        #: A chain stands in for these reference kernels (and a dot step
-        #: runs as ``u_dot_v``), so chains run only when they are what
-        #: the backend would call.
-        self._chains = all(
-            resolve_kernel(kind, fn, self.backend) is resolve_kernel(kind, fn)
-            for kind, fn in (
-                ("scatter", "copy_u"), ("scatter", "copy_v"), ("apply", "mul"),
-                ("gather", "sum"), ("gather", "mean"),
-                ("apply", "reduce_to_shape"), ("scatter", "u_dot_v"),
-            )
-        )
         #: Arena plans that back storage only: unlike ``memory_plan``
         #: they leave the ledger's pinned set empty, so the measured
         #: watermark stays the unpinned walk's.  What a
@@ -239,7 +224,7 @@ class Engine:
         of every value a step writes into given storage — built once per
         configuration, the first time any phase runs."""
         phases = self._phases()
-        key = (tuple(map(id, phases)), self.check_finite, backend_blocked.BLOCK_BYTES)
+        key = (tuple(map(id, phases)), self.check_finite, blocks.BLOCK_BYTES)
         if self._arena is None or self._arena[0] != key:
             layouts = [self._lay_out(mp) for mp in phases]
             pool = ArenaPool(max(extent for _, _, extent in layouts))
@@ -340,7 +325,7 @@ class Engine:
             kind, fn = node.kind.value, node.fn
         else:
             return False
-        if fn is None or not self._kernels.writes_out(kind, fn):
+        if fn is None or not writes_out(kind, fn):
             return False
         dtype = specs[node.outputs[0]].dtype
         return all(
@@ -356,9 +341,8 @@ class Engine:
         (narrow storage) or look there (the finite check, whose
         diagnostic names the first offending node).
         """
-        return (
-            self._chains and not self.check_finite
-            and dtypes.isdisjoint(("float16", *LOGICAL_DTYPES))
+        return not self.check_finite and dtypes.isdisjoint(
+            ("float16", *LOGICAL_DTYPES)
         )
 
     def _storage_dtypes(self, module: Module) -> Set[str]:
@@ -377,7 +361,7 @@ class Engine:
         blocked = plan.blocked(index, chains)
         if blocked is None:
             return None
-        rows_per_block = backend_blocked.BLOCK_BYTES // (
+        rows_per_block = blocks.BLOCK_BYTES // (
             blocked.row_elements * self.precision.itemsize
         )
         if self.graph.num_edges <= rows_per_block:
@@ -608,9 +592,9 @@ class Engine:
         """
         graph, whole = self.graph, run.values
         orientation = blocked.orientation
-        indptr, _ = _gather_layout(graph, orientation)
+        indptr, _ = graph.segments(orientation)
         spilled: Dict[str, np.ndarray] = {}
-        for lo, hi, _, _ in backend_blocked.segment_blocks(indptr, rows_per_block):
+        for lo, hi, _, _ in blocks.segment_blocks(indptr, rows_per_block):
             block = graph.row_block(orientation, lo, hi)
             local = {name: whole[name][lo:hi] for name in blocked.home_rows}
             for name in blocked.edge_rows:
@@ -758,17 +742,16 @@ class Engine:
         if graph is None:
             graph = self.graph
         params = [values[p][0] for p in node.params]
-        kernels = self._kernels
         if chain is not None and chain.scatter is None:
             values[node.outputs[0]] = aggregate(
                 graph, *ins, orientation=node.orientation, mean=node.fn == "mean"
             )
         elif chain is not None or node.kind is OpKind.SCATTER:
-            values[node.outputs[0]] = kernels.scatter(
+            values[node.outputs[0]] = scatter_kernel(
                 node.fn if chain is None else chain.scatter, graph, ins, out
             )
         elif node.kind is OpKind.GATHER:
-            out, argmax = kernels.gather(
+            out, argmax = gather_kernel(
                 node.fn,
                 graph,
                 ins[0],
@@ -779,7 +762,7 @@ class Engine:
             if len(node.outputs) > 1 and argmax is not None:
                 values[node.outputs[1]] = argmax
         elif node.kind is OpKind.APPLY:
-            values[node.outputs[0]] = kernels.apply(
+            values[node.outputs[0]] = apply_kernel(
                 node.fn, ins, params, node.attrs, out
             )
         elif node.kind is OpKind.VIEW:
@@ -788,7 +771,7 @@ class Engine:
                 (x.shape[0],) + tuple(node.attrs["out_shape"])
             )
         elif node.kind is OpKind.PARAM_GRAD:
-            grad = kernels.param_grad(node.fn, ins, params, node.attrs)
+            grad = param_grad_kernel(node.fn, ins, params, node.attrs)
             values[node.outputs[0]] = grad[None]
         else:  # pragma: no cover - kinds are closed
             raise AssertionError(f"unhandled kind {node.kind}")

@@ -1,4 +1,4 @@
-"""Vectorised NumPy kernels for every IR function — the ``reference`` backend.
+"""Vectorised NumPy kernels for every IR function, and the one table of them.
 
 Array convention
 ----------------
@@ -27,16 +27,23 @@ in CSC/CSR edge order — what a per-segment loop computes, bit for bit.
 reads the vertex rows through the graph's adjacency operator and never
 builds the edge tensor.  ``u_dot_v`` — also what a chain's per-edge dot
 product ``reduce_to_shape(copy_v(a) * copy_u(b))`` runs as — builds its
-per-edge products a ``BLOCK_BYTES`` chunk of edges at a time.
+per-edge products a :data:`~repro.exec.blocks.BLOCK_BYTES` chunk of
+edges at a time.
 
-Backends
---------
-Every kernel here registers with :mod:`repro.exec.kernel_registry` as
-the ``reference`` backend, the oracle every alternative backend is
-differential-tested against.  The module-level dispatchers
-(:func:`apply_kernel` & co.) keep their historical signatures and
-always execute the reference implementation; backend-aware dispatch
-goes through :func:`repro.exec.kernel_registry.get_backend`.
+Registry and dispatch
+---------------------
+Every kernel registers under its ``(kind, fn)`` pair
+(:func:`register_kernel`) in one table, and :func:`apply_kernel`,
+:func:`scatter_kernel`, :func:`gather_kernel` and
+:func:`param_grad_kernel` are the one dispatch surface: one table
+lookup, then the kernel.  Signatures by kind:
+
+- ``apply``:      ``fn(inputs, params, attrs[, out]) -> array``
+- ``scatter``:    ``fn(graph, inputs[, out]) -> array``
+- ``gather``:     ``fn(graph, edge_values, orientation, want_argmax)
+  -> (array, argmax_or_None)``
+- ``param_grad``: ``fn(inputs, params, attrs) -> array`` (natural
+  parameter shape, no leading row axis)
 
 Aliasing contract: kernels NEVER return an array sharing memory with
 an input.  The engine's arena planner reuses dead buffers, so an
@@ -45,24 +52,22 @@ recycled.  ``OpKind.VIEW`` nodes are the one sanctioned alias and are
 handled by the engine itself, never through these kernels.
 
 In-place contract: the kernels that are one ufunc, one matmul or one
-row take (``np.take``) declare ``out``; given it, they write their
-result there — bit for bit the fresh call's — and return it.  That is
-how an arena-backed engine puts a value into its slab.  The rest (the
-scipy product behind every segment sum, ``where``/``reduceat``/
-composite kernels) return fresh storage, and the engine keeps it.
+row take (``np.take``) declare ``out`` (:func:`writes_out`); given it,
+they write their result there — bit for bit the fresh call's — and
+return it.  That is how an arena-backed engine puts a value into its
+slab.  The rest (the scipy product behind every segment sum,
+``where``/``reduceat``/composite kernels) return fresh storage, and the
+engine keeps it.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.kernel_registry import (
-    REFERENCE_BACKEND,
-    declare_backend,
-    register_backend,
-)
+from repro.exec import blocks
 from repro.graph.csr import Graph, adjacency_operator, incidence_operator
 
 __all__ = [
@@ -74,15 +79,53 @@ __all__ = [
     "acc_dtype",
     "align_trailing",
     "reduce_to_shape_array",
+    "register_kernel",
+    "registered_functions",
+    "resolve_kernel",
     "segment_reduce",
     "segment_sum",
+    "writes_out",
 ]
 
-declare_backend(
-    REFERENCE_BACKEND,
-    bit_identical=True,
-    description="pure NumPy oracle (always available)",
-)
+
+# ======================================================================
+# The kernel table
+# ======================================================================
+KINDS = ("apply", "scatter", "gather", "param_grad")
+
+#: (kind, fn) -> kernel.
+_KERNELS: Dict[Tuple[str, str], Callable] = {}
+
+
+def register_kernel(kind: str, fn: str):
+    """Decorator: register the kernel of ``(kind, fn)``."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KINDS}")
+
+    def deco(impl: Callable) -> Callable:
+        _KERNELS[(kind, fn)] = impl
+        return impl
+
+    return deco
+
+
+def registered_functions(kind: str) -> List[str]:
+    """Every fn name registered under ``kind``."""
+    return sorted(fn for k, fn in _KERNELS if k == kind)
+
+
+def resolve_kernel(kind: str, fn: str) -> Callable:
+    """The kernel of ``(kind, fn)``; ``KeyError`` when none is registered."""
+    kernel = _KERNELS.get((kind, fn))
+    if kernel is None:
+        label = "reduce " if kind == "gather" else ""
+        raise KeyError(f"no {kind} kernel for {label}{fn!r}")
+    return kernel
+
+
+def writes_out(kind: str, fn: str) -> bool:
+    """Does the kernel of ``(kind, fn)`` take an ``out`` to write into?"""
+    return "out" in inspect.signature(resolve_kernel(kind, fn)).parameters
 
 
 # ======================================================================
@@ -149,7 +192,7 @@ ApplyKernel = Callable[..., np.ndarray]
 
 
 def _register_apply(name: str):
-    return register_backend("apply", name)
+    return register_kernel("apply", name)
 
 
 def apply_kernel(
@@ -157,12 +200,17 @@ def apply_kernel(
     inputs: Sequence[np.ndarray],
     params: Sequence[np.ndarray] = (),
     attrs: Optional[dict] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Execute an APPLY-kind node numerically (reference backend)."""
-    from repro.exec.kernel_registry import resolve_kernel
+    """Execute an APPLY-kind node numerically.
 
+    ``out`` is passed on only when given: hand it to kernels that
+    :func:`writes_out`.
+    """
     kernel = resolve_kernel("apply", fn)
-    return kernel(list(inputs), list(params), attrs or {})
+    if out is None:
+        return kernel(list(inputs), list(params), attrs or {})
+    return kernel(list(inputs), list(params), attrs or {}, out=out)
 
 
 @_register_apply("identity")
@@ -401,15 +449,14 @@ def scatter_kernel(
     fn: str,
     graph: Graph,
     inputs: Sequence[np.ndarray],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Execute a SCATTER-kind node: per-edge function of endpoint rows."""
-    from repro.exec.kernel_registry import resolve_kernel
-
-    try:
-        kernel = resolve_kernel("scatter", fn)
-    except KeyError:
-        raise KeyError(f"no scatter kernel for {fn!r}") from None
-    return kernel(graph, list(inputs))
+    """Execute a SCATTER-kind node: per-edge function of endpoint rows
+    (``out`` as in :func:`apply_kernel`)."""
+    kernel = resolve_kernel("scatter", fn)
+    if out is None:
+        return kernel(graph, list(inputs))
+    return kernel(graph, list(inputs), out=out)
 
 
 def _rows(x: np.ndarray, ids: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
@@ -418,40 +465,40 @@ def _rows(x: np.ndarray, ids: np.ndarray, out: Optional[np.ndarray]) -> np.ndarr
     return x[ids] if out is None else np.take(x, ids, axis=0, out=out, mode="clip")
 
 
-@register_backend("scatter", "copy_u")
+@register_kernel("scatter", "copy_u")
 def _s_copy_u(graph, inputs, out=None):
     return _rows(inputs[0], graph.src, out)
 
 
-@register_backend("scatter", "copy_v")
+@register_kernel("scatter", "copy_v")
 def _s_copy_v(graph, inputs, out=None):
     return _rows(inputs[0], graph.dst, out)
 
 
-@register_backend("scatter", "max_grad")
+@register_kernel("scatter", "max_grad")
 def _s_max_grad(graph, inputs):
     return _max_grad(graph, inputs[0], inputs[1])
 
 
-@register_backend("scatter", "u_add_v")
+@register_kernel("scatter", "u_add_v")
 def _s_u_add_v(graph, inputs, out=None):
     u, v = inputs
     return np.add(*align_trailing([u[graph.src], v[graph.dst]]), out=out)
 
 
-@register_backend("scatter", "u_sub_v")
+@register_kernel("scatter", "u_sub_v")
 def _s_u_sub_v(graph, inputs, out=None):
     u, v = inputs
     return np.subtract(*align_trailing([u[graph.src], v[graph.dst]]), out=out)
 
 
-@register_backend("scatter", "u_mul_v")
+@register_kernel("scatter", "u_mul_v")
 def _s_u_mul_v(graph, inputs, out=None):
     u, v = inputs
     return np.multiply(*align_trailing([u[graph.src], v[graph.dst]]), out=out)
 
 
-@register_backend("scatter", "u_dot_v")
+@register_kernel("scatter", "u_dot_v")
 def _s_u_dot_v(graph, inputs, out=None):
     # Chunks of edges whose gathered rows and products (three edge rows
     # each) hold ~BLOCK_BYTES at once; each edge's sum is its own, so
@@ -459,7 +506,7 @@ def _s_u_dot_v(graph, inputs, out=None):
     u, v = inputs
     src, dst = graph.src, graph.dst
     row_bytes = u[:1].nbytes + v[:1].nbytes + max(u[:1].nbytes, v[:1].nbytes)
-    step = max(1, _backend_blocked.BLOCK_BYTES // max(row_bytes, 1))
+    step = max(1, blocks.BLOCK_BYTES // max(row_bytes, 1))
     parts = [
         (u[src[lo:lo + step]] * v[dst[lo:lo + step]]).sum(
             axis=-1, out=None if out is None else out[lo:lo + step]
@@ -471,7 +518,7 @@ def _s_u_dot_v(graph, inputs, out=None):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-@register_backend("scatter", "u_concat_v")
+@register_kernel("scatter", "u_concat_v")
 def _s_u_concat_v(graph, inputs):
     u, v = inputs
     return np.concatenate([u[graph.src], v[graph.dst]], axis=-1)
@@ -576,11 +623,6 @@ def acc_dtype(dtype: np.dtype) -> np.dtype:
     return np.dtype(dtype)
 
 
-def _gather_layout(graph: Graph, orientation: str):
-    """(indptr, edge-permutation) for the requested incidence."""
-    return graph.segments(orientation)
-
-
 def gather_kernel(
     reduce: str,
     graph: Graph,
@@ -595,13 +637,9 @@ def gather_kernel(
     requested) holds COO edge ids, ``-1`` for vertices with no incident
     edges.
     """
-    from repro.exec.kernel_registry import resolve_kernel
-
-    try:
-        kernel = resolve_kernel("gather", reduce)
-    except KeyError:
-        raise KeyError(f"no gather kernel for reduce {reduce!r}") from None
-    return kernel(graph, edge_values, orientation, want_argmax)
+    return resolve_kernel("gather", reduce)(
+        graph, edge_values, orientation, want_argmax
+    )
 
 
 def _segment_mean(operator, values: np.ndarray) -> np.ndarray:
@@ -611,14 +649,14 @@ def _segment_mean(operator, values: np.ndarray) -> np.ndarray:
     return total / counts.reshape((-1,) + (1,) * (total.ndim - 1))
 
 
-@register_backend("gather", "sum")
+@register_kernel("gather", "sum")
 def _g_sum(graph, edge_values, orientation, want_argmax):
     operator = graph.incidence(orientation, acc_dtype(edge_values.dtype))
     total = segment_sum(operator, edge_values)
     return total.astype(edge_values.dtype, copy=False), None
 
 
-@register_backend("gather", "mean")
+@register_kernel("gather", "mean")
 def _g_mean(graph, edge_values, orientation, want_argmax):
     operator = graph.incidence(orientation, acc_dtype(edge_values.dtype))
     mean = _segment_mean(operator, edge_values)
@@ -667,9 +705,9 @@ def aggregate(
     return out.reshape((operator.shape[0] // heads,) + x.shape[1:])
 
 
-@register_backend("gather", "max")
+@register_kernel("gather", "max")
 def _g_max(graph, edge_values, orientation, want_argmax):
-    indptr, eids = _gather_layout(graph, orientation)
+    indptr, eids = graph.segments(orientation)
     ordered = edge_values[eids]
     finfo_min = (
         np.finfo(edge_values.dtype).min
@@ -726,13 +764,7 @@ def param_grad_kernel(
     Returns the gradient in the parameter's *natural* shape (the engine
     re-wraps it with the leading row axis).
     """
-    from repro.exec.kernel_registry import resolve_kernel
-
-    try:
-        kernel = resolve_kernel("param_grad", fn)
-    except KeyError:
-        raise KeyError(f"no param_grad kernel for {fn!r}") from None
-    return kernel(list(inputs), list(params), attrs)
+    return resolve_kernel("param_grad", fn)(list(inputs), list(params), attrs)
 
 
 def _row_reduce(inputs, compute):
@@ -749,7 +781,7 @@ def _row_reduce(inputs, compute):
     return np.asarray(compute(upcast)).astype(out_dtype, copy=False)
 
 
-@register_backend("param_grad", "linear_wgrad")
+@register_kernel("param_grad", "linear_wgrad")
 def _p_linear_wgrad(inputs, params, attrs):
     f_in, f_out = tuple(attrs["out_shape"])
     return _row_reduce(
@@ -757,12 +789,12 @@ def _p_linear_wgrad(inputs, params, attrs):
     )
 
 
-@register_backend("param_grad", "param_scale_wgrad")
+@register_kernel("param_grad", "param_scale_wgrad")
 def _p_param_scale_wgrad(inputs, params, attrs):
     return _row_reduce(inputs, lambda ins: (ins[0] * ins[1]).sum())
 
 
-@register_backend("param_grad", "bias_grad")
+@register_kernel("param_grad", "bias_grad")
 def _p_bias_grad(inputs, params, attrs):
     return _row_reduce(
         inputs,
@@ -772,7 +804,7 @@ def _p_bias_grad(inputs, params, attrs):
     )
 
 
-@register_backend("param_grad", "head_dot_wgrad")
+@register_kernel("param_grad", "head_dot_wgrad")
 def _p_head_dot_wgrad(inputs, params, attrs):
     # x: (rows, h, f); g: (rows, h) -> (h, f)
     return _row_reduce(inputs, lambda ins: np.einsum("nhf,nh->hf", ins[0], ins[1]))
@@ -791,19 +823,12 @@ def _gaussian_param_grad(fn, inputs, params):
     return _row_reduce(inputs, compute)
 
 
-@register_backend("param_grad", "gaussian_mu_grad")
+@register_kernel("param_grad", "gaussian_mu_grad")
 def _p_gaussian_mu_grad(inputs, params, attrs):
     return _gaussian_param_grad("gaussian_mu_grad", inputs, params)
 
 
-@register_backend("param_grad", "gaussian_sigma_grad")
+@register_kernel("param_grad", "gaussian_sigma_grad")
 def _p_gaussian_sigma_grad(inputs, params, attrs):
     return _gaussian_param_grad("gaussian_sigma_grad", inputs, params)
 
-
-# ======================================================================
-# Alternative backends
-# ======================================================================
-# Importing the module registers its kernels.  The import sits at the
-# bottom because ``blocked`` reuses helpers defined above.
-from repro.exec import backend_blocked as _backend_blocked  # noqa: E402,F401

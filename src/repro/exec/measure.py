@@ -12,9 +12,7 @@ The absolute numbers are not comparable — the analytic model prices a
 GPU, the measurement prices this host's NumPy — but the *per-class
 ratio* is the point: it is a calibration table showing how far each
 kernel class (gather / scatter / apply / param-grad / dense) sits from
-the model, and how backends (:mod:`repro.exec.kernel_registry`) move
-real wall-clock where the analytic counters are identical by
-construction.
+the model.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ class KernelTiming:
 
 @dataclass
 class MeasuredRun:
-    """Per-kernel timings of one plan execution under one backend.
+    """Per-kernel timings of one plan execution.
 
     ``dtype`` records the plan's declared feature-storage dtype (the
     vertex data inputs' :attr:`TensorSpec.dtype`) so calibration tables
@@ -94,7 +92,6 @@ class MeasuredRun:
     storage precisions.
     """
 
-    backend: str
     gpu: str
     repeats: int
     dtype: str = "float32"
@@ -132,7 +129,6 @@ def measure_plan(
     plan: ExecPlan,
     arrays: Mapping[str, np.ndarray],
     *,
-    backend: str = "reference",
     precision: str = "float32",
     warmup: int = 1,
     repeats: int = 5,
@@ -140,7 +136,7 @@ def measure_plan(
 ) -> MeasuredRun:
     """Execute ``plan`` with per-kernel timing; median over ``repeats``.
 
-    A ``warmup`` pass (allocator touch, any backend JIT) runs untimed
+    A ``warmup`` pass (allocator touch) runs untimed
     first; each timed repeat then records every kernel's node-loop
     wall-clock through :attr:`Engine.kernel_timings`, and the per-kernel
     median across repeats is paired with the analytic prediction from
@@ -151,7 +147,7 @@ def measure_plan(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     gpu = gpu if gpu is not None else V100
-    engine = Engine(graph, precision=precision, backend=backend)
+    engine = Engine(graph, precision=precision)
     env = engine.bind(plan.module, arrays)
 
     for _ in range(max(0, warmup)):
@@ -171,7 +167,6 @@ def measure_plan(
         {plan.module.specs[n].dtype for n in vertex_data_inputs(plan.module)}
     )
     run = MeasuredRun(
-        backend=engine.backend,
         gpu=gpu.name,
         repeats=repeats,
         dtype="/".join(feat_dtypes) if feat_dtypes else "float32",
@@ -194,36 +189,22 @@ def measure_plan(
     return run
 
 
-def calibration_rows(runs: List[MeasuredRun]) -> List[List[str]]:
-    """Flatten measured runs into per-(backend, class) table rows.
+def calibration_rows(run: MeasuredRun) -> List[Dict[str, object]]:
+    """Per-class rows of ``run``, in :data:`KERNEL_CLASSES` order.
 
-    Columns: backend, feature-storage dtype, kernel class, kernel
-    count, measured seconds, analytic seconds, measured/analytic
-    ratio.  Row order is backends in the given order crossed with
-    :data:`KERNEL_CLASSES`.
+    Each row holds the feature-storage dtype, the kernel class, its
+    kernel count, measured and analytic seconds, and their ratio
+    (``inf`` when the model prices the class at zero).
     """
-    rows: List[List[str]] = []
-    for run in runs:
-        measured = run.class_seconds()
-        analytic = run.class_analytic_seconds()
-        for cls in KERNEL_CLASSES:
-            if cls not in measured:
-                continue
-            count = sum(1 for t in run.timings if t.kernel_class == cls)
-            ratio = (
-                measured[cls] / analytic[cls]
-                if analytic[cls] > 0.0
-                else float("inf")
-            )
-            rows.append(
-                [
-                    run.backend,
-                    run.dtype,
-                    cls,
-                    str(count),
-                    f"{measured[cls]:.6f}",
-                    f"{analytic[cls]:.6f}",
-                    f"{ratio:.2f}",
-                ]
-            )
-    return rows
+    analytic = run.class_analytic_seconds()
+    return [
+        {
+            "dtype": run.dtype,
+            "kernel_class": cls,
+            "kernels": sum(1 for t in run.timings if t.kernel_class == cls),
+            "measured_s": secs,
+            "analytic_s": analytic[cls],
+            "ratio": secs / analytic[cls] if analytic[cls] > 0.0 else float("inf"),
+        }
+        for cls, secs in run.class_seconds().items()
+    ]

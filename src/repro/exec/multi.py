@@ -8,7 +8,7 @@ simulated GPU.  It holds one ``Engine`` per part (over the part's
 in-graph) and walks the plan node by node with all shards in lockstep.
 
 **Shared with ``Engine``** — there is no second interpreter here: node
-dispatch onto the kernel backend, binding (casts, storage simulation,
+dispatch onto the kernel table, binding (casts, storage simulation,
 graph constants), bf16 boundary rounding, argmax demand and the
 measured memory ledger are the shard engines' own set-up / step /
 per-kernel epilogue.
@@ -153,9 +153,9 @@ class MultiEngine:
     partition:
         A prebuilt :class:`GraphPartition`, or an integer GPU count (a
         hash partition is built with ``partitioner``/``seed``).
-    precision, backend:
+    precision:
         As in :class:`~repro.exec.engine.Engine`; every shard engine
-        shares them.
+        shares it.
     overlap:
         ``None`` (serial oracle, kernels in plan order), ``"events"``
         (hazard-wave order on the virtual timeline), or ``"threads"``
@@ -173,7 +173,6 @@ class MultiEngine:
         partitioner: str = "hash",
         seed: int = 0,
         precision: str = "float32",
-        backend: str = "reference",
         overlap: Optional[str] = None,
     ):
         if overlap not in self.OVERLAP_MODES:
@@ -194,17 +193,13 @@ class MultiEngine:
         self.partition = partition
         # Binding (casts, storage simulation, shape checks, graph
         # constants) happens once on global arrays, by a global Engine.
-        self._binder = Engine(graph, precision=precision, backend=backend)
+        self._binder = Engine(graph, precision=precision)
         self.precision = self._binder.precision
-        self.backend = self._binder.backend
         #: One interpreter per simulated GPU, over the part's in-graph.
         #: Nothing is freed mid-run: overlap modes execute out of plan
         #: order and replay the per-kernel epilogues afterwards.
         self._shards = [
-            Engine(
-                part.in_graph, precision=precision, backend=backend,
-                free_dead_values=False,
-            )
+            Engine(part.in_graph, precision=precision, free_dead_values=False)
             for part in partition.parts
         ]
         #: Transfers performed by the most recent :meth:`run_plan`.

@@ -90,12 +90,6 @@ class ExecutionStrategy:
         the part count comes from the cluster).  ``None`` falls back to
         the default hash partitioner.  Partitioning never changes the
         compiled plan — only where each kernel's rows live.
-    backend:
-        Kernel backend executing the compiled plans (see
-        :mod:`repro.exec.kernel_registry`): ``"reference"`` (alias
-        ``"numpy"``), ``"blocked"``, or one a caller registered.  Purely
-        an execution choice — plans, counters, and the analytic model
-        are backend-independent.
     precision:
         Feature-storage precision (see :mod:`repro.ir.precision`):
         ``"fp32"`` (the oracle), ``"fp16"``/``"bf16"`` half-width
@@ -128,7 +122,6 @@ class ExecutionStrategy:
     recompute_boundary_mode: Optional[str] = None
     pass_names: Optional[Tuple[str, ...]] = None
     partition: Optional[PartitionSpec] = None
-    backend: str = "reference"
     precision: str = "fp32"
     overlap: Optional[str] = None
 
@@ -147,13 +140,6 @@ class ExecutionStrategy:
             object.__setattr__(
                 self, "precision", canonical_precision(self.precision)
             )
-        if self.backend != "reference":
-            # Canonicalise aliases ("numpy" → "reference") and fail
-            # early — at strategy construction, not mid-run — when the
-            # backend is unknown or its optional package is missing.
-            from repro.exec.kernel_registry import canonical_backend
-
-            object.__setattr__(self, "backend", canonical_backend(self.backend))
         if self.reorg_scope not in _REORG_SCOPES:
             raise ValueError(f"reorg_scope must be in {_REORG_SCOPES}")
         if self.stash_scope not in _STASH_SCOPES:

@@ -56,13 +56,10 @@ class Dataset:
     #: Dataset-provided ground-truth labels (None for stats-only
     #: workloads; :meth:`labels` then falls back to random draws).
     _labels: Optional[np.ndarray] = field(default=None, repr=False)
-    #: The hidden linear map the labels were planted from (published
-    #: width × num_classes).
-    _label_basis: Optional[np.ndarray] = field(default=None, repr=False)
-    #: The planted class scores, canonical features @ ``_label_basis``
-    #: (|V| × num_classes), kept from label planting: reduced-width
-    #: features embed these directions so the labels stay learnable at
-    #: any width.
+    #: The planted class scores, canonical features @ a hidden
+    #: (published width × num_classes) map, so |V| × num_classes; kept
+    #: from label planting: reduced-width features embed these
+    #: directions so the labels stay learnable at any width.
     _label_scores: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -155,7 +152,6 @@ def _plant_labels(ds: Dataset, *, seed: int) -> Dataset:
     w = np.random.default_rng(seed).normal(size=(ds.feature_dim, ds.num_classes))
     scores = ds.features(seed=0) @ w
     ds._labels = np.asarray(scores.argmax(axis=1), dtype=np.int64)
-    ds._label_basis = w
     ds._label_scores = scores
     return ds
 

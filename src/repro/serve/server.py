@@ -74,8 +74,8 @@ __all__ = ["InferenceServer"]
 class _TenantRuntime:
     """Per-tenant compiled state: plan, params, gather-row pricing.
 
-    What a batch needs that is constant for the plan — output name,
-    kernel backend — is resolved here once; input names
+    What a batch needs that is constant for the plan — its output
+    name — is resolved here once; input names
     are resolved once per model (:meth:`GNNModel.make_inputs`), so no
     batch builds or validates a module.
     """
@@ -112,7 +112,6 @@ class _TenantRuntime:
             else compiled.model.init_params(param_seed)
         )
         self.output_name = compiled.forward.outputs[0]
-        self.backend = compiled.strategy.backend
         self.row_bytes = feature_gather_row_bytes(compiled.plan)
 
 
@@ -295,12 +294,7 @@ class InferenceServer:
         :class:`FeatureStore` snapshot.
         """
         compiled = runtime.compiled
-        engine = Engine(
-            mb.subgraph,
-            precision=self.precision,
-            memory_plan=mplan,
-            backend=runtime.backend,
-        )
+        engine = Engine(mb.subgraph, precision=self.precision, memory_plan=mplan)
         if feature_rows is None:
             feature_rows = self.features[mb.vertices]
         arrays = compiled.model.make_inputs(mb.subgraph, feature_rows)

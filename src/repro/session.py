@@ -316,9 +316,6 @@ class Session:
         # Memory planning: None = ledger accounting only, "memory" =
         # append the schedule_memory pass and price the arena plan.
         self._schedule: Optional[str] = None
-        # Kernel backend override: None keeps the strategy's own choice
-        # (normally "reference").
-        self._backend: Optional[str] = None
         # Feature-storage precision override: None keeps the strategy's
         # own precision (normally "fp32").
         self._precision: Optional[str] = None
@@ -365,26 +362,6 @@ class Session:
                 f"unknown schedule mode {mode!r}; use 'memory' or None"
             )
         self._schedule = mode
-        return self
-
-    def backend(self, backend: Optional[str]) -> "Session":
-        """Select the kernel backend executing this configuration.
-
-        ``backend`` is a name from
-        :func:`repro.exec.kernel_registry.available_backends` —
-        ``"reference"`` (alias ``"numpy"``), ``"blocked"``, or one a
-        caller registered.  The resolved strategy carries the choice
-        (``ExecutionStrategy.backend``), so concrete execution paths —
-        :meth:`report` training, :meth:`serve`, direct ``Engine`` runs
-        on the compiled plans — all use it.  Analytic counters and
-        modelled latency are backend-independent.  ``backend(None)``
-        restores the strategy's own (reference) backend.
-        """
-        if backend is not None:
-            from repro.exec.kernel_registry import canonical_backend
-
-            backend = canonical_backend(backend)
-        self._backend = backend
         return self
 
     def precision(self, precision: Optional[str]) -> "Session":
@@ -520,8 +497,6 @@ class Session:
         resolved = get_strategy(s) if isinstance(s, str) else s
         if self._schedule == "memory":
             resolved = with_memory_schedule(resolved)
-        if self._backend is not None and resolved.backend != self._backend:
-            resolved = replace(resolved, backend=self._backend)
         if self._precision is not None and resolved.precision != self._precision:
             resolved = replace(resolved, precision=self._precision)
         if self._overlap is not None and resolved.overlap != self._overlap:
@@ -1142,14 +1117,10 @@ class SweepRow:
     #: memory-scheduled plans) and leave ``arena_bytes`` at 0.
     schedule: Optional[str] = None
     arena_bytes: int = 0
-    #: Kernel backend executing the row's plans (``run_sweep(backend=
-    #: [...])``).  Analytic columns are backend-independent; the column
-    #: labels which backend concrete execution paths would use.
-    backend: Optional[str] = None
     #: Feature-storage precision of the row's plans (``run_sweep(
-    #: precision=[...])``).  Unlike ``backend``, precision changes the
-    #: analytic columns: IO, peak memory, stash, and gather bytes all
-    #: shrink with the storage dtype.
+    #: precision=[...])``).  It changes the analytic columns: IO, peak
+    #: memory, stash, and gather bytes all shrink with the storage
+    #: dtype.
     precision: Optional[str] = None
     #: Online-serving rows (``run_sweep(serve_qps=[...])``): the offered
     #: load and the tail-latency/SLO/cache metrics of the served
@@ -1263,7 +1234,6 @@ _TABLE_COLUMNS = (
     ("batch", "batch_size",
      lambda r: "full" if r.batch_size is None else str(r.batch_size)),
     ("sched", "schedule", lambda r: r.schedule or "-"),
-    ("backend", "backend", lambda r: r.backend or "-"),
     ("prec", "precision", lambda r: r.precision or "-"),
     ("GFLOPs", None, lambda r: f"{r.flops / 1e9:.2f}"),
     ("IO MiB", None, lambda r: f"{r.io_bytes / 2**20:.1f}"),
@@ -1353,7 +1323,6 @@ def run_sweep(
     minibatch_hops: Optional[int] = None,
     minibatch_seed: int = 0,
     schedule: Union[None, str, Sequence[Optional[str]]] = None,
-    backend: Union[None, str, Sequence[Optional[str]]] = None,
     precision: Union[None, str, Sequence[Optional[str]]] = None,
     serve_qps: Optional[Sequence[float]] = None,
     serve_requests: int = 192,
@@ -1401,18 +1370,10 @@ def run_sweep(
     the memory column, while multi-GPU and mini-batch rows price the
     memory-scheduled plans with the ordinary ledger.
 
-    ``backend`` sweeps the kernel backend: a name or a sequence mixing
-    names from :func:`repro.exec.kernel_registry.available_backends`
-    with ``None`` (the strategy's own reference backend).  Analytic
-    counters are backend-independent — backend rows label which
-    registry backend concrete execution (training, serving, direct
-    ``Engine`` runs on the compiled plans) would use, and each named
-    backend compiles through its own plan-cache entry.
-
     ``precision`` sweeps feature-storage precision: a policy name or a
     sequence mixing ``"fp32"``/``"fp16"``/``"bf16"``/``"int8"`` with
-    ``None`` (the strategy's own fp32).  Unlike ``backend``, precision
-    *changes* the analytic columns — gather IO, peak memory, and stash
+    ``None`` (the strategy's own fp32).  Precision *changes* the
+    analytic columns — gather IO, peak memory, and stash
     bytes shrink with the storage dtype — and each precision compiles
     through its own plan-cache entry.
 
@@ -1438,8 +1399,8 @@ def run_sweep(
     """
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
-    batches, schedules, backends, precisions, loads, updates = map(
-        _axis, (batch_size, schedule, backend, precision, serve_qps, update_frac)
+    batches, schedules, precisions, loads, updates = map(
+        _axis, (batch_size, schedule, precision, serve_qps, update_frac)
     )
     sampled = any(b is not None for b in batches)
     if sampled and any(n > 1 for n in num_gpus):
@@ -1457,7 +1418,7 @@ def run_sweep(
             "update_frac sweeps dynamic serving: it requires serve_qps"
         )
     axes = (
-        models, datasets, strategies, schedules, backends, precisions,
+        models, datasets, strategies, schedules, precisions,
         gpus, num_gpus, loads, updates, batches,
     )
     # One session per dataset, switched between models: its memo keeps
@@ -1469,20 +1430,19 @@ def run_sweep(
         Session(cache=cache).dataset(d).feature_dim(feature_dim)
         for d in datasets
     ]
-    per_plan = math.prod(len(axis) for axis in axes[6:])
-    per_workload = per_plan * math.prod(len(axis) for axis in axes[2:6])
+    per_plan = math.prod(len(axis) for axis in axes[5:])
+    per_workload = per_plan * math.prod(len(axis) for axis in axes[2:5])
     rows: List[SweepRow] = []
-    for i, (m, d, strat, sched, bk, prec, g, n, qps, uf, bs) in enumerate(
+    for i, (m, d, strat, sched, prec, g, n, qps, uf, bs) in enumerate(
         itertools.product(*axes)
     ):
         if i % per_workload == 0:
             s = sessions[i // per_workload % len(datasets)].model(m)
         if i % per_plan == 0:
-            s.strategy(strat).schedule(sched).backend(bk).precision(prec)
+            s.strategy(strat).schedule(sched).precision(prec)
             resolved = s.resolve_strategy()
             labels = dict(
                 schedule=sched,
-                backend=resolved.backend if bk is not None else None,
                 precision=resolved.precision if prec is not None else None,
             )
             # Training sweeps skip inference-only strategies.

@@ -109,12 +109,7 @@ class Trainer:
     ):
         self.compiled = compiled
         self.graph = graph
-        self.engine = Engine(
-            graph,
-            precision=precision,
-            memory_plan=memory_plans,
-            backend=compiled.strategy.backend,
-        )
+        self.engine = Engine(graph, precision=precision, memory_plan=memory_plans)
         #: Measured live-byte high-watermark of the last train/eval step
         #: (max over the forward and backward plan walks).
         self.last_peak_bytes: int = 0

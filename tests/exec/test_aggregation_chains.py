@@ -16,14 +16,12 @@ exact everywhere).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.exec import Engine, MultiEngine, backend_blocked, plan_module
-from repro.exec import kernel_registry
+from repro.exec import Engine, MultiEngine, blocks, plan_module
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph, chung_lu
 from repro.ir import Builder, Domain
@@ -40,6 +38,26 @@ STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
 @pytest.fixture(scope="module")
 def graph() -> Graph:
     return chung_lu(50, 250, seed=3)
+
+
+def _isolated_graph() -> Graph:
+    """Edges among the first 30 of 50 vertices, self-loops and parallel
+    edges included: 20 vertices with no in- or out-edge, so every
+    product has empty rows and every mean an empty segment."""
+    rng = np.random.default_rng(4)
+    src, dst = rng.integers(0, 30, 200), rng.integers(0, 30, 200)
+    loops = np.arange(0, 30, 3)
+    return Graph(
+        np.concatenate([src, loops, src[:10]]),
+        np.concatenate([dst, loops, dst[:10]]),
+        50,
+    )
+
+
+@pytest.fixture(scope="module")
+def graphs(graph) -> dict:
+    """The differential's graphs by name."""
+    return {"chung_lu": graph, "isolated": _isolated_graph()}
 
 
 def _chains(plan):
@@ -335,19 +353,20 @@ class TestRecognition:
 class TestChainVsNode:
     """Whole training plans, chains taken, against the per-node loop."""
 
-    @pytest.mark.parametrize("backend", ["reference", "blocked"])
+    @pytest.mark.parametrize("graph_name", ["chung_lu", "isolated"])
     @pytest.mark.parametrize("engine_precision", ["float32", "float64"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
     def test_bit_identical(
-        self, products, graph, model_name, strategy, engine_precision, backend
+        self, products, graphs, model_name, strategy, engine_precision, graph_name
     ):
+        graph = graphs[graph_name]
         compiled = _compiled(model_name, strategy)
-        engine = Engine(graph, precision=engine_precision, backend=backend)
-        oracle = Engine(graph, precision=engine_precision, backend=backend)
+        engine = Engine(graph, precision=engine_precision)
+        oracle = Engine(graph, precision=engine_precision)
         _training_differential(
             graph, compiled, engine, oracle,
-            f"{model_name}/{strategy}/{engine_precision}/{backend}",
+            f"{model_name}/{strategy}/{engine_precision}/{graph_name}",
         )
         # Every chain ran, once, as one step on the whole graph.
         chains = _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
@@ -383,7 +402,7 @@ class TestChainVsNode:
             "x": rng.normal(size=(graph.num_vertices, 3)),
             "w": rng.normal(size=graph.num_edges),
         }
-        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 128)
+        monkeypatch.setattr(blocks, "BLOCK_BYTES", 128)
         for precision in ("float32", "float64"):
             del products[:]
             engine, oracle = Engine(graph, precision=precision), Engine(graph, precision=precision)
@@ -416,7 +435,7 @@ class TestChainVsNode:
             "a": rng.normal(size=(graph.num_vertices, 2, 3)),
             "b": rng.normal(size=(graph.num_vertices, 2, 3)),
         }
-        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 128)
+        monkeypatch.setattr(blocks, "BLOCK_BYTES", 128)
         for precision in ("float32", "float64"):
             del products[:]
             engine, oracle = Engine(graph, precision=precision), Engine(graph, precision=precision)
@@ -444,9 +463,9 @@ class TestChainVsNode:
 
 
 class TestFallbacks:
-    """Runs that round or look at the node boundaries a chain removes,
-    and backends with their own kernels, execute every node — exactly
-    what they executed before chains existed."""
+    """Runs that round or look at the node boundaries a chain removes
+    execute every node — exactly what they executed before chains
+    existed."""
 
     @pytest.mark.parametrize("precision", ["fp16", "bf16", "int8"])
     @pytest.mark.parametrize("model_name", ["gcn", "sage"])
@@ -454,7 +473,7 @@ class TestFallbacks:
         self, monkeypatch, products, graph, model_name, precision
     ):
         # Small blocks: the fallback is the *walked* per-node path.
-        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 128)
+        monkeypatch.setattr(blocks, "BLOCK_BYTES", 128)
         compiled = _compiled(
             model_name, replace(get_strategy("ours"), precision=precision)
         )
@@ -489,18 +508,6 @@ class TestFallbacks:
         engine.run_plan(plan, engine.bind(plan.module, arrays))
         assert len(products) == len(_chains(plan))
 
-    def test_a_backend_with_its_own_sum_runs_every_node(self, products, graph):
-        compiled = _compiled("sage")
-        plan = compiled.fwd_plan
-        arrays = _arrays(compiled, graph)
-        with _own_kernel("gather", "mean") as backend:
-            engine = Engine(graph, backend=backend)
-            got = engine.run_plan(plan, engine.bind(plan.module, arrays))
-            assert products == []
-        want = Engine(graph).run_plan(plan, Engine(graph).bind(plan.module, arrays))
-        assert len(products) == len(_chains(plan)) > 0
-        assert_same_values(got, want, plan, "own-mean")
-
     @pytest.mark.parametrize("model_name", ["gcn", "sage", "dotgat", "gat", "monet"])
     def test_arena_backed_runs_take_the_chain(self, products, graph, model_name):
         compiled = _compiled(model_name)
@@ -521,34 +528,3 @@ class TestFallbacks:
             MultiEngine(graph, 3), compiled, feats, compiled.model.init_params(0)
         )
         assert products == []
-
-    def test_shards_of_a_backend_with_its_own_copy_run_every_node(self, products, graph):
-        compiled = _compiled("gat")
-        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
-        params = compiled.model.init_params(0)
-        with _own_kernel("scatter", "copy_u") as backend:
-            got = training_values(MultiEngine(graph, 3, backend=backend), compiled, feats, params)
-            assert products == []
-        want = training_values(MultiEngine(graph, 3), compiled, feats, params)
-        assert products != []
-        for got_values, want_values in zip(got, want):
-            for name in want_values:
-                assert np.array_equal(got_values[name], want_values[name]), name
-
-
-@contextmanager
-def _own_kernel(kind, fn):
-    """A backend whose one ``kind:fn`` kernel is its own (a test double
-    delegating to the reference), registered for the ``with`` body."""
-    name = f"own-{fn}"
-    reference = kernel_registry.resolve_kernel(kind, fn)
-    kernel_registry.declare_backend(name, bit_identical=True, description="test double")
-    kernel_registry.register_backend(kind, fn, backend=name)(
-        lambda *args: reference(*args)
-    )
-    try:
-        yield name
-    finally:
-        del kernel_registry._BACKENDS[name]
-        del kernel_registry._KERNELS[(kind, fn)][name]
-        kernel_registry._BUNDLES.pop(name, None)

@@ -20,9 +20,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.exec import Engine, plan_module
-from repro.exec import backend_blocked
-from repro.exec.backend_blocked import segment_blocks
+from repro.exec import Engine, blocks, plan_module
+from repro.exec.blocks import segment_blocks
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph, chung_lu
 from repro.ir import Builder, Domain
@@ -36,6 +35,10 @@ STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
 #: Small enough that chung_lu(50, 250) splits into >= 4 blocks even for
 #: a kernel whose widest live set is a single float32 scalar per edge.
 SMALL_BLOCK = 128
+#: Block budgets of the differential: ``small`` packs several segments
+#: per block; ``segment`` (one byte: one row per block) gives every
+#: segment a block of its own, the hubs' past the budget.
+BUDGETS = {"small": SMALL_BLOCK, "segment": 1}
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ def graph() -> Graph:
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", SMALL_BLOCK)
+    monkeypatch.setattr(blocks, "BLOCK_BYTES", SMALL_BLOCK)
 
 
 def _blocks(indptr, rows_per_block):
@@ -53,8 +56,7 @@ def _blocks(indptr, rows_per_block):
 
 
 class TestSegmentBlocks:
-    """The one definition of a block, shared by the ``blocked`` gather
-    and the walk."""
+    """The one definition of a block, the walk's."""
 
     def test_partitions_segments_and_rows(self, graph):
         indptr = graph.csc_indptr
@@ -129,13 +131,13 @@ def walks(monkeypatch):
     return calls
 
 
-def _differential(graph, model_name, strategy, engine_precision, backend):
+def _differential(graph, model_name, strategy, engine_precision):
     model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
     compiled = compile_training(model, strategy)
-    engine = Engine(graph, precision=engine_precision, backend=backend)
-    oracle = Engine(graph, precision=engine_precision, backend=backend)
+    engine = Engine(graph, precision=engine_precision)
+    oracle = Engine(graph, precision=engine_precision)
     arrays = _training_arrays(compiled, graph)
-    ctx = f"{model_name}/{strategy.name}/{strategy.precision}/{engine_precision}/{backend}"
+    ctx = f"{model_name}/{strategy.name}/{strategy.precision}/{engine_precision}"
     for phase, plan in (("forward", compiled.fwd_plan), ("backward", compiled.bwd_plan)):
         got = engine.run_plan(plan, engine.bind(plan.module, arrays), unwrap=False)
         want, want_peak = run_plan_per_node(oracle, plan, oracle.bind(plan.module, arrays))
@@ -147,21 +149,22 @@ def _differential(graph, model_name, strategy, engine_precision, backend):
 
 
 class TestBlockVsNode:
-    """Every zoo model × strategy × precision × backend, forward and
-    backward, with the graph split into many blocks."""
+    """Every zoo model × strategy × precision × block budget, forward
+    and backward, with the graph split into many blocks."""
 
-    @pytest.mark.parametrize("backend", ["reference", "blocked"])
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
     @pytest.mark.parametrize("engine_precision", ["float32", "float64"])
     @pytest.mark.parametrize("strategy_name", STRATEGIES)
     @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
     def test_bit_identical(
-        self, small_blocks, walks, products, graph, model_name, strategy_name,
-        engine_precision, backend,
+        self, monkeypatch, walks, products, graph, model_name, strategy_name,
+        engine_precision, budget,
     ):
+        monkeypatch.setattr(blocks, "BLOCK_BYTES", BUDGETS[budget])
         for precision in PRECISIONS:
             strategy = replace(get_strategy(strategy_name), precision=precision)
             del walks[:], products[:]
-            compiled = _differential(graph, model_name, strategy, engine_precision, backend)
+            compiled = _differential(graph, model_name, strategy, engine_precision)
             if strategy_name == "dgl-like" and model_name == "edgeconv":
                 continue  # no fused kernel at all
             # Fused edge tensors are walked or, inside a chain, never
@@ -192,7 +195,7 @@ class TestBlockVsNode:
     def test_single_block_graphs_keep_the_node_path(self, walks, graph):
         # At the real BLOCK_BYTES a 250-edge graph is one block: the
         # walk would only add copies, so the kernel runs node by node.
-        _differential(graph, "gat", get_strategy("ours"), "float32", "reference")
+        _differential(graph, "gat", get_strategy("ours"), "float32")
         assert walks == []
 
     def test_cached_blocks_follow_the_block_budget(self, monkeypatch):
@@ -209,7 +212,7 @@ class TestBlockVsNode:
         want, _ = run_plan_per_node(oracle, plan, oracle.bind(plan.module, arrays))
         cached = []
         for budget in (SMALL_BLOCK, 4 * SMALL_BLOCK, SMALL_BLOCK):
-            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", budget)
+            monkeypatch.setattr(blocks, "BLOCK_BYTES", budget)
             got = engine.run_plan(plan, engine.bind(plan.module, arrays), unwrap=False)
             assert_same_values(got, want, plan, f"gat/budget={budget}")
             cached.append({k: v for k, v in graph._cache.items() if k[0] == "row_block"})
@@ -404,7 +407,7 @@ class TestWalkAgainstNaiveLoop:
         @hypothesis.given(case=cases())
         def check(case):
             graph, x, w, reduce, orientation, budget = case
-            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", budget)
+            monkeypatch.setattr(blocks, "BLOCK_BYTES", budget)
             module, plan = _walk_module(reduce, orientation, x.shape[1])
             engine = Engine(graph, precision="float64")
             got = engine.run_plan(plan, engine.bind(module, {"x": x, "w": w}))
@@ -488,7 +491,7 @@ class TestBytesAreReal:
         )
         arrays.update(model.init_params(0))
         message = E * 4 * 64 * 4
-        slack = 4 * backend_blocked.BLOCK_BYTES
+        slack = 4 * blocks.BLOCK_BYTES
         forward = None
         for plan in (compiled.fwd_plan, compiled.bwd_plan):
             if forward is not None:
@@ -534,7 +537,7 @@ class TestBytesAreReal:
         feat = 32
         module, plan = _walk_module("sum", "in", feat)
         edge_bytes = graph.num_edges * feat * 4
-        assert edge_bytes >= 4 * backend_blocked.BLOCK_BYTES
+        assert edge_bytes >= 4 * blocks.BLOCK_BYTES
         engine = Engine(graph)
         rng = np.random.default_rng(0)
         env = engine.bind(module, {
@@ -542,8 +545,8 @@ class TestBytesAreReal:
             "w": rng.normal(size=(graph.num_edges, feat)).astype(np.float32),
         })
         peak, boundary = self._traced_peak(engine, plan, env)
-        assert peak <= boundary + 8 * backend_blocked.BLOCK_BYTES, (
+        assert peak <= boundary + 8 * blocks.BLOCK_BYTES, (
             f"peak {peak / 2**20:.1f} MiB vs boundary {boundary / 2**20:.1f} MiB"
         )
         # The two E×f temporaries alone would not fit.
-        assert 2 * edge_bytes > boundary + 8 * backend_blocked.BLOCK_BYTES
+        assert 2 * edge_bytes > boundary + 8 * blocks.BLOCK_BYTES

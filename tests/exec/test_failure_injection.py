@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import Engine, backend_blocked, plan_module
+from repro.exec import Engine, blocks, plan_module
 from repro.ir import Builder, Domain
 
 
@@ -40,7 +40,7 @@ class TestCheckFinite:
         m = b.build()
         plan = plan_module(m, mode="unified")
         # One edge row per block: the 6-edge graph becomes a real walk.
-        monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 100)
+        monkeypatch.setattr(blocks, "BLOCK_BYTES", 100)
         assert plan.blocked(0) is not None
         assert "ratio" in plan.kernel_io(0).internal
         w_arr = np.ones((6, 3))

@@ -26,12 +26,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec.kernel_registry import (
-    available_backends,
-    get_backend,
+from repro.exec import blocks
+from repro.exec.kernels import (
+    apply_kernel,
+    gather_kernel,
+    param_grad_kernel,
     registered_functions,
+    scatter_kernel,
+    writes_out,
 )
-from repro.exec.kernels import gather_kernel
+from repro.exec.memory import ArenaPool
 from repro.graph import Graph
 
 N = 6          # vertex rows
@@ -178,53 +182,49 @@ class TestCaseCoverage:
 
 
 class TestNoAliasing:
-    """No kernel output shares memory with any of its inputs."""
+    """No kernel output shares memory with any of its inputs.
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_apply_kernels(self, rng, backend):
-        kernels = get_backend(backend)
+    Swept per storage dtype: a cast with ``copy=False`` (to the
+    accumulator and back) hands back its input exactly when the dtype
+    already matches, so each dtype takes its own path."""
+
+    DTYPES = (np.float16, np.float32, np.float64)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_apply_kernels(self, rng, dtype):
         for fn, (inputs, params, attrs) in _apply_cases(
-            rng, np.float32
+            rng, dtype
         ).items():
-            out = kernels.apply(fn, inputs, params, attrs)
-            _assert_no_alias(f"{backend}:apply:{fn}", out, inputs + params)
+            out = apply_kernel(fn, inputs, params, attrs)
+            _assert_no_alias(f"apply:{fn}", out, inputs + params)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_scatter_kernels(self, graph, rng, backend):
-        kernels = get_backend(backend)
-        for fn, inputs in _scatter_cases(graph, rng, np.float32).items():
-            out = kernels.scatter(fn, graph, inputs)
-            _assert_no_alias(f"{backend}:scatter:{fn}", out, inputs)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_scatter_kernels(self, graph, rng, dtype):
+        for fn, inputs in _scatter_cases(graph, rng, dtype).items():
+            out = scatter_kernel(fn, graph, inputs)
+            _assert_no_alias(f"scatter:{fn}", out, inputs)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_gather_kernels(self, graph, rng, backend):
-        kernels = get_backend(backend)
-        edge = rng.normal(size=(graph.num_edges, F)).astype(np.float32)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gather_kernels(self, graph, rng, dtype):
+        edge = rng.normal(size=(graph.num_edges, F)).astype(dtype)
         for fn in registered_functions("gather"):
             for orientation in ("in", "out"):
-                out, _ = kernels.gather(
-                    fn, graph, edge, orientation=orientation
-                )
-                _assert_no_alias(
-                    f"{backend}:gather:{fn}:{orientation}", out, [edge]
-                )
+                out, _ = gather_kernel(fn, graph, edge, orientation=orientation)
+                _assert_no_alias(f"gather:{fn}:{orientation}", out, [edge])
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_param_grad_kernels(self, rng, backend):
-        kernels = get_backend(backend)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_param_grad_kernels(self, rng, dtype):
         for fn, (inputs, params, attrs) in _param_grad_cases(
-            rng, np.float32
+            rng, dtype
         ).items():
-            out = kernels.param_grad(fn, inputs, params, attrs)
-            _assert_no_alias(
-                f"{backend}:param_grad:{fn}", out, inputs + params
-            )
+            out = param_grad_kernel(fn, inputs, params, attrs)
+            _assert_no_alias(f"param_grad:{fn}", out, inputs + params)
 
     def test_identity_regression(self, rng):
         # The original bug, pinned directly: identity returned its
         # input array object.
         x = rng.normal(size=(N, F))
-        out = get_backend().apply("identity", [x])
+        out = apply_kernel("identity", [x])
         assert out is not x and not np.shares_memory(out, x)
         np.testing.assert_array_equal(out, x)
 
@@ -238,67 +238,62 @@ class TestDtypePreservation:
     that the *visible* output dtype still matches the input storage
     dtype (the fp32 accumulator never leaks out).  bfloat16 needs no
     kernel-level sweep: it is a logical dtype the engine materialises as
-    float32, so kernels only ever see float32 arrays for it.
+    float32, so kernels only ever see float32 arrays for it.  float64
+    (``Engine(precision="float64")``) is swept too: it must pass
+    through, not be cast down to a half or single accumulator.
     """
 
     DTYPES = (np.float32, np.float16)
+    SWEPT = DTYPES + (np.float64,)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_apply_kernels(self, rng, backend, dtype):
-        kernels = get_backend(backend)
+    @pytest.mark.parametrize("dtype", SWEPT)
+    def test_apply_kernels(self, rng, dtype):
         for fn, (inputs, params, attrs) in _apply_cases(rng, dtype).items():
-            out = kernels.apply(fn, inputs, params, attrs)
+            out = apply_kernel(fn, inputs, params, attrs)
             assert out.dtype == dtype, (
-                f"{backend}:apply:{fn} upcast {dtype} to {out.dtype}"
+                f"apply:{fn} upcast {dtype} to {out.dtype}"
             )
 
-    @pytest.mark.parametrize("backend", available_backends())
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_scatter_kernels(self, graph, rng, backend, dtype):
-        kernels = get_backend(backend)
+    @pytest.mark.parametrize("dtype", SWEPT)
+    def test_scatter_kernels(self, graph, rng, dtype):
         for fn, inputs in _scatter_cases(graph, rng, dtype).items():
-            out = kernels.scatter(fn, graph, inputs)
+            out = scatter_kernel(fn, graph, inputs)
             assert out.dtype == dtype, (
-                f"{backend}:scatter:{fn} upcast {dtype} to {out.dtype}"
+                f"scatter:{fn} upcast {dtype} to {out.dtype}"
             )
 
-    @pytest.mark.parametrize("backend", available_backends())
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_gather_kernels(self, graph, rng, backend, dtype):
-        kernels = get_backend(backend)
+    @pytest.mark.parametrize("dtype", SWEPT)
+    def test_gather_kernels(self, graph, rng, dtype):
         edge = rng.normal(size=(graph.num_edges, F)).astype(dtype)
         for fn in registered_functions("gather"):
             for orientation in ("in", "out"):
                 for want_argmax in (False, fn == "max"):
-                    out, argmax = kernels.gather(
+                    out, argmax = gather_kernel(
                         fn, graph, edge,
                         orientation=orientation, want_argmax=want_argmax,
                     )
                     assert out.dtype == dtype, (
-                        f"{backend}:gather:{fn} upcast {dtype} to {out.dtype}"
+                        f"gather:{fn} upcast {dtype} to {out.dtype}"
                     )
                     if want_argmax:
                         assert argmax is not None
                         assert np.issubdtype(argmax.dtype, np.integer)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_param_grad_kernels(self, rng, backend, dtype):
-        kernels = get_backend(backend)
+    @pytest.mark.parametrize("dtype", SWEPT)
+    def test_param_grad_kernels(self, rng, dtype):
         for fn, (inputs, params, attrs) in _param_grad_cases(
             rng, dtype
         ).items():
-            out = kernels.param_grad(fn, inputs, params, attrs)
+            out = param_grad_kernel(fn, inputs, params, attrs)
             assert out.dtype == dtype, (
-                f"{backend}:param_grad:{fn} upcast {dtype} to {out.dtype}"
+                f"param_grad:{fn} upcast {dtype} to {out.dtype}"
             )
 
     def test_leaky_relu_regression(self):
         # The original bug, pinned directly: a float64 slope attr
         # upcast the whole activation tensor.
         x = np.array([[-2.0, 3.0]], dtype=np.float32)
-        out = get_backend().apply(
+        out = apply_kernel(
             "leaky_relu", [x], attrs={"slope": np.float64(0.1)}
         )
         assert out.dtype == np.float32
@@ -309,11 +304,10 @@ class TestDtypePreservation:
     def test_float64_passes_through(self, rng):
         # The sweep must not have been made to pass by force-casting
         # everything down: float64 inputs stay float64.
-        kernels = get_backend()
         for fn, (inputs, params, attrs) in _apply_cases(
             rng, np.float64
         ).items():
-            assert kernels.apply(fn, inputs, params, attrs).dtype == np.float64
+            assert apply_kernel(fn, inputs, params, attrs).dtype == np.float64
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +318,7 @@ OUT_KERNELS = [
     (kind, fn)
     for kind in ("apply", "scatter")
     for fn in registered_functions(kind)
-    if get_backend().writes_out(kind, fn)
+    if writes_out(kind, fn)
 ]
 
 
@@ -334,14 +328,12 @@ def _size_graph(size: str, monkeypatch) -> Graph:
     chunks."""
     if size == "tiny":
         return Graph(np.array([0, 0, 1, 2, 2, 0]), np.array([1, 2, 2, 0, 2, 1]), N)
-    from repro.exec import backend_blocked
-
-    monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", 256)
+    monkeypatch.setattr(blocks, "BLOCK_BYTES", 256)
     rng = np.random.default_rng(5)
     return Graph(rng.integers(0, 40, 300), rng.integers(0, 40, 300), 40)
 
 
-def _out_call(kernels, kind: str, fn: str, graph: Graph, rng, dtype, f: int = F):
+def _out_call(kind: str, fn: str, graph: Graph, rng, dtype, f: int = F):
     """``(call, arguments)``: ``call(out)`` runs the kernel (``None``:
     the fresh call) on one fixed draw of its case."""
     if kind == "apply":
@@ -349,22 +341,38 @@ def _out_call(kernels, kind: str, fn: str, graph: Graph, rng, dtype, f: int = F)
             rng, dtype, graph.num_vertices, f
         )[fn]
         return (
-            lambda out: kernels.apply(fn, inputs, params, attrs, out=out),
+            lambda out: apply_kernel(fn, inputs, params, attrs, out=out),
             inputs + params,
         )
     inputs = _scatter_cases(graph, rng, dtype, f)[fn]
-    return lambda out: kernels.scatter(fn, graph, inputs, out=out), inputs
+    return lambda out: scatter_kernel(fn, graph, inputs, out=out), inputs
 
 
-def _assert_writes_in_place(label: str, call, arguments) -> None:
+#: Guard bytes on each side of a slab, a multiple of every itemsize.
+GUARD = 64
+
+
+def _assert_writes_in_place(label: str, call, arguments, placement="own") -> None:
+    """``placement``: ``own``, an array of its own; ``slab``, a view at
+    a byte offset into one shared buffer, as :class:`ArenaPool` hands
+    the arena-backed engine's kernels — the bytes around it must stay
+    as they were."""
     fresh = call(None)
-    # A fill no kernel produces, so an element left unwritten shows.
-    out = np.full_like(fresh, 7)
+    if placement == "own":
+        # A fill no kernel produces, so an element left unwritten shows.
+        pool, out = None, np.full_like(fresh, 7)
+    else:
+        pool = ArenaPool(GUARD + fresh.nbytes + GUARD)
+        pool.buffer[:] = 7
+        out = pool.view(GUARD, fresh.shape, fresh.dtype)
     got = call(out)
     assert got is out, f"{label}: returned a new array, not out"
     assert np.array_equal(got.view(np.uint8), fresh.view(np.uint8)), (
         f"{label}: out differs from the fresh call"
     )
+    if pool is not None:
+        guards = np.concatenate([pool.buffer[:GUARD], pool.buffer[GUARD + fresh.nbytes:]])
+        assert (guards == 7).all(), f"{label}: wrote outside its slab"
     for i, arr in enumerate(arguments):
         assert not np.shares_memory(out, arr), f"{label}: out aliases argument {i}"
 
@@ -382,24 +390,20 @@ class TestOutPath:
             fn for kind, fn in OUT_KERNELS if kind == "scatter"
         }
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("placement", ("own", "slab"))
     @pytest.mark.parametrize("size", ("tiny", "chunked"))
     @pytest.mark.parametrize("dtype", TestDtypePreservation.DTYPES)
     @pytest.mark.parametrize("kind, fn", OUT_KERNELS)
     def test_out_is_the_fresh_result(
-        self, monkeypatch, rng, backend, size, dtype, kind, fn
+        self, monkeypatch, rng, size, dtype, kind, fn, placement
     ):
-        kernels = get_backend(backend)
-        if not kernels.writes_out(kind, fn):
-            pytest.skip(f"{backend} overrides {kind}:{fn} without an out path")
         graph = _size_graph(size, monkeypatch)
-        call, arguments = _out_call(kernels, kind, fn, graph, rng, dtype)
-        _assert_writes_in_place(f"{backend}:{kind}:{fn}", call, arguments)
+        call, arguments = _out_call(kind, fn, graph, rng, dtype)
+        _assert_writes_in_place(f"{kind}:{fn}", call, arguments, placement)
 
     def test_random_shapes(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        from repro.exec import backend_blocked
 
         @hypothesis.settings(max_examples=150, deadline=None)
         @hypothesis.given(
@@ -412,11 +416,11 @@ class TestOutPath:
             seed=st.integers(0, 2 ** 31),
         )
         def check(kernel, n, m, f, dtype, budget, seed):
-            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", budget)
+            monkeypatch.setattr(blocks, "BLOCK_BYTES", budget)
             rng = np.random.default_rng(seed)
             graph = Graph(rng.integers(0, n, m), rng.integers(0, n, m), n)
             kind, fn = kernel
-            call, arguments = _out_call(get_backend(), kind, fn, graph, rng, dtype, f)
+            call, arguments = _out_call(kind, fn, graph, rng, dtype, f)
             _assert_writes_in_place(f"{kind}:{fn}", call, arguments)
 
         check()

@@ -4,7 +4,7 @@ The measurement layer never influences results — it only reads the
 engine's ``kernel_timings`` hook — so these tests pin the structural
 contracts: every kernel is classified and timed, medians come from the
 requested repeat count, analytic pairing uses the same records as the
-cost model, and the calibration table has one row per (backend, class)
+cost model, and the calibration table has one row per kernel class
 with a finite ratio.
 """
 
@@ -88,7 +88,6 @@ class TestMeasurePlan:
         run = measure_plan(
             graph, compiled.plan, arrays, repeats=3, warmup=1
         )
-        assert run.backend == "reference"
         assert run.gpu == "V100"
         assert run.repeats == 3
         assert run.dtype == "float32"
@@ -108,13 +107,6 @@ class TestMeasurePlan:
         )
         assert set(run.class_seconds()) == set(run.class_analytic_seconds())
 
-    def test_backend_is_canonicalised(self, workload):
-        graph, compiled, arrays = workload
-        run = measure_plan(
-            graph, compiled.plan, arrays, backend="numpy", repeats=1
-        )
-        assert run.backend == "reference"
-
     def test_results_unchanged_by_measurement(self, workload):
         graph, compiled, arrays = workload
         engine = Engine(graph, precision="float32")
@@ -133,7 +125,7 @@ class TestMeasurePlan:
 
 class TestCalibrationRows:
     def test_row_shape_and_ratio(self):
-        run = MeasuredRun(backend="reference", gpu="V100", repeats=1)
+        run = MeasuredRun(gpu="V100", repeats=1)
         run.timings.append(
             KernelTiming(
                 index=0, label="k0", kernel_class="gather",
@@ -146,13 +138,13 @@ class TestCalibrationRows:
                 mapping="vertex", measured_s=1.0, analytic_s=0.0,
             )
         )
-        rows = calibration_rows([run])
-        assert [r[:3] for r in rows] == [
-            ["reference", "float32", "gather"],
-            ["reference", "float32", "apply"],
+        rows = calibration_rows(run)
+        assert [(r["dtype"], r["kernel_class"], r["kernels"]) for r in rows] == [
+            ("float32", "gather", 1),
+            ("float32", "apply", 1),
         ]
-        assert rows[0][6] == "4.00"
-        assert rows[1][6] == "inf"
+        assert rows[0]["ratio"] == 4.0
+        assert rows[1]["ratio"] == float("inf")
         assert KernelTiming(
             index=1, label="k1", kernel_class="apply",
             mapping="vertex", measured_s=1.0, analytic_s=0.0,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec import Engine, MultiEngine, backend_blocked
+from repro.exec import Engine, MultiEngine, blocks
 from repro.exec.analytic import plan_comm_records
 from repro.exec.multi import ExchangeRecord
 from repro.frameworks import compile_training, get_strategy, list_strategies
@@ -135,7 +135,7 @@ class TestSinglePartIdentity:
     @pytest.fixture(params=[None, 128], ids=["one-block", "many-blocks"])
     def block_bytes(self, request, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(backend_blocked, "BLOCK_BYTES", request.param)
+            monkeypatch.setattr(blocks, "BLOCK_BYTES", request.param)
 
     @pytest.mark.parametrize(
         "strategy_name", ["dgl-like", "fusegnn-like", "ours", "ours-stash"]

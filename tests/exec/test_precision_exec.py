@@ -6,11 +6,7 @@ what graph the model computes.  So against the fp32 oracle:
 
 * ``fp32``  — bit-identical (``apply_precision`` is the identity),
 * ``fp16``/``bf16`` — outputs within ``1e-2`` relative error,
-* ``int8`` — outputs within ``1e-1`` relative error,
-
-and the per-kernel backends must agree with each other bit-for-bit
-at every precision (fp32 accumulation makes reduction order the only
-free variable, and blocked execution preserves it).
+* ``int8`` — outputs within ``1e-1`` relative error.
 
 A fast subset runs in tier-1; the full model zoo is ``slow``.
 """
@@ -120,34 +116,6 @@ class TestTrainingDifferential:
         # Gradients accumulate one more reduction layer; give them an
         # extra factor over the forward bound.
         _assert_within(grads, grads32, 10 * bound, f"train-grad@{precision}")
-
-
-class TestBackendsAgreeAtPrecision:
-    @pytest.mark.parametrize("precision", ["fp16", "bf16", "int8"])
-    def test_blocked_matches_reference(self, graph, precision):
-        model = MODELS.get("gat")(IN_DIM, NUM_CLASSES)
-        rng = np.random.default_rng(1)
-        feats = rng.normal(size=(graph.num_vertices, IN_DIM)).astype(
-            np.float32
-        )
-        arrays = dict(model.make_inputs(graph, feats))
-        arrays.update(model.init_params(1))
-        strat = replace(get_strategy("ours"), precision=precision)
-        compiled = compile_forward(model, strat)
-
-        def _run(backend):
-            engine = Engine(graph, precision="float32", backend=backend)
-            env = engine.bind(compiled.forward, arrays)
-            out = engine.run_plan(compiled.plan, env, unwrap=True)
-            return {k: np.asarray(out[k]) for k in compiled.forward.outputs}
-
-        ref = _run("reference")
-        blocked = _run("blocked")
-        for name in ref:
-            np.testing.assert_array_equal(
-                blocked[name], ref[name],
-                err_msg=f"blocked != reference for {name} at {precision}",
-            )
 
 
 class TestArenaInteraction:

@@ -155,7 +155,7 @@ class TestFeaturesReadCachedScores:
     def test_bit_identical_to_regenerating_the_canonical_matrix(self, name):
         ds = get_dataset(name)
         n = ds.stats.num_vertices
-        scores = ds.features() @ ds._label_basis
+        scores = ds._label_scores
         for dim, seed in ((ds.feature_dim, 0), (32, 5), (5, 2)):
             want = np.random.default_rng(seed).normal(
                 scale=1.0 / np.sqrt(dim), size=(n, dim)

@@ -216,14 +216,14 @@ def run_plan_per_node(engine: Engine, plan, env):
 def per_node_multi_engine(graph: Graph, partition, **kwargs) -> MultiEngine:
     """A :class:`MultiEngine` whose shards run every node.
 
-    The oracle for the chains partitioned runs take: each shard is told
-    its backend has no chain (as one overriding ``copy_u`` would), so
-    every aggregation builds its messages and every halo is fetched by
-    the node that reads it.
+    The oracle for the chains partitioned runs take: each shard's
+    ``_takes_chains`` answers no for every run, as it does for narrow
+    storage or the finite check, so every aggregation builds its
+    messages and every halo is fetched by the node that reads it.
     """
     multi = MultiEngine(graph, partition, **kwargs)
     for shard in multi._shards:
-        shard._chains = False
+        shard._takes_chains = lambda dtypes: False
     return multi
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import backend_blocked
+from repro.exec import blocks
 from repro.exec.kernels import aggregate, apply_kernel, gather_kernel, scatter_kernel
 from repro.graph import Graph
 
@@ -161,7 +161,7 @@ def test_dot_step_is_the_per_edge_loop(dtype, heads, width, data, budget):
     for e in range(graph.num_edges):
         want[e] = (b[graph.src[e]] * a[graph.dst[e]]).sum(-1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(backend_blocked, "BLOCK_BYTES", budget)
+        patch.setattr(blocks, "BLOCK_BYTES", budget)
         got = scatter_kernel("u_dot_v", graph, [b, a])
     node_path = apply_kernel(
         "reduce_to_shape",

@@ -5,9 +5,9 @@ row added left to right in CSC/CSR edge order — which is what
 ``acc = zeros; for row in segment: acc = acc + row`` computes, so the
 vectorised routine (one CSR × dense product,
 :func:`repro.exec.kernels.segment_sum`) must be ``array_equal`` to that
-loop, not ``allclose``: through the ``reference`` gather, through
-:func:`~repro.exec.backend_blocked.blocked_segment_reduce`, and block by
-block the way ``Engine._walk`` cuts a graph.  The walk itself is held to
+loop, not ``allclose``: through :func:`segment_reduce`, through the
+gather kernel, and block by block the way ``Engine._walk`` cuts a
+graph.  The walk itself is held to
 the same loop on real-valued data in ``tests/exec/test_blocked_walk.py``.
 """
 
@@ -15,15 +15,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.backend_blocked import blocked_segment_reduce
-from repro.exec.kernel_registry import get_backend
 from repro.exec.kernels import gather_kernel, segment_reduce
 from repro.graph import Graph
 
-#: A ``block_bytes`` the long segment always exceeds: its >= 17 rows
-#: are >= 68 bytes even as float32 scalars.
-SMALL_BLOCK = 64
-LONG_SEGMENT = st.integers(SMALL_BLOCK // 4 + 1, 60)
+#: The length of the one long segment each case holds.
+LONG_SEGMENT = st.integers(17, 60)
 
 
 def _loop_sum(values, indptr, eids, acc):
@@ -40,8 +36,8 @@ def _loop_sum(values, indptr, eids, acc):
 @st.composite
 def segments(draw):
     """(lens, eids, values): empty segments leading, trailing and in
-    runs, one segment longer than ``SMALL_BLOCK`` bytes of rows, a
-    random permutation, a random feature shape and dtype."""
+    runs, one long segment (:data:`LONG_SEGMENT` rows), a random
+    permutation, a random feature shape and dtype."""
     empties = st.integers(0, 3).map(lambda k: [0] * k)
     lens = draw(empties)
     for n in draw(st.lists(st.integers(1, 9), max_size=6)):
@@ -89,10 +85,6 @@ class TestSegmentSumIsTheLoop:
         want = _loop_sum(values, indptr, eids, values.dtype)
         got = segment_reduce(values[eids], indptr, reduce="sum")
         assert got.dtype == values.dtype and np.array_equal(got, want)
-        got = blocked_segment_reduce(
-            values, indptr, eids, reduce="sum", block_bytes=SMALL_BLOCK
-        )
-        assert got.dtype == values.dtype and np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -104,11 +96,8 @@ class TestSegmentSumIsTheLoop:
         lens, eids, values = case
         graph, indptr, order = _graph(lens, eids, orientation)
         want = _loop_sum(values, indptr, order, values.dtype)
-        for backend in ("reference", "blocked"):
-            got, _ = get_backend(backend).gather(
-                "sum", graph, values, orientation=orientation
-            )
-            assert np.array_equal(got, want), backend
+        got, _ = gather_kernel("sum", graph, values, orientation=orientation)
+        assert np.array_equal(got, want)
         # Three blocks of home rows, as Engine._walk cuts them.
         a, b = sorted(int(round(c * lens.shape[0])) for c in cuts)
         parts = []
@@ -128,9 +117,6 @@ class TestSegmentSumIsTheLoop:
         half = values.astype(np.float16)
         graph, indptr, order = _graph(lens, eids, orientation)
         want = _loop_sum(half, indptr, order, np.float32).astype(np.float16)
-        for backend in ("reference", "blocked"):
-            got, _ = get_backend(backend).gather(
-                "sum", graph, half, orientation=orientation
-            )
-            assert got.dtype == np.float16 and np.array_equal(got, want)
+        got, _ = gather_kernel("sum", graph, half, orientation=orientation)
+        assert got.dtype == np.float16 and np.array_equal(got, want)
 

@@ -230,7 +230,7 @@ def _bare_engine_steps(compiled, graph, feats, labels, steps):
     from repro.ir.autodiff import grad_seed_name
     from repro.ir.module import GRAPH_CONSTANTS
 
-    engine = Engine(graph, precision="float32", backend=compiled.strategy.backend)
+    engine = Engine(graph, precision="float32")
     params = dict(compiled.model.init_params(0))
     output = compiled.forward.outputs[0]
     optimizer, losses = Adam(lr=0.01), []
