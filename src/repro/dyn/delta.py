@@ -375,7 +375,7 @@ class DynamicGraph:
         knows and those the pending edges add — exactly the
         in-neighbours of the merged graph, without materialising it.
         """
-        return _khop(self._layouts(), self._num_vertices, seeds, hops)
+        return _khop(self._layouts(), self._num_vertices, seeds, hops)[0]
 
     def induce(
         self, vertices: np.ndarray
@@ -400,9 +400,8 @@ class DynamicGraph:
         with one built on the rebuilt graph.
         """
         return _sample(
-            np.unique(np.asarray(seeds, dtype=np.int64)),
-            lambda seeds: self.neighborhood(seeds, hops),
-            self.induce,
+            self._layouts(), self._num_vertices,
+            np.unique(np.asarray(seeds, dtype=np.int64)), hops,
         )
 
     # ------------------------------------------------------------------

@@ -63,7 +63,7 @@ engine keeps it.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -82,6 +82,7 @@ __all__ = [
     "register_kernel",
     "registered_functions",
     "resolve_kernel",
+    "row_count_dependent",
     "segment_reduce",
     "segment_sum",
     "writes_out",
@@ -96,14 +97,26 @@ KINDS = ("apply", "scatter", "gather", "param_grad")
 #: (kind, fn) -> kernel.
 _KERNELS: Dict[Tuple[str, str], Callable] = {}
 
+#: Kernels whose output rows depend on how many rows they are handed.
+_ROW_COUNT_DEPENDENT: Set[Tuple[str, str]] = set()
 
-def register_kernel(kind: str, fn: str):
-    """Decorator: register the kernel of ``(kind, fn)``."""
+
+def register_kernel(kind: str, fn: str, *, row_count_dependent: bool = False):
+    """Decorator: register the kernel of ``(kind, fn)``.
+
+    ``row_count_dependent`` declares that a row of the result may differ
+    bit for bit when the kernel runs on a subset of the rows — BLAS
+    blocks a product by its shape.  Every other apply kernel is
+    row-independent: ``k(x[idx])`` equals ``k(x)[idx]`` by bytes, which
+    is what lets an engine compute only the rows a caller reads.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KINDS}")
 
     def deco(impl: Callable) -> Callable:
         _KERNELS[(kind, fn)] = impl
+        if row_count_dependent:
+            _ROW_COUNT_DEPENDENT.add((kind, fn))
         return impl
 
     return deco
@@ -121,6 +134,11 @@ def resolve_kernel(kind: str, fn: str) -> Callable:
         label = "reduce " if kind == "gather" else ""
         raise KeyError(f"no {kind} kernel for {label}{fn!r}")
     return kernel
+
+
+def row_count_dependent(kind: str, fn: str) -> bool:
+    """Was ``(kind, fn)`` registered as row-count-dependent?"""
+    return (kind, fn) in _ROW_COUNT_DEPENDENT
 
 
 def writes_out(kind: str, fn: str) -> bool:
@@ -191,8 +209,8 @@ def no_alias(out: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
 ApplyKernel = Callable[..., np.ndarray]
 
 
-def _register_apply(name: str):
-    return register_kernel("apply", name)
+def _register_apply(name: str, **flags):
+    return register_kernel("apply", name, **flags)
 
 
 def apply_kernel(
@@ -371,14 +389,14 @@ def _k_reduce_to_shape(inputs, params, attrs):
     return no_alias(reduce_to_shape_array(x, tuple(attrs["target_shape"])), x)
 
 
-@_register_apply("linear")
+@_register_apply("linear", row_count_dependent=True)
 def _k_linear(inputs, params, attrs, out=None):
     (x,) = inputs
     (w,) = params
     return np.matmul(x, w, out=out)
 
 
-@_register_apply("linear_grad_input")
+@_register_apply("linear_grad_input", row_count_dependent=True)
 def _k_linear_grad_input(inputs, params, attrs, out=None):
     (g,) = inputs
     (w,) = params

@@ -33,6 +33,7 @@ from typing import (
     Set, Tuple,
 )
 
+from repro.exec.rings import ring_depths
 from repro.graph.stats import GraphStats
 from repro.ir.functions import get_scatter_fn
 from repro.ir.module import Module
@@ -208,6 +209,7 @@ class ExecPlan:
         self._forms: Dict[FrozenSet[str], "CostForms"] = {}
         self._result_names: Optional[Tuple[str, ...]] = None
         self._argmax_demand: Optional[FrozenSet[str]] = None
+        self._rings: Optional[Dict[str, int]] = None
         self._consumers: Optional[Dict[str, List[OpNode]]] = None
         self._chains: Dict[int, Dict[str, AggregationChain]] = {}
         self._blocked: Dict[Tuple[int, bool], Optional[BlockedKernel]] = {}
@@ -401,6 +403,15 @@ class ExecPlan:
                 and (consumers.get(node.outputs[1]) or node.outputs[1] in wanted)
             )
         return self._argmax_demand
+
+    def rings(self) -> Dict[str, int]:
+        """The ring each value must be exact on when a caller reads only
+        the outputs' rows at hop distance 0 — and each node runs on
+        (:func:`~repro.exec.rings.ring_depths`; the keep set is read
+        whole).  Computed once and shared: read-only."""
+        if self._rings is None:
+            self._rings = ring_depths(self.module, self.keep)
+        return self._rings
 
     def _consumer_map(self) -> Dict[str, List[OpNode]]:
         if self._consumers is None:

@@ -8,6 +8,9 @@ single-graph training loop usable in mini-batch form:
 - :func:`induced_subgraph` — restrict a graph to a vertex subset,
 - :func:`khop_neighborhood` — the receptive field of a seed set (an
   L-layer GNN needs the L-hop in-neighbourhood for exact embeddings),
+- :func:`ring_graph` — a field's vertices with only the in-edges of its
+  inner rings, by each vertex's hop distance (what a run reading only
+  the seeds' rows computes each layer on),
 - :func:`random_vertex_batches` — a partition sampler for epochs,
 - :func:`plan_minibatches` — one epoch's worth of :class:`MiniBatch`
   schedules (seeds → receptive field → induced subgraph), consumed both
@@ -39,6 +42,7 @@ __all__ = [
     "induced_subgraph",
     "in_neighbours",
     "khop_neighborhood",
+    "ring_graph",
     "random_vertex_batches",
     "MiniBatch",
     "plan_minibatches",
@@ -92,15 +96,18 @@ def _mark_in_neighbours(
 
 def _khop(
     layouts, num_vertices: int, seeds: np.ndarray, hops: int
-) -> np.ndarray:
-    """:func:`khop_neighborhood` over edge layouts sharing one vertex space.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`khop_neighborhood` over edge layouts sharing one vertex space,
+    with each field vertex's hop distance.
 
     A layout is ``(graph, global id of its first edge)``, the first at
     edge 0; a plain graph is one, a
     :class:`~repro.dyn.delta.DynamicGraph` two (compacted CSR, pending
     edges).  A hop marks the frontier's in-neighbours in a
     boolean over the vertex space and reads the unvisited ones back in
-    ascending order: no sort, no ``np.unique``.
+    ascending order: no sort, no ``np.unique``.  Returns the field
+    (ascending) and, aligned with it, the hop at which each vertex was
+    first reached (0 for the seeds) — the rings :func:`ring_graph` cuts.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
@@ -108,6 +115,7 @@ def _khop(
     visited = np.zeros(num_vertices, dtype=bool)
     visited[frontier] = True
     reached = np.zeros(num_vertices, dtype=bool)
+    rings = [frontier]
     for _ in range(hops):
         if frontier.size == 0:
             break
@@ -116,7 +124,12 @@ def _khop(
         frontier = np.flatnonzero(reached)
         visited[frontier] = True
         reached[frontier] = False
-    return np.flatnonzero(visited)
+        rings.append(frontier)
+    field = np.flatnonzero(visited)
+    distance = np.empty(field.shape[0], dtype=np.int64)
+    for hop, ring in enumerate(rings):
+        distance[np.searchsorted(field, ring)] = hop
+    return field, distance
 
 
 def _inherit(
@@ -199,6 +212,33 @@ def _induce(
     return sub, kept, eids
 
 
+def ring_graph(
+    graph: Graph, distance: np.ndarray, depth: int
+) -> Tuple[Graph, np.ndarray]:
+    """A field's ring ``depth``: its vertices with only the in-edges of
+    those at most ``depth`` hops out.
+
+    ``distance`` is each vertex's hop distance (:class:`MiniBatch`).
+    Returns ``(ring, edge_ids)``: a graph on all of ``graph``'s vertices
+    whose edges are ``graph``'s edges ``edge_ids`` (ascending), keeping
+    their order inside every segment, so a ring vertex reduces exactly
+    the rows it does on ``graph``.  Its groupings are read off
+    ``graph``'s (:func:`_inherit`): the kept edges are whole in-edge
+    segments.
+    """
+    kept = np.flatnonzero(distance[graph.dst] <= depth)
+    src, dst = graph.src[kept], graph.dst[kept]
+    n = graph.num_vertices
+    ring = Graph.grouped(
+        src, dst, n,
+        {
+            "in": _inherit(graph, kept, "in", dst, n),
+            "out": lambda: _inherit(graph, kept, "out", src, n),
+        },
+    )
+    return ring, kept
+
+
 def induced_subgraph(
     graph: Graph, vertices: np.ndarray
 ) -> Tuple[Graph, np.ndarray, np.ndarray]:
@@ -248,7 +288,7 @@ def khop_neighborhood(
     ≤ hops *into* a seed.  Returned sorted.  Each round is one
     vectorised expansion (:func:`_khop`).
     """
-    return _khop(((graph, 0),), graph.num_vertices, seeds, hops)
+    return _khop(((graph, 0),), graph.num_vertices, seeds, hops)[0]
 
 
 def random_vertex_batches(
@@ -309,6 +349,10 @@ class MiniBatch:
     seed_index:
         Positions of ``seeds`` within ``vertices`` (= subgraph-local
         seed ids); mask losses with it.
+    distance:
+        Hop distance of each field vertex from the seeds, aligned with
+        ``vertices``: what an engine run that reads only the seeds'
+        rows computes each layer on (:func:`ring_graph`).
     """
 
     seeds: np.ndarray
@@ -316,6 +360,7 @@ class MiniBatch:
     subgraph: Graph
     edge_ids: np.ndarray
     seed_index: np.ndarray
+    distance: np.ndarray
 
     @property
     def num_seeds(self) -> int:
@@ -332,12 +377,16 @@ class MiniBatch:
         return mask
 
 
-def _sample(seeds: np.ndarray, khop, induce) -> MiniBatch:
+def _sample(
+    layouts, num_vertices: int, seeds: np.ndarray, hops: int
+) -> MiniBatch:
     """Sorted unique seeds → k-hop field → induced subgraph → positions:
     the one construction behind :func:`plan_minibatches`,
     :func:`repro.serve.batcher.receptive_field` and
-    :meth:`repro.dyn.delta.DynamicGraph.receptive_field`."""
-    sub, kept, eids = induce(khop(seeds))
+    :meth:`repro.dyn.delta.DynamicGraph.receptive_field`, over edge
+    layouts (see :func:`_khop`)."""
+    field, distance = _khop(layouts, num_vertices, seeds, hops)
+    sub, kept, eids = _induce(layouts, num_vertices, field)
     # kept is sorted (k-hop output), so positions come from bisect.
     return MiniBatch(
         seeds=seeds,
@@ -345,6 +394,7 @@ def _sample(seeds: np.ndarray, khop, induce) -> MiniBatch:
         subgraph=sub,
         edge_ids=eids,
         seed_index=np.searchsorted(kept, seeds),
+        distance=distance,
     )
 
 
@@ -367,8 +417,4 @@ def plan_minibatches(
     for seeds in random_vertex_batches(
         graph.num_vertices, batch_size, rng=rng
     ):
-        yield _sample(
-            np.sort(seeds),
-            lambda seeds: khop_neighborhood(graph, seeds, hops),
-            lambda field: induced_subgraph(graph, field),
-        )
+        yield _sample(((graph, 0),), graph.num_vertices, np.sort(seeds), hops)

@@ -11,8 +11,9 @@ Batching trades latency for efficiency both ways: at low load requests
 eat the ``max_wait`` timeout; at high load batches fill instantly and
 amortise the per-batch receptive-field expansion.
 
-:func:`receptive_field` reuses the sampling-layer machinery
-(:func:`~repro.graph.sampling.khop_neighborhood` +
+:func:`receptive_field` reuses the sampling-layer machinery (the
+expansion and induction behind
+:func:`~repro.graph.sampling.khop_neighborhood` +
 :func:`~repro.graph.sampling.induced_subgraph`) and returns the same
 :class:`~repro.graph.sampling.MiniBatch` schedule the mini-batch
 trainer consumes — serving is the inference-side twin of sampled
@@ -27,12 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.sampling import (
-    MiniBatch,
-    _sample,
-    induced_subgraph,
-    khop_neighborhood,
-)
+from repro.graph.sampling import MiniBatch, _sample
 from repro.serve.request import InferenceRequest
 
 __all__ = ["BatchPolicy", "MicroBatch", "coalesce", "receptive_field"]
@@ -145,7 +141,6 @@ def receptive_field(graph: Graph, seeds: np.ndarray, hops: int) -> MiniBatch:
     engine run on the same induced subgraph.
     """
     return _sample(
-        np.unique(np.asarray(seeds, dtype=np.int64)),
-        lambda seeds: khop_neighborhood(graph, seeds, hops),
-        lambda field: induced_subgraph(graph, field),
+        ((graph, 0),), graph.num_vertices,
+        np.unique(np.asarray(seeds, dtype=np.int64)), hops,
     )

@@ -15,10 +15,13 @@ per tenant) over a shared concrete graph and feature store:
    gather cost of the cache misses — and the SLO-aware scheduler
    (:func:`~repro.serve.scheduler.place_batches`) places batches from
    all tenant queues onto the GPU pool (EDF or FIFO),
-4. batches execute bit-identically through the ordinary
+4. batches execute through the ordinary
    :class:`~repro.exec.engine.Engine` on their induced subgraphs
-   (optionally through per-field arena plans), and each request's seed
-   rows are delivered.
+   (optionally through per-field arena plans), each node on the ring of
+   the field the seeds' rows need (``run_plan(distance=)`` with the
+   batch's hop distances), and each request's seed rows are delivered —
+   bit-identical to a whole-field run's.  The clock still prices the
+   whole field.
 
 A :class:`~repro.gpu.cluster.Cluster` serves as a homogeneous pool —
 whole batches are placed on single GPUs, so the interconnect never
@@ -51,6 +54,7 @@ if TYPE_CHECKING:  # runtime import would cycle: dyn.workload uses serve.request
 from repro.exec.analytic import feature_gather_row_bytes
 from repro.exec.engine import Engine, require_accounting_precision
 from repro.exec.memory import StepMemoryPlan
+from repro.exec.rings import receptive_hops
 from repro.frameworks.strategy import CompiledForward
 from repro.gpu.cluster import Cluster
 from repro.gpu.cost_model import CostModel
@@ -89,8 +93,6 @@ class _TenantRuntime:
         params: Optional[Dict[str, np.ndarray]],
         param_seed: int,
     ):
-        from repro.train.minibatch import receptive_hops  # lazy: avoids cycle
-
         if not isinstance(compiled, CompiledForward):
             raise TypeError(
                 f"tenant {name!r}: serving takes a CompiledForward "
@@ -284,9 +286,10 @@ class InferenceServer:
     ) -> np.ndarray:
         """Run the tenant's forward plan on the induced subgraph.
 
-        Bit-identical to a direct :class:`Engine` run on the same
-        subgraph with the same sliced feature rows — the serving path
-        adds nothing between the field construction and the plan walk.
+        Only the seeds' rows are read, so the run is restricted to the
+        rings they need (the batch's hop distances); those rows are
+        bit-identical to a direct whole-field :class:`Engine` run on the
+        same subgraph with the same sliced feature rows.
         ``mplan`` is the batch's arena plan from the costing pass (None
         without :attr:`memory_plan`), reused rather than replanned.
         ``feature_rows`` overrides the static matrix slice on dynamic
@@ -300,7 +303,9 @@ class InferenceServer:
         arrays = compiled.model.make_inputs(mb.subgraph, feature_rows)
         arrays.update(runtime.params)
         env = engine.bind(compiled.forward, arrays)
-        out = engine.run_plan(compiled.plan, env, unwrap=True)
+        out = engine.run_plan(
+            compiled.plan, env, unwrap=True, distance=mb.distance
+        )
         return out[runtime.output_name]
 
     # ------------------------------------------------------------------

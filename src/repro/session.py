@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.exec.memory import StepMemoryPlan
 from repro.exec.profiler import Counters, MiniBatchCounters, MultiGPUCounters
+from repro.exec.rings import receptive_hops
 from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.frameworks.strategy import ExecutionStrategy
 from repro.gpu.cluster import Cluster, ClusterCostModel, CommBreakdown, make_cluster
@@ -713,8 +714,6 @@ class Session:
         """One epoch's (num_seeds, field_stats) pairs for the workload."""
         batch_size, hops, seed = self._minibatch
         if hops is None:
-            from repro.train.minibatch import receptive_hops  # lazy: cheap import path
-
             hops = receptive_hops(compiled.forward)
         ds = self.resolve_dataset()
         rng = np.random.default_rng(seed)

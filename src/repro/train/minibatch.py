@@ -35,13 +35,10 @@ import numpy as np
 
 from repro.exec.analytic import vertex_data_inputs
 from repro.exec.engine import require_accounting_precision
+from repro.exec.rings import receptive_hops
 from repro.frameworks.strategy import CompiledTraining
 from repro.graph.csr import Graph
 from repro.graph.sampling import plan_minibatches
-from repro.ir.functions import get_scatter_fn
-from repro.ir.module import Module
-from repro.ir.ops import OpKind
-from repro.ir.tensorspec import Domain
 from repro.train.loop import Trainer
 from repro.train.optim import Optimizer
 
@@ -51,75 +48,6 @@ __all__ = [
     "BatchRecord",
     "receptive_hops",
 ]
-
-
-def _scatter_depth(node, specs, depth: Dict[str, int]) -> int:
-    """Hop radius of a Scatter's edge output, relative to the edge's
-    destination vertex.
-
-    Reading the *source* endpoint moves information one hop (u is an
-    in-neighbour of the destination); reading the *destination* does
-    not — this is what keeps softmax-normalisation chains
-    (gather → copy_v broadcast → divide) at radius 0 instead of
-    inflating the count per layer.  ``max_grad``'s direct vertex reads
-    are destination-local by the same convention the analytic/multi-GPU
-    walkers use.
-    """
-    fn = get_scatter_fn(node.fn)
-    inputs = list(node.inputs)
-    contributions = [0]
-    idx = 0
-    if fn.reads_u:
-        u = inputs[idx]
-        idx += 1
-        d = depth.get(u, 0)
-        if specs[u].domain is Domain.VERTEX and not fn.vertex_direct_read:
-            d += 1
-        contributions.append(d)
-    if fn.reads_v and idx < len(inputs):
-        contributions.append(depth.get(inputs[idx], 0))
-    return max(contributions)
-
-
-def receptive_hops(module: Module) -> int:
-    """Message-passing depth of a module: its receptive-field radius.
-
-    An L-layer GNN needs the L-hop in-neighbourhood of its seeds for
-    exact embeddings.  Tracked per value as the hop radius relative to
-    the row's anchor vertex (a vertex tensor's own vertex; an edge
-    tensor's destination): only a Scatter reading the edge *source*
-    crosses to a neighbour, so a 2-layer GAT — whose per-layer softmax
-    adds two extra destination-local Gather/broadcast rounds — still
-    reports 2, not 6.  Relaxes to a fixed point so node ordering does
-    not matter.
-    """
-    specs = module.specs
-    depth: Dict[str, int] = {}
-    for _ in range(len(module.nodes) + 1):
-        changed = False
-        for node in module.nodes:
-            if node.kind is OpKind.SCATTER:
-                d = _scatter_depth(node, specs, depth)
-            else:
-                d = max(
-                    (depth.get(name, 0) for name in node.all_inputs()),
-                    default=0,
-                )
-                if (
-                    node.kind is OpKind.GATHER
-                    and node.orientation == "out"
-                ):
-                    # Out-edge reductions read rows anchored one hop
-                    # forward; conservative +1 (forward modules in the
-                    # model zoo never use them).
-                    d += 1
-            for out in node.outputs:
-                if depth.get(out, 0) < d:
-                    depth[out] = d
-                    changed = True
-        if not changed:
-            break
-    return max((depth.get(o, 0) for o in module.outputs), default=0)
 
 
 @dataclass(frozen=True)

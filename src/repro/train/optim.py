@@ -70,8 +70,9 @@ class Adam(Optimizer):
         for name, grad in grads.items():
             if name not in params:
                 raise KeyError(f"gradient for unknown parameter {name!r}")
-            m = self._m.get(name, np.zeros_like(grad))
-            v = self._v.get(name, np.zeros_like(grad))
+            m, v = self._m.get(name), self._v.get(name)
+            if m is None:  # first step of this parameter
+                m, v = np.zeros_like(grad), np.zeros_like(grad)
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad * grad
             self._m[name], self._v[name] = m, v

@@ -21,6 +21,7 @@ from repro.serve import InferenceServer, receptive_field
 from tests.helpers import (
     ReferenceFeatureCache,
     cache_state,
+    rebuild_at,
     recording_cache,
     replay_cache_calls,
 )
@@ -62,33 +63,6 @@ def dynamic_workload(graph, tenant, n=24, *, seed=0, update_frac=0.35):
         new_vertex_prob=0.5,
         seed=seed,
     )
-
-
-def rebuild_at(graph, features, updates, dispatch_s):
-    """From-scratch (graph, features) with every update at or before
-    ``dispatch_s`` applied — the reference state for one batch."""
-    feats = np.asarray(features, dtype=np.float64).copy()
-    src, dst, grown = [], [], 0
-    for u in sorted(updates, key=lambda u: (u.arrival_s, u.update_id)):
-        if u.arrival_s > dispatch_s:
-            break
-        if u.num_feature_rows:
-            feats[u.feature_vertices] = u.feature_rows
-        if u.delta is not None:
-            src.append(u.delta.src)
-            dst.append(u.delta.dst)
-            grown += u.delta.num_new_vertices
-            if u.new_vertex_rows is not None:
-                feats = np.concatenate([feats, u.new_vertex_rows], axis=0)
-    if not src and grown == 0:
-        return graph, feats
-    empty = np.array([], dtype=np.int64)
-    g = graph.with_edges(
-        np.concatenate(src) if src else empty,
-        np.concatenate(dst) if dst else empty,
-        num_new_vertices=grown,
-    )
-    return g, feats
 
 
 def assert_bit_identical_to_rebuild(server, report, graph, features, updates, tenant, seeds_by_id):

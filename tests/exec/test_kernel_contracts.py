@@ -32,6 +32,7 @@ from repro.exec.kernels import (
     gather_kernel,
     param_grad_kernel,
     registered_functions,
+    row_count_dependent,
     scatter_kernel,
     writes_out,
 )
@@ -308,6 +309,64 @@ class TestDtypePreservation:
             rng, np.float64
         ).items():
             assert apply_kernel(fn, inputs, params, attrs).dtype == np.float64
+
+
+# ----------------------------------------------------------------------
+# Row independence: what lets an engine compute only the rows it needs
+# ----------------------------------------------------------------------
+#: Apply kernels whose rows may change with the row count.
+ROW_COUNT_DEPENDENT = [
+    fn for fn in registered_functions("apply") if row_count_dependent("apply", fn)
+]
+
+
+class TestRowIndependence:
+    """Every apply kernel not declared row-count-dependent gives each
+    row the bytes it gives it on the whole array: ``k(x[idx])`` equals
+    ``k(x)[idx]`` by ``tobytes()``, for any subset of rows — the empty
+    one and single rows included.  A serving run that computes a ring
+    of the field (``Engine.run_plan(distance=)``) trusts exactly this.
+    """
+
+    def test_the_declared_set_is_the_blas_products(self):
+        assert set(ROW_COUNT_DEPENDENT) == {"linear", "linear_grad_input"}
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_row_subsets(self, dtype):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        independent = sorted(
+            set(registered_functions("apply")) - set(ROW_COUNT_DEPENDENT)
+        )
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 40))
+            rows = draw(st.one_of(
+                st.just([]),
+                st.integers(0, n - 1).map(lambda i: [i]),
+                st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(sorted),
+            ))
+            return n, np.asarray(rows, dtype=np.int64)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            case=cases(), f=st.integers(1, 9), seed=st.integers(0, 2 ** 31)
+        )
+        def check(case, f, seed):
+            n, rows = case
+            catalogue = _apply_cases(np.random.default_rng(seed), dtype, n, f)
+            for fn in independent:
+                inputs, params, attrs = catalogue[fn]
+                whole = apply_kernel(fn, inputs, params, attrs)
+                part = apply_kernel(fn, [x[rows] for x in inputs], params, attrs)
+                assert part.shape == whole[rows].shape, fn
+                assert part.tobytes() == whole[rows].tobytes(), (
+                    f"apply:{fn}: rows {rows.tolist()} of {n} differ from "
+                    "the whole array's"
+                )
+
+        check()
 
 
 # ----------------------------------------------------------------------

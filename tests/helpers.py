@@ -820,3 +820,63 @@ class ReferenceFeatureCache:
         self.invalidated += split.invalidated_rows
         self.invalidated_bytes += split.invalidated_bytes
         return split
+
+
+def rebuild_at(graph, features, updates, dispatch_s):
+    """From-scratch (graph, features) with every update at or before
+    ``dispatch_s`` applied — the reference state for one batch."""
+    feats = np.asarray(features, dtype=np.float64).copy()
+    src, dst, grown = [], [], 0
+    for u in sorted(updates, key=lambda u: (u.arrival_s, u.update_id)):
+        if u.arrival_s > dispatch_s:
+            break
+        if u.num_feature_rows:
+            feats[u.feature_vertices] = u.feature_rows
+        if u.delta is not None:
+            src.append(u.delta.src)
+            dst.append(u.delta.dst)
+            grown += u.delta.num_new_vertices
+            if u.new_vertex_rows is not None:
+                feats = np.concatenate([feats, u.new_vertex_rows], axis=0)
+    if not src and grown == 0:
+        return graph, feats
+    empty = np.array([], dtype=np.int64)
+    g = graph.with_edges(
+        np.concatenate(src) if src else empty,
+        np.concatenate(dst) if dst else empty,
+        num_new_vertices=grown,
+    )
+    return g, feats
+
+
+def forward_receptive_hops(module: Module) -> int:
+    """The receptive-field radius by forward relaxation: a value's hop
+    radius relative to its anchor vertex (an edge's destination), +1
+    where a SCATTER reads a vertex value through the edge source (not
+    for ``max_grad``'s direct reads), +1 for an out-edge gather; relaxed
+    to a fixed point.  The oracle :func:`repro.exec.rings.receptive_hops`
+    — the backward ring walk read at the vertex inputs — must equal on
+    modules without whole-row readers."""
+    specs = module.specs
+    depth: Dict[str, int] = {}
+    changed = True
+    while changed:
+        changed = False
+        for node in module.nodes:
+            if node.kind is OpKind.SCATTER:
+                fn = get_scatter_fn(node.fn)
+                d, at = 0, 0
+                if fn.reads_u:
+                    u = node.inputs[0]
+                    reach = specs[u].domain is Domain.VERTEX and not fn.vertex_direct_read
+                    d, at = depth.get(u, 0) + reach, 1
+                if fn.reads_v and at < len(node.inputs):
+                    d = max(d, depth.get(node.inputs[at], 0))
+            else:
+                d = max((depth.get(n, 0) for n in node.all_inputs()), default=0)
+                d += node.kind is OpKind.GATHER and node.orientation == "out"
+            for out in node.outputs:
+                if depth.get(out, 0) < d:
+                    depth[out] = d
+                    changed = True
+    return max((depth.get(o, 0) for o in module.outputs), default=0)

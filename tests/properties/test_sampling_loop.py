@@ -28,7 +28,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.dyn import DynamicGraph, GraphDelta
 from repro.graph import Graph
-from repro.graph.sampling import in_neighbours, induced_subgraph, khop_neighborhood
+from repro.graph.sampling import (
+    in_neighbours, induced_subgraph, khop_neighborhood, ring_graph,
+)
+from repro.serve import receptive_field
 
 VIEWS = ("csc_indptr", "csc_eids", "csc_src", "csr_indptr", "csr_eids",
          "csr_dst", "in_degrees", "out_degrees")
@@ -150,6 +153,9 @@ class TestInducedSubgraphLoop:
         assert np.array_equal(
             dyn.neighborhood(seeds, hops), khop_neighborhood(rebuilt, seeds, hops)
         )
+        # The overlay's fields carry the rebuilt graph's hop distances.
+        got = dyn.receptive_field(seeds, hops)
+        assert got.distance.tolist() == receptive_field(rebuilt, seeds, hops).distance.tolist()
 
 
 class TestInNeighboursSet:
@@ -178,6 +184,47 @@ class TestInNeighboursSet:
             visited = visited | frontier
         got = khop_neighborhood(graph, seeds, hops)
         assert got.dtype == np.int64 and got.tolist() == sorted(visited)
+
+
+def _loop_distance(graph, seeds, hops):
+    """Hop distance of every vertex within ``hops`` of ``seeds``, one
+    frontier set at a time."""
+    distance = dict.fromkeys(seeds.tolist(), 0)
+    frontier = set(distance)
+    edges = list(zip(graph.src.tolist(), graph.dst.tolist()))
+    for hop in range(1, hops + 1):
+        frontier = {u for u, v in edges if v in frontier} - set(distance)
+        distance.update(dict.fromkeys(frontier, hop))
+    return distance
+
+
+class TestRings:
+    """A field's hop distances come out of the k-hop expansion, and a
+    ring graph is the field's vertices with the in-edges of the ring:
+    both held to loops, the ring graph's views to the cold graph's."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_distance_and_ring_graphs_match_loops(self, data):
+        graph = data.draw(multigraphs())
+        seeds = data.draw(vertex_lists(graph.num_vertices))
+        hops = data.draw(st.integers(0, 4))
+        mb = receptive_field(graph, seeds, hops)
+        want = _loop_distance(graph, seeds, hops)
+        assert mb.vertices.tolist() == sorted(want)
+        assert mb.distance.tolist() == [want[v] for v in sorted(want)]
+        sub = mb.subgraph
+        for depth in range(hops + 1):
+            ring, eids = ring_graph(sub, mb.distance, depth)
+            kept = [
+                e for e, v in enumerate(sub.dst.tolist())
+                if mb.distance[v] <= depth
+            ]
+            assert eids.tolist() == kept
+            assert ring.num_vertices == sub.num_vertices
+            assert ring.src.tolist() == sub.src[kept].tolist()
+            assert ring.dst.tolist() == sub.dst[kept].tolist()
+            _assert_cold(ring)
 
 
 GROUPED = st.sampled_from([(), ("in",), ("out",), ("in", "out")])

@@ -14,7 +14,9 @@ The acceptance contract of the serving subsystem:
 import numpy as np
 import pytest
 
+from repro.dyn import mixed_workload
 from repro.exec.engine import Engine
+from repro.exec.rings import receptive_hops
 from repro.frameworks import compile_forward, get_strategy
 from repro.graph import get_dataset
 from repro.registry import MODELS
@@ -25,6 +27,7 @@ from repro.serve import (
     receptive_field,
 )
 from repro.serve.request import InferenceRequest
+from tests.helpers import rebuild_at
 
 CORE_MODELS = ("gat", "gcn", "sage", "gin")
 EXTRA_MODELS = tuple(sorted(set(MODELS.names()) - set(CORE_MODELS)))
@@ -130,6 +133,120 @@ class TestDifferentialAgainstEngine:
                 b.cost.compute.forward.planned_peak_bytes is not None
             ), "memory_plan runs must price the arena footprint"
         assert np.array_equal(plain.latencies_s, arena.latencies_s)
+
+
+def _serve_on_rings(cora, name, monkeypatch, *, strategy="ours", hops=None,
+                    dynamic=False, **server_kwargs):
+    """Serve a small stream and hold every delivered row, by
+    ``tobytes()``, to the whole-field run of a bare Engine on its
+    batch's field — for a dynamic stream (with compactions) the field
+    of the graph and features rebuilt from scratch at the batch's
+    dispatch time.  Returns the hop distances each batch ran with."""
+    ds, graph, features = cora
+    compiled = compile_forward(
+        MODELS.get(name)(IN_DIM, ds.num_classes), get_strategy(strategy)
+    )
+    server = InferenceServer(
+        graph, features, {name: compiled}, gpu="RTX3090", hops=hops,
+        **server_kwargs,
+    )
+    runtime = server.tenants[name]
+    distances = []
+    run_plan = Engine.run_plan
+
+    def spy(engine, plan, env, **kwargs):
+        distances.append(kwargs.get("distance"))
+        return run_plan(engine, plan, env, **kwargs)
+
+    monkeypatch.setattr(Engine, "run_plan", spy)
+    if dynamic:
+        requests, updates = mixed_workload(
+            16, qps=4000.0, num_vertices=graph.num_vertices,
+            feature_dim=IN_DIM, update_frac=0.35, seeds_per_request=2,
+            tenant=name, zipf_alpha=0.8, edge_frac=0.5,
+            new_vertex_prob=0.5, seed=1,
+        )
+        report = server.serve(requests, updates=updates, compact_every=2)
+        assert report.compactions > 0
+    else:
+        requests, updates = workload_for(graph, name, n=16, seed=1), []
+        report = server.serve(requests)
+    monkeypatch.setattr(Engine, "run_plan", run_plan)
+    assert len(distances) == len(report.batches)
+
+    seeds_by_id = {r.request_id: r.seeds for r in requests}
+    for trace in report.batches:
+        ref_graph, ref_features = rebuild_at(graph, features, updates, trace.dispatch_s)
+        seeds = np.unique(
+            np.concatenate([seeds_by_id[rid] for rid in trace.request_ids])
+        )
+        mb = receptive_field(ref_graph, seeds, runtime.hops)
+        engine = Engine(mb.subgraph, precision="float32")
+        arrays = compiled.model.make_inputs(mb.subgraph, ref_features[mb.vertices])
+        arrays.update(runtime.params)
+        env = engine.bind(compiled.forward, arrays)
+        logits = engine.run_plan(compiled.plan, env)[runtime.output_name]
+        for rid in trace.request_ids:
+            want = logits[np.searchsorted(mb.vertices, seeds_by_id[rid])]
+            assert report.outputs[rid].tobytes() == want.tobytes(), (
+                f"{name}/{strategy}, hops={runtime.hops}: request {rid} "
+                "differs from the whole-field run"
+            )
+    return runtime.hops, distances
+
+
+class TestHopsOverride:
+    """``InferenceServer(hops=h)`` for ``h`` around the plan's own depth:
+    0 (the seeds alone), one short, exact, one past.  Batches run each
+    layer on its ring of the field (``Engine.run_plan(distance=)``, the
+    batch's own hop distances — never a setting), and every delivered
+    row equals the whole-field run: statically, on a dynamic stream
+    with compactions, through arena plans, and with batches executed on
+    the thread pool.  gcn brings an edge-domain module input
+    (``gcn_norm``), read at each ring's edge ids.
+    """
+
+    MODES = {
+        "static": {},
+        "dynamic": {"dynamic": True},
+        "memory_plan": {"memory_plan": True},
+        "threads": {"overlap": "threads"},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("offset", ("zero", -1, 0, 1))
+    @pytest.mark.parametrize("name", ("gat", "sage", "gcn"))
+    def test_delivered_rows_equal_whole_field_run(
+        self, name, offset, mode, cora, monkeypatch
+    ):
+        ds = cora[0]
+        depth = receptive_hops(
+            compile_forward(MODELS.get(name)(IN_DIM, ds.num_classes),
+                            get_strategy("ours")).forward
+        )
+        hops = 0 if offset == "zero" else depth + offset
+        served, distances = _serve_on_rings(
+            cora, name, monkeypatch, hops=hops, **self.MODES[mode]
+        )
+        assert served == hops
+        assert all(d is not None and d.max() <= hops for d in distances)
+        assert any(d.max() > 0 for d in distances) == (hops > 0)
+
+
+class TestRingsAcrossTheZoo:
+    """Every delivered row equals the whole-field run over the zoo ×
+    strategies × static/dynamic × arena plans on/off."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("memory_plan", (False, True))
+    @pytest.mark.parametrize("dynamic", (False, True))
+    @pytest.mark.parametrize("strategy", ("dgl-like", "fusegnn-like", "ours", "ours-stash"))
+    @pytest.mark.parametrize("name", MODELS.names())
+    def test_delivered_rows(self, name, strategy, dynamic, memory_plan, cora, monkeypatch):
+        _serve_on_rings(
+            cora, name, monkeypatch, strategy=strategy, dynamic=dynamic,
+            memory_plan=memory_plan,
+        )
 
 
 class TestCacheAccounting:

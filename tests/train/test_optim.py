@@ -73,3 +73,61 @@ class TestAdam:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             Adam(lr=-1.0)
+
+
+class TestStateAllocation:
+    """Optimizer state is allocated on a parameter's first step only,
+    and the trajectory is the eagerly initialised one's, bit for bit."""
+
+    @staticmethod
+    def _counting_zeros_like(monkeypatch):
+        calls = []
+        zeros_like = np.zeros_like
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return zeros_like(*args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counted)
+        return calls
+
+    def test_adam_allocates_on_first_step_only(self, monkeypatch):
+        params = {"a": np.ones(2, np.float32), "b": np.ones((3, 2), np.float32)}
+        opt = Adam(lr=0.1)
+        calls = self._counting_zeros_like(monkeypatch)
+        opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+        assert sorted(calls) == [(2,), (2,), (3, 2), (3, 2)]
+        calls.clear()
+        for _ in range(3):
+            opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+        assert calls == []
+
+    def test_sgd_momentum_allocates_on_first_step_only(self, monkeypatch):
+        params = {"w": np.ones(4, np.float32)}
+        opt = SGD(lr=0.1, momentum=0.9)
+        opt.step(params, {"w": np.ones(4, np.float32)})
+        velocity = opt._velocity["w"]
+        calls = self._counting_zeros_like(monkeypatch)
+        opt.step(params, {"w": np.ones(4, np.float32)})
+        assert calls == [] and opt._velocity["w"] is not velocity
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_adam_trajectory_unchanged(self, dtype):
+        """Against the textbook update with zero-initialised moments."""
+        rng = np.random.default_rng(3)
+        params = {"w": rng.normal(size=(5, 3)).astype(dtype)}
+        want = params["w"].copy()
+        m = np.zeros_like(want)
+        v = np.zeros_like(want)
+        opt = Adam(lr=0.05)
+        for t in range(1, 6):
+            grad = rng.normal(size=want.shape).astype(dtype)
+            # A zero gradient entry keeps the signed-zero path covered.
+            grad[0, 0] = 0.0
+            opt.step(params, {"w": grad})
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad * grad
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            want = want - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert params["w"].tobytes() == want.tobytes()
