@@ -111,9 +111,9 @@ def main() -> None:
         ds.features(dim=args.feature_dim, seed=0), cache=cache
     )
     hot = np.arange(64)
-    cache.gather(0, hot, store.row_bytes)          # warm the cache
+    cache.gather(hot, store.row_bytes)          # warm the cache
     store.put(hot[:16], rng.normal(size=(16, args.feature_dim)))
-    split = cache.gather(0, hot, store.row_bytes)  # re-gather after drift
+    split = cache.gather(hot, store.row_bytes)  # re-gather after drift
     print(f"feature drift on 16 hot rows: re-gather split = "
           f"{split.hit_rows} hit / {split.invalidated_rows} invalidated "
           f"/ {split.miss_rows} cold — hit + miss + invalidated bytes "

@@ -3,9 +3,9 @@
 The runtime layers each guard their own invariants with scattered
 asserts that fire mid-execution; this package is the unified *static*
 layer that proves them up front over a compiled artifact bundle — the
-prerequisite for the async pipelined runtime (no kernel overlap without
-a race proof) and the autotuner (candidates rejected statically, not by
-crashing).
+prerequisite for reordering or co-running kernels (no kernel overlap
+without a race proof) and the autotuner (candidates rejected
+statically, not by crashing).
 
 Entry points
 ------------
@@ -13,8 +13,9 @@ Entry points
   session, returning an :class:`AnalysisReport`,
 - ``python -m repro.lint`` — CLI over registry triples, ``--all`` for
   the zoo, ``--self-test`` for the mutation harness,
-- :func:`may_overlap` / :func:`check_order` — the race-detector API
-  schedulers and the future async executor consult directly.
+- :func:`may_overlap` / :func:`check_order` / :func:`hazard_waves` —
+  the race-detector API schedulers and ``MultiEngine``'s overlap modes
+  consult directly.
 
 Diagnostics carry stable ``RPxyz`` codes (see
 :mod:`repro.analysis.diagnostics`); the mutation harness in
@@ -51,9 +52,9 @@ from repro.analysis.precision_flow import PrecisionFlowChecker, check_precision_
 from repro.analysis.races import (
     RaceChecker,
     check_order,
-    check_overlap_schedule,
     conflicts,
     happens_before,
+    hazard_waves,
     kernel_access,
     may_overlap,
     overlap_diagnostics,
@@ -98,7 +99,7 @@ __all__ = [
     "happens_before",
     "may_overlap",
     "check_order",
-    "check_overlap_schedule",
+    "hazard_waves",
     "overlap_diagnostics",
     # mutation harness
     "MUTANTS",

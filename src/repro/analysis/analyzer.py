@@ -52,9 +52,7 @@ class PlanArtifact:
     ``proposed_order`` lets a pass submit a kernel reordering for race
     checking without constructing the reordered plan (an illegal order
     could not even be constructed — ``ExecPlan`` rejects use-before-def
-    schedules at build time).  ``overlap_schedule`` carries the phase's
-    recorded :class:`~repro.runtime.overlap.OverlapSchedule` for RP105
-    post-hoc verification of the placed timeline.
+    schedules at build time).
     """
 
     phase: str
@@ -62,7 +60,6 @@ class PlanArtifact:
     stats: object
     memory_plan: Optional[object] = None
     proposed_order: Optional[Sequence[int]] = None
-    overlap_schedule: Optional[object] = None
 
 
 @dataclass

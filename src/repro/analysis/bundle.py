@@ -13,10 +13,6 @@ execute into the exact artifact set the checkers inspect:
   cluster's when one is set, otherwise a synthesized 2-way
   hash-partition model — so halo consistency is checked on every
   target, not only multi-GPU ones,
-- each phase's recorded overlap schedule (built on the same partition
-  model, against the configured cluster or a synthesized one), so the
-  RP105 check re-verifies the pipelined runtime's placed timeline on
-  every target,
 - optionally the determinism-lint source trees.
 """
 
@@ -69,37 +65,12 @@ def build_bundle(
         planned = session.memory_plan(training=training).phases()
         memory_plans = {phase: mp for (phase, _), mp in zip(phases, planned)}
 
-    cluster = session.resolve_cluster()
-    if cluster is not None:
+    if session.resolve_cluster() is not None:
         pstats = session.resolve_partition_stats()
     else:
         pstats = PartitionStats.from_stats(stats, parts)
     comm = {
         phase: plan_comm_records(plan, pstats) for phase, plan in phases
-    }
-
-    # Record each phase's overlap schedule for RP105 post-hoc
-    # verification, priced against the configured cluster or a
-    # synthesized pool of the session's device.
-    from repro.gpu.cluster import Cluster  # lazy: keeps base import cheap
-    from repro.runtime.overlap import build_overlap_schedule
-
-    if cluster is None:
-        spec = session.resolve_gpu()
-        cluster = Cluster(
-            name=f"{spec.name}x{pstats.num_parts}",
-            gpu=spec,
-            num_gpus=pstats.num_parts,
-        )
-    overlap_schedules = {
-        phase: build_overlap_schedule(
-            plan,
-            pstats,
-            cluster,
-            memory_plan=memory_plans.get(phase),
-            phase=phase,
-        )
-        for phase, plan in phases
     }
 
     if target is None:
@@ -115,7 +86,6 @@ def build_bundle(
                 plan=plan,
                 stats=stats,
                 memory_plan=memory_plans.get(phase),
-                overlap_schedule=overlap_schedules.get(phase),
             )
             for phase, plan in phases
         ],

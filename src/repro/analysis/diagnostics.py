@@ -10,8 +10,9 @@ a slab inside a memory plan, a GPU inside a partition, or a file/line
 for source-level lints.
 
 Codes are API: tests, CI gates, and downstream tooling key on them, so
-a code is never renumbered or reused once shipped.  The full inventory
-lives in :data:`CODES`; :func:`describe_code` resolves one.
+a code is never renumbered.  A code leaves :data:`CODES` only when its
+checker is removed, and a removed number is never reused (CHANGES.md
+records each retirement).  :func:`describe_code` resolves a live one.
 
 ========  ============================================================
 Family    Checker
@@ -61,7 +62,8 @@ class Severity(Enum):
         return order[self.value] < order[other.value]
 
 
-#: code -> (checker family, one-line description).  Append-only.
+#: code -> (checker family, one-line description).  New codes take
+#: fresh numbers; gaps are retired codes and stay unused.
 CODES: Dict[str, Tuple[str, str]] = {
     # -- RP0xx: structural IR validation -------------------------------
     "RP001": ("structure", "interface value has no spec"),
@@ -79,7 +81,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP102": ("races", "parallel overlap of conflicting kernels"),
     "RP103": ("races", "proposed order is not a permutation of the plan"),
     "RP104": ("races", "slab-sharing kernels reordered against reuse"),
-    "RP105": ("races", "recorded overlap schedule co-runs conflicting kernels"),
     # -- RP2xx: arena overlap / memory watermarks ----------------------
     "RP201": ("arena", "lifetime-overlapping slabs intersect in bytes"),
     "RP202": ("arena", "slab smaller than the value it must hold"),

@@ -12,9 +12,6 @@ Mutant             Checker     Kills   Corruption
 =================  ==========  ======  ===============================
 ``swap_kernels``   races       RP101   invert a RAW-dependent kernel
                                        pair in the proposed order
-``forge_overlap``  races       RP105   slide a recorded overlap-
-                                       schedule slot onto a
-                                       conflicting kernel's wall time
 ``shrink_slab``    arena       RP202   halve the largest slab's extent
 ``overlap_slab``   arena       RP201   slide a slab onto a live
                                        neighbour's bytes
@@ -92,28 +89,6 @@ def _swap_kernels(bundle: ArtifactBundle) -> ArtifactBundle:
         artifact.proposed_order = order
         return bundle
     raise ValueError("no RAW-dependent kernel pair to swap in any phase")
-
-
-def _forge_overlap(bundle: ArtifactBundle) -> ArtifactBundle:
-    """Make a recorded schedule co-run a hazard pair in wall time."""
-    for artifact in bundle.plans:
-        schedule = artifact.overlap_schedule
-        if schedule is None:
-            continue
-        pair = _raw_pair(artifact.plan)
-        if pair is None:
-            continue
-        i, j = pair
-        a = schedule.slots[("compute", i, 0)]
-        b = schedule.slots[("compute", j, 0)]
-        width = max(b.finish_s - b.start_s, a.finish_s - a.start_s, 1e-9)
-        schedule.slots[("compute", j, 0)] = replace(
-            b, start_s=a.start_s, finish_s=a.start_s + width
-        )
-        return bundle
-    raise ValueError(
-        "no recorded overlap schedule with a conflicting kernel pair"
-    )
 
 
 def _arena_artifact(bundle: ArtifactBundle):
@@ -216,8 +191,6 @@ def _wallclock(bundle: ArtifactBundle) -> ArtifactBundle:
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant("swap_kernels", "races", "RP101", _swap_kernels,
            "invert a RAW-dependent kernel pair in the proposed order"),
-    Mutant("forge_overlap", "races", "RP105", _forge_overlap,
-           "co-run a conflicting kernel pair in a recorded schedule"),
     Mutant("shrink_slab", "arena", "RP202", _shrink_slab,
            "halve the largest arena slab"),
     Mutant("overlap_slab", "arena", "RP201", _overlap_slab,

@@ -1,10 +1,10 @@
 """Kernel race detection: happens-before from read/write/alias sets.
 
 An :class:`~repro.exec.plan.ExecPlan` emits kernels in one legal order,
-but both the memory scheduler (:mod:`repro.opt.schedule`) and the
-ROADMAP's future async executor want to run them in *other* orders — or
-concurrently.  This module is the single authority on when that is
-sound:
+but both the memory scheduler (:mod:`repro.opt.schedule`) and
+:class:`~repro.exec.multi.MultiEngine`'s overlap modes run them in
+*other* orders — or concurrently.  This module is the single authority
+on when that is sound:
 
 - at the **value** level the IR is SSA (every root written by exactly
   one kernel), so the only native hazard is RAW: a consumer must follow
@@ -14,8 +14,9 @@ sound:
   roots, which manufactures WAR/WAW hazards: the kernel that redefines a
   slab's bytes must stay after every reader of the previous tenant.
 
-:func:`may_overlap` is the API the async executor must consult before
-overlapping two kernels; :func:`check_order` is what the scheduler (and
+:func:`may_overlap` is the API an executor must consult before
+overlapping two kernels (:func:`hazard_waves` groups a plan into waves
+of such kernels); :func:`check_order` is what the scheduler (and
 any pass proposing a reordering) must call, returning RP1xx diagnostics
 naming the exact conflicting kernel pairs and the resource they race on.
 """
@@ -36,7 +37,8 @@ __all__ = [
     "happens_before",
     "may_overlap",
     "check_order",
-    "check_overlap_schedule",
+    "kernel_dependencies",
+    "hazard_waves",
     "overlap_diagnostics",
     "RaceChecker",
 ]
@@ -154,6 +156,51 @@ def happens_before(
     return deps
 
 
+def kernel_dependencies(plan: ExecPlan) -> List[Set[int]]:
+    """Happens-before hazards plus value-level dataflow edges.
+
+    :func:`happens_before` orders kernels by *root*-level conflicts,
+    which misses one concrete-execution dependence: a VIEW node
+    materialises an aliased value name without writing its root, so the
+    kernel holding the view must still run before any kernel reading
+    the view's output.  Those producer edges are added here from
+    :meth:`~repro.exec.plan.ExecPlan.producer_kernel` over every node
+    input.  Adding edges only removes overlap, so the "unordered
+    implies ``may_overlap``" guarantee is preserved.
+    """
+    deps = happens_before(plan)
+    for k, kernel in enumerate(plan.kernels):
+        for node in kernel.nodes:
+            for name in node.inputs:
+                j = plan.producer_kernel(name)
+                if j is not None and j != k:
+                    deps[k].add(j)
+    return deps
+
+
+def hazard_waves(plan: ExecPlan) -> List[List[int]]:
+    """Level decomposition of the plan's hazard + dataflow DAG.
+
+    Wave ``w`` holds every kernel whose longest dependence chain from a
+    source has length ``w``.  Because a conflict between ``i`` and
+    ``j`` puts ``i`` into ``kernel_dependencies(plan)[j]``, two kernels
+    in the same wave never conflict — each wave is an antichain that
+    :func:`may_overlap` certifies pairwise, which is what lets
+    :class:`~repro.exec.multi.MultiEngine` run a whole wave
+    concurrently.
+    """
+    deps = kernel_dependencies(plan)
+    n = len(plan.kernels)
+    level = [0] * n
+    for k in range(n):
+        for i in deps[k]:
+            level[k] = max(level[k], level[i] + 1)
+    waves: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for k in range(n):
+        waves[level[k]].append(k)
+    return waves
+
+
 def check_order(
     plan: ExecPlan,
     order: Sequence[int],
@@ -209,76 +256,17 @@ def check_order(
     return diags
 
 
-def check_overlap_schedule(
-    plan: ExecPlan,
-    slots,
-    *,
-    memory_plan=None,
-    phase: Optional[str] = None,
-) -> List[Diagnostic]:
-    """Post-hoc verification of a recorded overlap schedule: RP105.
-
-    ``slots`` maps task keys of the form ``(kind, kernel_index, gpu)``
-    to placed slots with ``start_s``/``finish_s`` (the shape
-    :func:`repro.runtime.overlap.build_overlap_schedule` records).  The
-    co-scheduled kernel pairs are re-derived from the placed wall-time
-    intervals — never trusted from the schedule's own summary — and
-    every pair that overlaps with positive measure must pass
-    :func:`may_overlap`.  One RP105 per violating kernel pair, naming
-    the first hazard it races on.
-    """
-    keys = sorted(slots, key=str)
-    pairs: Set[Tuple[int, int]] = set()
-    for x in range(len(keys)):
-        sx = slots[keys[x]]
-        kx = keys[x][1]
-        for y in range(x + 1, len(keys)):
-            sy = slots[keys[y]]
-            ky = keys[y][1]
-            if kx == ky:
-                continue
-            if sx.start_s < sy.finish_s and sy.start_s < sx.finish_s:
-                pairs.add((min(kx, ky), max(kx, ky)))
-    diags: List[Diagnostic] = []
-    for i, j in sorted(pairs):
-        found = conflicts(plan, i, j, memory_plan=memory_plan) or conflicts(
-            plan, j, i, memory_plan=memory_plan
-        )
-        if not found:
-            continue
-        c = found[0]
-        diags.append(
-            Diagnostic(
-                code="RP105",
-                severity=Severity.ERROR,
-                message=(
-                    f"recorded schedule co-runs kernels {i} "
-                    f"({plan.kernels[i].label!r}) and {j} "
-                    f"({plan.kernels[j].label!r}) in overlapping wall "
-                    f"time, but they race: {c.kind} on {c.resource!r}"
-                ),
-                location=SourceLocation(
-                    phase=phase, kernel=i, kernel2=j, value=c.resource
-                ),
-            )
-        )
-    return diags
-
-
 class RaceChecker:
     """Bundle checker: RP1xx over every phase's (proposed) kernel order.
 
     Each :class:`~repro.analysis.analyzer.PlanArtifact` may carry a
     ``proposed_order`` (a reordering some pass wants to execute); absent
     one, the plan's emitted order is validated — which also proves the
-    hazard graph itself is order-consistent with slab reuse.  Artifacts
-    carrying a recorded ``overlap_schedule`` additionally get RP105
-    post-hoc verification: every kernel pair the placed timeline
-    co-runs must be a pair :func:`may_overlap` certifies.
+    hazard graph itself is order-consistent with slab reuse.
     """
 
     name = "races"
-    codes = ("RP101", "RP102", "RP103", "RP104", "RP105")
+    codes = ("RP101", "RP102", "RP103", "RP104")
 
     def check(self, bundle) -> List[Diagnostic]:
         diags: List[Diagnostic] = []
@@ -294,16 +282,6 @@ class RaceChecker:
                     phase=artifact.phase,
                 )
             )
-            schedule = getattr(artifact, "overlap_schedule", None)
-            if schedule is not None:
-                diags.extend(
-                    check_overlap_schedule(
-                        artifact.plan,
-                        schedule.slots,
-                        memory_plan=artifact.memory_plan,
-                        phase=artifact.phase,
-                    )
-                )
         return diags
 
 

@@ -139,10 +139,6 @@ CASES = {
         figures=("fig_precision_io",),
         sweeps=("sweep_precision_smoke",),
     ),
-    "overlap": Case(
-        "run the async-runtime case: the overlap-efficiency table",
-        figures=("fig_overlap_efficiency",),
-    ),
 }
 
 #: What runs with no flag: everything.

@@ -329,12 +329,6 @@ def fig_multi_gpu_scaling(
     share of off-chip traffic rises monotonically with the GPU count and
     each model eventually crosses from compute- to communication-bound.
     Rows land in ``normalized`` as dicts keyed by (workload, gpus).
-
-    Each partitioned row also reports the **overlap efficiency** of the
-    async pipelined runtime: the step's serialized makespan divided by
-    the overlapped one, summed over forward and backward
-    :meth:`~repro.session.Session.overlap_schedules` (1.0 on one GPU,
-    where there is nothing to overlap).
     """
     # Speedups are always relative to one GPU.
     if 1 not in num_gpus:
@@ -355,13 +349,8 @@ def fig_multi_gpu_scaling(
             )
             if n <= 1:
                 sess.gpu(gpu_name)
-                overlap_efficiency = 1.0
             else:
                 sess.cluster(gpu_name, n)
-                schedules = sess.overlap_schedules()
-                overlap_efficiency = sum(
-                    s.serialized_makespan_s for s in schedules
-                ) / sum(s.overlapped_makespan_s for s in schedules)
             report = sess.report()
             row = SweepRow.from_report(report)
             if base_latency is None:
@@ -379,7 +368,6 @@ def fig_multi_gpu_scaling(
                     "comm_s": report.comm_seconds,
                     "peak_memory_bytes": row.peak_memory_bytes,
                     "comm_bound": report.comm_seconds > report.compute_seconds,
-                    "overlap_efficiency": overlap_efficiency,
                 }
             )
     table_rows = [
@@ -392,106 +380,16 @@ def fig_multi_gpu_scaling(
             f"{r['compute_s'] * 1e3:.1f}",
             f"{r['comm_s'] * 1e3:.1f}",
             "comm" if r["comm_bound"] else "compute",
-            f"{r['overlap_efficiency']:.4f}x",
         ]
         for r in normalized
     ]
     table = format_table(
         ["workload", "gpus", "ms/step", "speedup", "halo GiB",
-         "comm share", "compute ms", "comm ms", "bound", "overlap"],
+         "comm share", "compute ms", "comm ms", "bound"],
         table_rows,
         title=(
             f"multi-gpu-scaling ({gpu_name} clusters, one training step, "
             "hash partition)"
-        ),
-    )
-    return FigureResult([], table, normalized)
-
-
-# ======================================================================
-# Overlap efficiency (async pipelined runtime)
-# ======================================================================
-def fig_overlap_efficiency(
-    num_gpus: Sequence[int] = (2, 4, 8),
-    *,
-    gpu_name: str = "V100",
-    interconnect_gbps: Sequence[Optional[float]] = (None, 8.0),
-) -> FigureResult:
-    """Overlapped vs serialized makespan of the pipelined runtime.
-
-    For GAT and MoNet at the published Reddit scale, each (GPU count,
-    interconnect) point builds both per-phase timelines through
-    :meth:`~repro.session.Session.overlap_schedules` — compute and halo
-    exchange on separate per-GPU channels versus the lockstep baseline
-    — and reports the phase's makespans, the efficiency ratio, how many
-    kernel pairs were co-scheduled (every one certified by
-    ``may_overlap``), and the comm channel's busy share.  ``None`` in
-    ``interconnect_gbps`` means the default NVLink-class link; the
-    narrow link makes the step comm-bound, where pipelining pays most.
-    By construction overlapped <= serialized on every row.
-    """
-    stats = _dataset_stats("reddit-full")
-    runs = [
-        (_gat_ablation(training=True), "gat-reddit"),
-        (_monet_ablation(training=True), "monet-reddit"),
-    ]
-    cache = PlanCache()
-    normalized: List[Dict[str, object]] = []
-    for model, workload in runs:
-        for gbps in interconnect_gbps:
-            for n in num_gpus:
-                sess = (
-                    Session(cache=cache)
-                    .model(model).stats(stats, workload).strategy("ours")
-                    .cluster(gpu_name, n, interconnect_gbps=gbps)
-                )
-                for schedule in sess.overlap_schedules():
-                    util = schedule.utilization()
-                    comm_busy = max(
-                        (
-                            frac
-                            for group, frac in util.items()
-                            if group.endswith(".comm")
-                        ),
-                        default=0.0,
-                    )
-                    normalized.append(
-                        {
-                            "workload": workload,
-                            "strategy": "ours",
-                            "gpus": n,
-                            "interconnect_gbps": gbps,
-                            "phase": schedule.phase,
-                            "serialized_s": schedule.serialized_makespan_s,
-                            "overlapped_s": schedule.overlapped_makespan_s,
-                            "overlap_efficiency": schedule.efficiency,
-                            "co_scheduled": len(schedule.co_scheduled),
-                            "comm_bytes": schedule.comm_bytes,
-                            "comm_busy_fraction": comm_busy,
-                        }
-                    )
-    table_rows = [
-        [
-            r["workload"],
-            r["gpus"],
-            "nvlink" if r["interconnect_gbps"] is None
-            else f"{r['interconnect_gbps']:.0f}GB/s",
-            r["phase"],
-            f"{r['serialized_s'] * 1e3:.1f}",
-            f"{r['overlapped_s'] * 1e3:.1f}",
-            f"{r['overlap_efficiency']:.4f}x",
-            r["co_scheduled"],
-            f"{r['comm_busy_fraction'] * 100:.0f}%",
-        ]
-        for r in normalized
-    ]
-    table = format_table(
-        ["workload", "gpus", "link", "phase", "serial ms", "overlap ms",
-         "efficiency", "pairs", "comm busy"],
-        table_rows,
-        title=(
-            f"overlap-efficiency ({gpu_name} clusters, per-phase "
-            "makespans, hash partition)"
         ),
     )
     return FigureResult([], table, normalized)
@@ -1254,7 +1152,6 @@ FIGURES: Dict[str, Callable[[], FigureResult]] = {
     "fig_precision_io": fig_precision_io,
     "fig_serving_latency": fig_serving_latency,
     "fig_dynamic_serving": fig_dynamic_serving,
-    "fig_overlap_efficiency": fig_overlap_efficiency,
     "backend_calibration_smoke": fig_backend_calibration,
     "inline_redundancy": inline_redundant_computation,
     "inline_memory_share": inline_intermediate_memory_share,

@@ -6,7 +6,7 @@ embeddings refreshed by an upstream trainer) makes those rows stale.
 :class:`FeatureStore` is the host-side source of truth:
 
 - every :meth:`put` bumps the store version, overwrites the rows, and
-  invalidates exactly the touched ``(layer, vertex)`` cache entries,
+  invalidates exactly the touched vertices' cache entries,
 - :meth:`add_vertices` grows the matrix in lockstep with
   :class:`~repro.dyn.delta.GraphDelta` vertex insertions,
 - :meth:`snapshot_at` replays the write log onto the version-0 copy —
@@ -44,9 +44,6 @@ class FeatureStore:
     cache:
         Optional serve-layer :class:`FeatureCache`; each :meth:`put`
         invalidates the written vertices' resident rows in it.
-    layer:
-        Cache layer key the store's rows live under (the serve path
-        gathers input features under layer 0).
     dtype:
         Storage dtype of the rows (defaults to ``float64``, the
         bit-exact reference).  Logical dtypes (``bfloat16``, ``qint8``)
@@ -60,7 +57,6 @@ class FeatureStore:
         features: np.ndarray,
         *,
         cache: Optional["FeatureCache"] = None,
-        layer: int = 0,
         dtype: str = "float64",
     ):
         features = np.asarray(features)
@@ -73,7 +69,6 @@ class FeatureStore:
         self._base = features.copy()    # version-0 snapshot, never touched
         self._matrix = features.copy()  # current version
         self.cache = cache
-        self.layer = layer
         #: Completed writes (each put/grow bumps it by one).
         self.version = 0
         self.put_bytes = 0
@@ -165,7 +160,7 @@ class FeatureStore:
         self.put_bytes += int(rows.shape[0] * self.row_bytes)
         self._log.append(("put", vertices.copy(), rows.copy()))
         if self.cache is not None:
-            self.cache.invalidate(self.layer, vertices)
+            self.cache.invalidate(vertices)
         return self.version
 
     def add_vertices(self, rows: np.ndarray) -> int:

@@ -230,8 +230,6 @@ def kernel_comm_records(
     Record order within the kernel matches the flat schedule (allreduce
     nodes in node order, then halo-in, then halo-out exchanges), so
     concatenating the kernels reproduces ``plan_comm_records`` exactly.
-    The per-kernel grouping is what the overlap-schedule builder
-    (:mod:`repro.runtime.overlap`) prices each comm-channel task from.
     """
     specs = plan.module.specs
     P = pstats.num_parts

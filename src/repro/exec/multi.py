@@ -56,7 +56,7 @@ returns globally-assembled arrays, so it drops into any place an
 ``Engine`` runs, backward plans included.
 
 **Overlap modes.**  ``overlap="events"`` executes kernels in the
-hazard-wave order of :func:`repro.runtime.overlap.hazard_waves` (each
+hazard-wave order of :func:`repro.analysis.races.hazard_waves` (each
 wave an antichain of the race analyzer's happens-before DAG, so every
 reordering it performs is between ``may_overlap``-certified pairs);
 ``overlap="threads"`` additionally runs each wave's kernels on a
@@ -315,9 +315,9 @@ class MultiEngine:
             self.overlap_waves = None
             waves = [[ki] for ki in range(len(plan.kernels))]
         else:
-            # Local import: the runtime package depends on the analysis
-            # layer, which this low-level module must not import eagerly.
-            from repro.runtime.overlap import hazard_waves
+            # Local import: the analysis layer sits above this
+            # low-level module, which must not import it eagerly.
+            from repro.analysis.races import hazard_waves
 
             waves = self.overlap_waves = hazard_waves(plan)
         if self.overlap == "threads":

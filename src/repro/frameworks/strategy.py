@@ -97,14 +97,6 @@ class ExecutionStrategy:
         fp32 accumulation.  Applied to the naive module before any
         pass runs, so specs, ledgers, slabs, and cache rows all carry
         the shrunk byte counts.
-    overlap:
-        Async-runtime mode (see :mod:`repro.runtime`): ``None`` keeps
-        the serial oracle; ``"events"`` schedules kernels, halo
-        exchanges, and feature gathers on overlapping virtual-clock
-        channels; ``"threads"`` backs the same schedule with a real
-        thread pool.  Purely an execution/timeline choice — plans and
-        counters are unchanged, and concrete outputs stay bit-identical
-        to the serial oracle by contract.
     """
 
     name: str
@@ -123,16 +115,9 @@ class ExecutionStrategy:
     pass_names: Optional[Tuple[str, ...]] = None
     partition: Optional[PartitionSpec] = None
     precision: str = "fp32"
-    overlap: Optional[str] = None
 
     def __post_init__(self) -> None:
         from repro.opt.fusion import FUSION_MODES
-
-        if self.overlap not in (None, "events", "threads"):
-            raise ValueError(
-                f"unknown overlap mode {self.overlap!r}; use 'events', "
-                "'threads', or None"
-            )
 
         if self.precision != "fp32":
             from repro.ir.precision import canonical_precision

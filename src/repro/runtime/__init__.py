@@ -1,33 +1,10 @@
-"""Async pipelined runtime: event-driven multi-channel execution.
+"""Discrete-event runtime: the event loop every timeline replays through.
 
-The runtime package hosts the discrete-event machinery every timeline
-in the system replays through:
-
-- :mod:`repro.runtime.events` — the reusable :class:`EventLoop` with
-  typed channel groups and deterministic tie-breaking (extracted from
-  the serving scheduler's event-queue core),
-- :mod:`repro.runtime.overlap` — the overlap-schedule builder that
-  places per-GPU compute streams and halo-exchange streams on
-  overlapping timelines, consulting the race analyzer
-  (:func:`repro.analysis.races.may_overlap`, including the arena
-  checker when a :class:`~repro.exec.memory.MemoryPlan` is active) so
-  every co-scheduled kernel pair is provably race-free.
+:mod:`repro.runtime.events` holds the reusable :class:`EventLoop` with
+typed channel groups and deterministic tie-breaking (extracted from the
+serving scheduler's event-queue core).
 """
 
 from repro.runtime.events import EventLoop, Task, TaskSlot
-from repro.runtime.overlap import (
-    OverlapRaceError,
-    OverlapSchedule,
-    build_overlap_schedule,
-    hazard_waves,
-)
 
-__all__ = [
-    "EventLoop",
-    "Task",
-    "TaskSlot",
-    "OverlapRaceError",
-    "OverlapSchedule",
-    "build_overlap_schedule",
-    "hazard_waves",
-]
+__all__ = ["EventLoop", "Task", "TaskSlot"]

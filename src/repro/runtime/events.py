@@ -63,13 +63,6 @@ class TaskSlot:
     def duration_s(self) -> float:
         return self.finish_s - self.start_s
 
-    def overlaps(self, other: "TaskSlot") -> bool:
-        """Positive-measure wall-time intersection with ``other``."""
-        return (
-            max(self.start_s, other.start_s)
-            < min(self.finish_s, other.finish_s)
-        )
-
 
 class EventLoop:
     """Deterministic list scheduler over typed channel groups.
@@ -78,9 +71,7 @@ class EventLoop:
     every task and returns slots keyed by task key; scheduling is
     greedy earliest-start with deterministic tie-breaking, which for
     chain-structured dependence graphs (each lane's task order fixed by
-    deps) equals the longest-path schedule — adding dependence edges
-    can then never *reduce* any start time, the monotonicity the
-    overlapped-vs-serialized makespan guarantee rests on.
+    deps) equals the longest-path schedule.
     """
 
     def __init__(self, channels: Dict[str, int]) -> None:
@@ -146,6 +137,3 @@ class EventLoop:
             )
             pending.remove(t)
         return done
-
-    def makespan(self, slots: Dict[Hashable, TaskSlot]) -> float:
-        return max((s.finish_s for s in slots.values()), default=0.0)

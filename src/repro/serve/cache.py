@@ -2,9 +2,8 @@
 
 Per-request receptive-field gathers dominate serving IO, and request
 streams are skewed (hot vertices recur), so the server fronts host
-feature storage with a bounded LRU cache keyed by ``(layer, vertex)``
-— layer 0 holds input feature rows; positive layers are reserved for
-cached layer embeddings.
+feature storage with a bounded LRU cache of input feature rows, keyed
+by vertex id.
 
 The cache is an *accounting* device: it never changes what the engine
 computes (the engine always binds the true feature rows), only what the
@@ -20,8 +19,8 @@ the uncached :func:`~repro.exec.analytic.analyze_minibatch` convention.
 
 Semantics
 ---------
-One LRU order spans every layer, bounded by ``capacity_rows``.  A
-gather resolves its rows *sequentially, in input order*:
+One LRU order, bounded by ``capacity_rows``.  A gather resolves its
+rows *sequentially, in input order*:
 
 - a resident row is a **hit** and becomes the most recently used;
 - any other row is a **miss**, fetched through: it is inserted as the
@@ -42,14 +41,13 @@ gather resolves its rows *sequentially, in input order*:
 
 Mechanism
 ---------
-Each layer has two dense tables indexed by vertex id, grown
-geometrically when an id passes their end (dynamic runs add vertices):
-``stamp`` (int64; −1 when the row is not resident) and ``stale``
-(bool).  One touch log of ``(layer, vertex)`` entries is shared by all
-layers; an entry's position is the clock, and it is live iff its row's
-stamp still points at it.  The LRU order is the live entries read from
-a head pointer; the log is compacted when it runs out of room and is
-mostly dead.
+Two dense tables indexed by vertex id, grown geometrically when an id
+passes their end (dynamic runs add vertices): ``stamp`` (int64; −1
+when the row is not resident) and ``stale`` (bool).  A touch log of
+vertex ids: an entry's position is the clock, and it is live iff its
+row's stamp still points at it.  The LRU order is the live entries
+read from a head pointer; the log is compacted when it runs out of
+room and is mostly dead.
 
 A gather splits hits, cold misses and invalidated misses with array
 operations on the stamps, and loops in Python only over evictions:
@@ -64,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -105,41 +103,16 @@ class GatherSplit:
 
 
 class FeatureCache:
-    """Bounded LRU over ``(layer, vertex)`` rows.
+    """Bounded LRU over feature rows, keyed by vertex id.
 
     ``capacity_rows`` bounds the number of cached rows; 0 disables
-    caching (every lookup misses, the uncached-accounting limit).
-    Alternatively pass ``capacity_bytes`` with the per-row storage cost
-    (``row_bytes``) and the row budget is derived as
-    ``capacity_bytes // row_bytes`` — the device-memory framing, under
-    which a fixed byte budget holds twice as many fp16 rows as fp32
-    ones.  A gather's rows are resolved in input order (see the module
+    caching (every lookup misses, the uncached-accounting limit).  A
+    gather's rows are resolved in input order (see the module
     docstring), so its split is deterministic; misses are fetched
     through, modelling a fetch-through cache.
     """
 
-    def __init__(
-        self,
-        capacity_rows: int = 0,
-        *,
-        capacity_bytes: Optional[int] = None,
-        row_bytes: Optional[int] = None,
-    ):
-        if capacity_bytes is not None:
-            if capacity_rows:
-                raise ValueError(
-                    "pass capacity_rows or capacity_bytes, not both"
-                )
-            if capacity_bytes < 0:
-                raise ValueError("capacity_bytes must be non-negative")
-            if row_bytes is None or row_bytes <= 0:
-                raise ValueError(
-                    "capacity_bytes requires a positive row_bytes "
-                    "(the per-row storage cost to divide the budget by)"
-                )
-            capacity_rows = int(capacity_bytes) // int(row_bytes)
-        elif row_bytes is not None:
-            raise ValueError("row_bytes is only meaningful with capacity_bytes")
+    def __init__(self, capacity_rows: int = 0):
         if capacity_rows < 0:
             raise ValueError("capacity_rows must be non-negative")
         self.capacity_rows = int(capacity_rows)
@@ -148,22 +121,13 @@ class FeatureCache:
     def __len__(self) -> int:
         return self._resident
 
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        layer, vertex = key
-        stamp = self._stamp.get(int(layer))
-        return (
-            stamp is not None
-            and 0 <= vertex < stamp.size
-            and bool(stamp[vertex] >= 0)
-        )
+    def __contains__(self, vertex: int) -> bool:
+        return 0 <= vertex < self._stamp.size and bool(self._stamp[vertex] >= 0)
 
-    def keys(self) -> List[Tuple[int, int]]:
-        """The resident ``(layer, vertex)`` rows, least recently used
-        first (a read-only snapshot)."""
-        live = self._live(self._head, self._tail)
-        return list(
-            zip(self._log_layer[live].tolist(), self._log_vertex[live].tolist())
-        )
+    def keys(self) -> List[int]:
+        """The resident vertices, least recently used first (a
+        read-only snapshot)."""
+        return self._log_vertex[self._live(self._head, self._tail)].tolist()
 
     @property
     def lookups(self) -> int:
@@ -176,12 +140,11 @@ class FeatureCache:
         return self.hits / total if total > 0 else 0.0
 
     def clear(self) -> None:
-        # Per layer: vertex -> log position of its latest touch (-1 when
-        # not resident), and vertex -> "a versioned write removed it
-        # while resident" (its next miss is a re-gather, not cold).
-        self._stamp: Dict[int, np.ndarray] = {}
-        self._stale: Dict[int, np.ndarray] = {}
-        self._log_layer = np.empty(0, dtype=np.int64)
+        # Vertex -> log position of its latest touch (-1 when not
+        # resident), and vertex -> "a versioned write removed it while
+        # resident" (its next miss is a re-gather, not cold).
+        self._stamp = np.empty(0, dtype=np.int64)
+        self._stale = np.empty(0, dtype=bool)
         self._log_vertex = np.empty(0, dtype=np.int64)
         self._head = 0
         self._tail = 0
@@ -197,7 +160,7 @@ class FeatureCache:
         self.pinned_bypasses = 0
 
     # ------------------------------------------------------------------
-    def invalidate(self, layer: int, vertices: np.ndarray) -> int:
+    def invalidate(self, vertices: np.ndarray) -> int:
         """Drop the resident rows a versioned write touched.
 
         Returns how many rows were actually resident (and are now
@@ -205,22 +168,18 @@ class FeatureCache:
         gather was going to miss anyway, so attributing it to
         invalidation would double-count drift against cold traffic.
         """
-        stamp = self._stamp.get(int(layer))
-        if stamp is None:
-            return 0
+        stamp = self._stamp
         ids = np.asarray(vertices, dtype=np.int64).ravel()
         ids = ids[(ids >= 0) & (ids < stamp.size)]
         ids = np.unique(ids[stamp[ids] >= 0])
         stamp[ids] = -1
-        self._stale[int(layer)][ids] = True
+        self._stale[ids] = True
         self._resident -= ids.size
         self.invalidations += ids.size
         return int(ids.size)
 
     # ------------------------------------------------------------------
-    def gather(
-        self, layer: int, vertices: np.ndarray, row_bytes: int
-    ) -> GatherSplit:
+    def gather(self, vertices: np.ndarray, row_bytes: int) -> GatherSplit:
         """Resolve one receptive-field gather against the cache.
 
         ``vertices`` are the field rows the batch needs (non-negative
@@ -242,8 +201,7 @@ class FeatureCache:
             return self._account(0, n, 0, row_bytes)
         if ids.min() < 0:
             raise ValueError("vertex ids must be non-negative")
-        layer = int(layer)
-        stamp, stale = self._tables(layer, int(ids.max()) + 1)
+        stamp, stale = self._tables(int(ids.max()) + 1)
         # Per distinct row: its first and last position in the call and
         # its number of occurrences (None: every row occurs once).
         if n == 1 or bool((ids[1:] > ids[:-1]).all()):
@@ -267,14 +225,14 @@ class FeatureCache:
         bypassed = np.zeros(rows.size, dtype=bool)
         if misses.size > free:
             victims, evicted_rows, bypass_from = self._evict(
-                layer, rows, first, misses[free:].tolist()
+                rows, first, misses[free:].tolist()
             )
             need[evicted_rows] = True
             if bypass_from is not None:
                 bypassed = need & (first >= bypass_from)
 
         if victims:
-            self._drop(np.array(victims, dtype=np.int64))
+            stamp[self._log_vertex[victims]] = -1
         invalidated_rows = int(np.count_nonzero(stale[rows[cold]]))
         stale[rows[cold]] = False
         num_need = int(np.count_nonzero(need))
@@ -291,7 +249,7 @@ class FeatureCache:
         touched = rows if num_bypassed == 0 else rows[~bypassed]
         if last is not None:
             touched = touched[np.argsort(last[~bypassed], kind="stable")]
-        self._append(layer, touched)
+        self._append(touched)
         return self._account(
             n - miss_rows - invalidated_rows, miss_rows, invalidated_rows,
             row_bytes,
@@ -319,8 +277,7 @@ class FeatureCache:
         return split
 
     def _evict(
-        self, layer: int, rows: np.ndarray, first: np.ndarray,
-        misses: List[int],
+        self, rows: np.ndarray, first: np.ndarray, misses: List[int],
     ) -> Tuple[List[int], List[int], Optional[int]]:
         """Take one victim per miss beyond the free slots, in input order.
 
@@ -358,9 +315,7 @@ class FeatureCache:
                     if lo >= self._tail:
                         break
                     hi = min(self._tail, lo + chunk)
-                    pos, touch, index = self._candidates(
-                        lo, hi, layer, rows, first
-                    )
+                    pos, touch, index = self._candidates(lo, hi, rows, first)
                     lo, at, chunk = hi, 0, 2 * chunk
                     continue
                 if touch[at] < 0 or touch[at] > p:
@@ -377,8 +332,7 @@ class FeatureCache:
         return victims, evicted_rows, None
 
     def _candidates(
-        self, lo: int, hi: int, layer: int, rows: np.ndarray,
-        first: np.ndarray,
+        self, lo: int, hi: int, rows: np.ndarray, first: np.ndarray,
     ) -> Tuple[List[int], List[int], List[int]]:
         """The live entries of log ``[lo, hi)``, oldest first: their
         positions, the position of their row's first touch in the call
@@ -387,79 +341,47 @@ class FeatureCache:
         vertex = self._log_vertex[live]
         k = np.minimum(np.searchsorted(rows, vertex), rows.size - 1)
         mine = rows[k] == vertex
-        if len(self._stamp) > 1:
-            mine &= self._log_layer[live] == layer
         return (
             live.tolist(),
             np.where(mine, first[k], -1).tolist(),
             np.where(mine, k, -1).tolist(),
         )
 
-    def _tables(self, layer: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The layer's (stamp, stale) tables, grown to hold ``size`` ids."""
-        stamp = self._stamp.get(layer)
-        if stamp is None or stamp.size < size:
-            old = 0 if stamp is None else stamp.size
+    def _tables(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The (stamp, stale) tables, grown to hold ``size`` ids."""
+        old = self._stamp.size
+        if old < size:
             grown = np.full(max(size, 2 * old, 64), -1, dtype=np.int64)
             stale = np.zeros(grown.size, dtype=bool)
-            if old:
-                grown[:old] = stamp
-                stale[:old] = self._stale[layer]
-            self._stamp[layer] = grown
-            self._stale[layer] = stale
-        return self._stamp[layer], self._stale[layer]
+            grown[:old] = self._stamp
+            stale[:old] = self._stale
+            self._stamp, self._stale = grown, stale
+        return self._stamp, self._stale
 
     def _live(self, lo: int, hi: int) -> np.ndarray:
         """Positions of the live log entries in ``[lo, hi)``, in order."""
         pos = np.arange(lo, hi)
-        if not self._stamp or hi <= lo:
-            return pos[:0]
-        vertex = self._log_vertex[lo:hi]
-        if len(self._stamp) == 1:
-            (stamp,) = self._stamp.values()
-            return pos[stamp[vertex] == pos]
-        layer = self._log_layer[lo:hi]
-        live = np.zeros(hi - lo, dtype=bool)
-        for key, stamp in self._stamp.items():
-            mine = layer == key
-            live[mine] = stamp[vertex[mine]] == pos[mine]
-        return pos[live]
+        return pos[self._stamp[self._log_vertex[lo:hi]] == pos]
 
-    def _drop(self, entries: np.ndarray) -> None:
-        """Mark the rows behind log ``entries`` not resident."""
-        layer = self._log_layer[entries]
-        vertex = self._log_vertex[entries]
-        for key, stamp in self._stamp.items():
-            stamp[vertex[layer == key]] = -1
-
-    def _append(self, layer: int, vertices: np.ndarray) -> None:
+    def _append(self, vertices: np.ndarray) -> None:
         """Stamp ``vertices`` (unique) as touched, in order."""
         k = vertices.size
         if self._tail + k > self._log_vertex.size:
             self._compact(k)
         lo, hi = self._tail, self._tail + k
-        self._log_layer[lo:hi] = layer
         self._log_vertex[lo:hi] = vertices
-        self._stamp[layer][vertices] = np.arange(lo, hi)
+        self._stamp[vertices] = np.arange(lo, hi)
         self._tail = hi
 
     def _compact(self, room: int) -> None:
         """Rewrite the log as its live entries from position 0, with
         ``room`` free entries after them (growing it when more than
         half of it would be live)."""
-        live = self._live(self._head, self._tail)
-        layer = self._log_layer[live]
-        vertex = self._log_vertex[live]
-        size = self._log_vertex.size
-        if 2 * (live.size + room) > size:
-            size = max(2 * size, 2 * (live.size + room), 1024)
-            self._log_layer = np.empty(size, dtype=np.int64)
+        vertex = self._log_vertex[self._live(self._head, self._tail)]
+        if 2 * (vertex.size + room) > self._log_vertex.size:
+            size = max(2 * self._log_vertex.size, 2 * (vertex.size + room), 1024)
             self._log_vertex = np.empty(size, dtype=np.int64)
-        self._log_layer[: live.size] = layer
-        self._log_vertex[: live.size] = vertex
-        moved = np.arange(live.size)
-        for key, stamp in self._stamp.items():
-            mine = layer == key
-            stamp[vertex[mine]] = moved[mine]
+        self._log_vertex[: vertex.size] = vertex
+        self._stamp[vertex] = np.arange(vertex.size)
         self._head = 0
-        self._tail = live.size
+        self._tail = vertex.size

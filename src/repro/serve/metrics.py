@@ -127,12 +127,6 @@ class ServeReport:
     cache_rows: int
     num_vertices: int
     outputs: Dict[int, np.ndarray] = field(default_factory=dict)
-    # -- async runtime (defaulted on serial runs) ----------------------
-    #: Overlap mode the run was placed under (``None`` = serial clock).
-    overlap: Optional[str] = None
-    #: Makespan the same batches take on the serial single-channel
-    #: clock (0.0 on serial runs, where it would equal ``makespan_s``).
-    serialized_makespan_s: float = 0.0
     # -- dynamic serving (all zero/defaulted on a static run) ----------
     graph_version: int = 0
     feature_version: int = 0
@@ -187,13 +181,6 @@ class ServeReport:
     def throughput_rps(self) -> float:
         span = self.makespan_s
         return self.num_requests / span if span > 0 else 0.0
-
-    @property
-    def overlap_efficiency(self) -> float:
-        """Serialized ÷ overlapped makespan (1.0 on serial runs)."""
-        if self.overlap is None or self.makespan_s <= 0.0:
-            return 1.0
-        return self.serialized_makespan_s / self.makespan_s
 
     @property
     def mean_batch_requests(self) -> float:
@@ -307,15 +294,6 @@ class ServeReport:
             f"{self.makespan_s * 1e3:.1f} ms",
             f"  slo            {self.slo_violations} violated "
             f"({self.slo_violation_rate * 100:.1f}%)",
-        ]
-        if self.overlap is not None:
-            lines.append(
-                f"  overlap        {self.overlap}: gathers on the io "
-                f"channel, serialized {self.serialized_makespan_s * 1e3:.1f}"
-                f" ms / overlapped {self.makespan_s * 1e3:.1f} ms "
-                f"(efficiency {self.overlap_efficiency:.2f}x)"
-            )
-        lines += [
             f"  gather         {self.gather_miss_bytes / 2**20:.2f} MiB paid, "
             f"{self.gather_hit_bytes / 2**20:.2f} MiB cached "
             f"(hit rate {self.cache_hit_rate * 100:.1f}%, "

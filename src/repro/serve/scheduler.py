@@ -118,6 +118,7 @@ def place_batches(
     ]
 
 
+# Kept for perf/trace.py, which wraps it by name.
 def place_batches_overlapped(
     batches: Sequence[PendingBatch],
     num_gpus: int,

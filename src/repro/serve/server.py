@@ -65,11 +65,7 @@ from repro.serve.batcher import BatchPolicy, MicroBatch, coalesce, receptive_fie
 from repro.serve.cache import FeatureCache
 from repro.serve.metrics import BatchTrace, RequestOutcome, ServeReport
 from repro.serve.request import InferenceRequest
-from repro.serve.scheduler import (
-    PendingBatch,
-    place_batches,
-    place_batches_overlapped,
-)
+from repro.serve.scheduler import SCHEDULER_POLICIES, PendingBatch, place_batches
 from repro.exec.profiler import BatchCost
 
 __all__ = ["InferenceServer"]
@@ -148,15 +144,6 @@ class InferenceServer:
         ``False`` skips concrete engine execution (no delivered
         outputs).  Every metric is analytic, so reports are identical
         either way — the switch exists for costing-only experiments.
-    overlap:
-        ``None`` (serial virtual clock), ``"events"`` (feature gathers
-        placed on a dedicated IO channel overlapping the compute
-        channel — the report carries both the overlapped and the
-        serialized makespan), or ``"threads"`` (same placement, with
-        concrete batch execution additionally fanned out over a thread
-        pool).  Delivered outputs are bit-identical across all three
-        modes: the clock prices batches, it never touches their
-        numerics.
     params / param_seed:
         Per-tenant parameter arrays (mapping ``tenant -> params``), or
         a seed for each model's initialiser.
@@ -178,20 +165,22 @@ class InferenceServer:
         params: Optional[Mapping[str, Dict[str, np.ndarray]]] = None,
         param_seed: int = 0,
         precision: str = "float32",
-        overlap: Optional[str] = None,
     ):
-        if overlap not in (None, "events", "threads"):
-            raise ValueError(
-                f"unknown overlap mode {overlap!r}; use 'events', "
-                "'threads', or None"
-            )
         if features.shape[0] != graph.num_vertices:
             raise ValueError(
                 f"features have {features.shape[0]} rows, graph has "
                 f"{graph.num_vertices} vertices"
             )
+        # Refuse bad settings here, not mid-stream: batches are
+        # placed only after every one is expanded and priced (and, on
+        # dynamic runs, the updates before it applied), and engines are
+        # built per batch.
+        if scheduler_policy not in SCHEDULER_POLICIES:
+            raise ValueError(
+                f"unknown scheduler policy {scheduler_policy!r}; use one "
+                f"of {SCHEDULER_POLICIES}"
+            )
         if memory_plan:
-            # Engines are built per batch; refuse here, not mid-stream.
             require_accounting_precision(precision)
         self.graph = graph
         self.features = features
@@ -229,7 +218,6 @@ class InferenceServer:
         self.memory_plan = memory_plan
         self.execute = execute
         self.precision = precision
-        self.overlap = overlap
         #: The feature cache of the most recent :meth:`serve` call.
         self.cache: Optional[FeatureCache] = None
         #: Dynamic state of the most recent :meth:`serve` call (``None``
@@ -353,7 +341,7 @@ class InferenceServer:
             if len(ids) != len(pending_updates):
                 raise ValueError("duplicate update_id in update stream")
             dyn = DynamicGraph(self.graph)
-            store = FeatureStore(self.features, cache=cache, layer=0)
+            store = FeatureStore(self.features, cache=cache)
             total_new_vertices = sum(
                 u.num_new_vertices for u in pending_updates
             )
@@ -401,8 +389,6 @@ class InferenceServer:
         pending: List[PendingBatch] = []
         versions: List[Tuple[int, int]] = []
         batch_feats: List[Optional[np.ndarray]] = []
-        compute_seconds: List[float] = []
-        gather_seconds: List[float] = []
         for batch in batches:
             runtime = self.tenants[batch.tenant]
             if dynamic:
@@ -429,12 +415,9 @@ class InferenceServer:
             # The batch must fit one pool device (arena-aware when a
             # memory plan backs the run).
             self.cost.check_memory(compute)
-            split = cache.gather(0, mb.vertices, runtime.row_bytes)
-            compute_s = self.cost.latency_seconds(compute, field_stats)
-            gather_s = self.cost.gather_seconds(split.paid_bytes)
-            service = compute_s + gather_s
-            compute_seconds.append(compute_s)
-            gather_seconds.append(gather_s)
+            split = cache.gather(mb.vertices, runtime.row_bytes)
+            service = self.cost.latency_seconds(compute, field_stats)
+            service += self.cost.gather_seconds(split.paid_bytes)
             fields.append(mb)
             splits.append(split)
             costs.append(
@@ -457,69 +440,19 @@ class InferenceServer:
         if dynamic:
             apply_updates(None)
 
-        serial_placements = place_batches(
+        placements = place_batches(
             pending, self.num_gpus, policy=self.scheduler_policy
         )
-        serialized_makespan_s = 0.0
-        if self.overlap is None:
-            placements = serial_placements
-        else:
-            # The serial placement is kept as the efficiency
-            # denominator: same batches, one channel, gather + compute
-            # fused into a single GPU hold.
-            placements = place_batches_overlapped(
-                pending,
-                self.num_gpus,
-                gather_s=gather_seconds,
-                compute_s=compute_seconds,
-                policy=self.scheduler_policy,
-            )
-            serialized_makespan_s = max(
-                (p.finish_s for p in serial_placements), default=0.0
-            )
-
-        logits_by_batch: List[Optional[np.ndarray]] = [None] * len(batches)
-        if self.execute and self.overlap == "threads" and batches:
-            # Real parallelism over the concrete executions: per-batch
-            # engines share only read-only state (features were
-            # snapshotted per batch on dynamic runs), and results are
-            # collected in submission order, so delivered outputs stay
-            # bit-identical to the serial walk.
-            from concurrent.futures import ThreadPoolExecutor
-            import os
-
-            workers = max(1, min(16, os.cpu_count() or 1))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        self._execute_batch,
-                        self.tenants[batch.tenant],
-                        mb,
-                        mplan,
-                        feats,
-                    )
-                    for batch, mb, mplan, feats in zip(
-                        batches, fields, mplans, batch_feats
-                    )
-                ]
-                logits_by_batch = [f.result() for f in futures]
 
         gpu_busy = [0.0] * self.num_gpus
         traces: List[BatchTrace] = []
         outcomes: List[RequestOutcome] = []
         outputs: Dict[int, np.ndarray] = {}
-        for i, (batch, mb, cost, split, mplan, slot, (gv, fv), feats) in (
-            enumerate(zip(
-                batches, fields, costs, splits, mplans, placements, versions,
-                batch_feats,
-            ))
+        for batch, mb, cost, split, mplan, slot, (gv, fv), feats in zip(
+            batches, fields, costs, splits, mplans, placements, versions,
+            batch_feats,
         ):
-            # On the overlapped clock the gather ran on the io channel;
-            # the GPU itself was held only for the compute half.
-            gpu_busy[slot.gpu] += (
-                slot.service_s if self.overlap is None
-                else compute_seconds[i]
-            )
+            gpu_busy[slot.gpu] += slot.service_s
             traces.append(
                 BatchTrace(
                     tenant=batch.tenant,
@@ -536,16 +469,13 @@ class InferenceServer:
                     feature_version=fv,
                 )
             )
-            if self.overlap == "threads":
-                logits = logits_by_batch[i]
-            else:
-                logits = (
-                    self._execute_batch(
-                        self.tenants[batch.tenant], mb, mplan, feats
-                    )
-                    if self.execute
-                    else None
+            logits = (
+                self._execute_batch(
+                    self.tenants[batch.tenant], mb, mplan, feats
                 )
+                if self.execute
+                else None
+            )
             for r in batch.requests:
                 outcomes.append(
                     RequestOutcome(
@@ -580,8 +510,6 @@ class InferenceServer:
                 dyn.num_vertices if dynamic else self.graph.num_vertices
             ),
             outputs=outputs,
-            overlap=self.overlap,
-            serialized_makespan_s=serialized_makespan_s,
             graph_version=dyn.version if dynamic else 0,
             feature_version=store.version if dynamic else 0,
             num_graph_updates=num_graph_updates,

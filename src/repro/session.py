@@ -320,9 +320,6 @@ class Session:
         # Feature-storage precision override: None keeps the strategy's
         # own precision (normally "fp32").
         self._precision: Optional[str] = None
-        # Async-runtime override: None keeps the strategy's own mode
-        # (normally serial).
-        self._overlap: Optional[str] = None
 
     # -- fluent setters ------------------------------------------------
     def model(self, model: Union[str, GNNModel]) -> "Session":
@@ -384,28 +381,6 @@ class Session:
 
             precision = canonical_precision(precision)
         self._precision = precision
-        return self
-
-    def overlap(self, mode: Optional[str]) -> "Session":
-        """Select the async-runtime mode of this configuration.
-
-        ``"events"`` schedules compute, halo exchange, and feature
-        gathers on overlapping per-GPU virtual-clock channels
-        (:mod:`repro.runtime`); ``"threads"`` backs the same hazard-wave
-        schedule with a real thread pool.  The resolved strategy
-        carries the choice (``ExecutionStrategy.overlap``), so
-        concrete multi-GPU execution and :meth:`serve` use it; both
-        modes are bit-identical to the serial oracle by contract.
-        :meth:`overlap_schedules` reports the modelled timeline and its
-        overlap efficiency.  ``overlap(None)`` restores serial
-        execution.
-        """
-        if mode not in (None, "events", "threads"):
-            raise ValueError(
-                f"unknown overlap mode {mode!r}; use 'events', "
-                "'threads', or None"
-            )
-        self._overlap = mode
         return self
 
     def gpu(self, gpu: Union[str, GPUSpec]) -> "Session":
@@ -500,8 +475,6 @@ class Session:
             resolved = with_memory_schedule(resolved)
         if self._precision is not None and resolved.precision != self._precision:
             resolved = replace(resolved, precision=self._precision)
-        if self._overlap is not None and resolved.overlap != self._overlap:
-            resolved = replace(resolved, overlap=self._overlap)
         return resolved
 
     def resolve_gpu(self) -> GPUSpec:
@@ -760,35 +733,6 @@ class Session:
             self.multi_counters(training=training),
             self.resolve_partition_stats(),
         )
-
-    def overlap_schedules(self, *, training: bool = True) -> list:
-        """Overlapped per-phase timelines on the cluster.
-
-        Builds one :class:`~repro.runtime.overlap.OverlapSchedule` per
-        plan phase (forward, and backward when training) — compute and
-        halo exchange placed on overlapping per-GPU channels, with the
-        serialized baseline and the overlap-efficiency ratio attached.
-        With :meth:`schedule` set to ``"memory"`` the arena plan joins
-        the hazard analysis, so slab reuse is honoured when deciding
-        what may overlap.
-        """
-        from repro.runtime.overlap import build_overlap_schedule
-
-        cluster = self.resolve_cluster()
-        if cluster is None:
-            raise ValueError(
-                "overlap_schedules() needs a cluster configuration"
-            )
-        compiled = self.compile(training=training)
-        pstats = self.resolve_partition_stats()
-        smp = self._scheduled_memory(compiled, self.resolve_stats())
-        return [
-            build_overlap_schedule(
-                plan, pstats, cluster,
-                memory_plan=getattr(smp, phase, None), phase=phase,
-            )
-            for phase, plan in compiled.phases()
-        ]
 
     def _price(self, compiled) -> ExperimentReport:
         """Price this configuration on its already-compiled pair.
@@ -1068,7 +1012,6 @@ class Session:
             hops=hops,
             memory_plan=self._schedule == "memory",
             execute=execute,
-            overlap=self.resolve_strategy().overlap,
         )
         return server.serve(workload, updates=updates, compact_every=compact_every)
 
@@ -1495,7 +1438,11 @@ def run_sweep(
 
 
 def _axis(value) -> tuple:
-    """``None | scalar | sequence`` → the options one sweep axis takes."""
-    if value is None or isinstance(value, (str, int, float)):
+    """The options one sweep axis takes: a string or any non-iterable
+    (``None``, a Python or NumPy scalar) is one option.  NumPy scalars
+    become their Python value, so a row stays JSON-serialisable."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, str) or not np.iterable(value):
         return (value,)
     return tuple(value)

@@ -1,5 +1,5 @@
-"""Kernel race detector: conflicts, happens-before, order checking,
-and the scheduler's rejection of racing candidate orders."""
+"""Kernel race detector: conflicts, happens-before, hazard waves, order
+checking, and the scheduler's rejection of racing candidate orders."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from repro.analysis.races import (
     check_order,
     conflicts,
     happens_before,
+    hazard_waves,
     kernel_access,
+    kernel_dependencies,
     may_overlap,
 )
 from repro.frameworks import compile_training, get_strategy
@@ -63,6 +65,50 @@ class TestConflicts:
         hb = happens_before(plan)
         i, j = _first_raw_pair(plan)
         assert i in hb[j]
+
+
+#: The built-in strategies that compile training plans: each orders and
+#: fuses kernels differently, so each yields its own wave decomposition.
+TRAINING_STRATEGIES = (
+    "ours", "ours-stash", "ours-nofusion", "ours-noreorg", "ours-edgemap",
+    "dgl-like", "fusegnn-like",
+)
+
+
+def _training_plans(model_name, strategy_name):
+    model = MODELS.get(model_name)(6, 4)
+    compiled = compile_training(model, get_strategy(strategy_name))
+    return compiled.fwd_plan, compiled.bwd_plan
+
+
+class TestHazardWaves:
+    """The wave decomposition MultiEngine's overlap modes execute by."""
+
+    @pytest.mark.parametrize("strategy_name", TRAINING_STRATEGIES)
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_waves_are_overlap_safe_antichains(self, model_name, strategy_name):
+        for plan in _training_plans(model_name, strategy_name):
+            waves = hazard_waves(plan)
+            seen = sorted(k for wave in waves for k in wave)
+            assert seen == list(range(len(plan.kernels)))
+            deps = kernel_dependencies(plan)
+            for w, wave in enumerate(waves):
+                for a in wave:
+                    # Level-consistency: every dependence sits in an
+                    # earlier wave.
+                    for d in deps[a]:
+                        assert any(d in waves[v] for v in range(w))
+                    for b in wave:
+                        if a < b:
+                            assert may_overlap(plan, a, b)
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_kernel_dependencies_extend_happens_before(self, model_name):
+        for plan in _training_plans(model_name, "ours"):
+            hb = happens_before(plan)
+            deps = kernel_dependencies(plan)
+            for k in range(len(plan.kernels)):
+                assert hb[k] <= deps[k]
 
 
 class TestCheckOrder:

@@ -18,8 +18,8 @@ class TestCaseDispatch:
         ran = []
         monkeypatch.setattr(bench_main, "run_case", ran.append)
         # Given out of order on purpose: cases run in CASES order.
-        assert bench_main.main(["--overlap", "--serve", "--smoke"]) == 0
-        assert ran == [bench_main.CASES[f] for f in ("smoke", "serve", "overlap")]
+        assert bench_main.main(["--precision", "--serve", "--smoke"]) == 0
+        assert ran == [bench_main.CASES[f] for f in ("smoke", "serve", "precision")]
 
     def test_no_flag_regenerates_everything(self, monkeypatch):
         ran = []

@@ -86,29 +86,20 @@ class TestFeatureStore:
 class TestCacheCoupling:
     def test_put_invalidates_resident_rows(self):
         cache = FeatureCache(capacity_rows=8)
-        s = _store(cache=cache, layer=0)
-        cache.gather(0, np.array([1, 2]), 8)
+        s = _store(cache=cache)
+        cache.gather(np.array([1, 2]), 8)
         s.put(np.array([2, 3]), np.zeros((2, 3)))
         # 2 was resident (invalidated); 3 was not (nothing to do).
         assert cache.invalidations == 1
-        split = cache.gather(0, np.array([1, 2, 3]), 8)
+        split = cache.gather(np.array([1, 2, 3]), 8)
         assert split.hit_rows == 1
         assert split.invalidated_rows == 1
         assert split.miss_rows == 1
 
-    def test_layer_key_respected(self):
-        cache = FeatureCache(capacity_rows=8)
-        s = _store(cache=cache, layer=2)
-        cache.gather(0, np.array([1]), 8)
-        cache.gather(2, np.array([1]), 8)
-        s.put(np.array([1]), np.zeros((1, 3)))
-        assert cache.gather(0, np.array([1]), 8).hit_rows == 1
-        assert cache.gather(2, np.array([1]), 8).invalidated_rows == 1
-
     def test_growth_needs_no_invalidation(self):
         cache = FeatureCache(capacity_rows=8)
         s = _store(cache=cache)
-        cache.gather(0, np.arange(6), 8)
+        cache.gather(np.arange(6), 8)
         s.add_vertices(np.zeros((2, 3)))
         assert cache.invalidations == 0
 

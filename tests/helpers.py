@@ -608,14 +608,14 @@ def recording_cache(calls: list) -> type:
     ``repro.serve.server.FeatureCache`` to record a server's stream."""
 
     class RecordingFeatureCache(FeatureCache):
-        def gather(self, layer, vertices, row_bytes):
+        def gather(self, vertices, row_bytes):
             ids = np.array(vertices, dtype=np.int64)
-            calls.append(("gather", layer, ids, row_bytes))
-            return super().gather(layer, vertices, row_bytes)
+            calls.append(("gather", ids, row_bytes))
+            return super().gather(vertices, row_bytes)
 
-        def invalidate(self, layer, vertices):
-            calls.append(("invalidate", layer, np.array(vertices, dtype=np.int64)))
-            return super().invalidate(layer, vertices)
+        def invalidate(self, vertices):
+            calls.append(("invalidate", np.array(vertices, dtype=np.int64)))
+            return super().invalidate(vertices)
 
     return RecordingFeatureCache
 
@@ -645,52 +645,27 @@ def serve_report_digest(report) -> str:
 
 
 class ReferenceFeatureCache:
-    """Bounded LRU over ``(layer, vertex)`` rows.
+    """Bounded LRU over feature rows, keyed by vertex id.
 
     The row-by-row oracle :class:`repro.serve.cache.FeatureCache` is
     held to: one ordered dict, one operation per looked-up row.
 
     ``capacity_rows`` bounds the number of cached rows; 0 disables
     caching (every lookup misses, the uncached-accounting limit).
-    Alternatively pass ``capacity_bytes`` with the per-row storage cost
-    (``row_bytes``) and the row budget is derived as
-    ``capacity_bytes // row_bytes`` — the device-memory framing, under
-    which a fixed byte budget holds twice as many fp16 rows as fp32
-    ones.  Lookups are resolved row by row in vertex order, so a
-    batch's split is deterministic; missed rows are inserted (and the
-    least recently used *unpinned* row evicted) immediately, modelling
-    a fetch-through cache.
+    Lookups are resolved row by row in vertex order, so a batch's split
+    is deterministic; missed rows are inserted (and the least recently
+    used *unpinned* row evicted) immediately, modelling a fetch-through
+    cache.
     """
 
-    def __init__(
-        self,
-        capacity_rows: int = 0,
-        *,
-        capacity_bytes: Optional[int] = None,
-        row_bytes: Optional[int] = None,
-    ):
-        if capacity_bytes is not None:
-            if capacity_rows:
-                raise ValueError(
-                    "pass capacity_rows or capacity_bytes, not both"
-                )
-            if capacity_bytes < 0:
-                raise ValueError("capacity_bytes must be non-negative")
-            if row_bytes is None or row_bytes <= 0:
-                raise ValueError(
-                    "capacity_bytes requires a positive row_bytes "
-                    "(the per-row storage cost to divide the budget by)"
-                )
-            capacity_rows = int(capacity_bytes) // int(row_bytes)
-        elif row_bytes is not None:
-            raise ValueError("row_bytes is only meaningful with capacity_bytes")
+    def __init__(self, capacity_rows: int = 0):
         if capacity_rows < 0:
             raise ValueError("capacity_rows must be non-negative")
         self.capacity_rows = int(capacity_rows)
-        self._rows: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        # Keys a versioned write removed while resident; the next miss
-        # on one is an invalidation re-gather, not a cold miss.
-        self._stale: Set[Tuple[int, int]] = set()
+        self._rows: "OrderedDict[int, None]" = OrderedDict()
+        # Vertices a versioned write removed while resident; the next
+        # miss on one is an invalidation re-gather, not a cold miss.
+        self._stale: Set[int] = set()
         self.hits = 0
         self.misses = 0
         self.hit_bytes = 0
@@ -704,10 +679,10 @@ class ReferenceFeatureCache:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        return key in self._rows
+    def __contains__(self, vertex: int) -> bool:
+        return vertex in self._rows
 
-    def keys(self) -> List[Tuple[int, int]]:
+    def keys(self) -> List[int]:
         """The resident rows, least recently used first."""
         return list(self._rows)
 
@@ -735,7 +710,7 @@ class ReferenceFeatureCache:
         self.pinned_bypasses = 0
 
     # ------------------------------------------------------------------
-    def invalidate(self, layer: int, vertices: np.ndarray) -> int:
+    def invalidate(self, vertices: np.ndarray) -> int:
         """Drop the resident rows a versioned write touched.
 
         Returns how many rows were actually resident (and are now
@@ -744,9 +719,7 @@ class ReferenceFeatureCache:
         invalidation would double-count drift against cold traffic.
         """
         dropped = 0
-        layer = int(layer)
-        for v in np.asarray(vertices, dtype=np.int64).tolist():
-            key = (layer, v)
+        for key in np.asarray(vertices, dtype=np.int64).tolist():
             if key in self._rows:
                 del self._rows[key]
                 self._stale.add(key)
@@ -755,9 +728,7 @@ class ReferenceFeatureCache:
         return dropped
 
     # ------------------------------------------------------------------
-    def gather(
-        self, layer: int, vertices: np.ndarray, row_bytes: int
-    ) -> GatherSplit:
+    def gather(self, vertices: np.ndarray, row_bytes: int) -> GatherSplit:
         """Resolve one receptive-field gather against the cache.
 
         ``vertices`` are the (deduplicated) field rows the batch needs;
@@ -776,10 +747,8 @@ class ReferenceFeatureCache:
             # every lookup is a plain cold miss.
             miss_rows = int(np.asarray(vertices).size)
         else:
-            batch_keys: Set[Tuple[int, int]] = set()
-            layer = int(layer)
-            for v in np.asarray(vertices, dtype=np.int64).tolist():
-                key = (layer, v)
+            batch_keys: Set[int] = set()
+            for key in np.asarray(vertices, dtype=np.int64).tolist():
                 if key in self._rows:
                     self._rows.move_to_end(key)
                     hit_rows += 1

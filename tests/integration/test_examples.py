@@ -89,12 +89,6 @@ class TestExamples:
         assert "comm" in out
         assert "partitioned execution matches single-GPU execution" in out
 
-    def test_overlap_pipeline(self):
-        out = run_example("overlap_pipeline.py")
-        assert "co-scheduled pairs" in out
-        assert "bit-identical to the serial oracle" in out
-        assert "overlapped serving never extends the makespan" in out
-
     def test_serving(self):
         out = run_example(
             "serving.py", "--dataset", "cora", "--requests", "48"

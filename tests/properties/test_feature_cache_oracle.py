@@ -1,11 +1,10 @@
 """The feature cache's slot tables vs the row-by-row LRU oracle.
 
 :class:`repro.serve.cache.FeatureCache` resolves a gather with array
-operations on per-layer stamp tables and loops only over evictions;
+operations on stamp tables and loops only over evictions;
 :class:`tests.helpers.ReferenceFeatureCache` resolves it one ordered-dict
 operation per row.  After every call of a random interleaving of
-gathers and invalidations over several layers the two must agree on the
-split, every counter, the size, membership and the LRU order — at
+gathers and invalidations the two must agree on the split, every counter, the size, membership and the LRU order — at
 capacities 0, 1, 2, small and large, for sorted unique inputs (what
 serving sends) and inputs with repeats, with vertex ids growing past the
 end of the tables.
@@ -24,12 +23,12 @@ ROW_BYTES = 8
 
 def assert_same_stream(capacity, calls):
     got, want = FeatureCache(capacity), ReferenceFeatureCache(capacity)
-    for step, (op, layer, ids) in enumerate(calls):
-        args = (layer, ids, ROW_BYTES) if op == "gather" else (layer, ids)
+    for step, (op, ids) in enumerate(calls):
+        args = (ids, ROW_BYTES) if op == "gather" else (ids,)
         assert getattr(got, op)(*args) == getattr(want, op)(*args), step
         assert cache_state(got) == cache_state(want), step
         for v in ids.tolist() + [ids.size + 10**6]:
-            assert ((layer, v) in got) == ((layer, v) in want), (step, v)
+            assert (v in got) == (v in want), (step, v)
 
 
 @st.composite
@@ -41,7 +40,6 @@ def call_streams(draw):
             st.integers(40, 400),
         )
     )
-    layers = draw(st.integers(1, 3))
     top = draw(st.integers(1, 32))
     calls = []
     for _ in range(draw(st.integers(1, 40))):
@@ -50,8 +48,7 @@ def call_streams(draw):
         if draw(st.booleans()):
             ids = sorted(set(ids))
         op = draw(st.sampled_from(["gather", "gather", "invalidate"]))
-        layer = draw(st.integers(0, layers - 1))
-        calls.append((op, layer, np.array(ids, dtype=np.int64)))
+        calls.append((op, np.array(ids, dtype=np.int64)))
     return capacity, calls
 
 
@@ -65,7 +62,7 @@ def test_matches_reference_after_every_call(stream):
 @pytest.mark.parametrize("capacity", [50, 700])
 def test_long_zipf_streams_match_reference(seed, capacity):
     # Long enough that the touch log is compacted and grown several
-    # times, over three layers, with hot rows recurring.
+    # times, with hot rows recurring.
     rng = np.random.default_rng(seed)
     calls, top = [], 2000
     for _ in range(120):
@@ -74,21 +71,21 @@ def test_long_zipf_streams_match_reference(seed, capacity):
         if rng.random() < 0.7:
             ids = np.unique(ids)
         op = "invalidate" if rng.random() < 0.3 else "gather"
-        calls.append((op, int(rng.integers(0, 3)), ids.astype(np.int64)))
+        calls.append((op, ids.astype(np.int64)))
     assert_same_stream(capacity, calls)
 
 
 def test_negative_vertex_ids_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        FeatureCache(4).gather(0, np.array([1, -1]), ROW_BYTES)
+        FeatureCache(4).gather(np.array([1, -1]), ROW_BYTES)
 
 
 def test_keys_is_a_snapshot():
     c = FeatureCache(4)
-    c.gather(0, np.array([1, 2]), ROW_BYTES)
-    c.gather(1, np.array([2]), ROW_BYTES)
-    c.gather(0, np.array([1]), ROW_BYTES)
+    c.gather(np.array([1, 2]), ROW_BYTES)
+    c.gather(np.array([3]), ROW_BYTES)
+    c.gather(np.array([1]), ROW_BYTES)
     keys = c.keys()
-    assert keys == [(0, 2), (1, 2), (0, 1)]
+    assert keys == [2, 3, 1]
     keys.clear()
     assert len(c.keys()) == 3

@@ -42,7 +42,6 @@ class TestValidation:
     def test_empty_run(self):
         loop = EventLoop({"g": 2})
         assert loop.run([]) == {}
-        assert loop.makespan({}) == 0.0
 
 
 class TestScheduling:
@@ -92,18 +91,6 @@ class TestScheduling:
             [t("slow", ready=5.0, sort_key=(0,)), t("fast", sort_key=(1,))]
         )
         assert slots["fast"].start_s == 0.0
-
-    def test_makespan(self):
-        loop = EventLoop({"g": 1})
-        slots = loop.run([t("a", dur=1.5), t("b", dur=2.0)])
-        assert loop.makespan(slots) == pytest.approx(3.5)
-
-    def test_slot_overlap_predicate(self):
-        slots = EventLoop({"g": 2}).run([t("a", dur=2.0), t("b", dur=1.0)])
-        assert slots["a"].overlaps(slots["b"])
-        zero = EventLoop({"g": 1}).run([t("p", dur=0.0), t("q", dur=1.0)])
-        # Zero-duration slots have no positive-measure intersection.
-        assert not zero["p"].overlaps(zero["q"])
 
     def test_pure_function_of_inputs(self):
         tasks = [

@@ -54,7 +54,7 @@ class TestRecordedServeStreams:
             assert a == b, step
             assert cache_state(got) == cache_state(want), step
         assert got.lookups == sum(
-            call[2].size for call in serve_stream if call[0] == "gather"
+            call[1].size for call in serve_stream if call[0] == "gather"
         )
         if capacity:
             assert got.evictions > 0
@@ -65,9 +65,9 @@ class TestRecordedServeStreams:
 class TestFeatureCache:
     def test_miss_then_hit(self):
         c = FeatureCache(capacity_rows=10)
-        first = c.gather(0, np.array([1, 2, 3]), row_bytes=8)
+        first = c.gather(np.array([1, 2, 3]), row_bytes=8)
         assert (first.hit_rows, first.miss_rows) == (0, 3)
-        again = c.gather(0, np.array([1, 2, 3]), row_bytes=8)
+        again = c.gather(np.array([1, 2, 3]), row_bytes=8)
         assert (again.hit_rows, again.miss_rows) == (3, 0)
         assert c.hits == 3 and c.misses == 3
         assert c.hit_rate == pytest.approx(0.5)
@@ -77,43 +77,36 @@ class TestFeatureCache:
         rng = np.random.default_rng(0)
         for _ in range(20):
             rows = rng.integers(0, 12, size=rng.integers(1, 8))
-            split = c.gather(0, rows, row_bytes=16)
+            split = c.gather(rows, row_bytes=16)
             assert split.hit_bytes + split.miss_bytes == rows.size * 16
             assert split.bytes == rows.size * 16
         assert c.hit_bytes + c.miss_bytes == 16 * c.lookups
 
     def test_lru_eviction_order(self):
         c = FeatureCache(capacity_rows=2)
-        c.gather(0, np.array([1]), 4)
-        c.gather(0, np.array([2]), 4)
-        c.gather(0, np.array([1]), 4)     # 1 becomes most-recent
-        c.gather(0, np.array([3]), 4)     # evicts 2
-        assert (0, 1) in c and (0, 3) in c and (0, 2) not in c
+        c.gather(np.array([1]), 4)
+        c.gather(np.array([2]), 4)
+        c.gather(np.array([1]), 4)     # 1 becomes most-recent
+        c.gather(np.array([3]), 4)     # evicts 2
+        assert 1 in c and 3 in c and 2 not in c
         assert c.evictions == 1
 
     def test_capacity_zero_disables(self):
         c = FeatureCache(0)
-        split = c.gather(0, np.array([1, 1, 2]), 4)
+        split = c.gather(np.array([1, 1, 2]), 4)
         assert split.hit_rows == 0 and split.miss_rows == 3
         assert len(c) == 0
         # Repeats still miss: nothing is retained.
-        assert c.gather(0, np.array([1]), 4).miss_rows == 1
+        assert c.gather(np.array([1]), 4).miss_rows == 1
 
     def test_duplicate_rows_in_one_gather_hit_after_first(self):
         c = FeatureCache(capacity_rows=4)
-        split = c.gather(0, np.array([5, 5, 5]), 4)
+        split = c.gather(np.array([5, 5, 5]), 4)
         assert (split.hit_rows, split.miss_rows) == (2, 1)
-
-    def test_layers_are_independent_keys(self):
-        c = FeatureCache(capacity_rows=4)
-        c.gather(0, np.array([1]), 4)
-        split = c.gather(1, np.array([1]), 4)
-        assert split.miss_rows == 1
-        assert len(c) == 2
 
     def test_clear(self):
         c = FeatureCache(capacity_rows=4)
-        c.gather(0, np.array([1, 2]), 4)
+        c.gather(np.array([1, 2]), 4)
         c.clear()
         assert len(c) == 0 and c.hits == 0 and c.misses == 0
         assert c.hit_bytes == 0 and c.miss_bytes == 0 and c.evictions == 0
@@ -122,56 +115,7 @@ class TestFeatureCache:
         with pytest.raises(ValueError):
             FeatureCache(-1)
         with pytest.raises(ValueError):
-            FeatureCache(4).gather(0, np.array([1]), row_bytes=-2)
-
-
-class TestByteCapacity:
-    """A byte budget divided by the storage row width sizes the cache —
-    the same device memory holds twice as many fp16 rows as fp32."""
-
-    def test_rows_derived_from_budget(self):
-        c = FeatureCache(capacity_bytes=1024, row_bytes=64)
-        assert c.capacity_rows == 16
-
-    def test_floor_division(self):
-        c = FeatureCache(capacity_bytes=100, row_bytes=64)
-        assert c.capacity_rows == 1
-
-    def test_fp16_doubles_residency(self):
-        budget = 1 << 10
-        fp32 = FeatureCache(capacity_bytes=budget, row_bytes=64)
-        fp16 = FeatureCache(capacity_bytes=budget, row_bytes=32)
-        assert fp16.capacity_rows == 2 * fp32.capacity_rows
-
-    def test_zero_budget_disables(self):
-        c = FeatureCache(capacity_bytes=0, row_bytes=8)
-        c.gather(0, np.array([1, 2]), 8)
-        assert len(c) == 0
-
-    def test_both_capacities_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            FeatureCache(4, capacity_bytes=64, row_bytes=8)
-
-    def test_budget_requires_row_bytes(self):
-        with pytest.raises(ValueError, match="row_bytes"):
-            FeatureCache(capacity_bytes=64)
-        with pytest.raises(ValueError, match="row_bytes"):
-            FeatureCache(capacity_bytes=64, row_bytes=0)
-
-    def test_row_bytes_alone_rejected(self):
-        with pytest.raises(ValueError, match="only meaningful"):
-            FeatureCache(row_bytes=8)
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            FeatureCache(capacity_bytes=-1, row_bytes=8)
-
-    def test_byte_sized_cache_evicts_like_row_sized(self):
-        a = FeatureCache(capacity_rows=2)
-        b = FeatureCache(capacity_bytes=16, row_bytes=8)
-        for c in (a, b):
-            c.gather(0, np.array([1, 2, 3]), 8)
-        assert a.evictions == b.evictions and len(a) == len(b)
+            FeatureCache(4).gather(np.array([1]), row_bytes=-2)
 
 
 class TestPinDuringBatch:
@@ -179,38 +123,38 @@ class TestPinDuringBatch:
         # A miss burst larger than capacity must not evict rows this
         # same gather already fetched (the batch is about to bind them).
         c = FeatureCache(capacity_rows=2)
-        split = c.gather(0, np.array([1, 2, 3, 4]), 8)
+        split = c.gather(np.array([1, 2, 3, 4]), 8)
         assert split.miss_rows == 4
         # The first `capacity` rows stay resident; the overflow rows
         # bypass insertion instead of churning the pinned ones.
-        assert (0, 1) in c and (0, 2) in c
-        assert (0, 3) not in c and (0, 4) not in c
+        assert 1 in c and 2 in c
+        assert 3 not in c and 4 not in c
         assert c.evictions == 0
         assert c.pinned_bypasses == 2
         # Pinned rows survive into the next batch as hits.
-        again = c.gather(0, np.array([1, 2]), 8)
+        again = c.gather(np.array([1, 2]), 8)
         assert again.hit_rows == 2
 
     def test_bypassed_rows_still_pay_miss_bytes(self):
         c = FeatureCache(capacity_rows=1)
-        split = c.gather(0, np.array([7, 8, 9]), 16)
+        split = c.gather(np.array([7, 8, 9]), 16)
         assert split.miss_bytes == 3 * 16
         assert split.bytes == 3 * 16
         assert c.pinned_bypasses == 2
 
     def test_other_batches_rows_are_evicted_first(self):
         c = FeatureCache(capacity_rows=2)
-        c.gather(0, np.array([1, 2]), 4)      # resident: 1, 2
-        split = c.gather(0, np.array([3, 4]), 4)
+        c.gather(np.array([1, 2]), 4)      # resident: 1, 2
+        split = c.gather(np.array([3, 4]), 4)
         assert split.miss_rows == 2
         # The old batch's rows go, the new batch's rows stay.
-        assert (0, 3) in c and (0, 4) in c
-        assert (0, 1) not in c and (0, 2) not in c
+        assert 3 in c and 4 in c
+        assert 1 not in c and 2 not in c
         assert c.evictions == 2 and c.pinned_bypasses == 0
 
     def test_duplicate_vertex_in_overflowing_batch_hits(self):
         c = FeatureCache(capacity_rows=1)
-        split = c.gather(0, np.array([5, 5, 6, 6]), 4)
+        split = c.gather(np.array([5, 5, 6, 6]), 4)
         # 5 misses then hits; 6 bypasses (5 is pinned) then misses again.
         assert split.hit_rows == 1
         assert split.miss_rows == 3
@@ -220,9 +164,9 @@ class TestPinDuringBatch:
 class TestInvalidation:
     def test_regather_attributed_to_invalidation_not_cold_miss(self):
         c = FeatureCache(capacity_rows=8)
-        c.gather(0, np.array([1, 2, 3]), 8)
-        assert c.invalidate(0, np.array([2])) == 1
-        split = c.gather(0, np.array([1, 2, 3]), 8)
+        c.gather(np.array([1, 2, 3]), 8)
+        assert c.invalidate(np.array([2])) == 1
+        split = c.gather(np.array([1, 2, 3]), 8)
         assert (split.hit_rows, split.miss_rows) == (2, 0)
         assert split.invalidated_rows == 1
         assert split.invalidated_bytes == 8
@@ -233,8 +177,8 @@ class TestInvalidation:
         # Invalidating a row that was never cached must not reclassify
         # its eventual cold miss as drift traffic.
         c = FeatureCache(capacity_rows=8)
-        assert c.invalidate(0, np.array([5])) == 0
-        split = c.gather(0, np.array([5]), 8)
+        assert c.invalidate(np.array([5])) == 0
+        split = c.gather(np.array([5]), 8)
         assert split.miss_rows == 1 and split.invalidated_rows == 0
 
     def test_reconciliation_with_invalidation(self):
@@ -242,9 +186,9 @@ class TestInvalidation:
         rng = np.random.default_rng(1)
         for _ in range(40):
             if rng.random() < 0.3:
-                c.invalidate(0, rng.integers(0, 12, size=3))
+                c.invalidate(rng.integers(0, 12, size=3))
             rows = rng.integers(0, 12, size=rng.integers(1, 8))
-            split = c.gather(0, rows, row_bytes=16)
+            split = c.gather(rows, row_bytes=16)
             assert (
                 split.hit_bytes + split.miss_bytes + split.invalidated_bytes
                 == rows.size * 16
@@ -256,24 +200,16 @@ class TestInvalidation:
 
     def test_capacity_zero_never_invalidates(self):
         c = FeatureCache(0)
-        c.gather(0, np.array([1]), 4)
-        assert c.invalidate(0, np.array([1])) == 0
-        split = c.gather(0, np.array([1]), 4)
+        c.gather(np.array([1]), 4)
+        assert c.invalidate(np.array([1])) == 0
+        split = c.gather(np.array([1]), 4)
         assert split.invalidated_rows == 0 and split.miss_rows == 1
 
     def test_clear_resets_stale_marks(self):
         c = FeatureCache(capacity_rows=4)
-        c.gather(0, np.array([1]), 4)
-        c.invalidate(0, np.array([1]))
+        c.gather(np.array([1]), 4)
+        c.invalidate(np.array([1]))
         c.clear()
-        split = c.gather(0, np.array([1]), 4)
+        split = c.gather(np.array([1]), 4)
         assert split.invalidated_rows == 0 and split.miss_rows == 1
         assert c.invalidations == 0 and c.pinned_bypasses == 0
-
-    def test_layers_are_independent(self):
-        c = FeatureCache(capacity_rows=4)
-        c.gather(0, np.array([1]), 4)
-        c.gather(1, np.array([1]), 4)
-        assert c.invalidate(0, np.array([1])) == 1
-        assert c.gather(1, np.array([1]), 4).hit_rows == 1
-        assert c.gather(0, np.array([1]), 4).invalidated_rows == 1

@@ -201,8 +201,7 @@ class TestHopsOverride:
     layer on its ring of the field (``Engine.run_plan(distance=)``, the
     batch's own hop distances — never a setting), and every delivered
     row equals the whole-field run: statically, on a dynamic stream
-    with compactions, through arena plans, and with batches executed on
-    the thread pool.  gcn brings an edge-domain module input
+    with compactions, and through arena plans.  gcn brings an edge-domain module input
     (``gcn_norm``), read at each ring's edge ids.
     """
 
@@ -210,7 +209,6 @@ class TestHopsOverride:
         "static": {},
         "dynamic": {"dynamic": True},
         "memory_plan": {"memory_plan": True},
-        "threads": {"overlap": "threads"},
     }
 
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -478,6 +476,13 @@ class TestValidation:
             InferenceServer(
                 graph, features, compiled,
                 memory_plan=True, precision="float64",
+            )
+
+    def test_unknown_scheduler_policy_refused_at_construction(self, cora):
+        ds, graph, features = cora
+        with pytest.raises(ValueError, match="scheduler policy 'edff'"):
+            make_server(
+                graph, features, "gat", ds.num_classes, scheduler_policy="edff"
             )
 
     def test_empty_stream_produces_empty_report(self, cora):

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.frameworks import compile_training, get_strategy
@@ -14,6 +15,7 @@ from repro.registry import DATASETS, STRATEGIES, register_dataset, register_stra
 from repro.session import (
     PlanCache,
     Session,
+    _axis,
     model_signature,
     run_sweep,
     session,
@@ -173,6 +175,29 @@ class TestCustomStrategyThroughSession:
             assert c.flops > 0 and c.io_bytes > 0
         finally:
             STRATEGIES.remove("test-custom")
+
+
+class TestSweepAxis:
+    """What one sweep axis argument expands to."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, 512, np.int64(512), np.int32(512), np.float32(0.5), 0.5,
+         "float16", np.str_("float16")],
+        ids=["none", "int", "np-int64", "np-int32", "np-float32", "float",
+             "str", "np-str"],
+    )
+    def test_non_sequence_is_one_option(self, value):
+        assert _axis(value) == (value,)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[256, 512], (256, 512), range(256, 768, 256),
+         np.array([256, 512])],
+        ids=["list", "tuple", "range", "ndarray"],
+    )
+    def test_sequence_is_its_options(self, value):
+        assert _axis(value) == (256, 512)
 
 
 class TestRunSweep:

@@ -1,6 +1,8 @@
 """Session.serve / run_sweep(serve_qps=...) threading, plus the bounded
 LRU PlanCache the serving path hammers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,19 @@ class TestSessionDynamicServe:
         with pytest.raises(ValueError, match="compact_every"):
             serve_session(update_frac=0.3, compact_every=0)
 
+    def test_unknown_scheduler_fails_before_any_batch(self, monkeypatch):
+        # The policy is refused when the server is built: no field is
+        # expanded and no update is applied to the dynamic graph first.
+        import repro.dyn.delta as delta
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the stream ran before the policy check")
+
+        monkeypatch.setattr(delta.DynamicGraph, "apply", fail)
+        monkeypatch.setattr(delta.DynamicGraph, "receptive_field", fail)
+        with pytest.raises(ValueError, match="scheduler policy 'edff'"):
+            serve_session(update_frac=0.3, scheduler="edff")
+
     def test_static_default_has_no_dynamic_state(self):
         rep = serve_session()
         assert rep.num_updates == 0
@@ -226,6 +241,22 @@ class TestServeSweep:
         assert d["staleness_s"] == dynamic.staleness_s
         table = sweep.table()
         assert "upd" in table and "stale ms" in table and "inval MiB" in table
+
+    def test_numpy_scalar_axes_save(self, tmp_path):
+        # NumPy scalars are one option each and land in the rows as
+        # Python values: the sweep saves to JSON like its listed twin.
+        kwargs = dict(
+            models=["gat"], datasets=["cora"], strategies=["ours"],
+            serve_requests=16, feature_dim=16, training=False,
+        )
+        scalar = run_sweep(
+            serve_qps=np.float64(4000.0), update_frac=np.float32(0.25),
+            save_as="scalar", results_dir=str(tmp_path), **kwargs,
+        )
+        listed = run_sweep(serve_qps=[4000.0], update_frac=[0.25], **kwargs)
+        with open(tmp_path / "scalar.json") as fh:
+            assert json.load(fh) == listed.to_dict()
+        assert scalar.to_dict() == listed.to_dict()
 
     def test_update_frac_requires_serving(self):
         with pytest.raises(ValueError, match="serve_qps"):

@@ -257,7 +257,38 @@ def _bare_engine_steps(compiled, graph, feats, labels, steps):
     return losses, params
 
 
-def _assert_arena_steps_match_bare_engine(name, strategy):
+#: A block budget small enough that every fused kernel the plans
+#: classify as blocked walks on ``_arena_setting``'s 900-edge graph.
+WALK_BLOCK = 128
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every ``Engine._walk`` call of the test."""
+    from repro.exec import Engine
+
+    calls = []
+    walk = Engine._walk
+
+    def spy(self, run, blocked, rows_per_block):
+        calls.append(blocked)
+        return walk(self, run, blocked, rows_per_block)
+
+    monkeypatch.setattr(Engine, "_walk", spy)
+    return calls
+
+
+def _assert_arena_steps_match_bare_engine(name, strategy, budget, walks, monkeypatch):
+    """Five arena steps == five bare-engine steps, both at ``budget``.
+
+    At the walk budget every kernel the chain-aware classification
+    leaves blocked walks (gat / monet / dotgat / edgeconv; gcn, sage,
+    gin and rgcn run their aggregations as chains and have nothing to
+    walk); at the default one nothing walks on this graph."""
+    from repro.exec import blocks
+
+    if budget == "walk":
+        monkeypatch.setattr(blocks, "BLOCK_BYTES", WALK_BLOCK)
     graph, compiled, feats, labels = _arena_setting(name, strategy)
     trainer = Trainer(compiled, graph, precision="float32", seed=0)
     optimizer = Adam(lr=0.01)
@@ -270,6 +301,12 @@ def _assert_arena_steps_match_bare_engine(name, strategy):
         assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), (
             f"{name}/{strategy}: {p}"
         )
+    walkable = any(
+        plan.blocked(i, True) is not None
+        for plan in (compiled.fwd_plan, compiled.bwd_plan)
+        for i in range(len(plan.kernels))
+    )
+    assert bool(walks) == (budget == "walk" and walkable), f"{name}/{strategy}"
 
 
 class TestTrainerArena:
@@ -324,14 +361,22 @@ class TestTrainerArena:
             trainer.evaluate(feats, labels)
         assert plans == []
 
+    @pytest.mark.parametrize("budget", ["default", "walk"])
     @pytest.mark.parametrize("name", ["gcn", "gat", "sage"])
-    def test_arena_steps_equal_a_bare_engine(self, name):
-        _assert_arena_steps_match_bare_engine(name, "ours")
+    def test_arena_steps_equal_a_bare_engine(self, name, budget, walks, monkeypatch):
+        _assert_arena_steps_match_bare_engine(name, "ours", budget, walks, monkeypatch)
+        if name == "gat" and budget == "walk":
+            assert walks, "no kernel walked: the walk axis is vacuous"
 
 
 @pytest.mark.slow
 class TestTrainerArenaExhaustive:
+    @pytest.mark.parametrize("budget", ["default", "walk"])
     @pytest.mark.parametrize("strategy", ["ours", "ours-stash", "dgl-like"])
     @pytest.mark.parametrize("name", sorted(MODELS.names()))
-    def test_arena_steps_equal_a_bare_engine(self, name, strategy):
-        _assert_arena_steps_match_bare_engine(name, strategy)
+    def test_arena_steps_equal_a_bare_engine(
+        self, name, strategy, budget, walks, monkeypatch
+    ):
+        _assert_arena_steps_match_bare_engine(
+            name, strategy, budget, walks, monkeypatch
+        )

@@ -349,6 +349,26 @@ class TestSessionMinibatch:
         assert "batch" in sweep.table()
         assert sampled.to_dict()["batch_size"] == 512
 
+    def test_sweep_numpy_scalar_is_one_option(self, tmp_path):
+        import json
+
+        from repro.session import run_sweep
+
+        kwargs = dict(
+            models=["sage"], datasets=["cora"], strategies=["ours"],
+            feature_dim=8,
+        )
+        scalar = run_sweep(
+            batch_size=np.int64(512), save_as="scalar",
+            results_dir=str(tmp_path), **kwargs,
+        )
+        listed = run_sweep(batch_size=[512], **kwargs)
+        assert [r.to_dict() for r in scalar.rows] == [
+            r.to_dict() for r in listed.rows
+        ]
+        with open(tmp_path / "scalar.json") as fh:
+            assert json.load(fh) == listed.to_dict()
+
     def test_sweep_rejects_minibatch_with_clusters(self):
         from repro.session import run_sweep
 
