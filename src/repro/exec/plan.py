@@ -42,6 +42,7 @@ from repro.ir.tensorspec import Domain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.cost_form import CostForms
+    from repro.opt.stages import StageMemo
 
 __all__ = [
     "Kernel", "ExecPlan", "plan_module", "KernelIO", "AggregationChain",
@@ -751,6 +752,7 @@ def plan_module(
     keep: Iterable[str] = (),
     mode: str = "per_op",
     prefer_mapping: str = "vertex",
+    stages: Optional["StageMemo"] = None,
 ) -> ExecPlan:
     """Partition a module into kernels.
 
@@ -759,14 +761,20 @@ def plan_module(
 
     - ``"per_op"`` — one kernel per node (views merged into consumers),
     - ``"macro"`` / ``"edge_chains"`` / ``"unified"`` — delegated to the
-      fusion pass.
+      fusion pass, through ``stages`` (a fresh
+      :class:`~repro.opt.stages.StageMemo` when ``None``), so plans of
+      one module, mode and mapping share one partition.
     """
     if mode == "per_op":
         kernels = _per_op_kernels(module)
     else:
-        from repro.opt.fusion import partition_kernels
+        if stages is None:
+            from repro.opt.stages import StageMemo
 
-        kernels = partition_kernels(module, mode=mode, prefer_mapping=prefer_mapping)
+            stages = StageMemo()
+        kernels = list(
+            stages.partition(module, mode=mode, prefer_mapping=prefer_mapping)
+        )
     return ExecPlan(module=module, kernels=kernels, keep=frozenset(keep))
 
 

@@ -42,9 +42,9 @@ from repro.gpu.cost_model import CostModel
 from repro.gpu.spec import GPUSpec
 from repro.ir.autodiff import TrainingGraph, grad_seed_name
 from repro.ir.module import Module
-from repro.opt.pipeline import PassContext, PassRecord, build_pipeline
+from repro.opt.pipeline import PassContext, PassRecord, ReorganizePass, build_pipeline
 from repro.opt.recompute import RecomputeDecision
-from repro.opt.reorganize import reorganize
+from repro.opt.stages import StageMemo
 from repro.models.base import GNNModel
 
 __all__ = [
@@ -142,20 +142,11 @@ class ExecutionStrategy:
             object.__setattr__(self, "pass_names", tuple(self.pass_names))
 
     # ------------------------------------------------------------------
-    def build_module(self, model: GNNModel) -> Module:
-        """The model's naive module under this strategy's precision."""
-        from repro.ir.precision import apply_precision
-
-        return apply_precision(model.build_module(), self.precision)
-
     def prepare_forward(self, model: GNNModel) -> Module:
         """Apply the strategy's graph-level rewrites to a model."""
-        naive = self.build_module(model)
-        if self.reorg_scope == "full" or (
-            self.reorg_scope == "library" and model.dgl_library_reorganized
-        ):
-            return reorganize(naive)
-        return naive
+        ctx = _context(model, self, training=False, stages=None)
+        ReorganizePass().run(ctx)
+        return ctx.forward
 
 
 # ======================================================================
@@ -297,14 +288,39 @@ class CompiledTraining(_Compiled):
 
 
 # ======================================================================
-def compile_forward(model: GNNModel, strategy: ExecutionStrategy) -> CompiledForward:
-    """Inference compilation: rewrites + kernel partitioning."""
-    ctx = PassContext(
+def _context(
+    model: GNNModel,
+    strategy: ExecutionStrategy,
+    *,
+    training: bool,
+    stages: Optional[StageMemo],
+) -> PassContext:
+    """A pipeline context that starts from the model's naive module
+    under the strategy's precision."""
+    stages = StageMemo() if stages is None else stages
+    return PassContext(
         strategy=strategy,
         model=model,
-        training=False,
-        state={"forward": strategy.build_module(model)},
+        training=training,
+        state={"forward": stages.naive(model, strategy.precision)},
+        stages=stages,
     )
+
+
+def compile_forward(
+    model: GNNModel,
+    strategy: ExecutionStrategy,
+    *,
+    stages: Optional[StageMemo] = None,
+) -> CompiledForward:
+    """Inference compilation: rewrites + kernel partitioning.
+
+    ``stages`` is the memo of ``model``'s pure stages that other
+    compiles share (:class:`~repro.session.PlanCache` keeps one per
+    model); a fresh one when ``None``.  The result is the same either
+    way.
+    """
+    ctx = _context(model, strategy, training=False, stages=stages)
     build_pipeline(strategy, training=False).run(ctx)
     return CompiledForward(
         model=model,
@@ -315,19 +331,22 @@ def compile_forward(model: GNNModel, strategy: ExecutionStrategy) -> CompiledFor
     )
 
 
-def compile_training(model: GNNModel, strategy: ExecutionStrategy) -> CompiledTraining:
-    """Training compilation: the full §4 + Appendix B + §6 + §5 stack."""
+def compile_training(
+    model: GNNModel,
+    strategy: ExecutionStrategy,
+    *,
+    stages: Optional[StageMemo] = None,
+) -> CompiledTraining:
+    """Training compilation: the full §4 + Appendix B + §6 + §5 stack.
+
+    ``stages`` as in :func:`compile_forward`.
+    """
     if not strategy.supports_training:
         raise ValueError(
             f"strategy {strategy.name!r} is inference-only "
             "(forward fusion without the intermediate data for backward)"
         )
-    ctx = PassContext(
-        strategy=strategy,
-        model=model,
-        training=True,
-        state={"forward": strategy.build_module(model)},
-    )
+    ctx = _context(model, strategy, training=True, stages=stages)
     build_pipeline(strategy, training=True).run(ctx)
     return CompiledTraining(
         model=model,

@@ -11,6 +11,9 @@
 - :mod:`~repro.opt.schedule` — peak-aware kernel reordering over the §6
   liveness ledger (greedy list scheduling; the ``schedule_memory``
   pass),
+- :mod:`~repro.opt.stages` — the pure stages (naive module, reorganize,
+  autodiff, partitioning) run once per input object; a plan cache
+  shares one memo across the strategies compiled for a model,
 - :mod:`~repro.opt.pipeline` — the passes above lifted into composable
   :class:`~repro.opt.pipeline.Pass` objects run by a
   :class:`~repro.opt.pipeline.PassManager` (per-pass IR deltas and
@@ -19,6 +22,7 @@
 
 from repro.opt.reorganize import reorganize
 from repro.opt.fusion import partition_kernels
+from repro.opt.stages import StageMemo
 from repro.opt.recompute import plan_recompute, RecomputeDecision
 from repro.opt.autotune import autotune_plan, mapping_choices
 from repro.opt.schedule import (
@@ -37,6 +41,7 @@ from repro.opt.pipeline import (
 __all__ = [
     "reorganize",
     "partition_kernels",
+    "StageMemo",
     "plan_recompute",
     "RecomputeDecision",
     "autotune_plan",

@@ -44,10 +44,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exec.plan import plan_module
-from repro.ir.autodiff import differentiate
 from repro.ir.transform import common_subexpression_eliminate
 from repro.opt.recompute import plan_recompute
-from repro.opt.reorganize import reorganize
+from repro.opt.stages import StageMemo
 from repro.registry import PASSES, register_pass
 
 __all__ = [
@@ -91,13 +90,19 @@ class PassRecord:
 
 @dataclass
 class PassContext:
-    """Mutable compilation state threaded through a pipeline run."""
+    """Mutable compilation state threaded through a pipeline run.
+
+    ``stages`` runs the pure stages (reorganize, autodiff, partitioning)
+    once per input object; a plan cache passes the memo its other
+    compiles of the same model share.
+    """
 
     strategy: Any
     model: Any = None
     training: bool = True
     state: Dict[str, Any] = field(default_factory=dict)
     records: List[PassRecord] = field(default_factory=list)
+    stages: StageMemo = field(default_factory=StageMemo)
 
     @property
     def forward(self):
@@ -220,8 +225,8 @@ class ReorganizePass(Pass):
             and ctx.model.dgl_library_reorganized
         )
         if applies:
-            rewritten = reorganize(module)
-            # reorganize() returns the input object untouched when no
+            rewritten = ctx.stages.reorganize(module)
+            # The rewrite returns the input object untouched when no
             # pair matched; only an actual rewrite has been CSE'd.
             ctx.state["reorganized"] = rewritten is not module
             ctx.state["forward"] = rewritten
@@ -267,7 +272,9 @@ class AutodiffPass(Pass):
     training_only = True
 
     def run(self, ctx: PassContext) -> None:
-        ctx.state["training_graph"] = differentiate(ctx.require("forward"))
+        ctx.state["training_graph"] = ctx.stages.differentiate(
+            ctx.require("forward")
+        )
 
     def summary(self, ctx: PassContext) -> str:
         tg = ctx.state["training_graph"]
@@ -300,6 +307,7 @@ class RecomputePlanPass(Pass):
             mode=self.boundary_mode
             or strategy.recompute_boundary_mode
             or strategy.fusion_mode,
+            stages=ctx.stages,
         )
         decision = plan_recompute(tg, policy=policy, boundary_values=boundary)
 
@@ -339,7 +347,8 @@ class FusionPass(Pass):
         mapping = self.prefer_mapping or strategy.prefer_mapping
         keep = ctx.require("stash") if ctx.training else ()
         ctx.state["fwd_plan"] = plan_module(
-            ctx.require("forward"), mode=mode, prefer_mapping=mapping, keep=keep
+            ctx.require("forward"), mode=mode, prefer_mapping=mapping,
+            keep=keep, stages=ctx.stages,
         )
         if ctx.training:
             ctx.state["bwd_plan"] = plan_module(
@@ -347,6 +356,7 @@ class FusionPass(Pass):
                 mode=mode,
                 prefer_mapping=mapping,
                 keep=(),
+                stages=ctx.stages,
             )
 
     def summary(self, ctx: PassContext) -> str:
@@ -357,10 +367,13 @@ class FusionPass(Pass):
 
 
 # ----------------------------------------------------------------------
-def _boundary_values(forward, strategy, *, mode: str) -> List[str]:
+def _boundary_values(
+    forward, strategy, *, mode: str, stages: Optional[StageMemo] = None
+) -> List[str]:
     """Forward values written to DRAM under the strategy's own fusion."""
     probe = plan_module(
-        forward, mode=mode, prefer_mapping=strategy.prefer_mapping, keep=()
+        forward, mode=mode, prefer_mapping=strategy.prefer_mapping, keep=(),
+        stages=stages,
     )
     writes: List[str] = []
     for i in range(len(probe.kernels)):

@@ -32,7 +32,8 @@ Compiled plans are cached per :class:`PlanCache` keyed by *(structural
 model signature, strategy name)* — a sweep over N datasets that share
 feature/class widths compiles each (model, strategy) pair exactly once,
 because the plan depends only on the model's IR, never on the topology
-the counters are later evaluated on.
+the counters are later evaluated on.  The strategies compiled for one
+model object share its pure stages (:mod:`repro.opt.stages`).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from repro.graph.stats import GraphStats, expected_field_stats
 from repro.ir.serialize import dumps_module
 from repro.models.base import GNNModel
 from repro.opt.schedule import with_memory_schedule
+from repro.opt.stages import StageMemo
 from repro.registry import MODELS
 import repro.models  # noqa: F401  (populates the model registry)
 
@@ -88,18 +90,21 @@ __all__ = [
 _SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def model_signature(model: GNNModel) -> str:
+def model_signature(model: GNNModel, stages: Optional[StageMemo] = None) -> str:
     """Structural fingerprint of a model's naive IR.
 
     Two model instances with identical architecture and dimensions hash
     identically, so compiled plans are shared across datasets that agree
-    on feature/class widths.
+    on feature/class widths.  The hashed module is the float32 naive
+    module ``stages`` holds for ``model`` (a fresh memo's when ``None``),
+    the one its compiles then start from.
     """
     try:
         return _SIGNATURES[model]
     except (KeyError, TypeError):
         pass
-    payload = dumps_module(model.build_module())
+    stages = StageMemo() if stages is None else stages
+    payload = dumps_module(stages.naive(model))
     sig = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
     try:
         _SIGNATURES[model] = sig
@@ -121,6 +126,12 @@ class PlanCache:
     so it must not grow without limit.  The default is generous enough
     that sweeps over the whole zoo never evict; ``None`` removes the
     bound.  Hit/miss/eviction counters are exposed for reports.
+
+    Beside the plans, the cache keeps one :class:`StageMemo` per model
+    object, keyed weakly: every strategy compiled for that object reuses
+    its naive module, reorganised forward, backward and kernel
+    partitions.  A memo dies with its model, so it cannot outgrow the
+    models the caller (or a resident plan) still holds.
     """
 
     DEFAULT_CAPACITY = 128
@@ -132,9 +143,23 @@ class PlanCache:
         self._plans: "OrderedDict[Tuple[str, ExecutionStrategy, bool], object]" = (
             OrderedDict()
         )
+        self._stages: "weakref.WeakKeyDictionary[GNNModel, StageMemo]" = (
+            weakref.WeakKeyDictionary()
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+    def stages(self, model: GNNModel) -> StageMemo:
+        """The memo of ``model``'s pure compile stages (a fresh one for
+        a model that cannot be weakly referenced)."""
+        try:
+            memo = self._stages.get(model)
+            if memo is None:
+                memo = self._stages[model] = StageMemo()
+        except TypeError:
+            memo = StageMemo()
+        return memo
 
     def get_or_compile(
         self,
@@ -143,17 +168,15 @@ class PlanCache:
         *,
         training: bool = True,
     ):
-        key = (model_signature(model), strategy, training)
+        stages = self.stages(model)
+        key = (model_signature(model, stages), strategy, training)
         if key in self._plans:
             self.hits += 1
             self._plans.move_to_end(key)
             return self._plans[key]
         self.misses += 1
-        compiled = (
-            compile_training(model, strategy)
-            if training
-            else compile_forward(model, strategy)
-        )
+        compile_ = compile_training if training else compile_forward
+        compiled = compile_(model, strategy, stages=stages)
         self._plans[key] = compiled
         if self.capacity is not None:
             while len(self._plans) > self.capacity:
@@ -163,6 +186,7 @@ class PlanCache:
 
     def clear(self) -> None:
         self._plans.clear()
+        self._stages.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
