@@ -375,7 +375,7 @@ class DynamicGraph:
         knows and those the pending edges add — exactly the
         in-neighbours of the merged graph, without materialising it.
         """
-        return _khop(self._layouts(), self._num_vertices, seeds, hops)[0]
+        return np.sort(_khop(self._layouts(), self._num_vertices, seeds, hops)[0])
 
     def induce(
         self, vertices: np.ndarray
@@ -395,8 +395,8 @@ class DynamicGraph:
     def receptive_field(self, seeds: np.ndarray, hops: int) -> MiniBatch:
         """Delta-aware twin of :func:`repro.serve.batcher.receptive_field`.
 
-        Sorted unique seeds → overlay k-hop field → overlay induced
-        subgraph; the returned :class:`MiniBatch` is interchangeable
+        Sorted unique seeds → overlay k-hop field, laid out hop by hop →
+        overlay induced subgraph; the returned :class:`MiniBatch` is interchangeable
         with one built on the rebuilt graph.
         """
         return _sample(

@@ -35,9 +35,10 @@ storage, ``check_finite`` — keep every node.
 
 A caller that reads only some output rows — a serving batch reads its
 seeds' — passes each vertex's hop distance from them
-(``run_plan(distance=)``) and every node then computes only the ring of
-the field its readers need (:meth:`ExecPlan.rings`, :class:`_Rings`):
-the read rows come out bit for bit as in the whole-field run.
+(``run_plan(distance=)``, non-decreasing: the field is laid out hop by
+hop) and every node then computes only the ring of the field its
+readers need (:meth:`ExecPlan.rings`, :class:`_Rings`), a prefix of
+its rows: the read rows come out bit for bit as in the whole-field run.
 
 Array conventions (see :mod:`repro.exec.kernels`): callers provide
 vertex/edge tensors with their natural leading row axis and parameters
@@ -59,7 +60,7 @@ import numpy as np
 from repro.exec import blocks
 from repro.exec.kernels import (
     aggregate, apply_kernel, gather_kernel, param_grad_kernel,
-    row_count_dependent, scatter_kernel, writes_out,
+    scatter_kernel, writes_out,
 )
 from repro.exec.memory import (
     ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan, pack,
@@ -69,7 +70,6 @@ from repro.exec.plan import (
 )
 from repro.exec.rings import WHOLE
 from repro.graph.csr import Graph
-from repro.graph.sampling import ring_graph
 from repro.ir.module import GRAPH_CONSTANTS, Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.precision import bf16_round, simulate_storage
@@ -131,53 +131,36 @@ class PlanRun:
 
 class _Rings:
     """Where each node of a run that reads only the outputs' rows at
-    hop distance 0 computes (:meth:`ExecPlan.rings`).
+    hop distance 0 computes (:meth:`ExecPlan.rings`), on a field laid
+    out hop by hop.
 
-    A node on ring ``d`` below the field's deepest runs on the ring
-    graph :func:`~repro.graph.sampling.ring_graph` cuts — every vertex,
-    only the in-edges of those within ``d`` hops — so its edge values
-    hold ring ``d``'s edges in field order.  An edge value living on a
-    larger ring (a module input lives on the whole field) is read at
-    the ring's positions.  A row-wise vertex apply computes the ring's
-    rows only and leaves zeros in the others; a BLAS product
-    (row-count-dependent, :func:`~repro.exec.kernels.row_count_dependent`)
-    runs on every row of the field, where its bits are the whole-field
-    run's.  A node on a deeper ring runs as if there were no rings.
+    Ring ``d`` — the vertices within ``d`` hops — is rows ``[0, n_d)``
+    of the field and its in-edges are the first ``E_d`` positions of
+    the CSC grouping, so a node on ring ``d`` below the field's deepest
+    runs on the in-edge row block of rows ``[0, n_d)``
+    (:meth:`Graph.row_block`, the walk's layout): its vertex values hold
+    ``n_d`` rows, its edge values ring ``d``'s in-edges in CSC order.
+    A reader on an inner ring takes a prefix of either; an edge value
+    of the whole field (a module input) is read at the block's edge
+    ids.  A scatter reads its far operand through the block's absolute
+    source ids, which lie on ring ``d + 1``.  A node on a deeper ring
+    runs as if there were no rings.
     """
 
     def __init__(self, plan: ExecPlan, graph: Graph, distance: np.ndarray):
         self.depth = plan.rings()
-        self.top = int(distance.max())
-        self._plan, self._graph, self._distance = plan, graph, distance
+        self.top = int(distance[-1])
+        self._graph = graph
+        self._specs = plan.module.specs
         self._inputs = set(plan.module.inputs) | set(plan.module.params)
-        self._cuts: Dict[int, Tuple[Graph, np.ndarray, np.ndarray]] = {}
-        self._positions: Dict[Tuple[int, int], np.ndarray] = {}
+        #: ``n_d`` for each ring below the deepest.
+        self._rows = np.searchsorted(distance, np.arange(self.top), side="right")
 
     def of(self, name: str) -> Optional[int]:
         """The ring value ``name`` lives on (its node runs on), or
         ``None`` for the whole field."""
         ring = WHOLE if name in self._inputs else self.depth.get(name, WHOLE)
         return ring if ring < self.top else None
-
-    def cut(self, ring: int) -> Tuple[Graph, np.ndarray, np.ndarray]:
-        """``(ring graph, its edges' field ids, its vertex rows)``."""
-        cut = self._cuts.get(ring)
-        if cut is None:
-            graph, eids = ring_graph(self._graph, self._distance, ring)
-            rows = np.flatnonzero(self._distance <= ring)
-            cut = self._cuts[ring] = (graph, eids, rows)
-        return cut
-
-    def _positions_in(self, lives: Optional[int], ring: int) -> np.ndarray:
-        """Positions of ring ``ring``'s edges among ring ``lives``'s."""
-        if lives is None:
-            return self.cut(ring)[1]
-        key = (lives, ring)
-        if key not in self._positions:
-            self._positions[key] = np.searchsorted(
-                self.cut(lives)[1], self.cut(ring)[1]
-            )
-        return self._positions[key]
 
     def step(
         self,
@@ -186,60 +169,26 @@ class _Rings:
         values: Mapping[str, np.ndarray],
         out: Optional[np.ndarray],
     ):
-        """``(operands, graph, out, place)`` for :meth:`Engine._execute`
-        to run ``node`` (or the chain it heads) on its ring; ``None``
-        when it runs on the whole field."""
+        """``(operands, block, out)`` for :meth:`Engine._execute` to run
+        ``node`` (or the chain it heads) on its ring; ``None`` when it
+        runs on the whole field."""
         ring = self.of(node.name)
         if ring is None:
             return None
-        graph, eids, rows = self.cut(ring)
-        specs = self._plan.module.specs
-        names = node.inputs if chain is None else chain.operands
-        edge = [specs[name].domain is Domain.EDGE for name in names]
-        operands: List[Optional[np.ndarray]] = [
-            values[name][self._positions_in(self.of(name), ring)]
-            if by_edge and self.of(name) != ring else None
-            for name, by_edge in zip(names, edge)
-        ]
-        place = None
-        domain = specs[node.outputs[0]].domain
-        if chain is None and node.kind is OpKind.APPLY:
-            if row_count_dependent("apply", node.fn):
-                if domain is Domain.EDGE:
-                    # Every edge row of the field, the ring's in place.
-                    for i, name in enumerate(names):
-                        if edge[i]:
-                            x = values[name] if operands[i] is None else operands[i]
-                            operands[i] = np.zeros(
-                                (self._graph.num_edges,) + x.shape[1:], dtype=x.dtype
-                            )
-                            operands[i][eids] = x
-                    place, out = (lambda y: y[eids]), None
-            elif domain is Domain.VERTEX:
-                operands = [
-                    values[name][rows] if specs[name].domain is Domain.VERTEX
-                    else None
-                    for name in names
-                ]
-                place, out = _spread(rows, graph.num_vertices, out), None
-        if out is not None and domain is Domain.EDGE:
-            out = out[: graph.num_edges]
-        return operands, graph, out, place
-
-
-def _spread(rows: np.ndarray, num_vertices: int, out: Optional[np.ndarray]):
-    """Place a ring's rows of a vertex apply into a whole array (``out``
-    if given), zeros elsewhere."""
-
-    def place(part: np.ndarray) -> np.ndarray:
-        shape = (num_vertices,) + part.shape[1:]
-        full = np.zeros(shape, dtype=part.dtype) if out is None else out
+        block = self._graph.row_block("in", 0, int(self._rows[ring]))
+        row_wise = chain is None and node.kind in (OpKind.APPLY, OpKind.VIEW)
+        operands: List[Optional[np.ndarray]] = []
+        for name in node.inputs if chain is None else chain.operands:
+            x, domain = values[name], self._specs[name].domain
+            if domain is Domain.EDGE:
+                x = x[block.eids] if self.of(name) is None else x[: block.num_edges]
+            elif domain is Domain.VERTEX and row_wise:
+                x = x[: block.num_vertices]
+            operands.append(x)
         if out is not None:
-            full.fill(0)
-        full[rows] = part
-        return full
-
-    return place
+            by_edge = self._specs[node.outputs[0]].domain is Domain.EDGE
+            out = out[: block.num_edges if by_edge else block.num_vertices]
+        return operands, block, out
 
 
 class Engine:
@@ -580,12 +529,13 @@ class Engine:
 
         ``distance`` — each vertex's hop distance from the rows the
         caller will read (the seeds of a sampled field,
-        :attr:`~repro.graph.sampling.MiniBatch.distance`) — restricts
-        the run to what those rows need: each node computes only the
-        ring of the field :meth:`ExecPlan.rings` gives it (see
-        :class:`_Rings`).  The module outputs are then exact on the
-        distance-0 rows only, bit for bit the whole-field run's there;
-        keep-set results are exact everywhere.
+        :attr:`~repro.graph.sampling.MiniBatch.distance`), which must
+        not decrease along the vertices — restricts the run to what
+        those rows need: each node computes only the ring of the field
+        :meth:`ExecPlan.rings` gives it, a prefix of the rows (see
+        :class:`_Rings`).  A vertex output read at ring 0 then holds the
+        distance-0 rows only, bit for bit the whole-field run's;
+        keep-set results are whole and exact everywhere.
         """
         run = self._begin(plan, env, out, distance)
         timings = self.kernel_timings
@@ -672,7 +622,12 @@ class Engine:
                     f"distance must hold one hop count per vertex: expected "
                     f"shape ({self.graph.num_vertices},), got {distance.shape}"
                 )
-            if distance.max() > 0:
+            if (distance[1:] < distance[:-1]).any():
+                raise ValueError(
+                    "distance must not decrease: rings are prefixes of a "
+                    "field laid out hop by hop"
+                )
+            if distance[-1] > 0:
                 rings = _Rings(plan, self.graph, distance)
         return PlanRun(
             plan=plan,
@@ -803,19 +758,20 @@ class Engine:
         (fetched edge rows over the shard's out-graph).  ``chain`` runs
         the aggregation chain ``node`` heads in its place.  In an arena
         run the step writes into the output's storage, if it has any.
-        A run on rings steps the node on its own (:class:`_Rings`).
+        A run on rings steps the node on its ring's block
+        (:class:`_Rings`).
         """
         out = run.storage.get(node.outputs[0])
-        operands, place = (operand,), None
+        operands = (operand,)
         on_ring = (
             run.rings.step(node, chain, run.values, out)
             if run.rings is not None and graph is None else None
         )
         if on_ring is not None:
-            operands, graph, out, place = on_ring
+            operands, graph, out = on_ring
         self._execute(
             node, run.values, run.argmax_needed,
-            operands=operands, graph=graph, chain=chain, out=out, place=place,
+            operands=operands, graph=graph, chain=chain, out=out,
         )
         if run.finishes:
             self._close(run, node, run.values)
@@ -884,7 +840,6 @@ class Engine:
         graph: Optional[Graph] = None,
         chain: Optional[AggregationChain] = None,
         out: Optional[np.ndarray] = None,
-        place=None,
     ) -> None:
         """The one node dispatch: run ``node`` on ``values`` in place.
 
@@ -894,8 +849,6 @@ class Engine:
         chain's operands: the whole chain is one product, or one
         scatter (a dot step).  ``out`` is the array an apply or scatter
         step writes its output into (see :meth:`_writes_in_place`).
-        ``place`` maps an apply's result to the value stored (a ring's
-        rows into a whole array, :class:`_Rings`).
         """
         ins = [values[n] for n in (chain.operands if chain else node.inputs)]
         for i, operand in enumerate(operands):
@@ -924,8 +877,9 @@ class Engine:
             if len(node.outputs) > 1 and argmax is not None:
                 values[node.outputs[1]] = argmax
         elif node.kind is OpKind.APPLY:
-            result = apply_kernel(node.fn, ins, params, node.attrs, out)
-            values[node.outputs[0]] = result if place is None else place(result)
+            values[node.outputs[0]] = apply_kernel(
+                node.fn, ins, params, node.attrs, out
+            )
         elif node.kind is OpKind.VIEW:
             x = ins[0]
             values[node.outputs[0]] = x.reshape(

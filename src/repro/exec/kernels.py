@@ -63,7 +63,7 @@ engine keeps it.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +82,9 @@ __all__ = [
     "register_kernel",
     "registered_functions",
     "resolve_kernel",
-    "row_count_dependent",
     "segment_reduce",
     "segment_sum",
+    "tiled_matmul",
     "writes_out",
 ]
 
@@ -97,26 +97,20 @@ KINDS = ("apply", "scatter", "gather", "param_grad")
 #: (kind, fn) -> kernel.
 _KERNELS: Dict[Tuple[str, str], Callable] = {}
 
-#: Kernels whose output rows depend on how many rows they are handed.
-_ROW_COUNT_DEPENDENT: Set[Tuple[str, str]] = set()
 
-
-def register_kernel(kind: str, fn: str, *, row_count_dependent: bool = False):
+def register_kernel(kind: str, fn: str):
     """Decorator: register the kernel of ``(kind, fn)``.
 
-    ``row_count_dependent`` declares that a row of the result may differ
-    bit for bit when the kernel runs on a subset of the rows — BLAS
-    blocks a product by its shape.  Every other apply kernel is
-    row-independent: ``k(x[idx])`` equals ``k(x)[idx]`` by bytes, which
-    is what lets an engine compute only the rows a caller reads.
+    Every apply kernel is row-independent: ``k(x[idx])`` equals
+    ``k(x)[idx]`` by bytes, which is what lets an engine compute only
+    the rows a caller reads (the dense products by tiling,
+    :func:`tiled_matmul`).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KINDS}")
 
     def deco(impl: Callable) -> Callable:
         _KERNELS[(kind, fn)] = impl
-        if row_count_dependent:
-            _ROW_COUNT_DEPENDENT.add((kind, fn))
         return impl
 
     return deco
@@ -134,11 +128,6 @@ def resolve_kernel(kind: str, fn: str) -> Callable:
         label = "reduce " if kind == "gather" else ""
         raise KeyError(f"no {kind} kernel for {label}{fn!r}")
     return kernel
-
-
-def row_count_dependent(kind: str, fn: str) -> bool:
-    """Was ``(kind, fn)`` registered as row-count-dependent?"""
-    return (kind, fn) in _ROW_COUNT_DEPENDENT
 
 
 def writes_out(kind: str, fn: str) -> bool:
@@ -209,8 +198,8 @@ def no_alias(out: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
 ApplyKernel = Callable[..., np.ndarray]
 
 
-def _register_apply(name: str, **flags):
-    return register_kernel("apply", name, **flags)
+def _register_apply(name: str):
+    return register_kernel("apply", name)
 
 
 def apply_kernel(
@@ -389,18 +378,59 @@ def _k_reduce_to_shape(inputs, params, attrs):
     return no_alias(reduce_to_shape_array(x, tuple(attrs["target_shape"])), x)
 
 
-@_register_apply("linear", row_count_dependent=True)
+#: Rows of ``x`` per BLAS call in :func:`tiled_matmul`.
+PRODUCT_ROWS = 64
+
+
+def tiled_matmul(
+    x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``x @ w`` whose rows keep their bits whatever rows come with them.
+
+    BLAS picks its path from a product's shape — OpenBLAS threads a
+    product above about 10**6 multiply-adds and splits its columns
+    between the threads, and a row's bits move with that — so a row of
+    ``x[:m] @ w`` need not equal the same row of ``x @ w``.  Here BLAS
+    is only ever handed ``PRODUCT_ROWS``-row tiles of ``x``, stacked
+    into one ``matmul``, the last tile zero-padded: every call has the
+    same shape, so a row's bits depend on its own values and its place
+    in its tile, and a prefix of ``x`` keeps every row's place — what a
+    ring run needs.  ``TestProductProbe``
+    (``tests/exec/test_kernel_contracts.py``) checks prefixes on the
+    host's BLAS over the model zoo's product shapes.
+    """
+    rows, tile = x.shape[0], PRODUCT_ROWS
+    if out is None:
+        out = np.empty(
+            x.shape[:-1] + w.shape[-1:], dtype=np.result_type(x.dtype, w.dtype)
+        )
+    full = rows - rows % tile
+    if full:
+        # One matmul over the stack of tiles: a BLAS call per tile.
+        tiles = (full // tile, tile)
+        np.matmul(
+            x[:full].reshape(tiles + x.shape[1:]), w,
+            out=out[:full].reshape(tiles + out.shape[1:], copy=False),
+        )
+    if full < rows:
+        padded = np.zeros((tile,) + x.shape[1:], dtype=x.dtype)
+        padded[: rows - full] = x[full:]
+        out[full:] = np.matmul(padded, w)[: rows - full]
+    return out
+
+
+@_register_apply("linear")
 def _k_linear(inputs, params, attrs, out=None):
     (x,) = inputs
     (w,) = params
-    return np.matmul(x, w, out=out)
+    return tiled_matmul(x, w, out)
 
 
-@_register_apply("linear_grad_input", row_count_dependent=True)
+@_register_apply("linear_grad_input")
 def _k_linear_grad_input(inputs, params, attrs, out=None):
     (g,) = inputs
     (w,) = params
-    return np.matmul(g, w.T, out=out)
+    return tiled_matmul(g, w.T, out)
 
 
 @_register_apply("bias_add")
@@ -693,7 +723,8 @@ def aggregate(
 
     ``layout`` is a :class:`~repro.graph.csr.Graph` or one of its row
     blocks; ``x`` holds the far-endpoint rows (sources for ``"in"``,
-    destinations for ``"out"`` — ``copy_v``), float32 or float64;
+    destinations for ``"out"`` — ``copy_v``; a block reads the first
+    ``far_vertices``), float32 or float64;
     ``weight``, when given, is in the layout's edge-id order with
     ``x``'s dtype, and its feature shape is a leading prefix of ``x``'s
     (after dropping trailing ones): one element per edge, or one per
@@ -709,6 +740,7 @@ def aggregate(
     """
     heads = 1 if weight is None else int(np.prod(weight.shape[1:], dtype=np.int64))
     operator, order = layout.adjacency(orientation, x.dtype, heads)
+    x = x[: layout.far_vertices]
     if weight is not None:
         operator = adjacency_operator(
             operator.indptr, operator.indices, operator.shape[1],

@@ -271,7 +271,8 @@ class Graph(_SegmentLayout):
 
     @property
     def far_vertices(self) -> int:
-        """Rows of a far-endpoint operand (a block's is its graph's)."""
+        """Rows of a far-endpoint operand (a block reads a prefix of its
+        graph's: up to its largest far endpoint)."""
         return self.num_vertices
 
     @property
@@ -382,10 +383,12 @@ class Graph(_SegmentLayout):
         CSC (CSR) order — ``csc_eids`` is the identity, ``csc_indptr``
         is rebased to the block — with home-endpoint ids relative to
         ``lo`` and far-endpoint ids absolute, so a kernel indexing it
-        reads far operands from full vertex arrays and home operands
-        from the block's own rows.  It carries what the registered
-        kernels read off a graph, for the requested orientation only,
-        plus ``eids``: the block's COO edge ids.
+        reads far operands from full vertex arrays (or any prefix
+        holding its ``far_vertices`` rows: one past its largest far
+        endpoint) and home operands from the block's own rows.  It
+        carries what the registered kernels read off a graph, for the
+        requested orientation only, plus ``eids``: the block's COO edge
+        ids.
 
         Blocks are kept with the graph (which is immutable, so they
         cannot go stale): a training step that walks the same plan again
@@ -405,15 +408,17 @@ class Graph(_SegmentLayout):
         degrees = np.diff(seg)
         home = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
         order = np.arange(p1 - p0, dtype=np.int64)
+        eids = eids[p0:p1]
+        far = far[eids]
         block = _RowBlock(
-            num_vertices=hi - lo, far_vertices=self.num_vertices,
-            num_edges=p1 - p0, eids=eids[p0:p1], _cache={},
+            num_vertices=hi - lo, far_vertices=int(far.max()) + 1 if p1 > p0 else 0,
+            num_edges=p1 - p0, eids=eids, _cache={},
         )
         if orientation == "in":
-            block.src, block.dst = far[block.eids], home
+            block.src, block.dst = far, home
             block.csc_indptr, block.csc_eids, block.in_degrees = seg, order, degrees
         else:
-            block.src, block.dst = home, far[block.eids]
+            block.src, block.dst = home, far
             block.csr_indptr, block.csr_eids, block.out_degrees = seg, order, degrees
         return block
 

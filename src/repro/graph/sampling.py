@@ -8,9 +8,6 @@ single-graph training loop usable in mini-batch form:
 - :func:`induced_subgraph` — restrict a graph to a vertex subset,
 - :func:`khop_neighborhood` — the receptive field of a seed set (an
   L-layer GNN needs the L-hop in-neighbourhood for exact embeddings),
-- :func:`ring_graph` — a field's vertices with only the in-edges of its
-  inner rings, by each vertex's hop distance (what a run reading only
-  the seeds' rows computes each layer on),
 - :func:`random_vertex_batches` — a partition sampler for epochs,
 - :func:`plan_minibatches` — one epoch's worth of :class:`MiniBatch`
   schedules (seeds → receptive field → induced subgraph), consumed both
@@ -21,7 +18,12 @@ single-graph training loop usable in mini-batch form:
 Everything composes with the existing engine: a sampled subgraph is
 just another :class:`~repro.graph.csr.Graph` — one that inherits its
 CSC/CSR groupings from its parent's instead of sorting its own edge
-list (:func:`_inherit`; equal arrays, so no value moves).  The
+list (:func:`_inherit`; equal arrays, so no value moves).  A sampled
+field is laid out hop by hop: its vertices are ordered by (hop
+distance, id), so ring *d* — the vertices within *d* hops of the seeds
+— is rows ``[0, n_d)`` and its in-edges are a prefix of the CSC
+grouping (``Graph.row_block("in", 0, n_d)``), the layout of GraphSAGE's
+minibatch algorithm and DGL's message-flow blocks.  The
 expansion, the induction and the schedule are written once, over *edge
 layouts*, and serve three callers: :func:`plan_minibatches`,
 :func:`repro.serve.batcher.receptive_field` and the two-layout overlay
@@ -42,7 +44,6 @@ __all__ = [
     "induced_subgraph",
     "in_neighbours",
     "khop_neighborhood",
-    "ring_graph",
     "random_vertex_batches",
     "MiniBatch",
     "plan_minibatches",
@@ -72,8 +73,10 @@ def _segment_positions(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
 def _distinct(ids: np.ndarray, num_vertices: int, what: str) -> np.ndarray:
     """``ids`` checked and without repeats, in first-seen order.
 
-    Strictly increasing input — every receptive field, every sorted
-    seed set — is already that and comes back as is (the same array).
+    Strictly increasing input — every sorted seed set — is already that
+    and comes back as is (the same array).  Otherwise each id keeps its
+    first position: one scatter over the vertex space, no Python loop
+    (a hop-ordered field is distinct but not increasing).
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
@@ -82,7 +85,11 @@ def _distinct(ids: np.ndarray, num_vertices: int, what: str) -> np.ndarray:
         raise ValueError(f"{what} ids out of range")
     if (ids[1:] > ids[:-1]).all():
         return ids
-    return np.asarray(list(dict.fromkeys(ids.tolist())), dtype=np.int64)
+    count = ids.shape[0]
+    first = np.empty(num_vertices, dtype=np.int64)
+    # Repeated indices keep the last write: reversed, that is the first.
+    first[ids[::-1]] = np.arange(count - 1, -1, -1)
+    return ids[first[ids] == np.arange(count)]
 
 
 def _mark_in_neighbours(
@@ -98,22 +105,24 @@ def _khop(
     layouts, num_vertices: int, seeds: np.ndarray, hops: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`khop_neighborhood` over edge layouts sharing one vertex space,
-    with each field vertex's hop distance.
+    laid out hop by hop, with each field vertex's hop distance.
 
     A layout is ``(graph, global id of its first edge)``, the first at
     edge 0; a plain graph is one, a
     :class:`~repro.dyn.delta.DynamicGraph` two (compacted CSR, pending
     edges).  A hop marks the frontier's in-neighbours in a
     boolean over the vertex space and reads the unvisited ones back in
-    ascending order: no sort, no ``np.unique``.  Returns the field
-    (ascending) and, aligned with it, the hop at which each vertex was
-    first reached (0 for the seeds) — the rings :func:`ring_graph` cuts.
+    ascending order: no sort, no ``np.unique``.  Returns the field as
+    the concatenation of its rings — the seeds ascending, then each
+    hop's new vertices ascending, i.e. ordered by (hop distance, id) —
+    and, aligned with it, the non-decreasing hop at which each vertex
+    was first reached (0 for the seeds).
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    frontier = _distinct(seeds, num_vertices, "seed")
     visited = np.zeros(num_vertices, dtype=bool)
-    visited[frontier] = True
+    visited[_distinct(seeds, num_vertices, "seed")] = True
+    frontier = np.flatnonzero(visited)
     reached = np.zeros(num_vertices, dtype=bool)
     rings = [frontier]
     for _ in range(hops):
@@ -125,40 +134,46 @@ def _khop(
         visited[frontier] = True
         reached[frontier] = False
         rings.append(frontier)
-    field = np.flatnonzero(visited)
-    distance = np.empty(field.shape[0], dtype=np.int64)
-    for hop, ring in enumerate(rings):
-        distance[np.searchsorted(field, ring)] = hop
-    return field, distance
+    distance = np.repeat(
+        np.arange(len(rings), dtype=np.int64), [ring.shape[0] for ring in rings]
+    )
+    return np.concatenate(rings), distance
 
 
 def _inherit(
-    parent: Graph, kept: np.ndarray, orientation: str, home: np.ndarray, n: int
+    parent: Graph,
+    vertices: np.ndarray,
+    member: np.ndarray,
+    kept: np.ndarray,
+    orientation: str,
+    home: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(indptr, eids)`` of an induced subgraph, read off its parent's.
 
-    The subgraph's first ``len(kept)`` edges are ``parent``'s edges
-    ``kept`` (ascending); any later ones come from later layouts, whose
-    ids follow.  ``home`` is each edge's home endpoint among the ``n``
-    local vertices.  With the kept vertices ascending, relabelling keeps
-    the parent's home-vertex order and its ascending edge ids inside
-    each segment, so the kept edges *in the parent's grouped order* are
-    the subgraph's grouping — what
-    :func:`~repro.graph.csr._group_edges` would compute, with no sort;
-    the later layouts' edges follow at each vertex
-    (:func:`~repro.graph.csr._append_grouping`).  The parent-length
-    scratch dies with the call.
+    Local vertex ``i`` is ``parent`` vertex ``vertices[i]``, in any
+    order; ``member`` marks them over the vertex space.  The subgraph's
+    first ``len(kept)`` edges are ``parent``'s edges ``kept``
+    (ascending); any later ones come from later layouts, whose ids
+    follow.  ``home`` is each edge's home endpoint among the local
+    vertices.  A local vertex's segment is its parent vertex's, in the
+    parent's grouped order, less the edges whose far endpoint is left
+    out: the parent orders each segment by ascending edge id and local
+    ids ascend with parent ids, so that is the grouping
+    :func:`~repro.graph.csr._group_edges` would compute, with no sort,
+    whatever the vertex order; the later layouts' edges follow at each
+    vertex (:func:`~repro.graph.csr._append_grouping`).  The
+    parent-length scratch dies with the call.
     """
-    count = kept.shape[0]
-    _, order = parent.segments(orientation)
-    mask = np.zeros(parent.num_edges, dtype=bool)
-    mask[kept] = True
+    count, n = kept.shape[0], vertices.shape[0]
+    indptr, order = parent.segments(orientation)
+    far = parent.csc_src if orientation == "in" else parent.csr_dst
+    positions = _segment_positions(indptr, vertices)
     # Parent edge id → local edge id; read where kept only.
     local = np.empty(parent.num_edges, dtype=np.int64)
     local[kept] = np.arange(count)
+    grouped = local[order[positions[member[far[positions]]]]]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(home[:count], minlength=n), out=indptr[1:])
-    grouped = local[order[mask[order]]]
     if count == home.shape[0]:
         return indptr, grouped
     return _append_grouping(indptr, grouped, home[count:], n)
@@ -169,13 +184,13 @@ def _induce(
 ) -> Tuple[Graph, np.ndarray, np.ndarray]:
     """:func:`induced_subgraph` over edge layouts (see :func:`_khop`).
 
-    An ascending vertex list — every receptive field — makes a subgraph
-    that inherits its groupings (:func:`_inherit`): ``"in"`` now,
-    ``"out"`` on first use (forward-only serving never asks) and only
-    while the first layout's graph is still around — it is referenced
-    weakly, so a batch keeps nothing of its parent alive — else from the
-    edge list as for any graph.  Every array equals what
-    ``Graph(src, dst, n)`` would build either way.
+    The subgraph inherits its groupings (:func:`_inherit`), whatever
+    the vertex order: ``"in"`` now, ``"out"`` on first use
+    (forward-only serving never asks) and only while the first layout's
+    graph is still around — it is referenced weakly, so a batch keeps
+    nothing of its parent alive — else from the edge list as for any
+    graph.  Every array equals what ``Graph(src, dst, n)`` would build
+    either way.
     """
     kept = _distinct(vertices, num_vertices, "vertex")
     if kept.size == 0:
@@ -195,48 +210,22 @@ def _induce(
         eids.append(found + first_eid)
     count = eids[0].shape[0]
     src, dst, eids = map(np.concatenate, (src, dst, eids))
-    if not (kept[1:] > kept[:-1]).all():
-        return Graph(src, dst, n), kept, eids
     # The first layout starts at edge 0: its kept ids are its own.
     parent, own = layouts[0][0], eids[:count]
     parent_ref = weakref.ref(parent)
 
     def out_segments():
         graph = parent_ref()
-        return None if graph is None else _inherit(graph, own, "out", src, n)
+        return (
+            None if graph is None
+            else _inherit(graph, kept, member, own, "out", src)
+        )
 
     sub = Graph.grouped(
         src, dst, n,
-        {"in": _inherit(parent, own, "in", dst, n), "out": out_segments},
+        {"in": _inherit(parent, kept, member, own, "in", dst), "out": out_segments},
     )
     return sub, kept, eids
-
-
-def ring_graph(
-    graph: Graph, distance: np.ndarray, depth: int
-) -> Tuple[Graph, np.ndarray]:
-    """A field's ring ``depth``: its vertices with only the in-edges of
-    those at most ``depth`` hops out.
-
-    ``distance`` is each vertex's hop distance (:class:`MiniBatch`).
-    Returns ``(ring, edge_ids)``: a graph on all of ``graph``'s vertices
-    whose edges are ``graph``'s edges ``edge_ids`` (ascending), keeping
-    their order inside every segment, so a ring vertex reduces exactly
-    the rows it does on ``graph``.  Its groupings are read off
-    ``graph``'s (:func:`_inherit`): the kept edges are whole in-edge
-    segments.
-    """
-    kept = np.flatnonzero(distance[graph.dst] <= depth)
-    src, dst = graph.src[kept], graph.dst[kept]
-    n = graph.num_vertices
-    ring = Graph.grouped(
-        src, dst, n,
-        {
-            "in": _inherit(graph, kept, "in", dst, n),
-            "out": lambda: _inherit(graph, kept, "out", src, n),
-        },
-    )
-    return ring, kept
 
 
 def induced_subgraph(
@@ -288,7 +277,7 @@ def khop_neighborhood(
     ≤ hops *into* a seed.  Returned sorted.  Each round is one
     vectorised expansion (:func:`_khop`).
     """
-    return _khop(((graph, 0),), graph.num_vertices, seeds, hops)[0]
+    return np.sort(_khop(((graph, 0),), graph.num_vertices, seeds, hops)[0])
 
 
 def random_vertex_batches(
@@ -337,10 +326,11 @@ class MiniBatch:
     seeds:
         Original vertex ids whose losses this step optimises.
     vertices:
-        The receptive field (sorted original ids): seeds plus their
-        ``hops``-hop in-neighbourhood.  Slice vertex features with it —
-        these are the rows the step gathers from host feature storage,
-        the IO term that dominates sampled training.
+        The receptive field (original ids): seeds plus their
+        ``hops``-hop in-neighbourhood, laid out hop by hop — the seeds
+        ascending, then each hop's new vertices ascending.  Slice vertex
+        features with it — these are the rows the step gathers from host
+        feature storage, the IO term that dominates sampled training.
     subgraph:
         ``vertices``-induced subgraph, relabeled ``0..len-1`` in
         ``vertices`` order.
@@ -348,11 +338,13 @@ class MiniBatch:
         Original COO edge ids retained by the induced subgraph.
     seed_index:
         Positions of ``seeds`` within ``vertices`` (= subgraph-local
-        seed ids); mask losses with it.
+        seed ids, all in the ring-0 prefix); mask losses with it.
     distance:
         Hop distance of each field vertex from the seeds, aligned with
-        ``vertices``: what an engine run that reads only the seeds'
-        rows computes each layer on (:func:`ring_graph`).
+        ``vertices`` and so non-decreasing: ring *d* is the prefix of
+        rows with distance ≤ *d*, what an engine run that reads only the
+        seeds' rows computes each layer on
+        (``Engine.run_plan(distance=)``).
     """
 
     seeds: np.ndarray
@@ -387,13 +379,14 @@ def _sample(
     layouts (see :func:`_khop`)."""
     field, distance = _khop(layouts, num_vertices, seeds, hops)
     sub, kept, eids = _induce(layouts, num_vertices, field)
-    # kept is sorted (k-hop output), so positions come from bisect.
+    # Ring 0 is the seeds, ascending: positions come from bisect.
+    ring0 = kept[: np.searchsorted(distance, 0, side="right")]
     return MiniBatch(
         seeds=seeds,
         vertices=kept,
         subgraph=sub,
         edge_ids=eids,
-        seed_index=np.searchsorted(kept, seeds),
+        seed_index=np.searchsorted(ring0, seeds),
         distance=distance,
     )
 
@@ -408,11 +401,12 @@ def plan_minibatches(
     """One epoch of mini-batch schedules over ``graph``.
 
     Draws :func:`random_vertex_batches`, expands each batch to its
-    :func:`khop_neighborhood` receptive field, and induces the
-    subgraph.  Because the field is sorted and ``induced_subgraph``
-    preserves ascending edge-id order within destination segments, a
-    batch that covers every vertex reproduces the original graph
-    exactly — the bit-consistency anchor of the mini-batch trainer.
+    :func:`khop_neighborhood` receptive field, laid out hop by hop, and
+    induces the subgraph.  A batch that covers every vertex is all ring
+    0, so its field is sorted, and ``induced_subgraph`` preserves
+    ascending edge-id order within every segment: it reproduces the
+    original graph exactly — the bit-consistency anchor of the
+    mini-batch trainer.
     """
     for seeds in random_vertex_batches(
         graph.num_vertices, batch_size, rng=rng

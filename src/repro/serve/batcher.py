@@ -136,9 +136,9 @@ def receptive_field(graph: Graph, seeds: np.ndarray, hops: int) -> MiniBatch:
     """Expand a seed set to its ``hops``-hop receptive-field schedule.
 
     Identical construction to one :func:`~repro.graph.sampling.plan_minibatches`
-    step (sorted unique seeds → k-hop in-neighbourhood → induced
-    subgraph), so a server batch is bit-compatible with a direct
-    engine run on the same induced subgraph.
+    step (sorted unique seeds → k-hop in-neighbourhood, laid out hop by
+    hop → induced subgraph), so a server batch is bit-compatible with a
+    direct engine run on the same induced subgraph.
     """
     return _sample(
         ((graph, 0),), graph.num_vertices,

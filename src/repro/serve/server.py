@@ -275,9 +275,10 @@ class InferenceServer:
         """Run the tenant's forward plan on the induced subgraph.
 
         Only the seeds' rows are read, so the run is restricted to the
-        rings they need (the batch's hop distances); those rows are
-        bit-identical to a direct whole-field :class:`Engine` run on the
-        same subgraph with the same sliced feature rows.
+        rings they need (the batch's hop distances) and returns the
+        ring-0 rows, the seeds'; they are bit-identical to a direct
+        whole-field :class:`Engine` run on the same subgraph with the
+        same sliced feature rows.
         ``mplan`` is the batch's arena plan from the costing pass (None
         without :attr:`memory_plan`), reused rather than replanned.
         ``feature_rows`` overrides the static matrix slice on dynamic
@@ -415,7 +416,8 @@ class InferenceServer:
             # The batch must fit one pool device (arena-aware when a
             # memory plan backs the run).
             self.cost.check_memory(compute)
-            split = cache.gather(mb.vertices, runtime.row_bytes)
+            # The cache's LRU order follows the rows' order: id order.
+            split = cache.gather(np.sort(mb.vertices), runtime.row_bytes)
             service = self.cost.latency_seconds(compute, field_stats)
             service += self.cost.gather_seconds(split.paid_bytes)
             fields.append(mb)
@@ -491,9 +493,9 @@ class InferenceServer:
                     )
                 )
                 if logits is not None:
-                    # mb.vertices is sorted, so the request's seed rows
-                    # come from bisection into the field.
-                    rows = np.searchsorted(mb.vertices, r.seeds)
+                    # The field's ring-0 prefix is the batch's seeds,
+                    # ascending: a request's rows come from bisection.
+                    rows = np.searchsorted(mb.vertices[: mb.num_seeds], r.seeds)
                     outputs[r.request_id] = logits[rows]
         outcomes.sort(key=lambda o: o.request_id)
 

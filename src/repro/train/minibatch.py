@@ -21,9 +21,10 @@ vertices (GCN's symmetric norm) see the Cluster-GCN approximation.
 
 In the full-batch limit (``batch_size >= num_vertices``) the sampled
 epoch *is* one full-graph :class:`~repro.train.loop.Trainer` step, bit
-for bit: the receptive field is the sorted full vertex set, the induced
-subgraph reproduces the original topology and edge order exactly, and
-an all-true seed mask takes the same arithmetic path as no mask.
+for bit: the receptive field is the sorted full vertex set (every vertex
+is a seed, ring 0 of the hop-by-hop layout), the induced subgraph
+reproduces the original topology and edge order exactly, and an
+all-true seed mask takes the same arithmetic path as no mask.
 """
 
 from __future__ import annotations

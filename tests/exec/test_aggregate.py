@@ -128,8 +128,10 @@ class TestOperators:
         block = graph.row_block("out", 4, 9)
         b, _ = block.adjacency("out", np.float64, 2)
         assert block.adjacency("out", np.float64, 2)[0] is b
-        # Home rows are the block's, far columns the whole graph's.
-        assert b.shape == (5 * 2, 30 * 2)
+        # Home rows are the block's, far columns the graph's up to the
+        # block's largest far endpoint.
+        assert block.far_vertices == block.dst.max() + 1
+        assert b.shape == (5 * 2, block.far_vertices * 2)
 
     @pytest.mark.parametrize("orientation", ["in", "out"])
     def test_heads_interleave_each_segment_in_edge_order(self, orientation):

@@ -28,16 +28,18 @@ import pytest
 
 from repro.exec import blocks
 from repro.exec.kernels import (
+    PRODUCT_ROWS,
     apply_kernel,
     gather_kernel,
     param_grad_kernel,
     registered_functions,
-    row_count_dependent,
     scatter_kernel,
+    tiled_matmul,
     writes_out,
 )
 from repro.exec.memory import ArenaPool
 from repro.graph import Graph
+from repro.registry import MODELS
 
 N = 6          # vertex rows
 F = 4          # feature width
@@ -314,38 +316,32 @@ class TestDtypePreservation:
 # ----------------------------------------------------------------------
 # Row independence: what lets an engine compute only the rows it needs
 # ----------------------------------------------------------------------
-#: Apply kernels whose rows may change with the row count.
-ROW_COUNT_DEPENDENT = [
-    fn for fn in registered_functions("apply") if row_count_dependent("apply", fn)
-]
-
-
 class TestRowIndependence:
-    """Every apply kernel not declared row-count-dependent gives each
-    row the bytes it gives it on the whole array: ``k(x[idx])`` equals
-    ``k(x)[idx]`` by ``tobytes()``, for any subset of rows — the empty
-    one and single rows included.  A serving run that computes a ring
-    of the field (``Engine.run_plan(distance=)``) trusts exactly this.
+    """Every apply kernel gives each row the bytes it gives it on the
+    whole array: ``k(x[idx])`` equals ``k(x)[idx]`` by ``tobytes()``, for
+    any subset of rows in any order — the empty one and single rows
+    included.  The dense products (``linear``, ``linear_grad_input``)
+    get there by tiling (:func:`~repro.exec.kernels.tiled_matmul`); the
+    row counts cross several tiles.  A serving run that computes a ring
+    of the field (``Engine.run_plan(distance=)``) trusts exactly this,
+    on prefixes of the rows.
     """
-
-    def test_the_declared_set_is_the_blas_products(self):
-        assert set(ROW_COUNT_DEPENDENT) == {"linear", "linear_grad_input"}
 
     @pytest.mark.parametrize("dtype", (np.float32, np.float64))
     def test_row_subsets(self, dtype):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        independent = sorted(
-            set(registered_functions("apply")) - set(ROW_COUNT_DEPENDENT)
-        )
+        kernels = registered_functions("apply")
 
         @st.composite
         def cases(draw):
-            n = draw(st.integers(1, 40))
+            n = draw(st.integers(1, 150))
             rows = draw(st.one_of(
                 st.just([]),
                 st.integers(0, n - 1).map(lambda i: [i]),
                 st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(sorted),
+                st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+                st.permutations(range(n)),
             ))
             return n, np.asarray(rows, dtype=np.int64)
 
@@ -356,7 +352,7 @@ class TestRowIndependence:
         def check(case, f, seed):
             n, rows = case
             catalogue = _apply_cases(np.random.default_rng(seed), dtype, n, f)
-            for fn in independent:
+            for fn in kernels:
                 inputs, params, attrs = catalogue[fn]
                 whole = apply_kernel(fn, inputs, params, attrs)
                 part = apply_kernel(fn, [x[rows] for x in inputs], params, attrs)
@@ -367,6 +363,87 @@ class TestRowIndependence:
                 )
 
         check()
+
+
+def _zoo_product_shapes():
+    """``(K, N)`` of every dense product the model zoo runs, at the input
+    widths the suite and the perf workloads build: ``linear``'s ``W``
+    and ``linear_grad_input``'s ``W.T``."""
+    shapes = set()
+    for name in MODELS.names():
+        for in_dim in (6, 16, 32, 500):
+            module = MODELS.get(name)(in_dim, 3).build_module()
+            for node in module.nodes:
+                if node.fn == "linear":
+                    k, n = module.specs[node.params[0]].feat_shape
+                    shapes.update({(k, n), (n, k)})
+    return sorted(shapes)
+
+
+ZOO_PRODUCTS = _zoo_product_shapes()
+
+
+class TestProductProbe:
+    """The probe behind ring runs' products, over every (K, N) pair of
+    the zoo: BLAS picks its path from a product's shape (OpenBLAS
+    threads above about 10**6 multiply-adds and splits the columns, and
+    rows move with it), and ``tiled_matmul`` hands it only equal-shaped
+    tiles.  A BLAS whose equal calls do not give equal rows fails here,
+    loudly, by shape — not as a stray byte in a served answer."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_prefixes_keep_their_bits(self, dtype):
+        rng = np.random.default_rng(7)
+        tile = PRODUCT_ROWS
+        rows = 3 * tile + 17
+        unstable = []
+        for k, n in ZOO_PRODUCTS:
+            x = rng.normal(size=(rows, k)).astype(dtype)
+            for w in (rng.normal(size=(k, n)).astype(dtype),
+                      rng.normal(size=(n, k)).astype(dtype).T):
+                whole = tiled_matmul(x, w)
+                for m in (1, tile - 1, tile, tile + 1, 2 * tile + 5, rows):
+                    if tiled_matmul(x[:m], w).tobytes() != whole[:m].tobytes():
+                        unstable.append((k, n, m))
+        assert not unstable, (
+            f"{np.dtype(dtype).name} products of {PRODUCT_ROWS}"
+            f"-row tiles are not row-stable on this BLAS at (K, N, rows) "
+            f"{unstable[:8]}: ring runs would not reproduce the whole field"
+        )
+
+    def test_the_zoo_shapes_were_found(self):
+        assert (500, 32) in ZOO_PRODUCTS and (32, 500) in ZOO_PRODUCTS
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_prefix_property(self, dtype):
+        """Hypothesis over zoo shapes, row counts and prefix lengths."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(
+            shape=st.sampled_from(ZOO_PRODUCTS), data=st.data(),
+            seed=st.integers(0, 2 ** 31), transposed=st.booleans(),
+        )
+        def check(shape, data, seed, transposed):
+            k, n = shape
+            rows = data.draw(st.integers(1, 300))
+            m = data.draw(st.integers(0, rows))
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(rows, k)).astype(dtype)
+            w = (rng.normal(size=(n, k)).T if transposed
+                 else rng.normal(size=(k, n))).astype(dtype)
+            assert tiled_matmul(x[:m], w).tobytes() == tiled_matmul(x, w)[:m].tobytes()
+
+        check()
+
+    def test_out_is_written_in_place(self):
+        rng = np.random.default_rng(3)
+        x, w = rng.normal(size=(150, 6)), rng.normal(size=(6, 5))
+        out = np.full((150, 5), np.nan)
+        assert tiled_matmul(x, w, out) is out
+        assert out.tobytes() == tiled_matmul(x, w).tobytes()
+        np.testing.assert_allclose(out, x @ w, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,13 @@
 only its outputs' rows at hop distance 0 (README clause 3b).
 
 ``repro.exec.rings.ring_depths`` walks back from the outputs;
-``Engine.run_plan(distance=)`` runs each node on its ring of the field.
-The rules are pinned on hand-built modules, ``receptive_hops`` (the
-walk read at the vertex inputs) is held to the forward relaxation it
-replaced, and ring runs are held to whole-field runs: the distance-0
-rows of every output and every keep-set value whole, by ``tobytes()``,
-over the zoo, the strategies, both engine precisions and arena plans.
+``Engine.run_plan(distance=)`` runs each node on its ring of the field,
+a prefix of the hop-ordered rows.  The rules are pinned on hand-built
+modules, ``receptive_hops`` (the walk read at the vertex inputs) is
+held to the forward relaxation it replaced, and ring runs are held to
+whole-field runs: every output's ring-0 rows and every keep-set value
+whole, by ``tobytes()``, over the zoo, the strategies, both engine
+precisions and arena plans.
 """
 
 import numpy as np
@@ -142,9 +143,10 @@ def _compare(compiled, plan, mb, precision, arena, rng, keep=()):
     env = engine.bind(compiled.forward, arrays)
     whole = engine.run_plan(plan, env)
     rings = engine.run_plan(plan, env, distance=mb.distance)
-    seeds = mb.distance == 0
+    seeds = mb.num_seeds
     for name in compiled.forward.outputs:
-        assert rings[name][seeds].tobytes() == whole[name][seeds].tobytes(), name
+        assert rings[name].shape[0] in (seeds, mb.field_size), name
+        assert rings[name][:seeds].tobytes() == whole[name][:seeds].tobytes(), name
     for name in keep:
         assert rings[name].tobytes() == whole[name].tobytes(), name
 
@@ -204,15 +206,15 @@ class TestRingRuns:
             "e": rng.normal(size=(sub.num_edges, 1)),
             "w": rng.normal(size=(4, 4)),
         })
-        seeds = field.distance == 0
         whole = engine.run_plan(plan, env)["out"]
         rings = engine.run_plan(plan, env, distance=field.distance)["out"]
-        assert rings[seeds].tobytes() == whole[seeds].tobytes()
+        assert rings.tobytes() == whole[: field.num_seeds].tobytes()
 
-    def test_unread_rows_of_a_ring_apply_are_zero(self, field, rng):
+    def test_a_ring_output_holds_its_rings_rows(self, field, rng):
+        """The last layer runs on ring 0: the seeds' rows, the first of
+        the hop-ordered field, and no others."""
         compiled = compile_forward(MODELS.get("gat")(6, 3), get_strategy("ours"))
         plan = compiled.plan
-        # The last layer's bias_add runs on ring 0 and is returned whole.
         out = compiled.forward.outputs[0]
         assert plan.rings()[out] == 0
         arrays = compiled.model.make_inputs(
@@ -223,7 +225,8 @@ class TestRingRuns:
         got = engine.run_plan(
             plan, engine.bind(compiled.forward, arrays), distance=field.distance
         )[out]
-        assert not got[field.distance > 0].any()
+        assert got.shape == (field.num_seeds, 3)
+        assert field.vertices[: field.num_seeds].tolist() == [3, 50, 177]
 
     def test_a_field_of_seeds_alone_runs_whole(self, rng):
         graph = chung_lu(60, 200, seed=1)
@@ -242,3 +245,5 @@ class TestRingRuns:
         env = engine.bind(compiled.forward, arrays)
         with pytest.raises(ValueError, match="one hop count per vertex"):
             engine.run_plan(compiled.plan, env, distance=field.distance[:-1])
+        with pytest.raises(ValueError, match="must not decrease"):
+            engine.run_plan(compiled.plan, env, distance=field.distance[::-1])

@@ -250,8 +250,10 @@ class TestPlanMinibatches:
         rng = np.random.default_rng(1)
         for mb in plan_minibatches(small_graph, 10, 2, rng=rng):
             want = khop_neighborhood(small_graph, mb.seeds, 2)
-            assert mb.vertices.tolist() == want.tolist()
-            assert np.isin(mb.seeds, mb.vertices).all()
+            assert sorted(mb.vertices.tolist()) == want.tolist()
+            # Laid out hop by hop: the seeds first, ascending.
+            assert mb.vertices[: mb.num_seeds].tolist() == mb.seeds.tolist()
+            assert (np.diff(mb.distance) >= 0).all()
             # seed_index maps into the field correctly.
             assert (mb.vertices[mb.seed_index] == mb.seeds).all()
             assert mb.seed_mask().sum() == mb.num_seeds

@@ -849,3 +849,15 @@ def forward_receptive_hops(module: Module) -> int:
                     depth[out] = d
                     changed = True
     return max((depth.get(o, 0) for o in module.outputs), default=0)
+
+
+def ring_graph(graph: Graph, distance: np.ndarray, depth: int):
+    """The oracle for a field's ring ``depth``: ``(ring, edge_ids)``, a
+    cold graph on all of ``graph``'s vertices whose edges are
+    ``graph``'s edges ``edge_ids`` (ascending) — the in-edges of the
+    vertices at most ``depth`` hops out (``distance``, per vertex) —
+    in their order, so each segment keeps its order.  On a field laid
+    out hop by hop its non-empty in-segments are those of rows
+    ``[0, n_depth)``: what ``graph.row_block("in", 0, n_depth)`` holds."""
+    kept = np.flatnonzero(distance[graph.dst] <= depth)
+    return Graph(graph.src[kept], graph.dst[kept], graph.num_vertices), kept

@@ -8,8 +8,12 @@ reduction order is what makes a mini-batch step bit-identical to the
 full graph.  The induction itself is held to a per-edge Python loop and
 the frontier expansion to a set, on multigraphs with parallel edges,
 self-loops, isolated vertices and one-vertex fields, for sorted,
-unsorted and duplicated vertex lists, on a plain graph and on a
+unsorted and duplicated vertex lists — every order inherits, the
+hop-ordered fields included — on a plain graph and on a
 :class:`~repro.dyn.DynamicGraph` with pending edges and new vertices.
+A field's rings are prefixes of its rows, and ring *d*'s row block
+holds exactly the edges the ring-graph oracle
+(``tests.helpers.ring_graph``) keeps, in its order.
 
 An append (``Graph.with_edges``, so every compaction) keeps its
 receiver's groupings by merging the appended edges in; the result is
@@ -19,7 +23,7 @@ receptive fields is held to cold graphs of the rebuilt edge lists at
 every version.
 """
 
-import gc
+import weakref
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,10 +32,9 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.dyn import DynamicGraph, GraphDelta
 from repro.graph import Graph
-from repro.graph.sampling import (
-    in_neighbours, induced_subgraph, khop_neighborhood, ring_graph,
-)
+from repro.graph.sampling import in_neighbours, induced_subgraph, khop_neighborhood
 from repro.serve import receptive_field
+from tests.helpers import ring_graph
 
 VIEWS = ("csc_indptr", "csc_eids", "csc_src", "csr_indptr", "csr_eids",
          "csr_dst", "in_degrees", "out_degrees")
@@ -102,6 +105,8 @@ def _assert_induced(got, parent, vertices):
     assert sub.src.tolist() == want_src and sub.dst.tolist() == want_dst
     assert kept.tolist() == want_kept and eids.tolist() == want_eids
     assert sub.num_vertices == len(want_kept)
+    # Sorted or not, "in" came read off the parent's, not sorted here.
+    assert isinstance(sub._cache.get(("segments", "in")), tuple)
     _assert_cold(sub)
 
 
@@ -118,12 +123,16 @@ class TestInducedSubgraphLoop:
     def test_out_grouping_survives_the_parent(self, data):
         """``"out"`` is inherited on first use; with the parent gone by
         then it is grouped from the edge list — the same arrays."""
-        parent = data.draw(multigraphs())
-        vertices = data.draw(vertex_lists(parent.num_vertices))
+        drawn = data.draw(multigraphs())
+        vertices = data.draw(vertex_lists(drawn.num_vertices))
+        # A parent only this test holds, so dropping it frees it
+        # (hypothesis keeps what it drew): no collector pass.
+        parent = Graph(drawn.src.copy(), drawn.dst.copy(), drawn.num_vertices)
         sub, _, _ = induced_subgraph(parent, vertices)
         src, dst = parent.src, parent.dst
+        gone = weakref.ref(parent)
         del parent
-        gc.collect()
+        assert gone() is None
         cold = Graph(sub.src, sub.dst, sub.num_vertices)
         assert np.array_equal(sub.csr_indptr, cold.csr_indptr)
         assert np.array_equal(sub.csr_eids, cold.csr_eids)
@@ -199,32 +208,39 @@ def _loop_distance(graph, seeds, hops):
 
 
 class TestRings:
-    """A field's hop distances come out of the k-hop expansion, and a
-    ring graph is the field's vertices with the in-edges of the ring:
-    both held to loops, the ring graph's views to the cold graph's."""
+    """A field is laid out hop by hop: its hop distances come out of the
+    k-hop expansion, its vertices are ordered by (distance, id), so ring
+    *d* is a prefix of the rows, and that prefix's row block is the ring
+    graph's edges: all held to loops and to the cold oracle."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_distance_and_ring_graphs_match_loops(self, data):
+    def test_rings_are_prefixes_and_blocks_match_the_oracle(self, data):
         graph = data.draw(multigraphs())
         seeds = data.draw(vertex_lists(graph.num_vertices))
         hops = data.draw(st.integers(0, 4))
         mb = receptive_field(graph, seeds, hops)
         want = _loop_distance(graph, seeds, hops)
-        assert mb.vertices.tolist() == sorted(want)
-        assert mb.distance.tolist() == [want[v] for v in sorted(want)]
+        order = sorted(want, key=lambda v: (want[v], v))
+        assert mb.vertices.tolist() == order
+        assert mb.distance.tolist() == [want[v] for v in order]
+        assert mb.vertices[mb.seed_index].tolist() == mb.seeds.tolist()
         sub = mb.subgraph
+        _assert_cold(sub)
         for depth in range(hops + 1):
-            ring, eids = ring_graph(sub, mb.distance, depth)
-            kept = [
-                e for e, v in enumerate(sub.dst.tolist())
-                if mb.distance[v] <= depth
-            ]
-            assert eids.tolist() == kept
-            assert ring.num_vertices == sub.num_vertices
-            assert ring.src.tolist() == sub.src[kept].tolist()
-            assert ring.dst.tolist() == sub.dst[kept].tolist()
-            _assert_cold(ring)
+            n = int((mb.distance <= depth).sum())
+            assert set(mb.vertices[:n].tolist()) == {
+                v for v, d in want.items() if d <= depth
+            }
+            block = sub.row_block("in", 0, n)
+            ring, kept = ring_graph(sub, mb.distance, depth)
+            # The block's edges, in CSC order, are the ring's, segment
+            # by segment in the same order.
+            assert block.eids.tolist() == kept[ring.csc_eids].tolist()
+            assert block.csc_indptr.tolist() == ring.csc_indptr[: n + 1].tolist()
+            assert block.src.tolist() == ring.csc_src.tolist()
+            assert block.dst.tolist() == ring.dst[ring.csc_eids].tolist()
+            assert block.far_vertices == (block.src.max() + 1 if block.num_edges else 0)
 
 
 GROUPED = st.sampled_from([(), ("in",), ("out",), ("in", "out")])

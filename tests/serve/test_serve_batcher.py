@@ -98,9 +98,15 @@ class TestReceptiveField:
     def test_matches_direct_construction(self, small_graph):
         seeds = np.array([5, 2, 5, 9])
         mb = receptive_field(small_graph, seeds, hops=2)
-        field = khop_neighborhood(small_graph, np.unique(seeds), 2)
-        sub, kept, eids = induced_subgraph(small_graph, field)
+        # The field laid out hop by hop: each ring's new vertices, sorted.
+        rings, inner = [], np.array([], dtype=np.int64)
+        for hops in range(3):
+            field = khop_neighborhood(small_graph, np.unique(seeds), hops)
+            rings.append(np.setdiff1d(field, inner))
+            inner = field
+        sub, kept, eids = induced_subgraph(small_graph, np.concatenate(rings))
         assert np.array_equal(mb.vertices, kept)
+        assert np.array_equal(np.sort(kept), field)
         assert np.array_equal(mb.edge_ids, eids)
         assert np.array_equal(mb.subgraph.src, sub.src)
         assert np.array_equal(mb.subgraph.dst, sub.dst)

@@ -125,7 +125,7 @@ class TestDispatchTimeSnapshot:
             arrays.update(runtime.params)
             env = engine.bind(runtime.compiled.forward, arrays)
             out = engine.run_plan(runtime.compiled.plan, env, unwrap=True)
-            rows = np.searchsorted(mb.vertices, seeds_by_id[rid])
+            rows = np.searchsorted(mb.vertices[: mb.num_seeds], seeds_by_id[rid])
             return out[runtime.output_name][rows]
 
         checked = 0
