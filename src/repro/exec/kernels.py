@@ -101,10 +101,12 @@ _KERNELS: Dict[Tuple[str, str], Callable] = {}
 def register_kernel(kind: str, fn: str):
     """Decorator: register the kernel of ``(kind, fn)``.
 
-    Every apply kernel is row-independent: ``k(x[idx])`` equals
-    ``k(x)[idx]`` by bytes, which is what lets an engine compute only
-    the rows a caller reads (the dense products by tiling,
-    :func:`tiled_matmul`).
+    Every apply kernel keeps a prefix's bits: ``k(x[:m])`` equals
+    ``k(x)[:m]`` by bytes, which is what lets an engine run a ring of
+    a hop-ordered field on its prefix of the rows.  All but the dense
+    products go further, to any row subset in any order; the products
+    keep a row's bits at its place in its tile (:func:`tiled_matmul`),
+    which a prefix never moves.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; expected one of {KINDS}")
@@ -408,10 +410,11 @@ def tiled_matmul(
     if full:
         # One matmul over the stack of tiles: a BLAS call per tile.
         tiles = (full // tile, tile)
-        np.matmul(
-            x[:full].reshape(tiles + x.shape[1:]), w,
-            out=out[:full].reshape(tiles + out.shape[1:], copy=False),
-        )
+        # Setting ``shape`` raises where a reshape would copy, so the
+        # product can never land in a temporary.
+        view = out[:full].view()
+        view.shape = tiles + out.shape[1:]
+        np.matmul(x[:full].reshape(tiles + x.shape[1:]), w, out=view)
     if full < rows:
         padded = np.zeros((tile,) + x.shape[1:], dtype=x.dtype)
         padded[: rows - full] = x[full:]

@@ -25,44 +25,42 @@ def softmax_cross_entropy(
     """Mean masked cross-entropy and its gradient w.r.t. ``logits``.
 
     Returns ``(loss, grad)`` where ``grad`` has the shape of ``logits``
-    and is already divided by the number of contributing rows.  Only
-    the masked rows are computed (every step is row-wise); the others
-    get a zero gradient.
+    and is already divided by the number of contributing rows.
     """
     if logits.ndim != 2:
         raise ValueError(f"logits must be (rows, classes), got {logits.shape}")
     n, c = logits.shape
     if labels.shape != (n,):
         raise ValueError(f"labels must be ({n},), got {labels.shape}")
-    if mask is not None:
-        if np.shape(mask) != (n,):
-            raise ValueError(f"mask must be ({n},), got {np.shape(mask)}")
-        picked = np.flatnonzero(mask)
-        logits, labels = logits[picked], labels[picked]
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     probs = expd / expd.sum(axis=1, keepdims=True)
-    rows = np.arange(logits.shape[0])
+    rows = np.arange(n)
     nll = -np.log(np.maximum(probs[rows, labels], 1e-30))
-    probs[rows, labels] -= 1.0
     if mask is None:
-        loss, count, grad = float(nll.mean()), n, probs
+        count = n
+        loss = float(nll.mean())
+        grad = probs.copy()
+        grad[rows, labels] -= 1.0
+        grad /= count
     else:
-        count = max(picked.shape[0], 1)
-        loss = float(nll.sum() / count)
-        grad = np.zeros((n, c), dtype=probs.dtype)
-        grad[picked] = probs
-    grad /= count
+        mask = mask.astype(bool)
+        count = max(int(mask.sum()), 1)
+        loss = float(nll[mask].sum() / count)
+        grad = np.zeros_like(probs)
+        grad[mask] = probs[mask]
+        grad[rows[mask], labels[mask]] -= 1.0
+        grad /= count
     return loss, grad
 
 
 def accuracy(
     logits: np.ndarray, labels: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> float:
+    pred = logits.argmax(axis=1)
+    hit = pred == labels
     if mask is not None:
-        picked = np.flatnonzero(mask)
-        logits, labels = logits[picked], labels[picked]
-    hit = logits.argmax(axis=1) == labels
+        hit = hit[mask.astype(bool)]
     return float(hit.mean()) if hit.size else 0.0
 
 
