@@ -21,7 +21,7 @@ def figure(figures):
 
 
 def _by_variant(figure, workload):
-    return {r.strategy: r for r in figure.by(workload=workload)}
+    return {r.strategy: r for r in figure.by(dataset=workload)}
 
 
 class TestFig10:

@@ -70,7 +70,7 @@ class TestFig9:
         # Fusion collapses graph-op launches: fused runs launch fewer
         # kernels than per-op runs in every workload.
         for workload in ("gat-reddit", "edgeconv-k40-b64", "monet-reddit"):
-            runs = {r.strategy: r for r in figure.by(workload=workload)}
+            runs = {r.strategy: r for r in figure.by(dataset=workload)}
             assert runs["ours"].launches < runs["ours-nofusion"].launches
         benchmark.pedantic(
             make_step_fn(EdgeConv(3, (64,)), modelnet_small, "dgl-like"),

@@ -84,7 +84,7 @@ class TestMinibatchIO:
             .minibatch(ds.stats.num_vertices + 1)
         )
         full = sess.counters()
-        mc = sess.minibatch_counters()
+        mc = sess.report().minibatch
         assert mc.num_batches == 1
         batch = mc.batches[0]
         assert batch.field == ds.stats.num_vertices

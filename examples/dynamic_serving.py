@@ -79,12 +79,11 @@ def main() -> None:
         strategies=["ours"],
         serve_qps=[4000.0],
         update_frac=[0.0, 0.2, 0.4],
-        serve_requests=args.requests,
-        serve_seeds=4,
-        serve_cache_rows=4096,
-        serve_zipf_alpha=0.9,
+        serve=dict(
+            num_requests=args.requests, seeds_per_request=4,
+            cache_rows=4096, zipf_alpha=0.9, compact_every=4,
+        ),
         feature_dim=args.feature_dim,
-        training=False,
     )
     print(sweep.table())
 

@@ -66,7 +66,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 3. Reconcile analytic gathers against the engine, batch by batch.
-    mc = session.minibatch_counters()
+    mc = report.minibatch
     compiled = session.compile()
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(graph.num_vertices, args.feature_dim))

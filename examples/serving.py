@@ -77,12 +77,11 @@ def main() -> None:
             datasets=[args.dataset],
             strategies=["ours"],
             serve_qps=[500.0, 4000.0, 16000.0],
-            serve_requests=args.requests,
-            serve_seeds=4,
-            serve_cache_rows=cache_rows,
-            serve_zipf_alpha=0.9,
+            serve=dict(
+                num_requests=args.requests, seeds_per_request=4,
+                cache_rows=cache_rows, zipf_alpha=0.9,
+            ),
             feature_dim=args.feature_dim,
-            training=False,
         )
         print(f"--- cache_rows={cache_rows} ---")
         print(sweep.table())

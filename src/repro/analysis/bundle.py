@@ -74,10 +74,8 @@ def build_bundle(
     }
 
     if target is None:
-        target = (
-            f"{session._model_label()}/{session._strategy_label()}"
-            f"/{session._dataset_label()}"
-        )
+        labels = session._config.labels()
+        target = f"{labels['model']}/{labels['strategy']}/{labels['dataset']}"
     return ArtifactBundle(
         target=target,
         plans=[

@@ -1,4 +1,4 @@
-"""Benchmark harness: experiment runners and paper-style reporting.
+"""Benchmark tables: figure normalisation and paper-style reporting.
 
 The per-figure experiment definitions and their catalogue
 (:data:`~repro.bench.figures.FIGURES`) live in
@@ -7,16 +7,10 @@ generated tables under ``benchmarks/results/`` and the pytest-benchmark
 entry points under ``benchmarks/`` assert their shapes.
 """
 
-from repro.bench.harness import (
-    RunResult,
-    measure,
-    normalized_rows,
-)
+from repro.bench.harness import normalized_rows
 from repro.bench.report import format_table, geomean, save_table
 
 __all__ = [
-    "RunResult",
-    "measure",
     "normalized_rows",
     "format_table",
     "geomean",

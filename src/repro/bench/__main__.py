@@ -57,12 +57,11 @@ SWEEPS = {
         datasets=["pubmed"],
         strategies=["ours"],
         serve_qps=[500.0, 8000.0],
-        serve_requests=96,
-        serve_seeds=4,
-        serve_cache_rows=4096,
-        serve_zipf_alpha=0.9,
+        serve=dict(
+            num_requests=96, seeds_per_request=4, cache_rows=4096,
+            zipf_alpha=0.9,
+        ),
         feature_dim=32,
-        training=False,
     ),
     "sweep_dynamic_smoke": dict(
         models=["gat"],
@@ -70,12 +69,11 @@ SWEEPS = {
         strategies=["ours"],
         serve_qps=[4000.0],
         update_frac=[0.0, 0.3],
-        serve_requests=96,
-        serve_seeds=4,
-        serve_cache_rows=4096,
-        serve_zipf_alpha=0.9,
+        serve=dict(
+            num_requests=96, seeds_per_request=4, cache_rows=4096,
+            zipf_alpha=0.9, compact_every=4,
+        ),
         feature_dim=32,
-        training=False,
     ),
     "sweep_precision_smoke": dict(
         models=["gat"],

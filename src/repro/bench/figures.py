@@ -3,8 +3,9 @@
 Each builder runs one experiment at the paper's published scale (via
 :class:`~repro.graph.stats.GraphStats` — including the full 115M-edge
 Reddit degree model) and returns a :class:`FigureResult`: the raw
-:class:`~repro.bench.harness.RunResult` rows, the normalised rows and
-the rendered table.  :data:`FIGURES`, at the bottom of this module, is
+:class:`~repro.session.SweepRow` rows, each priced by
+``Session._price`` like every sweep row, the normalised rows and the
+rendered table.  :data:`FIGURES`, at the bottom of this module, is
 the one catalogue of them: ``python -m repro.bench`` writes each entry
 to ``benchmarks/results/<name>.txt``, ``benchmarks/`` asserts the
 paper's qualitative shapes on the same builders, and the golden test
@@ -35,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.harness import RunResult, measure, normalized_rows
+from repro.bench.harness import normalized_rows
 from repro.bench.report import format_table
 from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.session import PlanCache, Session, SweepRow
@@ -99,11 +100,11 @@ def _edgeconv_ablation(training: bool) -> EdgeConv:
 class FigureResult:
     """Raw rows plus the rendered table for one figure."""
 
-    results: List[RunResult]
+    results: List[SweepRow]
     table: str
     normalized: List[Dict[str, object]]
 
-    def by(self, **match) -> List[RunResult]:
+    def by(self, **match) -> List[SweepRow]:
         out = []
         for r in self.results:
             if all(getattr(r, k) == v for k, v in match.items()):
@@ -122,8 +123,10 @@ def _measure_grid(
     variants: Sequence[Tuple[str, GPUSpec]],
     *,
     training: bool = True,
-) -> List[RunResult]:
-    """Every run under every ``(strategy, gpu)`` variant, run-major.
+) -> List[SweepRow]:
+    """Every run under every ``(strategy, gpu)`` variant, run-major: one
+    training step (``training=False``: one inference pass) per row, the
+    run's name in its ``dataset`` column.
 
     One plan cache per grid: the device only enters at latency-model
     time, so workloads sharing a model instance, every repeated strategy
@@ -131,9 +134,10 @@ def _measure_grid(
     """
     cache = PlanCache()
     return [
-        measure(
-            model, workload, stats, strategy, gpu,
-            training=training, cache=cache,
+        SweepRow.from_report(
+            Session(cache=cache)
+            .model(model).stats(stats, workload).strategy(strategy).gpu(gpu)
+            .report(training=training)
         )
         for model, workload, stats in runs
         for strategy, gpu in variants
@@ -256,11 +260,11 @@ def fig10_recomputation() -> FigureResult:
     )
     rows = [
         [
-            r.workload,
+            r.dataset,
             {"ours-nofusion": "w/o fusion",
              "ours-stash": "fusion+stash",
              "ours": "fusion+recompute"}[r.strategy],
-            f"{r.memory_gb:.2f}",
+            f"{r.peak_memory_bytes / 2**30:.2f}",
             f"{r.latency_s * 1e3:.2f}",
             f"{r.stash_bytes / 2**30:.2f}",
         ]
@@ -298,9 +302,9 @@ def fig11_small_gpu() -> FigureResult:
     )
     rows = [
         [
-            r.workload, r.strategy, r.gpu,
-            "OOM" if r.oom else f"{r.latency_s * 1e3:.2f}",
-            f"{r.memory_gb:.2f}",
+            r.dataset, r.strategy, r.gpu,
+            "OOM" if not r.fits_device else f"{r.latency_s * 1e3:.2f}",
+            f"{r.peak_memory_bytes / 2**30:.2f}",
         ]
         for r in results
     ]
@@ -1046,9 +1050,10 @@ def fig_mapping_ablation() -> FigureResult:
     compiled = compile_forward(model, get_strategy("ours"))
     normalized: List[Dict[str, object]] = []
     for workload, stats in (("skewed", skew), ("regular", regular)):
-        vertex = measure(model, workload, stats, "ours", RTX3090, training=False)
-        edge = measure(
-            model, workload, stats, "ours-edgemap", RTX3090, training=False
+        vertex, edge = _measure_grid(
+            [(model, workload, stats)],
+            [("ours", RTX3090), ("ours-edgemap", RTX3090)],
+            training=False,
         )
         grouped = CostModel(RTX3090, neighbor_group_size=128).latency_seconds(
             compiled.counters(stats), stats
@@ -1098,10 +1103,11 @@ def inline_redundant_computation() -> FigureResult:
     """
     stats = _modelnet_stats(64, 40)
     model = EdgeConv(3, (64, 64, 128, 256))
-    naive = measure(
-        model, "modelnet", stats, "ours-noreorg", RTX3090, training=False
+    naive, opt = _measure_grid(
+        [(model, "modelnet", stats)],
+        [("ours-noreorg", RTX3090), ("ours", RTX3090)],
+        training=False,
     )
-    opt = measure(model, "modelnet", stats, "ours", RTX3090, training=False)
     return _inline_share(
         "inline-redundancy", "redundant FLOP share (EdgeConv k=40)", "92.4%",
         (naive.flops - opt.flops) / naive.flops,

@@ -52,7 +52,8 @@ import time
 from collections import ChainMap
 from dataclasses import dataclass
 from typing import (
-    Dict, List, Mapping, MutableMapping, Optional, Sequence, Set, Tuple, Union,
+    Dict, Iterable, List, Mapping, MutableMapping, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -77,6 +78,7 @@ from repro.ir.tensorspec import LOGICAL_DTYPES, Domain, TensorSpec
 
 __all__ = [
     "Engine", "PlanRun", "translate_argmax", "require_accounting_precision",
+    "require_arena_dtypes",
 ]
 
 
@@ -92,6 +94,24 @@ def require_accounting_precision(precision) -> None:
             "executing through a memory plan puts values in spec-sized "
             "arena slabs and needs the accounting precision: pass "
             'precision="float32"'
+        )
+
+
+def require_arena_dtypes(dtypes: Iterable[str]) -> None:
+    """Arena-backed execution needs physical storage dtypes.
+
+    Logical dtypes are *simulated* in float32 arrays, which do not fit
+    the (honestly sized) logical-byte slabs.  Raised where an arena run
+    is configured (``InferenceServer``, ``MiniBatchTrainer``) and where
+    one begins.
+    """
+    logical = sorted(set(dtypes).intersection(LOGICAL_DTYPES))
+    if logical:
+        raise ValueError(
+            f"arena-backed execution does not support logical "
+            f"dtypes {logical}: slabs are sized for storage bytes "
+            "but the simulation materialises float32; run without "
+            "a memory plan (fp32/fp16 plans remain arena-backed)"
         )
 
 
@@ -582,16 +602,7 @@ class Engine:
         memory_plan = self._memory_plan_for(plan)
         placed, held = {}, {}
         if memory_plan is not None:
-            logical = sorted(dtypes.intersection(LOGICAL_DTYPES))
-            if logical:
-                # Logical dtypes are *simulated* in float32 arrays, which
-                # do not fit the (honestly sized) logical-byte slabs.
-                raise ValueError(
-                    f"arena-backed execution does not support logical "
-                    f"dtypes {logical}: slabs are sized for storage bytes "
-                    "but the simulation materialises float32; run without "
-                    "a memory plan (fp32/fp16 plans remain arena-backed)"
-                )
+            require_arena_dtypes(dtypes)
             placed, writers = self._arena_storage()[1][id(memory_plan)]
             if out:
                 held = {

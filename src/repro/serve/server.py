@@ -52,7 +52,9 @@ from repro.dyn.featurestore import FeatureStore
 if TYPE_CHECKING:  # runtime import would cycle: dyn.workload uses serve.request
     from repro.dyn.workload import UpdateEvent
 from repro.exec.analytic import feature_gather_row_bytes
-from repro.exec.engine import Engine, require_accounting_precision
+from repro.exec.engine import (
+    Engine, require_accounting_precision, require_arena_dtypes,
+)
 from repro.exec.memory import StepMemoryPlan
 from repro.exec.rings import receptive_hops
 from repro.frameworks.strategy import CompiledForward
@@ -200,6 +202,12 @@ class InferenceServer:
             )
             for name, plan in tenant_plans.items()
         }
+        if memory_plan and execute:
+            require_arena_dtypes(
+                spec.dtype
+                for plan in tenant_plans.values()
+                for spec in plan.plan.module.specs.values()
+            )
         resolved = get_gpu(gpu) if isinstance(gpu, str) else gpu
         if isinstance(resolved, Cluster):
             self.cluster: Optional[Cluster] = resolved

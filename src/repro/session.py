@@ -12,12 +12,27 @@ One configuration::
     )
     print(report.summary())
 
-Every axis accepts either a registry name (resolved through
-:mod:`repro.registry`) or a concrete object (a ``GNNModel`` instance, a
-``Dataset``, an ``ExecutionStrategy``, a ``GPUSpec``, or raw
-``GraphStats`` via :meth:`Session.stats`).
+A :class:`Session` holds its configuration in one frozen
+:class:`RunConfig`; each fluent setter replaces one of its axes:
 
-A sweep over the cross product of registry names::
+- ``model`` — a registry name (sized from the dataset) or a
+  ``GNNModel`` instance;
+- ``dataset`` — a registry name, a ``Dataset``, or raw ``GraphStats``
+  (:meth:`Session.stats`, named by ``workload``);
+- ``strategy``, ``schedule`` and ``precision`` — what the plan is
+  compiled with: an ``ExecutionStrategy`` or its name, the
+  ``"memory"`` schedule, a feature-storage precision;
+- ``gpu`` — a ``GPUSpec``, its name, or a ``Cluster``
+  (:meth:`Session.cluster`; ``partitioner`` overrides the strategy's
+  partition method);
+- ``feature_dim`` and ``minibatch`` — the input width of registry
+  models and the sampled mini-batch epoch.
+
+Labels of reports and rows, the memo's parameters and every terminal
+read that one record, and :class:`RunConfig` validates each axis.
+
+A sweep over the cross product of registry names builds one
+:class:`RunConfig` per point and prices it through the same path::
 
     sweep = repro.run_sweep(
         models=["gat", "gcn"],
@@ -46,7 +61,7 @@ import os
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +70,7 @@ from repro.exec.profiler import Counters, MiniBatchCounters, MultiGPUCounters
 from repro.exec.rings import receptive_hops
 from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.frameworks.strategy import ExecutionStrategy
-from repro.gpu.cluster import Cluster, ClusterCostModel, CommBreakdown, make_cluster
+from repro.gpu.cluster import Cluster, ClusterCostModel, make_cluster
 from repro.gpu.cost_model import CostModel, SimulatedOOM
 from repro.gpu.spec import GPUSpec, get_gpu
 from repro.graph.datasets import Dataset, get_dataset
@@ -226,6 +241,10 @@ class ExperimentReport:
     minibatch: Optional[MiniBatchCounters] = None
     #: Arena memory plan (set when the session scheduled for memory).
     memory: Optional[StepMemoryPlan] = None
+    #: The configured schedule mode and storage precision (``None``:
+    #: ledger accounting, the strategy's own precision).
+    schedule: Optional[str] = None
+    precision: Optional[str] = None
 
     @property
     def priced(self):
@@ -312,60 +331,120 @@ class ExperimentReport:
 
 
 # ======================================================================
+@dataclass(frozen=True)
+class RunConfig:
+    """One configuration: every axis a :class:`Session` setter sets.
+
+    Private to this module — the fluent setters are the one way to
+    configure.  Construction validates each axis, so a setter refuses a
+    bad value where it is given, and the record is frozen: a setter
+    replaces it, never edits it, and the memo keys read its fields.
+    """
+
+    #: Registry name (sized from ``dataset``) or a model instance.
+    model: Union[str, GNNModel, None] = None
+    #: Registry name, ``Dataset``, or raw ``GraphStats``.
+    dataset: Union[str, Dataset, GraphStats, None] = None
+    #: Label of a raw ``GraphStats`` workload.
+    workload: str = "custom"
+    strategy: Union[str, ExecutionStrategy] = "ours"
+    #: ``"memory"`` appends the ``schedule_memory`` pass and prices the
+    #: arena plan; ``None`` is ledger accounting.
+    schedule: Optional[str] = None
+    #: Canonical feature-storage precision; ``None`` keeps the
+    #: strategy's own.
+    precision: Optional[str] = None
+    #: Registry name, ``GPUSpec``, or ``Cluster``.
+    gpu: Union[str, GPUSpec, Cluster] = "RTX3090"
+    #: Partition method override of a cluster run.
+    partitioner: Optional[str] = None
+    #: Input width of registry models (``None``: the dataset's).
+    feature_dim: Optional[int] = None
+    #: Sampled mini-batch epoch: ``(batch_size, hops, seed)``.
+    minibatch: Optional[Tuple[int, Optional[int], int]] = None
+
+    def __post_init__(self) -> None:
+        if self.schedule not in (None, "memory"):
+            raise ValueError(
+                f"unknown schedule mode {self.schedule!r}; use 'memory' or None"
+            )
+        if self.precision is not None:
+            from repro.ir.precision import canonical_precision
+
+            object.__setattr__(
+                self, "precision", canonical_precision(self.precision)
+            )
+        if self.minibatch is not None:
+            batch_size, hops, seed = self.minibatch
+            if batch_size <= 0:
+                raise ValueError("batch_size must be positive")
+            if hops is not None and hops < 0:
+                raise ValueError("hops must be non-negative")
+            object.__setattr__(self, "minibatch", (int(batch_size), hops, seed))
+
+    def device(self) -> Union[GPUSpec, Cluster]:
+        """The resolved ``gpu`` axis: a spec, or a cluster."""
+        g = self.gpu
+        return get_gpu(g) if isinstance(g, str) else g
+
+    def labels(self) -> Dict[str, Optional[str]]:
+        """The names a report or sweep row shows for this configuration."""
+        m, d, s, g = self.model, self.dataset, self.strategy, self.gpu
+        device = self.device()
+        if isinstance(d, GraphStats) or d is None:
+            dataset = self.workload
+        else:
+            dataset = d if isinstance(d, str) else d.name
+        return dict(
+            model=m if isinstance(m, str) else m.name,
+            dataset=dataset,
+            strategy=s if isinstance(s, str) else s.name,
+            gpu=(
+                device.name if isinstance(device, Cluster)
+                else g if isinstance(g, str) else g.name
+            ),
+            schedule=self.schedule,
+            precision=self.precision,
+        )
+
+
+# ======================================================================
 class Session:
     """Fluent configuration builder over the unified registries.
 
-    Each setter returns ``self``; terminal methods (:meth:`compile`,
-    :meth:`counters`, :meth:`latency_seconds`, :meth:`report`) resolve
-    names, compile through the shared :class:`PlanCache`, and evaluate.
+    Each setter replaces one axis of the session's :class:`RunConfig`
+    and returns ``self``; terminal methods (:meth:`compile`,
+    :meth:`counters`, :meth:`report`, :meth:`serve`) resolve names,
+    compile through the shared :class:`PlanCache`, and evaluate.
     """
 
     def __init__(self, *, cache: Optional[PlanCache] = None) -> None:
         self._cache = cache if cache is not None else PlanCache()
-        self._model: Union[str, GNNModel, None] = None
-        self._dataset: Union[str, Dataset, None] = None
-        self._stats: Optional[GraphStats] = None
-        self._workload: Optional[str] = None
-        self._strategy: Union[str, ExecutionStrategy] = "ours"
-        self._gpu: Union[str, GPUSpec] = "RTX3090"
-        self._cluster: Optional[Cluster] = None
-        self._partitioner: Optional[str] = None
-        self._feature_dim: Optional[int] = None
+        self._config = RunConfig()
         # Derived artifacts (the resolved registry model, partition
         # stats, counters of every kind, memory plans), so counters()
         # followed by latency_seconds()/fits() analyses once, not three
         # times; see _memoised.
         self._memo: Dict[tuple, tuple] = {}
-        # Sampled mini-batch configuration: (batch_size, hops, seed).
-        self._minibatch: Optional[Tuple[int, Optional[int], int]] = None
-        # Memory planning: None = ledger accounting only, "memory" =
-        # append the schedule_memory pass and price the arena plan.
-        self._schedule: Optional[str] = None
-        # Feature-storage precision override: None keeps the strategy's
-        # own precision (normally "fp32").
-        self._precision: Optional[str] = None
+
+    def _set(self, **axes) -> "Session":
+        self._config = replace(self._config, **axes)
+        return self
 
     # -- fluent setters ------------------------------------------------
     def model(self, model: Union[str, GNNModel]) -> "Session":
         """Registry name (needs a dataset for dims) or model instance."""
-        self._model = model
-        return self
+        return self._set(model=model)
 
     def dataset(self, dataset: Union[str, Dataset]) -> "Session":
-        self._dataset = dataset
-        self._stats = None
-        return self
+        return self._set(dataset=dataset)
 
     def stats(self, stats: GraphStats, workload: str = "custom") -> "Session":
         """Evaluate counters on raw ``GraphStats`` (no named dataset)."""
-        self._stats = stats
-        self._workload = workload
-        self._dataset = None
-        return self
+        return self._set(dataset=stats, workload=workload)
 
     def strategy(self, strategy: Union[str, ExecutionStrategy]) -> "Session":
-        self._strategy = strategy
-        return self
+        return self._set(strategy=strategy)
 
     def schedule(self, mode: Optional[str]) -> "Session":
         """Enable peak-aware memory planning for this configuration.
@@ -379,12 +458,7 @@ class Session:
         :class:`~repro.exec.memory.StepMemoryPlan`.  ``schedule(None)``
         restores plain ledger accounting.
         """
-        if mode not in (None, "memory"):
-            raise ValueError(
-                f"unknown schedule mode {mode!r}; use 'memory' or None"
-            )
-        self._schedule = mode
-        return self
+        return self._set(schedule=mode)
 
     def precision(self, precision: Optional[str]) -> "Session":
         """Select the feature-storage precision of this configuration.
@@ -400,19 +474,11 @@ class Session:
         ``precision(None)`` restores the strategy's own (fp32)
         precision.
         """
-        if precision is not None:
-            from repro.ir.precision import canonical_precision
-
-            precision = canonical_precision(precision)
-        self._precision = precision
-        return self
+        return self._set(precision=precision)
 
     def gpu(self, gpu: Union[str, GPUSpec]) -> "Session":
         """Single device by name/spec (a registered cluster name works too)."""
-        self._gpu = gpu
-        self._cluster = None
-        self._partitioner = None
-        return self
+        return self._set(gpu=gpu, partitioner=None)
 
     def cluster(
         self,
@@ -428,7 +494,9 @@ class Session:
         ``gpu`` is a registry name, a :class:`GPUSpec`, or a prebuilt
         :class:`Cluster` (then ``num_gpus`` must be omitted).
         ``partitioner`` overrides the strategy's partition method
-        (``"hash"`` / ``"range"`` / ``"greedy"``).
+        (``"hash"`` / ``"range"`` / ``"greedy"``); omitting it falls
+        back to the strategy's ``PartitionSpec``, not to an earlier
+        call's value.
         """
         if isinstance(gpu, Cluster):
             if num_gpus is not None and num_gpus != gpu.num_gpus:
@@ -436,22 +504,16 @@ class Session:
                     f"cluster {gpu.name!r} has {gpu.num_gpus} GPUs, "
                     f"cannot override to {num_gpus}"
                 )
-            self._cluster = gpu
+        elif num_gpus is None:
+            raise ValueError("cluster() needs num_gpus for a GPU name/spec")
         else:
-            if num_gpus is None:
-                raise ValueError("cluster() needs num_gpus for a GPU name/spec")
-            self._cluster = make_cluster(
+            gpu = make_cluster(
                 gpu,
                 num_gpus,
                 interconnect_gbps=interconnect_gbps,
                 interconnect_latency_us=interconnect_latency_us,
             )
-        self._gpu = self._cluster.gpu
-        # Each cluster() call is authoritative: omitting the partitioner
-        # falls back to the strategy's PartitionSpec rather than a value
-        # left over from an earlier configuration.
-        self._partitioner = partitioner
-        return self
+        return self._set(gpu=gpu, partitioner=partitioner)
 
     def minibatch(
         self,
@@ -465,27 +527,21 @@ class Session:
         Per epoch the workload is covered by random seed batches of
         ``batch_size`` vertices, each expanded to its ``hops``-hop
         receptive field (default: the compiled model's message-passing
-        depth).  Counter/latency terminals then report *epoch* totals
-        with per-batch peak memory — concrete datasets sample exact
-        batches (seeded by ``seed``), stats-only workloads use the
-        degree-model field estimate.  ``minibatch(None)`` restores
-        full-graph evaluation.  Mini-batch accounting is single-GPU;
-        combine with :meth:`gpu`, not :meth:`cluster`.
+        depth).  :meth:`report` then prices the *epoch* totals with
+        per-batch peak memory (``report().minibatch``) — concrete
+        datasets sample exact batches (seeded by ``seed``), stats-only
+        workloads use the degree-model field estimate.
+        ``minibatch(None)`` restores full-graph evaluation.  Mini-batch
+        accounting is single-GPU; combine with :meth:`gpu`, not
+        :meth:`cluster`.
         """
-        if batch_size is None:
-            self._minibatch = None
-            return self
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if hops is not None and hops < 0:
-            raise ValueError("hops must be non-negative")
-        self._minibatch = (int(batch_size), hops, seed)
-        return self
+        return self._set(
+            minibatch=None if batch_size is None else (batch_size, hops, seed)
+        )
 
     def feature_dim(self, dim: Optional[int]) -> "Session":
         """Input-width override for registry models (default: published)."""
-        self._feature_dim = dim
-        return self
+        return self._set(feature_dim=dim)
 
     @property
     def plan_cache(self) -> PlanCache:
@@ -493,28 +549,23 @@ class Session:
 
     # -- resolution ----------------------------------------------------
     def resolve_strategy(self) -> ExecutionStrategy:
-        s = self._strategy
+        cfg = self._config
+        s = cfg.strategy
         resolved = get_strategy(s) if isinstance(s, str) else s
-        if self._schedule == "memory":
+        if cfg.schedule == "memory":
             resolved = with_memory_schedule(resolved)
-        if self._precision is not None and resolved.precision != self._precision:
-            resolved = replace(resolved, precision=self._precision)
+        if cfg.precision is not None and resolved.precision != cfg.precision:
+            resolved = replace(resolved, precision=cfg.precision)
         return resolved
 
     def resolve_gpu(self) -> GPUSpec:
-        g = self._gpu
-        resolved = get_gpu(g) if isinstance(g, str) else g
-        if isinstance(resolved, Cluster):
-            return resolved.gpu
-        return resolved
+        device = self._config.device()
+        return device.gpu if isinstance(device, Cluster) else device
 
     def resolve_cluster(self) -> Optional[Cluster]:
         """The target cluster, if this session is multi-GPU."""
-        if self._cluster is not None:
-            return self._cluster
-        g = self._gpu
-        resolved = get_gpu(g) if isinstance(g, str) else g
-        return resolved if isinstance(resolved, Cluster) else None
+        device = self._config.device()
+        return device if isinstance(device, Cluster) else None
 
     def resolve_partition_stats(self) -> PartitionStats:
         """Degree-level partition summary for the configured cluster.
@@ -528,7 +579,7 @@ class Session:
         num_parts = cluster.num_gpus if cluster is not None else 1
         strategy = self.resolve_strategy()
         spec = strategy.partition if strategy.partition is not None else PartitionSpec()
-        method = self._partitioner or spec.method
+        method = self._config.partitioner or spec.method
         ds = self.resolve_dataset()
 
         def partition() -> PartitionStats:
@@ -569,14 +620,15 @@ class Session:
         return value
 
     def resolve_dataset(self) -> Optional[Dataset]:
-        d = self._dataset
+        d = self._config.dataset
         if isinstance(d, str):
             return get_dataset(d)
-        return d
+        return None if isinstance(d, GraphStats) else d
 
     def resolve_stats(self) -> GraphStats:
-        if self._stats is not None:
-            return self._stats
+        d = self._config.dataset
+        if isinstance(d, GraphStats):
+            return d
         ds = self.resolve_dataset()
         if ds is None:
             raise ValueError(
@@ -586,7 +638,7 @@ class Session:
         return ds.stats
 
     def resolve_model(self) -> GNNModel:
-        m = self._model
+        m = self._config.model
         if m is None:
             raise ValueError("session has no model: call .model(name_or_instance)")
         if not isinstance(m, str):
@@ -608,7 +660,8 @@ class Session:
 
     def _in_dim(self, ds: Dataset) -> int:
         """Input width: the override, else the dataset's published one."""
-        return self._feature_dim if self._feature_dim is not None else ds.feature_dim
+        dim = self._config.feature_dim
+        return dim if dim is not None else ds.feature_dim
 
     def _features(self, ds: Dataset, seed: int) -> np.ndarray:
         """``ds.features(in_dim, seed)``, drawn once per session and
@@ -680,7 +733,7 @@ class Session:
     ) -> Optional[StepMemoryPlan]:
         """The arena plan a ``schedule("memory")`` session prices and
         executes through; ``None`` otherwise."""
-        if self._schedule != "memory":
+        if self._config.schedule != "memory":
             return None
         return self._memory_plan(compiled, stats)
 
@@ -698,18 +751,9 @@ class Session:
             ),
         )
 
-    def multi_counters(self, *, training: bool = True) -> MultiGPUCounters:
-        """Per-GPU counters + halo traffic (requires a cluster)."""
-        if self.resolve_cluster() is None:
-            raise ValueError(
-                "session targets a single GPU: call .cluster(name, n) "
-                "before asking for multi-GPU counters"
-            )
-        return self.report(training=training).multi
-
     def _minibatch_schedule(self, compiled) -> List[Tuple[int, GraphStats]]:
         """One epoch's (num_seeds, field_stats) pairs for the workload."""
-        batch_size, hops, seed = self._minibatch
+        batch_size, hops, seed = self._config.minibatch
         if hops is None:
             hops = receptive_hops(compiled.forward)
         ds = self.resolve_dataset()
@@ -728,36 +772,6 @@ class Session:
             (n, expected_field_stats(stats, n, hops, rng=rng)) for n in sizes
         ]
 
-    def minibatch_counters(self, *, training: bool = True) -> MiniBatchCounters:
-        """Per-batch epoch counters (requires :meth:`minibatch`).
-
-        Exact on concrete datasets (sampled schedules), degree-model
-        realisations on stats-only workloads.  ``counters()`` keeps
-        returning the full-graph reference for comparison.
-        """
-        if self._minibatch is None:
-            raise ValueError(
-                "session evaluates full-graph: call .minibatch(batch_size) "
-                "before asking for mini-batch counters"
-            )
-        return self.report(training=training).minibatch
-
-    def minibatch_latency_seconds(self, *, training: bool = True) -> float:
-        """Modelled epoch time: per-batch kernels + feature gathers."""
-        return CostModel(self.resolve_gpu()).minibatch_latency_seconds(
-            self.minibatch_counters(training=training)
-        )
-
-    def comm_breakdown(self, *, training: bool = True) -> CommBreakdown:
-        """Communication-vs-computation time split on the cluster."""
-        cluster = self.resolve_cluster()
-        if cluster is None:
-            raise ValueError("comm_breakdown() needs a cluster configuration")
-        return ClusterCostModel(cluster).breakdown(
-            self.multi_counters(training=training),
-            self.resolve_partition_stats(),
-        )
-
     def _price(self, compiled) -> ExperimentReport:
         """Price this configuration on its already-compiled pair.
 
@@ -765,17 +779,18 @@ class Session:
         a sampled mini-batch epoch, a partitioned cluster step, or a
         full-graph step each pick their counters and the matching cost
         model here, and :meth:`report`, :meth:`latency_seconds`,
-        :meth:`fits`, :func:`run_sweep`, the bench harness and the
-        figures all read the record this fills.  ``compiled`` is passed
-        in so a caller pays one plan-cache lookup however many devices
-        or batchings it prices the pair on; ``counters`` always holds
-        the full-graph reference.
+        :meth:`fits`, :func:`run_sweep` and the figure tables all read
+        the record this fills.  ``compiled`` is passed in so a caller
+        pays one plan-cache lookup however many devices or batchings it
+        prices the pair on; ``counters`` always holds the full-graph
+        reference.
         """
+        cfg = self._config
         stats = self.resolve_stats()
         counters = self._counters(compiled, stats)
         cluster = self.resolve_cluster()
         priced: Dict[str, object] = {}
-        if self._minibatch is not None:
+        if cfg.minibatch is not None:
             if cluster is not None:
                 raise ValueError(
                     "mini-batch accounting is single-GPU: configure "
@@ -790,11 +805,11 @@ class Session:
                     self._minibatch_schedule(compiled),
                     num_vertices=stats.num_vertices,
                 ),
-                self._minibatch,
+                cfg.minibatch,
             )
             latency = compute = cost.minibatch_latency_seconds(mc)
             fits = cost.fits(mc)
-            priced.update(batch_size=self._minibatch[0], minibatch=mc)
+            priced.update(batch_size=cfg.minibatch[0], minibatch=mc)
         elif cluster is not None:
             cost = ClusterCostModel(cluster)
             pstats = self.resolve_partition_stats()
@@ -815,10 +830,7 @@ class Session:
             latency = compute = cost.latency_seconds(counters, stats)
             fits = cost.fits(counters)
         return ExperimentReport(
-            model=self._model_label(),
-            dataset=self._dataset_label(),
-            strategy=self._strategy_label(),
-            gpu=self._gpu_label(),
+            **cfg.labels(),
             counters=counters,
             latency_s=latency,
             fits_device=fits,
@@ -833,28 +845,6 @@ class Session:
     def fits(self, *, training: bool = True) -> bool:
         return self.report(training=training).fits_device
 
-    # -- naming (for reports) ------------------------------------------
-    def _model_label(self) -> str:
-        return self._model if isinstance(self._model, str) else self._model.name
-
-    def _dataset_label(self) -> str:
-        if isinstance(self._dataset, str):
-            return self._dataset
-        if self._dataset is not None:
-            return self._dataset.name
-        return self._workload or "custom"
-
-    def _strategy_label(self) -> str:
-        s = self._strategy
-        return s if isinstance(s, str) else s.name
-
-    def _gpu_label(self) -> str:
-        cluster = self.resolve_cluster()
-        if cluster is not None:
-            return cluster.name
-        g = self._gpu
-        return g if isinstance(g, str) else g.name
-
     def report(
         self, *, train_steps: int = 0, seed: int = 0, training: bool = True
     ) -> ExperimentReport:
@@ -862,12 +852,12 @@ class Session:
 
         ``training=False`` prices the forward (inference) plan instead
         of a training step.  On a cluster configuration the report
-        carries per-GPU counters, halo-exchange bytes, and the
-        comm/compute time split; under :meth:`minibatch` the sampled
-        epoch.  Concrete training uses the dataset's ground-truth
-        labels when it provides them; stats-only or label-less datasets
-        fall back to synthetic labels planted from a hidden projection
-        of the features.
+        carries per-GPU counters (``multi``), halo-exchange bytes, and
+        the comm/compute time split; under :meth:`minibatch` the sampled
+        epoch (``minibatch``).  Concrete training uses the dataset's
+        ground-truth labels when it provides them; stats-only or
+        label-less datasets fall back to synthetic labels planted from
+        a hidden projection of the features.
         """
         if train_steps > 0 and not training:
             raise ValueError("train_steps needs training=True")
@@ -895,10 +885,10 @@ class Session:
                 feats @ rng.normal(size=(in_dim, ds.num_classes))
             ).argmax(axis=1)
         opt = Adam(lr=0.01)
-        if self._minibatch is not None:
+        if self._config.minibatch is not None:
             # One "step" = one sampled epoch (a full vertex pass,
             # the unit comparable to a full-graph step).
-            batch_size, hops, mb_seed = self._minibatch
+            batch_size, hops, mb_seed = self._config.minibatch
             mb_trainer = MiniBatchTrainer(
                 compiled, graph,
                 batch_size=batch_size, hops=hops,
@@ -989,7 +979,7 @@ class Session:
         in_dim = self._in_dim(ds)
         features = self._features(ds, seed)
         compiled = self.compile(training=False)
-        tenant = self._model_label()
+        tenant = self._config.labels()["model"]
         stream = dict(
             qps=qps,
             num_vertices=graph.num_vertices,
@@ -1034,7 +1024,7 @@ class Session:
             scheduler_policy=scheduler,
             cache_rows=cache_rows,
             hops=hops,
-            memory_plan=self._schedule == "memory",
+            memory_plan=self._config.schedule == "memory",
             execute=execute,
         )
         return server.serve(workload, updates=updates, compact_every=compact_every)
@@ -1109,7 +1099,7 @@ class SweepRow:
         return asdict(self)
 
     @classmethod
-    def from_report(cls, report: ExperimentReport, **labels) -> "SweepRow":
+    def from_report(cls, report: ExperimentReport) -> "SweepRow":
         """An offline row: whatever ``report`` was priced on.
 
         Full-graph rows show the deliverable (arena-aware) peak and the
@@ -1124,6 +1114,8 @@ class SweepRow:
             dataset=report.dataset,
             strategy=report.strategy,
             gpu=report.gpu,
+            schedule=report.schedule,
+            precision=report.precision,
             flops=priced.flops,
             io_bytes=priced.io_bytes,
             peak_memory_bytes=priced.device_peak_bytes,
@@ -1141,7 +1133,6 @@ class SweepRow:
                 if report.memory is not None and priced is report.counters
                 else 0
             ),
-            **labels,
         )
 
     @classmethod
@@ -1153,10 +1144,7 @@ class SweepRow:
         every other sweep path, rather than an aborted sweep."""
         cluster = sess.resolve_cluster()
         fields.update(
-            model=sess._model_label(),
-            dataset=sess._dataset_label(),
-            strategy=sess._strategy_label(),
-            gpu=sess._gpu_label(),
+            sess._config.labels(),
             num_gpus=cluster.num_gpus if cluster is not None else 1,
             stash_bytes=0,
             serve_qps=float(serve_qps),
@@ -1291,77 +1279,51 @@ def run_sweep(
     schedule: Union[None, str, Sequence[Optional[str]]] = None,
     precision: Union[None, str, Sequence[Optional[str]]] = None,
     serve_qps: Optional[Sequence[float]] = None,
-    serve_requests: int = 192,
-    serve_seeds: int = 1,
-    serve_slo_s: float = 0.05,
-    serve_cache_rows: int = 0,
-    serve_zipf_alpha: float = 0.0,
-    serve_scheduler: str = "edf",
-    serve_seed: int = 0,
     update_frac: Optional[Sequence[float]] = None,
-    serve_compact_every: Optional[int] = 4,
+    serve: Optional[Mapping[str, object]] = None,
     feature_dim: Optional[int] = None,
     training: bool = True,
     cache: Optional[PlanCache] = None,
     save_as: Optional[str] = None,
     results_dir: Optional[str] = None,
 ) -> SweepReport:
-    """Analytic sweep over the cross product of the axes.
+    """Sweep over the cross product of the axes.
 
-    Plans are cached by (model signature, strategy): datasets sharing
-    feature/class widths reuse one compilation, and GPUs always do (the
-    device only enters at latency-model time).  Training sweeps skip
-    inference-only strategies (e.g. ``huang-like``); pass
-    ``training=False`` to compare forward passes instead.
+    Each point of the product is one :class:`RunConfig`, priced by the
+    same :meth:`Session._price` as :meth:`Session.report` (or served by
+    :meth:`Session.serve`) into one :class:`SweepRow`.  The axes map
+    onto its fields:
 
-    ``num_gpus`` sweeps cluster sizes: each entry > 1 evaluates the
-    same compiled plans on a partitioned workload (``<gpu>xN`` rows
-    with halo-exchange traffic and the comm time fraction).  The plan
-    is independent of the partitioning, so every GPU count reuses one
-    compilation per (model, strategy).
+    - ``models``, ``datasets``, ``strategies``, ``schedule`` (a mode or
+      a sequence mixing ``"memory"`` with ``None``) and ``precision``
+      (a policy name or a sequence mixing them with ``None``) choose
+      the compiled plan;
+    - ``gpus`` × ``num_gpus`` choose the device: an entry > 1 builds a
+      ``<gpu>xN`` cluster (``interconnect_gbps``), and a registered
+      cluster name is a cluster at any count;
+    - ``batch_size`` (an int or a sequence mixing ints with ``None``,
+      full-graph) with ``minibatch_hops`` and ``minibatch_seed`` is the
+      ``minibatch`` axis — single-GPU only;
+    - ``feature_dim`` is one width for every registry model.
 
-    ``batch_size`` sweeps sampled mini-batch training: an int or a
-    sequence mixing ints with ``None`` (full-graph).  Mini-batch rows
-    report *epoch* totals — IO including receptive-field feature
-    gathers, per-batch peak memory — against the directly comparable
-    full-graph step.  The plan never depends on the sampled topology,
-    so every batch size reuses one compilation per (model, strategy);
-    single-GPU only (combine with ``num_gpus=(1,)``).
+    Rows price what :meth:`Session.report` prices: full-graph steps
+    with the deliverable (arena-aware) peak under ``"memory"``, epoch
+    totals with the per-batch peak, cluster totals with the halo
+    traffic.  The plan never depends on the device, the batching or
+    the topology, so each (model, strategy, schedule, precision) is one
+    plan-cache lookup, and datasets sharing feature/class widths share
+    its compilation.  Training sweeps skip inference-only strategies
+    (e.g. ``huang-like``); ``training=False`` compares forward passes.
 
-    ``schedule`` sweeps memory planning: a mode or a sequence mixing
-    ``"memory"`` with ``None`` (ledger accounting).  Scheduled rows
-    compile with the ``schedule_memory`` pass appended (a separate
-    plan-cache entry); single-GPU full-graph rows report the planned
-    ``arena_bytes`` and show the deliverable (pinned + arena) peak in
-    the memory column, while multi-GPU and mini-batch rows price the
-    memory-scheduled plans with the ordinary ledger.
-
-    ``precision`` sweeps feature-storage precision: a policy name or a
-    sequence mixing ``"fp32"``/``"fp16"``/``"bf16"``/``"int8"`` with
-    ``None`` (the strategy's own fp32).  Precision *changes* the
-    analytic columns — gather IO, peak memory, and stash
-    bytes shrink with the storage dtype — and each precision compiles
-    through its own plan-cache entry.
-
-    ``serve_qps`` sweeps online serving instead of offline steps: each
-    configuration serves a fixed-seed Poisson request stream at every
-    offered load (``serve_requests`` requests of ``serve_seeds`` seeds,
-    SLO ``serve_slo_s``, ``serve_cache_rows`` LRU feature-cache rows)
-    through :meth:`Session.serve`.  Rows carry the qps plus
-    p50/p95/p99 latency, cache hit rate and SLO-violation share;
-    ``latency_s`` is the mean request latency and io/peak columns the
-    served totals / per-batch maxima.  A multi-GPU entry in
-    ``num_gpus`` serves on the cluster as a pool (whole batches per
-    GPU).  Serving is forward-only and cannot be combined with
-    ``batch_size``.
-
-    ``update_frac`` (requires ``serve_qps``) adds the dynamic-serving
-    axis: each entry serves a mixed read/write stream with that write
-    share (:func:`repro.dyn.mixed_workload`), compacting the delta
-    overlay every ``serve_compact_every`` applied deltas.  Rows then
-    carry the update fraction, mean snapshot staleness, and the
-    invalidation re-gather bytes; ``0.0`` entries are ordinary static
-    rows for direct comparison.
+    ``serve_qps`` sweeps online serving instead: every point serves a
+    fixed-seed request stream at each offered load through
+    :meth:`Session.serve` on its forward plan, without executing it
+    (``execute=False``: the metrics are analytic either way), so every
+    strategy serves.  ``serve`` holds :meth:`Session.serve`'s other
+    keywords, passed verbatim; ``update_frac`` (which needs
+    ``serve_qps``) is its write-share axis, ``0.0`` entries being
+    static rows.  A multi-GPU entry serves on the cluster as a pool.
+    Serving cannot be combined with ``batch_size``.
     """
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
@@ -1379,77 +1341,58 @@ def run_sweep(
             "serving sweeps are request-driven: serve_qps cannot be "
             "combined with batch_size"
         )
-    if update_frac is not None and serve_qps is None:
+    if serve_qps is None and (update_frac is not None or serve is not None):
         raise ValueError(
-            "update_frac sweeps dynamic serving: it requires serve_qps"
+            "update_frac and serve= configure serving sweeps: they "
+            "require serve_qps"
         )
+    # Serving runs the forward plan.
+    training = training and serve_qps is None
     axes = (
         models, datasets, strategies, schedules, precisions,
         gpus, num_gpus, loads, updates, batches,
     )
-    # One session per dataset, switched between models: its memo keeps
-    # the dataset's partition per part count, so each is made once per
-    # sweep, not once per model.  The per-plan compile (one plan-cache
-    # lookup however many devices price it) is hoisted by position in
-    # the flat product.
-    sessions = [
-        Session(cache=cache).dataset(d).feature_dim(feature_dim)
-        for d in datasets
-    ]
+    # One session per dataset: its memo keeps the dataset's partition
+    # per part count, so each is made once per sweep, not once per
+    # model.  The per-plan compile (one plan-cache lookup however many
+    # devices price it) is hoisted by position in the flat product.
+    sessions = [Session(cache=cache) for _ in datasets]
     per_plan = math.prod(len(axis) for axis in axes[5:])
     per_workload = per_plan * math.prod(len(axis) for axis in axes[2:5])
     rows: List[SweepRow] = []
     for i, (m, d, strat, sched, prec, g, n, qps, uf, bs) in enumerate(
         itertools.product(*axes)
     ):
-        if i % per_workload == 0:
-            s = sessions[i // per_workload % len(datasets)].model(m)
+        s = sessions[i // per_workload % len(datasets)]
+        s._config = RunConfig(
+            model=m, dataset=d, strategy=strat, schedule=sched,
+            precision=prec, feature_dim=feature_dim,
+            gpu=(
+                g if n <= 1
+                else make_cluster(g, n, interconnect_gbps=interconnect_gbps)
+            ),
+            minibatch=(
+                None if bs is None else (bs, minibatch_hops, minibatch_seed)
+            ),
+        )
         if i % per_plan == 0:
-            s.strategy(strat).schedule(sched).precision(prec)
-            resolved = s.resolve_strategy()
-            labels = dict(
-                schedule=sched,
-                precision=resolved.precision if prec is not None else None,
-            )
-            # Training sweeps skip inference-only strategies.
             compiled = (
                 s.compile(training=training)
-                if resolved.supports_training or not training
+                if s.resolve_strategy().supports_training or not training
                 else None
             )
         if compiled is None:
             continue
-        # A registered cluster name in `gpus` resolves to the cluster
-        # path even at n == 1.
-        if n <= 1:
-            s.gpu(g)
-        else:
-            s.cluster(g, n, interconnect_gbps=interconnect_gbps)
         if qps is None:
-            s.minibatch(bs, minibatch_hops, seed=minibatch_seed)
-            report = s._price(compiled)
-            rows.append(SweepRow.from_report(report, **labels))
+            rows.append(SweepRow.from_report(s._price(compiled)))
             continue
         try:
-            # A fixed-seed request stream per offered load.
             rep = s.serve(
-                num_requests=serve_requests,
-                qps=qps,
-                seeds_per_request=serve_seeds,
-                slo_s=serve_slo_s,
-                zipf_alpha=serve_zipf_alpha,
-                cache_rows=serve_cache_rows,
-                scheduler=serve_scheduler,
-                seed=serve_seed,
-                execute=False,
-                update_frac=uf or 0.0,
-                compact_every=serve_compact_every if uf else None,
+                **(serve or {}), qps=qps, update_frac=uf or 0.0, execute=False
             )
         except SimulatedOOM:
             rep = None
-        rows.append(
-            SweepRow.from_serve(s, rep, serve_qps=qps, update_frac=uf, **labels)
-        )
+        rows.append(SweepRow.from_serve(s, rep, serve_qps=qps, update_frac=uf))
     sweep = SweepReport(
         rows=rows,
         cache_hits=cache.hits - hits0,

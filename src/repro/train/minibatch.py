@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exec.analytic import vertex_data_inputs
-from repro.exec.engine import require_accounting_precision
+from repro.exec.engine import require_accounting_precision, require_arena_dtypes
 from repro.exec.rings import receptive_hops
 from repro.frameworks.strategy import CompiledTraining
 from repro.graph.csr import Graph
@@ -172,6 +172,11 @@ class MiniBatchTrainer:
         if memory_plan:
             # Engines are built per batch; refuse here, not mid-epoch.
             require_accounting_precision(precision)
+            require_arena_dtypes(
+                spec.dtype
+                for _, plan in compiled.phases()
+                for spec in plan.module.specs.values()
+            )
         self.compiled = compiled
         self.graph = graph
         self.batch_size = int(batch_size)

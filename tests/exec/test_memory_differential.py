@@ -8,6 +8,8 @@ without an arena memory plan — and executing through the arena (slab
 reuse included) reproduces the fresh-storage run bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,18 @@ class TestMiniBatchTrainerMemoryPlans:
         # plan is handed over, not at the first slab that overflows.
         with pytest.raises(ValueError, match="float32"):
             Engine(GRAPH, precision="float64", memory_plan=mp)
+
+    def test_memory_plan_refuses_logical_dtypes_at_construction(self):
+        from repro.train import MiniBatchTrainer
+
+        strategy = replace(get_strategy("ours"), precision="bf16")
+        compiled = compile_training(MODELS.get("sage")(8, 3), strategy)
+        # Engines are built per batch: refused here, not at the first one.
+        with pytest.raises(ValueError, match="logical dtypes"):
+            MiniBatchTrainer(
+                compiled, GRAPH, batch_size=40, precision="float32",
+                memory_plan=True,
+            )
 
     def test_arena_epoch_matches_plain_epoch_bit_for_bit(self):
         from repro.train import Adam, MiniBatchTrainer

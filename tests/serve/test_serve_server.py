@@ -11,6 +11,8 @@ The acceptance contract of the serving subsystem:
   and every delivered output).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -477,6 +479,24 @@ class TestValidation:
                 graph, features, compiled,
                 memory_plan=True, precision="float64",
             )
+
+    @pytest.mark.parametrize("precision", ["bf16", "int8"])
+    def test_arena_refuses_logical_dtypes_at_construction(self, cora, precision):
+        # Refused where the server is configured, not at the first
+        # executed batch; a costing-only server still prices the arena.
+        ds, graph, features = cora
+        strategy = replace(get_strategy("ours"), precision=precision)
+        compiled = compile_forward(
+            MODELS.get("gat")(IN_DIM, ds.num_classes), strategy
+        )
+        with pytest.raises(ValueError, match="logical dtypes"):
+            InferenceServer(
+                graph, features, compiled, memory_plan=True, precision="float32"
+            )
+        InferenceServer(
+            graph, features, compiled, memory_plan=True, precision="float32",
+            execute=False,
+        )
 
     def test_unknown_scheduler_policy_refused_at_construction(self, cora):
         ds, graph, features = cora

@@ -324,8 +324,7 @@ class TestClusterSessions:
             .cluster("V100", 2).gpu("RTX3090")
         )
         assert s.resolve_cluster() is None
-        with pytest.raises(ValueError):
-            s.multi_counters()
+        assert s.report().multi is None
 
     def test_partitioner_override_and_memoisation(self, toy_datasets):
         s = (
@@ -460,4 +459,4 @@ class TestClusterSessions:
             session().model("gcn").dataset(toy_datasets[0])
             .cluster("V100", 2)
         )
-        assert s.multi_counters() is s.multi_counters()
+        assert s.report().multi is s.report().multi

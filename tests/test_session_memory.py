@@ -33,7 +33,7 @@ class TestScheduleMode:
 
     def test_strategy_label_stays_the_base_name(self):
         sess = memory_session()
-        assert sess._strategy_label() == "ours"
+        assert sess.report().strategy == "ours"
 
 
 class TestMemoryPlanTerminal:

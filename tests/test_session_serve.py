@@ -9,7 +9,8 @@ import pytest
 import repro
 from repro.graph.datasets import Dataset
 from repro.registry import MODELS
-from repro.session import PlanCache, Session, run_sweep
+from repro.serve import InferenceServer
+from repro.session import PlanCache, Session, SweepRow, run_sweep
 from tests.helpers import serve_report_digest
 
 
@@ -192,16 +193,73 @@ class TestFeaturesOncePerSession:
         assert [float.hex(x) for x in losses] == self.LOSSES
 
 
+class TestArenaLogicalDtypes:
+    def _session(self):
+        return (
+            repro.session().model("gat").dataset("cora").feature_dim(16)
+            .precision("int8").schedule("memory")
+        )
+
+    def test_refused_before_the_stream_is_served(self, monkeypatch):
+        def serve(self, *args, **kwargs):
+            raise AssertionError("the stream was served before the refusal")
+
+        monkeypatch.setattr(InferenceServer, "serve", serve)
+        with pytest.raises(ValueError, match="logical dtypes"):
+            self._session().serve(num_requests=8)
+
+    def test_costing_only_serving_still_prices_the_arena(self):
+        rep = self._session().serve(num_requests=8, execute=False)
+        assert rep.num_requests == 8
+
+
 class TestServeSweep:
+    def test_serve_rows_price_forward_plans(self):
+        # Serving reads the forward plan: every strategy serves,
+        # inference-only ones included, and each compile is one miss
+        # that its serve() call then hits.
+        cache = PlanCache()
+        sweep = run_sweep(
+            ["gat"], ["cora"], ["huang-like", "ours"],
+            serve_qps=[500.0], serve=dict(num_requests=8),
+            feature_dim=16, cache=cache,
+        )
+        assert [r.strategy for r in sweep.rows] == ["huang-like", "ours"]
+        assert (sweep.cache_misses, sweep.cache_hits) == (2, 2)
+
+    def test_serve_mapping_is_forwarded_verbatim(self):
+        serve = dict(
+            num_requests=24, seeds_per_request=2, slo_s=0.01,
+            cache_rows=256, zipf_alpha=0.7, scheduler="fifo", seed=3,
+            max_batch=4, arrival="bursty",
+        )
+        (row,) = run_sweep(
+            ["gat"], ["cora"], gpus=["V100"], serve_qps=[2000.0],
+            serve=serve, feature_dim=16,
+        ).rows
+        s = repro.session().model("gat").dataset("cora").gpu("V100")
+        s.feature_dim(16)
+        direct = SweepRow.from_serve(
+            s, s.serve(qps=2000.0, execute=False, **serve), serve_qps=2000.0
+        )
+        assert row == direct
+        default = run_sweep(
+            ["gat"], ["cora"], gpus=["V100"], serve_qps=[2000.0],
+            serve=dict(num_requests=24), feature_dim=16,
+        ).rows[0]
+        assert default != row
+
+    def test_serve_requires_serve_qps(self):
+        with pytest.raises(ValueError, match="serve_qps"):
+            run_sweep(["gat"], ["cora"], serve=dict(num_requests=8))
+
     def test_rows_carry_serving_metrics(self):
         sweep = run_sweep(
             models=["gat"],
             datasets=["cora"],
             strategies=["ours"],
             serve_qps=[500.0, 8000.0],
-            serve_requests=24,
-            serve_cache_rows=512,
-            serve_zipf_alpha=0.8,
+            serve=dict(num_requests=24, cache_rows=512, zipf_alpha=0.8),
             feature_dim=16,
             training=False,
         )
@@ -226,9 +284,10 @@ class TestServeSweep:
             strategies=["ours"],
             serve_qps=[4000.0],
             update_frac=[0.0, 0.3],
-            serve_requests=24,
-            serve_cache_rows=512,
-            serve_zipf_alpha=0.8,
+            serve=dict(
+                num_requests=24, cache_rows=512, zipf_alpha=0.8,
+                compact_every=4,
+            ),
             feature_dim=16,
             training=False,
         )
@@ -247,7 +306,7 @@ class TestServeSweep:
         # Python values: the sweep saves to JSON like its listed twin.
         kwargs = dict(
             models=["gat"], datasets=["cora"], strategies=["ours"],
-            serve_requests=16, feature_dim=16, training=False,
+            serve=dict(num_requests=16), feature_dim=16, training=False,
         )
         scalar = run_sweep(
             serve_qps=np.float64(4000.0), update_frac=np.float32(0.25),
@@ -283,7 +342,7 @@ class TestServeSweep:
         sweep = run_sweep(
             models=["gat"], datasets=["cora"], strategies=["ours"],
             gpus=[tiny, "RTX3090"],
-            serve_qps=[1000.0], serve_requests=8,
+            serve_qps=[1000.0], serve=dict(num_requests=8),
             feature_dim=16, training=False,
         )
         by_gpu = {r.gpu: r for r in sweep.rows}
@@ -298,7 +357,7 @@ class TestServeSweep:
         run_sweep(
             models=["gat"], datasets=["cora"], strategies=["ours"],
             serve_qps=[100.0, 1000.0, 10000.0],
-            serve_requests=8, feature_dim=16,
+            serve=dict(num_requests=8), feature_dim=16,
             training=False, cache=cache,
         )
         assert cache.misses == 1

@@ -110,7 +110,7 @@ class TestGatherReconciliation:
             .model("sage").dataset(dataset).strategy("ours")
             .feature_dim(in_dim).minibatch(batch, seed=seed)
         )
-        mc = sess.minibatch_counters()
+        mc = sess.report().minibatch
 
         compiled = sess.compile()
         rng = np.random.default_rng(0)
@@ -139,7 +139,7 @@ class TestGatherReconciliation:
             .model("sage").dataset("cora").strategy("ours")
             .feature_dim(8).minibatch(256, seed=3)
         )
-        mc = sess.minibatch_counters()
+        mc = sess.report().minibatch
         graph = get_dataset("cora").graph()
         want = [
             mb.field_size
@@ -270,7 +270,7 @@ class TestSessionMinibatch:
         )
         full = sess.counters()
         sess.minibatch(10 ** 6)
-        mc = sess.minibatch_counters()
+        mc = sess.report().minibatch
         assert mc.num_batches == 1
         b = mc.batches[0]
         assert b.compute.flops == full.flops
@@ -284,18 +284,17 @@ class TestSessionMinibatch:
             .model("sage").dataset("reddit-full").strategy("ours")
             .feature_dim(16).minibatch(65536, seed=0)
         )
-        mc = sess.minibatch_counters()
+        mc = sess.report().minibatch
         assert mc.num_batches == 4  # ceil(232965 / 65536)
         assert mc.gather_bytes > 0
         assert mc.peak_memory_bytes > 0
         # Epoch latency and device fit go through the same machinery.
-        assert sess.minibatch_latency_seconds() > 0
+        assert sess.report().latency_s > 0
         assert isinstance(sess.fits(), bool)
 
     def test_minibatch_requires_configuration(self):
         sess = Session().model("sage").dataset("cora").feature_dim(8)
-        with pytest.raises(ValueError, match="full-graph"):
-            sess.minibatch_counters()
+        assert sess.report().minibatch is None
 
     def test_minibatch_rejects_cluster(self):
         sess = (
@@ -304,7 +303,7 @@ class TestSessionMinibatch:
             .minibatch(256).cluster("V100", 2)
         )
         with pytest.raises(ValueError, match="single-GPU"):
-            sess.minibatch_counters()
+            sess.report()
 
     def test_counters_memoised_per_configuration(self):
         sess = (
@@ -312,10 +311,10 @@ class TestSessionMinibatch:
             .model("sage").dataset("cora").strategy("ours")
             .feature_dim(8).minibatch(256, seed=5)
         )
-        a = sess.minibatch_counters()
-        assert sess.minibatch_counters() is a
+        a = sess.report().minibatch
+        assert sess.report().minibatch is a
         sess.minibatch(128, seed=5)
-        b = sess.minibatch_counters()
+        b = sess.report().minibatch
         assert b is not a and b.num_batches > a.num_batches
 
     def test_report_attaches_minibatch_and_trains(self):
