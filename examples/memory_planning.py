@@ -15,6 +15,8 @@ storage once dead.  This script drives both through the Session API:
    measured live-byte high-watermark equals the analytic ledger exactly.
 
 Run:  python examples/memory_planning.py [--dataset pubmed]
+(the zoo table is always pubmed's; --dataset picks the workload of
+steps 2 and 3)
 """
 
 import argparse
@@ -36,10 +38,10 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 1. The deliverable-vs-analytic peak across the model zoo.
-    from repro.bench.figures import fig_memory_plan
+    from repro.bench.figures import FIGURES
 
-    print(f"=== model zoo memory plans ({args.dataset}, ours) ===")
-    print(fig_memory_plan(args.dataset).table)
+    print("=== model zoo memory plans (pubmed, ours) ===")
+    print(FIGURES["fig_memory_plan"]().table)
 
     # ------------------------------------------------------------------
     # 2. One configuration in detail: schedule + slab map + cost switch.

@@ -98,7 +98,6 @@ from repro.graph import (
     Graph,
     GraphPartition,
     GraphStats,
-    PartitionSpec,
     PartitionStats,
     get_dataset,
     list_datasets,
@@ -160,7 +159,6 @@ __all__ = [
     "Graph",
     "GraphStats",
     "GraphPartition",
-    "PartitionSpec",
     "PartitionStats",
     "partition_graph",
     "get_dataset",

@@ -319,11 +319,7 @@ def fig11_small_gpu() -> FigureResult:
 # ======================================================================
 # Multi-GPU scaling (partitioned execution extension)
 # ======================================================================
-def fig_multi_gpu_scaling(
-    num_gpus: Sequence[int] = (1, 2, 4, 8),
-    *,
-    gpu_name: str = "V100",
-) -> FigureResult:
+def fig_multi_gpu_scaling() -> FigureResult:
     """Training-step scaling of GAT and MoNet across V100 clusters.
 
     For each GPU count the same compiled plan runs on a hash-partitioned
@@ -332,11 +328,9 @@ def fig_multi_gpu_scaling(
     exchange grows with the cut (``(P-1)/P`` of all edges), so the comm
     share of off-chip traffic rises monotonically with the GPU count and
     each model eventually crosses from compute- to communication-bound.
-    Rows land in ``normalized`` as dicts keyed by (workload, gpus).
+    Rows land in ``normalized`` as dicts keyed by (workload, gpus);
+    speedups are relative to the one-GPU row.
     """
-    # Speedups are always relative to one GPU.
-    if 1 not in num_gpus:
-        num_gpus = (1,) + tuple(num_gpus)
     stats = _dataset_stats("reddit-full")
     runs = [
         (_gat_ablation(training=True), "gat-reddit"),
@@ -346,15 +340,15 @@ def fig_multi_gpu_scaling(
     normalized: List[Dict[str, object]] = []
     for model, workload in runs:
         base_latency: Optional[float] = None
-        for n in num_gpus:
+        for n in (1, 2, 4, 8):
             sess = (
                 Session(cache=cache)
                 .model(model).stats(stats, workload).strategy("ours")
             )
             if n <= 1:
-                sess.gpu(gpu_name)
+                sess.gpu("V100")
             else:
-                sess.cluster(gpu_name, n)
+                sess.cluster("V100", n)
             report = sess.report()
             row = SweepRow.from_report(report)
             if base_latency is None:
@@ -392,7 +386,7 @@ def fig_multi_gpu_scaling(
          "comm share", "compute ms", "comm ms", "bound"],
         table_rows,
         title=(
-            f"multi-gpu-scaling ({gpu_name} clusters, one training step, "
+            "multi-gpu-scaling (V100 clusters, one training step, "
             "hash partition)"
         ),
     )
@@ -402,13 +396,7 @@ def fig_multi_gpu_scaling(
 # ======================================================================
 # Mini-batch IO (sampled-training extension)
 # ======================================================================
-def fig_minibatch_io(
-    batch_sizes: Sequence[Optional[int]] = (None, 4096, 1024, 256),
-    *,
-    dataset: str = "pubmed",
-    hops: int = 2,
-    seed: int = 0,
-) -> FigureResult:
+def fig_minibatch_io() -> FigureResult:
     """Feature-gather IO vs per-batch memory of sampled training.
 
     GraphSAGE, full-graph versus sampled mini-batch epochs, under both
@@ -420,13 +408,13 @@ def fig_minibatch_io(
     IO — overlapping fields re-gather shared feature rows — the
     coordinated-tradeoff story of the paper carried into the sampled
     regime, orthogonal to the stash-vs-recompute axis.  Pubmed is the
-    default workload because its mean degree (~4.5) leaves 2-hop
+    workload because its mean degree (~4.5) leaves 2-hop
     fields genuinely partial; on Reddit-degree graphs the fields
     saturate the whole graph (neighbour explosion) and sampling pays
     the IO tax without any memory win.  Rows land in ``normalized`` as
     dicts keyed by (strategy, batch).
     """
-    ds = get_dataset(dataset)
+    ds = get_dataset("pubmed")
     model = GraphSAGE(ds.feature_dim, (128, ds.num_classes))
     gpu = RTX3090
     cache = PlanCache()
@@ -434,10 +422,10 @@ def fig_minibatch_io(
     for strategy in ("ours-stash", "ours"):
         sess = (
             Session(cache=cache)
-            .model(model).dataset(dataset).strategy(strategy).gpu(gpu)
+            .model(model).dataset("pubmed").strategy(strategy).gpu(gpu)
         )
-        for bs in batch_sizes:
-            report = sess.minibatch(bs, hops, seed=seed).report()
+        for bs in (None, 4096, 1024, 256):
+            report = sess.minibatch(bs, 2).report()
             row = SweepRow.from_report(report)
             epoch = report.minibatch  # None on the full-graph row
             normalized.append(
@@ -472,7 +460,7 @@ def fig_minibatch_io(
          "epoch IO MiB", "peak MiB", "stash MiB", "epoch ms"],
         table_rows,
         title=(
-            f"minibatch-io (sage on {dataset}, {hops}-hop fields, "
+            "minibatch-io (sage on pubmed, 2-hop fields, "
             f"{gpu.name}; epoch totals, per-batch peak)"
         ),
     )
@@ -482,18 +470,7 @@ def fig_minibatch_io(
 # ======================================================================
 # Online serving latency (inference-serving extension)
 # ======================================================================
-def fig_serving_latency(
-    qps_list: Sequence[float] = (500.0, 2000.0, 8000.0, 32000.0),
-    *,
-    dataset: str = "pubmed",
-    model: str = "gat",
-    cache_rows_list: Sequence[int] = (0, 8192),
-    num_requests: int = 192,
-    seeds_per_request: int = 4,
-    zipf_alpha: float = 0.9,
-    slo_s: float = 0.01,
-    seed: int = 0,
-) -> FigureResult:
+def fig_serving_latency() -> FigureResult:
     """Tail latency of online serving across offered load and caching.
 
     One model served from a fixed-seed Poisson stream (Zipf-skewed seed
@@ -509,19 +486,14 @@ def fig_serving_latency(
     """
     cache = PlanCache()
     normalized: List[Dict[str, object]] = []
-    for cache_rows in cache_rows_list:
-        for qps in qps_list:
+    for cache_rows in (0, 8192):
+        for qps in (500.0, 2000.0, 8000.0, 32000.0):
             rep = (
                 Session(cache=cache)
-                .model(model).dataset(dataset).strategy("ours").gpu(RTX3090)
+                .model("gat").dataset("pubmed").strategy("ours").gpu(RTX3090)
                 .serve(
-                    num_requests=num_requests,
-                    qps=qps,
-                    seeds_per_request=seeds_per_request,
-                    slo_s=slo_s,
-                    zipf_alpha=zipf_alpha,
-                    cache_rows=cache_rows,
-                    seed=seed,
+                    num_requests=192, qps=qps, seeds_per_request=4,
+                    slo_s=0.01, zipf_alpha=0.9, cache_rows=cache_rows,
                     execute=False,
                 )
             )
@@ -562,29 +534,14 @@ def fig_serving_latency(
          "p99 ms", "hit", "viol", "util"],
         table_rows,
         title=(
-            f"serving-latency ({model} on {dataset}, RTX3090, "
-            f"{num_requests} Poisson requests, zipf {zipf_alpha}, "
-            f"slo {slo_s * 1e3:.0f} ms, edf)"
+            "serving-latency (gat on pubmed, RTX3090, 192 Poisson "
+            "requests, zipf 0.9, slo 10 ms, edf)"
         ),
     )
     return FigureResult([], table, normalized)
 
 
-def fig_dynamic_serving(
-    update_fracs: Sequence[float] = (0.0, 0.2, 0.4),
-    compact_every_list: Sequence[int] = (1, 4, 16),
-    *,
-    dataset: str = "pubmed",
-    model: str = "gat",
-    cache_rows: int = 8192,
-    num_requests: int = 128,
-    qps: float = 4000.0,
-    seeds_per_request: int = 4,
-    zipf_alpha: float = 0.9,
-    slo_s: float = 0.01,
-    new_vertex_prob: float = 0.25,
-    seed: int = 0,
-) -> FigureResult:
+def fig_dynamic_serving() -> FigureResult:
     """Dynamic serving: the update-fraction × compaction-period curve.
 
     One model serves mixed read/write streams
@@ -604,26 +561,19 @@ def fig_dynamic_serving(
     """
     cache = PlanCache()
     normalized: List[Dict[str, object]] = []
-    for update_frac in update_fracs:
+    for update_frac in (0.0, 0.2, 0.4):
         periods: Sequence[Optional[int]] = (
-            [None] if update_frac == 0.0 else list(compact_every_list)
+            [None] if update_frac == 0.0 else [1, 4, 16]
         )
         for compact_every in periods:
             rep = (
                 Session(cache=cache)
-                .model(model).dataset(dataset).strategy("ours").gpu(RTX3090)
+                .model("gat").dataset("pubmed").strategy("ours").gpu(RTX3090)
                 .serve(
-                    num_requests=num_requests,
-                    qps=qps,
-                    seeds_per_request=seeds_per_request,
-                    slo_s=slo_s,
-                    zipf_alpha=zipf_alpha,
-                    cache_rows=cache_rows,
-                    seed=seed,
-                    execute=False,
-                    update_frac=update_frac,
-                    compact_every=compact_every,
-                    new_vertex_prob=new_vertex_prob,
+                    num_requests=128, qps=4000.0, seeds_per_request=4,
+                    slo_s=0.01, zipf_alpha=0.9, cache_rows=8192,
+                    execute=False, update_frac=update_frac,
+                    compact_every=compact_every, new_vertex_prob=0.25,
                 )
             )
             normalized.append(
@@ -668,9 +618,8 @@ def fig_dynamic_serving(
          "inval", "stale ms", "vG/vF", "folds", "\u0394 KiB", "cmp MiB"],
         table_rows,
         title=(
-            f"dynamic-serving ({model} on {dataset}, RTX3090, "
-            f"{num_requests} reads at {qps:.0f} qps, zipf {zipf_alpha}, "
-            f"{cache_rows} cache rows, edf)"
+            "dynamic-serving (gat on pubmed, RTX3090, 128 reads at 4000 "
+            "qps, zipf 0.9, 8192 cache rows, edf)"
         ),
     )
     return FigureResult([], table, normalized)
@@ -679,7 +628,7 @@ def fig_dynamic_serving(
 # ======================================================================
 # Arena memory planning (peak-aware scheduling extension)
 # ======================================================================
-def fig_memory_plan(dataset: str = "pubmed") -> FigureResult:
+def fig_memory_plan() -> FigureResult:
     """Deliverable vs analytic peak of every model under ``ours``.
 
     For each registered model, one training step on the workload under
@@ -705,12 +654,12 @@ def fig_memory_plan(dataset: str = "pubmed") -> FigureResult:
     for name in sorted(MODELS.names()):
         base = (
             Session(cache=cache)
-            .model(name).dataset(dataset).strategy("ours")
+            .model(name).dataset("pubmed").strategy("ours")
         )
         base_counters = base.counters()
         sched = (
             Session(cache=cache)
-            .model(name).dataset(dataset).strategy("ours").schedule("memory")
+            .model(name).dataset("pubmed").strategy("ours").schedule("memory")
         )
         smp = sched.memory_plan()
         sched_counters = sched.counters()
@@ -752,7 +701,7 @@ def fig_memory_plan(dataset: str = "pubmed") -> FigureResult:
          "planned MiB", "reuse", "saving"],
         rows,
         title=(
-            f"memory-plan (model zoo on {dataset}, ours, one training "
+            "memory-plan (model zoo on pubmed, ours, one training "
             "step; planned = pinned + arena)"
         ),
     )
@@ -769,7 +718,7 @@ def fig_memory_plan(dataset: str = "pubmed") -> FigureResult:
 ANALYSIS_STRATEGIES = ("dgl-like", "huang-like", "ours")
 
 
-def fig_static_analysis(dataset: str = "cora") -> FigureResult:
+def fig_static_analysis() -> FigureResult:
     """Checker × model inventory of the static plan analyzer.
 
     For every registered model, the compiled artifacts of the
@@ -807,12 +756,12 @@ def fig_static_analysis(dataset: str = "cora") -> FigureResult:
         for strategy in ANALYSIS_STRATEGIES:
             sessions = [
                 Session(cache=cache)
-                .model(name).dataset(dataset).strategy(strategy)
+                .model(name).dataset("cora").strategy(strategy)
             ]
             if strategy == "ours":
                 sessions.append(
                     Session(cache=cache)
-                    .model(name).dataset(dataset).strategy("ours")
+                    .model(name).dataset("cora").strategy("ours")
                     .precision("int8")
                 )
             for session in sessions:
@@ -848,7 +797,7 @@ def fig_static_analysis(dataset: str = "cora") -> FigureResult:
         ["model", "targets", "kernels"] + list(checker_cols) + ["status"],
         rows,
         title=(
-            f"static-analysis (model zoo on {dataset}, "
+            "static-analysis (model zoo on cora, "
             f"{'+'.join(ANALYSIS_STRATEGIES)} & ours+int8; ERROR "
             "diagnostics per checker; serve/dyn/bench determinism "
             f"lint: {lint_errors} error(s))"
@@ -860,7 +809,7 @@ def fig_static_analysis(dataset: str = "cora") -> FigureResult:
 # ======================================================================
 # Mixed-precision IO/memory (dtype-aware accounting extension)
 # ======================================================================
-def fig_precision_io(dataset: str = "pubmed") -> FigureResult:
+def fig_precision_io() -> FigureResult:
     """Feature-gather IO and analytic peak per storage precision.
 
     For every registered model, the inference plan under ``ours`` is
@@ -890,7 +839,7 @@ def fig_precision_io(dataset: str = "pubmed") -> FigureResult:
         for prec in PRECISIONS:  # fp32 first: the ratio baseline
             s = (
                 Session(cache=cache)
-                .model(name).dataset(dataset).strategy("ours")
+                .model(name).dataset("pubmed").strategy("ours")
                 .precision(prec)
             )
             stats = s.resolve_stats()
@@ -926,7 +875,7 @@ def fig_precision_io(dataset: str = "pubmed") -> FigureResult:
         ["model", "prec", "gather MiB", "vs fp32", "peak MiB", "vs fp32"],
         rows,
         title=(
-            f"precision-io (model zoo on {dataset}, ours, inference; "
+            "precision-io (model zoo on pubmed, ours, inference; "
             "feature gather at storage width, analytic peak)"
         ),
     )
@@ -942,8 +891,6 @@ def fig_backend_calibration(
     num_edges: int = 400000,
     feat: int = 64,
     repeats: int = 3,
-    seed: int = 0,
-    gpu: Optional[GPUSpec] = None,
 ) -> FigureResult:
     """Measured vs analytic seconds per kernel class.
 
@@ -968,11 +915,11 @@ def fig_backend_calibration(
     from repro.graph.generators import chung_lu
     from repro.ir.module import GRAPH_CONSTANTS
 
-    graph = chung_lu(num_vertices, num_edges, seed=seed)
+    graph = chung_lu(num_vertices, num_edges, seed=0)
     model = GAT(feat, (feat,), heads=1)
     compiled = compile_training(model, get_strategy("dgl-like"))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # Materialise features in the compiled plan's declared storage
     # dtype rather than assuming float32.
     feat_name = vertex_data_inputs(compiled.forward)[0]
@@ -980,7 +927,7 @@ def fig_backend_calibration(
         compiled.forward.specs[feat_name].concrete_dtype
     )
     arrays = dict(model.make_inputs(graph, features))
-    arrays.update(model.init_params(seed))
+    arrays.update(model.init_params(0))
 
     # One forward supplies the backward plan's stash and the all-ones
     # gradient seeds; both plans are then measured on those arrays.
@@ -1001,10 +948,8 @@ def fig_backend_calibration(
             bwd_arrays[name] = arrays[name]
 
     # The step is one run: backward kernels index after the forward's.
-    run = measure_plan(graph, compiled.fwd_plan, arrays, repeats=repeats, gpu=gpu)
-    bwd_run = measure_plan(
-        graph, compiled.bwd_plan, bwd_arrays, repeats=repeats, gpu=gpu
-    )
+    run = measure_plan(graph, compiled.fwd_plan, arrays, repeats=repeats)
+    bwd_run = measure_plan(graph, compiled.bwd_plan, bwd_arrays, repeats=repeats)
     offset = len(compiled.fwd_plan.kernels)
     run.timings += [_dc_replace(t, index=t.index + offset) for t in bwd_run.timings]
 

@@ -39,6 +39,12 @@ from repro.serve.request import (
 
 __all__ = ["UpdateEvent", "mixed_workload", "update_workload"]
 
+#: Rows a feature put refreshes, edges an edge batch inserts, and
+#: vertices an edge batch brings when it grows the graph.
+_PUT_ROWS = 8
+_EDGE_BATCH = 16
+_NEW_VERTICES = 2
+
 
 @dataclass(frozen=True)
 class UpdateEvent:
@@ -138,15 +144,12 @@ def _draw_update(
     zipf_p: Optional[SeedCDF],
     zipf_alpha: float,
     edge_frac: float,
-    feature_vertices_per_update: int,
-    edges_per_update: int,
     new_vertex_prob: float,
-    new_vertices_per_update: int,
 ) -> UpdateEvent:
     """One write event over the current ``num_vertices`` vertex space."""
     if rng.random() >= edge_frac:
         # Feature drift: refresh rows of (Zipf-)hot vertices.
-        k = min(feature_vertices_per_update, num_vertices)
+        k = min(_PUT_ROWS, num_vertices)
         draws = draw_seeds(
             num_vertices, k, rng=rng, zipf_alpha=zipf_alpha, p=zipf_p
         )
@@ -159,17 +162,17 @@ def _draw_update(
         )
     # Topology growth: an edge batch, optionally bringing new vertices.
     new_vertices = (
-        new_vertices_per_update
+        _NEW_VERTICES
         if new_vertex_prob and rng.random() < new_vertex_prob
         else 0
     )
     grown = num_vertices + new_vertices
     src = draw_seeds(
-        num_vertices, edges_per_update, rng=rng,
+        num_vertices, _EDGE_BATCH, rng=rng,
         zipf_alpha=zipf_alpha, p=zipf_p,
     )
     # Destinations may be brand-new vertices (attachment edges).
-    dst = rng.integers(0, grown, size=edges_per_update, dtype=np.int64)
+    dst = rng.integers(0, grown, size=_EDGE_BATCH, dtype=np.int64)
     delta = GraphDelta(src=src, dst=dst, num_new_vertices=new_vertices)
     return UpdateEvent(
         update_id=update_id,
@@ -197,10 +200,7 @@ def mixed_workload(
     tenant: str = "default",
     zipf_alpha: float = 0.0,
     edge_frac: float = 0.5,
-    feature_vertices_per_update: int = 8,
-    edges_per_update: int = 16,
     new_vertex_prob: float = 0.0,
-    new_vertices_per_update: int = 2,
     rng: Optional[np.random.Generator] = None,
     seed: int = 0,
 ) -> Tuple[List[InferenceRequest], List[UpdateEvent]]:
@@ -210,11 +210,11 @@ def mixed_workload(
     ``qps / (1 - update_frac)`` (so *reads* still arrive at ``qps``);
     each event is independently a write with probability
     ``update_frac``.  Writes split ``edge_frac`` topology /
-    ``1 - edge_frac`` feature drift; both target (Zipf-)hot vertices
-    over the *current* vertex count, which grows as edge batches
-    bring ``new_vertices_per_update`` fresh vertices with probability
-    ``new_vertex_prob``.  Generation stops once ``num_requests`` reads
-    have been emitted.
+    ``1 - edge_frac`` feature drift (a put of 8 rows, a batch of 16
+    edges); both target (Zipf-)hot vertices over the *current* vertex
+    count, which grows as edge batches bring 2 fresh vertices with
+    probability ``new_vertex_prob``.  Generation stops once
+    ``num_requests`` reads have been emitted.
 
     Returns ``(requests, updates)`` — both sorted by arrival, ready for
     ``InferenceServer.serve(requests, updates=updates)``.  The whole
@@ -249,10 +249,7 @@ def mixed_workload(
                 zipf_p=_zipf_cache(p_cache, live_vertices, zipf_alpha),
                 zipf_alpha=zipf_alpha,
                 edge_frac=edge_frac,
-                feature_vertices_per_update=feature_vertices_per_update,
-                edges_per_update=edges_per_update,
                 new_vertex_prob=new_vertex_prob,
-                new_vertices_per_update=new_vertices_per_update,
             )
             live_vertices += event.num_new_vertices
             updates.append(event)
@@ -284,10 +281,7 @@ def update_workload(
     feature_dim: int,
     zipf_alpha: float = 0.0,
     edge_frac: float = 0.5,
-    feature_vertices_per_update: int = 8,
-    edges_per_update: int = 16,
     new_vertex_prob: float = 0.0,
-    new_vertices_per_update: int = 2,
     rng: Optional[np.random.Generator] = None,
     seed: int = 0,
 ) -> List[UpdateEvent]:
@@ -318,10 +312,7 @@ def update_workload(
             zipf_p=_zipf_cache(p_cache, live_vertices, zipf_alpha),
             zipf_alpha=zipf_alpha,
             edge_frac=edge_frac,
-            feature_vertices_per_update=feature_vertices_per_update,
-            edges_per_update=edges_per_update,
             new_vertex_prob=new_vertex_prob,
-            new_vertices_per_update=new_vertices_per_update,
         )
         live_vertices += event.num_new_vertices
         updates.append(event)

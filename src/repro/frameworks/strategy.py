@@ -36,7 +36,6 @@ from repro.exec.profiler import (
     MultiGPUCounters,
     PhaseCounters,
 )
-from repro.graph.partition import PartitionSpec
 from repro.graph.stats import GraphStats
 from repro.gpu.cost_model import CostModel
 from repro.gpu.spec import GPUSpec
@@ -63,6 +62,10 @@ _STASH_SCOPES = ("needed", "all_boundary")
 class ExecutionStrategy:
     """One system's position on the three optimization axes.
 
+    Every field shapes the compiled plan.  How a cluster run splits the
+    graph does not, so it is not here: it is
+    ``Session.cluster(partitioner=)``'s.
+
     Attributes
     ----------
     reorg_scope:
@@ -84,12 +87,6 @@ class ExecutionStrategy:
         :data:`repro.registry.PASSES` registry.  ``None`` selects the
         default order; training-only passes are skipped automatically
         when compiling for inference.
-    partition:
-        How to split the graph when the configuration targets a
-        multi-GPU :class:`~repro.gpu.cluster.Cluster` (method + seed;
-        the part count comes from the cluster).  ``None`` falls back to
-        the default hash partitioner.  Partitioning never changes the
-        compiled plan — only where each kernel's rows live.
     precision:
         Feature-storage precision (see :mod:`repro.ir.precision`):
         ``"fp32"`` (the oracle), ``"fp16"``/``"bf16"`` half-width
@@ -113,7 +110,6 @@ class ExecutionStrategy:
     #: what framework-builtin kernels regenerate, stashing the rest.
     recompute_boundary_mode: Optional[str] = None
     pass_names: Optional[Tuple[str, ...]] = None
-    partition: Optional[PartitionSpec] = None
     precision: str = "fp32"
 
     def __post_init__(self) -> None:

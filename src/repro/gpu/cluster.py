@@ -45,16 +45,15 @@ class Cluster:
 
     ``interconnect_gbps`` is the effective per-GPU exchange bandwidth
     in **gigabytes per second** (the same GB/s convention as
-    :attr:`GPUSpec.mem_bandwidth_gbps`; NVLink-class by default);
-    ``interconnect_latency_us`` is the fixed cost per halo exchange or
-    all-reduce round.
+    :attr:`GPUSpec.mem_bandwidth_gbps`; NVLink-class by default); every
+    halo exchange or all-reduce round also pays a fixed 5 µs
+    (:attr:`interconnect_latency_s`).
     """
 
     name: str
     gpu: GPUSpec
     num_gpus: int
     interconnect_gbps: float = 64.0
-    interconnect_latency_us: float = 5.0
 
     def __post_init__(self) -> None:
         if self.num_gpus <= 0:
@@ -67,7 +66,7 @@ class Cluster:
 
     @property
     def interconnect_latency_s(self) -> float:
-        return self.interconnect_latency_us * 1e-6
+        return 5.0 * 1e-6
 
     @property
     def dram_bytes_per_gpu(self) -> int:
@@ -83,15 +82,14 @@ def make_cluster(
     num_gpus: int,
     *,
     interconnect_gbps: Optional[float] = None,
-    interconnect_latency_us: Optional[float] = None,
-    name: Optional[str] = None,
     register: bool = False,
 ) -> Cluster:
     """Build (and optionally register) ``num_gpus`` copies of a GPU.
 
     ``gpu`` is a registry name or a spec instance; the cluster is named
-    ``"<gpu>x<n>"`` unless overridden.  With ``register=True`` the
-    cluster joins the GPU registry so sessions can refer to it by name.
+    ``"<gpu>x<n>"``.  ``interconnect_gbps`` sets the link (default: the
+    :class:`Cluster` field's).  With ``register=True`` the cluster joins
+    the GPU registry so sessions can refer to it by name.
     """
     spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
     if isinstance(spec, Cluster):
@@ -99,13 +97,8 @@ def make_cluster(
     kwargs = {}
     if interconnect_gbps is not None:
         kwargs["interconnect_gbps"] = interconnect_gbps
-    if interconnect_latency_us is not None:
-        kwargs["interconnect_latency_us"] = interconnect_latency_us
     cluster = Cluster(
-        name=name or f"{spec.name}x{num_gpus}",
-        gpu=spec,
-        num_gpus=num_gpus,
-        **kwargs,
+        name=f"{spec.name}x{num_gpus}", gpu=spec, num_gpus=num_gpus, **kwargs
     )
     if register:
         register_gpu(cluster, replace=True)

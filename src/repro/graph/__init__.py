@@ -47,7 +47,6 @@ from repro.graph.sampling import (
 )
 from repro.graph.partition import (
     GraphPartition,
-    PartitionSpec,
     PartitionStats,
     partition_graph,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "MiniBatch",
     "plan_minibatches",
     "GraphPartition",
-    "PartitionSpec",
     "PartitionStats",
     "partition_graph",
 ]

@@ -45,7 +45,6 @@ from repro.graph.csr import Graph
 from repro.graph.stats import GraphStats
 
 __all__ = [
-    "PartitionSpec",
     "PartSubgraph",
     "GraphPartition",
     "PartitionStats",
@@ -59,26 +58,6 @@ __all__ = [
 ]
 
 PARTITION_METHODS = ("hash", "range", "greedy")
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """How a strategy wants the graph split across devices.
-
-    The number of parts is *not* part of the spec — it comes from the
-    cluster the configuration targets, so one strategy serves every
-    cluster size.
-    """
-
-    method: str = "hash"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.method not in PARTITION_METHODS:
-            raise ValueError(
-                f"partition method must be in {PARTITION_METHODS}, "
-                f"got {self.method!r}"
-            )
 
 
 # ======================================================================

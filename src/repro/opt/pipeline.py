@@ -188,8 +188,7 @@ def build_pipeline(strategy: Any, *, training: bool = True) -> PassManager:
     Uses the strategy's ``pass_names`` when set, else the defaults.
     Each name resolves through :data:`repro.registry.PASSES` to a Pass
     subclass instantiated with no arguments; every built-in pass reads
-    its parameters from ``ctx.strategy`` unless constructed with
-    explicit overrides.
+    its parameters from ``ctx.strategy``.
     """
     names = getattr(strategy, "pass_names", None) or (
         DEFAULT_TRAINING_PASSES if training else DEFAULT_FORWARD_PASSES
@@ -213,11 +212,8 @@ class ReorganizePass(Pass):
 
     name = "reorganize"
 
-    def __init__(self, scope: Optional[str] = None) -> None:
-        self.scope = scope
-
     def run(self, ctx: PassContext) -> None:
-        scope = self.scope or ctx.strategy.reorg_scope
+        scope = ctx.strategy.reorg_scope
         module = ctx.require("forward")
         applies = scope == "full" or (
             scope == "library"
@@ -243,17 +239,13 @@ class CSEPass(Pass):
 
     :func:`~repro.opt.reorganize.reorganize` already folds CSE into its
     rewrite fixpoint, so in the default pipeline this pass only fires
-    when a custom pass has flagged ``needs_cse`` — construct with
-    ``force=True`` (or set the flag) to sweep unconditionally.
+    when a custom pass has flagged ``needs_cse``.
     """
 
     name = "cse"
 
-    def __init__(self, force: bool = False) -> None:
-        self.force = force
-
     def run(self, ctx: PassContext) -> None:
-        if self.force or ctx.state.get("needs_cse"):
+        if ctx.state.get("needs_cse"):
             ctx.state["forward"] = common_subexpression_eliminate(
                 ctx.require("forward")
             )
@@ -288,28 +280,19 @@ class RecomputePlanPass(Pass):
     name = "recompute"
     training_only = True
 
-    def __init__(
-        self,
-        policy: Optional[str] = None,
-        boundary_mode: Optional[str] = None,
-    ) -> None:
-        self.policy = policy
-        self.boundary_mode = boundary_mode
-
     def run(self, ctx: PassContext) -> None:
         strategy = ctx.strategy
         forward = ctx.require("forward")
         tg = ctx.require("training_graph")
-        policy = self.policy or strategy.recompute_policy
         boundary = _boundary_values(
             forward,
             strategy,
-            mode=self.boundary_mode
-            or strategy.recompute_boundary_mode
-            or strategy.fusion_mode,
+            mode=strategy.recompute_boundary_mode or strategy.fusion_mode,
             stages=ctx.stages,
         )
-        decision = plan_recompute(tg, policy=policy, boundary_values=boundary)
+        decision = plan_recompute(
+            tg, policy=strategy.recompute_policy, boundary_values=boundary
+        )
 
         # The stash is, definitionally, every forward-produced value the
         # (recompute-spliced) backward module consumes — regardless of
@@ -333,18 +316,9 @@ class FusionPass(Pass):
 
     name = "fusion"
 
-    def __init__(
-        self,
-        mode: Optional[str] = None,
-        prefer_mapping: Optional[str] = None,
-    ) -> None:
-        self.mode = mode
-        self.prefer_mapping = prefer_mapping
-
     def run(self, ctx: PassContext) -> None:
         strategy = ctx.strategy
-        mode = self.mode or strategy.fusion_mode
-        mapping = self.prefer_mapping or strategy.prefer_mapping
+        mode, mapping = strategy.fusion_mode, strategy.prefer_mapping
         keep = ctx.require("stash") if ctx.training else ()
         ctx.state["fwd_plan"] = plan_module(
             ctx.require("forward"), mode=mode, prefer_mapping=mapping,

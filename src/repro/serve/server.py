@@ -88,8 +88,6 @@ class _TenantRuntime:
         compiled: CompiledForward,
         *,
         hops: Optional[int],
-        params: Optional[Dict[str, np.ndarray]],
-        param_seed: int,
     ):
         if not isinstance(compiled, CompiledForward):
             raise TypeError(
@@ -106,11 +104,7 @@ class _TenantRuntime:
         self.hops = hops if hops is not None else receptive_hops(compiled.forward)
         if self.hops < 0:
             raise ValueError("hops must be non-negative")
-        self.params = dict(
-            params
-            if params is not None
-            else compiled.model.init_params(param_seed)
-        )
+        self.params = compiled.model.init_params(0)
         self.output_name = compiled.forward.outputs[0]
         self.row_bytes = feature_gather_row_bytes(compiled.plan)
 
@@ -146,9 +140,8 @@ class InferenceServer:
         ``False`` skips concrete engine execution (no delivered
         outputs).  Every metric is analytic, so reports are identical
         either way — the switch exists for costing-only experiments.
-    params / param_seed:
-        Per-tenant parameter arrays (mapping ``tenant -> params``), or
-        a seed for each model's initialiser.
+
+    Every tenant serves its model's ``init_params(0)``.
     """
 
     def __init__(
@@ -164,8 +157,6 @@ class InferenceServer:
         hops: Optional[int] = None,
         memory_plan: bool = False,
         execute: bool = True,
-        params: Optional[Mapping[str, Dict[str, np.ndarray]]] = None,
-        param_seed: int = 0,
         precision: str = "float32",
     ):
         if features.shape[0] != graph.num_vertices:
@@ -193,13 +184,7 @@ class InferenceServer:
         if not tenant_plans:
             raise ValueError("server needs at least one tenant plan")
         self.tenants: Dict[str, _TenantRuntime] = {
-            name: _TenantRuntime(
-                name,
-                plan,
-                hops=hops,
-                params=None if params is None else params.get(name),
-                param_seed=param_seed,
-            )
+            name: _TenantRuntime(name, plan, hops=hops)
             for name, plan in tenant_plans.items()
         }
         if memory_plan and execute:

@@ -23,8 +23,8 @@ A :class:`Session` holds its configuration in one frozen
   compiled with: an ``ExecutionStrategy`` or its name, the
   ``"memory"`` schedule, a feature-storage precision;
 - ``gpu`` — a ``GPUSpec``, its name, or a ``Cluster``
-  (:meth:`Session.cluster`; ``partitioner`` overrides the strategy's
-  partition method);
+  (:meth:`Session.cluster`, whose ``partitioner`` is the one home of
+  the partition method);
 - ``feature_dim`` and ``minibatch`` — the input width of registry
   models and the sampled mini-batch epoch.
 
@@ -75,7 +75,7 @@ from repro.gpu.cost_model import CostModel, SimulatedOOM
 from repro.gpu.spec import GPUSpec, get_gpu
 from repro.graph.datasets import Dataset, get_dataset
 from repro.graph.partition import (
-    PartitionSpec,
+    PARTITION_METHODS,
     PartitionStats,
     partition_graph,
 )
@@ -356,7 +356,7 @@ class RunConfig:
     precision: Optional[str] = None
     #: Registry name, ``GPUSpec``, or ``Cluster``.
     gpu: Union[str, GPUSpec, Cluster] = "RTX3090"
-    #: Partition method override of a cluster run.
+    #: Partition method of a cluster run (``None``: hash).
     partitioner: Optional[str] = None
     #: Input width of registry models (``None``: the dataset's).
     feature_dim: Optional[int] = None
@@ -367,6 +367,11 @@ class RunConfig:
         if self.schedule not in (None, "memory"):
             raise ValueError(
                 f"unknown schedule mode {self.schedule!r}; use 'memory' or None"
+            )
+        if self.partitioner not in (None, *PARTITION_METHODS):
+            raise ValueError(
+                f"partition method must be in {PARTITION_METHODS}, "
+                f"got {self.partitioner!r}"
             )
         if self.precision is not None:
             from repro.ir.precision import canonical_precision
@@ -485,18 +490,17 @@ class Session:
         gpu: Union[str, GPUSpec, Cluster],
         num_gpus: Optional[int] = None,
         *,
-        interconnect_gbps: Optional[float] = None,
-        interconnect_latency_us: Optional[float] = None,
         partitioner: Optional[str] = None,
     ) -> "Session":
         """Target ``num_gpus`` copies of a GPU joined by an interconnect.
 
         ``gpu`` is a registry name, a :class:`GPUSpec`, or a prebuilt
-        :class:`Cluster` (then ``num_gpus`` must be omitted).
-        ``partitioner`` overrides the strategy's partition method
-        (``"hash"`` / ``"range"`` / ``"greedy"``); omitting it falls
-        back to the strategy's ``PartitionSpec``, not to an earlier
-        call's value.
+        :class:`Cluster` (then ``num_gpus`` must be omitted; a link
+        other than the default comes from
+        ``make_cluster(interconnect_gbps=)``).  ``partitioner`` is the
+        partition method (``"hash"`` / ``"range"`` / ``"greedy"``),
+        checked here; omitting it means hash, not an earlier call's
+        value.  Stats-only workloads price hash only.
         """
         if isinstance(gpu, Cluster):
             if num_gpus is not None and num_gpus != gpu.num_gpus:
@@ -507,12 +511,7 @@ class Session:
         elif num_gpus is None:
             raise ValueError("cluster() needs num_gpus for a GPU name/spec")
         else:
-            gpu = make_cluster(
-                gpu,
-                num_gpus,
-                interconnect_gbps=interconnect_gbps,
-                interconnect_latency_us=interconnect_latency_us,
-            )
+            gpu = make_cluster(gpu, num_gpus)
         return self._set(gpu=gpu, partitioner=partitioner)
 
     def minibatch(
@@ -570,30 +569,33 @@ class Session:
     def resolve_partition_stats(self) -> PartitionStats:
         """Degree-level partition summary for the configured cluster.
 
-        Workloads with a concrete graph are partitioned exactly (the
-        strategy's partition method, default hash); stats-only
-        workloads use the expected hash-partition model.  Results are
-        memoised per (workload, part count, method, seed).
+        Workloads with a concrete graph are partitioned exactly by the
+        :meth:`cluster` partitioner (default hash, seed 0); stats-only
+        workloads use the expected hash-partition model and refuse any
+        other method.  Results are memoised per (workload, part count,
+        method).
         """
         cluster = self.resolve_cluster()
         num_parts = cluster.num_gpus if cluster is not None else 1
-        strategy = self.resolve_strategy()
-        spec = strategy.partition if strategy.partition is not None else PartitionSpec()
-        method = self._config.partitioner or spec.method
+        method = self._config.partitioner or "hash"
         ds = self.resolve_dataset()
+        concrete = ds is not None and ds.has_concrete_graph
+        if not concrete and method != "hash":
+            raise ValueError(
+                f"partitioner {method!r} needs a concrete graph: the "
+                "expected-partition model of a stats-only workload "
+                "prices hash only"
+            )
 
         def partition() -> PartitionStats:
-            if ds is not None and ds.has_concrete_graph:
+            if concrete:
                 return PartitionStats.from_partition(
-                    partition_graph(
-                        ds.graph(), num_parts, method=method, seed=spec.seed
-                    )
+                    partition_graph(ds.graph(), num_parts, method=method)
                 )
             return PartitionStats.from_stats(self.resolve_stats(), num_parts)
 
         return self._memoised(
-            "pstats", (self._workload_anchor(),), partition,
-            num_parts, method, spec.seed,
+            "pstats", (self._workload_anchor(),), partition, num_parts, method
         )
 
     def _workload_anchor(self):
@@ -925,7 +927,6 @@ class Session:
         execute: bool = True,
         update_frac: float = 0.0,
         compact_every: Optional[int] = None,
-        update_edge_frac: float = 0.5,
         new_vertex_prob: float = 0.0,
     ):
         """Serve a synthetic online workload against this configuration.
@@ -944,9 +945,9 @@ class Session:
 
         ``update_frac > 0`` makes the run *dynamic*: the stream comes
         from :func:`repro.dyn.mixed_workload` (each event is a write
-        with that probability — ``update_edge_frac`` of them edge
-        insertions, the rest feature puts; ``new_vertex_prob`` lets
-        edge batches bring new vertices), and the server answers each
+        with that probability — half of them edge insertions, the rest
+        feature puts; ``new_vertex_prob`` lets edge batches bring new
+        vertices), and the server answers each
         batch against the graph/feature snapshot current at its
         dispatch time, compacting the delta overlay every
         ``compact_every`` applied deltas.  Dynamic runs require the
@@ -1002,7 +1003,6 @@ class Session:
                 num_requests,
                 feature_dim=in_dim,
                 update_frac=update_frac,
-                edge_frac=update_edge_frac,
                 new_vertex_prob=new_vertex_prob,
                 **stream,
             )
@@ -1272,10 +1272,7 @@ def run_sweep(
     gpus: Sequence[Union[str, GPUSpec]] = ("RTX3090",),
     *,
     num_gpus: Sequence[int] = (1,),
-    interconnect_gbps: Optional[float] = None,
     batch_size: Union[None, int, Sequence[Optional[int]]] = None,
-    minibatch_hops: Optional[int] = None,
-    minibatch_seed: int = 0,
     schedule: Union[None, str, Sequence[Optional[str]]] = None,
     precision: Union[None, str, Sequence[Optional[str]]] = None,
     serve_qps: Optional[Sequence[float]] = None,
@@ -1299,11 +1296,12 @@ def run_sweep(
       (a policy name or a sequence mixing them with ``None``) choose
       the compiled plan;
     - ``gpus`` × ``num_gpus`` choose the device: an entry > 1 builds a
-      ``<gpu>xN`` cluster (``interconnect_gbps``), and a registered
-      cluster name is a cluster at any count;
+      ``<gpu>xN`` cluster on the default link.  A registered cluster
+      name (or a ``Cluster``) is already a cluster: it is refused
+      beside a ``num_gpus`` entry > 1;
     - ``batch_size`` (an int or a sequence mixing ints with ``None``,
-      full-graph) with ``minibatch_hops`` and ``minibatch_seed`` is the
-      ``minibatch`` axis — single-GPU only;
+      full-graph) is the ``minibatch`` axis, at the model's depth and
+      sampler seed 0 — single-GPU only;
     - ``feature_dim`` is one width for every registry model.
 
     Rows price what :meth:`Session.report` prices: full-graph steps
@@ -1346,6 +1344,13 @@ def run_sweep(
             "update_frac and serve= configure serving sweeps: they "
             "require serve_qps"
         )
+    if any(n > 1 for n in num_gpus):
+        for g in gpus:
+            if isinstance(get_gpu(g) if isinstance(g, str) else g, Cluster):
+                raise ValueError(
+                    f"gpus entry {getattr(g, 'name', g)!r} is already a "
+                    "cluster: it cannot be combined with num_gpus > 1"
+                )
     # Serving runs the forward plan.
     training = training and serve_qps is None
     axes = (
@@ -1367,13 +1372,8 @@ def run_sweep(
         s._config = RunConfig(
             model=m, dataset=d, strategy=strat, schedule=sched,
             precision=prec, feature_dim=feature_dim,
-            gpu=(
-                g if n <= 1
-                else make_cluster(g, n, interconnect_gbps=interconnect_gbps)
-            ),
-            minibatch=(
-                None if bs is None else (bs, minibatch_hops, minibatch_seed)
-            ),
+            gpu=g if n <= 1 else make_cluster(g, n),
+            minibatch=None if bs is None else (bs, None, 0),
         )
         if i % per_plan == 0:
             compiled = (

@@ -22,7 +22,6 @@ import pytest
 
 from repro.graph import Graph, chung_lu, erdos_renyi
 from repro.graph.partition import (
-    PartitionSpec,
     PartitionStats,
     greedy_edge_cut_assignment,
     hash_assignment,
@@ -110,8 +109,6 @@ class TestAssignments:
             hash_assignment(10, 0)
         with pytest.raises(ValueError):
             partition_graph(chung_lu(10, 20, seed=0), 2, method="metis")
-        with pytest.raises(ValueError):
-            PartitionSpec(method="nope")
 
 
 class TestPartitionProperties:

@@ -123,9 +123,9 @@ class TestCSEPass:
             strategy=get_strategy("ours-noreorg"),
             model=model,
             training=False,
-            state={"forward": naive},
+            state={"forward": naive, "needs_cse": True},
         )
-        PassManager([CSEPass(force=True)]).run(ctx)
+        PassManager([CSEPass()]).run(ctx)
         # EdgeConv's u_sub_v feeds both operands from `h`; CSE folds the
         # duplicate copy-scatter.
         assert len(ctx.state["forward"].nodes) <= len(naive.nodes)

@@ -340,23 +340,36 @@ class TestClusterSessions:
         )
         assert a.halo_in_rows != hash_stats.halo_in_rows
 
-    def test_strategy_partition_spec_drives_method(self, toy_datasets):
-        from repro.graph.partition import PartitionSpec
+    def test_partitioner_validated_where_set(self, toy_datasets):
+        """A partition method outside PARTITION_METHODS is refused by
+        .cluster() itself, on a concrete graph and on stats alike."""
+        for dataset in (toy_datasets[0], "reddit-full"):
+            s = session().model("gat").dataset(dataset)
+            with pytest.raises(ValueError, match="partition method"):
+                s.cluster("V100", 4, partitioner="nope")
+        # The refused call leaves the session as it was.
+        s = session().model("gcn").dataset(toy_datasets[0]).cluster("V100", 2)
+        with pytest.raises(ValueError):
+            s.cluster("V100", 4, partitioner="metis")
+        assert s.resolve_cluster().num_gpus == 2
 
-        strat = ExecutionStrategy(
-            name="ours-range-part", partition=PartitionSpec(method="range")
-        )
+    def test_stats_only_workload_refuses_non_hash(self):
+        """The expected-partition model knows hash only: asking a
+        stats-only workload for another method fails instead of
+        pricing hash under its name."""
         s = (
-            session().model("gcn").dataset(toy_datasets[0])
-            .strategy(strat).cluster("V100", 2)
+            session().model("gat").dataset("reddit-full")
+            .cluster("V100", 4, partitioner="range")
         )
-        ranged = (
-            session().model("gcn").dataset(toy_datasets[0])
-            .cluster("V100", 2, partitioner="range")
+        with pytest.raises(ValueError, match="prices hash only"):
+            s.report()
+        hashed = (
+            session().model("gat").dataset("reddit-full")
+            .cluster("V100", 4, partitioner="hash")
         )
-        assert (
-            s.resolve_partition_stats().halo_in_rows
-            == ranged.resolve_partition_stats().halo_in_rows
+        assert hashed.report().latency_s == (
+            session().model("gat").dataset("reddit-full")
+            .cluster("V100", 4).report().latency_s
         )
 
     def test_stats_only_dataset_uses_expected_model(self):
@@ -442,6 +455,27 @@ class TestClusterSessions:
         assert row.gpu == "V100x4"
         assert row.num_gpus == 4
         assert row.comm_bytes > 0
+
+    def test_registered_cluster_name_refused_beside_gpu_counts(
+        self, toy_datasets
+    ):
+        """A cluster cannot be multiplied again: the sweep refuses the
+        combination up front, naming the entry, instead of failing
+        after its first row."""
+        from repro.gpu.cluster import make_cluster
+        from repro.registry import GPUS
+
+        make_cluster("V100", 4, register=True)
+        cache = PlanCache()
+        try:
+            with pytest.raises(ValueError, match="V100x4"):
+                run_sweep(
+                    models=["gcn"], datasets=[toy_datasets[0]],
+                    gpus=["V100", "V100x4"], num_gpus=[1, 2], cache=cache,
+                )
+        finally:
+            GPUS.remove("V100x4")
+        assert cache.misses == 0  # nothing was compiled or priced
 
     def test_partitioner_override_not_sticky(self, toy_datasets):
         s = (
