@@ -52,8 +52,8 @@ import time
 from collections import ChainMap
 from dataclasses import dataclass
 from typing import (
-    Dict, Iterable, List, Mapping, MutableMapping, Optional, Sequence, Set,
-    Tuple, Union,
+    Dict, FrozenSet, Iterable, List, Mapping, MutableMapping, Optional,
+    Sequence, Set, Tuple, Union,
 )
 
 import numpy as np
@@ -71,10 +71,14 @@ from repro.exec.plan import (
 )
 from repro.exec.rings import WHOLE
 from repro.graph.csr import Graph
+from repro.ir.functions import get_scatter_fn
 from repro.ir.module import GRAPH_CONSTANTS, Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.precision import bf16_round, simulate_storage
 from repro.ir.tensorspec import LOGICAL_DTYPES, Domain, TensorSpec
+
+#: The domains whose values have a row per vertex or edge.
+_ROWS = (Domain.VERTEX, Domain.EDGE)
 
 __all__ = [
     "Engine", "PlanRun", "translate_argmax", "require_accounting_precision",
@@ -151,8 +155,10 @@ class PlanRun:
 
 class _Rings:
     """Where each node of a run that reads only the outputs' rows at
-    hop distance 0 computes (:meth:`ExecPlan.rings`), on a field laid
-    out hop by hop.
+    hop distance 0 computes, on a field laid out hop by hop: the ring
+    map's (:meth:`ExecPlan.rings`, or a training step's
+    :func:`~repro.exec.rings.training_rings`), which also gives each
+    module input the ring it is held on.
 
     Ring ``d`` — the vertices within ``d`` hops — is rows ``[0, n_d)``
     of the field and its in-edges are the first ``E_d`` positions of
@@ -163,24 +169,60 @@ class _Rings:
     A reader on an inner ring takes a prefix of either; an edge value
     of the whole field (a module input) is read at the block's edge
     ids.  A scatter reads its far operand through the block's absolute
-    source ids, which lie on ring ``d + 1``.  A node on a deeper ring
-    runs as if there were no rings.
+    source ids, which lie on ring ``d + 1``.  A sum over out-edges of
+    an edge value held on ring ``d`` runs on those edges grouped by
+    source (:meth:`Graph.row_block`'s ``within``).  A node on a
+    deeper ring runs as if there were no rings.
+
+    A gradient is held on the smaller of its demand and its support,
+    so a reader may need it further out than it is held: it reads
+    ``+0.0`` there (:func:`_zero_padded`).  A PARAM_GRAD, or any node
+    that runs on every row, reads each operand held on a ring that way
+    out to every row — a ringed edge value back at its COO positions.
     """
 
-    def __init__(self, plan: ExecPlan, graph: Graph, distance: np.ndarray):
-        self.depth = plan.rings()
+    def __init__(
+        self,
+        plan: ExecPlan,
+        graph: Graph,
+        distance: np.ndarray,
+        depth: Optional[Mapping[str, int]] = None,
+    ):
+        #: A lone plan is handed its inputs whole, and its demand walk
+        #: reads nothing past the ring it is held on; a training map
+        #: holds gradients on their support, which readers may widen.
+        self._widens = depth is not None
+        self._bound: FrozenSet[str] = frozenset()
+        if depth is None:
+            module = plan.module
+            depth = plan.rings()
+            self._bound = frozenset(module.inputs) | frozenset(module.params)
+        self.depth = depth
         self.top = int(distance[-1])
         self._graph = graph
         self._specs = plan.module.specs
-        self._inputs = set(plan.module.inputs) | set(plan.module.params)
         #: ``n_d`` for each ring below the deepest.
         self._rows = np.searchsorted(distance, np.arange(self.top), side="right")
+        #: Values held on a ring, widened to every row (a run's values
+        #: never change, and PARAM_GRADs share operands).
+        self._whole: Dict[str, np.ndarray] = {}
 
     def of(self, name: str) -> Optional[int]:
-        """The ring value ``name`` lives on (its node runs on), or
+        """The ring value ``name`` is held on (its node runs on), or
         ``None`` for the whole field."""
-        ring = WHOLE if name in self._inputs else self.depth.get(name, WHOLE)
+        ring = WHOLE if name in self._bound else self.depth.get(name, WHOLE)
         return ring if ring < self.top else None
+
+    def _n(self, ring: Optional[int]) -> int:
+        return self._graph.num_vertices if ring is None else int(self._rows[ring])
+
+    def touches(self, kernel: Kernel) -> bool:
+        """Does any node of ``kernel`` run on, or read, a ring?"""
+        return any(
+            self.of(name) is not None
+            for node in kernel.nodes
+            for name in (node.name, *node.inputs)
+        )
 
     def step(
         self,
@@ -191,24 +233,88 @@ class _Rings:
     ):
         """``(operands, block, out)`` for :meth:`Engine._execute` to run
         ``node`` (or the chain it heads) on its ring; ``None`` when it
-        runs on the whole field."""
+        runs on the whole field and reads nothing held on a ring."""
         ring = self.of(node.name)
-        if ring is None:
+        names = node.inputs if chain is None else chain.operands
+        if node.kind is OpKind.GATHER and node.orientation == "out":
+            edges_on = self.of(node.inputs[0])
+            if edges_on is None:
+                return None
+            rows, within = self._n(ring), self._n(edges_on)
+            block = self._graph.row_block("out", 0, rows, within=within)
+        elif ring is not None and node.kind is not OpKind.PARAM_GRAD:
+            block = self._graph.row_block("in", 0, int(self._rows[ring]))
+        elif not self._widens or all(self.of(name) is None for name in names):
             return None
-        block = self._graph.row_block("in", 0, int(self._rows[ring]))
+        else:
+            return [self._every_row(name, values) for name in names], None, out
         row_wise = chain is None and node.kind in (OpKind.APPLY, OpKind.VIEW)
-        operands: List[Optional[np.ndarray]] = []
-        for name in node.inputs if chain is None else chain.operands:
+        operands: List[np.ndarray] = []
+        for name in names:
             x, domain = values[name], self._specs[name].domain
             if domain is Domain.EDGE:
                 x = x[block.eids] if self.of(name) is None else x[: block.num_edges]
             elif domain is Domain.VERTEX and row_wise:
                 x = x[: block.num_vertices]
             operands.append(x)
+        if self._widens:
+            self._pad(node, chain, names, operands, block)
         if out is not None:
             by_edge = self._specs[node.outputs[0]].domain is Domain.EDGE
             out = out[: block.num_edges if by_edge else block.num_vertices]
         return operands, block, out
+
+    def _pad(
+        self,
+        node: OpNode,
+        chain: Optional[AggregationChain],
+        names: Sequence[str],
+        operands: List[np.ndarray],
+        block,
+    ) -> None:
+        """Give each operand the rows the block reads, ``+0.0`` past the
+        ring it is held on: a gradient read further out than its support."""
+        far = chain is not None or (
+            node.kind is OpKind.SCATTER and get_scatter_fn(node.fn).reads_u
+        )
+        for i, name in enumerate(names):
+            domain = self._specs[name].domain
+            if domain is Domain.EDGE:
+                rows = block.num_edges
+            elif domain is Domain.VERTEX:
+                rows = block.far_vertices if i == 0 and far else block.num_vertices
+            else:
+                continue
+            operands[i] = _zero_padded(operands[i], rows)
+
+    def _every_row(self, name: str, values: Mapping[str, np.ndarray]) -> np.ndarray:
+        """``values[name]`` on every row of the field: a value held on a
+        ring reads ``+0.0`` past it — a ringed edge value back at its
+        COO positions — built once per run (PARAM_GRADs share operands)."""
+        x = values[name]
+        domain = self._specs[name].domain
+        if self.of(name) is None or domain not in _ROWS:
+            return x
+        wide = self._whole.get(name)
+        if wide is None:
+            graph = self._graph
+            if domain is Domain.VERTEX:
+                wide = _zero_padded(x, graph.num_vertices)
+            else:
+                wide = np.zeros((graph.num_edges,) + x.shape[1:], dtype=x.dtype)
+                wide[graph.csc_eids[: x.shape[0]]] = x
+            self._whole[name] = wide
+        return wide
+
+
+def _zero_padded(x: np.ndarray, rows: int) -> np.ndarray:
+    """``x`` if it holds ``rows`` rows; else ``x`` followed by ``+0.0``
+    rows up to ``rows`` (a gradient read past the ring it is held on)."""
+    if x.shape[0] >= rows:
+        return x
+    wide = np.zeros((rows,) + x.shape[1:], dtype=x.dtype)
+    wide[: x.shape[0]] = x
+    return wide
 
 
 class Engine:
@@ -530,6 +636,7 @@ class Engine:
         unwrap: bool = True,
         out: Optional[Mapping[str, np.ndarray]] = None,
         distance: Optional[np.ndarray] = None,
+        rings: Optional[Mapping[str, int]] = None,
     ) -> Dict[str, np.ndarray]:
         """Execute ``plan``; return outputs plus keep-set values.
 
@@ -556,8 +663,15 @@ class Engine:
         :class:`_Rings`).  A vertex output read at ring 0 then holds the
         distance-0 rows only, bit for bit the whole-field run's;
         keep-set results are whole and exact everywhere.
+
+        ``rings`` replaces :meth:`ExecPlan.rings` as the map a run with
+        ``distance`` computes on: a training step's
+        (:func:`~repro.exec.rings.training_rings`), under which the
+        keep set comes back on the rings the backward reads, ``env``
+        holds each input on the ring the map gives it, and gradients
+        are computed on their support.
         """
-        run = self._begin(plan, env, out, distance)
+        run = self._begin(plan, env, out, distance, rings)
         timings = self.kernel_timings
         for i, kernel in enumerate(plan.kernels):
             if timings is not None:
@@ -592,6 +706,7 @@ class Engine:
         env: Mapping[str, np.ndarray],
         out: Optional[Mapping[str, np.ndarray]] = None,
         distance: Optional[np.ndarray] = None,
+        depth: Optional[Mapping[str, int]] = None,
     ) -> PlanRun:
         """Set-up: result order, argmax demand, ledger, arena, bf16 set,
         rings."""
@@ -639,7 +754,7 @@ class Engine:
                     "field laid out hop by hop"
                 )
             if distance[-1] > 0:
-                rings = _Rings(plan, self.graph, distance)
+                rings = _Rings(plan, self.graph, distance, depth)
         return PlanRun(
             plan=plan,
             values=values,
@@ -666,9 +781,7 @@ class Engine:
         """
         chains = run.plan.chains(index) if run.chains else {}
         walk = self._walk_of(run.plan, index, run.chains)
-        if run.rings is not None and any(
-            run.rings.of(node.name) is not None for node in kernel.nodes
-        ):
+        if walk is not None and run.rings is not None and run.rings.touches(kernel):
             walk = None  # a ring's kernel runs node by node (clause 1c)
         if walk is None:
             self._run_nodes(run, kernel.nodes, chains)

@@ -36,6 +36,7 @@ from repro.exec.profiler import (
     MultiGPUCounters,
     PhaseCounters,
 )
+from repro.exec.rings import training_rings
 from repro.graph.stats import GraphStats
 from repro.gpu.cost_model import CostModel
 from repro.gpu.spec import GPUSpec
@@ -243,9 +244,24 @@ class CompiledTraining(_Compiled):
     fwd_plan: ExecPlan
     bwd_plan: ExecPlan
     pass_records: List[PassRecord] = field(default_factory=list)
+    _rings: Optional[Tuple[Dict[str, int], Dict[str, int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def phases(self) -> List[Tuple[str, ExecPlan]]:
         return [("forward", self.fwd_plan), ("backward", self.bwd_plan)]
+
+    def rings(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """The forward and backward ring maps of a step whose loss reads
+        only the seeds' rows (:func:`~repro.exec.rings.training_rings`,
+        what ``Trainer.train_step(distance=)`` runs on).  Computed once
+        and shared, like :meth:`ExecPlan.rings`: read-only."""
+        if self._rings is None:
+            self._rings = training_rings(
+                self.fwd_plan.module, self.bwd_plan.module,
+                self.fwd_plan.keep, self.seed_names(),
+            )
+        return self._rings
 
     def _step_counters(self, stats: GraphStats) -> Counters:
         return analyze_training(

@@ -375,7 +375,9 @@ class Graph(_SegmentLayout):
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def row_block(self, orientation: str, lo: int, hi: int) -> SimpleNamespace:
+    def row_block(
+        self, orientation: str, lo: int, hi: int, within: Optional[int] = None
+    ) -> SimpleNamespace:
         """Sub-graph of the edges incident to *home* vertices ``[lo, hi)``.
 
         The home endpoint is the destination for ``orientation="in"``
@@ -390,14 +392,31 @@ class Graph(_SegmentLayout):
         requested orientation only, plus ``eids``: the block's COO edge
         ids.
 
+        ``within`` (``orientation="out"``, ``lo=0`` only) keeps just the
+        in-edges of rows ``[0, within)``: the first
+        ``csc_indptr[within]`` edges of the CSC grouping, numbered in
+        that order as in ``row_block("in", 0, within)``, grouped by
+        source in this graph's CSR order.  It is where a sum over
+        out-edges runs when its edge operand is zero beyond those edges
+        (a gradient on a ring, :mod:`repro.exec.rings`): each source
+        adds the same nonzero terms in the same order as over all of
+        its out-edges.
+
         Blocks are kept with the graph (which is immutable, so they
         cannot go stale): a training step that walks the same plan again
         gets the same blocks, incidence and adjacency operators included.
         """
         key = ("row_block", orientation, lo, hi)
+        if within is not None:
+            if orientation != "out" or lo != 0:
+                raise ValueError('within= cuts out-edge blocks of rows [0, hi) only')
+            key += (within,)
         block = self._cache.get(key)
         if block is None:
-            block = self._cache[key] = self._cut_block(orientation, lo, hi)
+            block = self._cache[key] = (
+                self._cut_block(orientation, lo, hi) if within is None
+                else self._cut_within(hi, within)
+            )
         return block
 
     def _cut_block(self, orientation: str, lo: int, hi: int) -> _RowBlock:
@@ -421,6 +440,28 @@ class Graph(_SegmentLayout):
             block.src, block.dst = home, far
             block.csr_indptr, block.csr_eids, block.out_degrees = seg, order, degrees
         return block
+
+    def _cut_within(self, hi: int, within: int) -> _RowBlock:
+        """``row_block("out", 0, hi, within)``: the kept edges, listed by
+        id and grouped by source with the stable sort, are in CSR order
+        (the graph's own CSR grouping is never built for it)."""
+        inner = self.row_block("in", 0, within)
+        marked = np.zeros(self.num_edges, dtype=bool)
+        marked[inner.eids] = True
+        by_id = np.flatnonzero(marked)
+        by_id = by_id[self.src[by_id] < hi]
+        indptr, order = _group_edges(self.src[by_id], hi)
+        # Block edges are numbered by their place in the CSC grouping.
+        place = np.empty(self.num_edges, dtype=np.int64)
+        place[inner.eids] = np.arange(inner.num_edges, dtype=np.int64)
+        order = place[by_id[order]]
+        return _RowBlock(
+            num_vertices=hi, num_edges=inner.num_edges, eids=inner.eids,
+            src=inner.src, dst=inner.dst, csr_indptr=indptr, csr_eids=order,
+            out_degrees=np.diff(indptr),
+            far_vertices=int(inner.dst[order].max()) + 1 if order.size else 0,
+            _cache={},
+        )
 
     def reverse(self) -> "Graph":
         """Graph with every edge direction flipped (edge ids preserved)."""

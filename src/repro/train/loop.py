@@ -140,27 +140,49 @@ class Trainer:
         self._stash: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def forward(self, features: np.ndarray) -> Dict[str, np.ndarray]:
-        """Run the forward plan; returns outputs plus stash (wrapped)."""
-        return self._forward(features)
+    def forward(
+        self, features: np.ndarray, *, distance: Optional[np.ndarray] = None
+    ) -> Dict[str, np.ndarray]:
+        """Run the forward plan; returns outputs plus stash (wrapped).
+
+        With ``distance`` the output holds the seeds' rows only and the
+        stash the rings the backward reads (see :meth:`train_step`).
+        """
+        return self._forward(features, None, distance)
 
     def _forward(
-        self, features: np.ndarray, out: Optional[Dict[str, np.ndarray]] = None
+        self,
+        features: np.ndarray,
+        out: Optional[Dict[str, np.ndarray]] = None,
+        distance: Optional[np.ndarray] = None,
     ) -> Dict[str, np.ndarray]:
         arrays = self.compiled.model.bind_inputs(features, self._edge_inputs)
         arrays.update(self.params)
         env = self.engine.bind(self.compiled.forward, arrays)
         self._fwd_env = env
         return self.engine.run_plan(
-            self.compiled.fwd_plan, env, unwrap=False, out=out
+            self.compiled.fwd_plan, env, unwrap=False, out=out,
+            distance=distance, rings=self._rings(distance, 0),
         )
+
+    def _rings(self, distance: Optional[np.ndarray], phase: int):
+        """The ring map of ``phase`` (0 forward, 1 backward) for a step
+        on ``distance``; ``None`` for a whole-field step."""
+        return None if distance is None else self.compiled.rings()[phase]
 
     def backward(
         self,
         fwd_result: Dict[str, np.ndarray],
         seed_grad: np.ndarray,
+        *,
+        distance: Optional[np.ndarray] = None,
     ) -> Dict[str, np.ndarray]:
-        """Run the backward plan; returns parameter gradients."""
+        """Run the backward plan; returns parameter gradients.
+
+        With ``distance``, ``fwd_result`` is what a forward on the same
+        ``distance`` returned and ``seed_grad`` holds the seeds' rows
+        only (see :meth:`train_step`).
+        """
         bwd_module = self.compiled.bwd_plan.module
         env: Dict[str, np.ndarray] = {}
         seed_name = grad_seed_name(self.output_name)
@@ -175,7 +197,10 @@ class Trainer:
                 env[name] = self._fwd_env[name]
             else:
                 raise KeyError(f"backward input {name!r} unavailable")
-        grads_raw = self.engine.run_plan(self.compiled.bwd_plan, env)
+        grads_raw = self.engine.run_plan(
+            self.compiled.bwd_plan, env,
+            distance=distance, rings=self._rings(distance, 1),
+        )
         return {
             param: grads_raw[gname]
             for param, gname in self.compiled.param_grads.items()
@@ -188,19 +213,45 @@ class Trainer:
         labels: np.ndarray,
         optimizer: Optimizer,
         mask: Optional[np.ndarray] = None,
+        *,
+        distance: Optional[np.ndarray] = None,
     ) -> Tuple[float, float]:
-        """One full step; returns ``(loss, accuracy)``."""
+        """One full step; returns ``(loss, accuracy)``.
+
+        ``distance`` — each vertex's hop distance from the seeds, on a
+        field laid out hop by hop
+        (:attr:`~repro.graph.sampling.MiniBatch.distance`) — makes the
+        seeds the loss's rows: they are exactly the distance-0 rows, a
+        prefix, so ``mask`` must be ``None``.  Forward, loss and
+        backward then compute only the rows the seeds need
+        (:meth:`~repro.frameworks.strategy.CompiledTraining.rings`), and
+        loss, accuracy and parameters are bit for bit those of the
+        whole-field step with the seeds as ``mask``.
+        """
         self._steps += 1
         if self._steps == 2 and self._plans_arena:
             self.engine._arena_plan = self.compiled.memory_plan(self.graph.stats())
-        fwd = self._forward(features, self._stash)
-        if self.engine._arena_plan is not None:
-            self._stash = fwd
+        if distance is None:
+            fwd = self._forward(features, self._stash)
+            if self.engine._arena_plan is not None:
+                self._stash = fwd
+            logits = fwd[self.output_name]
+        else:
+            if mask is not None:
+                raise ValueError(
+                    "a step on distance= reads the distance-0 rows: pass no mask"
+                )
+            # Ring-sized results fit only a step on the same rings.
+            fwd, self._stash = self._forward(features, None, distance), {}
+            seeds = int(np.searchsorted(distance, 0, side="right"))
+            logits, labels = fwd[self.output_name][:seeds], labels[:seeds]
+            if seeds < len(distance):
+                # The seed-masked loss's reductions, whatever the dtype.
+                mask = np.ones(seeds, dtype=bool)
         peak = self.engine.measured_peak_bytes
-        logits = fwd[self.output_name]
         loss, grad = softmax_cross_entropy(logits, labels, mask)
         acc = accuracy(logits, labels, mask)
-        grads = self.backward(fwd, grad)
+        grads = self.backward(fwd, grad, distance=distance)
         self.last_peak_bytes = max(peak, self.engine.measured_peak_bytes)
         optimizer.step(self.params, grads)
         return loss, acc

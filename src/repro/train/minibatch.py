@@ -11,20 +11,33 @@ computation/IO/memory tradeoff this module makes measurable.
 
 Semantics
 ---------
-Losses and gradients are masked to the seed set.  For models whose
-edge semantics only read quantities local to the receptive field
-(GraphSAGE's in-edge mean, GAT's softmax over in-edges), the seeds'
-logits — and therefore the masked-loss parameter gradients — are
-*exact*: the k-hop in-neighbourhood contains the entire computation
-cone of a k-layer model.  Models that read out-degrees of boundary
-vertices (GCN's symmetric norm) see the Cluster-GCN approximation.
+Losses and gradients are the seeds'.  For models whose edge semantics
+only read quantities local to the receptive field (GraphSAGE's in-edge
+mean, GAT's softmax over in-edges), the seeds' logits — and therefore
+the seed-loss parameter gradients — are *exact*: the k-hop
+in-neighbourhood contains the entire computation cone of a k-layer
+model.  Models that read out-degrees of boundary vertices (GCN's
+symmetric norm) see the Cluster-GCN approximation.
+
+A field is laid out hop by hop, so the seeds are its first rows (ring
+0) and the vertices within *d* hops a prefix (ring *d*).  Each step
+hands the batch's hop distances to
+:meth:`~repro.train.loop.Trainer.train_step`, so every layer, forward
+and backward, runs only on the rows the seeds need
+(:meth:`~repro.frameworks.strategy.CompiledTraining.rings`: the last
+layer on the seeds and their in-edges, the one before on the 1-hop
+ring, each gradient on its support), the loss reads only the seeds'
+logits (ring 0), and parameter gradients still reduce every row.
+Losses, accuracies and parameters are bit for bit those of running
+each batch whole-field with the seed mask (README clause 2c).  The
+analytic walker (:func:`~repro.exec.analytic.analyze_minibatch`) still
+prices whole fields.
 
 In the full-batch limit (``batch_size >= num_vertices``) the sampled
 epoch *is* one full-graph :class:`~repro.train.loop.Trainer` step, bit
 for bit: the receptive field is the sorted full vertex set (every vertex
-is a seed, ring 0 of the hop-by-hop layout), the induced subgraph
-reproduces the original topology and edge order exactly, and an
-all-true seed mask takes the same arithmetic path as no mask.
+is a seed, ring 0, so the step runs whole), and the induced subgraph
+reproduces the original topology and edge order exactly.
 """
 
 from __future__ import annotations
@@ -68,7 +81,9 @@ class BatchRecord:
     #: Measured live-byte high-watermark of the step (max over the
     #: forward and backward walks on this batch's induced subgraph).
     #: Populated when the trainer runs with ``memory_plan=True``, where
-    #: it reconciles with ``analyze_plan`` on the field's stats.
+    #: it equals the ledger walk over the roots at the sizes the step's
+    #: rings hold them (``analyze_plan`` on the field's stats when the
+    #: batch covers every seed and runs whole).
     peak_bytes: int = 0
 
 
@@ -123,8 +138,9 @@ class MiniBatchTrainer:
     Per epoch: draw a random vertex partition
     (:func:`~repro.graph.sampling.random_vertex_batches`), expand each
     batch to its receptive field, induce the subgraph, and take one
-    optimizer step on the seed-masked loss.  The compiled plan is
-    topology-independent, so one compilation serves every batch.
+    optimizer step on the seeds' loss, each layer on the rings of the
+    field its seeds need.  The compiled plan is topology-independent,
+    so one compilation serves every batch.
 
     Parameters
     ----------
@@ -230,12 +246,11 @@ class MiniBatchTrainer:
                     else None
                 ),
             )
-            mask = mb.seed_mask()
             loss, acc = trainer.train_step(
                 features[mb.vertices],
                 labels[mb.vertices],
                 optimizer,
-                None if mask.all() else mask,
+                distance=mb.distance,
             )
             self.params = trainer.params
             result.records.append(

@@ -16,11 +16,12 @@ import pytest
 import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec import Engine, MultiEngine, plan_memory
 from repro.exec.analytic import analyze_plan
-from repro.exec.memory import StepMemoryPlan
+from repro.exec.memory import StepMemoryPlan, ledger_walk
 from repro.graph.generators import erdos_renyi
 from repro.frameworks import compile_training, get_strategy
 from repro.ir.module import GRAPH_CONSTANTS
 from repro.registry import MODELS
+from tests.helpers import ring_root_sizes
 
 GRAPH = erdos_renyi(150, 1200, seed=11)
 STATS = GRAPH.stats()
@@ -199,18 +200,39 @@ class TestMiniBatchTrainerMemoryPlans:
             plan_minibatches(GRAPH, 40, trainer.hops, rng=np.random.default_rng(0))
         )
         assert epoch.num_batches == len(schedule)
+        phases = list(zip((compiled.fwd_plan, compiled.bwd_plan), compiled.rings()))
         for record, mb in zip(epoch.records, schedule):
-            field_stats = mb.subgraph.stats()
+            # Each step runs on rings: the ledger walk over the roots at
+            # the sizes the rings hold them.
+            assert mb.distance[-1] > 0
             want = max(
-                analyze_plan(
-                    compiled.fwd_plan, field_stats, pinned=pinned
-                ).peak_memory_bytes,
-                analyze_plan(
-                    compiled.bwd_plan, field_stats, pinned=pinned
-                ).peak_memory_bytes,
+                ledger_walk(
+                    plan, ring_root_sizes(plan, depth, mb.subgraph, mb.distance),
+                    pinned=pinned,
+                ).peak_bytes
+                for plan, depth in phases
             )
             assert record.peak_bytes == want
         assert epoch.peak_bytes == max(r.peak_bytes for r in epoch.records)
+
+    def test_seeds_covering_watermark_is_the_field_ledger(self):
+        from repro.train import Adam, MiniBatchTrainer
+
+        compiled = compile_training(MODELS.get("sage")(8, 3), get_strategy("ours"))
+        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(GRAPH.num_vertices, 8))
+        labels = rng.integers(0, 3, size=GRAPH.num_vertices)
+        trainer = MiniBatchTrainer(
+            compiled, GRAPH, batch_size=GRAPH.num_vertices, precision="float32",
+            memory_plan=True,
+        )
+        (record,) = trainer.train_epoch(feats, labels, Adam(lr=0.01)).records
+        want = max(
+            analyze_plan(plan, STATS, pinned=pinned).peak_memory_bytes
+            for plan in (compiled.fwd_plan, compiled.bwd_plan)
+        )
+        assert record.peak_bytes == want
 
     def test_memory_plan_requires_accounting_precision(self):
         from repro.train import MiniBatchTrainer, Trainer

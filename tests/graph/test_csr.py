@@ -222,6 +222,40 @@ class TestCachedSegmentOperators:
         assert op.shape == (7, block.num_edges)
         assert np.array_equal(op.indices, np.arange(block.num_edges))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_block_within_is_the_ring_edges_in_csr_order(self, seed):
+        from repro.exec.kernels import gather_kernel
+        from repro.graph import chung_lu
+
+        graph = chung_lu(60, 400, seed=seed)
+        place = np.empty(graph.num_edges, dtype=np.int64)
+        place[graph.csc_eids] = np.arange(graph.num_edges)
+        rng = np.random.default_rng(seed)
+        for within in (0, 1, 7, 30, 60):
+            inner = graph.row_block("in", 0, within)
+            for hi in (0, 4, 31, 60):
+                block = graph.row_block("out", 0, hi, within=within)
+                assert graph.row_block("out", 0, hi, within=within) is block
+                assert block.num_edges == inner.num_edges
+                assert np.array_equal(block.eids, inner.eids)
+                # Each source's kept out-edges, in the graph's CSR order,
+                # named by their place in the CSC grouping.
+                for u in range(hi):
+                    segment = graph.csr_eids[graph.csr_indptr[u]:graph.csr_indptr[u + 1]]
+                    want = [p for p in place[segment] if p < inner.num_edges]
+                    got = block.csr_eids[block.csr_indptr[u]:block.csr_indptr[u + 1]]
+                    assert list(got) == want
+                # A sum over out-edges of values that are zero past the
+                # ring edges: the whole graph's sums, bit for bit.
+                x = rng.normal(size=(inner.num_edges, 3)).astype(np.float32)
+                whole = np.zeros((graph.num_edges, 3), dtype=np.float32)
+                whole[inner.eids] = x
+                got, _ = gather_kernel("sum", block, x, orientation="out")
+                want, _ = gather_kernel("sum", graph, whole, orientation="out")
+                assert got.tobytes() == want[:hi].tobytes()
+        with pytest.raises(ValueError, match="within"):
+            graph.row_block("in", 0, 5, within=3)
+
     def test_derived_graphs_start_with_empty_caches(self, small_graph):
         from repro.dyn import DynamicGraph, GraphDelta
 

@@ -25,6 +25,7 @@ import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec import Engine, MultiEngine, plan_module
 from repro.exec.memory import ledger_walk, root_sizes
 from repro.exec.plan import KernelIO
+from repro.exec.rings import WHOLE
 from repro.exec.profiler import KernelRecord, PhaseCounters
 from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.graph import Graph
@@ -849,6 +850,24 @@ def forward_receptive_hops(module: Module) -> int:
                     depth[out] = d
                     changed = True
     return max((depth.get(o, 0) for o in module.outputs), default=0)
+
+
+def ring_root_sizes(plan, depth, graph: Graph, distance) -> Dict[str, int]:
+    """:func:`~repro.exec.memory.root_sizes` of a run on rings: a root
+    held on ring ``d`` (``depth``, a ring map) costs its spec on rows
+    ``[0, n_d)`` and their in-edges; one on the field's last ring or
+    beyond, the whole field's."""
+    top = int(distance[-1])
+    specs = plan.module.specs
+    sizes = {}
+    for root in root_sizes(plan, graph.stats()):
+        ring = depth.get(root, WHOLE)
+        rows, edges = graph.num_vertices, graph.num_edges
+        if ring < top:
+            rows = int(np.searchsorted(distance, ring, side="right"))
+            edges = int(graph.csc_indptr[rows])
+        sizes[root] = specs[root].nbytes(rows, edges)
+    return sizes
 
 
 def ring_graph(graph: Graph, distance: np.ndarray, depth: int):

@@ -17,7 +17,13 @@ change):
 3. **Receptive-field exactness** — for in-orientation models the
    masked-seed gradients of a sampled step equal the full-graph
    gradients of the same masked loss.
+4. **Rings are bit-identical** — a sampled epoch, whose steps compute
+   each layer, forward and backward, only on the rows the seeds need,
+   reproduces the same batches run whole-field with the seed mask:
+   losses, accuracies and parameter trajectories by ``tobytes()``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +34,7 @@ from repro.graph.stats import expected_khop_field_size
 from repro.models import GraphSAGE
 from repro.registry import MODELS
 from repro.session import Session
-from repro.train import Adam, MiniBatchTrainer, Trainer, receptive_hops
+from repro.train import SGD, Adam, MiniBatchTrainer, Trainer, receptive_hops
 from repro.train.loop import softmax_cross_entropy
 
 
@@ -89,6 +95,254 @@ class TestFullBatchBitConsistency:
     @pytest.mark.parametrize("strategy_name", TRAINING_STRATEGIES)
     def test_every_model_times_strategy(self, model_name, strategy_name):
         _assert_bit_identical_full_batch(model_name, strategy_name, steps=2)
+
+
+def _assert_ring_epochs_match_whole(
+    model_name, strategy_name, hops_offset, arena, *,
+    problem=_problem, batch_size=20, epochs=2, precision=None, optimizer=Adam,
+):
+    """A ring epoch == the same batches through :class:`Trainer` on
+    each ``mb.subgraph`` whole, seed-masked, with no ``distance``.
+    ``hops_offset`` is from the model's depth; ``None`` samples 0 hops
+    (every batch all ring 0, run whole); ``precision`` overrides the
+    strategy's storage precision.  Returns the most rows any ring below
+    a field's last held."""
+    graph, feats, labels, in_dim, classes = problem()
+    model = MODELS.get(model_name)(in_dim, classes)
+    strategy = get_strategy(strategy_name)
+    if precision is not None:
+        strategy = replace(strategy, precision=precision)
+    compiled = compile_training(model, strategy)
+    hops = 0
+    if hops_offset is not None:
+        hops = max(receptive_hops(compiled.forward) + hops_offset, 0)
+    mbt = MiniBatchTrainer(
+        compiled, graph, batch_size=batch_size, hops=hops,
+        precision="float32", seed=0, sampler_seed=3, memory_plan=arena,
+    )
+    opt_ring, opt_whole = optimizer(lr=0.01), optimizer(lr=0.01)
+    params = dict(mbt.params)
+    schedule = np.random.default_rng(3)
+    rows = 0
+    for _ in range(epochs):
+        epoch = mbt.train_epoch(feats, labels, opt_ring)
+        batches = plan_minibatches(graph, batch_size, hops, rng=schedule)
+        for record, mb in zip(epoch.records, batches):
+            whole = Trainer(
+                compiled, mb.subgraph, params=params, precision="float32",
+                memory_plans=(
+                    compiled.memory_plan(mb.subgraph.stats()) if arena else None
+                ),
+            )
+            mask = mb.seed_mask()
+            loss, acc = whole.train_step(
+                feats[mb.vertices], labels[mb.vertices], opt_whole,
+                None if mask.all() else mask,
+            )
+            params = whole.params
+            assert np.float64(record.loss).tobytes() == np.float64(loss).tobytes()
+            assert np.float64(record.accuracy).tobytes() == np.float64(acc).tobytes()
+            rows = max(rows, int((mb.distance < mb.distance[-1]).sum()))
+        for name, value in params.items():
+            assert value.tobytes() == mbt.params[name].tobytes(), (
+                f"{model_name}/{strategy_name}: param {name} diverged"
+            )
+    return rows
+
+
+def _large_problem():
+    return _problem(num_vertices=1200, num_edges=5000, seed=5)
+
+
+class TestRingEpochs:
+    """Sampled steps on rings == the same batches whole (contract 4)."""
+
+    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("model_name", ["sage", "gat", "gcn", "monet"])
+    def test_matches_whole_field_steps(self, model_name, arena):
+        # MoNet's Gaussian parameter gradients reduce edge rows: ringed
+        # edge operands go back to their COO ids, +0.0 elsewhere.
+        _assert_ring_epochs_match_whole(model_name, "ours", 0, arena)
+
+    @pytest.mark.parametrize("precision", ["fp16", "bf16"])
+    def test_narrow_storage(self, precision):
+        # fp16 losses reduce in float32 when unmasked (np.mean) and in
+        # float16 when masked: a ring step takes the masked reductions.
+        # SGD: Adam's eps underflows in float16 gradients.
+        _assert_ring_epochs_match_whole(
+            "gin", "ours", 0, False, precision=precision, optimizer=SGD
+        )
+
+    def test_rings_past_400_rows(self):
+        # Above 400 rows the BLAS products split their reduction
+        # dimension; the tiled products and whole-row PARAM_GRADs must
+        # keep every bit anyway.
+        rows = _assert_ring_epochs_match_whole(
+            "sage", "ours", 0, False,
+            problem=_large_problem, batch_size=300, epochs=1,
+        )
+        assert rows > 400
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("hops_offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize(
+        "strategy_name", ["dgl-like", "fusegnn-like", "ours", "ours-stash"]
+    )
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_zoo(self, model_name, strategy_name, hops_offset, arena):
+        _assert_ring_epochs_match_whole(
+            model_name, strategy_name, hops_offset, arena
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_zoo_past_400_rows(self, model_name):
+        rows = _assert_ring_epochs_match_whole(
+            model_name, "ours", 0, True,
+            problem=_large_problem, batch_size=300, epochs=1,
+        )
+        assert rows > 400
+
+
+class TestRingHazards:
+    """What a ring step must not get wrong where the rows run out."""
+
+    @staticmethod
+    def _batch(graph, hops=2, batch_size=12, seed=1):
+        """The first sampled batch whose field reaches ``hops``."""
+        rng = np.random.default_rng(seed)
+        for mb in plan_minibatches(graph, batch_size, hops, rng=rng):
+            if mb.distance[-1] == hops:
+                return mb
+        raise AssertionError("no batch reaches its last hop")
+
+    @staticmethod
+    def _grads(trainer, feats, labels, mb, ring):
+        """One forward and backward; the loss reads the seeds only."""
+        if ring:
+            fwd = trainer.forward(feats, distance=mb.distance)
+            n0 = mb.num_seeds
+            logits = fwd[trainer.output_name][:n0]
+            _, grad = softmax_cross_entropy(logits, labels[:n0])
+            return trainer.backward(fwd, grad, distance=mb.distance)
+        fwd = trainer.forward(feats)
+        _, grad = softmax_cross_entropy(
+            fwd[trainer.output_name], labels, mb.seed_mask()
+        )
+        return trainer.backward(fwd, grad)
+
+    def test_softmax_without_in_edges_leaves_zero_not_nan(self):
+        # No self-loops: some field vertices have no in-edges at all, so
+        # GAT's softmax sums 0 over them on every ring that holds them.
+        graph = chung_lu(90, 260, seed=2)
+        mb = self._batch(graph)
+        sub = mb.subgraph
+        lonely = np.flatnonzero(sub.in_degrees[: int((mb.distance <= 1).sum())] == 0)
+        assert lonely.size
+        compiled = compile_training(MODELS.get("gat")(6, 4), get_strategy("ours"))
+        params = compiled.model.init_params(0)
+        feats = np.random.default_rng(0).normal(size=(sub.num_vertices, 6))
+        engine = Trainer(compiled, sub, params=params, precision="float32").engine
+        engine.check_finite = True
+        arrays = compiled.model.make_inputs(sub, feats)
+        arrays.update(params)
+        env = engine.bind(compiled.forward, arrays)
+        whole = engine.run_plan(compiled.fwd_plan, env)
+        ring = engine.run_plan(
+            compiled.fwd_plan, env,
+            distance=mb.distance, rings=compiled.rings()[0],
+        )
+        sums = [name for name in ring if name.startswith("esm_sum")]
+        assert sums
+        for name in sums:
+            rows = ring[name].shape[0]
+            assert np.isfinite(ring[name]).all()
+            assert not ring[name][lonely[lonely < rows]].any()
+            assert ring[name].tobytes() == whole[name][:rows].tobytes()
+
+    def test_dead_relu_weight_gradient_columns_keep_their_bits(self):
+        graph, feats, labels, in_dim, classes = _problem(
+            num_vertices=300, num_edges=900, seed=4
+        )
+        mb = self._batch(graph, batch_size=30)
+        compiled = compile_training(
+            GraphSAGE(in_dim, (8, classes)), get_strategy("ours")
+        )
+        params = compiled.model.init_params(1)
+        # Unit 3 of layer 0 is dead on every row: its column of each
+        # layer-0 weight gradient is all zeros, reduced over the field.
+        params["l0_bias"] = params["l0_bias"].copy()
+        params["l0_bias"][3] = -1e4
+        grads = [
+            self._grads(
+                Trainer(compiled, mb.subgraph, params=params, precision="float32"),
+                feats[mb.vertices], labels[mb.vertices], mb, ring,
+            )
+            for ring in (True, False)
+        ]
+        for name in grads[1]:
+            assert grads[0][name].tobytes() == grads[1][name].tobytes(), name
+        assert not grads[0]["l0_w_self"][:, 3].any()
+        assert not grads[0]["l0_bias"][3]
+
+    @pytest.mark.parametrize("model_name", ["sage", "gat", "gcn"])
+    def test_check_finite_ring_steps(self, model_name):
+        graph, feats, labels, in_dim, classes = _problem()
+        mb = self._batch(graph)
+        compiled = compile_training(
+            MODELS.get(model_name)(in_dim, classes), get_strategy("ours")
+        )
+        params = []
+        for ring in (True, False):
+            trainer = Trainer(compiled, mb.subgraph, precision="float32")
+            trainer.engine.check_finite = True   # node by node, no chains
+            args = (feats[mb.vertices], labels[mb.vertices], Adam(lr=0.01))
+            if ring:
+                trainer.train_step(*args, distance=mb.distance)
+            else:
+                trainer.train_step(*args, mb.seed_mask())
+            params.append(trainer.params)
+        for name in params[1]:
+            assert params[0][name].tobytes() == params[1][name].tobytes(), name
+
+    def test_distance_step_refuses_a_mask(self):
+        graph, feats, labels, in_dim, classes = _problem()
+        mb = self._batch(graph)
+        compiled = compile_training(
+            MODELS.get("sage")(in_dim, classes), get_strategy("ours")
+        )
+        trainer = Trainer(compiled, mb.subgraph, precision="float32")
+        with pytest.raises(ValueError, match="no mask"):
+            trainer.train_step(
+                feats[mb.vertices], labels[mb.vertices], Adam(lr=0.01),
+                mb.seed_mask(), distance=mb.distance,
+            )
+
+    def test_arena_param_grad_tails_never_read_stale_bytes(self):
+        graph, feats, labels, in_dim, classes = _problem()
+        mb = self._batch(graph)
+        sub = mb.subgraph
+        compiled = compile_training(
+            MODELS.get("sage")(in_dim, classes), get_strategy("ours")
+        )
+        ring = Trainer(
+            compiled, sub, precision="float32",
+            memory_plans=compiled.memory_plan(sub.stats()),
+        )
+        whole = Trainer(compiled, sub, precision="float32")
+        args = (feats[mb.vertices], labels[mb.vertices])
+        opt_ring, opt_whole = Adam(lr=0.01), Adam(lr=0.01)
+        for _ in range(3):
+            if ring.engine._arena is not None:
+                # NaN in every byte a ring leaves unwritten: a PARAM_GRAD
+                # reading its tail from the slab would return NaN.
+                ring.engine._arena[1].buffer.fill(0xFF)
+            ring.train_step(*args, opt_ring, distance=mb.distance)
+            whole.train_step(*args, opt_whole, mb.seed_mask())
+        assert ring.engine._arena is not None
+        for name in whole.params:
+            assert ring.params[name].tobytes() == whole.params[name].tobytes(), name
 
 
 class TestGatherReconciliation:
