@@ -60,10 +60,10 @@ def build_bundle(
         for _, plan in phases
         for spec in plan.module.specs.values()
     )
-    memory_plans = {}
+    arenas = {}
     if not logical:
         planned = session.memory_plan(training=training).phases()
-        memory_plans = {phase: mp for (phase, _), mp in zip(phases, planned)}
+        arenas = {phase: mp for (phase, _), mp in zip(phases, planned)}
 
     if session.resolve_cluster() is not None:
         pstats = session.resolve_partition_stats()
@@ -83,7 +83,7 @@ def build_bundle(
                 phase=phase,
                 plan=plan,
                 stats=stats,
-                memory_plan=memory_plans.get(phase),
+                memory_plan=arenas.get(phase),
             )
             for phase, plan in phases
         ],

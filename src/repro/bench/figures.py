@@ -425,7 +425,7 @@ def fig_minibatch_io() -> FigureResult:
             .model(model).dataset("pubmed").strategy(strategy).gpu(gpu)
         )
         for bs in (None, 4096, 1024, 256):
-            report = sess.minibatch(bs, 2).report()
+            report = sess.minibatch(bs).report()
             row = SweepRow.from_report(report)
             epoch = report.minibatch  # None on the full-graph row
             normalized.append(

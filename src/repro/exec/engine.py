@@ -106,8 +106,7 @@ def require_arena_dtypes(dtypes: Iterable[str]) -> None:
 
     Logical dtypes are *simulated* in float32 arrays, which do not fit
     the (honestly sized) logical-byte slabs.  Raised where an arena run
-    is configured (``InferenceServer``, ``MiniBatchTrainer``) and where
-    one begins.
+    begins.
     """
     logical = sorted(set(dtypes).intersection(LOGICAL_DTYPES))
     if logical:

@@ -55,17 +55,16 @@ The engine mirrors the single-GPU API (``bind`` → ``run_plan``) and
 returns globally-assembled arrays, so it drops into any place an
 ``Engine`` runs, backward plans included.
 
-**Overlap modes.**  ``overlap="events"`` executes kernels in the
+**Overlap.**  ``overlap="threads"`` executes kernels in the
 hazard-wave order of :func:`repro.analysis.races.hazard_waves` (each
 wave an antichain of the race analyzer's happens-before DAG, so every
-reordering it performs is between ``may_overlap``-certified pairs);
-``overlap="threads"`` additionally runs each wave's kernels on a
-``ThreadPoolExecutor``, with every kernel writing a private overlay
-that is merged in kernel order after the wave.  Both modes flatten
-exchange records in plan-kernel order and replay the memory ledgers
-serially, so outputs, exchange schedules, and measured peaks stay
-bit-identical to the serial oracle — the differential contract the
-runtime tests pin.
+reordering it performs is between ``may_overlap``-certified pairs) and
+runs each wave's kernels on a ``ThreadPoolExecutor``, with every kernel
+writing a private overlay that is merged in kernel order after the
+wave.  It flattens exchange records in plan-kernel order and replays
+the memory ledgers serially, so outputs, exchange schedules, and
+measured peaks stay bit-identical to the serial oracle — the
+differential contract the runtime tests pin.
 """
 
 from __future__ import annotations
@@ -152,26 +151,23 @@ class MultiEngine:
         Global topology.
     partition:
         A prebuilt :class:`GraphPartition`, or an integer GPU count (a
-        hash partition is built with ``partitioner``/``seed``).
+        hash partition with seed 0 is built).
     precision:
         As in :class:`~repro.exec.engine.Engine`; every shard engine
         shares it.
     overlap:
-        ``None`` (serial oracle, kernels in plan order), ``"events"``
-        (hazard-wave order on the virtual timeline), or ``"threads"``
-        (hazard waves with a real thread pool).  Either mode is
+        ``None`` (serial oracle, kernels in plan order) or
+        ``"threads"`` (hazard waves on a real thread pool), which is
         bit-identical to the serial oracle.
     """
 
-    OVERLAP_MODES = (None, "events", "threads")
+    OVERLAP_MODES = (None, "threads")
 
     def __init__(
         self,
         graph: Graph,
         partition: Union[GraphPartition, int],
         *,
-        partitioner: str = "hash",
-        seed: int = 0,
         precision: str = "float32",
         overlap: Optional[str] = None,
     ):
@@ -184,9 +180,7 @@ class MultiEngine:
         #: Hazard waves of the most recent overlapped :meth:`run_plan`.
         self.overlap_waves: Optional[List[List[int]]] = None
         if isinstance(partition, int):
-            partition = partition_graph(
-                graph, partition, method=partitioner, seed=seed
-            )
+            partition = partition_graph(graph, partition)
         if partition.graph is not graph:
             raise ValueError("partition was built for a different graph")
         self.graph = graph
@@ -196,7 +190,7 @@ class MultiEngine:
         self._binder = Engine(graph, precision=precision)
         self.precision = self._binder.precision
         #: One interpreter per simulated GPU, over the part's in-graph.
-        #: Nothing is freed mid-run: overlap modes execute out of plan
+        #: Nothing is freed mid-run: threaded runs execute out of plan
         #: order and replay the per-kernel epilogues afterwards.
         self._shards = [
             Engine(part.in_graph, precision=precision, free_dead_values=False)
@@ -309,23 +303,19 @@ class MultiEngine:
         ]
         # Exchange records collected per kernel and flattened in plan
         # order, so the schedule reconciles against plan_comm_records
-        # regardless of the execution order an overlap mode picks.
+        # regardless of the execution order the thread pool picks.
         sinks: List[List[ExchangeRecord]] = [[] for _ in plan.kernels]
         if self.overlap is None:
             self.overlap_waves = None
-            waves = [[ki] for ki in range(len(plan.kernels))]
+            for ki in range(len(plan.kernels)):
+                self._run_kernel(plan, ki, runs, sinks[ki])
         else:
             # Local import: the analysis layer sits above this
             # low-level module, which must not import it eagerly.
             from repro.analysis.races import hazard_waves
 
-            waves = self.overlap_waves = hazard_waves(plan)
-        if self.overlap == "threads":
-            self._run_threaded(plan, waves, runs, sinks)
-        else:
-            for wave in waves:
-                for ki in wave:
-                    self._run_kernel(plan, ki, runs, sinks[ki])
+            self.overlap_waves = hazard_waves(plan)
+            self._run_threaded(plan, self.overlap_waves, runs, sinks)
         # Per-kernel epilogues replayed in plan order: the ledger reads
         # only its own kernel's writes and frees by liveness index, and
         # no value was dropped, so the replay reproduces the serial

@@ -15,13 +15,12 @@ per tenant) over a shared concrete graph and feature store:
    gather cost of the cache misses — and the SLO-aware scheduler
    (:func:`~repro.serve.scheduler.place_batches`) places batches from
    all tenant queues onto the GPU pool (EDF or FIFO),
-4. batches execute through the ordinary
-   :class:`~repro.exec.engine.Engine` on their induced subgraphs
-   (optionally through per-field arena plans), each node on the ring of
-   the field the seeds' rows need (``run_plan(distance=)`` with the
-   batch's hop distances), and each request's seed rows are delivered —
-   bit-identical to a whole-field run's.  The clock still prices the
-   whole field.
+4. batches execute through the ordinary float32
+   :class:`~repro.exec.engine.Engine` on their induced subgraphs, on
+   fresh storage, each node on the ring of the field the seeds' rows
+   need (``run_plan(distance=)`` with the batch's hop distances), and
+   each request's seed rows are delivered — bit-identical to a
+   whole-field run's.  The clock still prices the whole field.
 
 A :class:`~repro.gpu.cluster.Cluster` serves as a homogeneous pool —
 whole batches are placed on single GPUs, so the interconnect never
@@ -52,10 +51,7 @@ from repro.dyn.featurestore import FeatureStore
 if TYPE_CHECKING:  # runtime import would cycle: dyn.workload uses serve.request
     from repro.dyn.workload import UpdateEvent
 from repro.exec.analytic import feature_gather_row_bytes
-from repro.exec.engine import (
-    Engine, require_accounting_precision, require_arena_dtypes,
-)
-from repro.exec.memory import StepMemoryPlan
+from repro.exec.engine import Engine
 from repro.exec.rings import receptive_hops
 from repro.frameworks.strategy import CompiledForward
 from repro.gpu.cluster import Cluster
@@ -77,18 +73,13 @@ class _TenantRuntime:
     """Per-tenant compiled state: plan, params, gather-row pricing.
 
     What a batch needs that is constant for the plan — its output
-    name — is resolved here once; input names
+    name and its receptive-field radius (the forward module's depth) —
+    is resolved here once; input names
     are resolved once per model (:meth:`GNNModel.make_inputs`), so no
     batch builds or validates a module.
     """
 
-    def __init__(
-        self,
-        name: str,
-        compiled: CompiledForward,
-        *,
-        hops: Optional[int],
-    ):
+    def __init__(self, name: str, compiled: CompiledForward):
         if not isinstance(compiled, CompiledForward):
             raise TypeError(
                 f"tenant {name!r}: serving takes a CompiledForward "
@@ -101,9 +92,7 @@ class _TenantRuntime:
             )
         self.name = name
         self.compiled = compiled
-        self.hops = hops if hops is not None else receptive_hops(compiled.forward)
-        if self.hops < 0:
-            raise ValueError("hops must be non-negative")
+        self.hops = receptive_hops(compiled.forward)
         self.params = compiled.model.init_params(0)
         self.output_name = compiled.forward.outputs[0]
         self.row_bytes = feature_gather_row_bytes(compiled.plan)
@@ -129,19 +118,18 @@ class InferenceServer:
         Micro-batching knobs and the queue policy (``"edf"``/``"fifo"``).
     cache_rows:
         LRU feature-cache capacity in rows (0 disables caching).
-    hops:
-        Receptive-field radius override for every tenant (default:
-        each compiled forward's message-passing depth).
     memory_plan:
-        Plan a fresh arena per receptive field and execute through it
-        (requires the accounting precision, float32); the planned
+        Price each receptive field's arena plan
+        (``compiled.memory_plan(field_stats)``): the planned
         pinned+arena footprint then drives the device-fit check.
+        Batches still execute on fresh storage.
     execute:
         ``False`` skips concrete engine execution (no delivered
         outputs).  Every metric is analytic, so reports are identical
         either way — the switch exists for costing-only experiments.
 
-    Every tenant serves its model's ``init_params(0)``.
+    Every tenant serves its model's ``init_params(0)``, at float32,
+    on fields of its forward module's depth.
     """
 
     def __init__(
@@ -154,10 +142,8 @@ class InferenceServer:
         batch_policy: Optional[BatchPolicy] = None,
         scheduler_policy: str = "edf",
         cache_rows: int = 0,
-        hops: Optional[int] = None,
         memory_plan: bool = False,
         execute: bool = True,
-        precision: str = "float32",
     ):
         if features.shape[0] != graph.num_vertices:
             raise ValueError(
@@ -166,15 +152,14 @@ class InferenceServer:
             )
         # Refuse bad settings here, not mid-stream: batches are
         # placed only after every one is expanded and priced (and, on
-        # dynamic runs, the updates before it applied), and engines are
-        # built per batch.
+        # dynamic runs, the updates before it applied).
         if scheduler_policy not in SCHEDULER_POLICIES:
             raise ValueError(
                 f"unknown scheduler policy {scheduler_policy!r}; use one "
                 f"of {SCHEDULER_POLICIES}"
             )
-        if memory_plan:
-            require_accounting_precision(precision)
+        if cache_rows < 0:
+            raise ValueError("cache_rows must be non-negative")
         self.graph = graph
         self.features = features
         if isinstance(compiled, Mapping):
@@ -184,15 +169,9 @@ class InferenceServer:
         if not tenant_plans:
             raise ValueError("server needs at least one tenant plan")
         self.tenants: Dict[str, _TenantRuntime] = {
-            name: _TenantRuntime(name, plan, hops=hops)
+            name: _TenantRuntime(name, plan)
             for name, plan in tenant_plans.items()
         }
-        if memory_plan and execute:
-            require_arena_dtypes(
-                spec.dtype
-                for plan in tenant_plans.values()
-                for spec in plan.plan.module.specs.values()
-            )
         resolved = get_gpu(gpu) if isinstance(gpu, str) else gpu
         if isinstance(resolved, Cluster):
             self.cluster: Optional[Cluster] = resolved
@@ -210,7 +189,6 @@ class InferenceServer:
         self.cache_rows = int(cache_rows)
         self.memory_plan = memory_plan
         self.execute = execute
-        self.precision = precision
         #: The feature cache of the most recent :meth:`serve` call.
         self.cache: Optional[FeatureCache] = None
         #: Dynamic state of the most recent :meth:`serve` call (``None``
@@ -262,7 +240,6 @@ class InferenceServer:
         self,
         runtime: _TenantRuntime,
         mb: MiniBatch,
-        mplan,
         feature_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Run the tenant's forward plan on the induced subgraph.
@@ -272,14 +249,12 @@ class InferenceServer:
         ring-0 rows, the seeds'; they are bit-identical to a direct
         whole-field :class:`Engine` run on the same subgraph with the
         same sliced feature rows.
-        ``mplan`` is the batch's arena plan from the costing pass (None
-        without :attr:`memory_plan`), reused rather than replanned.
         ``feature_rows`` overrides the static matrix slice on dynamic
         runs: the rows come from the batch's dispatch-time
         :class:`FeatureStore` snapshot.
         """
         compiled = runtime.compiled
-        engine = Engine(mb.subgraph, precision=self.precision, memory_plan=mplan)
+        engine = Engine(mb.subgraph)
         if feature_rows is None:
             feature_rows = self.features[mb.vertices]
         arrays = compiled.model.make_inputs(mb.subgraph, feature_rows)
@@ -379,7 +354,6 @@ class InferenceServer:
         fields: List[MiniBatch] = []
         costs: List[BatchCost] = []
         splits = []
-        mplans: List[Optional[StepMemoryPlan]] = []
         pending: List[PendingBatch] = []
         versions: List[Tuple[int, int]] = []
         batch_feats: List[Optional[np.ndarray]] = []
@@ -405,9 +379,8 @@ class InferenceServer:
                 else None
             )
             compute = runtime.compiled.counters(field_stats, smp)
-            mplans.append(smp)
             # The batch must fit one pool device (arena-aware when a
-            # memory plan backs the run).
+            # memory plan prices the run).
             self.cost.check_memory(compute)
             # The cache's LRU order follows the rows' order: id order.
             split = cache.gather(np.sort(mb.vertices), runtime.row_bytes)
@@ -443,9 +416,8 @@ class InferenceServer:
         traces: List[BatchTrace] = []
         outcomes: List[RequestOutcome] = []
         outputs: Dict[int, np.ndarray] = {}
-        for batch, mb, cost, split, mplan, slot, (gv, fv), feats in zip(
-            batches, fields, costs, splits, mplans, placements, versions,
-            batch_feats,
+        for batch, mb, cost, split, slot, (gv, fv), feats in zip(
+            batches, fields, costs, splits, placements, versions, batch_feats,
         ):
             gpu_busy[slot.gpu] += slot.service_s
             traces.append(
@@ -465,9 +437,7 @@ class InferenceServer:
                 )
             )
             logits = (
-                self._execute_batch(
-                    self.tenants[batch.tenant], mb, mplan, feats
-                )
+                self._execute_batch(self.tenants[batch.tenant], mb, feats)
                 if self.execute
                 else None
             )

@@ -360,8 +360,9 @@ class RunConfig:
     partitioner: Optional[str] = None
     #: Input width of registry models (``None``: the dataset's).
     feature_dim: Optional[int] = None
-    #: Sampled mini-batch epoch: ``(batch_size, hops, seed)``.
-    minibatch: Optional[Tuple[int, Optional[int], int]] = None
+    #: Sampled mini-batch epoch: ``(batch_size, seed)``, each field at
+    #: the model's depth.
+    minibatch: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.schedule not in (None, "memory"):
@@ -380,12 +381,10 @@ class RunConfig:
                 self, "precision", canonical_precision(self.precision)
             )
         if self.minibatch is not None:
-            batch_size, hops, seed = self.minibatch
+            batch_size, seed = self.minibatch
             if batch_size <= 0:
                 raise ValueError("batch_size must be positive")
-            if hops is not None and hops < 0:
-                raise ValueError("hops must be non-negative")
-            object.__setattr__(self, "minibatch", (int(batch_size), hops, seed))
+            object.__setattr__(self, "minibatch", (int(batch_size), seed))
 
     def device(self) -> Union[GPUSpec, Cluster]:
         """The resolved ``gpu`` axis: a spec, or a cluster."""
@@ -515,27 +514,23 @@ class Session:
         return self._set(gpu=gpu, partitioner=partitioner)
 
     def minibatch(
-        self,
-        batch_size: Optional[int],
-        hops: Optional[int] = None,
-        *,
-        seed: int = 0,
+        self, batch_size: Optional[int], *, seed: int = 0
     ) -> "Session":
         """Evaluate sampled mini-batch training instead of full-graph.
 
         Per epoch the workload is covered by random seed batches of
-        ``batch_size`` vertices, each expanded to its ``hops``-hop
-        receptive field (default: the compiled model's message-passing
-        depth).  :meth:`report` then prices the *epoch* totals with
-        per-batch peak memory (``report().minibatch``) — concrete
-        datasets sample exact batches (seeded by ``seed``), stats-only
-        workloads use the degree-model field estimate.
+        ``batch_size`` vertices, each expanded to the receptive field
+        of the compiled model's message-passing depth.  :meth:`report`
+        then prices the *epoch* totals with per-batch peak memory
+        (``report().minibatch``) — concrete datasets sample exact
+        batches (seeded by ``seed``), stats-only workloads use the
+        degree-model field estimate.
         ``minibatch(None)`` restores full-graph evaluation.  Mini-batch
         accounting is single-GPU; combine with :meth:`gpu`, not
         :meth:`cluster`.
         """
         return self._set(
-            minibatch=None if batch_size is None else (batch_size, hops, seed)
+            minibatch=None if batch_size is None else (batch_size, seed)
         )
 
     def feature_dim(self, dim: Optional[int]) -> "Session":
@@ -755,9 +750,8 @@ class Session:
 
     def _minibatch_schedule(self, compiled) -> List[Tuple[int, GraphStats]]:
         """One epoch's (num_seeds, field_stats) pairs for the workload."""
-        batch_size, hops, seed = self._config.minibatch
-        if hops is None:
-            hops = receptive_hops(compiled.forward)
+        batch_size, seed = self._config.minibatch
+        hops = receptive_hops(compiled.forward)
         ds = self.resolve_dataset()
         rng = np.random.default_rng(seed)
         if ds is not None and ds.has_concrete_graph:
@@ -890,10 +884,9 @@ class Session:
         if self._config.minibatch is not None:
             # One "step" = one sampled epoch (a full vertex pass,
             # the unit comparable to a full-graph step).
-            batch_size, hops, mb_seed = self._config.minibatch
+            batch_size, mb_seed = self._config.minibatch
             mb_trainer = MiniBatchTrainer(
-                compiled, graph,
-                batch_size=batch_size, hops=hops,
+                compiled, graph, batch_size=batch_size,
                 precision="float32", seed=seed, sampler_seed=mb_seed,
             )
             for _ in range(train_steps):
@@ -915,14 +908,8 @@ class Session:
         qps: float = 1000.0,
         seeds_per_request: int = 1,
         slo_s: float = 0.05,
-        arrival: str = "poisson",
-        burst: int = 8,
         zipf_alpha: float = 0.0,
-        max_batch: int = 8,
-        max_wait_s: float = 0.002,
-        scheduler: str = "edf",
         cache_rows: int = 0,
-        hops: Optional[int] = None,
         seed: int = 0,
         execute: bool = True,
         update_frac: float = 0.0,
@@ -931,17 +918,20 @@ class Session:
     ):
         """Serve a synthetic online workload against this configuration.
 
-        Generates an open-loop request stream (``arrival`` ``"poisson"``
-        or ``"bursty"``, Zipf-skewed seed popularity under
-        ``zipf_alpha``, all randomness seeded by ``seed``), compiles
-        the forward plan through the shared :class:`PlanCache`, and
-        runs it through an :class:`~repro.serve.server.InferenceServer`
-        on the configured GPU (or :meth:`cluster` pool) — micro-batched
-        under ``max_batch``/``max_wait_s``, feature-cached with
-        ``cache_rows`` LRU rows, scheduled by ``scheduler``
-        (``"edf"``/``"fifo"``).  With :meth:`schedule` set to
-        ``"memory"`` every batch executes through a per-field arena
-        plan and the device-fit check uses the planned footprint.
+        Generates an open-loop Poisson request stream (Zipf-skewed
+        seed popularity under ``zipf_alpha``, all randomness seeded by
+        ``seed``), compiles the forward plan through the shared
+        :class:`PlanCache`, and runs it through an
+        :class:`~repro.serve.server.InferenceServer` on the configured
+        GPU (or :meth:`cluster` pool) — micro-batched by the default
+        :class:`~repro.serve.batcher.BatchPolicy`, feature-cached with
+        ``cache_rows`` LRU rows, placed earliest-deadline-first, each
+        batch's field at the model's depth.  With :meth:`schedule` set
+        to ``"memory"`` every batch's field is priced by its arena plan
+        and the device-fit check uses the planned footprint; batches
+        still execute on fresh storage.  Bursty arrivals, other batch
+        policies and FIFO placement are
+        :class:`~repro.serve.server.InferenceServer`'s, driven directly.
 
         ``update_frac > 0`` makes the run *dynamic*: the stream comes
         from :func:`repro.dyn.mixed_workload` (each event is a write
@@ -950,9 +940,7 @@ class Session:
         vertices), and the server answers each
         batch against the graph/feature snapshot current at its
         dispatch time, compacting the delta overlay every
-        ``compact_every`` applied deltas.  Dynamic runs require the
-        ``"poisson"`` arrival process (the mixed stream is one Poisson
-        event process; a bursty variant would need its own generator).
+        ``compact_every`` applied deltas.
 
         Returns the :class:`~repro.serve.metrics.ServeReport` —
         p50/p95/p99 latency, throughput, SLO violations, cache hit
@@ -961,15 +949,13 @@ class Session:
         dataset with a concrete graph (serving answers real seed
         vertices).
         """
-        from repro.serve import (  # local: keeps base import cheap
-            BatchPolicy,
-            InferenceServer,
-            bursty_workload,
-            poisson_workload,
-        )
+        # Local: keeps the base import cheap.
+        from repro.serve import InferenceServer, poisson_workload
 
         if not 0.0 <= update_frac < 1.0:
             raise ValueError("update_frac must lie in [0, 1)")
+        if compact_every is not None and compact_every <= 0:
+            raise ValueError("compact_every must be positive")
         ds = self.resolve_dataset()
         if ds is None or not ds.has_concrete_graph:
             raise ValueError(
@@ -981,6 +967,17 @@ class Session:
         features = self._features(ds, seed)
         compiled = self.compile(training=False)
         tenant = self._config.labels()["model"]
+        cluster = self.resolve_cluster()
+        # Built before the stream: the server refuses bad settings.
+        server = InferenceServer(
+            graph,
+            features,
+            {tenant: compiled},
+            gpu=cluster if cluster is not None else self.resolve_gpu(),
+            cache_rows=cache_rows,
+            memory_plan=self._config.schedule == "memory",
+            execute=execute,
+        )
         stream = dict(
             qps=qps,
             num_vertices=graph.num_vertices,
@@ -994,11 +991,6 @@ class Session:
         if update_frac > 0.0:
             from repro.dyn import mixed_workload  # local: keeps import cheap
 
-            if arrival != "poisson":
-                raise ValueError(
-                    "dynamic serving (update_frac > 0) uses one Poisson "
-                    "event stream; arrival must be 'poisson'"
-                )
             workload, updates = mixed_workload(
                 num_requests,
                 feature_dim=in_dim,
@@ -1006,27 +998,8 @@ class Session:
                 new_vertex_prob=new_vertex_prob,
                 **stream,
             )
-        elif arrival == "poisson":
-            workload = poisson_workload(num_requests, **stream)
-        elif arrival == "bursty":
-            workload = bursty_workload(num_requests, burst=burst, **stream)
         else:
-            raise ValueError(
-                f"unknown arrival process {arrival!r}; use 'poisson' or 'bursty'"
-            )
-        cluster = self.resolve_cluster()
-        server = InferenceServer(
-            graph,
-            features,
-            {tenant: compiled},
-            gpu=cluster if cluster is not None else self.resolve_gpu(),
-            batch_policy=BatchPolicy(max_batch=max_batch, max_wait_s=max_wait_s),
-            scheduler_policy=scheduler,
-            cache_rows=cache_rows,
-            hops=hops,
-            memory_plan=self._config.schedule == "memory",
-            execute=execute,
-        )
+            workload = poisson_workload(num_requests, **stream)
         return server.serve(workload, updates=updates, compact_every=compact_every)
 
 
@@ -1373,7 +1346,7 @@ def run_sweep(
             model=m, dataset=d, strategy=strat, schedule=sched,
             precision=prec, feature_dim=feature_dim,
             gpu=g if n <= 1 else make_cluster(g, n),
-            minibatch=None if bs is None else (bs, None, 0),
+            minibatch=None if bs is None else (bs, 0),
         )
         if i % per_plan == 0:
             compiled = (

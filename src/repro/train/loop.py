@@ -90,11 +90,6 @@ class Trainer:
         Initial parameter arrays (defaults to the model's initialiser).
     precision:
         Engine float dtype.
-    memory_plans:
-        Optional arena plan(s) (see :class:`~repro.exec.engine.Engine`'s
-        ``memory_plan``): the matching plans execute in their arena from
-        the first step, and :attr:`last_peak_bytes` records the step's
-        measured live-byte high-watermark with the plan's pinned set.
     """
 
     def __init__(
@@ -105,11 +100,10 @@ class Trainer:
         params: Optional[Dict[str, np.ndarray]] = None,
         precision: str = "float64",
         seed: int = 0,
-        memory_plans: Optional[object] = None,
     ):
         self.compiled = compiled
         self.graph = graph
-        self.engine = Engine(graph, precision=precision, memory_plan=memory_plans)
+        self.engine = Engine(graph, precision=precision)
         #: Measured live-byte high-watermark of the last train/eval step
         #: (max over the forward and backward plan walks).
         self.last_peak_bytes: int = 0
@@ -131,8 +125,7 @@ class Trainer:
         }
         self._steps = 0
         self._plans_arena = (
-            memory_plans is None
-            and self.engine.precision == np.dtype("float32")
+            self.engine.precision == np.dtype("float32")
             and {s.dtype for s in specs.values()}.isdisjoint(LOGICAL_DTYPES)
         )
         #: The last step's forward results: the storage the next step's

@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exec.analytic import vertex_data_inputs
-from repro.exec.engine import require_accounting_precision, require_arena_dtypes
 from repro.exec.rings import receptive_hops
 from repro.frameworks.strategy import CompiledTraining
 from repro.graph.csr import Graph
@@ -79,9 +78,8 @@ class BatchRecord:
     #: engine precision matches the accounting dtype (float32).
     gather_bytes: int
     #: Measured live-byte high-watermark of the step (max over the
-    #: forward and backward walks on this batch's induced subgraph).
-    #: Populated when the trainer runs with ``memory_plan=True``, where
-    #: it equals the ledger walk over the roots at the sizes the step's
+    #: forward and backward walks on this batch's induced subgraph):
+    #: the unpinned ledger walk over the roots at the sizes the step's
     #: rings hold them (``analyze_plan`` on the field's stats when the
     #: batch covers every seed and runs whole).
     peak_bytes: int = 0
@@ -140,7 +138,11 @@ class MiniBatchTrainer:
     batch to its receptive field, induce the subgraph, and take one
     optimizer step on the seeds' loss, each layer on the rings of the
     field its seeds need.  The compiled plan is topology-independent,
-    so one compilation serves every batch.
+    so one compilation serves every batch.  Each field's radius is the
+    compiled forward module's depth (:func:`receptive_hops`), and each
+    step runs on fresh storage: a batch's
+    :class:`~repro.train.loop.Trainer` takes one step, so it never
+    plans an arena.
 
     Parameters
     ----------
@@ -150,24 +152,15 @@ class MiniBatchTrainer:
         Full concrete topology batches are sampled from.
     batch_size:
         Seed vertices per step (``>= num_vertices`` = full-graph limit).
-    hops:
-        Receptive-field radius; default is the compiled forward
-        module's :func:`receptive_hops`.
     params / precision / seed:
         As for :class:`~repro.train.loop.Trainer`.
     sampler_seed:
         Seeds the batch-sampling RNG (one stream across epochs).  The
         first epoch's schedule equals
-        ``plan_minibatches(graph, batch_size, hops,
-        rng=np.random.default_rng(sampler_seed))`` — the analytic
-        walker draws the identical schedule from the same seed.
-    memory_plan:
-        Plan a fresh arena per batch (each receptive field has its own
-        extents) and execute through it: every step's boundary values
-        live in reused slabs and its ``BatchRecord.peak_bytes``
-        measures the live-byte high-watermark.  Requires the
-        accounting precision (``precision="float32"``), like every
-        measured-vs-analytic reconciliation.
+        ``plan_minibatches(graph, batch_size, receptive_hops(
+        compiled.forward), rng=np.random.default_rng(sampler_seed))`` —
+        the analytic walker draws the identical schedule from the same
+        seed.
     """
 
     def __init__(
@@ -176,34 +169,18 @@ class MiniBatchTrainer:
         graph: Graph,
         *,
         batch_size: int,
-        hops: Optional[int] = None,
         params: Optional[Dict[str, np.ndarray]] = None,
         precision: str = "float64",
         seed: int = 0,
         sampler_seed: int = 0,
-        memory_plan: bool = False,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if memory_plan:
-            # Engines are built per batch; refuse here, not mid-epoch.
-            require_accounting_precision(precision)
-            require_arena_dtypes(
-                spec.dtype
-                for _, plan in compiled.phases()
-                for spec in plan.module.specs.values()
-            )
         self.compiled = compiled
         self.graph = graph
         self.batch_size = int(batch_size)
-        self.hops = (
-            int(hops) if hops is not None
-            else receptive_hops(compiled.forward)
-        )
-        if self.hops < 0:
-            raise ValueError("hops must be non-negative")
+        self.hops = receptive_hops(compiled.forward)
         self.precision = precision
-        self.memory_plan = memory_plan
         self.params = dict(
             params if params is not None else compiled.model.init_params(seed)
         )
@@ -240,11 +217,6 @@ class MiniBatchTrainer:
                 mb.subgraph,
                 params=self.params,
                 precision=self.precision,
-                memory_plans=(
-                    self.compiled.memory_plan(mb.subgraph.stats())
-                    if self.memory_plan
-                    else None
-                ),
             )
             loss, acc = trainer.train_step(
                 features[mb.vertices],

@@ -8,8 +8,6 @@ without an arena memory plan — and executing through the arena (slab
 reuse included) reproduces the fresh-storage run bit for bit.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -180,21 +178,28 @@ class TestMultiEngineWatermarks:
             assert 0 < measured <= want.peak_memory_bytes
 
 
-class TestMiniBatchTrainerMemoryPlans:
-    def test_per_field_watermark_reconciles(self):
-        from repro.graph.sampling import plan_minibatches
+class TestMiniBatchTrainerWatermarks:
+    """A sampled step runs on fresh storage, so its measured watermark
+    is the unpinned ledger walk — on a ring step, over the roots at the
+    sizes its rings hold them."""
+
+    @staticmethod
+    def _epoch(batch_size):
         from repro.train import Adam, MiniBatchTrainer
 
         compiled = compile_training(MODELS.get("sage")(8, 3), get_strategy("ours"))
-        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(GRAPH.num_vertices, 8))
         labels = rng.integers(0, 3, size=GRAPH.num_vertices)
         trainer = MiniBatchTrainer(
-            compiled, GRAPH, batch_size=40, precision="float32",
-            memory_plan=True,
+            compiled, GRAPH, batch_size=batch_size, precision="float32"
         )
-        epoch = trainer.train_epoch(feats, labels, Adam(lr=0.01))
+        return compiled, trainer, trainer.train_epoch(feats, labels, Adam(lr=0.01))
+
+    def test_per_field_watermark_reconciles(self):
+        from repro.graph.sampling import plan_minibatches
+
+        compiled, trainer, epoch = self._epoch(40)
         # The analytic twin draws the identical schedule from the seed.
         schedule = list(
             plan_minibatches(GRAPH, 40, trainer.hops, rng=np.random.default_rng(0))
@@ -202,84 +207,68 @@ class TestMiniBatchTrainerMemoryPlans:
         assert epoch.num_batches == len(schedule)
         phases = list(zip((compiled.fwd_plan, compiled.bwd_plan), compiled.rings()))
         for record, mb in zip(epoch.records, schedule):
-            # Each step runs on rings: the ledger walk over the roots at
-            # the sizes the rings hold them.
             assert mb.distance[-1] > 0
             want = max(
                 ledger_walk(
                     plan, ring_root_sizes(plan, depth, mb.subgraph, mb.distance),
-                    pinned=pinned,
+                    pinned=(),
                 ).peak_bytes
                 for plan, depth in phases
             )
             assert record.peak_bytes == want
         assert epoch.peak_bytes == max(r.peak_bytes for r in epoch.records)
 
-    def test_seeds_covering_watermark_is_the_field_ledger(self):
-        from repro.train import Adam, MiniBatchTrainer
+    @pytest.mark.parametrize("offset", ["-depth", -1, 1])
+    def test_ring_steps_off_depth_reconcile(self, offset):
+        # Fields shallower or deeper than the model, stepped through
+        # Trainer.train_step(distance=) as MiniBatchTrainer steps its own.
+        from repro.exec.rings import receptive_hops
+        from repro.graph.sampling import plan_minibatches
+        from repro.train import Adam, Trainer
 
         compiled = compile_training(MODELS.get("sage")(8, 3), get_strategy("ours"))
-        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
+        depth = receptive_hops(compiled.forward)
+        hops = 0 if offset == "-depth" else depth + offset
+        # Sparse enough that a field reaches its last hop before the
+        # whole graph.
+        graph = erdos_renyi(600, 1200, seed=3)
         rng = np.random.default_rng(0)
-        feats = rng.normal(size=(GRAPH.num_vertices, 8))
-        labels = rng.integers(0, 3, size=GRAPH.num_vertices)
-        trainer = MiniBatchTrainer(
-            compiled, GRAPH, batch_size=GRAPH.num_vertices, precision="float32",
-            memory_plan=True,
+        feats = rng.normal(size=(graph.num_vertices, 8))
+        labels = rng.integers(0, 3, size=graph.num_vertices)
+        phases = list(zip((compiled.fwd_plan, compiled.bwd_plan), compiled.rings()))
+        params, optimizer = compiled.model.init_params(0), Adam(lr=0.01)
+        schedule = list(
+            plan_minibatches(graph, 40, hops, rng=np.random.default_rng(0))
         )
-        (record,) = trainer.train_epoch(feats, labels, Adam(lr=0.01)).records
+        assert all(mb.distance[-1] == hops for mb in schedule)
+        for mb in schedule:
+            trainer = Trainer(compiled, mb.subgraph, params=params, precision="float32")
+            trainer.train_step(
+                feats[mb.vertices], labels[mb.vertices], optimizer,
+                distance=mb.distance,
+            )
+            params = trainer.params
+            assert trainer.last_peak_bytes == max(
+                ledger_walk(
+                    plan, ring_root_sizes(plan, rings, mb.subgraph, mb.distance),
+                    pinned=(),
+                ).peak_bytes
+                for plan, rings in phases
+            )
+
+    def test_seeds_covering_watermark_is_the_field_ledger(self):
+        compiled, _, epoch = self._epoch(GRAPH.num_vertices)
+        (record,) = epoch.records
         want = max(
-            analyze_plan(plan, STATS, pinned=pinned).peak_memory_bytes
+            analyze_plan(plan, STATS).peak_memory_bytes
             for plan in (compiled.fwd_plan, compiled.bwd_plan)
         )
         assert record.peak_bytes == want
 
-    def test_memory_plan_requires_accounting_precision(self):
-        from repro.train import MiniBatchTrainer, Trainer
-
+    def test_arena_plans_require_accounting_precision(self):
+        # One guard, applied where the arena plan is handed over, not
+        # at the first slab that overflows.
         compiled = compile_training(MODELS.get("sage")(8, 3), get_strategy("ours"))
-        with pytest.raises(ValueError, match="float32"):
-            MiniBatchTrainer(
-                compiled, GRAPH, batch_size=40, memory_plan=True
-            )
-        # Trainer fails at construction too, not mid-step in the arena.
         mp = plan_memory(compiled.fwd_plan, STATS)
         with pytest.raises(ValueError, match="float32"):
-            Trainer(compiled, GRAPH, memory_plans=mp)
-        # And so does a bare Engine: one guard, applied where the arena
-        # plan is handed over, not at the first slab that overflows.
-        with pytest.raises(ValueError, match="float32"):
             Engine(GRAPH, precision="float64", memory_plan=mp)
-
-    def test_memory_plan_refuses_logical_dtypes_at_construction(self):
-        from repro.train import MiniBatchTrainer
-
-        strategy = replace(get_strategy("ours"), precision="bf16")
-        compiled = compile_training(MODELS.get("sage")(8, 3), strategy)
-        # Engines are built per batch: refused here, not at the first one.
-        with pytest.raises(ValueError, match="logical dtypes"):
-            MiniBatchTrainer(
-                compiled, GRAPH, batch_size=40, precision="float32",
-                memory_plan=True,
-            )
-
-    def test_arena_epoch_matches_plain_epoch_bit_for_bit(self):
-        from repro.train import Adam, MiniBatchTrainer
-
-        compiled = compile_training(MODELS.get("sage")(8, 3), get_strategy("ours"))
-        rng = np.random.default_rng(0)
-        feats = rng.normal(size=(GRAPH.num_vertices, 8))
-        labels = rng.integers(0, 3, size=GRAPH.num_vertices)
-        plain = MiniBatchTrainer(
-            compiled, GRAPH, batch_size=40, precision="float32"
-        )
-        arena = MiniBatchTrainer(
-            compiled, GRAPH, batch_size=40, precision="float32",
-            memory_plan=True,
-        )
-        ep_p = plain.train_epoch(feats, labels, Adam(lr=0.01))
-        ep_a = arena.train_epoch(feats, labels, Adam(lr=0.01))
-        assert ep_p.loss == ep_a.loss
-        assert ep_p.accuracy == ep_a.accuracy
-        for p_name in plain.params:
-            assert np.array_equal(plain.params[p_name], arena.params[p_name])

@@ -46,7 +46,9 @@ def _compare(model_name, strategy_name, graph, num_parts, method, seed=0):
     single = Engine(graph, precision="float64", free_dead_values=False)
     outs1, grads1 = training_values(single, compiled, feats, params)
 
-    multi = MultiEngine(graph, num_parts, partitioner=method, precision="float64")
+    multi = MultiEngine(
+        graph, partition_graph(graph, num_parts, method=method), precision="float64"
+    )
     outs2, grads2 = training_values(multi, compiled, feats, params)
 
     ctx = f"{model_name}/{strategy_name}/{method}x{num_parts}"

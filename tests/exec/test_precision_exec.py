@@ -175,7 +175,7 @@ class TestMultiEnginePrecision:
         single = Engine(graph, precision="float32", free_dead_values=False)
         outs1, grads1 = training_values(single, compiled, feats, params)
 
-        multi = MultiEngine(graph, 3, partitioner="hash", precision="float32")
+        multi = MultiEngine(graph, 3, precision="float32")
         outs2, grads2 = training_values(multi, compiled, feats, params)
 
         # Halo rows and gradients round to storage at different

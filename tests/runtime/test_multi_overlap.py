@@ -1,11 +1,11 @@
 """Overlapped MultiEngine execution vs the serial oracle.
 
-The differential contract of the async runtime: running a plan in
-hazard-wave order (``overlap="events"``) or through the thread-pool
-executor (``overlap="threads"``) is **bit-identical** to the serial
-plan-order walk — outputs, parameter gradients, exchange records, and
-measured memory peaks all match exactly, because the wave decomposition
-only reorders kernels ``may_overlap`` certifies as independent.
+The differential contract of the async runtime: running a plan's
+hazard waves through the thread-pool executor (``overlap="threads"``)
+is **bit-identical** to the serial plan-order walk — outputs, parameter
+gradients, exchange records, and measured memory peaks all match
+exactly, because the wave decomposition only reorders kernels
+``may_overlap`` certifies as independent.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.registry import MODELS
 from tests.helpers import training_values
 
 IN_DIM, NUM_CLASSES = 6, 4
-MODES = ("events", "threads")
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +34,7 @@ def _run(graph, model_name, strategy_name, overlap, num_parts=4):
     feats = rng.normal(size=(graph.num_vertices, IN_DIM))
     params = model.init_params(0)
     compiled = compile_training(model, get_strategy(strategy_name))
-    multi = MultiEngine(
-        graph, num_parts, partitioner="hash", precision="float64",
-        overlap=overlap,
-    )
+    multi = MultiEngine(graph, num_parts, precision="float64", overlap=overlap)
     outs, grads = training_values(multi, compiled, feats, params)
     return multi, outs, grads
 
@@ -47,19 +43,18 @@ def _assert_bit_identical(graph, model_name, strategy_name, num_parts=4):
     serial, outs0, grads0 = _run(
         graph, model_name, strategy_name, None, num_parts
     )
-    for mode in MODES:
-        multi, outs, grads = _run(
-            graph, model_name, strategy_name, mode, num_parts
-        )
-        ctx = f"{model_name}/{strategy_name}/{mode}"
-        for name in outs0:
-            assert np.array_equal(outs0[name], outs[name]), f"{ctx}:{name}"
-        for name in grads0:
-            assert np.array_equal(grads0[name], grads[name]), f"{ctx}:{name}"
-        # The concrete exchange log reconciles record for record.
-        assert multi.exchanges == serial.exchanges, ctx
-        assert multi.comm_bytes == serial.comm_bytes, ctx
-        assert multi.overlap_waves is not None
+    multi, outs, grads = _run(
+        graph, model_name, strategy_name, "threads", num_parts
+    )
+    ctx = f"{model_name}/{strategy_name}"
+    for name in outs0:
+        assert np.array_equal(outs0[name], outs[name]), f"{ctx}:{name}"
+    for name in grads0:
+        assert np.array_equal(grads0[name], grads[name]), f"{ctx}:{name}"
+    # The concrete exchange log reconciles record for record.
+    assert multi.exchanges == serial.exchanges, ctx
+    assert multi.comm_bytes == serial.comm_bytes, ctx
+    assert multi.overlap_waves is not None
 
 
 class TestOverlapDifferential:
@@ -79,12 +74,13 @@ class TestOverlapDifferential:
             _assert_bit_identical(graph, model_name, strategy, num_parts=3)
 
     def test_waves_cover_plan(self, graph):
-        multi, _, _ = _run(graph, "gat", "ours", "events")
+        multi, _, _ = _run(graph, "gat", "ours", "threads")
         waves = multi.overlap_waves
         assert waves is not None
         kernels = sorted(k for wave in waves for k in wave)
         assert kernels == list(range(kernels[-1] + 1))
 
-    def test_unknown_mode_rejected(self, graph):
+    @pytest.mark.parametrize("mode", ["fibers", "events"])
+    def test_unknown_mode_rejected(self, graph, mode):
         with pytest.raises(ValueError, match="overlap"):
-            MultiEngine(graph, 2, overlap="fibers")
+            MultiEngine(graph, 2, overlap=mode)

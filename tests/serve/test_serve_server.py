@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.dyn import mixed_workload
+from repro.dyn import DynamicGraph, mixed_workload
 from repro.exec.engine import Engine
 from repro.exec.rings import receptive_hops
 from repro.frameworks import compile_forward, get_strategy
@@ -25,6 +25,7 @@ from repro.registry import MODELS
 from repro.serve import (
     BatchPolicy,
     InferenceServer,
+    bursty_workload,
     poisson_workload,
     receptive_field,
 )
@@ -123,9 +124,24 @@ class TestDifferentialAgainstEngine:
     def test_served_outputs_bit_identical_full_zoo(self, name, cora):
         _run_differential(name, cora)
 
-    def test_memory_plan_execution_identical(self, cora):
-        # Arena-backed execution is an accounting transform: outputs
-        # and the virtual clock must match the plain run exactly.
+    def test_bursty_stream_bit_identical(self, cora):
+        # Bursty arrivals are served by a directly driven server: each
+        # burst fills batches at once, stragglers wait out max_wait.
+        ds, graph, features = cora
+        server = make_server(graph, features, "gat", ds.num_classes)
+        reqs = bursty_workload(
+            32, qps=4000.0, num_vertices=graph.num_vertices, burst=8,
+            seeds_per_request=2, tenant="gat", zipf_alpha=0.8, seed=0,
+        )
+        server_request_seeds.clear()
+        server_request_seeds.update({r.request_id: r.seeds for r in reqs})
+        report = server.serve(reqs)
+        assert report.num_requests == 32 and len(report.outputs) == 32
+        assert_outputs_match_direct_engine(server, report, graph, features, "gat")
+
+    def test_memory_plan_prices_only(self, cora):
+        # An arena plan prices each field; batches still run on fresh
+        # storage, so outputs and the virtual clock match the plain run.
         plain = _run_differential("gat", cora, memory_plan=False)
         arena = _run_differential("gat", cora, memory_plan=True)
         for rid in plain.outputs:
@@ -137,7 +153,7 @@ class TestDifferentialAgainstEngine:
         assert np.array_equal(plain.latencies_s, arena.latencies_s)
 
 
-def _serve_on_rings(cora, name, monkeypatch, *, strategy="ours", hops=None,
+def _serve_on_rings(cora, name, monkeypatch, *, strategy="ours",
                     dynamic=False, **server_kwargs):
     """Serve a small stream and hold every delivered row, by
     ``tobytes()``, to the whole-field run of a bare Engine on its
@@ -149,8 +165,7 @@ def _serve_on_rings(cora, name, monkeypatch, *, strategy="ours", hops=None,
         MODELS.get(name)(IN_DIM, ds.num_classes), get_strategy(strategy)
     )
     server = InferenceServer(
-        graph, features, {name: compiled}, gpu="RTX3090", hops=hops,
-        **server_kwargs,
+        graph, features, {name: compiled}, gpu="RTX3090", **server_kwargs,
     )
     runtime = server.tenants[name]
     distances = []
@@ -191,20 +206,20 @@ def _serve_on_rings(cora, name, monkeypatch, *, strategy="ours", hops=None,
         for rid in trace.request_ids:
             want = logits[np.searchsorted(mb.vertices[: mb.num_seeds], seeds_by_id[rid])]
             assert report.outputs[rid].tobytes() == want.tobytes(), (
-                f"{name}/{strategy}, hops={runtime.hops}: request {rid} "
+                f"{name}/{strategy}: request {rid} "
                 "differs from the whole-field run"
             )
     return runtime.hops, distances
 
 
-class TestHopsOverride:
-    """``InferenceServer(hops=h)`` for ``h`` around the plan's own depth:
-    0 (the seeds alone), one short, exact, one past.  Batches run each
+class TestServedRings:
+    """The server expands each batch to its plan's depth and runs each
     layer on its ring of the field (``Engine.run_plan(distance=)``, the
     batch's own hop distances — never a setting), and every delivered
     row equals the whole-field run: statically, on a dynamic stream
-    with compactions, and through arena plans.  gcn brings an edge-domain module input
-    (``gcn_norm``), read at each ring's edge ids.
+    with compactions, and with arena pricing on.  gcn brings an
+    edge-domain module input (``gcn_norm``), read at each ring's edge
+    ids.
     """
 
     MODES = {
@@ -214,38 +229,76 @@ class TestHopsOverride:
     }
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    @pytest.mark.parametrize("offset", ("zero", -1, 0, 1))
     @pytest.mark.parametrize("name", ("gat", "sage", "gcn"))
-    def test_delivered_rows_equal_whole_field_run(
-        self, name, offset, mode, cora, monkeypatch
-    ):
+    def test_delivered_rows_equal_whole_field_run(self, name, mode, cora, monkeypatch):
         ds = cora[0]
         depth = receptive_hops(
             compile_forward(MODELS.get(name)(IN_DIM, ds.num_classes),
                             get_strategy("ours")).forward
         )
-        hops = 0 if offset == "zero" else depth + offset
         served, distances = _serve_on_rings(
-            cora, name, monkeypatch, hops=hops, **self.MODES[mode]
+            cora, name, monkeypatch, **self.MODES[mode]
         )
-        assert served == hops
-        assert all(d is not None and d.max() <= hops for d in distances)
-        assert any(d.max() > 0 for d in distances) == (hops > 0)
+        assert served == depth
+        assert all(d is not None and d.max() <= depth for d in distances)
+        assert any(d.max() > 0 for d in distances)
+
+
+class TestFieldsOffDepth:
+    """A field shallower or deeper than the plan's depth — the seeds
+    alone, one hop short, one past — still runs on its rings
+    (``Engine.run_plan(distance=)``), and the seeds' rows equal the
+    whole-field run's: fields of the static graph, and of a
+    ``DynamicGraph`` with appended edges and vertices."""
+
+    @pytest.mark.parametrize("dynamic", (False, True))
+    @pytest.mark.parametrize("offset", ("-depth", -1, 1))
+    @pytest.mark.parametrize("name", ("gat", "sage", "gcn"))
+    def test_seed_rows_equal_whole_field_run(self, name, offset, dynamic, cora):
+        ds, graph, features = cora
+        compiled = compile_forward(
+            MODELS.get(name)(IN_DIM, ds.num_classes), get_strategy("ours")
+        )
+        depth = receptive_hops(compiled.forward)
+        hops = 0 if offset == "-depth" else depth + offset
+        seeds = np.array([3, 50, 177, 1200])
+        if dynamic:
+            _, updates = mixed_workload(
+                16, qps=4000.0, num_vertices=graph.num_vertices,
+                feature_dim=IN_DIM, update_frac=0.5, seeds_per_request=2,
+                tenant=name, edge_frac=0.5, new_vertex_prob=0.5, seed=1,
+            )
+            dyn = DynamicGraph(graph)
+            for u in updates:
+                if u.delta is not None:
+                    dyn.apply(u.delta)
+            assert dyn.num_vertices > graph.num_vertices
+            _, features = rebuild_at(graph, features, updates, np.inf)
+            mb = dyn.receptive_field(seeds, hops)
+        else:
+            mb = receptive_field(graph, seeds, hops)
+        assert mb.distance[-1] == hops
+        engine = Engine(mb.subgraph)
+        arrays = compiled.model.make_inputs(mb.subgraph, features[mb.vertices])
+        arrays.update(compiled.model.init_params(0))
+        env = engine.bind(compiled.forward, arrays)
+        whole = engine.run_plan(compiled.plan, env)
+        rings = engine.run_plan(compiled.plan, env, distance=mb.distance)
+        out, n0 = compiled.forward.outputs[0], mb.num_seeds
+        assert rings[out][:n0].tobytes() == whole[out][:n0].tobytes()
 
 
 class TestRingsAcrossTheZoo:
     """Every delivered row equals the whole-field run over the zoo ×
-    strategies × static/dynamic × arena plans on/off."""
+    strategies × static/dynamic."""
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("memory_plan", (False, True))
     @pytest.mark.parametrize("dynamic", (False, True))
     @pytest.mark.parametrize("strategy", ("dgl-like", "fusegnn-like", "ours", "ours-stash"))
     @pytest.mark.parametrize("name", MODELS.names())
-    def test_delivered_rows(self, name, strategy, dynamic, memory_plan, cora, monkeypatch):
+    def test_delivered_rows(self, name, strategy, dynamic, cora, monkeypatch):
         _serve_on_rings(
             cora, name, monkeypatch, strategy=strategy, dynamic=dynamic,
-            memory_plan=memory_plan,
         )
 
 
@@ -469,34 +522,32 @@ class TestValidation:
         with pytest.raises(TypeError):
             InferenceServer(graph, features, {"gat": compiled})
 
-    def test_memory_plan_requires_float32(self, cora):
-        ds, graph, features = cora
-        compiled = compile_forward(
-            MODELS.get("gat")(IN_DIM, ds.num_classes), get_strategy("ours")
-        )
-        with pytest.raises(ValueError):
-            InferenceServer(
-                graph, features, compiled,
-                memory_plan=True, precision="float64",
-            )
-
     @pytest.mark.parametrize("precision", ["bf16", "int8"])
-    def test_arena_refuses_logical_dtypes_at_construction(self, cora, precision):
-        # Refused where the server is configured, not at the first
-        # executed batch; a costing-only server still prices the arena.
+    def test_memory_plan_prices_logical_dtypes(self, cora, precision):
+        # The arena plan only prices: a bf16 / int8 plan serves on
+        # fresh storage, the rows of a server without it.
         ds, graph, features = cora
         strategy = replace(get_strategy("ours"), precision=precision)
         compiled = compile_forward(
             MODELS.get("gat")(IN_DIM, ds.num_classes), strategy
         )
-        with pytest.raises(ValueError, match="logical dtypes"):
-            InferenceServer(
-                graph, features, compiled, memory_plan=True, precision="float32"
-            )
-        InferenceServer(
-            graph, features, compiled, memory_plan=True, precision="float32",
-            execute=False,
+        reqs = workload_for(graph, "default", 12)
+        priced = InferenceServer(
+            graph, features, compiled, memory_plan=True
+        ).serve(reqs)
+        plain = InferenceServer(graph, features, compiled).serve(reqs)
+        assert all(
+            t.cost.compute.forward.planned_peak_bytes is not None
+            for t in priced.batches
         )
+        assert len(priced.outputs) == len(reqs)
+        for rid, rows in plain.outputs.items():
+            assert priced.outputs[rid].tobytes() == rows.tobytes()
+
+    def test_negative_cache_rows_refused_at_construction(self, cora):
+        ds, graph, features = cora
+        with pytest.raises(ValueError, match="cache_rows"):
+            make_server(graph, features, "gat", ds.num_classes, cache_rows=-1)
 
     def test_unknown_scheduler_policy_refused_at_construction(self, cora):
         ds, graph, features = cora

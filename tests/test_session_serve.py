@@ -9,7 +9,6 @@ import pytest
 import repro
 from repro.graph.datasets import Dataset
 from repro.registry import MODELS
-from repro.serve import InferenceServer
 from repro.session import PlanCache, Session, SweepRow, run_sweep
 from tests.helpers import serve_report_digest
 
@@ -52,14 +51,6 @@ class TestSessionServe:
         assert cache.misses == 1 and cache.hits == 0
         sess.serve(num_requests=8, qps=1000.0, execute=False)
         assert cache.misses == 1 and cache.hits == 1
-
-    def test_bursty_arrivals(self):
-        rep = serve_session(arrival="bursty", burst=8)
-        assert rep.num_requests == 32
-
-    def test_unknown_arrival(self):
-        with pytest.raises(ValueError):
-            serve_session(arrival="uniform")
 
     def test_stats_only_dataset_refused(self):
         with pytest.raises(ValueError):
@@ -112,23 +103,37 @@ class TestSessionDynamicServe:
     def test_update_frac_validation(self):
         with pytest.raises(ValueError, match="update_frac"):
             serve_session(update_frac=1.0)
-        with pytest.raises(ValueError, match="poisson"):
-            serve_session(update_frac=0.3, arrival="bursty")
         with pytest.raises(ValueError, match="compact_every"):
             serve_session(update_frac=0.3, compact_every=0)
 
-    def test_unknown_scheduler_fails_before_any_batch(self, monkeypatch):
-        # The policy is refused when the server is built: no field is
-        # expanded and no update is applied to the dynamic graph first.
-        import repro.dyn.delta as delta
+    @pytest.mark.parametrize("update_frac", (0.0, 0.3))
+    def test_negative_cache_fails_before_the_stream(self, monkeypatch, update_frac):
+        # The capacity is refused when the server is built, before the
+        # request stream is generated: no request, no field, no update.
+        import repro.dyn
+        import repro.serve
 
         def fail(*args, **kwargs):
-            raise AssertionError("the stream ran before the policy check")
+            raise AssertionError("the stream was built before the check")
 
-        monkeypatch.setattr(delta.DynamicGraph, "apply", fail)
-        monkeypatch.setattr(delta.DynamicGraph, "receptive_field", fail)
-        with pytest.raises(ValueError, match="scheduler policy 'edff'"):
-            serve_session(update_frac=0.3, scheduler="edff")
+        monkeypatch.setattr(repro.serve, "poisson_workload", fail)
+        monkeypatch.setattr(repro.dyn, "mixed_workload", fail)
+        with pytest.raises(ValueError, match="cache_rows"):
+            serve_session(update_frac=update_frac, cache_rows=-1)
+
+    @pytest.mark.parametrize("compact_every", (0, -1))
+    def test_nonpositive_compact_every_fails_before_the_stream(
+        self, monkeypatch, compact_every
+    ):
+        # The interval is refused before the mixed stream is generated.
+        import repro.dyn
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the stream was built before the check")
+
+        monkeypatch.setattr(repro.dyn, "mixed_workload", fail)
+        with pytest.raises(ValueError, match="compact_every"):
+            serve_session(update_frac=0.3, compact_every=compact_every)
 
     def test_static_default_has_no_dynamic_state(self):
         rep = serve_session()
@@ -194,23 +199,33 @@ class TestFeaturesOncePerSession:
 
 
 class TestArenaLogicalDtypes:
-    def _session(self):
+    """Under ``schedule("memory")`` a bf16 plan's fields are priced by
+    their arena plans, and its batches run on fresh storage."""
+
+    def _serve(self, schedule):
         return (
             repro.session().model("gat").dataset("cora").feature_dim(16)
-            .precision("int8").schedule("memory")
+            .precision("bf16").schedule(schedule).serve(num_requests=8)
         )
 
-    def test_refused_before_the_stream_is_served(self, monkeypatch):
-        def serve(self, *args, **kwargs):
-            raise AssertionError("the stream was served before the refusal")
+    def test_prices_the_batch_and_runs_on_fresh_storage(self, monkeypatch):
+        import repro.serve.server as server
 
-        monkeypatch.setattr(InferenceServer, "serve", serve)
-        with pytest.raises(ValueError, match="logical dtypes"):
-            self._session().serve(num_requests=8)
+        handed = []
+        engine = server.Engine
 
-    def test_costing_only_serving_still_prices_the_arena(self):
-        rep = self._session().serve(num_requests=8, execute=False)
-        assert rep.num_requests == 8
+        def spy(graph, **kwargs):
+            handed.append(kwargs.get("memory_plan"))
+            return engine(graph, **kwargs)
+
+        monkeypatch.setattr(server, "Engine", spy)
+        priced, plain = self._serve("memory"), self._serve(None)
+        assert handed and not any(handed)
+        assert len(priced.outputs) == 8
+        for trace in priced.batches:
+            assert trace.cost.compute.forward.planned_peak_bytes is not None
+        for rid, rows in plain.outputs.items():
+            assert priced.outputs[rid].tobytes() == rows.tobytes()
 
 
 class TestServeSweep:
@@ -230,8 +245,7 @@ class TestServeSweep:
     def test_serve_mapping_is_forwarded_verbatim(self):
         serve = dict(
             num_requests=24, seeds_per_request=2, slo_s=0.01,
-            cache_rows=256, zipf_alpha=0.7, scheduler="fifo", seed=3,
-            max_batch=4, arrival="bursty",
+            cache_rows=256, zipf_alpha=0.7, seed=3,
         )
         (row,) = run_sweep(
             ["gat"], ["cora"], gpus=["V100"], serve_qps=[2000.0],

@@ -98,55 +98,71 @@ class TestFullBatchBitConsistency:
 
 
 def _assert_ring_epochs_match_whole(
-    model_name, strategy_name, hops_offset, arena, *,
+    model_name, strategy_name, offset, *,
     problem=_problem, batch_size=20, epochs=2, precision=None, optimizer=Adam,
+    reach=True,
 ):
-    """A ring epoch == the same batches through :class:`Trainer` on
-    each ``mb.subgraph`` whole, seed-masked, with no ``distance``.
-    ``hops_offset`` is from the model's depth; ``None`` samples 0 hops
-    (every batch all ring 0, run whole); ``precision`` overrides the
-    strategy's storage precision.  Returns the most rows any ring below
-    a field's last held."""
+    """Ring steps == the same batches through :class:`Trainer` on each
+    ``mb.subgraph`` whole, seed-masked, with no ``distance``.  The
+    fields' radius is the model's depth plus ``offset`` (``"-depth"``:
+    the seeds alone, every batch all ring 0, run whole).  At the depth
+    the ring side is a :class:`MiniBatchTrainer` epoch; off it,
+    ``Trainer.train_step(distance=)`` on the ``plan_minibatches``
+    fields of that radius.  ``precision`` overrides the strategy's
+    storage precision.  ``reach`` asserts some field reaches its
+    radius.  Returns the most rows any ring below a field's last held."""
     graph, feats, labels, in_dim, classes = problem()
     model = MODELS.get(model_name)(in_dim, classes)
     strategy = get_strategy(strategy_name)
     if precision is not None:
         strategy = replace(strategy, precision=precision)
     compiled = compile_training(model, strategy)
-    hops = 0
-    if hops_offset is not None:
-        hops = max(receptive_hops(compiled.forward) + hops_offset, 0)
+    depth = receptive_hops(compiled.forward)
+    hops = 0 if offset == "-depth" else max(depth + offset, 0)
     mbt = MiniBatchTrainer(
-        compiled, graph, batch_size=batch_size, hops=hops,
-        precision="float32", seed=0, sampler_seed=3, memory_plan=arena,
+        compiled, graph, batch_size=batch_size,
+        precision="float32", seed=0, sampler_seed=3,
     )
+    ring_schedule = np.random.default_rng(3)
+
+    def ring_epoch(opt):
+        """(loss, accuracy) per batch, stepping ``mbt.params``."""
+        if hops == depth:
+            return [(r.loss, r.accuracy) for r in mbt.train_epoch(feats, labels, opt).records]
+        steps = []
+        for mb in plan_minibatches(graph, batch_size, hops, rng=ring_schedule):
+            trainer = Trainer(compiled, mb.subgraph, params=mbt.params, precision="float32")
+            steps.append(trainer.train_step(
+                feats[mb.vertices], labels[mb.vertices], opt, distance=mb.distance
+            ))
+            mbt.params = trainer.params
+        return steps
+
     opt_ring, opt_whole = optimizer(lr=0.01), optimizer(lr=0.01)
     params = dict(mbt.params)
     schedule = np.random.default_rng(3)
-    rows = 0
+    rows = reached = 0
     for _ in range(epochs):
-        epoch = mbt.train_epoch(feats, labels, opt_ring)
-        batches = plan_minibatches(graph, batch_size, hops, rng=schedule)
-        for record, mb in zip(epoch.records, batches):
-            whole = Trainer(
-                compiled, mb.subgraph, params=params, precision="float32",
-                memory_plans=(
-                    compiled.memory_plan(mb.subgraph.stats()) if arena else None
-                ),
-            )
+        steps = ring_epoch(opt_ring)
+        batches = list(plan_minibatches(graph, batch_size, hops, rng=schedule))
+        assert len(steps) == len(batches)
+        for (ring_loss, ring_acc), mb in zip(steps, batches):
+            whole = Trainer(compiled, mb.subgraph, params=params, precision="float32")
             mask = mb.seed_mask()
             loss, acc = whole.train_step(
                 feats[mb.vertices], labels[mb.vertices], opt_whole,
                 None if mask.all() else mask,
             )
             params = whole.params
-            assert np.float64(record.loss).tobytes() == np.float64(loss).tobytes()
-            assert np.float64(record.accuracy).tobytes() == np.float64(acc).tobytes()
+            assert np.float64(ring_loss).tobytes() == np.float64(loss).tobytes()
+            assert np.float64(ring_acc).tobytes() == np.float64(acc).tobytes()
+            reached = max(reached, int(mb.distance[-1]))
             rows = max(rows, int((mb.distance < mb.distance[-1]).sum()))
         for name, value in params.items():
             assert value.tobytes() == mbt.params[name].tobytes(), (
                 f"{model_name}/{strategy_name}: param {name} diverged"
             )
+    assert reached == hops or not reach, "no field reaches its radius"
     return rows
 
 
@@ -155,14 +171,15 @@ def _large_problem():
 
 
 class TestRingEpochs:
-    """Sampled steps on rings == the same batches whole (contract 4)."""
+    """Sampled steps on rings == the same batches whole (contract 4),
+    on fields shallower than, as deep as and deeper than the model."""
 
-    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("offset", ["-depth", -1, 0, 1])
     @pytest.mark.parametrize("model_name", ["sage", "gat", "gcn", "monet"])
-    def test_matches_whole_field_steps(self, model_name, arena):
+    def test_matches_whole_field_steps(self, model_name, offset):
         # MoNet's Gaussian parameter gradients reduce edge rows: ringed
         # edge operands go back to their COO ids, +0.0 elsewhere.
-        _assert_ring_epochs_match_whole(model_name, "ours", 0, arena)
+        _assert_ring_epochs_match_whole(model_name, "ours", offset)
 
     @pytest.mark.parametrize("precision", ["fp16", "bf16"])
     def test_narrow_storage(self, precision):
@@ -170,7 +187,7 @@ class TestRingEpochs:
         # float16 when masked: a ring step takes the masked reductions.
         # SGD: Adam's eps underflows in float16 gradients.
         _assert_ring_epochs_match_whole(
-            "gin", "ours", 0, False, precision=precision, optimizer=SGD
+            "gin", "ours", 0, precision=precision, optimizer=SGD
         )
 
     def test_rings_past_400_rows(self):
@@ -178,28 +195,28 @@ class TestRingEpochs:
         # dimension; the tiled products and whole-row PARAM_GRADs must
         # keep every bit anyway.
         rows = _assert_ring_epochs_match_whole(
-            "sage", "ours", 0, False,
-            problem=_large_problem, batch_size=300, epochs=1,
+            "sage", "ours", 0, problem=_large_problem, batch_size=300, epochs=1,
         )
         assert rows > 400
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("arena", [False, True])
-    @pytest.mark.parametrize("hops_offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("offset", ["-depth", -1, 0, 1])
     @pytest.mark.parametrize(
         "strategy_name", ["dgl-like", "fusegnn-like", "ours", "ours-stash"]
     )
     @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
-    def test_zoo(self, model_name, strategy_name, hops_offset, arena):
+    def test_zoo(self, model_name, strategy_name, offset):
+        # A 3-layer model's depth + 1 = 4 hops covers the 90-vertex
+        # graph before its last hop.
         _assert_ring_epochs_match_whole(
-            model_name, strategy_name, hops_offset, arena
+            model_name, strategy_name, offset, reach=False
         )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
     def test_zoo_past_400_rows(self, model_name):
         rows = _assert_ring_epochs_match_whole(
-            model_name, "ours", 0, True,
+            model_name, "ours", 0,
             problem=_large_problem, batch_size=300, epochs=1,
         )
         assert rows > 400
@@ -326,14 +343,13 @@ class TestRingHazards:
         compiled = compile_training(
             MODELS.get("sage")(in_dim, classes), get_strategy("ours")
         )
-        ring = Trainer(
-            compiled, sub, precision="float32",
-            memory_plans=compiled.memory_plan(sub.stats()),
-        )
+        # A float32 trainer runs its ring steps in the arena it plans
+        # at step two.
+        ring = Trainer(compiled, sub, precision="float32")
         whole = Trainer(compiled, sub, precision="float32")
         args = (feats[mb.vertices], labels[mb.vertices])
         opt_ring, opt_whole = Adam(lr=0.01), Adam(lr=0.01)
-        for _ in range(3):
+        for _ in range(4):
             if ring.engine._arena is not None:
                 # NaN in every byte a ring leaves unwritten: a PARAM_GRAD
                 # reading its tail from the slab would return NaN.
@@ -459,7 +475,7 @@ class TestMiniBatchTrainerBehaviour:
         assert np.mean([r.loss for r in results[-2:]]) < 0.8 * results[0].loss
         assert mbt.epochs_trained == 8
 
-    def test_hops_defaults_to_model_depth(self):
+    def test_fields_reach_the_model_depth(self):
         graph, feats, labels, in_dim, classes = _problem()
         model = GraphSAGE(in_dim, (8, 8, classes))  # 3 layers
         compiled = compile_training(model, get_strategy("ours"))
@@ -473,8 +489,6 @@ class TestMiniBatchTrainerBehaviour:
         compiled = compile_training(model, get_strategy("ours"))
         with pytest.raises(ValueError):
             MiniBatchTrainer(compiled, graph, batch_size=0)
-        with pytest.raises(ValueError):
-            MiniBatchTrainer(compiled, graph, batch_size=4, hops=-1)
 
     def test_evaluate_uses_full_graph(self):
         graph, feats, labels, in_dim, classes = _problem()
