@@ -2,7 +2,7 @@
 
 An :class:`~repro.exec.plan.ExecPlan` emits kernels in one legal order,
 but both the memory scheduler (:mod:`repro.opt.schedule`) and
-:class:`~repro.exec.multi.MultiEngine`'s ``overlap="threads"`` run them in
+:class:`~repro.exec.multi.MultiEngine`'s threaded overlap mode run them in
 *other* orders — or concurrently.  This module is the single authority
 on when that is sound:
 

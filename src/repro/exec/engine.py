@@ -7,6 +7,15 @@ change a computed value — which the test suite exploits: every
 optimized configuration must reproduce the per-op baseline bit for bit
 (up to float associativity).
 
+A plan runs as a *program*, lowered once per run configuration
+(:meth:`Engine._program`) into one :class:`BoundStep` per node that
+executes — its resolved kernel, operand and output slots and
+node-boundary work — and cached with the plan, so the fresh engine each
+sampled batch builds runs the same program.  Values live in a slot
+list; names appear only at binding, at the caller's storage and at the
+result boundary.  Every step runs through one call,
+:meth:`Engine._dispatch`.
+
 Fusion is not only accounting, though.  Inside a fused kernel an
 *aggregation chain* — ``copy_u`` → (× one weight per edge, or per edge
 and head) → ``sum`` / ``mean``, :meth:`ExecPlan.chains` — is one step:
@@ -20,14 +29,15 @@ owns other kernel-internal edge tensors executes as one walk over blocks
 of destination rows (source rows when its widest gather reduces over
 out-edges), each block building only a ``BLOCK_BYTES``-sized slice of
 every internal edge tensor, reducing it and dropping it
-(:meth:`Engine._run_kernel`, :meth:`ExecPlan.blocked`); a chain inside
+(:meth:`Engine._walk`, :meth:`ExecPlan.blocked`); a chain inside
 such a kernel is one of the walk's steps.  Internal values never enter
 the run's value table — the host-side meaning of "internal values live
 on chip".  Both keep each segment's ``+0.0``-then-left-to-right order in
 CSC/CSR edge order, so they are bit-identical to running the same kernel
 node by node (a weighted chain: wherever scipy's product rounds
 ``w * x`` before adding it — README clause 1d), which is what per-op
-kernels still do.  ``MultiEngine`` shards never walk; they take every
+kernels still do.  ``MultiEngine`` shards step through the same bound
+steps and never walk; they take every
 chain but an out-edge aggregation, whose exchange is billed on its edge
 operand.  Runs that round or inspect
 at the node boundaries a chain removes — float16 / bfloat16 / int8
@@ -37,8 +47,10 @@ A caller that reads only some output rows — a serving batch reads its
 seeds' — passes each vertex's hop distance from them
 (``run_plan(distance=)``, non-decreasing: the field is laid out hop by
 hop) and every node then computes only the ring of the field its
-readers need (:meth:`ExecPlan.rings`, :class:`_Rings`), a prefix of
-its rows: the read rows come out bit for bit as in the whole-field run.
+readers need (:meth:`ExecPlan.rings`, :func:`~repro.exec.rings.ring_step`),
+a prefix of its rows: the read rows come out bit for bit as in the
+whole-field run.  A run supplies the ring sizes and cuts each ring's
+block once; the rest is lowered with the program.
 
 Array conventions (see :mod:`repro.exec.kernels`): callers provide
 vertex/edge tensors with their natural leading row axis and parameters
@@ -49,40 +61,30 @@ in natural shape; the engine wraps PARAM/DENSE values with a leading
 from __future__ import annotations
 
 import time
-from collections import ChainMap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, MutableMapping, Optional,
-    Sequence, Set, Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 import numpy as np
 
 from repro.exec import blocks
-from repro.exec.kernels import (
-    aggregate, apply_kernel, gather_kernel, param_grad_kernel,
-    scatter_kernel, writes_out,
-)
+from repro.exec.kernels import aggregate, resolve_kernel, writes_out
 from repro.exec.memory import (
     ArenaPool, MemoryLedger, MemoryPlan, StepMemoryPlan, pack,
 )
-from repro.exec.plan import (
-    AggregationChain, BlockedKernel, ExecPlan, Kernel, Liveness,
-)
-from repro.exec.rings import WHOLE
+from repro.exec.plan import AggregationChain, BlockedKernel, ExecPlan
+from repro.exec.rings import WHOLE, RingStep, ring_step
 from repro.graph.csr import Graph
-from repro.ir.functions import get_scatter_fn
 from repro.ir.module import GRAPH_CONSTANTS, Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.precision import bf16_round, simulate_storage
 from repro.ir.tensorspec import LOGICAL_DTYPES, Domain, TensorSpec
 
-#: The domains whose values have a row per vertex or edge.
-_ROWS = (Domain.VERTEX, Domain.EDGE)
-
 __all__ = [
-    "Engine", "PlanRun", "translate_argmax", "require_accounting_precision",
-    "require_arena_dtypes",
+    "Engine", "PlanRun", "BoundStep", "translate_argmax",
+    "require_accounting_precision", "require_arena_dtypes",
 ]
 
 
@@ -128,182 +130,166 @@ def translate_argmax(ids: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+# ----------------------------------------------------------------------
+# The bound program
+# ----------------------------------------------------------------------
+#: A resolved kernel: ``(graph, operands, params, out) -> value``, or
+#: ``(value, argmax)`` for a gather(max) whose argmax is demanded.
+Kernel = Callable[..., object]
+
+
+@dataclass(frozen=True)
+class BoundStep:
+    """One node (or the chain it heads) resolved for execution."""
+
+    node: OpNode
+    chain: Optional[AggregationChain]
+    kernel: Kernel
+    #: Slots of the data operands (a chain's: its operands) and params.
+    ins: Tuple[int, ...]
+    params: Tuple[int, ...]
+    #: Slot of the value output, and of the argmax a demanded
+    #: gather(max) mints (``None`` otherwise).
+    out: int
+    argmax: Optional[int]
+    #: Does the kernel write into an array it is handed (its kernel
+    #: takes ``out`` and every operand has the output's dtype)?
+    in_place: bool
+    #: Output slots rounded to the bfloat16 grid at the node boundary.
+    bf16: Tuple[int, ...]
+    #: Is the node boundary closed at all (bf16 rounding, finite check)?
+    finishes: bool
+    #: Where the step runs in a ring run (``None``: as if no rings).
+    ring: Optional[RingStep] = None
+    #: Feature shape of an output a whole-row reader reads past its
+    #: ring: the step writes it into a zeroed every-row buffer.
+    widen: Optional[Tuple[int, ...]] = None
+
+
+@dataclass(frozen=True)
+class BoundWalk:
+    """A blocked kernel's walk (:class:`~repro.exec.plan.BlockedKernel`)
+    over slots: ``pre`` and ``post`` run whole, each of ``steps`` once
+    per block of home rows as ``(step, far, spill, dead)`` — operand
+    positions read from the whole arrays, ``(slot, by_edge)`` outputs
+    assembled into whole arrays, block-local slots dropped after it."""
+
+    blocked: BlockedKernel
+    #: The walk runs when the graph's edges exceed one block of rows.
+    rows_per_block: int
+    pre: Tuple[BoundStep, ...]
+    steps: Tuple[Tuple[BoundStep, FrozenSet[int], tuple, Tuple[int, ...]], ...]
+    post: Tuple[BoundStep, ...]
+    home_rows: Tuple[int, ...]
+    edge_rows: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class BoundKernel:
+    """One kernel of a program: its steps node by node, its walk (when
+    the plan classifies it as blocked and no ring touches it), and its
+    epilogue — the writes the ledger charges and the slots freed once it
+    has run."""
+
+    index: int
+    steps: Tuple[BoundStep, ...]
+    walk: Optional[BoundWalk]
+    #: The slots of the kernel's escaping writes, and their roots.
+    writes: Tuple[int, ...]
+    roots: Tuple[str, ...]
+    frees: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Program:
+    """A plan lowered for one run configuration (see :meth:`Engine._program`)."""
+
+    #: Value name → slot, and slot → name.
+    slots: Mapping[str, int]
+    names: Tuple[str, ...]
+    #: ``(name, slot)`` of the module inputs and params, and
+    #: ``(name, slot, boxed)`` of the results in
+    #: :meth:`ExecPlan.result_names` order (``boxed``: a PARAM/DENSE
+    #: value, held with a leading 1-axis).
+    inputs: Tuple[Tuple[str, int], ...]
+    results: Tuple[Tuple[str, int, bool], ...]
+    kernels: Tuple[BoundKernel, ...]
+    #: Node name → its step (nodes a taken chain stands in for: none).
+    step_of: Mapping[str, BoundStep]
+    #: The ``RingStep.block`` keys of the row blocks a ring run cuts,
+    #: once per run.
+    blocks: Tuple[Tuple, ...] = ()
+    #: The ring map it was lowered for (keeps the cache key's id live).
+    depth: Optional[Mapping[str, int]] = None
+
+
+def _bind_kernel(node: OpNode, chain: Optional[AggregationChain], argmax: bool) -> Kernel:
+    """Resolve the kernel of ``node`` — or of the chain it heads — once.
+
+    The one place the engine looks up a kernel: a chain is one product
+    (:func:`~repro.exec.kernels.aggregate`) or one scatter (a dot
+    step); every other node is its ``(kind, fn)`` entry of the kernel
+    table.  A bound kernel takes ``(graph, operands, params, out)``.
+    """
+    if chain is not None and chain.scatter is None:
+        orientation, mean = node.orientation, node.fn == "mean"
+        return lambda graph, ins, params, out: aggregate(
+            graph, *ins, orientation=orientation, mean=mean
+        )
+    attrs = node.attrs
+    if chain is not None or node.kind is OpKind.SCATTER:
+        scatter = resolve_kernel("scatter", node.fn if chain is None else chain.scatter)
+        return lambda graph, ins, params, out: (
+            scatter(graph, ins) if out is None else scatter(graph, ins, out=out)
+        )
+    if node.kind is OpKind.GATHER:
+        gather, orientation = resolve_kernel("gather", node.fn), node.orientation
+        if argmax:
+            return lambda graph, ins, params, out: gather(graph, ins[0], orientation, True)
+        return lambda graph, ins, params, out: gather(graph, ins[0], orientation, False)[0]
+    if node.kind is OpKind.APPLY:
+        apply = resolve_kernel("apply", node.fn)
+        return lambda graph, ins, params, out: (
+            apply(ins, params, attrs) if out is None
+            else apply(ins, params, attrs, out=out)
+        )
+    if node.kind is OpKind.VIEW:
+        shape = tuple(attrs["out_shape"])
+        return lambda graph, ins, params, out: ins[0].reshape((ins[0].shape[0],) + shape)
+    if node.kind is OpKind.PARAM_GRAD:
+        param_grad = resolve_kernel("param_grad", node.fn)
+        return lambda graph, ins, params, out: param_grad(ins, params, attrs)[None]
+    raise AssertionError(f"unhandled kind {node.kind}")  # pragma: no cover
+
+
+def _every_chain(
+    plan: ExecPlan, index: int
+) -> Tuple[Dict[str, AggregationChain], Set[str]]:
+    """An engine's chains of kernel ``index``: every one, by head name,
+    and the interior nodes that therefore never run."""
+    found = plan.chains(index)
+    taken = {c.head.name: c for c in found.values()}
+    return taken, {name for name in found if name not in taken}
+
+
 @dataclass
 class PlanRun:
-    """State of one plan execution: :meth:`Engine._begin` decides it,
-    the per-node step and the per-kernel epilogue read it.  A
-    partitioned run (:class:`~repro.exec.multi.MultiEngine`) holds one
-    per shard."""
+    """State of one program execution: :meth:`Engine._begin` sets it
+    up, the steps and the per-kernel epilogue read it.  A partitioned
+    run (:class:`~repro.exec.multi.MultiEngine`) holds one per shard."""
 
-    plan: ExecPlan
-    values: MutableMapping[str, np.ndarray]
-    wanted: Dict[str, None]     # plan.result_names(), as an ordered set
-    argmax_needed: Set[str]     # plan.argmax_demand()
+    program: Program
+    values: List[Optional[np.ndarray]]
     ledger: MemoryLedger
-    bf16_outputs: Set[str]      # empty unless the engine is spec-driven
-    #: Output name → the array its kernel writes into (arena runs).
-    storage: Mapping[str, np.ndarray]
+    #: Slot → the array its step writes into (arena runs).
+    storage: Mapping[int, np.ndarray]
     #: Result name → storage the caller holds it in (``run_plan``'s ``out``).
     held: Mapping[str, np.ndarray]
-    finishes: bool              # any node-boundary work to do at all?
-    chains: bool                # may aggregation chains run as one step?
-    #: The rings a run reading only distance-0 output rows computes
-    #: on (``run_plan``'s ``distance``); ``None``: every row.
-    rings: Optional["_Rings"] = None
-
-
-class _Rings:
-    """Where each node of a run that reads only the outputs' rows at
-    hop distance 0 computes, on a field laid out hop by hop: the ring
-    map's (:meth:`ExecPlan.rings`, or a training step's
-    :func:`~repro.exec.rings.training_rings`), which also gives each
-    module input the ring it is held on.
-
-    Ring ``d`` — the vertices within ``d`` hops — is rows ``[0, n_d)``
-    of the field and its in-edges are the first ``E_d`` positions of
-    the CSC grouping, so a node on ring ``d`` below the field's deepest
-    runs on the in-edge row block of rows ``[0, n_d)``
-    (:meth:`Graph.row_block`, the walk's layout): its vertex values hold
-    ``n_d`` rows, its edge values ring ``d``'s in-edges in CSC order.
-    A reader on an inner ring takes a prefix of either; an edge value
-    of the whole field (a module input) is read at the block's edge
-    ids.  A scatter reads its far operand through the block's absolute
-    source ids, which lie on ring ``d + 1``.  A sum over out-edges of
-    an edge value held on ring ``d`` runs on those edges grouped by
-    source (:meth:`Graph.row_block`'s ``within``).  A node on a
-    deeper ring runs as if there were no rings.
-
-    A gradient is held on the smaller of its demand and its support,
-    so a reader may need it further out than it is held: it reads
-    ``+0.0`` there (:func:`_zero_padded`).  A PARAM_GRAD, or any node
-    that runs on every row, reads each operand held on a ring that way
-    out to every row — a ringed edge value back at its COO positions.
-    """
-
-    def __init__(
-        self,
-        plan: ExecPlan,
-        graph: Graph,
-        distance: np.ndarray,
-        depth: Optional[Mapping[str, int]] = None,
-    ):
-        #: A lone plan is handed its inputs whole, and its demand walk
-        #: reads nothing past the ring it is held on; a training map
-        #: holds gradients on their support, which readers may widen.
-        self._widens = depth is not None
-        self._bound: FrozenSet[str] = frozenset()
-        if depth is None:
-            module = plan.module
-            depth = plan.rings()
-            self._bound = frozenset(module.inputs) | frozenset(module.params)
-        self.depth = depth
-        self.top = int(distance[-1])
-        self._graph = graph
-        self._specs = plan.module.specs
-        #: ``n_d`` for each ring below the deepest.
-        self._rows = np.searchsorted(distance, np.arange(self.top), side="right")
-        #: Values held on a ring, widened to every row (a run's values
-        #: never change, and PARAM_GRADs share operands).
-        self._whole: Dict[str, np.ndarray] = {}
-
-    def of(self, name: str) -> Optional[int]:
-        """The ring value ``name`` is held on (its node runs on), or
-        ``None`` for the whole field."""
-        ring = WHOLE if name in self._bound else self.depth.get(name, WHOLE)
-        return ring if ring < self.top else None
-
-    def _n(self, ring: Optional[int]) -> int:
-        return self._graph.num_vertices if ring is None else int(self._rows[ring])
-
-    def touches(self, kernel: Kernel) -> bool:
-        """Does any node of ``kernel`` run on, or read, a ring?"""
-        return any(
-            self.of(name) is not None
-            for node in kernel.nodes
-            for name in (node.name, *node.inputs)
-        )
-
-    def step(
-        self,
-        node: OpNode,
-        chain: Optional[AggregationChain],
-        values: Mapping[str, np.ndarray],
-        out: Optional[np.ndarray],
-    ):
-        """``(operands, block, out)`` for :meth:`Engine._execute` to run
-        ``node`` (or the chain it heads) on its ring; ``None`` when it
-        runs on the whole field and reads nothing held on a ring."""
-        ring = self.of(node.name)
-        names = node.inputs if chain is None else chain.operands
-        if node.kind is OpKind.GATHER and node.orientation == "out":
-            edges_on = self.of(node.inputs[0])
-            if edges_on is None:
-                return None
-            rows, within = self._n(ring), self._n(edges_on)
-            block = self._graph.row_block("out", 0, rows, within=within)
-        elif ring is not None and node.kind is not OpKind.PARAM_GRAD:
-            block = self._graph.row_block("in", 0, int(self._rows[ring]))
-        elif not self._widens or all(self.of(name) is None for name in names):
-            return None
-        else:
-            return [self._every_row(name, values) for name in names], None, out
-        row_wise = chain is None and node.kind in (OpKind.APPLY, OpKind.VIEW)
-        operands: List[np.ndarray] = []
-        for name in names:
-            x, domain = values[name], self._specs[name].domain
-            if domain is Domain.EDGE:
-                x = x[block.eids] if self.of(name) is None else x[: block.num_edges]
-            elif domain is Domain.VERTEX and row_wise:
-                x = x[: block.num_vertices]
-            operands.append(x)
-        if self._widens:
-            self._pad(node, chain, names, operands, block)
-        if out is not None:
-            by_edge = self._specs[node.outputs[0]].domain is Domain.EDGE
-            out = out[: block.num_edges if by_edge else block.num_vertices]
-        return operands, block, out
-
-    def _pad(
-        self,
-        node: OpNode,
-        chain: Optional[AggregationChain],
-        names: Sequence[str],
-        operands: List[np.ndarray],
-        block,
-    ) -> None:
-        """Give each operand the rows the block reads, ``+0.0`` past the
-        ring it is held on: a gradient read further out than its support."""
-        far = chain is not None or (
-            node.kind is OpKind.SCATTER and get_scatter_fn(node.fn).reads_u
-        )
-        for i, name in enumerate(names):
-            domain = self._specs[name].domain
-            if domain is Domain.EDGE:
-                rows = block.num_edges
-            elif domain is Domain.VERTEX:
-                rows = block.far_vertices if i == 0 and far else block.num_vertices
-            else:
-                continue
-            operands[i] = _zero_padded(operands[i], rows)
-
-    def _every_row(self, name: str, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        """``values[name]`` on every row of the field: a value held on a
-        ring reads ``+0.0`` past it — a ringed edge value back at its
-        COO positions — built once per run (PARAM_GRADs share operands)."""
-        x = values[name]
-        domain = self._specs[name].domain
-        if self.of(name) is None or domain not in _ROWS:
-            return x
-        wide = self._whole.get(name)
-        if wide is None:
-            graph = self._graph
-            if domain is Domain.VERTEX:
-                wide = _zero_padded(x, graph.num_vertices)
-            else:
-                wide = np.zeros((graph.num_edges,) + x.shape[1:], dtype=x.dtype)
-                wide[graph.csc_eids[: x.shape[0]]] = x
-            self._whole[name] = wide
-        return wide
+    #: A ring run's blocks, by :attr:`Program.blocks` key.
+    blocks: Mapping[Tuple, object] = field(default_factory=dict)
+    #: Slot → the value on every row, ``+0.0`` past its ring (built
+    #: once per run: PARAM_GRADs share operands).
+    wide: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def _zero_padded(x: np.ndarray, rows: int) -> np.ndarray:
@@ -468,34 +454,30 @@ class Engine:
         plan = memory_plan.plan
         specs = plan.module.specs
         V, E = self.graph.num_vertices, self.graph.num_edges
-        chains = self._takes_chains(self._storage_dtypes(plan.module))
+        program = self._program(plan)
+        names = program.names
         results = {plan.root_of(n) for n in plan.result_names()}
         # One time axis for slabs and steps: kernel k's steps are
         # k * S + (0 .. S - 1).
         S = 1 + max((len(kernel.nodes) for kernel in plan.kernels), default=0)
         writers: Set[str] = set()
         values: List[Tuple[str, int, int, int]] = []
-        for index, kernel in enumerate(plan.kernels):
-            chain_of = plan.chains(index) if chains else {}
+        for index, kernel in enumerate(program.kernels):
             internal = set(plan.kernel_io(index).internal)
-            walk = self._walk_of(plan, index, chains)
-            if walk is None:
-                # A chain runs at its head; its interior never runs.
-                nodes = [
-                    node for node in kernel.nodes
-                    if node.name not in chain_of or chain_of[node.name].head is node
-                ]
+            walk = kernel.walk
+            if walk is None or E <= walk.rows_per_block:
+                walk, steps = None, kernel.steps
             else:
-                nodes = walk[0].pre + walk[0].post
-                writers.update(n for step in walk[0].steps for n, _ in step.spill)
+                steps = walk.pre + walk.post
+                writers.update(names[s] for _, _, spill, _ in walk.steps for s, _ in spill)
             lives: Dict[str, List[int]] = {}
-            for pos, node in enumerate(nodes):
-                chain = chain_of.get(node.name)
-                for name in (chain.operands if chain else node.inputs) + node.params:
-                    if plan.root_of(name) in lives:
-                        lives[plan.root_of(name)][1] = index * S + pos
-                if self._writes_in_place(node, chain, specs):
-                    name = node.outputs[0]
+            for pos, step in enumerate(steps):
+                for slot in step.ins + step.params:
+                    root = plan.root_of(names[slot])
+                    if root in lives:
+                        lives[root][1] = index * S + pos
+                if step.in_place:
+                    name = names[step.out]
                     writers.add(name)
                     if name in internal and walk is None:
                         lives[name] = [index * S + pos] * 2
@@ -531,40 +513,191 @@ class Engine:
             for name in (chain.operands if chain else node.inputs) + node.params
         )
 
-    def _takes_chains(self, dtypes: Set[str]) -> bool:
-        """May aggregation chains run as one step in a run simulating
-        storage ``dtypes``?
+    def _takes_chains(self, module: Module) -> bool:
+        """May aggregation chains run as one step in a run of ``module``?
 
         A chain removes node boundaries: nothing may round there
-        (narrow storage) or look there (the finite check, whose
-        diagnostic names the first offending node).
+        (narrow storage, which a float64 engine does not simulate) or
+        look there (the finite check, whose diagnostic names the first
+        offending node).
         """
-        return not self.check_finite and dtypes.isdisjoint(
-            ("float16", *LOGICAL_DTYPES)
-        )
+        return not self.check_finite and (not self._spec_driven or all(
+            s.dtype not in ("float16", *LOGICAL_DTYPES) for s in module.specs.values()
+        ))
 
-    def _storage_dtypes(self, module: Module) -> Set[str]:
-        """Storage dtypes a run of ``module`` simulates (a float64 engine
-        casts every float and simulates none)."""
-        if not self._spec_driven:
-            return set()
-        return {s.dtype for s in module.specs.values()}
+    # ------------------------------------------------------------------
+    # Lowering: a plan to a program, once per run configuration
+    # ------------------------------------------------------------------
+    #: Which chains a run takes, ``(plan, index) -> (chains by head
+    #: name, nodes that never run)``: every one.  ``MultiEngine`` gives
+    #: its shards its own choice.
+    _chain_choice = staticmethod(_every_chain)
 
-    def _walk_of(
-        self, plan: ExecPlan, index: int, chains: bool
-    ) -> Optional[Tuple[BlockedKernel, int]]:
-        """``(blocked, rows_per_block)`` when kernel ``index`` runs as a
-        walk on this graph: the plan classifies it as blocked
-        (:meth:`ExecPlan.blocked`) and its edges exceed one block."""
-        blocked = plan.blocked(index, chains)
-        if blocked is None:
-            return None
-        rows_per_block = blocks.BLOCK_BYTES // (
-            blocked.row_elements * self.precision.itemsize
+    def _program(
+        self,
+        plan: ExecPlan,
+        depth: Optional[Mapping[str, int]] = None,
+        widens: bool = False,
+        top: int = 0,
+    ) -> Program:
+        """The program ``plan`` runs as under this engine's settings.
+
+        Lowered on first use per configuration — precision, whether dead
+        values are freed, ``check_finite``, the chain choice,
+        ``BLOCK_BYTES``, and for a ring run the ring map (``depth``,
+        whether its readers widen, and the field's deepest hop ``top``)
+        — and cached with the plan, so every engine running it shares
+        it: a setting changed between runs picks a program of its own,
+        never a stale one.
+        """
+        key = (
+            self.precision, self.free_dead_values, self.check_finite,
+            self._chain_choice, blocks.BLOCK_BYTES,
+            None if depth is None else (id(depth), widens, top),
         )
-        if self.graph.num_edges <= rows_per_block:
-            return None
-        return blocked, rows_per_block
+        program = plan.programs.get(key)
+        if program is None:
+            program = plan.programs[key] = self._lower(plan, depth, widens, top)
+        return program
+
+    def _lower(
+        self,
+        plan: ExecPlan,
+        depth: Optional[Mapping[str, int]],
+        widens: bool,
+        top: int,
+    ) -> Program:
+        """Lower ``plan`` into a :class:`Program` (see :meth:`_program`).
+
+        Chains are taken when the run may take any (:meth:`_takes_chains`),
+        as :attr:`_chain_choice` picks them; a kernel walks only under
+        the engine's own choice (every chain), the one the plan
+        classifies walks by.  A ring run's steps carry the
+        :func:`~repro.exec.rings.ring_step` of ``depth`` on a field
+        ``top`` hops deep: a value is held on its ring when that ring
+        lies inside the field, else on every row.  A lone plan's map
+        (``widens`` unset) is handed its inputs whole.
+        """
+        module, specs = plan.module, plan.module.specs
+        choice = self._chain_choice if self._takes_chains(module) else None
+        given = [*module.inputs, *module.params]
+        names = tuple(dict.fromkeys(
+            given + [o for node in module.nodes for o in node.outputs]
+        ))
+        slots = {name: slot for slot, name in enumerate(names)}
+        demand = plan.argmax_demand()
+        bf16 = self._spec_driven and any(s.dtype == "bfloat16" for s in specs.values())
+        runs = []  # per kernel: the nodes that run, with the chain each heads
+        for index, kernel in enumerate(plan.kernels):
+            taken, skipped = choice(plan, index) if choice else ({}, ())
+            runs.append([(n, taken.get(n.name)) for n in kernel.nodes if n.name not in skipped])
+
+        held, recipes, widened = None, {}, set()
+        if depth is not None:
+            bound = frozenset() if widens else frozenset(given)
+
+            def held(name: str) -> Optional[int]:
+                ring = WHOLE if name in bound else depth.get(name, WHOLE)
+                return ring if ring < top else None
+
+            for node, chain in (pair for nodes in runs for pair in nodes):
+                operands = chain.operands if chain else node.inputs
+                recipe = recipes[node.name] = ring_step(
+                    node, operands, chain is not None, held, specs, widens
+                )
+                if recipe is not None and recipe.block is None:
+                    widened.update(operands[i] for i, _, _ in recipe.cuts)
+
+        step_of: Dict[str, BoundStep] = {}
+        for node, chain in (pair for nodes in runs for pair in nodes):
+            argmax = node.name in demand and len(node.outputs) > 1
+            rounded = tuple(
+                slots[o] for o in node.outputs if specs[o].dtype == "bfloat16"
+            ) if bf16 and node.kind is not OpKind.VIEW else ()
+            in_place = self._writes_in_place(node, chain, specs)
+            recipe, out = recipes.get(node.name), node.outputs[0]
+            step_of[node.name] = BoundStep(
+                node=node,
+                chain=chain,
+                kernel=_bind_kernel(node, chain, argmax),
+                ins=tuple(slots[n] for n in (chain.operands if chain else node.inputs)),
+                params=tuple(slots[p] for p in node.params),
+                out=slots[out],
+                argmax=slots[node.outputs[1]] if argmax else None,
+                in_place=in_place,
+                bf16=rounded,
+                finishes=bool(rounded) or self.check_finite,
+                ring=recipe,
+                # A value a whole-row reader reads past its ring is
+                # written into a zeroed every-row buffer by its own step.
+                widen=specs[out].feat_shape if (
+                    out in widened and in_place and not rounded
+                    and recipe.block is not None and specs[out].domain is Domain.VERTEX
+                ) else None,
+            )
+
+        lives, results = plan.liveness(), set(plan.result_names())
+        kernels: List[BoundKernel] = []
+        for index, kernel in enumerate(plan.kernels):
+            blocked = plan.blocked(index, choice is not None)
+            walk = None
+            # A ring's kernel runs node by node.
+            if blocked is not None and choice in (None, _every_chain) and not (
+                held and any(
+                    held(name) is not None
+                    for node in kernel.nodes for name in (node.name, *node.inputs)
+                )
+            ):
+                walk = BoundWalk(
+                    blocked=blocked,
+                    rows_per_block=blocks.BLOCK_BYTES // (
+                        blocked.row_elements * self.precision.itemsize
+                    ),
+                    pre=tuple(step_of[n.name] for n in blocked.pre),
+                    steps=tuple(
+                        (
+                            step_of[s.node.name],
+                            frozenset(i for i, whole in enumerate(s.whole) if whole),
+                            tuple((slots[n], by_edge) for n, by_edge in s.spill),
+                            tuple(slots[n] for n in s.dead),
+                        )
+                        for s in blocked.steps
+                    ),
+                    post=tuple(step_of[n.name] for n in blocked.post),
+                    home_rows=tuple(slots[n] for n in blocked.home_rows),
+                    edge_rows=tuple(slots[n] for n in blocked.edge_rows),
+                )
+            io = plan.kernel_io(index)
+            # Freeing is root-wise: a view alias left behind would keep
+            # its dead root's storage alive.
+            dead = set(io.internal).union(lives.deaths.get(index, ()))
+            kernels.append(BoundKernel(
+                index=index,
+                steps=tuple(step_of[node.name] for node, _ in runs[index]),
+                walk=walk,
+                writes=tuple(slots[w] for w in io.writes),
+                roots=tuple(plan.root_of(w) for w in io.writes),
+                frees=tuple(
+                    slot for name, slot in slots.items()
+                    if name not in results and plan.root_of(name) in dead
+                ) if self.free_dead_values else (),
+            ))
+        return Program(
+            slots=slots,
+            names=names,
+            inputs=tuple((name, slots[name]) for name in given),
+            results=tuple(
+                (name, slots[name], specs[name].domain in (Domain.PARAM, Domain.DENSE))
+                for name in plan.result_names()
+            ),
+            kernels=tuple(kernels),
+            step_of=step_of,
+            blocks=tuple(dict.fromkeys(
+                step.ring.block for step in step_of.values()
+                if step.ring is not None and step.ring.block is not None
+            )),
+            depth=depth,
+        )
 
     # ------------------------------------------------------------------
     def bind(self, module: Module, arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -598,12 +731,11 @@ class Engine:
 
     def _wrap(self, name: str, spec: TensorSpec, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        if np.issubdtype(arr.dtype, np.floating):
-            if self._spec_driven:
-                arr = simulate_storage(spec, arr)
-            else:
+        if arr.dtype.kind == "f":
+            if not self._spec_driven:
                 arr = arr.astype(self.precision, copy=False)
-        expected_rows = spec.rows(self.graph.num_vertices, self.graph.num_edges)
+            elif spec.dtype in LOGICAL_DTYPES or arr.dtype != spec.dtype:
+                arr = simulate_storage(spec, arr)  # else already as stored
         if spec.domain in (Domain.PARAM, Domain.DENSE):
             if arr.shape == spec.feat_shape:
                 arr = arr[None]
@@ -612,18 +744,12 @@ class Engine:
                     f"{name!r}: expected shape {spec.feat_shape}, got {arr.shape}"
                 )
             return arr
+        expected_rows = spec.rows(self.graph.num_vertices, self.graph.num_edges)
         if arr.shape != (expected_rows,) + spec.feat_shape:
             raise ValueError(
                 f"{name!r}: expected shape {(expected_rows,) + spec.feat_shape}, "
                 f"got {arr.shape}"
             )
-        return arr
-
-    @staticmethod
-    def unwrap(spec: TensorSpec, arr: np.ndarray) -> np.ndarray:
-        """Strip the leading 1-axis from PARAM/DENSE results."""
-        if spec.domain in (Domain.PARAM, Domain.DENSE):
-            return arr[0]
         return arr
 
     # ------------------------------------------------------------------
@@ -659,9 +785,10 @@ class Engine:
         not decrease along the vertices — restricts the run to what
         those rows need: each node computes only the ring of the field
         :meth:`ExecPlan.rings` gives it, a prefix of the rows (see
-        :class:`_Rings`).  A vertex output read at ring 0 then holds the
-        distance-0 rows only, bit for bit the whole-field run's;
-        keep-set results are whole and exact everywhere.
+        :func:`~repro.exec.rings.ring_step`).  A vertex output read at
+        ring 0 then holds the distance-0 rows only, bit for bit the
+        whole-field run's; keep-set results are whole and exact
+        everywhere.
 
         ``rings`` replaces :meth:`ExecPlan.rings` as the map a run with
         ``distance`` computes on: a training step's
@@ -672,32 +799,41 @@ class Engine:
         """
         run = self._begin(plan, env, out, distance, rings)
         timings = self.kernel_timings
-        for i, kernel in enumerate(plan.kernels):
+        edges = self.graph.num_edges
+        for kernel in run.program.kernels:
             if timings is not None:
                 t0 = time.perf_counter()
-            self._run_kernel(run, kernel, i)
+            # A kernel the plan classifies as blocked runs as one walk,
+            # unless the graph's edges fit a single block anyway; either
+            # way a chain is one step at its gather.
+            walk = kernel.walk
+            if walk is None or edges <= walk.rows_per_block:
+                for step in kernel.steps:
+                    self._run_step(run, step)
+            else:
+                self._walk(run, walk)
             if timings is not None:
-                timings.append((i, time.perf_counter() - t0))
-            self._end_kernel(run, i)
+                timings.append((kernel.index, time.perf_counter() - t0))
+            self._end_kernel(run, kernel)
         self.measured_peak_bytes = run.ledger.peak_bytes
         self.measured_end_bytes = run.ledger.current_bytes
 
-        specs = plan.module.specs
+        values = run.values
         result: Dict[str, np.ndarray] = {}
-        for name in run.wanted:
-            arr = run.values[name]
+        for name, slot, boxed in run.program.results:
+            arr = values[slot]
             held = run.held.get(name)
             if held is not None and arr is not held:
                 np.copyto(held, arr)
                 arr = held
-            result[name] = self.unwrap(specs[name], arr) if unwrap else arr
+            result[name] = arr[0] if boxed and unwrap else arr
         return result
 
     # ------------------------------------------------------------------
-    # The pieces of a run: set-up, per-kernel entry (node by node, or
-    # one blocked walk), per-node step, per-kernel epilogue.
+    # The pieces of a run: set-up, per-kernel entry (step by step, or
+    # one blocked walk), per-step entry, per-kernel epilogue.
     # ``run_plan`` strings them together for one graph; ``MultiEngine``
-    # drives set-up, step and epilogue on one Engine per shard.
+    # drives set-up, steps and epilogue on one Engine per shard.
     # ------------------------------------------------------------------
     def _begin(
         self,
@@ -707,39 +843,9 @@ class Engine:
         distance: Optional[np.ndarray] = None,
         depth: Optional[Mapping[str, int]] = None,
     ) -> PlanRun:
-        """Set-up: result order, argmax demand, ledger, arena, bf16 set,
-        rings."""
-        module = plan.module
-        values: Dict[str, np.ndarray] = dict(env)
-        wanted = dict.fromkeys(plan.result_names())
-        dtypes = self._storage_dtypes(module)
-        memory_plan = self._memory_plan_for(plan)
-        placed, held = {}, {}
-        if memory_plan is not None:
-            require_arena_dtypes(dtypes)
-            placed, writers = self._arena_storage()[1][id(memory_plan)]
-            if out:
-                held = {
-                    n: a for n, a in out.items()
-                    if n in wanted and plan.producer_kernel(plan.root_of(n)) is not None
-                }
-                placed = {**placed, **{n: a for n, a in held.items() if n in writers}}
-        ledger = MemoryLedger(
-            plan,
-            pinned=(
-                memory_plan.pinned
-                if memory_plan is not None and self.memory_plan is not None
-                else ()
-            ),
-        )
-        ledger.bind(values)
-
-        bf16_outputs: Set[str] = (
-            {n for n, s in module.specs.items() if s.dtype == "bfloat16"}
-            if "bfloat16" in dtypes
-            else set()
-        )
-        rings = None
+        """Set-up: the program, the slot list, ledger, arena storage and,
+        for a ring run, the ring blocks."""
+        top = 0
         if distance is not None:
             distance = np.asarray(distance)
             if distance.shape != (self.graph.num_vertices,):
@@ -752,175 +858,232 @@ class Engine:
                     "distance must not decrease: rings are prefixes of a "
                     "field laid out hop by hop"
                 )
-            if distance[-1] > 0:
-                rings = _Rings(plan, self.graph, distance, depth)
-        return PlanRun(
-            plan=plan,
-            values=values,
-            wanted=wanted,
-            argmax_needed=plan.argmax_demand(),
-            ledger=ledger,
-            bf16_outputs=bf16_outputs,
-            storage=placed,
-            held=held,
-            finishes=bool(bf16_outputs) or self.check_finite,
-            chains=self._takes_chains(dtypes),
-            rings=rings,
+            top = int(distance[-1]) if distance.size else 0
+        if top > 0:
+            program = self._program(
+                plan, plan.rings() if depth is None else depth, depth is not None, top
+            )
+        else:
+            program = self._program(plan)
+        values: List[Optional[np.ndarray]] = [None] * len(program.names)
+        for name, slot in program.inputs:
+            values[slot] = env[name]
+
+        memory_plan = self._memory_plan_for(plan)
+        storage, held = {}, {}
+        if memory_plan is not None:
+            require_arena_dtypes(s.dtype for s in plan.module.specs.values())
+            placed, writers = self._arena_storage()[1][id(memory_plan)]
+            if out:
+                held = {
+                    n: a for n, a in out.items()
+                    if n in plan.result_names()
+                    and plan.producer_kernel(plan.root_of(n)) is not None
+                }
+                placed = {**placed, **{n: a for n, a in held.items() if n in writers}}
+            storage = {program.slots[n]: a for n, a in placed.items()}
+        ledger = MemoryLedger(
+            plan,
+            pinned=(
+                memory_plan.pinned
+                if memory_plan is not None and self.memory_plan is not None
+                else ()
+            ),
         )
+        ledger.bind(env)
+        run = PlanRun(program, values, ledger, storage, held)
+        if program.blocks:
+            graph = self.graph
+            rows = np.searchsorted(distance, np.arange(top), side="right")
 
-    def _run_kernel(self, run: PlanRun, kernel: Kernel, index: int) -> None:
-        """Execute one kernel of ``run.plan`` into ``run.values``.
+            def n(ring: Optional[int]) -> int:
+                return graph.num_vertices if ring is None else int(rows[ring])
 
-        A fused kernel the plan classifies as blocked
-        (:meth:`ExecPlan.blocked`) executes as one walk over blocks of
-        home rows, unless the graph's edges fit a single block anyway —
-        then, as for every other kernel, the nodes run one by one.
-        Either way an aggregation chain (:meth:`ExecPlan.chains`) is one
-        step at its gather, and its interior nodes never run.
-        """
-        chains = run.plan.chains(index) if run.chains else {}
-        walk = self._walk_of(run.plan, index, run.chains)
-        if walk is not None and run.rings is not None and run.rings.touches(kernel):
-            walk = None  # a ring's kernel runs node by node (clause 1c)
-        if walk is None:
-            self._run_nodes(run, kernel.nodes, chains)
-            return
-        blocked, rows_per_block = walk
-        self._run_nodes(run, blocked.pre, chains)
-        self._walk(run, blocked, rows_per_block)
-        self._run_nodes(run, blocked.post, chains)
+            run.blocks = {
+                key: graph.row_block("in", 0, n(key[1])) if key[0] == "in"
+                else graph.row_block("out", 0, n(key[1]), within=n(key[2]))
+                for key in program.blocks
+            }
+        return run
 
-    def _run_nodes(
+    def _run_step(
         self,
         run: PlanRun,
-        nodes: Sequence[OpNode],
-        chains: Mapping[str, AggregationChain],
+        step: BoundStep,
+        operand: Optional[np.ndarray] = None,
+        graph: Optional[Graph] = None,
     ) -> None:
-        """Step through ``nodes`` whole; a chain runs at its gather."""
-        for node in nodes:
-            chain = chains.get(node.name)
-            if chain is None or chain.head is node:
-                self._step(run, node, chain=chain)
+        """Run one step on whole arrays into ``run.values`` and close its
+        boundary.
 
-    def _walk(
-        self, run: PlanRun, blocked: BlockedKernel, rows_per_block: int
-    ) -> None:
-        """Run ``blocked.steps`` once per block of home rows.
+        ``operand``/``graph`` override the step's first operand and the
+        topology it indexes — what a partitioned run hands a SCATTER
+        (owned rows ++ fetched ghost rows), a chain (the same source
+        rows) or an out-orientation GATHER (fetched edge rows over the
+        shard's out-graph).  In an arena run the step writes into the
+        output's storage, if it has any.
+
+        A step of a ring run runs on its ring's block, its operands cut
+        to it (:class:`~repro.exec.rings.RingStep`).  A step whose
+        output a whole-row reader reads past its ring writes into a
+        zeroed every-row buffer, kept as the value's every-row form; any
+        other operand held on a ring is widened once per run when such a
+        reader first reads it (:meth:`_every_row`).
+        """
+        values = run.values
+        ins = list(map(values.__getitem__, step.ins))
+        if operand is not None:
+            ins[0] = operand
+        out = run.storage.get(step.out) if step.in_place else None
+        ring = step.ring
+        if ring is not None and ring.block is None:
+            for i, domain, _ in ring.cuts:
+                ins[i] = self._every_row(run, step.ins[i], ins[i], domain)
+        elif ring is not None:
+            graph = run.blocks[ring.block]
+            for i, take, pad in ring.cuts:
+                x = ins[i]
+                if take == "eids":
+                    x = x[graph.eids]
+                elif take is not None:
+                    rows = getattr(graph, take)
+                    if x.shape[0] > rows:
+                        x = x[:rows]
+                if pad is not None:
+                    rows = getattr(graph, pad)
+                    if x.shape[0] < rows:
+                        x = _zero_padded(x, rows)
+                ins[i] = x
+            rows = getattr(graph, ring.out)
+            if out is not None:
+                out = out[:rows]
+            elif step.widen is not None:
+                wide = np.zeros((self.graph.num_vertices,) + step.widen, dtype=ins[0].dtype)
+                run.wide[step.out] = wide
+                out = wide[:rows]
+        self._dispatch(step, values, ins, self.graph if graph is None else graph, out)
+        if step.finishes:
+            self._finish(step, values)
+
+    def _every_row(
+        self, run: PlanRun, slot: int, x: np.ndarray, domain: str
+    ) -> np.ndarray:
+        """``x``, held on a ring, on every row of the field: ``+0.0``
+        past the ring — a ringed edge value back at its COO positions."""
+        wide = run.wide.get(slot)
+        if wide is None:
+            graph = self.graph
+            if domain == "vertex":
+                wide = _zero_padded(x, graph.num_vertices)
+            else:
+                wide = np.zeros((graph.num_edges,) + x.shape[1:], dtype=x.dtype)
+                wide[graph.csc_eids[: x.shape[0]]] = x
+            run.wide[slot] = wide
+        return wide
+
+    def _walk(self, run: PlanRun, walk: BoundWalk) -> None:
+        """Run a blocked kernel as a walk: its ``pre`` steps whole, its
+        block steps once per block of home rows, its ``post`` steps
+        whole on what the blocks spilled.
 
         Each block sees the graph as :meth:`Graph.row_block` cuts it —
         the way a partitioned run sees a shard — so every step is the
-        ordinary node dispatch on block-sized operands: block-local
-        values shadow the whole arrays in ``run.values``.  Blocks hold
-        whole segments in CSC/CSR order, so every gather reduces each
-        segment in the per-node walk's order and the results are
-        bit-identical.  Only what leaves the walk (``step.spill``) is
-        assembled into whole arrays; the rest never exists beyond one
-        block.  Node boundaries close per block (bf16 rounding and the
-        finite check are elementwise).  In an arena run a spilled
-        boundary write is assembled in its slab.
+        ordinary dispatch on block-sized operands, in a copy of the
+        slot list whose block-local values shadow the whole arrays.
+        Blocks hold whole segments in CSC/CSR order, so every gather
+        reduces each segment in the per-node walk's order and the
+        results are bit-identical.  Only what leaves the walk (the
+        spills) is assembled into whole arrays; the rest never exists
+        beyond one block.  Node boundaries close per block (bf16
+        rounding and the finite check are elementwise).  In an arena
+        run a spilled boundary write is assembled in its slab.
         """
+        for step in walk.pre:
+            self._run_step(run, step)
         graph, whole = self.graph, run.values
-        orientation = blocked.orientation
+        orientation = walk.blocked.orientation
         indptr, _ = graph.segments(orientation)
-        spilled: Dict[str, np.ndarray] = {}
-        for lo, hi, _, _ in blocks.segment_blocks(indptr, rows_per_block):
+        spilled: Dict[int, np.ndarray] = {}
+        for lo, hi, _, _ in blocks.segment_blocks(indptr, walk.rows_per_block):
             block = graph.row_block(orientation, lo, hi)
-            local = {name: whole[name][lo:hi] for name in blocked.home_rows}
-            for name in blocked.edge_rows:
-                local[name] = whole[name][block.eids]
-            scope = ChainMap(local, whole)
-            for step in blocked.steps:
-                node, chain = step.node, step.chain
-                self._execute(
-                    node, scope, run.argmax_needed, graph=block, chain=chain,
-                    operands=[
-                        whole[name] if far else None
-                        for name, far in zip(
-                            node.inputs if chain is None else chain.operands,
-                            step.whole,
-                        )
-                    ],
-                )
-                if step.argmax:
-                    local[step.argmax] = translate_argmax(
-                        local[step.argmax], block.eids
-                    )
-                if run.finishes:
-                    self._close(run, node, local)
-                for name, by_edge in step.spill:
-                    chunk = local[name]
-                    out = spilled.get(name)
+            local = list(whole)
+            for slot in walk.home_rows:
+                local[slot] = whole[slot][lo:hi]
+            for slot in walk.edge_rows:
+                local[slot] = whole[slot][block.eids]
+            for step, far, spill, dead in walk.steps:
+                ins = [
+                    (whole if i in far else local)[slot]
+                    for i, slot in enumerate(step.ins)
+                ]
+                self._dispatch(step, local, ins, block)
+                if step.argmax is not None:
+                    local[step.argmax] = translate_argmax(local[step.argmax], block.eids)
+                if step.finishes:
+                    self._finish(step, local)
+                for slot, by_edge in spill:
+                    chunk = local[slot]
+                    out = spilled.get(slot)
                     if out is None:
-                        out = run.storage.get(name)
+                        out = run.storage.get(slot)
                         if out is None:
                             rows = graph.num_edges if by_edge else graph.num_vertices
                             out = np.empty((rows,) + chunk.shape[1:], dtype=chunk.dtype)
-                        spilled[name] = out
+                        spilled[slot] = out
                     if by_edge:
                         out[block.eids] = chunk
                     else:
                         out[lo:hi] = chunk
-                for name in step.dead:
-                    del local[name]
-        whole.update(spilled)
+                for slot in dead:
+                    local[slot] = None
+        for slot, arr in spilled.items():
+            whole[slot] = arr
+        for step in walk.post:
+            self._run_step(run, step)
 
-    def _step(
+    def _dispatch(
         self,
-        run: PlanRun,
-        node: OpNode,
-        *,
-        operand: Optional[np.ndarray] = None,
-        graph: Optional[Graph] = None,
-        chain: Optional[AggregationChain] = None,
+        step: BoundStep,
+        values: List[Optional[np.ndarray]],
+        ins: Sequence[np.ndarray],
+        graph,
+        out: Optional[np.ndarray] = None,
     ) -> None:
-        """Run one node into ``run.values`` and close its boundary.
+        """The one call of a bound kernel: ``step`` on operands ``ins``
+        over ``graph`` (the whole graph, a walk's or a ring's block, a
+        shard), its outputs stored in ``values``.  With ``out`` an apply
+        or scatter step writes into that array."""
+        params = [values[slot][0] for slot in step.params] if step.params else ()
+        value = step.kernel(graph, ins, params, out)
+        if step.argmax is not None:
+            value, values[step.argmax] = value
+        values[step.out] = value
 
-        ``operand``/``graph`` override the node's first input and the
-        topology it indexes — what a partitioned run hands a SCATTER
-        (owned rows ++ fetched ghost rows) or an out-orientation GATHER
-        (fetched edge rows over the shard's out-graph).  ``chain`` runs
-        the aggregation chain ``node`` heads in its place.  In an arena
-        run the step writes into the output's storage, if it has any.
-        A run on rings steps the node on its ring's block
-        (:class:`_Rings`).
-        """
-        out = run.storage.get(node.outputs[0])
-        operands = (operand,)
-        on_ring = (
-            run.rings.step(node, chain, run.values, out)
-            if run.rings is not None and graph is None else None
-        )
-        if on_ring is not None:
-            operands, graph, out = on_ring
-        self._execute(
-            node, run.values, run.argmax_needed,
-            operands=operands, graph=graph, chain=chain, out=out,
-        )
-        if run.finishes:
-            self._close(run, node, run.values)
-
-    def _close(
-        self, run: PlanRun, node: OpNode, values: MutableMapping[str, np.ndarray]
-    ) -> None:
+    def _finish(self, step: BoundStep, values: List[Optional[np.ndarray]]) -> None:
         """Node-boundary work — bf16 rounding, the finite check — on
-        whole arrays or on one block's rows alike (both elementwise)."""
-        if run.bf16_outputs and node.kind is not OpKind.VIEW:
-            # Simulate bf16 storage: every produced value is rounded to
-            # the bf16 grid at the node boundary (views alias
-            # already-rounded storage).
-            for o in node.outputs:
-                if o in run.bf16_outputs and o in values:
-                    values[o] = bf16_round(values[o])
+        whole arrays or on one block's rows alike (both elementwise).
+        Every produced value is rounded to the bf16 grid (views alias
+        already-rounded storage and round nothing)."""
+        for slot in step.bf16:
+            if values[slot] is not None:
+                values[slot] = bf16_round(values[slot])
         if self.check_finite:
-            self._assert_finite(node, values)
+            self._assert_finite(step.node, [values[step.out]] + (
+                [] if step.argmax is None else [values[step.argmax]]
+            ))
 
-    def _end_kernel(self, run: PlanRun, index: int) -> None:
-        """Per-kernel epilogue: ledger upkeep, then the dead-value sweep."""
-        run.ledger.after_kernel(index, run.values)
-        if self.free_dead_values:
-            self._sweep(
-                run.plan, run.values, run.plan.liveness(), index, run.wanted
-            )
+    def _end_kernel(self, run: PlanRun, kernel: BoundKernel) -> None:
+        """Per-kernel epilogue: ledger upkeep, then free what died —
+        boundary values after their last consumer (the plan's liveness
+        ``deaths``, which the ledger frees by too) and kernel-internal
+        values with their kernel (on a GPU they never left on-chip
+        storage), every alias of a dead root with it."""
+        values = run.values
+        run.ledger.after_kernel(
+            kernel.index, zip(kernel.roots, map(values.__getitem__, kernel.writes))
+        )
+        for slot in kernel.frees:
+            values[slot] = None
 
     def verify_plan(
         self,
@@ -953,72 +1116,10 @@ class Engine:
             raise AssertionError(diags[0].message)
 
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        node: OpNode,
-        values: MutableMapping[str, np.ndarray],
-        argmax_needed: Set[str],
-        *,
-        operands: Sequence[Optional[np.ndarray]] = (),
-        graph: Optional[Graph] = None,
-        chain: Optional[AggregationChain] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> None:
-        """The one node dispatch: run ``node`` on ``values`` in place.
-
-        ``operands`` overrides data inputs by position (``None`` keeps
-        ``values[name]``); ``graph`` overrides the topology indexed.
-        With ``chain``, ``node`` is its head and the inputs are the
-        chain's operands: the whole chain is one product, or one
-        scatter (a dot step).  ``out`` is the array an apply or scatter
-        step writes its output into (see :meth:`_writes_in_place`).
-        """
-        ins = [values[n] for n in (chain.operands if chain else node.inputs)]
-        for i, operand in enumerate(operands):
-            if operand is not None:
-                ins[i] = operand
-        if graph is None:
-            graph = self.graph
-        params = [values[p][0] for p in node.params]
-        if chain is not None and chain.scatter is None:
-            values[node.outputs[0]] = aggregate(
-                graph, *ins, orientation=node.orientation, mean=node.fn == "mean"
-            )
-        elif chain is not None or node.kind is OpKind.SCATTER:
-            values[node.outputs[0]] = scatter_kernel(
-                node.fn if chain is None else chain.scatter, graph, ins, out
-            )
-        elif node.kind is OpKind.GATHER:
-            out, argmax = gather_kernel(
-                node.fn,
-                graph,
-                ins[0],
-                orientation=node.orientation,
-                want_argmax=node.name in argmax_needed,
-            )
-            values[node.outputs[0]] = out
-            if len(node.outputs) > 1 and argmax is not None:
-                values[node.outputs[1]] = argmax
-        elif node.kind is OpKind.APPLY:
-            values[node.outputs[0]] = apply_kernel(
-                node.fn, ins, params, node.attrs, out
-            )
-        elif node.kind is OpKind.VIEW:
-            x = ins[0]
-            values[node.outputs[0]] = x.reshape(
-                (x.shape[0],) + tuple(node.attrs["out_shape"])
-            )
-        elif node.kind is OpKind.PARAM_GRAD:
-            grad = param_grad_kernel(node.fn, ins, params, node.attrs)
-            values[node.outputs[0]] = grad[None]
-        else:  # pragma: no cover - kinds are closed
-            raise AssertionError(f"unhandled kind {node.kind}")
-
     def _assert_finite(
-        self, node: OpNode, values: Mapping[str, np.ndarray]
+        self, node: OpNode, arrays: Sequence[Optional[np.ndarray]]
     ) -> None:
-        for out in node.outputs:
-            arr = values.get(out)
+        for arr in arrays:
             if (
                 arr is not None
                 and np.issubdtype(arr.dtype, np.floating)
@@ -1029,29 +1130,3 @@ class Engine:
                     f"non-finite values ({bad} entries) produced by node "
                     f"{node.name!r} ({node.kind.value}:{node.fn})"
                 )
-
-    def _sweep(
-        self,
-        plan: ExecPlan,
-        values: Dict[str, np.ndarray],
-        lives: Liveness,
-        kernel_index: int,
-        wanted: Set[str],
-    ) -> None:
-        """Free arrays whose last consuming kernel has completed.
-
-        Mirrors the ledger: boundary values die after their last
-        consumer — ``lives.deaths``, the index the run's
-        :class:`~repro.exec.memory.MemoryLedger` frees by — and
-        kernel-internal values die with their kernel (on a GPU they
-        never left on-chip storage at all).  Freeing is root-wise:
-        popping a root while a view alias of it stays in ``values``
-        would keep the storage alive (NumPy views hold a base
-        reference), so every alias of a dead root is swept with it.
-        """
-        dead = set(plan.kernel_io(kernel_index).internal)
-        dead.update(lives.deaths.get(kernel_index, ()))
-        if dead:
-            for name in list(values):
-                if name not in wanted and plan.root_of(name) in dead:
-                    del values[name]

@@ -35,8 +35,9 @@ Registry and dispatch
 Every kernel registers under its ``(kind, fn)`` pair
 (:func:`register_kernel`) in one table, and :func:`apply_kernel`,
 :func:`scatter_kernel`, :func:`gather_kernel` and
-:func:`param_grad_kernel` are the one dispatch surface: one table
-lookup, then the kernel.  Signatures by kind:
+:func:`param_grad_kernel` call a kernel by name: one table lookup,
+then the kernel.  The engine looks each node's kernel up once, when it
+lowers a plan (:func:`resolve_kernel`).  Signatures by kind:
 
 - ``apply``:      ``fn(inputs, params, attrs[, out]) -> array``
 - ``scatter``:    ``fn(graph, inputs[, out]) -> array``

@@ -463,8 +463,8 @@ class MemoryLedger:
         self.current_bytes = 0
         self.peak_bytes = 0
         #: The plan's own per-kernel death index (shared, read-only):
-        #: ``after_kernel`` frees O(dying) roots, and the engine's
-        #: dead-value sweep reads the same lists.
+        #: ``after_kernel`` frees O(dying) roots, and the engine
+        #: lowers each kernel's frees from the same lists.
         self._deaths = plan.liveness().deaths
 
     def _add(self, root: str, nbytes: int) -> None:
@@ -481,12 +481,15 @@ class MemoryLedger:
             if name in values:
                 self._add(self._plan.root_of(name), int(values[name].nbytes))
 
-    def after_kernel(self, index: int, values: Mapping[str, np.ndarray]) -> None:
-        """Account kernel ``index``'s escaping writes, then its frees."""
-        io = self._plan.kernel_io(index)
-        for w in io.writes:
-            if w in values:
-                self._add(self._plan.root_of(w), int(values[w].nbytes))
+    def after_kernel(
+        self, index: int, writes: Iterable[Tuple[str, Optional[np.ndarray]]]
+    ) -> None:
+        """Account kernel ``index``'s escaping writes — ``(root, array)``
+        for each of ``kernel_io(index).writes``, ``None`` where the run
+        holds none — then its frees."""
+        for root, array in writes:
+            if array is not None:
+                self._add(root, int(array.nbytes))
         for root in self._deaths.get(index, ()):
             if root not in self._pinned:
                 self.current_bytes -= self._resident.pop(root, 0)

@@ -7,10 +7,11 @@ a :class:`~repro.graph.partition.GraphPartition` — one array shard per
 simulated GPU.  It holds one ``Engine`` per part (over the part's
 in-graph) and walks the plan node by node with all shards in lockstep.
 
-**Shared with ``Engine``** — there is no second interpreter here: node
-dispatch onto the kernel table, binding (casts, storage simulation,
-graph constants), bf16 boundary rounding, argmax demand and the
-measured memory ledger are the shard engines' own set-up / step /
+**Shared with ``Engine``** — there is no second interpreter here: the
+shards run the plan's bound program (:class:`~repro.exec.engine.BoundStep`:
+the resolved kernel, operand slots, bf16 boundary rounding, argmax
+demand), and binding (casts, storage simulation, graph constants) and
+the measured memory ledger are the shard engines' own set-up / step /
 per-kernel epilogue.
 
 **Partition-specific** — all this module does:
@@ -70,14 +71,13 @@ differential contract the runtime tests pin.
 from __future__ import annotations
 
 import os
-from collections import ChainMap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.exec.engine import Engine, PlanRun, translate_argmax
+from repro.exec.engine import BoundStep, Engine, PlanRun, translate_argmax
 from repro.exec.plan import AggregationChain, ExecPlan
 from repro.graph.csr import Graph
 from repro.graph.partition import (
@@ -189,13 +189,16 @@ class MultiEngine:
         # constants) happens once on global arrays, by a global Engine.
         self._binder = Engine(graph, precision=precision)
         self.precision = self._binder.precision
-        #: One interpreter per simulated GPU, over the part's in-graph.
+        #: One interpreter per simulated GPU, over the part's in-graph,
+        #: taking the chains a partition can (:meth:`_taken_chains`).
         #: Nothing is freed mid-run: threaded runs execute out of plan
         #: order and replay the per-kernel epilogues afterwards.
         self._shards = [
             Engine(part.in_graph, precision=precision, free_dead_values=False)
             for part in partition.parts
         ]
+        for shard in self._shards:
+            shard._chain_choice = self._taken_chains
         #: Transfers performed by the most recent :meth:`run_plan`.
         self.exchanges: List[ExchangeRecord] = []
         #: Per-part live-byte high-watermarks of the most recent run,
@@ -320,9 +323,9 @@ class MultiEngine:
         # only its own kernel's writes and frees by liveness index, and
         # no value was dropped, so the replay reproduces the serial
         # peaks exactly whatever order the kernels ran in.
-        for ki in range(len(plan.kernels)):
+        for kernel in runs[0].program.kernels:
             for shard, run in zip(self._shards, runs):
-                shard._end_kernel(run, ki)
+                shard._end_kernel(run, kernel)
         self.exchanges = [record for records in sinks for record in records]
         self.measured_peak_bytes_per_gpu = [run.ledger.peak_bytes for run in runs]
 
@@ -334,10 +337,10 @@ class MultiEngine:
         }
         return {
             name: self._assemble(
-                name, module, runs,
+                name, slot, module, runs,
                 to_global_argmax=name in argmax_values, unwrap=unwrap,
             )
-            for name in runs[0].wanted
+            for name, slot, _ in runs[0].program.results
         }
 
     def _run_threaded(
@@ -352,7 +355,8 @@ class MultiEngine:
         A wave is an antichain of the hazard DAG, so its kernels
         neither read nor write each other's roots — they commute, and
         can run concurrently against the shared base state, each
-        writing a private overlay that is merged afterwards.
+        writing a private copy of the slot lists whose new entries are
+        merged afterwards.
         """
         workers = max(1, min(16, os.cpu_count() or 1))
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -361,7 +365,7 @@ class MultiEngine:
                     self._run_kernel(plan, wave[0], runs, sinks[wave[0]])
                     continue
                 overlays = {
-                    ki: [replace(run, values=ChainMap({}, run.values)) for run in runs]
+                    ki: [replace(run, values=list(run.values)) for run in runs]
                     for ki in wave
                 }
                 futures = [
@@ -370,13 +374,16 @@ class MultiEngine:
                 ]
                 for fut in futures:
                     fut.result()
-                # Merge overlays in kernel order.  Same-wave kernels
-                # never write the same root (WAW is a hazard edge), so
-                # the merge order is cosmetic; kernel order keeps it
-                # deterministic anyway.
+                # Merge what each kernel wrote, in kernel order.  Same-
+                # wave kernels never write the same root (WAW is a
+                # hazard edge), so the merge order is cosmetic; kernel
+                # order keeps it deterministic anyway.
+                bases = [list(run.values) for run in runs]
                 for ki in wave:
-                    for run, overlay in zip(runs, overlays[ki]):
-                        run.values.update(overlay.values.maps[0])
+                    for run, base, overlay in zip(runs, bases, overlays[ki]):
+                        for slot, value in enumerate(overlay.values):
+                            if value is not base[slot]:
+                                run.values[slot] = value
 
     # -- the lockstep driver -------------------------------------------
     def _run_kernel(
@@ -388,40 +395,41 @@ class MultiEngine:
     ) -> None:
         """Step every shard through one kernel, node by node.
 
-        Each node runs through the shard engines' own step; this driver
-        only adds what a partition needs around it: halo rows for the
-        operands another part owns, trimming gather outputs to owned
-        rows, and running replicated (PARAM/DENSE) nodes once.  A taken
-        chain (:meth:`_taken_chains`) is one step at its head, on the
-        halo-extended source rows its ``copy_u`` would have read.
-        ``runs`` may wrap plain dicts or ChainMap overlays (thread
-        mode); writes land in the first map either way.
+        Each node runs as its bound step on the shard engines; this
+        driver only adds what a partition needs around it: halo rows
+        for the operands another part owns, trimming gather outputs to
+        owned rows, and running replicated (PARAM/DENSE) nodes once.  A
+        taken chain (:meth:`_taken_chains`) is one step at its head, on
+        the halo-extended source rows its ``copy_u`` would have read;
+        the nodes it stands in for have no step.  ``runs`` may hold a
+        thread's private slot lists.
         """
         specs = plan.module.specs
         parts = self.partition.parts
+        program = runs[0].program
         # Per-kernel exchange cache: nodes sharing an operand share one
         # halo transfer, mirroring plan_comm_records.
         halo = (plan, runs, {}, exchanges)
-        chains, skipped = self._taken_chains(plan, kernel_index, runs[0].chains)
         unchanged = [None] * self.num_parts
         for node in plan.kernels[kernel_index].nodes:
+            step = program.step_of.get(node.name)
             if specs[node.outputs[0]].domain in _REPLICATED:
-                self._run_replicated(node, specs, runs, exchanges)
+                self._run_replicated(step, specs, runs, exchanges)
                 continue
-            chain = chains.get(node.name)
-            u_name = self._source_read(node, chain)
+            u_name = self._source_read(node, None if step is None else step.chain)
             if u_name is not None:
                 # The source-side operand needs its halo refreshed.  A
                 # copy a chain stands in for still fetches here, so the
                 # exchange log keeps the per-node order.
                 ghosts = self._fetch("halo_in", u_name, *halo)
-            if node.name in skipped:
+            if step is None:
                 continue
             operands = graphs = unchanged
             if u_name is not None:
                 # Owned rows ++ ghost rows, the in-graph's local ids.
+                u = program.slots[u_name]
                 operands = (
-                    np.concatenate([run.values[u_name], ghost], axis=0)
+                    np.concatenate([run.values[u], ghost], axis=0)
                     for run, ghost in zip(runs, ghosts)
                 )
             elif node.kind is OpKind.GATHER and node.orientation == "out":
@@ -430,20 +438,21 @@ class MultiEngine:
             for part, shard, run, operand, graph in zip(
                 parts, self._shards, runs, operands, graphs
             ):
-                shard._step(run, node, operand=operand, graph=graph, chain=chain)
+                shard._run_step(run, step, operand, graph)
                 if node.kind is OpKind.GATHER:
                     # Local graphs carry ghost vertices after the owned
                     # ones; only the owned rows are this part's output.
-                    for o in node.outputs:
-                        if o in run.values:
-                            run.values[o] = run.values[o][:part.num_owned]
+                    for slot in (step.out, step.argmax):
+                        if slot is not None:
+                            run.values[slot] = run.values[slot][:part.num_owned]
 
     @staticmethod
     def _taken_chains(
-        plan: ExecPlan, index: int, allowed: bool
+        plan: ExecPlan, index: int
     ) -> Tuple[Dict[str, AggregationChain], Set[str]]:
-        """The chains of kernel ``index`` shards take, by head name, and
-        the nodes that therefore never run.
+        """The chains of kernel ``index`` shards take (when they may take
+        chains at all), by head name, and the nodes that therefore never
+        run: the shard engines' chain choice.
 
         Every chain but an out-edge aggregation is taken: as one step
         it would exchange vertex rows where ``plan_comm_records`` bills
@@ -451,8 +460,6 @@ class MultiEngine:
         interior to is taken: gat's backward ``copy_v`` feeds a dot step
         and an out-edge aggregation, and still runs for the latter.
         """
-        if not allowed:
-            return {}, set()
         found = {c.head.name: c for c in plan.chains(index).values()}
         taken, kept = {}, set()
         for head, chain in found.items():
@@ -480,7 +487,7 @@ class MultiEngine:
 
     def _run_replicated(
         self,
-        node: OpNode,
+        step: BoundStep,
         specs,
         runs: List[PlanRun],
         exchanges: List[ExchangeRecord],
@@ -494,24 +501,28 @@ class MultiEngine:
         boundary (bf16 rounding) closes on the sum, not the partials.
         """
         first, shard = runs[0], self._shards[0]
-        out = node.outputs[0]
+        node, out = step.node, step.out
         if node.kind is not OpKind.PARAM_GRAD or all(
             specs[n].domain in _REPLICATED for n in node.inputs
         ):
-            shard._step(first, node)
+            shard._run_step(first, step)
         else:
             for engine, run in zip(self._shards, runs):
-                engine._execute(node, run.values, run.argmax_needed)
+                engine._dispatch(
+                    step, run.values, [run.values[slot] for slot in step.ins],
+                    engine.graph,
+                )
             total = first.values[out]
             for run in runs[1:]:
                 total = total + run.values[out]
             first.values[out] = total
-            shard._close(first, node, first.values)
+            if step.finishes:
+                shard._finish(step, first.values)
             if self.num_parts > 1:
                 # Storage-width bytes (spec row_bytes), matching the
                 # analytic allreduce schedule under any precision.
                 share = allreduce_bytes_per_gpu(
-                    specs[out].row_bytes, self.num_parts
+                    specs[node.outputs[0]].row_bytes, self.num_parts
                 )
                 exchanges.append(
                     ExchangeRecord(
@@ -550,12 +561,13 @@ class MultiEngine:
         if key in halo_cache:
             return halo_cache[key]
         row_bytes = plan.module.specs[name].row_bytes
+        slot = runs[0].program.slots[name]
         fetched: List[np.ndarray] = []
         for run, fetch_plan in zip(runs, self._fetch_plans[kind]):
-            local = run.values[name]
+            local = run.values[slot]
             rows = np.empty((fetch_plan.rows,) + local.shape[1:], dtype=local.dtype)
-            for q, slots, owner_rows in fetch_plan.sources:
-                rows[slots] = runs[q].values[name][owner_rows]
+            for q, places, owner_rows in fetch_plan.sources:
+                rows[places] = runs[q].values[slot][owner_rows]
             fetched.append(rows)
         if self.num_parts > 1:
             exchanges.append(
@@ -574,6 +586,7 @@ class MultiEngine:
     def _assemble(
         self,
         name: str,
+        slot: int,
         module: Module,
         runs: List[PlanRun],
         *,
@@ -582,13 +595,13 @@ class MultiEngine:
     ) -> np.ndarray:
         spec = module.specs[name]
         if spec.domain in _REPLICATED:
-            arr = runs[0].values[name]
+            arr = runs[0].values[slot]
             return arr[0] if unwrap else arr
         V, E = self.graph.num_vertices, self.graph.num_edges
-        sample = runs[0].values[name]
+        sample = runs[0].values[slot]
         out = np.empty((spec.rows(V, E),) + sample.shape[1:], dtype=sample.dtype)
         for part, run in zip(self.partition.parts, runs):
-            shard = run.values[name]
+            shard = run.values[slot]
             if to_global_argmax:
                 shard = translate_argmax(shard, part.in_edge_ids)
             if spec.domain is Domain.VERTEX:

@@ -133,8 +133,6 @@ class BlockStep:
     spill: Tuple[Tuple[str, bool], ...]
     #: Block-local values nothing later in the walk reads.
     dead: Tuple[str, ...]
-    #: ``gather(max)`` argmax output, minted in block-local edge ids.
-    argmax: Optional[str] = None
     #: Set when ``node`` heads a chain: the step is the chain's product
     #: (or dot step) on the block, its far operand read whole.
     chain: Optional[AggregationChain] = None
@@ -172,7 +170,7 @@ class Liveness(Dict[str, Tuple[int, int]]):
     kernel)``, plus the same intervals indexed by their end.
 
     ``deaths[i]`` names the roots whose last consumer is kernel ``i`` —
-    what a ledger frees, and an engine sweeps, after kernel ``i`` —
+    what a ledger frees, and an engine's program frees, after kernel ``i`` —
     so neither scans every interval after every kernel.  Built once per
     plan and shared by every walk and run: read-only.
     """
@@ -214,6 +212,10 @@ class ExecPlan:
         self._consumers: Optional[Dict[str, List[OpNode]]] = None
         self._chains: Dict[int, Dict[str, AggregationChain]] = {}
         self._blocked: Dict[Tuple[int, bool], Optional[BlockedKernel]] = {}
+        #: The engine's lowered programs of this plan, one per run
+        #: configuration (:mod:`repro.exec.engine`): every engine that
+        #: runs the plan — one per sampled batch — shares them.
+        self.programs: Dict[tuple, object] = {}
 
     def _validate_schedule(self) -> None:
         """Every value must be defined before any kernel consumes it."""
@@ -712,7 +714,6 @@ def _classify_blocked(
                 for o in outputs if o in leaves
             ),
             dead=dead,
-            argmax=outputs[1] if len(outputs) > 1 else None,
             chain=chains.get(node.name),
         ))
     return BlockedKernel(

@@ -47,18 +47,25 @@ run holds too, up to the sign of a zero.  Three rules change with it:
 
 :func:`receptive_hops` is the same walk read at the module's vertex
 inputs: how far from the read rows an exact answer looks.
+
+:func:`ring_step` is the recipe an engine lowers each step of a ring
+run to: the row block it runs on and how each operand is cut to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.ir.functions import get_scatter_fn
 from repro.ir.module import Module
 from repro.ir.ops import OpKind, OpNode
 from repro.ir.tensorspec import Domain
 
-__all__ = ["WHOLE", "ring_depths", "receptive_hops", "training_rings"]
+__all__ = [
+    "WHOLE", "RingStep", "ring_depths", "receptive_hops", "ring_step",
+    "training_rings",
+]
 
 #: The ring of "every row": deeper than any receptive field.
 WHOLE = 1 << 30
@@ -201,6 +208,94 @@ def training_rings(
     held.update((name, 0) for name in seeds if name in held)
     bwd.update(held)
     return fwd, bwd
+
+
+@dataclass(frozen=True)
+class RingStep:
+    """How one step of a run reading only the outputs' distance-0 rows
+    runs, on a field laid out hop by hop (ring ``d`` is rows
+    ``[0, n_d)``, its in-edges the first ``E_d`` positions of the CSC
+    grouping).
+
+    ``block`` is the row block the step runs on: ``("in", d)``, ring
+    ``d``'s in-edge block, or ``("out", r, w)``, the out-edge block of
+    rows ``[0, n_r)`` within ring ``w``'s in-edges (``r`` ``None``:
+    every row); ``None`` runs on the whole graph.  ``cuts`` holds
+    ``(position, take, pad)`` for each operand not read as held:
+    ``take`` is ``"eids"`` (a whole-field edge value read at the
+    block's edge ids), a block attribute naming how many leading rows to
+    read, or ``None``; ``pad`` a block attribute naming the rows to fill
+    with ``+0.0`` past the ring the operand is held on, or ``None``.
+    On the whole graph ``cuts`` holds ``(position, domain, None)`` for
+    each operand read on every row, ``+0.0`` past its ring (``domain``
+    ``"vertex"`` or ``"edge"``).  ``out`` names the block attribute
+    giving the output's rows.
+    """
+
+    block: Optional[Tuple]
+    cuts: Tuple[Tuple[int, Optional[str], Optional[str]], ...]
+    out: Optional[str] = None
+
+
+def ring_step(
+    node: OpNode,
+    operands: Sequence[str],
+    chained: bool,
+    held: Callable[[str], Optional[int]],
+    specs,
+    widens: bool,
+) -> Optional[RingStep]:
+    """The :class:`RingStep` of ``node`` (or of the chain it heads:
+    ``operands`` are then the chain's), or ``None`` when it runs on the
+    whole field and reads nothing held on a ring.  ``held(name)`` is the
+    ring a value is held on (its node runs on), ``None`` for the whole
+    field.
+
+    A node on ring ``d`` runs on ring ``d``'s in-edge block: a reader on
+    an inner ring takes a prefix of a value, an edge value of the whole
+    field is read at the block's edge ids, and a scatter reads its far
+    operand through the block's absolute source ids (ring ``d + 1``).
+    A sum over out-edges of an edge value held on ring ``w`` runs on
+    those edges grouped by source; a node on a deeper ring runs as if
+    there were no rings.  Under a training step's maps (``widens``) a
+    gradient read past its ring reads ``+0.0`` there, and a node running
+    on every row reads each ringed operand widened to every row.
+    """
+    ring = held(node.name)
+    if node.kind is OpKind.GATHER and node.orientation == "out":
+        edges_on = held(node.inputs[0])
+        if edges_on is None:
+            return None
+        block: Optional[Tuple] = ("out", ring, edges_on)
+    elif ring is not None and node.kind is not OpKind.PARAM_GRAD:
+        block = ("in", ring)
+    elif not widens or all(held(name) is None for name in operands):
+        return None
+    else:
+        return RingStep(None, tuple(
+            (i, specs[name].domain.value, None) for i, name in enumerate(operands)
+            if held(name) is not None and specs[name].domain in _ROWS
+        ))
+    row_wise = not chained and node.kind in (OpKind.APPLY, OpKind.VIEW)
+    far = chained or (node.kind is OpKind.SCATTER and get_scatter_fn(node.fn).reads_u)
+    cuts = []
+    for i, name in enumerate(operands):
+        domain = specs[name].domain
+        take = pad = None
+        if domain is Domain.EDGE:
+            if held(name) is None:
+                take = "eids"
+            else:
+                take = "num_edges"
+                pad = "num_edges" if widens else None
+        elif domain is Domain.VERTEX:
+            take = "num_vertices" if row_wise else None
+            if widens:
+                pad = "far_vertices" if i == 0 and far else "num_vertices"
+        if take or pad:
+            cuts.append((i, take, pad))
+    by_edge = specs[node.outputs[0]].domain is Domain.EDGE
+    return RingStep(block, tuple(cuts), "num_edges" if by_edge else "num_vertices")
 
 
 def receptive_hops(module: Module) -> int:

@@ -41,20 +41,19 @@ def rng() -> np.random.Generator:
 def products(monkeypatch):
     """Every chain an ``Engine`` ran as one step during the test — one
     product, or one dot step — as ``(layout, chain)``: the whole graph
-    or one block of a walk, and the :class:`AggregationChain`."""
+    or one block of a walk, and the :class:`AggregationChain`.  Every
+    bound step runs through ``Engine._dispatch``, so that is the spy."""
     from repro.exec import Engine
 
     calls = []
-    execute = Engine._execute
+    dispatch = Engine._dispatch
 
-    def spy(self, node, values, argmax_needed, *, graph=None, chain=None, **kwargs):
-        if chain is not None:
-            calls.append((self.graph if graph is None else graph, chain))
-        return execute(
-            self, node, values, argmax_needed, graph=graph, chain=chain, **kwargs
-        )
+    def spy(self, step, values, ins, graph, out=None):
+        if step.chain is not None:
+            calls.append((graph, step.chain))
+        return dispatch(self, step, values, ins, graph, out)
 
-    monkeypatch.setattr(Engine, "_execute", spy)
+    monkeypatch.setattr(Engine, "_dispatch", spy)
     return calls
 
 

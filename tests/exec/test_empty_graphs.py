@@ -26,6 +26,8 @@ from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph
 from repro.registry import MODELS
 
+from tests.helpers import reference_node
+
 pytestmark = pytest.mark.filterwarnings("error")
 
 EMPTY = Graph(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 5)
@@ -137,8 +139,8 @@ class TestDtypeStability:
         values = dict(env)
         for kernel in compiled.fwd_plan.kernels:
             for node in kernel.nodes:
-                engine._execute(
-                    node, values, compiled.fwd_plan.argmax_demand()
+                reference_node(
+                    node, values, graph, compiled.fwd_plan.argmax_demand()
                 )
         for name, arr in values.items():
             spec = compiled.forward.specs.get(name)

@@ -4,9 +4,11 @@ Three latent bugs shared one theme — the ledger and the engine treated
 view aliases and dead values inconsistently with the storage-root
 semantics everything else assumes:
 
-1. ``Engine._sweep`` popped a dead root but left view aliases of it in
-   the value map; a NumPy view holds a base reference, so the storage
-   survived the free.
+1. The engine's dead-value sweep popped a dead root but left view
+   aliases of it in the value map; a NumPy view holds a base reference,
+   so the storage survived the free.  Each kernel of a bound program
+   now frees a precomputed slot list (``BoundKernel.frees``), every
+   alias of a dead root in it.
 2. ``ExecPlan._kernel_io`` counted VIEW nodes of *other* kernels as
    consumers, so a value whose only cross-kernel consumers are free
    aliases was classified as an escaping DRAM write.
@@ -30,7 +32,7 @@ STATS = GraphStats.regular(100, 4)
 
 
 # ----------------------------------------------------------------------
-# 1. _sweep must free aliases together with their dead root
+# 1. a kernel's frees take aliases together with their dead root
 # ----------------------------------------------------------------------
 class TestSweepFreesAliases:
     def _fused_view_module(self):
@@ -48,53 +50,49 @@ class TestSweepFreesAliases:
         ]
         return module, ExecPlan(module=module, kernels=kernels)
 
+    @staticmethod
+    def _freed(engine, plan):
+        """Names kernel 0 of ``plan``'s bound program frees."""
+        program = engine._program(plan)
+        return {program.names[slot] for slot in program.kernels[0].frees}
+
     def test_alias_of_dead_internal_root_is_swept(self):
         module, plan = self._fused_view_module()
         assert "y" in plan.kernel_io(0).internal
-        engine = Engine(GRAPH, precision="float32")
-        arr = np.ones((GRAPH.num_vertices, 4), dtype=np.float32)
-        values = {
-            "h": arr,
-            "y": np.exp(arr),
-            "yv": np.exp(arr).reshape(GRAPH.num_vertices, 2, 2),
-            "z": np.ones((GRAPH.num_vertices, 2, 2), dtype=np.float32),
-        }
-        engine._sweep(plan, values, plan.liveness(), 0, wanted={"z"})
-        assert not any(plan.root_of(n) == "y" for n in values), (
-            f"alias entries keep the dead root's storage alive: {set(values)}"
+        freed = self._freed(Engine(GRAPH, precision="float32"), plan)
+        assert {"y", "yv"} <= freed, (
+            f"alias entries keep the dead root's storage alive: {freed}"
         )
-        assert "z" in values  # wanted values survive
+        assert "z" not in freed  # wanted values survive
 
     def test_no_reachable_array_for_a_freed_root(self):
-        # End to end: after the sweep, the base ndarray of the dead
-        # root must be collectable (no value-map entry references it).
+        # End to end: after the kernel's epilogue, the base ndarray of
+        # the dead root must be collectable (no slot references it).
         import weakref
 
         module, plan = self._fused_view_module()
         engine = Engine(GRAPH, precision="float32")
-        values = {"h": np.ones((GRAPH.num_vertices, 4), dtype=np.float32)}
-        for node in plan.kernels[0].nodes:
-            engine._execute(node, values, set())
-        base = values["y"]
-        ref = weakref.ref(base)
-        engine._sweep(plan, values, plan.liveness(), 0, wanted={"z"})
-        del base
+        env = {"h": np.ones((GRAPH.num_vertices, 4), dtype=np.float32)}
+        run = engine._begin(plan, env)
+        (kernel,) = run.program.kernels
+        for step in kernel.steps:
+            engine._run_step(run, step)
+        ref = weakref.ref(run.values[run.program.slots["y"]])
+        engine._end_kernel(run, kernel)
         assert ref() is None, "freed root still reachable through an alias"
+        assert run.values[run.program.slots["z"]] is not None
 
     def test_wanted_alias_keeps_the_storage(self):
-        # A kept alias must protect its base storage from the sweep.
+        # A kept alias must protect its base storage from the frees.
         module, plan_plain = self._fused_view_module()
         plan = ExecPlan(
             module=module, kernels=list(plan_plain.kernels), keep=frozenset({"yv"})
         )
         engine = Engine(GRAPH, precision="float32")
-        values = {"h": np.ones((GRAPH.num_vertices, 4), dtype=np.float32)}
-        for node in plan.kernels[0].nodes:
-            engine._execute(node, values, set())
-        engine._sweep(
-            plan, values, plan.liveness(), 0, wanted={"z", "yv"}
-        )
-        assert "yv" in values
+        assert "yv" not in self._freed(engine, plan)
+        h = np.ones((GRAPH.num_vertices, 4), dtype=np.float32)
+        result = engine.run_plan(plan, {"h": h})
+        assert np.array_equal(result["yv"], np.exp(h).reshape(-1, 2, 2))
 
 
 # ----------------------------------------------------------------------
@@ -214,17 +212,8 @@ class TestDeadInputLiveness:
         module = self._module_with_dead_input()
         plan = plan_module(module, mode="per_op")
         engine = Engine(GRAPH, precision="float32")
-        values = engine.bind(
-            module,
-            {
-                "h": np.ones((GRAPH.num_vertices, 4), dtype=np.float32),
-                "unused": np.ones((GRAPH.num_vertices, 64), dtype=np.float32),
-            },
-        )
-        for node in plan.kernels[0].nodes:
-            engine._execute(node, values, set())
-        engine._sweep(plan, values, plan.liveness(), 0, wanted={"v"})
-        assert "unused" not in values
+        program = engine._program(plan)
+        assert program.slots["unused"] in program.kernels[0].frees
 
     def test_write_only_outputs_survive_the_phase(self):
         # The flip side of the fix: a value *written* and never read —

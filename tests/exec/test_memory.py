@@ -20,6 +20,8 @@ from repro.graph.partition import PartitionStats
 from repro.ir import Builder, Domain
 from repro.registry import MODELS
 
+from tests.helpers import reference_node
+
 STATS = get_dataset("cora").stats
 
 
@@ -146,8 +148,10 @@ class TestMemoryLedger:
         values = dict(env)
         for i, kernel in enumerate(plan.kernels):
             for node in kernel.nodes:
-                engine._execute(node, values, set())
-            ledger.after_kernel(i, values)
+                reference_node(node, values, graph)
+            ledger.after_kernel(i, [
+                (plan.root_of(w), values.get(w)) for w in plan.kernel_io(i).writes
+            ])
         want = analyze_plan(plan, graph.stats())
         assert ledger.peak_bytes == want.peak_memory_bytes
         assert ledger.current_bytes == want.end_resident_bytes
@@ -163,8 +167,10 @@ class TestMemoryLedger:
         values = dict(env)
         for i, kernel in enumerate(plan.kernels):
             for node in kernel.nodes:
-                engine._execute(node, values, set())
-            ledger.after_kernel(i, values)
+                reference_node(node, values, graph)
+            ledger.after_kernel(i, [
+                (plan.root_of(w), values.get(w)) for w in plan.kernel_io(i).writes
+            ])
         want = analyze_plan(plan, graph.stats(), pinned=["h"])
         assert ledger.peak_bytes == want.peak_memory_bytes
         assert ledger.current_bytes == want.end_resident_bytes

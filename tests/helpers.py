@@ -17,13 +17,16 @@ import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 import repro.models  # noqa: F401  (populates the model registry)
 from repro.exec import Engine, MultiEngine, plan_module
-from repro.exec.memory import ledger_walk, root_sizes
+from repro.exec.kernels import (
+    apply_kernel, gather_kernel, param_grad_kernel, scatter_kernel,
+)
+from repro.exec.memory import MemoryLedger, ledger_walk, root_sizes
 from repro.exec.plan import KernelIO
 from repro.exec.rings import WHOLE
 from repro.exec.profiler import KernelRecord, PhaseCounters
@@ -33,7 +36,8 @@ from repro.ir import Module, differentiate
 from repro.ir.autodiff import grad_seed_name
 from repro.ir.functions import get_scatter_fn
 from repro.ir.module import GRAPH_CONSTANTS
-from repro.ir.ops import OpKind
+from repro.ir.ops import OpKind, OpNode
+from repro.ir.precision import bf16_round
 from repro.ir.tensorspec import Domain
 from repro.registry import MODELS
 from repro.serve.cache import FeatureCache, GatherSplit
@@ -198,34 +202,232 @@ def assert_same_values(got, want, plan, ctx: str) -> None:
             assert np.allclose(a, b, rtol=rtol, atol=rtol * scale), f"{ctx}:{name}"
 
 
-def run_plan_per_node(engine: Engine, plan, env):
-    """``Engine.run_plan`` spelled out node by node.
+# ----------------------------------------------------------------------
+# The reference interpreter
+# ----------------------------------------------------------------------
+def reference_node(
+    node: OpNode,
+    values: Dict[str, np.ndarray],
+    graph,
+    argmax_needed=frozenset(),
+    operands: Optional[List[np.ndarray]] = None,
+) -> None:
+    """Run one node on a name-keyed dict through the public kernel
+    dispatch (``apply_kernel`` / ``scatter_kernel`` / ``gather_kernel``
+    / ``param_grad_kernel``).  ``operands`` replaces its data inputs,
+    ``graph`` is the layout it indexes (a graph or a row block)."""
+    ins = [values[name] for name in node.inputs] if operands is None else operands
+    params = [values[p][0] for p in node.params]
+    out = node.outputs[0]
+    if node.kind is OpKind.SCATTER:
+        values[out] = scatter_kernel(node.fn, graph, ins)
+    elif node.kind is OpKind.GATHER:
+        value, argmax = gather_kernel(
+            node.fn, graph, ins[0], orientation=node.orientation,
+            want_argmax=node.name in argmax_needed,
+        )
+        values[out] = value
+        if argmax is not None and len(node.outputs) > 1:
+            values[node.outputs[1]] = argmax
+    elif node.kind is OpKind.APPLY:
+        values[out] = apply_kernel(node.fn, ins, params, node.attrs)
+    elif node.kind is OpKind.VIEW:
+        x = ins[0]
+        values[out] = x.reshape((x.shape[0],) + tuple(node.attrs["out_shape"]))
+    else:
+        values[out] = param_grad_kernel(node.fn, ins, params, node.attrs)[None]
 
-    The oracle for the blocked walk: every kernel, fused or not, runs
-    one node at a time on whole arrays through the engine's own set-up,
-    step and per-kernel epilogue.  Returns ``(results, measured peak)``
-    with results in ``run_plan(..., unwrap=False)`` form.
+
+def _zero_padded(x: np.ndarray, rows: int) -> np.ndarray:
+    if x.shape[0] >= rows:
+        return x
+    wide = np.zeros((rows,) + x.shape[1:], dtype=x.dtype)
+    wide[: x.shape[0]] = x
+    return wide
+
+
+class ReferenceRings:
+    """Where each node of a ring run computes, decided node by node
+    from the ring map, and the operands it reads there — the rules of
+    :mod:`repro.exec.rings`, without chains.
+
+    A node on ring ``d`` below the field's deepest hop runs on
+    ``graph.row_block("in", 0, n_d)``; a sum over out-edges of an edge
+    value held on ring ``w`` on ``row_block("out", 0, n, within=n_w)``.
+    Operands are cut to the block: prefixes of values held on a ring,
+    whole-field edge values at the block's edge ids.  Under a training
+    map (``depth`` given) a gradient read past its ring reads ``+0.0``,
+    and a node on every row reads each ringed operand widened to every
+    row (a ringed edge value back at its COO positions).
     """
-    run = engine._begin(plan, env)
+
+    def __init__(self, plan, graph: Graph, distance: np.ndarray, depth=None):
+        module = plan.module
+        self.widens = depth is not None
+        self.bound = frozenset() if self.widens else frozenset(
+            list(module.inputs) + list(module.params)
+        )
+        self.depth = plan.rings() if depth is None else depth
+        self.top = int(distance[-1])
+        self.rows = np.searchsorted(distance, np.arange(self.top), side="right")
+        self.graph = graph
+        self.specs = module.specs
+        self.whole: Dict[str, np.ndarray] = {}
+
+    def of(self, name: str) -> Optional[int]:
+        ring = WHOLE if name in self.bound else self.depth.get(name, WHOLE)
+        return ring if ring < self.top else None
+
+    def n(self, ring: Optional[int]) -> int:
+        return self.graph.num_vertices if ring is None else int(self.rows[ring])
+
+    def cut(self, node: OpNode, values: Mapping[str, np.ndarray]):
+        """``(operands, layout)`` of ``node``'s run (``None``: as held)."""
+        graph, specs = self.graph, self.specs
+        ring = self.of(node.name)
+        if node.kind is OpKind.GATHER and node.orientation == "out":
+            edges_on = self.of(node.inputs[0])
+            if edges_on is None:
+                return None, graph
+            block = graph.row_block("out", 0, self.n(ring), within=self.n(edges_on))
+        elif ring is not None and node.kind is not OpKind.PARAM_GRAD:
+            block = graph.row_block("in", 0, self.n(ring))
+        elif not self.widens or all(self.of(name) is None for name in node.inputs):
+            return None, graph
+        else:
+            return [self.every_row(name, values) for name in node.inputs], graph
+        row_wise = node.kind in (OpKind.APPLY, OpKind.VIEW)
+        far = node.kind is OpKind.SCATTER and get_scatter_fn(node.fn).reads_u
+        operands = []
+        for i, name in enumerate(node.inputs):
+            x, domain = values[name], specs[name].domain
+            if domain is Domain.EDGE:
+                x = x[block.eids] if self.of(name) is None else x[: block.num_edges]
+                if self.widens:
+                    x = _zero_padded(x, block.num_edges)
+            elif domain is Domain.VERTEX:
+                if row_wise:
+                    x = x[: block.num_vertices]
+                if self.widens:
+                    x = _zero_padded(
+                        x, block.far_vertices if i == 0 and far else block.num_vertices
+                    )
+            operands.append(x)
+        return operands, block
+
+    def every_row(self, name: str, values: Mapping[str, np.ndarray]) -> np.ndarray:
+        x, domain = values[name], self.specs[name].domain
+        if self.of(name) is None or domain not in (Domain.VERTEX, Domain.EDGE):
+            return x
+        if name not in self.whole:
+            graph = self.graph
+            if domain is Domain.VERTEX:
+                wide = _zero_padded(x, graph.num_vertices)
+            else:
+                wide = np.zeros((graph.num_edges,) + x.shape[1:], dtype=x.dtype)
+                wide[graph.csc_eids[: x.shape[0]]] = x
+            self.whole[name] = wide
+        return self.whole[name]
+
+
+class ReferenceRun(NamedTuple):
+    """What :func:`reference_run` returns."""
+
+    #: ``run_plan(..., unwrap=False)``'s results, in its order.
+    results: Dict[str, np.ndarray]
+    #: The measured live-byte peak (``Engine.measured_peak_bytes``).
+    peak: int
+    #: Every value still held when the run ended.
+    values: Dict[str, np.ndarray]
+
+
+def reference_run(
+    engine: Engine,
+    plan,
+    env: Mapping[str, np.ndarray],
+    *,
+    distance: Optional[np.ndarray] = None,
+    rings=None,
+    free: Optional[bool] = None,
+) -> ReferenceRun:
+    """``engine.run_plan(plan, env, distance=, rings=)`` as a plain
+    per-node interpreter: the oracle for the bound program.
+
+    Every node runs on a name-keyed dict through the public kernel
+    dispatch (:func:`reference_node`) — no chains, no walks, no slots —
+    on whole arrays, or on its ring's block (:class:`ReferenceRings`).
+    The node boundary rounds to bf16 and checks finiteness as the
+    engine's settings say; after each kernel the measured ledger is
+    charged and, unless ``free`` is off (default: the engine's
+    ``free_dead_values``), every value whose root died is dropped,
+    aliases with it.  No arena.
+    """
+    graph, module = engine.graph, plan.module
+    values = dict(env)
+    wanted = plan.result_names()
+    demand = plan.argmax_demand()
+    bf16 = (
+        {name for name, spec in module.specs.items() if spec.dtype == "bfloat16"}
+        if engine.precision == np.dtype("float32") else set()
+    )
+    ledger = MemoryLedger(plan)
+    ledger.bind(values)
+    ring = None
+    if distance is not None and len(distance) and distance[-1] > 0:
+        ring = ReferenceRings(plan, graph, np.asarray(distance), rings)
+    lives = plan.liveness()
+    free = engine.free_dead_values if free is None else free
     for index, kernel in enumerate(plan.kernels):
         for node in kernel.nodes:
-            engine._step(run, node)
-        engine._end_kernel(run, index)
-    return {name: run.values[name] for name in run.wanted}, run.ledger.peak_bytes
+            operands, layout = (None, graph) if ring is None else ring.cut(node, values)
+            reference_node(node, values, layout, demand, operands)
+            if node.kind is not OpKind.VIEW:
+                for o in node.outputs:
+                    if o in bf16 and o in values:
+                        values[o] = bf16_round(values[o])
+            if engine.check_finite:
+                for o in node.outputs:
+                    arr = values.get(o)
+                    if arr is not None and arr.dtype.kind == "f" and not np.isfinite(arr).all():
+                        raise FloatingPointError(
+                            f"non-finite values ({int((~np.isfinite(arr)).sum())} "
+                            f"entries) produced by node {node.name!r} "
+                            f"({node.kind.value}:{node.fn})"
+                        )
+        io = plan.kernel_io(index)
+        ledger.after_kernel(index, [(plan.root_of(w), values.get(w)) for w in io.writes])
+        if free:
+            dead = set(io.internal).union(lives.deaths.get(index, ()))
+            for name in list(values):
+                if name not in wanted and plan.root_of(name) in dead:
+                    del values[name]
+    return ReferenceRun({name: values[name] for name in wanted}, ledger.peak_bytes, values)
+
+
+def run_plan_per_node(engine: Engine, plan, env):
+    """``(results, measured peak)`` of :func:`reference_run`: the oracle
+    for the blocked walk and the chains, every node on whole arrays."""
+    run = reference_run(engine, plan, env)
+    return run.results, run.peak
 
 
 def per_node_multi_engine(graph: Graph, partition, **kwargs) -> MultiEngine:
     """A :class:`MultiEngine` whose shards run every node.
 
-    The oracle for the chains partitioned runs take: each shard's
-    ``_takes_chains`` answers no for every run, as it does for narrow
-    storage or the finite check, so every aggregation builds its
-    messages and every halo is fetched by the node that reads it.
+    The oracle for the chains partitioned runs take: each shard's chain
+    choice takes none, so every aggregation builds its messages and
+    every halo is fetched by the node that reads it, as under narrow
+    storage or the finite check.
     """
     multi = MultiEngine(graph, partition, **kwargs)
     for shard in multi._shards:
-        shard._takes_chains = lambda dtypes: False
+        shard._chain_choice = _no_chains
     return multi
+
+
+def _no_chains(plan, index):
+    """A chain choice that takes no chain (see :func:`per_node_multi_engine`)."""
+    return {}, set()
 
 
 def naive_ledger(plan, stats, *, order=None, pinned=()):
@@ -466,14 +668,7 @@ def record_value_shapes(
     engine: Engine, plan, env: Dict[str, np.ndarray]
 ) -> Dict[str, np.ndarray]:
     """Execute ``plan`` keeping every intermediate array alive."""
-    keeper = Engine(
-        engine.graph, precision=str(engine.precision), free_dead_values=False
-    )
-    values = dict(env)
-    for kernel in plan.kernels:
-        for node in kernel.nodes:
-            keeper._execute(node, values, plan.argmax_demand())
-    return values
+    return reference_run(engine, plan, env, free=False).values
 
 
 def derived_kernel_bytes(
@@ -558,9 +753,7 @@ def assert_counters_match_shapes(
         elif name in GRAPH_CONSTANTS:
             continue
         elif name in fwd_values:
-            bwd_arrays[name] = Engine.unwrap(
-                bwd_module.specs[name], fwd_values[name]
-            )
+            bwd_arrays[name] = fwd_values[name]  # bind takes wrapped params
         else:
             raise KeyError(f"backward input {name!r} unavailable")
     benv = engine.bind(bwd_module, bwd_arrays)

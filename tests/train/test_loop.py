@@ -270,9 +270,9 @@ def walks(monkeypatch):
     calls = []
     walk = Engine._walk
 
-    def spy(self, run, blocked, rows_per_block):
-        calls.append(blocked)
-        return walk(self, run, blocked, rows_per_block)
+    def spy(self, run, bound):
+        calls.append(bound.blocked)
+        return walk(self, run, bound)
 
     monkeypatch.setattr(Engine, "_walk", spy)
     return calls
