@@ -29,7 +29,7 @@ behind Figure 11's "DGL cannot run on the RTX 2080".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exec.profiler import (
     Counters,
@@ -93,35 +93,51 @@ class CostModel:
     # ------------------------------------------------------------------
     def kernel_seconds(self, record: KernelRecord, stats: GraphStats) -> float:
         """Roofline time of one kernel launch."""
+        return self._roofline(stats)(record)
+
+    def _roofline(self, stats: GraphStats) -> Callable[[KernelRecord], float]:
+        """The roofline of one device on one graph, as a per-record
+        function: the spec's throughput products are taken once, and the
+        imbalance factor once per distinct ``(mapping, work)``, so a
+        phase is priced in one pass.  Each record's arithmetic is the
+        same sequence of float operations either way."""
         spec = self.spec
-        if record.mapping == "none" or (
-            record.flops == 0 and record.io_bytes == 0
-        ):
-            return 0.0
-        if record.mapping == "dense":
-            t_comp = record.flops / (spec.peak_flops * spec.dense_efficiency)
-            t_io = record.io_bytes / (spec.bandwidth * spec.stream_bw_efficiency)
-            return spec.kernel_launch_s + max(t_comp, t_io)
+        launch = spec.kernel_launch_s
+        dense_flops = spec.peak_flops * spec.dense_efficiency
+        graph_flops = spec.peak_flops * spec.graph_compute_efficiency
+        stream_bw = spec.bandwidth * spec.stream_bw_efficiency
+        gather_bw = spec.bandwidth * spec.gather_bw_efficiency
+        fusion, atomic = spec.smem_fusion_overhead, spec.atomic_overhead
+        factors: Dict[Tuple[str, str], float] = {}
 
-        t_comp = record.flops / (
-            spec.peak_flops * spec.graph_compute_efficiency
-        )
-        if record.reduce_scatter:
-            t_comp *= spec.smem_fusion_overhead
+        def seconds(record: KernelRecord) -> float:
+            mapping = record.mapping
+            if mapping == "none" or (record.flops == 0 and record.io_bytes == 0):
+                return 0.0
+            if mapping == "dense":
+                t_comp = record.flops / dense_flops
+                t_io = record.io_bytes / stream_bw
+                return launch + max(t_comp, t_io)
 
-        bw_eff = (
-            spec.gather_bw_efficiency
-            if record.mapping in ("edge", "vertex")
-            else spec.stream_bw_efficiency
-        )
-        write_time = record.write_bytes / (spec.bandwidth * bw_eff)
-        if record.atomic:
-            write_time *= spec.atomic_overhead
-        t_io = record.read_bytes / (spec.bandwidth * bw_eff) + write_time
+            t_comp = record.flops / graph_flops
+            if record.reduce_scatter:
+                t_comp *= fusion
 
-        t = max(t_comp, t_io)
-        t *= self.imbalance_factor(record, stats)
-        return spec.kernel_launch_s + t
+            bw = gather_bw if mapping in ("edge", "vertex") else stream_bw
+            write_time = record.write_bytes / bw
+            if record.atomic:
+                write_time *= atomic
+            t_io = record.read_bytes / bw + write_time
+
+            t = max(t_comp, t_io)
+            key = (mapping, record.work)
+            factor = factors.get(key)
+            if factor is None:
+                factor = factors[key] = self.imbalance_factor(record, stats)
+            t *= factor
+            return launch + t
+
+        return seconds
 
     def imbalance_factor(self, record: KernelRecord, stats: GraphStats) -> float:
         """Makespan inflation of degree-shaped vertex-balanced work.
@@ -150,11 +166,11 @@ class CostModel:
     def phase_latency(
         self, phase: PhaseCounters, stats: GraphStats
     ) -> LatencyBreakdown:
-        out = LatencyBreakdown()
-        for record in phase.records:
-            out.kernel_seconds.append(self.kernel_seconds(record, stats))
-            out.labels.append(record.label)
-        return out
+        seconds = self._roofline(stats)
+        return LatencyBreakdown(
+            kernel_seconds=[seconds(r) for r in phase.records],
+            labels=[r.label for r in phase.records],
+        )
 
     def latency_seconds(self, counters: Counters, stats: GraphStats) -> float:
         """End-to-end time of one training/inference step."""

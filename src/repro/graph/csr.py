@@ -581,8 +581,8 @@ class Graph(_SegmentLayout):
         return GraphStats(
             num_vertices=self.num_vertices,
             num_edges=self.num_edges,
-            in_degrees=self.in_degrees.copy(),
-            out_degrees=self.out_degrees.copy(),
+            in_degrees=self.in_degrees,
+            out_degrees=self.out_degrees,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -37,11 +37,13 @@ is partitioned without ever materialising an edge).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import Graph
+from repro.graph.reorder import _degree_order
 from repro.graph.stats import GraphStats
 
 __all__ = [
@@ -112,8 +114,7 @@ def greedy_edge_cut_assignment(
     cap = int(np.ceil(V / num_parts * balance_slack))
     assignment = np.full(V, -1, dtype=np.int64)
     sizes = np.zeros(num_parts, dtype=np.int64)
-    total_deg = graph.in_degrees + graph.out_degrees
-    order = np.argsort(-total_deg, kind="stable")
+    order = _degree_order(graph.in_degrees + graph.out_degrees)
     csc_indptr, csc_src = graph.csc_indptr, graph.csc_src
     csr_indptr, csr_dst = graph.csr_indptr, graph.csr_dst
     for v in order:
@@ -193,14 +194,14 @@ class PartSubgraph:
         """Vertex rows fetched per vertex-tensor halo exchange."""
         return int(self.ghost_src.size)
 
-    @property
+    @cached_property
     def halo_out_edges(self) -> int:
-        """Remotely-owned edge rows fetched per out-orientation Gather."""
-        if self.out_edge_ids.size == 0:
-            return 0
-        return int(self.out_edge_ids.size - np.isin(
-            self.out_edge_ids, self.in_edge_ids, assume_unique=True
-        ).sum())
+        """Remotely-owned edge rows fetched per out-orientation Gather.
+
+        An out-edge is remotely owned exactly when its destination is a
+        ghost, i.e. a local id past the owned block of ``out_graph``.
+        """
+        return int((self.out_graph.dst >= self.num_owned).sum())
 
     def stats(self) -> GraphStats:
         """Degree summary of the local in-graph (owned + ghost rows).
@@ -214,26 +215,33 @@ class PartSubgraph:
         n_local = self.num_local_vertices
         if n_local == 0:
             empty = np.zeros(0, dtype=np.int64)
-            return GraphStats(0, 0, empty, empty.copy())
+            return GraphStats(0, 0, empty, empty)
         return GraphStats(
             num_vertices=n_local,
             num_edges=int(self.in_edge_ids.size),
-            in_degrees=self.in_graph.in_degrees[:n_local].copy(),
-            out_degrees=self.in_graph.out_degrees[:n_local].copy(),
+            in_degrees=self.in_graph.in_degrees[:n_local],
+            out_degrees=self.in_graph.out_degrees[:n_local],
         )
 
 
 def _build_part(graph: Graph, assignment: np.ndarray, part: int) -> PartSubgraph:
     owned_mask = assignment == part
-    owned = np.nonzero(owned_mask)[0].astype(np.int64)
+    owned = np.flatnonzero(owned_mask)
 
-    in_eids = np.nonzero(owned_mask[graph.dst])[0].astype(np.int64)
+    def ghost_ids(endpoints: np.ndarray) -> np.ndarray:
+        # A mask over V, so the ids come out ascending with no sort.
+        mask = np.zeros(graph.num_vertices, dtype=bool)
+        mask[endpoints] = True
+        mask &= ~owned_mask
+        return np.flatnonzero(mask)
+
+    in_eids = np.flatnonzero(owned_mask[graph.dst])
     src_g, dst_g = graph.src[in_eids], graph.dst[in_eids]
-    ghost_src = np.unique(src_g[~owned_mask[src_g]])
+    ghost_src = ghost_ids(src_g)
 
-    out_eids = np.nonzero(owned_mask[graph.src])[0].astype(np.int64)
+    out_eids = np.flatnonzero(owned_mask[graph.src])
     osrc_g, odst_g = graph.src[out_eids], graph.dst[out_eids]
-    ghost_dst = np.unique(odst_g[~owned_mask[odst_g]])
+    ghost_dst = ghost_ids(odst_g)
 
     def local_graph(ghosts: np.ndarray, s: np.ndarray, d: np.ndarray) -> Graph:
         lookup = np.full(graph.num_vertices, -1, dtype=np.int64)
@@ -282,10 +290,9 @@ class GraphPartition:
 
     @property
     def cut_edges(self) -> int:
-        """Edges whose endpoints live on different parts."""
-        return int(
-            (self.assignment[self.graph.src] != self.assignment[self.graph.dst]).sum()
-        )
+        """Edges whose endpoints live on different parts: each is one
+        remotely-owned out-edge of its source's part."""
+        return sum(p.halo_out_edges for p in self.parts)
 
     @property
     def replication_factor(self) -> float:
@@ -460,8 +467,8 @@ class PartitionStats:
 
         parts, owned, halo_in, halo_out = [], [], [], []
         for p in range(P):
-            ind = stats.in_degrees[p::P].astype(np.int64)
-            outd_sample = stats.out_degrees[p::P].astype(np.int64)
+            ind = stats.in_degrees[p::P]
+            outd_sample = stats.out_degrees[p::P]
             edges_p = int(ind.sum())
             ghosts_p = expected_ghosts
             # Local out-degrees: owned vertices keep the uncut share of
@@ -470,9 +477,7 @@ class PartitionStats:
             own_out = _rescale_to_sum(
                 outd_sample, int(round((1.0 - cut_frac) * edges_p))
             )
-            ghost_out = _rescale_to_sum(
-                np.ones(ghosts_p, dtype=np.int64), edges_p - int(own_out.sum())
-            )
+            ghost_out = _spread(ghosts_p, edges_p - int(own_out.sum()))
             parts.append(
                 GraphStats(
                     num_vertices=int(ind.size + ghosts_p),
@@ -502,7 +507,9 @@ def _rescale_to_sum(arr: np.ndarray, target: int) -> np.ndarray:
     """Round ``arr`` to integers summing exactly to ``target`` (≥ 0).
 
     Deterministic largest-remainder rounding; degenerate inputs (empty,
-    all-zero) spread the target uniformly.
+    all-zero) spread the target uniformly.  The ``remainder`` largest
+    fractional parts get one more unit, ties going to the lowest
+    indices; a selection threshold finds them in O(n), no sort.
     """
     target = max(int(target), 0)
     if arr.size == 0:
@@ -515,7 +522,25 @@ def _rescale_to_sum(arr: np.ndarray, target: int) -> np.ndarray:
     scaled = arr * (target / total)
     base = np.floor(scaled).astype(np.int64)
     remainder = target - int(base.sum())
-    if remainder > 0:
-        order = np.argsort(-(scaled - base), kind="stable")
-        base[order[:remainder]] += 1
+    if remainder >= base.size:
+        base += 1
+    elif remainder > 0:
+        frac = scaled - base
+        kth = np.partition(frac, base.size - remainder)[base.size - remainder]
+        above = frac > kth
+        ties = np.flatnonzero(frac == kth)[:remainder - np.count_nonzero(above)]
+        base += above
+        base[ties] += 1
     return base
+
+
+def _spread(n: int, target: int) -> np.ndarray:
+    """``_rescale_to_sum(np.ones(n), target)`` in closed form: every
+    entry ``target // n``, one more on the first ``target % n``."""
+    target = max(int(target), 0)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    q, r = divmod(target, n)
+    out = np.full(n, q, dtype=np.int64)
+    out[:r] += 1
+    return out

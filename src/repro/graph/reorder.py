@@ -57,7 +57,12 @@ def degree_sorted_relabel(graph: Graph) -> Tuple[Graph, np.ndarray]:
     ``new_feats[perm] = old_feats`` (i.e. ``new_feats = old_feats[inv]``
     with ``inv = np.argsort(perm)``).
     """
-    order = np.argsort(-graph.in_degrees, kind="stable")
+    order = _degree_order(graph.in_degrees)
     perm = np.empty(graph.num_vertices, dtype=np.int64)
     perm[order] = np.arange(graph.num_vertices)
     return relabel(graph, perm), perm
+
+
+def _degree_order(degrees: np.ndarray) -> np.ndarray:
+    """Vertex ids by descending degree, ties by ascending id."""
+    return np.argsort(-degrees, kind="stable")

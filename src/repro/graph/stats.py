@@ -33,7 +33,9 @@ class GraphStats:
         ``|V|`` and ``|E|``.
     in_degrees, out_degrees:
         Integer arrays of shape ``(num_vertices,)``.  Their sums must both
-        equal ``num_edges``.
+        equal ``num_edges``.  Stored read-only (copied first when the
+        caller's array would be aliased), so the degree maxima computed
+        at construction can never go stale.
     """
 
     num_vertices: int
@@ -42,8 +44,8 @@ class GraphStats:
     out_degrees: np.ndarray
 
     def __post_init__(self) -> None:
-        ind = np.asarray(self.in_degrees, dtype=np.int64)
-        outd = np.asarray(self.out_degrees, dtype=np.int64)
+        ind = _frozen_degrees(self.in_degrees)
+        outd = _frozen_degrees(self.out_degrees)
         if ind.shape != (self.num_vertices,) or outd.shape != (self.num_vertices,):
             raise ValueError(
                 "degree arrays must have shape (num_vertices,); got "
@@ -57,6 +59,10 @@ class GraphStats:
             )
         object.__setattr__(self, "in_degrees", ind)
         object.__setattr__(self, "out_degrees", outd)
+        # Every vertex-mapped kernel record the cost model prices reads
+        # a maximum: take each once here, not once per record.
+        object.__setattr__(self, "_max_in", int(ind.max()) if ind.size else 0)
+        object.__setattr__(self, "_max_out", int(outd.max()) if outd.size else 0)
 
     # ------------------------------------------------------------------
     @property
@@ -67,11 +73,11 @@ class GraphStats:
     @property
     def max_in_degree(self) -> int:
         """Largest in-degree; the serialisation floor of vertex-balanced kernels."""
-        return int(self.in_degrees.max()) if self.num_vertices else 0
+        return self._max_in
 
     @property
     def max_out_degree(self) -> int:
-        return int(self.out_degrees.max()) if self.num_vertices else 0
+        return self._max_out
 
     def degree_imbalance(self) -> float:
         """``max_in_degree / mean_in_degree`` — a scalar skew indicator.
@@ -133,7 +139,16 @@ class GraphStats:
     def regular(cls, num_vertices: int, degree: int) -> "GraphStats":
         """Stats of a ``degree``-regular directed graph (e.g. k-NN)."""
         deg = np.full(num_vertices, degree, dtype=np.int64)
-        return cls(num_vertices, num_vertices * degree, deg, deg.copy())
+        return cls(num_vertices, num_vertices * degree, deg, deg)
+
+
+def _frozen_degrees(degrees) -> np.ndarray:
+    """``degrees`` as a read-only int64 array that aliases no caller's."""
+    arr = np.asarray(degrees, dtype=np.int64)
+    if arr is degrees or np.may_share_memory(arr, degrees):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 # ======================================================================
@@ -206,7 +221,7 @@ def expected_field_stats(
     )
     if E == 0:
         zeros = np.zeros(members.size, dtype=np.int64)
-        return GraphStats(members.size, 0, zeros, zeros.copy())
+        return GraphStats(members.size, 0, zeros, zeros)
     # Edge-endpoint membership probabilities (degree-biased).
     t = float((stats.in_degrees * m).sum()) / E    # dst of a random edge
     s = float((stats.out_degrees * m).sum()) / E   # src of a random edge

@@ -36,7 +36,9 @@ def softmax_cross_entropy(
     expd = np.exp(shifted)
     probs = expd / expd.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    nll = -np.log(np.maximum(probs[rows, labels], 1e-30))
+    # 1e-30 is 0 in float16: floor at the dtype's smallest normal there.
+    floor = max(1e-30, np.finfo(probs.dtype).tiny)
+    nll = -np.log(np.maximum(probs[rows, labels], floor))
     if mask is None:
         count = n
         loss = float(nll.mean())

@@ -1,0 +1,134 @@
+"""Sort-free partition summaries against naive references, under hypothesis.
+
+The expected-partition summary (:meth:`PartitionStats.from_stats`) and
+the concrete partitioner price a sweep point from degree facts alone,
+so they run in O(|V|) with no sort.  Each case below draws inputs and
+holds the fast path to the plain version it replaced:
+
+- ``rescale``: ``_rescale_to_sum`` (selection threshold, lowest indices
+  among ties) equals largest-remainder rounding by a stable ``argsort``
+  — on ties, all-zero, empty and negative targets;
+- ``spread``: the closed form equals rescaling an all-ones array;
+- ``ghosts``: the mask-built ghost sets equal ``np.unique`` of the
+  remote endpoints, the halo and cut counts equal ``np.isin`` and a
+  whole-edge scan — empty parts included;
+- ``maxima``: a :class:`GraphStats`' cached maxima equal ``.max()``, its
+  stored degree arrays refuse writes, and the caller's arrays stay
+  writeable and unaliased.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.graph import Graph  # noqa: E402
+from repro.graph.partition import (  # noqa: E402
+    _rescale_to_sum,
+    _spread,
+    partition_graph,
+)
+from repro.graph.stats import GraphStats  # noqa: E402
+
+
+def _rescale_by_argsort(arr: np.ndarray, target: int) -> np.ndarray:
+    """Largest-remainder rounding the plain way: a stable sort."""
+    target = max(int(target), 0)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    arr = np.maximum(arr.astype(np.float64), 0.0)
+    total = arr.sum()
+    if total <= 0:
+        arr = np.ones(arr.size, dtype=np.float64)
+        total = float(arr.size)
+    scaled = arr * (target / total)
+    base = np.floor(scaled).astype(np.int64)
+    remainder = target - int(base.sum())
+    if remainder > 0:
+        order = np.argsort(-(scaled - base), kind="stable")
+        base[order[:remainder]] += 1
+    return base
+
+
+def _rescale(data) -> None:
+    # Few distinct values, so fractional parts tie often.
+    values = data.draw(st.sampled_from([
+        st.integers(-2, 4), st.just(0), st.floats(0, 50, allow_nan=False),
+    ]))
+    arr = np.array(data.draw(st.lists(values, max_size=40)), dtype=np.float64)
+    target = data.draw(st.integers(-10, 400))
+    got = _rescale_to_sum(arr, target)
+    np.testing.assert_array_equal(got, _rescale_by_argsort(arr, target))
+    assert got.dtype == np.int64
+
+
+def _spread_case(data) -> None:
+    n = data.draw(st.integers(0, 60))
+    target = data.draw(st.integers(-10, 1000))
+    got = _spread(n, target)
+    ones = np.ones(n, dtype=np.int64)
+    np.testing.assert_array_equal(got, _rescale_to_sum(ones, target))
+    np.testing.assert_array_equal(got, _rescale_by_argsort(ones, target))
+
+
+def _ghosts(data) -> None:
+    n = data.draw(st.integers(1, 30))
+    m = data.draw(st.integers(0, 90))
+    endpoint = st.integers(0, n - 1)
+    src = np.array(data.draw(st.lists(endpoint, min_size=m, max_size=m)), dtype=np.int64)
+    dst = np.array(data.draw(st.lists(endpoint, min_size=m, max_size=m)), dtype=np.int64)
+    graph = Graph(src, dst, n)
+    # More parts than vertices leaves some parts empty.
+    num_parts = data.draw(st.integers(1, 8))
+    method = data.draw(st.sampled_from(["hash", "range", "greedy"]))
+    partition = partition_graph(graph, num_parts, method=method)
+    owner = partition.assignment
+    for p, part in enumerate(partition.parts):
+        in_e, out_e = part.in_edge_ids, part.out_edge_ids
+        ghost_src = np.unique(src[in_e][owner[src[in_e]] != p])
+        ghost_dst = np.unique(dst[out_e][owner[dst[out_e]] != p])
+        np.testing.assert_array_equal(part.ghost_src, ghost_src)
+        np.testing.assert_array_equal(part.ghost_dst, ghost_dst)
+        assert part.ghost_src.dtype == part.ghost_dst.dtype == np.int64
+        assert part.halo_out_edges == int(
+            out_e.size - np.isin(out_e, in_e, assume_unique=True).sum()
+        )
+    assert partition.cut_edges == int((owner[src] != owner[dst]).sum())
+
+
+def _maxima(data) -> None:
+    n = data.draw(st.integers(0, 40))
+    ind = np.array(data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)),
+                   dtype=np.int64)
+    outd = ind[np.random.default_rng(data.draw(st.integers(0, 9))).permutation(n)]
+    stats = GraphStats(n, int(ind.sum()), ind, outd)
+    assert stats.max_in_degree == (int(ind.max()) if n else 0)
+    assert stats.max_out_degree == (int(outd.max()) if n else 0)
+    for stored in (stats.in_degrees, stats.out_degrees):
+        assert not np.may_share_memory(stored, ind)
+        assert not np.may_share_memory(stored, outd)
+        with pytest.raises(ValueError):
+            stored[...] = 0
+    # The caller's arrays are neither frozen nor read back.
+    ind[...] = 99
+    assert ind.flags.writeable
+    assert stats.max_in_degree == (int(stats.in_degrees.max()) if n else 0)
+
+
+CASES = {
+    "rescale": _rescale,
+    "spread": _spread_case,
+    "ghosts": _ghosts,
+    "maxima": _maxima,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matches_naive_reference(case, data):
+    CASES[case](data)

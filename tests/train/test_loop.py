@@ -1,5 +1,7 @@
 """Tests for losses and the Trainer loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,26 @@ class TestCrossEntropy:
             softmax_cross_entropy(np.zeros((4,)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((4, 2)), np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_underflowed_probability_reads_a_finite_loss(self, dtype):
+        # The label's probability underflows to 0 in every dtype; the
+        # floor is 1e-30 where the dtype holds it (float32 / float64,
+        # bit for bit the loss the 1e-30 clamp always gave) and the
+        # smallest normal in float16, where 1e-30 is 0.
+        logits = np.array([[0.0, -200.0], [0.0, 1.0]], dtype=dtype)
+        labels = np.array([1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = softmax_cross_entropy(logits, labels)
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        floor = np.float16(np.finfo(np.float16).tiny) if dtype is np.float16 else 1e-30
+        nll = -np.log(np.maximum(probs[[0, 1], labels], floor))
+        assert loss == float(nll.mean())
+        if dtype is not np.float16:
+            assert nll[0] == -np.log(dtype(1e-30))
 
     def test_extreme_logits_stable(self):
         logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
