@@ -127,7 +127,6 @@ from repro.dyn import (
     GraphDelta,
     UpdateEvent,
     mixed_workload,
-    update_workload,
 )
 from repro.serve import (
     BatchPolicy,
@@ -189,7 +188,6 @@ __all__ = [
     "FeatureStore",
     "UpdateEvent",
     "mixed_workload",
-    "update_workload",
     "Adam",
     "SGD",
     "Trainer",

@@ -22,20 +22,10 @@ Diagnostics carry stable ``RPxyz`` codes (see
 :mod:`repro.analysis.mutate` keeps every checker honest.
 """
 
-from repro.analysis.analyzer import (
-    Analyzer,
-    ArtifactBundle,
-    DEFAULT_CHECKERS,
-    PlanArtifact,
-    make_default_checkers,
-)
-from repro.analysis.arena import ArenaChecker, check_memory_plan
+from repro.analysis.analyzer import Analyzer, ArtifactBundle, PlanArtifact
+from repro.analysis.arena import ArenaChecker
 from repro.analysis.bundle import build_bundle
-from repro.analysis.determinism import (
-    DeterminismChecker,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.determinism import DeterminismChecker, lint_paths
 from repro.analysis.diagnostics import (
     CODES,
     AnalysisReport,
@@ -45,19 +35,16 @@ from repro.analysis.diagnostics import (
     describe_code,
 )
 from repro.analysis.differential import DifferentialChecker, check_plan_equivalence
-from repro.analysis.halo import HaloChecker, check_comm_records, expected_exchanges
-from repro.analysis.mutate import MUTANTS, run_mutant, self_test
+from repro.analysis.halo import HaloChecker
+from repro.analysis.mutate import self_test
 from repro.analysis.partition_checks import PartitionChecker, check_partition
-from repro.analysis.precision_flow import PrecisionFlowChecker, check_precision_flow
+from repro.analysis.precision_flow import PrecisionFlowChecker
 from repro.analysis.races import (
     RaceChecker,
     check_order,
     conflicts,
-    happens_before,
     hazard_waves,
-    kernel_access,
     may_overlap,
-    overlap_diagnostics,
 )
 from repro.analysis.structure import StructureChecker, check_module
 
@@ -65,8 +52,6 @@ __all__ = [
     "Analyzer",
     "ArtifactBundle",
     "PlanArtifact",
-    "DEFAULT_CHECKERS",
-    "make_default_checkers",
     "build_bundle",
     "AnalysisReport",
     "Diagnostic",
@@ -85,24 +70,14 @@ __all__ = [
     "DeterminismChecker",
     # checker functions
     "check_module",
-    "check_memory_plan",
-    "check_precision_flow",
-    "check_comm_records",
-    "expected_exchanges",
     "check_partition",
     "check_plan_equivalence",
-    "lint_source",
     "lint_paths",
     # races API
-    "kernel_access",
     "conflicts",
-    "happens_before",
     "may_overlap",
     "check_order",
     "hazard_waves",
-    "overlap_diagnostics",
     # mutation harness
-    "MUTANTS",
-    "run_mutant",
     "self_test",
 ]

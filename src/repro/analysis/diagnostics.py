@@ -78,7 +78,6 @@ CODES: Dict[str, Tuple[str, str]] = {
     "RP010": ("structure", "node output missing from specs"),
     # -- RP1xx: kernel races / schedule legality -----------------------
     "RP101": ("races", "proposed order breaks a RAW dependence"),
-    "RP102": ("races", "parallel overlap of conflicting kernels"),
     "RP103": ("races", "proposed order is not a permutation of the plan"),
     "RP104": ("races", "slab-sharing kernels reordered against reuse"),
     # -- RP2xx: arena overlap / memory watermarks ----------------------

@@ -39,7 +39,6 @@ __all__ = [
     "check_order",
     "kernel_dependencies",
     "hazard_waves",
-    "overlap_diagnostics",
     "RaceChecker",
 ]
 
@@ -266,7 +265,7 @@ class RaceChecker:
     """
 
     name = "races"
-    codes = ("RP101", "RP102", "RP103", "RP104")
+    codes = ("RP101", "RP103", "RP104")
 
     def check(self, bundle) -> List[Diagnostic]:
         diags: List[Diagnostic] = []
@@ -284,33 +283,3 @@ class RaceChecker:
             )
         return diags
 
-
-def overlap_diagnostics(
-    plan: ExecPlan,
-    pairs: Sequence[Tuple[int, int]],
-    *,
-    memory_plan=None,
-    phase: Optional[str] = None,
-) -> List[Diagnostic]:
-    """RP102 diagnostics for every proposed parallel pair that races."""
-    diags: List[Diagnostic] = []
-    for k1, k2 in pairs:
-        found = conflicts(plan, k1, k2, memory_plan=memory_plan) + conflicts(
-            plan, k2, k1, memory_plan=memory_plan
-        )
-        for c in found:
-            diags.append(
-                Diagnostic(
-                    code="RP102",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"kernels {k1} ({plan.kernels[k1].label!r}) and "
-                        f"{k2} ({plan.kernels[k2].label!r}) may not overlap: "
-                        f"{c.kind} on {c.resource!r}"
-                    ),
-                    location=SourceLocation(
-                        phase=phase, kernel=k1, kernel2=k2, value=c.resource
-                    ),
-                )
-            )
-    return diags

@@ -8,18 +8,13 @@ Extends the analytic IO perspective to a read/write serving mix:
 - :mod:`repro.dyn.featurestore` — the versioned :class:`FeatureStore`
   whose version bumps drive serve-cache invalidation with exact
   invalidation-byte accounting,
-- :mod:`repro.dyn.workload` — seeded update/read mixed-workload
-  generators (:func:`mixed_workload`, :func:`update_workload`).
+- :mod:`repro.dyn.workload` — the seeded update/read mixed-workload
+  generator (:func:`mixed_workload`).
 """
 
-from repro.dyn.delta import (
-    DynamicGraph,
-    GraphDelta,
-    compact_io_bytes,
-    delta_apply_bytes,
-)
+from repro.dyn.delta import DynamicGraph, GraphDelta, delta_apply_bytes
 from repro.dyn.featurestore import FeatureStore
-from repro.dyn.workload import UpdateEvent, mixed_workload, update_workload
+from repro.dyn.workload import UpdateEvent, mixed_workload
 
 __all__ = [
     "DynamicGraph",
@@ -27,7 +22,5 @@ __all__ = [
     "FeatureStore",
     "UpdateEvent",
     "mixed_workload",
-    "update_workload",
-    "compact_io_bytes",
     "delta_apply_bytes",
 ]

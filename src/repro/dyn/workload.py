@@ -12,9 +12,8 @@ sides of that mix from one seeded event stream:
   event is a write with probability ``update_frac`` and a read
   otherwise; reads are ordinary
   :class:`~repro.serve.request.InferenceRequest` objects, so the
-  stream plugs straight into :meth:`InferenceServer.serve`,
-- :func:`update_workload` — the write side alone, for replaying
-  updates against a fixed request trace.
+  stream plugs straight into :meth:`InferenceServer.serve`; its
+  ``updates`` half replays against any other request trace.
 
 Hot-vertex skew uses the same Zipf popularity model as the read path
 (:func:`~repro.serve.request.zipf_seed_probabilities`), re-derived as
@@ -37,7 +36,7 @@ from repro.serve.request import (
     zipf_seed_probabilities,
 )
 
-__all__ = ["UpdateEvent", "mixed_workload", "update_workload"]
+__all__ = ["UpdateEvent", "mixed_workload"]
 
 #: Rows a feature put refreshes, edges an edge batch inserts, and
 #: vertices an edge batch brings when it grows the graph.
@@ -272,48 +271,3 @@ def mixed_workload(
             )
     return requests, updates
 
-
-def update_workload(
-    num_updates: int,
-    *,
-    qps: float,
-    num_vertices: int,
-    feature_dim: int,
-    zipf_alpha: float = 0.0,
-    edge_frac: float = 0.5,
-    new_vertex_prob: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    seed: int = 0,
-) -> List[UpdateEvent]:
-    """The write side alone: Poisson update arrivals at ``qps``.
-
-    Useful for replaying a fixed update stream against an independent
-    request trace (e.g. the version-skew tests).  Same knobs and
-    determinism contract as :func:`mixed_workload`.
-    """
-    if num_updates <= 0:
-        raise ValueError("num_updates must be positive")
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    if not 0.0 <= edge_frac <= 1.0:
-        raise ValueError("edge_frac must lie in [0, 1]")
-    rng = _resolve_rng(rng, seed)
-    p_cache: Dict[int, SeedCDF] = {}
-    arrivals = np.cumsum(rng.exponential(1.0 / qps, size=num_updates))
-    updates: List[UpdateEvent] = []
-    live_vertices = num_vertices
-    for i, t in enumerate(arrivals):
-        event = _draw_update(
-            i,
-            float(t),
-            num_vertices=live_vertices,
-            feature_dim=feature_dim,
-            rng=rng,
-            zipf_p=_zipf_cache(p_cache, live_vertices, zipf_alpha),
-            zipf_alpha=zipf_alpha,
-            edge_frac=edge_frac,
-            new_vertex_prob=new_vertex_prob,
-        )
-        live_vertices += event.num_new_vertices
-        updates.append(event)
-    return updates

@@ -24,13 +24,7 @@ and recompute programs, as produced by :mod:`repro.opt`.
 from repro.exec.plan import ExecPlan, Kernel, plan_module
 from repro.exec.engine import Engine
 from repro.exec.measure import MeasuredRun, kernel_class, measure_plan
-from repro.exec.memory import (
-    MemoryLedger,
-    MemoryPlan,
-    StepMemoryPlan,
-    plan_memory,
-    plan_memory_multi,
-)
+from repro.exec.memory import MemoryLedger, MemoryPlan, StepMemoryPlan, plan_memory
 from repro.exec.multi import MultiEngine
 from repro.exec.profiler import Counters, MultiGPUCounters
 from repro.exec.analytic import (
@@ -53,7 +47,6 @@ __all__ = [
     "StepMemoryPlan",
     "MemoryLedger",
     "plan_memory",
-    "plan_memory_multi",
     "Counters",
     "MultiGPUCounters",
     "analyze_plan",

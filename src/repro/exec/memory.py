@@ -80,7 +80,6 @@ __all__ = [
     "ArenaPool",
     "pack",
     "plan_memory",
-    "plan_memory_multi",
     "LedgerWalk",
     "ledger_walk",
     "root_sizes",
@@ -418,25 +417,6 @@ def plan_memory(
         pinned=pinned_roots,
         heuristic=heuristic,
     )
-
-
-def plan_memory_multi(
-    plan: ExecPlan,
-    pstats,
-    *,
-    pinned: Iterable[str] = (),
-) -> List[MemoryPlan]:
-    """Per-partition arena plans for a partitioned workload.
-
-    Each simulated GPU executes the *same* plan on its own partition's
-    stats (vertex extents cover owned + ghost rows), so each gets its
-    own arena sized to its shard.  ``pstats`` is a
-    :class:`~repro.graph.partition.PartitionStats`.
-    """
-    pinned = list(pinned)
-    return [
-        plan_memory(plan, part, pinned=pinned) for part in pstats.parts
-    ]
 
 
 # ======================================================================

@@ -21,12 +21,7 @@ about graph *structure*:
 """
 
 from repro.graph.csr import Graph
-from repro.graph.stats import (
-    GraphStats,
-    expected_field_stats,
-    expected_khop_field_size,
-    expected_khop_membership,
-)
+from repro.graph.stats import GraphStats, expected_field_stats
 from repro.graph.generators import (
     erdos_renyi,
     chung_lu,
@@ -36,10 +31,8 @@ from repro.graph.generators import (
     disjoint_union,
 )
 from repro.graph.datasets import get_dataset, list_datasets, Dataset
-from repro.graph.reorder import relabel, degree_sorted_relabel
 from repro.graph.sampling import (
     MiniBatch,
-    in_neighbours,
     induced_subgraph,
     khop_neighborhood,
     plan_minibatches,
@@ -54,8 +47,6 @@ from repro.graph.partition import (
 __all__ = [
     "Graph",
     "GraphStats",
-    "expected_khop_membership",
-    "expected_khop_field_size",
     "expected_field_stats",
     "erdos_renyi",
     "chung_lu",
@@ -66,9 +57,6 @@ __all__ = [
     "get_dataset",
     "list_datasets",
     "Dataset",
-    "relabel",
-    "degree_sorted_relabel",
-    "in_neighbours",
     "induced_subgraph",
     "khop_neighborhood",
     "random_vertex_batches",

@@ -22,9 +22,8 @@ single-graph execution:
   the :attr:`~PartSubgraph.halo_out_edges`.
 
 Three partitioners are provided: ``hash`` (pseudo-random, perfectly
-balanced in expectation), ``range`` (contiguous blocks — pairs with the
-locality-aware relabellings in :mod:`repro.graph.reorder`), and
-``greedy`` (streaming linear-deterministic-greedy edge-cut
+balanced in expectation), ``range`` (contiguous blocks of vertex ids),
+and ``greedy`` (streaming linear-deterministic-greedy edge-cut
 minimisation, visiting vertices by descending degree).
 
 :class:`PartitionStats` is the degree-level summary the multi-GPU
@@ -38,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.reorder import _degree_order
-from repro.graph.stats import GraphStats
+from repro.graph.stats import GraphStats, _degree_order
 
 __all__ = [
     "PartSubgraph",
@@ -477,7 +475,7 @@ class PartitionStats:
             own_out = _rescale_to_sum(
                 outd_sample, int(round((1.0 - cut_frac) * edges_p))
             )
-            ghost_out = _spread(ghosts_p, edges_p - int(own_out.sum()))
+            ghost_out = _even_split(ghosts_p, edges_p - int(own_out.sum()))
             parts.append(
                 GraphStats(
                     num_vertices=int(ind.size + ghosts_p),
@@ -534,7 +532,7 @@ def _rescale_to_sum(arr: np.ndarray, target: int) -> np.ndarray:
     return base
 
 
-def _spread(n: int, target: int) -> np.ndarray:
+def _even_split(n: int, target: int) -> np.ndarray:
     """``_rescale_to_sum(np.ones(n), target)`` in closed form: every
     entry ``target // n``, one more on the first ``target % n``."""
     target = max(int(target), 0)

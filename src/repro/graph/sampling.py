@@ -42,7 +42,6 @@ from repro.graph.csr import Graph, _append_grouping
 
 __all__ = [
     "induced_subgraph",
-    "in_neighbours",
     "khop_neighborhood",
     "random_vertex_batches",
     "MiniBatch",
@@ -252,19 +251,6 @@ def induced_subgraph(
     (``random_vertex_batches`` never yields one).
     """
     return _induce(((graph, 0),), graph.num_vertices, vertices)
-
-
-def in_neighbours(graph: Graph, frontier: np.ndarray) -> np.ndarray:
-    """Sorted unique in-neighbours of a frontier (one expansion hop).
-
-    Gathers every CSC segment of the frontier at once
-    (:func:`_segment_positions`) and marks the sources in a boolean over
-    the vertex space.  Frontier ids must lie inside the graph.
-    """
-    reached = np.zeros(graph.num_vertices, dtype=bool)
-    frontier = np.asarray(frontier, dtype=np.int64)
-    _mark_in_neighbours(((graph, 0),), frontier, reached)
-    return np.flatnonzero(reached)
 
 
 def khop_neighborhood(

@@ -12,13 +12,13 @@ stats level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "GraphStats",
     "expected_khop_membership",
-    "expected_khop_field_size",
     "expected_field_stats",
 ]
 
@@ -151,6 +151,12 @@ def _frozen_degrees(degrees) -> np.ndarray:
     return arr
 
 
+def _degree_order(degrees: np.ndarray) -> np.ndarray:
+    """Vertex ids by descending degree, ties by ascending id (greedy
+    partitioning's visit order)."""
+    return np.argsort(-degrees, kind="stable")
+
+
 # ======================================================================
 # Expected receptive fields (degree-model estimates for sampled training)
 # ======================================================================
@@ -185,13 +191,6 @@ def expected_khop_membership(
         t = float((stats.in_degrees * m).sum()) / E
         m = 1.0 - (1.0 - m) * np.power(1.0 - t, stats.out_degrees)
     return m
-
-
-def expected_khop_field_size(
-    stats: "GraphStats", batch_size: int, hops: int
-) -> float:
-    """Expected receptive-field vertex count of one random batch."""
-    return float(expected_khop_membership(stats, batch_size, hops).sum())
 
 
 def expected_field_stats(

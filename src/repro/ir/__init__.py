@@ -27,7 +27,7 @@ Module layout:
   API used by the model zoo,
 - :mod:`autodiff` — backward-graph construction (Appendix B rules),
 - :mod:`validate` — structural invariants,
-- :mod:`printer` — human-readable and DOT dumps.
+- :mod:`printer` — Graphviz DOT dumps.
 """
 
 from repro.ir.tensorspec import Domain, TensorSpec
@@ -44,7 +44,7 @@ from repro.ir.module import Module
 from repro.ir.builder import Builder, Val
 from repro.ir.autodiff import differentiate, TrainingGraph
 from repro.ir.validate import validate_module
-from repro.ir.printer import format_module, to_dot
+from repro.ir.printer import to_dot
 
 __all__ = [
     "Domain",
@@ -63,6 +63,5 @@ __all__ = [
     "differentiate",
     "TrainingGraph",
     "validate_module",
-    "format_module",
     "to_dot",
 ]

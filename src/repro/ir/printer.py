@@ -1,4 +1,4 @@
-"""Human-readable and Graphviz dumps of IR modules."""
+"""Graphviz DOT dumps of IR modules."""
 
 from __future__ import annotations
 
@@ -7,52 +7,7 @@ from typing import Optional
 from repro.ir.module import Module
 from repro.ir.ops import OpKind
 
-__all__ = ["format_module", "to_dot"]
-
-
-def format_module(module: Module, *, show_specs: bool = True) -> str:
-    """Pretty-print a module, one node per line.
-
-    Example output::
-
-        module gat_layer
-          inputs: h:vertex[64]:float32
-          params: w:param[64x64]:float32
-          linear.0       = apply:linear(h | w)
-          copy_u.0       = scatter:copy_u(linear.0)
-          ...
-          outputs: agg_out.0
-    """
-    lines = [f"module {module.name}"]
-    if module.inputs:
-        rendered = ", ".join(
-            f"{n}:{module.specs[n]}" if show_specs else n for n in module.inputs
-        )
-        lines.append(f"  inputs: {rendered}")
-    if module.params:
-        rendered = ", ".join(
-            f"{n}:{module.specs[n]}" if show_specs else n for n in module.params
-        )
-        lines.append(f"  params: {rendered}")
-    width = max((len(", ".join(n.outputs)) for n in module.nodes), default=0)
-    for node in module.nodes:
-        lhs = ", ".join(node.outputs).ljust(width)
-        args = ", ".join(node.inputs)
-        if node.params:
-            args += " | " + ", ".join(node.params)
-        extra = ""
-        if node.attrs:
-            shown = {k: v for k, v in node.attrs.items() if k != "orientation"}
-            orient = node.attrs.get("orientation")
-            if orient and orient != "in":
-                shown["orientation"] = orient
-            if shown:
-                extra += f" {shown}"
-        if node.macro:
-            extra += f"  # {node.macro}"
-        lines.append(f"  {lhs} = {node.kind.value}:{node.fn}({args}){extra}")
-    lines.append(f"  outputs: {', '.join(module.outputs)}")
-    return "\n".join(lines)
+__all__ = ["to_dot"]
 
 
 _KIND_COLORS = {

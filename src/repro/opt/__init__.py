@@ -24,7 +24,7 @@ from repro.opt.reorganize import reorganize
 from repro.opt.fusion import partition_kernels
 from repro.opt.stages import StageMemo
 from repro.opt.recompute import plan_recompute, RecomputeDecision
-from repro.opt.autotune import autotune_plan, mapping_choices
+from repro.opt.autotune import autotune_plan
 from repro.opt.schedule import (
     ScheduleMemoryPass,
     schedule_kernels,
@@ -45,7 +45,6 @@ __all__ = [
     "plan_recompute",
     "RecomputeDecision",
     "autotune_plan",
-    "mapping_choices",
     "schedule_kernels",
     "ScheduleMemoryPass",
     "with_memory_schedule",

@@ -1,4 +1,5 @@
-"""Training substrate: losses, optimizers, and the concrete train loop.
+"""Training substrate: losses, optimizers, and the full-graph and
+sampled mini-batch train loops.
 
 The loop drives a :class:`~repro.frameworks.strategy.CompiledTraining`
 through the NumPy engine: forward plan → loss + gradient seed →
@@ -15,13 +16,6 @@ from repro.train.minibatch import (
     receptive_hops,
 )
 from repro.train.optim import SGD, Adam, Optimizer
-from repro.train.schedule import (
-    CosineLR,
-    LRSchedule,
-    ScheduledOptimizer,
-    StepLR,
-    WarmupLR,
-)
 
 __all__ = [
     "Trainer",
@@ -34,9 +28,4 @@ __all__ = [
     "SGD",
     "Adam",
     "Optimizer",
-    "LRSchedule",
-    "StepLR",
-    "CosineLR",
-    "WarmupLR",
-    "ScheduledOptimizer",
 ]

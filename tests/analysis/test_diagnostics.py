@@ -36,7 +36,8 @@ class TestCodeRegistry:
             assert code in describe_code(code)
 
     def test_core_checker_codes_present(self):
-        # The ISSUE's five tentpole checkers each own at least one code.
+        # The race, arena, precision, halo and determinism checkers
+        # each own at least one code.
         for code in ("RP101", "RP201", "RP301", "RP401", "RP501"):
             assert code in CODES
 

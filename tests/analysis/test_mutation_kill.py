@@ -12,14 +12,9 @@ Two sides of the same acceptance contract:
 
 import pytest
 
-from repro.analysis import (
-    Analyzer,
-    DEFAULT_CHECKERS,
-    MUTANTS,
-    build_bundle,
-    run_mutant,
-    self_test,
-)
+from repro.analysis import Analyzer, build_bundle, self_test
+from repro.analysis.analyzer import DEFAULT_CHECKERS
+from repro.analysis.mutate import MUTANTS, run_mutant
 from repro.registry import MODELS
 from repro.session import PlanCache, Session
 

@@ -9,7 +9,8 @@ same version — before and after any number of compactions.
 import numpy as np
 import pytest
 
-from repro.dyn import DynamicGraph, GraphDelta, compact_io_bytes, delta_apply_bytes
+from repro.dyn import DynamicGraph, GraphDelta, delta_apply_bytes
+from repro.dyn.delta import compact_io_bytes
 from repro.graph import Graph, chung_lu
 from repro.graph.sampling import induced_subgraph, khop_neighborhood
 

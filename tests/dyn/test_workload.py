@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dyn import UpdateEvent, GraphDelta, mixed_workload, update_workload
+from repro.dyn import UpdateEvent, GraphDelta, mixed_workload
 
 
 def _gen(**kw):
@@ -124,28 +124,6 @@ class TestMixedWorkload:
             _gen(edge_frac=1.5)
         with pytest.raises(ValueError, match="new_vertex_prob"):
             _gen(new_vertex_prob=-0.1)
-
-
-class TestUpdateWorkload:
-    def test_write_side_alone(self):
-        updates = update_workload(
-            16, qps=100.0, num_vertices=30, feature_dim=4, seed=3
-        )
-        assert len(updates) == 16
-        assert [u.update_id for u in updates] == list(range(16))
-        times = [u.arrival_s for u in updates]
-        assert times == sorted(times) and times[0] > 0
-
-    def test_deterministic(self):
-        a = update_workload(8, qps=50.0, num_vertices=20, feature_dim=2, seed=5)
-        b = update_workload(8, qps=50.0, num_vertices=20, feature_dim=2, seed=5)
-        for x, y in zip(a, b):
-            assert x.arrival_s == y.arrival_s
-            np.testing.assert_array_equal(x.feature_rows, y.feature_rows)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="num_updates"):
-            update_workload(0, qps=1.0, num_vertices=5, feature_dim=2)
 
 
 def _naive_mixed(

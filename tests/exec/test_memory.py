@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.models  # noqa: F401  (populates the model registry)
-from repro.exec import Engine, plan_memory, plan_memory_multi
+from repro.exec import Engine, plan_memory
 from repro.exec.analytic import analyze_plan
 from repro.exec.memory import (
     ARENA_ALIGN,
@@ -123,7 +123,7 @@ class TestPlanMemoryMulti:
     def test_one_plan_per_partition(self):
         compiled = compiled_for("gcn")
         pstats = PartitionStats.from_stats(STATS, 4)
-        plans = plan_memory_multi(compiled.fwd_plan, pstats)
+        plans = [plan_memory(compiled.fwd_plan, part) for part in pstats.parts]
         assert len(plans) == 4
         for mp, part in zip(plans, pstats.parts):
             assert isinstance(mp, MemoryPlan)

@@ -162,3 +162,25 @@ class TestDeviceOrdering:
             sum(breakdown.kernel_seconds)
         )
         assert len(breakdown.top(1)) == 1
+
+
+class TestNeighborGroupingCostModel:
+    def test_grouping_caps_imbalance(self):
+        from repro.exec.profiler import KernelRecord
+        from repro.gpu import RTX3090, CostModel
+        from repro.graph import GraphStats
+
+        ind = np.full(1000, 10, dtype=np.int64)
+        ind[0] = 5_000
+        ind[1] = 10 + (10 * 1000 + 5_000 - int(ind.sum()))
+        stats = GraphStats(1000, int(ind.sum()), ind, ind.copy())
+        rec = KernelRecord(
+            label="k", mapping="vertex", work="degree_in", rows=1000,
+            flops=1e6, read_bytes=10**6, write_bytes=10**6,
+        )
+        plain = CostModel(RTX3090).imbalance_factor(rec, stats)
+        grouped = CostModel(
+            RTX3090, neighbor_group_size=64
+        ).imbalance_factor(rec, stats)
+        assert grouped < plain
+        assert grouped >= 1.0

@@ -1,6 +1,6 @@
-"""Smoke tests for the IR printers."""
+"""Smoke tests for the IR DOT printer."""
 
-from repro.ir import Builder, Domain, format_module, to_dot
+from repro.ir import Builder, Domain, to_dot
 
 
 def sample_module():
@@ -11,31 +11,6 @@ def sample_module():
     e = b.scatter("copy_u", u=y)
     b.output(b.gather("sum", e))
     return b.build()
-
-
-class TestFormat:
-    def test_contains_all_nodes(self):
-        m = sample_module()
-        text = format_module(m)
-        for node in m.nodes:
-            assert node.name in text
-        assert "module demo" in text
-        assert "outputs:" in text
-
-    def test_show_specs_toggle(self):
-        m = sample_module()
-        with_specs = format_module(m, show_specs=True)
-        without = format_module(m, show_specs=False)
-        assert "vertex[4]" in with_specs
-        assert "vertex[4]" not in without
-
-    def test_orientation_shown_when_out(self):
-        b = Builder("m")
-        h = b.input("h", Domain.VERTEX, (2,))
-        e = b.scatter("copy_u", u=h)
-        b.output(b.gather("sum", e, orientation="out"))
-        text = format_module(b.build())
-        assert "orientation" in text
 
 
 class TestDot:

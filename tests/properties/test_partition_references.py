@@ -29,7 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.graph import Graph  # noqa: E402
 from repro.graph.partition import (  # noqa: E402
     _rescale_to_sum,
-    _spread,
+    _even_split,
     partition_graph,
 )
 from repro.graph.stats import GraphStats  # noqa: E402
@@ -69,7 +69,7 @@ def _rescale(data) -> None:
 def _spread_case(data) -> None:
     n = data.draw(st.integers(0, 60))
     target = data.draw(st.integers(-10, 1000))
-    got = _spread(n, target)
+    got = _even_split(n, target)
     ones = np.ones(n, dtype=np.int64)
     np.testing.assert_array_equal(got, _rescale_to_sum(ones, target))
     np.testing.assert_array_equal(got, _rescale_by_argsort(ones, target))

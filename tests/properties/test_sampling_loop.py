@@ -32,7 +32,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.dyn import DynamicGraph, GraphDelta
 from repro.graph import Graph
-from repro.graph.sampling import in_neighbours, induced_subgraph, khop_neighborhood
+from repro.graph.sampling import induced_subgraph, khop_neighborhood
 from repro.serve import receptive_field
 from tests.helpers import ring_graph
 
@@ -168,18 +168,6 @@ class TestInducedSubgraphLoop:
 
 
 class TestInNeighboursSet:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_set_reference(self, data):
-        graph = data.draw(multigraphs())
-        frontier = data.draw(vertex_lists(graph.num_vertices))
-        inside = set(frontier.tolist())
-        want = sorted({
-            u for u, v in zip(graph.src.tolist(), graph.dst.tolist()) if v in inside
-        })
-        got = in_neighbours(graph, frontier)
-        assert got.dtype == np.int64 and got.tolist() == want
-
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_khop_matches_set_closure(self, data):

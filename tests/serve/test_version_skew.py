@@ -11,7 +11,7 @@ every delivered output — is independent of the scheduler policy.
 import numpy as np
 import pytest
 
-from repro.dyn import mixed_workload, update_workload
+from repro.dyn import mixed_workload
 from repro.exec.engine import Engine
 from repro.frameworks import compile_forward, get_strategy
 from repro.graph import get_dataset
@@ -195,8 +195,8 @@ class TestDispatchTimeSnapshot:
             assert np.array_equal(a.outputs[rid], b.outputs[rid])
 
     def test_fixed_update_stream_replays_against_any_trace(self, cora):
-        # update_workload composes with an independently generated read
-        # trace on the same clock.
+        # The update half of a mixed stream composes with an
+        # independently generated read trace on the same clock.
         from repro.serve import poisson_workload
 
         ds, graph, features = cora
@@ -211,14 +211,16 @@ class TestDispatchTimeSnapshot:
             zipf_alpha=0.8,
             seed=1,
         )
-        updates = update_workload(
+        _, updates = mixed_workload(
             8,
             qps=1500.0,
             num_vertices=graph.num_vertices,
             feature_dim=IN_DIM,
+            update_frac=0.5,
             new_vertex_prob=0.5,
             seed=2,
         )
+        assert updates
         report = server.serve(reqs, updates=updates)
-        assert report.num_updates == 8
-        assert report.graph_version + report.num_feature_updates >= 8
+        assert report.num_updates == len(updates)
+        assert report.graph_version + report.num_feature_updates >= len(updates)

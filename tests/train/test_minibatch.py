@@ -30,7 +30,7 @@ import pytest
 
 from repro.frameworks import compile_training, get_strategy, list_strategies
 from repro.graph import chung_lu, get_dataset, plan_minibatches
-from repro.graph.stats import expected_khop_field_size
+from repro.graph.stats import expected_khop_membership
 from repro.models import GraphSAGE
 from repro.registry import MODELS
 from repro.session import Session
@@ -504,7 +504,7 @@ class TestExpectedFieldModel:
         graph, *_ = _problem(num_vertices=400, num_edges=2400, seed=21)
         stats = graph.stats()
         batch, hops = 40, 2
-        est = expected_khop_field_size(stats, batch, hops)
+        est = expected_khop_membership(stats, batch, hops).sum()
         fields = []
         for trial in range(5):
             rng = np.random.default_rng(trial)
@@ -516,12 +516,10 @@ class TestExpectedFieldModel:
         assert 0.6 * emp < est < 1.5 * emp, (est, emp)
 
     def test_membership_monotone_in_hops_and_batch(self):
-        from repro.graph.stats import expected_khop_membership
-
         graph, *_ = _problem(num_vertices=200, num_edges=1000, seed=3)
         stats = graph.stats()
         sizes = [
-            expected_khop_field_size(stats, 20, h) for h in range(4)
+            expected_khop_membership(stats, 20, h).sum() for h in range(4)
         ]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
         m_small = expected_khop_membership(stats, 10, 2)
