@@ -12,9 +12,12 @@ Qualitative shape asserted here:
 - the comm share of off-chip traffic grows **monotonically** with the
   GPU count (the cut approaches ``(P-1)/P`` of all edges while per-GPU
   DRAM traffic shrinks),
-- both models eventually go communication-bound (comm ms > compute ms),
-- large clusters still beat one GPU despite the comm tax (speedup at
-  8 GPUs > 1), and per-GPU peak memory shrinks with the partition.
+- aggregation traffic is vertex rows per ghost (an out-edge
+  aggregation fetches its ghost destinations' rows, never its edge
+  messages), so on Reddit every partitioned point pays interconnect
+  time yet stays compute-bound,
+- large clusters beat one GPU (speedup at 8 GPUs > 1), and per-GPU
+  peak memory shrinks with the partition.
 
 The wall-clock leg times one concrete MultiEngine step against the
 single-Engine step on the same graph — same plan, same values, plus
@@ -49,14 +52,17 @@ class TestMultiGPUScaling:
                 a < b for a, b in zip(fractions, fractions[1:])
             ), f"{workload}: comm fraction not monotone: {fractions}"
 
-    def test_comm_bound_crossover(self, figure):
-        # One GPU is compute-bound by construction; every partitioned
-        # point of these halo-heavy workloads pays more interconnect
-        # time than compute time on a 64 GB/s link.
+    def test_vertex_row_halos_stay_compute_bound(self, figure):
+        # One GPU is compute-bound by construction.  Every partitioned
+        # point pays interconnect time, but its halos are vertex rows
+        # per ghost — at most |V| rows per part and exchange, where the
+        # edge messages an out-edge aggregation used to ship grew with
+        # |E| — so on a 64 GB/s link compute stays the larger term.
         for workload in ("gat-reddit", "monet-reddit"):
             series = _series(figure, workload)
-            assert not series[0]["comm_bound"]
-            assert series[-1]["comm_bound"]
+            assert series[0]["comm_fraction"] == 0
+            assert all(r["comm_fraction"] > 0 for r in series[1:])
+            assert not any(r["comm_bound"] for r in series)
 
     def test_large_cluster_speedup(self, figure):
         for workload in ("gat-reddit", "monet-reddit"):

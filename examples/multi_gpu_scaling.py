@@ -4,7 +4,7 @@ Walkthrough of the partition/cluster API:
 
 1. configure a cluster fluently (``.cluster("V100", 4)``) and read the
    per-GPU counters, halo-exchange traffic, and comm/compute split,
-2. sweep the GPU count to see the communication-bound crossover,
+2. sweep the GPU count to see the speedup against the comm share,
 3. run the **concrete** MultiEngine against the single-GPU Engine on
    the same graph — partitioned execution with explicit NumPy halo
    exchange reproduces the unpartitioned results (the differential

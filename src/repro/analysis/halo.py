@@ -7,7 +7,11 @@ correctly if it schedules *exactly* those fetches, once each.  This
 checker re-derives the required exchanges from first principles — a
 node-level walk of the plan over the partition's halo extents — and
 reconciles them against the analytic
-:class:`~repro.exec.profiler.CommRecord` schedule:
+:class:`~repro.exec.profiler.CommRecord` schedule.  The rules
+(:func:`expected_exchanges`): a source-side Scatter needs ghost source
+rows, an out-edge aggregation ghost destination rows and its weight's
+remote edge rows, any other out-edge Gather its operand's remote edge
+rows, a sharded parameter gradient an all-reduce.  The codes:
 
 - RP401: a ghost read (or gradient reduction) with no covering record —
   the concrete run would compute on stale/absent rows,
@@ -33,43 +37,59 @@ __all__ = ["expected_exchanges", "check_comm_records", "HaloChecker"]
 
 def expected_exchanges(
     plan: ExecPlan, pstats: PartitionStats
-) -> List[Dict[Tuple[str, str], int]]:
-    """Per-GPU required exchanges: ``(kind, label) -> bytes``.
+) -> List[Dict[Tuple[str, str], List[int]]]:
+    """Per-GPU required exchanges: ``(kind, label) -> bytes``, once per
+    kernel that needs it (kernel labels repeat: two layers' fused
+    kernels may read one root under one label).
 
     Derived from the ownership semantics alone (destination-owned
     edges, owned + ghost vertex rows per part):
 
     - a Scatter reading a vertex tensor through the edge *source* needs
       that tensor's ghost rows — once per (kernel, storage root),
-    - an out-orientation Gather needs the remotely-owned rows of its
-      edge operand,
+    - an out-edge aggregation (a ``copy_v`` → × weight → ``sum|mean``
+      over out-edges chain of the kernel) reduces each owned source's
+      out-edges, whose destinations another part may own: it needs its
+      vertex operand's ghost-destination rows and, when weighted, the
+      remotely-owned rows of its edge weight — its messages are built
+      where they are reduced, so none cross,
+    - any other out-orientation Gather needs the remotely-owned rows of
+      its edge operand,
     - a parameter-gradient over row-distributed operands needs a ring
       all-reduce of its output; gradients of replicated (PARAM/DENSE)
       operands are computed identically everywhere and are exempt.
     """
     specs = plan.module.specs
     P = pstats.num_parts
-    expected: List[Dict[Tuple[str, str], int]] = [dict() for _ in range(P)]
+    expected: List[Dict[Tuple[str, str], List[int]]] = [dict() for _ in range(P)]
     if P <= 1:
         return expected
-    for kernel in plan.kernels:
+    for index, kernel in enumerate(plan.kernels):
         per_kernel: Dict[Tuple[str, str], int] = {}
+
+        def halo(kind: str, name: str) -> None:
+            label = f"{kernel.label}:{plan.root_of(name)}"
+            per_kernel[(kind, label)] = specs[name].row_bytes
+
+        aggregated = set()
+        for chain in plan.chains(index).values():
+            if chain.scatter is None and chain.head.orientation == "out":
+                aggregated.add(chain.head.name)
+                halo("halo_dst", chain.operands[0])
+                if chain.weight is not None:
+                    halo("halo_out", chain.weight)
         for node in kernel.nodes:
             if node.kind is OpKind.SCATTER:
                 fn = get_scatter_fn(node.fn)
                 if fn.reads_u and not fn.vertex_direct_read:
                     name = node.inputs[0]
                     if specs[name].domain is Domain.VERTEX:
-                        root = plan.root_of(name)
-                        per_kernel[("halo_in", f"{kernel.label}:{root}")] = (
-                            specs[name].row_bytes
-                        )
-            elif node.kind is OpKind.GATHER and node.orientation == "out":
-                name = node.inputs[0]
-                root = plan.root_of(name)
-                per_kernel[("halo_out", f"{kernel.label}:{root}")] = (
-                    specs[name].row_bytes
-                )
+                        halo("halo_in", name)
+            elif (
+                node.kind is OpKind.GATHER and node.orientation == "out"
+                and node.name not in aggregated
+            ):
+                halo("halo_out", node.inputs[0])
             elif node.kind is OpKind.PARAM_GRAD:
                 if {specs[n].domain for n in node.inputs} <= {
                     Domain.PARAM,
@@ -79,15 +99,18 @@ def expected_exchanges(
                 per_kernel[("allreduce", f"{kernel.label}:{node.name}")] = (
                     specs[node.outputs[0]].row_bytes
                 )
+        rows = {
+            "halo_in": pstats.halo_in_rows,
+            "halo_dst": pstats.halo_dst_rows,
+            "halo_out": pstats.halo_out_rows,
+        }
         for (kind, label), row_bytes in per_kernel.items():
             for p in range(P):
-                if kind == "halo_in":
-                    nbytes = pstats.halo_in_rows[p] * row_bytes
-                elif kind == "halo_out":
-                    nbytes = pstats.halo_out_rows[p] * row_bytes
-                else:
+                if kind == "allreduce":
                     nbytes = allreduce_bytes_per_gpu(row_bytes, P)
-                expected[p][(kind, label)] = nbytes
+                else:
+                    nbytes = rows[kind][p] * row_bytes
+                expected[p].setdefault((kind, label), []).append(nbytes)
     return expected
 
 
@@ -110,31 +133,35 @@ def check_comm_records(
         loc = lambda value: SourceLocation(  # noqa: E731
             phase=phase, gpu=p, value=value
         )
-        for (kind, label), nbytes in sorted(want.items()):
-            have = got.get((kind, label))
-            if have is None:
+        for (kind, label), sizes in sorted(want.items()):
+            have = got.get((kind, label), [])
+            nbytes = sizes[0]
+            if len(have) < len(sizes):
                 diags.append(
                     Diagnostic(
                         code="RP401",
                         severity=Severity.ERROR,
                         message=(
                             f"ghost read {label!r} ({kind}, {nbytes} "
-                            "byte(s)) is not covered by any comm record — "
-                            "the partitioned run would compute on stale rows"
+                            f"byte(s)) lacks a covering comm record in "
+                            f"{len(sizes) - len(have)} of its {len(sizes)} "
+                            "kernel(s) — the partitioned run would compute "
+                            "on stale rows"
                         ),
                         location=loc(label),
                     )
                 )
                 continue
-            if len(have) > 1:
+            if len(have) > len(sizes):
                 diags.append(
                     Diagnostic(
                         code="RP402",
                         severity=Severity.ERROR,
                         message=(
                             f"ghost read {label!r} ({kind}) is covered by "
-                            f"{len(have)} comm records; exchanges are "
-                            "deduplicated per (kernel, tensor)"
+                            f"{len(have)} comm records for {len(sizes)} "
+                            "kernel(s); exchanges are deduplicated per "
+                            "(kernel, tensor)"
                         ),
                         location=loc(label),
                     )

@@ -325,9 +325,11 @@ def fig_multi_gpu_scaling() -> FigureResult:
     For each GPU count the same compiled plan runs on a hash-partitioned
     Reddit workload (expected-partition model at the published 115M-edge
     scale): per-GPU compute shrinks roughly as ``1/P`` while halo
-    exchange grows with the cut (``(P-1)/P`` of all edges), so the comm
-    share of off-chip traffic rises monotonically with the GPU count and
-    each model eventually crosses from compute- to communication-bound.
+    exchange grows with the ghost rows each part fetches, so the comm
+    share of off-chip traffic rises monotonically with the GPU count.
+    Halos are vertex rows per ghost (an out-edge aggregation fetches its
+    ghost destinations' rows, not its edge messages), so on Reddit
+    every point stays compute-bound.
     Rows land in ``normalized`` as dicts keyed by (workload, gpus);
     speedups are relative to the one-GPU row.
     """

@@ -202,9 +202,14 @@ def plan_comm_records(
     - a Scatter reading a vertex tensor through the edge *source* pulls
       the part's ghost rows once per (kernel, tensor) — fusion cannot
       eliminate cross-GPU traffic, but kernels sharing an operand share
-      one exchange,
-    - an out-orientation Gather pulls the remotely-owned rows of its
-      edge operand once per (kernel, tensor),
+      one exchange (``halo_in``),
+    - an out-edge aggregation (:meth:`ExecPlan.chains`: ``copy_v`` → ×
+      weight → ``sum|mean`` over out-edges) pulls the ghost-destination
+      rows of its vertex operand at its copy (``halo_dst``) and the
+      remotely-owned rows of its weight at its multiply (``halo_out``),
+      never its message,
+    - any other out-orientation Gather pulls the remotely-owned rows of
+      its edge operand once per (kernel, tensor) (``halo_out``),
     - every parameter-gradient node costs a ring all-reduce share of
       its output buffer.
 
@@ -227,8 +232,8 @@ def kernel_comm_records(
 ) -> "list[list[CommRecord]]":
     """One kernel's slice of :func:`plan_comm_records`, per GPU.
 
-    Record order within the kernel matches the flat schedule (allreduce
-    nodes in node order, then halo-in, then halo-out exchanges), so
+    Records come in the order the concrete exchange log holds them:
+    each at the first node that needs it, in node order, so
     concatenating the kernels reproduces ``plan_comm_records`` exactly.
     """
     specs = plan.module.specs
@@ -237,55 +242,59 @@ def kernel_comm_records(
     if P <= 1:
         return per_gpu
     kernel = plan.kernels[index]
-    halo_in: Dict[str, int] = {}
-    halo_out: Dict[str, int] = {}
+    # Chains are classified only where an out-edge aggregation can be.
+    out_chains = {
+        n.name: c
+        for c in plan.chains(index).values() if c.over_out_edges
+        for n in c.interior + (c.head,)
+    } if any(
+        n.kind is OpKind.GATHER and n.orientation == "out" for n in kernel.nodes
+    ) else {}
+    # (kind, root or node name) -> bytes per row, first need first.
+    needs: Dict[Tuple[str, str], int] = {}
+
+    def need(kind: str, name: str) -> None:
+        needs.setdefault((kind, plan.root_of(name)), specs[name].row_bytes)
+
     for node in kernel.nodes:
-        if node.kind is OpKind.SCATTER:
+        chain = out_chains.get(node.name)
+        if chain is not None:
+            if node is chain.interior[0]:
+                need("halo_dst", chain.operands[0])
+            elif node is not chain.head:
+                need("halo_out", chain.weight)
+        elif node.kind is OpKind.SCATTER:
             fn = get_scatter_fn(node.fn)
-            if fn.reads_u and not fn.vertex_direct_read:
-                name = node.inputs[0]
-                spec = specs[name]
-                if spec.domain is Domain.VERTEX:
-                    root = plan.root_of(name)
-                    halo_in[root] = spec.row_bytes
-        elif node.kind is OpKind.GATHER and node.orientation == "out":
             name = node.inputs[0]
-            spec = specs[name]
-            root = plan.root_of(name)
-            halo_out[root] = spec.row_bytes
+            if (
+                fn.reads_u and not fn.vertex_direct_read
+                and specs[name].domain is Domain.VERTEX
+            ):
+                need("halo_in", name)
+        elif node.kind is OpKind.GATHER and node.orientation == "out":
+            need("halo_out", node.inputs[0])
         elif node.kind is OpKind.PARAM_GRAD:
-            row_domains = {specs[n].domain for n in node.inputs}
-            if row_domains <= {Domain.PARAM, Domain.DENSE}:
+            if {specs[n].domain for n in node.inputs} <= {Domain.PARAM, Domain.DENSE}:
                 # Replicated operands: every GPU computes the same
                 # gradient locally, no reduction (the MultiEngine
                 # applies the identical exemption).
                 continue
-            out_spec = specs[node.outputs[0]]
-            share = allreduce_bytes_per_gpu(out_spec.row_bytes, P)
-            for p in range(P):
-                per_gpu[p].append(
-                    CommRecord(
-                        label=f"{kernel.label}:{node.name}",
-                        kind="allreduce",
-                        bytes=share,
-                    )
-                )
-    for root, row_bytes in halo_in.items():
+            needs[("allreduce", node.name)] = specs[node.outputs[0]].row_bytes
+    rows = {
+        "halo_in": pstats.halo_in_rows,
+        "halo_dst": pstats.halo_dst_rows,
+        "halo_out": pstats.halo_out_rows,
+    }
+    for (kind, name), row_bytes in needs.items():
         for p in range(P):
             per_gpu[p].append(
                 CommRecord(
-                    label=f"{kernel.label}:{root}",
-                    kind="halo_in",
-                    bytes=pstats.halo_in_rows[p] * row_bytes,
-                )
-            )
-    for root, row_bytes in halo_out.items():
-        for p in range(P):
-            per_gpu[p].append(
-                CommRecord(
-                    label=f"{kernel.label}:{root}",
-                    kind="halo_out",
-                    bytes=pstats.halo_out_rows[p] * row_bytes,
+                    label=f"{kernel.label}:{name}",
+                    kind=kind,
+                    bytes=(
+                        allreduce_bytes_per_gpu(row_bytes, P) if kind == "allreduce"
+                        else rows[kind][p] * row_bytes
+                    ),
                 )
             )
     return per_gpu

@@ -37,9 +37,8 @@ CSC/CSR edge order, so they are bit-identical to running the same kernel
 node by node (a weighted chain: wherever scipy's product rounds
 ``w * x`` before adding it — README clause 1d), which is what per-op
 kernels still do.  ``MultiEngine`` shards step through the same bound
-steps and never walk; they take every
-chain but an out-edge aggregation, whose exchange is billed on its edge
-operand.  Runs that round or inspect
+steps and never walk; they take every chain, an out-edge aggregation
+over the shard's out-graph.  Runs that round or inspect
 at the node boundaries a chain removes — float16 / bfloat16 / int8
 storage, ``check_finite`` — keep every node.
 
@@ -529,8 +528,8 @@ class Engine:
     # Lowering: a plan to a program, once per run configuration
     # ------------------------------------------------------------------
     #: Which chains a run takes, ``(plan, index) -> (chains by head
-    #: name, nodes that never run)``: every one.  ``MultiEngine`` gives
-    #: its shards its own choice.
+    #: name, nodes that never run)``: every one.  A test oracle may take
+    #: none (``tests.helpers.per_node_multi_engine``).
     _chain_choice = staticmethod(_every_chain)
 
     def _program(
@@ -910,18 +909,20 @@ class Engine:
         self,
         run: PlanRun,
         step: BoundStep,
-        operand: Optional[np.ndarray] = None,
+        operands: Optional[Sequence[np.ndarray]] = None,
         graph: Optional[Graph] = None,
     ) -> None:
         """Run one step on whole arrays into ``run.values`` and close its
         boundary.
 
-        ``operand``/``graph`` override the step's first operand and the
-        topology it indexes — what a partitioned run hands a SCATTER
-        (owned rows ++ fetched ghost rows), a chain (the same source
-        rows) or an out-orientation GATHER (fetched edge rows over the
-        shard's out-graph).  In an arena run the step writes into the
-        output's storage, if it has any.
+        ``operands``/``graph`` override the step's operands and the
+        topology it indexes — what a partitioned run hands a SCATTER or
+        an in-edge chain (owned rows ++ fetched ghost source rows), an
+        out-edge aggregation (owned ++ ghost destination rows and the
+        weight's rows in out-edge order, over the shard's out-graph) or
+        an out-orientation GATHER (fetched edge rows, over the
+        out-graph).  In an arena run the step writes into the output's
+        storage, if it has any.
 
         A step of a ring run runs on its ring's block, its operands cut
         to it (:class:`~repro.exec.rings.RingStep`).  A step whose
@@ -931,9 +932,7 @@ class Engine:
         reader first reads it (:meth:`_every_row`).
         """
         values = run.values
-        ins = list(map(values.__getitem__, step.ins))
-        if operand is not None:
-            ins[0] = operand
+        ins = list(map(values.__getitem__, step.ins) if operands is None else operands)
         out = run.storage.get(step.out) if step.in_place else None
         ring = step.ring
         if ring is not None and ring.block is None:

@@ -17,17 +17,26 @@ per-kernel epilogue.
 **Partition-specific** — all this module does:
 
 - **Scatter** reading a vertex tensor through the edge source first
-  fetches the part's ghost rows (``halo_in``) and hands the step the
-  extended operand,
-- **Gather over out-edges** fetches the remotely-owned edge rows of its
-  operand (``halo_out``) and hands the step those rows with the part's
-  out-graph; every gather output is trimmed to the owned rows,
+  fetches the part's owned ++ ghost source rows (``halo_in``) and hands
+  the step that extended operand,
 - **aggregation chains** (:meth:`ExecPlan.chains`): an in-edge
   aggregation or a dot step is one shard step at its head, handed the
   same owned ++ ghost source rows its ``copy_u`` would read, with that
-  fetch made where the copy stood.  An out-edge aggregation keeps its
-  nodes: as one step it would exchange vertex rows where
-  ``plan_comm_records`` bills its edge operand,
+  fetch made where the copy stood.  An out-edge aggregation
+  (``copy_v`` → × weight → ``sum|mean`` over out-edges) is one step
+  over the part's out-graph, on owned ++ ghost *destination* rows
+  (``halo_dst``, fetched where the copy stood) and its weight's rows in
+  out-edge order (``halo_out``, fetched where the multiply stood): the
+  O(E·f) message never exists and never crosses.  The fetches are made
+  whether or not the shards take the chain, so a run that keeps every
+  node (narrow storage, ``check_finite``) runs the chain's nodes over
+  the out-graph on the same rows — a ``copy_v`` a dot step also reads
+  once per graph — and the exchange log depends on the plan and the
+  partition only,
+- any other **Gather over out-edges** fetches the remotely-owned edge
+  rows of its operand (``halo_out``) and hands the step those rows with
+  the part's out-graph; every gather output is trimmed to the owned
+  rows,
 - nodes producing **PARAM/DENSE** values run once and are aliased into
   every shard; **parameter gradients** over sharded rows are
   all-reduced across parts, in part order,
@@ -101,7 +110,7 @@ class ExchangeRecord:
     """One concrete interconnect transfer performed during a run."""
 
     label: str
-    kind: str                 # "halo_in" | "halo_out" | "allreduce"
+    kind: str                 # "halo_in" | "halo_dst" | "halo_out" | "allreduce"
     bytes_per_gpu: Tuple[int, ...]
 
     @property
@@ -122,24 +131,39 @@ class MultiEnv:
 
 @dataclass(frozen=True)
 class _FetchPlan:
-    """Where one part's halo rows live: per owner part, the local row
-    slots to fill and the owner's rows to fill them from."""
+    """Where the rows one part's exchange hands its step live: indices
+    into the parts' owned rows stacked in part order, and how many of
+    those rows another part owns (the interconnect traffic)."""
 
-    rows: int
+    index: np.ndarray
     remote_rows: int
-    sources: Tuple[Tuple[int, np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def build(cls, part_id, owner_part, owner_row) -> "_FetchPlan":
-        sources = []
-        for q in np.unique(owner_part):
-            slots = np.nonzero(owner_part == q)[0]
-            sources.append((int(q), slots, owner_row[slots]))
+    def build(cls, part_id, owner_part, owner_row, offsets) -> "_FetchPlan":
         return cls(
-            rows=int(owner_part.size),
+            index=offsets[owner_part] + owner_row,
             remote_rows=int((owner_part != part_id).sum()),
-            sources=tuple(sources),
         )
+
+
+def _out_aggregations(
+    plan: ExecPlan, index: int
+) -> Tuple[Dict[str, AggregationChain], Set[str]]:
+    """Kernel ``index``'s out-edge aggregations by member name (copy,
+    ``mul`` and head), and the copies among them that an in-graph chain
+    (a dot step) also reads."""
+    chains = {c.head.name: c for c in plan.chains(index).values()}.values()
+    outs = {
+        n.name: c
+        for c in chains if c.over_out_edges
+        for n in c.interior + (c.head,)
+    }
+    shared = {
+        n.name
+        for c in chains if outs.get(c.head.name) is not c
+        for n in c.interior if n.name in outs
+    }
+    return outs, shared
 
 
 class MultiEngine:
@@ -190,15 +214,13 @@ class MultiEngine:
         self._binder = Engine(graph, precision=precision)
         self.precision = self._binder.precision
         #: One interpreter per simulated GPU, over the part's in-graph,
-        #: taking the chains a partition can (:meth:`_taken_chains`).
-        #: Nothing is freed mid-run: threaded runs execute out of plan
-        #: order and replay the per-kernel epilogues afterwards.
+        #: taking every chain.  Nothing is freed mid-run: threaded runs
+        #: execute out of plan order and replay the per-kernel epilogues
+        #: afterwards.
         self._shards = [
             Engine(part.in_graph, precision=precision, free_dead_values=False)
             for part in partition.parts
         ]
-        for shard in self._shards:
-            shard._chain_choice = self._taken_chains
         #: Transfers performed by the most recent :meth:`run_plan`.
         self.exchanges: List[ExchangeRecord] = []
         #: Per-part live-byte high-watermarks of the most recent run,
@@ -207,24 +229,33 @@ class MultiEngine:
         #: entry is bounded by the per-partition analytic walk, whose
         #: vertex extents additionally cover the ghost rows.
         self.measured_peak_bytes_per_gpu: List[int] = []
-        # Fetch plans per exchange kind and part.  halo_in: the owner
-        # of each ghost source vertex; halo_out: the owner (= the part
-        # holding the destination) of each out-edge.
-        assignment = partition.assignment
+        # Fetch plans per exchange kind and part, into the owned rows
+        # stacked in part order.  halo_in / halo_dst: the part's owned
+        # rows, then its ghost sources / ghost destinations; halo_out:
+        # the part's out-edges, each owned by its destination's part.
+        assignment, parts = partition.assignment, partition.parts
+        vertex_at = np.cumsum([0] + [p.num_owned for p in parts])
+        edge_at = np.cumsum([0] + [p.in_edge_ids.size for p in parts])
+
+        def vertex_rows(p, ghosts) -> _FetchPlan:
+            return _FetchPlan.build(
+                p.part_id,
+                np.concatenate([np.full(p.num_owned, p.part_id), assignment[ghosts]]),
+                np.concatenate([
+                    np.arange(p.num_owned), partition.vertex_owner_row[ghosts],
+                ]),
+                vertex_at,
+            )
+
         self._fetch_plans = {
-            "halo_in": [
-                _FetchPlan.build(
-                    p.part_id, assignment[p.ghost_src],
-                    partition.vertex_owner_row[p.ghost_src],
-                )
-                for p in partition.parts
-            ],
+            "halo_in": [vertex_rows(p, p.ghost_src) for p in parts],
+            "halo_dst": [vertex_rows(p, p.ghost_dst) for p in parts],
             "halo_out": [
                 _FetchPlan.build(
                     p.part_id, assignment[graph.dst[p.out_edge_ids]],
-                    partition.edge_owner_row[p.out_edge_ids],
+                    partition.edge_owner_row[p.out_edge_ids], edge_at,
                 )
-                for p in partition.parts
+                for p in parts
             ],
         }
 
@@ -399,10 +430,10 @@ class MultiEngine:
         driver only adds what a partition needs around it: halo rows
         for the operands another part owns, trimming gather outputs to
         owned rows, and running replicated (PARAM/DENSE) nodes once.  A
-        taken chain (:meth:`_taken_chains`) is one step at its head, on
-        the halo-extended source rows its ``copy_u`` would have read;
-        the nodes it stands in for have no step.  ``runs`` may hold a
-        thread's private slot lists.
+        taken chain is one step at its head, on the rows its copy would
+        have read; the nodes it stands in for have no step.  An out-edge
+        aggregation runs over the part's out-graph, as one step or node
+        by node.  ``runs`` may hold a thread's private slot lists.
         """
         specs = plan.module.specs
         parts = self.partition.parts
@@ -410,73 +441,85 @@ class MultiEngine:
         # Per-kernel exchange cache: nodes sharing an operand share one
         # halo transfer, mirroring plan_comm_records.
         halo = (plan, runs, {}, exchanges)
-        unchanged = [None] * self.num_parts
+        outs, shared = _out_aggregations(plan, kernel_index)
+        # Out-aggregation members run node by node: their values per
+        # part, in out-edge order.
+        far: Dict[str, List[np.ndarray]] = {}
         for node in plan.kernels[kernel_index].nodes:
             step = program.step_of.get(node.name)
             if specs[node.outputs[0]].domain in _REPLICATED:
                 self._run_replicated(step, specs, runs, exchanges)
                 continue
-            u_name = self._source_read(node, None if step is None else step.chain)
-            if u_name is not None:
-                # The source-side operand needs its halo refreshed.  A
-                # copy a chain stands in for still fetches here, so the
-                # exchange log keeps the per-node order.
-                ghosts = self._fetch("halo_in", u_name, *halo)
-            if step is None:
-                continue
-            operands = graphs = unchanged
-            if u_name is not None:
-                # Owned rows ++ ghost rows, the in-graph's local ids.
-                u = program.slots[u_name]
-                operands = (
-                    np.concatenate([run.values[u], ghost], axis=0)
-                    for run, ghost in zip(runs, ghosts)
+            chain = outs.get(node.name)
+            graphs = ins = None
+            if chain is not None:
+                # Owned ++ ghost destination rows and the weight's rows
+                # in out-edge order, fetched where the copy and the
+                # multiply stand whether or not the chain is taken.
+                rows = self._fetch("halo_dst", chain.operands[0], *halo)
+                copy = node is chain.interior[0]
+                weight = None if copy or chain.weight is None else self._fetch(
+                    "halo_out", chain.weight, *halo
                 )
-            elif node.kind is OpKind.GATHER and node.orientation == "out":
-                operands = self._fetch("halo_out", node.inputs[0], *halo)
+                if step is None:
+                    continue
                 graphs = [part.out_graph for part in parts]
-            for part, shard, run, operand, graph in zip(
-                parts, self._shards, runs, operands, graphs
-            ):
-                shard._run_step(run, step, operand, graph)
+                if copy:
+                    ins = [[x] for x in rows]
+                elif step.chain is not None:
+                    ins = [[x] for x in rows] if weight is None else [
+                        [x, w] for x, w in zip(rows, weight)
+                    ]
+                else:
+                    ins = [
+                        [far[n][p] if n in far else weight[p] for n in node.inputs]
+                        for p in range(self.num_parts)
+                    ]
+            else:
+                u_name = self._source_read(node, None if step is None else step.chain)
+                if u_name is not None:
+                    # The source-side operand needs its halo refreshed.
+                    # A copy a chain stands in for still fetches here,
+                    # so the exchange log keeps the per-node order.
+                    rows = self._fetch("halo_in", u_name, *halo)
+                if step is None:
+                    continue
+                if u_name is not None:
+                    # Owned rows ++ ghost rows, the in-graph's local ids.
+                    ins = [
+                        [x, *map(run.values.__getitem__, step.ins[1:])]
+                        for x, run in zip(rows, runs)
+                    ]
+                elif node.kind is OpKind.GATHER and node.orientation == "out":
+                    ins = [[x] for x in self._fetch("halo_out", node.inputs[0], *halo)]
+                    graphs = [part.out_graph for part in parts]
+            for p, (part, shard, run) in enumerate(zip(parts, self._shards, runs)):
+                shard._run_step(
+                    run, step, None if ins is None else ins[p],
+                    None if graphs is None else graphs[p],
+                )
                 if node.kind is OpKind.GATHER:
                     # Local graphs carry ghost vertices after the owned
                     # ones; only the owned rows are this part's output.
                     for slot in (step.out, step.argmax):
                         if slot is not None:
                             run.values[slot] = run.values[slot][:part.num_owned]
-
-    @staticmethod
-    def _taken_chains(
-        plan: ExecPlan, index: int
-    ) -> Tuple[Dict[str, AggregationChain], Set[str]]:
-        """The chains of kernel ``index`` shards take (when they may take
-        chains at all), by head name, and the nodes that therefore never
-        run: the shard engines' chain choice.
-
-        Every chain but an out-edge aggregation is taken: as one step
-        it would exchange vertex rows where ``plan_comm_records`` bills
-        its edge operand.  A node is skipped only when each chain it is
-        interior to is taken: gat's backward ``copy_v`` feeds a dot step
-        and an out-edge aggregation, and still runs for the latter.
-        """
-        found = {c.head.name: c for c in plan.chains(index).values()}
-        taken, kept = {}, set()
-        for head, chain in found.items():
-            if chain.scatter is None and chain.head.orientation == "out":
-                kept.update(n.name for n in chain.interior)
-            else:
-                taken[head] = chain
-        skipped = {n.name for c in taken.values() for n in c.interior}
-        return taken, skipped - kept
+                elif chain is not None:
+                    # An interior value in out-edge order stays off the
+                    # slot, which a dot step sharing the copy reads in
+                    # in-edge order: that copy runs over the in-graph too.
+                    far.setdefault(node.outputs[0], []).append(run.values[step.out])
+                    run.values[step.out] = None
+                    if node.name in shared:
+                        shard._run_step(run, step)
 
     @staticmethod
     def _source_read(
         node: OpNode, chain: Optional[AggregationChain]
     ) -> Optional[str]:
         """The vertex operand ``node``'s step reads through the edge
-        source, if any: a taken chain's first operand (its ``copy_u``'s
-        rows), or a scatter's ``u``."""
+        source, if any: a taken in-edge chain's or dot step's first
+        operand (its ``copy_u``'s rows), or a scatter's ``u``."""
         if chain is not None:
             return chain.operands[0]
         if node.kind is OpKind.SCATTER:
@@ -543,12 +586,16 @@ class MultiEngine:
         halo_cache: Dict[Tuple[str, str], List[np.ndarray]],
         exchanges: List[ExchangeRecord],
     ) -> List[np.ndarray]:
-        """Rows of ``name`` each part needs from the parts owning them.
+        """Per part, the rows of ``name`` its step reads, gathered from
+        the parts owning them.
 
-        ``halo_in`` fetches a vertex tensor's ghost-source rows (all
+        ``halo_in`` / ``halo_dst`` hand a vertex tensor's owned rows
+        followed by its ghost-source / ghost-destination rows (all
         remote); ``halo_out`` lays an edge tensor out in each part's
         out-edge order, where rows owned locally are copied for free
         and only remotely-owned rows count as interconnect traffic.
+        Each part's rows are one ``np.take`` from the owned rows stacked
+        in part order.
 
         Transfer accounting charges the value's *storage* width per
         remote row (``TensorSpec.row_bytes``), so fp16 halos cost half
@@ -560,23 +607,17 @@ class MultiEngine:
         key = (kind, root_label)
         if key in halo_cache:
             return halo_cache[key]
-        row_bytes = plan.module.specs[name].row_bytes
         slot = runs[0].program.slots[name]
-        fetched: List[np.ndarray] = []
-        for run, fetch_plan in zip(runs, self._fetch_plans[kind]):
-            local = run.values[slot]
-            rows = np.empty((fetch_plan.rows,) + local.shape[1:], dtype=local.dtype)
-            for q, places, owner_rows in fetch_plan.sources:
-                rows[places] = runs[q].values[slot][owner_rows]
-            fetched.append(rows)
+        owned = [run.values[slot] for run in runs]
+        stacked = owned[0] if len(owned) == 1 else np.concatenate(owned)
+        fetch_plans = self._fetch_plans[kind]
+        fetched = [np.take(stacked, fp.index, axis=0) for fp in fetch_plans]
         if self.num_parts > 1:
+            row_bytes = plan.module.specs[name].row_bytes
             exchanges.append(
                 ExchangeRecord(
                     label=root_label, kind=kind,
-                    bytes_per_gpu=tuple(
-                        fp.remote_rows * row_bytes
-                        for fp in self._fetch_plans[kind]
-                    ),
+                    bytes_per_gpu=tuple(fp.remote_rows * row_bytes for fp in fetch_plans),
                 )
             )
         halo_cache[key] = fetched

@@ -119,6 +119,12 @@ class AggregationChain:
     #: A dot step's registered scatter; ``None`` for an aggregation.
     scatter: Optional[str] = None
 
+    @property
+    def over_out_edges(self) -> bool:
+        """An aggregation reducing each vertex's out-edges: its far rows
+        are destinations, which a partition's ghost destinations hold."""
+        return self.scatter is None and self.head.orientation == "out"
+
 
 @dataclass(frozen=True)
 class BlockStep:

@@ -154,10 +154,12 @@ class Counters:
 class CommRecord:
     """One interconnect transfer received by one GPU.
 
-    ``kind`` is ``"halo_in"`` (ghost vertex rows fetched before a
-    Scatter), ``"halo_out"`` (remotely-owned edge rows fetched before an
-    out-orientation Gather), or ``"allreduce"`` (parameter-gradient
-    ring all-reduce share).
+    ``kind`` is one of ``halo_in`` (ghost source rows fetched before a
+    Scatter or an in-edge chain), ``halo_dst`` (ghost destination rows
+    fetched before an out-edge aggregation), ``halo_out``
+    (remotely-owned edge rows fetched before an out-orientation Gather,
+    or an out-edge aggregation's weight) and ``allreduce``
+    (parameter-gradient ring all-reduce share).
     """
 
     label: str

@@ -21,8 +21,9 @@ partitioned execution model:
 
 The communication/computation breakdown this produces is the quantity
 the scaling experiments report: the comm fraction grows with the GPU
-count (cut edges approach ``(P-1)/P`` of all edges while per-GPU
-compute shrinks as ``1/P``) until the step goes communication-bound.
+count (each part's ghost rows approach every vertex it does not own
+while per-GPU compute shrinks as ``1/P``); whether the step goes
+communication-bound depends on how many rows each exchange ships.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ single-graph execution:
   :attr:`~PartSubgraph.ghost_src` *halo map* lists exactly the remote
   vertex rows a part must fetch before any edge kernel runs.
 - Gather over out-edges (backward passes) reduces each owned vertex's
-  full out-edge list; the remotely-owned edge rows it must fetch are
-  the :attr:`~PartSubgraph.halo_out_edges`.
+  full out-edge list over :attr:`~PartSubgraph.out_graph`: an
+  out-edge aggregation fetches the rows of its remote endpoints
+  (:attr:`~PartSubgraph.ghost_dst`), any other out-edge Gather the
+  remotely-owned edge rows (:attr:`~PartSubgraph.halo_out_edges`).
 
 Three partitioners are provided: ``hash`` (pseudo-random, perfectly
 balanced in expectation), ``range`` (contiguous blocks of vertex ids),
@@ -111,27 +113,39 @@ def greedy_edge_cut_assignment(
     V = graph.num_vertices
     cap = int(np.ceil(V / num_parts * balance_slack))
     assignment = np.full(V, -1, dtype=np.int64)
-    sizes = np.zeros(num_parts, dtype=np.int64)
-    order = _degree_order(graph.in_degrees + graph.out_degrees)
-    csc_indptr, csc_src = graph.csc_indptr, graph.csc_src
-    csr_indptr, csr_dst = graph.csr_indptr, graph.csr_dst
-    for v in order:
-        neighbours = np.concatenate(
-            [
-                csc_src[csc_indptr[v]:csc_indptr[v + 1]],
-                csr_dst[csr_indptr[v]:csr_indptr[v + 1]],
-            ]
-        )
-        placed = assignment[neighbours]
-        placed = placed[placed >= 0]
-        score = np.zeros(num_parts, dtype=np.float64)
-        if placed.size:
-            score += np.bincount(placed, minlength=num_parts)
-        # Capacity-aware tie-break: prefer emptier parts.
-        score *= 1.0 - sizes / cap
-        score[sizes >= cap] = -np.inf
-        assignment[v] = int(np.argmax(score))
-        sizes[assignment[v]] += 1
+    # One neighbour CSR: each vertex's in-neighbours (CSC order), then
+    # its out-neighbours (CSR order).
+    in_deg, out_deg = graph.in_degrees, graph.out_degrees
+    indptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(in_deg + out_deg, out=indptr[1:])
+    neighbours = np.empty(int(indptr[-1]), dtype=np.int64)
+    rank = np.arange(graph.num_edges)
+    at_in = np.repeat(indptr[:-1] - graph.csc_indptr[:-1], in_deg) + rank
+    at_out = np.repeat(indptr[:-1] + in_deg - graph.csr_indptr[:-1], out_deg) + rank
+    neighbours[at_in] = graph.csc_src
+    neighbours[at_out] = graph.csr_dst
+    # Per part: the capacity factor ``1 - size / cap``, ``None`` once full.
+    sizes = [0] * num_parts
+    factors = [1.0] * num_parts
+    bounds = indptr.tolist()
+    for v in _degree_order(in_deg + out_deg).tolist():
+        # Slot 0 counts unplaced neighbours; part q's count is slot q + 1.
+        counts = np.bincount(
+            assignment[neighbours[bounds[v]:bounds[v + 1]]] + 1,
+            minlength=num_parts + 1,
+        ).tolist()
+        # The part holding most placed neighbours, scaled by remaining
+        # capacity (a capacity-aware tie-break: prefer emptier parts);
+        # the first on ties, never a full one.
+        best, best_score = 0, float("-inf")
+        for q, factor in enumerate(factors):
+            if factor is not None:
+                score = counts[q + 1] * factor
+                if score > best_score:
+                    best, best_score = q, score
+        assignment[v] = best
+        sizes[best] += 1
+        factors[best] = None if sizes[best] >= cap else 1.0 - sizes[best] / cap
     return assignment
 
 
@@ -392,7 +406,9 @@ class PartitionStats:
     is owned + ghost rows (what a vertex tensor occupies on that GPU),
     edge extent is the owned edges.  ``halo_in_rows[p]`` is the ghost
     row count fetched per vertex-tensor exchange, ``halo_out_rows[p]``
-    the remotely-owned edge rows fetched per out-orientation Gather.
+    the remotely-owned edge rows fetched per out-orientation Gather (or
+    per weight of an out-edge aggregation), ``halo_dst_rows[p]`` the
+    ghost destination rows an out-edge aggregation fetches.
     """
 
     num_parts: int
@@ -400,12 +416,15 @@ class PartitionStats:
     owned_vertices: Tuple[int, ...]
     halo_in_rows: Tuple[int, ...]
     halo_out_rows: Tuple[int, ...]
+    halo_dst_rows: Tuple[int, ...]
     cut_edges: int
     total_vertices: int
     total_edges: int
 
     def __post_init__(self) -> None:
-        for field in ("parts", "owned_vertices", "halo_in_rows", "halo_out_rows"):
+        for field in (
+            "parts", "owned_vertices", "halo_in_rows", "halo_out_rows", "halo_dst_rows",
+        ):
             if len(getattr(self, field)) != self.num_parts:
                 raise ValueError(f"{field} must have one entry per part")
 
@@ -423,6 +442,7 @@ class PartitionStats:
             owned_vertices=tuple(p.num_owned for p in partition.parts),
             halo_in_rows=tuple(p.halo_in_rows for p in partition.parts),
             halo_out_rows=tuple(p.halo_out_edges for p in partition.parts),
+            halo_dst_rows=tuple(int(p.ghost_dst.size) for p in partition.parts),
             cut_edges=partition.cut_edges,
             total_vertices=partition.graph.num_vertices,
             total_edges=partition.graph.num_edges,
@@ -442,7 +462,8 @@ class PartitionStats:
           arrays (its owned edge count is that sample's in-degree sum),
         - a vertex ``u`` is a ghost of part ``p`` with probability
           ``(1 - 1/P) · (1 - (1 - 1/P)^d_out(u))`` — not owned there,
-          but at least one out-edge lands there,
+          but at least one out-edge lands there — and a ghost
+          destination with ``(1 - 1/P) · (1 - (1 - 1/P)^d_in(u))``,
         - a fraction ``(P-1)/P`` of edges are cut.
         """
         _check_parts(num_parts)
@@ -453,15 +474,22 @@ class PartitionStats:
                 owned_vertices=(stats.num_vertices,),
                 halo_in_rows=(0,),
                 halo_out_rows=(0,),
+                halo_dst_rows=(0,),
                 cut_edges=0,
                 total_vertices=stats.num_vertices,
                 total_edges=stats.num_edges,
             )
         P = num_parts
         cut_frac = (P - 1) / P
-        d_out = stats.out_degrees.astype(np.float64)
-        ghost_prob = (1.0 - 1.0 / P) * (1.0 - (1.0 - 1.0 / P) ** d_out)
+        # ``(1 - 1/P)^d`` read off one table of powers per degree: the
+        # same ``pow`` of the same operands, one pass for both sides.
+        misses = (1.0 - 1.0 / P) ** np.arange(
+            max(stats.max_in_degree, stats.max_out_degree) + 1, dtype=np.float64
+        )
+        ghost_prob = (1.0 - 1.0 / P) * (1.0 - misses[stats.out_degrees])
         expected_ghosts = int(round(ghost_prob.sum()))
+        dst_prob = (1.0 - 1.0 / P) * (1.0 - misses[stats.in_degrees])
+        expected_dst_ghosts = int(round(dst_prob.sum()))
 
         parts, owned, halo_in, halo_out = [], [], [], []
         for p in range(P):
@@ -495,6 +523,7 @@ class PartitionStats:
             owned_vertices=tuple(owned),
             halo_in_rows=tuple(halo_in),
             halo_out_rows=tuple(halo_out),
+            halo_dst_rows=(expected_dst_ghosts,) * P,
             cut_edges=int(round(cut_frac * stats.num_edges)),
             total_vertices=stats.num_vertices,
             total_edges=stats.num_edges,

@@ -5,8 +5,7 @@
 inside one kernel runs as one adjacency × dense product, and the
 backward's ``reduce_to_shape(copy_v(a) * copy_u(b))`` as one
 ``u_dot_v`` step.  The per-node path still exists — it is what
-reduced-precision and ``check_finite`` runs execute, and what
-``MultiEngine`` shards run for an out-edge aggregation —
+reduced-precision and ``check_finite`` runs execute —
 so :func:`tests.helpers.run_plan_per_node` is the oracle: every value a
 run returns must equal it by ``tobytes()``, dtype and shape (a plan with
 a *weighted* chain: wherever scipy does not fuse ``y += w * x``; within
@@ -446,20 +445,22 @@ class TestChainVsNode:
 
     @pytest.mark.parametrize("model_name", ["gcn", "gat"])
     def test_multi_engine_shards_take_the_chains(self, products, graph, model_name):
-        """Each shard runs every in-edge aggregation and dot step as one
-        step on its in-graph; out-edge aggregations (the backward's
-        ``copy_v · w → sum``) keep their nodes, and their halo."""
+        """Each shard runs every chain as one step: an in-edge
+        aggregation or a dot step on its in-graph, an out-edge
+        aggregation (the backward's ``copy_v · w → sum``) on its
+        out-graph."""
         compiled = _compiled(model_name)
         feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
         multi = MultiEngine(graph, 3)
         training_values(multi, compiled, feats, compiled.model.init_params(0))
         chains = _chains(compiled.fwd_plan) + _chains(compiled.bwd_plan)
         out = [c for c in chains if c.scatter is None and c.head.orientation == "out"]
-        taken = [c for c in chains if c not in out]
-        assert out and taken
-        shards = [part.in_graph for part in multi.partition.parts]
-        assert [id(c) for _, c in products] == [id(c) for c in taken for _ in shards]
-        assert [id(g) for g, _ in products] == [id(g) for g in shards] * len(taken)
+        assert out and len(out) < len(chains)
+        parts = multi.partition.parts
+        assert [id(c) for _, c in products] == [id(c) for c in chains for _ in parts]
+        assert [id(g) for g, _ in products] == [
+            id(part.out_graph if c in out else part.in_graph) for c in chains for part in parts
+        ]
 
 
 class TestFallbacks:

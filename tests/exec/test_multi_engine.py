@@ -12,9 +12,12 @@ exactly with the analytic exchange schedule.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.analysis.halo import check_comm_records
 from repro.exec import Engine, MultiEngine, blocks
 from repro.exec.analytic import plan_comm_records
 from repro.exec.multi import ExchangeRecord
@@ -256,6 +259,59 @@ class TestCommReconciliation:
         env = engine.bind(compiled.forward, arrays)
         engine.run_plan(compiled.fwd_plan, env)
         assert engine.exchanges == []
+
+
+class TestExchangeLogIsTheSchedule:
+    """The concrete exchange log is ``plan_comm_records``: the same
+    records in the same order, each with its kind, root and per-GPU
+    bytes — whether the shards take chains or run every node (narrow
+    storage, ``check_finite``), serial or threaded — and the halo
+    checker finds nothing to report on that schedule."""
+
+    STRATEGIES = ("dgl-like", "fusegnn-like", "ours", "ours-stash")
+
+    @staticmethod
+    def _check(graph, model_name, strategy, num_parts, overlap, precision, finite):
+        model = MODELS.get(model_name)(IN_DIM, NUM_CLASSES)
+        compiled = compile_training(
+            model, replace(get_strategy(strategy), precision=precision)
+        )
+        engine = MultiEngine(graph, num_parts, overlap=overlap)
+        for shard in engine._shards:
+            shard.check_finite = finite
+        pstats = PartitionStats.from_partition(engine.partition)
+        feats = np.random.default_rng(0).normal(size=(graph.num_vertices, IN_DIM))
+        phases = zip(
+            (compiled.fwd_plan, compiled.bwd_plan),
+            training_phases(engine, compiled, feats, model.init_params(0)),
+        )
+        for plan, _ in phases:
+            ctx = f"{model_name}/{strategy}/P{num_parts}/{overlap}/{precision}/{finite}"
+            schedule = plan_comm_records(plan, pstats)
+            assert check_comm_records(plan, pstats, schedule) == [], ctx
+            assert [(r.label, r.kind, r.bytes_per_gpu) for r in engine.exchanges] == [
+                (recs[0].label.rsplit(":", 1)[1], recs[0].kind, tuple(r.bytes for r in recs))
+                for recs in zip(*schedule)
+            ], ctx
+
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("precision", ["fp32", "bf16"])
+    @pytest.mark.parametrize("model_name", ["gat", "gcn", "sage", "monet"])
+    def test_ours(self, graph, model_name, precision, finite):
+        self._check(graph, model_name, "ours", 3, None, precision, finite)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_zoo(self, graph, model_name):
+        for strategy in self.STRATEGIES:
+            for num_parts in (1, 3, 4):
+                for overlap in (None, "threads"):
+                    for precision in ("fp32", "bf16"):
+                        for finite in (False, True):
+                            self._check(
+                                graph, model_name, strategy, num_parts, overlap,
+                                precision, finite,
+                            )
 
 
 class TestMultiEngineAPI:

@@ -195,6 +195,7 @@ class TestPartitionStats:
         for p, s in enumerate(ps.parts):
             assert s.num_vertices == gp.parts[p].num_local_vertices
             assert ps.halo_in_rows[p] == gp.parts[p].ghost_src.size
+            assert ps.halo_dst_rows[p] == gp.parts[p].ghost_dst.size
 
     def test_expected_model_tracks_exact(self):
         graph = chung_lu(400, 2_000, seed=11)
@@ -209,12 +210,15 @@ class TestPartitionStats:
         assert sum(model.halo_in_rows) == pytest.approx(
             sum(exact.halo_in_rows), rel=0.3
         )
+        assert sum(model.halo_dst_rows) == pytest.approx(
+            sum(exact.halo_dst_rows), rel=0.3
+        )
 
     def test_single_part_is_identity(self):
         stats = chung_lu(50, 200, seed=0).stats()
         ps = PartitionStats.from_stats(stats, 1)
         assert ps.parts[0] is stats
-        assert ps.cut_edges == 0 and ps.halo_in_rows == (0,)
+        assert ps.cut_edges == 0 and ps.halo_in_rows == ps.halo_dst_rows == (0,)
 
 
 class TestSamplingFuzz:

@@ -14,7 +14,11 @@ holds the fast path to the plain version it replaced:
   whole-edge scan — empty parts included;
 - ``maxima``: a :class:`GraphStats`' cached maxima equal ``.max()``, its
   stored degree arrays refuse writes, and the caller's arrays stay
-  writeable and unaliased.
+  writeable and unaliased;
+- ``greedy``: the greedy partitioner over one neighbour CSR equals the
+  per-vertex loop it replaced (a concatenated neighbour slice, a
+  float64 score array, ``argmax``) — full parts, ties and isolated
+  vertices included.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from repro.graph import Graph  # noqa: E402
 from repro.graph.partition import (  # noqa: E402
     _rescale_to_sum,
     _even_split,
+    greedy_edge_cut_assignment,
     partition_graph,
 )
-from repro.graph.stats import GraphStats  # noqa: E402
+from repro.graph.stats import GraphStats, _degree_order  # noqa: E402
 
 
 def _rescale_by_argsort(arr: np.ndarray, target: int) -> np.ndarray:
@@ -119,11 +124,49 @@ def _maxima(data) -> None:
     assert stats.max_in_degree == (int(stats.in_degrees.max()) if n else 0)
 
 
+def _greedy_per_vertex(graph, num_parts, balance_slack):
+    """Greedy partitioning the plain way: per vertex, its neighbour
+    slices concatenated, a float64 score array and ``argmax``."""
+    V = graph.num_vertices
+    cap = int(np.ceil(V / num_parts * balance_slack))
+    assignment = np.full(V, -1, dtype=np.int64)
+    sizes = np.zeros(num_parts, dtype=np.int64)
+    for v in _degree_order(graph.in_degrees + graph.out_degrees):
+        neighbours = np.concatenate([
+            graph.csc_src[graph.csc_indptr[v]:graph.csc_indptr[v + 1]],
+            graph.csr_dst[graph.csr_indptr[v]:graph.csr_indptr[v + 1]],
+        ])
+        placed = assignment[neighbours]
+        placed = placed[placed >= 0]
+        score = np.zeros(num_parts, dtype=np.float64)
+        if placed.size:
+            score += np.bincount(placed, minlength=num_parts)
+        score *= 1.0 - sizes / cap
+        score[sizes >= cap] = -np.inf
+        assignment[v] = int(np.argmax(score))
+        sizes[assignment[v]] += 1
+    return assignment
+
+
+def _greedy(data) -> None:
+    n = data.draw(st.integers(1, 40))
+    m = data.draw(st.integers(0, 120))
+    endpoint = st.integers(0, n - 1)
+    src = np.array(data.draw(st.lists(endpoint, min_size=m, max_size=m)), dtype=np.int64)
+    dst = np.array(data.draw(st.lists(endpoint, min_size=m, max_size=m)), dtype=np.int64)
+    graph = Graph(src, dst, n)
+    num_parts = data.draw(st.integers(1, 8))
+    slack = data.draw(st.sampled_from([1.0, 1.05, 1.5, 3.0]))
+    got = greedy_edge_cut_assignment(graph, num_parts, balance_slack=slack)
+    np.testing.assert_array_equal(got, _greedy_per_vertex(graph, num_parts, slack))
+
+
 CASES = {
     "rescale": _rescale,
     "spread": _spread_case,
     "ghosts": _ghosts,
     "maxima": _maxima,
+    "greedy": _greedy,
 }
 
 
