@@ -17,6 +17,7 @@ Two scales of Reddit exist:
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -94,9 +95,8 @@ class Dataset:
         handed out.
         """
         dim = self.feature_dim if dim is None else dim
-        rng = np.random.default_rng(seed)
-        out = rng.normal(
-            scale=1.0 / np.sqrt(dim), size=(self.stats.num_vertices, dim)
+        out = _draw_rows(
+            np.random.default_rng(seed), self.stats.num_vertices, dim
         )
         scores = self._label_scores
         if scores is None or (dim == self.feature_dim and seed == 0):
@@ -145,12 +145,85 @@ _REDDIT_FULL = (232_965, 114_615_892, 602, 41)
 _REDDIT_LITE = (23_297, 1_146_158, 602, 41)
 
 
+#: Most bytes of canonical feature rows that label planting holds at
+#: once.  A published-width matrix above it is drawn in row chunks
+#: (pubmed's is 75 MiB, citeseer's 94, reddit-lite's 107); cora's 29.6
+#: MiB stays one draw.  Not ``BLOCK_BYTES``: see :func:`_plant_labels`.
+_PLANT_CHUNK_BYTES = 32 << 20
+
+
+def _draw_rows(
+    rng: np.random.Generator, rows: int, dim: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The next ``rows`` feature rows of width ``dim`` from ``rng``
+    (iid normal, scale ``1/sqrt(dim)``), into ``out`` if given.
+
+    The one definition of a feature draw: successive calls on one
+    generator continue a single stream, so row chunks drawn in turn
+    equal the rows of one whole draw, bit for bit.
+    """
+    out = rng.standard_normal((rows, dim), out=out)
+    out *= 1.0 / np.sqrt(dim)
+    return out
+
+
+def _plant_chunks(rows: int, dim: int) -> list[tuple[int, int]]:
+    """Row ranges ``[start, stop)`` that split a float64 ``rows × dim``
+    matrix into near-equal chunks (row counts differ by at most one) of
+    at most :data:`_PLANT_CHUNK_BYTES` each, as few as fit; a matrix
+    within the bound is one chunk.
+
+    Near-equal, not full chunks and a tail: above OpenBLAS's
+    small-matrix path (M·N·K ≈ 1e6 multiply-adds) a row-chunked
+    ``dgemm`` equals the rows of the whole product bit for bit, and
+    every chunk of a split matrix holds about half the bound or more
+    (≥ 2M·classes multiply-adds); a short tail chunk would fall below
+    that path and round differently.
+    """
+    most = max(1, _PLANT_CHUNK_BYTES // (8 * dim))
+    count = max(1, -(-rows // most))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _plant_labels(ds: Dataset, *, seed: int) -> Dataset:
     """Attach ground-truth labels: a hidden linear map of the canonical
     (published-width, seed-0) features.  Deterministic per dataset, so
-    repeated builds agree; every class remains reachable."""
-    w = np.random.default_rng(seed).normal(size=(ds.feature_dim, ds.num_classes))
-    scores = ds.features(seed=0) @ w
+    repeated builds agree; every class remains reachable.
+
+    The scores ``features(seed=0) @ w`` are computed one row chunk of
+    the canonical draw at a time (:func:`_plant_chunks`), so at most
+    :data:`_PLANT_CHUNK_BYTES` of canonical rows exist at once; scores
+    and labels equal the whole product's bit for bit.
+
+    The chunks share one anonymous mapping of their own, outside
+    malloc.  glibc raises its mmap threshold to the size of any freed
+    mmapped block of at most 32 MiB (and its trim threshold to twice
+    that), so a freed malloc'd chunk would either lift every later
+    allocation of the process onto the heap or, after cora's 29.6 MiB
+    free already lifted it, stay resident there: pubmed's planting
+    then raised ``sweep-analytic``'s peak RSS by 7%.  A one-chunk
+    matrix is one malloc'd draw, as it always was: the cora workloads'
+    fault-free steady state rests on that free (in 4 MiB chunks,
+    ``multi4-gat-cora`` took ~7,500 minor faults an iteration, not ~0).
+    """
+    n, dim = ds.stats.num_vertices, ds.feature_dim
+    w = np.random.default_rng(seed).normal(size=(dim, ds.num_classes))
+    rng = np.random.default_rng(0)
+    chunks = _plant_chunks(n, dim)
+    if len(chunks) == 1:
+        scores = _draw_rows(rng, n, dim) @ w
+    else:
+        scores = np.empty((n, ds.num_classes))
+        most = max(stop - start for start, stop in chunks)
+        with mmap.mmap(-1, most * dim * 8, flags=mmap.MAP_PRIVATE) as mapping:
+            block = np.frombuffer(mapping, dtype=np.float64).reshape(most, dim)
+            for start, stop in chunks:
+                rows = block[:stop - start]
+                np.matmul(_draw_rows(rng, len(rows), dim, out=rows), w,
+                          out=scores[start:stop])
+            del block, rows  # the mapping closes only with no view left
     ds._labels = np.asarray(scores.argmax(axis=1), dtype=np.int64)
     ds._label_scores = scores
     return ds

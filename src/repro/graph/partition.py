@@ -537,15 +537,29 @@ def _rescale_to_sum(arr: np.ndarray, target: int) -> np.ndarray:
     all-zero) spread the target uniformly.  The ``remainder`` largest
     fractional parts get one more unit, ties going to the lowest
     indices; a selection threshold finds them in O(n), no sort.
+
+    A total that is subnormal, overflows, or leaves ``target / total``
+    unrepresentable is first brought into range by one power-of-two
+    scaling (``np.ldexp``: exact, bar entries too small to hold a unit
+    of any share); ``inf`` or ``nan`` entries raise ``ValueError``.
     """
     target = max(int(target), 0)
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
-    arr = np.maximum(arr.astype(np.float64), 0.0)
-    total = arr.sum()
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot rescale non-finite entries to a sum")
+    arr = np.maximum(arr, 0.0)
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+        in_range = (np.finfo(np.float64).tiny <= total < np.inf
+                    and np.isfinite(target / total))
     if total <= 0:
         arr = np.ones(arr.size, dtype=np.float64)
         total = float(arr.size)
+    elif not in_range:
+        arr = np.ldexp(arr, -np.frexp(arr.max())[1])
+        total = arr.sum()
     scaled = arr * (target / total)
     base = np.floor(scaled).astype(np.int64)
     remainder = target - int(base.sum())

@@ -1,5 +1,8 @@
 """Tests for the named dataset registry."""
 
+import mmap
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,3 +182,84 @@ class TestFeaturesReadCachedScores:
         assert np.array_equal(ds.features(16, seed=3), reduced)
         assert np.array_equal(ds.features(), canonical)
         assert np.array_equal(ds.labels(), labels)
+
+
+# ----------------------------------------------------------------------
+# Label planting in row chunks
+# ----------------------------------------------------------------------
+#: Each planted dataset's weight seed (its builder's ``seed``).
+_PLANT_SEEDS = {"cora": 11, "citeseer": 13, "pubmed": 17, "reddit-lite": 7,
+                "modelnet40-b32-k20": 3}
+
+
+def _scores_equal_the_whole_product(name: str) -> None:
+    ds = get_dataset(name)
+    w = np.random.default_rng(_PLANT_SEEDS[name]).normal(
+        size=(ds.feature_dim, ds.num_classes)
+    )
+    want = ds.features(seed=0) @ w
+    assert np.array_equal(ds._label_scores.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(ds._labels, want.argmax(axis=1))
+    assert ds._labels.dtype == np.int64
+
+
+def _chunks_are_near_equal_and_large(name: str) -> None:
+    from repro.graph.datasets import _PLANT_CHUNK_BYTES, _plant_chunks
+
+    # pubmed's 19717 rows do not split evenly into 3, nor reddit-lite's
+    # into 4, nor 4097 rows of 8 KiB into 2.
+    for rows, dim, classes in ((19_717, 500, 3), (23_297, 602, 41), (4_097, 1_024, 2)):
+        chunks = _plant_chunks(rows, dim)
+        assert len(chunks) == -(-rows * dim * 8 // _PLANT_CHUNK_BYTES)
+        assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]]
+        assert chunks[-1][1] == rows
+        sizes = [b - a for a, b in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert len(set(sizes)) == 2  # a shape that does not divide evenly
+        assert all(r * dim * 8 <= _PLANT_CHUNK_BYTES for r in sizes)
+        assert all(r * dim * classes >= 2_000_000 * classes for r in sizes)
+    # cora's 29.6 MiB and a matrix of exactly the bound are one chunk.
+    assert _plant_chunks(2_708, 1_433) == [(0, 2_708)]
+    assert _plant_chunks(4_096, 1_024) == [(0, 4_096)]
+    assert _plant_chunks(0, 500) == [(0, 0)]
+
+
+def _fresh_build_peaks_one_chunk_above_what_it_keeps(name: str) -> None:
+    # tracemalloc sees NumPy's allocations; the chunks' anonymous
+    # mapping is outside malloc, so its size is counted on top.
+    mapped = []
+    real = mmap.mmap
+
+    def spy(fileno, length, *args, **kwargs):
+        mapped.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mmap, "mmap", spy)
+        tracemalloc.start()
+        try:
+            ds = get_dataset(name, fresh=True)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert ds.has_labels
+    transient = peak - retained + sum(mapped)
+    assert transient <= 33 << 20, (peak / 2**20, retained / 2**20, mapped)
+    assert len(mapped) == 1
+
+
+_PLANTING = {
+    "scores": (_scores_equal_the_whole_product,
+               ("cora", "citeseer", "pubmed", "reddit-lite", "modelnet40-b32-k20")),
+    "chunks": (_chunks_are_near_equal_and_large, ("shapes",)),
+    "peak": (_fresh_build_peaks_one_chunk_above_what_it_keeps,
+             ("pubmed", "citeseer", "reddit-lite")),
+}
+
+
+@pytest.mark.parametrize(
+    "check,name",
+    [(check, name) for check, (_, names) in _PLANTING.items() for name in names],
+)
+def test_label_planting_in_row_chunks(check, name):
+    _PLANTING[check][0](name)

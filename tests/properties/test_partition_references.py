@@ -8,6 +8,11 @@ holds the fast path to the plain version it replaced:
 - ``rescale``: ``_rescale_to_sum`` (selection threshold, lowest indices
   among ties) equals largest-remainder rounding by a stable ``argsort``
   — on ties, all-zero, empty and negative targets;
+- ``exact``: ``_rescale_to_sum`` against exact rational arithmetic
+  (``fractions.Fraction``), which no float reference can stand in for:
+  non-negative, summing to the target, each entry within 1 of its
+  exact share — on ordinary, subnormal and near-``float64``-max arrays;
+  ``inf`` / ``nan`` entries raise;
 - ``spread``: the closed form equals rescaling an all-ones array;
 - ``ghosts``: the mask-built ghost sets equal ``np.unique`` of the
   remote endpoints, the halo and cut counts equal ``np.isin`` and a
@@ -22,6 +27,8 @@ holds the fast path to the plain version it replaced:
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +76,42 @@ def _rescale(data) -> None:
     got = _rescale_to_sum(arr, target)
     np.testing.assert_array_equal(got, _rescale_by_argsort(arr, target))
     assert got.dtype == np.int64
+
+
+_MAX = float(np.finfo(np.float64).max)
+_SUBNORMAL = 5e-324
+
+
+def _exact(data) -> None:
+    # Ordinary magnitudes, multiples of the smallest subnormal (whose
+    # total is subnormal too), and values near float64's maximum (whose
+    # total overflows).
+    values = data.draw(st.sampled_from([
+        st.floats(-1, 50, allow_nan=False),
+        st.integers(-3, 40).map(lambda k: k * _SUBNORMAL),
+        st.floats(_MAX / 4, _MAX),
+        st.sampled_from([0.0, 1.0, _SUBNORMAL, _MAX]),
+    ]))
+    arr = np.array(data.draw(st.lists(values, min_size=1, max_size=40)),
+                   dtype=np.float64)
+    target = data.draw(st.integers(-10, 10**9))
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, arr.size - 1))
+        arr[at] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        with pytest.raises(ValueError, match="non-finite"):
+            _rescale_to_sum(arr, target)
+        return
+    got = _rescale_to_sum(arr, target)
+    target = max(target, 0)
+    exact = [Fraction(float(v)) if v > 0 else Fraction(0) for v in arr]
+    total = sum(exact)
+    if total == 0:
+        exact, total = [Fraction(1)] * arr.size, Fraction(arr.size)
+    assert got.dtype == np.int64
+    assert (got >= 0).all()
+    assert int(got.sum()) == target
+    for g, share in zip(got.tolist(), exact):
+        assert abs(g - share * target / total) <= 1
 
 
 def _spread_case(data) -> None:
@@ -163,6 +206,7 @@ def _greedy(data) -> None:
 
 CASES = {
     "rescale": _rescale,
+    "exact": _exact,
     "spread": _spread_case,
     "ghosts": _ghosts,
     "maxima": _maxima,
