@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.exec.profiler import Counters, MultiGPUCounters
 from repro.gpu.cost_model import CostModel, SimulatedOOM
-from repro.gpu.spec import GPUSpec, get_gpu
+from repro.gpu.spec import GPUSpec, _require_positive, get_gpu
 from repro.graph.partition import PartitionStats
 from repro.registry import GPUS, register_gpu
 
@@ -57,8 +57,10 @@ class Cluster:
     interconnect_gbps: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
+        _require_positive(self, "num_gpus")
+        _require_positive(self, "interconnect_gbps")
+        if not float(self.num_gpus).is_integer():
+            raise ValueError(f"Cluster.num_gpus must be a whole number, got {self.num_gpus!r}")
 
     @property
     def interconnect_bandwidth(self) -> float:

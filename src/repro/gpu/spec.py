@@ -9,7 +9,8 @@ counters, not by tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.registry import GPUS, register_gpu
 
@@ -58,6 +59,14 @@ class GPUSpec:
     atomic_overhead: float = 3.0
     smem_fusion_overhead: float = 1.25
 
+    def __post_init__(self) -> None:
+        # Every count, rate, capacity and multiplier prices something:
+        # 0 divides by zero, a negative or nan one prices nonsense.  A
+        # launch may cost nothing.
+        for f in fields(self):
+            if f.name != "name":
+                _require_positive(self, f.name, allow_zero=f.name == "kernel_launch_us")
+
     # ------------------------------------------------------------------
     @property
     def peak_flops(self) -> float:
@@ -79,6 +88,17 @@ class GPUSpec:
     @property
     def kernel_launch_s(self) -> float:
         return self.kernel_launch_us * 1e-6
+
+
+def _require_positive(spec, name: str, allow_zero: bool = False) -> None:
+    """Refuse ``spec.<name>`` unless it is finite and > 0 (≥ 0 with
+    ``allow_zero``)."""
+    value = getattr(spec, name)
+    if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(
+            f"{type(spec).__name__}.{name} must be finite and {bound}, got {value!r}"
+        )
 
 
 RTX3090 = register_gpu(GPUSpec(

@@ -57,6 +57,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import weakref
 from collections import OrderedDict
@@ -1244,7 +1245,7 @@ def run_sweep(
     strategies: Sequence[Union[str, ExecutionStrategy]] = ("ours",),
     gpus: Sequence[Union[str, GPUSpec]] = ("RTX3090",),
     *,
-    num_gpus: Sequence[int] = (1,),
+    num_gpus: Union[int, Sequence[int]] = (1,),
     batch_size: Union[None, int, Sequence[Optional[int]]] = None,
     schedule: Union[None, str, Sequence[Optional[str]]] = None,
     precision: Union[None, str, Sequence[Optional[str]]] = None,
@@ -1268,8 +1269,9 @@ def run_sweep(
       a sequence mixing ``"memory"`` with ``None``) and ``precision``
       (a policy name or a sequence mixing them with ``None``) choose
       the compiled plan;
-    - ``gpus`` × ``num_gpus`` choose the device: an entry > 1 builds a
-      ``<gpu>xN`` cluster on the default link.  A registered cluster
+    - ``gpus`` × ``num_gpus`` choose the device: a ``num_gpus`` entry
+      is a whole number ≥ 1, and one > 1 builds a ``<gpu>xN`` cluster
+      on the default link.  A registered cluster
       name (or a ``Cluster``) is already a cluster: it is refused
       beside a ``num_gpus`` entry > 1;
     - ``batch_size`` (an int or a sequence mixing ints with ``None``,
@@ -1298,9 +1300,15 @@ def run_sweep(
     """
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
-    batches, schedules, precisions, loads, updates = map(
-        _axis, (batch_size, schedule, precision, serve_qps, update_frac)
+    batches, schedules, precisions, loads, updates, num_gpus = map(
+        _axis, (batch_size, schedule, precision, serve_qps, update_frac, num_gpus)
     )
+    if not all(
+        isinstance(n, numbers.Real) and n >= 1 and float(n).is_integer()
+        for n in num_gpus
+    ):
+        raise ValueError(f"num_gpus entries must be whole numbers >= 1, got {num_gpus}")
+    num_gpus = tuple(int(n) for n in num_gpus)
     sampled = any(b is not None for b in batches)
     if sampled and any(n > 1 for n in num_gpus):
         raise ValueError(
@@ -1379,10 +1387,9 @@ def run_sweep(
 
 def _axis(value) -> tuple:
     """The options one sweep axis takes: a string or any non-iterable
-    (``None``, a Python or NumPy scalar) is one option.  NumPy scalars
-    become their Python value, so a row stays JSON-serialisable."""
-    if isinstance(value, np.generic):
-        value = value.item()
+    (``None``, a Python or NumPy scalar) is one option.  NumPy scalars,
+    alone or as entries, become their Python value, so a row stays
+    JSON-serialisable."""
     if isinstance(value, str) or not np.iterable(value):
-        return (value,)
-    return tuple(value)
+        value = (value,)
+    return tuple(v.item() if isinstance(v, np.generic) else v for v in value)

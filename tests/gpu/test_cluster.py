@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.frameworks import compile_training, get_strategy
@@ -43,8 +45,33 @@ class TestClusterSpec:
     def test_cluster_validation(self):
         with pytest.raises(ValueError):
             Cluster(name="bad", gpu=V100, num_gpus=0)
+        # 1.5 GPUs used to fail deep in partitioning with a TypeError.
+        with pytest.raises(ValueError, match="num_gpus"):
+            make_cluster("V100", 1.5)
         with pytest.raises(TypeError):
             make_cluster(make_cluster("V100", 2), 4)
+
+    @pytest.mark.parametrize("gbps", [0.0, -8.0, float("nan"), float("inf")])
+    def test_non_physical_link_refused(self, gbps):
+        # 0 divided by zero in pricing; -8 and nan priced every halo
+        # exchange as free.
+        with pytest.raises(ValueError, match="interconnect_gbps"):
+            make_cluster("V100", 4, interconnect_gbps=gbps)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mem_bandwidth_gbps", 0.0), ("peak_fp32_tflops", 0.0),
+         ("mem_bandwidth_gbps", -900.0), ("dram_gb", float("nan")),
+         ("num_sms", 0), ("kernel_launch_us", -1.0),
+         ("kernel_launch_us", float("inf"))],
+    )
+    def test_non_physical_device_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"GPUSpec.{field}"):
+            replace(V100, **{field: value})
+
+    def test_free_launch_and_tiny_memory_allowed(self):
+        spec = replace(V100, name="V100-free", kernel_launch_us=0.0, dram_gb=1e-6)
+        assert spec.kernel_launch_s == 0.0 and spec.dram_bytes == 1073
 
     def test_derived_quantities(self):
         c = make_cluster("V100", 4, interconnect_gbps=100.0)

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.graph import Graph  # noqa: E402
@@ -48,15 +48,23 @@ from repro.graph.stats import GraphStats, _degree_order  # noqa: E402
 
 
 def _rescale_by_argsort(arr: np.ndarray, target: int) -> np.ndarray:
-    """Largest-remainder rounding the plain way: a stable sort."""
+    """Largest-remainder rounding the plain way: a stable sort, after
+    the power-of-two normalisation ``_rescale_to_sum`` specifies for a
+    total that is subnormal or overflows, or leaves ``target / total``
+    unrepresentable."""
     target = max(int(target), 0)
     if arr.size == 0:
         return np.zeros(0, dtype=np.int64)
     arr = np.maximum(arr.astype(np.float64), 0.0)
-    total = arr.sum()
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+        normal = np.finfo(np.float64).tiny <= total < np.inf and np.isfinite(target / total)
     if total <= 0:
         arr = np.ones(arr.size, dtype=np.float64)
         total = float(arr.size)
+    elif not normal:
+        arr = np.ldexp(arr, -np.frexp(arr.max())[1])
+        total = arr.sum()
     scaled = arr * (target / total)
     base = np.floor(scaled).astype(np.int64)
     remainder = target - int(base.sum())
@@ -73,6 +81,10 @@ def _rescale(data) -> None:
     ]))
     arr = np.array(data.draw(st.lists(values, max_size=40)), dtype=np.float64)
     target = data.draw(st.integers(-10, 400))
+    _check_rescale(arr, target)
+
+
+def _check_rescale(arr: np.ndarray, target: int) -> None:
     got = _rescale_to_sum(arr, target)
     np.testing.assert_array_equal(got, _rescale_by_argsort(arr, target))
     assert got.dtype == np.int64
@@ -219,3 +231,13 @@ CASES = {
 @given(data=st.data())
 def test_matches_naive_reference(case, data):
     CASES[case](data)
+
+
+# The ``rescale`` draws found this subnormal total; a reference without
+# the normalisation read INT64_MIN + 1 where the program reads [1].
+@settings(max_examples=50, deadline=None)
+@example(arr=[2.2250738585e-313], target=1)
+@given(arr=st.lists(st.floats(0, 1e-300), min_size=1, max_size=8),
+       target=st.integers(0, 400))
+def test_rescale_normalises_tiny_totals(arr, target):
+    _check_rescale(np.array(arr, dtype=np.float64), target)

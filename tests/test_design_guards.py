@@ -1,0 +1,297 @@
+"""The design's "one X" invariants, as queries over the source text.
+
+Each row of ``GUARDS`` is a query over ``{relpath: text}`` returning the
+offending ``path:line``\\ s, and a seeded violation: ``text`` inserted
+into one file before the first ``at`` (default: at its start).  Every
+query must come back empty on the tree and non-empty on its seed — a
+guard that has never caught a violation is indistinguishable from one
+that cannot.  No file is written.  Patterns are matched line by line,
+as ``grep`` does.  A row id is ``<invariant>/<rule>`` (``+`` joins
+invariants that state the same rule), so ``pytest -k one-ring`` runs
+one invariant's rows.
+"""
+
+import ast
+import functools
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+S = "src/repro/"
+ENGINE, MULTI, KERNELS = S + "exec/engine.py", S + "exec/multi.py", S + "exec/kernels.py"
+RINGS, CSR, SAMPLING = S + "exec/rings.py", S + "graph/csr.py", S + "graph/sampling.py"
+SESSION, FIGURES = S + "session.py", S + "bench/figures.py"
+
+
+@pytest.fixture(scope="module")
+def sources():
+    """Every file a guard reads: ``src/`` Python, ``examples/``,
+    ``benchmarks/`` and the README, never ``__pycache__``."""
+    paths = [*ROOT.glob("src/**/*.py"), ROOT / "README.md"]
+    paths += [p for d in ("examples", "benchmarks") for p in (ROOT / d).rglob("*")
+              if p.is_file() and "__pycache__" not in p.parts]
+    return {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in paths}
+
+
+def _hits(files, pattern, scope):
+    """``path:line`` of every line under ``scope`` matching ``pattern``."""
+    rx = re.compile(pattern, re.M)
+    return [f"{path}:{no}" for path, text in sorted(files.items())
+            if path.startswith(scope) and rx.search(text)
+            for no, line in enumerate(text.split("\n"), 1) if rx.search(line)]
+
+
+def forbidden(pattern, *scope, after=None):
+    """No line under ``scope`` matches ``pattern``; with ``after``, no
+    line of the one file in ``scope`` from ``after``'s first match on."""
+    def query(files):
+        if after is not None:
+            (path,) = scope
+            start = re.search(after, files[path], re.M)
+            if start is None:
+                return [f"{path}: no line matches {after!r}"]
+            head = files[path][:start.start()]
+            files = {path: "\n" * head.count("\n") + files[path][len(head):]}
+        return _hits(files, pattern, scope)
+    return query
+
+
+def only_in(pattern, homes, within=("src/",), count=None, held=True):
+    """Lines under ``within`` matching ``pattern`` lie in ``homes``, each
+    of which holds one (unless ``held`` is false); ``count`` pins the
+    number of lines where the invariant says "once"."""
+    def query(files):
+        hits = _hits(files, pattern, within)
+        found = {hit.rsplit(":", 1)[0] for hit in hits}
+        bad = [hit for hit in hits if hit.rsplit(":", 1)[0] not in homes]
+        bad += [f"{home}: no line matches" for home in homes if held and home not in found]
+        if count is not None and len(hits) != count:
+            bad.append(f"{len(hits)} lines match, not {count}")
+        return bad
+    return query
+
+
+@functools.lru_cache(maxsize=None)
+def _calls(text, names):
+    """``(line, names of the enclosing defs)`` of every call of ``names``."""
+    tree = ast.parse(text)
+    defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(c.lineno, {d.name for d in defs if d.lineno <= c.lineno <= d.end_lineno})
+            for c in ast.walk(tree) if isinstance(c, ast.Call)
+            and getattr(c.func, "attr", getattr(c.func, "id", None)) in names]
+
+
+def calls_inside(path, names, home, count=None):
+    """Every call of ``names`` (a plain or attribute call) in ``path``
+    sits inside ``def home``; ``count`` pins how many there are."""
+    def query(files):
+        calls = _calls(files[path], names)
+        bad = [f"{path}:{line}" for line, defs in calls if home not in defs]
+        if count is not None and len(calls) != count:
+            bad.append(f"{path}: {len(calls)} calls, not {count}")
+        return bad
+    return query
+
+
+def _row(id, query, path, text, at=""):
+    return pytest.param(query, (path, text, at), id=id)
+
+
+_WORDS = r"(?<!\w)({})(?!\w)".format
+
+GUARDS = [
+    # MultiEngine steps shards through bound steps: lookups, kernel
+    # calls, bf16 rounding, storage simulation and ledgers are Engine's.
+    _row("one-interpreter/multi-has-no-dispatch",
+         forbidden(r"(apply|scatter|gather|param_grad)_kernel\(|resolve_kernel|\.kernel\(|"
+                   r"bf16_round|simulate_storage|MemoryLedger\(|aggregate\(|u_dot_v|"
+                   r"adjacency\(", MULTI),
+         MULTI, "from repro.exec.kernels import resolve_kernel\n"),
+    # Destination-row halos are made by MultiEngine, priced by
+    # plan_comm_records, checked by the halo checker, named nowhere else.
+    _row("one-comm-schedule/halo-dst-named-in-three-places",
+         only_in(r'"halo_dst"', (S + "analysis/halo.py", S + "exec/analytic.py", MULTI)),
+         ENGINE, 'FETCH = "halo_dst"\n'),
+    # Kernels are resolved once, in _bind_kernel, and called at one site, _dispatch.
+    _row("one-dispatch/lookups-in-bind-kernel",
+         calls_inside(ENGINE, ("resolve_kernel", "aggregate"), "_bind_kernel"),
+         ENGINE, '    def _relu(self, ins):\n        return resolve_kernel("apply", "relu")\n\n',
+         at="    def _dispatch(\n"),
+    _row("one-dispatch/kernel-called-once-in-dispatch",
+         calls_inside(ENGINE, ("kernel",), "_dispatch", count=1),
+         ENGINE, "        step.kernel(graph, ins, params, None)\n",
+         at="        value = step.kernel("),
+    _row("one-dispatch/no-table-calls-in-engine-plan-csr",
+         forbidden(r"(apply|scatter|gather|param_grad)_kernel\(", ENGINE, S + "exec/plan.py", CSR),
+         S + "exec/plan.py", 'value = apply_kernel("relu", ins, ())\n'),
+    # One (kind, fn) -> kernel table: nothing selects an implementation.
+    _row("one-kernel-table/no-backend-axis",
+         forbidden(r"declare_backend|available_backends|canonical_backend|BackendKernels|"
+                   r"get_backend|backend=", S),
+         KERNELS, "def get_backend(name):\n    return BACKENDS[name]\n"),
+    # ledger_walk is the one residency loop; _Compiled.pinned the one pinned set.
+    _row("one-ledger+one-price/resident-pop-only-in-memory",
+         only_in(r"resident\.pop\(", (S + "exec/memory.py",)),
+         S + "exec/analytic.py", "size = resident.pop(root)\n"),
+    _row("one-ledger/pinned-set-written-once",
+         only_in(r"forward\.inputs\) \+ list\(", (S + "frameworks/strategy.py",), count=1),
+         S + "frameworks/strategy.py", "pinned = list(self.forward.inputs) + list(params)\n"),
+    # cost_form.py runs the per-node formulas once per plan; no record walk in src/.
+    _row("one-price/no-kernel-record", forbidden(r"def kernel_record", "src/"),
+         S + "exec/analytic.py", "def kernel_record(node, specs):\n    pass\n"),
+    _row("one-price/read-formula-once",
+         only_in(r"node\.read_bytes\(", (S + "exec/cost_form.py",), count=1),
+         S + "exec/analytic.py", "read = node.read_bytes(name, specs, sizes)\n"),
+    _row("one-price/write-formula-once",
+         only_in(r"node\.write_bytes\(", (S + "exec/cost_form.py",), count=1),
+         S + "exec/cost_form.py", "written = node.write_bytes(o, specs, sizes)\n"),
+    # Pure stages run through StageMemo's methods, never bare.
+    _row("one-compile-per-stage/bare-calls-only-in-stage-memo",
+         only_in(r"^(?!\s*def ).*(?<![.\w])(differentiate|reorganize|partition_kernels)\(",
+                 (S + "opt/stages.py",)),
+         SESSION, "module = reorganize(module)\n"),
+    # Streams bisect one SeedCDF; features() reads the planted scores.
+    _row("constants-once/no-per-draw-sampler",
+         forbidden(r"rng\.choice\(", S + "serve/request.py", S + "dyn/workload.py"),
+         S + "dyn/workload.py", "v = rng.choice(n, p=weights)\n"),
+    _row("constants-once/no-per-call-canonical-matrix", forbidden(r"_canonical_features", "src/"),
+         S + "graph/datasets.py", "def _canonical_features(n, f):\n    pass\n"),
+    # Every sum is a CSR product through public scipy.
+    _row("one-segment-sum/no-strided-reduceat", forbidden(r"add\.reduceat", S),
+         KERNELS, "out = np.add.reduceat(x, starts)\n"),
+    _row("one-segment-sum+one-place-builds-operators/no-sparsetools",
+         forbidden(r"_sparsetools", "src/"),
+         CSR, "from scipy.sparse import _sparsetools\n"),
+    # _group_edges holds graph/csr.py's only sort; groupings are handed
+    # over through Graph.grouped, never _cache; dedup is a scatter.
+    _row("one-grouping+one-ring/only-group-edges-sorts",
+         calls_inside(CSR, ("argsort", "lexsort", "sort"), "_group_edges"),
+         CSR, "def _order(keys):\n    return np.argsort(keys)\n\n\n", at="def _group_edges("),
+    _row("one-grouping/group-edges-called-only-in-csr", only_in(r"_group_edges\(", (CSR,)),
+         SAMPLING, "order = _group_edges(src, dst, n)\n"),
+    _row("one-grouping/no-dict-fromkeys-dedup",
+         forbidden(r"dict\.fromkeys\(", S + "graph/", S + "dyn/"),
+         S + "dyn/delta.py", "ids = list(dict.fromkeys(ids))\n"),
+    _row("one-grouping/no-cache-pokes",
+         forbidden(r"_cache\[", SAMPLING, S + "dyn/delta.py", S + "serve/batcher.py"),
+         S + "serve/batcher.py", "graph._cache[key] = grouping\n"),
+    # Hop distances come from _khop; the engine cuts ring blocks with
+    # Graph.row_block, at one site per orientation, and builds no graph.
+    _row("one-ring/no-bfs-in-exec-or-serve",
+         forbidden(r"_khop\(|khop_neighborhood\(|in_neighbours\(|_mark_in_neighbours\(",
+                   S + "exec/", S + "serve/"),
+         S + "serve/server.py", "field = _khop(graph, seeds, hops)\n"),
+    _row("one-ring/no-ring-graphs",
+         forbidden(r"ring_graph\(|_spread\(|row_count_dependent", "src/"),
+         RINGS, "block = ring_graph(graph, n)\n"),
+    _row("one-ring/one-grouped-call-in-sampling",
+         only_in(r"Graph\.grouped\(", (SAMPLING,), (SAMPLING,), count=1),
+         SAMPLING, "    twin = Graph.grouped(graph)\n", at="    sub = Graph.grouped("),
+    _row("one-ring/engine-builds-no-graph",
+         forbidden(r"Graph\(|Graph\.grouped\(|_inherit\(|_cut_block\(|_cut_within\(",
+                   ENGINE, RINGS),
+         RINGS, "block = _cut_block(graph, 0, n)\n"),
+    _row("one-ring/one-in-ring-cut",
+         only_in(re.escape('row_block("in", 0, '), (ENGINE,), (ENGINE,), count=1),
+         ENGINE, 'block = graph.row_block("in", 0, n)\n'),
+    _row("one-ring/one-out-ring-cut",
+         only_in(re.escape('row_block("out", 0, '), (ENGINE,), (ENGINE,), count=1),
+         ENGINE, 'block = graph.row_block("out", 0, n, within=d)\n'),
+    _row("one-ring/no-per-node-ring-step", forbidden(r"_Rings\.step|def _step\(", "src/"),
+         RINGS, "def _step(run, node):\n    pass\n"),
+    # graph/csr.py's adjacency_operator is the one constructor call.
+    _row("one-place-builds-operators/csr-array-once", only_in(r"csr_array\(", (CSR,), count=1),
+         KERNELS, "op = sp.csr_array((w, idx, ptr))\n"),
+    # exec/kernels.py weights an operator in one place, aggregate.
+    _row("one-product-per-aggregation/one-weighted-operator",
+         calls_inside(KERNELS, ("adjacency_operator",), "aggregate", count=1),
+         KERNELS, "def _weighted(op, w):\n    return adjacency_operator(op, w)\n\n\n",
+         at="def aggregate("),
+    # The feature cache resolves a gather with array operations.
+    _row("one-cache-table/no-row-by-row-dict",
+         forbidden(r"OrderedDict|move_to_end|for .* in .*vertices", S + "serve/cache.py"),
+         S + "serve/cache.py", "from collections import OrderedDict\n"),
+    # A kernel writes its value into its slab; only the engine pools.
+    _row("one-way-into-a-slab/no-adoption-copy", forbidden(r"\.adopt\(|def _?adopt\(", S),
+         ENGINE, "slab = pool.adopt(value)\n"),
+    _row("one-way-into-a-slab/only-engine-builds-a-pool", only_in(r"ArenaPool\(", (ENGINE,)),
+         S + "train/loop.py", "pool = ArenaPool(plan)\n"),
+    # MultiEngine's hazard waves are the one overlap left.
+    _row("no-modelled-overlap/no-overlap-schedules",
+         forbidden(r"build_overlap_schedule|OverlapSchedule|overlap_schedules|RP105|"
+                   r"overlap_diagnostics|RP102", "src/", "examples/", "benchmarks/"),
+         "examples/quickstart.py", "from repro.analysis import overlap_diagnostics\n"),
+    _row("no-modelled-overlap/overlap-knob-only-on-multi", only_in(r"overlap=", (MULTI,)),
+         SESSION, 'engine = MultiEngine(graph, 4, overlap="threads")\n'),
+    # A configuration is one RunConfig, every row a SweepRow session.py
+    # builds; run_sweep renames no Session.serve keyword.
+    _row("one-configuration-record/no-run-result",
+         forbidden(r"RunResult|def measure\(", S + "bench/"),
+         FIGURES, "def measure(session):\n    pass\n"),
+    _row("one-configuration-record/sweep-rows-built-in-session",
+         only_in(r"SweepRow\(", (SESSION,), held=False),
+         FIGURES, 'row = SweepRow(model="gat")\n'),
+    _row("one-configuration-record/no-axis-attributes",
+         forbidden(r"self\._(model|dataset|strategy|gpu|cluster|schedule|precision|minibatch|"
+                   r"feature_dim|partitioner|stats|workload)\b\s*(:[^=]*)?=([^=]|$)", SESSION),
+         SESSION, "self._model = model\n"),
+    _row("one-configuration-record/no-renamed-serve-keywords",
+         forbidden(_WORDS("serve_(requests|seeds|slo_s|cache_rows|zipf_alpha|scheduler|seed|"
+                          "compact_every)"), "src/", "examples/", "README.md"),
+         "README.md", "run_sweep(..., serve_qps=[100], serve_requests=200)\n"),
+    # One home per setting: no knob nothing sets, no restated keyword.
+    _row("one-home-per-setting/no-knob-nothing-sets",
+         forbidden(r"PartitionSpec|interconnect_latency_us|update_edge_frac|_per_update|"
+                   r"minibatch_hops|minibatch_seed|param_seed", "src/", "examples/", "README.md"),
+         S + "gpu/cluster.py", "    interconnect_latency_us: float = 5.0\n"),
+    _row("one-home-per-setting/figures-take-no-arguments",
+         forbidden(r"^def fig_(?!backend_calibration\()[a-z0-9_]+\((?!\) -> )", FIGURES),
+         FIGURES, "def fig_scaling(gpus=(1, 2, 4)) -> FigureResult:\n    pass\n"),
+    _row("one-home-per-setting/built-in-passes-take-no-overrides",
+         forbidden(r"def __init__", S + "opt/pipeline.py", after=r"^# Built-in passes"),
+         S + "opt/pipeline.py", "    def __init__(self, mode=None):\n        self.mode = mode\n\n",
+         at='    name = "fusion"\n'),
+    _row("one-home-per-setting/no-memory-plans", forbidden(r"memory_plans", "src/"),
+         S + "train/minibatch.py", "memory_plans = {}\n"),
+    _row("one-home-per-setting/no-hops-parameter",
+         forbidden(r"\bhops\s*:|\bhops\s*=\s*None", SESSION, S + "train/minibatch.py",
+                   S + "serve/server.py"),
+         S + "serve/server.py", "    hops: Optional[int] = None\n"),
+    _row("one-home-per-setting/no-recorded-events", forbidden(r'"events"', MULTI),
+         MULTI, 'trace["events"] = []\n'),
+    _row("one-home-per-setting/default-arrivals-and-batching",
+         forbidden(_WORDS("arrival|burst|max_wait_s"), SESSION),
+         SESSION, "    max_wait_s: float = 0.002\n"),
+    # GraphStats takes degree maxima once; partitions cost O(|V|), no sort.
+    _row("degree-facts-once/maxima-read-only-in-stats",
+         only_in(r"_degrees\.max\(", (S + "graph/stats.py",), within=(S,), held=False),
+         S + "gpu/cost_model.py", "peak = stats.in_degrees.max()\n"),
+    _row("degree-facts-once/partitions-without-sorts",
+         forbidden(r"np\.unique\(|argsort\(|np\.isin\(", S + "graph/partition.py"),
+         S + "graph/partition.py", "ghosts = np.unique(src)\n"),
+    # A public name nothing calls is cut, and stays out.
+    _row("no-caller-no-name/cut-names-stay-cut", forbidden(_WORDS(
+             r"LRSchedule|StepLR|CosineLR|WarmupLR|ScheduledOptimizer|relabel|"
+             r"degree_sorted_relabel|overlap_diagnostics|plan_memory_multi|in_neighbours|"
+             r"expected_khop_field_size|format_module|update_workload|graph\.reorder|"
+             r"train\.schedule"), "src/", "examples/", "benchmarks/", "README.md"),
+         "examples/quickstart.py", "from repro.train.schedule import StepLR\n"),
+    # python -O strips asserts: the bench CLI builds and saves only.
+    _row("bench-validates-nothing-with-assert/no-assert-in-bench",
+         forbidden(r"^\s*assert ", S + "bench/"),
+         FIGURES, '    assert rows, "empty table"\n'),
+]
+
+
+@pytest.mark.parametrize("query, seed", GUARDS)
+def test_guard_holds(query, seed, sources):
+    assert query(sources) == []
+
+
+@pytest.mark.parametrize("query, seed", GUARDS)
+def test_guard_catches_its_seed(query, seed, sources):
+    path, text, at = seed
+    assert at in sources[path]
+    assert query({**sources, path: sources[path].replace(at, text + at, 1)})

@@ -403,6 +403,27 @@ class TestClusterSessions:
         row = sweep.rows[2].to_dict()
         assert row["num_gpus"] == 4 and row["comm_bytes"] > 0
 
+    def test_sweep_gpu_counts_from_numpy_stay_json(self, toy_datasets):
+        sweep = run_sweep(
+            models=["gcn"], datasets=[toy_datasets[0]], gpus=["V100"],
+            num_gpus=np.array([1, 2]),
+        )
+        assert [type(r.num_gpus) for r in sweep.rows] == [int, int]
+        assert [r.gpu for r in sweep.rows] == ["V100", "V100x2"]
+        json.dumps(sweep.to_dict())
+
+    @pytest.mark.parametrize("counts", [(0, -2), (1.5,), (2, float("nan"))])
+    def test_sweep_refuses_non_counts(self, toy_datasets, counts):
+        """0 and -2 used to price single-GPU rows labelled 1; 1.5 built
+        ``V100x1.5`` and failed in partitioning."""
+        cache = PlanCache()
+        with pytest.raises(ValueError, match="num_gpus"):
+            run_sweep(
+                models=["gcn"], datasets=[toy_datasets[0]], gpus=["V100"],
+                num_gpus=counts, cache=cache,
+            )
+        assert cache.misses == 0
+
     def test_sweep_partitions_each_dataset_once(self, toy_datasets, monkeypatch):
         import importlib
 
