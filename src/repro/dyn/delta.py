@@ -386,11 +386,12 @@ class DynamicGraph:
         :func:`~repro.graph.sampling.induced_subgraph` on the rebuilt
         graph: kept edges appear in ascending *global* edge-id order
         (compacted CSR edges first, then pending edges in apply order)
-        and the subgraph's groupings are read off the two layouts', so
+        and the subgraph's in-edges are read off the two layouts', so
         per-destination reduction order — and thus every engine output —
         matches the from-scratch rebuild bit for bit.
         """
-        return _induce(self._layouts(), self._num_vertices, vertices)
+        sub, kept, edge_ids = _induce(self._layouts(), self._num_vertices, vertices)
+        return sub, kept, edge_ids()
 
     def receptive_field(self, seeds: np.ndarray, hops: int) -> MiniBatch:
         """Delta-aware twin of :func:`repro.serve.batcher.receptive_field`.

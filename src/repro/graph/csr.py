@@ -24,18 +24,21 @@ Conventions used throughout the library
   no edge tensor exists at all.  Both operators are built here and
   nowhere else.
 * A grouping is computed from the edge list once (:func:`_group_edges`,
-  a stable sort) or **inherited**: the subgraph induced by an ascending
-  vertex list keeps its parent's home-vertex order and the ascending
-  edge ids inside every segment, so the kept edges in the parent's
-  ``csc_eids`` / ``csr_eids`` order *are* its grouping.  The sampling
-  layer (:mod:`repro.graph.sampling`) hands such groupings over through
-  :meth:`Graph.grouped` — the one way in from outside; nobody writes
-  ``_cache`` — and they must equal, array for array, what
+  a stable sort) or handed over by a maker that already knows it,
+  through :meth:`Graph.grouped` — the one way in from outside; nobody
+  writes ``_cache`` — and it must equal, array for array, what
   :func:`_group_edges` would return, so no value downstream can tell.
   An append keeps its receiver's grouping (merge, no sort): appended
   edges take the highest ids, so they follow each vertex's segment
-  (:func:`_append_grouping`, also what merges a sampled graph's later
-  layouts).  Each orientation is materialised on first use either way.
+  (:func:`_append_grouping`).  Each orientation is materialised on
+  first use.
+* A graph may be made from its in-edges alone (:class:`InEdges`, what
+  the sampling layer, :mod:`repro.graph.sampling`, reads off a parent's
+  CSC): segment offsets, sources, and keys that ascend with edge id.
+  Its edge count, degrees, ``"in"`` row blocks of rows ``[0, n)`` —
+  prefix views — and their operators need no edge ids; the edge list,
+  ``csc_eids``, the ``"out"`` grouping and a block's ``eids`` are built
+  on first read.
 
 The class is deliberately plain: topology only, no features.  Features
 live in the execution engine; analytic passes only ever need
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -87,15 +90,18 @@ def incidence_operator(
 
 
 def _group_edges(
-    keys: np.ndarray, num_vertices: int
+    keys: np.ndarray, num_vertices: int, ties: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Group edge ids by an endpoint array.
 
     Returns ``(indptr, eids)`` where ``eids[indptr[v]:indptr[v+1]]`` are
     the ids of edges whose endpoint (``keys``) equals ``v``, and the edge
-    ids within each group appear in ascending order (stable sort).
+    ids within each group appear in ascending order (stable sort) — or,
+    with ``ties``, in ascending order of ``ties``.
     """
-    order = np.argsort(keys, kind="stable").astype(np.int64)
+    order = (
+        np.argsort(keys, kind="stable") if ties is None else np.lexsort((ties, keys))
+    ).astype(np.int64, copy=False)
     counts = np.bincount(keys, minlength=num_vertices)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -199,7 +205,7 @@ class _SegmentLayout:
         entry = self._cache.get(key)
         if entry is None:
             indptr, eids = self.segments(orientation)
-            far = (self.src if orientation == "in" else self.dst)[eids]
+            far = self.csc_src if orientation == "in" else self.csr_dst
             if heads != 1:
                 indptr, far, eids = _interleave(indptr, far, eids, heads)
             operator = adjacency_operator(
@@ -211,7 +217,57 @@ class _SegmentLayout:
 
 
 class _RowBlock(_SegmentLayout, SimpleNamespace):
-    """One block of :meth:`Graph.row_block`."""
+    """One block of :meth:`Graph.row_block`.
+
+    ``lazy`` maps attribute names to functions of no arguments, each
+    called on the attribute's first read: a block's edge ids, home
+    endpoints and degrees are built only if a kernel reads them.
+    """
+
+    def __init__(self, lazy, **attrs):
+        super().__init__(_lazy=lazy, **attrs)
+
+    def __getattr__(self, name: str):
+        # Threads racing to the same attribute build equal values.
+        make = self.__dict__.get("_lazy", {}).get(name)
+        if make is None:
+            raise AttributeError(name)
+        value = make()
+        setattr(self, name, value)
+        return value
+
+
+class InEdges:
+    """A graph's in-edge grouping, known before its edge list.
+
+    ``indptr`` delimits each vertex's in-edges; ``far`` is each in-edge's
+    source, segment by segment; ``keys`` holds one integer per in-edge
+    that ascends with the edge's id, so each segment's keys ascend (a
+    sampled graph's are its parent's edge ids).  ``order`` is a function
+    of no arguments returning the positions sorted by key — the edge
+    list's order — asked once, on first use.  Handed to
+    :meth:`Graph.grouped` in place of an edge list.
+    """
+
+    __slots__ = ("indptr", "far", "keys", "_order", "_eids")
+
+    def __init__(self, indptr, far, keys, order: Callable[[], np.ndarray]):
+        self.indptr, self.far, self.keys = indptr, far, keys
+        self._order, self._eids = order, None
+
+    def order(self) -> np.ndarray:
+        """Segment positions in edge-id order."""
+        if callable(self._order):
+            self._order = self._order()
+        return self._order
+
+    def eids(self) -> np.ndarray:
+        """The edge id at each segment position (``order``'s inverse)."""
+        if self._eids is None:
+            order = self.order()
+            self._eids = np.empty_like(order)
+            self._eids[order] = np.arange(order.shape[0], dtype=order.dtype)
+        return self._eids
 
 
 @dataclass(frozen=True)
@@ -306,12 +362,18 @@ class Graph(_SegmentLayout):
         no arguments that returns it — called once, on first use, and
         free to answer ``None`` ("cannot tell any more").  An
         orientation left out, or answered ``None``, is grouped from the
-        edge list as usual.  The maker answers for the equality (the
-        sampling layer reads its groupings off the parent's own,
-        :meth:`with_edges` merges into its receiver's; see the module
+        edge list as usual.  The maker answers for the equality
+        (:meth:`with_edges` merges into its receiver's; see the module
         docstring); this is the only way a grouping gets into a graph
         from outside.
+
+        ``segments["in"]`` may instead be an :class:`InEdges`, with
+        ``src`` and ``dst`` ``None``: the graph is made from its
+        in-edges (the sampling layer reads them off a parent's CSC), and
+        its edge list is built on first use.
         """
+        if isinstance(segments.get("in"), InEdges):
+            return _InEdgeGraph(num_vertices, segments["in"])
         graph = cls(src, dst, num_vertices)
         for orientation, grouping in segments.items():
             _endpoints(orientation)  # "in" / "out" or ValueError
@@ -390,13 +452,15 @@ class Graph(_SegmentLayout):
         endpoint) and home operands from the block's own rows.  It
         carries what the registered kernels read off a graph, for the
         requested orientation only, plus ``eids``: the block's COO edge
-        ids.
+        ids, built on first read.  On a graph made from its in-edges, an
+        ``"in"`` block of rows ``[0, hi)`` is a prefix view of them.
 
         ``within`` (``orientation="out"``, ``lo=0`` only) keeps just the
         in-edges of rows ``[0, within)``: the first
         ``csc_indptr[within]`` edges of the CSC grouping, numbered in
         that order as in ``row_block("in", 0, within)``, grouped by
-        source in this graph's CSR order.  It is where a sum over
+        source in this graph's CSR order (by source, then edge id, over
+        those edges only).  It is where a sum over
         out-edges runs when its edge operand is zero beyond those edges
         (a gradient on a ring, :mod:`repro.exec.rings`): each source
         adds the same nonzero terms in the same order as over all of
@@ -420,47 +484,60 @@ class Graph(_SegmentLayout):
         return block
 
     def _cut_block(self, orientation: str, lo: int, hi: int) -> _RowBlock:
-        indptr, eids = self.segments(orientation)
-        far = getattr(self, _endpoints(orientation)[1])
-        p0, p1 = int(indptr[lo]), int(indptr[hi])
-        seg = indptr[lo : hi + 1] - p0
-        degrees = np.diff(seg)
-        home = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
-        order = np.arange(p1 - p0, dtype=np.int64)
-        eids = eids[p0:p1]
-        far = far[eids]
-        block = _RowBlock(
-            num_vertices=hi - lo, far_vertices=int(far.max()) + 1 if p1 > p0 else 0,
-            num_edges=p1 - p0, eids=eids, _cache={},
-        )
+        """The block of home rows ``[lo, hi)``: views of the grouped
+        offsets (rebased) and far endpoints; its edge ids, home
+        endpoints and degrees on first read."""
         if orientation == "in":
-            block.src, block.dst = far, home
-            block.csc_indptr, block.csc_eids, block.in_degrees = seg, order, degrees
+            indptr, far = self.csc_indptr, self.csc_src
+            names = ("src", "csc_src", "csc_indptr", "csc_eids", "dst", "in_degrees")
         else:
-            block.src, block.dst = home, far
-            block.csr_indptr, block.csr_eids, block.out_degrees = seg, order, degrees
-        return block
+            _endpoints(orientation)
+            indptr, far = self.csr_indptr, self.csr_dst
+            names = ("dst", "csr_dst", "csr_indptr", "csr_eids", "src", "out_degrees")
+        p0, p1 = int(indptr[lo]), int(indptr[hi])
+        seg = indptr[lo : hi + 1] if p0 == 0 else indptr[lo : hi + 1] - p0
+        far = far[p0:p1]
+        eids = self._grouped_eids(orientation)
+        far_name, grouped_far, offsets, order, home, degrees = names
+        return _RowBlock(
+            {"eids": lambda: eids()[p0:p1],
+             home: lambda: np.repeat(np.arange(hi - lo, dtype=np.int64), np.diff(seg)),
+             degrees: lambda: np.diff(seg)},
+            num_vertices=hi - lo, num_edges=p1 - p0,
+            far_vertices=int(far.max()) + 1 if p1 > p0 else 0, _cache={},
+            **{far_name: far, grouped_far: far, offsets: seg,
+               order: np.arange(p1 - p0, dtype=np.int64)},
+        )
+
+    def _grouped_eids(self, orientation: str) -> Callable[[], np.ndarray]:
+        """The grouping's edge ids, as a function a block can hold."""
+        eids = self.segments(orientation)[1]
+        return lambda: eids
+
+    def _ties(self) -> np.ndarray:
+        """One key per in-edge, in CSC order, ascending with edge id."""
+        return self.csc_eids
 
     def _cut_within(self, hi: int, within: int) -> _RowBlock:
-        """``row_block("out", 0, hi, within)``: the kept edges, listed by
-        id and grouped by source with the stable sort, are in CSR order
-        (the graph's own CSR grouping is never built for it)."""
+        """``row_block("out", 0, hi, within)``: the in-edges of rows
+        ``[0, within)`` whose source is below ``hi``, grouped by (source,
+        edge id) — this graph's CSR order, which is never built for it."""
         inner = self.row_block("in", 0, within)
-        marked = np.zeros(self.num_edges, dtype=bool)
-        marked[inner.eids] = True
-        by_id = np.flatnonzero(marked)
-        by_id = by_id[self.src[by_id] < hi]
-        indptr, order = _group_edges(self.src[by_id], hi)
+        src, ties = inner.src, self._ties()[: inner.num_edges]
+        kept = None if inner.far_vertices <= hi else np.flatnonzero(src < hi)
+        if kept is not None:
+            src, ties = src[kept], ties[kept]
+        indptr, order = _group_edges(src, hi, ties=ties)
         # Block edges are numbered by their place in the CSC grouping.
-        place = np.empty(self.num_edges, dtype=np.int64)
-        place[inner.eids] = np.arange(inner.num_edges, dtype=np.int64)
-        order = place[by_id[order]]
+        if kept is not None:
+            order = kept[order]
+        far = inner.dst[order]
         return _RowBlock(
-            num_vertices=hi, num_edges=inner.num_edges, eids=inner.eids,
-            src=inner.src, dst=inner.dst, csr_indptr=indptr, csr_eids=order,
-            out_degrees=np.diff(indptr),
-            far_vertices=int(inner.dst[order].max()) + 1 if order.size else 0,
-            _cache={},
+            {"eids": lambda: inner.eids, "dst": lambda: inner.dst,
+             "out_degrees": lambda: np.diff(indptr)},
+            num_vertices=hi, num_edges=inner.num_edges, src=inner.src,
+            csr_indptr=indptr, csr_eids=order, csr_dst=far,
+            far_vertices=int(far.max()) + 1 if order.size else 0, _cache={},
         )
 
     def reverse(self) -> "Graph":
@@ -590,3 +667,67 @@ class Graph(_SegmentLayout):
             f"Graph(num_vertices={self.num_vertices}, "
             f"num_edges={self.num_edges})"
         )
+
+
+class _InEdgeGraph(Graph):
+    """A :class:`Graph` made from its in-edges (:class:`InEdges`).
+
+    Its in-CSC offsets and sources, its edge count, both degree vectors
+    and every ``"in"`` row block read the in-edges as they are, so they
+    need no edge ids: a block of rows ``[0, n)`` is a prefix view of
+    them, and its ``eids`` come on first read.  The edge ids
+    (``csc_eids``), the edge list and the ``"out"`` grouping are built
+    on first use, from the in-edges alone — the arrays the cold
+    ``Graph(src, dst, n)`` builds.
+    """
+
+    def __init__(self, num_vertices: int, in_edges: InEdges):
+        object.__setattr__(self, "num_vertices", int(num_vertices))
+        object.__setattr__(self, "_in", in_edges)
+        object.__setattr__(self, "_cache", {
+            ("segments", "in"): lambda: (in_edges.indptr, in_edges.eids()),
+        })
+
+    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        edges = self._cache.get("edges")
+        if edges is None:
+            _, eids = self.segments("in")
+            src = np.empty_like(eids)
+            src[eids] = self._in.far
+            dst = np.empty_like(eids)
+            dst[eids] = np.repeat(
+                np.arange(self.num_vertices, dtype=np.int64), self.in_degrees
+            )
+            edges = self._cache["edges"] = (src, dst)
+        return edges
+
+    src = property(lambda self: self._edges()[0])
+    dst = property(lambda self: self._edges()[1])
+    num_edges = property(lambda self: int(self._in.far.shape[0]))
+    csc_indptr = property(lambda self: self._in.indptr)
+    csc_src = property(lambda self: self._in.far)
+
+    @property
+    def in_degrees(self) -> np.ndarray:
+        """Segment lengths of the in-edges."""
+        if "in_deg" not in self._cache:
+            self._cache["in_deg"] = np.diff(self._in.indptr)
+        return self._cache["in_deg"]
+
+    @property
+    def out_degrees(self) -> np.ndarray:
+        """How often each vertex is an in-edge's source."""
+        if "out_deg" not in self._cache:
+            self._cache["out_deg"] = np.bincount(
+                self._in.far, minlength=self.num_vertices
+            ).astype(np.int64)
+        return self._cache["out_deg"]
+
+    def _grouped_eids(self, orientation: str) -> Callable[[], np.ndarray]:
+        if orientation == "in":
+            return self._in.eids
+        return super()._grouped_eids(orientation)
+
+    def _ties(self) -> np.ndarray:
+        return self._in.keys
+

@@ -16,14 +16,25 @@ single-graph training loop usable in mini-batch form:
   (:func:`repro.exec.analytic.analyze_minibatch`).
 
 Everything composes with the existing engine: a sampled subgraph is
-just another :class:`~repro.graph.csr.Graph` — one that inherits its
-CSC/CSR groupings from its parent's instead of sorting its own edge
-list (:func:`_inherit`; equal arrays, so no value moves).  A sampled
-field is laid out hop by hop: its vertices are ordered by (hop
-distance, id), so ring *d* — the vertices within *d* hops of the seeds
-— is rows ``[0, n_d)`` and its in-edges are a prefix of the CSC
-grouping (``Graph.row_block("in", 0, n_d)``), the layout of GraphSAGE's
-minibatch algorithm and DGL's message-flow blocks.  The
+just another :class:`~repro.graph.csr.Graph`.  A sampled field is laid
+out hop by hop: its vertices are ordered by (hop distance, id), so ring
+*d* — the vertices within *d* hops of the seeds — is rows ``[0, n_d)``
+and its in-edges are a prefix of the CSC grouping
+(``Graph.row_block("in", 0, n_d)``), the layout of GraphSAGE's
+minibatch algorithm and DGL's message-flow blocks.
+
+A batch builds what its step reads and nothing else.  Its subgraph is
+made from its in-edges (:class:`~repro.graph.csr.InEdges`): each row's
+in-segment in the parent's CSC, less the edges from outside the field.
+Every ring but the last was expanded by the k-hop search, whose reads
+the induction reuses as they are (all those rows' in-neighbours are in
+the field); only the last ring's segments are read and filtered here.
+That gives the edge count, both degree vectors, every ring's row block
+(a prefix view) and every ring's operator.  The edge list, the edge
+ids, ``MiniBatch.edge_ids`` and the ``"out"`` grouping are built on
+first use, from the batch's own arrays — no reference to the parent,
+weak or strong, and no array of its length — and equal what the cold
+``Graph(src, dst, n)`` builds, so no value downstream can tell.  The
 expansion, the induction and the schedule are written once, over *edge
 layouts*, and serve three callers: :func:`plan_minibatches`,
 :func:`repro.serve.batcher.receptive_field` and the two-layout overlay
@@ -32,13 +43,12 @@ layouts*, and serve three callers: :func:`plan_minibatches`,
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
-from repro.graph.csr import Graph, _append_grouping
+from repro.graph.csr import Graph, InEdges
 
 __all__ = [
     "induced_subgraph",
@@ -49,24 +59,31 @@ __all__ = [
 ]
 
 
-def _segment_positions(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+def _segment_positions(
+    indptr: np.ndarray, vertices: np.ndarray, clamp: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
     """Positions of the segments of ``vertices``, concatenated in the
-    order given.
+    order given, and the running total of their lengths (where each
+    segment ends among them).
 
     One ``np.repeat`` over ``indptr`` diffs instead of a slice per
     vertex — on heavy-tailed graphs the difference between
     O(|vertices|) Python-level loop steps and a handful of NumPy calls.
-    A vertex past the layout's last (an overlay's compacted CSR can be
-    behind the vertex space) has an empty segment.
+    With ``clamp`` a vertex past the layout's last (an overlay's
+    compacted CSR can be behind the vertex space) has an empty segment.
     """
-    last = indptr.shape[0] - 1
-    starts = indptr[np.minimum(vertices, last)]
-    counts = indptr[np.minimum(vertices + 1, last)] - starts
-    # Position p of segment j reads starts[j] + (p - offsets[j]).
-    offsets = np.cumsum(counts) - counts
-    index = np.repeat(starts - offsets, counts)
+    if clamp:
+        last = indptr.shape[0] - 1
+        starts = indptr[np.minimum(vertices, last)]
+        stops = indptr[np.minimum(vertices + 1, last)]
+    else:
+        starts, stops = indptr[vertices], indptr[1:][vertices]
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    # Position p of segment j reads stops[j] - ends[j] + p.
+    index = np.repeat(stops - ends, lengths)
     index += np.arange(index.shape[0])
-    return index
+    return index, ends
 
 
 def _distinct(ids: np.ndarray, num_vertices: int, what: str) -> np.ndarray:
@@ -80,9 +97,12 @@ def _distinct(ids: np.ndarray, num_vertices: int, what: str) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError(f"{what} must be a 1-D id array")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_vertices):
-        raise ValueError(f"{what} ids out of range")
-    if (ids[1:] > ids[:-1]).all():
+    increasing = bool((ids[1:] > ids[:-1]).all())
+    if ids.size:
+        lo, hi = (ids[0], ids[-1]) if increasing else (ids.min(), ids.max())
+        if lo < 0 or hi >= num_vertices:
+            raise ValueError(f"{what} ids out of range")
+    if increasing:
         return ids
     count = ids.shape[0]
     first = np.empty(num_vertices, dtype=np.int64)
@@ -91,20 +111,10 @@ def _distinct(ids: np.ndarray, num_vertices: int, what: str) -> np.ndarray:
     return ids[first[ids] == np.arange(count)]
 
 
-def _mark_in_neighbours(
-    layouts, frontier: np.ndarray, reached: np.ndarray
-) -> None:
-    """Set ``reached[u]`` for every edge ``u → v``, ``v`` in ``frontier``."""
-    for graph, _ in layouts:
-        index = _segment_positions(graph.csc_indptr, frontier)
-        reached[graph.csc_src[index]] = True
-
-
-def _khop(
-    layouts, num_vertices: int, seeds: np.ndarray, hops: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _khop(layouts, num_vertices: int, seeds: np.ndarray, hops: int):
     """:func:`khop_neighborhood` over edge layouts sharing one vertex space,
-    laid out hop by hop, with each field vertex's hop distance.
+    laid out hop by hop, with each field vertex's hop distance and the
+    in-edges the expansion read.
 
     A layout is ``(graph, global id of its first edge)``, the first at
     edge 0; a plain graph is one, a
@@ -115,83 +125,85 @@ def _khop(
     the concatenation of its rings — the seeds ascending, then each
     hop's new vertices ascending, i.e. ordered by (hop distance, id) —
     and, aligned with it, the non-decreasing hop at which each vertex
-    was first reached (0 for the seeds).
+    was first reached (0 for the seeds).  The third value holds, per
+    layout, one ``(positions, ends, sources)`` per expanded ring: its
+    rows' in-segments in the layout's CSC, read in field order
+    (:func:`_segment_positions`), and their sources.  Every ring but the
+    last is expanded, so those rows' in-edges all come from the field.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
+    seeds = np.asarray(seeds, dtype=np.int64)
+    distinct = _distinct(seeds, num_vertices, "seed")
     visited = np.zeros(num_vertices, dtype=bool)
-    visited[_distinct(seeds, num_vertices, "seed")] = True
-    frontier = np.flatnonzero(visited)
+    visited[distinct] = True
+    # Strictly increasing seeds come back as they are: ring 0 already.
+    frontier = distinct if distinct is seeds else np.flatnonzero(visited)
     reached = np.zeros(num_vertices, dtype=bool)
-    rings = [frontier]
+    rings, reads = [frontier], [[] for _ in layouts]
     for _ in range(hops):
         if frontier.size == 0:
             break
-        _mark_in_neighbours(layouts, frontier, reached)
-        reached[visited] = False
-        frontier = np.flatnonzero(reached)
-        visited[frontier] = True
-        reached[frontier] = False
+        for (graph, _), read in zip(layouts, reads):
+            index, ends = _segment_positions(
+                graph.csc_indptr, frontier, graph.num_vertices < num_vertices
+            )
+            far = graph.csc_src[index]
+            reached[far] = True
+            read.append((index, ends, far))
+        # Every vertex reached so far is visited from here on.
+        frontier = np.flatnonzero(reached > visited)
+        visited |= reached
         rings.append(frontier)
     distance = np.repeat(
         np.arange(len(rings), dtype=np.int64), [ring.shape[0] for ring in rings]
     )
-    return np.concatenate(rings), distance
+    return np.concatenate(rings), distance, reads
 
 
-def _inherit(
-    parent: Graph,
-    vertices: np.ndarray,
-    member: np.ndarray,
-    kept: np.ndarray,
-    orientation: str,
-    home: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indptr, eids)`` of an induced subgraph, read off its parent's.
-
-    Local vertex ``i`` is ``parent`` vertex ``vertices[i]``, in any
-    order; ``member`` marks them over the vertex space.  The subgraph's
-    first ``len(kept)`` edges are ``parent``'s edges ``kept``
-    (ascending); any later ones come from later layouts, whose ids
-    follow.  ``home`` is each edge's home endpoint among the local
-    vertices.  A local vertex's segment is its parent vertex's, in the
-    parent's grouped order, less the edges whose far endpoint is left
-    out: the parent orders each segment by ascending edge id and local
-    ids ascend with parent ids, so that is the grouping
-    :func:`~repro.graph.csr._group_edges` would compute, with no sort,
-    whatever the vertex order; the later layouts' edges follow at each
-    vertex (:func:`~repro.graph.csr._append_grouping`).  The
-    parent-length scratch dies with the call.
-    """
-    count, n = kept.shape[0], vertices.shape[0]
-    indptr, order = parent.segments(orientation)
-    far = parent.csc_src if orientation == "in" else parent.csr_dst
-    positions = _segment_positions(indptr, vertices)
-    # Parent edge id → local edge id; read where kept only.
-    local = np.empty(parent.num_edges, dtype=np.int64)
-    local[kept] = np.arange(count)
-    grouped = local[order[positions[member[far[positions]]]]]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(home[:count], minlength=n), out=indptr[1:])
-    if count == home.shape[0]:
-        return indptr, grouped
-    return _append_grouping(indptr, grouped, home[count:], n)
+def _joined(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _induce(
-    layouts, num_vertices: int, vertices: np.ndarray
-) -> Tuple[Graph, np.ndarray, np.ndarray]:
+def _merge_rows(parts):
+    """One in-CSC from each layout's ``(indptr, sources, keys)`` over the
+    same rows: a row's edges from the first layout, then the next
+    layout's (whose edge ids all follow)."""
+    if len(parts) == 1:
+        return parts[0]
+    indptr = sum(part[0] for part in parts)
+    at = indptr[:-1].copy()  # where each row's next edge goes
+    far = np.empty(int(indptr[-1]), dtype=np.int64)
+    keys = np.empty_like(far)
+    for ptr, sources, ids in parts:
+        lengths = np.diff(ptr)
+        target = np.repeat(at - ptr[:-1], lengths)
+        target += np.arange(target.shape[0])
+        far[target], keys[target] = sources, ids
+        at += lengths
+    return indptr, far, keys
+
+
+def _induce(layouts, num_vertices: int, vertices: np.ndarray, reads=None):
     """:func:`induced_subgraph` over edge layouts (see :func:`_khop`).
 
-    The subgraph inherits its groupings (:func:`_inherit`), whatever
-    the vertex order: ``"in"`` now, ``"out"`` on first use
-    (forward-only serving never asks) and only while the first layout's
-    graph is still around — it is referenced weakly, so a batch keeps
-    nothing of its parent alive — else from the edge list as for any
-    graph.  Every array equals what ``Graph(src, dst, n)`` would build
-    either way.
+    Returns ``(subgraph, kept, edge_ids)``, ``edge_ids`` a function of no
+    arguments.  The subgraph is made from its in-edges
+    (:class:`~repro.graph.csr.InEdges`, whatever the vertex order): each
+    kept vertex's in-segment in each layout's CSC, less the edges whose
+    source is left out — in the layout's order, which ascends with edge
+    id as the subgraph's own does — keyed by global edge id.  ``reads``
+    (from :func:`_khop`, whose field this is) holds the segments of the
+    expanded rows, which need no filtering; the remaining rows' are read
+    here.  The in-edges are all the subgraph keeps: its edge ids, edge
+    list, ``"out"`` grouping and ``edge_ids`` are built from them on
+    first use, so it holds nothing of any layout.
     """
-    kept = _distinct(vertices, num_vertices, "vertex")
+    if reads is None:
+        kept = _distinct(vertices, num_vertices, "vertex")
+        reads = [[] for _ in layouts]
+    else:
+        kept = vertices
     if kept.size == 0:
         raise ValueError(
             "induced_subgraph: empty vertex set — a Graph must have "
@@ -200,31 +212,31 @@ def _induce(
     n = int(kept.size)
     new_id = np.full(num_vertices, -1, dtype=np.int64)
     new_id[kept] = np.arange(n)
-    member = new_id >= 0
-    src, dst, eids = [], [], []
-    for graph, first_eid in layouts:
-        found = np.flatnonzero(member[graph.src] & member[graph.dst])
-        src.append(new_id[graph.src[found]])
-        dst.append(new_id[graph.dst[found]])
-        eids.append(found + first_eid)
-    count = eids[0].shape[0]
-    src, dst, eids = map(np.concatenate, (src, dst, eids))
-    # The first layout starts at edge 0: its kept ids are its own.
-    parent, own = layouts[0][0], eids[:count]
-    parent_ref = weakref.ref(parent)
-
-    def out_segments():
-        graph = parent_ref()
-        return (
-            None if graph is None
-            else _inherit(graph, kept, member, own, "out", src)
-        )
-
-    sub = Graph.grouped(
-        src, dst, n,
-        {"in": _inherit(parent, kept, member, own, "in", dst), "out": out_segments},
-    )
-    return sub, kept, eids
+    rest = kept[sum(ends.shape[0] for _, ends, _ in reads[0]):]
+    parts = []
+    for (graph, first_eid), read in zip(layouts, reads):
+        pieces = list(read)
+        if rest.size:
+            # Rows not expanded: keep the in-edges from field vertices.
+            index, ends = _segment_positions(
+                graph.csc_indptr, rest, graph.num_vertices < num_vertices
+            )
+            far = graph.csc_src[index]
+            inside = np.flatnonzero(new_id[far] >= 0)
+            pieces.append((index[inside], np.searchsorted(inside, ends), far[inside]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        row = 0
+        for _, ends, _ in pieces:
+            indptr[row + 1 : row + 1 + ends.shape[0]] = ends + indptr[row]
+            row += ends.shape[0]
+        index = _joined([piece[0] for piece in pieces])
+        far = new_id[_joined([piece[2] for piece in pieces])]
+        keys = graph.csc_eids[index]
+        parts.append((indptr, far, keys + first_eid if first_eid else keys))
+    indptr, far, keys = _merge_rows(parts)
+    in_edges = InEdges(indptr, far, keys, lambda: np.argsort(keys, kind="stable"))
+    sub = Graph.grouped(None, None, n, {"in": in_edges})
+    return sub, kept, lambda: keys[in_edges.order()]
 
 
 def induced_subgraph(
@@ -235,7 +247,7 @@ def induced_subgraph(
     Returns ``(subgraph, kept_vertices, kept_edge_ids)``:
 
     - ``subgraph`` has ``len(kept_vertices)`` vertices, relabeled
-      ``0..len-1`` in the order given, and inherits both groupings from
+      ``0..len-1`` in the order given, made from its in-edges read off
       ``graph``'s (:func:`_induce`),
     - ``kept_vertices`` is the (deduplicated, order-preserving) vertex
       list — index new id → old id; slice vertex features with it,
@@ -250,7 +262,8 @@ def induced_subgraph(
     ``ValueError``; callers sampling batches should skip them upstream
     (``random_vertex_batches`` never yields one).
     """
-    return _induce(((graph, 0),), graph.num_vertices, vertices)
+    sub, kept, edge_ids = _induce(((graph, 0),), graph.num_vertices, vertices)
+    return sub, kept, edge_ids()
 
 
 def khop_neighborhood(
@@ -321,7 +334,8 @@ class MiniBatch:
         ``vertices``-induced subgraph, relabeled ``0..len-1`` in
         ``vertices`` order.
     edge_ids:
-        Original COO edge ids retained by the induced subgraph.
+        Original COO edge ids retained by the induced subgraph, built on
+        first read (a ring step never reads them).
     seed_index:
         Positions of ``seeds`` within ``vertices`` (= subgraph-local
         seed ids, all in the ring-0 prefix); mask losses with it.
@@ -336,9 +350,16 @@ class MiniBatch:
     seeds: np.ndarray
     vertices: np.ndarray
     subgraph: Graph
-    edge_ids: np.ndarray
+    _edge_ids: Callable[[], np.ndarray]
     seed_index: np.ndarray
     distance: np.ndarray
+
+    @property
+    def edge_ids(self) -> np.ndarray:
+        ids = self.__dict__.get("edge_ids")
+        if ids is None:
+            ids = self.__dict__["edge_ids"] = self._edge_ids()
+        return ids
 
     @property
     def num_seeds(self) -> int:
@@ -362,16 +383,17 @@ def _sample(
     the one construction behind :func:`plan_minibatches`,
     :func:`repro.serve.batcher.receptive_field` and
     :meth:`repro.dyn.delta.DynamicGraph.receptive_field`, over edge
-    layouts (see :func:`_khop`)."""
-    field, distance = _khop(layouts, num_vertices, seeds, hops)
-    sub, kept, eids = _induce(layouts, num_vertices, field)
+    layouts (see :func:`_khop`).  The induction reuses the segments the
+    expansion read."""
+    field, distance, reads = _khop(layouts, num_vertices, seeds, hops)
+    sub, kept, edge_ids = _induce(layouts, num_vertices, field, reads)
     # Ring 0 is the seeds, ascending: positions come from bisect.
     ring0 = kept[: np.searchsorted(distance, 0, side="right")]
     return MiniBatch(
         seeds=seeds,
         vertices=kept,
         subgraph=sub,
-        edge_ids=eids,
+        _edge_ids=edge_ids,
         seed_index=np.searchsorted(ring0, seeds),
         distance=distance,
     )

@@ -361,11 +361,16 @@ class TestBatchKeepsNothingOfItsParent:
             if touch == "both":
                 sub.adjacency("out", np.float32), sub.incidence("out", np.float32)
                 sub.csr_dst, sub.out_degrees
-            arrays = _strongly_reachable_arrays(mb)
-            assert any(a is sub.src for a in arrays)
-            for array in arrays:
-                assert not set(parent_lengths) & set(array.shape), (touch, array.shape)
-                assert array.nbytes <= 8 * (sub.num_edges + sub.num_vertices + 1)
+            # The edge list and edge ids are built on first use: bound
+            # before it and after.
+            for first_use in (False, True):
+                if first_use:
+                    sub.src, mb.edge_ids
+                arrays = _strongly_reachable_arrays(mb)
+                assert any(a is sub.src for a in arrays) or not first_use
+                for array in arrays:
+                    assert not set(parent_lengths) & set(array.shape), (touch, array.shape)
+                    assert array.nbytes <= 8 * (sub.num_edges + sub.num_vertices + 1)
 
     def test_parent_is_free_to_go(self):
         parent = chung_lu(97, 1201, seed=4)

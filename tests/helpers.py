@@ -1073,3 +1073,152 @@ def ring_graph(graph: Graph, distance: np.ndarray, depth: int):
     ``[0, n_depth)``: what ``graph.row_block("in", 0, n_depth)`` holds."""
     kept = np.flatnonzero(distance[graph.dst] <= depth)
     return Graph(graph.src[kept], graph.dst[kept], graph.num_vertices), kept
+
+
+# ----------------------------------------------------------------------
+# The sampled batch as it was built eagerly: the slow reference
+# ----------------------------------------------------------------------
+def _reference_positions(indptr: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Positions of the segments of ``vertices``, concatenated in order
+    (a vertex past the layout's last has an empty segment)."""
+    last = indptr.shape[0] - 1
+    starts = indptr[np.minimum(vertices, last)]
+    counts = indptr[np.minimum(vertices + 1, last)] - starts
+    offsets = np.cumsum(counts) - counts
+    index = np.repeat(starts - offsets, counts)
+    index += np.arange(index.shape[0])
+    return index
+
+
+def _reference_inherit(parent, vertices, member, kept, orientation, home):
+    """``(indptr, eids)`` of an induced subgraph read off its parent's
+    grouping with parent-length scratch; later layouts' edges follow at
+    each vertex (``_append_grouping``)."""
+    from repro.graph.csr import _append_grouping
+
+    count, n = kept.shape[0], vertices.shape[0]
+    indptr, order = parent.segments(orientation)
+    far = parent.csc_src if orientation == "in" else parent.csr_dst
+    positions = _reference_positions(indptr, vertices)
+    local = np.empty(parent.num_edges, dtype=np.int64)
+    local[kept] = np.arange(count)
+    grouped = local[order[positions[member[far[positions]]]]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(home[:count], minlength=n), out=indptr[1:])
+    if count == home.shape[0]:
+        return indptr, grouped
+    return _append_grouping(indptr, grouped, home[count:], n)
+
+
+def reference_induce(layouts, num_vertices: int, vertices: np.ndarray):
+    """The whole-field induction, built eagerly over edge layouts
+    (``repro.graph.sampling._khop``'s): every layout's edge list masked
+    by membership, both groupings inherited from the first layout's at
+    once.  Returns ``(subgraph, kept, edge_ids)``."""
+    from repro.graph.sampling import _distinct
+
+    kept = _distinct(vertices, num_vertices, "vertex")
+    n = int(kept.size)
+    new_id = np.full(num_vertices, -1, dtype=np.int64)
+    new_id[kept] = np.arange(n)
+    member = new_id >= 0
+    src, dst, eids = [], [], []
+    for graph, first_eid in layouts:
+        found = np.flatnonzero(member[graph.src] & member[graph.dst])
+        src.append(new_id[graph.src[found]])
+        dst.append(new_id[graph.dst[found]])
+        eids.append(found + first_eid)
+    count = eids[0].shape[0]
+    src, dst, eids = map(np.concatenate, (src, dst, eids))
+    parent, own = layouts[0][0], eids[:count]
+    segments = {
+        "in": _reference_inherit(parent, kept, member, own, "in", dst),
+        "out": _reference_inherit(parent, kept, member, own, "out", src),
+    }
+    return Graph.grouped(src, dst, n, segments), kept, eids
+
+
+def reference_sample(layouts, num_vertices: int, seeds: np.ndarray, hops: int):
+    """``(field, distance, subgraph, edge_ids)`` of one sampled batch:
+    the k-hop field laid out hop by hop, then :func:`reference_induce`."""
+    visited = np.zeros(num_vertices, dtype=bool)
+    visited[np.asarray(seeds, dtype=np.int64)] = True
+    frontier = np.flatnonzero(visited)
+    rings = [frontier]
+    for _ in range(hops):
+        if frontier.size == 0:
+            break
+        reached = np.zeros(num_vertices, dtype=bool)
+        for graph, _ in layouts:
+            index = _reference_positions(graph.csc_indptr, frontier)
+            reached[graph.csc_src[index]] = True
+        frontier = np.flatnonzero(reached & ~visited)
+        visited |= reached
+        rings.append(frontier)
+    field = np.concatenate(rings)
+    distance = np.repeat(np.arange(len(rings)), [r.shape[0] for r in rings])
+    sub, kept, eids = reference_induce(layouts, num_vertices, field)
+    return kept, distance, sub, eids
+
+
+def reference_row_block(graph: Graph, orientation: str, lo: int, hi: int,
+                        within: Optional[int] = None) -> dict:
+    """Every attribute of ``graph.row_block(orientation, lo, hi,
+    within)``, cut from ``graph``'s whole groupings and edge list with
+    edge-length scratch."""
+    if within is not None:
+        inner = reference_row_block(graph, "in", 0, within)
+        marked = np.zeros(graph.num_edges, dtype=bool)
+        marked[inner["eids"]] = True
+        by_id = np.flatnonzero(marked)
+        by_id = by_id[graph.src[by_id] < hi]
+        order = np.argsort(graph.src[by_id], kind="stable")
+        indptr = np.zeros(hi + 1, dtype=np.int64)
+        np.cumsum(np.bincount(graph.src[by_id], minlength=hi), out=indptr[1:])
+        place = np.empty(graph.num_edges, dtype=np.int64)
+        place[inner["eids"]] = np.arange(inner["num_edges"], dtype=np.int64)
+        order = place[by_id[order]]
+        far = inner["dst"][order]
+        return dict(
+            num_vertices=hi, num_edges=inner["num_edges"], eids=inner["eids"],
+            src=inner["src"], dst=inner["dst"], csr_indptr=indptr, csr_eids=order,
+            csr_dst=far, out_degrees=np.diff(indptr),
+            far_vertices=int(far.max()) + 1 if order.size else 0,
+        )
+    indptr, eids = graph.segments(orientation)
+    far = graph.src if orientation == "in" else graph.dst
+    p0, p1 = int(indptr[lo]), int(indptr[hi])
+    seg = indptr[lo : hi + 1] - p0
+    degrees = np.diff(seg)
+    home = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
+    eids = eids[p0:p1]
+    far = far[eids]
+    block = dict(
+        num_vertices=hi - lo, far_vertices=int(far.max()) + 1 if p1 > p0 else 0,
+        num_edges=p1 - p0, eids=eids,
+    )
+    c = "csc" if orientation == "in" else "csr"
+    block.update({
+        "src": far if orientation == "in" else home,
+        "dst": home if orientation == "in" else far,
+        f"{c}_indptr": seg, f"{c}_eids": np.arange(p1 - p0, dtype=np.int64),
+        "csc_src" if orientation == "in" else "csr_dst": far,
+        "in_degrees" if orientation == "in" else "out_degrees": degrees,
+    })
+    return block
+
+
+def reference_operator(block: dict, orientation: str, dtype, heads: int = 1):
+    """The unit adjacency operator of a block (:func:`reference_row_block`)
+    and the order it reads an edge tensor in, built from fresh arrays."""
+    from repro.graph.csr import _interleave, adjacency_operator
+
+    c = "csc" if orientation == "in" else "csr"
+    indptr, eids = block[f"{c}_indptr"], block[f"{c}_eids"]
+    far = (block["src"] if orientation == "in" else block["dst"])[eids]
+    if heads != 1:
+        indptr, far, eids = _interleave(indptr, far, eids, heads)
+    operator = adjacency_operator(
+        indptr, far, block["far_vertices"] * heads, np.ones(far.shape[0], dtype=dtype)
+    )
+    return operator, eids

@@ -95,6 +95,73 @@ def calls_inside(path, names, home, count=None):
     return query
 
 
+def _tree_calls(files, scope):
+    """``(path, line, call node, innermost enclosing def)`` of every call
+    in the Python files under ``scope``."""
+    for path, text in sorted(files.items()):
+        if not (path.startswith(scope) and path.endswith(".py")):
+            continue
+        tree = ast.parse(text)
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                around = [d for d in defs if d.lineno <= call.lineno <= d.end_lineno]
+                yield path, call.lineno, call, max(around, key=lambda d: d.lineno, default=None)
+
+
+def built_only_by(path, name, makers):
+    """``name`` (a class of ``path``) is built only by its classmethods
+    ``makers``, each of which calls ``cls(...)``: no ``name(...)`` call
+    anywhere under ``src/``."""
+    def query(files):
+        bad = [f"{p}:{line}" for p, line, call, _ in _tree_calls(files, "src/")
+               if getattr(call.func, "attr", getattr(call.func, "id", None)) == name]
+        (cls,) = [n for n in ast.walk(ast.parse(files[path]))
+                  if isinstance(n, ast.ClassDef) and n.name == name]
+        for maker in makers:
+            found = [d for d in cls.body if isinstance(d, ast.FunctionDef) and d.name == maker
+                     and any(getattr(x, "id", None) == "classmethod" for x in d.decorator_list)
+                     and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "cls"
+                             for c in ast.walk(d))]
+            if not found:
+                bad.append(f"{path}: {name}.{maker} builds no cls(...)")
+        return bad
+    return query
+
+
+def _names_degrees(node, local):
+    text = ast.unparse(node)
+    return "degree" in text or (isinstance(node, ast.Name) and node.id in local)
+
+
+def degree_maxima_only_in(path, home):
+    """Every maximum taken of a degree array under ``src/`` — ``x.max()``,
+    ``np.max(x)`` / ``np.amax(x)`` or ``max(x)`` of one argument, ``x``
+    naming a degree or a local assigned from an expression that does —
+    sits in ``def home`` of ``path``, which takes at least one."""
+    def query(files):
+        bad, held = [], 0
+        for p, line, call, around in _tree_calls(files, "src/"):
+            local = {t.id for n in ast.walk(around) if isinstance(n, ast.Assign)
+                     and "degree" in ast.unparse(n.value)
+                     for t in n.targets if isinstance(t, ast.Name)} if around else set()
+            func, args = call.func, call.args
+            if isinstance(func, ast.Attribute) and func.attr in ("max", "amax"):
+                target = args[0] if ast.unparse(func.value) in ("np", "numpy") and args else func.value
+            elif isinstance(func, ast.Name) and func.id == "max" and len(args) == 1:
+                target = args[0]
+            else:
+                continue
+            if not _names_degrees(target, local):
+                continue
+            if p == path and around is not None and around.name == home:
+                held += 1
+            else:
+                bad.append(f"{p}:{line}")
+        return bad + ([] if held else [f"{path}: no degree maximum in {home}"])
+    return query
+
+
 def _row(id, query, path, text, at=""):
     return pytest.param(query, (path, text, at), id=id)
 
@@ -231,7 +298,7 @@ GUARDS = [
          forbidden(r"RunResult|def measure\(", S + "bench/"),
          FIGURES, "def measure(session):\n    pass\n"),
     _row("one-configuration-record/sweep-rows-built-in-session",
-         only_in(r"SweepRow\(", (SESSION,), held=False),
+         built_only_by(SESSION, "SweepRow", ("from_report", "from_serve")),
          FIGURES, 'row = SweepRow(model="gat")\n'),
     _row("one-configuration-record/no-axis-attributes",
          forbidden(r"self\._(model|dataset|strategy|gpu|cluster|schedule|precision|minibatch|"
@@ -266,7 +333,7 @@ GUARDS = [
          SESSION, "    max_wait_s: float = 0.002\n"),
     # GraphStats takes degree maxima once; partitions cost O(|V|), no sort.
     _row("degree-facts-once/maxima-read-only-in-stats",
-         only_in(r"_degrees\.max\(", (S + "graph/stats.py",), within=(S,), held=False),
+         degree_maxima_only_in(S + "graph/stats.py", "__post_init__"),
          S + "gpu/cost_model.py", "peak = stats.in_degrees.max()\n"),
     _row("degree-facts-once/partitions-without-sorts",
          forbidden(r"np\.unique\(|argsort\(|np\.isin\(", S + "graph/partition.py"),

@@ -499,6 +499,51 @@ class TestMiniBatchTrainerBehaviour:
         assert np.isfinite(loss) and 0.0 <= acc <= 1.0
 
 
+class TestASampledStepBuildsWhatItReads:
+    """A 2-layer sage step reads the in-edges of rings 0 and 1: three
+    operators per batch (each ring's in-edges, ring 0's grouped by
+    source), and no whole-field edge list or edge ids.  Eager work that
+    creeps back fails here, not only on the clock."""
+
+    def test_three_operators_per_batch_and_no_edge_list(self, monkeypatch):
+        import repro.graph.csr as csr
+        import repro.train.minibatch as minibatch
+
+        graph, feats, labels, in_dim, classes = _problem(seed=7)
+        compiled = compile_training(GraphSAGE(in_dim, (8, classes)), get_strategy("ours"))
+        mbt = MiniBatchTrainer(compiled, graph, batch_size=12, precision="float32", seed=0)
+        operators, built, marks, batches = [], [], [], []
+        build = csr.adjacency_operator
+
+        def counted(*args):
+            operators.append(args[0].shape[0] - 1)
+            return build(*args)
+
+        def first_use(name, method):
+            def spy(self, *args):
+                built.append(name)
+                return method(self, *args)
+            return spy
+
+        def plan(*args, **kwargs):
+            for mb in plan_minibatches(*args, **kwargs):
+                marks.append(len(operators))
+                batches.append(mb)
+                yield mb
+            marks.append(len(operators))
+
+        monkeypatch.setattr(csr, "adjacency_operator", counted)
+        monkeypatch.setattr(minibatch, "plan_minibatches", plan)
+        for name in ("order", "eids"):
+            monkeypatch.setattr(csr.InEdges, name, first_use(name, getattr(csr.InEdges, name)))
+        monkeypatch.setattr(csr._InEdgeGraph, "_edges", first_use("edges", csr._InEdgeGraph._edges))
+        mbt.train_epoch(feats, labels, Adam(lr=0.01))
+        assert len(batches) == 8 and all(int(mb.distance[-1]) == 2 for mb in batches)
+        assert np.diff(marks).tolist() == [3] * len(batches)
+        assert built == []
+        assert all("edge_ids" not in vars(mb) for mb in batches)
+
+
 class TestExpectedFieldModel:
     def test_estimate_tracks_empirical_mean(self):
         graph, *_ = _problem(num_vertices=400, num_edges=2400, seed=21)
