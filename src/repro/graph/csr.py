@@ -243,22 +243,21 @@ class InEdges:
     ``indptr`` delimits each vertex's in-edges; ``far`` is each in-edge's
     source, segment by segment; ``keys`` holds one integer per in-edge
     that ascends with the edge's id, so each segment's keys ascend (a
-    sampled graph's are its parent's edge ids).  ``order`` is a function
-    of no arguments returning the positions sorted by key — the edge
-    list's order — asked once, on first use.  Handed to
+    sampled graph's are its parent's edge ids).  Sorting the keys gives
+    the edge list's order, on first use.  Handed to
     :meth:`Graph.grouped` in place of an edge list.
     """
 
     __slots__ = ("indptr", "far", "keys", "_order", "_eids")
 
-    def __init__(self, indptr, far, keys, order: Callable[[], np.ndarray]):
+    def __init__(self, indptr, far, keys):
         self.indptr, self.far, self.keys = indptr, far, keys
-        self._order, self._eids = order, None
+        self._order = self._eids = None
 
     def order(self) -> np.ndarray:
         """Segment positions in edge-id order."""
-        if callable(self._order):
-            self._order = self._order()
+        if self._order is None:
+            self._order = np.argsort(self.keys, kind="stable")
         return self._order
 
     def eids(self) -> np.ndarray:

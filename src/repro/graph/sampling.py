@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
-from repro.graph.csr import Graph, InEdges
+from repro.graph.csr import Graph, InEdges, _append_grouping
 
 __all__ = [
     "induced_subgraph",
@@ -60,7 +60,7 @@ __all__ = [
 
 
 def _segment_positions(
-    indptr: np.ndarray, vertices: np.ndarray, clamp: bool = False
+    indptr: np.ndarray, vertices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Positions of the segments of ``vertices``, concatenated in the
     order given, and the running total of their lengths (where each
@@ -69,15 +69,12 @@ def _segment_positions(
     One ``np.repeat`` over ``indptr`` diffs instead of a slice per
     vertex — on heavy-tailed graphs the difference between
     O(|vertices|) Python-level loop steps and a handful of NumPy calls.
-    With ``clamp`` a vertex past the layout's last (an overlay's
-    compacted CSR can be behind the vertex space) has an empty segment.
+    A vertex past the layout's last (an overlay's compacted CSR can be
+    behind the vertex space) has an empty segment.
     """
-    if clamp:
-        last = indptr.shape[0] - 1
-        starts = indptr[np.minimum(vertices, last)]
-        stops = indptr[np.minimum(vertices + 1, last)]
-    else:
-        starts, stops = indptr[vertices], indptr[1:][vertices]
+    last = indptr.shape[0] - 1
+    starts = indptr[np.minimum(vertices, last)]
+    stops = indptr[np.minimum(vertices + 1, last)]
     lengths = stops - starts
     ends = np.cumsum(lengths)
     # Position p of segment j reads stops[j] - ends[j] + p.
@@ -145,9 +142,7 @@ def _khop(layouts, num_vertices: int, seeds: np.ndarray, hops: int):
         if frontier.size == 0:
             break
         for (graph, _), read in zip(layouts, reads):
-            index, ends = _segment_positions(
-                graph.csc_indptr, frontier, graph.num_vertices < num_vertices
-            )
+            index, ends = _segment_positions(graph.csc_indptr, frontier)
             far = graph.csc_src[index]
             reached[far] = True
             read.append((index, ends, far))
@@ -165,25 +160,6 @@ def _joined(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _merge_rows(parts):
-    """One in-CSC from each layout's ``(indptr, sources, keys)`` over the
-    same rows: a row's edges from the first layout, then the next
-    layout's (whose edge ids all follow)."""
-    if len(parts) == 1:
-        return parts[0]
-    indptr = sum(part[0] for part in parts)
-    at = indptr[:-1].copy()  # where each row's next edge goes
-    far = np.empty(int(indptr[-1]), dtype=np.int64)
-    keys = np.empty_like(far)
-    for ptr, sources, ids in parts:
-        lengths = np.diff(ptr)
-        target = np.repeat(at - ptr[:-1], lengths)
-        target += np.arange(target.shape[0])
-        far[target], keys[target] = sources, ids
-        at += lengths
-    return indptr, far, keys
-
-
 def _induce(layouts, num_vertices: int, vertices: np.ndarray, reads=None):
     """:func:`induced_subgraph` over edge layouts (see :func:`_khop`).
 
@@ -192,7 +168,9 @@ def _induce(layouts, num_vertices: int, vertices: np.ndarray, reads=None):
     (:class:`~repro.graph.csr.InEdges`, whatever the vertex order): each
     kept vertex's in-segment in each layout's CSC, less the edges whose
     source is left out — in the layout's order, which ascends with edge
-    id as the subgraph's own does — keyed by global edge id.  ``reads``
+    id as the subgraph's own does — keyed by global edge id; a later
+    layout's edges follow each row's segment
+    (:func:`~repro.graph.csr._append_grouping`).  ``reads``
     (from :func:`_khop`, whose field this is) holds the segments of the
     expanded rows, which need no filtering; the remaining rows' are read
     here.  The in-edges are all the subgraph keeps: its edge ids, edge
@@ -218,9 +196,7 @@ def _induce(layouts, num_vertices: int, vertices: np.ndarray, reads=None):
         pieces = list(read)
         if rest.size:
             # Rows not expanded: keep the in-edges from field vertices.
-            index, ends = _segment_positions(
-                graph.csc_indptr, rest, graph.num_vertices < num_vertices
-            )
+            index, ends = _segment_positions(graph.csc_indptr, rest)
             far = graph.csc_src[index]
             inside = np.flatnonzero(new_id[far] >= 0)
             pieces.append((index[inside], np.searchsorted(inside, ends), far[inside]))
@@ -233,8 +209,16 @@ def _induce(layouts, num_vertices: int, vertices: np.ndarray, reads=None):
         far = new_id[_joined([piece[2] for piece in pieces])]
         keys = graph.csc_eids[index]
         parts.append((indptr, far, keys + first_eid if first_eid else keys))
-    indptr, far, keys = _merge_rows(parts)
-    in_edges = InEdges(indptr, far, keys, lambda: np.argsort(keys, kind="stable"))
+    indptr, far, keys = parts[0]
+    if len(parts) > 1:
+        # A row's edges from later layouts follow its segment: their ids do.
+        homes = [np.repeat(np.arange(n), np.diff(part[0])) for part in parts[1:]]
+        indptr, merged = _append_grouping(
+            indptr, np.arange(far.shape[0]), np.concatenate(homes), n
+        )
+        far = np.concatenate([part[1] for part in parts])[merged]
+        keys = np.concatenate([part[2] for part in parts])[merged]
+    in_edges = InEdges(indptr, far, keys)
     sub = Graph.grouped(None, None, n, {"in": in_edges})
     return sub, kept, lambda: keys[in_edges.order()]
 

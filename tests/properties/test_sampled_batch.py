@@ -1,10 +1,10 @@
 """A sampled batch, built lazily, vs the eager construction it replaced.
 
 A batch is made from its in-edges (``repro.graph.csr.InEdges``): its
-ring blocks are prefix views of one in-CSC and its ring operators share
-that CSC's index arrays and one array of unit entries, while the edge
-list, edge ids and ``"out"`` grouping wait for a first read.  None of
-that may show in a value.  Every block attribute, every operator's
+ring blocks are prefix views of one in-CSC, each ring operator builds
+its own index arrays and unit entries, and the edge list, edge ids and
+``"out"`` grouping wait for a first read.  None of that may show in a
+value.  Every block attribute, every operator's
 ``indptr`` / ``indices`` / ``data`` / shape and the order it reads an
 edge tensor in are held to ``tests.helpers.reference_row_block`` /
 ``reference_operator`` over ``reference_sample`` / ``reference_induce``

@@ -73,22 +73,40 @@ def only_in(pattern, homes, within=("src/",), count=None, held=True):
     return query
 
 
+def _defs(tree, prefix=""):
+    """``(def node, dotted name)`` of every def under ``tree``: a method's
+    name is ``Class.method``."""
+    for node in ast.iter_child_nodes(tree):
+        name = prefix + getattr(node, "name", "")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _defs(node, name + ".")
+        else:
+            yield from _defs(node, prefix)
+
+
 @functools.lru_cache(maxsize=None)
 def _calls(text, names):
-    """``(line, names of the enclosing defs)`` of every call of ``names``."""
+    """``(line, names of the enclosing defs)`` of every call of ``names``;
+    a method is named both ``method`` and ``Class.method``."""
     tree = ast.parse(text)
-    defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return [(c.lineno, {d.name for d in defs if d.lineno <= c.lineno <= d.end_lineno})
+    defs = list(_defs(tree))
+    return [(c.lineno, {n for d, dotted in defs if d.lineno <= c.lineno <= d.end_lineno
+                        for n in (d.name, dotted)})
             for c in ast.walk(tree) if isinstance(c, ast.Call)
             and getattr(c.func, "attr", getattr(c.func, "id", None)) in names]
 
 
-def calls_inside(path, names, home, count=None):
+def calls_inside(path, names, homes, count=None):
     """Every call of ``names`` (a plain or attribute call) in ``path``
-    sits inside ``def home``; ``count`` pins how many there are."""
+    sits inside one of the defs ``homes`` (a name or a tuple of them);
+    ``count`` pins how many there are."""
+    homes = {homes} if isinstance(homes, str) else set(homes)
+
     def query(files):
         calls = _calls(files[path], names)
-        bad = [f"{path}:{line}" for line, defs in calls if home not in defs]
+        bad = [f"{path}:{line}" for line, defs in calls if not homes & defs]
         if count is not None and len(calls) != count:
             bad.append(f"{path}: {len(calls)} calls, not {count}")
         return bad
@@ -231,10 +249,11 @@ GUARDS = [
     _row("one-segment-sum+one-place-builds-operators/no-sparsetools",
          forbidden(r"_sparsetools", "src/"),
          CSR, "from scipy.sparse import _sparsetools\n"),
-    # _group_edges holds graph/csr.py's only sort; groupings are handed
-    # over through Graph.grouped, never _cache; dedup is a scatter.
+    # graph/csr.py sorts in _group_edges and, for a graph made from its
+    # in-edges, in InEdges.order (its edge list's order); groupings are
+    # handed over through Graph.grouped, never _cache; dedup is a scatter.
     _row("one-grouping+one-ring/only-group-edges-sorts",
-         calls_inside(CSR, ("argsort", "lexsort", "sort"), "_group_edges"),
+         calls_inside(CSR, ("argsort", "lexsort", "sort"), ("_group_edges", "InEdges.order")),
          CSR, "def _order(keys):\n    return np.argsort(keys)\n\n\n", at="def _group_edges("),
     _row("one-grouping/group-edges-called-only-in-csr", only_in(r"_group_edges\(", (CSR,)),
          SAMPLING, "order = _group_edges(src, dst, n)\n"),
