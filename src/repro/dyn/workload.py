@@ -221,8 +221,8 @@ def mixed_workload(
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
-    if qps <= 0:
-        raise ValueError("qps must be positive")
+    if not 0 < qps < np.inf:
+        raise ValueError(f"qps must be positive and finite, got {qps!r}")
     if not 0.0 <= update_frac < 1.0:
         raise ValueError("update_frac must lie in [0, 1)")
     if not 0.0 <= edge_frac <= 1.0:

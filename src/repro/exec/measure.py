@@ -17,7 +17,6 @@ the model.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
@@ -182,7 +181,7 @@ def measure_plan(
                 label=kernel.label,
                 kernel_class=kernel_class(kernel),
                 mapping=kernel.mapping,
-                measured_s=statistics.median(samples),
+                measured_s=float(np.median(samples)),
                 analytic_s=model.kernel_seconds(record, stats),
             )
         )

@@ -49,10 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_array
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = ["Graph", "adjacency_operator", "incidence_operator"]
 
@@ -69,7 +71,12 @@ def adjacency_operator(
     order.  With far-endpoint vertex ids as columns this is a weighted
     adjacency; index arrays already in scipy's index dtype (another
     operator's ``indices`` / ``indptr``) are referenced, not copied.
+
+    ``scipy.sparse`` is imported here, at the first operator a run
+    builds, so a run that builds none (an analytic one) never loads it.
     """
+    from scipy.sparse import csr_array
+
     return csr_array(
         (data, columns, indptr), shape=(indptr.shape[0] - 1, num_columns)
     )

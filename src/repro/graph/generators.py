@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.graph.csr import Graph
 
@@ -150,20 +149,25 @@ def knn_graph(points: np.ndarray, k: int) -> Graph:
 
     Every vertex has in-degree exactly ``k`` (self excluded), matching the
     DGL/EdgeConv convention where messages flow from neighbours into the
-    centre point.
+    centre point.  Coincident points are neighbours of each other, never
+    of themselves.  ``scipy.spatial`` is imported here, on first use.
     """
+    from scipy.spatial import cKDTree
+
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be (n, dims)")
     n = points.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n}), got {k}")
-    tree = cKDTree(points)
-    # k+1 because the nearest neighbour of a point is itself.
-    _, idx = tree.query(points, k=k + 1)
-    neighbours = idx[:, 1:]
+    # k+1 so that dropping the point itself leaves k.  A tie at distance
+    # zero may put it anywhere in its row, or (past k+1 copies) nowhere:
+    # such a row drops its farthest neighbour instead.
+    _, idx = cKDTree(points).query(points, k=k + 1)
+    drop = idx == np.arange(n)[:, None]
+    drop[~drop.any(axis=1), -1] = True
     dst = np.repeat(np.arange(n, dtype=np.int64), k)
-    src = neighbours.reshape(-1).astype(np.int64)
+    src = idx[~drop].astype(np.int64)
     return Graph(src, dst, n)
 
 

@@ -223,8 +223,8 @@ def poisson_workload(
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
-    if qps <= 0:
-        raise ValueError("qps must be positive")
+    if not 0 < qps < np.inf:
+        raise ValueError(f"qps must be positive and finite, got {qps!r}")
     rng = _resolve_rng(rng, seed)
     arrivals = np.cumsum(rng.exponential(1.0 / qps, size=num_requests))
     return _make_requests(
@@ -263,8 +263,8 @@ def bursty_workload(
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
-    if qps <= 0:
-        raise ValueError("qps must be positive")
+    if not 0 < qps < np.inf:
+        raise ValueError(f"qps must be positive and finite, got {qps!r}")
     if burst <= 0:
         raise ValueError("burst must be positive")
     rng = _resolve_rng(rng, seed)

@@ -381,6 +381,10 @@ class RunConfig:
             object.__setattr__(
                 self, "precision", canonical_precision(self.precision)
             )
+        if self.feature_dim is not None:
+            object.__setattr__(
+                self, "feature_dim", _count(self.feature_dim, "feature_dim")
+            )
         if self.minibatch is not None:
             batch_size, seed = self.minibatch
             if batch_size <= 0:
@@ -1300,15 +1304,12 @@ def run_sweep(
     """
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
+    if feature_dim is not None:
+        feature_dim = _count(feature_dim, "feature_dim")
     batches, schedules, precisions, loads, updates, num_gpus = map(
         _axis, (batch_size, schedule, precision, serve_qps, update_frac, num_gpus)
     )
-    if not all(
-        isinstance(n, numbers.Real) and n >= 1 and float(n).is_integer()
-        for n in num_gpus
-    ):
-        raise ValueError(f"num_gpus entries must be whole numbers >= 1, got {num_gpus}")
-    num_gpus = tuple(int(n) for n in num_gpus)
+    num_gpus = tuple(_count(n, "num_gpus") for n in num_gpus)
     sampled = any(b is not None for b in batches)
     if sampled and any(n > 1 for n in num_gpus):
         raise ValueError(
@@ -1383,6 +1384,19 @@ def run_sweep(
     if save_as:
         sweep.save_json(save_as, results_dir)
     return sweep
+
+
+def _count(value, name: str) -> int:
+    """``value`` as a Python int; bools, non-whole numbers and values
+    below one are refused, naming ``name``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not value >= 1
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 def _axis(value) -> tuple:

@@ -118,6 +118,9 @@ class TestMixedWorkload:
             mixed_workload(0, qps=1.0, num_vertices=5, feature_dim=2)
         with pytest.raises(ValueError, match="qps"):
             mixed_workload(1, qps=0.0, num_vertices=5, feature_dim=2)
+        for qps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"got {qps}"):
+                mixed_workload(1, qps=qps, num_vertices=5, feature_dim=2)
         with pytest.raises(ValueError, match="update_frac"):
             _gen(update_frac=1.0)
         with pytest.raises(ValueError, match="edge_frac"):

@@ -89,6 +89,21 @@ class TestKnnGraph:
         lengths = np.linalg.norm(pts[g.src] - pts[g.dst], axis=1)
         assert (lengths <= kth[g.dst] + 1e-9).all()
 
+    def test_coincident_points_are_neighbours_not_self_loops(self):
+        pts = np.array([[0, 0], [0, 0], [1, 0], [2, 0], [0, 0]], dtype=float)
+        g = knn_graph(pts, 2)
+        assert (g.src != g.dst).all()
+        assert (g.in_degrees == 2).all()
+        in_of = {v: sorted(g.src[g.dst == v].tolist()) for v in (0, 1, 4)}
+        assert in_of == {0: [1, 4], 1: [0, 4], 4: [0, 1]}
+
+    def test_more_copies_than_k_plus_one(self):
+        # Five copies, k=2: a copy's k+1 nearest may all be other copies.
+        pts = np.zeros((5, 3))
+        g = knn_graph(pts, 2)
+        assert (g.src != g.dst).all()
+        assert (g.in_degrees == 2).all()
+
     def test_rejects_bad_k(self):
         pts = sample_point_cloud("cube", 10, seed=0)
         with pytest.raises(ValueError):

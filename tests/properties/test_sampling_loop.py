@@ -1,15 +1,18 @@
 """The sampling layer vs naive loops, array for array.
 
-A sampled subgraph inherits its parent's groupings instead of sorting
-its own edge list (``repro.graph.sampling._inherit``), so every view it
-serves must *equal* the one ``Graph(sub.src, sub.dst, n)`` builds cold —
-``array_equal``, never "same up to a permutation": per-destination
-reduction order is what makes a mini-batch step bit-identical to the
-full graph.  The induction itself is held to a per-edge Python loop and
-the frontier expansion to a set, on multigraphs with parallel edges,
-self-loops, isolated vertices and one-vertex fields, for sorted,
-unsorted and duplicated vertex lists — every order inherits, the
-hop-ordered fields included — on a plain graph and on a
+A sampled subgraph is made from its in-edges — the kept vertices'
+segments read off its parent's CSC (``repro.graph.sampling._induce``
+into ``repro.graph.csr.InEdges``) — instead of sorting its own edge
+list; its edge list, ``csc_eids`` and ``"out"`` grouping are built from
+them on first read.  So every view it serves must *equal* the one
+``Graph(sub.src, sub.dst, n)`` builds cold — ``array_equal``, never
+"same up to a permutation": per-destination reduction order is what
+makes a mini-batch step bit-identical to the full graph.  The induction
+itself is held to a per-edge Python loop and the frontier expansion to
+a set, on multigraphs with parallel edges, self-loops, isolated
+vertices and one-vertex fields, for sorted, unsorted and duplicated
+vertex lists — every order, the hop-ordered fields included — on a
+plain graph and on a
 :class:`~repro.dyn.DynamicGraph` with pending edges and new vertices.
 A field's rings are prefixes of its rows, and ring *d*'s row block
 holds exactly the edges the ring-graph oracle

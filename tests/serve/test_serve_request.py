@@ -113,6 +113,12 @@ class TestPoissonWorkload:
         with pytest.raises(ValueError):
             poisson_workload(5, qps=0.0, num_vertices=10)
 
+    @pytest.mark.parametrize("make", [poisson_workload, bursty_workload])
+    @pytest.mark.parametrize("qps", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_qps(self, make, qps):
+        with pytest.raises(ValueError, match=f"qps .*got {qps}"):
+            make(5, qps=qps, num_vertices=10)
+
     def test_start_id_offsets_request_ids(self):
         reqs = poisson_workload(
             5, qps=10.0, num_vertices=10, seed=0, start_id=100

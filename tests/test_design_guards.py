@@ -180,6 +180,32 @@ def degree_maxima_only_in(path, home):
     return query
 
 
+def no_import_on_load(module, scope):
+    """No ``import module`` / ``from module`` (or a submodule) in the
+    Python files under ``scope`` runs when its file is imported: each
+    sits in a ``def`` or under ``if TYPE_CHECKING:``."""
+    name = re.compile(rf"{re.escape(module)}(\.|$)")
+
+    def on_load(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+                yield from on_load(node.orelse)
+                continue
+            yield node
+            yield from on_load(ast.iter_child_nodes(node))
+
+    def query(files):
+        return [f"{path}:{node.lineno}" for path, text in sorted(files.items())
+                if path.startswith(scope) and path.endswith(".py")
+                for node in on_load(ast.parse(text).body)
+                if isinstance(node, ast.Import) and any(name.match(a.name) for a in node.names)
+                or isinstance(node, ast.ImportFrom) and not node.level
+                and name.match(node.module or "")]
+    return query
+
+
 def _row(id, query, path, text, at=""):
     return pytest.param(query, (path, text, at), id=id)
 
@@ -304,6 +330,10 @@ GUARDS = [
          ENGINE, "slab = pool.adopt(value)\n"),
     _row("one-way-into-a-slab/only-engine-builds-a-pool", only_in(r"ArenaPool\(", (ENGINE,)),
          S + "train/loop.py", "pool = ArenaPool(plan)\n"),
+    # scipy loads where a run first uses it: scipy.sparse at the first
+    # operator build, scipy.spatial in knn_graph; importing repro loads none.
+    _row("load-only-what-runs/no-scipy-import-on-load", no_import_on_load("scipy", "src/"),
+         CSR, "from scipy.sparse import csr_array\n"),
     # MultiEngine's hazard waves are the one overlap left.
     _row("no-modelled-overlap/no-overlap-schedules",
          forbidden(r"build_overlap_schedule|OverlapSchedule|overlap_schedules|RP105|"

@@ -1,0 +1,72 @@
+"""A run loads only the scipy it executes.
+
+Each case runs in a fresh interpreter (an imported module stays
+imported, so one process cannot tell which step loaded it) and reports
+the ``scipy`` modules loaded once its code has run: none for an import
+or an analytic run, ``scipy.sparse`` once a step builds an operator,
+``scipy.spatial`` only for a k-NN graph.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+CASES = {
+    "import": "import repro",
+    "analytic-sweep": """
+        import repro
+        repro.run_sweep(models=["gcn", "gat"], datasets=["cora"],
+                        strategies=["dgl-like", "ours"])
+    """,
+    "train-step": """
+        import numpy as np
+        from repro.frameworks import compile_training, get_strategy
+        from repro.graph import chung_lu
+        from repro.models import GCN
+        from repro.train import Adam, Trainer
+        graph = chung_lu(30, 120, seed=1).add_self_loops()
+        trainer = Trainer(compile_training(GCN(4, (4, 3)), get_strategy("ours")), graph)
+        rng = np.random.default_rng(0)
+        trainer.train_step(rng.normal(size=(30, 4)), rng.integers(0, 3, 30), Adam())
+    """,
+    "knn-graph": """
+        import numpy as np
+        from repro.graph import knn_graph
+        knn_graph(np.random.default_rng(0).normal(size=(20, 3)), 4)
+    """,
+}
+
+
+def _scipy_loaded(case):
+    script = textwrap.dedent(CASES[case]) + textwrap.dedent("""
+        import json, sys
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("case", ["import", "analytic-sweep"])
+def test_no_scipy_without_an_operator(case):
+    assert _scipy_loaded(case) == set()
+
+
+def test_a_step_loads_sparse_not_spatial():
+    loaded = _scipy_loaded("train-step")
+    assert "scipy.sparse" in loaded
+    assert "scipy.spatial" not in loaded
+
+
+def test_knn_graph_loads_spatial():
+    assert "scipy.spatial" in _scipy_loaded("knn-graph")

@@ -412,7 +412,7 @@ class TestClusterSessions:
         assert [r.gpu for r in sweep.rows] == ["V100", "V100x2"]
         json.dumps(sweep.to_dict())
 
-    @pytest.mark.parametrize("counts", [(0, -2), (1.5,), (2, float("nan"))])
+    @pytest.mark.parametrize("counts", [(0, -2), (1.5,), (2, float("nan")), (True,)])
     def test_sweep_refuses_non_counts(self, toy_datasets, counts):
         """0 and -2 used to price single-GPU rows labelled 1; 1.5 built
         ``V100x1.5`` and failed in partitioning."""
@@ -423,6 +423,26 @@ class TestClusterSessions:
                 num_gpus=counts, cache=cache,
             )
         assert cache.misses == 0
+
+    @pytest.mark.parametrize("dim", [2.5, True, 0, -3, float("nan"), float("inf"), "8"])
+    def test_feature_dim_refuses_non_widths(self, toy_datasets, dim):
+        """2.5 built an ``in_dim`` 2 model, priced it, recorded 2.5 and
+        failed drawing features; ``True`` became width 1."""
+        with pytest.raises(ValueError, match=f"feature_dim .*got {dim!r}"):
+            session().model("gcn").dataset("cora").feature_dim(dim)
+        cache = PlanCache()
+        with pytest.raises(ValueError, match="feature_dim"):
+            run_sweep(models=["gcn"], datasets=[toy_datasets[0]], feature_dim=dim,
+                      cache=cache)
+        assert cache.misses == 0
+
+    def test_feature_dim_from_numpy_is_an_int(self, toy_datasets):
+        s = session().model("gcn").dataset("cora").feature_dim(np.int64(8))
+        assert type(s._config.feature_dim) is int
+        sweep = run_sweep(models=["gcn"], datasets=[toy_datasets[0]],
+                          feature_dim=np.int64(8))
+        assert type(sweep.feature_dim) is int
+        json.dumps(sweep.to_dict())
 
     def test_sweep_partitions_each_dataset_once(self, toy_datasets, monkeypatch):
         import importlib
