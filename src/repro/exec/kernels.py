@@ -28,7 +28,11 @@ reads the vertex rows through the graph's adjacency operator and never
 builds the edge tensor.  ``u_dot_v`` — also what a chain's per-edge dot
 product ``reduce_to_shape(copy_v(a) * copy_u(b))`` runs as — builds its
 per-edge products a :data:`~repro.exec.blocks.BLOCK_BYTES` chunk of
-edges at a time.
+edges at a time.  The dot step, ``reduce_to_shape``'s surplus axes and
+``gaussian`` sum their rounded products with one trailing-axis
+contraction (:func:`contract_trailing`), whatever rows or chunks it is
+given; ``head_dot`` contracts its operands in one einsum, with no
+product.
 
 Registry and dispatch
 ---------------------
@@ -52,13 +56,13 @@ aliased output would be silently corrupted once its input's slab is
 recycled.  ``OpKind.VIEW`` nodes are the one sanctioned alias and are
 handled by the engine itself, never through these kernels.
 
-In-place contract: the kernels that are one ufunc, one matmul or one
-row take (``np.take``) declare ``out`` (:func:`writes_out`); given it,
-they write their result there — bit for bit the fresh call's — and
-return it.  That is how an arena-backed engine puts a value into its
-slab.  The rest (the scipy product behind every segment sum,
-``where``/``reduceat``/composite kernels) return fresh storage, and the
-engine keeps it.
+In-place contract: the kernels that are one ufunc, one matmul, one
+einsum or one row take (``np.take``) declare ``out``
+(:func:`writes_out`); given it, they write their result there — bit for
+bit the fresh call's — and return it.  That is how an arena-backed
+engine puts a value into its slab.  The rest (the scipy product behind
+every segment sum, ``where``/``reduceat``/composite kernels) return
+fresh storage, and the engine keeps it.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ __all__ = [
     "param_grad_kernel",
     "acc_dtype",
     "align_trailing",
+    "contract_trailing",
     "reduce_to_shape_array",
     "register_kernel",
     "registered_functions",
@@ -155,6 +160,24 @@ def align_trailing(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
     return out
 
 
+def contract_trailing(
+    products: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Sum the trailing axis of ``products``: the one contraction of
+    every per-edge and per-head dot.
+
+    ``products`` are the rounded elementwise products (what ``mul``
+    writes).  Each output element is its own row's sum in an order set
+    by the trailing width alone (einsum's inner loop over a contiguous
+    axis), so chunk boundaries, the other rows, and whether the
+    operands were gathered or strided move no bit; float16 accumulates
+    in float32 (:func:`acc_dtype`) and rounds once.  The order is not
+    ``.sum(axis=-1)``'s pairwise one: results differ from it by about
+    1e-7 relative (README clause 1).  A zero sum is ``+0.0``.
+    """
+    return np.einsum("...f->...", np.ascontiguousarray(products), out=out)
+
+
 def reduce_to_shape_array(
     arr: np.ndarray, target_feat_shape: Tuple[int, ...]
 ) -> np.ndarray:
@@ -162,14 +185,14 @@ def reduce_to_shape_array(
 
     ``arr`` has shape ``(rows, *feat)``; the result has shape
     ``(rows, *target_feat_shape)``.  Axes beyond the target rank are
-    summed out; axes where the target is 1 but the array is larger are
-    summed with keepdims.
+    contracted out (:func:`contract_trailing`); axes where the target is
+    1 but the array is larger are summed with keepdims.
     """
     feat = arr.shape[1:]
     tgt = tuple(target_feat_shape)
-    # Sum surplus trailing axes.
+    # Contract surplus trailing axes.
     while len(arr.shape) - 1 > len(tgt):
-        arr = arr.sum(axis=-1)
+        arr = contract_trailing(arr)
     # Sum broadcast axes back to singleton where needed.
     for i, t in enumerate(tgt):
         if arr.shape[i + 1] != t:
@@ -452,17 +475,24 @@ def _k_param_scale(inputs, params, attrs, out=None):
 
 
 @_register_apply("head_dot")
-def _k_head_dot(inputs, params, attrs):
+def _k_head_dot(inputs, params, attrs, out=None):
+    # One contraction per (row, head), no (V, H, F) product: einsum's
+    # inner loop runs over contiguous ``f``, so a row's bits are its own.
     (x,) = inputs
     (a,) = params
-    return (x * a).sum(axis=-1)
+    return np.einsum(
+        "vhf,hf->vh", np.ascontiguousarray(x), np.ascontiguousarray(a), out=out
+    )
 
 
 @_register_apply("head_dot_grad_input")
-def _k_head_dot_grad_input(inputs, params, attrs):
+def _k_head_dot_grad_input(inputs, params, attrs, out=None):
+    # The outer product: one rounding per element, ``g[..., None] * a``
+    # by value (einsum adds each product to a zeroed output, so a
+    # negative zero comes out ``+0.0``).
     (g,) = inputs
     (a,) = params
-    return g[..., None] * a
+    return np.einsum("vh,hf->vhf", g, a, out=out)
 
 
 @_register_apply("gaussian")
@@ -470,7 +500,7 @@ def _k_gaussian(inputs, params, attrs):
     (m,) = inputs
     mu, inv_sigma = params
     d = (m[:, None, :] - mu[None]) * inv_sigma[None]
-    return np.exp(-0.5 * (d * d).sum(axis=-1))
+    return np.exp(-0.5 * contract_trailing(d * d))
 
 
 @_register_apply("gaussian_grad_input")
@@ -552,22 +582,25 @@ def _s_u_mul_v(graph, inputs, out=None):
 
 @register_kernel("scatter", "u_dot_v")
 def _s_u_dot_v(graph, inputs, out=None):
-    # Chunks of edges whose gathered rows and products (three edge rows
-    # each) hold ~BLOCK_BYTES at once; each edge's sum is its own, so
-    # chunking moves no bit.
+    # Chunks of edges whose gathered rows (two edge rows each: the
+    # product is made in place in the ``u`` rows) hold ~BLOCK_BYTES at
+    # once, in two buffers every chunk reuses; each edge's sum is its
+    # own, so chunking moves no bit.
     u, v = inputs
     src, dst = graph.src, graph.dst
-    row_bytes = u[:1].nbytes + v[:1].nbytes + max(u[:1].nbytes, v[:1].nbytes)
-    step = max(1, blocks.BLOCK_BYTES // max(row_bytes, 1))
-    parts = [
-        (u[src[lo:lo + step]] * v[dst[lo:lo + step]]).sum(
-            axis=-1, out=None if out is None else out[lo:lo + step]
-        )
-        for lo in range(0, max(src.shape[0], 1), step)
-    ]
-    if out is not None:
-        return out
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    edges = src.shape[0]
+    row_bytes = u[:1].nbytes + v[:1].nbytes
+    step = max(1, min(edges, blocks.BLOCK_BYTES // max(row_bytes, 1)))
+    if out is None:
+        out = np.empty((edges,) + u.shape[1:-1], dtype=u.dtype)
+    products = np.empty((step,) + u.shape[1:], dtype=u.dtype)
+    rows = np.empty_like(products)
+    for lo in range(0, edges, step):
+        n = min(step, edges - lo)
+        chunk = _rows(u, src[lo:lo + n], products[:n])
+        np.multiply(chunk, _rows(v, dst[lo:lo + n], rows[:n]), out=chunk)
+        contract_trailing(chunk, out[lo:lo + n])
+    return out
 
 
 @register_kernel("scatter", "u_concat_v")

@@ -23,6 +23,8 @@ without adding a case here fails loudly.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -529,6 +531,7 @@ class TestOutPath:
     def test_the_ufunc_matmul_and_take_kernels_have_one(self):
         assert {
             "relu", "bias_add", "relu_grad", "linear", "linear_grad_input",
+            "head_dot", "head_dot_grad_input",
         } <= {fn for kind, fn in OUT_KERNELS if kind == "apply"}
         assert {"copy_u", "copy_v", "u_dot_v"} <= {
             fn for kind, fn in OUT_KERNELS if kind == "scatter"
@@ -568,3 +571,36 @@ class TestOutPath:
             _assert_writes_in_place(f"{kind}:{fn}", call, arguments)
 
         check()
+
+
+#: What NumPy's iterator allocates around an einsum, in bytes (~1.6 KiB
+#: here); every product these shapes could build is far larger.
+ITERATOR_BYTES = 4096
+
+
+class TestHeadDotTemporaries:
+    """``head_dot`` contracts each (row, head) straight from ``x`` and
+    ``a``: it allocates its output and nothing of ``x``'s size — no
+    ``(V, H, F)`` product — and given ``out``, not even that."""
+
+    @pytest.mark.parametrize("dtype", (np.float16, np.float32, np.float64))
+    @pytest.mark.parametrize("shape", ((2708, 8, 8), (512, 1, 64)))
+    def test_allocates_only_its_output(self, shape, dtype):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=shape).astype(dtype)
+        a = rng.normal(size=shape[1:]).astype(dtype)
+        slab = np.empty(shape[:2], dtype=dtype)
+        apply_kernel("head_dot", [x], [a])
+        tracemalloc.start()
+        try:
+            fresh = apply_kernel("head_dot", [x], [a])
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            apply_kernel("head_dot", [x], [a], out=slab)
+            _, in_place = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes > 4 * ITERATOR_BYTES
+        assert peak <= fresh.nbytes + ITERATOR_BYTES
+        assert in_place - start <= ITERATOR_BYTES

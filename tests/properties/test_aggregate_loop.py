@@ -10,9 +10,16 @@ is exact); weighted it is the loop with each product rounded to storage
 first wherever scipy does not fuse the multiply into the add
 (:func:`tests.helpers.csr_product_fuses`), and within one rounding per
 term of it regardless.  The backward's dot step is the registered
-``u_dot_v`` — per edge ``(b[u] * a[v]).sum(-1)``, whatever edge chunks
-it is computed in — and equals that loop on every platform.
+``u_dot_v`` — per edge the trailing-axis contraction
+(:func:`repro.exec.kernels.contract_trailing`) of ``b[u] * a[v]``,
+whatever edge chunks it is computed in — and equals that contraction
+taken one edge at a time on every platform.  The contraction itself is
+a function of each row alone (chunks, strides, gathers), accumulates
+float16 in float32, and stays within ``F · eps · Σ|a·b|`` of a float64
+dot.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec import blocks
-from repro.exec.kernels import aggregate, apply_kernel, gather_kernel, scatter_kernel
+from repro.exec.kernels import (
+    acc_dtype,
+    aggregate,
+    apply_kernel,
+    contract_trailing,
+    gather_kernel,
+    scatter_kernel,
+)
 from repro.graph import Graph
 
 from tests.helpers import csr_product_fuses
@@ -143,15 +157,20 @@ def test_per_head_aggregate_is_the_loop(dtype, heads, width, orientation, reduce
         assert np.array_equal(got, want)
 
 
+#: Every storage dtype a dot step runs at.
+STORAGE_DTYPES = [np.float16, np.float32, np.float64]
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("heads", HEADS)
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("dtype", STORAGE_DTYPES)
 @settings(max_examples=8, deadline=None)
 @given(data=st.data(), budget=st.integers(1, 600))
 def test_dot_step_is_the_per_edge_loop(dtype, heads, width, data, budget):
     """``u_dot_v(u=b, v=a)`` under any chunk budget equals, everywhere,
-    the per-edge ``(b[u] * a[v]).sum(-1)`` loop and the node path it
-    stands in for, ``reduce_to_shape(mul(copy_v(a), copy_u(b)))``."""
+    the contraction of ``b[u] * a[v]`` taken one edge at a time and the
+    node path it stands in for, ``reduce_to_shape(mul(copy_v(a),
+    copy_u(b)))``."""
     graph, rng = data.draw(graphs(data.draw(st.sampled_from(["in", "out"]))))
     a, b = (
         rng.normal(size=(graph.num_vertices, heads, width)).astype(dtype)
@@ -159,7 +178,7 @@ def test_dot_step_is_the_per_edge_loop(dtype, heads, width, data, budget):
     )
     want = np.zeros((graph.num_edges, heads), dtype=dtype)
     for e in range(graph.num_edges):
-        want[e] = (b[graph.src[e]] * a[graph.dst[e]]).sum(-1)
+        want[e] = contract_trailing(b[graph.src[e]] * a[graph.dst[e]])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(blocks, "BLOCK_BYTES", budget)
         got = scatter_kernel("u_dot_v", graph, [b, a])
@@ -172,3 +191,72 @@ def test_dot_step_is_the_per_edge_loop(dtype, heads, width, data, budget):
     )
     assert got.dtype == dtype and got.shape == want.shape
     assert np.array_equal(got, want) and np.array_equal(got, node_path)
+
+
+@pytest.mark.parametrize("budget", [1, 2 ** 22])
+def test_dot_step_without_edges(budget, monkeypatch):
+    """No edge, no chunk: an ``(0, heads)`` result of the operands' dtype."""
+    monkeypatch.setattr(blocks, "BLOCK_BYTES", budget)
+    x = np.ones((3, 2, 4), dtype=np.float32)
+    got = scatter_kernel("u_dot_v", Graph(np.zeros(0, int), np.zeros(0, int), 3), [x, x])
+    assert got.shape == (0, 2) and got.dtype == np.float32
+
+
+@st.composite
+def products(draw):
+    """(a, b, p): ``(rows, heads, width)`` operands of one storage dtype
+    and their rounded product ``p = a * b`` — what ``mul`` writes."""
+    dtype = draw(st.sampled_from(STORAGE_DTYPES))
+    shape = (
+        draw(st.integers(0, 40)), draw(st.sampled_from([1, 2, 4, 8])),
+        draw(st.sampled_from([1, 2, 3, 8, 17, 64])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    a, b = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    return a, b, a * b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=products(), data=st.data())
+def test_contraction_is_a_function_of_each_row(case, data):
+    """Chunk boundaries, strides, gathered rows and the other rows move
+    no bit of a row's contraction, at every storage dtype; the result
+    keeps the storage dtype and lies within ``F · eps · Σ|a·b|`` of the
+    float64 dot of the operands (their products unrounded)."""
+    a, b, p = case
+    rows, width = p.shape[0], p.shape[-1]
+    whole = contract_trailing(p)
+    assert whole.dtype == p.dtype and whole.shape == p.shape[:-1]
+    cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=4)))
+    chunks = [contract_trailing(p[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [rows])]
+    assert np.array_equal(np.concatenate(chunks), whole)
+    ids = np.asarray(
+        data.draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=50)) if rows else [],
+        dtype=np.int64,
+    )
+    assert np.array_equal(contract_trailing(p[ids]), whole[ids])
+    # The same products behind every other element of a wider buffer,
+    # in Fortran order, and in reversed rows.
+    spread = np.zeros(p.shape[:-1] + (2 * width,), dtype=p.dtype)
+    spread[..., ::2] = p
+    assert np.array_equal(contract_trailing(spread[..., ::2]), whole)
+    assert np.array_equal(contract_trailing(np.asfortranarray(p)), whole)
+    assert np.array_equal(contract_trailing(p[::-1])[::-1], whole)
+    out = np.full_like(whole, 7)
+    assert contract_trailing(p, out) is out and np.array_equal(out, whole)
+    a64, b64 = a.astype(np.float64), b.astype(np.float64)
+    exact = np.zeros(whole.shape)
+    for index in np.ndindex(*whole.shape):
+        exact[index] = math.fsum(a64[index] * b64[index])
+    bound = width * np.finfo(p.dtype).eps * np.abs(a64 * b64).sum(axis=-1)
+    assert (np.abs(whole.astype(np.float64) - exact) <= bound).all()
+
+
+def test_contraction_accumulates_half_in_single():
+    """``2048 + 1`` rounds back to 2048 in float16, so a float16
+    accumulator would return 2048 for eight ones after it; float32
+    accumulation returns 2056, which float16 holds exactly."""
+    p = np.array([[2048.0] + [1.0] * 8], dtype=np.float16)
+    assert acc_dtype(p.dtype) == np.float32
+    got = contract_trailing(p)
+    assert got.dtype == np.float16 and got[0] == 2056.0

@@ -90,7 +90,7 @@ def _defs(tree, prefix=""):
 def _calls(text, names):
     """``(line, names of the enclosing defs)`` of every call of ``names``;
     a method is named both ``method`` and ``Class.method``."""
-    tree = ast.parse(text)
+    tree = _parse(text)
     defs = list(_defs(tree))
     return [(c.lineno, {n for d, dotted in defs if d.lineno <= c.lineno <= d.end_lineno
                         for n in (d.name, dotted)})
@@ -113,18 +113,39 @@ def calls_inside(path, names, homes, count=None):
     return query
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(text):
+    """One syntax tree per source text, shared by every query (none
+    modifies it)."""
+    return ast.parse(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _calls_in(text):
+    """``(call node, innermost enclosing def)`` of every call in the
+    source ``text``, in one walk; a decorator belongs to the scope
+    around its def."""
+    found, stack = [], [(_parse(text), None)]
+    while stack:
+        node, around = stack.pop()
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += [(d, around) for d in node.decorator_list]
+            children = [c for c in children if all(c is not d for d in node.decorator_list)]
+            around = node
+        elif isinstance(node, ast.Call):
+            found.append((node, around))
+        stack += [(c, around) for c in children]
+    return tuple(found)
+
+
 def _tree_calls(files, scope):
     """``(path, line, call node, innermost enclosing def)`` of every call
     in the Python files under ``scope``."""
     for path, text in sorted(files.items()):
-        if not (path.startswith(scope) and path.endswith(".py")):
-            continue
-        tree = ast.parse(text)
-        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for call in ast.walk(tree):
-            if isinstance(call, ast.Call):
-                around = [d for d in defs if d.lineno <= call.lineno <= d.end_lineno]
-                yield path, call.lineno, call, max(around, key=lambda d: d.lineno, default=None)
+        if path.startswith(scope) and path.endswith(".py"):
+            for call, around in _calls_in(text):
+                yield path, call.lineno, call, around
 
 
 def built_only_by(path, name, makers):
@@ -134,7 +155,7 @@ def built_only_by(path, name, makers):
     def query(files):
         bad = [f"{p}:{line}" for p, line, call, _ in _tree_calls(files, "src/")
                if getattr(call.func, "attr", getattr(call.func, "id", None)) == name]
-        (cls,) = [n for n in ast.walk(ast.parse(files[path]))
+        (cls,) = [n for n in ast.walk(_parse(files[path]))
                   if isinstance(n, ast.ClassDef) and n.name == name]
         for maker in makers:
             found = [d for d in cls.body if isinstance(d, ast.FunctionDef) and d.name == maker
@@ -160,9 +181,6 @@ def degree_maxima_only_in(path, home):
     def query(files):
         bad, held = [], 0
         for p, line, call, around in _tree_calls(files, "src/"):
-            local = {t.id for n in ast.walk(around) if isinstance(n, ast.Assign)
-                     and "degree" in ast.unparse(n.value)
-                     for t in n.targets if isinstance(t, ast.Name)} if around else set()
             func, args = call.func, call.args
             if isinstance(func, ast.Attribute) and func.attr in ("max", "amax"):
                 target = args[0] if ast.unparse(func.value) in ("np", "numpy") and args else func.value
@@ -170,6 +188,9 @@ def degree_maxima_only_in(path, home):
                 target = args[0]
             else:
                 continue
+            local = {t.id for n in ast.walk(around) if isinstance(n, ast.Assign)
+                     and "degree" in ast.unparse(n.value)
+                     for t in n.targets if isinstance(t, ast.Name)} if around else set()
             if not _names_degrees(target, local):
                 continue
             if p == path and around is not None and around.name == home:
@@ -177,6 +198,24 @@ def degree_maxima_only_in(path, home):
             else:
                 bad.append(f"{p}:{line}")
         return bad + ([] if held else [f"{path}: no degree maximum in {home}"])
+    return query
+
+
+def trailing_sums_only_in(path, home):
+    """Every sum over the trailing axis in ``path`` — ``x.sum(-1)``,
+    ``x.sum(axis=-1)``, ``np.sum(x, -1)``, ``np.sum(x, axis=-1)`` — sits
+    inside ``def home``."""
+    def trailing(call):
+        func = call.func
+        if getattr(func, "attr", getattr(func, "id", None)) != "sum":
+            return False
+        method = not (isinstance(func, ast.Attribute) and ast.unparse(func.value) in ("np", "numpy"))
+        axis = [k.value for k in call.keywords if k.arg == "axis"] or call.args[0 if method else 1:][:1]
+        return any(ast.unparse(a) == "-1" for a in axis)
+
+    def query(files):
+        return [f"{path}:{call.lineno}" for call, around in _calls_in(files[path])
+                if trailing(call) and getattr(around, "name", None) != home]
     return query
 
 
@@ -199,7 +238,7 @@ def no_import_on_load(module, scope):
     def query(files):
         return [f"{path}:{node.lineno}" for path, text in sorted(files.items())
                 if path.startswith(scope) and path.endswith(".py")
-                for node in on_load(ast.parse(text).body)
+                for node in on_load(_parse(text).body)
                 if isinstance(node, ast.Import) and any(name.match(a.name) for a in node.names)
                 or isinstance(node, ast.ImportFrom) and not node.level
                 and name.match(node.module or "")]
@@ -321,6 +360,12 @@ GUARDS = [
          calls_inside(KERNELS, ("adjacency_operator",), "aggregate", count=1),
          KERNELS, "def _weighted(op, w):\n    return adjacency_operator(op, w)\n\n\n",
          at="def aggregate("),
+    # Every per-edge and per-head dot sums its products in one order,
+    # the trailing-axis contraction's.
+    _row("one-trailing-contraction/no-trailing-sum-outside-the-contraction",
+         trailing_sums_only_in(KERNELS, "contract_trailing"),
+         KERNELS, "    return (x * a).sum(axis=-1)\n",
+         at="    return np.einsum(\n        \"vhf,hf->vh\""),
     # The feature cache resolves a gather with array operations.
     _row("one-cache-table/no-row-by-row-dict",
          forbidden(r"OrderedDict|move_to_end|for .* in .*vertices", S + "serve/cache.py"),
