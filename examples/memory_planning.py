@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Arena memory planning: peak-aware scheduling plus slab reuse.
+"""Arena memory planning: slab reuse under the §6 ledger.
 
-The paper's §6 ledger prices a plan's peak footprint analytically, but
-two runtime levers decide the peak a GPU actually delivers: the order
-kernels launch in, and whether boundary values reuse each other's
-storage once dead.  This script drives both through the Session API:
+The paper's §6 ledger prices a plan's peak footprint analytically; a
+runtime delivers it only if boundary values reuse each other's storage
+once dead.  This script drives the arena through the Session API:
 
 1. the memory-plan table — ledger peak (fusion order, fresh storage) vs
-   the `schedule_memory` pass vs the best-fit arena, per model,
-2. `.schedule("memory").memory_plan()` — the slab map of one
-   configuration, and the cost-model switch to the planned footprint,
+   the best-fit arena, per model: planned (pinned + arena) equals the
+   ledger within slab alignment,
+2. `.memory_plan()` — the slab map of one configuration,
 3. the reconciliation the test suite enforces: executing through the
    arena-backed engine is bit-identical to fresh storage, and the
    measured live-byte high-watermark equals the analytic ledger exactly.
@@ -44,12 +43,11 @@ def main() -> None:
     print(FIGURES["fig_memory_plan"]().table)
 
     # ------------------------------------------------------------------
-    # 2. One configuration in detail: schedule + slab map + cost switch.
+    # 2. One configuration in detail: the slab map.
     session = (
         repro.session()
         .model(args.model).dataset(args.dataset).strategy("ours")
         .feature_dim(args.feature_dim)
-        .schedule("memory")
     )
     smp = session.memory_plan()
     print(f"=== {args.model} arena plan ===")

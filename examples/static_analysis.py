@@ -9,9 +9,9 @@ analyzer that proves them up front:
 
 1. `Session.analyze()` — the full checker stack over one compiled
    configuration, RP-coded diagnostics, clean on the shipped zoo,
-2. the race-detector API (`may_overlap`, `check_order`) that the
-   memory scheduler consults and a future async executor would —
-   including a racing candidate order being rejected loudly,
+2. the race-detector API (`may_overlap`, `check_order`) that any
+   reordering and `MultiEngine`'s threaded overlap consult — including
+   a racing candidate order refused with RP-coded diagnostics,
 3. the mutation self-test: seeded corruptions (shrink a slab, leak a
    qint8 spec, drop a comm record, ...) each killed by their checker.
 
@@ -22,7 +22,6 @@ import argparse
 
 import repro
 from repro.analysis import build_bundle, check_order, may_overlap, self_test
-from repro.opt.schedule import SchedulingRaceError, schedule_kernels
 
 
 def main() -> None:
@@ -63,8 +62,8 @@ def main() -> None:
     )
     print(f"kernel pairs safe to overlap: {overlappable}/{n * (n - 1) // 2}")
 
-    # A candidate order that inverts a dependent pair is rejected with
-    # RP-coded diagnostics before it can reach the ledger simulation.
+    # A candidate order that inverts a dependent pair is refused with
+    # RP-coded diagnostics naming the pair.
     bad = None
     for j in range(n):
         for i in range(j):
@@ -77,13 +76,8 @@ def main() -> None:
         if bad:
             break
     if bad is not None:
-        try:
-            schedule_kernels(plan, candidates=[bad])
-        except SchedulingRaceError as exc:
-            first = exc.diagnostics[0]
-            print(f"racing candidate rejected: {first.render()}")
-        else:
-            raise AssertionError("racing candidate was not rejected")
+        first = check_order(plan, bad)[0]
+        print(f"racing candidate rejected: {first.render()}")
 
     # ------------------------------------------------------------------
     # 3. Mutation self-test: the analyzer catches what it claims to.

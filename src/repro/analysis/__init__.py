@@ -14,7 +14,7 @@ Entry points
 - ``python -m repro.lint`` — CLI over registry triples, ``--all`` for
   the zoo, ``--self-test`` for the mutation harness,
 - :func:`may_overlap` / :func:`check_order` / :func:`hazard_waves` —
-  the race-detector API schedulers and ``MultiEngine``'s threaded
+  the race-detector API a reordering and ``MultiEngine``'s threaded
   overlap mode consult directly.
 
 Diagnostics carry stable ``RPxyz`` codes (see

@@ -1,10 +1,9 @@
 """Kernel race detection: happens-before from read/write/alias sets.
 
 An :class:`~repro.exec.plan.ExecPlan` emits kernels in one legal order,
-but both the memory scheduler (:mod:`repro.opt.schedule`) and
-:class:`~repro.exec.multi.MultiEngine`'s threaded overlap mode run them in
-*other* orders — or concurrently.  This module is the single authority
-on when that is sound:
+but :class:`~repro.exec.multi.MultiEngine`'s threaded overlap mode runs
+them concurrently, and any pass proposing another order must prove it.
+This module is the single authority on when that is sound:
 
 - at the **value** level the IR is SSA (every root written by exactly
   one kernel), so the only native hazard is RAW: a consumer must follow
@@ -16,8 +15,8 @@ on when that is sound:
 
 :func:`may_overlap` is the API an executor must consult before
 overlapping two kernels (:func:`hazard_waves` groups a plan into waves
-of such kernels); :func:`check_order` is what the scheduler (and
-any pass proposing a reordering) must call, returning RP1xx diagnostics
+of such kernels); :func:`check_order` is what any pass proposing a
+reordering must call, returning RP1xx diagnostics
 naming the exact conflicting kernel pairs and the resource they race on.
 """
 
@@ -143,8 +142,8 @@ def happens_before(
     """Hazard graph: ``deps[j]`` = kernels that must precede kernel ``j``.
 
     Built from every pairwise conflict in the plan's emitted order, so
-    it subsumes the scheduler's producer-only dependence sets whenever a
-    memory plan recycles storage.
+    it subsumes the producer-only dependence sets whenever a memory plan
+    recycles storage.
     """
     n = len(plan.kernels)
     deps: List[Set[int]] = [set() for _ in range(n)]

@@ -45,13 +45,6 @@ SWEEPS = {
         batch_size=[None, 1024, 256],
         feature_dim=32,
     ),
-    "sweep_memory_smoke": dict(
-        models=["gat", "sage"],
-        datasets=["cora"],
-        strategies=["ours"],
-        schedule=[None, "memory"],
-        feature_dim=32,
-    ),
     "sweep_serve_smoke": dict(
         models=["gat"],
         datasets=["pubmed"],
@@ -113,9 +106,8 @@ CASES = {
     ),
     "memory": Case(
         "run the CI-sized arena memory-planning case: the model-zoo "
-        "memory-plan table and a schedule sweep",
+        "memory-plan table (ledger vs arena peak)",
         figures=("fig_memory_plan",),
-        sweeps=("sweep_memory_smoke",),
     ),
     "serve": Case(
         "run the CI-sized online inference-serving sweep over offered load",

@@ -628,79 +628,60 @@ def fig_dynamic_serving() -> FigureResult:
 
 
 # ======================================================================
-# Arena memory planning (peak-aware scheduling extension)
+# Arena memory planning
 # ======================================================================
 def fig_memory_plan() -> FigureResult:
     """Deliverable vs analytic peak of every model under ``ours``.
 
     For each registered model, one training step on the workload under
-    the full unified-fusion + recomputation strategy, three ways of
-    pricing its memory:
+    the full unified-fusion + recomputation strategy, its memory priced
+    two ways in the fusion order:
 
-    - **ledger** — the fresh-storage analytic peak as fusion emitted
-      the kernels (max over forward/backward phases),
-    - **sched** — the same ledger after the ``schedule_memory`` pass
-      reorders kernels for minimum live-byte peak,
-    - **arena** — the best-fit slab packing of the scheduled plans'
-      boundary values (pinned inputs/parameters live outside it).
+    - **ledger** — the fresh-storage analytic peak (max over
+      forward/backward phases),
+    - **arena** — the best-fit slab packing of the plans' boundary
+      values (pinned inputs/parameters live outside it).
 
     The qualitative shape pinned by the golden table: the arena never
     exceeds the ledger peak, and ``arena + pinned`` — what a runtime
-    actually provisions — undercuts the ledger wherever scheduling
-    found slack.  Rows land in ``normalized`` keyed by model.
+    actually provisions — equals the ledger within slab alignment.
+    Rows land in ``normalized`` keyed by model.
     """
     from repro.registry import MODELS
 
     cache = PlanCache()
     normalized: List[Dict[str, object]] = []
     for name in sorted(MODELS.names()):
-        base = (
+        sess = (
             Session(cache=cache)
             .model(name).dataset("pubmed").strategy("ours")
         )
-        base_counters = base.counters()
-        sched = (
-            Session(cache=cache)
-            .model(name).dataset("pubmed").strategy("ours").schedule("memory")
-        )
-        smp = sched.memory_plan()
-        sched_counters = sched.counters()
+        smp = sess.memory_plan()
         normalized.append(
             {
                 "workload": name,
                 "strategy": "ours",
-                "ledger_peak_bytes": base_counters.peak_memory_bytes,
-                "sched_peak_bytes": sched_counters.peak_memory_bytes,
+                "ledger_peak_bytes": sess.counters().peak_memory_bytes,
                 "arena_bytes": smp.arena_bytes,
                 "planned_peak_bytes": smp.planned_peak_bytes,
                 "pinned_bytes": max(
                     p.pinned_bytes for p in smp.phases()
                 ),
                 "reuse_factor": smp.reuse_factor,
-                "saving": 1.0
-                - smp.planned_peak_bytes / base_counters.peak_memory_bytes,
             }
         )
-    def _saving(r) -> str:
-        percent = r["saving"] * 100
-        # Sub-0.05% deltas are slab-alignment noise, not a real change.
-        return f"{0.0 if abs(percent) < 0.05 else percent:.1f}%"
-
     rows = [
         [
             r["workload"],
             f"{r['ledger_peak_bytes'] / 2**20:.2f}",
-            f"{r['sched_peak_bytes'] / 2**20:.2f}",
             f"{r['arena_bytes'] / 2**20:.2f}",
             f"{r['planned_peak_bytes'] / 2**20:.2f}",
             f"{r['reuse_factor']:.2f}x",
-            _saving(r),
         ]
         for r in normalized
     ]
     table = format_table(
-        ["model", "ledger MiB", "sched MiB", "arena MiB",
-         "planned MiB", "reuse", "saving"],
+        ["model", "ledger MiB", "arena MiB", "planned MiB", "reuse"],
         rows,
         title=(
             "memory-plan (model zoo on pubmed, ours, one training "

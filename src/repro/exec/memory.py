@@ -15,8 +15,6 @@ the one size table :func:`root_sizes`; everything else *reads* a walk:
   end-of-phase residency), :func:`repro.exec.inspect.memory_timeline`
   (the per-kernel trace) and :func:`plan_memory` (the ledger and live
   peaks an arena is held to) evaluate on their stats,
-- :func:`repro.opt.schedule.schedule_kernels` — the peak of each
-  candidate kernel order,
 - :func:`repro.analysis.arena.check_memory_plan` — the RP204 / RP206
   re-walk.
 
@@ -46,9 +44,8 @@ concurrent ones.  :func:`plan_memory` closes that gap:
 Invariants (enforced by the test suite):
 
 - ``arena_bytes <= naive_bytes`` — reuse never loses to fresh storage,
-- the per-step planned footprint ``pinned_bytes + arena_bytes`` tracks
-  the analytic ledger peak, beating it whenever packing is tight
-  (fragmentation below the pinned share),
+- the per-step planned footprint ``pinned_bytes + arena_bytes`` equals
+  the analytic ledger peak within slab alignment,
 - executing through the arena (:class:`repro.exec.engine.Engine` with
   ``memory_plan=``) is bit-identical to fresh storage.
 

@@ -57,25 +57,11 @@ class KernelRecord:
 
 @dataclass
 class PhaseCounters:
-    """Aggregated counters for one plan walk (forward or backward).
-
-    ``planned_peak_bytes`` is set when an arena memory plan backs the
-    phase (:func:`repro.exec.memory.plan_memory`): the bytes a device
-    actually provisions — pinned user tensors plus the packed arena —
-    which the cost model prefers over the fresh-storage ledger peak.
-    """
+    """Aggregated counters for one plan walk (forward or backward)."""
 
     records: List[KernelRecord] = field(default_factory=list)
     peak_memory_bytes: int = 0
     end_resident_bytes: int = 0
-    planned_peak_bytes: Optional[int] = None
-
-    @property
-    def device_peak_bytes(self) -> int:
-        """Deliverable footprint: the planned arena peak when present."""
-        if self.planned_peak_bytes is not None:
-            return self.planned_peak_bytes
-        return self.peak_memory_bytes
 
     @property
     def flops(self) -> float:
@@ -124,14 +110,6 @@ class Counters:
         peak = self.forward.peak_memory_bytes
         if self.backward is not None:
             peak = max(peak, self.backward.peak_memory_bytes)
-        return peak
-
-    @property
-    def device_peak_bytes(self) -> int:
-        """Max deliverable footprint over the phases (arena-aware)."""
-        peak = self.forward.device_peak_bytes
-        if self.backward is not None:
-            peak = max(peak, self.backward.device_peak_bytes)
         return peak
 
     @property
@@ -216,11 +194,6 @@ class MultiGPUCounters:
     @property
     def peak_memory_bytes(self) -> int:
         return max((s.compute.peak_memory_bytes for s in self.per_gpu), default=0)
-
-    @property
-    def device_peak_bytes(self) -> int:
-        """Largest per-GPU deliverable footprint (arena-aware)."""
-        return max((s.compute.device_peak_bytes for s in self.per_gpu), default=0)
 
     @property
     def stash_bytes(self) -> int:
@@ -309,11 +282,6 @@ class MiniBatchCounters:
     def peak_memory_bytes(self) -> int:
         """Largest single-batch footprint — the device-fit quantity."""
         return max((b.compute.peak_memory_bytes for b in self.batches), default=0)
-
-    @property
-    def device_peak_bytes(self) -> int:
-        """Largest single-batch deliverable footprint (arena-aware)."""
-        return max((b.compute.device_peak_bytes for b in self.batches), default=0)
 
     @property
     def stash_bytes(self) -> int:

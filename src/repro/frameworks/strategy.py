@@ -171,7 +171,8 @@ class _Compiled:
         """``(phase name, plan)`` in execution order."""
         raise NotImplementedError
 
-    def _step_counters(self, stats: GraphStats) -> Counters:
+    def counters(self, stats: GraphStats) -> Counters:
+        """Step counters on ``stats``."""
         raise NotImplementedError
 
     def memory_plan(self, stats: GraphStats) -> StepMemoryPlan:
@@ -183,24 +184,6 @@ class _Compiled:
                 for _, plan in self.phases()
             )
         )
-
-    def counters(
-        self, stats: GraphStats, memory: Optional[StepMemoryPlan] = None
-    ) -> Counters:
-        """Step counters on ``stats``.
-
-        ``memory`` — this pair's :meth:`memory_plan` on the same stats —
-        prices the arena: each phase then carries its deliverable
-        footprint (pinned + packed arena) as ``planned_peak_bytes``,
-        which is what the cost model's DRAM check reads.
-        """
-        counters = self._step_counters(stats)
-        if memory is not None:
-            for phase, planned in zip(
-                (counters.forward, counters.backward), memory.phases()
-            ):
-                phase.planned_peak_bytes = planned.planned_peak_bytes
-        return counters
 
     def latency_seconds(self, stats: GraphStats, gpu: GPUSpec) -> float:
         return CostModel(gpu).latency_seconds(self.counters(stats), stats)
@@ -216,7 +199,7 @@ class CompiledForward(_Compiled):
     def phases(self) -> List[Tuple[str, ExecPlan]]:
         return [("forward", self.plan)]
 
-    def _step_counters(self, stats: GraphStats) -> Counters:
+    def counters(self, stats: GraphStats) -> Counters:
         phase = analyze_plan(self.plan, stats, pinned=self.pinned)
         return Counters(forward=phase, backward=None, stash_bytes=0)
 
@@ -263,7 +246,7 @@ class CompiledTraining(_Compiled):
             )
         return self._rings
 
-    def _step_counters(self, stats: GraphStats) -> Counters:
+    def counters(self, stats: GraphStats) -> Counters:
         return analyze_training(
             self.fwd_plan, self.bwd_plan, stats,
             stash=self.stash, pinned=self.pinned,

@@ -177,15 +177,15 @@ class ClusterCostModel:
 
     # ------------------------------------------------------------------
     def fits(self, multi: MultiGPUCounters) -> bool:
-        """Every GPU's partition fits its own DRAM (arena-aware)."""
+        """Every GPU's partition fits its own DRAM."""
         return all(
-            shard.compute.device_peak_bytes <= self.cluster.dram_bytes_per_gpu
+            shard.compute.peak_memory_bytes <= self.cluster.dram_bytes_per_gpu
             for shard in multi.per_gpu
         )
 
     def check_memory(self, multi: MultiGPUCounters) -> None:
         for i, shard in enumerate(multi.per_gpu):
-            peak = shard.compute.device_peak_bytes
+            peak = shard.compute.peak_memory_bytes
             if peak > self.cluster.dram_bytes_per_gpu:
                 raise SimulatedOOM(
                     peak,

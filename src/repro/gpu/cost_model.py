@@ -200,24 +200,11 @@ class CostModel:
             for b in minibatch.batches
         )
 
-    @staticmethod
-    def _device_peak(counters) -> int:
-        """Footprint the device must hold.
-
-        Prefers the arena-planned peak (``device_peak_bytes``, set when
-        a memory plan backs the run — §6's deliverable peak rather than
-        the fresh-storage ledger) and falls back to the ledger peak for
-        counter objects that never carry a plan.
-        """
-        return getattr(
-            counters, "device_peak_bytes", counters.peak_memory_bytes
-        )
-
     def check_memory(self, counters: Counters) -> None:
         """Raise :class:`SimulatedOOM` if the run cannot fit in DRAM."""
-        peak = self._device_peak(counters)
+        peak = counters.peak_memory_bytes
         if peak > self.spec.dram_bytes:
             raise SimulatedOOM(peak, self.spec.dram_bytes, self.spec.name)
 
     def fits(self, counters: Counters) -> bool:
-        return self._device_peak(counters) <= self.spec.dram_bytes
+        return counters.peak_memory_bytes <= self.spec.dram_bytes

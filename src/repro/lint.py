@@ -49,8 +49,6 @@ def _session(
     s = Session(cache=cache).model(model).dataset(dataset).strategy(strategy)
     if args.precision:
         s = s.precision(args.precision)
-    if args.schedule:
-        s = s.schedule("memory")
     return s
 
 
@@ -136,9 +134,6 @@ def main(argv: List[str] = None) -> int:
                         f"(default {DEFAULT_DATASET})")
     parser.add_argument("--precision", default=None,
                         help="precision override for a triple run")
-    parser.add_argument("--schedule", action="store_true",
-                        help="append the memory-schedule pass before "
-                        "analyzing")
     parser.add_argument("--parts", type=int, default=2,
                         help="synthesized partition width when no cluster "
                         "is configured (default 2)")

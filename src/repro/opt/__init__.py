@@ -8,9 +8,6 @@
   (training-memory elimination),
 - :mod:`~repro.opt.autotune` — per-kernel thread-mapping selection by
   the cost model (§5's "based on performance profiling"),
-- :mod:`~repro.opt.schedule` — peak-aware kernel reordering over the §6
-  liveness ledger (greedy list scheduling; the ``schedule_memory``
-  pass),
 - :mod:`~repro.opt.stages` — the pure stages (naive module, reorganize,
   autodiff, partitioning) run once per input object; a plan cache
   shares one memo across the strategies compiled for a model,
@@ -25,11 +22,6 @@ from repro.opt.fusion import partition_kernels
 from repro.opt.stages import StageMemo
 from repro.opt.recompute import plan_recompute, RecomputeDecision
 from repro.opt.autotune import autotune_plan
-from repro.opt.schedule import (
-    ScheduleMemoryPass,
-    schedule_kernels,
-    with_memory_schedule,
-)
 from repro.opt.pipeline import (
     Pass,
     PassContext,
@@ -45,9 +37,6 @@ __all__ = [
     "plan_recompute",
     "RecomputeDecision",
     "autotune_plan",
-    "schedule_kernels",
-    "ScheduleMemoryPass",
-    "with_memory_schedule",
     "Pass",
     "PassContext",
     "PassManager",

@@ -69,6 +69,16 @@ from repro.exec.profiler import BatchCost
 __all__ = ["InferenceServer"]
 
 
+def compaction_interval(compact_every: Optional[int]) -> Optional[int]:
+    """``compact_every`` as a Python int (``None``: never compact);
+    bools, non-whole numbers and values below one are refused."""
+    if compact_every is None:
+        return None
+    from repro.session import _count  # local: the session builds servers
+
+    return _count(compact_every, "compact_every")
+
+
 class _TenantRuntime:
     """Per-tenant compiled state: plan, params, gather-row pricing.
 
@@ -118,11 +128,6 @@ class InferenceServer:
         Micro-batching knobs and the queue policy (``"edf"``/``"fifo"``).
     cache_rows:
         LRU feature-cache capacity in rows (0 disables caching).
-    memory_plan:
-        Price each receptive field's arena plan
-        (``compiled.memory_plan(field_stats)``): the planned
-        pinned+arena footprint then drives the device-fit check.
-        Batches still execute on fresh storage.
     execute:
         ``False`` skips concrete engine execution (no delivered
         outputs).  Every metric is analytic, so reports are identical
@@ -142,7 +147,6 @@ class InferenceServer:
         batch_policy: Optional[BatchPolicy] = None,
         scheduler_policy: str = "edf",
         cache_rows: int = 0,
-        memory_plan: bool = False,
         execute: bool = True,
     ):
         if features.shape[0] != graph.num_vertices:
@@ -187,7 +191,6 @@ class InferenceServer:
         )
         self.scheduler_policy = scheduler_policy
         self.cache_rows = int(cache_rows)
-        self.memory_plan = memory_plan
         self.execute = execute
         #: The feature cache of the most recent :meth:`serve` call.
         self.cache: Optional[FeatureCache] = None
@@ -295,8 +298,7 @@ class InferenceServer:
         """
         cache = FeatureCache(self.cache_rows)
         self.cache = cache
-        if compact_every is not None and compact_every <= 0:
-            raise ValueError("compact_every must be positive")
+        compact_every = compaction_interval(compact_every)
         dynamic = bool(updates)
         pending_updates: List["UpdateEvent"] = []
         dyn: Optional[DynamicGraph] = None
@@ -373,14 +375,8 @@ class InferenceServer:
                 versions.append((0, 0))
                 batch_feats.append(None)
             field_stats = mb.subgraph.stats()
-            smp = (
-                runtime.compiled.memory_plan(field_stats)
-                if self.memory_plan
-                else None
-            )
-            compute = runtime.compiled.counters(field_stats, smp)
-            # The batch must fit one pool device (arena-aware when a
-            # memory plan prices the run).
+            compute = runtime.compiled.counters(field_stats)
+            # The batch must fit one pool device.
             self.cost.check_memory(compute)
             # The cache's LRU order follows the rows' order: id order.
             split = cache.gather(np.sort(mb.vertices), runtime.row_bytes)

@@ -19,9 +19,8 @@ A :class:`Session` holds its configuration in one frozen
   ``GNNModel`` instance;
 - ``dataset`` — a registry name, a ``Dataset``, or raw ``GraphStats``
   (:meth:`Session.stats`, named by ``workload``);
-- ``strategy``, ``schedule`` and ``precision`` — what the plan is
-  compiled with: an ``ExecutionStrategy`` or its name, the
-  ``"memory"`` schedule, a feature-storage precision;
+- ``strategy`` and ``precision`` — what the plan is compiled with:
+  an ``ExecutionStrategy`` or its name, a feature-storage precision;
 - ``gpu`` — a ``GPUSpec``, its name, or a ``Cluster``
   (:meth:`Session.cluster`, whose ``partitioner`` is the one home of
   the partition method);
@@ -84,7 +83,6 @@ from repro.graph.sampling import plan_minibatches
 from repro.graph.stats import GraphStats, expected_field_stats
 from repro.ir.serialize import dumps_module
 from repro.models.base import GNNModel
-from repro.opt.schedule import with_memory_schedule
 from repro.opt.stages import StageMemo
 from repro.registry import MODELS
 import repro.models  # noqa: F401  (populates the model registry)
@@ -240,11 +238,7 @@ class ExperimentReport:
     #: ``latency_s``/``fits_device`` reflect the sampled epoch).
     batch_size: Optional[int] = None
     minibatch: Optional[MiniBatchCounters] = None
-    #: Arena memory plan (set when the session scheduled for memory).
-    memory: Optional[StepMemoryPlan] = None
-    #: The configured schedule mode and storage precision (``None``:
-    #: ledger accounting, the strategy's own precision).
-    schedule: Optional[str] = None
+    #: The configured storage precision (``None``: the strategy's own).
     precision: Optional[str] = None
 
     @property
@@ -274,15 +268,6 @@ class ExperimentReport:
             f"  modelled {'epoch' if self.minibatch is not None else 'step '} "
             f"{self.latency_s * 1e3:10.2f} ms",
         ]
-        if self.memory is not None:
-            mem = self.memory
-            lines.append(
-                f"  arena plan     {mem.arena_bytes / 2**20:10.2f} MiB "
-                f"(+ pinned, planned peak "
-                f"{mem.planned_peak_bytes / 2**20:.2f} MiB vs ledger "
-                f"{mem.ledger_peak_bytes / 2**20:.2f} MiB, "
-                f"reuse {mem.reuse_factor:.2f}x)"
-            )
         if self.minibatch is not None:
             mb = self.minibatch
             lines.append(
@@ -349,9 +334,6 @@ class RunConfig:
     #: Label of a raw ``GraphStats`` workload.
     workload: str = "custom"
     strategy: Union[str, ExecutionStrategy] = "ours"
-    #: ``"memory"`` appends the ``schedule_memory`` pass and prices the
-    #: arena plan; ``None`` is ledger accounting.
-    schedule: Optional[str] = None
     #: Canonical feature-storage precision; ``None`` keeps the
     #: strategy's own.
     precision: Optional[str] = None
@@ -366,10 +348,6 @@ class RunConfig:
     minibatch: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.schedule not in (None, "memory"):
-            raise ValueError(
-                f"unknown schedule mode {self.schedule!r}; use 'memory' or None"
-            )
         if self.partitioner not in (None, *PARTITION_METHODS):
             raise ValueError(
                 f"partition method must be in {PARTITION_METHODS}, "
@@ -387,9 +365,9 @@ class RunConfig:
             )
         if self.minibatch is not None:
             batch_size, seed = self.minibatch
-            if batch_size <= 0:
-                raise ValueError("batch_size must be positive")
-            object.__setattr__(self, "minibatch", (int(batch_size), seed))
+            object.__setattr__(
+                self, "minibatch", (_count(batch_size, "batch_size"), seed)
+            )
 
     def device(self) -> Union[GPUSpec, Cluster]:
         """The resolved ``gpu`` axis: a spec, or a cluster."""
@@ -412,7 +390,6 @@ class RunConfig:
                 device.name if isinstance(device, Cluster)
                 else g if isinstance(g, str) else g.name
             ),
-            schedule=self.schedule,
             precision=self.precision,
         )
 
@@ -454,20 +431,6 @@ class Session:
 
     def strategy(self, strategy: Union[str, ExecutionStrategy]) -> "Session":
         return self._set(strategy=strategy)
-
-    def schedule(self, mode: Optional[str]) -> "Session":
-        """Enable peak-aware memory planning for this configuration.
-
-        ``"memory"`` appends the ``schedule_memory`` pass to the
-        resolved strategy's pipeline (kernels reordered for minimum
-        ledger peak) and makes every terminal price the arena plan:
-        counters carry ``planned_peak_bytes``, :meth:`fits` and
-        :class:`~repro.gpu.cost_model.SimulatedOOM` use the planned
-        arena footprint, and :meth:`report` attaches the
-        :class:`~repro.exec.memory.StepMemoryPlan`.  ``schedule(None)``
-        restores plain ledger accounting.
-        """
-        return self._set(schedule=mode)
 
     def precision(self, precision: Optional[str]) -> "Session":
         """Select the feature-storage precision of this configuration.
@@ -524,10 +487,11 @@ class Session:
         """Evaluate sampled mini-batch training instead of full-graph.
 
         Per epoch the workload is covered by random seed batches of
-        ``batch_size`` vertices, each expanded to the receptive field
-        of the compiled model's message-passing depth.  :meth:`report`
-        then prices the *epoch* totals with per-batch peak memory
-        (``report().minibatch``) — concrete datasets sample exact
+        ``batch_size`` vertices (a whole number >= 1), each expanded to
+        the receptive field of the compiled model's message-passing
+        depth.  :meth:`report` then prices the *epoch* totals with
+        per-batch peak memory (``report().minibatch``) — concrete
+        datasets sample exact
         batches (seeded by ``seed``), stats-only workloads use the
         degree-model field estimate.
         ``minibatch(None)`` restores full-graph evaluation.  Mini-batch
@@ -551,8 +515,6 @@ class Session:
         cfg = self._config
         s = cfg.strategy
         resolved = get_strategy(s) if isinstance(s, str) else s
-        if cfg.schedule == "memory":
-            resolved = with_memory_schedule(resolved)
         if cfg.precision is not None and resolved.precision != cfg.precision:
             resolved = replace(resolved, precision=cfg.precision)
         return resolved
@@ -717,27 +679,12 @@ class Session:
         Plans every phase of the compiled configuration on the resolved
         stats (:func:`repro.exec.memory.plan_memory`), pinning the
         model's inputs and parameters — user-owned memory outside the
-        arena.  With :meth:`schedule` set to ``"memory"`` the planned
-        plans are the memory-scheduled ones; without it the fusion
-        order is planned as-is.  Memoised per (compiled, stats).
+        arena — in the fusion order.  Memoised per (compiled, stats).
         """
-        return self._memory_plan(
-            self.compile(training=training), self.resolve_stats()
-        )
-
-    def _memory_plan(self, compiled, stats: GraphStats) -> StepMemoryPlan:
+        compiled, stats = self.compile(training=training), self.resolve_stats()
         return self._memoised(
             "memory", (compiled, stats), lambda: compiled.memory_plan(stats)
         )
-
-    def _scheduled_memory(
-        self, compiled, stats: GraphStats
-    ) -> Optional[StepMemoryPlan]:
-        """The arena plan a ``schedule("memory")`` session prices and
-        executes through; ``None`` otherwise."""
-        if self._config.schedule != "memory":
-            return None
-        return self._memory_plan(compiled, stats)
 
     def counters(self, *, training: bool = True) -> Counters:
         return self._counters(
@@ -746,11 +693,7 @@ class Session:
 
     def _counters(self, compiled, stats: GraphStats) -> Counters:
         return self._memoised(
-            "counters",
-            (compiled, stats),
-            lambda: compiled.counters(
-                stats, self._scheduled_memory(compiled, stats)
-            ),
+            "counters", (compiled, stats), lambda: compiled.counters(stats)
         )
 
     def _minibatch_schedule(self, compiled) -> List[Tuple[int, GraphStats]]:
@@ -836,7 +779,6 @@ class Session:
             latency_s=latency,
             fits_device=fits,
             compute_seconds=compute,
-            memory=self._scheduled_memory(compiled, stats),
             **priced,
         )
 
@@ -931,10 +873,7 @@ class Session:
         GPU (or :meth:`cluster` pool) — micro-batched by the default
         :class:`~repro.serve.batcher.BatchPolicy`, feature-cached with
         ``cache_rows`` LRU rows, placed earliest-deadline-first, each
-        batch's field at the model's depth.  With :meth:`schedule` set
-        to ``"memory"`` every batch's field is priced by its arena plan
-        and the device-fit check uses the planned footprint; batches
-        still execute on fresh storage.  Bursty arrivals, other batch
+        batch's field at the model's depth.  Bursty arrivals, other batch
         policies and FIFO placement are
         :class:`~repro.serve.server.InferenceServer`'s, driven directly.
 
@@ -956,11 +895,12 @@ class Session:
         """
         # Local: keeps the base import cheap.
         from repro.serve import InferenceServer, poisson_workload
+        from repro.serve.server import compaction_interval
 
         if not 0.0 <= update_frac < 1.0:
             raise ValueError("update_frac must lie in [0, 1)")
-        if compact_every is not None and compact_every <= 0:
-            raise ValueError("compact_every must be positive")
+        # Refused here, before the stream is built.
+        compaction_interval(compact_every)
         ds = self.resolve_dataset()
         if ds is None or not ds.has_concrete_graph:
             raise ValueError(
@@ -980,7 +920,6 @@ class Session:
             {tenant: compiled},
             gpu=cluster if cluster is not None else self.resolve_gpu(),
             cache_rows=cache_rows,
-            memory_plan=self._config.schedule == "memory",
             execute=execute,
         )
         stream = dict(
@@ -1043,14 +982,6 @@ class SweepRow:
     #: epoch totals / per-batch maxima.
     batch_size: Optional[int] = None
     gather_bytes: int = 0
-    #: Memory-scheduled rows compile with the ``schedule_memory`` pass.
-    #: Single-GPU full-graph rows additionally price the arena:
-    #: ``arena_bytes`` is the planned footprint and
-    #: ``peak_memory_bytes`` the deliverable (pinned + arena) peak.
-    #: Multi-GPU and mini-batch rows keep ledger pricing (of the
-    #: memory-scheduled plans) and leave ``arena_bytes`` at 0.
-    schedule: Optional[str] = None
-    arena_bytes: int = 0
     #: Feature-storage precision of the row's plans (``run_sweep(
     #: precision=[...])``).  It changes the analytic columns: IO, peak
     #: memory, stash, and gather bytes all shrink with the storage
@@ -1080,9 +1011,8 @@ class SweepRow:
     def from_report(cls, report: ExperimentReport) -> "SweepRow":
         """An offline row: whatever ``report`` was priced on.
 
-        Full-graph rows show the deliverable (arena-aware) peak and the
-        planned ``arena_bytes``; mini-batch rows epoch totals with the
-        per-batch peak; cluster rows cluster totals with the per-GPU
+        Full-graph rows show the step's ledger peak; mini-batch rows
+        epoch totals with the per-batch peak; cluster rows cluster totals with the per-GPU
         peak and the byte-based traffic share (monotone in the GPU
         count; the time split depends on imbalance floors too).
         """
@@ -1092,11 +1022,10 @@ class SweepRow:
             dataset=report.dataset,
             strategy=report.strategy,
             gpu=report.gpu,
-            schedule=report.schedule,
             precision=report.precision,
             flops=priced.flops,
             io_bytes=priced.io_bytes,
-            peak_memory_bytes=priced.device_peak_bytes,
+            peak_memory_bytes=priced.peak_memory_bytes,
             stash_bytes=priced.stash_bytes,
             launches=priced.launches,
             latency_s=report.latency_s,
@@ -1106,11 +1035,6 @@ class SweepRow:
             comm_fraction=multi.comm_fraction if multi is not None else 0.0,
             batch_size=report.batch_size,
             gather_bytes=mc.gather_bytes if mc is not None else 0,
-            arena_bytes=(
-                report.memory.arena_bytes
-                if report.memory is not None and priced is report.counters
-                else 0
-            ),
         )
 
     @classmethod
@@ -1139,7 +1063,7 @@ class SweepRow:
             fields.update(
                 flops=served.flops,
                 io_bytes=served.io_bytes,
-                peak_memory_bytes=served.device_peak_bytes,
+                peak_memory_bytes=served.peak_memory_bytes,
                 launches=served.launches,
                 latency_s=rep.mean_latency_s,
                 fits_device=True,
@@ -1165,7 +1089,6 @@ _TABLE_COLUMNS = (
     ("gpu", None, lambda r: r.gpu),
     ("batch", "batch_size",
      lambda r: "full" if r.batch_size is None else str(r.batch_size)),
-    ("sched", "schedule", lambda r: r.schedule or "-"),
     ("prec", "precision", lambda r: r.precision or "-"),
     ("GFLOPs", None, lambda r: f"{r.flops / 1e9:.2f}"),
     ("IO MiB", None, lambda r: f"{r.io_bytes / 2**20:.1f}"),
@@ -1251,7 +1174,6 @@ def run_sweep(
     *,
     num_gpus: Union[int, Sequence[int]] = (1,),
     batch_size: Union[None, int, Sequence[Optional[int]]] = None,
-    schedule: Union[None, str, Sequence[Optional[str]]] = None,
     precision: Union[None, str, Sequence[Optional[str]]] = None,
     serve_qps: Optional[Sequence[float]] = None,
     update_frac: Optional[Sequence[float]] = None,
@@ -1269,25 +1191,24 @@ def run_sweep(
     :meth:`Session.serve`) into one :class:`SweepRow`.  The axes map
     onto its fields:
 
-    - ``models``, ``datasets``, ``strategies``, ``schedule`` (a mode or
-      a sequence mixing ``"memory"`` with ``None``) and ``precision``
-      (a policy name or a sequence mixing them with ``None``) choose
-      the compiled plan;
+    - ``models``, ``datasets``, ``strategies`` and ``precision`` (a
+      policy name or a sequence mixing them with ``None``) choose the
+      compiled plan;
     - ``gpus`` × ``num_gpus`` choose the device: a ``num_gpus`` entry
       is a whole number ≥ 1, and one > 1 builds a ``<gpu>xN`` cluster
       on the default link.  A registered cluster
       name (or a ``Cluster``) is already a cluster: it is refused
       beside a ``num_gpus`` entry > 1;
-    - ``batch_size`` (an int or a sequence mixing ints with ``None``,
-      full-graph) is the ``minibatch`` axis, at the model's depth and
-      sampler seed 0 — single-GPU only;
+    - ``batch_size`` (a whole number ≥ 1 or a sequence mixing them
+      with ``None``, full-graph) is the ``minibatch`` axis, at the
+      model's depth and sampler seed 0 — single-GPU only;
     - ``feature_dim`` is one width for every registry model.
 
     Rows price what :meth:`Session.report` prices: full-graph steps
-    with the deliverable (arena-aware) peak under ``"memory"``, epoch
-    totals with the per-batch peak, cluster totals with the halo
-    traffic.  The plan never depends on the device, the batching or
-    the topology, so each (model, strategy, schedule, precision) is one
+    with the ledger peak, epoch totals with the per-batch peak, cluster
+    totals with the halo traffic.  The plan never depends on the
+    device, the batching or the topology, so each (model, strategy,
+    precision) is one
     plan-cache lookup, and datasets sharing feature/class widths share
     its compilation.  Training sweeps skip inference-only strategies
     (e.g. ``huang-like``); ``training=False`` compares forward passes.
@@ -1306,10 +1227,11 @@ def run_sweep(
     hits0, misses0 = cache.hits, cache.misses
     if feature_dim is not None:
         feature_dim = _count(feature_dim, "feature_dim")
-    batches, schedules, precisions, loads, updates, num_gpus = map(
-        _axis, (batch_size, schedule, precision, serve_qps, update_frac, num_gpus)
+    batches, precisions, loads, updates, num_gpus = map(
+        _axis, (batch_size, precision, serve_qps, update_frac, num_gpus)
     )
     num_gpus = tuple(_count(n, "num_gpus") for n in num_gpus)
+    batches = tuple(b if b is None else _count(b, "batch_size") for b in batches)
     sampled = any(b is not None for b in batches)
     if sampled and any(n > 1 for n in num_gpus):
         raise ValueError(
@@ -1336,7 +1258,7 @@ def run_sweep(
     # Serving runs the forward plan.
     training = training and serve_qps is None
     axes = (
-        models, datasets, strategies, schedules, precisions,
+        models, datasets, strategies, precisions,
         gpus, num_gpus, loads, updates, batches,
     )
     # One session per dataset: its memo keeps the dataset's partition
@@ -1344,15 +1266,15 @@ def run_sweep(
     # model.  The per-plan compile (one plan-cache lookup however many
     # devices price it) is hoisted by position in the flat product.
     sessions = [Session(cache=cache) for _ in datasets]
-    per_plan = math.prod(len(axis) for axis in axes[5:])
-    per_workload = per_plan * math.prod(len(axis) for axis in axes[2:5])
+    per_plan = math.prod(len(axis) for axis in axes[4:])
+    per_workload = per_plan * math.prod(len(axis) for axis in axes[2:4])
     rows: List[SweepRow] = []
-    for i, (m, d, strat, sched, prec, g, n, qps, uf, bs) in enumerate(
+    for i, (m, d, strat, prec, g, n, qps, uf, bs) in enumerate(
         itertools.product(*axes)
     ):
         s = sessions[i // per_workload % len(datasets)]
         s._config = RunConfig(
-            model=m, dataset=d, strategy=strat, schedule=sched,
+            model=m, dataset=d, strategy=strat,
             precision=prec, feature_dim=feature_dim,
             gpu=g if n <= 1 else make_cluster(g, n),
             minibatch=None if bs is None else (bs, 0),

@@ -1,5 +1,5 @@
-"""Kernel race detector: conflicts, happens-before, hazard waves, order
-checking, and the scheduler's rejection of racing candidate orders."""
+"""Kernel race detector: conflicts, happens-before, hazard waves and
+order checking."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.analysis.races import (
     may_overlap,
 )
 from repro.frameworks import compile_training, get_strategy
-from repro.opt.schedule import SchedulingRaceError, schedule_kernels
 from repro.registry import MODELS
 
 
@@ -131,32 +130,3 @@ class TestCheckOrder:
         order = [0] * len(plan.kernels)
         diags = check_order(plan, order)
         assert [d.code for d in diags] == ["RP103"]
-
-
-class TestSchedulerConsultsRaceDetector:
-    """Satellite regression: opt/schedule rejects racing candidates."""
-
-    def test_conflicting_candidate_rejected_with_rp_codes(self, plan):
-        i, j = _first_raw_pair(plan)
-        bad = list(range(len(plan.kernels)))
-        bad[i], bad[j] = bad[j], bad[i]
-        with pytest.raises(SchedulingRaceError) as excinfo:
-            schedule_kernels(plan, candidates=[bad])
-        err = excinfo.value
-        assert err.diagnostics
-        assert all(d.code == "RP101" for d in err.diagnostics)
-        assert "RP101" in str(err)
-
-    def test_legal_candidate_accepted(self, plan):
-        identity = list(range(len(plan.kernels)))
-        out = schedule_kernels(plan, candidates=[identity])
-        # Identity candidate never races and never beats itself.
-        assert check_order(out, list(range(len(out.kernels)))) == []
-
-    def test_greedy_schedule_output_passes_check_order(self, plan):
-        out = schedule_kernels(plan)
-        assert check_order(out, list(range(len(out.kernels)))) == []
-        # Values are preserved: same kernels, possibly new order.
-        assert sorted(k.label for k in out.kernels) == sorted(
-            k.label for k in plan.kernels
-        )

@@ -8,8 +8,8 @@ to it too — for random topological kernel orders, not only "never worse
 than the plan's own".
 
 The second half pins the per-phase recipe: ``compiled.memory_plan(stats)``
-is what ``Session.memory_plan()`` plans and ``InferenceServer(memory_plan=True)``
-prices each field with, while sampled batches, served or trained on,
+is what ``Session.memory_plan()`` plans, each phase held to the ledger
+its counters price, while sampled batches, served or trained on,
 execute on fresh storage: their measured watermark is the unpinned walk
 over the roots at the sizes the batch's rings hold them.
 """
@@ -117,15 +117,12 @@ def handed(monkeypatch):
 class TestOneArenaRecipe:
     @pytest.mark.parametrize("training", (True, False))
     def test_session(self, training):
-        sess = (
-            repro.session()
-            .model("gat").dataset("cora").strategy("ours").schedule("memory")
-        )
+        sess = repro.session().model("gat").dataset("cora").strategy("ours")
         want = sess.compile(training=training).memory_plan(sess.resolve_stats())
         assert len(want.phases()) == 1 + training
         _same_plan(sess.memory_plan(training=training), want)
         counters = sess.counters(training=training)
-        assert counters.device_peak_bytes == want.planned_peak_bytes
+        assert counters.peak_memory_bytes == want.ledger_peak_bytes
 
     def test_minibatch_trainer(self, handed):
         compiled = compile_training(MODELS.get("sage")(8, 3), get_strategy("ours"))
@@ -157,16 +154,15 @@ class TestOneArenaRecipe:
         compiled = compile_forward(
             MODELS.get("gat")(16, ds.num_classes), get_strategy("ours")
         )
-        server = InferenceServer(
-            graph, features, {"gat": compiled}, gpu="RTX3090", memory_plan=True
-        )
+        server = InferenceServer(graph, features, {"gat": compiled}, gpu="RTX3090")
         requests = poisson_workload(
             12, qps=4000.0, num_vertices=graph.num_vertices,
             seeds_per_request=2, tenant="gat", seed=0,
         )
         seeds = {r.request_id: r.seeds for r in requests}
         report = server.serve(requests)
-        # The plan prices each field; the batch runs on fresh storage.
+        # Each field is priced on its ledger; the batch runs on fresh
+        # storage.
         assert handed == [None] * len(report.batches)
         assert len(report.batches) > 1
         for trace in report.batches:
@@ -177,6 +173,6 @@ class TestOneArenaRecipe:
             )
             want = compiled.memory_plan(field.subgraph.stats())
             assert (
-                trace.cost.compute.forward.planned_peak_bytes
-                == want.planned_peak_bytes
+                trace.cost.compute.forward.peak_memory_bytes
+                == want.ledger_peak_bytes
             )

@@ -139,19 +139,6 @@ class TestDifferentialAgainstEngine:
         assert report.num_requests == 32 and len(report.outputs) == 32
         assert_outputs_match_direct_engine(server, report, graph, features, "gat")
 
-    def test_memory_plan_prices_only(self, cora):
-        # An arena plan prices each field; batches still run on fresh
-        # storage, so outputs and the virtual clock match the plain run.
-        plain = _run_differential("gat", cora, memory_plan=False)
-        arena = _run_differential("gat", cora, memory_plan=True)
-        for rid in plain.outputs:
-            assert np.array_equal(plain.outputs[rid], arena.outputs[rid])
-        for a, b in zip(plain.batches, arena.batches):
-            assert (
-                b.cost.compute.forward.planned_peak_bytes is not None
-            ), "memory_plan runs must price the arena footprint"
-        assert np.array_equal(plain.latencies_s, arena.latencies_s)
-
 
 def _serve_on_rings(cora, name, monkeypatch, *, strategy="ours",
                     dynamic=False, **server_kwargs):
@@ -216,8 +203,8 @@ class TestServedRings:
     """The server expands each batch to its plan's depth and runs each
     layer on its ring of the field (``Engine.run_plan(distance=)``, the
     batch's own hop distances — never a setting), and every delivered
-    row equals the whole-field run: statically, on a dynamic stream
-    with compactions, and with arena pricing on.  gcn brings an
+    row equals the whole-field run: statically and on a dynamic stream
+    with compactions.  gcn brings an
     edge-domain module input (``gcn_norm``), read at each ring's edge
     ids.
     """
@@ -225,7 +212,6 @@ class TestServedRings:
     MODES = {
         "static": {},
         "dynamic": {"dynamic": True},
-        "memory_plan": {"memory_plan": True},
     }
 
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -523,26 +509,20 @@ class TestValidation:
             InferenceServer(graph, features, {"gat": compiled})
 
     @pytest.mark.parametrize("precision", ["bf16", "int8"])
-    def test_memory_plan_prices_logical_dtypes(self, cora, precision):
-        # The arena plan only prices: a bf16 / int8 plan serves on
-        # fresh storage, the rows of a server without it.
+    def test_logical_dtypes_serve_every_request(self, cora, precision):
+        # A bf16 / int8 plan serves on fresh storage, each batch priced
+        # on its field's ledger.
         ds, graph, features = cora
         strategy = replace(get_strategy("ours"), precision=precision)
         compiled = compile_forward(
             MODELS.get("gat")(IN_DIM, ds.num_classes), strategy
         )
         reqs = workload_for(graph, "default", 12)
-        priced = InferenceServer(
-            graph, features, compiled, memory_plan=True
-        ).serve(reqs)
-        plain = InferenceServer(graph, features, compiled).serve(reqs)
-        assert all(
-            t.cost.compute.forward.planned_peak_bytes is not None
-            for t in priced.batches
-        )
-        assert len(priced.outputs) == len(reqs)
-        for rid, rows in plain.outputs.items():
-            assert priced.outputs[rid].tobytes() == rows.tobytes()
+        report = InferenceServer(graph, features, compiled).serve(reqs)
+        assert len(report.outputs) == len(reqs)
+        for trace in report.batches:
+            ledger = compiled.counters(trace.cost.stats).peak_memory_bytes
+            assert trace.cost.compute.peak_memory_bytes == ledger
 
     def test_negative_cache_rows_refused_at_construction(self, cora):
         ds, graph, features = cora

@@ -386,6 +386,14 @@ GUARDS = [
          "examples/quickstart.py", "from repro.analysis import overlap_diagnostics\n"),
     _row("no-modelled-overlap/overlap-knob-only-on-multi", only_in(r"overlap=", (MULTI,)),
          SESSION, 'engine = MultiEngine(graph, 4, overlap="threads")\n'),
+    # Kernels run in the fusion order and every counter object carries
+    # one peak, the ledger's: the memory schedule did not lower the
+    # host's peak RSS, and the arena-priced peak equalled the ledger.
+    _row("no-memory-schedule/no-reordering-pass-or-second-peak",
+         forbidden(r"schedule_kernels|with_memory_schedule|schedule_memory|ScheduleMemoryPass|"
+                   r"SchedulingRaceError|device_peak_bytes", "src/", "examples/", "benchmarks/",
+                   "README.md"),
+         S + "gpu/cost_model.py", "        peak = counters.device_peak_bytes\n"),
     # A configuration is one RunConfig, every row a SweepRow session.py
     # builds; run_sweep renames no Session.serve keyword.
     _row("one-configuration-record/no-run-result",

@@ -427,13 +427,21 @@ class TestClusterSessions:
     @pytest.mark.parametrize("dim", [2.5, True, 0, -3, float("nan"), float("inf"), "8"])
     def test_feature_dim_refuses_non_widths(self, toy_datasets, dim):
         """2.5 built an ``in_dim`` 2 model, priced it, recorded 2.5 and
-        failed drawing features; ``True`` became width 1."""
+        failed drawing features; ``True`` became width 1.  Batch sizes
+        take the same check: 2.5 ran batches of 2 (its sweep row read
+        2), ``True`` batches of 1, and inf raised ``OverflowError``."""
         with pytest.raises(ValueError, match=f"feature_dim .*got {dim!r}"):
             session().model("gcn").dataset("cora").feature_dim(dim)
+        with pytest.raises(ValueError, match=f"batch_size .*got {dim!r}"):
+            session().model("gcn").dataset("cora").minibatch(dim)
         cache = PlanCache()
-        with pytest.raises(ValueError, match="feature_dim"):
-            run_sweep(models=["gcn"], datasets=[toy_datasets[0]], feature_dim=dim,
-                      cache=cache)
+        for axis in ("feature_dim", "batch_size"):
+            with pytest.raises(ValueError, match=axis):
+                run_sweep(models=["gcn"], datasets=[toy_datasets[0]], cache=cache,
+                          **{axis: dim})
+        with pytest.raises(ValueError, match="batch_size"):
+            run_sweep(models=["gcn"], datasets=[toy_datasets[0]], cache=cache,
+                      batch_size=[None, 64, dim])
         assert cache.misses == 0
 
     def test_feature_dim_from_numpy_is_an_int(self, toy_datasets):
