@@ -14,9 +14,13 @@ Qualitative shape asserted here:
   all 8: pinned inputs/parameters live outside the arena),
 - the planned footprint (pinned + arena) equals the ledger peak within
   slab alignment: packing the fusion order loses nothing to
-  fragmentation.
+  fragmentation,
+- slab reuse is an accounting transform: the fusion-order plan matches
+  the per-op reference (``verify_plan``) and running it through its
+  arena reproduces the fresh-storage outputs bit for bit.
 """
 
+import numpy as np
 import pytest
 
 from repro.registry import MODELS
@@ -62,3 +66,37 @@ class TestMemoryPlanFigure:
     def test_reuse_factor_at_least_one(self, figure):
         for row in figure.normalized:
             assert row["reuse_factor"] >= 1.0, row["workload"]
+
+
+class TestArenaPlansPreserveValues:
+    @pytest.mark.parametrize("name", sorted(MODELS.names()))
+    def test_arena_run_reproduces_fresh_storage(self, name):
+        from repro.exec import Engine, plan_memory
+        from repro.exec.memory import StepMemoryPlan
+        from repro.frameworks import compile_training, get_strategy
+        from repro.graph.generators import erdos_renyi
+
+        graph = erdos_renyi(120, 960, seed=7)
+        compiled = compile_training(MODELS.get(name)(8, 3), get_strategy("ours"))
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(graph.num_vertices, 8))
+        arrays = compiled.model.make_inputs(graph, feats)
+        arrays.update(compiled.model.init_params(0))
+        Engine(graph, precision="float64").verify_plan(compiled.fwd_plan, arrays)
+
+        arena = StepMemoryPlan(
+            forward=plan_memory(
+                compiled.fwd_plan, graph.stats(), pinned=compiled.pinned
+            )
+        )
+        outs = []
+        for memory_plan in (None, arena):
+            engine = Engine(graph, precision="float32", memory_plan=memory_plan)
+            env = engine.bind(compiled.forward, arrays)
+            outs.append(engine.run_plan(compiled.fwd_plan, env, unwrap=False))
+        plain, packed = outs
+        assert plain.keys() == packed.keys()
+        for key in plain:
+            assert np.array_equal(
+                np.asarray(packed[key]), np.asarray(plain[key])
+            ), f"{name}: arena run diverges on {key}"

@@ -130,3 +130,24 @@ class TestCheckOrder:
         order = [0] * len(plan.kernels)
         diags = check_order(plan, order)
         assert [d.code for d in diags] == ["RP103"]
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS.names()))
+    def test_every_inverted_dependence_is_rp101(self, model_name):
+        # Not only gat's first RAW pair: on every zoo plan, each
+        # happens-before edge run backwards is refused by name.
+        inverted = 0
+        for plan in _training_plans(model_name, "ours"):
+            n = len(plan.kernels)
+            assert check_order(plan, list(range(n))) == []
+            for j, before in enumerate(happens_before(plan)):
+                for i in before:
+                    inverted += 1
+                    order = list(range(n))
+                    order[i], order[j] = order[j], order[i]
+                    diags = check_order(plan, order)
+                    assert diags and all(d.code == "RP101" for d in diags)
+                    assert any(
+                        {d.location.kernel, d.location.kernel2} == {i, j}
+                        for d in diags
+                    ), (model_name, i, j)
+        assert inverted > 0
