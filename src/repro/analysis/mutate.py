@@ -7,21 +7,23 @@ exactly the class of defect its checker exists to catch — and
 :func:`self_test` asserts the checker kills it (reports an ERROR with
 the expected code) while the uncorrupted bundle stays clean.
 
-=================  ==========  ======  ===============================
-Mutant             Checker     Kills   Corruption
-=================  ==========  ======  ===============================
-``swap_kernels``   races       RP101   invert a RAW-dependent kernel
-                                       pair in the proposed order
-``shrink_slab``    arena       RP202   halve the largest slab's extent
-``overlap_slab``   arena       RP201   slide a slab onto a live
-                                       neighbour's bytes
-``drop_slab``      arena       RP205   delete a slab outright
-``leak_qint8``     precision   RP301   re-dtype a derived value qint8
-``drop_comm``      halo        RP401   delete one analytic CommRecord
-``dup_comm``       halo        RP402   duplicate one CommRecord
-``global_rng``     determin.   RP501   inject np.random.rand() source
-``wallclock``      determin.   RP503   inject time.time() source
-=================  ==========  ======  ===============================
+=====================  ==========  ======  ===============================
+Mutant                 Checker     Kills   Corruption
+=====================  ==========  ======  ===============================
+``swap_kernels``       races       RP101   invert a RAW-dependent kernel
+                                           pair in the proposed order
+``shrink_slab``        arena       RP202   halve the largest slab's extent
+``overlap_slab``       arena       RP201   slide a slab onto a live
+                                           neighbour's bytes
+``drop_slab``          arena       RP205   delete a slab outright
+``wrong_ledger_peak``  arena       RP204   record a ledger peak one byte
+                                           off the re-walked one
+``leak_qint8``         precision   RP301   re-dtype a derived value qint8
+``drop_comm``          halo        RP401   delete one analytic CommRecord
+``dup_comm``           halo        RP402   duplicate one CommRecord
+``global_rng``         determin.   RP501   inject np.random.rand() source
+``wallclock``          determin.   RP503   inject time.time() source
+=====================  ==========  ======  ===============================
 
 Every mutation works on a deep copy of the bundle, so the plan cache's
 shared artifacts are never corrupted.
@@ -125,6 +127,11 @@ def _drop_slab(bundle: ArtifactBundle) -> ArtifactBundle:
     return bundle
 
 
+def _wrong_ledger_peak(bundle: ArtifactBundle) -> ArtifactBundle:
+    _arena_artifact(bundle).memory_plan.ledger_peak_bytes += 1
+    return bundle
+
+
 def _leak_qint8(bundle: ArtifactBundle) -> ArtifactBundle:
     for artifact in bundle.plans:
         module = artifact.plan.module
@@ -197,6 +204,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "slide a slab onto a simultaneously-live neighbour"),
     Mutant("drop_slab", "arena", "RP205", _drop_slab,
            "delete a boundary value's slab"),
+    Mutant("wrong_ledger_peak", "arena", "RP204", _wrong_ledger_peak,
+           "record a ledger peak the re-walk does not reproduce"),
     Mutant("leak_qint8", "precision", "RP301", _leak_qint8,
            "re-dtype a derived value to qint8"),
     Mutant("drop_comm", "halo", "RP401", _drop_comm,

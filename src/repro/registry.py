@@ -30,6 +30,7 @@ DATASETS   zero-argument builder ``() -> Dataset``
 from __future__ import annotations
 
 import difflib
+import numbers
 from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "register_pass",
     "register_gpu",
     "register_dataset",
+    "whole_count",
 ]
 
 T = TypeVar("T")
@@ -235,3 +237,20 @@ def register_dataset(
 ) -> Callable[[Callable], Callable]:
     """Decorator: register a zero-argument ``() -> Dataset`` builder."""
     return DATASETS.register(name, replace=replace)
+
+
+def whole_count(value: Any, name: str) -> int:
+    """``value`` as a Python int; bools, non-whole numbers and values
+    below one are refused, naming ``name``.
+
+    The one check of every count a caller sets: feature widths, GPU and
+    batch counts, the serving compaction interval.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not value >= 1
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)

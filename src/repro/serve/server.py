@@ -64,19 +64,10 @@ from repro.serve.cache import FeatureCache
 from repro.serve.metrics import BatchTrace, RequestOutcome, ServeReport
 from repro.serve.request import InferenceRequest
 from repro.serve.scheduler import SCHEDULER_POLICIES, PendingBatch, place_batches
+from repro.registry import whole_count
 from repro.exec.profiler import BatchCost
 
 __all__ = ["InferenceServer"]
-
-
-def compaction_interval(compact_every: Optional[int]) -> Optional[int]:
-    """``compact_every`` as a Python int (``None``: never compact);
-    bools, non-whole numbers and values below one are refused."""
-    if compact_every is None:
-        return None
-    from repro.session import _count  # local: the session builds servers
-
-    return _count(compact_every, "compact_every")
 
 
 class _TenantRuntime:
@@ -298,7 +289,8 @@ class InferenceServer:
         """
         cache = FeatureCache(self.cache_rows)
         self.cache = cache
-        compact_every = compaction_interval(compact_every)
+        if compact_every is not None:
+            compact_every = whole_count(compact_every, "compact_every")
         dynamic = bool(updates)
         pending_updates: List["UpdateEvent"] = []
         dyn: Optional[DynamicGraph] = None

@@ -56,7 +56,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 import os
 import weakref
 from collections import OrderedDict
@@ -84,7 +83,7 @@ from repro.graph.stats import GraphStats, expected_field_stats
 from repro.ir.serialize import dumps_module
 from repro.models.base import GNNModel
 from repro.opt.stages import StageMemo
-from repro.registry import MODELS
+from repro.registry import MODELS, whole_count
 import repro.models  # noqa: F401  (populates the model registry)
 
 __all__ = [
@@ -361,12 +360,12 @@ class RunConfig:
             )
         if self.feature_dim is not None:
             object.__setattr__(
-                self, "feature_dim", _count(self.feature_dim, "feature_dim")
+                self, "feature_dim", whole_count(self.feature_dim, "feature_dim")
             )
         if self.minibatch is not None:
             batch_size, seed = self.minibatch
             object.__setattr__(
-                self, "minibatch", (_count(batch_size, "batch_size"), seed)
+                self, "minibatch", (whole_count(batch_size, "batch_size"), seed)
             )
 
     def device(self) -> Union[GPUSpec, Cluster]:
@@ -895,12 +894,12 @@ class Session:
         """
         # Local: keeps the base import cheap.
         from repro.serve import InferenceServer, poisson_workload
-        from repro.serve.server import compaction_interval
 
         if not 0.0 <= update_frac < 1.0:
             raise ValueError("update_frac must lie in [0, 1)")
-        # Refused here, before the stream is built.
-        compaction_interval(compact_every)
+        # Refused before the stream is built; the server checks again.
+        if compact_every is not None:
+            whole_count(compact_every, "compact_every")
         ds = self.resolve_dataset()
         if ds is None or not ds.has_concrete_graph:
             raise ValueError(
@@ -1226,12 +1225,12 @@ def run_sweep(
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
     if feature_dim is not None:
-        feature_dim = _count(feature_dim, "feature_dim")
+        feature_dim = whole_count(feature_dim, "feature_dim")
     batches, precisions, loads, updates, num_gpus = map(
         _axis, (batch_size, precision, serve_qps, update_frac, num_gpus)
     )
-    num_gpus = tuple(_count(n, "num_gpus") for n in num_gpus)
-    batches = tuple(b if b is None else _count(b, "batch_size") for b in batches)
+    num_gpus = tuple(whole_count(n, "num_gpus") for n in num_gpus)
+    batches = tuple(b if b is None else whole_count(b, "batch_size") for b in batches)
     sampled = any(b is not None for b in batches)
     if sampled and any(n > 1 for n in num_gpus):
         raise ValueError(
@@ -1306,19 +1305,6 @@ def run_sweep(
     if save_as:
         sweep.save_json(save_as, results_dir)
     return sweep
-
-
-def _count(value, name: str) -> int:
-    """``value`` as a Python int; bools, non-whole numbers and values
-    below one are refused, naming ``name``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not value >= 1
-        or not float(value).is_integer()
-    ):
-        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
-    return int(value)
 
 
 def _axis(value) -> tuple:

@@ -18,7 +18,7 @@ from repro.analysis.mutate import MUTANTS, run_mutant
 from repro.registry import MODELS
 from repro.session import PlanCache, Session
 
-CORE_STRATEGIES = ("dgl-like", "huang-like", "ours")
+CORE_STRATEGIES = ("dgl-like", "huang-like", "ours", "ours-stash")
 
 
 @pytest.fixture(scope="module")

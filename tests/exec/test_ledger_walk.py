@@ -3,9 +3,7 @@
 ``repro.exec.memory.ledger_walk`` is the only analytic statement of the
 §6 discipline, so nothing in ``src`` is left to compare it with.  The
 oracle lives here instead: :func:`tests.helpers.naive_ledger` recomputes
-the resident set from scratch at every step.  A reordered walk is held
-to it too — for random topological kernel orders, not only "never worse
-than the plan's own".
+the resident set from scratch at every step.
 
 The second half pins the per-phase recipe: ``compiled.memory_plan(stats)``
 is what ``Session.memory_plan()`` plans, each phase held to the ledger
@@ -16,14 +14,11 @@ over the roots at the sizes the batch's rings hold them.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro
 import repro.models  # noqa: F401  (populates the model registry)
-from repro.analysis.races import check_order, hazard_waves
 from repro.exec import Engine
-from repro.exec.memory import StepMemoryPlan, _deaths_under, ledger_walk, root_sizes
+from repro.exec.memory import StepMemoryPlan, ledger_walk, root_sizes
 from repro.frameworks import compile_forward, compile_training, get_strategy
 from repro.graph import get_dataset
 from repro.graph.generators import erdos_renyi
@@ -32,7 +27,7 @@ from repro.registry import MODELS
 from repro.serve import InferenceServer, poisson_workload, receptive_field
 from repro.train import Adam, MiniBatchTrainer
 
-from tests.helpers import naive_ledger, random_topological_order, ring_root_sizes
+from tests.helpers import naive_ledger, ring_root_sizes
 
 STATS = get_dataset("pubmed").stats
 STRATEGIES = ("ours", "ours-stash", "dgl-like")
@@ -54,46 +49,6 @@ class TestWalkAgainstTheNaiveLedger:
                 assert ledger_walk(plan, sizes, pinned=pinned) == naive_ledger(
                     plan, STATS, pinned=pinned
                 )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        model=st.sampled_from(("gat", "gcn", "sage", "monet")),
-        strategy=st.sampled_from(STRATEGIES),
-        backward=st.booleans(),
-        pin=st.booleans(),
-        seed=st.integers(0, 2**31),
-    )
-    def test_random_topological_orders(self, model, strategy, backward, pin, seed):
-        compiled, plans = _phases(model, strategy)
-        plan = plans[backward]
-        order = random_topological_order(plan, np.random.default_rng(seed))
-        assert not check_order(plan, order)
-        pinned = compiled.pinned if pin else ()
-        assert ledger_walk(
-            plan, root_sizes(plan, STATS), order=order, pinned=pinned
-        ) == naive_ledger(plan, STATS, order=order, pinned=pinned)
-
-    @pytest.mark.parametrize("model", sorted(MODELS.names()))
-    def test_hazard_wave_order(self, model):
-        # The wave-major order MultiEngine's overlap modes issue kernels
-        # in, which differs from the emitted one on gat, monet and rgcn.
-        compiled, plans = _phases(model, "ours")
-        for plan in plans:
-            order = [k for wave in hazard_waves(plan) for k in wave]
-            assert not check_order(plan, order)
-            assert ledger_walk(
-                plan, root_sizes(plan, STATS), order=order, pinned=compiled.pinned
-            ) == naive_ledger(plan, STATS, order=order, pinned=compiled.pinned)
-
-    def test_the_cached_death_index_is_the_identity_order_retimed(self):
-        _, plans = _phases("gat", "ours")
-        for plan in plans:
-            cached = plan.liveness().deaths
-            n = len(plan.kernels)
-            retimed = _deaths_under(plan, range(n))
-            assert {k: sorted(v) for k, v in retimed.items()} == {
-                k: sorted(v) for k, v in cached.items() if k < n
-            }
 
 
 # ----------------------------------------------------------------------

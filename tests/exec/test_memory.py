@@ -18,11 +18,14 @@ from repro.graph.datasets import get_dataset
 from repro.graph.generators import erdos_renyi
 from repro.graph.partition import PartitionStats
 from repro.ir import Builder, Domain
-from repro.registry import MODELS
+from repro.registry import MODELS, STRATEGIES
 
 from tests.helpers import reference_node
 
 STATS = get_dataset("cora").stats
+TRAINING_STRATEGIES = tuple(
+    s for s in sorted(STRATEGIES.names()) if get_strategy(s).supports_training
+)
 
 
 def chain_module():
@@ -84,6 +87,21 @@ class TestSlabAssignment:
             mp = plan_memory(plan, STATS)
             assert mp.arena_bytes <= mp.naive_bytes
             assert mp.reuse_factor >= 1.0
+
+    @pytest.mark.parametrize("strategy", TRAINING_STRATEGIES)
+    @pytest.mark.parametrize("name", sorted(MODELS.names()))
+    def test_arena_lies_between_the_live_floor_and_fresh_storage(
+        self, name, strategy
+    ):
+        # Off `ours` best-fit packing can fragment, so planned may
+        # exceed the ledger peak; it never undercuts it.
+        compiled = compiled_for(name, strategy)
+        pinned = list(compiled.forward.inputs) + list(compiled.forward.params)
+        for plan in (compiled.fwd_plan, compiled.bwd_plan):
+            for held in ((), pinned):
+                mp = plan_memory(plan, STATS, pinned=held)
+                assert mp.live_peak_bytes <= mp.arena_bytes <= mp.naive_bytes
+                assert mp.planned_peak_bytes >= mp.ledger_peak_bytes
 
     def test_ledger_peak_matches_analytic_walk(self):
         compiled = compiled_for("gat")

@@ -430,21 +430,21 @@ def _no_chains(plan, index):
     return {}, set()
 
 
-def naive_ledger(plan, stats, *, order=None, pinned=()):
+def naive_ledger(plan, stats, *, pinned=()):
     """The §6 ledger recomputed from scratch at every step.
 
     The oracle for :func:`repro.exec.memory.ledger_walk`, returned in
     its ``(timeline, pinned share, end-resident)`` shape.  It keeps no
-    running state and reads no liveness cache: for every step of
-    ``order`` it asks again, from ``kernel_io`` alone, which roots have
-    been made and which are still owed — pinned, kept, an output, read
+    running state and reads no liveness cache: for every step of the
+    plan's kernel order it asks again, from ``kernel_io`` alone, which
+    roots have been made and which are still owed — pinned, kept, an output, read
     by this or a later step, or written this very step (an input
     nothing reads is held through the first kernel).  Graph constants
     cost nothing.  Quadratic in the kernel count, on purpose.
     """
     module, root = plan.module, plan.root_of
     V, E = stats.num_vertices, stats.num_edges
-    order = list(range(len(plan.kernels)) if order is None else order)
+    order = list(range(len(plan.kernels)))
     constants = {root(n) for n in GRAPH_CONSTANTS}
     pinned = {root(n) for n in pinned}
     held = pinned | {root(n) for n in [*plan.keep, *module.outputs]}
@@ -576,28 +576,6 @@ def phase_counters(plan, stats, *, pinned=()) -> PhaseCounters:
         peak_memory_bytes=walk.peak_bytes,
         end_resident_bytes=walk.end_resident_bytes,
     )
-
-
-def random_topological_order(plan, rng) -> List[int]:
-    """One dependency-respecting kernel order, drawn uniformly at each
-    step among the ready kernels (a kernel waits for the producer of
-    every value its nodes name, views included)."""
-    waiting = []
-    for index, kernel in enumerate(plan.kernels):
-        producers = {
-            plan.producer_kernel(name)
-            for node in kernel.nodes
-            for name in node.all_inputs()
-        }
-        waiting.append(producers - {None, index})
-    order: List[int] = []
-    while len(order) < len(waiting):
-        ready = [
-            i for i, deps in enumerate(waiting)
-            if i not in order and deps <= set(order)
-        ]
-        order.append(ready[int(rng.integers(len(ready)))])
-    return order
 
 
 def training_phases(engine, compiled, features: np.ndarray, params):
