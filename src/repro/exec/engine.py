@@ -34,8 +34,8 @@ such a kernel is one of the walk's steps.  Internal values never enter
 the run's value table — the host-side meaning of "internal values live
 on chip".  Both keep each segment's ``+0.0``-then-left-to-right order in
 CSC/CSR edge order, so they are bit-identical to running the same kernel
-node by node (a weighted chain: wherever scipy's product rounds
-``w * x`` before adding it — README clause 1d), which is what per-op
+node by node (a weighted chain: wherever scipy's compiled CSR loop
+rounds ``w * x`` before adding it — README clause 1d), which is what per-op
 kernels still do.  ``MultiEngine`` shards step through the same bound
 steps and never walk; they take every chain, an out-edge aggregation
 over the shard's out-graph.  Runs that round or inspect
@@ -328,7 +328,7 @@ class Engine:
         storage laid out by the same rule at node granularity (the
         slabs are laid out again among the values really written, so
         no byte is reserved for one that is not).  A kernel with no
-        in-place path (the scipy product behind every segment sum)
+        in-place path (the CSR product behind every segment sum)
         keeps the fresh storage it allocates, and nothing is copied in.
         Every phase of a step runs in one buffer, sized to the largest
         phase.  This requires the engine precision to
@@ -499,7 +499,7 @@ class Engine:
         it is handed?  Its kernel takes ``out``, and every operand has
         the output's dtype (so the result's is that dtype too)."""
         if chain is not None:
-            kind, fn = "scatter", chain.scatter   # None: the scipy product
+            kind, fn = "scatter", chain.scatter   # None: the CSR product
         elif node.kind in (OpKind.APPLY, OpKind.SCATTER):
             kind, fn = node.kind.value, node.fn
         else:

@@ -17,7 +17,9 @@ Edge-feature tensors are stored in COO edge-id order.  A segment *sum*
 (``gather sum`` / ``mean``) is one CSR × dense product of the graph's
 unit incidence operator (:meth:`repro.graph.csr.Graph.incidence`, CSC
 for in-edges, CSR for out-edges) with the edge tensor
-(:func:`segment_sum`): the permutation is the operator's column
+(:func:`segment_sum`, the product of
+:class:`~repro.graph.csr.CsrOperator`, scipy's compiled CSR loop called
+directly): the permutation is the operator's column
 indices, and each segment is ``+0.0`` then its rows added left to right
 in CSC/CSR edge order — what a per-segment loop computes, bit for bit.
 ``max`` (order-insensitive) permutes the rows and uses
@@ -27,7 +29,7 @@ in CSC/CSR edge order — what a per-segment loop computes, bit for bit.
 reads the vertex rows through the graph's adjacency operator and never
 builds the edge tensor.  ``u_dot_v`` — also what a chain's per-edge dot
 product ``reduce_to_shape(copy_v(a) * copy_u(b))`` runs as — builds its
-per-edge products a :data:`~repro.exec.blocks.BLOCK_BYTES` chunk of
+per-edge products a :data:`~repro.exec.blocks.DOT_CHUNK_BYTES` chunk of
 edges at a time.  The dot step, ``reduce_to_shape``'s surplus axes and
 ``gaussian`` sum their rounded products with one trailing-axis
 contraction (:func:`contract_trailing`), whatever rows or chunks it is
@@ -60,7 +62,7 @@ In-place contract: the kernels that are one ufunc, one matmul, one
 einsum or one row take (``np.take``) declare ``out``
 (:func:`writes_out`); given it, they write their result there — bit for
 bit the fresh call's — and return it.  That is how an arena-backed
-engine puts a value into its slab.  The rest (the scipy product behind
+engine puts a value into its slab.  The rest (the CSR product behind
 every segment sum, ``where``/``reduceat``/composite kernels) return
 fresh storage, and the engine keeps it.
 """
@@ -583,14 +585,14 @@ def _s_u_mul_v(graph, inputs, out=None):
 @register_kernel("scatter", "u_dot_v")
 def _s_u_dot_v(graph, inputs, out=None):
     # Chunks of edges whose gathered rows (two edge rows each: the
-    # product is made in place in the ``u`` rows) hold ~BLOCK_BYTES at
-    # once, in two buffers every chunk reuses; each edge's sum is its
-    # own, so chunking moves no bit.
+    # product is made in place in the ``u`` rows) hold ~DOT_CHUNK_BYTES
+    # at once, in two buffers every chunk reuses; each edge's sum is
+    # its own, so chunking moves no bit.
     u, v = inputs
     src, dst = graph.src, graph.dst
     edges = src.shape[0]
     row_bytes = u[:1].nbytes + v[:1].nbytes
-    step = max(1, min(edges, blocks.BLOCK_BYTES // max(row_bytes, 1)))
+    step = max(1, min(edges, blocks.DOT_CHUNK_BYTES // max(row_bytes, 1)))
     if out is None:
         out = np.empty((edges,) + u.shape[1:-1], dtype=u.dtype)
     products = np.empty((step,) + u.shape[1:], dtype=u.dtype)
@@ -634,8 +636,9 @@ def _max_grad(graph: Graph, grad: np.ndarray, argmax: np.ndarray) -> np.ndarray:
 def segment_sum(operator, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
     """The one segment-sum kernel: ``operator @ values``.
 
-    ``operator`` is segments × rows of ``values`` — a unit incidence
-    operator over edge rows, or an adjacency operator over vertex rows
+    ``operator`` (a :class:`~repro.graph.csr.CsrOperator`) is segments
+    × rows of ``values`` — a unit incidence operator over edge rows, or
+    an adjacency operator over vertex rows
     (:func:`repro.graph.csr.adjacency_operator`); feature axes are
     flattened for the product and restored.  Every segment is ``+0.0``
     then its entries' rows (× the entry) added left to right in the
@@ -650,8 +653,7 @@ def segment_sum(operator, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
     if rows == 0 or width == 0:
         out = np.zeros(out_shape, dtype=operator.dtype)
     else:
-        flat = values.reshape(rows, width).astype(operator.dtype, copy=False)
-        out = (operator @ flat).reshape(out_shape)
+        out = (operator @ values.reshape(rows, width)).reshape(out_shape)
     if fill != 0.0:
         out[np.diff(operator.indptr) == 0] = fill
     return out
@@ -772,8 +774,8 @@ def aggregate(
     ``weight[e, h] * x[far(e), h]`` added left to right in CSC/CSR edge
     order — the sum :func:`gather_kernel` takes of the edge tensor, bit
     for bit when unweighted (``1 * x`` is exact), and when weighted
-    unless scipy's build fuses ``y += w * x`` into one rounding (README
-    clause 1d).
+    unless scipy's compiled loop fuses ``y += w * x`` into one rounding
+    (README clause 1d).
     """
     heads = 1 if weight is None else int(np.prod(weight.shape[1:], dtype=np.int64))
     operator, order = layout.adjacency(orientation, x.dtype, heads)

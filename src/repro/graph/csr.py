@@ -21,8 +21,10 @@ Conventions used throughout the library
   the same product with the view's adjacency operator
   (:func:`adjacency_operator`, :meth:`Graph.adjacency`), whose columns
   are far-endpoint vertex ids (head-interleaved for per-head weights):
-  no edge tensor exists at all.  Both operators are built here and
-  nowhere else.
+  no edge tensor exists at all.  Both are a :class:`CsrOperator`, built
+  here and nowhere else; its one product is scipy's compiled CSR loop
+  (``csr_matvecs``), called directly, so ``scipy.sparse`` loads at a
+  run's first product, not at its first operator.
 * A grouping is computed from the edge list once (:func:`_group_edges`,
   a stable sort) or handed over by a maker that already knows it,
   through :meth:`Graph.grouped` — the one way in from outside; nobody
@@ -49,19 +51,83 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
+__all__ = ["CsrOperator", "Graph", "adjacency_operator", "incidence_operator"]
 
-__all__ = ["Graph", "adjacency_operator", "incidence_operator"]
+
+def _pruned(array: np.ndarray) -> np.ndarray:
+    """``array``, or a copy of it if it is a view of less than half its
+    base: an operator kept in a cache must not pin a dead base."""
+    base = array.base
+    if isinstance(base, np.ndarray) and array.nbytes < base.nbytes // 2:
+        return array.copy()
+    return array
+
+
+class CsrOperator:
+    """A segments × columns operator in CSR form, and its one product.
+
+    Row ``i`` holds ``data[k]`` in column ``indices[k]`` for ``k`` in
+    ``indptr[i]:indptr[i+1]``.  Built by :func:`adjacency_operator` only.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr, indices, data, shape: Tuple[int, int]):
+        if indptr.dtype != indices.dtype or indptr.dtype.kind != "i":
+            raise ValueError(
+                f"indptr and indices must share an integer dtype, got "
+                f"{indptr.dtype} and {indices.dtype}"
+            )
+        if (indptr.ndim, indices.ndim, data.ndim) != (1, 1, 1):
+            raise ValueError("indptr, indices and data must be 1-D")
+        if indptr.shape[0] != shape[0] + 1 or indices.shape != data.shape:
+            raise ValueError(
+                f"{shape[0]} rows need {shape[0] + 1} offsets and one entry "
+                f"per index, got {indptr.shape[0]}, {indices.shape[0]} and "
+                f"{data.shape[0]}"
+            )
+        if indptr[0] != 0 or indptr[-1] > indices.shape[0]:
+            raise ValueError("offsets must run from 0 to at most the entry count")
+        self.indptr, self.indices, self.data = map(_pruned, (indptr, indices, data))
+        self.shape = shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """``operator @ x`` for ``x`` of ``(columns, k)``, taken in the
+        operator's dtype: per row ``+0.0``, then ``data[k] *
+        x[indices[k]]`` added left to right.  A fresh
+        ``(rows, k)`` array.
+
+        The loop is scipy's compiled ``csr_matvecs``, what ``csr_array
+        @ x`` runs (for one column it runs ``csr_matvec``, which adds in
+        the same order), so the bits are public scipy's.
+        ``scipy.sparse`` is imported here, at the first product a run
+        takes, so a run that takes none (an analytic one) never loads it.
+        """
+        from scipy.sparse import _sparsetools
+
+        rows, columns = self.shape
+        if x.ndim != 2 or x.shape[0] != columns:
+            raise ValueError(f"operator {self.shape} cannot multiply {x.shape}")
+        x = np.ascontiguousarray(x, dtype=self.data.dtype)
+        out = np.zeros((rows, x.shape[1]), dtype=self.data.dtype)
+        _sparsetools.csr_matvecs(
+            rows, columns, x.shape[1], self.indptr, self.indices, self.data,
+            x.ravel(), out.ravel(),
+        )
+        return out
 
 
 def adjacency_operator(
     indptr: np.ndarray, columns: np.ndarray, num_columns: int, data: np.ndarray
-) -> csr_array:
+) -> CsrOperator:
     """Segments × rows operator with one stored entry per edge.
 
     Row ``i`` holds ``data[k]`` in column ``columns[k]`` for ``k`` in
@@ -69,22 +135,16 @@ def adjacency_operator(
     ``+0.0`` then ``data[k] * x[columns[k]]`` added left to right.
     Entries are kept as given — parallel edges stay separate terms, in
     order.  With far-endpoint vertex ids as columns this is a weighted
-    adjacency; index arrays already in scipy's index dtype (another
-    operator's ``indices`` / ``indptr``) are referenced, not copied.
-
-    ``scipy.sparse`` is imported here, at the first operator a run
-    builds, so a run that builds none (an analytic one) never loads it.
+    adjacency.  The arrays are referenced, not copied (another
+    operator's ``indices`` / ``indptr``, a block's views), unless one is
+    a view of less than half its base.
     """
-    from scipy.sparse import csr_array
-
-    return csr_array(
-        (data, columns, indptr), shape=(indptr.shape[0] - 1, num_columns)
-    )
+    return CsrOperator(indptr, columns, data, (indptr.shape[0] - 1, num_columns))
 
 
 def incidence_operator(
     indptr: np.ndarray, eids: np.ndarray, num_edges: int, dtype
-) -> csr_array:
+) -> CsrOperator:
     """Unit incidence operator, segments × edge rows.
 
     Row ``i`` holds a one in columns ``eids[indptr[i]:indptr[i+1]]``, so
@@ -180,7 +240,7 @@ class _SegmentLayout:
             return self.csr_indptr, self.csr_eids
         raise ValueError(f"orientation must be 'in' or 'out', got {orientation!r}")
 
-    def incidence(self, orientation: str, dtype) -> csr_array:
+    def incidence(self, orientation: str, dtype) -> CsrOperator:
         """Cached :func:`incidence_operator` of :meth:`segments`, with
         unit entries of ``dtype``.  Built on first use; threads racing
         to it build equal operators."""
@@ -194,7 +254,7 @@ class _SegmentLayout:
 
     def adjacency(
         self, orientation: str, dtype, heads: int = 1
-    ) -> Tuple[csr_array, np.ndarray]:
+    ) -> Tuple[CsrOperator, np.ndarray]:
         """Cached unit :func:`adjacency_operator` of :meth:`segments`,
         with the order its entries take an edge tensor in.
 

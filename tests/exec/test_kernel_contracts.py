@@ -470,11 +470,11 @@ OUT_KERNELS = [
 
 def _size_graph(size: str, monkeypatch) -> Graph:
     """``tiny``: the hand-made multigraph; ``chunked``: a random graph
-    with a block budget small enough that ``u_dot_v`` takes many
+    with a chunk budget small enough that ``u_dot_v`` takes many
     chunks."""
     if size == "tiny":
         return Graph(np.array([0, 0, 1, 2, 2, 0]), np.array([1, 2, 2, 0, 2, 1]), N)
-    monkeypatch.setattr(blocks, "BLOCK_BYTES", 256)
+    monkeypatch.setattr(blocks, "DOT_CHUNK_BYTES", 256)
     rng = np.random.default_rng(5)
     return Graph(rng.integers(0, 40, 300), rng.integers(0, 40, 300), 40)
 
@@ -563,7 +563,7 @@ class TestOutPath:
             seed=st.integers(0, 2 ** 31),
         )
         def check(kernel, n, m, f, dtype, budget, seed):
-            monkeypatch.setattr(blocks, "BLOCK_BYTES", budget)
+            monkeypatch.setattr(blocks, "DOT_CHUNK_BYTES", budget)
             rng = np.random.default_rng(seed)
             graph = Graph(rng.integers(0, n, m), rng.integers(0, n, m), n)
             kind, fn = kernel

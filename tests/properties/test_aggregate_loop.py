@@ -180,7 +180,7 @@ def test_dot_step_is_the_per_edge_loop(dtype, heads, width, data, budget):
     for e in range(graph.num_edges):
         want[e] = contract_trailing(b[graph.src[e]] * a[graph.dst[e]])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(blocks, "BLOCK_BYTES", budget)
+        patch.setattr(blocks, "DOT_CHUNK_BYTES", budget)
         got = scatter_kernel("u_dot_v", graph, [b, a])
     node_path = apply_kernel(
         "reduce_to_shape",
@@ -196,10 +196,39 @@ def test_dot_step_is_the_per_edge_loop(dtype, heads, width, data, budget):
 @pytest.mark.parametrize("budget", [1, 2 ** 22])
 def test_dot_step_without_edges(budget, monkeypatch):
     """No edge, no chunk: an ``(0, heads)`` result of the operands' dtype."""
-    monkeypatch.setattr(blocks, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(blocks, "DOT_CHUNK_BYTES", budget)
     x = np.ones((3, 2, 4), dtype=np.float32)
     got = scatter_kernel("u_dot_v", Graph(np.zeros(0, int), np.zeros(0, int), 3), [x, x])
     assert got.shape == (0, 2) and got.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", STORAGE_DTYPES)
+@pytest.mark.parametrize("per_chunk", ["1", "7", "more-than-E"])
+def test_dot_step_chunks_move_no_bit(per_chunk, dtype, monkeypatch):
+    """Chunks of 1 edge, 7 edges and one chunk longer than the edge list
+    (``DOT_CHUNK_BYTES`` a whole number of edges' gathered rows) take
+    ``ceil(E / chunk)`` contractions and give the one-chunk result, bit
+    for bit: each edge's sum is its own."""
+    from repro.exec import kernels
+
+    rng = np.random.default_rng(11)
+    graph = Graph(rng.integers(0, 30, 200), rng.integers(0, 30, 200), 30)
+    a, b = (rng.normal(size=(30, 3, 5)).astype(dtype) for _ in range(2))
+    edges, edge_bytes = graph.num_edges, a[:1].nbytes + b[:1].nbytes
+    monkeypatch.setattr(blocks, "DOT_CHUNK_BYTES", (edges + 1) * edge_bytes)
+    whole = scatter_kernel("u_dot_v", graph, [b, a])
+    chunk = {"1": 1, "7": 7, "more-than-E": edges + 1}[per_chunk]
+    monkeypatch.setattr(blocks, "DOT_CHUNK_BYTES", chunk * edge_bytes)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return contract_trailing(*args)
+
+    monkeypatch.setattr(kernels, "contract_trailing", counted)
+    got = scatter_kernel("u_dot_v", graph, [b, a])
+    assert calls == [min(chunk, edges - lo) for lo in range(0, edges, chunk)]
+    assert got.dtype == dtype and got.tobytes() == whole.tobytes()
 
 
 @st.composite

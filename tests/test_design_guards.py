@@ -308,12 +308,16 @@ GUARDS = [
          S + "dyn/workload.py", "v = rng.choice(n, p=weights)\n"),
     _row("constants-once/no-per-call-canonical-matrix", forbidden(r"_canonical_features", "src/"),
          S + "graph/datasets.py", "def _canonical_features(n, f):\n    pass\n"),
-    # Every sum is a CSR product through public scipy.
+    # Every sum is the CsrOperator product: scipy's compiled CSR loop,
+    # called at one line of graph/csr.py.
     _row("one-segment-sum/no-strided-reduceat", forbidden(r"add\.reduceat", S),
          KERNELS, "out = np.add.reduceat(x, starts)\n"),
-    _row("one-segment-sum+one-place-builds-operators/no-sparsetools",
-         forbidden(r"_sparsetools", "src/"),
-         CSR, "from scipy.sparse import _sparsetools\n"),
+    _row("one-segment-sum+one-place-builds-operators/sparsetools-only-in-csr",
+         only_in(r"_sparsetools", (CSR,)),
+         KERNELS, "from scipy.sparse import _sparsetools\n"),
+    _row("one-segment-sum+one-place-builds-operators/one-sparsetools-call",
+         only_in(r"_sparsetools\.\w+\(", (CSR,), count=1),
+         CSR, "    _sparsetools.csr_matvec(m, n, p, i, d, x, y)\n", at="def adjacency_operator("),
     # graph/csr.py sorts in _group_edges and, for a graph made from its
     # in-edges, in InEdges.order (its edge list's order); groupings are
     # handed over through Graph.grouped, never _cache; dedup is a scatter.
@@ -352,9 +356,13 @@ GUARDS = [
          ENGINE, 'block = graph.row_block("out", 0, n, within=d)\n'),
     _row("one-ring/no-per-node-ring-step", forbidden(r"_Rings\.step|def _step\(", "src/"),
          RINGS, "def _step(run, node):\n    pass\n"),
-    # graph/csr.py's adjacency_operator is the one constructor call.
-    _row("one-place-builds-operators/csr-array-once", only_in(r"csr_array\(", (CSR,), count=1),
+    # graph/csr.py's adjacency_operator is the one constructor call, of
+    # the repro-owned operator: no scipy sparse array is built.
+    _row("one-place-builds-operators/no-csr-array", forbidden(r"csr_array\(", "src/"),
          KERNELS, "op = sp.csr_array((w, idx, ptr))\n"),
+    _row("one-place-builds-operators/csr-operator-built-once",
+         only_in(r"CsrOperator\(", (CSR,), count=1),
+         KERNELS, "op = CsrOperator(ptr, idx, w, shape)\n"),
     # exec/kernels.py weights an operator in one place, aggregate.
     _row("one-product-per-aggregation/one-weighted-operator",
          calls_inside(KERNELS, ("adjacency_operator",), "aggregate", count=1),
@@ -376,9 +384,9 @@ GUARDS = [
     _row("one-way-into-a-slab/only-engine-builds-a-pool", only_in(r"ArenaPool\(", (ENGINE,)),
          S + "train/loop.py", "pool = ArenaPool(plan)\n"),
     # scipy loads where a run first uses it: scipy.sparse at the first
-    # operator build, scipy.spatial in knn_graph; importing repro loads none.
+    # product, scipy.spatial in knn_graph; importing repro loads none.
     _row("load-only-what-runs/no-scipy-import-on-load", no_import_on_load("scipy", "src/"),
-         CSR, "from scipy.sparse import csr_array\n"),
+         CSR, "from scipy.sparse import _sparsetools\n"),
     # MultiEngine's hazard waves are the one overlap left.
     _row("no-modelled-overlap/no-overlap-schedules",
          forbidden(r"build_overlap_schedule|OverlapSchedule|overlap_schedules|RP105|"

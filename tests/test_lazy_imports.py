@@ -2,8 +2,10 @@
 
 Each case runs in a fresh interpreter (an imported module stays
 imported, so one process cannot tell which step loaded it) and reports
-the ``scipy`` modules loaded once its code has run: none for an import
-or an analytic run, ``scipy.sparse`` once a step builds an operator,
+the ``scipy`` modules loaded once its code has run: none for an import,
+an analytic run or an operator built but never multiplied,
+``scipy.sparse`` once a step takes a product (the operator is the
+repository's own; only its product calls scipy's compiled loop),
 ``scipy.spatial`` only for a k-NN graph.
 """
 
@@ -24,6 +26,13 @@ CASES = {
         import repro
         repro.run_sweep(models=["gcn", "gat"], datasets=["cora"],
                         strategies=["dgl-like", "ours"])
+    """,
+    "operator-build": """
+        import numpy as np
+        from repro.graph import chung_lu
+        graph = chung_lu(30, 120, seed=1)
+        graph.adjacency("in", np.float32, 2), graph.incidence("out", np.float64)
+        graph.row_block("in", 0, 10).adjacency("in", np.float32)
     """,
     "train-step": """
         import numpy as np
@@ -57,8 +66,8 @@ def _scipy_loaded(case):
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("case", ["import", "analytic-sweep"])
-def test_no_scipy_without_an_operator(case):
+@pytest.mark.parametrize("case", ["import", "analytic-sweep", "operator-build"])
+def test_no_scipy_without_a_product(case):
     assert _scipy_loaded(case) == set()
 
 
