@@ -30,7 +30,10 @@ BLOCK_BYTES = 1 << 22
 #: rows of each edge), well inside a core's L2 (2 MiB on the measuring
 #: 2-vCPU host).  gat/cora's ``(4, 64)`` float32 dot step reads 3.8 ms
 #: a call at 4 MiB chunks, 3.0 at 256 and 512 KiB, 3.7 at 128 KiB
-#: (per-chunk dispatch) — medians of 40 calls, one BLAS thread.
+#: (per-chunk dispatch) — medians of 40 calls, one BLAS thread.  Ten
+#: alternating ``train-gat-cora`` pairs against 4 MiB chunks, nothing
+#: else changed: ``peak_rss_mb`` 96.8 → 95.5 MiB (10/10), ``iter_p50_s``
+#: .0229 → .0217 s (6/10, within noise).
 DOT_CHUNK_BYTES = 1 << 18
 
 

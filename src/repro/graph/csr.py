@@ -58,15 +58,6 @@ import numpy as np
 __all__ = ["CsrOperator", "Graph", "adjacency_operator", "incidence_operator"]
 
 
-def _pruned(array: np.ndarray) -> np.ndarray:
-    """``array``, or a copy of it if it is a view of less than half its
-    base: an operator kept in a cache must not pin a dead base."""
-    base = array.base
-    if isinstance(base, np.ndarray) and array.nbytes < base.nbytes // 2:
-        return array.copy()
-    return array
-
-
 class CsrOperator:
     """A segments × columns operator in CSR form, and its one product.
 
@@ -92,7 +83,7 @@ class CsrOperator:
             )
         if indptr[0] != 0 or indptr[-1] > indices.shape[0]:
             raise ValueError("offsets must run from 0 to at most the entry count")
-        self.indptr, self.indices, self.data = map(_pruned, (indptr, indices, data))
+        self.indptr, self.indices, self.data = indptr, indices, data
         self.shape = shape
 
     @property
@@ -135,9 +126,10 @@ def adjacency_operator(
     ``+0.0`` then ``data[k] * x[columns[k]]`` added left to right.
     Entries are kept as given — parallel edges stay separate terms, in
     order.  With far-endpoint vertex ids as columns this is a weighted
-    adjacency.  The arrays are referenced, not copied (another
-    operator's ``indices`` / ``indptr``, a block's views), unless one is
-    a view of less than half its base.
+    adjacency.  The arrays are referenced, never copied (another
+    operator's ``indices`` / ``indptr``, a block's views): every
+    operator is cached by the layout that already holds its index
+    arrays, or lives for one product.
     """
     return CsrOperator(indptr, columns, data, (indptr.shape[0] - 1, num_columns))
 

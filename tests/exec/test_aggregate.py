@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exec import kernels
 from repro.exec.kernels import aggregate, apply_kernel, gather_kernel, scatter_kernel
 from repro.graph import Graph, chung_lu
 from repro.graph.csr import adjacency_operator
@@ -162,11 +163,20 @@ class TestOperators:
         )
         assert (operator @ np.array([[1e16], [1.0]])).tolist() == [[0.0]]
 
-    def test_weighted_operator_shares_the_unit_operators_indices(self):
+    def test_weighted_operator_shares_the_unit_operators_indices(self, monkeypatch):
+        # ``aggregate`` hands the cached unit operator's index arrays to
+        # the weighted one as they are: only the entries are new.
         graph = chung_lu(30, 120, seed=2)
-        unit, _ = graph.adjacency("in", np.float64)
-        weighted = adjacency_operator(
-            unit.indptr, unit.indices, unit.shape[1], np.ones(120)
-        )
-        assert np.shares_memory(weighted.indices, unit.indices)
-        assert np.shares_memory(weighted.indptr, unit.indptr)
+        unit, _ = graph.adjacency("in", np.float64, 2)
+        built = []
+
+        def spy(*args):
+            built.append(adjacency_operator(*args))
+            return built[-1]
+
+        monkeypatch.setattr(kernels, "adjacency_operator", spy)
+        rng = np.random.default_rng(0)
+        aggregate(graph, rng.normal(size=(30, 2, 3)), rng.normal(size=(120, 2)))
+        (weighted,) = built
+        assert weighted.indptr is unit.indptr and weighted.indices is unit.indices
+        assert weighted.data.dtype == np.float64 and weighted.shape == unit.shape

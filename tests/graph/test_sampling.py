@@ -300,8 +300,9 @@ class TestPlanMinibatches:
 
 def _strongly_reachable_arrays(root):
     """Every ndarray strongly reachable from ``root``: through
-    containers, instance attributes, closures and array bases — not
-    through weak references, module globals or types."""
+    containers, instance attributes (``__dict__`` and ``__slots__``),
+    closures and array bases — not through weak references, module
+    globals or types."""
     import types
 
     seen, arrays, stack = set(), [], [root]
@@ -323,8 +324,18 @@ def _strongly_reachable_arrays(root):
             stack.extend(obj.__defaults__ or ())
         elif isinstance(obj, types.MethodType):
             stack.extend([obj.__self__, obj.__func__])
-        elif hasattr(obj, "__dict__"):
-            stack.append(vars(obj))
+        else:
+            if hasattr(obj, "__dict__"):
+                stack.append(vars(obj))
+            # Read each slot through its descriptor: an unset one raises
+            # instead of reaching a lazy ``__getattr__``.
+            for cls in type(obj).__mro__:
+                slots = cls.__dict__.get("__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    try:
+                        stack.append(cls.__dict__[name].__get__(obj, cls))
+                    except AttributeError:
+                        pass
     return arrays
 
 
