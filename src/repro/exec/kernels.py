@@ -75,7 +75,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exec import blocks
-from repro.graph.csr import Graph, adjacency_operator, incidence_operator
+from repro.graph.csr import Graph, adjacency_operator
 
 __all__ = [
     "aggregate",
@@ -633,7 +633,7 @@ def _max_grad(graph: Graph, grad: np.ndarray, argmax: np.ndarray) -> np.ndarray:
 # ======================================================================
 # Gather kernels (segment reductions)
 # ======================================================================
-def segment_sum(operator, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+def segment_sum(operator, values: np.ndarray) -> np.ndarray:
     """The one segment-sum kernel: ``operator @ values``.
 
     ``operator`` (a :class:`~repro.graph.csr.CsrOperator`) is segments
@@ -644,19 +644,15 @@ def segment_sum(operator, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
     then its entries' rows (× the entry) added left to right in the
     operator's column order, accumulated in the operator's dtype — so
     whole graphs, blocks of one and partition shards agree bit for bit
-    on the segments they share.  Empty segments produce ``fill``.
+    on the segments they share.  Empty segments produce ``+0.0``.
     Returns a fresh array of the operator's dtype.
     """
     rows = values.shape[0]
     out_shape = (operator.shape[0],) + values.shape[1:]
     width = int(np.prod(values.shape[1:], dtype=np.int64))
     if rows == 0 or width == 0:
-        out = np.zeros(out_shape, dtype=operator.dtype)
-    else:
-        out = (operator @ values.reshape(rows, width)).reshape(out_shape)
-    if fill != 0.0:
-        out[np.diff(operator.indptr) == 0] = fill
-    return out
+        return np.zeros(out_shape, dtype=operator.dtype)
+    return (operator @ values.reshape(rows, width)).reshape(out_shape)
 
 
 def segment_reduce(
@@ -670,16 +666,10 @@ def segment_reduce(
 
     ``values`` must already be ordered by segment;
     ``indptr[i]:indptr[i+1]`` delimits segment ``i``.  Empty segments
-    produce ``fill``.  ``sum`` is :func:`segment_sum` (left to right
-    from ``+0.0``, accumulated in :func:`acc_dtype`); ``max`` is
-    ``np.maximum.reduceat``.
+    produce ``fill``.  ``max`` is ``np.maximum.reduceat``; a sum is
+    :func:`segment_sum` over an operator.
     """
     n = values.shape[0]
-    if reduce == "sum":
-        operator = incidence_operator(
-            indptr, np.arange(n, dtype=np.int64), n, acc_dtype(values.dtype)
-        )
-        return segment_sum(operator, values, fill).astype(values.dtype, copy=False)
     if reduce != "max":
         raise KeyError(reduce)
     num_segments = indptr.shape[0] - 1

@@ -23,8 +23,9 @@ Conventions used throughout the library
   are far-endpoint vertex ids (head-interleaved for per-head weights):
   no edge tensor exists at all.  Both are a :class:`CsrOperator`, built
   here and nowhere else; its one product is scipy's compiled CSR loop
-  (``csr_matvecs``), called directly, so ``scipy.sparse`` loads at a
-  run's first product, not at its first operator.
+  (``csr_matvecs``), called directly.  The extension holding it is
+  loaded from its file at a run's first product (:func:`_load_sparsetools`),
+  so no process imports the ``scipy.sparse`` package.
 * A grouping is computed from the edge list once (:func:`_group_edges`,
   a stable sort) or handed over by a maker that already knows it,
   through :meth:`Graph.grouped` — the one way in from outside; nobody
@@ -49,6 +50,9 @@ live in the execution engine; analytic passes only ever need
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Optional, Tuple
@@ -56,6 +60,39 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 __all__ = ["CsrOperator", "Graph", "adjacency_operator", "incidence_operator"]
+
+#: scipy's compiled CSR loops once :func:`_load_sparsetools` has loaded them.
+_SPARSETOOLS = None
+
+
+def _load_sparsetools():
+    """scipy's compiled CSR loops (``scipy/sparse/_sparsetools``), loaded
+    from their file on the first call and kept.
+
+    Importing them as ``scipy.sparse._sparsetools`` runs the package's
+    ``__init__``, some 300 modules and 20 MiB, none of which the loops
+    use.  The extension is found in scipy's ``sparse`` directory without
+    importing scipy, and loaded under a name of this package whose last
+    component stays ``_sparsetools`` (its init symbol is
+    ``PyInit__sparsetools``).  Not under scipy's own name: the init
+    registers that name in ``sys.modules``, and a later ``import
+    scipy.sparse`` in the same process would then never bind it on the
+    package.  Under this name scipy loads its own copy beside it.
+    Threads racing to the first call load equal modules.
+    """
+    global _SPARSETOOLS
+    if _SPARSETOOLS is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("the CSR product needs scipy")
+        where = [os.path.join(p, "sparse") for p in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec("repro.graph._sparsetools", where)
+        if spec is None:
+            raise ImportError(f"no _sparsetools extension in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _SPARSETOOLS = module
+    return _SPARSETOOLS
 
 
 class CsrOperator:
@@ -98,12 +135,12 @@ class CsrOperator:
 
         The loop is scipy's compiled ``csr_matvecs``, what ``csr_array
         @ x`` runs (for one column it runs ``csr_matvec``, which adds in
-        the same order), so the bits are public scipy's.
-        ``scipy.sparse`` is imported here, at the first product a run
-        takes, so a run that takes none (an analytic one) never loads it.
+        the same order), so the bits are public scipy's.  Its extension
+        is loaded by file at the first product a run takes
+        (:func:`_load_sparsetools`), so a run that takes none (an
+        analytic one) never loads it and no run imports ``scipy.sparse``.
         """
-        from scipy.sparse import _sparsetools
-
+        _sparsetools = _load_sparsetools()
         rows, columns = self.shape
         if x.ndim != 2 or x.shape[0] != columns:
             raise ValueError(f"operator {self.shape} cannot multiply {x.shape}")

@@ -1,6 +1,7 @@
 """Kernel regressions: empty segments, empty-edge graphs, dtype drift.
 
-Backs the fuzz suites: ``segment_reduce`` / scatter / gather kernels on
+Backs the fuzz suites: ``segment_sum`` / ``segment_reduce`` / scatter /
+gather kernels on
 empty segments and empty-edge graphs must not warn or produce NaN, and
 kernels must never silently change the array dtype (the NumPy-2
 promotion regressions in ``scale`` / ``clamp_min`` /
@@ -21,9 +22,11 @@ from repro.exec.kernels import (
     gather_kernel,
     scatter_kernel,
     segment_reduce,
+    segment_sum,
 )
 from repro.frameworks import compile_training, get_strategy
 from repro.graph import Graph
+from repro.graph.csr import incidence_operator
 from repro.registry import MODELS
 
 from tests.helpers import reference_node
@@ -35,31 +38,31 @@ SINGLE = Graph(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 1)
 LOOPS = Graph(np.arange(3), np.arange(3), 4)  # + isolated vertex 3
 
 
+def _segment_sum(values, indptr):
+    """The sum of ``values``' rows per segment of ``indptr``, in row order."""
+    n = values.shape[0]
+    return segment_sum(incidence_operator(indptr, np.arange(n), n, values.dtype), values)
+
+
 class TestSegmentReduceEmpty:
     def test_no_values_all_segments_empty(self):
-        for reduce in ("sum", "max"):
-            out = segment_reduce(
-                np.zeros((0, 3), dtype=np.float32),
-                np.zeros(6, dtype=np.int64),
-                reduce=reduce,
-                fill=0.0,
-            )
+        values = np.zeros((0, 3), dtype=np.float32)
+        indptr = np.zeros(6, dtype=np.int64)
+        for out in (_segment_sum(values, indptr),
+                    segment_reduce(values, indptr, reduce="max", fill=0.0)):
             assert out.shape == (5, 3)
             assert np.isfinite(out).all() and (out == 0).all()
 
     def test_interleaved_and_trailing_empty_segments(self):
         values = np.array([[1.0], [2.0], [4.0]], dtype=np.float32)
         indptr = np.array([0, 1, 1, 3, 3, 3])
-        total = segment_reduce(values, indptr, reduce="sum")
+        total = _segment_sum(values, indptr)
         assert np.array_equal(total[:, 0], [1.0, 0.0, 6.0, 0.0, 0.0])
         mx = segment_reduce(values, indptr, reduce="max", fill=-np.inf)
         assert np.array_equal(mx[:, 0], [1.0, -np.inf, 4.0, -np.inf, -np.inf])
 
     def test_dtype_preserved(self):
-        out = segment_reduce(
-            np.zeros((0, 2), dtype=np.float32), np.zeros(3, dtype=np.int64),
-            reduce="sum",
-        )
+        out = _segment_sum(np.zeros((0, 2), dtype=np.float32), np.zeros(3, dtype=np.int64))
         assert out.dtype == np.float32
 
 

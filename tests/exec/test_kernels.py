@@ -17,9 +17,10 @@ from repro.exec.kernels import (
     param_grad_kernel,
     reduce_to_shape_array,
     scatter_kernel,
-    segment_reduce,
+    segment_sum,
 )
 from repro.graph import Graph
+from repro.graph.csr import incidence_operator
 
 from tests.conftest import segment_reduce_reference
 
@@ -153,9 +154,11 @@ class TestSegmentReduce:
         ref = segment_reduce_reference(vals, tiny_graph.dst, 4, "sum")
         assert np.allclose(out, ref)
 
-    def test_segment_reduce_zero_edges(self):
-        out = segment_reduce(
-            np.zeros((0, 2)), np.zeros(5, dtype=np.int64), reduce="sum"
+    def test_segment_sum_zero_edges(self):
+        out = segment_sum(
+            incidence_operator(np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                               0, np.float64),
+            np.zeros((0, 2)),
         )
         assert out.shape == (4, 2)
         assert (out == 0).all()

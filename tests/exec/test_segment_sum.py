@@ -164,11 +164,6 @@ class TestSegmentSumKernel:
         assert out.shape == (3,) + feat
         assert np.array_equal(out, np.broadcast_to(counts, out.shape))
 
-    def test_sum_honours_a_nonzero_fill(self):
-        values = np.array([[1.0], [2.0]], dtype=np.float32)
-        out = segment_reduce(values, np.array([0, 0, 2, 2]), reduce="sum", fill=-1.0)
-        assert out[:, 0].tolist() == [-1.0, 3.0, -1.0]
-
     def test_unknown_reduce_is_a_key_error(self):
         with pytest.raises(KeyError):
             segment_reduce(np.zeros((2, 1)), np.array([0, 2]), reduce="prod")

@@ -2,9 +2,9 @@
 what it keeps of the arrays it is given.
 
 :class:`repro.graph.csr.CsrOperator` calls scipy's compiled CSR loop
-(the private ``scipy.sparse._sparsetools.csr_matvecs``) directly;
-``scipy.sparse.csr_array((data, indices, indptr), shape) @ x`` is its
-oracle here, bit for bit.  An operator references its arrays, views
+(the private ``csr_matvecs`` of ``scipy/sparse/_sparsetools``, loaded
+from its file) directly; ``scipy.sparse.csr_array((data, indices,
+indptr), shape) @ x`` is its oracle here, bit for bit.  An operator references its arrays, views
 included.
 """
 

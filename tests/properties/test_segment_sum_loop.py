@@ -5,8 +5,8 @@ row added left to right in CSC/CSR edge order — which is what
 ``acc = zeros; for row in segment: acc = acc + row`` computes, so the
 vectorised routine (one CSR × dense product,
 :func:`repro.exec.kernels.segment_sum`) must be ``array_equal`` to that
-loop, not ``allclose``: through :func:`segment_reduce`, through the
-gather kernel, and block by block the way ``Engine._walk`` cuts a
+loop, not ``allclose``: through :func:`segment_sum` over an incidence
+operator, through the gather kernel, and block by block the way ``Engine._walk`` cuts a
 graph.  The walk itself is held to
 the same loop on real-valued data in ``tests/exec/test_blocked_walk.py``.
 """
@@ -15,8 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.kernels import gather_kernel, segment_reduce
+from repro.exec.kernels import gather_kernel, segment_sum
 from repro.graph import Graph
+from repro.graph.csr import incidence_operator
 
 #: The length of the one long segment each case holds.
 LONG_SEGMENT = st.integers(17, 60)
@@ -83,7 +84,8 @@ class TestSegmentSumIsTheLoop:
         lens, eids, values = case
         indptr = _indptr(lens)
         want = _loop_sum(values, indptr, eids, values.dtype)
-        got = segment_reduce(values[eids], indptr, reduce="sum")
+        operator = incidence_operator(indptr, eids, eids.shape[0], values.dtype)
+        got = segment_sum(operator, values)
         assert got.dtype == values.dtype and np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)

@@ -219,29 +219,36 @@ def trailing_sums_only_in(path, home):
     return query
 
 
-def no_import_on_load(module, scope):
-    """No ``import module`` / ``from module`` (or a submodule) in the
-    Python files under ``scope`` runs when its file is imported: each
-    sits in a ``def`` or under ``if TYPE_CHECKING:``."""
+def no_import(module, scope, on_load=False):
+    """No ``import module`` / ``from module`` (or a submodule, or
+    ``from <parent> import <module's last part>``) in the Python files
+    under ``scope``; with ``on_load``, none that runs when its file is
+    imported: each sits in a ``def`` or under ``if TYPE_CHECKING:``."""
     name = re.compile(rf"{re.escape(module)}(\.|$)")
 
-    def on_load(nodes):
+    def on_load_nodes(nodes):
         for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
-                yield from on_load(node.orelse)
+                yield from on_load_nodes(node.orelse)
                 continue
             yield node
-            yield from on_load(ast.iter_child_nodes(node))
+            yield from on_load_nodes(ast.iter_child_nodes(node))
+
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        return []
 
     def query(files):
         return [f"{path}:{node.lineno}" for path, text in sorted(files.items())
                 if path.startswith(scope) and path.endswith(".py")
-                for node in on_load(_parse(text).body)
-                if isinstance(node, ast.Import) and any(name.match(a.name) for a in node.names)
-                or isinstance(node, ast.ImportFrom) and not node.level
-                and name.match(node.module or "")]
+                for node in (on_load_nodes(_parse(text).body) if on_load
+                             else ast.walk(_parse(text)))
+                if any(name.match(n) for n in names(node))]
     return query
 
 
@@ -383,10 +390,14 @@ GUARDS = [
          ENGINE, "slab = pool.adopt(value)\n"),
     _row("one-way-into-a-slab/only-engine-builds-a-pool", only_in(r"ArenaPool\(", (ENGINE,)),
          S + "train/loop.py", "pool = ArenaPool(plan)\n"),
-    # scipy loads where a run first uses it: scipy.sparse at the first
-    # product, scipy.spatial in knn_graph; importing repro loads none.
-    _row("load-only-what-runs/no-scipy-import-on-load", no_import_on_load("scipy", "src/"),
-         CSR, "from scipy.sparse import _sparsetools\n"),
+    # scipy loads where a run first uses it: scipy.spatial in knn_graph;
+    # importing repro loads none.  No file imports the scipy.sparse
+    # package: the product loads its compiled loop by file.
+    _row("load-only-what-runs/no-scipy-import-on-load", no_import("scipy", "src/", on_load=True),
+         S + "graph/generators.py", "from scipy.spatial import cKDTree\n"),
+    _row("load-only-what-runs/no-scipy-sparse-import", no_import("scipy.sparse", "src/"),
+         CSR, "        from scipy.sparse import _sparsetools\n",
+         at="        _sparsetools = _load_sparsetools()\n"),
     # MultiEngine's hazard waves are the one overlap left.
     _row("no-modelled-overlap/no-overlap-schedules",
          forbidden(r"build_overlap_schedule|OverlapSchedule|overlap_schedules|RP105|"

@@ -2,11 +2,15 @@
 
 Each case runs in a fresh interpreter (an imported module stays
 imported, so one process cannot tell which step loaded it) and reports
-the ``scipy`` modules loaded once its code has run: none for an import,
-an analytic run or an operator built but never multiplied,
-``scipy.sparse`` once a step takes a product (the operator is the
-repository's own; only its product calls scipy's compiled loop),
-``scipy.spatial`` only for a k-NN graph.
+the ``scipy`` modules loaded once its code has run, with NumPy's
+``f2py`` and ``testing``, which ``scipy.sparse`` brings in: none for an
+import, an analytic run, an operator built but never multiplied, or a
+training step (the operator is the repository's own, and its product
+loads scipy's compiled CSR loop from its file, under a name of this
+package), ``scipy.spatial`` only for a k-NN graph.  A last case takes a
+product and then imports ``scipy.sparse`` in the same process: the
+package still binds its own compiled module, and its product is the
+operator's bit for bit.
 """
 
 import json
@@ -45,6 +49,21 @@ CASES = {
         rng = np.random.default_rng(0)
         trainer.train_step(rng.normal(size=(30, 4)), rng.integers(0, 3, 30), Adam())
     """,
+    "product-then-scipy-sparse": """
+        import numpy as np
+        from repro.graph import chung_lu
+        from repro.graph.csr import adjacency_operator
+        unit, _ = chung_lu(30, 120, seed=1).adjacency("in", np.float32)
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=unit.data.shape[0]).astype(np.float32)
+        op = adjacency_operator(unit.indptr, unit.indices, 30, w)
+        x = rng.normal(size=(30, 5)).astype(np.float32)
+        ours = op @ x
+        import scipy.sparse
+        assert scipy.sparse._sparsetools.csr_matvecs is not None
+        theirs = scipy.sparse.csr_array((op.data, op.indices, op.indptr), op.shape) @ x
+        assert theirs.dtype == ours.dtype and theirs.tobytes() == ours.tobytes()
+    """,
     "knn-graph": """
         import numpy as np
         from repro.graph import knn_graph
@@ -56,7 +75,8 @@ CASES = {
 def _scipy_loaded(case):
     script = textwrap.dedent(CASES[case]) + textwrap.dedent("""
         import json, sys
-        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                                or m.startswith(("numpy.f2py", "numpy.testing")))))
     """)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
@@ -66,15 +86,13 @@ def _scipy_loaded(case):
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("case", ["import", "analytic-sweep", "operator-build"])
-def test_no_scipy_without_a_product(case):
+@pytest.mark.parametrize("case", ["import", "analytic-sweep", "operator-build", "train-step"])
+def test_no_scipy_package_is_imported(case):
     assert _scipy_loaded(case) == set()
 
 
-def test_a_step_loads_sparse_not_spatial():
-    loaded = _scipy_loaded("train-step")
-    assert "scipy.sparse" in loaded
-    assert "scipy.spatial" not in loaded
+def test_scipy_sparse_imported_after_a_product_binds_its_own_loop():
+    assert "scipy.sparse._sparsetools" in _scipy_loaded("product-then-scipy-sparse")
 
 
 def test_knn_graph_loads_spatial():
