@@ -13,8 +13,8 @@ rebuild at the same version.
 This script walks the subsystem end to end:
 
 1. dynamic serving through the fluent `Session.serve(update_frac=...)`,
-2. the update-fraction sweep (`run_sweep(update_frac=[...])`):
-   staleness and invalidation traffic across the write share,
+2. the update-fraction sweep, one `Session.serve` per write share:
+   staleness and invalidation traffic across it,
 3. the overlay machinery directly: `GraphDelta` batches applied to a
    `DynamicGraph`, the compaction-period IO trade-off, and the
    versioned `FeatureStore` invalidating the serve cache,
@@ -29,6 +29,7 @@ import argparse
 import numpy as np
 
 import repro
+from repro.bench import format_table
 from repro.dyn import DynamicGraph, FeatureStore, GraphDelta, mixed_workload
 from repro.frameworks import compile_forward, get_strategy
 from repro.graph import get_dataset
@@ -51,41 +52,44 @@ def main() -> None:
     # 1. One dynamic serving run through the Session: 30% of the event
     #    stream is writes, the overlay compacts every 4 delta batches.
     print(f"=== Session.serve with updates (gat on {args.dataset}) ===")
-    report = (
+    s = (
         repro.session()
         .model("gat").dataset(args.dataset).strategy("ours").gpu("RTX3090")
         .feature_dim(args.feature_dim)
-        .serve(
-            num_requests=args.requests,
-            qps=4000.0,
-            seeds_per_request=4,
-            zipf_alpha=0.9,
-            cache_rows=4096,
-            seed=0,
-            update_frac=0.3,
-            compact_every=4,
-            new_vertex_prob=0.25,
-        )
+    )
+    report = s.serve(
+        num_requests=args.requests,
+        qps=4000.0,
+        seeds_per_request=4,
+        zipf_alpha=0.9,
+        cache_rows=4096,
+        seed=0,
+        update_frac=0.3,
+        compact_every=4,
+        new_vertex_prob=0.25,
     )
     print(report.summary())
 
     # ------------------------------------------------------------------
     # 2. Sweep the write share: staleness and invalidation traffic grow
     #    with the update fraction; the static row is the baseline.
-    print("\n=== update_frac sweep ===")
-    sweep = repro.run_sweep(
-        models=["gat"],
-        datasets=[args.dataset],
-        strategies=["ours"],
-        serve_qps=[4000.0],
-        update_frac=[0.0, 0.2, 0.4],
-        serve=dict(
-            num_requests=args.requests, seeds_per_request=4,
+    rows = []
+    for update_frac in (0.0, 0.2, 0.4):
+        rep = s.serve(
+            num_requests=args.requests, qps=4000.0, seeds_per_request=4,
             cache_rows=4096, zipf_alpha=0.9, compact_every=4,
-        ),
-        feature_dim=args.feature_dim,
-    )
-    print(sweep.table())
+            update_frac=update_frac, execute=False,
+        )
+        rows.append([
+            f"{update_frac:.2f}", f"{rep.p99_latency_s * 1e3:.2f}",
+            f"{rep.cache_hit_rate:.0%}", f"{rep.mean_staleness_s * 1e3:.2f}",
+            f"{rep.gather_invalidated_bytes / 2**20:.3f}",
+        ])
+    print()
+    print(format_table(
+        ["upd", "p99 ms", "hit", "stale ms", "inval MiB"], rows,
+        title="=== update_frac sweep (one Session.serve per write share) ===",
+    ))
 
     # ------------------------------------------------------------------
     # 3. The machinery directly: deltas, compaction IO, invalidation.

@@ -13,7 +13,7 @@ bit-identically through the ordinary engine.
 This script walks the subsystem end to end:
 
 1. single-tenant serving through the fluent `Session.serve(...)`,
-2. the offered-load sweep (`run_sweep(serve_qps=[...])`): tail latency
+2. the offered-load curve, one `Session.serve` per point: tail latency
    and SLO violations across qps, with and without the feature cache,
 3. multi-tenant serving on a GPU pool via `InferenceServer` directly,
    with EDF vs FIFO placement compared on the same workload,
@@ -29,6 +29,7 @@ import argparse
 import numpy as np
 
 import repro
+from repro.bench import format_table
 from repro.frameworks import compile_forward, get_strategy
 from repro.graph import get_dataset
 from repro.registry import MODELS
@@ -53,38 +54,41 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. One serving run through the Session.
     print(f"=== Session.serve (gat on {args.dataset}, RTX3090) ===")
-    report = (
+    s = (
         repro.session()
         .model("gat").dataset(args.dataset).strategy("ours").gpu("RTX3090")
         .feature_dim(args.feature_dim)
-        .serve(
-            num_requests=args.requests,
-            qps=4000.0,
-            seeds_per_request=4,
-            zipf_alpha=0.9,
-            cache_rows=4096,
-            seed=0,
-        )
+    )
+    report = s.serve(
+        num_requests=args.requests,
+        qps=4000.0,
+        seeds_per_request=4,
+        zipf_alpha=0.9,
+        cache_rows=4096,
+        seed=0,
     )
     print(report.summary())
 
     # ------------------------------------------------------------------
-    # 2. Offered-load sweep: latency percentiles vs qps, cache on/off.
-    print("\n=== serve_qps sweep ===")
+    # 2. Offered-load curve: latency percentiles vs qps, cache on/off.
+    #    Unexecuted serves (execute=False) report the same metrics.
+    rows = []
     for cache_rows in (0, 4096):
-        sweep = repro.run_sweep(
-            models=["gat"],
-            datasets=[args.dataset],
-            strategies=["ours"],
-            serve_qps=[500.0, 4000.0, 16000.0],
-            serve=dict(
-                num_requests=args.requests, seeds_per_request=4,
-                cache_rows=cache_rows, zipf_alpha=0.9,
-            ),
-            feature_dim=args.feature_dim,
-        )
-        print(f"--- cache_rows={cache_rows} ---")
-        print(sweep.table())
+        for qps in (500.0, 4000.0, 16000.0):
+            rep = s.serve(
+                num_requests=args.requests, qps=qps, seeds_per_request=4,
+                cache_rows=cache_rows, zipf_alpha=0.9, execute=False,
+            )
+            rows.append([
+                cache_rows, f"{qps:.0f}", f"{rep.p50_latency_s * 1e3:.2f}",
+                f"{rep.p99_latency_s * 1e3:.2f}", f"{rep.cache_hit_rate:.0%}",
+                f"{rep.slo_violation_rate:.0%}",
+            ])
+    print()
+    print(format_table(
+        ["cache rows", "qps", "p50 ms", "p99 ms", "hit", "viol"], rows,
+        title="=== offered load (one Session.serve per point) ===",
+    ))
 
     # ------------------------------------------------------------------
     # 3. Multi-tenant pool: two models share four GPUs, EDF vs FIFO.

@@ -45,29 +45,6 @@ SWEEPS = {
         batch_size=[None, 1024, 256],
         feature_dim=32,
     ),
-    "sweep_serve_smoke": dict(
-        models=["gat"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        serve_qps=[500.0, 8000.0],
-        serve=dict(
-            num_requests=96, seeds_per_request=4, cache_rows=4096,
-            zipf_alpha=0.9,
-        ),
-        feature_dim=32,
-    ),
-    "sweep_dynamic_smoke": dict(
-        models=["gat"],
-        datasets=["pubmed"],
-        strategies=["ours"],
-        serve_qps=[4000.0],
-        update_frac=[0.0, 0.3],
-        serve=dict(
-            num_requests=96, seeds_per_request=4, cache_rows=4096,
-            zipf_alpha=0.9, compact_every=4,
-        ),
-        feature_dim=32,
-    ),
     "sweep_precision_smoke": dict(
         models=["gat"],
         datasets=["cora"],
@@ -110,13 +87,14 @@ CASES = {
         figures=("fig_memory_plan",),
     ),
     "serve": Case(
-        "run the CI-sized online inference-serving sweep over offered load",
-        sweeps=("sweep_serve_smoke",),
+        "run the online inference-serving case: tail latency, SLO and "
+        "cache hit rate over offered load and cache size",
+        figures=("fig_serving_latency",),
     ),
     "dynamic": Case(
-        "run the CI-sized dynamic-serving (graph/feature update) sweep "
-        "over the write share",
-        sweeps=("sweep_dynamic_smoke",),
+        "run the dynamic-serving case: staleness, invalidation and "
+        "tail latency over the write share",
+        figures=("fig_dynamic_serving",),
     ),
     "measured": Case(
         "run the measured-execution case: kernel-class calibration vs "

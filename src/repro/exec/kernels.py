@@ -90,7 +90,7 @@ __all__ = [
     "register_kernel",
     "registered_functions",
     "resolve_kernel",
-    "segment_reduce",
+    "segment_max",
     "segment_sum",
     "tiled_matmul",
     "writes_out",
@@ -655,23 +655,14 @@ def segment_sum(operator, values: np.ndarray) -> np.ndarray:
     return (operator @ values.reshape(rows, width)).reshape(out_shape)
 
 
-def segment_reduce(
-    values: np.ndarray,
-    indptr: np.ndarray,
-    *,
-    reduce: str,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Segmented reduction over axis 0 of ``values``.
+def segment_max(values: np.ndarray, indptr: np.ndarray, fill: float) -> np.ndarray:
+    """Segmented maximum over axis 0 of ``values`` (``np.maximum.reduceat``).
 
     ``values`` must already be ordered by segment;
     ``indptr[i]:indptr[i+1]`` delimits segment ``i``.  Empty segments
-    produce ``fill``.  ``max`` is ``np.maximum.reduceat``; a sum is
-    :func:`segment_sum` over an operator.
+    produce ``fill``.  A sum is :func:`segment_sum` over an operator.
     """
     n = values.shape[0]
-    if reduce != "max":
-        raise KeyError(reduce)
     num_segments = indptr.shape[0] - 1
     starts = indptr[:-1]
     non_empty = indptr[1:] > starts
@@ -793,7 +784,7 @@ def _g_max(graph, edge_values, orientation, want_argmax):
         if np.issubdtype(edge_values.dtype, np.floating)
         else np.iinfo(edge_values.dtype).min
     )
-    mx = segment_reduce(ordered, indptr, reduce="max", fill=finfo_min)
+    mx = segment_max(ordered, indptr, finfo_min)
     empty = np.diff(indptr) == 0
     argmax = None
     if want_argmax:

@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.exec.profiler import Counters, MultiGPUCounters
 from repro.gpu.cost_model import CostModel, SimulatedOOM
-from repro.gpu.spec import GPUSpec, _require_positive, get_gpu
+from repro.gpu.spec import GPUSpec, _require_positive
 from repro.graph.partition import PartitionStats
 from repro.registry import GPUS, register_gpu
 
@@ -94,7 +94,7 @@ def make_cluster(
     :class:`Cluster` field's).  With ``register=True`` the cluster joins
     the GPU registry so sessions can refer to it by name.
     """
-    spec = get_gpu(gpu) if isinstance(gpu, str) else gpu
+    spec = GPUS.resolve(gpu)
     if isinstance(spec, Cluster):
         raise TypeError("cannot build a cluster of clusters")
     kwargs = {}

@@ -198,7 +198,7 @@ def build_pipeline(strategy: Any, *, training: bool = True) -> PassManager:
         if isinstance(entry, Pass):
             passes.append(entry)
             continue
-        obj = PASSES.get(entry) if isinstance(entry, str) else entry
+        obj = PASSES.resolve(entry)
         passes.append(obj() if isinstance(obj, type) or callable(obj) else obj)
     return PassManager(passes)
 

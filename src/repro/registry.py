@@ -56,7 +56,8 @@ class Registry:
 
     Behaves like a read-only :class:`dict` (``in``, ``len``, iteration
     over names, ``[name]``) plus :meth:`add` / :meth:`register` for
-    population and :meth:`get` with did-you-mean errors.
+    population, :meth:`get` with did-you-mean errors, and :meth:`resolve`
+    for arguments that take a name or the entry itself.
     """
 
     def __init__(self, kind: str) -> None:
@@ -118,6 +119,11 @@ class Registry:
             if default is not Registry._RAISE:
                 return default
             raise KeyError(self._unknown_message(name)) from None
+
+    def resolve(self, entry: Any) -> Any:
+        """A string through :meth:`get`; anything else (an entry built
+        by the caller) as it is."""
+        return self.get(entry) if isinstance(entry, str) else entry
 
     def _unknown_message(self, name: str) -> str:
         msg = f"unknown {self.kind} {name!r}"

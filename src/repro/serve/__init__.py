@@ -12,8 +12,8 @@ planner, and execution from the ordinary engine.  Entry points:
   request generators,
 - :class:`ServeReport` — tail latency, throughput, SLO and cache
   accounting,
-- ``Session.serve(...)`` / ``run_sweep(serve_qps=[...])`` — the fluent
-  front door.
+- ``Session.serve(...)`` — the fluent front door; a curve over offered
+  load is a loop over it.
 """
 
 from repro.serve.batcher import (

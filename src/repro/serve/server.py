@@ -56,7 +56,7 @@ from repro.exec.rings import receptive_hops
 from repro.frameworks.strategy import CompiledForward
 from repro.gpu.cluster import Cluster
 from repro.gpu.cost_model import CostModel
-from repro.gpu.spec import GPUSpec, get_gpu
+from repro.gpu.spec import GPUSpec
 from repro.graph.csr import Graph
 from repro.graph.sampling import MiniBatch
 from repro.serve.batcher import BatchPolicy, MicroBatch, coalesce, receptive_field
@@ -64,7 +64,7 @@ from repro.serve.cache import FeatureCache
 from repro.serve.metrics import BatchTrace, RequestOutcome, ServeReport
 from repro.serve.request import InferenceRequest
 from repro.serve.scheduler import SCHEDULER_POLICIES, PendingBatch, place_batches
-from repro.registry import whole_count
+from repro.registry import GPUS, whole_count
 from repro.exec.profiler import BatchCost
 
 __all__ = ["InferenceServer"]
@@ -167,7 +167,7 @@ class InferenceServer:
             name: _TenantRuntime(name, plan)
             for name, plan in tenant_plans.items()
         }
-        resolved = get_gpu(gpu) if isinstance(gpu, str) else gpu
+        resolved = GPUS.resolve(gpu)
         if isinstance(resolved, Cluster):
             self.cluster: Optional[Cluster] = resolved
             self.spec = resolved.gpu

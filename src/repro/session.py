@@ -60,18 +60,18 @@ import os
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exec.memory import StepMemoryPlan
 from repro.exec.profiler import Counters, MiniBatchCounters, MultiGPUCounters
 from repro.exec.rings import receptive_hops
-from repro.frameworks import compile_forward, compile_training, get_strategy
+from repro.frameworks import compile_forward, compile_training
 from repro.frameworks.strategy import ExecutionStrategy
 from repro.gpu.cluster import Cluster, ClusterCostModel, make_cluster
-from repro.gpu.cost_model import CostModel, SimulatedOOM
-from repro.gpu.spec import GPUSpec, get_gpu
+from repro.gpu.cost_model import CostModel
+from repro.gpu.spec import GPUSpec
 from repro.graph.datasets import Dataset, get_dataset
 from repro.graph.partition import (
     PARTITION_METHODS,
@@ -83,7 +83,7 @@ from repro.graph.stats import GraphStats, expected_field_stats
 from repro.ir.serialize import dumps_module
 from repro.models.base import GNNModel
 from repro.opt.stages import StageMemo
-from repro.registry import MODELS, whole_count
+from repro.registry import GPUS, MODELS, STRATEGIES, whole_count
 import repro.models  # noqa: F401  (populates the model registry)
 
 __all__ = [
@@ -370,8 +370,7 @@ class RunConfig:
 
     def device(self) -> Union[GPUSpec, Cluster]:
         """The resolved ``gpu`` axis: a spec, or a cluster."""
-        g = self.gpu
-        return get_gpu(g) if isinstance(g, str) else g
+        return GPUS.resolve(self.gpu)
 
     def labels(self) -> Dict[str, Optional[str]]:
         """The names a report or sweep row shows for this configuration."""
@@ -512,8 +511,7 @@ class Session:
     # -- resolution ----------------------------------------------------
     def resolve_strategy(self) -> ExecutionStrategy:
         cfg = self._config
-        s = cfg.strategy
-        resolved = get_strategy(s) if isinstance(s, str) else s
+        resolved = STRATEGIES.resolve(cfg.strategy)
         if cfg.precision is not None and resolved.precision != cfg.precision:
             resolved = replace(resolved, precision=cfg.precision)
         return resolved
@@ -986,22 +984,6 @@ class SweepRow:
     #: memory, stash, and gather bytes all shrink with the storage
     #: dtype.
     precision: Optional[str] = None
-    #: Online-serving rows (``run_sweep(serve_qps=[...])``): the offered
-    #: load and the tail-latency/SLO/cache metrics of the served
-    #: stream; ``latency_s`` then reports the *mean* request latency
-    #: and io/peak columns the served totals / per-batch maxima.
-    serve_qps: Optional[float] = None
-    p50_latency_s: float = 0.0
-    p95_latency_s: float = 0.0
-    p99_latency_s: float = 0.0
-    cache_hit_rate: float = 0.0
-    slo_violation_rate: float = 0.0
-    #: Dynamic-serving rows (``run_sweep(update_frac=[...])``): the
-    #: write share of the event stream, the mean snapshot staleness at
-    #: delivery, and the invalidation re-gather bill.
-    update_frac: Optional[float] = None
-    staleness_s: float = 0.0
-    invalidated_bytes: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -1036,47 +1018,6 @@ class SweepRow:
             gather_bytes=mc.gather_bytes if mc is not None else 0,
         )
 
-    @classmethod
-    def from_serve(
-        cls, sess: Session, rep, *, serve_qps: float, **fields
-    ) -> "SweepRow":
-        """A serving row from ``sess.serve``'s report; ``rep=None`` is a
-        configuration no receptive-field batch fits — an OOM row, like
-        every other sweep path, rather than an aborted sweep."""
-        cluster = sess.resolve_cluster()
-        fields.update(
-            sess._config.labels(),
-            num_gpus=cluster.num_gpus if cluster is not None else 1,
-            stash_bytes=0,
-            serve_qps=float(serve_qps),
-        )
-        if rep is None:
-            fields.update(
-                flops=0.0, io_bytes=0, peak_memory_bytes=0, launches=0,
-                latency_s=0.0, fits_device=False,
-            )
-        else:
-            # Counters are the served totals: paid gathers + kernel
-            # traffic, per-batch peak.
-            served = rep.counters
-            fields.update(
-                flops=served.flops,
-                io_bytes=served.io_bytes,
-                peak_memory_bytes=served.peak_memory_bytes,
-                launches=served.launches,
-                latency_s=rep.mean_latency_s,
-                fits_device=True,
-                gather_bytes=served.gather_bytes,
-                p50_latency_s=rep.p50_latency_s,
-                p95_latency_s=rep.p95_latency_s,
-                p99_latency_s=rep.p99_latency_s,
-                cache_hit_rate=rep.cache_hit_rate,
-                slo_violation_rate=rep.slo_violation_rate,
-                staleness_s=rep.mean_staleness_s,
-                invalidated_bytes=rep.gather_invalidated_bytes,
-            )
-        return cls(**fields)
-
 
 #: :meth:`SweepReport.table` columns: (header, the row attribute whose
 #: axis must be swept for the column to show — ``None`` = always —
@@ -1094,17 +1035,6 @@ _TABLE_COLUMNS = (
     ("mem MiB", None, lambda r: f"{r.peak_memory_bytes / 2**20:.1f}"),
     ("fits", None, lambda r: "yes" if r.fits_device else "OOM"),
     ("ms/step", None, lambda r: f"{r.latency_s * 1e3:.2f}"),
-    ("qps", "serve_qps",
-     lambda r: "-" if r.serve_qps is None else f"{r.serve_qps:.0f}"),
-    ("p50 ms", "serve_qps", lambda r: f"{r.p50_latency_s * 1e3:.2f}"),
-    ("p99 ms", "serve_qps", lambda r: f"{r.p99_latency_s * 1e3:.2f}"),
-    ("hit", "serve_qps", lambda r: f"{r.cache_hit_rate * 100:.0f}%"),
-    ("viol", "serve_qps", lambda r: f"{r.slo_violation_rate * 100:.0f}%"),
-    ("upd", "update_frac",
-     lambda r: "-" if r.update_frac is None else f"{r.update_frac:.2f}"),
-    ("stale ms", "update_frac", lambda r: f"{r.staleness_s * 1e3:.2f}"),
-    ("inval MiB", "update_frac",
-     lambda r: f"{r.invalidated_bytes / 2**20:.3f}"),
 )
 
 
@@ -1174,9 +1104,6 @@ def run_sweep(
     num_gpus: Union[int, Sequence[int]] = (1,),
     batch_size: Union[None, int, Sequence[Optional[int]]] = None,
     precision: Union[None, str, Sequence[Optional[str]]] = None,
-    serve_qps: Optional[Sequence[float]] = None,
-    update_frac: Optional[Sequence[float]] = None,
-    serve: Optional[Mapping[str, object]] = None,
     feature_dim: Optional[int] = None,
     training: bool = True,
     cache: Optional[PlanCache] = None,
@@ -1186,9 +1113,8 @@ def run_sweep(
     """Sweep over the cross product of the axes.
 
     Each point of the product is one :class:`RunConfig`, priced by the
-    same :meth:`Session._price` as :meth:`Session.report` (or served by
-    :meth:`Session.serve`) into one :class:`SweepRow`.  The axes map
-    onto its fields:
+    same :meth:`Session._price` as :meth:`Session.report` into one
+    :class:`SweepRow`.  The axes map onto its fields:
 
     - ``models``, ``datasets``, ``strategies`` and ``precision`` (a
       policy name or a sequence mixing them with ``None``) choose the
@@ -1211,24 +1137,14 @@ def run_sweep(
     plan-cache lookup, and datasets sharing feature/class widths share
     its compilation.  Training sweeps skip inference-only strategies
     (e.g. ``huang-like``); ``training=False`` compares forward passes.
-
-    ``serve_qps`` sweeps online serving instead: every point serves a
-    fixed-seed request stream at each offered load through
-    :meth:`Session.serve` on its forward plan, without executing it
-    (``execute=False``: the metrics are analytic either way), so every
-    strategy serves.  ``serve`` holds :meth:`Session.serve`'s other
-    keywords, passed verbatim; ``update_frac`` (which needs
-    ``serve_qps``) is its write-share axis, ``0.0`` entries being
-    static rows.  A multi-GPU entry serves on the cluster as a pool.
-    Serving cannot be combined with ``batch_size``.
+    Serving is not a sweep axis: a serving curve is a loop over
+    :meth:`Session.serve`, whose report holds more than a row can.
     """
     cache = cache if cache is not None else PlanCache()
     hits0, misses0 = cache.hits, cache.misses
     if feature_dim is not None:
         feature_dim = whole_count(feature_dim, "feature_dim")
-    batches, precisions, loads, updates, num_gpus = map(
-        _axis, (batch_size, precision, serve_qps, update_frac, num_gpus)
-    )
+    batches, precisions, num_gpus = map(_axis, (batch_size, precision, num_gpus))
     num_gpus = tuple(whole_count(n, "num_gpus") for n in num_gpus)
     batches = tuple(b if b is None else whole_count(b, "batch_size") for b in batches)
     sampled = any(b is not None for b in batches)
@@ -1237,29 +1153,14 @@ def run_sweep(
             "mini-batch sweeps are single-GPU: batch_size cannot be "
             "combined with num_gpus > 1"
         )
-    if serve_qps is not None and sampled:
-        raise ValueError(
-            "serving sweeps are request-driven: serve_qps cannot be "
-            "combined with batch_size"
-        )
-    if serve_qps is None and (update_frac is not None or serve is not None):
-        raise ValueError(
-            "update_frac and serve= configure serving sweeps: they "
-            "require serve_qps"
-        )
     if any(n > 1 for n in num_gpus):
         for g in gpus:
-            if isinstance(get_gpu(g) if isinstance(g, str) else g, Cluster):
+            if isinstance(GPUS.resolve(g), Cluster):
                 raise ValueError(
                     f"gpus entry {getattr(g, 'name', g)!r} is already a "
                     "cluster: it cannot be combined with num_gpus > 1"
                 )
-    # Serving runs the forward plan.
-    training = training and serve_qps is None
-    axes = (
-        models, datasets, strategies, precisions,
-        gpus, num_gpus, loads, updates, batches,
-    )
+    axes = (models, datasets, strategies, precisions, gpus, num_gpus, batches)
     # One session per dataset: its memo keeps the dataset's partition
     # per part count, so each is made once per sweep, not once per
     # model.  The per-plan compile (one plan-cache lookup however many
@@ -1268,7 +1169,7 @@ def run_sweep(
     per_plan = math.prod(len(axis) for axis in axes[4:])
     per_workload = per_plan * math.prod(len(axis) for axis in axes[2:4])
     rows: List[SweepRow] = []
-    for i, (m, d, strat, prec, g, n, qps, uf, bs) in enumerate(
+    for i, (m, d, strat, prec, g, n, bs) in enumerate(
         itertools.product(*axes)
     ):
         s = sessions[i // per_workload % len(datasets)]
@@ -1284,18 +1185,8 @@ def run_sweep(
                 if s.resolve_strategy().supports_training or not training
                 else None
             )
-        if compiled is None:
-            continue
-        if qps is None:
+        if compiled is not None:
             rows.append(SweepRow.from_report(s._price(compiled)))
-            continue
-        try:
-            rep = s.serve(
-                **(serve or {}), qps=qps, update_frac=uf or 0.0, execute=False
-            )
-        except SimulatedOOM:
-            rep = None
-        rows.append(SweepRow.from_serve(s, rep, serve_qps=qps, update_frac=uf))
     sweep = SweepReport(
         rows=rows,
         cache_hits=cache.hits - hits0,
@@ -1309,9 +1200,10 @@ def run_sweep(
 
 def _axis(value) -> tuple:
     """The options one sweep axis takes: a string or any non-iterable
-    (``None``, a Python or NumPy scalar) is one option.  NumPy scalars,
-    alone or as entries, become their Python value, so a row stays
+    (``None``, a Python or NumPy scalar) is one option.  Each option's
+    check makes it a Python value (``whole_count`` an int,
+    ``canonical_precision`` a policy name), so a row stays
     JSON-serialisable."""
     if isinstance(value, str) or not np.iterable(value):
-        value = (value,)
-    return tuple(v.item() if isinstance(v, np.generic) else v for v in value)
+        return (value,)
+    return tuple(value)

@@ -1,6 +1,6 @@
 """Kernel regressions: empty segments, empty-edge graphs, dtype drift.
 
-Backs the fuzz suites: ``segment_sum`` / ``segment_reduce`` / scatter /
+Backs the fuzz suites: ``segment_sum`` / ``segment_max`` / scatter /
 gather kernels on
 empty segments and empty-edge graphs must not warn or produce NaN, and
 kernels must never silently change the array dtype (the NumPy-2
@@ -21,7 +21,7 @@ from repro.exec.kernels import (
     apply_kernel,
     gather_kernel,
     scatter_kernel,
-    segment_reduce,
+    segment_max,
     segment_sum,
 )
 from repro.frameworks import compile_training, get_strategy
@@ -49,7 +49,7 @@ class TestSegmentReduceEmpty:
         values = np.zeros((0, 3), dtype=np.float32)
         indptr = np.zeros(6, dtype=np.int64)
         for out in (_segment_sum(values, indptr),
-                    segment_reduce(values, indptr, reduce="max", fill=0.0)):
+                    segment_max(values, indptr, 0.0)):
             assert out.shape == (5, 3)
             assert np.isfinite(out).all() and (out == 0).all()
 
@@ -58,7 +58,7 @@ class TestSegmentReduceEmpty:
         indptr = np.array([0, 1, 1, 3, 3, 3])
         total = _segment_sum(values, indptr)
         assert np.array_equal(total[:, 0], [1.0, 0.0, 6.0, 0.0, 0.0])
-        mx = segment_reduce(values, indptr, reduce="max", fill=-np.inf)
+        mx = segment_max(values, indptr, -np.inf)
         assert np.array_equal(mx[:, 0], [1.0, -np.inf, 4.0, -np.inf, -np.inf])
 
     def test_dtype_preserved(self):

@@ -13,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec.kernels import (
-    acc_dtype, gather_kernel, segment_reduce, segment_sum,
-)
+from repro.exec.kernels import acc_dtype, gather_kernel, segment_sum
 from repro.graph import Graph, chung_lu
 from repro.graph.csr import incidence_operator
 
@@ -163,10 +161,6 @@ class TestSegmentSumKernel:
         counts = np.array([0.0, 3.0, 1.0]).reshape((3,) + (1,) * len(feat))
         assert out.shape == (3,) + feat
         assert np.array_equal(out, np.broadcast_to(counts, out.shape))
-
-    def test_unknown_reduce_is_a_key_error(self):
-        with pytest.raises(KeyError):
-            segment_reduce(np.zeros((2, 1)), np.array([0, 2]), reduce="prod")
 
 
 class TestSequentialSumAccuracy:

@@ -61,10 +61,11 @@ FROM_PARTITION = {
 #: four-GPU rows' communication, and only that: ``SWEEP_BUT_COMM``, the
 #: same rows without ``comm_bytes``, ``comm_fraction`` and
 #: ``latency_s``, was computed before that change.  Both were retaken
-#: when rows lost their ``schedule`` and ``arena_bytes`` keys: they are
-#: the digests of the earlier rows with those two keys dropped.
-SWEEP = "dccfd2bfa898547256760323fff5d1c7a7c393b27b96dda85dbc466daf0c3c59"
-SWEEP_BUT_COMM = "a661b225195dc2f7710d78a7a99361c6d26653bb9f42e2d783637b61df9a9d90"
+#: when rows lost their ``schedule`` and ``arena_bytes`` keys, and again
+#: when they lost the nine serving keys (``serve_qps`` … ``invalidated_bytes``):
+#: each time they are the digests of the earlier rows with those keys dropped.
+SWEEP = "8d7f23d75121370696f0efe174c9430fd1238f86e4f05545e38d3c362c0a38fd"
+SWEEP_BUT_COMM = "fdd743aa00ab50fb20d6591dfb4c3fa1d18a3397c873e4e213dc1d6664a5c81e"
 
 
 @pytest.mark.parametrize("num_parts", sorted(FROM_STATS))

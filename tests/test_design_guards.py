@@ -414,13 +414,26 @@ GUARDS = [
                    "README.md"),
          S + "gpu/cost_model.py", "        peak = counters.device_peak_bytes\n"),
     # A configuration is one RunConfig, every row a SweepRow session.py
-    # builds; run_sweep renames no Session.serve keyword.
+    # builds from a priced report; nothing renames a Session.serve keyword.
     _row("one-configuration-record/no-run-result",
          forbidden(r"RunResult|def measure\(", S + "bench/"),
          FIGURES, "def measure(session):\n    pass\n"),
     _row("one-configuration-record/sweep-rows-built-in-session",
-         built_only_by(SESSION, "SweepRow", ("from_report", "from_serve")),
+         built_only_by(SESSION, "SweepRow", ("from_report",)),
          FIGURES, 'row = SweepRow(model="gat")\n'),
+    # A sweep row prices one step: serving is a loop over Session.serve,
+    # whose report holds what a row cannot, never a run_sweep axis.
+    _row("one-kind-of-sweep-row/no-serving-axis",
+         forbidden(r"serve_qps|from_serve|update_frac", SESSION, after=r"^# Sweeps"),
+         SESSION, "    serve_qps: Optional[float] = None\n",
+         at="\n    def to_dict(self) -> Dict[str, object]:\n        return asdict(self)\n"),
+    # A name-or-entry argument resolves through Registry.resolve, the one
+    # line that tells a name from an entry.
+    _row("one-registry-lookup/no-hand-resolved-names",
+         only_in(r"(get_\w+|\.get)\((\w+)\) if isinstance\(\2, str\)",
+                 (S + "registry.py",), count=1),
+         S + "serve/server.py", "        spec = get_gpu(gpu) if isinstance(gpu, str) else gpu\n",
+         at="        if isinstance(resolved, Cluster):\n"),
     _row("one-configuration-record/no-axis-attributes",
          forbidden(r"self\._(model|dataset|strategy|gpu|cluster|schedule|precision|minibatch|"
                    r"feature_dim|partitioner|stats|workload)\b\s*(:[^=]*)?=([^=]|$)", SESSION),

@@ -199,8 +199,34 @@ class TestSweepAxis:
     def test_sequence_is_its_options(self, value):
         assert _axis(value) == (256, 512)
 
+    def test_numpy_scalar_axes_save(self, tmp_path):
+        # NumPy scalars are one option each and land in the rows as
+        # Python values: the sweep saves to JSON like its listed twin.
+        kwargs = dict(models=["gat"], datasets=["cora"], strategies=["ours"],
+                      feature_dim=16)
+        scalar = run_sweep(
+            num_gpus=np.int64(1), batch_size=np.int32(256),
+            precision=np.str_("fp16"), save_as="scalar",
+            results_dir=str(tmp_path), **kwargs,
+        )
+        listed = run_sweep(num_gpus=[1], batch_size=[256], precision=["fp16"], **kwargs)
+        with open(tmp_path / "scalar.json") as fh:
+            assert json.load(fh) == listed.to_dict()
+        assert scalar.to_dict() == listed.to_dict()
+        (row,) = scalar.rows
+        assert [type(v) for v in (row.num_gpus, row.batch_size, row.precision)] == [int, int, str]
+
 
 class TestRunSweep:
+    @pytest.mark.parametrize("axis", [dict(serve_qps=[500.0]), dict(update_frac=[0.3]),
+                                      dict(serve=dict(num_requests=8))],
+                             ids=["serve_qps", "update_frac", "serve"])
+    def test_serving_is_not_a_sweep_axis(self, axis):
+        # A serving curve is a loop over Session.serve; a sweep row
+        # prices one step.
+        with pytest.raises(TypeError):
+            run_sweep(["gat"], ["cora"], **axis)
+
     def test_compiles_each_model_strategy_pair_once(self, toy_datasets):
         cache = PlanCache()
         sweep = run_sweep(

@@ -1,15 +1,18 @@
-"""Session.serve / run_sweep(serve_qps=...) threading, plus the bounded
-LRU PlanCache the serving path hammers."""
+"""Session.serve threading, plus the bounded LRU PlanCache the serving
+path hammers."""
 
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 
 import repro
+from perf.oracles import serve_report_digest as oracle_digest
+from repro.gpu.cost_model import SimulatedOOM
+from repro.gpu.spec import RTX3090
 from repro.graph.datasets import Dataset
 from repro.registry import MODELS
-from repro.session import PlanCache, Session, SweepRow, run_sweep
+from repro.session import PlanCache, Session
 from tests.helpers import serve_report_digest
 
 
@@ -51,6 +54,23 @@ class TestSessionServe:
         assert cache.misses == 1 and cache.hits == 0
         sess.serve(num_requests=8, qps=1000.0, execute=False)
         assert cache.misses == 1 and cache.hits == 1
+
+    def test_inference_only_strategy_serves(self):
+        # Serving reads the forward plan, so a strategy with no training
+        # plan serves like any other.
+        rep = (
+            repro.session().model("gat").dataset("cora").strategy("huang-like")
+            .feature_dim(16).serve(num_requests=8, qps=1000.0, execute=False)
+        )
+        assert rep.num_requests == 8 and rep.p99_latency_s > 0
+
+    def test_unservable_device_raises_oom(self):
+        # A device too small for any receptive-field batch refuses the
+        # first batch rather than serving it.
+        tiny = dataclasses.replace(RTX3090, name="tiny", dram_gb=1e-6)
+        s = repro.session().model("gat").dataset("cora").gpu(tiny).feature_dim(16)
+        with pytest.raises(SimulatedOOM):
+            s.serve(num_requests=8, qps=1000.0, execute=False)
 
     def test_stats_only_dataset_refused(self):
         with pytest.raises(ValueError):
@@ -192,6 +212,35 @@ class TestFeaturesOncePerSession:
         assert [float.hex(x) for x in losses] == self.LOSSES
 
 
+class TestPubmedServeStreams:
+    """gat/pubmed at f=32 served without executing, at the offered loads
+    and write shares the serving smoke sweeps used to publish.  Each
+    report is pinned whole by ``perf.oracles.serve_report_digest``:
+    every request and batch timing, placement, cache split and version,
+    plus the report's busy time and mutation bills.  A change to stream
+    generation, the batcher, the cache or the dynamic overlay that moves
+    any of them fails here."""
+
+    SERVE = dict(num_requests=96, seeds_per_request=4, cache_rows=4096, zipf_alpha=0.9)
+    #: (qps, update_frac, compact_every) -> digest.
+    DIGESTS = {
+        (500.0, 0.0, None): "f97db898dc0dbcbe2d3da7add509d9f11485c43af40f02666720ad51941e6f29",
+        (8000.0, 0.0, None): "e02b30d091f02c121afdaf692aa4af8088d5f5e3db4904adff176bde5e622c8d",
+        (4000.0, 0.0, 4): "8e69fc19db345a25ca4e965a049e78b319869cffce4604817338b7184b98486d",
+        (4000.0, 0.3, 4): "bae00601234521ddf0868389ec6dd14390e8e9667bafd6ade58e5375e807e01f",
+    }
+
+    @pytest.mark.parametrize("qps, update_frac, compact_every", list(DIGESTS))
+    def test_stream_digest(self, qps, update_frac, compact_every):
+        s = (
+            repro.session().model("gat").dataset("pubmed").strategy("ours")
+            .gpu("RTX3090").feature_dim(32)
+        )
+        rep = s.serve(**self.SERVE, qps=qps, update_frac=update_frac,
+                      compact_every=compact_every, execute=False)
+        assert oracle_digest(rep) == self.DIGESTS[qps, update_frac, compact_every]
+
+
 class TestArenaLogicalDtypes:
     """A bf16 plan's served batches run on fresh storage."""
 
@@ -212,155 +261,6 @@ class TestArenaLogicalDtypes:
         )
         assert handed and not any(handed)
         assert len(rep.outputs) == 8
-
-
-class TestServeSweep:
-    def test_serve_rows_price_forward_plans(self):
-        # Serving reads the forward plan: every strategy serves,
-        # inference-only ones included, and each compile is one miss
-        # that its serve() call then hits.
-        cache = PlanCache()
-        sweep = run_sweep(
-            ["gat"], ["cora"], ["huang-like", "ours"],
-            serve_qps=[500.0], serve=dict(num_requests=8),
-            feature_dim=16, cache=cache,
-        )
-        assert [r.strategy for r in sweep.rows] == ["huang-like", "ours"]
-        assert (sweep.cache_misses, sweep.cache_hits) == (2, 2)
-
-    def test_serve_mapping_is_forwarded_verbatim(self):
-        serve = dict(
-            num_requests=24, seeds_per_request=2, slo_s=0.01,
-            cache_rows=256, zipf_alpha=0.7, seed=3,
-        )
-        (row,) = run_sweep(
-            ["gat"], ["cora"], gpus=["V100"], serve_qps=[2000.0],
-            serve=serve, feature_dim=16,
-        ).rows
-        s = repro.session().model("gat").dataset("cora").gpu("V100")
-        s.feature_dim(16)
-        direct = SweepRow.from_serve(
-            s, s.serve(qps=2000.0, execute=False, **serve), serve_qps=2000.0
-        )
-        assert row == direct
-        default = run_sweep(
-            ["gat"], ["cora"], gpus=["V100"], serve_qps=[2000.0],
-            serve=dict(num_requests=24), feature_dim=16,
-        ).rows[0]
-        assert default != row
-
-    def test_serve_requires_serve_qps(self):
-        with pytest.raises(ValueError, match="serve_qps"):
-            run_sweep(["gat"], ["cora"], serve=dict(num_requests=8))
-
-    def test_rows_carry_serving_metrics(self):
-        sweep = run_sweep(
-            models=["gat"],
-            datasets=["cora"],
-            strategies=["ours"],
-            serve_qps=[500.0, 8000.0],
-            serve=dict(num_requests=24, cache_rows=512, zipf_alpha=0.8),
-            feature_dim=16,
-            training=False,
-        )
-        assert len(sweep.rows) == 2
-        assert [r.serve_qps for r in sweep.rows] == [500.0, 8000.0]
-        for r in sweep.rows:
-            assert 0 < r.p50_latency_s <= r.p95_latency_s <= r.p99_latency_s
-            assert r.latency_s > 0
-            assert 0 < r.cache_hit_rate < 1
-            assert r.gather_bytes > 0
-            assert r.serve_qps is not None
-            d = r.to_dict()
-            assert d["serve_qps"] == r.serve_qps
-            assert d["p99_latency_s"] == r.p99_latency_s
-        table = sweep.table()
-        assert "qps" in table and "p99 ms" in table
-
-    def test_update_frac_sweep_rows(self):
-        sweep = run_sweep(
-            models=["gat"],
-            datasets=["cora"],
-            strategies=["ours"],
-            serve_qps=[4000.0],
-            update_frac=[0.0, 0.3],
-            serve=dict(
-                num_requests=24, cache_rows=512, zipf_alpha=0.8,
-                compact_every=4,
-            ),
-            feature_dim=16,
-            training=False,
-        )
-        assert [r.update_frac for r in sweep.rows] == [0.0, 0.3]
-        static, dynamic = sweep.rows
-        assert static.staleness_s == 0.0 and static.invalidated_bytes == 0
-        assert dynamic.staleness_s > 0.0
-        d = dynamic.to_dict()
-        assert d["update_frac"] == 0.3
-        assert d["staleness_s"] == dynamic.staleness_s
-        table = sweep.table()
-        assert "upd" in table and "stale ms" in table and "inval MiB" in table
-
-    def test_numpy_scalar_axes_save(self, tmp_path):
-        # NumPy scalars are one option each and land in the rows as
-        # Python values: the sweep saves to JSON like its listed twin.
-        kwargs = dict(
-            models=["gat"], datasets=["cora"], strategies=["ours"],
-            serve=dict(num_requests=16), feature_dim=16, training=False,
-        )
-        scalar = run_sweep(
-            serve_qps=np.float64(4000.0), update_frac=np.float32(0.25),
-            save_as="scalar", results_dir=str(tmp_path), **kwargs,
-        )
-        listed = run_sweep(serve_qps=[4000.0], update_frac=[0.25], **kwargs)
-        with open(tmp_path / "scalar.json") as fh:
-            assert json.load(fh) == listed.to_dict()
-        assert scalar.to_dict() == listed.to_dict()
-
-    def test_update_frac_requires_serving(self):
-        with pytest.raises(ValueError, match="serve_qps"):
-            run_sweep(
-                models=["gat"], datasets=["cora"],
-                update_frac=[0.2], feature_dim=16,
-            )
-
-    def test_serve_conflicts_with_minibatch(self):
-        with pytest.raises(ValueError):
-            run_sweep(
-                models=["gat"], datasets=["cora"],
-                serve_qps=[100.0], batch_size=64,
-            )
-
-    def test_unservable_config_becomes_oom_row(self):
-        # A device too small for any receptive-field batch must yield a
-        # fits_device=False row, not abort the sweep.
-        import dataclasses
-
-        from repro.gpu.spec import RTX3090
-
-        tiny = dataclasses.replace(RTX3090, name="tiny", dram_gb=1e-6)
-        sweep = run_sweep(
-            models=["gat"], datasets=["cora"], strategies=["ours"],
-            gpus=[tiny, "RTX3090"],
-            serve_qps=[1000.0], serve=dict(num_requests=8),
-            feature_dim=16, training=False,
-        )
-        by_gpu = {r.gpu: r for r in sweep.rows}
-        assert not by_gpu["tiny"].fits_device
-        assert by_gpu["tiny"].p99_latency_s == 0.0
-        assert by_gpu["tiny"].serve_qps == 1000.0
-        assert by_gpu["RTX3090"].fits_device
-        assert "OOM" in sweep.table()
-
-    def test_one_compile_serves_every_qps(self):
-        cache = PlanCache()
-        run_sweep(
-            models=["gat"], datasets=["cora"], strategies=["ours"],
-            serve_qps=[100.0, 1000.0, 10000.0],
-            serve=dict(num_requests=8), feature_dim=16,
-            training=False, cache=cache,
-        )
-        assert cache.misses == 1
 
 
 class TestPlanCacheLRU:
